@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (-D clippy::too_many_arguments)"
 cargo clippy --workspace --all-targets -- -D clippy::too_many_arguments
 
-echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, telemetry schema)"
+echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, sampler-scratch, feature-gather, telemetry schema)"
 cargo run -q -p argo-check --bin argo-lint
 
 echo "==> cargo test -q -p argo-check --features sanitize (lock-order sanitizer + mini-loom)"
@@ -39,6 +39,10 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_serving
 
 echo "==> argo perf-diff (speedup ratios of the quick run vs committed BENCH_*.json, 15% tolerance)"
 cargo run -q -p argo-cli --bin argo -- perf-diff --quick true
+
+echo "==> benchmark/ builds against the public API and runs train_ddp_cached (quick: checks the outputs, enforces no bounds)"
+cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_ddp_cached --quick
 
 echo "==> cargo test -q -p argo-sample"
 cargo test -q -p argo-sample

@@ -68,10 +68,14 @@ const DISPATCH_ONLY_CRATES: &[&str] = &["crates/nn/", "crates/engine/", "crates/
 /// (`crates/sample/src/scratch.rs`): per-batch `HashMap`/`HashSet`
 /// relabeling or `.clone()` of node-id vectors is exactly the allocation
 /// churn the scratch rewrite removed — the epoch-stamped dense dedup table
-/// and the recycled pick buffers replace them. `cache.rs` (long-lived
-/// cross-batch map) and `loader.rs` (Arc handle clones) are deliberately
-/// out of scope.
+/// and the recycled pick buffers replace them. `loader.rs` (Arc handle
+/// clones) is deliberately out of scope.
 const SAMPLER_HOT_FILES: &[&str] = &[
+    // The cross-batch feature cache runs once per batch on the loader
+    // thread: its residency index is a direct-mapped table and its rows one
+    // slab, so a hash map or a per-row clone here is the per-batch host
+    // overhead the slab layout removed.
+    "crates/sample/src/cache.rs",
     "crates/sample/src/neighbor.rs",
     "crates/sample/src/shadow.rs",
     "crates/sample/src/saint.rs",
@@ -87,13 +91,28 @@ const SAMPLER_HOT_FILES: &[&str] = &[
     // The serving request path runs the same sampler per query: per-request
     // hash containers or seed-vector clones would charge the allocation
     // churn to every single query's latency. `result_cache.rs` (long-lived
-    // keyed map, like `cache.rs`) is deliberately out of scope.
+    // map keyed by seed lists, which are not dense) is deliberately out of
+    // scope.
     "crates/serve/src/session.rs",
     "crates/serve/src/batcher.rs",
 ];
 
 /// Allocation-churn constructs forbidden in [`SAMPLER_HOT_FILES`].
 const SCRATCH_NEEDLES: &[&str] = &["HashMap", "HashSet", ".clone()"];
+
+/// Crates on the feature path — feature table → cache slab → input buffer →
+/// step — whose non-test code must gather with the `_into` forms.
+const FEATURE_PATH_CRATES: &[&str] = &[
+    "crates/nn/",
+    "crates/sample/",
+    "crates/serve/",
+    "crates/engine/",
+];
+
+/// The allocating feature-path spellings: the by-value `Features::gather` /
+/// `FeatureCache::gather` wrappers, and the `.data().to_vec()` second copy
+/// that used to follow them.
+const FEATURE_GATHER_NEEDLES: &[&str] = &[".gather(", ".data().to_vec()"];
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit.
 /// Generous enough for a multi-line justification, tight enough that the
@@ -178,6 +197,7 @@ pub fn check_file(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Dia
         check_no_deprecated_telemetry(file, out);
         check_kernel_dispatch(file, allow, out);
         check_sampler_scratch(file, allow, out);
+        check_feature_gather(file, allow, out);
         check_borrowed_batch(file, allow, out);
         check_span_pairing(file, allow, out);
         check_window_racecheck(file, allow, out);
@@ -544,6 +564,41 @@ fn check_sampler_scratch(file: &SourceFile, allow: &mut AllowTracker, out: &mut 
     }
 }
 
+/// Rule `feature-gather`: non-test code on the feature path gathers rows
+/// once, into a buffer it recycles (`Features::gather_into`,
+/// `FeatureCache::gather_rows_into`). The by-value wrappers allocate a fresh
+/// matrix per call, and copying it again with `.data().to_vec()` doubles the
+/// traffic of the one phase the paper identifies as memory-bound; they remain
+/// for tests, benches and callers that keep the rows.
+fn check_feature_gather(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Diagnostic>) {
+    if !FEATURE_PATH_CRATES.iter().any(|c| file.path.starts_with(c)) {
+        return;
+    }
+    for (n, line) in file.numbered() {
+        if line.test {
+            continue;
+        }
+        for needle in FEATURE_GATHER_NEEDLES {
+            if contains_token(&line.code, needle)
+                && !allow.permits("feature-gather", &file.path, &line.raw)
+            {
+                out.push(Diagnostic {
+                    path: file.path.clone(),
+                    line: n,
+                    rule: "feature-gather",
+                    message: format!(
+                        "`{needle}` on the feature path; gather once into a recycled buffer \
+                         with `Features::gather_into` / `FeatureCache::gather_rows_into` \
+                         instead of allocating (and re-copying) a fresh matrix per batch, or \
+                         add an allowlist entry with a justification"
+                    ),
+                });
+                break;
+            }
+        }
+    }
+}
+
 /// Rule `borrowed-batch`: in non-test code of files that handle
 /// [`SparseView`]s (they mention the type), a raw-pointer escape
 /// (`.as_ptr()` / `.as_mut_ptr()`) must sit within [`SAFETY_LOOKBACK`]
@@ -716,14 +771,77 @@ mod tests {
     }
 
     #[test]
-    fn sampler_scratch_exempts_tests_and_cold_files() {
-        // The cross-batch feature cache legitimately owns a long-lived map,
-        // and the loader clones Arc handles into worker threads.
+    fn feature_cache_is_scratch_checked() {
+        // The slab cache indexes dense node ids directly: no hash map, no
+        // per-row clone.
+        let d = lint(
+            "crates/sample/src/cache.rs",
+            "fn f() { let m: HashMap<u32, usize> = HashMap::new(); }\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "sampler-scratch");
+        let d = lint(
+            "crates/sample/src/cache.rs",
+            "fn f() { let r = row.clone(); }\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+    }
+
+    #[test]
+    fn allocating_gather_on_the_feature_path_is_flagged() {
+        for path in [
+            "crates/nn/src/x.rs",
+            "crates/sample/src/x.rs",
+            "crates/serve/src/x.rs",
+            "crates/engine/src/x.rs",
+        ] {
+            let d = lint(path, "fn f() { let g = feats.gather(ids); }\n");
+            assert_eq!(d.len(), 1, "{path}: {d:?}");
+            assert_eq!(d[0].rule, "feature-gather");
+        }
+        // The double copy is one diagnostic per line, not two.
+        let d = lint(
+            "crates/serve/src/x.rs",
+            "fn f() { let rows = feats.gather(ids).data().to_vec(); }\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        let d = lint(
+            "crates/nn/src/x.rs",
+            "fn f() { Matrix::from_vec(n, d, g.data().to_vec()) }\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "feature-gather");
+    }
+
+    #[test]
+    fn feature_gather_passes_the_into_forms_tests_and_other_crates() {
+        let src = "fn f() { feats.gather_into(ids, out); cache.gather_rows_into(f, ids, out); }\n";
+        assert!(lint("crates/engine/src/x.rs", src).is_empty());
+        // The wrappers' own definitions carry no leading dot.
         assert!(lint(
             "crates/sample/src/cache.rs",
-            "fn f() { let m = HashMap::new(); }\n"
+            "pub fn gather(&self, feats: &Features, ids: &[NodeId]) -> Features {}\n"
         )
         .is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let g = f.gather(&ids).data().to_vec(); }\n}\n";
+        assert!(lint("crates/nn/src/x.rs", src).is_empty());
+        assert!(lint("crates/nn/tests/x.rs", "fn f() { feats.gather(ids); }\n").is_empty());
+        // The graph crate defines the wrapper; bench code may call it.
+        assert!(lint(
+            "crates/graph/src/features.rs",
+            "fn f() { self.gather(ids); }\n"
+        )
+        .is_empty());
+        assert!(lint(
+            "crates/bench/src/lib.rs",
+            "fn f() { d.features.gather(ids); }\n"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn sampler_scratch_exempts_tests_and_cold_files() {
+        // The loader clones Arc handles into worker threads.
         assert!(lint(
             "crates/sample/src/loader.rs",
             "fn f() { let g = graph.clone(); }\n"
@@ -820,7 +938,7 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "sampler-scratch");
-        // The result cache, like the feature cache, owns a long-lived map.
+        // The result cache owns a long-lived map keyed by seed lists.
         assert!(lint(
             "crates/serve/src/result_cache.rs",
             "fn f() { let m: HashMap<u64, usize> = HashMap::new(); }\n"

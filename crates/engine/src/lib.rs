@@ -22,7 +22,7 @@
 pub mod engine;
 pub mod evaluate;
 
-pub use engine::{Engine, EngineOptions, EpochStats};
+pub use engine::{BufferStats, Engine, EngineOptions, EpochStats};
 pub use evaluate::evaluate_accuracy;
 
 pub use argo_rt::Config;

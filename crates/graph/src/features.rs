@@ -55,33 +55,24 @@ impl Features {
         &self.data
     }
 
-    /// Gathers rows `ids` into a fresh dense matrix (the `index_select`
-    /// operation the paper identifies as the memory-bandwidth-bound phase of
-    /// GNN training, Figure 2).
-    pub fn gather(&self, ids: &[NodeId]) -> Features {
-        let mut out = Vec::with_capacity(ids.len() * self.dim);
-        for &v in ids {
-            out.extend_from_slice(self.row(v));
-        }
-        Features::new(out, self.dim)
-    }
-
-    /// Copies node `v`'s feature row into `out` without allocating.
-    /// `out.len()` must equal [`Features::dim`].
-    pub fn copy_row_into(&self, v: NodeId, out: &mut [f32]) {
-        out.copy_from_slice(self.row(v));
-    }
-
-    /// Partitioned batch assembly: fills only the rows of `out` whose
-    /// positions appear in `positions`, taking row `ids[p]` for each
-    /// position `p`. `out` is a row-major `ids.len() x dim` buffer; rows at
-    /// other positions (e.g. already served from a cache) are untouched.
-    pub fn fill_rows(&self, ids: &[NodeId], positions: &[usize], out: &mut [f32]) {
+    /// Gathers rows `ids` into `out`, a row-major `ids.len() x dim` buffer
+    /// the caller owns and recycles (the `index_select` operation the paper
+    /// identifies as the memory-bandwidth-bound phase of GNN training,
+    /// Figure 2). Every element of `out` is overwritten; nothing allocates.
+    pub fn gather_into(&self, ids: &[NodeId], out: &mut [f32]) {
         let d = self.dim;
         assert_eq!(out.len(), ids.len() * d, "output buffer shape mismatch");
-        for &p in positions {
-            out[p * d..(p + 1) * d].copy_from_slice(self.row(ids[p]));
+        for (dst, &v) in out.chunks_exact_mut(d).zip(ids) {
+            dst.copy_from_slice(self.row(v));
         }
+    }
+
+    /// [`Features::gather_into`] into a fresh matrix, for callers that keep
+    /// the rows.
+    pub fn gather(&self, ids: &[NodeId]) -> Features {
+        let mut out = vec![0.0; ids.len() * self.dim];
+        self.gather_into(ids, &mut out);
+        Features::new(out, self.dim)
     }
 }
 
@@ -151,32 +142,20 @@ mod tests {
     }
 
     #[test]
-    fn fill_rows_fills_only_requested_positions() {
-        let f = Features::new((0..12).map(|x| x as f32).collect(), 4);
-        let ids = [2u32, 0, 1];
-        let mut out = vec![-1.0f32; 12];
-        f.fill_rows(&ids, &[0, 2], &mut out);
-        assert_eq!(&out[0..4], &[8.0, 9.0, 10.0, 11.0]);
-        assert_eq!(&out[4..8], &[-1.0, -1.0, -1.0, -1.0]); // untouched
-        assert_eq!(&out[8..12], &[4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn fill_rows_all_positions_matches_gather() {
+    fn gather_into_overwrites_a_recycled_buffer() {
         let f = Features::new((0..20).map(|x| x as f32 * 0.5).collect(), 5);
         let ids = [3u32, 1, 3, 0];
-        let positions: Vec<usize> = (0..ids.len()).collect();
-        let mut out = vec![0.0f32; ids.len() * 5];
-        f.fill_rows(&ids, &positions, &mut out);
+        let mut out = vec![-1.0f32; ids.len() * 5];
+        f.gather_into(&ids, &mut out);
         assert_eq!(out, f.gather(&ids).data());
+        assert_eq!(&out[..5], f.row(3));
     }
 
     #[test]
-    fn copy_row_into_matches_row() {
-        let f = Features::new((0..6).map(|x| x as f32).collect(), 3);
-        let mut buf = [0.0f32; 3];
-        f.copy_row_into(1, &mut buf);
-        assert_eq!(&buf, f.row(1));
+    #[should_panic(expected = "shape mismatch")]
+    fn gather_into_rejects_a_misshapen_buffer() {
+        let f = Features::zeros(4, 3);
+        f.gather_into(&[0, 1], &mut [0.0; 5]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! behind one concrete, `Send` type with the flat parameter/gradient API
 //! DDP-style synchronization needs.
 
+use std::borrow::Borrow;
+
 use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
@@ -131,13 +133,16 @@ impl AnyModel {
     }
 
     /// [`AnyModel::forward`] with the input-node feature rows already
-    /// gathered (in `input_nodes()` order).
+    /// gathered (in `input_nodes()` order). `input` is only read: pass
+    /// `&Matrix` to keep a recycled buffer, or a `Matrix` to have it dropped
+    /// afterwards — a caller's buffer is never parked in the model.
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
+        let input = input.borrow();
         match self {
             AnyModel::Gnn(m) => m.forward_gathered(batch, input, pool),
             AnyModel::Gat(m) => m.forward_gathered(batch, input, pool),
@@ -151,9 +156,10 @@ impl AnyModel {
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
+        let input = input.borrow();
         match self {
             AnyModel::Gnn(m) => m.forward_gathered_view(batch, input, pool),
             AnyModel::Gat(m) => m.forward_gathered(&batch.to_owned(), input, pool),
@@ -176,17 +182,36 @@ impl AnyModel {
 
     /// [`AnyModel::train_step`] with the input-node feature rows already
     /// gathered (e.g. pre-gathered by the loader, possibly through the
-    /// cross-batch feature cache).
+    /// cross-batch feature cache); same `input` contract as
+    /// [`AnyModel::forward_gathered`].
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
+        let input = input.borrow();
         match self {
             AnyModel::Gnn(m) => m.train_step_gathered(batch, input, labels, pool),
             AnyModel::Gat(m) => m.train_step_gathered(batch, input, labels, pool),
+        }
+    }
+
+    /// Workspace arena counters `(fresh allocations, reuses)`; GAT keeps
+    /// no arena and reports zeros.
+    pub fn workspace_stats(&self) -> (usize, usize) {
+        match self {
+            AnyModel::Gnn(m) => m.workspace_stats(),
+            AnyModel::Gat(_) => (0, 0),
+        }
+    }
+
+    /// Bytes parked in the workspace arena between steps.
+    pub fn workspace_bytes(&self) -> usize {
+        match self {
+            AnyModel::Gnn(m) => m.workspace_bytes(),
+            AnyModel::Gat(_) => 0,
         }
     }
 
@@ -291,6 +316,64 @@ mod tests {
             let mut p2 = Vec::new();
             m.params_flat(&mut p2);
             assert_eq!(p2, scaled);
+        }
+    }
+
+    #[test]
+    fn used_replica_matches_a_fresh_model_bitwise() {
+        // The engine keeps one replica per rank across epochs. Whatever it
+        // ran before — other batches, other shapes, other parameters — a
+        // step depends only on (params, batch, input): same loss, same
+        // gradients, bit for bit, as a model built for this one step.
+        use argo_graph::datasets::FLICKR;
+        use argo_sample::{NeighborSampler, Sampler};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let d = FLICKR.synthesize(0.01, 11);
+        let sampler = NeighborSampler::new(vec![5, 4]);
+        let batch_of = |skip: usize, n: usize| {
+            let seeds: Vec<u32> = d.train_nodes.iter().copied().skip(skip).take(n).collect();
+            sampler.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(n as u64))
+        };
+        for arch in [Arch::Sage, Arch::Gcn, Arch::Gat { heads: 2 }] {
+            let build = || AnyModel::build(arch, d.feat_dim(), 16, d.num_classes, 2, 5);
+            let mut used = build();
+            for (skip, n) in [(0, 24), (30, 8), (3, 40)] {
+                used.train_step(&batch_of(skip, n), &d.features, &d.labels, None);
+            }
+            let mut params = Vec::new();
+            used.params_flat(&mut params);
+            for p in &mut params {
+                *p *= 0.75;
+            }
+            used.set_params_flat(&params);
+            let mut fresh = build();
+            fresh.set_params_flat(&params);
+
+            let batch = batch_of(11, 32);
+            let ids = batch.input_nodes();
+            let input = Matrix::from_vec(
+                ids.len(),
+                d.feat_dim(),
+                d.features.gather(ids).data().to_vec(),
+            );
+            // Borrowed on the replica, by value on the fresh model: the two
+            // calling conventions are one implementation.
+            let a = used.train_step_gathered(&batch, &input, &d.labels, None);
+            let b = fresh.train_step_gathered(&batch, input.clone(), &d.labels, None);
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{arch:?}");
+            let (mut ga, mut gb) = (Vec::new(), Vec::new());
+            used.grads_flat(&mut ga);
+            fresh.grads_flat(&mut gb);
+            assert!(
+                ga.iter().zip(&gb).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{arch:?} gradients differ"
+            );
+            let (fa, fb) = (
+                used.forward_gathered(&batch, &input, None),
+                fresh.forward(&batch, &d.features, None),
+            );
+            assert_eq!(fa.data(), fb.data(), "{arch:?}");
         }
     }
 

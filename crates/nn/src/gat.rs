@@ -15,6 +15,8 @@
 //! Included as the reproduction's model extension beyond the paper's
 //! GCN/GraphSAGE pair — it exercises every sparse kernel in `argo-tensor`.
 
+use std::borrow::Borrow;
+
 use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
@@ -74,10 +76,9 @@ impl GatLayer {
     }
 }
 
-/// Per-layer forward cache needed by the backward pass.
+/// Per-layer forward cache needed by the backward pass (the layer input
+/// stays with the caller: the batch input or the previous layer's output).
 struct GatCache {
-    /// Layer input (src rows × in_dim).
-    x: Matrix,
     /// Projected features z = x W (src rows × heads·out_dim).
     z: Matrix,
     /// Per head: attention matrix (values = α) and LeakyReLU derivative.
@@ -188,12 +189,12 @@ impl Gat {
         l: usize,
         adj: &SparseMatrix,
         n_dst: usize,
-        x: Matrix,
+        x: &Matrix,
         relu: bool,
         pool: Option<&ThreadPool>,
     ) -> (Matrix, GatCache) {
         let layer = &self.layers[l];
-        let z = self.dispatch.gemm(&x, &layer.w, pool);
+        let z = self.dispatch.gemm(x, &layer.w, pool);
         let (h, d) = (layer.heads, layer.out_dim);
         let mut out = Matrix::zeros(n_dst, layer.output_dim());
         let mut head_caches = Vec::with_capacity(h);
@@ -242,7 +243,6 @@ impl Gat {
         (
             out,
             GatCache {
-                x,
                 z,
                 heads: head_caches,
                 relu_mask,
@@ -261,20 +261,25 @@ impl Gat {
     }
 
     /// [`Gat::forward`] with the input-node feature rows already gathered
-    /// (in `input_nodes()` order).
+    /// (in `input_nodes()` order); pass `&Matrix` to keep the buffer.
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
+        let input = input.borrow();
         let adjs = self.layer_adjs(batch);
-        let mut hcur = input;
+        // Each layer's backward cache is dropped as soon as the next layer
+        // has its input; only the newest output is kept.
+        let mut hcur: Option<Matrix> = None;
         for (l, (adj, n_dst)) in adjs.iter().enumerate() {
             let relu = l + 1 < self.layers.len();
-            let (out, _) = self.layer_forward(l, adj, *n_dst, hcur, relu, pool);
-            hcur = out;
+            let x = hcur.as_ref().unwrap_or(input);
+            let (out, _) = self.layer_forward(l, adj, *n_dst, x, relu, pool);
+            hcur = Some(out);
         }
+        let hcur = hcur.expect("a model has at least one layer");
         match batch {
             SampledBatch::Blocks(_) => hcur,
             SampledBatch::Subgraph(sb) => select_rows(&hcur, &sb.seed_positions),
@@ -299,24 +304,28 @@ impl Gat {
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
+        let input = input.borrow();
         let adjs = self.layer_adjs(batch);
-        let mut hcur = input;
-        let mut caches = Vec::with_capacity(self.layers.len());
+        // Layer `l` reads `input` (l = 0) or `outs[l - 1]`.
+        let mut outs: Vec<Matrix> = Vec::with_capacity(adjs.len());
+        let mut caches = Vec::with_capacity(adjs.len());
         for (l, (adj, n_dst)) in adjs.iter().enumerate() {
             let relu = l + 1 < self.layers.len();
-            let (out, cache) = self.layer_forward(l, adj, *n_dst, hcur, relu, pool);
+            let x = if l == 0 { input } else { &outs[l - 1] };
+            let (out, cache) = self.layer_forward(l, adj, *n_dst, x, relu, pool);
+            outs.push(out);
             caches.push(cache);
-            hcur = out;
         }
+        let hcur = &outs[outs.len() - 1];
         let seeds = batch.seeds();
         let seed_labels: Vec<u32> = seeds.iter().map(|&v| labels[v as usize]).collect();
         let logits = match batch {
             SampledBatch::Blocks(_) => hcur.clone(),
-            SampledBatch::Subgraph(sb) => select_rows(&hcur, &sb.seed_positions),
+            SampledBatch::Subgraph(sb) => select_rows(hcur, &sb.seed_positions),
         };
         let (loss, dlogits) = softmax_cross_entropy(&logits, &seed_labels);
         let acc = accuracy(&logits, &seed_labels);
@@ -329,7 +338,8 @@ impl Gat {
             if let Some(mask) = &cache.relu_mask {
                 relu_backward(&mut grad, mask);
             }
-            grad = self.layer_backward(l, cache, grad, pool);
+            let x = if l == 0 { input } else { &outs[l - 1] };
+            grad = self.layer_backward(l, x, cache, grad, pool);
         }
         StepStats {
             loss,
@@ -338,10 +348,12 @@ impl Gat {
         }
     }
 
-    /// Backward of one layer: consumes d(output) and produces d(input).
+    /// Backward of one layer over its input `x`: consumes d(output) and
+    /// produces d(input).
     fn layer_backward(
         &mut self,
         l: usize,
+        x: &Matrix,
         cache: &GatCache,
         dout: Matrix,
         pool: Option<&ThreadPool>,
@@ -412,8 +424,7 @@ impl Gat {
         }
         // Through the projection: dW = xᵀ dz, dx = dz Wᵀ.
         let dispatch = self.dispatch;
-        let rows = cache.x.rows();
-        dispatch.grad_weights_into(&cache.x, 0..rows, &dz, pool, &mut self.layers[l].dw, 0);
+        dispatch.grad_weights_into(x, 0..x.rows(), &dz, pool, &mut self.layers[l].dw, 0);
         let w = &self.layers[l].w;
         dispatch.grad_input(&dz, w, 0..w.rows(), pool)
     }
@@ -474,8 +485,9 @@ impl Gat {
 }
 
 fn gather(feats: &Features, ids: &[u32]) -> Matrix {
-    let g = feats.gather(ids);
-    Matrix::from_vec(ids.len(), feats.dim(), g.data().to_vec())
+    let mut input = Matrix::zeros(ids.len(), feats.dim());
+    feats.gather_into(ids, input.data_mut());
+    input
 }
 
 fn slice_cols(m: &Matrix, start: usize, len: usize) -> Matrix {

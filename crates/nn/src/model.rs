@@ -9,6 +9,7 @@
 //! [`Workspace`](argo_tensor::Workspace) so steady-state training steps
 //! allocate (almost) nothing.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use argo_graph::features::Features;
@@ -187,6 +188,11 @@ impl Gnn {
         (ws.allocs(), ws.reuses())
     }
 
+    /// Bytes parked in the workspace arena between steps.
+    pub fn workspace_bytes(&self) -> usize {
+        self.ws.borrow().parked_bytes()
+    }
+
     /// Model kind.
     pub fn kind(&self) -> GnnKind {
         self.kind
@@ -256,28 +262,34 @@ impl Gnn {
         (z, agg, mask)
     }
 
-    /// Inference forward pass; returns logits over the batch's seeds.
+    /// Inference forward pass; returns logits over the batch's seeds. The
+    /// input rows are gathered once, into a workspace buffer.
     pub fn forward(
         &self,
         batch: &SampledBatch,
         feats: &Features,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        self.forward_gathered(batch, gather_features(feats, batch.input_nodes()), pool)
+        let input = gather_input(&self.ws, feats, batch.input_nodes());
+        let logits = self.forward_gathered(batch, &input, pool);
+        self.ws.borrow_mut().put(input);
+        logits
     }
 
     /// [`Gnn::forward`] with the input-node feature rows already gathered
     /// (e.g. pre-gathered on the sampling side, possibly through the
     /// cross-batch feature cache). `input` must be the batch's input-node
-    /// rows in `input_nodes()` order.
+    /// rows in `input_nodes()` order; pass `&Matrix` to keep the buffer for
+    /// the next batch. The model only ever reads it — a caller's buffer is
+    /// never parked in the workspace.
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let adjs = self.layer_adjs(batch);
-        let h = self.forward_core(&adjs, input, pool);
+        let h = self.forward_core(&adjs, input.borrow(), pool);
         match batch {
             SampledBatch::Blocks(_) => h,
             SampledBatch::Subgraph(sb) => {
@@ -296,9 +308,10 @@ impl Gnn {
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
+        let input = input.borrow();
         match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
             Some(adjs) => {
                 let h = self.forward_core(&adjs, input, pool);
@@ -319,11 +332,14 @@ impl Gnn {
     /// Shared layer loop of the forward passes: runs every layer over the
     /// prepared adjacencies and returns the final hidden matrix (all output
     /// rows, before any seed selection).
-    fn forward_core(&self, adjs: &[LayerAdj], input: Matrix, pool: Option<&ThreadPool>) -> Matrix {
-        let mut h = input;
-        for (l, adj) in adjs.iter().enumerate() {
-            let relu = l + 1 < self.layers.len();
-            let (z, agg, _) = self.layer_forward(l, adj, &h, relu, pool);
+    fn forward_core(&self, adjs: &[LayerAdj], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
+        let depth = self.layers.len();
+        // The first layer reads the caller's input in place; from then on
+        // each layer's output replaces the previous one, which is retired.
+        let (mut h, agg, _) = self.layer_forward(0, &adjs[0], input, depth > 1, pool);
+        self.ws.borrow_mut().put(agg);
+        for (l, adj) in adjs.iter().enumerate().skip(1) {
+            let (z, agg, _) = self.layer_forward(l, adj, &h, l + 1 < depth, pool);
             let mut ws = self.ws.borrow_mut();
             ws.put(agg);
             ws.put(std::mem::replace(&mut h, z));
@@ -342,39 +358,46 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let input = gather_features(feats, batch.input_nodes());
-        self.train_step_gathered(batch, input, labels, pool)
+        let input = gather_input(&self.ws, feats, batch.input_nodes());
+        let stats = self.train_step_gathered(batch, &input, labels, pool);
+        self.ws.borrow_mut().put(input);
+        stats
     }
 
     /// [`Gnn::train_step`] with the input-node feature rows already
-    /// gathered; see [`Gnn::forward_gathered`].
+    /// gathered; see [`Gnn::forward_gathered`] for the `input` contract.
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
+        let input = input.borrow();
         let adjs = self.layer_adjs(batch);
-        // Forward, caching per-layer inputs, aggregations and masks.
-        let mut h = input;
-        let mut caches: Vec<(Matrix, Matrix, Option<Vec<bool>>)> =
-            Vec::with_capacity(self.layers.len());
+        let depth = self.layers.len();
+        // Forward, keeping per-layer outputs, aggregations and masks. Layer
+        // `l` reads `input` (l = 0) or `outs[l - 1]`.
+        let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
+        let mut caches: Vec<(Matrix, Option<Vec<bool>>)> = Vec::with_capacity(depth);
         for (l, adj) in adjs.iter().enumerate() {
-            let relu = l + 1 < self.layers.len();
-            let (z, agg, mask) = self.layer_forward(l, adj, &h, relu, pool);
-            caches.push((std::mem::replace(&mut h, z), agg, mask));
+            let relu = l + 1 < depth;
+            let h = if l == 0 { input } else { &outs[l - 1] };
+            let (z, agg, mask) = self.layer_forward(l, adj, h, relu, pool);
+            outs.push(z);
+            caches.push((agg, mask));
         }
+        let h = &outs[depth - 1];
         // Loss over seeds.
         let seeds = batch.seeds();
         let seed_labels: Vec<u32> = seeds.iter().map(|&v| labels[v as usize]).collect();
         let (loss, acc, mut grad) = match batch {
             SampledBatch::Blocks(_) => {
-                let (loss, dlogits) = softmax_cross_entropy(&h, &seed_labels);
-                (loss, accuracy(&h, &seed_labels), dlogits)
+                let (loss, dlogits) = softmax_cross_entropy(h, &seed_labels);
+                (loss, accuracy(h, &seed_labels), dlogits)
             }
             SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
+                let logits = select_rows(h, &sb.seed_positions);
                 let (loss, dlogits) = softmax_cross_entropy(&logits, &seed_labels);
                 // Scatter the loss gradient back to the full output rows.
                 let grad = scatter_rows(&dlogits, &sb.seed_positions, h.rows());
@@ -385,8 +408,9 @@ impl Gnn {
         // place into the model's persistent `dw`/`db` buffers; intermediate
         // gradient matrices cycle through the workspace.
         let dispatch = self.dispatch;
-        for l in (0..self.layers.len()).rev() {
-            let (layer_input, agg, mask) = &caches[l];
+        for l in (0..depth).rev() {
+            let layer_input = if l == 0 { input } else { &outs[l - 1] };
+            let (agg, mask) = &caches[l];
             if let Some(m) = mask {
                 relu_backward(&mut grad, m);
             }
@@ -471,11 +495,10 @@ impl Gnn {
         // Recycle every per-step buffer for the next batch.
         {
             let mut ws = self.ws.borrow_mut();
-            for (layer_input, agg, _) in caches {
-                ws.put(layer_input);
+            for (out, (agg, _)) in outs.into_iter().zip(caches) {
+                ws.put(out);
                 ws.put(agg);
             }
-            ws.put(h);
             ws.put(grad);
         }
         StepStats {
@@ -645,9 +668,12 @@ pub(crate) fn layer_adjs_view_for<'a>(
     }
 }
 
-pub(crate) fn gather_features(feats: &Features, ids: &[u32]) -> Matrix {
-    let g = feats.gather(ids);
-    Matrix::from_vec(ids.len(), feats.dim(), g.data().to_vec())
+/// Gathers rows `ids` of `feats`, once, into a buffer of the model's own
+/// workspace; the caller `put`s it back after the pass.
+pub(crate) fn gather_input(ws: &RefCell<Workspace>, feats: &Features, ids: &[u32]) -> Matrix {
+    let mut input = ws.borrow_mut().take_unzeroed(ids.len(), feats.dim());
+    feats.gather_into(ids, input.data_mut());
+    input
 }
 
 pub(crate) fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
@@ -901,6 +927,40 @@ mod tests {
             allocs_second, allocs_first,
             "steady state should allocate nothing new"
         );
+    }
+
+    #[test]
+    fn caller_supplied_input_is_never_parked() {
+        // The 613 MB trap: a persistent replica fed one loader-made input per
+        // batch must not collect them in its free list. Borrowed or by value,
+        // the input is only read; the arena holds the step's own buffers.
+        let d = tiny_dataset();
+        let batch = sample_blocks(&d, 16, 2);
+        let ids = batch.input_nodes();
+        let input = Matrix::from_vec(
+            ids.len(),
+            d.feat_dim(),
+            d.features.gather(ids).data().to_vec(),
+        );
+        let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
+        let input_bytes = input.data().len() * 4;
+        let first = m.train_step_gathered(&batch, &input, &d.labels, None);
+        let allocs = m.workspace_stats().0;
+        for _ in 0..6 {
+            let again = m.train_step_gathered(&batch, input.clone(), &d.labels, None);
+            assert_eq!(again, first);
+            m.forward_gathered(&batch, input.clone(), None);
+        }
+        assert_eq!(m.workspace_stats().0, allocs);
+        assert!(
+            m.workspace_bytes() < input_bytes,
+            "the arena ({} B) holds activations, not {input_bytes}-byte inputs",
+            m.workspace_bytes()
+        );
+        // `train_step` gathers into an arena buffer of its own and returns it.
+        m.train_step(&batch, &d.features, &d.labels, None);
+        m.train_step(&batch, &d.features, &d.labels, None);
+        assert_eq!(m.workspace_stats().0, allocs + 1);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! variant. There is no backward pass: quantized models are
 //! inference-only by construction.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use argo_graph::features::Features;
@@ -25,7 +26,7 @@ use argo_sample::view::SampledBatchView;
 use argo_tensor::{DispatchPolicy, Epilogue, Matrix, QuantKind, QuantizedMatrix, Workspace};
 
 use crate::model::{
-    gather_features, layer_adjs_for, layer_adjs_view_for, select_prefix_rows, select_rows, Gnn,
+    gather_input, layer_adjs_for, layer_adjs_view_for, select_prefix_rows, select_rows, Gnn,
     GnnKind, LayerAdj,
 };
 
@@ -101,7 +102,10 @@ impl QuantizedGnn {
         feats: &Features,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        self.forward_gathered(batch, gather_features(feats, batch.input_nodes()), pool)
+        let input = gather_input(&self.ws, feats, batch.input_nodes());
+        let logits = self.forward_gathered(batch, &input, pool);
+        self.ws.borrow_mut().put(input);
+        logits
     }
 
     /// [`QuantizedGnn::forward`] with the input-node feature rows already
@@ -109,11 +113,11 @@ impl QuantizedGnn {
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let adjs = layer_adjs_for(self.kind, self.layers.len(), batch);
-        let h = self.forward_core(&adjs, input, pool);
+        let h = self.forward_core(&adjs, input.borrow(), pool);
         match batch {
             SampledBatch::Blocks(_) => h,
             SampledBatch::Subgraph(sb) => {
@@ -131,9 +135,10 @@ impl QuantizedGnn {
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
-        input: Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
+        let input = input.borrow();
         match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
             Some(adjs) => {
                 let h = self.forward_core(&adjs, input, pool);
@@ -151,33 +156,47 @@ impl QuantizedGnn {
         }
     }
 
-    /// Shared layer loop of the quantized forward passes.
-    fn forward_core(&self, adjs: &[LayerAdj], input: Matrix, pool: Option<&ThreadPool>) -> Matrix {
-        let mut h = input;
-        for (l, adj) in adjs.iter().enumerate() {
-            let relu = l + 1 < self.layers.len();
-            let layer = &self.layers[l];
-            let (mut agg, mut z) = {
-                let mut ws = self.ws.borrow_mut();
-                (
-                    ws.take(adj.rows(), h.cols()),
-                    ws.take(adj.n_dst, layer.w.cols()),
-                )
-            };
-            adj.aggregate_into(&self.dispatch, &h, pool, &mut agg);
-            let epi = if relu {
-                Epilogue::bias_relu(&layer.b)
-            } else {
-                Epilogue::bias(&layer.b)
-            };
-            match self.kind {
-                GnnKind::Gcn => self
-                    .dispatch
-                    .quant_gemm_into(&agg, &layer.w, epi, pool, &mut z),
-                GnnKind::Sage => self
-                    .dispatch
-                    .sage_quant_gemm_into(&h, &agg, &layer.w, epi, pool, &mut z),
-            }
+    /// One quantized layer: same shape as the f32 layer forward, with the
+    /// weight GEMM swapped for the dequantize-on-the-fly variant.
+    fn layer_forward(
+        &self,
+        l: usize,
+        adj: &LayerAdj,
+        h: &Matrix,
+        pool: Option<&ThreadPool>,
+    ) -> (Matrix, Matrix) {
+        let layer = &self.layers[l];
+        let (mut agg, mut z) = {
+            let mut ws = self.ws.borrow_mut();
+            (
+                ws.take(adj.rows(), h.cols()),
+                ws.take(adj.n_dst, layer.w.cols()),
+            )
+        };
+        adj.aggregate_into(&self.dispatch, h, pool, &mut agg);
+        let epi = if l + 1 < self.layers.len() {
+            Epilogue::bias_relu(&layer.b)
+        } else {
+            Epilogue::bias(&layer.b)
+        };
+        match self.kind {
+            GnnKind::Gcn => self
+                .dispatch
+                .quant_gemm_into(&agg, &layer.w, epi, pool, &mut z),
+            GnnKind::Sage => self
+                .dispatch
+                .sage_quant_gemm_into(h, &agg, &layer.w, epi, pool, &mut z),
+        }
+        (z, agg)
+    }
+
+    /// Shared layer loop of the quantized forward passes; the caller's
+    /// input is read in place, never parked.
+    fn forward_core(&self, adjs: &[LayerAdj], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
+        let (mut h, agg) = self.layer_forward(0, &adjs[0], input, pool);
+        self.ws.borrow_mut().put(agg);
+        for (l, adj) in adjs.iter().enumerate().skip(1) {
+            let (z, agg) = self.layer_forward(l, adj, &h, pool);
             let mut ws = self.ws.borrow_mut();
             ws.put(agg);
             ws.put(std::mem::replace(&mut h, z));

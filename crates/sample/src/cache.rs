@@ -5,16 +5,27 @@
 //! over and over. [`FeatureCache`] is a sharded, bounded cache keyed by
 //! [`NodeId`] that holds gathered feature rows across batches, consulted by
 //! [`PipelinedLoader`](crate::PipelinedLoader) workers before touching
-//! [`Features::gather`]. Eviction is CLOCK / second-chance — an
+//! the feature table. Eviction is CLOCK / second-chance — an
 //! LRU-with-frequency approximation whose per-hit cost is one atomic-free
 //! counter bump under the shard lock, so hot rows (shared neighbors) stick
 //! while cold rows cycle out.
 //!
 //! Cached and uncached gathers are **bitwise identical**: rows are copied
 //! verbatim, so enabling the cache never perturbs training semantics.
+//!
+//! Layout: node ids are dense, so residency is one direct-mapped
+//! `node id → slot` table shared by all shards (4 B per node, sized from the
+//! feature table on first use) instead of a hash map, and each shard keeps
+//! its rows in one flat `capacity × dim` slab instead of a box per row. A
+//! batch groups its positions by shard with a counting sort and visits each
+//! shard once: all of the shard's lookups, then all of its inserts. Lookups
+//! must come first — a batch touches more distinct rows than a shard holds,
+//! so inserting a miss while later positions still wait to be looked up
+//! would evict rows the same batch is about to hit.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use argo_graph::{Features, NodeId};
 use parking_lot::Mutex;
@@ -22,6 +33,9 @@ use parking_lot::Mutex;
 /// Reference-count ceiling: a row needs this many consecutive CLOCK sweeps
 /// without a hit before it becomes an eviction candidate.
 const MAX_FREQ: u8 = 3;
+
+/// `slot_of` entry of a node that is not resident.
+const ABSENT: u32 = u32::MAX;
 
 /// Point-in-time cache counters (cumulative since construction unless
 /// produced by [`CacheStats::delta`]).
@@ -71,86 +85,93 @@ impl CacheStats {
     }
 }
 
-struct Slot {
-    node: NodeId,
-    freq: u8,
-    row: Box<[f32]>,
-}
-
+/// One shard's resident rows. Slot `i` holds node `node_of[i]` with CLOCK
+/// counter `freq[i]` and its features at `rows[i * dim..(i + 1) * dim]`; the
+/// slab is allocated once, at full capacity.
 struct Shard {
-    map: HashMap<NodeId, usize>,
-    slots: Vec<Slot>,
+    node_of: Vec<NodeId>,
+    freq: Vec<u8>,
+    rows: Vec<f32>,
     hand: usize,
     capacity: usize,
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, dim: usize) -> Self {
+        assert!(capacity < ABSENT as usize, "shard capacity overflows u32");
         Self {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            node_of: Vec::with_capacity(capacity),
+            freq: Vec::with_capacity(capacity),
+            rows: vec![0.0; capacity * dim],
             hand: 0,
             capacity,
         }
     }
 
-    /// Copies `v`'s row into `out` if resident, bumping its frequency.
-    fn get(&mut self, v: NodeId, out: &mut [f32]) -> bool {
-        match self.map.get(&v) {
-            Some(&i) => {
-                let slot = &mut self.slots[i];
-                slot.freq = (slot.freq + 1).min(MAX_FREQ);
-                out.copy_from_slice(&slot.row);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Inserts `v`'s row, evicting via CLOCK when full. Returns whether an
-    /// eviction happened.
-    fn insert(&mut self, v: NodeId, row: &[f32]) -> bool {
-        if self.capacity == 0 || self.map.contains_key(&v) {
-            return false; // no room, or raced in by a concurrent miss
+    /// eviction happened. The caller holds this shard's lock, which is what
+    /// orders the `slot_of` entries of the shard's nodes.
+    fn insert(&mut self, v: NodeId, row: &[f32], slot_of: &[AtomicU32]) -> bool {
+        if self.capacity == 0 || slot_of[v as usize].load(Ordering::Relaxed) != ABSENT {
+            return false; // no room, or already inserted for an earlier position
         }
-        if self.slots.len() < self.capacity {
-            self.map.insert(v, self.slots.len());
-            self.slots.push(Slot {
-                node: v,
-                freq: 1,
-                row: row.into(),
-            });
+        let d = row.len();
+        let resident = self.node_of.len();
+        if resident < self.capacity {
+            slot_of[v as usize].store(resident as u32, Ordering::Relaxed);
+            self.node_of.push(v);
+            self.freq.push(1);
+            self.rows[resident * d..(resident + 1) * d].copy_from_slice(row);
             return false;
         }
         // CLOCK sweep: decrement second-chance counters until a victim with
         // freq 0 comes under the hand. Terminates within MAX_FREQ+1 laps.
         loop {
-            let slot = &mut self.slots[self.hand];
-            if slot.freq == 0 {
-                self.map.remove(&slot.node);
-                self.map.insert(v, self.hand);
-                *slot = Slot {
-                    node: v,
-                    freq: 1,
-                    row: row.into(),
-                };
-                self.hand = (self.hand + 1) % self.slots.len();
+            let slot = self.hand;
+            self.hand = (self.hand + 1) % resident;
+            if self.freq[slot] == 0 {
+                slot_of[self.node_of[slot] as usize].store(ABSENT, Ordering::Relaxed);
+                slot_of[v as usize].store(slot as u32, Ordering::Relaxed);
+                self.node_of[slot] = v;
+                self.freq[slot] = 1;
+                self.rows[slot * d..(slot + 1) * d].copy_from_slice(row);
                 return true;
             }
-            slot.freq -= 1;
-            self.hand = (self.hand + 1) % self.slots.len();
+            self.freq[slot] -= 1;
         }
     }
 }
 
+/// Per-thread grouping buffers of [`FeatureCache::gather_rows_into`], kept
+/// so a loader worker's steady-state gathers allocate nothing.
+#[derive(Default)]
+struct Grouping {
+    /// Shard of each position.
+    shard: Vec<u32>,
+    /// Start of each shard's run in `order`, plus the end sentinel.
+    starts: Vec<usize>,
+    /// Positions grouped by shard, ascending within a shard.
+    order: Vec<u32>,
+    /// Missed positions of the shard being visited.
+    missed: Vec<u32>,
+}
+
+thread_local! {
+    static GROUPING: RefCell<Grouping> = RefCell::new(Grouping::default());
+}
+
 /// Sharded, bounded, CLOCK-evicting cache of gathered feature rows.
 ///
-/// Thread-safe: lookups and insertions take only the shard lock for the key
-/// in question, so concurrent [`PipelinedLoader`](crate::PipelinedLoader)
-/// workers proceed mostly in parallel. Hit/miss/eviction counters are
-/// atomics read via [`FeatureCache::stats`].
+/// Thread-safe: a gather holds one shard lock at a time, so concurrent
+/// [`PipelinedLoader`](crate::PipelinedLoader) workers proceed mostly in
+/// parallel. Hit/miss/eviction counters are atomics read via
+/// [`FeatureCache::stats`].
 pub struct FeatureCache {
     shards: Vec<Mutex<Shard>>,
+    /// `node id → slot within its shard`, or [`ABSENT`]. Sized from the
+    /// feature table on first use; node `v`'s entry is only ever touched
+    /// under the lock of `shard_of(v)`, which is why `Relaxed` suffices.
+    slot_of: OnceLock<Box<[AtomicU32]>>,
     dim: usize,
     capacity_rows: usize,
     hits: AtomicU64,
@@ -174,10 +195,11 @@ impl FeatureCache {
         let base = capacity_rows / n_shards;
         let extra = capacity_rows % n_shards;
         let shards = (0..n_shards)
-            .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra))))
+            .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra), dim)))
             .collect();
         Self {
             shards,
+            slot_of: OnceLock::new(),
             dim,
             capacity_rows,
             hits: AtomicU64::new(0),
@@ -202,60 +224,99 @@ impl FeatureCache {
         ((h >> 32) as usize) % self.shards.len()
     }
 
-    /// Gathers rows `ids` from `feats` through the cache into a row-major
-    /// `ids.len() x dim` buffer — bitwise identical to
-    /// `feats.gather(ids)`. Hits are copied out of the cache; misses are
-    /// filled from `feats` in one partitioned pass and then inserted.
-    pub fn gather_rows(&self, feats: &Features, ids: &[NodeId]) -> Vec<f32> {
+    /// Gathers rows `ids` from `feats` through the cache into `out`, a
+    /// row-major `ids.len() x dim` buffer the caller owns and recycles —
+    /// bitwise identical to `feats.gather_into(ids, out)`. Per shard and
+    /// under one lock acquisition, hits are copied out of the slab, then the
+    /// shard's misses are copied from `feats` and inserted.
+    pub fn gather_rows_into(&self, feats: &Features, ids: &[NodeId], out: &mut [f32]) {
         assert_eq!(feats.dim(), self.dim, "feature dim mismatch");
         let d = self.dim;
-        let mut out = vec![0.0f32; ids.len() * d];
-        let mut missed: Vec<usize> = Vec::new();
-        // Each shard lock is taken once per batch, not once per row: group
-        // the positions by shard, then walk each group under one guard.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (p, &v) in ids.iter().enumerate() {
-            by_shard[self.shard_of(v)].push(p);
-        }
-        for (s, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
+        assert_eq!(out.len(), ids.len() * d, "output buffer shape mismatch");
+        assert!(ids.len() < ABSENT as usize, "batch positions overflow u32");
+        let slot_of = self.slot_of.get_or_init(|| {
+            (0..feats.num_nodes())
+                .map(|_| AtomicU32::new(ABSENT))
+                .collect()
+        });
+        assert_eq!(
+            slot_of.len(),
+            feats.num_nodes(),
+            "cache reused over a different feature table"
+        );
+        let n_shards = self.shards.len();
+        let (mut missed_total, mut evicted) = (0u64, 0u64);
+        GROUPING.with(|g| {
+            let Grouping {
+                shard,
+                starts,
+                order,
+                missed,
+            } = &mut *g.borrow_mut();
+            // Counting sort of the positions by shard. It is stable, so each
+            // shard sees its positions in batch order.
+            shard.clear();
+            starts.clear();
+            starts.resize(n_shards + 1, 0);
+            for &v in ids {
+                let s = self.shard_of(v);
+                shard.push(s as u32);
+                starts[s + 1] += 1;
             }
-            let mut shard = self.shards[s].lock();
-            for &p in positions {
-                if !shard.get(ids[p], &mut out[p * d..(p + 1) * d]) {
-                    missed.push(p);
+            for s in 0..n_shards {
+                starts[s + 1] += starts[s];
+            }
+            order.clear();
+            order.resize(ids.len(), 0);
+            for (p, &s) in shard.iter().enumerate() {
+                order[starts[s as usize]] = p as u32;
+                starts[s as usize] += 1;
+            }
+            // The placement pass advanced every start to its run's end, which
+            // is the next run's start.
+            let mut lo = 0;
+            for (lock, &hi) in self.shards.iter().zip(starts.iter()) {
+                let group = &order[lo..hi];
+                lo = hi;
+                if group.is_empty() {
+                    continue;
                 }
+                let mut guard = lock.lock();
+                let sh = &mut *guard;
+                missed.clear();
+                for &p in group {
+                    let p = p as usize;
+                    let slot = slot_of[ids[p] as usize].load(Ordering::Relaxed);
+                    if slot == ABSENT {
+                        missed.push(p as u32);
+                        continue;
+                    }
+                    let slot = slot as usize;
+                    sh.freq[slot] = (sh.freq[slot] + 1).min(MAX_FREQ);
+                    out[p * d..(p + 1) * d].copy_from_slice(&sh.rows[slot * d..(slot + 1) * d]);
+                }
+                for &p in missed.iter() {
+                    let p = p as usize;
+                    let row = feats.row(ids[p]);
+                    out[p * d..(p + 1) * d].copy_from_slice(row);
+                    evicted += u64::from(sh.insert(ids[p], row, slot_of));
+                }
+                missed_total += missed.len() as u64;
             }
-        }
-        missed.sort_unstable(); // restore position order for sequential fill
+        });
         self.hits
-            .fetch_add((ids.len() - missed.len()) as u64, Ordering::Relaxed);
-        self.misses
-            .fetch_add(missed.len() as u64, Ordering::Relaxed);
-        // Zero-copy partition fill: only the missed positions touch the
-        // backing store.
-        feats.fill_rows(ids, &missed, &mut out);
-        let mut evicted = 0u64;
-        // Reuse the shard grouping for insertion, again one lock per shard.
-        for positions in by_shard.iter_mut() {
-            positions.retain(|p| missed.binary_search(p).is_ok());
-        }
-        let miss_by_shard = by_shard;
-        for (s, positions) in miss_by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[s].lock();
-            for &p in positions {
-                if shard.insert(ids[p], &out[p * d..(p + 1) * d]) {
-                    evicted += 1;
-                }
-            }
-        }
+            .fetch_add(ids.len() as u64 - missed_total, Ordering::Relaxed);
+        self.misses.fetch_add(missed_total, Ordering::Relaxed);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+    }
+
+    /// [`FeatureCache::gather_rows_into`] into a fresh buffer, for callers
+    /// that keep the rows.
+    pub fn gather_rows(&self, feats: &Features, ids: &[NodeId]) -> Vec<f32> {
+        let mut out = vec![0.0f32; ids.len() * self.dim];
+        self.gather_rows_into(feats, ids, &mut out);
         out
     }
 
@@ -266,7 +327,7 @@ impl FeatureCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let resident: usize = self.shards.iter().map(|s| s.lock().slots.len()).sum();
+        let resident: usize = self.shards.iter().map(|s| s.lock().node_of.len()).sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -409,6 +470,53 @@ mod tests {
             );
         }
         assert!(rates[rates.len() - 1] > 0.5, "full-size cache: {rates:?}");
+    }
+
+    #[test]
+    fn scan_larger_than_capacity_keeps_its_hits() {
+        // Six distinct rows per batch against four slots, the same batch
+        // repeated: the shape of a training epoch (a batch touches more rows
+        // than the cache holds). With every lookup ahead of every insert, the
+        // four rows resident when a batch arrives all hit and only the two
+        // misses rotate through CLOCK. Inserting a miss inline, while later
+        // positions still wait to be looked up, evicts exactly the rows those
+        // positions want: every repeat would then score zero hits.
+        let f = feats(8, 3);
+        let c = FeatureCache::with_shards(4, 3, 1);
+        let ids: Vec<NodeId> = (0..6).collect();
+        for _ in 0..4 {
+            assert_eq!(c.gather_rows(&f, &ids), f.gather(&ids).data());
+        }
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (12, 12, 8));
+        assert_eq!(s.resident_rows, 4);
+    }
+
+    #[test]
+    fn duplicate_ids_in_one_batch_all_miss_then_all_hit() {
+        // Lookups precede inserts, so every copy of a cold id misses; the
+        // first copy's insert makes the later ones no-ops, not evictions.
+        let f = feats(10, 2);
+        let c = FeatureCache::with_shards(4, 2, 1);
+        let ids = [7, 7, 3, 7];
+        assert_eq!(c.gather_rows(&f, &ids), f.gather(&ids).data());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 4, 0));
+        assert_eq!(s.resident_rows, 2);
+        assert_eq!(c.gather_rows(&f, &ids), f.gather(&ids).data());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.resident_rows), (4, 4, 2));
+    }
+
+    #[test]
+    fn gather_rows_into_overwrites_a_recycled_buffer() {
+        let f = feats(12, 3);
+        let c = FeatureCache::with_shards(5, 3, 2);
+        let mut out = vec![f32::NAN; 4 * 3];
+        for ids in [[1, 9, 1, 4], [4, 2, 9, 11], [0, 1, 2, 3]] {
+            c.gather_rows_into(&f, &ids, &mut out);
+            assert_eq!(out, f.gather(&ids).data());
+        }
     }
 
     proptest! {

@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use parking_lot::Mutex;
+
 use argo_graph::{Features, Graph, NodeId};
 use argo_rt::affinity::{bind_current_thread, CoreSet};
 use argo_rt::spans::{Role, SpanKind, SpanProfiler, WorkerRing};
@@ -58,8 +60,8 @@ pub struct LoaderSpec {
     /// Node features; when present, workers pre-gather each batch's input
     /// rows into [`LoadedBatch::input`].
     pub features: Option<Arc<Features>>,
-    /// Shared cross-batch feature cache consulted before
-    /// [`Features::gather`]. Ignored unless `features` is set.
+    /// Shared cross-batch feature cache consulted before the feature table.
+    /// Ignored unless `features` is set.
     pub cache: Option<Arc<FeatureCache>>,
     /// Fused normalization the samplers write into each batch's adjacency
     /// values during construction (no post-pass on the training side).
@@ -189,12 +191,79 @@ impl LoaderSpecBuilder {
     }
 }
 
+/// The recycled input-feature buffers of one loader/consumer pair.
+///
+/// A pre-gathered batch input is the largest buffer on the training path
+/// (`input nodes × feature dim`, megabytes) and it crosses threads: a loader
+/// worker fills it, the consumer trains on it. Instead of mapping a fresh
+/// one per batch and unmapping it after the step, the worker
+/// [`take`](InputRing::take)s a retired buffer and the consumer
+/// [`put`](InputRing::put)s it back when the step is done. The ring is a
+/// cheap handle (clones share the buffers) and outlives the per-epoch loader:
+/// the engine keeps one per rank across epochs. It holds as many buffers as
+/// were ever in flight at once — the prefetch depth plus one per worker plus
+/// the consumer's — each grown to the largest batch it has carried.
+#[derive(Clone, Default)]
+pub struct InputRing {
+    inner: Arc<RingInner>,
+}
+
+#[derive(Default)]
+struct RingInner {
+    free: Mutex<Vec<Vec<f32>>>,
+    made: AtomicUsize,
+}
+
+impl InputRing {
+    /// An empty ring; buffers are made on demand.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A `rows × cols` matrix on the most recently retired buffer (or a new
+    /// one when none is parked). Contents are unspecified: the caller
+    /// overwrites every element.
+    pub fn take(&self, rows: usize, cols: usize) -> Matrix {
+        let mut buf = self.inner.free.lock().pop().unwrap_or_else(|| {
+            self.inner.made.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        });
+        let need = rows * cols;
+        if buf.capacity() < need {
+            // Grow to exactly the new high-water mark, without carrying the
+            // stale rows over.
+            buf.clear();
+            buf.reserve_exact(need);
+        }
+        buf.resize(need, 0.0);
+        Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// Retires a matrix's allocation for the next [`InputRing::take`].
+    pub fn put(&self, input: Matrix) {
+        self.inner.free.lock().push(input.into_data());
+    }
+
+    /// Buffers made so far (parked or in flight).
+    pub fn buffers_made(&self) -> usize {
+        self.inner.made.load(Ordering::Relaxed)
+    }
+
+    /// Bytes held by the parked buffers.
+    pub fn parked_bytes(&self) -> usize {
+        let free = self.inner.free.lock();
+        free.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>()
+    }
+}
+
 /// One sampled (and possibly pre-gathered) mini-batch.
 pub struct LoadedBatch {
     /// The sampled computation structure.
     pub batch: SampledBatch,
-    /// Input-node feature rows, pre-gathered on the sampling side. `None`
-    /// when the spec carried no features.
+    /// Input-node feature rows, pre-gathered on the sampling side into a
+    /// buffer of the loader's [`InputRing`]; hand it back with
+    /// [`InputRing::put`] after the step. `None` when the spec carried no
+    /// features.
     pub input: Option<Matrix>,
     /// Wall-clock seconds the worker spent gathering `input` (0 when no
     /// pre-gather happened).
@@ -244,8 +313,15 @@ pub struct PipelinedLoader {
 
 impl PipelinedLoader {
     /// Starts `spec.n_samp` sampler threads producing all batches of one
-    /// epoch.
+    /// epoch, with a ring of its own: nothing is handed back, so every
+    /// pre-gathered input is a fresh buffer the consumer keeps.
     pub fn start(spec: LoaderSpec) -> Self {
+        Self::start_recycling(spec, InputRing::new())
+    }
+
+    /// [`PipelinedLoader::start`] with pre-gathered inputs taken from
+    /// `inputs`, the ring the consumer returns them to.
+    pub fn start_recycling(spec: LoaderSpec, inputs: InputRing) -> Self {
         let LoaderSpec {
             graph,
             sampler,
@@ -278,6 +354,7 @@ impl PipelinedLoader {
             let cursor = Arc::clone(&cursor);
             let features = features.clone();
             let cache = cache.clone();
+            let inputs = inputs.clone();
             let tx = tx.clone();
             let ring = match &spans {
                 Some(p) => p.ring(Role::Producer),
@@ -339,11 +416,11 @@ impl PipelinedLoader {
                                         SpanKind::Gather
                                     };
                                     let span = ring.span_begin(kind, i as u64);
-                                    let rows = match &cache {
-                                        Some(c) => c.gather_rows(f, ids),
-                                        None => f.gather(ids).data().to_vec(),
-                                    };
-                                    let m = Matrix::from_vec(ids.len(), f.dim(), rows);
+                                    let mut m = inputs.take(ids.len(), f.dim());
+                                    match &cache {
+                                        Some(c) => c.gather_rows_into(f, ids, m.data_mut()),
+                                        None => f.gather_into(ids, m.data_mut()),
+                                    }
                                     ring.span_end(span);
                                     (Some(m), t0.elapsed().as_secs_f64())
                                 }
@@ -592,6 +669,40 @@ mod tests {
         run(Some(Arc::clone(&cache)));
         let stats = cache.stats();
         assert!(stats.lookups() > 0);
+    }
+
+    #[test]
+    fn returned_inputs_are_reused_across_epochs() {
+        // The consumer hands every input back, so three epochs of seven
+        // batches run on the few buffers that were ever in flight at once:
+        // one being filled, `prefetch` in the channel, one being consumed.
+        // Batches differ in size, so reuse also has to overwrite stale rows.
+        let (g, s, seeds) = setup();
+        let feats = Arc::new(Features::new(
+            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
+            4,
+        ));
+        let ring = InputRing::new();
+        for epoch in 0..3 {
+            let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                .batch_size(16)
+                .epoch(epoch)
+                .epoch_seeds(SeedSequence::new(9))
+                .prefetch(2)
+                .features(Arc::clone(&feats))
+                .build();
+            for (_, lb) in PipelinedLoader::start_recycling(spec, ring.clone()) {
+                let input = lb.input.expect("features requested");
+                assert_eq!(input.data(), feats.gather(lb.batch.input_nodes()).data());
+                ring.put(input);
+            }
+        }
+        assert!(
+            (1..=4).contains(&ring.buffers_made()),
+            "21 batches made {} buffers",
+            ring.buffers_made()
+        );
+        assert!(ring.parked_bytes() > 0);
     }
 
     #[test]

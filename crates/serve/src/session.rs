@@ -251,6 +251,9 @@ pub struct ServeSession {
     batcher: MicroBatcher,
     pool: Option<ThreadPool>,
     scratch: SamplerScratch,
+    /// The one input-feature buffer every query gathers into and the
+    /// forward pass reads in place; it grows to the largest query seen.
+    input: Vec<f32>,
     feature_cache: Option<FeatureCache>,
     result_cache: Option<ResultCache>,
     profiler: SpanProfiler,
@@ -315,6 +318,7 @@ impl ServeSession {
             batcher: MicroBatcher::new(max_batch, deadline_us, queue_cap),
             pool,
             scratch: SamplerScratch::new(),
+            input: Vec::new(),
             feature_cache,
             result_cache,
             profiler,
@@ -590,16 +594,21 @@ impl ServeSession {
         // leaves scratch, the forward pass aggregates straight out of it.
         let batch = self.sampler.sample_into(&self.dataset.graph, seeds, run);
         let ids = batch.input_nodes();
-        let rows = match self.feature_cache.as_ref() {
-            Some(cache) => cache.gather_rows(&self.dataset.features, ids),
-            None => self.dataset.features.gather(ids).data().to_vec(),
-        };
-        let input = Matrix::from_vec(ids.len(), self.dataset.features.dim(), rows);
-        match self.quantized.as_ref() {
-            Some(qm) => qm.forward_gathered_view(&batch, input, self.pool.as_ref()),
+        let features = &self.dataset.features;
+        let mut rows = std::mem::take(&mut self.input);
+        rows.resize(ids.len() * features.dim(), 0.0);
+        match self.feature_cache.as_ref() {
+            Some(cache) => cache.gather_rows_into(features, ids, &mut rows),
+            None => features.gather_into(ids, &mut rows),
+        }
+        let input = Matrix::from_vec(ids.len(), features.dim(), rows);
+        let logits = match self.quantized.as_ref() {
+            Some(qm) => qm.forward_gathered_view(&batch, &input, self.pool.as_ref()),
             None => self
                 .model
-                .forward_gathered_view(&batch, input, self.pool.as_ref()),
-        }
+                .forward_gathered_view(&batch, &input, self.pool.as_ref()),
+        };
+        self.input = input.into_data();
+        logits
     }
 }

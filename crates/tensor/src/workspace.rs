@@ -85,13 +85,26 @@ impl Workspace {
     /// Returns a zeroed `rows × cols` matrix, reusing the smallest retired
     /// buffer whose capacity suffices, or allocating fresh.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.take_buffer(rows, cols, true)
+    }
+
+    /// [`Workspace::take`] without the zero fill, for a buffer the caller
+    /// overwrites in full (a gather destination): a reused buffer keeps
+    /// whatever its previous user left in it.
+    pub fn take_unzeroed(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.take_buffer(rows, cols, false)
+    }
+
+    fn take_buffer(&mut self, rows: usize, cols: usize, zero: bool) -> Matrix {
         let need = rows * cols;
         let pick = self.free.iter().position(|b| b.capacity() >= need);
         match pick {
             Some(i) => {
                 self.reuses += 1;
                 let mut buf = self.free.remove(i);
-                buf.clear();
+                if zero {
+                    buf.clear();
+                }
                 buf.resize(need, 0.0);
                 Matrix::from_vec(rows, cols, buf)
             }
@@ -130,6 +143,11 @@ impl Workspace {
     pub fn free_len(&self) -> usize {
         self.free.len()
     }
+
+    /// Bytes held by the parked buffers.
+    pub fn parked_bytes(&self) -> usize {
+        self.free.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>()
+    }
 }
 
 #[cfg(test)]
@@ -145,6 +163,23 @@ mod tests {
         let m2 = ws.take(3, 4);
         assert!(m2.data().iter().all(|&x| x == 0.0));
         assert_eq!((ws.allocs(), ws.reuses()), (1, 1));
+    }
+
+    #[test]
+    fn unzeroed_take_reuses_without_clearing() {
+        let mut ws = Workspace::new();
+        let mut m = ws.take(2, 4);
+        m.data_mut().fill(7.5);
+        ws.put(m);
+        assert_eq!(ws.parked_bytes(), 8 * 4);
+        // Shrinking keeps the stale prefix; growing within capacity zero-fills
+        // only the tail (safe, and the caller overwrites everything anyway).
+        let m = ws.take_unzeroed(1, 4);
+        assert_eq!(m.data(), &[7.5; 4]);
+        ws.put(m);
+        let m = ws.take_unzeroed(2, 4);
+        assert_eq!(m.data(), &[7.5, 7.5, 7.5, 7.5, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!((ws.allocs(), ws.reuses()), (1, 2));
     }
 
     #[test]
