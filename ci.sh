@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (-D clippy::too_many_arguments)"
 cargo clippy --workspace --all-targets -- -D clippy::too_many_arguments
 
-echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, sampler-scratch, feature-gather, telemetry schema)"
+echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, sampler-scratch, feature-gather)"
 cargo run -q -p argo-check --bin argo-lint
 
 echo "==> cargo test -q -p argo-check --features sanitize (lock-order sanitizer + mini-loom)"
@@ -31,7 +31,7 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
-echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; arena assembly must not lose to legacy; span profiler overhead <= 5%)"
+echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; arena assembly must not lose to legacy; a batch's spans cost <= 5% of the batch)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 
 echo "==> micro_serving quick perf gate (tuned p99 must not lose to the library default; warm result-cache hit rate > 0.9)"
@@ -53,7 +53,7 @@ ARGO_SIMD=off cargo test -q -p argo-sample
 echo "==> cargo test -q -p argo-serve"
 cargo test -q -p argo-serve
 
-echo "==> cargo test -q"
-cargo test --workspace -q
+echo "==> cargo test -q (tier 1: default-members is the whole workspace)"
+cargo test -q
 
 echo "CI OK"

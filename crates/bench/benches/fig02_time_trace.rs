@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use argo_engine::{Engine, EngineOptions};
 use argo_graph::datasets::OGBN_PRODUCTS;
-use argo_rt::{Config, Stage, TraceRecorder};
+use argo_rt::{Config, Stage, Telemetry, TraceRecorder};
 use argo_sample::NeighborSampler;
 
 fn run_trace(n_proc: usize) -> (Arc<TraceRecorder>, f64) {
@@ -25,16 +25,15 @@ fn run_trace(n_proc: usize) -> (Arc<TraceRecorder>, f64) {
             ..Default::default()
         },
     );
-    let trace = Arc::new(TraceRecorder::new());
-    let tel = argo_rt::Telemetry::with_trace(Arc::clone(&trace));
+    let tel = Telemetry::new();
     let stats = engine.train_epoch(Config::new(n_proc, 1, 1), Some(&tel));
-    (trace, stats.epoch_time)
+    (tel.trace, stats.epoch_time)
 }
 
 fn render(trace: &TraceRecorder, horizon: f64, n_proc: usize) {
     const COLS: usize = 96;
     for p in 0..n_proc {
-        for stage in [Stage::Sample, Stage::Gather, Stage::Compute, Stage::Sync] {
+        for stage in Stage::ALL {
             let mut row = vec!['.'; COLS];
             for ev in trace.events() {
                 if ev.process != p || ev.stage != stage {

@@ -180,33 +180,26 @@ fn main() {
         sampler.sample_with(&graph, &seeds, run)
     });
 
-    // -- Span-profiler overhead: the steady-state scratch loop with an
-    // enabled profiler recording one begin/end pair per batch, vs the bare
-    // loop. The pair is what the loader pays per stage, so this bounds the
-    // observability tax on the hot path. Off/on timings are *interleaved*
-    // (alternating single timed executions, min of each) so background load
-    // drift on a shared runner hits both sides equally instead of skewing
-    // whichever loop ran second. --
+    // -- Span-profiler overhead: what one recorded span costs (two clock
+    // reads and a ring push, measured over SPAN_PAIRS timed spans of an
+    // empty closure), times the spans a training batch records, as a share
+    // of the measured steady-state batch time. Timing a ~1 ms sampling call
+    // with and without one ~50 ns span reads -7%..+6% run to run — the
+    // noise of the call, not the cost of the span — so the cost is measured
+    // on its own and then set against the batch. --
+    const SPAN_PAIRS: usize = 200_000;
+    // pick, gather, enqueue-wait, dequeue-wait, compute, sync.
+    const SPANS_PER_BATCH: f64 = 6.0;
     let profiler = SpanProfiler::new();
-    let ring = profiler.ring(Role::Producer);
-    let mut prof_scratch = SamplerScratch::new();
-    let mut run_off = || {
-        let run = SampleRun::new(stream, &mut prof_scratch);
-        sampler.sample_with(&graph, &seeds, run)
-    };
-    std::hint::black_box(run_off()); // warm the arena
-    let (mut off_s, mut on_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples.max(8) {
-        let t = Instant::now();
-        std::hint::black_box(run_off());
-        off_s = off_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let span = ring.span_begin(SpanKind::Pick, 0);
-        std::hint::black_box(run_off());
-        ring.span_end(span);
-        on_s = on_s.min(t.elapsed().as_secs_f64());
+    let ring = profiler.ring(Role::Producer, SPAN_PAIRS);
+    let t = Instant::now();
+    for i in 0..SPAN_PAIRS {
+        std::hint::black_box(ring.timed(SpanKind::Pick, i as u64, || std::hint::black_box(i)));
     }
-    let span_overhead_pct = (on_s / off_s - 1.0) * 100.0;
+    let span_ns = t.elapsed().as_secs_f64() * 1e9 / SPAN_PAIRS as f64;
+    let spans_recorded = profiler.drain().records.len();
+    assert_eq!(spans_recorded, SPAN_PAIRS, "the ring dropped spans");
+    let span_overhead_pct = span_ns * 1e-9 * SPANS_PER_BATCH / scratch_s * 100.0;
 
     // -- Batch assembly in isolation: the legacy edge-list build (owned
     // `Vec`s + COO-style relabel + validating `SparseMatrix::new`) vs the
@@ -297,11 +290,10 @@ fn main() {
         asm_arena_s * 1e3,
     );
     println!(
-        "\nspan profiler overhead: {span_overhead_pct:+.2}% \
-         ({:.3}ms with spans vs {:.3}ms without, interleaved; {} spans recorded)",
-        on_s * 1e3,
-        off_s * 1e3,
-        profiler.drain().records.len()
+        "\nspan profiler overhead: {span_overhead_pct:.3}% of a batch \
+         ({span_ns:.0} ns/span over {spans_recorded} spans x {SPANS_PER_BATCH} spans/batch \
+         vs the {:.3}ms scratch batch)",
+        scratch_s * 1e3,
     );
 
     let json = Json::obj(vec![
@@ -352,15 +344,15 @@ fn main() {
             std::process::exit(1);
         }
         println!("perf gate OK: scratch sampler at {speedup:.2}x vs serial reference");
-        // Observability must stay effectively free: one span pair per batch
-        // may not cost more than 5% of the bare sampling loop.
+        // Observability must stay effectively free: the spans of one batch
+        // may not cost more than 5% of the bare sampling call.
         if span_overhead_pct > 5.0 {
             eprintln!(
                 "PERF GATE: span profiler overhead {span_overhead_pct:.2}% exceeds the 5% budget"
             );
             std::process::exit(1);
         }
-        println!("perf gate OK: span profiler overhead {span_overhead_pct:+.2}% (budget 5%)");
+        println!("perf gate OK: span profiler overhead {span_overhead_pct:.3}% (budget 5%)");
         // The fused arena-CSR assembly must beat the legacy edge-list
         // assembly outright even on a noisy CI core (the full-mode bar is
         // 1.5x; quick mode uses a generous floor and leaves the ns/edge

@@ -5,9 +5,8 @@
 //! * **`argo-lint`** (`src/bin/argo-lint.rs`) — a hand-rolled static
 //!   analyzer over the workspace's Rust sources. No `syn`, no rustc
 //!   internals: the same offline philosophy as `rt/json.rs`, built on a
-//!   small lexical scanner ([`source`]) plus per-file rules ([`rules`]),
-//!   a justified-exception allowlist ([`allowlist`]) and cross-file
-//!   telemetry schema checks ([`schema`]).
+//!   small lexical scanner ([`source`]) plus per-file rules ([`rules`])
+//!   and a justified-exception allowlist ([`allowlist`]).
 //! * **the concurrency harness** — a deterministic schedule-permutation
 //!   explorer ([`schedule`], a mini-loom) used by this crate's test suite,
 //!   which with `--features sanitize` also turns on the lock-order /
@@ -19,7 +18,6 @@ use std::path::{Path, PathBuf};
 pub mod allowlist;
 pub mod rules;
 pub mod schedule;
-pub mod schema;
 pub mod source;
 
 use source::SourceFile;
@@ -99,7 +97,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
         rules::check_file(file, &mut allow, &mut out);
     }
     allow.report_stale(&mut out);
-    out.extend(schema::check_schema(files));
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
 }
@@ -148,28 +145,5 @@ mod tests {
             "{rendered:?}"
         );
         assert_eq!(diagnostics.len(), 2, "no collateral findings: {rendered:?}");
-    }
-
-    #[test]
-    fn seeded_unconsumed_event_kind_fails_schema() {
-        // An event kind added to the producer without a matching consumer
-        // entry must fail: simulate by removing a name from report.rs's
-        // manifest rather than touching the real file.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut files = scan_tree(&root).expect("scan succeeds");
-        for f in &mut files {
-            if f.path.ends_with("crates/cli/src/report.rs") {
-                for line in &mut f.lines {
-                    line.strings.retain(|s| s != "config_applied");
-                }
-            }
-        }
-        let diagnostics = lint_files(&files);
-        assert!(
-            diagnostics
-                .iter()
-                .any(|d| d.rule == "schema" && d.message.contains("config_applied")),
-            "{diagnostics:#?}"
-        );
     }
 }

@@ -20,27 +20,17 @@ const NO_PANIC_CRATES: &[&str] = &[
     "crates/serve/",
 ];
 
-/// Files allowed to read the wall clock: the trace timeline and the metrics
-/// registry own all timing; everything else is either deterministic
-/// (modeled platform, replay) or explicitly allowlisted as a measured path.
+/// Files allowed to read the wall clock: the telemetry handle owns the run
+/// clock and the span rings tick on it; everything else is either
+/// deterministic (modeled platform, replay) or explicitly allowlisted as a
+/// measured path.
 const INSTANT_ALLOWED_FILES: &[&str] = &[
-    "crates/rt/src/trace.rs",
-    "crates/rt/src/metrics.rs",
+    "crates/rt/src/telemetry.rs",
     "crates/rt/src/spans.rs",
     // The serving wall clock: `WallClock` is the one measured `Clock`
     // implementation; every other serving path takes timestamps through the
     // `Clock` trait (deterministic under `ManualClock`).
     "crates/serve/src/clock.rs",
-];
-
-/// Removed `*_telemetry`-era shim names: the methods were deleted in 0.2,
-/// and this list stays as a tripwire so the old spellings never
-/// reappear — in new call sites or in resurrected shims.
-const DEPRECATED_CALLS: &[&str] = &[
-    ".run_telemetry(",
-    ".train_telemetry(",
-    ".run_modeled_telemetry(",
-    ".train_epoch_telemetry(",
 ];
 
 /// Raw serial/pool kernel entry points that model and engine code must not
@@ -194,12 +184,10 @@ pub fn check_file(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Dia
     if !test_file {
         check_no_panic(file, allow, out);
         check_no_instant(file, allow, out);
-        check_no_deprecated_telemetry(file, out);
         check_kernel_dispatch(file, allow, out);
         check_sampler_scratch(file, allow, out);
         check_feature_gather(file, allow, out);
         check_borrowed_batch(file, allow, out);
-        check_span_pairing(file, allow, out);
         check_window_racecheck(file, allow, out);
         check_simd_isolation(file, allow, out);
     }
@@ -307,81 +295,6 @@ fn check_window_racecheck(file: &SourceFile, allow: &mut AllowTracker, out: &mut
     }
 }
 
-/// Rule `span-pairing`: every profiler `.span_begin(` in non-test code must
-/// be lexically paired with a `.span_end(` before its enclosing scope closes.
-/// An unended span corrupts critical-path attribution silently (the interval
-/// never reaches the ring), so the invariant is enforced at lint time: track
-/// brace depth across the file; a `span_begin` opens an obligation at its
-/// depth, a `span_end` discharges the most recent one, and a scope closing
-/// below an open obligation's depth (or EOF) reports the orphaned begin.
-fn check_span_pairing(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Diagnostic>) {
-    if !file.path.starts_with("crates/") {
-        return;
-    }
-    let mut depth: i64 = 0;
-    // Open obligations: (line of the `span_begin`, brace depth it sits at).
-    let mut open: Vec<(usize, i64)> = Vec::new();
-    let orphan = |out: &mut Vec<Diagnostic>, allow: &mut AllowTracker, bn: usize, why: &str| {
-        let raw = file
-            .lines
-            .get(bn - 1)
-            .map(|l| l.raw.as_str())
-            .unwrap_or_default();
-        if !allow.permits("span-pairing", &file.path, raw) {
-            out.push(Diagnostic {
-                path: file.path.clone(),
-                line: bn,
-                rule: "span-pairing",
-                message: format!(
-                    "`span_begin` {why}; every span must reach `span_end` on all paths \
-                     or its interval silently never reaches the profiler ring"
-                ),
-            });
-        }
-    };
-    for (n, line) in file.numbered() {
-        let code = line.code.as_bytes();
-        // Brace depth is tracked through test modules too (their braces
-        // enclose real scopes), but span tokens inside tests are exempt.
-        let track = !line.test;
-        let mut i = 0;
-        while i < code.len() {
-            if track && code[i..].starts_with(b".span_begin(") {
-                open.push((n, depth));
-                i += ".span_begin(".len();
-            } else if track && code[i..].starts_with(b".span_end(") {
-                if open.pop().is_none() && !allow.permits("span-pairing", &file.path, &line.raw) {
-                    out.push(Diagnostic {
-                        path: file.path.clone(),
-                        line: n,
-                        rule: "span-pairing",
-                        message: "`span_end` without a lexically earlier `span_begin` in scope"
-                            .to_string(),
-                    });
-                }
-                i += ".span_end(".len();
-            } else {
-                match code[i] {
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        while open.last().is_some_and(|&(_, bd)| bd > depth) {
-                            if let Some((bn, _)) = open.pop() {
-                                orphan(out, allow, bn, "scope closed before `span_end`");
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-        }
-    }
-    for (bn, _) in open {
-        orphan(out, allow, bn, "still open at end of file");
-    }
-}
-
 /// Rule `unsafe-safety`: every `unsafe` token (block, fn, impl) must have a
 /// `SAFETY:` comment — or a `# Safety` doc section for `unsafe fn` — on the
 /// same line or within [`SAFETY_LOOKBACK`] lines above. Applies to test
@@ -444,7 +357,7 @@ fn check_no_panic(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Dia
     }
 }
 
-/// Rule `no-instant`: `Instant::now` only in the trace/metrics modules (or
+/// Rule `no-instant`: `Instant::now` only in the telemetry/spans modules (or
 /// allowlisted measured paths). Keeps the modeled platform deterministic.
 fn check_no_instant(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Diagnostic>) {
     if !file.path.starts_with("crates/") || file.path.starts_with("crates/bench/") {
@@ -464,38 +377,11 @@ fn check_no_instant(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<D
             path: file.path.clone(),
             line: n,
             rule: "no-instant",
-            message: "`Instant::now` outside rt::trace/rt::metrics; modeled paths must be \
-                      deterministic — route timing through the trace timeline or allowlist \
-                      a measured path"
+            message: "`Instant::now` outside rt::telemetry/rt::spans; modeled paths must be \
+                      deterministic — time hot-loop work with a span or allowlist a \
+                      measured path"
                 .to_string(),
         });
-    }
-}
-
-/// Rule `no-deprecated-telemetry`: internal code must use the unified
-/// `Option<&Telemetry>` entry points, not the deprecated `*_telemetry` shims.
-fn check_no_deprecated_telemetry(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !file.path.starts_with("crates/") {
-        return;
-    }
-    for (n, line) in file.numbered() {
-        if line.test {
-            continue;
-        }
-        for needle in DEPRECATED_CALLS {
-            if line.code.contains(needle) {
-                out.push(Diagnostic {
-                    path: file.path.clone(),
-                    line: n,
-                    rule: "no-deprecated-telemetry",
-                    message: format!(
-                        "call to deprecated shim `{}`; pass `Option<&Telemetry>` to the \
-                         unified entry point instead",
-                        needle.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                });
-            }
-        }
     }
 }
 
@@ -714,12 +600,12 @@ mod tests {
     }
 
     #[test]
-    fn instant_flagged_outside_trace_and_metrics() {
+    fn instant_flagged_outside_telemetry_and_spans() {
         let src = "fn f() { let t = Instant::now(); }\n";
         let d = lint("crates/platform/src/perf.rs", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "no-instant");
-        assert!(lint("crates/rt/src/trace.rs", src).is_empty());
+        assert!(lint("crates/rt/src/telemetry.rs", src).is_empty());
         assert!(lint("crates/bench/src/lib.rs", src).is_empty());
     }
 
@@ -1071,81 +957,8 @@ mod tests {
     }
 
     #[test]
-    fn paired_spans_pass() {
-        let src = "fn f(ring: &WorkerRing) {\n\
-                   \x20   let s = ring.span_begin(SpanKind::Pick, 0);\n\
-                   \x20   work();\n\
-                   \x20   ring.span_end(s);\n\
-                   }\n";
-        assert!(lint("crates/sample/src/x.rs", src).is_empty());
-        // Nested blocks between begin and end are fine.
-        let src = "fn f() {\n\
-                   \x20   let s = ring.span_begin(SpanKind::Pick, 0);\n\
-                   \x20   if x { inner(); }\n\
-                   \x20   ring.span_end(s);\n\
-                   }\n";
-        assert!(lint("crates/sample/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unended_span_is_flagged() {
-        // Begin whose enclosing scope closes before any end.
-        let src = "fn f() {\n\
-                   \x20   if x {\n\
-                   \x20       let s = ring.span_begin(SpanKind::Pick, 0);\n\
-                   \x20   }\n\
-                   \x20   ring.span_end(s);\n\
-                   }\n";
-        let d = lint("crates/engine/src/x.rs", src);
-        assert_eq!(d.len(), 2, "orphaned begin and unmatched end: {d:?}");
-        assert!(d.iter().all(|x| x.rule == "span-pairing"));
-        assert_eq!(d[0].line, 3);
-        // Begin still open at end of file.
-        let src = "fn f() {\n    let s = ring.span_begin(SpanKind::Pick, 0);\n}\n";
-        let d = lint("crates/engine/src/x.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn end_without_begin_is_flagged() {
-        let d = lint("crates/rt/src/x.rs", "fn f() { ring.span_end(s); }\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "span-pairing");
-    }
-
-    #[test]
-    fn span_pairing_exempts_tests_and_foreign_paths() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { ring.span_begin(SpanKind::Pick, 0); }\n}\n";
-        assert!(lint("crates/rt/src/x.rs", src).is_empty());
-        assert!(lint(
-            "crates/bench/benches/micro.rs",
-            "fn f() { ring.span_begin(SpanKind::Pick, 0); }\n"
-        )
-        .is_empty());
-        assert!(lint(
-            "shims/x/src/lib.rs",
-            "fn f() { ring.span_begin(SpanKind::Pick, 0); }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn spans_module_may_read_the_clock() {
         let src = "fn f() { let t = Instant::now(); }\n";
         assert!(lint("crates/rt/src/spans.rs", src).is_empty());
-    }
-
-    #[test]
-    fn deprecated_telemetry_call_is_flagged() {
-        let d = lint(
-            "crates/cli/src/x.rs",
-            "fn f() { argo.run_telemetry(obj, &tel); }\n",
-        );
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "no-deprecated-telemetry");
-        // The definition site (no leading dot) is not a call.
-        assert!(lint("crates/core/src/x.rs", "pub fn run_telemetry(\n").is_empty());
     }
 }

@@ -3,11 +3,9 @@
 //! state machine that is exactly strong enough for the repo's lint rules.
 //!
 //! For every physical line it separates *code* (with string/char contents
-//! blanked so rules never match inside literals), *comments* (so the
-//! `// SAFETY:` convention can be checked), and the *string literals*
-//! themselves (so the telemetry-schema rule can compare event and metric
-//! names across files). It also marks `#[cfg(test)]` regions so rules that
-//! only govern production code can skip tests.
+//! blanked so rules never match inside literals) from *comments* (so the
+//! `// SAFETY:` convention can be checked). It also marks `#[cfg(test)]`
+//! regions so rules that only govern production code can skip tests.
 
 /// One physical source line, split into the channels the rules consume.
 #[derive(Debug, Default, Clone)]
@@ -19,8 +17,6 @@ pub struct Line {
     pub code: String,
     /// Comment text on this line (`//`/`/* */` bodies, doc comments).
     pub comment: String,
-    /// String literal contents that appear on this line, in order.
-    pub strings: Vec<String>,
     /// Whether this line sits inside a `#[cfg(test)]` module.
     pub test: bool,
 }
@@ -60,21 +56,16 @@ enum State {
     BlockComment(usize),
 }
 
-/// Splits source text into per-line code/comment/string channels.
+/// Splits source text into per-line code/comment channels.
 fn split_channels(text: &str) -> Vec<Line> {
     let mut out: Vec<Line> = Vec::new();
     let mut cur = Line::default();
-    let mut cur_string = String::new();
     let mut state = State::Code;
     let chars: Vec<char> = text.chars().collect();
     let mut i = 0;
     while i < chars.len() {
         let c = chars[i];
         if c == '\n' {
-            if state == State::Str || matches!(state, State::RawStr(_)) {
-                // Multi-line string: the literal keeps accumulating.
-                cur_string.push('\n');
-            }
             out.push(std::mem::take(&mut cur));
             i += 1;
             continue;
@@ -99,7 +90,6 @@ fn split_channels(text: &str) -> Vec<Line> {
                 if c == '"' {
                     cur.code.push('"');
                     state = State::Str;
-                    cur_string.clear();
                     i += 1;
                     continue;
                 }
@@ -119,7 +109,6 @@ fn split_channels(text: &str) -> Vec<Line> {
                     }
                     // chars[j] is the opening quote.
                     cur.code.push('"');
-                    cur_string.clear();
                     state = State::RawStr(hashes);
                     i = j + 1;
                     continue;
@@ -138,32 +127,22 @@ fn split_channels(text: &str) -> Vec<Line> {
             }
             State::Str => {
                 if c == '\\' {
-                    // Keep escapes opaque; they cannot end the literal.
-                    if let Some(&esc) = chars.get(i + 1) {
-                        if esc != '\n' {
-                            cur_string.push(esc);
-                        }
-                    }
+                    // Escapes cannot end the literal.
                     i += 2;
                     continue;
                 }
                 if c == '"' {
                     cur.code.push('"');
-                    cur.strings.push(std::mem::take(&mut cur_string));
                     state = State::Code;
-                } else {
-                    cur_string.push(c);
                 }
                 i += 1;
             }
             State::RawStr(hashes) => {
                 if c == '"' && (0..hashes).all(|k| chars.get(i + 1 + k) == Some(&'#')) {
                     cur.code.push('"');
-                    cur.strings.push(std::mem::take(&mut cur_string));
                     state = State::Code;
                     i += 1 + hashes;
                 } else {
-                    cur_string.push(c);
                     i += 1;
                 }
             }
@@ -187,7 +166,7 @@ fn split_channels(text: &str) -> Vec<Line> {
             }
         }
     }
-    if !cur.code.is_empty() || !cur.comment.is_empty() || !cur.strings.is_empty() {
+    if !cur.code.is_empty() || !cur.comment.is_empty() {
         out.push(cur);
     }
     out
@@ -277,10 +256,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strings_are_blanked_and_captured() {
+    fn strings_are_blanked() {
         let f = SourceFile::scan("x.rs", "let s = \"a.unwrap()\"; s.len();\n");
         assert!(!f.lines[0].code.contains("unwrap"));
-        assert_eq!(f.lines[0].strings, vec!["a.unwrap()".to_string()]);
         assert!(f.lines[0].code.contains("s.len()"));
     }
 
@@ -313,7 +291,6 @@ mod tests {
     fn raw_strings() {
         let f = SourceFile::scan("x.rs", "let s = r#\"panic!(\"x\")\"#; h();\n");
         assert!(!f.lines[0].code.contains("panic!"));
-        assert_eq!(f.lines[0].strings, vec!["panic!(\"x\")".to_string()]);
         assert!(f.lines[0].code.contains("h()"));
     }
 
@@ -322,7 +299,6 @@ mod tests {
         let f = SourceFile::scan("x.rs", "let s = \"a\nb.unwrap()\nc\"; done();\n");
         assert!(f.lines.iter().all(|l| !l.code.contains("unwrap")));
         assert!(f.lines[2].code.contains("done()"));
-        assert_eq!(f.lines[2].strings, vec!["a\nb.unwrap()\nc".to_string()]);
     }
 
     #[test]

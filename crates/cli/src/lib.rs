@@ -3,7 +3,8 @@
 //! `argo train` runs real auto-tuned GNN training on a synthetic dataset;
 //! `argo simulate` evaluates the paper-scale platform model for one task;
 //! `argo space` inspects the design space. The argument parser is a tiny
-//! hand-rolled `--key value` reader (no external dependency).
+//! hand-rolled `--key value` reader (no external dependency) that checks
+//! every flag against the set its subcommand declares.
 
 use std::collections::HashMap;
 
@@ -24,19 +25,86 @@ pub struct Cli {
     pub options: HashMap<String, String>,
 }
 
+/// The flags each subcommand accepts (without the leading dashes), or
+/// `None` for an unknown subcommand. [`parse_args`] rejects everything else,
+/// so a typo such as `--metric-out` is an error instead of a run that
+/// silently falls back to the default.
+pub fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "train" => &[
+            "dataset",
+            "scale",
+            "sampler",
+            "model",
+            "heads",
+            "epochs",
+            "n-search",
+            "batch",
+            "hidden",
+            "layers",
+            "lr",
+            "seed",
+            "cache-rows",
+            "save",
+            "load",
+            "metrics-out",
+            "trace-out",
+            "report",
+        ],
+        "simulate" => &[
+            "platform",
+            "library",
+            "sampler",
+            "model",
+            "dataset",
+            "seed",
+            "metrics-out",
+            "report",
+        ],
+        "report" => &["metrics"],
+        "top" => &["metrics", "refresh", "frames"],
+        "perf-diff" => &[
+            "quick",
+            "tolerance",
+            "baseline-sampling",
+            "baseline-kernels",
+            "baseline-serving",
+            "current-sampling",
+            "current-kernels",
+            "current-serving",
+        ],
+        "space" => &["cores"],
+        "info" | "help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
 /// Parses `args` (without the program name). Flags must be `--key value`
-/// pairs; a missing value or an unknown shape is an error.
+/// pairs the subcommand declares in [`accepted_flags`]; a missing value, an
+/// unknown subcommand or an unknown flag is an error.
 pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter();
     let command = it.next().cloned().ok_or("missing subcommand")?;
     if command.starts_with("--") {
         return Err(format!("expected subcommand, got flag {command}"));
     }
+    let accepted =
+        accepted_flags(&command).ok_or_else(|| format!("unknown subcommand '{command}'"))?;
     let mut options = HashMap::new();
     while let Some(key) = it.next() {
         let stripped = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {key}"))?;
+        if !accepted.contains(&stripped) {
+            return Err(if accepted.is_empty() {
+                format!("unknown flag --{stripped}: `argo {command}` takes no flags")
+            } else {
+                format!(
+                    "unknown flag --{stripped} for `argo {command}` (accepted: --{})",
+                    accepted.join(", --")
+                )
+            });
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{stripped} needs a value"))?;
@@ -129,8 +197,9 @@ pub fn usage() -> &'static str {
 
 USAGE:
   argo train    [--dataset flickr] [--scale 0.02] [--sampler neighbor|shadow|saint|cluster]
-                [--model sage|gcn|gat] [--epochs 20] [--n-search 5] [--batch 512]
-                [--hidden 64] [--layers 2] [--seed 0] [--cache-rows 0]
+                [--model sage|gcn|gat] [--heads 2] [--epochs 20] [--n-search 5]
+                [--batch 512] [--hidden 64] [--layers 2] [--lr 0.003] [--seed 0]
+                [--cache-rows 0]
                 [--save FILE] [--load FILE]
                 [--metrics-out run.jsonl] [--trace-out trace.json] [--report true]
       run real auto-tuned training on a synthetic (or saved) dataset;
@@ -138,7 +207,7 @@ USAGE:
 
   argo simulate [--platform icelake|spr] [--library dgl|pyg]
                 [--sampler neighbor|shadow] [--model sage|gcn] [--dataset products]
-                [--metrics-out run.jsonl] [--report true]
+                [--seed 0] [--metrics-out run.jsonl] [--report true]
       evaluate the paper-scale platform model: default vs auto-tuned vs optimal
 
   argo report   --metrics run.jsonl
@@ -167,7 +236,7 @@ USAGE:
       hit rate from BENCH_serving.json
 
   argo space    [--cores 112]
-      inspect the configuration design space
+      inspect the configuration design space (needs at least 4 cores)
 
   argo info
       list datasets and platforms
@@ -203,6 +272,41 @@ mod tests {
         assert!(parse_args(&argv("train dataset reddit")).is_err());
         assert!(parse_args(&argv("--train")).is_err());
         assert!(parse_args(&[]).is_err());
+    }
+
+    #[test]
+    fn every_subcommand_rejects_flags_it_does_not_declare() {
+        for command in [
+            "train",
+            "simulate",
+            "report",
+            "top",
+            "perf-diff",
+            "space",
+            "info",
+            "help",
+        ] {
+            let accepted = accepted_flags(command).expect("known subcommand");
+            let err = parse_args(&argv(&format!("{command} --bogus 1"))).unwrap_err();
+            assert!(err.contains("--bogus"), "{command}: {err}");
+            // The error names what would have been accepted.
+            for flag in accepted {
+                assert!(err.contains(&format!("--{flag}")), "{command}: {err}");
+                let ok = parse_args(&argv(&format!("{command} --{flag} 1")));
+                assert!(ok.is_ok(), "{command} --{flag}: {ok:?}");
+            }
+        }
+        // The typo that used to run a whole training with telemetry off.
+        let err = parse_args(&argv("train --metric-out run.jsonl")).unwrap_err();
+        assert!(
+            err.contains("--metric-out") && err.contains("--metrics-out"),
+            "{err}"
+        );
+        // A flag of another subcommand is still unknown here.
+        assert!(parse_args(&argv("report --cores 8")).is_err());
+        assert!(parse_args(&argv("frobnicate --cores 8"))
+            .unwrap_err()
+            .contains("unknown subcommand 'frobnicate'"));
     }
 
     #[test]

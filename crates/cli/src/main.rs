@@ -47,7 +47,7 @@ fn run(args: &[String]) -> Result<(), Error> {
             info();
             Ok(())
         }
-        "help" | "--help" | "-h" => {
+        "help" | "-h" => {
             println!("{}", usage());
             Ok(())
         }
@@ -439,6 +439,7 @@ fn simulate(cli: &Cli) -> Result<(), Error> {
 
 fn space(cli: &Cli) -> Result<(), Error> {
     let cores: usize = cli.get_num("cores", argo_rt::num_available_cores().max(4))?;
+    check_space_cores(cores)?;
     let space = SearchSpace::for_cores(cores);
     println!(
         "design space for {cores} cores: {} configurations",
@@ -451,6 +452,18 @@ fn space(cli: &Cli) -> Result<(), Error> {
     }
     if space.len() > show {
         println!("  … {} more", space.len() - show);
+    }
+    Ok(())
+}
+
+/// `SearchSpace::for_cores` panics on a machine with no valid configuration;
+/// `--cores` is outside input, so it is checked here first.
+fn check_space_cores(cores: usize) -> Result<(), Error> {
+    if argo_rt::enumerate_space(cores).is_empty() {
+        return Err(Error::InvalidArgument(format!(
+            "--cores {cores}: the design space needs at least 4 cores \
+             (2 processes x (1 sampling + 1 training core))"
+        )));
     }
     Ok(())
 }
@@ -472,5 +485,37 @@ fn info() {
             "  {:<34} {} sockets, {} cores, {} GB/s peak",
             p.name, p.sockets, p.total_cores, p.peak_bw_gbs
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn space_rejects_machines_with_an_empty_design_space() {
+        for cores in 0..4 {
+            match run(&argv(&format!("space --cores {cores}"))) {
+                Err(Error::InvalidArgument(msg)) => {
+                    assert!(msg.contains(&format!("--cores {cores}")), "{msg}")
+                }
+                other => panic!("--cores {cores}: expected InvalidArgument, got {other:?}"),
+            }
+        }
+        assert!(run(&argv("space --cores 4")).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_and_subcommands_are_invalid_arguments() {
+        for args in ["train --metric-out run.jsonl", "info --verbose 1", "tune"] {
+            match run(&argv(args)) {
+                Err(Error::InvalidArgument(_)) => {}
+                other => panic!("{args}: expected InvalidArgument, got {other:?}"),
+            }
+        }
     }
 }

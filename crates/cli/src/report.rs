@@ -10,26 +10,10 @@
 use std::collections::BTreeMap;
 
 use argo_rt::telemetry::names;
-use argo_rt::{RunEvent, Source, Telemetry};
-
-/// Event kinds this renderer consumes. `argo-lint`'s telemetry-schema rule
-/// checks this manifest against the producer set in `rt/src/events.rs` in
-/// both directions — an event the runtime emits but the report drops (or a
-/// stale name listed here) fails CI — and verifies each entry is backed by
-/// a real `RunEvent::…` match below.
-pub const CONSUMED_EVENT_KINDS: &[&str] = &[
-    "epoch_start",
-    "epoch_end",
-    "stage_summary",
-    "cache_summary",
-    "tuner_trial",
-    "config_applied",
-    "critical_path",
-    "bytes_summary",
-    "bottleneck_check",
-    "serve_request",
-    "serve_batch",
-];
+use argo_rt::{
+    BytesRecord, CacheSummaryRecord, Config, RunEvent, ServeBatchRecord, ServeRequestRecord,
+    Source, SpanKind, Stage, StageSummaryRecord, Telemetry, TrialRecord,
+};
 
 /// p50/p95/max of a sample set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,6 +76,68 @@ fn overflow_note(h: &argo_rt::metrics::Histogram) -> String {
     }
 }
 
+/// The event stream sorted by kind, one bucket per report section.
+#[derive(Default)]
+struct Sorted<'a> {
+    first_config: Option<Config>,
+    /// `(epoch_time, source)` per finished epoch.
+    epochs: Vec<(f64, Source)>,
+    stages: Vec<&'a StageSummaryRecord>,
+    /// Per-stage critical-path fractions, one slice per epoch, and the
+    /// profiler coverage `(spans recorded, spans dropped)` summed over them.
+    critical_paths: Vec<&'a [(String, f64)]>,
+    span_coverage: (u64, u64),
+    bytes: Vec<(u64, BytesRecord)>,
+    caches: Vec<(u64, CacheSummaryRecord)>,
+    requests: Vec<&'a ServeRequestRecord>,
+    batches: Vec<&'a ServeBatchRecord>,
+    trials: Vec<&'a TrialRecord>,
+    /// `(epoch, config, predicted, measured)` per audited search epoch.
+    audits: Vec<(u64, Config, &'a str, &'a str)>,
+    applied: Vec<(Config, &'a str)>,
+}
+
+impl<'a> Sorted<'a> {
+    /// The match has no wildcard arm on purpose: a new [`RunEvent`] kind
+    /// does not compile until it is given a bucket here — and so a section
+    /// below — which is what keeps the report from silently dropping it.
+    fn new(events: &'a [(RunEvent, f64, Source)]) -> Self {
+        let mut s = Sorted::default();
+        for (event, _, source) in events {
+            match event {
+                RunEvent::EpochStart { config, .. } => {
+                    s.first_config.get_or_insert(*config);
+                }
+                RunEvent::EpochEnd { record, .. } => s.epochs.push((record.epoch_time, *source)),
+                RunEvent::StageSummary { summary, .. } => s.stages.push(summary),
+                RunEvent::CacheSummary { epoch, summary } => s.caches.push((*epoch, *summary)),
+                RunEvent::TunerTrial(trial) => s.trials.push(trial),
+                RunEvent::ConfigApplied { config, reason } => s.applied.push((*config, reason)),
+                RunEvent::CriticalPath {
+                    fractions,
+                    spans,
+                    dropped,
+                    ..
+                } => {
+                    s.critical_paths.push(fractions);
+                    s.span_coverage.0 += spans;
+                    s.span_coverage.1 += dropped;
+                }
+                RunEvent::BytesSummary { epoch, record } => s.bytes.push((*epoch, *record)),
+                RunEvent::BottleneckCheck {
+                    epoch,
+                    config,
+                    predicted,
+                    measured,
+                } => s.audits.push((*epoch, *config, predicted, measured)),
+                RunEvent::ServeRequest { record } => s.requests.push(record),
+                RunEvent::ServeBatch { record } => s.batches.push(record),
+            }
+        }
+        s
+    }
+}
+
 /// Renders the report from parsed events plus (optionally) the live
 /// telemetry handle the run used. With a live handle, per-stage quantiles
 /// come from the per-iteration histograms and the overlap fraction from its
@@ -99,30 +145,32 @@ fn overflow_note(h: &argo_rt::metrics::Histogram) -> String {
 pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry>) -> String {
     let mut out = String::new();
 
+    let Sorted {
+        first_config,
+        epochs,
+        stages,
+        critical_paths,
+        span_coverage: (spans, dropped),
+        bytes,
+        caches: cache_epochs,
+        requests,
+        batches,
+        trials,
+        audits,
+        applied,
+    } = Sorted::new(events);
+
     // ---- Run summary --------------------------------------------------
-    let mut epoch_times = Vec::new();
-    let mut sources = (0usize, 0usize); // (measured, modeled)
-    let mut first_config = None;
-    for (e, _, s) in events {
-        match e {
-            RunEvent::EpochEnd { record, .. } => {
-                epoch_times.push(record.epoch_time);
-                match s {
-                    Source::Measured => sources.0 += 1,
-                    Source::Modeled => sources.1 += 1,
-                }
-            }
-            RunEvent::EpochStart { config, .. } if first_config.is_none() => {
-                first_config = Some(*config);
-            }
-            _ => {}
-        }
-    }
+    let epoch_times: Vec<f64> = epochs.iter().map(|(t, _)| *t).collect();
+    let measured = epochs
+        .iter()
+        .filter(|(_, s)| *s == Source::Measured)
+        .count();
     out.push_str(&format!(
         "epochs: {} ({} measured, {} modeled), total epoch time {:.3}s\n",
-        epoch_times.len(),
-        sources.0,
-        sources.1,
+        epochs.len(),
+        measured,
+        epochs.len() - measured,
         epoch_times.iter().sum::<f64>()
     ));
     if let Some(c) = first_config {
@@ -140,13 +188,11 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     // ---- Per-stage section -------------------------------------------
     // From events: per-epoch stage totals; from a live handle: the
     // per-iteration histograms (finer-grained).
-    let mut by_stage: BTreeMap<String, (Vec<f64>, u64)> = BTreeMap::new();
-    for (e, _, _) in events {
-        if let RunEvent::StageSummary { summary, .. } = e {
-            let entry = by_stage.entry(summary.stage.clone()).or_default();
-            entry.0.push(summary.seconds);
-            entry.1 += summary.count;
-        }
+    let mut by_stage: BTreeMap<&str, (Vec<f64>, u64)> = BTreeMap::new();
+    for summary in &stages {
+        let entry = by_stage.entry(summary.stage.as_str()).or_default();
+        entry.0.push(summary.seconds);
+        entry.1 += summary.count;
     }
     let live_hists: BTreeMap<String, std::sync::Arc<argo_rt::metrics::Histogram>> = live
         .map(|t| t.metrics.histograms().into_iter().collect())
@@ -158,9 +204,9 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         } else {
             " (per epoch, from stage summaries):\n"
         });
-        let stages = ["sample", "gather", "compute", "sync"];
-        for stage in stages {
-            let hist_name = format!("stage_seconds/{stage}");
+        for stage in Stage::ALL {
+            let hist_name = Telemetry::stage_histogram_name(stage);
+            let stage = stage.label();
             if let Some(h) = live_hists.get(&hist_name) {
                 if h.count() == 0 {
                     continue;
@@ -194,63 +240,37 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         let gauges: BTreeMap<String, f64> = t.metrics.gauges().into_iter().collect();
         if let Some(f) = gauges.get(names::OVERLAP_FRACTION) {
             out.push_str(&format!("\ngather/compute overlap fraction: {f:.3}\n"));
-        } else if t.trace.is_enabled() && !t.trace.events().is_empty() {
-            out.push_str(&format!(
-                "\ngather/compute overlap fraction: {:.3}\n",
-                t.trace.overlap_fraction(t.trace.now())
-            ));
         }
     }
 
     // ---- Critical path (span profiler attribution) --------------------
     // Per-epoch fractions of wall time each stage — or wait on the channel
     // or reorder heap — was the binding constraint, averaged over epochs.
-    // (epoch, per-stage fractions, spans recorded, spans dropped)
-    type CpRow<'a> = (u64, &'a Vec<(String, f64)>, u64, u64);
-    let cp: Vec<CpRow> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::CriticalPath {
-                epoch,
-                fractions,
-                spans,
-                dropped,
-            } => Some((*epoch, fractions, *spans, *dropped)),
-            _ => None,
-        })
-        .collect();
-    if !cp.is_empty() {
+    if !critical_paths.is_empty() {
         out.push_str("\ncritical path (fraction of epoch each stage or wait was binding):\n");
         let mut avg: BTreeMap<&str, f64> = BTreeMap::new();
-        for (_, fractions, _, _) in &cp {
+        for fractions in &critical_paths {
             for (stage, f) in fractions.iter() {
                 *avg.entry(stage.as_str()).or_default() += f;
             }
         }
-        let n = cp.len() as f64;
+        let n = critical_paths.len() as f64;
         for stage in argo_rt::CRITICAL_PATH_STAGES {
             if let Some(v) = avg.get(stage).filter(|v| **v > 0.0) {
                 out.push_str(&format!("  {stage:<12} {:>5.1}%\n", v / n * 100.0));
             }
         }
-        let spans: u64 = cp.iter().map(|c| c.2).sum();
-        let dropped: u64 = cp.iter().map(|c| c.3).sum();
         out.push_str(&format!(
-            "  ({spans} spans, {dropped} dropped; channel_wait = enqueue backpressure, \
-             heap_wait = reorder stall, other = unattributed)\n"
+            "  ({spans} spans, {dropped} dropped; {} = enqueue backpressure, \
+             {} = reorder stall, other = unattributed)\n",
+            SpanKind::EnqueueWait.label(),
+            SpanKind::DequeueWait.label(),
         ));
     }
 
     // ---- Bytes/batch (loader and cache data movement). Metadata is the
     // measured arena-CSR footprint per batch (ids + degrees + indptr +
     // indices + values), reported by the loader workers. -----------------
-    let bytes: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::BytesSummary { epoch, record } => Some((*epoch, *record)),
-            _ => None,
-        })
-        .collect();
     if !bytes.is_empty() {
         out.push_str("\nbytes/batch:\n");
         for (epoch, r) in &bytes {
@@ -266,13 +286,6 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     }
 
     // ---- Feature cache (only present when the cache was enabled) ------
-    let cache_epochs: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::CacheSummary { epoch, summary } => Some((*epoch, *summary)),
-            _ => None,
-        })
-        .collect();
     if !cache_epochs.is_empty() {
         out.push_str("\nfeature cache (per epoch):\n");
         for (epoch, s) in &cache_epochs {
@@ -299,21 +312,7 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     }
 
     // ---- Serving (only present for `argo-serve` sessions) --------------
-    let requests: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::ServeRequest { record } => Some(record),
-            _ => None,
-        })
-        .collect();
-    let batches: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::ServeBatch { record } => Some(record),
-            _ => None,
-        })
-        .collect();
-    if !requests.is_empty() {
+    if !requests.is_empty() || !batches.is_empty() {
         let latencies: Vec<f64> = requests.iter().map(|r| r.latency_seconds).collect();
         let queues: Vec<f64> = requests.iter().map(|r| r.queue_seconds).collect();
         let hits = requests.iter().filter(|r| r.cache_hit).count();
@@ -333,17 +332,21 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         }
         if let Some(p) = percentiles(&queues) {
             out.push_str(&format!(
-                "  queue     p50 {:>10} p95 {:>10} max {:>10}  (serve_queue spans)\n",
+                "  queue     p50 {:>10} p95 {:>10} max {:>10}  ({} spans)\n",
                 fmt_seconds(p.p50),
                 fmt_seconds(p.p95),
                 fmt_seconds(p.max),
+                SpanKind::ServeQueue.label(),
             ));
         }
-        out.push_str(&format!(
-            "  result cache: {hits} hits / {} requests ({:.1}%)\n",
-            requests.len(),
-            hits as f64 / requests.len() as f64 * 100.0
-        ));
+        // (A batch whose requests were all shed logs no request events.)
+        if !requests.is_empty() {
+            out.push_str(&format!(
+                "  result cache: {hits} hits / {} requests ({:.1}%)\n",
+                requests.len(),
+                hits as f64 / requests.len() as f64 * 100.0
+            ));
+        }
         if !batches.is_empty() {
             let exec: Vec<f64> = batches.iter().map(|b| b.exec_seconds).collect();
             let total_reqs: u64 = batches.iter().map(|b| b.requests).sum();
@@ -357,23 +360,17 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
             ));
             if let Some(p) = percentiles(&exec) {
                 out.push_str(&format!(
-                    "  exec      p50 {:>10} p95 {:>10} max {:>10}  (serve_exec spans)\n",
+                    "  exec      p50 {:>10} p95 {:>10} max {:>10}  ({} spans)\n",
                     fmt_seconds(p.p50),
                     fmt_seconds(p.p95),
                     fmt_seconds(p.max),
+                    SpanKind::ServeExec.label(),
                 ));
             }
         }
     }
 
     // ---- Tuner convergence -------------------------------------------
-    let trials: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::TunerTrial(t) => Some(t),
-            _ => None,
-        })
-        .collect();
     if let Some(last) = trials.last() {
         out.push_str("\ntuner convergence (incumbent best per trial):\n");
         for t in &trials {
@@ -403,18 +400,6 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     // ---- Bottleneck audit ---------------------------------------------
     // Each search epoch of an audited run: the perf model's predicted
     // bottleneck vs what the span profiler actually measured as binding.
-    let audits: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::BottleneckCheck {
-                epoch,
-                config,
-                predicted,
-                measured,
-            } => Some((*epoch, config, predicted, measured)),
-            _ => None,
-        })
-        .collect();
     if !audits.is_empty() {
         out.push_str("\nbottleneck audit (perf model vs measured critical path):\n");
         let mut agree = 0usize;
@@ -436,13 +421,6 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     // ---- Config applications -----------------------------------------
     // Every `ConfigApplied` event: which configuration the runtime switched
     // to and why (search trial, final selection, …).
-    let applied: Vec<_> = events
-        .iter()
-        .filter_map(|(e, _, _)| match e {
-            RunEvent::ConfigApplied { config, reason } => Some((config, reason)),
-            _ => None,
-        })
-        .collect();
     if !applied.is_empty() {
         out.push_str("\nconfig applications:\n");
         for (config, reason) in &applied {
@@ -453,7 +431,7 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     // ---- Metrics snapshot (live handle only) --------------------------
     // Renders the registry under its schema names. Together with the
     // overlap gauge above this consumes every constant in `names`;
-    // argo-lint's schema rule enforces that coverage stays complete.
+    // `tests/telemetry.rs` checks a real run's registry against it.
     if let Some(t) = live {
         let counters: BTreeMap<String, u64> = t.metrics.counters().into_iter().collect();
         let gauges: BTreeMap<String, f64> = t.metrics.gauges().into_iter().collect();
@@ -545,7 +523,7 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argo_rt::{Config, EpochRecord, RunLogger, StageSummaryRecord, TrialRecord};
+    use argo_rt::{EpochRecord, RunLogger};
 
     fn evs() -> Vec<(RunEvent, f64, Source)> {
         let c = Config::new(2, 1, 2);
@@ -648,6 +626,109 @@ mod tests {
         assert!(text.contains("epochs: 0"));
         assert!(!text.contains("tuner convergence"));
         assert!(!text.contains("feature cache"));
+    }
+
+    /// One value of every [`RunEvent`] kind. `slot` has no wildcard arm, so
+    /// a new kind fails to compile here until the table below covers it.
+    fn one_of_each_kind() -> Vec<RunEvent> {
+        fn slot(e: &RunEvent) -> usize {
+            match e {
+                RunEvent::EpochStart { .. } => 0,
+                RunEvent::EpochEnd { .. } => 1,
+                RunEvent::StageSummary { .. } => 2,
+                RunEvent::CacheSummary { .. } => 3,
+                RunEvent::TunerTrial(_) => 4,
+                RunEvent::ConfigApplied { .. } => 5,
+                RunEvent::CriticalPath { .. } => 6,
+                RunEvent::BytesSummary { .. } => 7,
+                RunEvent::BottleneckCheck { .. } => 8,
+                RunEvent::ServeRequest { .. } => 9,
+                RunEvent::ServeBatch { .. } => 10,
+            }
+        }
+        let c = Config::new(2, 1, 2).with_cache_rows(64);
+        // epoch_start, a stage summary, epoch_end and a trial from `evs`.
+        let base = evs();
+        let mut table = [0, 1, 3, 4].map(|i| base[i].0.clone()).to_vec();
+        table.extend([
+            RunEvent::CacheSummary {
+                epoch: 0,
+                summary: CacheSummaryRecord {
+                    hits: 3,
+                    misses: 1,
+                    evictions: 0,
+                    resident_rows: 4,
+                    capacity_rows: 64,
+                    bytes: 2048,
+                },
+            },
+            RunEvent::ConfigApplied {
+                config: c,
+                reason: "search".into(),
+            },
+            RunEvent::CriticalPath {
+                epoch: 0,
+                fractions: vec![("compute".into(), 0.75), ("heap_wait".into(), 0.25)],
+                spans: 12,
+                dropped: 0,
+            },
+            RunEvent::BytesSummary {
+                epoch: 0,
+                record: BytesRecord {
+                    batches: 2,
+                    metadata_bytes: 4096,
+                    cache_bytes: 1024,
+                    scratch_allocs: 1,
+                },
+            },
+            RunEvent::BottleneckCheck {
+                epoch: 0,
+                config: c,
+                predicted: "gather".into(),
+                measured: "compute".into(),
+            },
+            RunEvent::ServeRequest {
+                record: ServeRequestRecord {
+                    request: 7,
+                    batch: 1,
+                    seeds: 3,
+                    queue_seconds: 0.001,
+                    latency_seconds: 0.004,
+                    cache_hit: false,
+                },
+            },
+            RunEvent::ServeBatch {
+                record: ServeBatchRecord {
+                    batch: 1,
+                    requests: 1,
+                    flush: "deadline".into(),
+                    exec_seconds: 0.003,
+                },
+            },
+        ]);
+        let mut slots: Vec<usize> = table.iter().map(slot).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..=10).collect::<Vec<_>>(), "one value per kind");
+        table
+    }
+
+    #[test]
+    fn every_event_kind_round_trips_and_renders() {
+        let empty = render_report(&[], None);
+        for event in one_of_each_kind() {
+            let kind = event.kind();
+            let json = event.to_json(1.5, Source::Modeled);
+            let parsed = argo_rt::Json::parse(&json.encode()).expect("valid JSON");
+            let (back, ts, source) = RunEvent::from_json(&parsed).expect(kind);
+            assert_eq!(
+                (&back, ts, source),
+                (&event, 1.5, Source::Modeled),
+                "{kind}"
+            );
+            // On its own, the event changes what the report says.
+            let alone = render_report(&[(event, 0.0, Source::Measured)], None);
+            assert!(alone.len() > empty.len(), "{kind} renders nothing: {alone}");
+        }
     }
 
     #[test]

@@ -7,12 +7,11 @@ use argo_graph::partition::random_partition;
 use argo_graph::{Dataset, Features, Graph};
 use argo_nn::{AnyModel, AnyOptimizer, Arch, LrSchedule, Optimizer, OptimizerKind};
 use argo_rt::affinity::CoreSet;
-use argo_rt::metrics::{Counter, Histogram, MetricsRegistry};
 use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler};
 use argo_rt::telemetry::names;
 use argo_rt::{
     AllReduce, BytesRecord, CacheSummaryRecord, Config, CoreBinder, EpochRecord, RunEvent,
-    RunLogger, SeedSequence, Stage, StageSummaryRecord, Telemetry, ThreadPool, TraceRecorder,
+    SeedSequence, Telemetry, ThreadPool,
 };
 use argo_sample::{FeatureCache, InputRing, LoadedBatch, LoaderSpec, PipelinedLoader, Sampler};
 
@@ -218,44 +217,6 @@ struct ProcessResult {
     opt: AnyOptimizer,
 }
 
-/// Per-stage metric handles shared by all training processes of one epoch.
-/// Handles are lock-free to touch, so cloning one set per process keeps the
-/// hot loop cheap.
-#[derive(Clone)]
-struct StageMetrics {
-    sample: Arc<Histogram>,
-    gather: Arc<Histogram>,
-    compute: Arc<Histogram>,
-    sync: Arc<Histogram>,
-    iterations: Counter,
-    minibatches: Counter,
-    edges: Counter,
-}
-
-impl StageMetrics {
-    fn new(metrics: &MetricsRegistry) -> Self {
-        let stage = |s: Stage| metrics.time_histogram(&Telemetry::stage_histogram_name(s));
-        Self {
-            sample: stage(Stage::Sample),
-            gather: stage(Stage::Gather),
-            compute: stage(Stage::Compute),
-            sync: stage(Stage::Sync),
-            iterations: metrics.counter(names::ITERATIONS_TOTAL),
-            minibatches: metrics.counter(names::MINIBATCHES_TOTAL),
-            edges: metrics.counter(names::EDGES_TOTAL),
-        }
-    }
-
-    fn for_stage(&self, stage: Stage) -> &Arc<Histogram> {
-        match stage {
-            Stage::Sample => &self.sample,
-            Stage::Gather => &self.gather,
-            Stage::Compute => &self.compute,
-            Stage::Sync => &self.sync,
-        }
-    }
-}
-
 /// One rank's state that outlives the epoch: the model replica, whose
 /// workspace arena stays warm, and the ring of input buffers the rank's
 /// loader fills and its training step hands back.
@@ -378,22 +339,6 @@ impl Engine {
         stats
     }
 
-    /// Trains one epoch under `config`. Returns measured statistics; the
-    /// master parameters and optimizer state advance.
-    ///
-    /// Pass `Some(&telemetry)` to wire the epoch to the full telemetry
-    /// layer: stage intervals go to `telemetry.trace`, per-iteration stage
-    /// durations and workload counters to `telemetry.metrics`, and
-    /// `epoch_start`/`stage_summary`/`cache_summary`/`epoch_end` events to
-    /// `telemetry.logger`. Pass `None` for zero instrumentation overhead
-    /// (trace-only callers can use [`Telemetry::with_trace`]).
-    pub fn train_epoch(&mut self, config: Config, telemetry: Option<&Telemetry>) -> EpochStats {
-        match telemetry {
-            Some(t) => self.train_epoch_impl(config, &t.trace, Some(&t.metrics), Some(&t.logger)),
-            None => self.train_epoch_impl(config, &TraceRecorder::disabled(), None, None),
-        }
-    }
-
     /// The feature cache for this epoch's effective capacity
     /// (`config.cache_rows`, falling back to `opts.cache_capacity`), or
     /// `None` when caching is off. The cache persists across epochs and is
@@ -418,13 +363,19 @@ impl Engine {
         }
     }
 
-    fn train_epoch_impl(
-        &mut self,
-        config: Config,
-        trace: &TraceRecorder,
-        metrics: Option<&MetricsRegistry>,
-        logger: Option<&RunLogger>,
-    ) -> EpochStats {
+    /// Trains one epoch under `config`. Returns measured statistics; the
+    /// master parameters and optimizer state advance.
+    ///
+    /// Pass `Some(&telemetry)` to record the epoch: the hot loops write spans
+    /// into per-worker rings, and at epoch end the stage histograms, the
+    /// Figure-2 timeline and the `stage_summary` events are derived from
+    /// them ([`Telemetry::record_stages`]), next to the workload counters
+    /// and the `epoch_start`/`critical_path`/`bytes_summary`/
+    /// `cache_summary`/`epoch_end` events. Pass `None` (or a disabled
+    /// handle) and the loops record nothing and read no clock but the one
+    /// around the all-reduce that [`EpochStats::sync_time`] reports.
+    pub fn train_epoch(&mut self, config: Config, telemetry: Option<&Telemetry>) -> EpochStats {
+        let telemetry = telemetry.filter(|t| t.is_enabled());
         let n_proc = config.n_proc;
         let binder = CoreBinder::new(self.opts.total_cores.max(config.total_cores()));
         let plan = binder
@@ -457,40 +408,21 @@ impl Engine {
             });
         }
 
-        let stage_metrics = metrics.filter(|m| m.is_enabled()).map(StageMetrics::new);
-        // Histograms are cumulative across epochs; snapshot them so the
-        // per-epoch stage summaries below can report deltas.
-        let stage_snapshot: Vec<(Stage, f64, u64)> = stage_metrics
-            .as_ref()
-            .map(|sm| {
-                ALL_STAGES
-                    .iter()
-                    .map(|&s| {
-                        let h = sm.for_stage(s);
-                        (s, h.sum(), h.count())
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        if let Some(l) = logger {
-            l.log(RunEvent::EpochStart { epoch, config });
+        if let Some(t) = telemetry {
+            t.logger.log(RunEvent::EpochStart { epoch, config });
         }
-        // The causal span profiler rides on the structured-event sink: when
-        // events are off, a disabled profiler hands out detached rings and
-        // the hot paths pay a single branch per span.
-        let spans = if logger.is_some_and(|l| l.is_enabled()) {
-            Arc::new(SpanProfiler::new())
-        } else {
-            Arc::new(SpanProfiler::disabled())
-        };
+        // The span rings are the only thing the hot loops record into; with
+        // telemetry off the profiler hands out detached rings and a span
+        // site costs one branch.
+        let spans = telemetry.map_or_else(SpanProfiler::disabled, Telemetry::profiler);
 
+        let window_start = spans.now();
         let start = Instant::now();
         let results: Vec<ProcessResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n_proc);
             for (rank, (part, replica)) in parts.iter().zip(&mut self.replicas).enumerate() {
                 let binding = plan[rank].clone();
                 let spec = ProcessSpec {
-                    rank,
                     dataset: &self.dataset,
                     graph: Arc::clone(&self.graph),
                     features: Arc::clone(&self.features),
@@ -506,10 +438,9 @@ impl Engine {
                     training_cores: binding.training,
                     allreduce: &allreduce,
                     cache: cache.clone(),
-                    stage_metrics: stage_metrics.clone(),
-                    spans: Arc::clone(&spans),
+                    spans: spans.for_process(rank),
                 };
-                handles.push(scope.spawn(move || run_process(spec, replica, trace)));
+                handles.push(scope.spawn(move || run_process(spec, replica)));
             }
             handles
                 .into_iter()
@@ -517,10 +448,9 @@ impl Engine {
                 .collect()
         });
         let epoch_time = start.elapsed().as_secs_f64();
-        // Drain the span rings on the profiler clock: the horizon is the
-        // profiler-relative instant of the drain, so critical-path bins
-        // line up with the recorded span timestamps.
-        let span_horizon = spans.now();
+        // The epoch's window on the span clock, read next to the spans
+        // themselves so critical-path bins line up with their timestamps.
+        let window_end = spans.now();
         let drained = spans.drain();
 
         // All replicas end bit-identical; adopt rank 0's state as master.
@@ -584,13 +514,20 @@ impl Engine {
             scratch_allocs,
         };
 
-        if let Some(m) = metrics.filter(|m| m.is_enabled()) {
+        if let Some(t) = telemetry {
+            // Stage histograms, timeline and `stage_summary` events: all
+            // derived from the drained spans, here, once.
+            t.record_stages(epoch, &drained.records);
+            let m = &t.metrics;
             m.time_histogram(names::EPOCH_SECONDS).observe(epoch_time);
             m.counter(names::EPOCHS_TOTAL).inc();
-            if trace.is_enabled() {
-                m.gauge(names::OVERLAP_FRACTION)
-                    .set(trace.overlap_fraction(trace.now()));
-            }
+            m.counter(names::ITERATIONS_TOTAL)
+                .add(stats.iterations as u64);
+            m.counter(names::MINIBATCHES_TOTAL)
+                .add(stats.minibatches as u64);
+            m.counter(names::EDGES_TOTAL).add(stats.edges as u64);
+            m.gauge(names::OVERLAP_FRACTION)
+                .set(t.trace.overlap_fraction(window_end));
             m.counter(names::SCRATCH_ALLOCS_TOTAL).add(scratch_allocs);
             m.counter(names::METADATA_BYTES_TOTAL).add(metadata_bytes);
             m.counter(names::SPANS_RECORDED_TOTAL)
@@ -609,25 +546,12 @@ impl Engine {
             // violations) in the same snapshot the report renders; no-op
             // unless a checker feature is compiled in.
             argo_rt::racecheck::publish_verdicts(m);
-        }
-        if let Some(l) = logger {
-            if let Some(sm) = &stage_metrics {
-                for (stage, sum0, count0) in &stage_snapshot {
-                    let h = sm.for_stage(*stage);
-                    l.log(RunEvent::StageSummary {
-                        epoch,
-                        summary: StageSummaryRecord {
-                            stage: stage.label().to_string(),
-                            seconds: h.sum() - sum0,
-                            count: h.count() - count0,
-                        },
-                    });
-                }
-            }
+
+            let l = &t.logger;
             // Critical-path attribution: which stage (or wait) was the
             // binding constraint, sampled over the epoch's span timeline.
             if !drained.records.is_empty() {
-                let fractions = critical_path(&drained.records, span_horizon)
+                let fractions = critical_path(&drained.records, window_start, window_end)
                     .into_iter()
                     .map(|(stage, f)| (stage.to_string(), f))
                     .collect();
@@ -663,8 +587,6 @@ impl Engine {
     }
 }
 
-const ALL_STAGES: [Stage; 4] = [Stage::Sample, Stage::Gather, Stage::Compute, Stage::Sync];
-
 /// The model every replica starts from: deterministic in `opts.seed`, so
 /// replicas (and [`Engine::model`]) differ only in the parameters set on them.
 fn build_model(opts: &EngineOptions, dataset: &Dataset) -> AnyModel {
@@ -684,7 +606,6 @@ fn build_model(opts: &EngineOptions, dataset: &Dataset) -> AnyModel {
 /// threads are scoped, so session state is borrowed; only what the loader's
 /// own threads need is a shared handle.
 struct ProcessSpec<'a> {
-    rank: usize,
     dataset: &'a Dataset,
     graph: Arc<Graph>,
     features: Arc<Features>,
@@ -702,15 +623,13 @@ struct ProcessSpec<'a> {
     /// `Some` iff the cross-batch cache is on this epoch; the loader then
     /// pre-gathers each batch's input rows through it.
     cache: Option<Arc<FeatureCache>>,
-    stage_metrics: Option<StageMetrics>,
-    /// Causal span profiler shared by every process of this epoch (a
-    /// disabled profiler hands out detached rings — zero overhead).
-    spans: Arc<SpanProfiler>,
+    /// This rank's handle on the epoch's span profiler (a disabled profiler
+    /// hands out detached rings — zero overhead).
+    spans: SpanProfiler,
 }
 
-fn run_process(spec: ProcessSpec, replica: &mut Replica, trace: &TraceRecorder) -> ProcessResult {
+fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
     let ProcessSpec {
-        rank,
         dataset,
         graph,
         features,
@@ -726,7 +645,6 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica, trace: &TraceRecorder) 
         training_cores,
         allreduce,
         cache,
-        stage_metrics,
         spans,
     } = spec;
 
@@ -746,14 +664,14 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica, trace: &TraceRecorder) 
         .cores(sampling_cores)
         .prefetch(opts.prefetch)
         .normalization(opts.kind.normalization())
-        .spans(Arc::clone(&spans));
+        .spans(spans.clone());
     if let Some(c) = cache {
         loader_spec = loader_spec.features(Arc::clone(&features)).cache(c);
     }
     let loader = PipelinedLoader::start_recycling(loader_spec.build(), inputs.clone());
-    // Consumer-side span ring: compute/sync spans here chain (by batch id)
-    // onto the producer spans the loader records.
-    let ring = spans.ring(Role::Consumer);
+    // Consumer-side span ring: the gather/compute/sync spans here chain (by
+    // batch id) onto the producer spans the loader records.
+    let ring = spans.ring(Role::Consumer, 3 * loader.num_batches());
     let train_pool = if training_cores.len() > 1 {
         Some(ThreadPool::pinned("argo-train", &training_cores))
     } else {
@@ -769,56 +687,30 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica, trace: &TraceRecorder) 
     let mut scratch_allocs = 0u64;
     let mut metadata_bytes = 0u64;
 
-    let sm = stage_metrics.as_ref();
-    let observe = |stage: Stage, start: f64, end: f64| {
-        trace.record(rank, stage, start, end);
-        if let Some(sm) = sm {
-            sm.for_stage(stage).observe(end - start);
-        }
-    };
-
-    let mut wait_from = trace.now();
     for (i, loaded) in loader {
-        observe(Stage::Sample, wait_from, trace.now());
         scratch_allocs += loaded.scratch_allocs;
         let LoadedBatch {
             batch,
             input,
-            gather_seconds,
             metadata_bytes: batch_metadata_bytes,
             ..
         } = loaded;
-        let input = match input {
-            Some(input) => {
-                // The loader already gathered the input rows (through the
-                // cross-batch cache); attribute that measured time to the
-                // Gather stage instead of re-touching the feature table.
-                if trace.is_enabled() || sm.is_some() {
-                    let g0 = trace.now();
-                    observe(Stage::Gather, g0, g0 + gather_seconds);
-                }
-                input
-            }
-            None => {
-                // The bandwidth-bound feature gather (Figure 2's
-                // `aten::index_select`), done here once, into a ring buffer,
-                // and timed as its own stage: what is measured is what
-                // feeds the model.
-                let g0 = trace.now();
-                let gsp = ring.span_begin(SpanKind::Gather, i as u64);
+        // With the cache on, the loader already gathered the input rows
+        // through it (its `Cache` span is this batch's gather). Otherwise
+        // the bandwidth-bound feature gather (Figure 2's
+        // `aten::index_select`) happens here, once, into a ring buffer, as
+        // its own span: what is measured is what feeds the model.
+        let input = input.unwrap_or_else(|| {
+            ring.timed(SpanKind::Gather, i as u64, || {
                 let ids = batch.input_nodes();
                 let mut input = inputs.take(ids.len(), features.dim());
                 features.gather_into(ids, input.data_mut());
-                ring.span_end(gsp);
-                observe(Stage::Gather, g0, trace.now());
                 input
-            }
-        };
-        let c0 = trace.now();
-        let sp = ring.span_begin(SpanKind::Compute, i as u64);
-        let stats = model.train_step_gathered(&batch, &input, &dataset.labels, train_pool.as_ref());
-        ring.span_end(sp);
-        observe(Stage::Compute, c0, trace.now());
+            })
+        });
+        let stats = ring.timed(SpanKind::Compute, i as u64, || {
+            model.train_step_gathered(&batch, &input, &dataset.labels, train_pool.as_ref())
+        });
         // The step only read the input: back to the ring it goes, for the
         // loader (or the next gather above) to fill again.
         inputs.put(input);
@@ -833,27 +725,20 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica, trace: &TraceRecorder) 
         // Synchronous SGD: average gradients, then apply the identical
         // optimizer step on every replica.
         model.grads_flat(&mut grads);
-        let t0 = trace.now();
-        let sy = ring.span_begin(SpanKind::Sync, i as u64);
+        // `sync_time` is a result the tuner reads with telemetry off, so
+        // this stage is timed by a plain clock pair, and its span is that
+        // same measurement: one clock, two readers.
+        let sync_start = Instant::now();
         allreduce.reduce_mean(&mut grads);
-        ring.span_end(sy);
-        let t1 = trace.now();
-        sync_time += t1 - t0;
-        observe(Stage::Sync, t0, t1);
+        let sync_elapsed = sync_start.elapsed();
+        sync_time += sync_elapsed.as_secs_f64();
+        ring.push_measured(SpanKind::Sync, i as u64, sync_start, sync_elapsed);
         if let Some(max_norm) = opts.grad_clip {
             argo_nn::optim::clip_grad_norm(&mut grads, max_norm);
         }
         opt.step(&mut params, &grads);
         model.set_params_flat(&params);
         iterations += 1;
-        if let Some(sm) = sm {
-            sm.minibatches.inc();
-            sm.edges.add(batch.total_edges(opts.num_layers) as u64);
-            if rank == 0 {
-                sm.iterations.inc();
-            }
-        }
-        wait_from = trace.now();
     }
 
     ProcessResult {
@@ -873,6 +758,7 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica, trace: &TraceRecorder) 
 mod tests {
     use super::*;
     use argo_graph::datasets::FLICKR;
+    use argo_rt::Stage;
     use argo_sample::{NeighborSampler, ShadowSampler};
 
     fn tiny() -> Arc<Dataset> {
@@ -976,11 +862,10 @@ mod tests {
     #[test]
     fn trace_records_all_stages() {
         let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let trace = Arc::new(TraceRecorder::new());
-        let tel = Telemetry::with_trace(Arc::clone(&trace));
+        let tel = Telemetry::new();
         e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        let events = trace.events();
-        for stage in [Stage::Sample, Stage::Gather, Stage::Compute, Stage::Sync] {
+        let events = tel.trace.events();
+        for stage in Stage::ALL {
             assert!(
                 events.iter().any(|ev| ev.stage == stage),
                 "missing {stage:?} events"
@@ -988,6 +873,99 @@ mod tests {
         }
         // Both processes traced.
         assert!(events.iter().any(|ev| ev.process == 1));
+    }
+
+    /// Stage seconds and counts the epoch's `stage_summary` events carry.
+    fn stage_summaries(tel: &Telemetry, epoch: u64) -> Vec<(String, f64, u64)> {
+        tel.logger
+            .events()
+            .into_iter()
+            .filter_map(|(_, e)| match e {
+                RunEvent::StageSummary { epoch: at, summary } if at == epoch => {
+                    Some((summary.stage, summary.seconds, summary.count))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stage_numbers_are_one_fold_of_the_spans() {
+        // Histograms, `stage_summary` events and the timeline all come out
+        // of the same pass over the same drained spans, so on a fresh
+        // handle they agree to the bit, and every stage saw every batch.
+        let mut e = Engine::new(tiny(), neighbor(), opts(64));
+        let tel = Telemetry::new();
+        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+        let hists: std::collections::BTreeMap<_, _> =
+            tel.metrics.histograms().into_iter().collect();
+        let summaries = stage_summaries(&tel, 0);
+        let timeline = tel.trace.events();
+        assert_eq!(summaries.len(), Stage::ALL.len());
+        for (stage, (label, seconds, count)) in Stage::ALL.into_iter().zip(summaries) {
+            let h = &hists[&Telemetry::stage_histogram_name(stage)];
+            assert_eq!(label, stage.label());
+            assert_eq!(h.count(), stats.minibatches as u64, "{label}");
+            assert_eq!(count, stats.minibatches as u64, "{label}");
+            assert_eq!(h.sum(), seconds, "{label}");
+            assert!(seconds > 0.0, "{label}");
+            // `events()` sorts by start, which is the drain order.
+            let spans = timeline.iter().filter(|ev| ev.stage == stage);
+            assert_eq!(spans.clone().count(), stats.minibatches);
+            assert_eq!(spans.map(|ev| ev.end - ev.start).sum::<f64>(), seconds);
+        }
+        // One track per process.
+        for rank in 0..2 {
+            assert!(timeline.iter().any(|ev| ev.process == rank));
+        }
+    }
+
+    #[test]
+    fn cached_epoch_charges_the_loader_cache_span_to_gather() {
+        // With the cache on the consumer gathers nothing: the loader's
+        // `Cache` span is the batch's gather, on its process's track.
+        let mut o = opts(64);
+        o.cache_capacity = 512;
+        let mut e = Engine::new(tiny(), neighbor(), o);
+        let tel = Telemetry::new();
+        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+        let gather = stage_summaries(&tel, 0)
+            .into_iter()
+            .find(|(label, ..)| label == Stage::Gather.label())
+            .expect("gather summary");
+        assert_eq!(gather.2, stats.minibatches as u64);
+        assert!(gather.1 > 0.0);
+        let gathers: Vec<_> = tel
+            .trace
+            .events()
+            .into_iter()
+            .filter(|ev| ev.stage == Stage::Gather)
+            .collect();
+        assert_eq!(gathers.len(), stats.minibatches);
+        assert!(gathers.iter().any(|ev| ev.process == 1));
+    }
+
+    #[test]
+    fn long_epochs_drop_no_spans() {
+        // Rings are sized from the batch count: an epoch with more batches
+        // than a fixed RING_CAPACITY ring could hold (it used to cap a
+        // consumer ring at capacity / 4 batches) still records every span.
+        let batches = argo_rt::spans::RING_CAPACITY / 4 + 50;
+        let mut d = (*tiny()).clone();
+        let n = d.graph.num_nodes() as u32;
+        d.train_nodes = (0..batches as u32).map(|i| i % n).collect();
+        let mut o = opts(1);
+        o.hidden = 4;
+        let sampler = Arc::new(NeighborSampler::new(vec![2, 2]));
+        let mut e = Engine::new(Arc::new(d), sampler, o);
+        let tel = Telemetry::new();
+        let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));
+        assert_eq!(stats.minibatches, batches);
+        let counters: std::collections::BTreeMap<_, _> =
+            tel.metrics.counters().into_iter().collect();
+        assert_eq!(counters[names::SPANS_DROPPED_TOTAL], 0);
+        // pick + enqueue + dequeue + gather + compute + sync per batch.
+        assert_eq!(counters[names::SPANS_RECORDED_TOTAL], 6 * batches as u64);
     }
 
     #[test]
@@ -1081,8 +1059,8 @@ mod tests {
     #[test]
     fn sync_time_agrees_with_metrics() {
         use std::collections::BTreeMap;
-        // Single process: the sync histogram's total is exactly the
-        // EpochStats sync_time (both sum the same rank-0 intervals).
+        // Single process: the sync histogram's total is the EpochStats
+        // sync_time (both time the same rank-0 all-reduces).
         let mut e = Engine::new(tiny(), neighbor(), opts(64));
         let tel = Telemetry::new();
         let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));

@@ -486,31 +486,23 @@ impl PerfModel {
         ];
 
         telemetry.logger.log(RunEvent::EpochStart { epoch, config });
-        if telemetry.metrics.is_enabled() {
-            for (stage, t) in per_iter {
-                telemetry
-                    .metrics
-                    .time_histogram(&Telemetry::stage_histogram_name(stage))
-                    .observe(t);
-            }
-            telemetry
-                .metrics
-                .time_histogram(names::EPOCH_SECONDS)
-                .observe(epoch_time);
-            telemetry.metrics.counter(names::EPOCHS_TOTAL).inc();
-            telemetry
-                .metrics
-                .counter(names::ITERATIONS_TOTAL)
-                .add(iters as u64);
-            telemetry
-                .metrics
-                .counter(names::MINIBATCHES_TOTAL)
-                .add(iters as u64 * config.n_proc as u64);
-            telemetry
-                .metrics
-                .counter(names::EDGES_TOTAL)
-                .add(w.epoch_edges(config.n_proc) as u64);
+        let metrics = &telemetry.metrics;
+        for (stage, t) in per_iter {
+            metrics
+                .time_histogram(&Telemetry::stage_histogram_name(stage))
+                .observe(t);
         }
+        metrics
+            .time_histogram(names::EPOCH_SECONDS)
+            .observe(epoch_time);
+        metrics.counter(names::EPOCHS_TOTAL).inc();
+        metrics.counter(names::ITERATIONS_TOTAL).add(iters as u64);
+        metrics
+            .counter(names::MINIBATCHES_TOTAL)
+            .add(iters as u64 * config.n_proc as u64);
+        metrics
+            .counter(names::EDGES_TOTAL)
+            .add(w.epoch_edges(config.n_proc) as u64);
         for (stage, t) in per_iter {
             telemetry.logger.log(RunEvent::StageSummary {
                 epoch,

@@ -594,8 +594,9 @@ impl RunLogger {
         }
     }
 
-    /// A logger that drops all events (zero overhead in hot loops).
-    pub fn disabled() -> Self {
+    /// A logger that drops all events: the off state of
+    /// [`crate::Telemetry::disabled`], the only switch.
+    pub(crate) fn disabled() -> Self {
         Self {
             origin: std::time::Instant::now(),
             source: Source::Measured,

@@ -14,12 +14,13 @@
 //!   `sched_setaffinity`.
 //! * [`allreduce`] — the synchronous gradient all-reduce used by the
 //!   Multi-Process Engine to emulate PyTorch DDP (Section IV-B2).
-//! * [`trace`] — a lightweight event recorder used to regenerate the paper's
-//!   Figure 2 time-traces.
-//! * [`metrics`] / [`events`] / [`telemetry`] — the observability layer:
+//! * [`spans`] — per-worker lock-free span rings: the only thing the hot
+//!   loops record, and the input of critical-path attribution.
+//! * [`trace`] / [`metrics`] / [`events`] / [`telemetry`] — what is derived
+//!   from the spans and reported beside them: the Figure-2 timeline,
 //!   lock-cheap counters/gauges/histograms, structured JSONL run events
-//!   (epoch stats, tuner trials, config switches) and the [`Telemetry`]
-//!   handle that bundles them with the trace recorder.
+//!   (epoch stats, tuner trials, config switches), and the [`Telemetry`]
+//!   handle that bundles them behind one on/off switch and one clock.
 //! * [`rng`] — deterministic seed fan-out so that multi-process runs are
 //!   reproducible and semantics tests can compare runs bit-for-bit.
 

@@ -13,9 +13,9 @@
 //!   training process its own view; [`MetricsRegistry::merge`] folds them
 //!   into a run-global registry with the same totals (property-tested in
 //!   `tests/proptests.rs`).
-//! * **Disabled is free.** A registry built with
-//!   [`MetricsRegistry::disabled`] drops all observations so un-instrumented
-//!   runs stay un-perturbed.
+//! * **Disabled is free.** The registry of a [`crate::Telemetry::disabled`]
+//!   handle drops all observations so un-instrumented runs stay
+//!   un-perturbed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -246,8 +246,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// A registry that drops all observations.
-    pub fn disabled() -> Self {
+    /// A registry that drops all observations: the off state of
+    /// [`crate::Telemetry::disabled`], the only switch.
+    pub(crate) fn disabled() -> Self {
         Self {
             tables: Mutex::new(Tables::default()),
             enabled: false,

@@ -17,23 +17,25 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-/// Spans a single [`WorkerRing`] can hold before further pushes are counted
-/// as dropped. 8192 spans × 24 B ≈ 192 KiB per worker, far above the span
-/// volume of one epoch (a handful of spans per batch).
+use crate::trace::Stage;
+
+/// Ring size for owners with no batch count to size from (the serving
+/// session, fixtures): 8192 spans × 24 B ≈ 192 KiB. The training loops size
+/// their rings from the epoch's batch count instead, so nothing is dropped.
 pub const RING_CAPACITY: usize = 8192;
 
 /// Histogram bins used by [`critical_path`] attribution.
 const BINS: usize = 2048;
 
-/// Pipeline step a span measures. Unlike [`crate::Stage`] (the coarse
-/// 4-stage trace the perf model shares), span kinds separate the *waits* —
-/// a producer blocked on the bounded channel, a consumer blocked on the
+/// Pipeline step a span measures. Unlike [`Stage`] (the coarse 4-stage
+/// view the perf model shares), span kinds separate the *waits* — a
+/// producer blocked on the bounded channel, a consumer blocked on the
 /// reorder heap — from the work, which is exactly what critical-path
-/// attribution needs.
+/// attribution needs. [`SpanKind::stage`] folds them back onto [`Stage`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Seed draw + neighbor sampling on a loader worker.
@@ -57,9 +59,22 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Attribution label, aligned with [`crate::Stage::label`] where the
-    /// concepts coincide.
-    pub fn label(&self) -> &'static str {
+    /// Every kind, in declaration order (a kind's ring code is its index).
+    pub const ALL: [SpanKind; 9] = [
+        SpanKind::Pick,
+        SpanKind::Gather,
+        SpanKind::Cache,
+        SpanKind::EnqueueWait,
+        SpanKind::DequeueWait,
+        SpanKind::Compute,
+        SpanKind::Sync,
+        SpanKind::ServeQueue,
+        SpanKind::ServeExec,
+    ];
+
+    /// Attribution label, aligned with [`Stage::label`] where the concepts
+    /// coincide.
+    pub const fn label(self) -> &'static str {
         match self {
             SpanKind::Pick => "sample",
             SpanKind::Gather => "gather",
@@ -73,32 +88,30 @@ impl SpanKind {
         }
     }
 
-    fn code(self) -> u64 {
+    /// The training-process stage this span's time is charged to — the one
+    /// map the stage histograms, the Figure-2 timeline and the
+    /// `stage_summary` events are all derived through. A process *waits* for
+    /// its next batch (`Sample`), has its input rows gathered — by itself or,
+    /// through the cache, by its loader — computes and syncs. Producer-side
+    /// sampling and backpressure overlap those and are charged to no stage;
+    /// serving spans belong to the request path.
+    pub const fn stage(self) -> Option<Stage> {
         match self {
-            SpanKind::Pick => 0,
-            SpanKind::Gather => 1,
-            SpanKind::Cache => 2,
-            SpanKind::EnqueueWait => 3,
-            SpanKind::DequeueWait => 4,
-            SpanKind::Compute => 5,
-            SpanKind::Sync => 6,
-            SpanKind::ServeQueue => 7,
-            SpanKind::ServeExec => 8,
+            SpanKind::DequeueWait => Some(Stage::Sample),
+            SpanKind::Gather | SpanKind::Cache => Some(Stage::Gather),
+            SpanKind::Compute => Some(Stage::Compute),
+            SpanKind::Sync => Some(Stage::Sync),
+            SpanKind::Pick | SpanKind::EnqueueWait | SpanKind::ServeQueue | SpanKind::ServeExec => {
+                None
+            }
         }
     }
 
     fn from_code(code: u64) -> SpanKind {
-        match code {
-            0 => SpanKind::Pick,
-            1 => SpanKind::Gather,
-            2 => SpanKind::Cache,
-            3 => SpanKind::EnqueueWait,
-            4 => SpanKind::DequeueWait,
-            5 => SpanKind::Compute,
-            7 => SpanKind::ServeQueue,
-            8 => SpanKind::ServeExec,
-            _ => SpanKind::Sync,
-        }
+        SpanKind::ALL
+            .get(code as usize)
+            .copied()
+            .unwrap_or(SpanKind::Sync)
     }
 }
 
@@ -116,6 +129,8 @@ pub enum Role {
 /// One drained span.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanRecord {
+    /// Rank of the training process the ring's owner works for.
+    pub process: usize,
     /// Ring (worker) index assigned at registration.
     pub worker: usize,
     /// Producer or consumer side.
@@ -128,17 +143,6 @@ pub struct SpanRecord {
     pub start: f64,
     /// Seconds since the profiler's origin (`>= start`).
     pub end: f64,
-}
-
-/// Token returned by [`WorkerRing::span_begin`]; hand it back to
-/// [`WorkerRing::span_end`] to close the interval. The argo-lint
-/// `span-pairing` rule checks that every begin is lexically paired with an
-/// end on all paths.
-#[derive(Clone, Copy, Debug)]
-pub struct SpanStart {
-    kind: SpanKind,
-    batch: u64,
-    at: f64,
 }
 
 const BATCH_MASK: u64 = (1 << 56) - 1;
@@ -155,43 +159,26 @@ struct Slot {
 /// `dropped` instead of overwriting history, so attribution never sees a
 /// torn timeline.
 pub struct WorkerRing {
+    process: usize,
     worker: usize,
     role: Role,
     origin: Instant,
-    enabled: bool,
     head: AtomicUsize,
     dropped: AtomicU64,
+    /// Empty for a detached ring, which records nothing.
     slots: Box<[Slot]>,
 }
 
 impl WorkerRing {
-    fn new(worker: usize, role: Role, origin: Instant, capacity: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                meta: AtomicU64::new(0),
-                start: AtomicU64::new(0),
-                end: AtomicU64::new(0),
-            })
-            .collect();
-        Self {
-            worker,
-            role,
-            origin,
-            enabled: true,
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            slots,
-        }
-    }
-
-    /// A ring that records nothing — the zero-overhead stand-in used when
-    /// profiling is off, so instrumentation sites need no `Option` dance.
+    /// A ring that records nothing and reads no clock — the stand-in used
+    /// when telemetry is off, so instrumentation sites need no `Option`
+    /// dance.
     pub fn detached() -> Self {
         Self {
+            process: 0,
             worker: 0,
             role: Role::Producer,
             origin: Instant::now(),
-            enabled: false,
             head: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
             slots: Box::new([]),
@@ -200,42 +187,42 @@ impl WorkerRing {
 
     /// Whether spans are being kept.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        !self.slots.is_empty()
     }
 
-    /// Seconds since the owning profiler's origin.
-    pub fn now(&self) -> f64 {
-        if !self.enabled {
-            return 0.0;
-        }
+    fn now(&self) -> f64 {
         self.origin.elapsed().as_secs_f64()
     }
 
-    /// Opens a span of `kind` for `batch`. Pair with
-    /// [`WorkerRing::span_end`] on every path (enforced by argo-lint).
-    pub fn span_begin(&self, kind: SpanKind, batch: u64) -> SpanStart {
-        SpanStart {
-            kind,
-            batch,
-            at: self.now(),
+    /// Runs `f` and records it as one span of `kind` for `batch`. The span
+    /// closes when `f` returns, so no path can leave it open. A detached
+    /// ring just runs `f`.
+    pub fn timed<T>(&self, kind: SpanKind, batch: u64, f: impl FnOnce() -> T) -> T {
+        if !self.is_enabled() {
+            return f();
         }
+        let start = self.now();
+        let out = f();
+        self.push(kind, batch, start, self.now());
+        out
     }
 
-    /// Closes a span opened by [`WorkerRing::span_begin`].
-    pub fn span_end(&self, start: SpanStart) {
-        if !self.enabled {
+    /// Records a span the caller timed itself, for a stage whose duration
+    /// is also a result (the engine's `sync_time`): one clock pair then
+    /// serves both readers.
+    pub fn push_measured(&self, kind: SpanKind, batch: u64, started: Instant, elapsed: Duration) {
+        if !self.is_enabled() {
             return;
         }
-        let end = self.now();
-        self.push(start.kind, start.batch, start.at, end);
+        let start = started.saturating_duration_since(self.origin).as_secs_f64();
+        self.push(kind, batch, start, start + elapsed.as_secs_f64());
     }
 
-    /// Records a complete interval directly (timestamps from
-    /// [`WorkerRing::now`]). The begin/end API above is preferred in
-    /// instrumented code; `push` exists for synthetic fixtures and for
-    /// intervals whose endpoints were measured elsewhere.
+    /// Records a complete interval whose endpoints were measured elsewhere
+    /// (the serving clock, synthetic fixtures), in seconds on the ring's
+    /// clock.
     pub fn push(&self, kind: SpanKind, batch: u64, start: f64, end: f64) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         let n = self.head.load(Ordering::Relaxed);
@@ -244,8 +231,10 @@ impl WorkerRing {
             return;
         }
         let slot = &self.slots[n];
-        slot.meta
-            .store(kind.code() << 56 | (batch & BATCH_MASK), Ordering::Relaxed);
+        slot.meta.store(
+            (kind as u64) << 56 | (batch & BATCH_MASK),
+            Ordering::Relaxed,
+        );
         slot.start.store(start.to_bits(), Ordering::Relaxed);
         slot.end.store(end.max(start).to_bits(), Ordering::Relaxed);
         // Publish the slot: readers load `head` with Acquire.
@@ -267,6 +256,7 @@ impl WorkerRing {
         for slot in self.slots.iter().take(n) {
             let meta = slot.meta.load(Ordering::Relaxed);
             out.push(SpanRecord {
+                process: self.process,
                 worker: self.worker,
                 role: self.role,
                 kind: SpanKind::from_code(meta >> 56),
@@ -289,65 +279,92 @@ pub struct SpanDrain {
     pub dropped: u64,
 }
 
-/// Hands out per-worker rings sharing one clock origin and drains them
-/// after the workers quiesced (epoch end). The registry mutex is touched
-/// once per worker registration and once per drain — never per span.
-pub struct SpanProfiler {
+struct Registry {
     origin: Instant,
     enabled: bool,
-    capacity: usize,
     rings: Mutex<Vec<Arc<WorkerRing>>>,
 }
 
+/// Hands out per-worker rings sharing one clock origin and drains them
+/// after the workers quiesced (epoch end). The registry mutex is touched
+/// once per worker registration and once per drain — never per span.
+///
+/// A profiler is a cheap handle: clones share the rings, and
+/// [`SpanProfiler::for_process`] gives the handle a training process hands
+/// to its loader, so every ring registered through it carries that rank.
+#[derive(Clone)]
+pub struct SpanProfiler {
+    registry: Arc<Registry>,
+    process: usize,
+}
+
 impl SpanProfiler {
-    /// An active profiler with [`RING_CAPACITY`] spans per ring.
+    /// An active profiler whose clock starts now.
     pub fn new() -> Self {
-        Self::with_capacity(RING_CAPACITY)
+        Self::starting_at(Instant::now())
     }
 
-    /// An active profiler whose rings hold `capacity` spans each.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            origin: Instant::now(),
-            enabled: true,
-            capacity,
-            rings: Mutex::new(Vec::new()),
-        }
+    /// An active profiler on the clock that started at `origin`.
+    pub fn starting_at(origin: Instant) -> Self {
+        Self::build(origin, true)
     }
 
     /// A profiler whose rings record nothing (zero hot-path overhead).
     pub fn disabled() -> Self {
+        Self::build(Instant::now(), false)
+    }
+
+    fn build(origin: Instant, enabled: bool) -> Self {
         Self {
-            origin: Instant::now(),
-            enabled: false,
-            capacity: 0,
-            rings: Mutex::new(Vec::new()),
+            registry: Arc::new(Registry {
+                origin,
+                enabled,
+                rings: Mutex::new(Vec::new()),
+            }),
+            process: 0,
+        }
+    }
+
+    /// The same profiler, registering rings for training process `rank`.
+    pub fn for_process(&self, rank: usize) -> Self {
+        Self {
+            registry: Arc::clone(&self.registry),
+            process: rank,
         }
     }
 
     /// Whether rings handed out by this profiler record spans.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.registry.enabled
     }
 
-    /// Seconds since the profiler was created (the shared span clock).
+    /// Seconds since the profiler's origin (the shared span clock).
     pub fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
+        self.registry.origin.elapsed().as_secs_f64()
     }
 
-    /// Registers a new ring for one worker thread. Disabled profilers hand
-    /// out detached rings and skip registration entirely.
-    pub fn ring(&self, role: Role) -> Arc<WorkerRing> {
-        if !self.enabled {
+    /// Registers a ring of `capacity` spans for one worker thread. Disabled
+    /// profilers hand out detached rings and skip registration entirely.
+    pub fn ring(&self, role: Role, capacity: usize) -> Arc<WorkerRing> {
+        if !self.registry.enabled {
             return Arc::new(WorkerRing::detached());
         }
-        let mut rings = self.rings.lock();
-        let ring = Arc::new(WorkerRing::new(
-            rings.len(),
+        let mut rings = self.registry.rings.lock();
+        let ring = Arc::new(WorkerRing {
+            process: self.process,
+            worker: rings.len(),
             role,
-            self.origin,
-            self.capacity,
-        ));
+            origin: self.registry.origin,
+            head: AtomicUsize::new(0),
+            dropped: AtomicU64::new(0),
+            slots: (0..capacity)
+                .map(|_| Slot {
+                    meta: AtomicU64::new(0),
+                    start: AtomicU64::new(0),
+                    end: AtomicU64::new(0),
+                })
+                .collect(),
+        });
         rings.push(Arc::clone(&ring));
         ring
     }
@@ -356,7 +373,7 @@ impl SpanProfiler {
     /// owning workers quiesced (threads joined); concurrent pushes during a
     /// drain are not torn, but may land in either epoch.
     pub fn drain(&self) -> SpanDrain {
-        let rings = std::mem::take(&mut *self.rings.lock());
+        let rings = std::mem::take(&mut *self.registry.rings.lock());
         let mut out = SpanDrain::default();
         for ring in &rings {
             out.dropped += ring.drain_into(&mut out.records);
@@ -372,25 +389,26 @@ impl Default for SpanProfiler {
     }
 }
 
-/// Attribution categories [`critical_path`] reports, in render order. The
-/// first seven are [`SpanKind::label`]s; `"other"` absorbs epoch time not
-/// covered by any span (per-epoch setup, thread spawn/join, straggler
-/// skew).
+/// Attribution categories [`critical_path`] reports, in render order: the
+/// seven training [`SpanKind::label`]s, then `"other"`, which absorbs epoch
+/// time not covered by any span (per-epoch setup, thread spawn/join,
+/// straggler skew).
 pub const CRITICAL_PATH_STAGES: &[&str] = &[
-    "compute",
-    "gather",
-    "sample",
-    "cache",
-    "sync",
-    "channel_wait",
-    "heap_wait",
+    SpanKind::Compute.label(),
+    SpanKind::Gather.label(),
+    SpanKind::Pick.label(),
+    SpanKind::Cache.label(),
+    SpanKind::Sync.label(),
+    SpanKind::EnqueueWait.label(),
+    SpanKind::DequeueWait.label(),
     "other",
 ];
 
-/// Per-epoch critical-path attribution: the fraction of `[0, horizon]`
-/// for which each stage (or wait) was the binding constraint. Returns one
-/// `(label, fraction)` pair per [`CRITICAL_PATH_STAGES`] entry; fractions
-/// sum to exactly 1.0 when `horizon > 0` and spans exist.
+/// Per-epoch critical-path attribution: the fraction of the window
+/// `[start, end]` (seconds on the span clock) for which each stage (or wait)
+/// was the binding constraint. Returns one `(label, fraction)` pair per
+/// [`CRITICAL_PATH_STAGES`] entry; fractions sum to exactly 1.0 when the
+/// window is non-empty and spans exist.
 ///
 /// The binding constraint of an instant is decided by a fixed priority:
 ///
@@ -402,7 +420,8 @@ pub const CRITICAL_PATH_STAGES: &[&str] = &[
 ///    channel is (`channel_wait`); idle producers mean the reorder heap
 ///    itself is (`heap_wait`);
 /// 4. no span at all → `other`.
-pub fn critical_path(records: &[SpanRecord], horizon: f64) -> Vec<(&'static str, f64)> {
+pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'static str, f64)> {
+    let horizon = end - start;
     if horizon <= 0.0 || records.is_empty() {
         return Vec::new();
     }
@@ -416,9 +435,10 @@ pub fn critical_path(records: &[SpanRecord], horizon: f64) -> Vec<(&'static str,
     let mut prod_cache = [false; BINS];
     let mut prod_enqueue = [false; BINS];
     for r in records {
-        // Clamp into [0, BINS]; spans may straddle the horizon (stragglers).
-        let lo = (((r.start / horizon) * BINS as f64).floor().max(0.0) as usize).min(BINS);
-        let hi = (((r.end / horizon) * BINS as f64).ceil().max(0.0) as usize).min(BINS);
+        // Clamp into [0, BINS]; spans may straddle the window (stragglers).
+        let bin = |t: f64| (t - start) / horizon * BINS as f64;
+        let lo = (bin(r.start).floor().max(0.0) as usize).min(BINS);
+        let hi = (bin(r.end).ceil().max(0.0) as usize).min(BINS);
         if lo >= hi {
             continue;
         }
@@ -477,12 +497,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn begin_end_records_interval() {
-        let prof = SpanProfiler::new();
-        let ring = prof.ring(Role::Producer);
-        let s = ring.span_begin(SpanKind::Pick, 7);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        ring.span_end(s);
+    fn timed_records_interval_and_returns_the_value() {
+        let prof = SpanProfiler::new().for_process(3);
+        let ring = prof.ring(Role::Producer, 4);
+        let out = ring.timed(SpanKind::Pick, 7, || {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            42
+        });
+        assert_eq!(out, 42);
         let d = prof.drain();
         assert_eq!(d.records.len(), 1);
         assert_eq!(d.dropped, 0);
@@ -490,6 +512,7 @@ mod tests {
         assert_eq!(r.kind, SpanKind::Pick);
         assert_eq!(r.role, Role::Producer);
         assert_eq!(r.batch, 7);
+        assert_eq!(r.process, 3);
         assert!(r.end > r.start);
     }
 
@@ -497,10 +520,9 @@ mod tests {
     fn disabled_and_detached_record_nothing() {
         let prof = SpanProfiler::disabled();
         assert!(!prof.is_enabled());
-        let ring = prof.ring(Role::Consumer);
+        let ring = prof.ring(Role::Consumer, 4);
         assert!(!ring.is_enabled());
-        let s = ring.span_begin(SpanKind::Compute, 0);
-        ring.span_end(s);
+        assert_eq!(ring.timed(SpanKind::Compute, 0, || 7), 7);
         ring.push(SpanKind::Sync, 1, 0.0, 1.0);
         assert!(prof.drain().records.is_empty());
 
@@ -511,8 +533,8 @@ mod tests {
 
     #[test]
     fn full_ring_counts_drops_instead_of_overwriting() {
-        let prof = SpanProfiler::with_capacity(4);
-        let ring = prof.ring(Role::Producer);
+        let prof = SpanProfiler::new();
+        let ring = prof.ring(Role::Producer, 4);
         for i in 0..6 {
             ring.push(SpanKind::Pick, i, i as f64, i as f64 + 0.5);
         }
@@ -528,8 +550,8 @@ mod tests {
     #[test]
     fn drain_sorts_across_rings_and_resets() {
         let prof = SpanProfiler::new();
-        let a = prof.ring(Role::Producer);
-        let b = prof.ring(Role::Consumer);
+        let a = prof.ring(Role::Producer, 4);
+        let b = prof.ring(Role::Consumer, 4);
         assert_ne!(a.worker, b.worker);
         b.push(SpanKind::Compute, 1, 0.5, 0.9);
         a.push(SpanKind::Pick, 1, 0.1, 0.4);
@@ -544,7 +566,7 @@ mod tests {
     #[test]
     fn inverted_interval_is_clamped() {
         let prof = SpanProfiler::new();
-        let ring = prof.ring(Role::Producer);
+        let ring = prof.ring(Role::Producer, 4);
         ring.push(SpanKind::Gather, 0, 1.0, 0.25);
         let r = prof.drain().records[0];
         assert_eq!(r.start, 1.0);
@@ -553,24 +575,23 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for kind in [
-            SpanKind::Pick,
-            SpanKind::Gather,
-            SpanKind::Cache,
-            SpanKind::EnqueueWait,
-            SpanKind::DequeueWait,
-            SpanKind::Compute,
-            SpanKind::Sync,
-        ] {
-            assert_eq!(SpanKind::from_code(kind.code()), kind);
-            assert!(CRITICAL_PATH_STAGES.contains(&kind.label()));
+        for kind in SpanKind::ALL {
+            assert_eq!(SpanKind::from_code(kind as u64), kind);
+            // Serving kinds live outside the epoch critical-path taxonomy.
+            let serving = matches!(kind, SpanKind::ServeQueue | SpanKind::ServeExec);
+            assert_eq!(CRITICAL_PATH_STAGES.contains(&kind.label()), !serving);
         }
-        // Serving kinds round-trip too but live outside the epoch
-        // critical-path taxonomy.
-        for kind in [SpanKind::ServeQueue, SpanKind::ServeExec] {
-            assert_eq!(SpanKind::from_code(kind.code()), kind);
-            assert!(!CRITICAL_PATH_STAGES.contains(&kind.label()));
+    }
+
+    #[test]
+    fn every_stage_has_a_consumer_side_span_and_waits_map_to_none() {
+        for stage in Stage::ALL {
+            assert!(SpanKind::ALL.iter().any(|k| k.stage() == Some(stage)));
         }
+        assert_eq!(SpanKind::DequeueWait.stage(), Some(Stage::Sample));
+        assert_eq!(SpanKind::Cache.stage(), Some(Stage::Gather));
+        assert_eq!(SpanKind::Pick.stage(), None);
+        assert_eq!(SpanKind::EnqueueWait.stage(), None);
     }
 
     #[test]
@@ -580,12 +601,13 @@ mod tests {
             rec(Role::Consumer, SpanKind::ServeExec, 0.0, 1.0),
             rec(Role::Producer, SpanKind::ServeQueue, 0.0, 1.0),
         ];
-        let cp = critical_path(&records, 1.0);
+        let cp = critical_path(&records, 0.0, 1.0);
         assert_eq!(cp[0], ("compute", 1.0));
     }
 
     fn rec(role: Role, kind: SpanKind, start: f64, end: f64) -> SpanRecord {
         SpanRecord {
+            process: 0,
             worker: 0,
             role,
             kind,
@@ -602,7 +624,7 @@ mod tests {
             rec(Role::Consumer, SpanKind::DequeueWait, 0.5, 0.8),
             rec(Role::Producer, SpanKind::Pick, 0.5, 0.8),
         ];
-        let cp = critical_path(&records, 1.0);
+        let cp = critical_path(&records, 0.0, 1.0);
         assert_eq!(cp.len(), CRITICAL_PATH_STAGES.len());
         let total: f64 = cp.iter().map(|(_, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-12, "sum {total}");
@@ -620,7 +642,7 @@ mod tests {
             rec(Role::Consumer, SpanKind::DequeueWait, 0.0, 1.0),
             rec(Role::Producer, SpanKind::EnqueueWait, 0.0, 0.5),
         ];
-        let cp = critical_path(&records, 1.0);
+        let cp = critical_path(&records, 0.0, 1.0);
         let get = |label: &str| {
             cp.iter()
                 .find(|(l, _)| *l == label)
@@ -640,15 +662,24 @@ mod tests {
             rec(Role::Consumer, SpanKind::Compute, 0.0, 1.0),
             rec(Role::Producer, SpanKind::Pick, 0.0, 1.0),
         ];
-        let cp = critical_path(&records, 1.0);
+        let cp = critical_path(&records, 0.0, 1.0);
         assert!((cp[0].1 - 1.0).abs() < 1e-12);
         assert_eq!(cp[0].0, "compute");
     }
 
     #[test]
+    fn window_start_rebases_the_bins() {
+        // The same second of compute, seen through a window that starts at
+        // 10 s on the run clock.
+        let records = vec![rec(Role::Consumer, SpanKind::Compute, 10.0, 10.5)];
+        let cp = critical_path(&records, 10.0, 11.0);
+        assert!((cp[0].1 - 0.5).abs() < 2e-3, "{cp:?}");
+    }
+
+    #[test]
     fn critical_path_empty_inputs() {
-        assert!(critical_path(&[], 1.0).is_empty());
+        assert!(critical_path(&[], 0.0, 1.0).is_empty());
         let r = [rec(Role::Consumer, SpanKind::Compute, 0.0, 1.0)];
-        assert!(critical_path(&r, 0.0).is_empty());
+        assert!(critical_path(&r, 1.0, 1.0).is_empty());
     }
 }

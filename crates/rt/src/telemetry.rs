@@ -1,84 +1,124 @@
-//! One handle bundling the three telemetry sinks.
+//! One handle, one switch, one clock for the telemetry of a run.
 //!
-//! The engine, auto-tuner and platform model all want the same trio: a
-//! [`TraceRecorder`] for Figure-2 interval traces, a [`MetricsRegistry`] for
-//! counters/gauges/histograms, and a [`RunLogger`] for structured JSONL
-//! events. [`Telemetry`] carries them together (each behind an `Arc`, so a
-//! clone per training process is cheap) and provides the canonical metric
-//! names so producers and the `report` renderer agree.
+//! The engine, auto-tuner and platform model all report into the same trio:
+//! a [`TraceRecorder`] timeline for Figure-2 interval traces, a
+//! [`MetricsRegistry`] for counters/gauges/histograms, and a [`RunLogger`]
+//! for structured JSONL events. [`Telemetry`] carries them together (each
+//! behind an `Arc`, so a clone is cheap), is either on or off as a whole,
+//! and owns the run clock the span rings tick on.
+//!
+//! Hot loops record **spans only** ([`crate::spans`]). Everything per-stage
+//! — the `stage_seconds/<stage>` histograms, the timeline, the
+//! `stage_summary` events — comes into existence in one place, once per
+//! epoch: [`Telemetry::record_stages`] folds the drained spans through
+//! [`SpanKind::stage`](crate::SpanKind::stage).
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use crate::events::{RunLogger, Source};
+use crate::events::{RunEvent, RunLogger, Source, StageSummaryRecord};
 use crate::metrics::MetricsRegistry;
-use crate::trace::{Stage, TraceRecorder};
+use crate::spans::{SpanProfiler, SpanRecord};
+use crate::trace::{Stage, TraceEvent, TraceRecorder};
 
 /// Shared handle to all telemetry sinks. Cloning shares the same
-/// underlying recorder, registry and logger.
+/// underlying timeline, registry and logger.
 #[derive(Clone)]
 pub struct Telemetry {
     pub trace: Arc<TraceRecorder>,
     pub metrics: Arc<MetricsRegistry>,
     pub logger: Arc<RunLogger>,
+    /// Zero of the run clock: span and timeline timestamps count from here.
+    origin: Instant,
+    enabled: bool,
 }
 
 impl Telemetry {
-    /// All sinks active, tagged as a measured run.
+    /// Telemetry on, tagged as a measured run.
     pub fn new() -> Self {
-        Self {
-            trace: Arc::new(TraceRecorder::new()),
-            metrics: Arc::new(MetricsRegistry::new()),
-            logger: Arc::new(RunLogger::new()),
-        }
+        Self::with_source(Source::Measured)
     }
 
-    /// All sinks active, with events tagged `source` (use
-    /// [`Source::Modeled`] for platform/DES runs so real and modeled
-    /// telemetry share one schema).
+    /// Telemetry on, with events tagged `source` (use [`Source::Modeled`]
+    /// for platform/DES runs so real and modeled telemetry share one
+    /// schema).
     pub fn with_source(source: Source) -> Self {
         Self {
             trace: Arc::new(TraceRecorder::new()),
             metrics: Arc::new(MetricsRegistry::new()),
             logger: Arc::new(RunLogger::with_source(source)),
+            origin: Instant::now(),
+            enabled: true,
         }
     }
 
-    /// All sinks disabled — zero overhead in hot loops.
+    /// Telemetry off: every sink drops what it is handed, so a caller that
+    /// takes `&Telemetry` needs no `Option` — and no hot loop pays for it.
     pub fn disabled() -> Self {
         Self {
-            trace: Arc::new(TraceRecorder::disabled()),
+            trace: Arc::new(TraceRecorder::new()),
             metrics: Arc::new(MetricsRegistry::disabled()),
             logger: Arc::new(RunLogger::disabled()),
+            origin: Instant::now(),
+            enabled: false,
         }
     }
 
-    /// A live trace recorder with metrics and events disabled — for callers
-    /// (e.g. the figure benches) that only want Figure-2 interval traces.
-    pub fn with_trace(trace: Arc<TraceRecorder>) -> Self {
-        Self {
-            trace,
-            metrics: Arc::new(MetricsRegistry::disabled()),
-            logger: Arc::new(RunLogger::disabled()),
-        }
-    }
-
-    /// Builds a handle around existing sinks.
-    pub fn from_parts(
-        trace: Arc<TraceRecorder>,
-        metrics: Arc<MetricsRegistry>,
-        logger: Arc<RunLogger>,
-    ) -> Self {
-        Self {
-            trace,
-            metrics,
-            logger,
-        }
-    }
-
-    /// Whether any sink is live. Callers of the unified entry points can use
-    /// this to decide between `Some(&tel)` and `None`.
+    /// The one switch. Callers of the unified entry points can use this to
+    /// decide between `Some(&tel)` and `None`.
     pub fn is_enabled(&self) -> bool {
-        self.trace.is_enabled() || self.metrics.is_enabled() || self.logger.is_enabled()
+        self.enabled
+    }
+
+    /// A span profiler ticking on this run's clock (recording nothing when
+    /// telemetry is off). Make one per epoch, hand its rings to the hot
+    /// loops, and give what it drains to [`Telemetry::record_stages`].
+    pub fn profiler(&self) -> SpanProfiler {
+        if self.enabled {
+            SpanProfiler::starting_at(self.origin)
+        } else {
+            SpanProfiler::disabled()
+        }
+    }
+
+    /// Derives one epoch's per-stage telemetry from its drained spans — the
+    /// only way stage numbers come into existence. Each span whose kind maps
+    /// to a [`Stage`] becomes one `stage_seconds/<stage>` observation and
+    /// one timeline interval on its process's track; the per-stage sums and
+    /// counts become the epoch's four `stage_summary` events.
+    pub fn record_stages(&self, epoch: u64, spans: &[SpanRecord]) {
+        if !self.enabled {
+            return;
+        }
+        let hists = Stage::ALL.map(|s| self.metrics.time_histogram(&Self::stage_histogram_name(s)));
+        let mut totals = [(0.0f64, 0u64); Stage::ALL.len()];
+        let mut timeline = Vec::with_capacity(spans.len());
+        for span in spans {
+            let Some(stage) = span.kind.stage() else {
+                continue;
+            };
+            let seconds = span.end - span.start;
+            hists[stage as usize].observe(seconds);
+            totals[stage as usize].0 += seconds;
+            totals[stage as usize].1 += 1;
+            timeline.push(TraceEvent {
+                process: span.process,
+                stage,
+                start: span.start,
+                end: span.end,
+            });
+        }
+        self.trace.extend(timeline);
+        for (stage, (seconds, count)) in Stage::ALL.into_iter().zip(totals) {
+            self.logger.log(RunEvent::StageSummary {
+                epoch,
+                summary: StageSummaryRecord {
+                    stage: stage.label().to_string(),
+                    seconds,
+                    count,
+                },
+            });
+        }
     }
 
     /// Canonical histogram name for per-iteration stage durations, e.g.
@@ -159,6 +199,7 @@ pub mod names {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spans::{Role, SpanKind};
 
     #[test]
     fn clones_share_sinks() {
@@ -166,29 +207,97 @@ mod tests {
         let t2 = t.clone();
         t.metrics.counter("c").inc();
         assert_eq!(t2.metrics.counters(), vec![("c".to_string(), 1)]);
-        t2.trace.record(0, Stage::Sample, 0.0, 0.1);
+        t2.record_stages(0, &[span(0, SpanKind::Compute, 0.0, 0.1)]);
         assert_eq!(t.trace.events().len(), 1);
     }
 
     #[test]
     fn disabled_is_inert() {
         let t = Telemetry::disabled();
-        assert!(!t.trace.is_enabled());
-        assert!(!t.metrics.is_enabled());
-        assert!(!t.logger.is_enabled());
         assert!(!t.is_enabled());
         assert!(Telemetry::new().is_enabled());
+        assert!(!t.profiler().is_enabled());
+        t.metrics.counter("c").inc();
+        t.record_stages(0, &[span(0, SpanKind::Compute, 0.0, 0.1)]);
+        assert!(t.metrics.counters().is_empty());
+        assert!(t.metrics.histograms().is_empty());
+        assert!(t.logger.is_empty());
+        assert!(t.trace.events().is_empty());
+    }
+
+    fn span(process: usize, kind: SpanKind, start: f64, end: f64) -> SpanRecord {
+        SpanRecord {
+            process,
+            worker: 0,
+            role: Role::Consumer,
+            kind,
+            batch: 0,
+            start,
+            end,
+        }
     }
 
     #[test]
-    fn with_trace_enables_only_the_trace() {
-        let rec = Arc::new(TraceRecorder::new());
-        let t = Telemetry::with_trace(Arc::clone(&rec));
-        assert!(t.is_enabled());
-        assert!(!t.metrics.is_enabled());
-        assert!(!t.logger.is_enabled());
-        t.trace.record(0, Stage::Gather, 0.0, 0.1);
-        assert_eq!(rec.events().len(), 1);
+    fn record_stages_derives_histograms_timeline_and_summaries_from_one_source() {
+        let t = Telemetry::new();
+        let spans = [
+            span(0, SpanKind::DequeueWait, 0.0, 0.125),
+            span(0, SpanKind::Gather, 0.125, 0.25),
+            span(1, SpanKind::Cache, 0.0, 0.5),
+            span(0, SpanKind::Compute, 0.25, 1.0),
+            span(0, SpanKind::Sync, 1.0, 1.0625),
+            // Producer-side work and serving spans are charged to no stage.
+            span(1, SpanKind::Pick, 0.0, 9.0),
+            span(1, SpanKind::EnqueueWait, 0.0, 9.0),
+            span(0, SpanKind::ServeExec, 0.0, 9.0),
+        ];
+        t.record_stages(4, &spans);
+
+        let hists: std::collections::BTreeMap<_, _> = t.metrics.histograms().into_iter().collect();
+        let want = [
+            (Stage::Sample, 0.125, 1),
+            (Stage::Gather, 0.625, 2),
+            (Stage::Compute, 0.75, 1),
+            (Stage::Sync, 0.0625, 1),
+        ];
+        let summaries: Vec<_> = t
+            .logger
+            .events()
+            .into_iter()
+            .map(|(_, e)| match e {
+                RunEvent::StageSummary { epoch, summary } => {
+                    assert_eq!(epoch, 4);
+                    (summary.stage, summary.seconds, summary.count)
+                }
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(summaries.len(), 4);
+        let timeline = t.trace.events();
+        assert_eq!(timeline.len(), 5);
+        for ((stage, seconds, count), summary) in want.into_iter().zip(summaries) {
+            let h = &hists[&Telemetry::stage_histogram_name(stage)];
+            assert_eq!((h.sum(), h.count()), (seconds, count), "{stage:?}");
+            assert_eq!(summary, (stage.label().to_string(), seconds, count));
+            let on_timeline: f64 = timeline
+                .iter()
+                .filter(|e| e.stage == stage)
+                .map(|e| e.end - e.start)
+                .sum();
+            assert_eq!(on_timeline, seconds, "{stage:?}");
+        }
+        // The cache span ran on process 1's loader: its own track.
+        assert!(timeline
+            .iter()
+            .any(|e| e.stage == Stage::Gather && e.process == 1));
+    }
+
+    #[test]
+    fn profiler_ticks_on_the_run_clock() {
+        let t = Telemetry::new();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        // A profiler made later still counts from the telemetry's creation.
+        assert!(t.profiler().now() >= 0.002);
     }
 
     #[test]

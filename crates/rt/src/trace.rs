@@ -1,12 +1,12 @@
-//! Execution-trace recording for Figure 2 style time-lines.
+//! The run timeline behind Figure 2 style time-lines.
 //!
 //! The paper motivates multi-processing with a time-trace (Figure 2) showing
 //! that memory-intensive phases (e.g. `aten::index_select` feature gathering)
 //! of one process overlap with compute-intensive phases of another.
-//! [`TraceRecorder`] collects `(process, stage, start, end)` intervals with
-//! negligible overhead so benches can print the same kind of time-line.
-
-use std::time::Instant;
+//! [`TraceRecorder`] holds that timeline as `(process, stage, start, end)`
+//! intervals. Nothing records into it from a hot loop: at each epoch end
+//! [`crate::Telemetry::record_stages`] appends, in bulk, the intervals it
+//! derives from the epoch's drained spans.
 
 use parking_lot::Mutex;
 
@@ -24,6 +24,9 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// Every stage, in pipeline (and declaration) order.
+    pub const ALL: [Stage; 4] = [Stage::Sample, Stage::Gather, Stage::Compute, Stage::Sync];
+
     /// Short label used in printed traces.
     pub fn label(&self) -> &'static str {
         match self {
@@ -42,80 +45,27 @@ pub struct TraceEvent {
     pub process: usize,
     /// Pipeline stage.
     pub stage: Stage,
-    /// Interval start, seconds since recorder creation.
+    /// Interval start, seconds since the run's telemetry was created.
     pub start: f64,
-    /// Interval end, seconds since recorder creation.
+    /// Interval end, seconds since the run's telemetry was created.
     pub end: f64,
 }
 
-/// Thread-safe interval recorder.
+/// Thread-safe interval timeline.
+#[derive(Default)]
 pub struct TraceRecorder {
-    origin: Instant,
     events: Mutex<Vec<TraceEvent>>,
-    enabled: bool,
 }
 
 impl TraceRecorder {
-    /// An active recorder.
+    /// An empty timeline.
     pub fn new() -> Self {
-        Self {
-            origin: Instant::now(),
-            events: Mutex::new(Vec::new()),
-            enabled: true,
-        }
+        Self::default()
     }
 
-    /// A recorder that drops all events (zero overhead in hot loops).
-    pub fn disabled() -> Self {
-        Self {
-            origin: Instant::now(),
-            events: Mutex::new(Vec::new()),
-            enabled: false,
-        }
-    }
-
-    /// Whether events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Seconds since the recorder was created.
-    pub fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
-
-    /// Records an interval for `process`/`stage` spanning `[start, end]`
-    /// (both in recorder time, see [`TraceRecorder::now`]).
-    ///
-    /// Inverted intervals (`end < start`) are a caller bug; they are clamped
-    /// to zero-length at `start` so aggregate statistics can never go
-    /// negative, and debug builds assert.
-    pub fn record(&self, process: usize, stage: Stage, start: f64, end: f64) {
-        if !self.enabled {
-            return;
-        }
-        debug_assert!(
-            end >= start,
-            "trace interval ends before it starts: {stage:?} [{start}, {end}]"
-        );
-        self.events.lock().push(TraceEvent {
-            process,
-            stage,
-            start,
-            end: end.max(start),
-        });
-    }
-
-    /// Times `f` and records it as one interval.
-    pub fn timed<T>(&self, process: usize, stage: Stage, f: impl FnOnce() -> T) -> T {
-        if !self.enabled {
-            return f();
-        }
-        let start = self.now();
-        let out = f();
-        let end = self.now();
-        self.record(process, stage, start, end);
-        out
+    /// Appends `events` in one lock acquisition.
+    pub(crate) fn extend(&self, events: impl IntoIterator<Item = TraceEvent>) {
+        self.events.lock().extend(events);
     }
 
     /// Snapshot of all events, sorted by start time.
@@ -123,16 +73,6 @@ impl TraceRecorder {
         let mut v = self.events.lock().clone();
         v.sort_by(|a, b| a.start.total_cmp(&b.start));
         v
-    }
-
-    /// Total time spent in `stage` by `process`.
-    pub fn stage_time(&self, process: usize, stage: Stage) -> f64 {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| e.process == process && e.stage == stage)
-            .map(|e| e.end - e.start)
-            .sum()
     }
 
     /// Fraction of `[0, horizon]` during which at least one process was in a
@@ -205,21 +145,24 @@ impl TraceRecorder {
     }
 }
 
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn record(t: &TraceRecorder, process: usize, stage: Stage, start: f64, end: f64) {
+        t.extend([TraceEvent {
+            process,
+            stage,
+            start,
+            end,
+        }]);
+    }
+
     #[test]
     fn records_and_sorts() {
         let t = TraceRecorder::new();
-        t.record(0, Stage::Compute, 0.5, 0.9);
-        t.record(1, Stage::Gather, 0.1, 0.4);
+        record(&t, 0, Stage::Compute, 0.5, 0.9);
+        record(&t, 1, Stage::Gather, 0.1, 0.4);
         let ev = t.events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].process, 1);
@@ -227,33 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_drops_events() {
-        let t = TraceRecorder::disabled();
-        t.record(0, Stage::Sync, 0.0, 1.0);
-        let out = t.timed(0, Stage::Compute, || 42);
-        assert_eq!(out, 42);
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn stage_time_sums_intervals() {
-        let t = TraceRecorder::new();
-        t.record(0, Stage::Sample, 0.0, 0.25);
-        t.record(0, Stage::Sample, 0.5, 0.75);
-        t.record(0, Stage::Compute, 0.25, 0.5);
-        t.record(1, Stage::Sample, 0.0, 1.0);
-        assert!((t.stage_time(0, Stage::Sample) - 0.5).abs() < 1e-12);
-        assert!((t.stage_time(0, Stage::Compute) - 0.25).abs() < 1e-12);
-        assert!((t.stage_time(1, Stage::Sample) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn overlap_detects_interleaving() {
         let t = TraceRecorder::new();
         // Process 0 gathers 0..0.5 while process 1 computes 0..0.5.
-        t.record(0, Stage::Gather, 0.0, 0.5);
-        t.record(1, Stage::Compute, 0.0, 0.5);
+        record(&t, 0, Stage::Gather, 0.0, 0.5);
+        record(&t, 1, Stage::Compute, 0.0, 0.5);
         let f = t.overlap_fraction(1.0);
         assert!(f > 0.45 && f <= 0.55, "overlap {f}");
     }
@@ -261,16 +182,16 @@ mod tests {
     #[test]
     fn overlap_zero_for_single_process() {
         let t = TraceRecorder::new();
-        t.record(0, Stage::Gather, 0.0, 0.5);
-        t.record(0, Stage::Compute, 0.5, 1.0);
+        record(&t, 0, Stage::Gather, 0.0, 0.5);
+        record(&t, 0, Stage::Compute, 0.5, 1.0);
         assert_eq!(t.overlap_fraction(1.0), 0.0);
     }
 
     #[test]
     fn chrome_json_shape() {
         let t = TraceRecorder::new();
-        t.record(0, Stage::Gather, 0.001, 0.002);
-        t.record(1, Stage::Compute, 0.002, 0.004);
+        record(&t, 0, Stage::Gather, 0.001, 0.002);
+        record(&t, 1, Stage::Compute, 0.002, 0.004);
         let json = t.to_chrome_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
@@ -287,33 +208,12 @@ mod tests {
         let t = TraceRecorder::new();
         // Straggler intervals extend past (or sit entirely outside) the
         // horizon; they must be clamped, not panic or inflate the fraction.
-        t.record(0, Stage::Gather, 0.0, 5.0);
-        t.record(1, Stage::Compute, 0.0, 5.0);
-        t.record(0, Stage::Gather, 9.0, 12.0);
-        t.record(1, Stage::Compute, -3.0, -1.0);
+        record(&t, 0, Stage::Gather, 0.0, 5.0);
+        record(&t, 1, Stage::Compute, 0.0, 5.0);
+        record(&t, 0, Stage::Gather, 9.0, 12.0);
+        record(&t, 1, Stage::Compute, -3.0, -1.0);
         let f = t.overlap_fraction(1.0);
         assert!((0.0..=1.0).contains(&f), "overlap {f}");
         assert!(f > 0.99, "fully overlapped inside horizon, got {f}");
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "ends before it starts"))]
-    fn record_clamps_inverted_interval() {
-        let t = TraceRecorder::new();
-        // Debug builds assert on the caller bug; release builds clamp the
-        // interval to zero length so stage times stay non-negative.
-        t.record(0, Stage::Sync, 1.0, 0.5);
-        assert_eq!(t.stage_time(0, Stage::Sync), 0.0);
-    }
-
-    #[test]
-    fn timed_measures_nonnegative() {
-        let t = TraceRecorder::new();
-        t.timed(0, Stage::Compute, || {
-            std::thread::sleep(std::time::Duration::from_millis(1))
-        });
-        let ev = t.events();
-        assert_eq!(ev.len(), 1);
-        assert!(ev[0].end >= ev[0].start);
     }
 }

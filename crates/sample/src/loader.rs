@@ -17,7 +17,6 @@
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -74,8 +73,10 @@ pub struct LoaderSpec {
     /// Causal span profiler. When present, each worker registers a
     /// producer ring (pick/gather/cache/enqueue-wait spans keyed by batch
     /// id) and the consuming thread a consumer ring (channel/heap dequeue
-    /// waits), feeding per-epoch critical-path attribution.
-    pub spans: Option<Arc<SpanProfiler>>,
+    /// waits), each sized for the whole epoch. The spans are the loader's
+    /// only telemetry: stage times and critical-path attribution are
+    /// derived from them at epoch end.
+    pub spans: Option<SpanProfiler>,
 }
 
 impl LoaderSpec {
@@ -174,8 +175,9 @@ impl LoaderSpecBuilder {
         self
     }
 
-    /// Attaches a causal span profiler.
-    pub fn spans(mut self, spans: Arc<SpanProfiler>) -> Self {
+    /// Attaches a causal span profiler (a handle made with
+    /// [`SpanProfiler::for_process`] tags the loader's spans with that rank).
+    pub fn spans(mut self, spans: SpanProfiler) -> Self {
         self.spec.spans = Some(spans);
         self
     }
@@ -265,9 +267,6 @@ pub struct LoadedBatch {
     /// [`InputRing::put`] after the step. `None` when the spec carried no
     /// features.
     pub input: Option<Matrix>,
-    /// Wall-clock seconds the worker spent gathering `input` (0 when no
-    /// pre-gather happened).
-    pub gather_seconds: f64,
     /// Scratch-arena allocations this batch charged to the producing
     /// worker's [`SamplerScratch`] (0 once the arena is warm).
     pub scratch_allocs: u64,
@@ -342,10 +341,14 @@ impl PipelinedLoader {
         let total = seeds.len().div_ceil(batch_size);
         let (tx, rx) = bounded::<Indexed>(prefetch.max(1));
         let cursor = Arc::new(AtomicUsize::new(0));
-        let consumer_ring = match &spans {
-            Some(p) => p.ring(Role::Consumer),
+        // Ring sizes follow from the batch count, so no span is ever
+        // dropped: the consumer waits once per batch, and one worker may
+        // end up producing every batch (pick, gather/cache, enqueue).
+        let ring_for = |role: Role, spans_per_batch: usize| match &spans {
+            Some(p) => p.ring(role, total * spans_per_batch),
             None => Arc::new(WorkerRing::detached()),
         };
+        let consumer_ring = ring_for(Role::Consumer, 1);
         let mut workers = Vec::with_capacity(n_samp);
         for w in 0..n_samp {
             let graph = Arc::clone(&graph);
@@ -356,10 +359,7 @@ impl PipelinedLoader {
             let cache = cache.clone();
             let inputs = inputs.clone();
             let tx = tx.clone();
-            let ring = match &spans {
-                Some(p) => p.ring(Role::Producer),
-                None => Arc::new(WorkerRing::detached()),
-            };
+            let ring = ring_for(Role::Producer, 3);
             let my_core = if cores.is_empty() {
                 None
             } else {
@@ -393,56 +393,50 @@ impl PipelinedLoader {
                             let hi = ((i + 1) * batch_size).min(seeds.len());
                             let stream = SeedSequence::new(epoch_seeds.seed_for(epoch, i as u64));
                             let allocs_before = scratch.allocs();
-                            let pick = ring.span_begin(SpanKind::Pick, i as u64);
-                            let run = SampleRun::new(stream, &mut scratch)
-                                .with_norm(normalization)
-                                .with_pool(pool.as_ref());
                             // Assemble in the scratch arena, account the
                             // compact metadata footprint, then materialize
                             // the owned copy the reorder channel requires
                             // (the sanctioned ownership boundary).
-                            let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
-                            let metadata_bytes = view.metadata_bytes() as u64;
-                            let batch = view.to_owned();
-                            ring.span_end(pick);
+                            let (batch, metadata_bytes) =
+                                ring.timed(SpanKind::Pick, i as u64, || {
+                                    let run = SampleRun::new(stream, &mut scratch)
+                                        .with_norm(normalization)
+                                        .with_pool(pool.as_ref());
+                                    let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
+                                    (view.to_owned(), view.metadata_bytes() as u64)
+                                });
                             let scratch_allocs = scratch.allocs() - allocs_before;
-                            let (input, gather_seconds) = match &features {
-                                Some(f) => {
-                                    let t0 = Instant::now();
-                                    let ids = batch.input_nodes();
-                                    let kind = if cache.is_some() {
-                                        SpanKind::Cache
-                                    } else {
-                                        SpanKind::Gather
-                                    };
-                                    let span = ring.span_begin(kind, i as u64);
+                            let input = features.as_ref().map(|f| {
+                                let ids = batch.input_nodes();
+                                let kind = if cache.is_some() {
+                                    SpanKind::Cache
+                                } else {
+                                    SpanKind::Gather
+                                };
+                                ring.timed(kind, i as u64, || {
                                     let mut m = inputs.take(ids.len(), f.dim());
                                     match &cache {
                                         Some(c) => c.gather_rows_into(f, ids, m.data_mut()),
                                         None => f.gather_into(ids, m.data_mut()),
                                     }
-                                    ring.span_end(span);
-                                    (Some(m), t0.elapsed().as_secs_f64())
-                                }
-                                None => (None, 0.0),
-                            };
+                                    m
+                                })
+                            });
                             let loaded = LoadedBatch {
                                 batch,
                                 input,
-                                gather_seconds,
                                 scratch_allocs,
                                 metadata_bytes,
                             };
                             // The enqueue-wait span measures backpressure:
                             // time blocked on a full prefetch channel.
-                            let enq = ring.span_begin(SpanKind::EnqueueWait, i as u64);
-                            let sent = tx
-                                .send(Indexed {
+                            let sent = ring.timed(SpanKind::EnqueueWait, i as u64, || {
+                                tx.send(Indexed {
                                     index: i,
                                     batch: loaded,
                                 })
-                                .is_ok();
-                            ring.span_end(enq);
+                                .is_ok()
+                            });
                             if !sent {
                                 break; // consumer dropped
                             }
@@ -477,35 +471,27 @@ impl Iterator for PipelinedLoader {
         // The dequeue-wait span covers both the channel recv and the
         // reorder-heap stall for the in-order batch, so the critical-path
         // attribution can tell "producers too slow" from "heap reordering".
-        let wait = self
-            .ring
-            .span_begin(SpanKind::DequeueWait, self.next as u64);
-        let item = self.advance();
-        self.ring.span_end(wait);
-        item
-    }
-}
-
-impl PipelinedLoader {
-    fn advance(&mut self) -> Option<(usize, LoadedBatch)> {
-        loop {
+        let Self {
+            rx,
+            reorder,
+            next,
+            ring,
+            ..
+        } = self;
+        ring.timed(SpanKind::DequeueWait, *next as u64, || loop {
             // pop-if: take the heap top only when it is the batch the
             // consumer is waiting for (avoids a peek-then-unwrap pair).
-            if self
-                .reorder
-                .peek()
-                .is_some_and(|top| top.index == self.next)
-            {
-                if let Some(item) = self.reorder.pop() {
-                    self.next += 1;
+            if reorder.peek().is_some_and(|top| top.index == *next) {
+                if let Some(item) = reorder.pop() {
+                    *next += 1;
                     return Some((item.index, item.batch));
                 }
             }
-            match self.rx.recv() {
-                Ok(item) => self.reorder.push(item),
+            match rx.recv() {
+                Ok(item) => reorder.push(item),
                 Err(_) => return None, // workers gone with batches missing
             }
-        }
+        })
     }
 }
 
@@ -661,7 +647,6 @@ mod tests {
             for (_, lb) in b.start() {
                 let input = lb.input.expect("features requested");
                 assert_eq!(input.data(), feats.gather(lb.batch.input_nodes()).data());
-                assert!(lb.gather_seconds >= 0.0);
             }
         };
         run(None);
@@ -714,7 +699,6 @@ mod tests {
             .start();
         for (_, lb) in loader {
             assert!(lb.input.is_none());
-            assert_eq!(lb.gather_seconds, 0.0);
         }
     }
 
@@ -725,19 +709,21 @@ mod tests {
             (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
             4,
         ));
-        let prof = Arc::new(SpanProfiler::new());
+        let prof = SpanProfiler::new().for_process(1);
         let loader = LoaderSpec::builder(g, s, seeds)
             .batch_size(16)
             .epoch_seeds(SeedSequence::new(11))
             .n_samp(2)
             .features(feats)
-            .spans(Arc::clone(&prof))
+            .spans(prof.clone())
             .start();
         let n = loader.num_batches();
         let got: Vec<_> = loader.collect();
         assert_eq!(got.len(), n);
         let drained = prof.drain();
         assert_eq!(drained.dropped, 0);
+        // Every ring the loader registered carries the handle's rank.
+        assert!(drained.records.iter().all(|r| r.process == 1));
         let count = |role: Role, kind: SpanKind| {
             drained
                 .records

@@ -27,6 +27,7 @@ use argo_engine::Engine;
 use argo_graph::{Dataset, NodeId};
 use argo_nn::{AnyModel, QuantizedGnn};
 use argo_rt::racecheck;
+use argo_rt::spans::RING_CAPACITY;
 use argo_rt::telemetry::names;
 use argo_rt::{
     Config, Role, RunEvent, SeedSequence, ServeBatchRecord, ServeRequestRecord, SpanDrain,
@@ -305,7 +306,7 @@ impl ServeSession {
             None
         };
         let profiler = SpanProfiler::new();
-        let ring = profiler.ring(Role::Consumer);
+        let ring = profiler.ring(Role::Consumer, RING_CAPACITY);
         Self {
             dataset,
             sampler,
@@ -459,8 +460,9 @@ impl ServeSession {
         self.feature_cache.as_ref().map(FeatureCache::stats)
     }
 
-    /// Collects the `serve_queue`/`serve_exec` spans recorded so far (for
-    /// `argo report` and tests).
+    /// Collects the `serve_queue`/`serve_exec` spans recorded so far — by
+    /// the calls that passed `Some(&Telemetry)`; calls passing `None` record
+    /// nothing.
     pub fn drain_spans(&self) -> SpanDrain {
         self.profiler.drain()
     }
@@ -470,6 +472,9 @@ impl ServeSession {
         batch: MicroBatch,
         telemetry: Option<&Telemetry>,
     ) -> Vec<Result<ServeResponse, Error>> {
+        // The one switch, as in the engine: no (or a disabled) handle means
+        // no spans, no metrics, no events.
+        let telemetry = telemetry.filter(|t| t.is_enabled());
         let exec_start_us = batch.flushed_us;
         let mut out = Vec::with_capacity(batch.requests.len());
         for req in &batch.requests {
@@ -477,15 +482,15 @@ impl ServeSession {
         }
         let exec_end_us = self.clock.now_us().max(exec_start_us);
         let exec_seconds = (exec_end_us - exec_start_us) as f64 / US_PER_SEC;
-        // Interval endpoints come from the serving clock, not ring.now():
-        // push() exists exactly for spans measured elsewhere.
-        self.ring.push(
-            SpanKind::ServeExec,
-            batch.id,
-            exec_start_us as f64 / US_PER_SEC,
-            exec_end_us as f64 / US_PER_SEC,
-        );
         if let Some(t) = telemetry {
+            // Interval endpoints come from the serving clock, not the ring's:
+            // push() exists exactly for spans measured elsewhere.
+            self.ring.push(
+                SpanKind::ServeExec,
+                batch.id,
+                exec_start_us as f64 / US_PER_SEC,
+                exec_end_us as f64 / US_PER_SEC,
+            );
             t.metrics.counter(names::SERVE_BATCHES_TOTAL).inc();
             t.logger.log(RunEvent::ServeBatch {
                 record: ServeBatchRecord {
@@ -507,12 +512,14 @@ impl ServeSession {
         telemetry: Option<&Telemetry>,
     ) -> Result<ServeResponse, Error> {
         let queue_us = flushed_us.saturating_sub(req.admitted_us);
-        self.ring.push(
-            SpanKind::ServeQueue,
-            req.id,
-            req.admitted_us as f64 / US_PER_SEC,
-            flushed_us as f64 / US_PER_SEC,
-        );
+        if telemetry.is_some() {
+            self.ring.push(
+                SpanKind::ServeQueue,
+                req.id,
+                req.admitted_us as f64 / US_PER_SEC,
+                flushed_us as f64 / US_PER_SEC,
+            );
+        }
         if let Some(limit) = self.shed_after_us {
             if queue_us > limit {
                 return Err(Error::DeadlineExceeded(format!(

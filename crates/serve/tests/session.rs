@@ -232,6 +232,27 @@ fn telemetry_reports_requests_batches_and_hit_rate() {
 }
 
 #[test]
+fn requests_without_telemetry_record_no_spans() {
+    // The one switch: 10 000 requests that pass `None` (most of them
+    // result-cache hits) must neither fill the span ring nor count drops —
+    // an always-on ring used to saturate at 8192 spans and then only bump
+    // `dropped`.
+    let d = tiny();
+    let clock = Arc::new(ManualClock::new());
+    let mut s = session(&d, &clock);
+    for i in 0..10_000u32 {
+        let done = s.submit(vec![i % 16], None).unwrap().completed;
+        assert!(done[0].is_ok());
+    }
+    // A disabled handle is the same switch in the off position.
+    let off = Telemetry::disabled();
+    s.submit(vec![3], Some(&off)).unwrap();
+    let spans = s.drain_spans();
+    assert!(spans.records.is_empty(), "{} spans", spans.records.len());
+    assert_eq!(spans.dropped, 0);
+}
+
+#[test]
 fn quantized_serving_tracks_f32_within_accuracy_delta() {
     use argo_tensor::QuantKind;
     let d = tiny();

@@ -85,6 +85,14 @@ fn measured_run_produces_full_telemetry() {
         assert!(e.get("ts").and_then(Json::as_f64).is_some());
         assert!(e.get("dur").and_then(Json::as_f64).unwrap() >= 0.0);
     }
+    // One track per training process: every searched config has at least
+    // two, and no track is numbered past the widest one.
+    let tids: std::collections::BTreeSet<u64> = arr
+        .iter()
+        .map(|e| e.get("tid").and_then(Json::as_u64).expect("tid"))
+        .collect();
+    let widest = report.history.iter().map(|(c, _)| c.n_proc).max().unwrap();
+    assert_eq!(tids, (0..widest as u64).collect());
 
     // --- Metrics agree with the structured events ------------------------
     let counters: std::collections::BTreeMap<_, _> = tel.metrics.counters().into_iter().collect();
@@ -114,6 +122,69 @@ fn measured_run_produces_full_telemetry() {
     assert!(text.contains("compute"));
     assert!(text.contains("tuner convergence"));
     assert!(text.contains("selected "));
+}
+
+#[test]
+fn every_metric_a_real_run_registers_is_rendered() {
+    // Metric names are plain strings handed to a registry, so no type ties
+    // a producer to the report. This does: whatever a cached, auto-tuned
+    // run and a serving session register must show up in the report under
+    // its registry name (the per-stage histograms under their stage label).
+    use argo::rt::Stage;
+    use argo_serve::ServeSpec;
+    let mut engine = tiny_engine(13);
+    let mut argo = Argo::new(ArgoOptions {
+        n_search: 2,
+        epochs: 3,
+        total_cores: 16,
+        seed: 13,
+    });
+    let tel = Telemetry::new();
+    let mut epochs = 0;
+    argo.run(
+        |config, n| {
+            epochs += n;
+            (0..n)
+                .map(|_| {
+                    engine
+                        .train_epoch(config.with_cache_rows(256), Some(&tel))
+                        .epoch_time
+                })
+                .sum()
+        },
+        Some(&tel),
+    );
+    assert_eq!(epochs, 3);
+    let mut session = ServeSpec::from_engine(&engine)
+        .result_cache_entries(8)
+        .deadline_us(0)
+        .start();
+    for seeds in [vec![1, 2], vec![1, 2], vec![3]] {
+        session.submit(seeds, Some(&tel)).expect("admitted");
+    }
+    session.drain(Some(&tel));
+
+    let text = argo_cli::report::render_report(&[], Some(&tel));
+    let mut registered: Vec<String> = Vec::new();
+    registered.extend(tel.metrics.counters().into_iter().map(|(n, _)| n));
+    registered.extend(tel.metrics.gauges().into_iter().map(|(n, _)| n));
+    registered.extend(tel.metrics.histograms().into_iter().map(|(n, _)| n));
+    // The run exercised every producer: stages, cache, tuner, spans, serving.
+    assert!(registered.len() >= 25, "{registered:?}");
+    for name in &registered {
+        let shown = match Stage::ALL
+            .into_iter()
+            .find(|s| *name == Telemetry::stage_histogram_name(*s))
+        {
+            Some(stage) => stage.label().to_string(),
+            None if name == names::OVERLAP_FRACTION => "overlap fraction".to_string(),
+            None => name.clone(),
+        };
+        assert!(
+            text.contains(&shown),
+            "{name} is registered but not rendered"
+        );
+    }
 }
 
 #[test]
@@ -261,6 +332,7 @@ fn two_worker_pipeline_attribution_is_exact() {
         batch,
         start,
         end,
+        process: 0,
         worker: batch as usize % 2,
     };
     let records = vec![
@@ -271,7 +343,7 @@ fn two_worker_pipeline_attribution_is_exact() {
         span(Role::Producer, SpanKind::Gather, 1, 4.0, 6.0),
         span(Role::Producer, SpanKind::Pick, 2, 0.0, 3.0),
     ];
-    let fractions = critical_path(&records, 10.0);
+    let fractions = critical_path(&records, 0.0, 10.0);
     let sum: f64 = fractions.iter().map(|(_, f)| f).sum();
     assert!(
         (sum - 1.0).abs() < 1e-9,
@@ -392,14 +464,15 @@ fn audited_run_emits_bottleneck_checks_and_report_section() {
 
 #[test]
 fn chrome_json_empty_and_disabled_recorders() {
-    use argo::rt::TraceRecorder;
+    use argo::rt::{Config, TraceRecorder};
     assert_eq!(TraceRecorder::new().to_chrome_json(), "[]");
-    let disabled = TraceRecorder::disabled();
-    disabled.record(0, argo::rt::Stage::Compute, 0.0, 1.0);
-    assert_eq!(disabled.to_chrome_json(), "[]");
+    // A disabled handle's timeline stays empty through a whole epoch.
+    let disabled = Telemetry::disabled();
+    tiny_engine(9).train_epoch(Config::new(2, 1, 1), Some(&disabled));
+    assert_eq!(disabled.trace.to_chrome_json(), "[]");
     // Both still parse as valid (empty) JSON arrays.
     assert_eq!(
-        Json::parse(&disabled.to_chrome_json())
+        Json::parse(&disabled.trace.to_chrome_json())
             .unwrap()
             .as_arr()
             .unwrap()
