@@ -37,9 +37,6 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 echo "==> micro_serving quick perf gate (tuned p99 must not lose to the library default; warm result-cache hit rate > 0.9)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_serving
 
-echo "==> argo perf-diff (speedup ratios of the quick run vs committed BENCH_*.json, 15% tolerance)"
-cargo run -q -p argo-cli --bin argo -- perf-diff --quick true
-
 echo "==> benchmark/ builds against the public API and runs train_ddp_cached (quick: checks the outputs, enforces no bounds)"
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_ddp_cached --quick

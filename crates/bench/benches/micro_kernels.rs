@@ -1,15 +1,19 @@
-//! Micro-benchmarks of the training kernels: serial naive vs blocked vs
-//! SIMD vs SIMD+pool for every matmul/SpMM flavor, plus the end-to-end
+//! Micro-benchmarks of the training kernels: the naive oracle vs the two
+//! tiers vs the pool for every matmul/SpMM flavor, plus the end-to-end
 //! `train_step_gathered` backward on a 4096-row batch.
 //!
 //! Emits machine-readable `BENCH_kernels.json` at the repository root
 //! (GFLOP/s and speedup-vs-serial per kernel and shape) so future PRs can
-//! diff kernel performance against this baseline. The `simd` column runs
-//! the dispatch default tier serially (AVX2+FMA microkernel on hosts that
-//! have it, scalar otherwise); `pool` is the full dispatch stack.
+//! diff kernel performance against this baseline. Columns: `serial` is
+//! `argo_tensor::reference` (the naive loops), `blocked` the scalar tier
+//! (`force_scalar()`), `simd` the default tier run inline (AVX2+FMA on
+//! hosts that have it, scalar otherwise), and `pool` the default policy
+//! handed a 4-worker pool — what production routes. A row whose shape the
+//! dispatch constants keep inline has no `pool` column: it would time the
+//! `simd` kernel a second time.
 //!
-//! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: fewer samples, smaller
-//! train-step batch, and a sanity perf gate — the process exits non-zero
+//! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: a smaller train-step
+//! batch, and a sanity perf gate — the process exits non-zero
 //! if any blocked kernel is slower than its naive serial counterpart at
 //! the large shape (generous 1.0× threshold), or if a SIMD kernel loses to
 //! the tier below it (1.0× floor for the GEMM family, 0.95× for the
@@ -17,6 +21,7 @@
 //! too narrow for full vectors; pool speedups are *recorded* but never
 //! gated, since CI may have a single core).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use argo_graph::features::Features;
@@ -25,25 +30,37 @@ use argo_nn::{Gnn, GnnKind};
 use argo_rt::json::Json;
 use argo_rt::ThreadPool;
 use argo_sample::{NeighborSampler, Sampler};
-use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix};
+use argo_tensor::{reference, DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// [`time_min`] of each closure, run round-robin: every round times each
+/// variant once. The quick-mode gates compare the variants of one row, and
+/// on a shared host a burst of noise then costs each variant one sample
+/// instead of costing one variant all of them.
+fn time_min_each<const N: usize>(samples: usize, mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..=samples {
+        for (f, best) in fs.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            f();
+            // Round 0 is the warmup.
+            if round > 0 {
+                *best = best.min(t.elapsed().as_secs_f64());
+            }
+        }
+    }
+    best
+}
+
 /// Minimum wall-clock seconds across `samples` runs (after one warmup).
 fn time_min<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut sink = f(); // warmup; also keeps the result observable
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t = Instant::now();
-        sink = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(sink);
+    let [best] = time_min_each(samples, [&mut || drop(black_box(f()))]);
     best
 }
 
 fn random_csr(rows: usize, cols: usize, nnz_per_row: usize) -> SparseMatrix {
-    let mut indptr = vec![0usize];
+    let mut indptr = vec![0u32];
     let mut indices = Vec::new();
     let mut vals = Vec::new();
     for i in 0..rows {
@@ -51,7 +68,7 @@ fn random_csr(rows: usize, cols: usize, nnz_per_row: usize) -> SparseMatrix {
             indices.push(((i * 31 + k * 97) % cols) as u32);
             vals.push(((i + k) % 7) as f32 * 0.2 + 0.1);
         }
-        indptr.push(indices.len());
+        indptr.push(indices.len() as u32);
     }
     SparseMatrix::new(rows, cols, indptr, indices, Some(vals))
 }
@@ -63,7 +80,8 @@ struct KernelRow {
     serial_s: f64,
     blocked_s: Option<f64>,
     simd_s: Option<f64>,
-    pool_s: f64,
+    /// `None` when the dispatch constants keep this shape off the pool.
+    pool_s: Option<f64>,
     /// Quick-mode perf-gate floor for blocked-vs-serial speedup, when
     /// gated: 1.0 for the blocked GEMMs (generous — they sit at 1.2x+),
     /// 0.95 for the CSC transpose, which is parity-by-design on one core
@@ -90,10 +108,12 @@ impl KernelRow {
             ("flops", Json::Num(self.flops)),
             ("serial_ms", Json::Num(self.serial_s * 1e3)),
             ("serial_gflops", Json::Num(gflops(self.serial_s))),
-            ("pool_ms", Json::Num(self.pool_s * 1e3)),
-            ("pool_gflops", Json::Num(gflops(self.pool_s))),
-            ("speedup_pool", Json::Num(self.serial_s / self.pool_s)),
         ];
+        if let Some(p) = self.pool_s {
+            fields.push(("pool_ms", Json::Num(p * 1e3)));
+            fields.push(("pool_gflops", Json::Num(gflops(p))));
+            fields.push(("speedup_pool", Json::Num(self.serial_s / p)));
+        }
         if let Some(b) = self.blocked_s {
             fields.push(("blocked_ms", Json::Num(b * 1e3)));
             fields.push(("blocked_gflops", Json::Num(gflops(b))));
@@ -138,29 +158,38 @@ fn train_fixture(
 
 fn main() {
     let quick = std::env::var("ARGO_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let samples = if quick { 2 } else { 5 };
-    // The SpMM gathers run ~1 ms and are memory-bound, so a single noisy
-    // scheduler quantum can double one sample; min-of-2 is not enough to
-    // reject that on a shared CI core. More samples cost almost nothing.
-    let sparse_samples = if quick { 8 } else { samples };
+    // Every gated kernel runs a few ms at most, so a single noisy scheduler
+    // quantum can double one sample; min-of-2 is not enough to reject that
+    // on a shared CI core, and more samples cost almost nothing.
+    let samples = if quick { 8 } else { 5 };
     let pool = ThreadPool::new("bench", 4);
-    // Threshold 1 so the pool variants parallelize at every benched shape;
-    // `policy` is the full dispatch default (SIMD tier on), `scalar` pins
-    // the pre-SIMD tiers for the serial/blocked columns. The sparse work
-    // threshold is forced to 1 so the SpMM pool columns keep measuring the
-    // pool even below the dispatch crossover.
-    let policy = DispatchPolicy::new(1).with_sparse_work_threshold(1);
+    // `policy` is the dispatch default (what production routes), `scalar`
+    // pins the scalar tier for the blocked column.
+    let policy = DispatchPolicy::default();
     let scalar = policy.force_scalar();
+    // The pool column of a dense / sparse row, when the policy uses the pool
+    // at that shape.
+    let dense_pool = |rows: usize| policy.goes_parallel(rows, Some(&pool)).then_some(&pool);
+    let sparse_pool = |rows: usize, work: usize| {
+        policy
+            .sparse_goes_parallel(rows, work, Some(&pool))
+            .then_some(&pool)
+    };
     let mut rows: Vec<KernelRow> = Vec::new();
 
     // -- GEMM: small and large shapes; large is the gated one. --
     for (m, k, n, gate_min) in [(256, 64, 32, None), (1024, 256, 128, Some(1.0))] {
         let a = Matrix::xavier(m, k, 1);
         let b = Matrix::xavier(k, n, 2);
-        let serial = time_min(samples, || a.matmul(&b));
-        let blocked = time_min(samples, || a.matmul_blocked(&b));
-        let simd = time_min(samples, || policy.gemm(&a, &b, None));
-        let pooled = time_min(samples, || policy.gemm(&a, &b, Some(&pool)));
+        let [serial, blocked, simd] = time_min_each(
+            samples,
+            [
+                &mut || drop(black_box(reference::matmul(&a, &b))),
+                &mut || drop(black_box(scalar.gemm(&a, &b, None))),
+                &mut || drop(black_box(policy.gemm(&a, &b, None))),
+            ],
+        );
+        let pooled = dense_pool(m).map(|p| time_min(samples, || policy.gemm(&a, &b, Some(p))));
         rows.push(KernelRow {
             name: "gemm",
             shape: format!("{m}x{k}x{n}"),
@@ -179,10 +208,16 @@ fn main() {
         let (m, k, n) = (4096, 64, 32);
         let x = Matrix::xavier(m, k, 3);
         let g = Matrix::xavier(m, n, 4);
-        let serial = time_min(samples, || x.matmul_transpose_self(&g));
-        let blocked = time_min(samples, || x.matmul_transpose_self_blocked(&g));
-        let simd = time_min(samples, || policy.grad_weights(&x, &g, None));
-        let pooled = time_min(samples, || policy.grad_weights(&x, &g, Some(&pool)));
+        let [serial, blocked, simd] = time_min_each(
+            samples,
+            [
+                &mut || drop(black_box(reference::matmul_transpose_self(&x, &g))),
+                &mut || drop(black_box(scalar.grad_weights(&x, &g, None))),
+                &mut || drop(black_box(policy.grad_weights(&x, &g, None))),
+            ],
+        );
+        let pooled =
+            dense_pool(m).map(|p| time_min(samples, || policy.grad_weights(&x, &g, Some(p))));
         rows.push(KernelRow {
             name: "grad_weights",
             shape: format!("{m}x{k}x{n}"),
@@ -201,10 +236,16 @@ fn main() {
         let (m, k, n) = (4096, 64, 32);
         let g = Matrix::xavier(m, n, 5);
         let w = Matrix::xavier(k, n, 6);
-        let serial = time_min(samples, || g.matmul_transpose_other(&w));
-        let blocked = time_min(samples, || g.matmul_transpose_other_blocked(&w));
-        let simd = time_min(samples, || policy.grad_input(&g, &w, 0..k, None));
-        let pooled = time_min(samples, || policy.grad_input(&g, &w, 0..k, Some(&pool)));
+        let [serial, blocked, simd] = time_min_each(
+            samples,
+            [
+                &mut || drop(black_box(reference::matmul_transpose_other(&g, &w))),
+                &mut || drop(black_box(scalar.grad_input(&g, &w, 0..k, None))),
+                &mut || drop(black_box(policy.grad_input(&g, &w, 0..k, None))),
+            ],
+        );
+        let pooled =
+            dense_pool(m).map(|p| time_min(samples, || policy.grad_input(&g, &w, 0..k, Some(p))));
         rows.push(KernelRow {
             name: "grad_input",
             shape: format!("{m}x{n}x{k}"),
@@ -218,16 +259,23 @@ fn main() {
         });
     }
 
-    // -- SpMM (forward aggregation): serial vs pool; no blocked variant. --
+    // -- SpMM (forward aggregation): no blocked variant. --
     let adj = random_csr(4096, 4096, 16);
+    // 4096 x 16 x 64 ≈ 4.2 M multiply-adds: below the sparse work constant,
+    // so neither SpMM row has a pool column.
+    let spmm_pool = sparse_pool(4096, adj.nnz() * 64);
     {
         let h = Matrix::xavier(4096, 64, 7);
-        // Serial baseline is the scalar row gather — the public `spmm`
-        // auto-enables SIMD on capable hosts, which is what the simd
-        // column measures.
-        let serial = time_min(sparse_samples, || scalar.aggregate(&adj, &h, None));
-        let simd = time_min(sparse_samples, || policy.aggregate(&adj, &h, None));
-        let pooled = time_min(sparse_samples, || policy.aggregate(&adj, &h, Some(&pool)));
+        // Serial baseline is the gather with the scalar row step; the simd
+        // column is the same gather with the vectorized one.
+        let [serial, simd] = time_min_each(
+            samples,
+            [
+                &mut || drop(black_box(scalar.aggregate(&adj, &h, None))),
+                &mut || drop(black_box(policy.aggregate(&adj, &h, None))),
+            ],
+        );
+        let pooled = spmm_pool.map(|p| time_min(samples, || policy.aggregate(&adj, &h, Some(p))));
         rows.push(KernelRow {
             name: "spmm",
             shape: "4096x4096_nnz16_d64".to_string(),
@@ -241,20 +289,20 @@ fn main() {
         });
     }
 
-    // -- Transposed SpMM: naive scatter vs CSC gather vs CSC+pool. --
+    // -- Transposed SpMM: naive scatter vs the gather over the transpose. --
     {
         let g = Matrix::xavier(4096, 64, 8);
-        let serial = time_min(sparse_samples, || adj.spmm_transpose(&g));
-        adj.csc(); // build the mirror once, outside the timed region
-        let csc = time_min(sparse_samples, || {
-            scalar.aggregate_transpose(&adj, &g, None)
-        });
-        let simd = time_min(sparse_samples, || {
-            policy.aggregate_transpose(&adj, &g, None)
-        });
-        let pooled = time_min(sparse_samples, || {
-            policy.aggregate_transpose(&adj, &g, Some(&pool))
-        });
+        adj.csc(); // build the transpose once, outside the timed region
+        let [serial, csc, simd] = time_min_each(
+            samples,
+            [
+                &mut || drop(black_box(reference::spmm_transpose(&adj, &g))),
+                &mut || drop(black_box(scalar.aggregate_transpose(&adj, &g, None))),
+                &mut || drop(black_box(policy.aggregate_transpose(&adj, &g, None))),
+            ],
+        );
+        let pooled =
+            spmm_pool.map(|p| time_min(samples, || policy.aggregate_transpose(&adj, &g, Some(p))));
         rows.push(KernelRow {
             name: "spmm_transpose",
             shape: "4096x4096_nnz16_d64".to_string(),
@@ -276,30 +324,34 @@ fn main() {
         let w = Matrix::xavier(2 * f, o, 11);
         let bias = vec![0.01f32; o];
         let ids: Vec<u32> = (0..n_dst as u32).collect();
-        let serial = time_min(samples, || {
-            // Reference path: gather dst rows, concat, GEMM, then bias+ReLU.
-            let mut z = h.gather_rows(&ids).concat_cols(&agg).matmul(&w);
-            argo_tensor::ops::add_bias(&mut z, &bias);
-            argo_tensor::ops::relu_inplace(&mut z)
-        });
-        let blocked = time_min(samples, || {
-            let mut out = Matrix::zeros(n_dst, o);
-            scalar.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), None, &mut out)
-        });
-        let simd = time_min(samples, || {
-            let mut out = Matrix::zeros(n_dst, o);
-            policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), None, &mut out)
-        });
-        let pooled = time_min(samples, || {
-            let mut out = Matrix::zeros(n_dst, o);
-            policy.sage_gemm_into(
-                &h,
-                &agg,
-                &w,
-                Epilogue::bias_relu(&bias),
-                Some(&pool),
-                &mut out,
-            )
+        let epi = Epilogue::bias_relu(&bias);
+        let [serial, blocked, simd] = time_min_each(
+            samples,
+            [
+                &mut || {
+                    // Reference path: gather dst rows, concat, GEMM, then
+                    // bias+ReLU.
+                    let mut z = reference::matmul(&h.gather_rows(&ids).concat_cols(&agg), &w);
+                    argo_tensor::ops::add_bias(&mut z, &bias);
+                    black_box(argo_tensor::ops::relu_inplace(&mut z));
+                },
+                &mut || {
+                    let mut out = Matrix::zeros(n_dst, o);
+                    scalar.sage_gemm_into(&h, &agg, &w, epi, None, &mut out);
+                    black_box(out);
+                },
+                &mut || {
+                    let mut out = Matrix::zeros(n_dst, o);
+                    policy.sage_gemm_into(&h, &agg, &w, epi, None, &mut out);
+                    black_box(out);
+                },
+            ],
+        );
+        let pooled = dense_pool(n_dst).map(|p| {
+            time_min(samples, || {
+                let mut out = Matrix::zeros(n_dst, o);
+                policy.sage_gemm_into(&h, &agg, &w, epi, Some(p), &mut out)
+            })
         });
         rows.push(KernelRow {
             name: "sage_fused_gemm",
@@ -318,7 +370,7 @@ fn main() {
     let step_rows = if quick { 1024 } else { 4096 };
     let (batch, input, labels, dim) = train_fixture(step_rows);
     let step_samples = if quick { 2 } else { 3 };
-    let mut model = Gnn::new(GnnKind::Sage, dim, 32, 8, 2, 1).with_dispatch(policy);
+    let mut model = Gnn::new(GnnKind::Sage, dim, 32, 8, 2, 1);
     let serial_step = time_min(step_samples, || {
         model.train_step_gathered(&batch, input.clone(), &labels, None)
     });
@@ -336,7 +388,7 @@ fn main() {
     );
     for r in &rows {
         println!(
-            "{:<16} {:<22} {:>10.3} {:>10} {:>10} {:>10.3} {:>8} {:>8} {:>8.2}",
+            "{:<16} {:<22} {:>10.3} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
             r.name,
             r.shape,
             r.serial_s * 1e3,
@@ -344,12 +396,14 @@ fn main() {
                 .map_or("-".to_string(), |b| format!("{:.3}", b * 1e3)),
             r.simd_s
                 .map_or("-".to_string(), |s| format!("{:.3}", s * 1e3)),
-            r.pool_s * 1e3,
+            r.pool_s
+                .map_or("-".to_string(), |p| format!("{:.3}", p * 1e3)),
             r.blocked_s
                 .map_or("-".to_string(), |b| format!("{:.2}", r.serial_s / b)),
             r.simd_s
                 .map_or("-".to_string(), |s| format!("{:.2}", r.serial_s / s)),
-            r.serial_s / r.pool_s,
+            r.pool_s
+                .map_or("-".to_string(), |p| format!("{:.2}", r.serial_s / p)),
         );
     }
     println!(

@@ -33,20 +33,13 @@ const INSTANT_ALLOWED_FILES: &[&str] = &[
     "crates/serve/src/clock.rs",
 ];
 
-/// Raw serial/pool kernel entry points that model and engine code must not
-/// call directly: serial-vs-parallel selection (and the blocked kernels
-/// behind it) lives in `argo_tensor::DispatchPolicy`, so a direct call
-/// silently bypasses both the auto-tuned pool routing and the cache
-/// blocking.
-const RAW_KERNEL_CALLS: &[&str] = &[
-    ".matmul(",
-    ".matmul_pool(",
-    ".spmm(",
-    ".spmm_pool(",
-    ".spmm_transpose(",
-    ".matmul_transpose_self(",
-    ".matmul_transpose_other(",
-];
+/// The naive oracle kernels (`argo_tensor::reference`): what tests and
+/// benches compare the two production tiers against. Model, engine and
+/// serving code must not call them — every matmul/SpMM there goes through
+/// `argo_tensor::DispatchPolicy`, which is the only way to reach a tier (the
+/// matrix types carry no kernel methods), so this one path is the whole
+/// bypass surface.
+const REFERENCE_KERNELS: &str = "reference::";
 
 /// Crates whose non-test code must route matmul/SpMM through the dispatch
 /// policy rather than the raw kernels. `crates/serve/` joined in PR 8: the
@@ -386,8 +379,8 @@ fn check_no_instant(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<D
 }
 
 /// Rule `kernel-dispatch`: model/engine non-test code must go through
-/// `DispatchPolicy` (`gemm`, `aggregate`, `grad_weights`, …) instead of the
-/// raw serial or pool kernels on `Matrix`/`SparseMatrix`.
+/// `DispatchPolicy` (`gemm`, `aggregate`, `grad_weights`, …), never the
+/// naive oracles in `argo_tensor::reference`.
 fn check_kernel_dispatch(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Diagnostic>) {
     if !DISPATCH_ONLY_CRATES
         .iter()
@@ -396,25 +389,22 @@ fn check_kernel_dispatch(file: &SourceFile, allow: &mut AllowTracker, out: &mut 
         return;
     }
     for (n, line) in file.numbered() {
-        if line.test {
+        if line.test
+            || !contains_token(&line.code, REFERENCE_KERNELS)
+            || allow.permits("kernel-dispatch", &file.path, &line.raw)
+        {
             continue;
         }
-        for needle in RAW_KERNEL_CALLS {
-            if contains_token(&line.code, needle)
-                && !allow.permits("kernel-dispatch", &file.path, &line.raw)
-            {
-                out.push(Diagnostic {
-                    path: file.path.clone(),
-                    line: n,
-                    rule: "kernel-dispatch",
-                    message: format!(
-                        "raw kernel call `{needle}` in model/engine code; route it through \
-                         `argo_tensor::DispatchPolicy` so serial-vs-pool selection stays \
-                         centralized, or add an allowlist entry with a justification"
-                    ),
-                });
-            }
-        }
+        out.push(Diagnostic {
+            path: file.path.clone(),
+            line: n,
+            rule: "kernel-dispatch",
+            message: format!(
+                "`{REFERENCE_KERNELS}` oracle kernel in model/engine code; route it through \
+                 `argo_tensor::DispatchPolicy` so tier and serial-vs-pool selection stay \
+                 centralized, or add an allowlist entry with a justification"
+            ),
+        });
     }
 }
 
@@ -611,12 +601,15 @@ mod tests {
 
     #[test]
     fn raw_kernel_call_in_model_code_is_flagged() {
-        let d = lint("crates/nn/src/x.rs", "fn f() { let z = x.matmul(&w); }\n");
+        let d = lint(
+            "crates/nn/src/x.rs",
+            "fn f() { let z = reference::matmul(&x, &w); }\n",
+        );
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "kernel-dispatch");
         let d = lint(
             "crates/engine/src/x.rs",
-            "fn f() { let a = adj.spmm_transpose(&g); }\n",
+            "fn f() { let a = argo_tensor::reference::spmm_transpose(&adj, &g); }\n",
         );
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "kernel-dispatch");
@@ -624,14 +617,16 @@ mod tests {
 
     #[test]
     fn raw_kernel_call_outside_scope_or_in_tests_passes() {
-        // The tensor crate itself defines and reference-tests the kernels.
-        assert!(lint("crates/tensor/src/x.rs", "fn f() { x.matmul(&w); }\n").is_empty());
-        // Test modules may call the raw kernels as references.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.matmul_pool(&w, p); }\n}\n";
-        assert!(lint("crates/nn/src/x.rs", src).is_empty());
-        assert!(lint("crates/nn/tests/x.rs", "fn f() { adj.spmm(&h); }\n").is_empty());
-        // Dispatch-policy calls do not match the raw needles.
-        let src = "fn f() { let z = dispatch.gemm(&x, &w, pool); }\n";
+        let call = "fn f() { reference::matmul(&x, &w); }\n";
+        // The tensor crate itself defines the oracles and tests against them.
+        assert!(lint("crates/tensor/src/x.rs", call).is_empty());
+        // Test modules may call them as references.
+        let src = format!("#[cfg(test)]\nmod tests {{\n    {call}}}\n");
+        assert!(lint("crates/nn/src/x.rs", &src).is_empty());
+        assert!(lint("crates/nn/tests/x.rs", call).is_empty());
+        // Dispatch-policy calls do not match, nor does an identifier that
+        // merely ends in the word.
+        let src = "fn f() { let z = dispatch.gemm(&x, &w, pool); cross_reference::f(); }\n";
         assert!(lint("crates/nn/src/x.rs", src).is_empty());
     }
 
@@ -808,7 +803,7 @@ mod tests {
         // PR 8 extended both rules to the serving pipeline.
         let d = lint(
             "crates/serve/src/x.rs",
-            "fn f() { let z = x.matmul(&w); }\n",
+            "fn f() { let z = reference::matmul(&x, &w); }\n",
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "kernel-dispatch");

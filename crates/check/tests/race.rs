@@ -58,27 +58,68 @@ fn seeded_overlapping_windows_are_detected() {
 }
 
 /// Fixed twin: genuinely disjoint windows through the *real* pool path —
-/// `parallel_chunks_mut` carries its own shadow annotation, and the
-/// `Completion` fork/join edges order every worker write before the caller's
-/// post-wait reads.
+/// the row-window runner every `argo-tensor` kernel partitions through
+/// carries its own shadow annotation, and the `Completion` fork/join edges
+/// order every worker write before the caller's post-wait reads.
 #[test]
 fn disjoint_windows_through_the_pool_are_clean() {
     let _guard = serialized();
     let pool = ThreadPool::new("race-twin", 4);
-    let mut buf = vec![0u32; 64];
-    pool.parallel_chunks_mut(&mut buf, |_chunk_idx, chunk| {
-        for v in chunk.iter_mut() {
-            *v += 1;
-        }
-    });
+    let mut buf = vec![0u32; 64 * 3];
+    ThreadPool::parallel_chunks_mut(
+        Some(&pool),
+        &mut buf,
+        3,
+        "corpus.runner",
+        |_rows, window| {
+            for v in window.iter_mut() {
+                *v += 1;
+            }
+        },
+    );
     // Caller-side read of the full buffer after the join: ordered.
-    assert_eq!(buf.iter().sum::<u32>(), 64);
+    assert_eq!(buf.iter().sum::<u32>(), 64 * 3);
     assert_eq!(
         racecheck::report_count(),
         0,
         "disjoint pool windows must be clean: {:#?}",
         racecheck::take_reports()
     );
+}
+
+/// The same runner with the bug seeded back in: each worker's kernel also
+/// touches the first row *past* its window (an off-by-one a kernel handed
+/// the whole buffer could commit). The runner's workers are ordered only by
+/// the fork and the join, never among themselves, so the neighbour's write
+/// to that row is concurrent and must be reported.
+#[test]
+fn seeded_overlap_through_the_runner_is_detected() {
+    let _guard = serialized();
+    let pool = ThreadPool::new("race-seeded", 4);
+    let rows = 64;
+    let shadow = racecheck::region("corpus.runner_overlap", rows);
+    // Raw std barrier (uninstrumented, so it adds no happens-before edge):
+    // holds every window open until all four are, so no worker can run two
+    // of them back to back and hide the overlap behind program order.
+    let all_running = std::sync::Barrier::new(4);
+    let mut buf = vec![0u32; rows];
+    ThreadPool::parallel_chunks_mut(Some(&pool), &mut buf, 1, "corpus.runner", |r, _window| {
+        all_running.wait();
+        let len = (r.len() + 1).min(rows - r.start);
+        racecheck::write(&shadow, r.start, len);
+    });
+    let reports = racecheck::take_reports();
+    assert!(
+        !reports.is_empty(),
+        "a window one row too long must be reported"
+    );
+    assert!(
+        reports.iter().all(|r| r.region == "corpus.runner_overlap"),
+        "the runner's own windows stay clean: {reports:#?}"
+    );
+    let r = &reports[0];
+    assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Write));
+    assert!(r.cell > 0 && r.cell % 16 == 0, "a window boundary row: {r}");
 }
 
 // ---------------------------------------------------------------------------

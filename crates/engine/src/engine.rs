@@ -47,16 +47,6 @@ pub struct EngineOptions {
     /// Default cross-batch feature-cache capacity in rows (0 = cache
     /// disabled). A per-epoch [`Config::cache_rows`] > 0 overrides this.
     pub cache_capacity: usize,
-    /// Minimum number of matrix rows before a training kernel runs on the
-    /// process's training-core pool (see
-    /// [`argo_tensor::DispatchPolicy`]); below it the fork/join overhead
-    /// outweighs the work.
-    pub parallel_row_threshold: usize,
-    /// Minimum sparse work (`nnz × dense columns` multiply-adds) before an
-    /// aggregation kernel runs on the pool. SpMM is memory-bound, so small
-    /// gathers lose to serial even with plenty of rows; the default
-    /// crossover comes from the committed kernel baselines.
-    pub sparse_work_threshold: usize,
 }
 
 impl Default for EngineOptions {
@@ -74,8 +64,6 @@ impl Default for EngineOptions {
             grad_clip: None,
             lr_schedule: LrSchedule::Constant,
             cache_capacity: 0,
-            parallel_row_threshold: argo_tensor::dispatch::DEFAULT_ROW_THRESHOLD,
-            sparse_work_threshold: argo_tensor::dispatch::DEFAULT_SPARSE_WORK_THRESHOLD,
         }
     }
 }
@@ -158,26 +146,6 @@ impl EngineOptions {
     pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cache_capacity = cache_capacity;
         self
-    }
-
-    /// Minimum rows before a training kernel goes pool-parallel.
-    pub fn with_parallel_row_threshold(mut self, rows: usize) -> Self {
-        self.parallel_row_threshold = rows;
-        self
-    }
-
-    /// Minimum `nnz × dense-cols` multiply-adds before an aggregation
-    /// (SpMM) kernel goes pool-parallel.
-    pub fn with_sparse_work_threshold(mut self, work: usize) -> Self {
-        self.sparse_work_threshold = work;
-        self
-    }
-
-    /// The kernel dispatch policy these options induce (SIMD tier on;
-    /// it self-disables on hosts without AVX2+FMA).
-    pub fn dispatch_policy(&self) -> argo_tensor::DispatchPolicy {
-        argo_tensor::DispatchPolicy::new(self.parallel_row_threshold)
-            .with_sparse_work_threshold(self.sparse_work_threshold)
     }
 }
 
@@ -598,7 +566,6 @@ fn build_model(opts: &EngineOptions, dataset: &Dataset) -> AnyModel {
         opts.num_layers,
         opts.seed,
     )
-    .with_dispatch(opts.dispatch_policy())
 }
 
 /// Everything one training process needs for one epoch, bundled so

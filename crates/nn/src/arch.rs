@@ -103,14 +103,6 @@ impl AnyModel {
         }
     }
 
-    /// Replaces the kernel dispatch policy (builder style).
-    pub fn with_dispatch(self, dispatch: DispatchPolicy) -> Self {
-        match self {
-            AnyModel::Gnn(m) => AnyModel::Gnn(m.with_dispatch(dispatch)),
-            AnyModel::Gat(m) => AnyModel::Gat(m.with_dispatch(dispatch)),
-        }
-    }
-
     /// The kernel dispatch policy in effect.
     pub fn dispatch(&self) -> DispatchPolicy {
         match self {

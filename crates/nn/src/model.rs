@@ -9,15 +9,17 @@
 //! [`Workspace`](argo_tensor::Workspace) so steady-state training steps
 //! allocate (almost) nothing.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 
 use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::{Normalization, SampledBatch};
 use argo_sample::view::SampledBatchView;
-use argo_tensor::ops::{accuracy, bias_grad_into, relu_backward, softmax_cross_entropy};
-use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
+use argo_tensor::ops::{
+    accuracy, bias_grad_into, relu_backward_from_output, softmax_cross_entropy,
+};
+use argo_tensor::{BSrc, DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
 
 /// Which aggregation rule a model uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,57 +69,145 @@ pub struct StepStats {
     pub num_seeds: usize,
 }
 
-/// One layer's normalized adjacency: a borrow of the pre-normalized matrix
-/// the sampler fused during block assembly, an owned matrix normalized here
-/// (legacy path for batches sampled without fusion), or a borrowed
-/// [`SparseView`] straight out of the sampler's batch arena (zero-copy
-/// inference path).
-pub(crate) enum NormAdj<'a> {
-    Pre(&'a SparseMatrix),
-    Owned(SparseMatrix),
-    View(SparseView<'a>),
+/// A layer's weight operand and bias — all a forward pass reads of it.
+pub(crate) trait LayerParams {
+    fn params(&self) -> (BSrc<'_>, &[f32]);
 }
 
-/// One layer's normalized adjacency plus the output-row count; uniform view
-/// over bipartite blocks and square ShaDow subgraphs.
-pub(crate) struct LayerAdj<'a> {
-    pub(crate) adj: NormAdj<'a>,
-    pub(crate) n_dst: usize,
+impl LayerParams for Layer {
+    fn params(&self) -> (BSrc<'_>, &[f32]) {
+        ((&self.w).into(), &self.b)
+    }
 }
 
-impl LayerAdj<'_> {
-    /// The owned/borrowed [`SparseMatrix`] — the backward pass needs its CSC
-    /// mirror, which a borrowed arena view cannot carry.
-    pub(crate) fn norm(&self) -> &SparseMatrix {
-        match &self.adj {
-            NormAdj::Pre(m) => m,
-            NormAdj::Owned(m) => m,
-            NormAdj::View(_) => unreachable!("views are forward-only"),
-        }
-    }
+/// The forward pass, written once over the weight operand: [`Gnn`] runs it
+/// on its f32 layers (and training keeps what [`Forward::layer`] returns
+/// for backward), [`crate::quant::QuantizedGnn`] on its quantized ones.
+///
+/// Every layer takes its normalized adjacency as a borrowed [`SparseView`]
+/// (`n_dst × n_src`; the output has one row per adjacency row) — a view of
+/// an owned batch's matrix or one still sitting in the sampler's arena, the
+/// forward pass cannot tell. Only backward needs the owned
+/// [`SparseMatrix`], for the transpose cached on it.
+pub(crate) struct Forward<'m, L> {
+    pub(crate) kind: GnnKind,
+    pub(crate) layers: &'m [L],
+    pub(crate) dispatch: DispatchPolicy,
+    // Interior mutability so `forward` (&self) can recycle buffers too;
+    // a model is only ever driven from one thread at a time.
+    pub(crate) ws: &'m RefCell<Workspace>,
+}
 
-    /// Row count of the adjacency (aggregation output rows).
-    pub(crate) fn rows(&self) -> usize {
-        match &self.adj {
-            NormAdj::Pre(m) => m.rows(),
-            NormAdj::Owned(m) => m.rows(),
-            NormAdj::View(v) => v.rows(),
-        }
-    }
-
-    /// Forward aggregation `out = adj × h` through the dispatch policy,
-    /// whichever representation the adjacency is in.
-    pub(crate) fn aggregate_into(
+impl<L: LayerParams> Forward<'_, L> {
+    /// Layer `l`: returns `(output, aggregation)`.
+    ///
+    /// * GCN: `z = (Â h) W + b`
+    /// * SAGE: `z = h_self W_self + mean(h) W_neigh + b` — the fused form
+    ///   of `[h_self ‖ mean(h)] W + b` with `W = [W_self; W_neigh]`
+    ///   stacked; the concatenation is never materialized.
+    ///
+    /// Bias (and ReLU on all layers except the last) are fused into the
+    /// GEMM write-back. Output and aggregation buffers come from the
+    /// model's workspace arena.
+    fn layer(
         &self,
-        dispatch: &DispatchPolicy,
+        l: usize,
+        adj: &SparseView<'_>,
         h: &Matrix,
         pool: Option<&ThreadPool>,
-        out: &mut Matrix,
-    ) {
-        match &self.adj {
-            NormAdj::Pre(m) => dispatch.aggregate_into(m, h, pool, out),
-            NormAdj::Owned(m) => dispatch.aggregate_into(m, h, pool, out),
-            NormAdj::View(v) => dispatch.aggregate_view_into(v, h, pool, out),
+    ) -> (Matrix, Matrix) {
+        let (w, b) = self.layers[l].params();
+        let (mut agg, mut z) = {
+            let mut ws = self.ws.borrow_mut();
+            (ws.take(adj.rows(), h.cols()), ws.take(adj.rows(), w.cols()))
+        };
+        self.dispatch.aggregate_view_into(adj, h, pool, &mut agg);
+        let epi = if l + 1 < self.layers.len() {
+            Epilogue::bias_relu(b)
+        } else {
+            Epilogue::bias(b)
+        };
+        match self.kind {
+            GnnKind::Gcn => self.dispatch.gemm_into(&agg, w, epi, pool, &mut z),
+            GnnKind::Sage => self.dispatch.sage_gemm_into(h, &agg, w, epi, pool, &mut z),
+        }
+        (z, agg)
+    }
+
+    /// Runs every layer over the prepared adjacencies and returns the final
+    /// hidden matrix (all output rows, before any seed selection).
+    fn run(&self, adjs: &[SparseView<'_>], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
+        // The first layer reads the caller's input in place; from then on
+        // each layer's output replaces the previous one, which is retired.
+        let (mut h, agg) = self.layer(0, &adjs[0], input, pool);
+        self.ws.borrow_mut().put(agg);
+        for (l, adj) in adjs.iter().enumerate().skip(1) {
+            let (z, agg) = self.layer(l, adj, &h, pool);
+            let mut ws = self.ws.borrow_mut();
+            ws.put(agg);
+            ws.put(std::mem::replace(&mut h, z));
+        }
+        h
+    }
+
+    /// Inference forward pass; returns logits over the batch's seeds. The
+    /// input rows are gathered once, into a workspace buffer.
+    pub(crate) fn forward(
+        &self,
+        batch: &SampledBatch,
+        feats: &Features,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let input = gather_input(self.ws, feats, batch.input_nodes());
+        let logits = self.forward_gathered(batch, &input, pool);
+        self.ws.borrow_mut().put(input);
+        logits
+    }
+
+    /// [`Forward::forward`] with the input-node feature rows already
+    /// gathered; `input` is only read, never parked in the workspace.
+    pub(crate) fn forward_gathered(
+        &self,
+        batch: &SampledBatch,
+        input: &Matrix,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let norms = normalized_adjs(self.kind, self.layers.len(), batch);
+        let adjs: Vec<SparseView<'_>> = norms.iter().map(|m| m.view()).collect();
+        let h = self.run(&adjs, input, pool);
+        match batch {
+            SampledBatch::Blocks(_) => h,
+            SampledBatch::Subgraph(sb) => {
+                let logits = select_rows(&h, &sb.seed_positions);
+                self.ws.borrow_mut().put(h);
+                logits
+            }
+        }
+    }
+
+    /// [`Forward::forward_gathered`] over a borrowed [`SampledBatchView`]:
+    /// the adjacencies are consumed straight out of the sampler's batch
+    /// arena with zero copies. Falls back to materializing the owned batch
+    /// when the fused normalization does not match this model (the owned
+    /// path then re-normalizes).
+    pub(crate) fn forward_gathered_view(
+        &self,
+        batch: &SampledBatchView<'_>,
+        input: &Matrix,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let Some(adjs) = arena_adjs(self.kind, self.layers.len(), batch) else {
+            return self.forward_gathered(&batch.to_owned(), input, pool);
+        };
+        let h = self.run(&adjs, input, pool);
+        match batch {
+            SampledBatchView::Blocks(_) => h,
+            SampledBatchView::Subgraph(_) => {
+                // Subgraph-view seeds are the node-list prefix.
+                let logits = select_prefix_rows(&h, batch.num_seeds());
+                self.ws.borrow_mut().put(h);
+                logits
+            }
         }
     }
 }
@@ -129,8 +219,6 @@ pub struct Gnn {
     layers: Vec<Layer>,
     dims: Vec<usize>, // layer input/output dims: [in, hidden, ..., out]
     dispatch: DispatchPolicy,
-    // Interior mutability so `forward` (&self) can recycle buffers too;
-    // a model is only ever driven from one thread at a time.
     ws: RefCell<Workspace>,
 }
 
@@ -170,7 +258,8 @@ impl Gnn {
         }
     }
 
-    /// Replaces the kernel dispatch policy (builder-style).
+    /// Replaces the kernel dispatch policy (builder-style) — how a test puts
+    /// a model on the scalar tier ([`DispatchPolicy::force_scalar`]).
     pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
         self.dispatch = dispatch;
         self
@@ -211,55 +300,19 @@ impl Gnn {
             .sum()
     }
 
-    fn layer_adjs<'a>(&self, batch: &'a SampledBatch) -> Vec<LayerAdj<'a>> {
-        layer_adjs_for(self.kind, self.layers.len(), batch)
-    }
-
     /// One layer's weights and bias — the quantized-inference builder in
     /// [`crate::quant`] reads the trained parameters through this.
     pub(crate) fn layer_params(&self, l: usize) -> (&Matrix, &[f32]) {
         (&self.layers[l].w, &self.layers[l].b)
     }
 
-    /// Layer forward: returns `(output, aggregation cache, relu mask)`.
-    ///
-    /// * GCN: `z = (Â h) W + b`
-    /// * SAGE: `z = h_self W_self + mean(h) W_neigh + b` — the fused form
-    ///   of `[h_self ‖ mean(h)] W + b` with `W = [W_self; W_neigh]`
-    ///   stacked; the concatenation is never materialized.
-    ///
-    /// Bias (and ReLU when `relu` is true — all layers except the last) are
-    /// fused into the GEMM write-back. Output and aggregation buffers come
-    /// from the model's workspace arena.
-    fn layer_forward(
-        &self,
-        l: usize,
-        adj: &LayerAdj,
-        h: &Matrix,
-        relu: bool,
-        pool: Option<&ThreadPool>,
-    ) -> (Matrix, Matrix, Option<Vec<bool>>) {
-        let layer = &self.layers[l];
-        let (mut agg, mut z) = {
-            let mut ws = self.ws.borrow_mut();
-            (
-                ws.take(adj.rows(), h.cols()),
-                ws.take(adj.n_dst, layer.w.cols()),
-            )
-        };
-        adj.aggregate_into(&self.dispatch, h, pool, &mut agg);
-        let epi = if relu {
-            Epilogue::bias_relu(&layer.b)
-        } else {
-            Epilogue::bias(&layer.b)
-        };
-        let mask = match self.kind {
-            GnnKind::Gcn => self.dispatch.gemm_into(&agg, &layer.w, epi, pool, &mut z),
-            GnnKind::Sage => self
-                .dispatch
-                .sage_gemm_into(h, &agg, &layer.w, epi, pool, &mut z),
-        };
-        (z, agg, mask)
+    fn fwd(&self) -> Forward<'_, Layer> {
+        Forward {
+            kind: self.kind,
+            layers: &self.layers,
+            dispatch: self.dispatch,
+            ws: &self.ws,
+        }
     }
 
     /// Inference forward pass; returns logits over the batch's seeds. The
@@ -270,10 +323,7 @@ impl Gnn {
         feats: &Features,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let input = gather_input(&self.ws, feats, batch.input_nodes());
-        let logits = self.forward_gathered(batch, &input, pool);
-        self.ws.borrow_mut().put(input);
-        logits
+        self.fwd().forward(batch, feats, pool)
     }
 
     /// [`Gnn::forward`] with the input-node feature rows already gathered
@@ -288,63 +338,22 @@ impl Gnn {
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let adjs = self.layer_adjs(batch);
-        let h = self.forward_core(&adjs, input.borrow(), pool);
-        match batch {
-            SampledBatch::Blocks(_) => h,
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
-                self.ws.borrow_mut().put(h);
-                logits
-            }
-        }
+        self.fwd().forward_gathered(batch, input.borrow(), pool)
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
     /// adjacencies are consumed straight out of the sampler's batch arena
     /// with zero copies. Falls back to materializing the owned batch when
-    /// the fused normalization does not match this model (the sampler then
-    /// re-normalizes the owned copy, exactly as before).
+    /// the fused normalization does not match this model (the owned path
+    /// then re-normalizes, exactly as before).
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let input = input.borrow();
-        match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
-            Some(adjs) => {
-                let h = self.forward_core(&adjs, input, pool);
-                match batch {
-                    SampledBatchView::Blocks(_) => h,
-                    SampledBatchView::Subgraph(_) => {
-                        // Subgraph-view seeds are the node-list prefix.
-                        let logits = select_prefix_rows(&h, batch.num_seeds());
-                        self.ws.borrow_mut().put(h);
-                        logits
-                    }
-                }
-            }
-            None => self.forward_gathered(&batch.to_owned(), input, pool),
-        }
-    }
-
-    /// Shared layer loop of the forward passes: runs every layer over the
-    /// prepared adjacencies and returns the final hidden matrix (all output
-    /// rows, before any seed selection).
-    fn forward_core(&self, adjs: &[LayerAdj], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
-        let depth = self.layers.len();
-        // The first layer reads the caller's input in place; from then on
-        // each layer's output replaces the previous one, which is retired.
-        let (mut h, agg, _) = self.layer_forward(0, &adjs[0], input, depth > 1, pool);
-        self.ws.borrow_mut().put(agg);
-        for (l, adj) in adjs.iter().enumerate().skip(1) {
-            let (z, agg, _) = self.layer_forward(l, adj, &h, l + 1 < depth, pool);
-            let mut ws = self.ws.borrow_mut();
-            ws.put(agg);
-            ws.put(std::mem::replace(&mut h, z));
-        }
-        h
+        self.fwd()
+            .forward_gathered_view(batch, input.borrow(), pool)
     }
 
     /// One training step: forward, loss, full backward. Gradients are
@@ -374,18 +383,18 @@ impl Gnn {
         pool: Option<&ThreadPool>,
     ) -> StepStats {
         let input = input.borrow();
-        let adjs = self.layer_adjs(batch);
+        let norms = normalized_adjs(self.kind, self.layers.len(), batch);
         let depth = self.layers.len();
-        // Forward, keeping per-layer outputs, aggregations and masks. Layer
-        // `l` reads `input` (l = 0) or `outs[l - 1]`.
+        // Forward, keeping per-layer outputs and aggregations. Layer `l`
+        // reads `input` (l = 0) or `outs[l - 1]`.
         let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
-        let mut caches: Vec<(Matrix, Option<Vec<bool>>)> = Vec::with_capacity(depth);
-        for (l, adj) in adjs.iter().enumerate() {
-            let relu = l + 1 < depth;
+        let mut aggs: Vec<Matrix> = Vec::with_capacity(depth);
+        let fwd = self.fwd();
+        for (l, norm) in norms.iter().enumerate() {
             let h = if l == 0 { input } else { &outs[l - 1] };
-            let (z, agg, mask) = self.layer_forward(l, adj, h, relu, pool);
+            let (z, agg) = fwd.layer(l, &norm.view(), h, pool);
             outs.push(z);
-            caches.push((agg, mask));
+            aggs.push(agg);
         }
         let h = &outs[depth - 1];
         // Loss over seeds.
@@ -410,11 +419,13 @@ impl Gnn {
         let dispatch = self.dispatch;
         for l in (0..depth).rev() {
             let layer_input = if l == 0 { input } else { &outs[l - 1] };
-            let (agg, mask) = &caches[l];
-            if let Some(m) = mask {
-                relu_backward(&mut grad, m);
+            let agg = &aggs[l];
+            if l + 1 < depth {
+                // The fused ReLU recorded no mask: `outs[l] > 0` is it.
+                relu_backward_from_output(&mut grad, &outs[l]);
             }
-            let n_dst = adjs[l].n_dst;
+            let norm: &SparseMatrix = &norms[l];
+            let n_dst = norm.rows();
             bias_grad_into(&grad, &mut self.layers[l].db);
             match self.kind {
                 GnnKind::Gcn => {
@@ -454,15 +465,14 @@ impl Gnn {
             if l == 0 {
                 break; // input features get no gradient
             }
-            let adj = &adjs[l];
             let w = &self.layers[l].w;
             grad = match self.kind {
                 GnnKind::Gcn => {
                     let dagg = dispatch.grad_input(&grad, w, 0..w.rows(), pool);
                     let mut ws = self.ws.borrow_mut();
-                    let mut dh = ws.take(adj.norm().cols(), dagg.cols());
+                    let mut dh = ws.take(norm.cols(), dagg.cols());
                     drop(ws);
-                    dispatch.aggregate_transpose_into(adj.norm(), &dagg, pool, &mut dh);
+                    dispatch.aggregate_transpose_into(norm, &dagg, pool, &mut dh);
                     let mut ws = self.ws.borrow_mut();
                     ws.put(dagg);
                     ws.put(std::mem::replace(&mut grad, Matrix::zeros(0, 0)));
@@ -475,11 +485,11 @@ impl Gnn {
                     let dself = dispatch.grad_input(&grad, w, 0..f_in, pool);
                     let dmean = dispatch.grad_input(&grad, w, f_in..2 * f_in, pool);
                     let mut ws = self.ws.borrow_mut();
-                    let mut dh = ws.take(adj.norm().cols(), f_in);
+                    let mut dh = ws.take(norm.cols(), f_in);
                     drop(ws);
-                    dispatch.aggregate_transpose_into(adj.norm(), &dmean, pool, &mut dh);
+                    dispatch.aggregate_transpose_into(norm, &dmean, pool, &mut dh);
                     // Self-path gradient lands on the first n_dst src rows.
-                    for r in 0..adj.n_dst {
+                    for r in 0..n_dst {
                         for (a, b) in dh.row_mut(r).iter_mut().zip(dself.row(r)) {
                             *a += b;
                         }
@@ -495,7 +505,7 @@ impl Gnn {
         // Recycle every per-step buffer for the next batch.
         {
             let mut ws = self.ws.borrow_mut();
-            for (out, (agg, _)) in outs.into_iter().zip(caches) {
+            for (out, agg) in outs.into_iter().zip(aggs) {
                 ws.put(out);
                 ws.put(agg);
             }
@@ -568,61 +578,47 @@ fn wanted_norm_for(kind: GnnKind) -> Normalization {
     }
 }
 
-/// The per-layer normalized adjacencies of a batch for a `depth`-layer
-/// model of the given kind — shared by [`Gnn`] and the quantized inference
-/// model in [`crate::quant`].
-pub(crate) fn layer_adjs_for(
+/// The per-layer normalized adjacencies of an owned batch for a
+/// `depth`-layer model of the given kind: a borrow where the sampler already
+/// fused the wanted normalization into the adjacency values, a matrix
+/// normalized here otherwise (batches sampled without fusion).
+fn normalized_adjs(
     kind: GnnKind,
     depth: usize,
     batch: &SampledBatch,
-) -> Vec<LayerAdj<'_>> {
+) -> Vec<Cow<'_, SparseMatrix>> {
     let want = wanted_norm_for(kind);
     match batch {
         SampledBatch::Blocks(mb) => {
             assert_eq!(mb.blocks.len(), depth, "batch depth != model depth");
             mb.blocks
                 .iter()
-                .map(|b| LayerAdj {
-                    adj: if b.norm == want && b.adj.values().is_some() {
-                        // The sampler already fused this normalization
-                        // into the adjacency values — consume in place.
-                        NormAdj::Pre(&b.adj)
+                .map(|b| {
+                    if b.norm == want && b.adj.values().is_some() {
+                        Cow::Borrowed(&b.adj)
                     } else {
-                        NormAdj::Owned(match kind {
+                        Cow::Owned(match kind {
                             GnnKind::Gcn => b.gcn_normalized(),
                             GnnKind::Sage => b.mean_normalized(),
                         })
-                    },
-                    n_dst: b.dst_nodes.len(),
+                    }
                 })
                 .collect()
         }
         SampledBatch::Subgraph(sb) => {
+            // One adjacency serves every layer.
             if sb.norm == want && sb.adj.values().is_some() {
-                // Every layer (and the backward pass) borrows the one
-                // pre-normalized matrix; its CSC mirror is shared too.
-                sb.adj.csc();
-                return (0..depth)
-                    .map(|_| LayerAdj {
-                        adj: NormAdj::Pre(&sb.adj),
-                        n_dst: sb.nodes.len(),
-                    })
-                    .collect();
+                return vec![Cow::Borrowed(&sb.adj); depth];
             }
             let norm = match kind {
                 GnnKind::Gcn => sb.gcn_normalized(),
                 GnnKind::Sage => sb.mean_normalized(),
             };
-            // Build the CSC mirror before cloning so every layer (and
-            // the backward pass) shares one mirror instead of each
-            // clone rebuilding it lazily.
+            // Build the transpose before the per-layer copies are made, so
+            // they (and the backward pass) share one instead of each copy
+            // rebuilding it lazily.
             norm.csc();
-            (0..depth)
-                .map(|_| LayerAdj {
-                    adj: NormAdj::Owned(norm.clone()),
-                    n_dst: sb.nodes.len(),
-                })
-                .collect()
+            vec![Cow::Owned(norm); depth]
         }
     }
 }
@@ -631,52 +627,31 @@ pub(crate) fn layer_adjs_for(
 /// from the sampler's arena. Returns `None` when the fused normalization
 /// does not match what the model wants (or the layer count disagrees) — the
 /// caller falls back to the owned path, which re-normalizes.
-pub(crate) fn layer_adjs_view_for<'a>(
+fn arena_adjs<'a>(
     kind: GnnKind,
     depth: usize,
     batch: &SampledBatchView<'a>,
-) -> Option<Vec<LayerAdj<'a>>> {
-    let want = wanted_norm_for(kind);
-    if batch.norm() != want {
+) -> Option<Vec<SparseView<'a>>> {
+    if batch.norm() != wanted_norm_for(kind) {
         return None;
     }
     match batch {
         SampledBatchView::Blocks(mb) => {
-            if mb.num_blocks() != depth {
-                return None;
-            }
-            Some(
-                (0..depth)
-                    .map(|l| {
-                        let b = mb.block(l);
-                        LayerAdj {
-                            adj: NormAdj::View(b.adj),
-                            n_dst: b.dst_nodes.len(),
-                        }
-                    })
-                    .collect(),
-            )
+            (mb.num_blocks() == depth).then(|| (0..depth).map(|l| mb.block(l).adj).collect())
         }
-        SampledBatchView::Subgraph(sb) => Some(
-            (0..depth)
-                .map(|_| LayerAdj {
-                    adj: NormAdj::View(sb.adj()),
-                    n_dst: sb.nodes().len(),
-                })
-                .collect(),
-        ),
+        SampledBatchView::Subgraph(sb) => Some(vec![sb.adj(); depth]),
     }
 }
 
 /// Gathers rows `ids` of `feats`, once, into a buffer of the model's own
 /// workspace; the caller `put`s it back after the pass.
-pub(crate) fn gather_input(ws: &RefCell<Workspace>, feats: &Features, ids: &[u32]) -> Matrix {
+fn gather_input(ws: &RefCell<Workspace>, feats: &Features, ids: &[u32]) -> Matrix {
     let mut input = ws.borrow_mut().take_unzeroed(ids.len(), feats.dim());
     feats.gather_into(ids, input.data_mut());
     input
 }
 
-pub(crate) fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
     let mut out = Matrix::zeros(rows.len(), m.cols());
     for (i, &r) in rows.iter().enumerate() {
         out.row_mut(i).copy_from_slice(m.row(r));
@@ -686,7 +661,7 @@ pub(crate) fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
 
 /// [`select_rows`] specialized to the contiguous prefix `0..n` — the seed
 /// layout of every subgraph batch *view* — without a positions slice.
-pub(crate) fn select_prefix_rows(m: &Matrix, n: usize) -> Matrix {
+fn select_prefix_rows(m: &Matrix, n: usize) -> Matrix {
     let mut out = Matrix::zeros(n, m.cols());
     out.data_mut().copy_from_slice(&m.data()[..n * m.cols()]);
     out
@@ -865,23 +840,25 @@ mod tests {
         let d = tiny_dataset();
         let batch = if use_shadow {
             let s = ShadowSampler::new(vec![4, 3], 2);
-            let seeds: Vec<u32> = d.train_nodes.iter().copied().take(48).collect();
+            let seeds: Vec<u32> = d.train_nodes.iter().copied().take(64).collect();
             s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(17))
         } else {
             sample_blocks(&d, 64, 2)
         };
-        // Threshold 1 forces every kernel onto the pool, including the
-        // small inner layers a 64-row default would leave serial.
-        let mk = || {
-            Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 2, 6)
-                .with_dispatch(argo_tensor::DispatchPolicy::new(1))
-        };
+        // 64 seeds: every layer has at least the 64 output rows that put
+        // its GEMMs, input gradients and weight-gradient reduction on the
+        // pool (the aggregations stay below the sparse work constant and
+        // run inline either way).
+        let mk = || Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 2, 6);
         let mut serial = mk();
         serial.train_step(&batch, &d.features, &d.labels, None);
         let mut gs = Vec::new();
         serial.grads_flat(&mut gs);
         let pool = ThreadPool::new("t", 4);
         let mut pooled = mk();
+        assert!(pooled
+            .dispatch()
+            .goes_parallel(batch.seeds().len(), Some(&pool)));
         pooled.train_step(&batch, &d.features, &d.labels, Some(&pool));
         let mut gp = Vec::new();
         pooled.grads_flat(&mut gp);
@@ -907,6 +884,126 @@ mod tests {
     #[test]
     fn pool_and_serial_backward_agree_sage_shadow() {
         backward_agree(GnnKind::Sage, true);
+    }
+
+    /// One training step the way it was before the ReLU mask stopped being
+    /// recorded: the same kernels in the same order as
+    /// [`Gnn::train_step_gathered`], but every hidden layer is computed to
+    /// its pre-activation `z` (bias-only epilogue), its mask recorded as
+    /// `z > 0` by `relu_inplace` and applied with `relu_backward`. Returns
+    /// the flat gradient.
+    fn grads_with_recorded_masks(
+        m: &Gnn,
+        batch: &SampledBatch,
+        input: &Matrix,
+        labels: &[u32],
+    ) -> Vec<f32> {
+        use argo_tensor::ops::{bias_grad, relu_backward, relu_inplace};
+        let d = m.dispatch;
+        let depth = m.layers.len();
+        let norms = normalized_adjs(m.kind, depth, batch);
+        let (mut outs, mut aggs, mut masks) = (Vec::new(), Vec::new(), Vec::new());
+        for (l, layer) in m.layers.iter().enumerate() {
+            let h = if l == 0 { input } else { &outs[l - 1] };
+            let agg = d.aggregate(&norms[l], h, None);
+            let mut z = Matrix::zeros(norms[l].rows(), layer.w.cols());
+            let epi = Epilogue::bias(&layer.b);
+            match m.kind {
+                GnnKind::Gcn => d.gemm_into(&agg, &layer.w, epi, None, &mut z),
+                GnnKind::Sage => d.sage_gemm_into(h, &agg, &layer.w, epi, None, &mut z),
+            }
+            masks.push((l + 1 < depth).then(|| relu_inplace(&mut z)));
+            outs.push(z);
+            aggs.push(agg);
+        }
+        let h = &outs[depth - 1];
+        let seed_labels: Vec<u32> = batch.seeds().iter().map(|&v| labels[v as usize]).collect();
+        let mut grad = match batch {
+            SampledBatch::Blocks(_) => softmax_cross_entropy(h, &seed_labels).1,
+            SampledBatch::Subgraph(sb) => {
+                let logits = select_rows(h, &sb.seed_positions);
+                let dlogits = softmax_cross_entropy(&logits, &seed_labels).1;
+                scatter_rows(&dlogits, &sb.seed_positions, h.rows())
+            }
+        };
+        let mut per_layer = vec![Vec::new(); depth];
+        for l in (0..depth).rev() {
+            if let Some(mask) = &masks[l] {
+                relu_backward(&mut grad, mask);
+            }
+            let x = if l == 0 { input } else { &outs[l - 1] };
+            let (norm, w, f_in) = (&*norms[l], &m.layers[l].w, m.dims[l]);
+            let n_dst = norm.rows();
+            let mut dw = Matrix::zeros(w.rows(), w.cols());
+            match m.kind {
+                GnnKind::Gcn => d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, 0),
+                GnnKind::Sage => {
+                    d.grad_weights_into(x, 0..n_dst, &grad, None, &mut dw, 0);
+                    d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, f_in);
+                }
+            }
+            per_layer[l] = [dw.data(), &bias_grad(&grad)].concat();
+            if l == 0 {
+                break;
+            }
+            grad = match m.kind {
+                GnnKind::Gcn => {
+                    let dagg = d.grad_input(&grad, w, 0..w.rows(), None);
+                    d.aggregate_transpose(norm, &dagg, None)
+                }
+                GnnKind::Sage => {
+                    let dself = d.grad_input(&grad, w, 0..f_in, None);
+                    let dmean = d.grad_input(&grad, w, f_in..2 * f_in, None);
+                    let mut dh = d.aggregate_transpose(norm, &dmean, None);
+                    for r in 0..n_dst {
+                        for (a, b) in dh.row_mut(r).iter_mut().zip(dself.row(r)) {
+                            *a += b;
+                        }
+                    }
+                    dh
+                }
+            };
+        }
+        per_layer.concat()
+    }
+
+    #[test]
+    fn mask_from_output_matches_recorded_mask_bitwise() {
+        let d = tiny_dataset();
+        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(24).collect();
+        let shadow = ShadowSampler::new(vec![4, 3], 3);
+        let batches = [
+            sample_blocks(&d, 24, 3),
+            shadow.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9)),
+        ];
+        for batch in &batches {
+            let ids = batch.input_nodes();
+            let mut input = Matrix::zeros(ids.len(), d.feat_dim());
+            d.features.gather_into(ids, input.data_mut());
+            for kind in [GnnKind::Sage, GnnKind::Gcn] {
+                for policy in [
+                    DispatchPolicy::default(),
+                    DispatchPolicy::default().force_scalar(),
+                ] {
+                    // Three layers: two hidden ReLUs to mask.
+                    let mut m =
+                        Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5).with_dispatch(policy);
+                    m.train_step_gathered(batch, &input, &d.labels, None);
+                    let mut got = Vec::new();
+                    m.grads_flat(&mut got);
+                    let want = grads_with_recorded_masks(&m, batch, &input, &d.labels);
+                    assert_eq!(got.len(), want.len());
+                    assert!(
+                        got.iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{kind:?} simd={}: gradients differ",
+                        policy.simd_enabled()
+                    );
+                    assert!(got.iter().any(|g| *g != 0.0));
+                }
+            }
+        }
     }
 
     #[test]

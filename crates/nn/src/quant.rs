@@ -10,11 +10,11 @@
 //! classes on the planted-community datasets agree with f32 almost
 //! everywhere (pinned by this module's and `argo-serve`'s tests).
 //!
-//! The forward pass mirrors [`Gnn::forward_gathered`] layer by layer —
-//! same aggregation kernels, same fused bias/ReLU epilogue, same
-//! workspace recycling — swapping only the weight GEMM for the quantized
-//! variant. There is no backward pass: quantized models are
-//! inference-only by construction.
+//! The forward pass *is* the f32 model's (`model::Forward`): same
+//! aggregation, same fused bias/ReLU epilogue, same workspace recycling,
+//! same GEMM — handed a quantized weight operand instead of an f32 one.
+//! There is no backward pass: quantized models are inference-only by
+//! construction.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -23,16 +23,19 @@ use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_sample::view::SampledBatchView;
-use argo_tensor::{DispatchPolicy, Epilogue, Matrix, QuantKind, QuantizedMatrix, Workspace};
+use argo_tensor::{BSrc, DispatchPolicy, Matrix, QuantKind, QuantizedMatrix, Workspace};
 
-use crate::model::{
-    gather_input, layer_adjs_for, layer_adjs_view_for, select_prefix_rows, select_rows, Gnn,
-    GnnKind, LayerAdj,
-};
+use crate::model::{Forward, Gnn, GnnKind, LayerParams};
 
 struct QuantLayer {
     w: QuantizedMatrix,
     b: Vec<f32>,
+}
+
+impl LayerParams for QuantLayer {
+    fn params(&self) -> (BSrc<'_>, &[f32]) {
+        ((&self.w).into(), &self.b)
+    }
 }
 
 /// An inference-only GNN with post-training-quantized weights.
@@ -69,12 +72,6 @@ impl Gnn {
 }
 
 impl QuantizedGnn {
-    /// Replaces the kernel dispatch policy (builder-style).
-    pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Aggregation rule of the underlying model.
     pub fn kind(&self) -> GnnKind {
         self.kind
@@ -95,6 +92,15 @@ impl QuantizedGnn {
         self.layers.iter().map(|l| l.w.payload_bytes()).sum()
     }
 
+    fn fwd(&self) -> Forward<'_, QuantLayer> {
+        Forward {
+            kind: self.kind,
+            layers: &self.layers,
+            dispatch: self.dispatch,
+            ws: &self.ws,
+        }
+    }
+
     /// Inference forward pass; returns logits over the batch's seeds.
     pub fn forward(
         &self,
@@ -102,10 +108,7 @@ impl QuantizedGnn {
         feats: &Features,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let input = gather_input(&self.ws, feats, batch.input_nodes());
-        let logits = self.forward_gathered(batch, &input, pool);
-        self.ws.borrow_mut().put(input);
-        logits
+        self.fwd().forward(batch, feats, pool)
     }
 
     /// [`QuantizedGnn::forward`] with the input-node feature rows already
@@ -116,16 +119,7 @@ impl QuantizedGnn {
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let adjs = layer_adjs_for(self.kind, self.layers.len(), batch);
-        let h = self.forward_core(&adjs, input.borrow(), pool);
-        match batch {
-            SampledBatch::Blocks(_) => h,
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
-                self.ws.borrow_mut().put(h);
-                logits
-            }
-        }
+        self.fwd().forward_gathered(batch, input.borrow(), pool)
     }
 
     /// [`QuantizedGnn::forward_gathered`] over a borrowed
@@ -138,70 +132,8 @@ impl QuantizedGnn {
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let input = input.borrow();
-        match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
-            Some(adjs) => {
-                let h = self.forward_core(&adjs, input, pool);
-                match batch {
-                    SampledBatchView::Blocks(_) => h,
-                    SampledBatchView::Subgraph(_) => {
-                        // Subgraph-view seeds are the node-list prefix.
-                        let logits = select_prefix_rows(&h, batch.num_seeds());
-                        self.ws.borrow_mut().put(h);
-                        logits
-                    }
-                }
-            }
-            None => self.forward_gathered(&batch.to_owned(), input, pool),
-        }
-    }
-
-    /// One quantized layer: same shape as the f32 layer forward, with the
-    /// weight GEMM swapped for the dequantize-on-the-fly variant.
-    fn layer_forward(
-        &self,
-        l: usize,
-        adj: &LayerAdj,
-        h: &Matrix,
-        pool: Option<&ThreadPool>,
-    ) -> (Matrix, Matrix) {
-        let layer = &self.layers[l];
-        let (mut agg, mut z) = {
-            let mut ws = self.ws.borrow_mut();
-            (
-                ws.take(adj.rows(), h.cols()),
-                ws.take(adj.n_dst, layer.w.cols()),
-            )
-        };
-        adj.aggregate_into(&self.dispatch, h, pool, &mut agg);
-        let epi = if l + 1 < self.layers.len() {
-            Epilogue::bias_relu(&layer.b)
-        } else {
-            Epilogue::bias(&layer.b)
-        };
-        match self.kind {
-            GnnKind::Gcn => self
-                .dispatch
-                .quant_gemm_into(&agg, &layer.w, epi, pool, &mut z),
-            GnnKind::Sage => self
-                .dispatch
-                .sage_quant_gemm_into(h, &agg, &layer.w, epi, pool, &mut z),
-        }
-        (z, agg)
-    }
-
-    /// Shared layer loop of the quantized forward passes; the caller's
-    /// input is read in place, never parked.
-    fn forward_core(&self, adjs: &[LayerAdj], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
-        let (mut h, agg) = self.layer_forward(0, &adjs[0], input, pool);
-        self.ws.borrow_mut().put(agg);
-        for (l, adj) in adjs.iter().enumerate().skip(1) {
-            let (z, agg) = self.layer_forward(l, adj, &h, pool);
-            let mut ws = self.ws.borrow_mut();
-            ws.put(agg);
-            ws.put(std::mem::replace(&mut h, z));
-        }
-        h
+        self.fwd()
+            .forward_gathered_view(batch, input.borrow(), pool)
     }
 }
 
@@ -285,13 +217,15 @@ mod tests {
     fn quantized_forward_pool_matches_serial() {
         let d = tiny_dataset();
         let pool = ThreadPool::new("t", 2);
-        let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 4)
-            .with_dispatch(DispatchPolicy::new(1).with_sparse_work_threshold(1));
-        let batch = sample_blocks(&d, 24, 2);
+        let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 4);
+        // 80 seeds: every layer's GEMM has at least the 64 output rows that
+        // put it on the pool.
+        let batch = sample_blocks(&d, 80, 2);
+        assert!(model.dispatch().goes_parallel(80, Some(&pool)));
         let qm = model.quantize(QuantKind::Bf16);
         let serial = qm.forward(&batch, &d.features, None);
         let par = qm.forward(&batch, &d.features, Some(&pool));
-        // Quantized GEMM + gather are partition-invariant per element.
+        // The quantized GEMM is partition-invariant per element.
         assert_eq!(serial.data(), par.data());
     }
 

@@ -6,7 +6,8 @@
 //! [`ThreadPool`] built over an explicit [`CoreSet`].
 //!
 //! The pool supports `'static` task submission ([`ThreadPool::execute`]) and
-//! scoped data-parallel loops ([`ThreadPool::parallel_for`] /
+//! scoped data-parallel loops ([`ThreadPool::parallel_ranges`],
+//! [`ThreadPool::parallel_map_reduce`] and the row-window runner
 //! [`ThreadPool::parallel_chunks_mut`]) that block until every worker
 //! finished, which makes borrowing local data sound.
 
@@ -122,25 +123,10 @@ impl ThreadPool {
             .expect("pool workers alive");
     }
 
-    /// Runs `f(i)` for every `i in 0..n`, distributing contiguous chunks over
-    /// the workers, and blocks until all iterations are complete.
-    ///
-    /// `f` may borrow from the caller's stack: the call does not return until
-    /// every worker has finished, which keeps the (internally `unsafe`)
-    /// lifetime extension sound.
-    pub fn parallel_for<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.parallel_ranges(n, |range| {
-            for i in range {
-                f(i);
-            }
-        });
-    }
-
     /// Runs `f(range)` over a partition of `0..n` into roughly equal
-    /// contiguous ranges, one batch per worker. Blocks until done.
+    /// contiguous ranges, one batch per worker. Blocks until done, so `f`
+    /// may borrow from the caller's stack: the (internally `unsafe`)
+    /// lifetime extension below never outlives the call.
     pub fn parallel_ranges<F>(&self, n: usize, f: F)
     where
         F: Fn(std::ops::Range<usize>) + Sync,
@@ -174,40 +160,6 @@ impl ThreadPool {
             });
         }
         completion.wait();
-    }
-
-    /// Splits `data` into `self.size()` contiguous chunks and passes each
-    /// `(chunk_index, chunk)` to `f` on a worker. Blocks until done.
-    pub fn parallel_chunks_mut<T, F>(&self, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let n = data.len();
-        if n == 0 {
-            return;
-        }
-        let tasks = self.size.min(n);
-        if tasks == 1 {
-            f(0, data);
-            return;
-        }
-        // `parallel_ranges` partitions 0..n into chunks of exactly this size,
-        // so the ranges it hands out are precisely the chunks we want.
-        let chunk = n.div_ceil(tasks);
-        let base = data.as_mut_ptr() as usize;
-        let shadow = racecheck::region("pool.parallel_chunks_mut", n);
-        self.parallel_ranges(n, move |range| {
-            let idx = range.start / chunk;
-            racecheck::write(&shadow, range.start, range.len());
-            // SAFETY: ranges from `parallel_ranges` are disjoint sub-ranges
-            // of 0..n, so each reconstructed slice is a disjoint `&mut` view
-            // into `data`, which outlives this blocking call.
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut((base as *mut T).add(range.start), range.len())
-            };
-            f(idx, slice);
-        });
     }
 
     /// Maps `map` over a partition of `0..n` into contiguous ranges (the
@@ -256,20 +208,51 @@ impl ThreadPool {
         acc
     }
 
-    /// Maps `f` over `0..n` in parallel and sums the results.
-    pub fn parallel_sum<F>(&self, n: usize, f: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
+    /// The row-window runner: treats `data` as `data.len() / row_len` rows
+    /// of `row_len` elements, partitions the rows over `pool` and passes
+    /// each worker `(rows, window)` — its row range and the `&mut` window of
+    /// `data` holding exactly those rows. With no pool, one worker or at
+    /// most one row it runs `f(0..rows, data)` inline. Blocks until done.
+    ///
+    /// Every row-partitioned kernel of `argo-tensor` (GEMM, input gradient,
+    /// the CSR gather) goes through here, so this is the one place a buffer
+    /// is carved into claimed-disjoint windows behind the borrow checker's
+    /// back. `region` names the shadow region the windows are registered
+    /// under, so a race report reads as the operation that ran.
+    pub fn parallel_chunks_mut<T, F>(
+        pool: Option<&ThreadPool>,
+        data: &mut [T],
+        row_len: usize,
+        region: &'static str,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
     {
-        let partials = Mutex::new(0.0f64);
-        self.parallel_ranges(n, |range| {
-            let mut local = 0.0;
-            for i in range {
-                local += f(i);
-            }
-            *partials.lock() += local;
+        let rows = data.len().checked_div(row_len).unwrap_or(0);
+        assert_eq!(rows * row_len, data.len(), "data is a whole number of rows");
+        let Some(pool) = pool.filter(|p| p.size() > 1 && rows > 1) else {
+            f(0..rows, data);
+            return;
+        };
+        let base = data.as_mut_ptr() as usize;
+        // Shadow cells are row-granular: one per row of `data`.
+        let shadow = racecheck::region(region, rows);
+        pool.parallel_ranges(rows, |range| {
+            racecheck::write(&shadow, range.start, range.len());
+            // SAFETY: `parallel_ranges` hands out disjoint sub-ranges of
+            // `0..rows` and `rows * row_len == data.len()` (asserted above),
+            // so each reconstructed slice is an in-bounds `&mut` window no
+            // other worker touches; `data` outlives the call because
+            // `parallel_ranges` blocks until every worker finished.
+            let window = unsafe {
+                std::slice::from_raw_parts_mut(
+                    (base as *mut T).add(range.start * row_len),
+                    range.len() * row_len,
+                )
+            };
+            f(range, window);
         });
-        partials.into_inner()
     }
 }
 
@@ -285,36 +268,12 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn parallel_for_visits_every_index_once() {
-        let pool = ThreadPool::new("t", 4);
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_for(1000, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_empty_is_noop() {
-        let pool = ThreadPool::new("t", 2);
-        pool.parallel_for(0, |_| panic!("must not run"));
-    }
-
-    #[test]
-    fn parallel_sum_matches_serial() {
-        let pool = ThreadPool::new("t", 3);
-        let s = pool.parallel_sum(100, |i| i as f64);
-        assert_eq!(s, (0..100).sum::<usize>() as f64);
-    }
 
     #[test]
     fn parallel_chunks_mut_covers_all() {
         let pool = ThreadPool::new("t", 4);
         let mut v = vec![0u32; 137];
-        pool.parallel_chunks_mut(&mut v, |_, chunk| {
+        ThreadPool::parallel_chunks_mut(Some(&pool), &mut v, 1, "test.covers_all", |_, chunk| {
             for x in chunk {
                 *x += 1;
             }
@@ -324,16 +283,60 @@ mod tests {
 
     #[test]
     fn parallel_chunks_mut_chunk_indices_are_offsets() {
+        // A window starts at element `rows.start * row_len` of `data`.
         let pool = ThreadPool::new("t", 4);
-        let mut v = vec![0usize; 64];
-        let chunk = 64usize.div_ceil(4);
-        pool.parallel_chunks_mut(&mut v, |idx, c| {
+        let mut v = vec![0usize; 64 * 3];
+        ThreadPool::parallel_chunks_mut(Some(&pool), &mut v, 3, "test.offsets", |rows, c| {
             for (j, x) in c.iter_mut().enumerate() {
-                *x = idx * chunk + j;
+                *x = rows.start * 3 + j;
             }
         });
-        let expect: Vec<usize> = (0..64).collect();
+        let expect: Vec<usize> = (0..64 * 3).collect();
         assert_eq!(v, expect);
+    }
+
+    #[test]
+    fn parallel_chunks_mut_windows_tile_data_once_in_order() {
+        let pools: Vec<Option<ThreadPool>> = [0usize, 1, 2, 3]
+            .iter()
+            .map(|&n| (n > 0).then(|| ThreadPool::new("t", n)))
+            .collect();
+        for pool in &pools {
+            for rows in 0..=130usize {
+                for row_len in [0usize, 1, 7] {
+                    let mut data = vec![0u32; rows * row_len];
+                    let seen = Mutex::new(Vec::new());
+                    ThreadPool::parallel_chunks_mut(
+                        pool.as_ref(),
+                        &mut data,
+                        row_len,
+                        "test.tiling",
+                        |r, window| {
+                            assert_eq!(window.len(), r.len() * row_len);
+                            for (k, x) in window.iter_mut().enumerate() {
+                                // Element index = what an in-order tiling
+                                // puts at this position of this window.
+                                *x += (r.start * row_len + k) as u32 + 1;
+                            }
+                            seen.lock().push(r);
+                        },
+                    );
+                    // Written exactly once, by the window that owns it.
+                    let expect: Vec<u32> = (1..=(rows * row_len) as u32).collect();
+                    assert_eq!(data, expect, "rows={rows} row_len={row_len}");
+                    // The row ranges partition 0..rows (a zero-width matrix
+                    // has no data, hence no rows to hand out).
+                    let mut seen = seen.into_inner();
+                    seen.sort_by_key(|r| r.start);
+                    let mut next = 0;
+                    for r in seen {
+                        assert_eq!(r.start, next, "rows={rows} row_len={row_len}");
+                        next = r.end;
+                    }
+                    assert_eq!(next, if row_len == 0 { 0 } else { rows });
+                }
+            }
+        }
     }
 
     #[test]
@@ -397,8 +400,8 @@ mod tests {
         let cores = CoreSet::range(0, 2);
         let pool = ThreadPool::pinned("p", &cores);
         assert_eq!(pool.size(), 2);
-        let s = pool.parallel_sum(10, |i| i as f64);
-        assert_eq!(s, 45.0);
+        let s = pool.parallel_map_reduce(10, |r| r.sum::<usize>(), |a, b| a + b);
+        assert_eq!(s, Some(45));
     }
 
     #[test]

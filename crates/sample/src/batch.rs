@@ -49,15 +49,12 @@ impl Block {
     /// Row-mean normalization: value `1/k_i` for each of the `k_i` sampled
     /// in-edges of dst `i` (GraphSAGE mean aggregator).
     pub fn mean_normalized(&self) -> SparseMatrix {
-        let indptr = self.adj.indptr();
         let mut values = vec![0.0f32; self.adj.nnz()];
         for i in 0..self.adj.rows() {
-            let (lo, hi) = (indptr[i], indptr[i + 1]);
-            if hi > lo {
-                let inv = 1.0 / (hi - lo) as f32;
-                for v in &mut values[lo..hi] {
-                    *v = inv;
-                }
+            let row = self.adj.row_range(i);
+            if !row.is_empty() {
+                let inv = 1.0 / row.len() as f32;
+                values[row].fill(inv);
             }
         }
         self.adj.with_values(values)
@@ -66,12 +63,11 @@ impl Block {
     /// Symmetric GCN normalization: value `1/sqrt(D(v)·D(u))` using *global*
     /// degrees (Eq. 1).
     pub fn gcn_normalized(&self) -> SparseMatrix {
-        let indptr = self.adj.indptr();
         let indices = self.adj.indices();
         let mut values = vec![0.0f32; self.adj.nnz()];
         for i in 0..self.adj.rows() {
             let dv = self.dst_degree[i].max(1.0);
-            for k in indptr[i]..indptr[i + 1] {
+            for k in self.adj.row_range(i) {
                 let du = self.src_degree[indices[k] as usize].max(1.0);
                 values[k] = 1.0 / (dv * du).sqrt();
             }
@@ -133,15 +129,12 @@ pub struct SubgraphBatch {
 impl SubgraphBatch {
     /// Row-mean normalization over the induced subgraph.
     pub fn mean_normalized(&self) -> SparseMatrix {
-        let indptr = self.adj.indptr();
         let mut values = vec![0.0f32; self.adj.nnz()];
         for i in 0..self.adj.rows() {
-            let (lo, hi) = (indptr[i], indptr[i + 1]);
-            if hi > lo {
-                let inv = 1.0 / (hi - lo) as f32;
-                for v in &mut values[lo..hi] {
-                    *v = inv;
-                }
+            let row = self.adj.row_range(i);
+            if !row.is_empty() {
+                let inv = 1.0 / row.len() as f32;
+                values[row].fill(inv);
             }
         }
         self.adj.with_values(values)
@@ -149,12 +142,11 @@ impl SubgraphBatch {
 
     /// Symmetric GCN normalization using global degrees.
     pub fn gcn_normalized(&self) -> SparseMatrix {
-        let indptr = self.adj.indptr();
         let indices = self.adj.indices();
         let mut values = vec![0.0f32; self.adj.nnz()];
         for i in 0..self.adj.rows() {
             let dv = self.degree[i].max(1.0);
-            for k in indptr[i]..indptr[i + 1] {
+            for k in self.adj.row_range(i) {
                 let du = self.degree[indices[k] as usize].max(1.0);
                 values[k] = 1.0 / (dv * du).sqrt();
             }

@@ -130,7 +130,9 @@ pub fn full_graph_batch(graph: &Graph, train_nodes: &[NodeId]) -> SampledBatch {
     let adj = SparseMatrix::new(
         n,
         n,
-        graph.indptr().to_vec(),
+        // `SparseMatrix::new` checks the pointers against `indices.len()`,
+        // so a graph past `u32::MAX` edges is rejected there, not wrapped.
+        graph.indptr().iter().map(|&p| p as u32).collect(),
         graph.indices().to_vec(),
         None,
     );
@@ -184,7 +186,7 @@ mod tests {
         }
         // Induced edges valid.
         for i in 0..sb.adj.rows() {
-            for k in sb.adj.indptr()[i]..sb.adj.indptr()[i + 1] {
+            for k in sb.adj.row_range(i) {
                 assert!(g.has_edge(sb.nodes[i], sb.nodes[sb.adj.indices()[k] as usize]));
             }
         }

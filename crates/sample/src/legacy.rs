@@ -1,7 +1,7 @@
 //! The legacy (pre-arena) batch assembly, preserved verbatim.
 //!
 //! Before the arena-CSR refactor, every sampler materialized its batch
-//! through per-batch `Vec` growth — a fresh `src` edge list, `usize` row
+//! through per-batch `Vec` growth — a fresh `src` edge list, fresh row
 //! pointers, a validating [`SparseMatrix::new`] conversion and two degree
 //! collects per block. That *metadata tax* is what
 //! [`Sampler::sample_into`](crate::Sampler::sample_into) eliminates; this
@@ -44,7 +44,7 @@ pub fn induced_batch(
     };
     let n = nodes.len();
     let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
+    indptr.push(0u32);
     let mut indices: Vec<u32> = Vec::new();
     let mut values: Option<Vec<f32>> = (norm != Normalization::None).then(Vec::new);
     for &v in &nodes {
@@ -71,7 +71,7 @@ pub fn induced_batch(
                 }
             }
         }
-        indptr.push(indices.len());
+        indptr.push(indices.len() as u32);
     }
     let adj = SparseMatrix::new(n, n, indptr, indices, values);
     let degree = nodes.iter().map(|&v| graph.degree(v) as f32).collect();
@@ -122,7 +122,7 @@ pub fn neighbor_sample(
             scratch.dedup_insert(v, i as u32);
         }
         let mut indptr = Vec::with_capacity(rows + 1);
-        indptr.push(0usize);
+        indptr.push(0u32);
         let mut indices: Vec<u32> = Vec::with_capacity(rows * fanout);
         let mut values: Option<Vec<f32>> =
             (norm != Normalization::None).then(|| Vec::with_capacity(rows * fanout));
@@ -156,7 +156,7 @@ pub fn neighbor_sample(
                     }
                 }
             }
-            indptr.push(indices.len());
+            indptr.push(indices.len() as u32);
         }
         scratch.picked = picked;
         scratch.counts = counts;

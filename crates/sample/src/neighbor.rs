@@ -84,8 +84,9 @@ pub(crate) fn pick_layer(
     match pool {
         Some(pool) if pool.size() > 1 && rows >= 2 => {
             // Workers write disjoint row windows of the two buffers; share
-            // the base pointers as plain addresses (same idiom as
-            // `ThreadPool::parallel_chunks_mut`).
+            // the base pointers as plain addresses. Two buffers with two
+            // strides: one more than `ThreadPool::parallel_chunks_mut`'s
+            // single row window carries, so the windows are cut here.
             let picked_addr = scratch.picked.as_mut_ptr() as usize;
             let counts_addr = scratch.counts.as_mut_ptr() as usize;
             // Shadow cells are row-granular: one per destination row.
@@ -323,13 +324,13 @@ mod tests {
         let out = &mb.blocks[1];
         assert_eq!(out.dst_nodes, vec![0, 1, 2, 3]);
         for i in 0..out.adj.rows() {
-            let deg = out.adj.indptr()[i + 1] - out.adj.indptr()[i];
+            let deg = out.adj.row_range(i).len();
             assert!(deg <= 2, "fanout violated: {deg}");
         }
         // Input block fanout 4.
         let inp = &mb.blocks[0];
         for i in 0..inp.adj.rows() {
-            let deg = inp.adj.indptr()[i + 1] - inp.adj.indptr()[i];
+            let deg = inp.adj.row_range(i).len();
             assert!(deg <= 4);
         }
     }
@@ -342,7 +343,7 @@ mod tests {
         for b in &mb.blocks {
             for i in 0..b.adj.rows() {
                 let v = b.dst_nodes[i];
-                for k in b.adj.indptr()[i]..b.adj.indptr()[i + 1] {
+                for k in b.adj.row_range(i) {
                     let u = b.src_nodes[b.adj.indices()[k] as usize];
                     assert!(g.has_edge(v, u), "edge {v}->{u} not in graph");
                 }
@@ -397,7 +398,7 @@ mod tests {
         let mb = minibatch(s.sample(&g, &(0..50).collect::<Vec<_>>(), &mut rng(13)));
         let b = &mb.blocks[0];
         for i in 0..b.adj.rows() {
-            let row = &b.adj.indices()[b.adj.indptr()[i]..b.adj.indptr()[i + 1]];
+            let row = &b.adj.indices()[b.adj.row_range(i)];
             // Distinct local indices; note parallel edges in the graph mean a
             // neighbor *can* repeat as often as its multiplicity, but our
             // Fisher-Yates picks distinct positions, so duplicates only occur

@@ -136,7 +136,7 @@ mod tests {
         // Bounded by roots · (walk_length + 1).
         assert!(sb.nodes.len() <= 3 * 4);
         for i in 0..sb.adj.rows() {
-            for k in sb.adj.indptr()[i]..sb.adj.indptr()[i + 1] {
+            for k in sb.adj.row_range(i) {
                 let u = sb.nodes[sb.adj.indices()[k] as usize];
                 assert!(g.has_edge(sb.nodes[i], u));
             }

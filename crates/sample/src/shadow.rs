@@ -178,7 +178,7 @@ mod tests {
         let sb = subgraph(s.sample(&g, &[1, 2], &mut rng(4)));
         for i in 0..sb.adj.rows() {
             let v = sb.nodes[i];
-            for k in sb.adj.indptr()[i]..sb.adj.indptr()[i + 1] {
+            for k in sb.adj.row_range(i) {
                 let u = sb.nodes[sb.adj.indices()[k] as usize];
                 assert!(g.has_edge(v, u));
             }

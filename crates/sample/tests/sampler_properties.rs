@@ -67,7 +67,7 @@ fn assert_subgraph_invariants(g: &Graph, seeds: &[NodeId], batch: &SampledBatch,
     assert_eq!(ids.len(), before, "{who}: duplicate node");
     // Every induced edge exists in the parent graph.
     for i in 0..sb.adj.rows() {
-        for k in sb.adj.indptr()[i]..sb.adj.indptr()[i + 1] {
+        for k in sb.adj.row_range(i) {
             let u = sb.nodes[sb.adj.indices()[k] as usize];
             assert!(g.has_edge(sb.nodes[i], u), "{who}: edge not in graph");
         }
@@ -97,7 +97,7 @@ proptest! {
             let fanout = s.fanouts()[l];
             // Fanout bounds per row.
             for i in 0..blk.adj.rows() {
-                let deg = blk.adj.indptr()[i + 1] - blk.adj.indptr()[i];
+                let deg = blk.adj.row_range(i).len();
                 prop_assert!(deg <= fanout, "layer {} row {} degree {} > {}", l, i, deg, fanout);
             }
             // src prefix is dst (layers self-reference through the prefix).
@@ -111,7 +111,7 @@ proptest! {
             // Every sampled edge exists in the parent graph.
             for i in 0..blk.adj.rows() {
                 let v = blk.dst_nodes[i];
-                for k in blk.adj.indptr()[i]..blk.adj.indptr()[i + 1] {
+                for k in blk.adj.row_range(i) {
                     let u = blk.src_nodes[blk.adj.indices()[k] as usize];
                     prop_assert!(g.has_edge(v, u), "edge {}->{} not in graph", v, u);
                 }
@@ -168,7 +168,7 @@ proptest! {
 }
 
 /// One block's content: (src_nodes, dst_nodes, indptr, indices, values).
-type BlockContent = (Vec<u32>, Vec<u32>, Vec<usize>, Vec<u32>, Vec<f32>);
+type BlockContent = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<f32>);
 
 /// Collects everything content-bearing from a blocks batch.
 fn block_fingerprint(b: &SampledBatch) -> Vec<BlockContent> {

@@ -1,6 +1,5 @@
-//! Dense row-major matrix and GEMM kernels.
+//! Dense row-major matrix.
 
-use argo_rt::{racecheck, ThreadPool};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,82 +83,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// `self @ other` (serial, ikj-ordered for cache friendliness).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_rows_into(self, other, 0..self.rows, out.data_mut());
-        out
-    }
-
-    /// `self @ other` with the row loop parallelized over `pool`.
-    pub fn matmul_pool(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let n_cols = other.cols;
-        // Partition output rows across workers; each worker writes a disjoint
-        // row range.
-        let rows = self.rows;
-        let out_ptr = out.data.as_mut_ptr() as usize;
-        let shadow = racecheck::region("dense.matmul_pool", rows);
-        pool.parallel_ranges(rows, |range| {
-            racecheck::write(&shadow, range.start, range.len());
-            // SAFETY: each range is a disjoint set of output rows.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (out_ptr as *mut f32).add(range.start * n_cols),
-                    range.len() * n_cols,
-                )
-            };
-            matmul_rows_into(self, other, range, dst);
-        });
-        out
-    }
-
-    /// `selfᵀ @ other` (used for weight gradients: `dW = Xᵀ dY`).
-    pub fn matmul_transpose_self(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transpose_self shape mismatch"
-        );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let xr = self.row(k);
-            let yr = other.row(k);
-            for (i, &x) in xr.iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                let dst = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (d, &y) in dst.iter_mut().zip(yr) {
-                    *d += x * y;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self @ otherᵀ` (used for input gradients: `dX = dY Wᵀ`).
-    pub fn matmul_transpose_other(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_other shape mismatch"
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a = self.row(i);
-            for j in 0..other.rows {
-                let b = other.row(j);
-                let mut acc = 0.0f32;
-                for (x, y) in a.iter().zip(b) {
-                    acc += x * y;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        out
-    }
-
     /// Horizontal concatenation `[self | other]` (GraphSAGE concat, Eq. 2).
     pub fn concat_cols(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "concat_cols row mismatch");
@@ -214,29 +137,10 @@ impl Matrix {
     }
 }
 
-/// Computes rows `range` of `a @ b` into `dst` (row-major, `range.len() x
-/// b.cols` starting at `dst[0]`).
-fn matmul_rows_into(a: &Matrix, b: &Matrix, range: std::ops::Range<usize>, dst: &mut [f32]) {
-    let n = b.cols;
-    debug_assert_eq!(dst.len(), range.len() * n);
-    for (oi, i) in range.enumerate() {
-        let arow = a.row(i);
-        let drow = &mut dst[oi * n..(oi + 1) * n];
-        for (k, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = b.row(k);
-            for (d, &bv) in drow.iter_mut().zip(brow) {
-                *d += av * bv;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{matmul, matmul_transpose_other, matmul_transpose_self};
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())
@@ -246,7 +150,7 @@ mod tests {
     fn matmul_small() {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b = m(3, 2, &[7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
@@ -257,32 +161,20 @@ mod tests {
         for i in 0..5 {
             id.set(i, i, 1.0);
         }
-        assert_eq!(a.matmul(&id), a);
-    }
-
-    #[test]
-    fn matmul_pool_matches_serial() {
-        let pool = ThreadPool::new("t", 3);
-        let a = Matrix::xavier(17, 9, 2);
-        let b = Matrix::xavier(9, 13, 3);
-        let serial = a.matmul(&b);
-        let parallel = a.matmul_pool(&b, &pool);
-        for (x, y) in serial.data().iter().zip(parallel.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        assert_eq!(matmul(&a, &id), a);
     }
 
     #[test]
     #[should_panic]
     fn matmul_shape_mismatch_panics() {
-        m(2, 3, &[0.; 6]).matmul(&m(2, 2, &[0.; 4]));
+        matmul(&m(2, 3, &[0.; 6]), &m(2, 2, &[0.; 4]));
     }
 
     #[test]
     fn transpose_self_matches_explicit() {
         let x = Matrix::xavier(6, 4, 5);
         let y = Matrix::xavier(6, 3, 6);
-        let got = x.matmul_transpose_self(&y);
+        let got = matmul_transpose_self(&x, &y);
         // Explicit transpose then matmul.
         let mut xt = Matrix::zeros(4, 6);
         for i in 0..6 {
@@ -290,7 +182,7 @@ mod tests {
                 xt.set(j, i, x.get(i, j));
             }
         }
-        let want = xt.matmul(&y);
+        let want = matmul(&xt, &y);
         for (a, b) in got.data().iter().zip(want.data()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -300,14 +192,14 @@ mod tests {
     fn transpose_other_matches_explicit() {
         let x = Matrix::xavier(5, 4, 7);
         let w = Matrix::xavier(3, 4, 8);
-        let got = x.matmul_transpose_other(&w);
+        let got = matmul_transpose_other(&x, &w);
         let mut wt = Matrix::zeros(4, 3);
         for i in 0..3 {
             for j in 0..4 {
                 wt.set(j, i, w.get(i, j));
             }
         }
-        let want = x.matmul(&wt);
+        let want = matmul(&x, &wt);
         for (a, b) in got.data().iter().zip(want.data()) {
             assert!((a - b).abs() < 1e-5);
         }

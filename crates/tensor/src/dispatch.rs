@@ -1,50 +1,61 @@
-//! The kernel dispatch policy: one place that decides serial vs
-//! pool-parallel and routes every model-side matmul/SpMM through the
-//! blocked kernels.
+//! The kernel dispatch policy: the one place that decides serial vs
+//! pool-parallel and scalar vs SIMD, and the only way model-side code
+//! reaches a kernel.
 //!
-//! Before this module, `nn/model.rs` carried a hard-coded
-//! `a.rows() >= 64 && pool.size() > 1` heuristic copy-pasted across private
-//! helpers. [`DispatchPolicy`] hoists that decision behind a tunable row
-//! threshold and exposes the *semantic* operations a GNN layer needs —
+//! [`DispatchPolicy`] exposes the *semantic* operations a GNN layer needs —
 //! `gemm`, `aggregate`, `grad_weights`, … — so callers in `nn`/`engine`
-//! never touch the raw serial kernels (enforced by the `kernel-dispatch`
-//! argo-lint rule).
+//! never touch a kernel directly (enforced by the `kernel-dispatch`
+//! argo-lint rule). Each operation has exactly one implementation:
 //!
-//! Parallelization strategies per operation:
-//!
-//! * forward GEMM / SpMM / input gradients — partition **output rows**
-//!   across workers; each worker writes a disjoint row window.
-//! * transposed SpMM — gather over the cached [`crate::sparse::CscMirror`]
-//!   (output rows again disjoint).
-//! * weight gradients (`dW = Xᵀ dY`, a reduction over rows) — per-worker
-//!   partial accumulators folded **in range order** on the caller via
-//!   [`ThreadPool::parallel_map_reduce`], so results are deterministic for
-//!   a fixed pool size.
+//! * **Two tiers.** AVX2+FMA (`simd.rs`) and the blocked scalar
+//!   kernels it falls back to (`kernels.rs`); [`mod@crate::reference`]
+//!   holds the naive oracles tests and benches compare against, which are
+//!   not a tier.
+//! * **One runner.** Forward GEMM, input gradients and the CSR gather
+//!   partition **output rows**: each is one closure handed to
+//!   [`ThreadPool::parallel_chunks_mut`], which owns the raw-pointer row
+//!   window and its race-detector annotation, and runs the closure inline
+//!   when the decision below says serial. Weight gradients (`dW = Xᵀ dY`,
+//!   a reduction over rows) are the one other strategy: per-worker partial
+//!   accumulators folded **in range order** on the caller via
+//!   [`ThreadPool::parallel_map_reduce`], deterministic for a fixed pool
+//!   size.
+//! * **One gather.** Forward aggregation over an owned or a borrowed
+//!   adjacency and transposed aggregation over the cached transpose are the
+//!   same call ([`crate::sparse`]).
+//! * **One operand.** The weight side of a GEMM is a [`BSrc`], f32 or
+//!   quantized.
+//! * **Two constants.** `ROW_THRESHOLD` and `SPARSE_WORK_THRESHOLD` decide
+//!   serial vs pool; nothing sets them.
 
 use std::ops::Range;
 
-use argo_rt::{racecheck, ThreadPool};
+use argo_rt::ThreadPool;
 
 use crate::dense::Matrix;
-use crate::kernels;
-use crate::quant::{self, QuantizedMatrix};
+use crate::kernels::{self, BSrc};
 use crate::simd;
-use crate::sparse::{SparseMatrix, SparseView};
+use crate::sparse::{self, SparseMatrix, SparseView};
 
-/// Default minimum number of rows before a kernel goes pool-parallel —
+/// Minimum number of output rows before a kernel goes pool-parallel —
 /// below this the fork/join overhead outweighs the work.
-pub const DEFAULT_ROW_THRESHOLD: usize = 64;
+const ROW_THRESHOLD: usize = 64;
 
-/// Default minimum *sparse work* (stored entries × dense columns, i.e.
-/// multiply-adds) before an SpMM goes pool-parallel. Sparse gathers are
-/// memory-bound: at the benched 4096-row / nnz≈16 / 64-feature shape
-/// (~4.2 M madds) the pool ran at 0.86× serial, so the crossover sits
-/// above that — rows alone are not a predictor for SpMM the way they are
-/// for GEMM.
-pub const DEFAULT_SPARSE_WORK_THRESHOLD: usize = 8 * 1024 * 1024;
+/// Minimum *sparse work* (stored entries × dense columns, i.e.
+/// multiply-adds) before an aggregation goes pool-parallel, on top of
+/// [`ROW_THRESHOLD`]. Sparse gathers are memory-bound: at the benched
+/// 4096-row / nnz≈16 / 64-feature shape (~4.2 M madds) the pool ran at
+/// 0.86× serial, so the crossover sits above that — rows alone are not a
+/// predictor for SpMM the way they are for GEMM.
+///
+/// Both are constants rather than settings because nothing ever set them:
+/// no caller, no benchmark workload, and forcing the pool below them loses
+/// (`micro_kernels` with both forced to 1 read `train_step_gathered` 0.86×
+/// and `spmm_transpose` 0.81× of serial on the 2-vCPU reference host).
+const SPARSE_WORK_THRESHOLD: usize = 8 * 1024 * 1024;
 
 /// What a GEMM does to its output as it is written back: nothing, a bias
-/// add, or bias + ReLU (recording the activation mask for backward).
+/// add, or bias + ReLU.
 #[derive(Clone, Copy, Debug)]
 pub struct Epilogue<'a> {
     bias: Option<&'a [f32]>,
@@ -68,17 +79,14 @@ impl<'a> Epilogue<'a> {
         }
     }
 
-    /// Adds `bias`, then clamps negatives, recording the activation mask.
+    /// Adds `bias`, then clamps negatives. The output is `z if z > 0 else
+    /// 0`, so the activation mask backward needs is `out > 0` exactly
+    /// ([`crate::ops::relu_backward_from_output`]); none is recorded.
     pub fn bias_relu(bias: &'a [f32]) -> Self {
         Epilogue {
             bias: Some(bias),
             relu: true,
         }
-    }
-
-    /// Whether this epilogue produces an activation mask.
-    pub fn has_mask(&self) -> bool {
-        self.relu
     }
 }
 
@@ -86,59 +94,26 @@ impl<'a> Epilogue<'a> {
 /// kernels. The SIMD tier is orthogonal to the pool: each worker (or the
 /// serial path) independently runs the vectorized kernels when the policy
 /// allows it and the host supports AVX2+FMA.
+///
+/// The only switch is [`DispatchPolicy::force_scalar`], for tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchPolicy {
-    row_threshold: usize,
-    sparse_work_threshold: usize,
     simd: bool,
 }
 
 impl Default for DispatchPolicy {
+    /// SIMD tier enabled (used when the host has it).
     fn default() -> Self {
-        Self::new(DEFAULT_ROW_THRESHOLD)
+        Self { simd: true }
     }
 }
 
 impl DispatchPolicy {
-    /// A policy that parallelizes once an operation spans at least
-    /// `row_threshold` rows (clamped to ≥ 1) *and* a multi-worker pool is
-    /// available, with the SIMD tier enabled (used when the host has it)
-    /// and the default sparse work threshold.
-    pub fn new(row_threshold: usize) -> Self {
-        Self {
-            row_threshold: row_threshold.max(1),
-            sparse_work_threshold: DEFAULT_SPARSE_WORK_THRESHOLD,
-            simd: true,
-        }
-    }
-
     /// This policy with the SIMD tier disabled: every kernel runs the
     /// scalar blocked implementation even on AVX2+FMA hosts. The scalar
     /// tier is the bitwise reference the SIMD contract is tested against.
     pub fn force_scalar(self) -> Self {
-        Self {
-            simd: false,
-            ..self
-        }
-    }
-
-    /// This policy with a custom sparse work threshold (multiply-adds =
-    /// nnz × dense columns) for SpMM pool dispatch; clamped to ≥ 1.
-    pub fn with_sparse_work_threshold(self, work: usize) -> Self {
-        Self {
-            sparse_work_threshold: work.max(1),
-            ..self
-        }
-    }
-
-    /// The configured row threshold.
-    pub fn row_threshold(&self) -> usize {
-        self.row_threshold
-    }
-
-    /// The configured sparse work threshold (multiply-adds).
-    pub fn sparse_work_threshold(&self) -> usize {
-        self.sparse_work_threshold
+        Self { simd: false }
     }
 
     /// Whether this policy's kernels actually run the SIMD tier: the
@@ -148,8 +123,8 @@ impl DispatchPolicy {
         self.simd && simd::available()
     }
 
-    /// Whether an operation over `rows` rows runs on the pool. This is the
-    /// single copy of the heuristic previously duplicated in `nn/model.rs`.
+    /// Whether an operation over `rows` output rows runs on the pool: a
+    /// multi-worker pool is available and `rows` reaches the row threshold.
     pub fn goes_parallel(&self, rows: usize, pool: Option<&ThreadPool>) -> bool {
         self.pool_for(rows, pool).is_some()
     }
@@ -166,8 +141,10 @@ impl DispatchPolicy {
         self.sparse_pool_for(rows, work, pool).is_some()
     }
 
+    /// The decision function: the pool an operation over `rows` rows runs
+    /// on, or `None` for inline.
     fn pool_for<'p>(&self, rows: usize, pool: Option<&'p ThreadPool>) -> Option<&'p ThreadPool> {
-        pool.filter(|p| p.size() > 1 && rows >= self.row_threshold)
+        pool.filter(|p| p.size() > 1 && rows >= ROW_THRESHOLD)
     }
 
     fn sparse_pool_for<'p>(
@@ -177,15 +154,15 @@ impl DispatchPolicy {
         pool: Option<&'p ThreadPool>,
     ) -> Option<&'p ThreadPool> {
         self.pool_for(rows, pool)
-            .filter(|_| work >= self.sparse_work_threshold)
+            .filter(|_| work >= SPARSE_WORK_THRESHOLD)
     }
 
-    /// Dense GEMM kernel of the active tier.
+    /// GEMM kernel of the active tier.
     fn run_gemm(
         &self,
         a: &Matrix,
         rows: Range<usize>,
-        b: &Matrix,
+        b: BSrc<'_>,
         b_row_offset: usize,
         dst: &mut [f32],
         accumulate: bool,
@@ -197,29 +174,13 @@ impl DispatchPolicy {
         }
     }
 
-    /// Quantized-weight GEMM kernel of the active tier.
-    fn run_quant_gemm(
-        &self,
-        a: &Matrix,
-        rows: Range<usize>,
-        qb: &QuantizedMatrix,
-        b_row_offset: usize,
-        dst: &mut [f32],
-        accumulate: bool,
-    ) {
-        if self.simd {
-            simd::gemm_quant_into(a, rows, qb, b_row_offset, dst, accumulate);
-        } else {
-            quant::gemm_scalar(a, rows, qb, b_row_offset, dst, accumulate);
-        }
-    }
-
     /// Bias/ReLU epilogue of the active tier (bitwise-equal either way).
-    fn run_epilogue(&self, dst: &mut [f32], bias: &[f32], relu: bool, mask: Option<&mut [bool]>) {
+    fn run_epilogue(&self, dst: &mut [f32], epi: Epilogue<'_>) {
+        let Some(bias) = epi.bias else { return };
         if self.simd {
-            simd::epilogue_bias_relu(dst, bias, relu, mask);
+            simd::epilogue_bias_relu(dst, bias, epi.relu);
         } else {
-            kernels::epilogue_bias_relu(dst, bias, relu, mask);
+            kernels::epilogue_bias_relu(dst, bias, epi.relu);
         }
     }
 
@@ -231,149 +192,77 @@ impl DispatchPolicy {
     }
 
     /// Blocked GEMM `out = a @ b` with the epilogue fused into each
-    /// worker's write-back. Returns the ReLU activation mask when the
-    /// epilogue has one.
-    pub fn gemm_into(
+    /// worker's write-back. `b` is f32 weights (`&Matrix`) or quantized
+    /// ones (`&QuantizedMatrix`, dequantized inside the kernel).
+    pub fn gemm_into<'b>(
         &self,
         a: &Matrix,
-        b: &Matrix,
+        b: impl Into<BSrc<'b>>,
         epi: Epilogue<'_>,
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
-    ) -> Option<Vec<bool>> {
+    ) {
+        let b = b.into();
         assert_eq!(a.cols(), b.rows(), "gemm shape mismatch");
         assert_eq!((out.rows(), out.cols()), (a.rows(), b.cols()), "gemm out");
-        let m = a.rows();
-        let n = b.cols();
-        let mut mask = if epi.relu {
-            vec![false; m * n]
-        } else {
-            Vec::new()
-        };
-        match self.pool_for(m, pool) {
-            Some(p) => {
-                let out_ptr = out.data_mut().as_mut_ptr() as usize;
-                let mask_ptr = mask.as_mut_ptr() as usize;
-                // One shadow cell per output row covers `out` and `mask`
-                // alike: both are partitioned by the same row ranges.
-                let shadow = racecheck::region("tensor.gemm_into", m);
-                p.parallel_ranges(m, |range| {
-                    racecheck::write(&shadow, range.start, range.len());
-                    // SAFETY: ranges partition 0..m, so each worker writes a
-                    // disjoint row window of `out`; the pool call blocks
-                    // until every worker finishes.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (out_ptr as *mut f32).add(range.start * n),
-                            range.len() * n,
-                        )
-                    };
-                    self.run_gemm(a, range.clone(), b, 0, dst, false);
-                    if let Some(bias) = epi.bias {
-                        let mrow = if epi.relu {
-                            // SAFETY: same disjoint row window as `dst`.
-                            Some(unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    (mask_ptr as *mut bool).add(range.start * n),
-                                    range.len() * n,
-                                )
-                            })
-                        } else {
-                            None
-                        };
-                        self.run_epilogue(dst, bias, epi.relu, mrow);
-                    }
-                });
-            }
-            None => {
-                self.run_gemm(a, 0..m, b, 0, out.data_mut(), false);
-                if let Some(bias) = epi.bias {
-                    self.run_epilogue(
-                        out.data_mut(),
-                        bias,
-                        epi.relu,
-                        epi.relu.then_some(mask.as_mut_slice()),
-                    );
-                }
-            }
-        }
-        epi.relu.then_some(mask)
+        ThreadPool::parallel_chunks_mut(
+            self.pool_for(a.rows(), pool),
+            out.data_mut(),
+            b.cols(),
+            "tensor.gemm_into",
+            |rows, dst| {
+                self.run_gemm(a, rows, b, 0, dst, false);
+                self.run_epilogue(dst, epi);
+            },
+        );
     }
 
     /// Fused GraphSAGE GEMM: `out = h[0..n_dst] @ w[0..f] + agg @ w[f..2f]`
     /// plus the epilogue — the `[h ‖ agg]` concatenation is never built.
-    /// `w` stores `W_self` stacked above `W_neigh` (`2f × o`), `agg` is
-    /// `n_dst × f`, and `h` supplies self features in its first `n_dst`
-    /// rows. Returns the ReLU mask when the epilogue has one.
-    pub fn sage_gemm_into(
+    /// `w` stores `W_self` stacked above `W_neigh` (`2f × o`, f32 or
+    /// quantized), `agg` is `n_dst × f`, and `h` supplies self features in
+    /// its first `n_dst` rows.
+    pub fn sage_gemm_into<'b>(
         &self,
         h: &Matrix,
         agg: &Matrix,
-        w: &Matrix,
+        w: impl Into<BSrc<'b>>,
         epi: Epilogue<'_>,
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
-    ) -> Option<Vec<bool>> {
+    ) {
+        let w = w.into();
         let f = h.cols();
         let n_dst = agg.rows();
         assert_eq!(agg.cols(), f, "sage_gemm agg width");
         assert_eq!(w.rows(), 2 * f, "sage_gemm weight rows");
         assert!(h.rows() >= n_dst, "sage_gemm h rows");
         assert_eq!((out.rows(), out.cols()), (n_dst, w.cols()), "sage out");
-        let n = w.cols();
-        let mut mask = if epi.relu {
-            vec![false; n_dst * n]
-        } else {
-            Vec::new()
-        };
-        let run_range = |range: Range<usize>, dst: &mut [f32], mrow: Option<&mut [bool]>| {
-            self.run_gemm(h, range.clone(), w, 0, dst, false);
-            self.run_gemm(agg, range, w, f, dst, true);
-            if let Some(bias) = epi.bias {
-                self.run_epilogue(dst, bias, epi.relu, mrow);
-            }
-        };
-        match self.pool_for(n_dst, pool) {
-            Some(p) => {
-                let out_ptr = out.data_mut().as_mut_ptr() as usize;
-                let mask_ptr = mask.as_mut_ptr() as usize;
-                // Row-granular shadow covering both `out` and `mask`.
-                let shadow = racecheck::region("tensor.sage_gemm_into", n_dst);
-                p.parallel_ranges(n_dst, |range| {
-                    racecheck::write(&shadow, range.start, range.len());
-                    // SAFETY: disjoint output-row windows per worker; the
-                    // pool call blocks until every worker finishes.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (out_ptr as *mut f32).add(range.start * n),
-                            range.len() * n,
-                        )
-                    };
-                    let mrow = if epi.relu {
-                        // SAFETY: same disjoint row window as `dst`.
-                        Some(unsafe {
-                            std::slice::from_raw_parts_mut(
-                                (mask_ptr as *mut bool).add(range.start * n),
-                                range.len() * n,
-                            )
-                        })
-                    } else {
-                        None
-                    };
-                    run_range(range, dst, mrow);
-                });
-            }
-            None => run_range(
-                0..n_dst,
-                out.data_mut(),
-                if mask.is_empty() {
-                    None
-                } else {
-                    Some(&mut mask)
-                },
-            ),
-        }
-        epi.relu.then_some(mask)
+        ThreadPool::parallel_chunks_mut(
+            self.pool_for(n_dst, pool),
+            out.data_mut(),
+            w.cols(),
+            "tensor.sage_gemm_into",
+            |rows, dst| {
+                self.run_gemm(h, rows.clone(), w, 0, dst, false);
+                self.run_gemm(agg, rows, w, f, dst, true);
+                self.run_epilogue(dst, epi);
+            },
+        );
+    }
+
+    /// The CSR gather `out = adj @ dense` under this policy's routing.
+    fn gather(
+        &self,
+        adj: SparseView<'_>,
+        dense: &Matrix,
+        pool: Option<&ThreadPool>,
+        region: &'static str,
+        out: &mut Matrix,
+    ) {
+        let work = adj.nnz().saturating_mul(dense.cols());
+        let pool = self.sparse_pool_for(adj.rows(), work, pool);
+        sparse::gather_into(adj, dense, pool, region, self.simd, out);
     }
 
     /// Feature aggregation `adj @ h` (SpMM).
@@ -391,17 +280,11 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        let work = adj.nnz().saturating_mul(h.cols());
-        match self.sparse_pool_for(adj.rows(), work, pool) {
-            Some(p) => adj.spmm_pool_into_opt(h, p, out, self.simd),
-            None => adj.spmm_into_opt(h, out, self.simd),
-        }
+        self.gather(adj.view(), h, pool, "tensor.spmm_pool", out);
     }
 
-    /// [`DispatchPolicy::aggregate_into`] over a **borrowed** arena-backed
-    /// adjacency ([`SparseView`]): same serial/pool routing, same row and
-    /// sparse-work thresholds, same SIMD tier — the view shares the inner
-    /// gather kernel with the owned path, so the two are bitwise-equal.
+    /// [`DispatchPolicy::aggregate_into`] over a **borrowed** adjacency —
+    /// in practice one still sitting in the sampler's batch arena.
     pub fn aggregate_view_into(
         &self,
         adj: &SparseView<'_>,
@@ -409,15 +292,10 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        let work = adj.nnz().saturating_mul(h.cols());
-        match self.sparse_pool_for(adj.rows(), work, pool) {
-            Some(p) => adj.spmm_pool_into_opt(h, p, out, self.simd),
-            None => adj.spmm_into_opt(h, out, self.simd),
-        }
+        self.gather(*adj, h, pool, "tensor.spmm_view_pool", out);
     }
 
-    /// Backward of aggregation: `adjᵀ @ grad`, as a CSC gather (builds and
-    /// caches the mirror on first use).
+    /// Backward of aggregation: `adjᵀ @ grad`.
     pub fn aggregate_transpose(
         &self,
         adj: &SparseMatrix,
@@ -430,7 +308,8 @@ impl DispatchPolicy {
     }
 
     /// [`DispatchPolicy::aggregate_transpose`] into a caller-provided
-    /// matrix.
+    /// matrix: the gather over `adj`'s transpose, which the first call
+    /// builds and caches on `adj`.
     pub fn aggregate_transpose_into(
         &self,
         adj: &SparseMatrix,
@@ -438,12 +317,8 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        // Output rows = adj columns, so that is the parallel dimension.
-        let work = adj.nnz().saturating_mul(grad.cols());
-        match self.sparse_pool_for(adj.cols(), work, pool) {
-            Some(p) => adj.spmm_transpose_csc_pool_into_opt(grad, p, out, self.simd),
-            None => adj.spmm_transpose_csc_into_opt(grad, out, self.simd),
-        }
+        let region = "tensor.spmm_transpose_csc_pool";
+        self.gather(adj.csc().view(), grad, pool, region, out);
     }
 
     /// Weight gradient `dst[dst_row_offset..][..] = x[x_rows]ᵀ @ grad` —
@@ -556,142 +431,27 @@ impl DispatchPolicy {
         let m = grad.rows();
         let n = w_rows.len();
         assert_eq!((out.rows(), out.cols()), (m, n), "grad_input out");
-        match self.pool_for(m, pool) {
-            Some(p) => {
-                let out_ptr = out.data_mut().as_mut_ptr() as usize;
-                let shadow = racecheck::region("tensor.grad_input_into", m);
-                p.parallel_ranges(m, |range| {
-                    racecheck::write(&shadow, range.start, range.len());
-                    // SAFETY: disjoint output-row windows per worker; the
-                    // pool call blocks until every worker finishes.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (out_ptr as *mut f32).add(range.start * n),
-                            range.len() * n,
-                        )
-                    };
-                    self.run_transpose_other(grad, range, w, w_rows.clone(), dst);
-                });
-            }
-            None => {
-                self.run_transpose_other(grad, 0..m, w, w_rows, out.data_mut());
-            }
-        }
-    }
-
-    /// Input-gradient kernel of the active tier.
-    fn run_transpose_other(
-        &self,
-        a: &Matrix,
-        a_rows: Range<usize>,
-        b: &Matrix,
-        b_rows: Range<usize>,
-        dst: &mut [f32],
-    ) {
-        if self.simd {
-            simd::transpose_other_into(a, a_rows, b, b_rows, dst);
-        } else {
-            kernels::transpose_other_into(a, a_rows, b, b_rows, dst);
-        }
-    }
-
-    /// Inference GEMM against quantized weights: `out = a @ qb` with the
-    /// epilogue fused. No activation mask is produced — quantized forward
-    /// passes never feed a backward pass, so a ReLU epilogue just clamps.
-    pub fn quant_gemm_into(
-        &self,
-        a: &Matrix,
-        qb: &QuantizedMatrix,
-        epi: Epilogue<'_>,
-        pool: Option<&ThreadPool>,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(a.cols(), qb.rows(), "quant_gemm shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (a.rows(), qb.cols()), "quant out");
-        let m = a.rows();
-        let n = qb.cols();
-        match self.pool_for(m, pool) {
-            Some(p) => {
-                let out_ptr = out.data_mut().as_mut_ptr() as usize;
-                let shadow = racecheck::region("tensor.quant_gemm_into", m);
-                p.parallel_ranges(m, |range| {
-                    racecheck::write(&shadow, range.start, range.len());
-                    // SAFETY: ranges partition 0..m, so each worker writes a
-                    // disjoint row window of `out`; the pool call blocks
-                    // until every worker finishes.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (out_ptr as *mut f32).add(range.start * n),
-                            range.len() * n,
-                        )
-                    };
-                    self.run_quant_gemm(a, range, qb, 0, dst, false);
-                    if let Some(bias) = epi.bias {
-                        self.run_epilogue(dst, bias, epi.relu, None);
-                    }
-                });
-            }
-            None => {
-                self.run_quant_gemm(a, 0..m, qb, 0, out.data_mut(), false);
-                if let Some(bias) = epi.bias {
-                    self.run_epilogue(out.data_mut(), bias, epi.relu, None);
+        ThreadPool::parallel_chunks_mut(
+            self.pool_for(m, pool),
+            out.data_mut(),
+            n,
+            "tensor.grad_input_into",
+            |rows, dst| {
+                if self.simd {
+                    simd::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
+                } else {
+                    kernels::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
                 }
-            }
-        }
-    }
-
-    /// Fused GraphSAGE inference GEMM against a quantized stacked weight
-    /// (`W_self` over `W_neigh`); see [`DispatchPolicy::sage_gemm_into`]
-    /// for the layout and [`DispatchPolicy::quant_gemm_into`] for the
-    /// no-mask contract.
-    pub fn sage_quant_gemm_into(
-        &self,
-        h: &Matrix,
-        agg: &Matrix,
-        qw: &QuantizedMatrix,
-        epi: Epilogue<'_>,
-        pool: Option<&ThreadPool>,
-        out: &mut Matrix,
-    ) {
-        let f = h.cols();
-        let n_dst = agg.rows();
-        assert_eq!(agg.cols(), f, "sage_quant_gemm agg width");
-        assert_eq!(qw.rows(), 2 * f, "sage_quant_gemm weight rows");
-        assert!(h.rows() >= n_dst, "sage_quant_gemm h rows");
-        assert_eq!((out.rows(), out.cols()), (n_dst, qw.cols()), "sage out");
-        let n = qw.cols();
-        let run_range = |range: Range<usize>, dst: &mut [f32]| {
-            self.run_quant_gemm(h, range.clone(), qw, 0, dst, false);
-            self.run_quant_gemm(agg, range, qw, f, dst, true);
-            if let Some(bias) = epi.bias {
-                self.run_epilogue(dst, bias, epi.relu, None);
-            }
-        };
-        match self.pool_for(n_dst, pool) {
-            Some(p) => {
-                let out_ptr = out.data_mut().as_mut_ptr() as usize;
-                let shadow = racecheck::region("tensor.sage_quant_gemm_into", n_dst);
-                p.parallel_ranges(n_dst, |range| {
-                    racecheck::write(&shadow, range.start, range.len());
-                    // SAFETY: disjoint output-row windows per worker; the
-                    // pool call blocks until every worker finishes.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (out_ptr as *mut f32).add(range.start * n),
-                            range.len() * n,
-                        )
-                    };
-                    run_range(range, dst);
-                });
-            }
-            None => run_range(0..n_dst, out.data_mut()),
-        }
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::QuantizedMatrix;
+    use crate::reference;
 
     fn pool2() -> ThreadPool {
         ThreadPool::new("t", 2)
@@ -715,27 +475,15 @@ mod tests {
     }
 
     #[test]
-    fn custom_threshold_moves_the_boundary() {
-        let pool = pool2();
-        let policy = DispatchPolicy::new(10);
-        assert!(!policy.goes_parallel(9, Some(&pool)));
-        assert!(policy.goes_parallel(10, Some(&pool)));
-        // Zero threshold is clamped: even a 1-row op may go parallel but
-        // the policy never divides by zero or panics.
-        let zero = DispatchPolicy::new(0);
-        assert_eq!(zero.row_threshold(), 1);
-        assert!(zero.goes_parallel(1, Some(&pool)));
-    }
-
-    #[test]
     fn gemm_serial_and_parallel_match_naive() {
         // Scalar tier: bitwise contract against the naive kernel.
         let pool = pool2();
-        let policy = DispatchPolicy::new(1).force_scalar();
+        let policy = DispatchPolicy::default().force_scalar();
         let a = Matrix::xavier(70, 17, 1);
         let b = Matrix::xavier(17, 11, 2);
-        let naive = a.matmul(&b);
-        let serial = DispatchPolicy::default().force_scalar().gemm(&a, &b, None);
+        assert!(policy.goes_parallel(a.rows(), Some(&pool)));
+        let naive = reference::matmul(&a, &b);
+        let serial = policy.gemm(&a, &b, None);
         let par = policy.gemm(&a, &b, Some(&pool));
         assert_eq!(naive.data(), serial.data());
         assert_eq!(naive.data(), par.data());
@@ -748,7 +496,7 @@ mod tests {
         let b = Matrix::xavier(17, 11, 2);
         let scalar = DispatchPolicy::default().force_scalar().gemm(&a, &b, None);
         let simd_serial = DispatchPolicy::default().gemm(&a, &b, None);
-        let simd_par = DispatchPolicy::new(1).gemm(&a, &b, Some(&pool));
+        let simd_par = DispatchPolicy::default().gemm(&a, &b, Some(&pool));
         // FMA reassociates each k-step's rounding: tolerance contract.
         for (s, v) in scalar.data().iter().zip(simd_serial.data()) {
             assert!((s - v).abs() <= 1e-5 * 1.0f32.max(s.abs()));
@@ -772,21 +520,20 @@ mod tests {
     fn gemm_epilogue_fuses_bias_and_relu() {
         let pool = pool2();
         for use_pool in [false, true] {
-            let policy = DispatchPolicy::new(1).force_scalar();
-            let a = Matrix::xavier(40, 8, 3);
+            let policy = DispatchPolicy::default().force_scalar();
+            let a = Matrix::xavier(80, 8, 3);
             let b = Matrix::xavier(8, 6, 4);
             let bias: Vec<f32> = (0..6).map(|i| (i as f32) * 0.3 - 0.8).collect();
             let p = use_pool.then_some(&pool);
-            let mut out = Matrix::zeros(40, 6);
-            let mask = policy.gemm_into(&a, &b, Epilogue::bias_relu(&bias), p, &mut out);
-            let mask = mask.expect("relu epilogue yields mask");
-            // Reference: unfused ops.
-            let mut want = a.matmul(&b);
+            let mut out = Matrix::zeros(80, 6);
+            policy.gemm_into(&a, &b, Epilogue::bias_relu(&bias), p, &mut out);
+            // Reference: unfused ops. The output is positive exactly where
+            // the pre-activation is — the mask backward derives from it.
+            let mut want = reference::matmul(&a, &b);
             for r in 0..want.rows() {
                 for (c, &bc) in bias.iter().enumerate() {
                     let z = want.get(r, c) + bc;
-                    let idx = r * 6 + c;
-                    assert_eq!(mask[idx], z > 0.0, "mask at {r},{c} pool={use_pool}");
+                    assert_eq!(out.get(r, c) > 0.0, z > 0.0, "mask at {r},{c}");
                     want.set(r, c, if z > 0.0 { z } else { 0.0 });
                 }
             }
@@ -799,36 +546,28 @@ mod tests {
         let pool = pool2();
         let f = 5;
         let o = 4;
-        let n_dst = 30;
-        let h = Matrix::xavier(50, f, 5); // more src rows than dst
+        let n_dst = 70;
+        let h = Matrix::xavier(90, f, 5); // more src rows than dst
         let agg = Matrix::xavier(n_dst, f, 6);
         let w = Matrix::xavier(2 * f, o, 7);
         let bias: Vec<f32> = (0..o).map(|i| 0.1 * i as f32 - 0.15).collect();
         // Reference: materialize cat = [h_dst | agg] and one GEMM.
         let h_dst = h.gather_rows(&(0..n_dst as u32).collect::<Vec<_>>());
-        let cat = h_dst.concat_cols(&agg);
-        let mut want = cat.matmul(&w);
-        let mut want_mask = vec![false; n_dst * o];
+        let mut want = reference::matmul(&h_dst.concat_cols(&agg), &w);
         for r in 0..n_dst {
-            for c in 0..o {
-                let z = want.get(r, c) + bias[c];
-                want_mask[r * o + c] = z > 0.0;
+            for (c, &bc) in bias.iter().enumerate() {
+                let z = want.get(r, c) + bc;
                 want.set(r, c, if z > 0.0 { z } else { 0.0 });
             }
         }
         for (use_pool, use_simd) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut policy = DispatchPolicy::new(1);
+            let mut policy = DispatchPolicy::default();
             if !use_simd {
                 policy = policy.force_scalar();
             }
             let p = use_pool.then_some(&pool);
             let mut out = Matrix::zeros(n_dst, o);
-            let mask = policy
-                .sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), p, &mut out)
-                .expect("mask");
-            if !use_simd {
-                assert_eq!(mask, want_mask, "pool={use_pool}");
-            }
+            policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), p, &mut out);
             for (g, w_) in out.data().iter().zip(want.data()) {
                 assert!((g - w_).abs() <= 1e-5, "pool={use_pool} simd={use_simd}");
             }
@@ -838,7 +577,7 @@ mod tests {
     fn ragged_adj() -> SparseMatrix {
         let rows = 70;
         let cols = 40;
-        let mut indptr = vec![0usize];
+        let mut indptr = vec![0u32];
         let mut indices = Vec::new();
         let mut vals = Vec::new();
         for i in 0..rows {
@@ -848,64 +587,92 @@ mod tests {
                     vals.push(((i + 2 * j) % 5) as f32 * 0.4 - 0.6);
                 }
             }
-            indptr.push(indices.len());
+            indptr.push(indices.len() as u32);
         }
         SparseMatrix::new(rows, cols, indptr, indices, Some(vals))
+    }
+
+    /// A square `n x n` adjacency with 16 entries per row: aggregating
+    /// `width` features over it is `n * 16 * width` multiply-adds, so
+    /// `n = 4096` sits exactly on the sparse work constant at width 128.
+    fn wide_adj(n: usize) -> SparseMatrix {
+        let mut indptr = vec![0u32];
+        let mut indices = Vec::new();
+        let mut vals = Vec::new();
+        for i in 0..n {
+            for t in 0..16 {
+                indices.push(((i * 3 + t * 257) % n) as u32);
+                vals.push(((i + t) % 7) as f32 * 0.25 - 0.6);
+            }
+            indptr.push(indices.len() as u32);
+        }
+        SparseMatrix::new(n, n, indptr, indices, Some(vals))
     }
 
     #[test]
     fn aggregate_and_transpose_match_naive() {
         let pool = pool2();
-        let adj = ragged_adj();
-        let h = Matrix::xavier(adj.cols(), 9, 8);
-        let grad = Matrix::xavier(adj.rows(), 9, 9);
-        for (policy, p) in [
-            (DispatchPolicy::default(), None),
-            // Tiny work: drop the sparse work threshold so the pool path
-            // is actually exercised.
-            (
-                DispatchPolicy::new(1).with_sparse_work_threshold(1),
-                Some(&pool),
-            ),
-            (
-                DispatchPolicy::new(1)
-                    .with_sparse_work_threshold(1)
-                    .force_scalar(),
-                Some(&pool),
-            ),
-        ] {
-            // The SpMM gather is bitwise across tiers (mul+add lanes).
-            let agg = policy.aggregate(&adj, &h, p);
-            assert_eq!(agg.data(), adj.spmm(&h).data());
-            let back = policy.aggregate_transpose(&adj, &grad, p);
-            assert_eq!(back.data(), adj.spmm_transpose(&grad).data());
+        let ragged = ragged_adj();
+        let wide = wide_adj(4096);
+        // (adjacency, width, whether the default policy sends it to the pool)
+        for (adj, width, pooled) in [(&ragged, 9, false), (&wide, 127, false), (&wide, 128, true)] {
+            let h = Matrix::xavier(adj.cols(), width, 8);
+            let grad = Matrix::xavier(adj.rows(), width, 9);
+            let work = adj.nnz() * width;
+            let want_back = reference::spmm_transpose(adj, &grad);
+            // Forward oracle: the dense product where that is affordable,
+            // the serial scalar gather (itself pinned on the small fixture)
+            // elsewhere.
+            let want_fwd = if adj.rows() <= 100 {
+                reference::matmul(&adj.to_dense(), &h)
+            } else {
+                DispatchPolicy::default()
+                    .force_scalar()
+                    .aggregate(adj, &h, None)
+            };
+            for policy in [
+                DispatchPolicy::default(),
+                DispatchPolicy::default().force_scalar(),
+            ] {
+                assert_eq!(
+                    policy.sparse_goes_parallel(adj.rows(), work, Some(&pool)),
+                    pooled
+                );
+                for p in [None, Some(&pool)] {
+                    // The gather is bitwise across tiers (mul+add lanes) and
+                    // across partitions (each row sums in stored order).
+                    let back = policy.aggregate_transpose(adj, &grad, p);
+                    assert_eq!(back.data(), want_back.data(), "transpose, width {width}");
+                    let fwd = policy.aggregate(adj, &h, p);
+                    assert_eq!(fwd.data(), want_fwd.data(), "forward, width {width}");
+                }
+            }
         }
     }
 
     #[test]
     fn aggregate_view_bitwise_matches_owned_across_tiers() {
         let pool = pool2();
-        let adj = ragged_adj();
-        let indptr: Vec<u32> = adj.indptr().iter().map(|&p| p as u32).collect();
-        let view = SparseView::new(adj.rows(), adj.cols(), &indptr, adj.indices(), adj.values());
-        let h = Matrix::xavier(adj.cols(), 9, 8);
-        for (policy, p) in [
-            (DispatchPolicy::default(), None),
-            (
-                DispatchPolicy::new(1).with_sparse_work_threshold(1),
-                Some(&pool),
-            ),
-            (
-                DispatchPolicy::new(1)
-                    .with_sparse_work_threshold(1)
-                    .force_scalar(),
-                Some(&pool),
-            ),
-        ] {
-            let owned = policy.aggregate(&adj, &h, p);
-            let mut got = Matrix::zeros(adj.rows(), h.cols());
-            policy.aggregate_view_into(&view, &h, p, &mut got);
-            assert_eq!(got.data(), owned.data(), "view diverged from owned path");
+        let ragged = ragged_adj();
+        let wide = wide_adj(4096);
+        for (adj, width) in [(&ragged, 9), (&wide, 128)] {
+            // A view over arrays of its own, as the sampler's arena hands out.
+            let (indptr, indices) = (adj.indptr().to_vec(), adj.indices().to_vec());
+            let values = adj.values().map(<[f32]>::to_vec);
+            let view =
+                SparseView::new(adj.rows(), adj.cols(), &indptr, &indices, values.as_deref());
+            let h = Matrix::xavier(adj.cols(), width, 8);
+            for policy in [
+                DispatchPolicy::default(),
+                DispatchPolicy::default().force_scalar(),
+            ] {
+                for p in [None, Some(&pool)] {
+                    let owned = policy.aggregate(adj, &h, p);
+                    let mut got = Matrix::zeros(adj.rows(), h.cols());
+                    policy.aggregate_view_into(&view, &h, p, &mut got);
+                    assert_eq!(got.data(), owned.data(), "view diverged from owned path");
+                }
+            }
         }
     }
 
@@ -913,8 +680,8 @@ mod tests {
     fn sparse_work_threshold_boundary() {
         let pool = pool2();
         let policy = DispatchPolicy::default();
-        let t = policy.sparse_work_threshold();
-        assert_eq!(t, DEFAULT_SPARSE_WORK_THRESHOLD);
+        let t = SPARSE_WORK_THRESHOLD;
+        assert_eq!(t, 8 * 1024 * 1024);
         // Row threshold satisfied; work decides.
         assert!(!policy.sparse_goes_parallel(100, t - 1, Some(&pool)));
         assert!(policy.sparse_goes_parallel(100, t, Some(&pool)));
@@ -923,14 +690,10 @@ mod tests {
         assert!(!policy.sparse_goes_parallel(63, t, Some(&pool)));
         assert!(!policy.sparse_goes_parallel(100, t, None));
         // The benched spmm shape (4096 rows, nnz≈16/row, 64 features) sat
-        // at 0.86× serial: it must now stay serial under the default.
+        // at 0.86× serial: it must stay serial.
         let benched_work = 4096 * 16 * 64;
         assert!(benched_work < t, "crossover sits above the benched shape");
         assert!(!policy.sparse_goes_parallel(4096, benched_work, Some(&pool)));
-        // A custom threshold moves the boundary, clamped to ≥ 1.
-        let low = policy.with_sparse_work_threshold(0);
-        assert_eq!(low.sparse_work_threshold(), 1);
-        assert!(low.sparse_goes_parallel(4096, benched_work, Some(&pool)));
     }
 
     #[test]
@@ -938,12 +701,12 @@ mod tests {
         let pool = pool2();
         let x = Matrix::xavier(90, 7, 10);
         let grad = Matrix::xavier(90, 5, 11);
-        let naive = x.matmul_transpose_self(&grad);
+        let naive = reference::matmul_transpose_self(&x, &grad);
         let serial = DispatchPolicy::default()
             .force_scalar()
             .grad_weights(&x, &grad, None);
         assert_eq!(naive.data(), serial.data());
-        let par = DispatchPolicy::new(1).grad_weights(&x, &grad, Some(&pool));
+        let par = DispatchPolicy::default().grad_weights(&x, &grad, Some(&pool));
         for (a, b) in naive.data().iter().zip(par.data()) {
             assert!((a - b).abs() <= 1e-5);
         }
@@ -964,7 +727,7 @@ mod tests {
         policy.grad_weights_into(&h, 0..n_dst, &grad, None, &mut dw, 0);
         policy.grad_weights_into(&agg, 0..n_dst, &grad, None, &mut dw, f);
         let h_dst = h.gather_rows(&(0..n_dst as u32).collect::<Vec<_>>());
-        let want = h_dst.concat_cols(&agg).matmul_transpose_self(&grad);
+        let want = reference::matmul_transpose_self(&h_dst.concat_cols(&agg), &grad);
         for (a, b) in dw.data().iter().zip(want.data()) {
             assert!((a - b).abs() <= 1e-5);
         }
@@ -977,11 +740,9 @@ mod tests {
         let o = 3;
         let grad = Matrix::xavier(80, o, 15);
         let w = Matrix::xavier(2 * f, o, 16);
-        let naive_full = grad.matmul_transpose_other(&w);
-        for (policy, p) in [
-            (DispatchPolicy::default().force_scalar(), None),
-            (DispatchPolicy::new(1).force_scalar(), Some(&pool)),
-        ] {
+        let naive_full = reference::matmul_transpose_other(&grad, &w);
+        let policy = DispatchPolicy::default().force_scalar();
+        for p in [None, Some(&pool)] {
             let full = policy.grad_input(&grad, &w, 0..2 * f, p);
             assert_eq!(full.data(), naive_full.data());
             // Row windows = columns of the split reference.
@@ -1004,23 +765,17 @@ mod tests {
             let deq = qb.dequantize();
             for (use_pool, use_simd) in [(false, false), (true, false), (false, true), (true, true)]
             {
-                let mut policy = DispatchPolicy::new(1);
+                let mut policy = DispatchPolicy::default();
                 if !use_simd {
                     policy = policy.force_scalar();
                 }
                 let p = use_pool.then_some(&pool);
-                // Reference: the same policy tier on the dequantized dense
-                // weights with a mask-free clamp.
+                // Reference: the same call on the dequantized f32 weights —
+                // one GEMM, two operand kinds.
                 let mut want = Matrix::zeros(70, 9);
-                policy.gemm_into(&a, &deq, Epilogue::none(), p, &mut want);
-                for r in 0..70 {
-                    for (c, b) in bias.iter().enumerate() {
-                        let z = want.get(r, c) + b;
-                        want.set(r, c, if z > 0.0 { z } else { 0.0 });
-                    }
-                }
+                policy.gemm_into(&a, &deq, Epilogue::bias_relu(&bias), p, &mut want);
                 let mut out = Matrix::zeros(70, 9);
-                policy.quant_gemm_into(&a, &qb, Epilogue::bias_relu(&bias), p, &mut out);
+                policy.gemm_into(&a, &qb, Epilogue::bias_relu(&bias), p, &mut out);
                 for (g, w) in out.data().iter().zip(want.data()) {
                     assert!(
                         (g - w).abs() <= 1e-5 * 1.0f32.max(w.abs()),
@@ -1036,12 +791,12 @@ mod tests {
         let pool = pool2();
         let f = 6;
         let o = 5;
-        let n_dst = 40;
-        let h = Matrix::xavier(55, f, 22);
+        let n_dst = 72;
+        let h = Matrix::xavier(95, f, 22);
         let agg = Matrix::xavier(n_dst, f, 23);
         let w = Matrix::xavier(2 * f, o, 24);
         let bias: Vec<f32> = (0..o).map(|i| 0.1 * i as f32 - 0.2).collect();
-        let policy = DispatchPolicy::new(1);
+        let policy = DispatchPolicy::default();
         let mut want = Matrix::zeros(n_dst, o);
         policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), None, &mut want);
         for kind in [crate::QuantKind::Bf16, crate::QuantKind::Int8] {
@@ -1054,7 +809,7 @@ mod tests {
             };
             for p in [None, Some(&pool)] {
                 let mut out = Matrix::zeros(n_dst, o);
-                policy.sage_quant_gemm_into(&h, &agg, &qw, Epilogue::bias_relu(&bias), p, &mut out);
+                policy.sage_gemm_into(&h, &agg, &qw, Epilogue::bias_relu(&bias), p, &mut out);
                 for (g, w_) in out.data().iter().zip(want.data()) {
                     assert!(
                         (g - w_).abs() <= tol * 1.0f32.max(w_.abs()),

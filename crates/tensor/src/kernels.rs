@@ -1,7 +1,9 @@
-//! Cache-blocked GEMM kernels with register-tiled micro-kernels.
+//! The scalar tier: cache-blocked GEMM kernels with register-tiled
+//! micro-kernels — what the SIMD tier ([`crate::simd`]) falls back to, and
+//! the only tier on hosts without AVX2+FMA.
 //!
-//! The naive kernels in [`crate::dense`] stream the whole of `B` through the
-//! cache once per row of `A`; past L2-sized operands that turns GEMM
+//! The naive loops in [`crate::reference`] stream the whole of `B` through
+//! the cache once per row of `A`; past L2-sized operands that turns GEMM
 //! memory-bound. The kernels here tile the `i`/`k`/`j` loops so a
 //! `KC × NC` panel of `B` stays resident while an `MC`-row panel of `A`
 //! is multiplied against it, and an `MR`-row micro-kernel keeps `MR`
@@ -22,6 +24,50 @@
 use std::ops::Range;
 
 use crate::dense::Matrix;
+use crate::quant::{self, QuantizedMatrix};
+
+/// The `B` (weight) operand of a GEMM: plain f32 rows, or a quantized
+/// matrix whose values are dequantized as the kernel reads them. Everything
+/// above the kernels is written once over this type, so training (f32) and
+/// quantized inference share one GEMM, one fused-SAGE GEMM and one layer
+/// forward.
+#[derive(Clone, Copy)]
+pub enum BSrc<'a> {
+    /// f32 weights.
+    F32(&'a Matrix),
+    /// bf16 / int8 weights.
+    Quant(&'a QuantizedMatrix),
+}
+
+impl BSrc<'_> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        match self {
+            BSrc::F32(b) => b.rows(),
+            BSrc::Quant(b) => b.rows(),
+        }
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        match self {
+            BSrc::F32(b) => b.cols(),
+            BSrc::Quant(b) => b.cols(),
+        }
+    }
+}
+
+impl<'a> From<&'a Matrix> for BSrc<'a> {
+    fn from(b: &'a Matrix) -> Self {
+        BSrc::F32(b)
+    }
+}
+
+impl<'a> From<&'a QuantizedMatrix> for BSrc<'a> {
+    fn from(b: &'a QuantizedMatrix) -> Self {
+        BSrc::Quant(b)
+    }
+}
 
 /// Rows of `A` per cache block.
 pub(crate) const MC: usize = 64;
@@ -39,6 +85,21 @@ const MR: usize = 4;
 ///
 /// `dst` is row-major `rows.len() × b.cols()`.
 pub(crate) fn gemm_into(
+    a: &Matrix,
+    rows: Range<usize>,
+    b: BSrc<'_>,
+    b_row_offset: usize,
+    dst: &mut [f32],
+    accumulate: bool,
+) {
+    match b {
+        BSrc::F32(b) => gemm_f32(a, rows, b, b_row_offset, dst, accumulate),
+        BSrc::Quant(qb) => quant::gemm_scalar(a, rows, qb, b_row_offset, dst, accumulate),
+    }
+}
+
+/// The blocked f32 GEMM behind [`gemm_into`].
+fn gemm_f32(
     a: &Matrix,
     rows: Range<usize>,
     b: &Matrix,
@@ -300,95 +361,43 @@ pub(crate) fn transpose_other_into(
 }
 
 /// Fused GEMM write-back: adds `bias` to every row of `dst` and, when
-/// `relu`, clamps negatives in place while recording the activation mask.
-/// `mask`, when present, covers exactly the same elements as `dst`.
-pub(crate) fn epilogue_bias_relu(
-    dst: &mut [f32],
-    bias: &[f32],
-    relu: bool,
-    mask: Option<&mut [bool]>,
-) {
+/// `relu`, clamps negatives in place. No activation mask is recorded: the
+/// output is `z if z > 0 else 0`, so `out > 0` *is* the mask and the
+/// backward pass reads it off the layer output.
+pub(crate) fn epilogue_bias_relu(dst: &mut [f32], bias: &[f32], relu: bool) {
     let n = bias.len();
     debug_assert!(dst.len().is_multiple_of(n.max(1)), "dst rows × bias len");
-    match (relu, mask) {
-        (true, Some(mask)) => {
-            debug_assert_eq!(mask.len(), dst.len(), "mask shape");
-            for (drow, mrow) in dst.chunks_exact_mut(n).zip(mask.chunks_exact_mut(n)) {
-                for ((v, &bv), m) in drow.iter_mut().zip(bias).zip(mrow.iter_mut()) {
-                    let z = *v + bv;
-                    let active = z > 0.0;
-                    *m = active;
-                    *v = if active { z } else { 0.0 };
-                }
+    for drow in dst.chunks_exact_mut(n) {
+        if relu {
+            for (v, &bv) in drow.iter_mut().zip(bias) {
+                let z = *v + bv;
+                *v = if z > 0.0 { z } else { 0.0 };
+            }
+        } else {
+            for (v, &bv) in drow.iter_mut().zip(bias) {
+                *v += bv;
             }
         }
-        (true, None) => {
-            // Inference: clamp without recording a mask (no backward pass).
-            for drow in dst.chunks_exact_mut(n) {
-                for (v, &bv) in drow.iter_mut().zip(bias) {
-                    let z = *v + bv;
-                    *v = if z > 0.0 { z } else { 0.0 };
-                }
-            }
-        }
-        (false, _) => {
-            for drow in dst.chunks_exact_mut(n) {
-                for (v, &bv) in drow.iter_mut().zip(bias) {
-                    *v += bv;
-                }
-            }
-        }
-    }
-}
-
-impl Matrix {
-    /// Cache-blocked `self @ other`; exactly equal to [`Matrix::matmul`].
-    pub fn matmul_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols(), other.rows(), "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows(), other.cols());
-        gemm_into(self, 0..self.rows(), other, 0, out.data_mut(), false);
-        out
-    }
-
-    /// Cache-blocked `selfᵀ @ other`; exactly equal to
-    /// [`Matrix::matmul_transpose_self`].
-    pub fn matmul_transpose_self_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows(),
-            other.rows(),
-            "matmul_transpose_self shape mismatch"
-        );
-        let mut out = Matrix::zeros(self.cols(), other.cols());
-        transpose_self_into(self, other, 0..self.rows(), 0, out.data_mut(), false);
-        out
-    }
-
-    /// Register-tiled `self @ otherᵀ`; exactly equal to
-    /// [`Matrix::matmul_transpose_other`].
-    pub fn matmul_transpose_other_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            other.cols(),
-            "matmul_transpose_other shape mismatch"
-        );
-        let mut out = Matrix::zeros(self.rows(), other.rows());
-        transpose_other_into(self, 0..self.rows(), other, 0..other.rows(), out.data_mut());
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     #[test]
     fn blocked_matmul_matches_naive_exactly() {
         for (m, k, n) in [(1, 1, 1), (7, 13, 5), (65, 300, 9), (130, 64, 520)] {
             let a = Matrix::xavier(m, k, 1);
             let b = Matrix::xavier(k, n, 2);
-            let naive = a.matmul(&b);
-            let blocked = a.matmul_blocked(&b);
-            assert_eq!(naive.data(), blocked.data(), "shape {m}x{k}x{n}");
+            let mut blocked = Matrix::zeros(m, n);
+            gemm_into(&a, 0..m, (&b).into(), 0, blocked.data_mut(), false);
+            assert_eq!(
+                reference::matmul(&a, &b).data(),
+                blocked.data(),
+                "shape {m}x{k}x{n}"
+            );
         }
     }
 
@@ -397,9 +406,11 @@ mod tests {
         for (rows, ka, n) in [(1, 1, 1), (300, 7, 11), (520, 65, 4)] {
             let a = Matrix::xavier(rows, ka, 3);
             let b = Matrix::xavier(rows, n, 4);
+            let mut blocked = Matrix::zeros(ka, n);
+            transpose_self_into(&a, &b, 0..rows, 0, blocked.data_mut(), false);
             assert_eq!(
-                a.matmul_transpose_self(&b).data(),
-                a.matmul_transpose_self_blocked(&b).data(),
+                reference::matmul_transpose_self(&a, &b).data(),
+                blocked.data(),
                 "shape {rows}x{ka}x{n}"
             );
         }
@@ -410,9 +421,11 @@ mod tests {
         for (m, k, r) in [(1, 1, 1), (9, 70, 5), (67, 13, 130)] {
             let a = Matrix::xavier(m, k, 5);
             let b = Matrix::xavier(r, k, 6);
+            let mut blocked = Matrix::zeros(m, r);
+            transpose_other_into(&a, 0..m, &b, 0..r, blocked.data_mut());
             assert_eq!(
-                a.matmul_transpose_other(&b).data(),
-                a.matmul_transpose_other_blocked(&b).data(),
+                reference::matmul_transpose_other(&a, &b).data(),
+                blocked.data(),
                 "shape {m}x{k}x{r}"
             );
         }
@@ -425,16 +438,16 @@ mod tests {
         let a = Matrix::xavier(10, 6, 7);
         let w = Matrix::xavier(12, 8, 8); // two stacked 6x8 halves
         let mut top = Matrix::zeros(10, 8);
-        gemm_into(&a, 0..10, &w, 0, top.data_mut(), false);
+        gemm_into(&a, 0..10, (&w).into(), 0, top.data_mut(), false);
         let mut bot = Matrix::zeros(10, 8);
-        gemm_into(&a, 0..10, &w, 6, bot.data_mut(), false);
+        gemm_into(&a, 0..10, (&w).into(), 6, bot.data_mut(), false);
         let w_top = Matrix::from_vec(6, 8, w.data()[..48].to_vec());
         let w_bot = Matrix::from_vec(6, 8, w.data()[48..].to_vec());
-        assert_eq!(top.data(), a.matmul(&w_top).data());
-        assert_eq!(bot.data(), a.matmul(&w_bot).data());
+        assert_eq!(top.data(), reference::matmul(&a, &w_top).data());
+        assert_eq!(bot.data(), reference::matmul(&a, &w_bot).data());
         // accumulate=true fuses the two halves into one output.
         let mut fused = top.clone();
-        gemm_into(&a, 0..10, &w, 6, fused.data_mut(), true);
+        gemm_into(&a, 0..10, (&w).into(), 6, fused.data_mut(), true);
         for (f, (t, b)) in fused.data().iter().zip(top.data().iter().zip(bot.data())) {
             assert!((f - (t + b)).abs() < 1e-5);
         }
@@ -442,13 +455,15 @@ mod tests {
 
     #[test]
     fn epilogue_bias_relu_masks_and_clamps() {
+        // z = [1, -1, 0.5, 0.75]: the clamped output is positive exactly
+        // where z is, so `out > 0` is the activation mask.
         let mut d = vec![1.0f32, -2.0, 0.5, -0.25];
-        let mut mask = vec![false; 4];
-        epilogue_bias_relu(&mut d, &[0.0, 1.0], true, Some(&mut mask));
+        epilogue_bias_relu(&mut d, &[0.0, 1.0], true);
         assert_eq!(d, vec![1.0, 0.0, 0.5, 0.75]);
+        let mask: Vec<bool> = d.iter().map(|&v| v > 0.0).collect();
         assert_eq!(mask, vec![true, false, true, true]);
         let mut d2 = vec![1.0f32, -2.0];
-        epilogue_bias_relu(&mut d2, &[0.5, 0.5], false, None);
+        epilogue_bias_relu(&mut d2, &[0.5, 0.5], false);
         assert_eq!(d2, vec![1.5, -1.5]);
     }
 }

@@ -9,22 +9,27 @@
 //! * **SpMM** — sparse × dense, used for feature aggregation (Eq. 1–2);
 //! * **SDDMM** — sampled dense-dense, used for edge-wise scores.
 //!
-//! Every kernel has a serial form and (where it matters) a pool-parallel
-//! form that runs on an [`argo_rt::ThreadPool`], so the engine can bind the
-//! compute to the *training cores* chosen by the auto-tuner.
+//! Model code reaches the matmul/SpMM kernels only through
+//! [`DispatchPolicy`], which runs each operation inline or row-partitioned
+//! over an [`argo_rt::ThreadPool`] — so the engine can bind the compute to
+//! the *training cores* chosen by the auto-tuner — on one of two tiers
+//! (AVX2+FMA, or the blocked scalar kernels it falls back to).
+//! [`mod@reference`] holds the naive oracles tests and benches compare against.
 
 pub mod dense;
 pub mod dispatch;
 mod kernels;
 pub mod ops;
 pub mod quant;
+pub mod reference;
 mod simd;
 pub mod sparse;
 pub mod workspace;
 
 pub use dense::Matrix;
 pub use dispatch::{DispatchPolicy, Epilogue};
+pub use kernels::BSrc;
 pub use quant::{QuantKind, QuantizedMatrix};
 pub use simd::available as simd_available;
-pub use sparse::{CscMirror, SparseMatrix, SparseView};
+pub use sparse::{SparseMatrix, SparseView};
 pub use workspace::Workspace;

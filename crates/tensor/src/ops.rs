@@ -25,6 +25,19 @@ pub fn relu_backward(grad: &mut Matrix, mask: &[bool]) {
     }
 }
 
+/// [`relu_backward`] with the mask read off the ReLU *output*: `out` is
+/// `z if z > 0 else 0`, so `out > 0` is exactly the activation mask and a
+/// layer that keeps its output until backward need not record one.
+pub fn relu_backward_from_output(grad: &mut Matrix, out: &Matrix) {
+    assert_eq!(grad.data().len(), out.data().len(), "relu output mismatch");
+    for (g, &o) in grad.data_mut().iter_mut().zip(out.data()) {
+        let active = o > 0.0;
+        if !active {
+            *g = 0.0;
+        }
+    }
+}
+
 /// LeakyReLU over a value slice: `x if x > 0 else slope·x`. Returns the
 /// per-element derivative (1 or `slope`) for the backward pass.
 pub fn leaky_relu_inplace(x: &mut [f32], slope: f32) -> Vec<f32> {
@@ -38,38 +51,6 @@ pub fn leaky_relu_inplace(x: &mut [f32], slope: f32) -> Vec<f32> {
         }
     }
     deriv
-}
-
-/// Inverted dropout: zeroes each element with probability `p` and scales
-/// survivors by `1/(1-p)` so the expectation is unchanged. Returns the kept
-/// mask (with the scale folded in) for the backward pass. Deterministic in
-/// the supplied RNG — required so DDP replicas can reproduce each other.
-pub fn dropout_inplace(x: &mut Matrix, p: f32, rng: &mut impl rand::Rng) -> Vec<f32> {
-    assert!((0.0..1.0).contains(&p), "dropout prob must be in [0,1)");
-    if p == 0.0 {
-        return vec![1.0; x.data().len()];
-    }
-    let keep = 1.0 - p;
-    let scale = 1.0 / keep;
-    let mut mask = Vec::with_capacity(x.data().len());
-    for v in x.data_mut().iter_mut() {
-        if rng.gen::<f32>() < keep {
-            *v *= scale;
-            mask.push(scale);
-        } else {
-            *v = 0.0;
-            mask.push(0.0);
-        }
-    }
-    mask
-}
-
-/// Backward of dropout: multiply by the stored mask.
-pub fn dropout_backward(grad: &mut Matrix, mask: &[f32]) {
-    assert_eq!(grad.data().len(), mask.len(), "dropout mask mismatch");
-    for (g, &m) in grad.data_mut().iter_mut().zip(mask) {
-        *g *= m;
-    }
 }
 
 /// Adds the bias row vector to every row of `x`.
@@ -173,45 +154,16 @@ mod tests {
         let mut g = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         relu_backward(&mut g, &[true, false, true]);
         assert_eq!(g.data(), &[1.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation_and_masks() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-        let n = 20_000;
-        let mut x = Matrix::from_vec(1, n, vec![1.0; n]);
-        let mask = dropout_inplace(&mut x, 0.3, &mut rng);
-        let mean: f32 = x.data().iter().sum::<f32>() / n as f32;
-        assert!((mean - 1.0).abs() < 0.05, "expectation drifted: {mean}");
-        let dropped = x.data().iter().filter(|v| **v == 0.0).count() as f32 / n as f32;
-        assert!((dropped - 0.3).abs() < 0.03, "drop rate {dropped}");
-        // Backward applies the same mask.
-        let mut g = Matrix::from_vec(1, n, vec![1.0; n]);
-        dropout_backward(&mut g, &mask);
-        assert_eq!(g.data(), x.data());
-    }
-
-    #[test]
-    fn dropout_zero_prob_is_identity() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        let mut x = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        let mask = dropout_inplace(&mut x, 0.0, &mut rng);
-        assert_eq!(x.data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert!(mask.iter().all(|&m| m == 1.0));
-    }
-
-    #[test]
-    fn dropout_deterministic_in_rng() {
-        use rand::SeedableRng;
-        let run = || {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
-            let mut x = Matrix::from_vec(2, 8, (0..16).map(|i| i as f32).collect());
-            dropout_inplace(&mut x, 0.5, &mut rng);
-            x
-        };
-        assert_eq!(run(), run());
+        // The output-derived form agrees with the recorded mask, including
+        // at the z = 0 and z = -0 edges (clipped, not active).
+        let mut x = Matrix::from_vec(1, 5, vec![-1.0, 0.0, 2.0, -0.0, 1e-30]);
+        let mask = relu_inplace(&mut x);
+        let mut a = Matrix::from_vec(1, 5, vec![1.0; 5]);
+        let mut b = a.clone();
+        relu_backward(&mut a, &mask);
+        relu_backward_from_output(&mut b, &x);
+        assert_eq!(a.data(), b.data());
+        assert_eq!(a.data(), &[0.0, 0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]

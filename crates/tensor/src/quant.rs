@@ -251,7 +251,7 @@ mod tests {
         for kind in [QuantKind::Bf16, QuantKind::Int8] {
             let qb = QuantizedMatrix::quantize(&b, kind);
             let deq = qb.dequantize();
-            let want = a.matmul(&deq);
+            let want = crate::reference::matmul(&a, &deq);
             let mut got = vec![0.0f32; 9 * 6];
             gemm_scalar(&a, 0..9, &qb, 0, &mut got, false);
             for (g, w) in got.iter().zip(want.data()) {

@@ -32,8 +32,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::dense::Matrix;
-use crate::kernels;
-use crate::quant::{self, QuantizedMatrix};
+use crate::kernels::{self, BSrc};
 
 /// Whether the SIMD tier is usable on this host: `x86_64` with `avx2` and
 /// `fma`, and not disabled via `ARGO_SIMD=off` (or `0`). Cached after the
@@ -63,10 +62,11 @@ fn detect() -> bool {
 }
 
 /// SIMD [`crate::kernels::gemm_into`]: `dst (+)= A[rows] @ B[b_row_offset..]`.
+/// A quantized `B` is dequantized while its panels are packed.
 pub(crate) fn gemm_into(
     a: &Matrix,
     rows: Range<usize>,
-    b: &Matrix,
+    b: BSrc<'_>,
     b_row_offset: usize,
     dst: &mut [f32],
     accumulate: bool,
@@ -74,40 +74,11 @@ pub(crate) fn gemm_into(
     #[cfg(target_arch = "x86_64")]
     {
         if available() {
-            let src = x86::BSrc::F32 {
-                b,
-                row0: b_row_offset,
-            };
-            x86::gemm(a, rows, src, dst, accumulate);
+            x86::gemm(a, rows, b, b_row_offset, dst, accumulate);
             return;
         }
     }
     kernels::gemm_into(a, rows, b, b_row_offset, dst, accumulate);
-}
-
-/// [`gemm_into`] against quantized weights: the `B` panel is dequantized
-/// while packing. Falls back to the scalar dequantizing GEMM in
-/// [`crate::quant`].
-pub(crate) fn gemm_quant_into(
-    a: &Matrix,
-    rows: Range<usize>,
-    qb: &QuantizedMatrix,
-    b_row_offset: usize,
-    dst: &mut [f32],
-    accumulate: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if available() {
-            let src = x86::BSrc::Quant {
-                b: qb,
-                row0: b_row_offset,
-            };
-            x86::gemm(a, rows, src, dst, accumulate);
-            return;
-        }
-    }
-    quant::gemm_scalar(a, rows, qb, b_row_offset, dst, accumulate);
 }
 
 /// SIMD [`crate::kernels::transpose_self_into`]: `dst (+)= Aᵀ @ B` over a
@@ -151,20 +122,15 @@ pub(crate) fn transpose_other_into(
 
 /// SIMD [`crate::kernels::epilogue_bias_relu`]; bitwise-equal to the scalar
 /// epilogue (per-element `add`/`max`, lane order preserved).
-pub(crate) fn epilogue_bias_relu(
-    dst: &mut [f32],
-    bias: &[f32],
-    relu: bool,
-    mask: Option<&mut [bool]>,
-) {
+pub(crate) fn epilogue_bias_relu(dst: &mut [f32], bias: &[f32], relu: bool) {
     #[cfg(target_arch = "x86_64")]
     {
         if available() {
-            x86::epilogue(dst, bias, relu, mask);
+            x86::epilogue(dst, bias, relu);
             return;
         }
     }
-    kernels::epilogue_bias_relu(dst, bias, relu, mask);
+    kernels::epilogue_bias_relu(dst, bias, relu);
 }
 
 /// Vectorized row gather step `d[c] += w * s[c]` — the inner loop of SpMM
@@ -190,50 +156,20 @@ mod x86 {
     //! confirmed the `avx2` and `fma` CPU features at runtime.
 
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmp_ps, _mm256_extractf128_ps,
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_movemask_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
-        _mm_movehl_ps, _mm_shuffle_ps, _CMP_GT_OQ,
+        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
+        _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
     };
     use std::ops::Range;
 
     use crate::dense::Matrix;
-    use crate::kernels::{KC, MC, NC};
-    use crate::quant::QuantizedMatrix;
+    use crate::kernels::{BSrc, KC, MC, NC};
     use crate::workspace;
 
     /// Micro-kernel row tile: `A` values broadcast across the lanes.
     const MR: usize = 4;
     /// Micro-kernel column tile: two f32x8 vectors per output row.
     const NR: usize = 16;
-
-    /// Where a packed `B` panel comes from: plain f32 rows or a quantized
-    /// matrix dequantized during packing. `row0` is the `B` row window
-    /// offset (the fused-SAGE stacked-weight window).
-    pub(super) enum BSrc<'a> {
-        F32 { b: &'a Matrix, row0: usize },
-        Quant { b: &'a QuantizedMatrix, row0: usize },
-    }
-
-    impl BSrc<'_> {
-        fn cols(&self) -> usize {
-            match self {
-                BSrc::F32 { b, .. } => b.cols(),
-                BSrc::Quant { b, .. } => b.cols(),
-            }
-        }
-
-        /// Writes `out.len()` consecutive values of row `k` starting at
-        /// column `j0` (dequantizing on the fly for quantized sources).
-        fn fill_row_segment(&self, k: usize, j0: usize, out: &mut [f32]) {
-            match self {
-                BSrc::F32 { b, row0 } => {
-                    out.copy_from_slice(&b.row(row0 + k)[j0..j0 + out.len()]);
-                }
-                BSrc::Quant { b, row0 } => b.dequant_segment_into(row0 + k, j0, out),
-            }
-        }
-    }
 
     /// Packs an `mc × kc` block of `A` (rows `row0..row0+mc`, reduction
     /// columns `kk..kk+kc`) into `MR`-row tiles, k-major within each tile
@@ -259,15 +195,20 @@ mod x86 {
 
     /// Packs a `kc × nc` block of `B` (rows `kk..`, columns `jj..`) into
     /// `NR`-column tiles, k-major within each tile
-    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails.
-    fn pack_b(src: &BSrc<'_>, kk: usize, kc: usize, jj: usize, nc: usize, buf: &mut [f32]) {
+    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails. A
+    /// quantized source is dequantized here, on the one pass that touches
+    /// every `B` element anyway.
+    fn pack_b(src: BSrc<'_>, kk: usize, kc: usize, jj: usize, nc: usize, buf: &mut [f32]) {
         for t in 0..nc.div_ceil(NR) {
             let j0 = jj + t * NR;
             let w = NR.min(jj + nc - j0);
             let tile = &mut buf[t * NR * kc..(t + 1) * NR * kc];
             for k in 0..kc {
                 let lanes = &mut tile[k * NR..(k + 1) * NR];
-                src.fill_row_segment(kk + k, j0, &mut lanes[..w]);
+                match src {
+                    BSrc::F32(b) => lanes[..w].copy_from_slice(&b.row(kk + k)[j0..j0 + w]),
+                    BSrc::Quant(b) => b.dequant_segment_into(kk + k, j0, &mut lanes[..w]),
+                }
                 lanes[w..].fill(0.0);
             }
         }
@@ -363,6 +304,7 @@ mod x86 {
         a: &Matrix,
         rows: Range<usize>,
         bsrc: BSrc<'_>,
+        b_row_offset: usize,
         dst: &mut [f32],
         accumulate: bool,
     ) {
@@ -381,7 +323,7 @@ mod x86 {
                 let kc = KC.min(k_dim - kk);
                 for jj in (0..n).step_by(NC) {
                     let nc = NC.min(n - jj);
-                    pack_b(&bsrc, kk, kc, jj, nc, pb);
+                    pack_b(bsrc, b_row_offset + kk, kc, jj, nc, pb);
                     for ii in (0..m).step_by(MC) {
                         let mc = MC.min(m - ii);
                         pack_a(a, rows.start + ii, mc, kk, kc, pa);
@@ -631,96 +573,62 @@ mod x86 {
     }
 
     /// Vectorized bias/ReLU epilogue; bitwise-equal to the scalar one
-    /// (per-element `add`, `max`, `>` — lane order preserved).
-    pub(super) fn epilogue(dst: &mut [f32], bias: &[f32], relu: bool, mask: Option<&mut [bool]>) {
+    /// (per-element `add`, `max` — lane order preserved).
+    pub(super) fn epilogue(dst: &mut [f32], bias: &[f32], relu: bool) {
         // SAFETY: avx2 was confirmed by `available()` before dispatch
         // routed into this module.
-        unsafe { epilogue_avx(dst, bias, relu, mask) }
+        unsafe { epilogue_avx(dst, bias, relu) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn epilogue_avx(dst: &mut [f32], bias: &[f32], relu: bool, mask: Option<&mut [bool]>) {
+    fn epilogue_avx(dst: &mut [f32], bias: &[f32], relu: bool) {
         let n = bias.len();
         if n == 0 {
             return;
         }
         debug_assert!(dst.len().is_multiple_of(n), "dst rows × bias len");
         let zero = _mm256_setzero_ps();
-        match (relu, mask) {
-            (true, Some(mask)) => {
-                debug_assert_eq!(mask.len(), dst.len(), "mask shape");
-                for (drow, mrow) in dst.chunks_exact_mut(n).zip(mask.chunks_exact_mut(n)) {
-                    let mut j = 0;
-                    while j + 8 <= n {
-                        // SAFETY: avx2 confirmed by `available()`;
-                        // `j + 8 <= n` bounds the row/bias loads, the store
-                        // and the 8 mask lanes.
-                        unsafe {
-                            let dp = drow.as_mut_ptr().add(j);
-                            let z = _mm256_add_ps(
-                                _mm256_loadu_ps(dp),
-                                _mm256_loadu_ps(bias.as_ptr().add(j)),
-                            );
-                            let bits =
-                                _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(z, zero)) as u32;
-                            _mm256_storeu_ps(dp, _mm256_max_ps(z, zero));
-                            for (l, m) in mrow[j..j + 8].iter_mut().enumerate() {
-                                *m = bits & (1 << l) != 0;
-                            }
-                        }
-                        j += 8;
+        if relu {
+            for drow in dst.chunks_exact_mut(n) {
+                let mut j = 0;
+                while j + 8 <= n {
+                    // SAFETY: avx2 confirmed by `available()`;
+                    // `j + 8 <= n` bounds the loads and the store.
+                    unsafe {
+                        let dp = drow.as_mut_ptr().add(j);
+                        let z = _mm256_add_ps(
+                            _mm256_loadu_ps(dp),
+                            _mm256_loadu_ps(bias.as_ptr().add(j)),
+                        );
+                        _mm256_storeu_ps(dp, _mm256_max_ps(z, zero));
                     }
-                    for c in j..n {
-                        let z = drow[c] + bias[c];
-                        let active = z > 0.0;
-                        mrow[c] = active;
-                        drow[c] = if active { z } else { 0.0 };
-                    }
+                    j += 8;
+                }
+                for c in j..n {
+                    let z = drow[c] + bias[c];
+                    drow[c] = if z > 0.0 { z } else { 0.0 };
                 }
             }
-            (true, None) => {
-                for drow in dst.chunks_exact_mut(n) {
-                    let mut j = 0;
-                    while j + 8 <= n {
-                        // SAFETY: avx2 confirmed by `available()`;
-                        // `j + 8 <= n` bounds the loads and the store.
-                        unsafe {
-                            let dp = drow.as_mut_ptr().add(j);
-                            let z = _mm256_add_ps(
+        } else {
+            for drow in dst.chunks_exact_mut(n) {
+                let mut j = 0;
+                while j + 8 <= n {
+                    // SAFETY: avx2 confirmed by `available()`;
+                    // `j + 8 <= n` bounds the loads and the store.
+                    unsafe {
+                        let dp = drow.as_mut_ptr().add(j);
+                        _mm256_storeu_ps(
+                            dp,
+                            _mm256_add_ps(
                                 _mm256_loadu_ps(dp),
                                 _mm256_loadu_ps(bias.as_ptr().add(j)),
-                            );
-                            _mm256_storeu_ps(dp, _mm256_max_ps(z, zero));
-                        }
-                        j += 8;
+                            ),
+                        );
                     }
-                    for c in j..n {
-                        let z = drow[c] + bias[c];
-                        drow[c] = if z > 0.0 { z } else { 0.0 };
-                    }
+                    j += 8;
                 }
-            }
-            (false, _) => {
-                for drow in dst.chunks_exact_mut(n) {
-                    let mut j = 0;
-                    while j + 8 <= n {
-                        // SAFETY: avx2 confirmed by `available()`;
-                        // `j + 8 <= n` bounds the loads and the store.
-                        unsafe {
-                            let dp = drow.as_mut_ptr().add(j);
-                            _mm256_storeu_ps(
-                                dp,
-                                _mm256_add_ps(
-                                    _mm256_loadu_ps(dp),
-                                    _mm256_loadu_ps(bias.as_ptr().add(j)),
-                                ),
-                            );
-                        }
-                        j += 8;
-                    }
-                    for c in j..n {
-                        drow[c] += bias[c];
-                    }
+                for c in j..n {
+                    drow[c] += bias[c];
                 }
             }
         }
@@ -759,6 +667,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::quant::{QuantKind, QuantizedMatrix};
+    use crate::reference;
     use crate::workspace;
 
     /// Scaled tolerance of the FMA contract: one fused rounding per `k`
@@ -782,8 +691,8 @@ mod tests {
             let a = Matrix::xavier(m, k, 1);
             let b = Matrix::xavier(k, n, 2);
             let mut got = vec![0.0f32; m * n];
-            gemm_into(&a, 0..m, &b, 0, &mut got, false);
-            let want = a.matmul(&b);
+            gemm_into(&a, 0..m, (&b).into(), 0, &mut got, false);
+            let want = reference::matmul(&a, &b);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "{m}x{k}x{n}: {g} vs {w}");
             }
@@ -799,12 +708,12 @@ mod tests {
         let a = Matrix::xavier(10, 6, 7);
         let w = Matrix::xavier(12, 8, 8);
         let mut fused = vec![0.0f32; 10 * 8];
-        gemm_into(&a, 0..10, &w, 0, &mut fused, false);
-        gemm_into(&a, 0..10, &w, 6, &mut fused, true);
+        gemm_into(&a, 0..10, (&w).into(), 0, &mut fused, false);
+        gemm_into(&a, 0..10, (&w).into(), 6, &mut fused, true);
         let w_top = Matrix::from_vec(6, 8, w.data()[..48].to_vec());
         let w_bot = Matrix::from_vec(6, 8, w.data()[48..].to_vec());
-        let want_top = a.matmul(&w_top);
-        let want_bot = a.matmul(&w_bot);
+        let want_top = reference::matmul(&a, &w_top);
+        let want_bot = reference::matmul(&a, &w_bot);
         for (f, (t, b)) in fused
             .iter()
             .zip(want_top.data().iter().zip(want_bot.data()))
@@ -823,11 +732,11 @@ mod tests {
         let a = Matrix::xavier(71, 33, 3);
         let b = Matrix::xavier(33, 19, 4);
         let mut whole = vec![0.0f32; 71 * 19];
-        gemm_into(&a, 0..71, &b, 0, &mut whole, false);
+        gemm_into(&a, 0..71, (&b).into(), 0, &mut whole, false);
         let mut split = vec![0.0f32; 71 * 19];
         let (top, bot) = split.split_at_mut(40 * 19);
-        gemm_into(&a, 0..40, &b, 0, top, false);
-        gemm_into(&a, 40..71, &b, 0, bot, false);
+        gemm_into(&a, 0..40, (&b).into(), 0, top, false);
+        gemm_into(&a, 40..71, (&b).into(), 0, bot, false);
         assert_eq!(whole, split);
     }
 
@@ -841,14 +750,14 @@ mod tests {
             let b = Matrix::xavier(m, n, 6);
             let mut got = vec![0.0f32; k * n];
             transpose_self_into(&a, &b, 0..m, 0, &mut got, false);
-            let want = a.matmul_transpose_self(&b);
+            let want = reference::matmul_transpose_self(&a, &b);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "AtB {m}x{k}x{n}: {g} vs {w}");
             }
             let bt = Matrix::xavier(n, k, 7);
             let mut got = vec![0.0f32; m * n];
             transpose_other_into(&a, 0..m, &bt, 0..n, &mut got);
-            let want = a.matmul_transpose_other(&bt);
+            let want = reference::matmul_transpose_other(&a, &bt);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "ABt {m}x{k}x{n}: {g} vs {w}");
             }
@@ -870,12 +779,11 @@ mod tests {
             let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.21 - 1.3).collect();
             let mut d1: Vec<f32> = (0..2 * n).map(|i| (i as f32) * 0.17 - 2.0).collect();
             let mut d2 = d1.clone();
-            let mut m1 = vec![false; 2 * n];
-            let mut m2 = vec![false; 2 * n];
-            epilogue_bias_relu(&mut d1, &bias, true, Some(&mut m1));
-            kernels::epilogue_bias_relu(&mut d2, &bias, true, Some(&mut m2));
-            assert_eq!(d1, d2, "epilogue n={n}");
-            assert_eq!(m1, m2, "mask n={n}");
+            for relu in [true, false] {
+                epilogue_bias_relu(&mut d1, &bias, relu);
+                kernels::epilogue_bias_relu(&mut d2, &bias, relu);
+                assert_eq!(d1, d2, "epilogue n={n} relu={relu}");
+            }
         }
     }
 
@@ -883,11 +791,11 @@ mod tests {
     fn quant_gemm_tracks_f32_gemm() {
         let a = Matrix::xavier(33, 24, 9);
         let b = Matrix::xavier(24, 17, 10);
-        let want = a.matmul(&b);
+        let want = reference::matmul(&a, &b);
         for (kind, tol) in [(QuantKind::Bf16, 0.02f32), (QuantKind::Int8, 0.08)] {
             let qb = QuantizedMatrix::quantize(&b, kind);
             let mut got = vec![0.0f32; 33 * 17];
-            gemm_quant_into(&a, 0..33, &qb, 0, &mut got, false);
+            gemm_into(&a, 0..33, (&qb).into(), 0, &mut got, false);
             let norm: f32 = want.data().iter().map(|x| x * x).sum::<f32>().sqrt();
             let err: f32 = got
                 .iter()
@@ -911,10 +819,10 @@ mod tests {
         let a = Matrix::xavier(100, 300, 11);
         let b = Matrix::xavier(300, 40, 12);
         let mut out = vec![0.0f32; 100 * 40];
-        gemm_into(&a, 0..100, &b, 0, &mut out, false);
+        gemm_into(&a, 0..100, (&b).into(), 0, &mut out, false);
         let warm = workspace::pack_buffer_grows();
         for _ in 0..3 {
-            gemm_into(&a, 0..100, &b, 0, &mut out, false);
+            gemm_into(&a, 0..100, (&b).into(), 0, &mut out, false);
         }
         assert_eq!(
             workspace::pack_buffer_grows(),

@@ -1,9 +1,17 @@
 //! CSR sparse matrix with the two fundamental GNN kernels: SpMM and SDDMM
 //! (paper Section II-C).
+//!
+//! There is one SpMM: `gather_into`, a row gather over a [`SparseView`].
+//! An owned [`SparseMatrix`] hands out a view of itself for free, a sampled
+//! batch in the sampler's arena *is* a view, and transposed aggregation is
+//! the same gather over the cached transpose ([`SparseMatrix::csc`]) — so
+//! forward, borrowed and backward aggregation are one loop, reached through
+//! `DispatchPolicy::aggregate*`.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use argo_rt::{racecheck, ThreadPool};
+use argo_rt::ThreadPool;
 
 use crate::dense::Matrix;
 use crate::simd;
@@ -13,24 +21,28 @@ use crate::simd;
 /// sampled message-passing block: rows are destination nodes, columns are
 /// source nodes, values are normalization coefficients.
 ///
-/// A [`CscMirror`] (column-major view of the same entries) is built lazily
-/// on first transposed SpMM and cached; clones share an already-built
-/// mirror via `Arc`, so every layer and the backward pass of a training
-/// step reuse one mirror per adjacency.
+/// Row pointers are `u32`, the layout of the sampler's batch arena this is
+/// copied from ([`SparseView::to_owned`]): a sampled block never has more
+/// than `u32::MAX` entries, and [`SparseMatrix::new`] rejects one that does.
+///
+/// The transpose ([`SparseMatrix::csc`]) is built lazily on first
+/// transposed aggregation and cached; clones share an already-built one via
+/// `Arc`, so every layer and the backward pass of a training step reuse one
+/// transpose per adjacency.
 #[derive(Debug)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
-    indptr: Vec<usize>,
+    indptr: Vec<u32>,
     indices: Vec<u32>,
     values: Option<Vec<f32>>,
-    csc: OnceLock<Arc<CscMirror>>,
+    csc: OnceLock<Arc<SparseMatrix>>,
 }
 
 impl Clone for SparseMatrix {
     fn clone(&self) -> Self {
         let csc = OnceLock::new();
-        // Share an already-built mirror; an unbuilt one stays lazy.
+        // Share an already-built transpose; an unbuilt one stays lazy.
         if let Some(m) = self.csc.get() {
             let _ = csc.set(Arc::clone(m));
         }
@@ -47,7 +59,7 @@ impl Clone for SparseMatrix {
 
 impl PartialEq for SparseMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // The CSC mirror is derived state: equality is structural.
+        // The cached transpose is derived state: equality is structural.
         self.rows == other.rows
             && self.cols == other.cols
             && self.indptr == other.indptr
@@ -56,50 +68,35 @@ impl PartialEq for SparseMatrix {
     }
 }
 
-/// Column-major mirror of a [`SparseMatrix`]: the same entries grouped by
-/// CSR *column*, with the originating row of each entry in `rowidx`.
-///
-/// Built by a counting sort over the CSR entries in row-major order, so
-/// within every column the rows appear in **ascending** order — a CSC
-/// gather therefore accumulates each output element in exactly the order
-/// the naive CSR scatter ([`SparseMatrix::spmm_transpose`]) does, and the
-/// two kernels agree bitwise.
-#[derive(Debug)]
-pub struct CscMirror {
-    colptr: Vec<usize>,
-    rowidx: Vec<u32>,
-    values: Option<Vec<f32>>,
-}
-
-impl CscMirror {
-    /// Column pointer array (`cols + 1` entries).
-    pub fn colptr(&self) -> &[usize] {
-        &self.colptr
-    }
-
-    /// CSR row index of each entry, ascending within each column.
-    pub fn rowidx(&self) -> &[u32] {
-        &self.rowidx
-    }
-}
-
 impl SparseMatrix {
     /// Builds a CSR matrix; validates the structure.
     pub fn new(
         rows: usize,
         cols: usize,
-        indptr: Vec<usize>,
+        indptr: Vec<u32>,
         indices: Vec<u32>,
         values: Option<Vec<f32>>,
     ) -> Self {
         assert_eq!(indptr.len(), rows + 1, "indptr length");
         assert_eq!(indptr[0], 0, "indptr[0]");
-        assert_eq!(indptr[rows], indices.len(), "indptr end");
+        assert_eq!(indptr[rows] as usize, indices.len(), "indptr end");
         assert!(indptr.windows(2).all(|w| w[0] <= w[1]), "indptr monotone");
         assert!(indices.iter().all(|&c| (c as usize) < cols), "col in range");
         if let Some(v) = &values {
             assert_eq!(v.len(), indices.len(), "values length");
         }
+        Self::from_validated(rows, cols, indptr, indices, values)
+    }
+
+    /// Wraps arrays whose structure is already known to be valid — copied
+    /// from a validated matrix or view, or built entry by entry from one.
+    fn from_validated(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<u32>,
+        indices: Vec<u32>,
+        values: Option<Vec<f32>>,
+    ) -> Self {
         Self {
             rows,
             cols,
@@ -126,7 +123,7 @@ impl SparseMatrix {
     }
 
     /// Row pointer array.
-    pub fn indptr(&self) -> &[usize] {
+    pub fn indptr(&self) -> &[u32] {
         &self.indptr
     }
 
@@ -140,134 +137,45 @@ impl SparseMatrix {
         self.values.as_deref()
     }
 
-    /// Value of the `k`-th stored entry.
+    /// Entry positions of row `i` (indexes `indices()` / `values()`).
     #[inline]
-    fn value_at(&self, k: usize) -> f32 {
-        self.values.as_ref().map_or(1.0, |v| v[k])
+    pub fn row_range(&self, i: usize) -> Range<usize> {
+        self.indptr[i] as usize..self.indptr[i + 1] as usize
     }
 
-    /// **SpMM**: `self @ dense`, the feature-aggregation kernel (Eq. 1–2).
-    pub fn spmm(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, dense.cols());
-        self.spmm_into(dense, &mut out);
-        out
-    }
-
-    /// [`SparseMatrix::spmm`] writing into a caller-provided (e.g.
-    /// workspace-recycled) output matrix; prior contents are overwritten.
-    pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
-        self.spmm_into_opt(dense, out, simd::available());
-    }
-
-    /// [`SparseMatrix::spmm_into`] with an explicit SIMD-gather switch —
-    /// the vectorized and scalar gathers are bitwise-equal, so this only
-    /// exists for dispatch routing and for benchmarking both in one
-    /// process.
-    pub(crate) fn spmm_into_opt(&self, dense: &Matrix, out: &mut Matrix, use_simd: bool) {
-        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (self.rows, dense.cols()));
-        out.data_mut().fill(0.0);
-        self.spmm_rows_into(dense, 0..self.rows, out, use_simd);
-    }
-
-    /// SpMM with the row loop parallelized over `pool`.
-    pub fn spmm_pool(&self, dense: &Matrix, pool: &ThreadPool) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, dense.cols());
-        self.spmm_pool_into(dense, pool, &mut out);
-        out
-    }
-
-    /// [`SparseMatrix::spmm_pool`] writing into a caller-provided output
-    /// matrix; prior contents are overwritten.
-    pub fn spmm_pool_into(&self, dense: &Matrix, pool: &ThreadPool, out: &mut Matrix) {
-        self.spmm_pool_into_opt(dense, pool, out, simd::available());
-    }
-
-    /// [`SparseMatrix::spmm_pool_into`] with an explicit SIMD switch (see
-    /// [`SparseMatrix::spmm_into_opt`]).
-    pub(crate) fn spmm_pool_into_opt(
-        &self,
-        dense: &Matrix,
-        pool: &ThreadPool,
-        out: &mut Matrix,
-        use_simd: bool,
-    ) {
-        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (self.rows, dense.cols()));
-        out.data_mut().fill(0.0);
-        let n = dense.cols();
-        let out_ptr = out.data_mut().as_mut_ptr() as usize;
-        let shadow = racecheck::region("tensor.spmm_pool", self.rows);
-        pool.parallel_ranges(self.rows, |range| {
-            racecheck::write(&shadow, range.start, range.len());
-            for i in range {
-                // SAFETY: each output row is written by exactly one worker.
-                let drow =
-                    unsafe { std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(i * n), n) };
-                self.row_accumulate(dense, i, drow, use_simd);
-            }
-        });
-    }
-
-    fn spmm_rows_into(
-        &self,
-        dense: &Matrix,
-        range: std::ops::Range<usize>,
-        out: &mut Matrix,
-        use_simd: bool,
-    ) {
-        for i in range {
-            let n = out.cols();
-            let drow = &mut out.data_mut()[i * n..(i + 1) * n];
-            self.row_accumulate(dense, i, drow, use_simd);
+    /// This matrix as a borrowed [`SparseView`] — free: same layout.
+    pub fn view(&self) -> SparseView<'_> {
+        SparseView {
+            rows: self.rows,
+            cols: self.cols,
+            indptr: &self.indptr,
+            indices: &self.indices,
+            values: self.values.as_deref(),
         }
     }
 
-    #[inline]
-    fn row_accumulate(&self, dense: &Matrix, i: usize, drow: &mut [f32], use_simd: bool) {
-        accumulate_entries(
-            &self.indices,
-            self.values.as_deref(),
-            self.indptr[i]..self.indptr[i + 1],
-            dense,
-            drow,
-            use_simd,
-        );
-    }
-
-    /// **Transposed SpMM**: `selfᵀ @ dense`. Needed by the backward pass of
-    /// feature aggregation (`dX = Aᵀ dY`).
-    pub fn spmm_transpose(&self, dense: &Matrix) -> Matrix {
-        assert_eq!(self.rows, dense.rows(), "spmm_transpose shape mismatch");
-        let mut out = Matrix::zeros(self.cols, dense.cols());
-        for i in 0..self.rows {
-            let src = dense.row(i);
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let j = self.indices[k] as usize;
-                let w = self.value_at(k);
-                let n = out.cols();
-                let drow = &mut out.data_mut()[j * n..(j + 1) * n];
-                for (d, &s) in drow.iter_mut().zip(src) {
-                    *d += w * s;
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns the cached CSC mirror, building it on first use (a counting
-    /// sort, `O(nnz + cols)`). Clones made after this call share the mirror.
-    pub fn csc(&self) -> &CscMirror {
+    /// The cached transpose, built on first use (a counting sort,
+    /// `O(nnz + cols)`): this matrix in CSC form, held as the CSR of `selfᵀ`
+    /// so that transposed aggregation is the ordinary gather over it. Clones
+    /// made after this call share it.
+    ///
+    /// The CSR entries are visited in row-major order, so within every row
+    /// of the transpose (column of `self`) the source rows appear in
+    /// **ascending** order — the gather therefore accumulates each output
+    /// element in exactly the order the naive scatter
+    /// ([`crate::reference::spmm_transpose`]) does, and the two agree
+    /// bitwise.
+    pub fn csc(&self) -> &SparseMatrix {
         self.csc.get_or_init(|| Arc::new(self.build_csc()))
     }
 
-    /// Whether the CSC mirror has been built (for cache-reuse assertions).
+    /// Whether the transpose has been built (for cache-reuse assertions).
     pub fn csc_is_built(&self) -> bool {
         self.csc.get().is_some()
     }
 
-    fn build_csc(&self) -> CscMirror {
-        let mut colptr = vec![0usize; self.cols + 1];
+    fn build_csc(&self) -> SparseMatrix {
+        let mut colptr = vec![0u32; self.cols + 1];
         for &j in &self.indices {
             colptr[j as usize + 1] += 1;
         }
@@ -277,12 +185,10 @@ impl SparseMatrix {
         let mut next = colptr.clone();
         let mut rowidx = vec![0u32; self.nnz()];
         let mut values = self.values.as_ref().map(|_| vec![0.0f32; self.nnz()]);
-        // Visiting CSR entries in row-major order fills each column's slots
-        // with ascending rows — the invariant the exactness claim rests on.
         for i in 0..self.rows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
+            for k in self.row_range(i) {
                 let j = self.indices[k] as usize;
-                let slot = next[j];
+                let slot = next[j] as usize;
                 next[j] += 1;
                 rowidx[slot] = i as u32;
                 if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
@@ -290,116 +196,12 @@ impl SparseMatrix {
                 }
             }
         }
-        CscMirror {
-            colptr,
-            rowidx,
-            values,
-        }
-    }
-
-    /// Transposed SpMM as a CSC **gather**: output row `j` is assembled from
-    /// column `j`'s entries alone. Bitwise-equal to the scatter version
-    /// (see [`CscMirror`]) but row-parallelizable — each output row touches
-    /// disjoint state.
-    pub fn spmm_transpose_csc(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, dense.cols());
-        self.spmm_transpose_csc_into(dense, &mut out);
-        out
-    }
-
-    /// [`SparseMatrix::spmm_transpose_csc`] writing into a caller-provided
-    /// output matrix; prior contents are overwritten.
-    pub fn spmm_transpose_csc_into(&self, dense: &Matrix, out: &mut Matrix) {
-        self.spmm_transpose_csc_into_opt(dense, out, simd::available());
-    }
-
-    /// [`SparseMatrix::spmm_transpose_csc_into`] with an explicit SIMD
-    /// switch (see [`SparseMatrix::spmm_into_opt`]).
-    pub(crate) fn spmm_transpose_csc_into_opt(
-        &self,
-        dense: &Matrix,
-        out: &mut Matrix,
-        use_simd: bool,
-    ) {
-        assert_eq!(self.rows, dense.rows(), "spmm_transpose shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (self.cols, dense.cols()));
-        out.data_mut().fill(0.0);
-        let csc = self.csc();
-        let n = dense.cols();
-        for j in 0..self.cols {
-            Self::csc_gather_row(
-                csc,
-                dense,
-                j,
-                &mut out.data_mut()[j * n..(j + 1) * n],
-                use_simd,
-            );
-        }
-    }
-
-    /// [`SparseMatrix::spmm_transpose_csc`] with the output rows
-    /// parallelized over `pool`.
-    pub fn spmm_transpose_csc_pool(&self, dense: &Matrix, pool: &ThreadPool) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, dense.cols());
-        self.spmm_transpose_csc_pool_into(dense, pool, &mut out);
-        out
-    }
-
-    /// [`SparseMatrix::spmm_transpose_csc_pool`] writing into a
-    /// caller-provided output matrix; prior contents are overwritten.
-    pub fn spmm_transpose_csc_pool_into(
-        &self,
-        dense: &Matrix,
-        pool: &ThreadPool,
-        out: &mut Matrix,
-    ) {
-        self.spmm_transpose_csc_pool_into_opt(dense, pool, out, simd::available());
-    }
-
-    /// [`SparseMatrix::spmm_transpose_csc_pool_into`] with an explicit SIMD
-    /// switch (see [`SparseMatrix::spmm_into_opt`]).
-    pub(crate) fn spmm_transpose_csc_pool_into_opt(
-        &self,
-        dense: &Matrix,
-        pool: &ThreadPool,
-        out: &mut Matrix,
-        use_simd: bool,
-    ) {
-        assert_eq!(self.rows, dense.rows(), "spmm_transpose shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (self.cols, dense.cols()));
-        out.data_mut().fill(0.0);
-        let csc = self.csc();
-        let n = dense.cols();
-        let out_ptr = out.data_mut().as_mut_ptr() as usize;
-        let shadow = racecheck::region("tensor.spmm_transpose_csc_pool", self.cols);
-        pool.parallel_ranges(self.cols, |range| {
-            racecheck::write(&shadow, range.start, range.len());
-            for j in range {
-                // SAFETY: each output row is written by exactly one worker,
-                // and the pool call blocks until all workers finish.
-                let drow =
-                    unsafe { std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(j * n), n) };
-                Self::csc_gather_row(csc, dense, j, drow, use_simd);
-            }
-        });
-    }
-
-    #[inline]
-    fn csc_gather_row(csc: &CscMirror, dense: &Matrix, j: usize, drow: &mut [f32], use_simd: bool) {
-        accumulate_entries(
-            &csc.rowidx,
-            csc.values.as_deref(),
-            csc.colptr[j]..csc.colptr[j + 1],
-            dense,
-            drow,
-            use_simd,
-        );
+        Self::from_validated(self.cols, self.rows, colptr, rowidx, values)
     }
 
     /// **SDDMM**: for every stored entry `(i, j)` computes `a_i · b_j`
     /// (rows of `a` and `b`), returning a sparse matrix with the same
     /// structure and the dot products as values.
-    #[allow(clippy::needless_range_loop)] // CSR walk indexes `vals` by entry
     pub fn sddmm(&self, a: &Matrix, b: &Matrix) -> SparseMatrix {
         assert_eq!(a.rows(), self.rows, "sddmm a rows");
         assert_eq!(b.rows(), self.cols, "sddmm b rows");
@@ -407,9 +209,8 @@ impl SparseMatrix {
         let mut vals = vec![0.0f32; self.nnz()];
         for i in 0..self.rows {
             let ar = a.row(i);
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let j = self.indices[k] as usize;
-                let br = b.row(j);
+            for k in self.row_range(i) {
+                let br = b.row(self.indices[k] as usize);
                 let mut acc = 0.0f32;
                 for (x, y) in ar.iter().zip(br) {
                     acc += x * y;
@@ -417,26 +218,19 @@ impl SparseMatrix {
                 vals[k] = acc;
             }
         }
-        SparseMatrix::new(
-            self.rows,
-            self.cols,
-            self.indptr.clone(),
-            self.indices.clone(),
-            Some(vals),
-        )
+        self.with_values(vals)
     }
 
     /// Broadcast-add SDDMM variant (`u_add_v` in DGL terms): value of entry
     /// `(i, j)` becomes `row_vals[i] + col_vals[j]` — the edge-score
     /// computation of attention models (GAT).
-    #[allow(clippy::needless_range_loop)] // CSR walk indexes values by entry
     pub fn sddmm_add(&self, row_vals: &[f32], col_vals: &[f32]) -> SparseMatrix {
         assert_eq!(row_vals.len(), self.rows, "sddmm_add row length");
         assert_eq!(col_vals.len(), self.cols, "sddmm_add col length");
         let mut vals = vec![0.0f32; self.nnz()];
-        for i in 0..self.rows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                vals[k] = row_vals[i] + col_vals[self.indices[k] as usize];
+        for (i, &rv) in row_vals.iter().enumerate() {
+            for k in self.row_range(i) {
+                vals[k] = rv + col_vals[self.indices[k] as usize];
             }
         }
         self.with_values(vals)
@@ -449,20 +243,17 @@ impl SparseMatrix {
         let v = self.values.as_ref().expect("row_softmax needs values");
         let mut out = v.clone();
         for i in 0..self.rows {
-            let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
-            if lo == hi {
+            let row = &mut out[self.row_range(i)];
+            if row.is_empty() {
                 continue;
             }
-            let max = out[lo..hi]
-                .iter()
-                .copied()
-                .fold(f32::NEG_INFINITY, f32::max);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut denom = 0.0f32;
-            for x in &mut out[lo..hi] {
+            for x in row.iter_mut() {
                 *x = (*x - max).exp();
                 denom += *x;
             }
-            for x in &mut out[lo..hi] {
+            for x in row.iter_mut() {
                 *x /= denom;
             }
         }
@@ -480,13 +271,13 @@ impl SparseMatrix {
         assert_eq!(d_alpha.len(), alpha.len(), "gradient length");
         let mut out = vec![0.0f32; alpha.len()];
         for i in 0..self.rows {
-            let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
-            let dot: f32 = alpha[lo..hi]
+            let row = self.row_range(i);
+            let dot: f32 = alpha[row.clone()]
                 .iter()
-                .zip(&d_alpha[lo..hi])
+                .zip(&d_alpha[row.clone()])
                 .map(|(a, d)| a * d)
                 .sum();
-            for k in lo..hi {
+            for k in row {
                 out[k] = alpha[k] * (d_alpha[k] - dot);
             }
         }
@@ -497,11 +288,9 @@ impl SparseMatrix {
     /// in attention backward). Panics if no values are set.
     pub fn row_value_sums(&self) -> Vec<f32> {
         let v = self.values.as_ref().expect("row_value_sums needs values");
-        let mut out = vec![0.0f32; self.rows];
-        for i in 0..self.rows {
-            out[i] = v[self.indptr[i]..self.indptr[i + 1]].iter().sum();
-        }
-        out
+        (0..self.rows)
+            .map(|i| v[self.row_range(i)].iter().sum())
+            .collect()
     }
 
     /// Sums the stored values per *column* (scatter to sources).
@@ -514,10 +303,11 @@ impl SparseMatrix {
         out
     }
 
-    /// Replaces the values; structure unchanged.
+    /// Replaces the values; structure unchanged — and not re-validated: it
+    /// is a copy of this matrix's, which was checked when it was built.
     pub fn with_values(&self, values: Vec<f32>) -> SparseMatrix {
-        assert_eq!(values.len(), self.nnz());
-        SparseMatrix::new(
+        assert_eq!(values.len(), self.nnz(), "values length");
+        Self::from_validated(
             self.rows,
             self.cols,
             self.indptr.clone(),
@@ -530,33 +320,56 @@ impl SparseMatrix {
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for i in 0..self.rows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
+            for k in self.row_range(i) {
                 let j = self.indices[k] as usize;
-                let cur = out.get(i, j);
-                out.set(i, j, cur + self.value_at(k));
+                let w = self.values.as_ref().map_or(1.0, |v| v[k]);
+                out.set(i, j, out.get(i, j) + w);
             }
         }
         out
     }
 }
 
-/// The single entry-accumulation kernel shared by every CSR/CSC gather in
-/// this crate: `drow += w_k * dense[row_of(k)]` for each stored entry `k`
-/// in `range`. Both the owned [`SparseMatrix`] paths and the borrowed
-/// [`SparseView`] paths funnel through here, so the SIMD gather tier (and
-/// its bitwise-equal scalar fallback) applies identically to both.
+/// **SpMM** `out = adj @ dense` — the one CSR gather behind forward
+/// aggregation (owned or borrowed adjacency) and transposed aggregation
+/// (the same call over [`SparseMatrix::csc`]). Output rows are partitioned
+/// over `pool` (already filtered by the dispatch policy; `None` runs
+/// inline); each row accumulates its entries in stored order, so the result
+/// is bitwise-independent of the partition. `use_simd` picks the vectorized
+/// row step, which is bitwise-equal to the scalar one.
+pub(crate) fn gather_into(
+    adj: SparseView<'_>,
+    dense: &Matrix,
+    pool: Option<&ThreadPool>,
+    region: &'static str,
+    use_simd: bool,
+    out: &mut Matrix,
+) {
+    assert_eq!(adj.cols, dense.rows(), "spmm shape mismatch");
+    assert_eq!((out.rows(), out.cols()), (adj.rows, dense.cols()));
+    let n = dense.cols();
+    ThreadPool::parallel_chunks_mut(pool, out.data_mut(), n, region, |rows, window| {
+        window.fill(0.0);
+        for (k, i) in rows.enumerate() {
+            let drow = &mut window[k * n..(k + 1) * n];
+            accumulate_entries(&adj, adj.row_range(i), dense, drow, use_simd);
+        }
+    });
+}
+
+/// The entry-accumulation loop: `drow += w_k * dense[col_of(k)]` for each
+/// stored entry `k` in `range`.
 #[inline]
 fn accumulate_entries(
-    indices: &[u32],
-    values: Option<&[f32]>,
-    range: std::ops::Range<usize>,
+    adj: &SparseView<'_>,
+    range: Range<usize>,
     dense: &Matrix,
     drow: &mut [f32],
     use_simd: bool,
 ) {
     for k in range {
-        let j = indices[k] as usize;
-        let w = values.map_or(1.0, |v| v[k]);
+        let j = adj.indices[k] as usize;
+        let w = adj.values.map_or(1.0, |v| v[k]);
         let src = dense.row(j);
         if use_simd {
             simd::axpy(drow, w, src);
@@ -568,17 +381,16 @@ fn accumulate_entries(
     }
 }
 
-/// A **borrowed** CSR adjacency: the same shape as [`SparseMatrix`] but all
-/// three arrays are slices into caller-owned storage (in practice the
-/// sampler's epoch-stamped batch arena), with a compact `u32` row-pointer
-/// array — a sampled block never has more than `u32::MAX` entries.
+/// A **borrowed** CSR adjacency: the layout of [`SparseMatrix`] with all
+/// three arrays as slices into caller-owned storage — the sampler's
+/// epoch-stamped batch arena, an owned matrix ([`SparseMatrix::view`]) or
+/// its cached transpose.
 ///
-/// This is the zero-copy handoff type of the fused sampling→assembly path:
-/// `nn`/`serve` aggregate straight out of the arena through
-/// [`SparseView::spmm_into`] (routed by `DispatchPolicy::aggregate_view_into`),
-/// which shares its inner gather kernel — including the SIMD tier — with the
-/// owned paths. Crossing an ownership boundary (the loader's reorder heap,
-/// training's CSC-backed backward pass) materializes via
+/// This is the operand type of the gather, and the zero-copy handoff type
+/// of the fused sampling→assembly path: `nn`/`serve` aggregate straight out
+/// of the arena through `DispatchPolicy::aggregate_view_into`. Crossing an
+/// ownership boundary (the loader's reorder heap, training's backward pass,
+/// which needs somewhere to cache the transpose) materializes via
 /// [`SparseView::to_owned`].
 #[derive(Clone, Copy, Debug)]
 pub struct SparseView<'a> {
@@ -634,7 +446,7 @@ impl<'a> SparseView<'a> {
         self.indices.len()
     }
 
-    /// Row pointer array (compact `u32`).
+    /// Row pointer array.
     pub fn indptr(&self) -> &'a [u32] {
         self.indptr
     }
@@ -649,86 +461,31 @@ impl<'a> SparseView<'a> {
         self.values
     }
 
-    /// **SpMM** `self @ dense` into a caller-provided matrix — the borrowed
-    /// twin of [`SparseMatrix::spmm_into`].
-    pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
-        self.spmm_into_opt(dense, out, simd::available());
-    }
-
-    pub(crate) fn spmm_into_opt(&self, dense: &Matrix, out: &mut Matrix, use_simd: bool) {
-        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (self.rows, dense.cols()));
-        out.data_mut().fill(0.0);
-        let n = out.cols();
-        for i in 0..self.rows {
-            let drow = &mut out.data_mut()[i * n..(i + 1) * n];
-            self.row_accumulate(dense, i, drow, use_simd);
-        }
-    }
-
-    /// [`SparseView::spmm_into`] with the row loop parallelized over `pool`.
-    pub fn spmm_pool_into(&self, dense: &Matrix, pool: &ThreadPool, out: &mut Matrix) {
-        self.spmm_pool_into_opt(dense, pool, out, simd::available());
-    }
-
-    pub(crate) fn spmm_pool_into_opt(
-        &self,
-        dense: &Matrix,
-        pool: &ThreadPool,
-        out: &mut Matrix,
-        use_simd: bool,
-    ) {
-        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
-        assert_eq!((out.rows(), out.cols()), (self.rows, dense.cols()));
-        out.data_mut().fill(0.0);
-        let n = dense.cols();
-        let out_ptr = out.data_mut().as_mut_ptr() as usize;
-        let shadow = racecheck::region("tensor.spmm_view_pool", self.rows);
-        pool.parallel_ranges(self.rows, |range| {
-            racecheck::write(&shadow, range.start, range.len());
-            for i in range {
-                // SAFETY: each output row is written by exactly one worker,
-                // and the pool call blocks until all workers finish — the
-                // borrowed arena slices outlive the call for the same reason.
-                let drow =
-                    unsafe { std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(i * n), n) };
-                self.row_accumulate(dense, i, drow, use_simd);
-            }
-        });
-    }
-
+    /// Entry positions of row `i` (indexes `indices()` / `values()`).
     #[inline]
-    fn row_accumulate(&self, dense: &Matrix, i: usize, drow: &mut [f32], use_simd: bool) {
-        accumulate_entries(
-            self.indices,
-            self.values,
-            self.indptr[i] as usize..self.indptr[i + 1] as usize,
-            dense,
-            drow,
-            use_simd,
-        );
+    pub fn row_range(&self, i: usize) -> Range<usize> {
+        self.indptr[i] as usize..self.indptr[i + 1] as usize
     }
 
     /// Materializes an owned [`SparseMatrix`] — the fallback at ownership
-    /// boundaries (loader channel handoff, CSC-backed backward pass). The
-    /// structure was validated at view construction, so this is three
-    /// straight copies (indptr widened to `usize`), not a revalidating
-    /// [`SparseMatrix::new`].
+    /// boundaries (loader channel handoff, the backward pass). Same layout
+    /// and a structure validated at view construction, so this is three
+    /// straight copies, not a revalidating [`SparseMatrix::new`].
     pub fn to_owned(&self) -> SparseMatrix {
-        SparseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr: self.indptr.iter().map(|&p| p as usize).collect(),
-            indices: self.indices.to_vec(),
-            values: self.values.map(|v| v.to_vec()),
-            csc: OnceLock::new(),
-        }
+        SparseMatrix::from_validated(
+            self.rows,
+            self.cols,
+            self.indptr.to_vec(),
+            self.indices.to_vec(),
+            self.values.map(<[f32]>::to_vec),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     /// [[1, 0, 2], [0, 3, 0]]
     fn sample() -> SparseMatrix {
@@ -741,73 +498,17 @@ mod tests {
         )
     }
 
-    #[test]
-    fn spmm_matches_dense() {
-        let s = sample();
-        let d = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let got = s.spmm(&d);
-        let want = s.to_dense().matmul(&d);
-        assert_eq!(got.data(), want.data());
+    /// The gather as the dispatch policy calls it, with the pool decision
+    /// already made (`pool` is used as given, whatever the shape).
+    fn spmm(adj: SparseView<'_>, dense: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
+        let mut out = Matrix::zeros(adj.rows(), dense.cols());
+        gather_into(adj, dense, pool, "test.spmm", simd::available(), &mut out);
+        out
     }
 
-    #[test]
-    fn spmm_implicit_ones() {
-        let s = SparseMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], None);
-        let d = Matrix::from_vec(2, 1, vec![10., 20.]);
-        let got = s.spmm(&d);
-        assert_eq!(got.data(), &[20., 10.]);
-    }
-
-    #[test]
-    fn spmm_pool_matches_serial() {
-        let pool = ThreadPool::new("t", 4);
-        // Random-ish structure.
-        let rows = 50;
-        let cols = 40;
-        let mut indptr = vec![0usize];
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..rows {
-            for j in 0..cols {
-                if (i * 7 + j * 13) % 5 == 0 {
-                    indices.push(j as u32);
-                    vals.push(((i + j) % 3) as f32 + 0.5);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        let s = SparseMatrix::new(rows, cols, indptr, indices, Some(vals));
-        let d = Matrix::xavier(cols, 8, 3);
-        let a = s.spmm(&d);
-        let b = s.spmm_pool(&d, &pool);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn spmm_transpose_matches_dense_transpose() {
-        let s = sample();
-        let d = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let got = s.spmm_transpose(&d);
-        // dense: s.to_dense()ᵀ @ d
-        let sd = s.to_dense();
-        let mut st = Matrix::zeros(3, 2);
-        for i in 0..2 {
-            for j in 0..3 {
-                st.set(j, i, sd.get(i, j));
-            }
-        }
-        let want = st.matmul(&d);
-        assert_eq!(got.data(), want.data());
-    }
-
-    #[test]
-    fn csc_gather_matches_scatter_bitwise() {
-        // Ragged structure with values: gather vs scatter must agree exactly.
-        let rows = 37;
-        let cols = 23;
-        let mut indptr = vec![0usize];
+    /// Ragged `rows x cols` fixture with values.
+    fn ragged(rows: usize, cols: usize) -> SparseMatrix {
+        let mut indptr = vec![0u32];
         let mut indices = Vec::new();
         let mut vals = Vec::new();
         for i in 0..rows {
@@ -817,11 +518,64 @@ mod tests {
                     vals.push(((i * j) % 13) as f32 * 0.37 - 1.0);
                 }
             }
-            indptr.push(indices.len());
+            indptr.push(indices.len() as u32);
         }
-        let s = SparseMatrix::new(rows, cols, indptr, indices, Some(vals));
-        let d = Matrix::xavier(rows, 9, 11);
-        assert_eq!(s.spmm_transpose(&d).data(), s.spmm_transpose_csc(&d).data());
+        SparseMatrix::new(rows, cols, indptr, indices, Some(vals))
+    }
+
+    #[test]
+    fn spmm_matches_dense() {
+        let s = sample();
+        let d = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
+        let got = spmm(s.view(), &d, None);
+        let want = reference::matmul(&s.to_dense(), &d);
+        assert_eq!(got.data(), want.data());
+    }
+
+    #[test]
+    fn spmm_implicit_ones() {
+        let s = SparseMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], None);
+        let d = Matrix::from_vec(2, 1, vec![10., 20.]);
+        let got = spmm(s.view(), &d, None);
+        assert_eq!(got.data(), &[20., 10.]);
+    }
+
+    #[test]
+    fn spmm_pool_matches_serial() {
+        let pool = ThreadPool::new("t", 4);
+        let s = ragged(50, 40);
+        let d = Matrix::xavier(40, 8, 3);
+        let a = spmm(s.view(), &d, None);
+        let b = spmm(s.view(), &d, Some(&pool));
+        assert_eq!(a.data(), b.data());
+    }
+
+    #[test]
+    fn spmm_transpose_matches_dense_transpose() {
+        let s = sample();
+        let d = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let got = reference::spmm_transpose(&s, &d);
+        // dense: s.to_dense()ᵀ @ d
+        let sd = s.to_dense();
+        let mut st = Matrix::zeros(3, 2);
+        for i in 0..2 {
+            for j in 0..3 {
+                st.set(j, i, sd.get(i, j));
+            }
+        }
+        let want = reference::matmul(&st, &d);
+        assert_eq!(got.data(), want.data());
+    }
+
+    #[test]
+    fn csc_gather_matches_scatter_bitwise() {
+        // Ragged structure with values: gather vs scatter must agree exactly.
+        let s = ragged(37, 23);
+        let d = Matrix::xavier(37, 9, 11);
+        assert_eq!(
+            reference::spmm_transpose(&s, &d).data(),
+            spmm(s.csc().view(), &d, None).data()
+        );
     }
 
     #[test]
@@ -829,18 +583,23 @@ mod tests {
         let pool = ThreadPool::new("t", 4);
         let s = SparseMatrix::new(3, 4, vec![0, 2, 3, 5], vec![0, 3, 1, 0, 2], None);
         let d = Matrix::xavier(3, 6, 12);
-        let serial = s.spmm_transpose_csc(&d);
-        let par = s.spmm_transpose_csc_pool(&d, &pool);
+        let serial = spmm(s.csc().view(), &d, None);
+        let par = spmm(s.csc().view(), &d, Some(&pool));
         assert_eq!(serial.data(), par.data());
     }
 
     #[test]
     fn csc_rows_ascend_within_columns() {
-        let s = sample();
-        let csc = s.csc();
-        for j in 0..s.cols() {
-            let col = &csc.rowidx()[csc.colptr()[j]..csc.colptr()[j + 1]];
-            assert!(col.windows(2).all(|w| w[0] < w[1]), "col {j}: {col:?}");
+        for s in [sample(), ragged(37, 23)] {
+            let csc = s.csc();
+            assert_eq!(
+                (csc.rows(), csc.cols(), csc.nnz()),
+                (s.cols(), s.rows(), s.nnz())
+            );
+            for j in 0..s.cols() {
+                let col = &csc.indices()[csc.row_range(j)];
+                assert!(col.windows(2).all(|w| w[0] < w[1]), "col {j}: {col:?}");
+            }
         }
     }
 
@@ -956,13 +715,7 @@ mod tests {
 
     #[test]
     fn row_and_col_value_sums() {
-        let s = SparseMatrix::new(
-            2,
-            3,
-            vec![0, 2, 3],
-            vec![0, 2, 1],
-            Some(vec![1.0, 2.0, 3.0]),
-        );
+        let s = sample();
         assert_eq!(s.row_value_sums(), vec![3.0, 3.0]);
         assert_eq!(s.col_value_sums(), vec![1.0, 3.0, 2.0]);
     }
@@ -972,14 +725,16 @@ mod tests {
         let s = sample();
         let t = s.with_values(vec![9.0, 9.0, 9.0]);
         assert_eq!(t.indptr(), s.indptr());
+        assert_eq!(t.indices(), s.indices());
         assert_eq!(t.values().unwrap(), &[9.0, 9.0, 9.0]);
+        assert!(!t.csc_is_built(), "new values, new transpose");
     }
 
     #[test]
     fn empty_rows_ok() {
         let s = SparseMatrix::new(3, 2, vec![0, 0, 1, 1], vec![1], None);
         let d = Matrix::from_vec(2, 1, vec![5., 7.]);
-        let out = s.spmm(&d);
+        let out = spmm(s.view(), &d, None);
         assert_eq!(out.data(), &[0., 7., 0.]);
     }
 
@@ -992,12 +747,9 @@ mod tests {
     fn view_spmm_bitwise_matches_owned() {
         let (indptr, indices, values) = sample_view_arrays();
         let v = SparseView::new(2, 3, &indptr, &indices, Some(&values));
-        let owned = sample();
         let d = Matrix::xavier(3, 7, 5);
-        let mut a = Matrix::zeros(2, 7);
-        let mut b = Matrix::zeros(2, 7);
-        owned.spmm_into(&d, &mut a);
-        v.spmm_into(&d, &mut b);
+        let a = spmm(sample().view(), &d, None);
+        let b = spmm(v, &d, None);
         assert_eq!(a.data(), b.data(), "view and owned SpMM must agree bitwise");
     }
 
@@ -1008,8 +760,8 @@ mod tests {
         let d = Matrix::xavier(3, 9, 6);
         let mut a = Matrix::zeros(2, 9);
         let mut b = Matrix::zeros(2, 9);
-        v.spmm_into_opt(&d, &mut a, false);
-        v.spmm_into_opt(&d, &mut b, simd::available());
+        gather_into(v, &d, None, "test.scalar", false, &mut a);
+        gather_into(v, &d, None, "test.simd", simd::available(), &mut b);
         assert_eq!(a.data(), b.data());
     }
 
@@ -1029,10 +781,8 @@ mod tests {
         }
         let v = SparseView::new(40, 30, &indptr, &indices, None);
         let d = Matrix::xavier(30, 8, 3);
-        let mut a = Matrix::zeros(40, 8);
-        let mut b = Matrix::zeros(40, 8);
-        v.spmm_into(&d, &mut a);
-        v.spmm_pool_into(&d, &pool, &mut b);
+        let a = spmm(v, &d, None);
+        let b = spmm(v, &d, Some(&pool));
         assert_eq!(a.data(), b.data());
     }
 
@@ -1043,6 +793,12 @@ mod tests {
         let owned = v.to_owned();
         assert_eq!(owned, sample());
         assert!(!owned.csc_is_built(), "materialized view starts lazy");
+        // And back: an owned matrix's view is its own arrays.
+        let back = owned.view();
+        assert_eq!(
+            (back.indptr(), back.indices(), back.values()),
+            (v.indptr(), v.indices(), v.values())
+        );
     }
 
     #[test]

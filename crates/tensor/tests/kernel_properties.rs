@@ -1,10 +1,10 @@
 //! Property tests pinning the blocked and SIMD kernels to the naive
 //! references.
 //!
-//! The blocked GEMM family and the CSC-gather transposed SpMM are written
-//! so their per-element accumulation order matches the naive kernels
-//! exactly (ascending `k` for GEMM, ascending row within column for the
-//! CSC mirror) — so the strongest possible property holds: **bitwise
+//! The blocked GEMM family and the transposed aggregation (a gather over
+//! the cached transpose) are written so their per-element accumulation
+//! order matches the naive oracles in `argo_tensor::reference` exactly
+//! (ascending `k` for GEMM, ascending row within column for the transpose) — so the strongest possible property holds: **bitwise
 //! equality**, not just tolerance, across ragged shapes that straddle
 //! every blocking boundary (1×1, primes, tall-skinny, rows below the
 //! 64-row block). Pool-parallel weight gradients reduce per-worker
@@ -20,7 +20,7 @@
 //!   dimension with separate mul+add in scalar lane order — **bitwise**.
 
 use argo_rt::ThreadPool;
-use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix};
+use argo_tensor::{reference, DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 use proptest::prelude::*;
 
 /// Scaled tolerance of the FMA contract.
@@ -37,7 +37,7 @@ fn sparse(
     with_values: bool,
     salt: usize,
 ) -> SparseMatrix {
-    let mut indptr = vec![0usize];
+    let mut indptr = vec![0u32];
     let mut indices = Vec::new();
     let mut vals = Vec::new();
     for i in 0..rows {
@@ -47,7 +47,7 @@ fn sparse(
                 vals.push(((i * 5 + j * 3 + salt) % 9) as f32 * 0.35 - 1.2);
             }
         }
-        indptr.push(indices.len());
+        indptr.push(indices.len() as u32);
     }
     SparseMatrix::new(rows, cols, indptr, indices, with_values.then_some(vals))
 }
@@ -58,26 +58,27 @@ const EDGE_DIMS: &[usize] = &[1, 2, 3, 5, 7, 31, 63, 64, 65, 127, 130];
 
 #[test]
 fn blocked_gemm_bitwise_equals_naive_at_edge_shapes() {
+    let blocked = DispatchPolicy::default().force_scalar();
     for (s, &m) in EDGE_DIMS.iter().enumerate() {
         let k = EDGE_DIMS[(s + 3) % EDGE_DIMS.len()];
         let n = EDGE_DIMS[(s + 7) % EDGE_DIMS.len()];
         let a = Matrix::xavier(m, k, s as u64);
         let b = Matrix::xavier(k, n, s as u64 + 100);
         assert_eq!(
-            a.matmul_blocked(&b).data(),
-            a.matmul(&b).data(),
+            blocked.gemm(&a, &b, None).data(),
+            reference::matmul(&a, &b).data(),
             "gemm {m}x{k}x{n}"
         );
         let b2 = Matrix::xavier(m, n, s as u64 + 150);
         assert_eq!(
-            a.matmul_transpose_self_blocked(&b2).data(),
-            a.matmul_transpose_self(&b2).data(),
+            blocked.grad_weights(&a, &b2, None).data(),
+            reference::matmul_transpose_self(&a, &b2).data(),
             "AtB {m}x{k}x{n}"
         );
         let bt = Matrix::xavier(n, k, s as u64 + 200);
         assert_eq!(
-            a.matmul_transpose_other_blocked(&bt).data(),
-            a.matmul_transpose_other(&bt).data(),
+            blocked.grad_input(&a, &bt, 0..n, None).data(),
+            reference::matmul_transpose_other(&a, &bt).data(),
             "ABt {m}x{k}x{n}"
         );
     }
@@ -91,8 +92,10 @@ fn csc_spmm_bitwise_equals_scatter_at_edge_shapes() {
             let adj = sparse(rows, cols, 3 + s % 5, with_values, s);
             let grad = Matrix::xavier(rows, 9, s as u64 + 300);
             assert_eq!(
-                adj.spmm_transpose_csc(&grad).data(),
-                adj.spmm_transpose(&grad).data(),
+                DispatchPolicy::default()
+                    .aggregate_transpose(&adj, &grad, None)
+                    .data(),
+                reference::spmm_transpose(&adj, &grad).data(),
                 "rows={rows} cols={cols} values={with_values}"
             );
         }
@@ -113,7 +116,11 @@ proptest! {
     ) {
         let a = Matrix::xavier(m, k, seed);
         let b = Matrix::xavier(k, n, seed ^ 0x5EED);
-        prop_assert_eq!(a.matmul_blocked(&b).data(), a.matmul(&b).data());
+        let blocked = DispatchPolicy::default().force_scalar();
+        prop_assert_eq!(
+            blocked.gemm(&a, &b, None).data(),
+            reference::matmul(&a, &b).data()
+        );
     }
 
     /// Both transpose flavors == naive, bitwise, over random shapes.
@@ -124,16 +131,17 @@ proptest! {
         n in 1usize..24,
         seed in 0u64..1000,
     ) {
+        let blocked = DispatchPolicy::default().force_scalar();
         let a = Matrix::xavier(m, k, seed);
         let b = Matrix::xavier(m, n, seed ^ 0xA11);
         prop_assert_eq!(
-            a.matmul_transpose_self_blocked(&b).data(),
-            a.matmul_transpose_self(&b).data()
+            blocked.grad_weights(&a, &b, None).data(),
+            reference::matmul_transpose_self(&a, &b).data()
         );
         let c = Matrix::xavier(n, k, seed ^ 0xB22);
         prop_assert_eq!(
-            a.matmul_transpose_other_blocked(&c).data(),
-            a.matmul_transpose_other(&c).data()
+            blocked.grad_input(&a, &c, 0..n, None).data(),
+            reference::matmul_transpose_other(&a, &c).data()
         );
     }
 
@@ -151,32 +159,40 @@ proptest! {
         let adj = sparse(rows, cols, density_mod, with_values, salt);
         let grad = Matrix::xavier(rows, dim, salt as u64);
         prop_assert_eq!(
-            adj.spmm_transpose_csc(&grad).data(),
-            adj.spmm_transpose(&grad).data()
+            DispatchPolicy::default()
+                .aggregate_transpose(&adj, &grad, None)
+                .data(),
+            reference::spmm_transpose(&adj, &grad).data()
         );
     }
 
-    /// Pool-parallel dispatch on the scalar tier: row-partitioned kernels
+    /// Pool-parallel dispatch on the scalar tier (row counts from the
+    /// 64-row constant up, so the pool really runs): row-partitioned kernels
     /// stay bitwise equal (disjoint writes, unchanged per-row order); the
     /// reduction-based weight gradient is tolerance-equal (≤ 1e-5).
     #[test]
     fn pooled_dispatch_matches_naive(
-        m in 1usize..120,
+        m in 64usize..190,
         k in 1usize..16,
         n in 1usize..12,
         seed in 0u64..1000,
     ) {
         let pool = ThreadPool::new("prop", 3);
-        let policy = DispatchPolicy::new(1).force_scalar();
+        let policy = DispatchPolicy::default().force_scalar();
+        prop_assert!(policy.goes_parallel(m, Some(&pool)));
         let a = Matrix::xavier(m, k, seed);
         let b = Matrix::xavier(k, n, seed ^ 0x33);
         prop_assert_eq!(
             policy.gemm(&a, &b, Some(&pool)).data(),
-            a.matmul(&b).data()
+            reference::matmul(&a, &b).data()
         );
         let g = Matrix::xavier(m, n, seed ^ 0x44);
+        prop_assert_eq!(
+            policy.grad_input(&g, &b, 0..k, Some(&pool)).data(),
+            reference::matmul_transpose_other(&g, &b).data()
+        );
         let dw = policy.grad_weights(&a, &g, Some(&pool));
-        let want = a.matmul_transpose_self(&g);
+        let want = reference::matmul_transpose_self(&a, &g);
         for (x, y) in dw.data().iter().zip(want.data()) {
             prop_assert!((x - y).abs() <= 1e-5, "dw {x} vs {y}");
         }

@@ -9,7 +9,8 @@ use argo::graph::partition::{bfs_partition, random_partition, split_even};
 use argo::graph::{Graph, NodeId};
 use argo::rt::{enumerate_space, AllReduce, Config, CoreBinder, SeedSequence};
 use argo::sample::{NeighborSampler, SampledBatch, Sampler, ShadowSampler};
-use argo::tensor::{Matrix, SparseMatrix};
+use argo::tensor::reference::matmul;
+use argo::tensor::{DispatchPolicy, Matrix, SparseMatrix};
 use argo::tune::acquisition::expected_improvement;
 use argo::tune::gp::GaussianProcess;
 use argo::tune::SearchSpace;
@@ -101,9 +102,8 @@ proptest! {
         for (l, b) in mb.blocks.iter().enumerate() {
             prop_assert_eq!(&b.src_nodes[..b.dst_nodes.len()], &b.dst_nodes[..]);
             for i in 0..b.adj.rows() {
-                let deg = b.adj.indptr()[i + 1] - b.adj.indptr()[i];
-                prop_assert!(deg <= fanouts[l]);
-                for k in b.adj.indptr()[i]..b.adj.indptr()[i + 1] {
+                prop_assert!(b.adj.row_range(i).len() <= fanouts[l]);
+                for k in b.adj.row_range(i) {
                     let u = b.src_nodes[b.adj.indices()[k] as usize];
                     prop_assert!(g.has_edge(b.dst_nodes[i], u));
                 }
@@ -130,7 +130,7 @@ proptest! {
         };
         prop_assert_eq!(&sb.nodes[..8], &seeds[..]);
         for i in 0..sb.adj.rows() {
-            for k in sb.adj.indptr()[i]..sb.adj.indptr()[i + 1] {
+            for k in sb.adj.row_range(i) {
                 let u = sb.nodes[sb.adj.indices()[k] as usize];
                 prop_assert!(g.has_edge(sb.nodes[i], u));
             }
@@ -152,7 +152,7 @@ proptest! {
         mask in prop::collection::vec(any::<bool>(), 144),
         vals in prop::collection::vec(-2.0f32..2.0, 144),
     ) {
-        let mut indptr = vec![0usize];
+        let mut indptr = vec![0u32];
         let mut indices = Vec::new();
         let mut values = Vec::new();
         for i in 0..rows {
@@ -163,18 +163,19 @@ proptest! {
                     values.push(vals[k % vals.len()]);
                 }
             }
-            indptr.push(indices.len());
+            indptr.push(indices.len() as u32);
         }
         let s = SparseMatrix::new(rows, inner, indptr, indices, Some(values));
         let d = Matrix::xavier(inner, cols, 7);
-        let got = s.spmm(&d);
-        let want = s.to_dense().matmul(&d);
+        let policy = DispatchPolicy::default();
+        let got = policy.aggregate(&s, &d, None);
+        let want = matmul(&s.to_dense(), &d);
         for (a, b) in got.data().iter().zip(want.data()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
         // Transposed SpMM agrees with dense too: (sᵀ d2)
         let d2 = Matrix::xavier(rows, cols, 8);
-        let got_t = s.spmm_transpose(&d2);
+        let got_t = policy.aggregate_transpose(&s, &d2, None);
         let sd = s.to_dense();
         let mut st = Matrix::zeros(inner, rows);
         for i in 0..rows {
@@ -182,7 +183,7 @@ proptest! {
                 st.set(j, i, sd.get(i, j));
             }
         }
-        let want_t = st.matmul(&d2);
+        let want_t = matmul(&st, &d2);
         for (a, b) in got_t.data().iter().zip(want_t.data()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
@@ -194,8 +195,8 @@ proptest! {
         let a = Matrix::xavier(n, n, a_seed);
         let b = Matrix::xavier(n, n, a_seed + 1);
         let c = Matrix::xavier(n, n, a_seed + 2);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = matmul(&matmul(&a, &b), &c);
+        let right = matmul(&a, &matmul(&b, &c));
         for (x, y) in left.data().iter().zip(right.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
@@ -313,7 +314,7 @@ proptest! {
         mask in prop::collection::vec(any::<bool>(), 64),
         logits in prop::collection::vec(-4.0f32..4.0, 64),
     ) {
-        let mut indptr = vec![0usize];
+        let mut indptr = vec![0u32];
         let mut indices = Vec::new();
         let mut vals = Vec::new();
         for i in 0..rows {
@@ -324,17 +325,17 @@ proptest! {
                     vals.push(logits[k % logits.len()]);
                 }
             }
-            indptr.push(indices.len());
+            indptr.push(indices.len() as u32);
         }
         let s = SparseMatrix::new(rows, cols, indptr, indices, Some(vals));
         let sm = s.row_softmax();
         let v = sm.values().unwrap();
         for i in 0..rows {
-            let (lo, hi) = (sm.indptr()[i], sm.indptr()[i + 1]);
-            if hi > lo {
-                let sum: f32 = v[lo..hi].iter().sum();
+            let row = &v[sm.row_range(i)];
+            if !row.is_empty() {
+                let sum: f32 = row.iter().sum();
                 prop_assert!((sum - 1.0).abs() < 1e-4, "row {i} sums to {sum}");
-                prop_assert!(v[lo..hi].iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
+                prop_assert!(row.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
             }
         }
         // Constant upstream gradient ⇒ logits gradient ≈ 0 (softmax is
