@@ -37,9 +37,10 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 echo "==> micro_serving quick perf gate (tuned p99 must not lose to the library default; warm result-cache hit rate > 0.9)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_serving
 
-echo "==> benchmark/ builds against the public API and runs train_ddp_cached (quick: checks the outputs, enforces no bounds)"
+echo "==> benchmark/ builds against the public API and runs train_ddp_cached (block batches) and train_shadow_gcn (subgraph batches) (quick: checks the outputs, enforces no bounds)"
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_ddp_cached --quick
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_shadow_gcn --quick
 
 echo "==> cargo test -q -p argo-sample"
 cargo test -q -p argo-sample

@@ -1187,17 +1187,16 @@ mod tests {
     /// batch b/n produces the same parameters as one process with batch b —
     /// because gradient averaging over equal shards equals the full-batch
     /// gradient (Section IV-B2).
-    #[test]
-    fn ddp_semantics_match_single_process() {
+    fn ddp_matches_single_process(kind: Arch, sampler: impl Fn(usize) -> Arc<dyn Sampler>) {
         let mut owned = (*tiny()).clone();
         // Even train count so the 2-proc drop-last split loses no seed.
         if owned.train_nodes.len() % 2 == 1 {
             owned.train_nodes.pop();
         }
         let d = Arc::new(owned);
-        let max_deg = d.graph.max_degree();
-        let sampler: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![max_deg, max_deg]));
+        let sampler = sampler(d.graph.max_degree());
         let mut o = opts(32);
+        o.kind = kind;
         // SGD so one step is linear in the averaged gradient.
         o.optimizer = OptimizerKind::Sgd { momentum: 0.0 };
         o.lr = 1e-2;
@@ -1222,6 +1221,24 @@ mod tests {
             max_diff < 2e-3,
             "parameter divergence {max_diff} between 1-proc and 2-proc"
         );
+    }
+
+    #[test]
+    fn ddp_semantics_match_single_process() {
+        ddp_matches_single_process(Arch::Sage, |max_deg| {
+            Arc::new(NeighborSampler::new(vec![max_deg; 2]))
+        });
+    }
+
+    /// The ShaDow-GCN twin. A seed's two-hop neighborhood, taken whole, holds
+    /// every neighbor of its neighbors, so its two-layer output is the same
+    /// in the subgraph of all seeds and in the subgraph of half of them —
+    /// and only seed rows reach the loss.
+    #[test]
+    fn ddp_semantics_match_single_process_shadow() {
+        ddp_matches_single_process(Arch::Gcn, |max_deg| {
+            Arc::new(ShadowSampler::new(vec![max_deg; 2], 2))
+        });
     }
 
     #[test]

@@ -89,6 +89,28 @@ impl LayerParams for Layer {
 /// an owned batch's matrix or one still sitting in the sampler's arena, the
 /// forward pass cannot tell. Only backward needs the owned
 /// [`SparseMatrix`], for the transpose cached on it.
+///
+/// # What a subgraph batch computes
+///
+/// A block batch shrinks from layer to layer by construction. A subgraph
+/// batch (ShaDow, SAINT, Cluster, `full_graph_batch`) shares one `N × N`
+/// adjacency between its layers, but only its seed rows are ever read, so
+/// the layers run at *all rows, …, all rows, seed rows*: the last layer's
+/// adjacency is the `n_seeds × N` row slice of the normalized matrix
+/// ([`layer_adjs`] for an owned batch, [`SparseView::row_prefix`] for an
+/// arena view) and its output **is** the logits. Backward hands the same
+/// slice to the transposed gather, which runs over the slice's own cached
+/// transpose into a full-height gradient.
+///
+/// This is bitwise the full-height computation followed by a row selection:
+/// SpMM and GEMM rows are independent (the GEMM is pinned
+/// row-partition-invariant), so the kept rows are unchanged; every dropped
+/// row carried an all-zero loss gradient and so contributed `acc + x·0` to
+/// `db`/`dW` and `d + w·0` to the input gradient, which is `acc`/`d`; and
+/// the kept rows are visited in ascending row order (seed positions ascend
+/// for every sampler and for `full_graph_batch`), the order the full-height
+/// reductions and the row-major transpose build used. A hand-built batch
+/// with non-ascending positions is equal to tolerance only.
 pub(crate) struct Forward<'m, L> {
     pub(crate) kind: GnnKind,
     pub(crate) layers: &'m [L],
@@ -104,22 +126,29 @@ impl<L: LayerParams> Forward<'_, L> {
     /// * GCN: `z = (Â h) W + b`
     /// * SAGE: `z = h_self W_self + mean(h) W_neigh + b` — the fused form
     ///   of `[h_self ‖ mean(h)] W + b` with `W = [W_self; W_neigh]`
-    ///   stacked; the concatenation is never materialized.
+    ///   stacked; the concatenation is never materialized. `h_self` holds
+    ///   the self features of the `n_dst` output rows in its first `n_dst`
+    ///   rows — `h` itself whenever the outputs are a prefix of the inputs;
+    ///   GCN ignores it.
     ///
     /// Bias (and ReLU on all layers except the last) are fused into the
     /// GEMM write-back. Output and aggregation buffers come from the
-    /// model's workspace arena.
+    /// model's workspace arena, unzeroed: both kernels overwrite them.
     fn layer(
         &self,
         l: usize,
         adj: &SparseView<'_>,
         h: &Matrix,
+        h_self: &Matrix,
         pool: Option<&ThreadPool>,
     ) -> (Matrix, Matrix) {
         let (w, b) = self.layers[l].params();
         let (mut agg, mut z) = {
             let mut ws = self.ws.borrow_mut();
-            (ws.take(adj.rows(), h.cols()), ws.take(adj.rows(), w.cols()))
+            (
+                ws.take_unzeroed(adj.rows(), h.cols()),
+                ws.take_unzeroed(adj.rows(), w.cols()),
+            )
         };
         self.dispatch.aggregate_view_into(adj, h, pool, &mut agg);
         let epi = if l + 1 < self.layers.len() {
@@ -129,23 +158,48 @@ impl<L: LayerParams> Forward<'_, L> {
         };
         match self.kind {
             GnnKind::Gcn => self.dispatch.gemm_into(&agg, w, epi, pool, &mut z),
-            GnnKind::Sage => self.dispatch.sage_gemm_into(h, &agg, w, epi, pool, &mut z),
+            GnnKind::Sage => self
+                .dispatch
+                .sage_gemm_into(h_self, &agg, w, epi, pool, &mut z),
         }
         (z, agg)
     }
 
-    /// Runs every layer over the prepared adjacencies and returns the final
-    /// hidden matrix (all output rows, before any seed selection).
-    fn run(&self, adjs: &[SparseView<'_>], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
-        // The first layer reads the caller's input in place; from then on
-        // each layer's output replaces the previous one, which is retired.
-        let (mut h, agg) = self.layer(0, &adjs[0], input, pool);
-        self.ws.borrow_mut().put(agg);
-        for (l, adj) in adjs.iter().enumerate().skip(1) {
-            let (z, agg) = self.layer(l, adj, &h, pool);
+    /// The self rows SAGE's layer `l` reads when they are not the first
+    /// rows of its input `h`: the last layer of a batch with scattered seeds
+    /// ([`scattered_seeds`]), selected once into a workspace buffer.
+    fn scattered_self(&self, l: usize, h: &Matrix, scattered: Option<&[usize]>) -> Option<Matrix> {
+        scattered
+            .filter(|_| l + 1 == self.layers.len())
+            .map(|pos| select_rows(self.ws, h, pos))
+    }
+
+    /// Runs every layer over the prepared adjacencies and returns the
+    /// logits: one row per row of the last adjacency. `scattered` is
+    /// [`scattered_seeds`] of the batch.
+    fn run(
+        &self,
+        adjs: &[SparseView<'_>],
+        input: &Matrix,
+        scattered: Option<&[usize]>,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let step = |l: usize, h: &Matrix| {
+            let picked = self.scattered_self(l, h, scattered);
+            let (z, agg) = self.layer(l, &adjs[l], h, picked.as_ref().unwrap_or(h), pool);
             let mut ws = self.ws.borrow_mut();
             ws.put(agg);
-            ws.put(std::mem::replace(&mut h, z));
+            if let Some(m) = picked {
+                ws.put(m);
+            }
+            z
+        };
+        // The first layer reads the caller's input in place; from then on
+        // each layer's output replaces the previous one, which is retired.
+        let mut h = step(0, input);
+        for l in 1..adjs.len() {
+            let z = step(l, &h);
+            self.ws.borrow_mut().put(std::mem::replace(&mut h, z));
         }
         h
     }
@@ -172,17 +226,9 @@ impl<L: LayerParams> Forward<'_, L> {
         input: &Matrix,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let norms = normalized_adjs(self.kind, self.layers.len(), batch);
+        let norms = layer_adjs(self.kind, self.layers.len(), batch);
         let adjs: Vec<SparseView<'_>> = norms.iter().map(|m| m.view()).collect();
-        let h = self.run(&adjs, input, pool);
-        match batch {
-            SampledBatch::Blocks(_) => h,
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
-                self.ws.borrow_mut().put(h);
-                logits
-            }
-        }
+        self.run(&adjs, input, scattered_seeds(self.kind, batch), pool)
     }
 
     /// [`Forward::forward_gathered`] over a borrowed [`SampledBatchView`]:
@@ -196,18 +242,10 @@ impl<L: LayerParams> Forward<'_, L> {
         input: &Matrix,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let Some(adjs) = arena_adjs(self.kind, self.layers.len(), batch) else {
-            return self.forward_gathered(&batch.to_owned(), input, pool);
-        };
-        let h = self.run(&adjs, input, pool);
-        match batch {
-            SampledBatchView::Blocks(_) => h,
-            SampledBatchView::Subgraph(_) => {
-                // Subgraph-view seeds are the node-list prefix.
-                let logits = select_prefix_rows(&h, batch.num_seeds());
-                self.ws.borrow_mut().put(h);
-                logits
-            }
+        match arena_adjs(self.kind, self.layers.len(), batch) {
+            // Subgraph-view seeds are the node-list prefix: never scattered.
+            Some(adjs) => self.run(&adjs, input, None, pool),
+            None => self.forward_gathered(&batch.to_owned(), input, pool),
         }
     }
 }
@@ -383,39 +421,33 @@ impl Gnn {
         pool: Option<&ThreadPool>,
     ) -> StepStats {
         let input = input.borrow();
-        let norms = normalized_adjs(self.kind, self.layers.len(), batch);
         let depth = self.layers.len();
+        let norms = layer_adjs(self.kind, depth, batch);
+        let scattered = scattered_seeds(self.kind, batch);
         // Forward, keeping per-layer outputs and aggregations. Layer `l`
         // reads `input` (l = 0) or `outs[l - 1]`.
         let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
         let mut aggs: Vec<Matrix> = Vec::with_capacity(depth);
+        let mut last_self = None;
         let fwd = self.fwd();
         for (l, norm) in norms.iter().enumerate() {
             let h = if l == 0 { input } else { &outs[l - 1] };
-            let (z, agg) = fwd.layer(l, &norm.view(), h, pool);
+            let picked = fwd.scattered_self(l, h, scattered);
+            let (z, agg) = fwd.layer(l, &norm.view(), h, picked.as_ref().unwrap_or(h), pool);
             outs.push(z);
             aggs.push(agg);
+            last_self = picked.zip(scattered);
         }
-        let h = &outs[depth - 1];
-        // Loss over seeds.
+        // Loss over seeds: the last layer's rows are the seed rows.
+        let logits = &outs[depth - 1];
         let seeds = batch.seeds();
         let seed_labels: Vec<u32> = seeds.iter().map(|&v| labels[v as usize]).collect();
-        let (loss, acc, mut grad) = match batch {
-            SampledBatch::Blocks(_) => {
-                let (loss, dlogits) = softmax_cross_entropy(h, &seed_labels);
-                (loss, accuracy(h, &seed_labels), dlogits)
-            }
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(h, &sb.seed_positions);
-                let (loss, dlogits) = softmax_cross_entropy(&logits, &seed_labels);
-                // Scatter the loss gradient back to the full output rows.
-                let grad = scatter_rows(&dlogits, &sb.seed_positions, h.rows());
-                (loss, accuracy(&logits, &seed_labels), grad)
-            }
-        };
+        let (loss, mut grad) = softmax_cross_entropy(logits, &seed_labels);
+        let acc = accuracy(logits, &seed_labels);
         // Backward through the layers. Weight/bias gradients are written in
         // place into the model's persistent `dw`/`db` buffers; intermediate
-        // gradient matrices cycle through the workspace.
+        // gradient matrices cycle through the workspace, taken unzeroed
+        // because `grad_input_into` and the gather overwrite them.
         let dispatch = self.dispatch;
         for l in (0..depth).rev() {
             let layer_input = if l == 0 { input } else { &outs[l - 1] };
@@ -426,6 +458,9 @@ impl Gnn {
             }
             let norm: &SparseMatrix = &norms[l];
             let n_dst = norm.rows();
+            // SAGE's self rows: the first `n_dst` input rows, or the last
+            // layer's selection with the input row each one came from.
+            let picked = last_self.as_ref().filter(|_| l + 1 == depth);
             bias_grad_into(&grad, &mut self.layers[l].db);
             match self.kind {
                 GnnKind::Gcn => {
@@ -445,7 +480,7 @@ impl Gnn {
                     // against the aggregation.
                     let f_in = self.dims[l];
                     dispatch.grad_weights_into(
-                        layer_input,
+                        picked.map_or(layer_input, |(h_self, _)| h_self),
                         0..n_dst,
                         &grad,
                         pool,
@@ -466,41 +501,37 @@ impl Gnn {
                 break; // input features get no gradient
             }
             let w = &self.layers[l].w;
-            grad = match self.kind {
+            let f_in = self.dims[l];
+            let take = |rows: usize| self.ws.borrow_mut().take_unzeroed(rows, f_in);
+            let mut dh = take(norm.cols());
+            match self.kind {
                 GnnKind::Gcn => {
-                    let dagg = dispatch.grad_input(&grad, w, 0..w.rows(), pool);
-                    let mut ws = self.ws.borrow_mut();
-                    let mut dh = ws.take(norm.cols(), dagg.cols());
-                    drop(ws);
+                    let mut dagg = take(n_dst);
+                    dispatch.grad_input_into(&grad, w, 0..f_in, pool, &mut dagg);
                     dispatch.aggregate_transpose_into(norm, &dagg, pool, &mut dh);
-                    let mut ws = self.ws.borrow_mut();
-                    ws.put(dagg);
-                    ws.put(std::mem::replace(&mut grad, Matrix::zeros(0, 0)));
-                    dh
+                    self.ws.borrow_mut().put(dagg);
                 }
                 GnnKind::Sage => {
                     // Pull d_self / d_neigh out of the stacked weight by row
                     // window instead of splitting a concatenated gradient.
-                    let f_in = self.dims[l];
-                    let dself = dispatch.grad_input(&grad, w, 0..f_in, pool);
-                    let dmean = dispatch.grad_input(&grad, w, f_in..2 * f_in, pool);
-                    let mut ws = self.ws.borrow_mut();
-                    let mut dh = ws.take(norm.cols(), f_in);
-                    drop(ws);
+                    let (mut dself, mut dmean) = (take(n_dst), take(n_dst));
+                    dispatch.grad_input_into(&grad, w, 0..f_in, pool, &mut dself);
+                    dispatch.grad_input_into(&grad, w, f_in..2 * f_in, pool, &mut dmean);
                     dispatch.aggregate_transpose_into(norm, &dmean, pool, &mut dh);
-                    // Self-path gradient lands on the first n_dst src rows.
+                    // Self-path gradient lands on the rows the self features
+                    // were read from.
                     for r in 0..n_dst {
-                        for (a, b) in dh.row_mut(r).iter_mut().zip(dself.row(r)) {
+                        let at = picked.map_or(r, |(_, pos)| pos[r]);
+                        for (a, b) in dh.row_mut(at).iter_mut().zip(dself.row(r)) {
                             *a += b;
                         }
                     }
                     let mut ws = self.ws.borrow_mut();
                     ws.put(dself);
                     ws.put(dmean);
-                    ws.put(std::mem::replace(&mut grad, Matrix::zeros(0, 0)));
-                    dh
                 }
-            };
+            }
+            self.ws.borrow_mut().put(std::mem::replace(&mut grad, dh));
         }
         // Recycle every per-step buffer for the next batch.
         {
@@ -508,6 +539,9 @@ impl Gnn {
             for (out, agg) in outs.into_iter().zip(aggs) {
                 ws.put(out);
                 ws.put(agg);
+            }
+            if let Some((h_self, _)) = last_self {
+                ws.put(h_self);
             }
             ws.put(grad);
         }
@@ -623,10 +657,40 @@ fn normalized_adjs(
     }
 }
 
+/// The adjacency each layer of an owned batch runs over: [`normalized_adjs`]
+/// with the last layer of a subgraph batch cut down to its seed rows (see
+/// [`Forward`]). The slice is a copy of the seed rows' entries — a matrix of
+/// its own, which is what gives backward a place to cache its transpose.
+fn layer_adjs(kind: GnnKind, depth: usize, batch: &SampledBatch) -> Vec<Cow<'_, SparseMatrix>> {
+    let mut adjs = normalized_adjs(kind, depth, batch);
+    if let SampledBatch::Subgraph(sb) = batch {
+        let seed_adj = adjs[depth - 1].select_rows(&sb.seed_positions);
+        adjs[depth - 1] = Cow::Owned(seed_adj);
+    }
+    adjs
+}
+
+/// The seed positions of a batch whose seeds are *not* the first rows of its
+/// last layer's input, for a model that reads self features (SAGE):
+/// `full_graph_batch`, whose seeds sit at their node ids. Every sampled
+/// batch lists its seeds first and gets `None`, as does GCN.
+fn scattered_seeds(kind: GnnKind, batch: &SampledBatch) -> Option<&[usize]> {
+    match batch {
+        SampledBatch::Subgraph(sb)
+            if kind == GnnKind::Sage
+                && !sb.seed_positions.iter().copied().eq(0..sb.seeds.len()) =>
+        {
+            Some(&sb.seed_positions)
+        }
+        _ => None,
+    }
+}
+
 /// The per-layer adjacencies of a *borrowed* batch view, consumed in place
-/// from the sampler's arena. Returns `None` when the fused normalization
-/// does not match what the model wants (or the layer count disagrees) — the
-/// caller falls back to the owned path, which re-normalizes.
+/// from the sampler's arena — the last layer of a subgraph view reads only
+/// its seed rows, the row prefix. Returns `None` when the fused
+/// normalization does not match what the model wants (or the layer count
+/// disagrees) — the caller falls back to the owned path, which re-normalizes.
 fn arena_adjs<'a>(
     kind: GnnKind,
     depth: usize,
@@ -639,7 +703,11 @@ fn arena_adjs<'a>(
         SampledBatchView::Blocks(mb) => {
             (mb.num_blocks() == depth).then(|| (0..depth).map(|l| mb.block(l).adj).collect())
         }
-        SampledBatchView::Subgraph(sb) => Some(vec![sb.adj(); depth]),
+        SampledBatchView::Subgraph(sb) => {
+            let mut adjs = vec![sb.adj(); depth];
+            adjs[depth - 1] = sb.adj().row_prefix(sb.num_seeds());
+            Some(adjs)
+        }
     }
 }
 
@@ -651,26 +719,11 @@ fn gather_input(ws: &RefCell<Workspace>, feats: &Features, ids: &[u32]) -> Matri
     input
 }
 
-fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), m.cols());
+/// Rows `rows` of `m`, in that order, in a buffer of the workspace `ws`.
+fn select_rows(ws: &RefCell<Workspace>, m: &Matrix, rows: &[usize]) -> Matrix {
+    let mut out = ws.borrow_mut().take_unzeroed(rows.len(), m.cols());
     for (i, &r) in rows.iter().enumerate() {
         out.row_mut(i).copy_from_slice(m.row(r));
-    }
-    out
-}
-
-/// [`select_rows`] specialized to the contiguous prefix `0..n` — the seed
-/// layout of every subgraph batch *view* — without a positions slice.
-fn select_prefix_rows(m: &Matrix, n: usize) -> Matrix {
-    let mut out = Matrix::zeros(n, m.cols());
-    out.data_mut().copy_from_slice(&m.data()[..n * m.cols()]);
-    out
-}
-
-fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
-    let mut out = Matrix::zeros(total, m.cols());
-    for (i, &r) in rows.iter().enumerate() {
-        out.row_mut(r).copy_from_slice(m.row(i));
     }
     out
 }
@@ -679,7 +732,11 @@ fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
 mod tests {
     use super::*;
     use argo_graph::datasets::FLICKR;
-    use argo_sample::{NeighborSampler, Sampler, ShadowSampler};
+    use argo_rt::SeedSequence;
+    use argo_sample::{
+        full_graph_batch, ClusterGcnSampler, NeighborSampler, SaintRwSampler, SampleRun, Sampler,
+        SamplerScratch, ShadowSampler,
+    };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -886,18 +943,38 @@ mod tests {
         backward_agree(GnnKind::Sage, true);
     }
 
+    /// Plain row selection and its inverse, for the full-height oracles.
+    fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), m.cols());
+        for (i, &r) in rows.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(m.row(r));
+        }
+        out
+    }
+
+    fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
+        let mut out = Matrix::zeros(total, m.cols());
+        for (i, &r) in rows.iter().enumerate() {
+            out.row_mut(r).copy_from_slice(m.row(i));
+        }
+        out
+    }
+
     /// One training step the way it was before the ReLU mask stopped being
-    /// recorded: the same kernels in the same order as
-    /// [`Gnn::train_step_gathered`], but every hidden layer is computed to
-    /// its pre-activation `z` (bias-only epilogue), its mask recorded as
-    /// `z > 0` by `relu_inplace` and applied with `relu_backward`. Returns
-    /// the flat gradient.
+    /// recorded and before the last layer of a subgraph batch was cut down
+    /// to its seed rows: the same kernels in the same order as
+    /// [`Gnn::train_step_gathered`], but **every layer runs at full height**
+    /// (the seed rows are selected from the last output and the loss
+    /// gradient scattered back to all rows), and every hidden layer is
+    /// computed to its pre-activation `z` (bias-only epilogue), its mask
+    /// recorded as `z > 0` by `relu_inplace` and applied with
+    /// `relu_backward`. Returns the loss and the flat gradient.
     fn grads_with_recorded_masks(
         m: &Gnn,
         batch: &SampledBatch,
         input: &Matrix,
         labels: &[u32],
-    ) -> Vec<f32> {
+    ) -> (f32, Vec<f32>) {
         use argo_tensor::ops::{bias_grad, relu_backward, relu_inplace};
         let d = m.dispatch;
         let depth = m.layers.len();
@@ -918,12 +995,12 @@ mod tests {
         }
         let h = &outs[depth - 1];
         let seed_labels: Vec<u32> = batch.seeds().iter().map(|&v| labels[v as usize]).collect();
-        let mut grad = match batch {
-            SampledBatch::Blocks(_) => softmax_cross_entropy(h, &seed_labels).1,
+        let (loss, mut grad) = match batch {
+            SampledBatch::Blocks(_) => softmax_cross_entropy(h, &seed_labels),
             SampledBatch::Subgraph(sb) => {
                 let logits = select_rows(h, &sb.seed_positions);
-                let dlogits = softmax_cross_entropy(&logits, &seed_labels).1;
-                scatter_rows(&dlogits, &sb.seed_positions, h.rows())
+                let (loss, dlogits) = softmax_cross_entropy(&logits, &seed_labels);
+                (loss, scatter_rows(&dlogits, &sb.seed_positions, h.rows()))
             }
         };
         let mut per_layer = vec![Vec::new(); depth];
@@ -964,45 +1041,214 @@ mod tests {
                 }
             };
         }
-        per_layer.concat()
+        (loss, per_layer.concat())
     }
 
+    /// The sampled batch kinds of the tests below, three layers deep.
+    fn samplers(d: &argo_graph::Dataset) -> Vec<(&'static str, Box<dyn Sampler>)> {
+        vec![
+            ("neighbor", Box::new(NeighborSampler::new(vec![5; 3]))),
+            ("shadow", Box::new(ShadowSampler::new(vec![4, 3], 3))),
+            ("saint", Box::new(SaintRwSampler::new(2, 3))),
+            ("cluster", Box::new(ClusterGcnSampler::new(&d.graph, 24, 3))),
+        ]
+    }
+
+    fn seeds_of(d: &argo_graph::Dataset) -> Vec<u32> {
+        d.train_nodes.iter().copied().take(24).collect()
+    }
+
+    /// A run that fuses `kind`'s normalization into the adjacency values,
+    /// as the engine's loader and the serving path sample.
+    fn fused_run(kind: GnnKind, scratch: &mut SamplerScratch) -> SampleRun<'_> {
+        SampleRun::new(SeedSequence::new(9), scratch).with_norm(wanted_norm_for(kind))
+    }
+
+    /// One owned batch of every kind a model of `kind` trains on: each
+    /// sampler's batch with the normalization fused by the sampler and with
+    /// it left to the model, and the whole graph with its seeds scattered
+    /// in ascending order.
+    fn every_batch_kind(d: &argo_graph::Dataset, kind: GnnKind) -> Vec<(String, SampledBatch)> {
+        let seeds = seeds_of(d);
+        let mut scratch = SamplerScratch::new();
+        let mut out = Vec::new();
+        for (name, s) in samplers(d) {
+            let fused = s.sample_with(&d.graph, &seeds, fused_run(kind, &mut scratch));
+            out.push((format!("{name} (fused)"), fused));
+            let plain = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9));
+            out.push((format!("{name} (unfused)"), plain));
+        }
+        let mut scattered: Vec<u32> = (d.train_nodes.iter().copied().skip(3).step_by(7))
+            .take(24)
+            .collect();
+        scattered.sort_unstable();
+        let full = full_graph_batch(&d.graph, &scattered);
+        assert!(scattered_seeds(GnnKind::Sage, &full).is_some());
+        out.push(("full graph".to_string(), full));
+        out
+    }
+
+    fn gathered(d: &argo_graph::Dataset, ids: &[u32]) -> Matrix {
+        let mut input = Matrix::zeros(ids.len(), d.feat_dim());
+        d.features.gather_into(ids, input.data_mut());
+        input
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The pruned step (mask read off the output, last subgraph layer on
+    /// seed rows only) against the full-height recorded-mask oracle: loss
+    /// and every gradient bit, every batch kind, both models, both tiers.
     #[test]
     fn mask_from_output_matches_recorded_mask_bitwise() {
         let d = tiny_dataset();
-        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(24).collect();
-        let shadow = ShadowSampler::new(vec![4, 3], 3);
-        let batches = [
-            sample_blocks(&d, 24, 3),
-            shadow.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9)),
-        ];
-        for batch in &batches {
-            let ids = batch.input_nodes();
-            let mut input = Matrix::zeros(ids.len(), d.feat_dim());
-            d.features.gather_into(ids, input.data_mut());
-            for kind in [GnnKind::Sage, GnnKind::Gcn] {
+        for kind in [GnnKind::Sage, GnnKind::Gcn] {
+            for (name, batch) in &every_batch_kind(&d, kind) {
+                let input = gathered(&d, batch.input_nodes());
                 for policy in [
                     DispatchPolicy::default(),
                     DispatchPolicy::default().force_scalar(),
                 ] {
-                    // Three layers: two hidden ReLUs to mask.
+                    // Three layers: two hidden ReLUs to mask, and a middle
+                    // layer between the full-height and the seed-row one.
                     let mut m =
                         Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5).with_dispatch(policy);
-                    m.train_step_gathered(batch, &input, &d.labels, None);
+                    let stats = m.train_step_gathered(batch, &input, &d.labels, None);
                     let mut got = Vec::new();
                     m.grads_flat(&mut got);
-                    let want = grads_with_recorded_masks(&m, batch, &input, &d.labels);
-                    assert_eq!(got.len(), want.len());
-                    assert!(
-                        got.iter()
-                            .zip(&want)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{kind:?} simd={}: gradients differ",
-                        policy.simd_enabled()
-                    );
+                    let (loss, want) = grads_with_recorded_masks(&m, batch, &input, &d.labels);
+                    let who = format!("{kind:?} {name} simd={}", policy.simd_enabled());
+                    assert_eq!(stats.loss.to_bits(), loss.to_bits(), "{who}: loss");
+                    assert_eq!(bits(&got), bits(&want), "{who}: gradients");
                     assert!(got.iter().any(|g| *g != 0.0));
                 }
             }
+        }
+    }
+
+    /// Full-height forward over any weight operand, built from the dispatch
+    /// operations alone: every layer computes all of its rows, the seed rows
+    /// are selected at the end.
+    fn full_height_logits(
+        m: &Gnn,
+        params: &[(BSrc<'_>, &[f32])],
+        batch: &SampledBatch,
+        input: &Matrix,
+    ) -> Matrix {
+        let d = m.dispatch;
+        let norms = normalized_adjs(m.kind, params.len(), batch);
+        let mut h = input.clone();
+        for (l, &(w, b)) in params.iter().enumerate() {
+            let agg = d.aggregate(&norms[l], &h, None);
+            let mut z = Matrix::zeros(norms[l].rows(), w.cols());
+            let epi = if l + 1 < params.len() {
+                Epilogue::bias_relu(b)
+            } else {
+                Epilogue::bias(b)
+            };
+            match m.kind {
+                GnnKind::Gcn => d.gemm_into(&agg, w, epi, None, &mut z),
+                GnnKind::Sage => d.sage_gemm_into(&h, &agg, w, epi, None, &mut z),
+            }
+            h = z;
+        }
+        match batch {
+            SampledBatch::Blocks(_) => h,
+            SampledBatch::Subgraph(sb) => select_rows(&h, &sb.seed_positions),
+        }
+    }
+
+    /// Every forward entry point returns the seed rows of the full-height
+    /// forward, bit for bit: owned batches through `forward_gathered`, arena
+    /// views through `forward_gathered_view`, f32 and quantized weights.
+    #[test]
+    fn forward_returns_the_seed_rows_of_the_full_height_forward_bitwise() {
+        use argo_tensor::{QuantKind, QuantizedMatrix};
+        let d = tiny_dataset();
+        for kind in [GnnKind::Sage, GnnKind::Gcn] {
+            let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5);
+            let qm = m.quantize(QuantKind::Bf16);
+            let qw: Vec<QuantizedMatrix> = (m.layers.iter())
+                .map(|l| QuantizedMatrix::quantize(&l.w, QuantKind::Bf16))
+                .collect();
+            let f32_params: Vec<_> = m.layers.iter().map(LayerParams::params).collect();
+            let q_params: Vec<(BSrc<'_>, &[f32])> = (qw.iter().zip(&m.layers))
+                .map(|(w, l)| (w.into(), &l.b[..]))
+                .collect();
+
+            // `got`: the f32 and the quantized logits of one entry point.
+            let check = |who: String, batch: &SampledBatch, input: &Matrix, got: [Matrix; 2]| {
+                for (got, params) in got.iter().zip([&f32_params, &q_params]) {
+                    let want = full_height_logits(&m, params, batch, input);
+                    assert_eq!(want.rows(), batch.num_seeds());
+                    assert_eq!(bits(got.data()), bits(want.data()), "{kind:?} {who}");
+                }
+            };
+            for (name, batch) in &every_batch_kind(&d, kind) {
+                let input = gathered(&d, batch.input_nodes());
+                let got = [
+                    m.forward_gathered(batch, &input, None),
+                    qm.forward_gathered(batch, &input, None),
+                ];
+                check(format!("{name}: owned"), batch, &input, got);
+            }
+            let seeds = seeds_of(&d);
+            let mut scratch = SamplerScratch::new();
+            for (name, s) in samplers(&d) {
+                let view = s.sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch));
+                let batch = view.to_owned();
+                let input = gathered(&d, batch.input_nodes());
+                let got = [
+                    m.forward_gathered_view(&view, &input, None),
+                    qm.forward_gathered_view(&view, &input, None),
+                ];
+                check(format!("{name}: view"), &batch, &input, got);
+            }
+        }
+    }
+
+    /// Every buffer a step takes unzeroed is overwritten in full: a model
+    /// whose workspace holds NaN-filled buffers of exactly the sizes the
+    /// step asks for computes the bits a fresh model does.
+    #[test]
+    fn stale_workspace_contents_never_reach_a_step() {
+        let d = tiny_dataset();
+        let seeds = seeds_of(&d);
+        let rng = || SmallRng::seed_from_u64(9);
+        let blocks = NeighborSampler::new(vec![5; 3]).sample(&d.graph, &seeds, &mut rng());
+        let shadow = ShadowSampler::new(vec![4, 3], 3).sample(&d.graph, &seeds, &mut rng());
+        for (kind, batch) in [(GnnKind::Sage, blocks), (GnnKind::Gcn, shadow)] {
+            let input = gathered(&d, batch.input_nodes());
+            let step = |m: &mut Gnn| {
+                let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
+                let mut g = Vec::new();
+                m.grads_flat(&mut g);
+                (stats.loss.to_bits(), bits(&g))
+            };
+            let mk = || Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5);
+            let want = step(&mut mk());
+            // One step parks every buffer the next one will take; poison them.
+            let mut used = mk();
+            step(&mut used);
+            {
+                let mut ws = used.ws.borrow_mut();
+                let mut bufs = Vec::new();
+                while ws.free_len() > 0 {
+                    bufs.push(ws.take_unzeroed(1, 1).into_data());
+                }
+                assert!(bufs.len() >= 2 * 3, "outputs and aggregations");
+                for mut buf in bufs {
+                    let cap = buf.capacity();
+                    buf.clear();
+                    buf.resize(cap, f32::NAN);
+                    ws.put(Matrix::from_vec(1, cap, buf));
+                }
+            }
+            let allocs = used.workspace_stats().0;
+            assert_eq!(step(&mut used), want, "{kind:?}");
+            assert_eq!(used.workspace_stats().0, allocs, "every take was a reuse");
         }
     }
 

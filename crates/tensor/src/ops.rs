@@ -30,11 +30,9 @@ pub fn relu_backward(grad: &mut Matrix, mask: &[bool]) {
 /// layer that keeps its output until backward need not record one.
 pub fn relu_backward_from_output(grad: &mut Matrix, out: &Matrix) {
     assert_eq!(grad.data().len(), out.data().len(), "relu output mismatch");
+    // A select, not a conditional store: this form vectorizes.
     for (g, &o) in grad.data_mut().iter_mut().zip(out.data()) {
-        let active = o > 0.0;
-        if !active {
-            *g = 0.0;
-        }
+        *g = if o > 0.0 { *g } else { 0.0 };
     }
 }
 
@@ -164,6 +162,13 @@ mod tests {
         relu_backward_from_output(&mut b, &x);
         assert_eq!(a.data(), b.data());
         assert_eq!(a.data(), &[0.0, 0.0, 1.0, 0.0, 1.0]);
+        // A NaN or negative-zero gradient passes through an active unit
+        // bit for bit and is cleared to +0 by a clipped one.
+        let odd = [f32::NAN, -0.0, f32::NAN, -0.0];
+        let mut g = Matrix::from_vec(1, 4, odd.to_vec());
+        relu_backward_from_output(&mut g, &Matrix::from_vec(1, 4, vec![1.0, 1.0, 0.0, 0.0]));
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(g.data()), bits(&[odd[0], odd[1], 0.0, 0.0]));
     }
 
     #[test]

@@ -154,6 +154,29 @@ impl SparseMatrix {
         }
     }
 
+    /// The `rows.len() × cols` matrix whose row `i` is this matrix's row
+    /// `rows[i]` — entries copied in stored order, `O(selected nnz)`. Rows may
+    /// repeat and come in any order. The result is a matrix of its own: its
+    /// transpose ([`SparseMatrix::csc`]) is built and cached on it, over the
+    /// selected entries only.
+    pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
+        let nnz: usize = rows.iter().map(|&r| self.row_range(r).len()).sum();
+        assert!(u32::try_from(nnz).is_ok(), "selected entries fit u32");
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        indptr.push(0u32);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = self.values.as_ref().map(|_| Vec::with_capacity(nnz));
+        for &r in rows {
+            let range = self.row_range(r);
+            indices.extend_from_slice(&self.indices[range.clone()]);
+            if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
+                dst.extend_from_slice(&src[range]);
+            }
+            indptr.push(indices.len() as u32);
+        }
+        Self::from_validated(rows.len(), self.cols, indptr, indices, values)
+    }
+
     /// The cached transpose, built on first use (a counting sort,
     /// `O(nnz + cols)`): this matrix in CSC form, held as the CSR of `selfᵀ`
     /// so that transposed aggregation is the ordinary gather over it. Clones
@@ -465,6 +488,20 @@ impl<'a> SparseView<'a> {
     #[inline]
     pub fn row_range(&self, i: usize) -> Range<usize> {
         self.indptr[i] as usize..self.indptr[i + 1] as usize
+    }
+
+    /// The first `n` rows as a view of the same storage — free: CSR rows are
+    /// stored in order, so a row prefix is a prefix of all three arrays.
+    pub fn row_prefix(&self, n: usize) -> SparseView<'a> {
+        assert!(n <= self.rows, "row prefix within the matrix");
+        let end = self.indptr[n] as usize;
+        SparseView {
+            rows: n,
+            cols: self.cols,
+            indptr: &self.indptr[..=n],
+            indices: &self.indices[..end],
+            values: self.values.map(|v| &v[..end]),
+        }
     }
 
     /// Materializes an owned [`SparseMatrix`] — the fallback at ownership
@@ -799,6 +836,69 @@ mod tests {
             (back.indptr(), back.indices(), back.values()),
             (v.indptr(), v.indices(), v.values())
         );
+    }
+
+    #[test]
+    fn select_rows_copies_rows_in_the_given_order() {
+        let s = sample();
+        // Reordered, repeated.
+        let picked = s.select_rows(&[1, 0, 1]);
+        assert_eq!(
+            picked,
+            SparseMatrix::new(
+                3,
+                3,
+                vec![0, 1, 3, 4],
+                vec![1, 0, 2, 1],
+                Some(vec![3.0, 1.0, 2.0, 3.0]),
+            )
+        );
+        assert!(
+            !picked.csc_is_built(),
+            "a selection has a transpose of its own"
+        );
+        assert_eq!(picked.csc().rows(), 3);
+        assert_eq!(s.select_rows(&[0, 1]), s);
+        // Empty selection: no rows, the same columns.
+        let none = s.select_rows(&[]);
+        assert_eq!((none.rows(), none.cols(), none.nnz()), (0, 3, 0));
+        assert_eq!(none.indptr(), &[0]);
+        // Implicit ones stay implicit.
+        let ones = SparseMatrix::new(3, 2, vec![0, 0, 1, 3], vec![1, 0, 1], None);
+        let picked = ones.select_rows(&[2, 0]);
+        assert_eq!(
+            picked,
+            SparseMatrix::new(2, 2, vec![0, 2, 2], vec![0, 1], None)
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn select_rows_out_of_range_panics() {
+        sample().select_rows(&[2]);
+    }
+
+    #[test]
+    fn row_prefix_is_a_prefix_of_the_same_storage() {
+        let s = ragged(9, 7);
+        let v = s.view();
+        for n in [0, 1, 9] {
+            let p = v.row_prefix(n);
+            assert_eq!((p.rows(), p.cols()), (n, 7));
+            assert_eq!(p.nnz(), s.indptr()[n] as usize);
+            assert!(std::ptr::eq(p.indices().as_ptr(), s.indices().as_ptr()));
+            let rows: Vec<usize> = (0..n).collect();
+            assert_eq!(p.to_owned(), s.select_rows(&rows));
+        }
+        // Implicit ones stay implicit.
+        let ones = SparseMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], None);
+        assert!(ones.view().row_prefix(1).values().is_none());
+    }
+
+    #[test]
+    #[should_panic]
+    fn row_prefix_past_the_end_panics() {
+        sample().view().row_prefix(3);
     }
 
     #[test]

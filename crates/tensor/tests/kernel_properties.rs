@@ -166,6 +166,75 @@ proptest! {
         );
     }
 
+    /// `select_rows` is a row-by-row copy — any order, repeats allowed, with
+    /// and without values — the identity on `0..rows`, and on a prefix the
+    /// owned twin of the free `row_prefix` view.
+    #[test]
+    fn select_rows_is_a_row_by_row_copy(
+        rows in 1usize..60,
+        cols in 1usize..40,
+        density_mod in 2usize..9,
+        with_values in any::<bool>(),
+        salt in 0usize..64,
+        picks in prop::collection::vec(0usize..1000, 0..50),
+        prefix in 0usize..1000,
+    ) {
+        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let picks: Vec<usize> = picks.iter().map(|p| p % rows).collect();
+        let (mut indptr, mut indices, mut vals) = (vec![0u32], Vec::new(), Vec::new());
+        for &r in &picks {
+            indices.extend_from_slice(&adj.indices()[adj.row_range(r)]);
+            if let Some(v) = adj.values() {
+                vals.extend_from_slice(&v[adj.row_range(r)]);
+            }
+            indptr.push(indices.len() as u32);
+        }
+        let want = SparseMatrix::new(picks.len(), cols, indptr, indices, with_values.then_some(vals));
+        prop_assert_eq!(adj.select_rows(&picks), want);
+
+        let all: Vec<usize> = (0..rows).collect();
+        prop_assert_eq!(&adj.select_rows(&all), &adj);
+        let n = prefix % (rows + 1);
+        prop_assert_eq!(adj.view().row_prefix(n).to_owned(), adj.select_rows(&all[..n]));
+    }
+
+    /// What lets a model run its last layer on the seed rows only: for an
+    /// **ascending** row set `S`, aggregation over `select_rows(S)` is rows
+    /// `S` of the full aggregation, and transposed aggregation of a gradient
+    /// over `select_rows(S)` is the full transposed aggregation of that
+    /// gradient zero-padded to every row — bitwise, on both tiers.
+    #[test]
+    fn row_selection_commutes_with_both_aggregations(
+        rows in 1usize..120,
+        cols in 1usize..90,
+        density_mod in 2usize..12,
+        dim in 1usize..20,
+        with_values in any::<bool>(),
+        salt in 0usize..64,
+        keep_mod in 1usize..6,
+    ) {
+        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let kept: Vec<usize> = (0..rows).filter(|i| (i * 3 + salt) % keep_mod == 0).collect();
+        let slice = adj.select_rows(&kept);
+        let h = Matrix::xavier(cols, dim, salt as u64 ^ 0x77);
+        let grad = Matrix::xavier(kept.len(), dim, salt as u64 ^ 0x88);
+        let mut padded = Matrix::zeros(rows, dim);
+        for (i, &r) in kept.iter().enumerate() {
+            padded.row_mut(r).copy_from_slice(grad.row(i));
+        }
+        for policy in [DispatchPolicy::default(), DispatchPolicy::default().force_scalar()] {
+            let full = policy.aggregate(&adj, &h, None);
+            let got = policy.aggregate(&slice, &h, None);
+            for (i, &r) in kept.iter().enumerate() {
+                prop_assert_eq!(got.row(i), full.row(r));
+            }
+            let got = policy.aggregate_transpose(&slice, &grad, None);
+            let want = policy.aggregate_transpose(&adj, &padded, None);
+            let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
     /// Pool-parallel dispatch on the scalar tier (row counts from the
     /// 64-row constant up, so the pool really runs): row-partitioned kernels
     /// stay bitwise equal (disjoint writes, unchanged per-row order); the
