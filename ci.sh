@@ -48,6 +48,9 @@ cargo test -q -p argo-sample
 echo "==> cargo test -q -p argo-sample with SIMD force-disabled (arena assembly + gather on the scalar path)"
 ARGO_SIMD=off cargo test -q -p argo-sample
 
+echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path)"
+ARGO_SIMD=off cargo test -q -p argo-nn
+
 echo "==> cargo test -q -p argo-serve"
 cargo test -q -p argo-serve
 

@@ -86,31 +86,38 @@ impl LayerParams for Layer {
 ///
 /// Every layer takes its normalized adjacency as a borrowed [`SparseView`]
 /// (`n_dst × n_src`; the output has one row per adjacency row) — a view of
-/// an owned batch's matrix or one still sitting in the sampler's arena, the
-/// forward pass cannot tell. Only backward needs the owned
-/// [`SparseMatrix`], for the transpose cached on it.
+/// an owned batch's matrix, one still sitting in the sampler's arena or a
+/// slice of the [`Cascade`], the forward pass cannot tell. Only backward
+/// needs the owned [`SparseMatrix`], for the transpose cached on it.
 ///
 /// # What a subgraph batch computes
 ///
 /// A block batch shrinks from layer to layer by construction. A subgraph
 /// batch (ShaDow, SAINT, Cluster, `full_graph_batch`) shares one `N × N`
-/// adjacency between its layers, but only its seed rows are ever read, so
-/// the layers run at *all rows, …, all rows, seed rows*: the last layer's
-/// adjacency is the `n_seeds × N` row slice of the normalized matrix
-/// ([`layer_adjs`] for an owned batch, [`SparseView::row_prefix`] for an
-/// arena view) and its output **is** the logits. Backward hands the same
-/// slice to the transposed gather, which runs over the slice's own cached
-/// transpose into a full-height gradient.
+/// adjacency `Â` between its layers, but only its seed rows are ever read,
+/// so each layer computes only the rows the next one reads — the
+/// **needed-row cascade** [`Cascade::build`] computes per batch, for owned
+/// batches and arena views alike: `R[L-1]` is the seed positions; layer `l`
+/// runs over `Â.select_rows(R[l])`; `R[l-1]` is the distinct columns that
+/// slice names, ascending (for SAGE joined with `R[l]`, so every self row is
+/// there); and the slice's columns are renumbered to their ranks in
+/// `R[l-1]`, which makes it `|R[l]| × |R[l-1]|`. Once `R[l-1]` is every
+/// row, the layers below run over `Â` itself. Activations, gradients, the
+/// `dW`/`db` reductions and the transposed gather (over each slice's own
+/// cached transpose) are all sized by the adjacency, so they shrink with it.
 ///
-/// This is bitwise the full-height computation followed by a row selection:
-/// SpMM and GEMM rows are independent (the GEMM is pinned
-/// row-partition-invariant), so the kept rows are unchanged; every dropped
-/// row carried an all-zero loss gradient and so contributed `acc + x·0` to
-/// `db`/`dW` and `d + w·0` to the input gradient, which is `acc`/`d`; and
-/// the kept rows are visited in ascending row order (seed positions ascend
-/// for every sampler and for `full_graph_batch`), the order the full-height
-/// reductions and the row-major transpose build used. A hand-built batch
-/// with non-ascending positions is equal to tolerance only.
+/// This is bitwise the full-height computation followed by a row selection.
+/// SpMM and GEMM rows are independent of each other (the GEMM is pinned
+/// row-partition-invariant), so a kept row has the bits it had. A rank map
+/// over an ascending set is monotone, so the entries of every slice row, and
+/// of every row of its transpose, stay in the order they had in `Â`. And
+/// every dropped row of layer `l`'s output had an exactly zero gradient at
+/// full height — no kept row of layer `l + 1` names it — so it contributed
+/// `acc + x·0` to `db`/`dW`, which add rows in ascending order, and
+/// `d + w·0` to the input gradient: `acc` and `d`. That holds on the serial
+/// path; the pooled weight-gradient reduction splits its partial sums by row
+/// count and is equal to tolerance, as it always was. A hand-built batch
+/// whose seed positions repeat or do not ascend is equal to tolerance only.
 pub(crate) struct Forward<'m, L> {
     pub(crate) kind: GnnKind,
     pub(crate) layers: &'m [L],
@@ -118,7 +125,13 @@ pub(crate) struct Forward<'m, L> {
     // Interior mutability so `forward` (&self) can recycle buffers too;
     // a model is only ever driven from one thread at a time.
     pub(crate) ws: &'m RefCell<Workspace>,
+    pub(crate) cascade: &'m RefCell<Cascade>,
 }
+
+/// What one layer runs over: its normalized adjacency and, where the self
+/// rows SAGE reads are not the first rows of the layer's input, their
+/// positions in it.
+type LayerIn<'a> = (SparseView<'a>, Option<&'a [usize]>);
 
 impl<L: LayerParams> Forward<'_, L> {
     /// Layer `l`: returns `(output, aggregation)`.
@@ -165,28 +178,13 @@ impl<L: LayerParams> Forward<'_, L> {
         (z, agg)
     }
 
-    /// The self rows SAGE's layer `l` reads when they are not the first
-    /// rows of its input `h`: the last layer of a batch with scattered seeds
-    /// ([`scattered_seeds`]), selected once into a workspace buffer.
-    fn scattered_self(&self, l: usize, h: &Matrix, scattered: Option<&[usize]>) -> Option<Matrix> {
-        scattered
-            .filter(|_| l + 1 == self.layers.len())
-            .map(|pos| select_rows(self.ws, h, pos))
-    }
-
-    /// Runs every layer over the prepared adjacencies and returns the
-    /// logits: one row per row of the last adjacency. `scattered` is
-    /// [`scattered_seeds`] of the batch.
-    fn run(
-        &self,
-        adjs: &[SparseView<'_>],
-        input: &Matrix,
-        scattered: Option<&[usize]>,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
+    /// Runs every layer and returns the logits: one row per row of the last
+    /// adjacency.
+    fn run(&self, layers: &[LayerIn<'_>], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let step = |l: usize, h: &Matrix| {
-            let picked = self.scattered_self(l, h, scattered);
-            let (z, agg) = self.layer(l, &adjs[l], h, picked.as_ref().unwrap_or(h), pool);
+            let (adj, self_rows) = &layers[l];
+            let picked = self_rows.map(|pos| select_rows(self.ws, h, pos));
+            let (z, agg) = self.layer(l, adj, h, picked.as_ref().unwrap_or(h), pool);
             let mut ws = self.ws.borrow_mut();
             ws.put(agg);
             if let Some(m) = picked {
@@ -197,7 +195,7 @@ impl<L: LayerParams> Forward<'_, L> {
         // The first layer reads the caller's input in place; from then on
         // each layer's output replaces the previous one, which is retired.
         let mut h = step(0, input);
-        for l in 1..adjs.len() {
+        for l in 1..layers.len() {
             let z = step(l, &h);
             self.ws.borrow_mut().put(std::mem::replace(&mut h, z));
         }
@@ -226,27 +224,155 @@ impl<L: LayerParams> Forward<'_, L> {
         input: &Matrix,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let norms = layer_adjs(self.kind, self.layers.len(), batch);
-        let adjs: Vec<SparseView<'_>> = norms.iter().map(|m| m.view()).collect();
-        self.run(&adjs, input, scattered_seeds(self.kind, batch), pool)
+        let depth = self.layers.len();
+        let fulls = normalized_adjs(self.kind, depth, batch);
+        let mut cascade = self.cascade.borrow_mut();
+        cascade.for_owned(self.kind, depth, batch, &fulls);
+        let layers: Vec<_> = (0..depth)
+            .map(|l| cascade.layer(self.kind, l, full_of(&fulls, l).view()))
+            .collect();
+        self.run(&layers, input, pool)
     }
 
     /// [`Forward::forward_gathered`] over a borrowed [`SampledBatchView`]:
     /// the adjacencies are consumed straight out of the sampler's batch
-    /// arena with zero copies. Falls back to materializing the owned batch
-    /// when the fused normalization does not match this model (the owned
-    /// path then re-normalizes).
+    /// arena — every block, and a subgraph's full-height layers, with zero
+    /// copies. Falls back to materializing the owned batch when the fused
+    /// normalization does not match this model (the owned path then
+    /// re-normalizes).
     pub(crate) fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
         input: &Matrix,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        match arena_adjs(self.kind, self.layers.len(), batch) {
-            // Subgraph-view seeds are the node-list prefix: never scattered.
-            Some(adjs) => self.run(&adjs, input, None, pool),
-            None => self.forward_gathered(&batch.to_owned(), input, pool),
+        let depth = self.layers.len();
+        let fused = batch.norm() == wanted_norm_for(self.kind);
+        match batch {
+            SampledBatchView::Blocks(mb) if fused && mb.num_blocks() == depth => {
+                let layers: Vec<_> = (0..depth).map(|l| (mb.block(l).adj, None)).collect();
+                self.run(&layers, input, pool)
+            }
+            SampledBatchView::Subgraph(sb) if fused => {
+                // Subgraph-view seeds are the node-list prefix.
+                let mut cascade = self.cascade.borrow_mut();
+                cascade.build(self.kind, depth, sb.adj(), 0..sb.num_seeds());
+                let layers: Vec<_> = (0..depth)
+                    .map(|l| cascade.layer(self.kind, l, sb.adj()))
+                    .collect();
+                self.run(&layers, input, pool)
+            }
+            _ => self.forward_gathered(&batch.to_owned(), input, pool),
         }
+    }
+}
+
+/// The needed-row cascade of one subgraph batch (see [`Forward`]) and the
+/// storage it reuses from batch to batch: slot `l` of `slices` and
+/// `self_rows` belongs to layer `l`, so a model's steady-state steps build
+/// their slices in place.
+#[derive(Default)]
+pub(crate) struct Cascade {
+    /// Layers `first..` run over their slice, the layers below over `Â`.
+    first: usize,
+    slices: Vec<SparseMatrix>,
+    /// Where the rows layer `l` computes sit in its input (SAGE only).
+    self_rows: Vec<Vec<usize>>,
+    /// `R[l]` while layer `l` is built.
+    rows: Vec<usize>,
+    /// Per column of `Â`: its rank in `R[l-1]`, `u32::MAX` outside it.
+    rank: Vec<u32>,
+}
+
+impl Cascade {
+    /// The cascade of an owned batch over its normalized adjacencies; a
+    /// block batch has none (every layer runs over its own block).
+    fn for_owned(
+        &mut self,
+        kind: GnnKind,
+        depth: usize,
+        batch: &SampledBatch,
+        fulls: &[Cow<'_, SparseMatrix>],
+    ) {
+        match batch {
+            SampledBatch::Blocks(_) => self.first = depth,
+            SampledBatch::Subgraph(sb) => {
+                let seeds = sb.seed_positions.iter().copied();
+                self.build(kind, depth, fulls[0].view(), seeds);
+            }
+        }
+    }
+
+    /// Builds the per-layer adjacencies of a `depth`-layer model over the
+    /// normalized `N × N` adjacency `full` whose outputs are read at rows
+    /// `seeds` — the one place a subgraph batch's layers are cut down.
+    fn build(
+        &mut self,
+        kind: GnnKind,
+        depth: usize,
+        full: SparseView<'_>,
+        seeds: impl Iterator<Item = usize>,
+    ) {
+        let n = full.rows();
+        self.slices.resize_with(depth, SparseMatrix::default);
+        self.self_rows.resize_with(depth, Vec::new);
+        self.rows.clear();
+        self.rows.extend(seeds);
+        let mut l = depth;
+        // Once a layer computes every row, it and the layers below it run
+        // over `full` itself: no slice, no copy.
+        while l > 0 && !self.rows.iter().copied().eq(0..n) {
+            l -= 1;
+            let (slice, self_rows) = (&mut self.slices[l], &mut self.self_rows[l]);
+            full.select_rows_into(&self.rows, slice);
+            self_rows.clear();
+            if kind == GnnKind::Sage {
+                self_rows.extend_from_slice(&self.rows);
+            }
+            if l == 0 {
+                break; // reads the caller's input, which has every row
+            }
+            // R[l-1]: mark what layer `l` reads, then list and rank the marks.
+            self.rank.clear();
+            self.rank.resize(n, u32::MAX);
+            for &c in slice.indices() {
+                self.rank[c as usize] = 0;
+            }
+            for &r in self_rows.iter() {
+                self.rank[r] = 0;
+            }
+            self.rows.clear();
+            for (c, r) in self.rank.iter_mut().enumerate() {
+                if *r == 0 {
+                    *r = self.rows.len() as u32;
+                    self.rows.push(c);
+                }
+            }
+            if self.rows.len() < n {
+                slice.rank_columns(&self.rank, self.rows.len());
+                for p in self_rows.iter_mut() {
+                    *p = self.rank[*p] as usize;
+                }
+            }
+        }
+        self.first = l;
+    }
+
+    /// Layer `l`'s slice; `None` below the cascade.
+    fn slice(&self, l: usize) -> Option<&SparseMatrix> {
+        (l >= self.first).then(|| &self.slices[l])
+    }
+
+    /// Where SAGE's layer `l` finds its self rows in its input; `None` where
+    /// they are its first rows (below the cascade, and for GCN nowhere read).
+    fn self_rows(&self, kind: GnnKind, l: usize) -> Option<&[usize]> {
+        (kind == GnnKind::Sage && l >= self.first).then(|| &self.self_rows[l][..])
+    }
+
+    /// What layer `l` runs over, `full` being its full-height adjacency.
+    fn layer<'a>(&'a self, kind: GnnKind, l: usize, full: SparseView<'a>) -> LayerIn<'a> {
+        let adj = self.slice(l).map_or(full, SparseMatrix::view);
+        (adj, self.self_rows(kind, l))
     }
 }
 
@@ -258,6 +384,7 @@ pub struct Gnn {
     dims: Vec<usize>, // layer input/output dims: [in, hidden, ..., out]
     dispatch: DispatchPolicy,
     ws: RefCell<Workspace>,
+    cascade: RefCell<Cascade>,
 }
 
 impl Gnn {
@@ -293,6 +420,7 @@ impl Gnn {
             dims,
             dispatch: DispatchPolicy::default(),
             ws: RefCell::new(Workspace::new()),
+            cascade: RefCell::default(),
         }
     }
 
@@ -350,6 +478,7 @@ impl Gnn {
             layers: &self.layers,
             dispatch: self.dispatch,
             ws: &self.ws,
+            cascade: &self.cascade,
         }
     }
 
@@ -422,21 +551,24 @@ impl Gnn {
     ) -> StepStats {
         let input = input.borrow();
         let depth = self.layers.len();
-        let norms = layer_adjs(self.kind, depth, batch);
-        let scattered = scattered_seeds(self.kind, batch);
-        // Forward, keeping per-layer outputs and aggregations. Layer `l`
-        // reads `input` (l = 0) or `outs[l - 1]`.
+        let fulls = normalized_adjs(self.kind, depth, batch);
+        let mut cascade = self.cascade.borrow_mut();
+        cascade.for_owned(self.kind, depth, batch, &fulls);
+        let (kind, cascade) = (self.kind, &*cascade);
+        let norm_of = |l: usize| cascade.slice(l).unwrap_or(full_of(&fulls, l));
+        // Forward, keeping per-layer outputs, aggregations and the self rows
+        // SAGE selected. Layer `l` reads `input` (l = 0) or `outs[l - 1]`.
         let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
         let mut aggs: Vec<Matrix> = Vec::with_capacity(depth);
-        let mut last_self = None;
+        let mut selfs: Vec<Option<Matrix>> = Vec::with_capacity(depth);
         let fwd = self.fwd();
-        for (l, norm) in norms.iter().enumerate() {
+        for l in 0..depth {
             let h = if l == 0 { input } else { &outs[l - 1] };
-            let picked = fwd.scattered_self(l, h, scattered);
-            let (z, agg) = fwd.layer(l, &norm.view(), h, picked.as_ref().unwrap_or(h), pool);
+            let picked = (cascade.self_rows(kind, l)).map(|pos| select_rows(&self.ws, h, pos));
+            let (z, agg) = fwd.layer(l, &norm_of(l).view(), h, picked.as_ref().unwrap_or(h), pool);
             outs.push(z);
             aggs.push(agg);
-            last_self = picked.zip(scattered);
+            selfs.push(picked);
         }
         // Loss over seeds: the last layer's rows are the seed rows.
         let logits = &outs[depth - 1];
@@ -456,11 +588,11 @@ impl Gnn {
                 // The fused ReLU recorded no mask: `outs[l] > 0` is it.
                 relu_backward_from_output(&mut grad, &outs[l]);
             }
-            let norm: &SparseMatrix = &norms[l];
+            let norm = norm_of(l);
             let n_dst = norm.rows();
-            // SAGE's self rows: the first `n_dst` input rows, or the last
-            // layer's selection with the input row each one came from.
-            let picked = last_self.as_ref().filter(|_| l + 1 == depth);
+            // SAGE's self rows: the first `n_dst` input rows, or the layer's
+            // selection with the input row each one came from.
+            let picked = selfs[l].as_ref().zip(cascade.self_rows(kind, l));
             bias_grad_into(&grad, &mut self.layers[l].db);
             match self.kind {
                 GnnKind::Gcn => {
@@ -540,7 +672,7 @@ impl Gnn {
                 ws.put(out);
                 ws.put(agg);
             }
-            if let Some((h_self, _)) = last_self {
+            for h_self in selfs.into_iter().flatten() {
                 ws.put(h_self);
             }
             ws.put(grad);
@@ -612,10 +744,11 @@ fn wanted_norm_for(kind: GnnKind) -> Normalization {
     }
 }
 
-/// The per-layer normalized adjacencies of an owned batch for a
-/// `depth`-layer model of the given kind: a borrow where the sampler already
-/// fused the wanted normalization into the adjacency values, a matrix
-/// normalized here otherwise (batches sampled without fusion).
+/// The full-height normalized adjacencies of an owned batch for a
+/// `depth`-layer model of the given kind — one per block, or the single one a
+/// subgraph batch's layers share ([`full_of`]): a borrow where the sampler
+/// already fused the wanted normalization into the adjacency values, a matrix
+/// normalized here, once, otherwise (batches sampled without fusion).
 fn normalized_adjs(
     kind: GnnKind,
     depth: usize,
@@ -639,76 +772,19 @@ fn normalized_adjs(
                 })
                 .collect()
         }
-        SampledBatch::Subgraph(sb) => {
-            // One adjacency serves every layer.
-            if sb.norm == want && sb.adj.values().is_some() {
-                return vec![Cow::Borrowed(&sb.adj); depth];
-            }
-            let norm = match kind {
-                GnnKind::Gcn => sb.gcn_normalized(),
-                GnnKind::Sage => sb.mean_normalized(),
-            };
-            // Build the transpose before the per-layer copies are made, so
-            // they (and the backward pass) share one instead of each copy
-            // rebuilding it lazily.
-            norm.csc();
-            vec![Cow::Owned(norm); depth]
+        SampledBatch::Subgraph(sb) if sb.norm == want && sb.adj.values().is_some() => {
+            vec![Cow::Borrowed(&sb.adj)]
         }
+        SampledBatch::Subgraph(sb) => vec![Cow::Owned(match kind {
+            GnnKind::Gcn => sb.gcn_normalized(),
+            GnnKind::Sage => sb.mean_normalized(),
+        })],
     }
 }
 
-/// The adjacency each layer of an owned batch runs over: [`normalized_adjs`]
-/// with the last layer of a subgraph batch cut down to its seed rows (see
-/// [`Forward`]). The slice is a copy of the seed rows' entries — a matrix of
-/// its own, which is what gives backward a place to cache its transpose.
-fn layer_adjs(kind: GnnKind, depth: usize, batch: &SampledBatch) -> Vec<Cow<'_, SparseMatrix>> {
-    let mut adjs = normalized_adjs(kind, depth, batch);
-    if let SampledBatch::Subgraph(sb) = batch {
-        let seed_adj = adjs[depth - 1].select_rows(&sb.seed_positions);
-        adjs[depth - 1] = Cow::Owned(seed_adj);
-    }
-    adjs
-}
-
-/// The seed positions of a batch whose seeds are *not* the first rows of its
-/// last layer's input, for a model that reads self features (SAGE):
-/// `full_graph_batch`, whose seeds sit at their node ids. Every sampled
-/// batch lists its seeds first and gets `None`, as does GCN.
-fn scattered_seeds(kind: GnnKind, batch: &SampledBatch) -> Option<&[usize]> {
-    match batch {
-        SampledBatch::Subgraph(sb)
-            if kind == GnnKind::Sage
-                && !sb.seed_positions.iter().copied().eq(0..sb.seeds.len()) =>
-        {
-            Some(&sb.seed_positions)
-        }
-        _ => None,
-    }
-}
-
-/// The per-layer adjacencies of a *borrowed* batch view, consumed in place
-/// from the sampler's arena — the last layer of a subgraph view reads only
-/// its seed rows, the row prefix. Returns `None` when the fused
-/// normalization does not match what the model wants (or the layer count
-/// disagrees) — the caller falls back to the owned path, which re-normalizes.
-fn arena_adjs<'a>(
-    kind: GnnKind,
-    depth: usize,
-    batch: &SampledBatchView<'a>,
-) -> Option<Vec<SparseView<'a>>> {
-    if batch.norm() != wanted_norm_for(kind) {
-        return None;
-    }
-    match batch {
-        SampledBatchView::Blocks(mb) => {
-            (mb.num_blocks() == depth).then(|| (0..depth).map(|l| mb.block(l).adj).collect())
-        }
-        SampledBatchView::Subgraph(sb) => {
-            let mut adjs = vec![sb.adj(); depth];
-            adjs[depth - 1] = sb.adj().row_prefix(sb.num_seeds());
-            Some(adjs)
-        }
-    }
+/// Layer `l`'s entry of [`normalized_adjs`].
+fn full_of<'a>(fulls: &'a [Cow<'_, SparseMatrix>], l: usize) -> &'a SparseMatrix {
+    fulls.get(l).unwrap_or(&fulls[0])
 }
 
 /// Gathers rows `ids` of `feats`, once, into a buffer of the model's own
@@ -952,17 +1028,20 @@ mod tests {
         out
     }
 
+    /// Adds, so that a row selected twice gets both gradients.
     fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
         let mut out = Matrix::zeros(total, m.cols());
         for (i, &r) in rows.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(m.row(i));
+            for (o, x) in out.row_mut(r).iter_mut().zip(m.row(i)) {
+                *o += x;
+            }
         }
         out
     }
 
     /// One training step the way it was before the ReLU mask stopped being
-    /// recorded and before the last layer of a subgraph batch was cut down
-    /// to its seed rows: the same kernels in the same order as
+    /// recorded and before the layers of a subgraph batch were cut down to
+    /// the rows the next one reads: the same kernels in the same order as
     /// [`Gnn::train_step_gathered`], but **every layer runs at full height**
     /// (the seed rows are selected from the last output and the loss
     /// gradient scattered back to all rows), and every hidden layer is
@@ -982,8 +1061,9 @@ mod tests {
         let (mut outs, mut aggs, mut masks) = (Vec::new(), Vec::new(), Vec::new());
         for (l, layer) in m.layers.iter().enumerate() {
             let h = if l == 0 { input } else { &outs[l - 1] };
-            let agg = d.aggregate(&norms[l], h, None);
-            let mut z = Matrix::zeros(norms[l].rows(), layer.w.cols());
+            let norm = full_of(&norms, l);
+            let agg = d.aggregate(norm, h, None);
+            let mut z = Matrix::zeros(norm.rows(), layer.w.cols());
             let epi = Epilogue::bias(&layer.b);
             match m.kind {
                 GnnKind::Gcn => d.gemm_into(&agg, &layer.w, epi, None, &mut z),
@@ -1009,7 +1089,7 @@ mod tests {
                 relu_backward(&mut grad, mask);
             }
             let x = if l == 0 { input } else { &outs[l - 1] };
-            let (norm, w, f_in) = (&*norms[l], &m.layers[l].w, m.dims[l]);
+            let (norm, w, f_in) = (full_of(&norms, l), &m.layers[l].w, m.dims[l]);
             let n_dst = norm.rows();
             let mut dw = Matrix::zeros(w.rows(), w.cols());
             match m.kind {
@@ -1044,13 +1124,23 @@ mod tests {
         (loss, per_layer.concat())
     }
 
-    /// The sampled batch kinds of the tests below, three layers deep.
-    fn samplers(d: &argo_graph::Dataset) -> Vec<(&'static str, Box<dyn Sampler>)> {
+    /// The sampled batch kinds of the tests below, `depth` layers deep.
+    /// "shadow 3-hop" reaches far enough from its seeds that the cascade
+    /// renumbers the columns of consecutive layers (pinned by
+    /// `three_hop_shadow_compacts_consecutive_layers`).
+    fn samplers(d: &argo_graph::Dataset, depth: usize) -> Vec<(&'static str, Box<dyn Sampler>)> {
         vec![
-            ("neighbor", Box::new(NeighborSampler::new(vec![5; 3]))),
-            ("shadow", Box::new(ShadowSampler::new(vec![4, 3], 3))),
-            ("saint", Box::new(SaintRwSampler::new(2, 3))),
-            ("cluster", Box::new(ClusterGcnSampler::new(&d.graph, 24, 3))),
+            ("neighbor", Box::new(NeighborSampler::new(vec![5; depth]))),
+            ("shadow", Box::new(ShadowSampler::new(vec![4, 3], depth))),
+            (
+                "shadow 3-hop",
+                Box::new(ShadowSampler::new(vec![3, 2, 2], depth)),
+            ),
+            ("saint", Box::new(SaintRwSampler::new(2, depth))),
+            (
+                "cluster",
+                Box::new(ClusterGcnSampler::new(&d.graph, 24, depth)),
+            ),
         ]
     }
 
@@ -1064,15 +1154,19 @@ mod tests {
         SampleRun::new(SeedSequence::new(9), scratch).with_norm(wanted_norm_for(kind))
     }
 
-    /// One owned batch of every kind a model of `kind` trains on: each
-    /// sampler's batch with the normalization fused by the sampler and with
-    /// it left to the model, and the whole graph with its seeds scattered
-    /// in ascending order.
-    fn every_batch_kind(d: &argo_graph::Dataset, kind: GnnKind) -> Vec<(String, SampledBatch)> {
+    /// One owned batch of every kind a `depth`-layer model of `kind` trains
+    /// on: each sampler's batch with the normalization fused by the sampler
+    /// and with it left to the model, and the whole graph with its seeds
+    /// scattered in ascending order.
+    fn every_batch_kind(
+        d: &argo_graph::Dataset,
+        kind: GnnKind,
+        depth: usize,
+    ) -> Vec<(String, SampledBatch)> {
         let seeds = seeds_of(d);
         let mut scratch = SamplerScratch::new();
         let mut out = Vec::new();
-        for (name, s) in samplers(d) {
+        for (name, s) in samplers(d, depth) {
             let fused = s.sample_with(&d.graph, &seeds, fused_run(kind, &mut scratch));
             out.push((format!("{name} (fused)"), fused));
             let plain = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9));
@@ -1082,9 +1176,11 @@ mod tests {
             .take(24)
             .collect();
         scattered.sort_unstable();
-        let full = full_graph_batch(&d.graph, &scattered);
-        assert!(scattered_seeds(GnnKind::Sage, &full).is_some());
-        out.push(("full graph".to_string(), full));
+        assert_ne!(scattered, (0..24).collect::<Vec<u32>>());
+        out.push((
+            "full graph".to_string(),
+            full_graph_batch(&d.graph, &scattered),
+        ));
         out
     }
 
@@ -1098,34 +1194,264 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The pruned step (mask read off the output, last subgraph layer on
-    /// seed rows only) against the full-height recorded-mask oracle: loss
-    /// and every gradient bit, every batch kind, both models, both tiers.
+    /// Loss and flat gradient of one production step, as bits.
+    fn step_bits(
+        m: &mut Gnn,
+        batch: &SampledBatch,
+        input: &Matrix,
+        labels: &[u32],
+    ) -> (u32, Vec<u32>) {
+        let stats = m.train_step_gathered(batch, input, labels, None);
+        let mut g = Vec::new();
+        m.grads_flat(&mut g);
+        (stats.loss.to_bits(), bits(&g))
+    }
+
+    /// The production step against the full-height oracle, bit for bit.
+    fn assert_step_is_the_oracles(
+        m: &mut Gnn,
+        batch: &SampledBatch,
+        input: &Matrix,
+        labels: &[u32],
+        who: &str,
+    ) {
+        let (loss, grads) = step_bits(m, batch, input, labels);
+        let (want_loss, want) = grads_with_recorded_masks(m, batch, input, labels);
+        assert_eq!(loss, want_loss.to_bits(), "{who}: loss");
+        assert_eq!(grads, bits(&want), "{who}: gradients");
+    }
+
+    /// Both models at two, three and four layers.
+    fn kinds_and_depths() -> impl Iterator<Item = (GnnKind, usize)> {
+        [GnnKind::Sage, GnnKind::Gcn]
+            .into_iter()
+            .flat_map(|kind| [2, 3, 4].map(|depth| (kind, depth)))
+    }
+
+    fn both_tiers() -> [DispatchPolicy; 2] {
+        [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ]
+    }
+
+    /// The pruned step (mask read off the output, every subgraph layer cut
+    /// down to the rows the next one reads) against the full-height
+    /// recorded-mask oracle: loss and every gradient bit, every batch kind,
+    /// both models, both tiers, two to four layers.
     #[test]
     fn mask_from_output_matches_recorded_mask_bitwise() {
         let d = tiny_dataset();
-        for kind in [GnnKind::Sage, GnnKind::Gcn] {
-            for (name, batch) in &every_batch_kind(&d, kind) {
+        for (kind, depth) in kinds_and_depths() {
+            for (name, batch) in &every_batch_kind(&d, kind, depth) {
                 let input = gathered(&d, batch.input_nodes());
-                for policy in [
-                    DispatchPolicy::default(),
-                    DispatchPolicy::default().force_scalar(),
-                ] {
-                    // Three layers: two hidden ReLUs to mask, and a middle
-                    // layer between the full-height and the seed-row one.
-                    let mut m =
-                        Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5).with_dispatch(policy);
-                    let stats = m.train_step_gathered(batch, &input, &d.labels, None);
+                for policy in both_tiers() {
+                    let mut m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, depth, 5)
+                        .with_dispatch(policy);
+                    let who = format!("{kind:?}×{depth} {name} simd={}", policy.simd_enabled());
+                    assert_step_is_the_oracles(&mut m, batch, &input, &d.labels, &who);
                     let mut got = Vec::new();
                     m.grads_flat(&mut got);
-                    let (loss, want) = grads_with_recorded_masks(&m, batch, &input, &d.labels);
-                    let who = format!("{kind:?} {name} simd={}", policy.simd_enabled());
-                    assert_eq!(stats.loss.to_bits(), loss.to_bits(), "{who}: loss");
-                    assert_eq!(bits(&got), bits(&want), "{who}: gradients");
                     assert!(got.iter().any(|g| *g != 0.0));
                 }
             }
         }
+    }
+
+    fn subgraph_of(batch: &SampledBatch) -> &argo_sample::batch::SubgraphBatch {
+        match batch {
+            SampledBatch::Subgraph(sb) => sb,
+            SampledBatch::Blocks(_) => panic!("expected a subgraph batch"),
+        }
+    }
+
+    /// The batch the pins above rely on for a cascade that compacts more than
+    /// one layer: under a 4-layer model a 3-hop ShaDow subgraph has its seeds,
+    /// their 1-hop and their 2-hop neighbourhoods as strictly nested row sets,
+    /// so layers 3, 2 and 1 are slices and the upper two have renumbered
+    /// columns.
+    #[test]
+    fn three_hop_shadow_compacts_consecutive_layers() {
+        let d = tiny_dataset();
+        let batch = ShadowSampler::new(vec![3, 2, 2], 4).sample(
+            &d.graph,
+            &seeds_of(&d),
+            &mut SmallRng::seed_from_u64(9),
+        );
+        let n = subgraph_of(&batch).nodes.len();
+        for kind in [GnnKind::Sage, GnnKind::Gcn] {
+            let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 4, 5);
+            m.forward_gathered(&batch, gathered(&d, batch.input_nodes()), None);
+            let c = m.cascade.borrow();
+            assert!(c.first <= 1, "{kind:?}: layers {}.. are slices", c.first);
+            let rows: Vec<usize> = (1..4).map(|l| c.slices[l].rows()).collect();
+            assert!(rows.windows(2).all(|w| w[0] > w[1]), "{kind:?}: {rows:?}");
+            assert!(
+                rows[0] < n && rows[2] == batch.num_seeds(),
+                "{kind:?}: {rows:?}"
+            );
+            // A slice's columns are the rows of the layer below.
+            assert_eq!(c.slices[3].cols(), rows[1], "{kind:?}");
+            assert_eq!(c.slices[2].cols(), rows[0], "{kind:?}");
+            if kind == GnnKind::Sage {
+                // Ranks of `R[l]` in `R[l-1]`: ascending, and not a prefix.
+                let pos = c.self_rows(kind, 2).unwrap();
+                assert!(pos.windows(2).all(|w| w[0] < w[1]));
+                assert!(pos.iter().copied().ne(0..pos.len()));
+            }
+        }
+    }
+
+    /// A hand-built subgraph batch over `adj` (no values: the model
+    /// normalizes) with the given seed positions.
+    fn hand_built(adj: SparseMatrix, seed_positions: Vec<usize>) -> SampledBatch {
+        let n = adj.rows();
+        SampledBatch::Subgraph(argo_sample::batch::SubgraphBatch {
+            nodes: (0..n as u32).collect(),
+            degree: (0..n).map(|i| adj.row_range(i).len() as f32).collect(),
+            seeds: seed_positions.iter().map(|&p| p as u32).collect(),
+            adj,
+            seed_positions,
+            norm: Normalization::None,
+        })
+    }
+
+    /// The 9-node path `0 – 1 – … – 8` followed by `isolated` nodes without
+    /// an entry.
+    fn path_graph(isolated: usize) -> SparseMatrix {
+        let n = 9 + isolated;
+        let (mut indptr, mut indices) = (vec![0u32], Vec::new());
+        for i in 0..n as u32 {
+            if i < 9 {
+                indices.extend(i.checked_sub(1));
+                indices.extend((i + 1 < 9).then_some(i + 1));
+            }
+            indptr.push(indices.len() as u32);
+        }
+        SparseMatrix::new(n, n, indptr, indices, None)
+    }
+
+    /// Seeds without a single in-subgraph entry: their slice rows are empty,
+    /// and when every seed is isolated the cascade hands 0-row and 0-column
+    /// matrices to SpMM, GEMM, `grad_weights_into` and the transposed gather.
+    /// Bitwise the oracle all the same.
+    #[test]
+    fn isolated_seeds_run_through_empty_slices_bitwise() {
+        let d = tiny_dataset();
+        for (seeds, empty_layers) in [(vec![4, 9], false), (vec![9, 10], true)] {
+            let batch = hand_built(path_graph(2), seeds);
+            let input = gathered(&d, batch.input_nodes());
+            for (kind, depth) in kinds_and_depths() {
+                for policy in both_tiers() {
+                    let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, depth, 5)
+                        .with_dispatch(policy);
+                    let who = format!("{kind:?}×{depth} simd={}", policy.simd_enabled());
+                    assert_step_is_the_oracles(&mut m, &batch, &input, &d.labels, &who);
+                    let c = m.cascade.borrow();
+                    // GCN reads nothing below an isolated seed; SAGE still
+                    // reads the seed's own row.
+                    if empty_layers && kind == GnnKind::Gcn {
+                        assert_eq!(c.slices[depth - 1].cols(), 0, "{who}");
+                        assert_eq!(c.slices[depth - 2].rows(), 0, "{who}");
+                    }
+                    drop(c);
+                    let logits = m.forward_gathered(&batch, &input, None);
+                    let f32_params: Vec<_> = m.layers.iter().map(LayerParams::params).collect();
+                    let want = full_height_logits(&m, &f32_params, &batch, &input);
+                    assert_eq!(bits(logits.data()), bits(want.data()), "{who}: forward");
+                }
+            }
+        }
+    }
+
+    /// Hand-built seed positions that repeat or do not ascend: the top
+    /// slice's rows then come in another order than the full-height
+    /// reductions visit them, so the step is the oracle's to tolerance only
+    /// — documented on [`Forward`]; every sampler's positions ascend.
+    #[test]
+    fn repeated_and_unordered_seed_positions_are_tolerance_equal() {
+        let d = tiny_dataset();
+        let batch = hand_built(path_graph(2), vec![6, 2, 6, 0, 9, 3]);
+        let input = gathered(&d, batch.input_nodes());
+        for kind in [GnnKind::Sage, GnnKind::Gcn] {
+            let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, 3, 5);
+            let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
+            let mut got = Vec::new();
+            m.grads_flat(&mut got);
+            let (loss, want) = grads_with_recorded_masks(&m, &batch, &input, &d.labels);
+            assert!((stats.loss - loss).abs() <= 1e-6, "{kind:?}: loss");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-5 * 1.0f32.max(w.abs()),
+                    "{kind:?} grad {i}: {g} vs {w}"
+                );
+            }
+        }
+    }
+
+    /// Where the next layer reads every row there is nothing to cut: the
+    /// cascade stops, builds no slice for the layers below, and they run over
+    /// the batch's own adjacency.
+    #[test]
+    fn a_layer_that_needs_every_row_gets_no_slice() {
+        let d = tiny_dataset();
+        let all: Vec<u32> = (0..d.graph.num_nodes() as u32).collect();
+        // Every node a seed: no layer is cut. Every third node of a path:
+        // SAGE's last layer reads the seeds and both neighbours of each,
+        // which is every node, so only that layer is.
+        for (batch, first) in [
+            (full_graph_batch(&d.graph, &all), 3),
+            (hand_built(path_graph(0), vec![1, 4, 7]), 2),
+        ] {
+            let m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
+            m.forward_gathered(&batch, gathered(&d, batch.input_nodes()), None);
+            let c = m.cascade.borrow();
+            assert_eq!(c.first, first);
+            for l in 0..first {
+                assert!(c.slice(l).is_none());
+                assert_eq!(c.slices[l], SparseMatrix::default(), "layer {l}: no copy");
+            }
+            // The slice above a full-height layer keeps the batch's columns.
+            for l in first..3 {
+                assert_eq!(c.slices[l].cols(), subgraph_of(&batch).nodes.len());
+            }
+        }
+    }
+
+    /// The cascade is what sizes a step's buffers: a fresh 3-layer model's
+    /// ShaDow step allocates exactly three matrices of layer 0's height —
+    /// its aggregation, its output and the gradient of that output (six when
+    /// every layer ran at full height) — and layer 1's are `|R[1]|` rows.
+    #[test]
+    fn a_shadow_step_takes_needed_row_buffers_for_the_middle_layer() {
+        let d = tiny_dataset();
+        let hidden = 16;
+        let batch = ShadowSampler::new(vec![4, 3], 3).sample(
+            &d.graph,
+            &seeds_of(&d),
+            &mut SmallRng::seed_from_u64(9),
+        );
+        let mut m = Gnn::new(GnnKind::Gcn, d.feat_dim(), hidden, d.num_classes, 3, 5);
+        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        let c = m.cascade.borrow();
+        let bottom = c
+            .slice(0)
+            .map_or(subgraph_of(&batch).nodes.len(), SparseMatrix::rows);
+        let middle = c.slices[1].rows();
+        assert!(
+            c.first <= 1 && 2 * middle < 2 * bottom,
+            "{middle} of {bottom}"
+        );
+        let mut ws = m.ws.borrow_mut();
+        let mut caps = Vec::new();
+        while ws.free_len() > 0 {
+            caps.push(ws.take_unzeroed(1, 1).into_data().capacity());
+        }
+        let at_least = |rows: usize| caps.iter().filter(|&&c| c >= rows * hidden).count();
+        assert_eq!(at_least(bottom), 3, "{caps:?}");
+        // Layer 1's aggregation, output and aggregation gradient, and the
+        // gradient of its output.
+        assert_eq!(at_least(middle), 3 + 4, "{caps:?}");
     }
 
     /// Full-height forward over any weight operand, built from the dispatch
@@ -1141,8 +1467,9 @@ mod tests {
         let norms = normalized_adjs(m.kind, params.len(), batch);
         let mut h = input.clone();
         for (l, &(w, b)) in params.iter().enumerate() {
-            let agg = d.aggregate(&norms[l], &h, None);
-            let mut z = Matrix::zeros(norms[l].rows(), w.cols());
+            let norm = full_of(&norms, l);
+            let agg = d.aggregate(norm, &h, None);
+            let mut z = Matrix::zeros(norm.rows(), w.cols());
             let epi = if l + 1 < params.len() {
                 Epilogue::bias_relu(b)
             } else {
@@ -1167,8 +1494,10 @@ mod tests {
     fn forward_returns_the_seed_rows_of_the_full_height_forward_bitwise() {
         use argo_tensor::{QuantKind, QuantizedMatrix};
         let d = tiny_dataset();
-        for kind in [GnnKind::Sage, GnnKind::Gcn] {
-            let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5);
+        for (kind, depth, policy) in
+            kinds_and_depths().flat_map(|(k, depth)| both_tiers().map(|p| (k, depth, p)))
+        {
+            let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, depth, 5).with_dispatch(policy);
             let qm = m.quantize(QuantKind::Bf16);
             let qw: Vec<QuantizedMatrix> = (m.layers.iter())
                 .map(|l| QuantizedMatrix::quantize(&l.w, QuantKind::Bf16))
@@ -1183,10 +1512,11 @@ mod tests {
                 for (got, params) in got.iter().zip([&f32_params, &q_params]) {
                     let want = full_height_logits(&m, params, batch, input);
                     assert_eq!(want.rows(), batch.num_seeds());
-                    assert_eq!(bits(got.data()), bits(want.data()), "{kind:?} {who}");
+                    let who = format!("{kind:?}×{depth} simd={} {who}", policy.simd_enabled());
+                    assert_eq!(bits(got.data()), bits(want.data()), "{who}");
                 }
             };
-            for (name, batch) in &every_batch_kind(&d, kind) {
+            for (name, batch) in &every_batch_kind(&d, kind, depth) {
                 let input = gathered(&d, batch.input_nodes());
                 let got = [
                     m.forward_gathered(batch, &input, None),
@@ -1196,7 +1526,7 @@ mod tests {
             }
             let seeds = seeds_of(&d);
             let mut scratch = SamplerScratch::new();
-            for (name, s) in samplers(&d) {
+            for (name, s) in samplers(&d, depth) {
                 let view = s.sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch));
                 let batch = view.to_owned();
                 let input = gathered(&d, batch.input_nodes());

@@ -25,7 +25,7 @@ use argo_sample::batch::SampledBatch;
 use argo_sample::view::SampledBatchView;
 use argo_tensor::{BSrc, DispatchPolicy, Matrix, QuantKind, QuantizedMatrix, Workspace};
 
-use crate::model::{Forward, Gnn, GnnKind, LayerParams};
+use crate::model::{Cascade, Forward, Gnn, GnnKind, LayerParams};
 
 struct QuantLayer {
     w: QuantizedMatrix,
@@ -45,6 +45,7 @@ pub struct QuantizedGnn {
     layers: Vec<QuantLayer>,
     dispatch: DispatchPolicy,
     ws: RefCell<Workspace>,
+    cascade: RefCell<Cascade>,
 }
 
 impl Gnn {
@@ -67,6 +68,7 @@ impl Gnn {
             layers,
             dispatch: self.dispatch(),
             ws: RefCell::new(Workspace::new()),
+            cascade: RefCell::default(),
         }
     }
 }
@@ -98,6 +100,7 @@ impl QuantizedGnn {
             layers: &self.layers,
             dispatch: self.dispatch,
             ws: &self.ws,
+            cascade: &self.cascade,
         }
     }
 

@@ -182,8 +182,13 @@ impl SampledBatch {
         }
     }
 
-    /// Total edges processed by one forward pass (workload proxy). For
-    /// ShaDow the subgraph adjacency is traversed once per layer.
+    /// The batch's *sampled workload*: block edges summed over the layers,
+    /// or the subgraph's edges once per layer — the paper's proxy ("the
+    /// number of aggregations performed is proportional to the number of
+    /// edges"), and the per-epoch count `benchmark/expected.json` pins. It
+    /// describes what was sampled, not what the kernels traverse: a model
+    /// aggregates a subgraph layer over the rows the next layer reads only
+    /// (`argo_nn`'s needed-row cascade), which is fewer entries than this.
     pub fn total_edges(&self, num_layers: usize) -> usize {
         match self {
             SampledBatch::Blocks(mb) => mb.total_edges(),

@@ -234,8 +234,8 @@ impl<'a> SampledBatchView<'a> {
         }
     }
 
-    /// Total edges processed by one forward pass (workload proxy). For
-    /// subgraph batches the adjacency is traversed once per layer.
+    /// The batch's sampled workload — see [`SampledBatch::total_edges`]: a
+    /// subgraph's edges count once per layer, whatever the model traverses.
     pub fn total_edges(&self, num_layers: usize) -> usize {
         match self {
             SampledBatchView::Blocks(mb) => mb.total_edges(),

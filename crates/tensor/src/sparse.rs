@@ -68,6 +68,13 @@ impl PartialEq for SparseMatrix {
     }
 }
 
+impl Default for SparseMatrix {
+    /// The `0 × 0` matrix — spare storage for [`SparseView::select_rows_into`].
+    fn default() -> Self {
+        Self::from_validated(0, 0, vec![0], Vec::new(), None)
+    }
+}
+
 impl SparseMatrix {
     /// Builds a CSR matrix; validates the structure.
     pub fn new(
@@ -154,27 +161,24 @@ impl SparseMatrix {
         }
     }
 
-    /// The `rows.len() × cols` matrix whose row `i` is this matrix's row
-    /// `rows[i]` — entries copied in stored order, `O(selected nnz)`. Rows may
-    /// repeat and come in any order. The result is a matrix of its own: its
-    /// transpose ([`SparseMatrix::csc`]) is built and cached on it, over the
-    /// selected entries only.
+    /// [`SparseView::select_rows`] of this matrix.
     pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
-        let nnz: usize = rows.iter().map(|&r| self.row_range(r).len()).sum();
-        assert!(u32::try_from(nnz).is_ok(), "selected entries fit u32");
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0u32);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = self.values.as_ref().map(|_| Vec::with_capacity(nnz));
-        for &r in rows {
-            let range = self.row_range(r);
-            indices.extend_from_slice(&self.indices[range.clone()]);
-            if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
-                dst.extend_from_slice(&src[range]);
-            }
-            indptr.push(indices.len() as u32);
+        self.view().select_rows(rows)
+    }
+
+    /// Renumbers the columns in place: column `c` becomes `rank[c]`, of
+    /// `cols`. With `rank` **increasing** over the columns this matrix names
+    /// (the rank of each within an ascending superset of them) the map is
+    /// monotone: no row's entry order changes, nor any row's of the transpose,
+    /// so both aggregations accumulate every value exactly as before — what a
+    /// model's needed-row cascade relies on. Drops a cached transpose.
+    pub fn rank_columns(&mut self, rank: &[u32], cols: usize) {
+        for c in &mut self.indices {
+            *c = rank[*c as usize];
+            assert!((*c as usize) < cols, "column rank in range");
         }
-        Self::from_validated(rows.len(), self.cols, indptr, indices, values)
+        self.cols = cols;
+        self.csc = OnceLock::new();
     }
 
     /// The cached transpose, built on first use (a counting sort,
@@ -502,6 +506,44 @@ impl<'a> SparseView<'a> {
             indices: &self.indices[..end],
             values: self.values.map(|v| &v[..end]),
         }
+    }
+
+    /// The `rows.len() × cols` matrix whose row `i` is this one's row
+    /// `rows[i]` — entries copied in stored order, `O(selected nnz)`. Rows may
+    /// repeat and come in any order. The result is a matrix of its own: its
+    /// transpose ([`SparseMatrix::csc`]) is built and cached on it, over the
+    /// selected entries only.
+    pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
+        let mut out = SparseMatrix::default();
+        self.select_rows_into(rows, &mut out);
+        out
+    }
+
+    /// [`SparseView::select_rows`] over `out`, whose three arrays are reused
+    /// (a per-step slice keeps its allocations from step to step) and whose
+    /// cached transpose is dropped.
+    pub fn select_rows_into(&self, rows: &[usize], out: &mut SparseMatrix) {
+        out.indptr.clear();
+        out.indptr.push(0);
+        out.indices.clear();
+        let mut values = self.values.map(|_| out.values.take().unwrap_or_default());
+        if let Some(v) = values.as_mut() {
+            v.clear();
+        }
+        for &r in rows {
+            let range = self.row_range(r);
+            out.indices.extend_from_slice(&self.indices[range.clone()]);
+            if let (Some(dst), Some(src)) = (values.as_mut(), self.values) {
+                dst.extend_from_slice(&src[range]);
+            }
+            out.indptr.push(out.indices.len() as u32);
+        }
+        assert!(
+            u32::try_from(out.indices.len()).is_ok(),
+            "selected entries fit u32"
+        );
+        (out.rows, out.cols, out.values) = (rows.len(), self.cols, values);
+        out.csc = OnceLock::new();
     }
 
     /// Materializes an owned [`SparseMatrix`] — the fallback at ownership
@@ -870,6 +912,62 @@ mod tests {
             picked,
             SparseMatrix::new(2, 2, vec![0, 2, 2], vec![0, 1], None)
         );
+    }
+
+    #[test]
+    fn select_rows_into_reuses_the_slot_and_drops_its_transpose() {
+        let s = ragged(9, 7);
+        let mut slot = SparseMatrix::default();
+        assert_eq!((slot.rows(), slot.cols(), slot.nnz()), (0, 0, 0));
+        s.view().select_rows_into(&[8, 2, 2], &mut slot);
+        assert_eq!(slot, s.select_rows(&[8, 2, 2]));
+        slot.csc();
+        let (indices, values) = (slot.indices().as_ptr(), slot.values().unwrap().as_ptr());
+        // A smaller selection fits the slot's arrays: same allocations.
+        s.view().select_rows_into(&[2], &mut slot);
+        assert_eq!(slot, s.select_rows(&[2]));
+        assert!(
+            !slot.csc_is_built(),
+            "the old selection's transpose is gone"
+        );
+        assert_eq!(slot.indices().as_ptr(), indices);
+        assert_eq!(slot.values().unwrap().as_ptr(), values);
+        // Values follow the source: implicit ones stay implicit, and back.
+        let ones = SparseMatrix::new(2, 7, vec![0, 1, 3], vec![6, 0, 4], None);
+        ones.view().select_rows_into(&[1], &mut slot);
+        assert_eq!(slot, SparseMatrix::new(1, 7, vec![0, 2], vec![0, 4], None));
+        s.view().select_rows_into(&[0], &mut slot);
+        assert_eq!(slot, s.select_rows(&[0]));
+        // A view of a prefix only has the prefix's rows.
+        assert_eq!(
+            s.view().row_prefix(3).select_rows(&[1]),
+            s.select_rows(&[1])
+        );
+    }
+
+    #[test]
+    fn rank_columns_renumbers_in_place() {
+        // Rows 0 and 1 of `sample()` name columns {0, 2} and {1}; keep the
+        // ascending superset {0, 2} of row 0's.
+        let mut m = sample().select_rows(&[0]);
+        m.csc();
+        m.rank_columns(&[0, u32::MAX, 1], 2);
+        assert_eq!(
+            m,
+            SparseMatrix::new(1, 2, vec![0, 2], vec![0, 1], Some(vec![1.0, 2.0]))
+        );
+        assert!(!m.csc_is_built(), "the transpose had the old columns");
+        assert_eq!((m.csc().rows(), m.csc().cols()), (2, 1));
+        // No columns left at all: a `rows × 0` matrix.
+        let mut none = SparseMatrix::new(2, 3, vec![0, 0, 0], vec![], None);
+        none.rank_columns(&[u32::MAX; 3], 0);
+        assert_eq!((none.rows(), none.cols(), none.csc().rows()), (2, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "column rank in range")]
+    fn rank_columns_rejects_an_unranked_named_column() {
+        sample().rank_columns(&[0, u32::MAX, 1], 2);
     }
 
     #[test]

@@ -235,6 +235,72 @@ proptest! {
         }
     }
 
+    /// What lets a model run *every* layer on the rows the next one reads:
+    /// select an ascending row set `R`, then renumber the slice's columns to
+    /// their ranks in an ascending superset `C` of the columns it names.
+    /// Aggregating `h`'s rows `C` over the result is rows `R` of the full
+    /// aggregation, and the transposed aggregation of a gradient is rows `C`
+    /// of the full one over that gradient zero-padded to every row — bitwise,
+    /// on both tiers: the rank map is monotone, so no row of the slice or of
+    /// its transpose changes its entry order.
+    #[test]
+    fn ranked_columns_commute_with_both_aggregations(
+        rows in 1usize..120,
+        cols in 1usize..90,
+        density_mod in 2usize..12,
+        dim in 1usize..20,
+        with_values in any::<bool>(),
+        salt in 0usize..64,
+        keep_mod in 1usize..6,
+        extra_mod in 1usize..5,
+    ) {
+        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let kept: Vec<usize> = (0..rows).filter(|i| (i * 3 + salt) % keep_mod == 0).collect();
+        let mut slice = adj.select_rows(&kept);
+        // `C`: every named column plus some that nothing names.
+        let mut rank = vec![u32::MAX; cols];
+        for &c in slice.indices() {
+            rank[c as usize] = 0;
+        }
+        for c in (0..cols).filter(|c| (c + salt) % extra_mod == 0) {
+            rank[c] = 0;
+        }
+        let named: Vec<usize> = (0..cols).filter(|&c| rank[c] == 0).collect();
+        for (k, &c) in named.iter().enumerate() {
+            rank[c] = k as u32;
+        }
+        slice.rank_columns(&rank, named.len());
+        prop_assert_eq!((slice.rows(), slice.cols()), (kept.len(), named.len()));
+
+        let h = Matrix::xavier(cols, dim, salt as u64 ^ 0x77);
+        let mut h_named = Matrix::zeros(named.len(), dim);
+        for (k, &c) in named.iter().enumerate() {
+            h_named.row_mut(k).copy_from_slice(h.row(c));
+        }
+        let grad = Matrix::xavier(kept.len(), dim, salt as u64 ^ 0x88);
+        let mut padded = Matrix::zeros(rows, dim);
+        for (i, &r) in kept.iter().enumerate() {
+            padded.row_mut(r).copy_from_slice(grad.row(i));
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for policy in [DispatchPolicy::default(), DispatchPolicy::default().force_scalar()] {
+            let full = policy.aggregate(&adj, &h, None);
+            let got = policy.aggregate(&slice, &h_named, None);
+            for (i, &r) in kept.iter().enumerate() {
+                prop_assert_eq!(bits(got.row(i)), bits(full.row(r)));
+            }
+            let full = policy.aggregate_transpose(&adj, &padded, None);
+            let got = policy.aggregate_transpose(&slice, &grad, None);
+            for (k, &c) in named.iter().enumerate() {
+                prop_assert_eq!(bits(got.row(k)), bits(full.row(c)));
+            }
+            // What `C` leaves out, nothing kept names: its gradient is zero.
+            for c in (0..cols).filter(|&c| rank[c] == u32::MAX) {
+                prop_assert!(full.row(c).iter().all(|x| *x == 0.0));
+            }
+        }
+    }
+
     /// Pool-parallel dispatch on the scalar tier (row counts from the
     /// 64-row constant up, so the pool really runs): row-partitioned kernels
     /// stay bitwise equal (disjoint writes, unchanged per-row order); the
