@@ -31,14 +31,15 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
-echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; arena assembly must not lose to legacy; a batch's spans cost <= 5% of the batch)"
+echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; arena assembly must not lose to legacy; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 
 echo "==> micro_serving quick perf gate (tuned p99 must not lose to the library default; warm result-cache hit rate > 0.9)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_serving
 
-echo "==> benchmark/ builds against the public API and runs train_ddp_cached (block batches) and train_shadow_gcn (subgraph batches) (quick: checks the outputs, enforces no bounds)"
+echo "==> benchmark/ builds against the public API and runs the three training workloads: train_neighbor_sage (block batches, loader prologue uncached), train_ddp_cached (two ranks, prologue through the cache) and train_shadow_gcn (subgraph batches) (quick: checks the outputs, enforces no bounds)"
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_neighbor_sage --quick
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_ddp_cached --quick
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_shadow_gcn --quick
 
@@ -50,6 +51,9 @@ ARGO_SIMD=off cargo test -q -p argo-sample
 
 echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path)"
 ARGO_SIMD=off cargo test -q -p argo-nn
+
+echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too)"
+ARGO_SIMD=off cargo test -q -p argo-engine
 
 echo "==> cargo test -q -p argo-serve"
 cargo test -q -p argo-serve

@@ -16,12 +16,16 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use std::sync::Arc;
+
 use argo_graph::generators::power_law;
-use argo_graph::{Graph, NodeId};
+use argo_graph::{Features, Graph, NodeId};
 use argo_rt::json::Json;
 use argo_rt::spans::{Role, SpanKind, SpanProfiler};
 use argo_rt::{SeedSequence, ThreadPool};
-use argo_sample::{legacy, NeighborSampler, Normalization, SampleRun, Sampler, SamplerScratch};
+use argo_sample::{
+    legacy, LoaderSpec, NeighborSampler, Normalization, SampleRun, Sampler, SamplerScratch,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -180,6 +184,44 @@ fn main() {
         sampler.sample_with(&graph, &seeds, run)
     });
 
+    // -- Loader drain: one epoch of `DRAIN_BATCHES` batches through a
+    // stand-alone `PipelinedLoader` with one worker and nothing consuming —
+    // sampling alone, then with the step's prologue on the worker (gather
+    // plus the first aggregation under the fused mean normalization, 64
+    // features per node). Recorded so the loader's per-batch cost is on
+    // file; never gated. --
+    const DRAIN_BATCHES: usize = 8;
+    const DRAIN_FEATURES: usize = 64;
+    let shared_graph = Arc::new(graph.clone());
+    let shared_sampler: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(fanouts.clone()));
+    let epoch_seeds: Arc<Vec<NodeId>> = Arc::new((0..(DRAIN_BATCHES * n_seeds) as u32).collect());
+    let features = Arc::new(Features::new(
+        (0..nodes * DRAIN_FEATURES)
+            .map(|x| (x % 97) as f32 * 0.01)
+            .collect(),
+        DRAIN_FEATURES,
+    ));
+    let drain = |prologue: bool| {
+        time_min(samples, || {
+            let mut spec = LoaderSpec::builder(
+                Arc::clone(&shared_graph),
+                Arc::clone(&shared_sampler),
+                Arc::clone(&epoch_seeds),
+            )
+            .batch_size(n_seeds)
+            .epoch_seeds(stream)
+            .normalization(Normalization::Mean);
+            if prologue {
+                spec = spec.features(Arc::clone(&features));
+            }
+            spec.start().count()
+        }) / DRAIN_BATCHES as f64
+    };
+    let drain_rows = [
+        ("loader drain", drain(false)),
+        ("loader drain with prologue", drain(true)),
+    ];
+
     // -- Span-profiler overhead: what one recorded span costs (two clock
     // reads and a ring push, measured over SPAN_PAIRS timed spans of an
     // empty closure), times the spans a training batch records, as a share
@@ -188,8 +230,8 @@ fn main() {
     // noise of the call, not the cost of the span — so the cost is measured
     // on its own and then set against the batch. --
     const SPAN_PAIRS: usize = 200_000;
-    // pick, gather, enqueue-wait, dequeue-wait, compute, sync.
-    const SPANS_PER_BATCH: f64 = 6.0;
+    // pick, gather, aggregate, enqueue-wait, dequeue-wait, compute, sync.
+    const SPANS_PER_BATCH: f64 = 7.0;
     let profiler = SpanProfiler::new();
     let ring = profiler.ring(Role::Producer, SPAN_PAIRS);
     let t = Instant::now();
@@ -281,6 +323,13 @@ fn main() {
             r.metadata_bytes as f64 / 1e3
         );
     }
+    println!();
+    for (name, batch_s) in &drain_rows {
+        println!(
+            "{name:<28} {:>8.3} ms/batch (1 worker, {DRAIN_BATCHES} batches, ungated)",
+            batch_s * 1e3
+        );
+    }
     println!(
         "\nassembly (1 core, {} nodes, {} nnz): legacy {:.3}ms, arena {:.3}ms \
          ({assembly_speedup:.2}x, {assembly_ns_per_edge:.2} ns/edge)",
@@ -318,6 +367,22 @@ fn main() {
         ("assembly_ns_per_edge", Json::Num(assembly_ns_per_edge)),
         ("metadata_bytes_per_batch", Json::Num(view_bytes as f64)),
         ("assembly_speedup_vs_legacy", Json::Num(assembly_speedup)),
+        // Recorded only: one loader worker's cost per batch, without and
+        // with the step's prologue.
+        (
+            "loader_drain",
+            Json::Arr(
+                drain_rows
+                    .iter()
+                    .map(|(name, batch_s)| {
+                        Json::obj(vec![
+                            ("name", Json::Str(name.to_string())),
+                            ("batch_ms", Json::Num(batch_s * 1e3)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ]);
     // Quick (CI) runs land in target/ so they never dirty the committed
     // full-mode baseline at the repository root.

@@ -67,8 +67,9 @@ pub const ALLOWLIST: &[AllowEntry] = &[
     AllowEntry {
         rule: "no-panic",
         path: "crates/engine/src/engine.rs",
-        needle: ".expect(\"process panicked\")",
-        why: "join() only fails if a simulated process panicked; propagating that panic is correct",
+        needle: ".expect(\"the loader spec carries the feature table\")",
+        why: "run_process puts the feature table in every LoaderSpec it builds, so every batch \
+              arrives with its prepared input",
     },
     AllowEntry {
         rule: "no-panic",

@@ -186,8 +186,8 @@ struct ProcessResult {
 }
 
 /// One rank's state that outlives the epoch: the model replica, whose
-/// workspace arena stays warm, and the ring of input buffers the rank's
-/// loader fills and its training step hands back.
+/// workspace arena stays warm, and the ring of buffers the rank's loader
+/// prepares each batch's input in and its training step hands back.
 struct Replica {
     model: AnyModel,
     inputs: InputRing,
@@ -202,10 +202,18 @@ pub struct BufferStats {
     pub workspace_allocs: usize,
     /// Bytes parked in the model workspaces.
     pub workspace_bytes: usize,
-    /// Input buffers the loader rings have made.
+    /// Buffers the loader rings have made for prepared inputs — what
+    /// crosses the reorder channel: per batch one aggregation (plus, for
+    /// GraphSAGE, one block of self rows), so at most
+    /// `prefetch + n_samp + 1` such sets per rank at once.
     pub input_buffers: usize,
     /// Bytes parked in the input rings.
     pub input_bytes: usize,
+    /// Private gather buffers the loader workers have made (`n_src × F`
+    /// each; one per concurrent worker, never sent anywhere).
+    pub gather_buffers: usize,
+    /// Bytes of the gather buffers parked between epochs.
+    pub gather_bytes: usize,
 }
 
 /// A persistent GNN training session whose epochs can each run under a
@@ -303,6 +311,8 @@ impl Engine {
             stats.workspace_bytes += r.model.workspace_bytes();
             stats.input_buffers += r.inputs.buffers_made();
             stats.input_bytes += r.inputs.parked_bytes();
+            stats.gather_buffers += r.inputs.gather_buffers_made();
+            stats.gather_bytes += r.inputs.gather_parked_bytes();
         }
         stats
     }
@@ -410,9 +420,13 @@ impl Engine {
                 };
                 handles.push(scope.spawn(move || run_process(spec, replica)));
             }
-            handles
+            // Join every rank before re-raising a panic, so no thread of a
+            // failed epoch outlives it and the payload (a loader worker's
+            // message, say) reaches the caller as it was thrown.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            joined
                 .into_iter()
-                .map(|h| h.join().expect("process panicked"))
+                .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
                 .collect()
         });
         let epoch_time = start.elapsed().as_secs_f64();
@@ -588,7 +602,7 @@ struct ProcessSpec<'a> {
     training_cores: CoreSet,
     allreduce: &'a AllReduce,
     /// `Some` iff the cross-batch cache is on this epoch; the loader then
-    /// pre-gathers each batch's input rows through it.
+    /// gathers each batch's input rows through it.
     cache: Option<Arc<FeatureCache>>,
     /// This rank's handle on the epoch's span profiler (a disabled profiler
     /// hands out detached rings — zero overhead).
@@ -622,6 +636,9 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
     model.set_params_flat(&params);
     let mut opt = opt0;
 
+    // The loader runs the step's parameter-free prologue on the sampling
+    // cores: it gathers every batch's input rows and, where the architecture
+    // fuses a normalization into the batch, aggregates layer 0 over them.
     let n_samp = sampling_cores.len();
     let mut loader_spec = LoaderSpec::builder(graph, sampler, seeds_part)
         .batch_size(local_batch)
@@ -631,14 +648,15 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
         .cores(sampling_cores)
         .prefetch(opts.prefetch)
         .normalization(opts.kind.normalization())
+        .features(features)
         .spans(spans.clone());
     if let Some(c) = cache {
-        loader_spec = loader_spec.features(Arc::clone(&features)).cache(c);
+        loader_spec = loader_spec.cache(c);
     }
     let loader = PipelinedLoader::start_recycling(loader_spec.build(), inputs.clone());
-    // Consumer-side span ring: the gather/compute/sync spans here chain (by
-    // batch id) onto the producer spans the loader records.
-    let ring = spans.ring(Role::Consumer, 3 * loader.num_batches());
+    // Consumer-side span ring: the compute/sync spans here chain (by batch
+    // id) onto the producer spans the loader records.
+    let ring = spans.ring(Role::Consumer, 2 * loader.num_batches());
     let train_pool = if training_cores.len() > 1 {
         Some(ThreadPool::pinned("argo-train", &training_cores))
     } else {
@@ -662,25 +680,15 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
             metadata_bytes: batch_metadata_bytes,
             ..
         } = loaded;
-        // With the cache on, the loader already gathered the input rows
-        // through it (its `Cache` span is this batch's gather). Otherwise
-        // the bandwidth-bound feature gather (Figure 2's
-        // `aten::index_select`) happens here, once, into a ring buffer, as
-        // its own span: what is measured is what feeds the model.
-        let input = input.unwrap_or_else(|| {
-            ring.timed(SpanKind::Gather, i as u64, || {
-                let ids = batch.input_nodes();
-                let mut input = inputs.take(ids.len(), features.dim());
-                features.gather_into(ids, input.data_mut());
-                input
-            })
-        });
+        let input = input.expect("the loader spec carries the feature table");
+        // The step starts at the first GEMM (GAT: at its attention over the
+        // gathered rows).
         let stats = ring.timed(SpanKind::Compute, i as u64, || {
-            model.train_step_gathered(&batch, &input, &dataset.labels, train_pool.as_ref())
+            model.train_step_prepared(&batch, &input, &dataset.labels, train_pool.as_ref())
         });
-        // The step only read the input: back to the ring it goes, for the
-        // loader (or the next gather above) to fill again.
-        inputs.put(input);
+        // The step only read the operands: back to the ring they go, for the
+        // loader to fill again.
+        input.recycle(inputs);
         edges += batch.total_edges(opts.num_layers);
         // Measured on the arena-resident view by the loader worker: node
         // ids, degrees, u32 row pointers, column indices and fused values —
@@ -860,7 +868,9 @@ mod tests {
     fn stage_numbers_are_one_fold_of_the_spans() {
         // Histograms, `stage_summary` events and the timeline all come out
         // of the same pass over the same drained spans, so on a fresh
-        // handle they agree to the bit, and every stage saw every batch.
+        // handle they agree to the bit, and every stage saw every batch
+        // once (the loader's gather and aggregation are one gather-stage
+        // interval).
         let mut e = Engine::new(tiny(), neighbor(), opts(64));
         let tel = Telemetry::new();
         let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
@@ -871,14 +881,15 @@ mod tests {
         assert_eq!(summaries.len(), Stage::ALL.len());
         for (stage, (label, seconds, count)) in Stage::ALL.into_iter().zip(summaries) {
             let h = &hists[&Telemetry::stage_histogram_name(stage)];
+            let want = stats.minibatches as u64;
             assert_eq!(label, stage.label());
-            assert_eq!(h.count(), stats.minibatches as u64, "{label}");
-            assert_eq!(count, stats.minibatches as u64, "{label}");
+            assert_eq!(h.count(), want, "{label}");
+            assert_eq!(count, want, "{label}");
             assert_eq!(h.sum(), seconds, "{label}");
             assert!(seconds > 0.0, "{label}");
             // `events()` sorts by start, which is the drain order.
             let spans = timeline.iter().filter(|ev| ev.stage == stage);
-            assert_eq!(spans.clone().count(), stats.minibatches);
+            assert_eq!(spans.clone().count() as u64, want);
             assert_eq!(spans.map(|ev| ev.end - ev.start).sum::<f64>(), seconds);
         }
         // One track per process.
@@ -889,27 +900,31 @@ mod tests {
 
     #[test]
     fn cached_epoch_charges_the_loader_cache_span_to_gather() {
-        // With the cache on the consumer gathers nothing: the loader's
-        // `Cache` span is the batch's gather, on its process's track.
-        let mut o = opts(64);
-        o.cache_capacity = 512;
-        let mut e = Engine::new(tiny(), neighbor(), o);
-        let tel = Telemetry::new();
-        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        let gather = stage_summaries(&tel, 0)
-            .into_iter()
-            .find(|(label, ..)| label == Stage::Gather.label())
-            .expect("gather summary");
-        assert_eq!(gather.2, stats.minibatches as u64);
-        assert!(gather.1 > 0.0);
-        let gathers: Vec<_> = tel
-            .trace
-            .events()
-            .into_iter()
-            .filter(|ev| ev.stage == Stage::Gather)
-            .collect();
-        assert_eq!(gathers.len(), stats.minibatches);
-        assert!(gathers.iter().any(|ev| ev.process == 1));
+        // The consumer gathers nothing, cache or no cache: a batch's gather
+        // stage is one interval over its loader's `Gather`/`Cache` span and
+        // its `Aggregate` span, on its process's track, and the step's
+        // `Compute` span starts at the first GEMM.
+        for cache_capacity in [0, 512] {
+            let mut o = opts(64);
+            o.cache_capacity = cache_capacity;
+            let mut e = Engine::new(tiny(), neighbor(), o);
+            let tel = Telemetry::new();
+            let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+            let gather = stage_summaries(&tel, 0)
+                .into_iter()
+                .find(|(label, ..)| label == Stage::Gather.label())
+                .expect("gather summary");
+            assert_eq!(gather.2, stats.minibatches as u64);
+            assert!(gather.1 > 0.0);
+            let gathers: Vec<_> = tel
+                .trace
+                .events()
+                .into_iter()
+                .filter(|ev| ev.stage == Stage::Gather)
+                .collect();
+            assert_eq!(gathers.len(), stats.minibatches);
+            assert!(gathers.iter().any(|ev| ev.process == 1));
+        }
     }
 
     #[test]
@@ -931,8 +946,9 @@ mod tests {
         let counters: std::collections::BTreeMap<_, _> =
             tel.metrics.counters().into_iter().collect();
         assert_eq!(counters[names::SPANS_DROPPED_TOTAL], 0);
-        // pick + enqueue + dequeue + gather + compute + sync per batch.
-        assert_eq!(counters[names::SPANS_RECORDED_TOTAL], 6 * batches as u64);
+        // pick + gather + aggregate + enqueue, dequeue, compute + sync per
+        // batch.
+        assert_eq!(counters[names::SPANS_RECORDED_TOTAL], 7 * batches as u64);
     }
 
     #[test]
@@ -1257,6 +1273,176 @@ mod tests {
         assert_eq!(run(0), run(512));
     }
 
+    /// The engine as it ran before the prologue moved to the loader, written
+    /// out serially: per iteration and rank, sample the batch the engine's
+    /// seed tree names, gather its input rows, run the whole step
+    /// (`train_step_gathered`: layer 0 aggregated on the training side),
+    /// average the gradients as the all-reduce does, step the optimizer.
+    /// Returns each epoch's loss bits and the final parameters.
+    fn gathered_replay(
+        d: &Dataset,
+        sampler: &dyn Sampler,
+        o: &EngineOptions,
+        n_proc: usize,
+        epochs: u64,
+    ) -> (Vec<u32>, Vec<f32>) {
+        use argo_sample::{SampleRun, SamplerScratch};
+        use argo_tensor::Matrix;
+        let mut model = build_model(o, d);
+        let mut params = Vec::new();
+        model.params_flat(&mut params);
+        let mut opt = AnyOptimizer::build(o.optimizer, params.len(), o.lr);
+        let seeds = SeedSequence::new(o.seed ^ 0xC0FFEE);
+        let mut scratch = SamplerScratch::new();
+        let (mut grads, mut mean) = (Vec::new(), Vec::new());
+        let mut losses = Vec::new();
+        for epoch in 0..epochs {
+            let parts = random_partition(&d.train_nodes, n_proc, seeds.seed_for(epoch, u64::MAX));
+            let min_len = parts.iter().map(Vec::len).min().unwrap_or(0);
+            let local_batch = (o.global_batch / n_proc).max(1);
+            let iterations = min_len.div_ceil(local_batch);
+            let mut rank_loss = vec![0.0f64; n_proc];
+            for i in 0..iterations {
+                let hi = ((i + 1) * local_batch).min(min_len);
+                mean.clear();
+                mean.resize(params.len(), 0.0f32);
+                for (rank, part) in parts.iter().enumerate() {
+                    let stream =
+                        SeedSequence::new(seeds.child(rank as u64).seed_for(epoch, i as u64));
+                    let run =
+                        SampleRun::new(stream, &mut scratch).with_norm(o.kind.normalization());
+                    let batch = sampler
+                        .sample_into(&d.graph, &part[i * local_batch..hi], run)
+                        .to_owned();
+                    let ids = batch.input_nodes();
+                    let mut input = Matrix::zeros(ids.len(), d.feat_dim());
+                    d.features.gather_into(ids, input.data_mut());
+                    let stats = model.train_step_gathered(&batch, &input, &d.labels, None);
+                    rank_loss[rank] += f64::from(stats.loss);
+                    model.grads_flat(&mut grads);
+                    for (m, g) in mean.iter_mut().zip(&grads) {
+                        *m += g;
+                    }
+                }
+                if n_proc > 1 {
+                    let inv = 1.0 / n_proc as f32;
+                    mean.iter_mut().for_each(|m| *m *= inv);
+                }
+                opt.step(&mut params, &mean);
+                model.set_params_flat(&params);
+            }
+            let loss_sum = rank_loss[0] + rank_loss[1..].iter().sum::<f64>();
+            losses.push(((loss_sum / (iterations * n_proc) as f64) as f32).to_bits());
+        }
+        (losses, params)
+    }
+
+    #[test]
+    fn engine_matches_the_gathered_step_replay_bitwise() {
+        // Moving the first aggregation to the loader thread moved no bit:
+        // every epoch's loss and the final parameters are what the serial
+        // gather-then-whole-step replay computes — one process or two, one
+        // sampler thread or two, cache off or on, block batches under
+        // GraphSAGE and subgraph batches (whose layer 0 the model may cut
+        // out of the loader's full-height aggregation) under GCN.
+        let d = tiny();
+        let cases: [(Arch, Arc<dyn Sampler>); 2] = [
+            (Arch::Sage, neighbor()),
+            (Arch::Gcn, Arc::new(ShadowSampler::new(vec![6, 3], 2))),
+        ];
+        for (kind, sampler) in cases {
+            let mut o = opts(64);
+            o.kind = kind;
+            for (p, s, t) in [(1, 1, 1), (1, 2, 1), (2, 1, 1)] {
+                let want = gathered_replay(&d, &*sampler, &o, p, 3);
+                for cache_rows in [0, 256] {
+                    let mut e = Engine::new(Arc::clone(&d), Arc::clone(&sampler), o.clone());
+                    let config = Config::new(p, s, t).with_cache_rows(cache_rows);
+                    let losses: Vec<u32> = (0..3)
+                        .map(|_| e.train_epoch(config, None).loss.to_bits())
+                        .collect();
+                    let who = format!("{kind:?} ({p},{s},{t}) cache_rows {cache_rows}");
+                    assert_eq!(losses, want.0, "{who}: per-epoch loss");
+                    assert!(
+                        e.params()
+                            .iter()
+                            .zip(&want.1)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{who}: final parameters"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A sampler that dies on its `at`-th call (counted across threads).
+    struct DiesAt {
+        inner: NeighborSampler,
+        calls: std::sync::atomic::AtomicUsize,
+        at: usize,
+    }
+
+    impl Sampler for DiesAt {
+        fn sample_into<'a>(
+            &self,
+            graph: &Graph,
+            seeds: &[u32],
+            run: argo_sample::SampleRun<'a>,
+        ) -> argo_sample::SampledBatchView<'a> {
+            let call = self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            assert!(call != self.at, "sampler died at call {call}");
+            self.inner.sample_into(graph, seeds, run)
+        }
+
+        fn name(&self) -> &'static str {
+            "DiesAt"
+        }
+
+        fn num_layers(&self) -> usize {
+            self.inner.num_layers()
+        }
+    }
+
+    #[test]
+    fn a_dead_loader_worker_fails_the_epoch_with_its_own_message() {
+        // A loader worker that panics mid-epoch used to end the iteration
+        // early and the engine adopted the short epoch. Now the epoch panics
+        // with the worker's message, on the caller's thread, after every
+        // thread of the epoch is joined — and the engine is as it was
+        // before the failed epoch: the next one runs clean.
+        for n_samp in [1, 2] {
+            let sampler = Arc::new(DiesAt {
+                inner: NeighborSampler::new(vec![8, 4]),
+                calls: Default::default(),
+                at: 3,
+            });
+            let mut e = Engine::new(tiny(), sampler.clone(), opts(64));
+            let config = Config::new(1, n_samp, 1);
+            let before = e.params().to_vec();
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.train_epoch(config, None)
+            }));
+            let payload = failed.expect_err("the epoch must not end short");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the worker's formatted message");
+            assert!(message.contains("sampler died at call 3"), "{message}");
+            assert_eq!((e.epochs_done(), e.params()), (0, &before[..]));
+            // Scoped rank threads and joined loader workers: nothing of the
+            // failed epoch is left to touch the sampler.
+            let calls = sampler.calls.load(std::sync::atomic::Ordering::Relaxed);
+            let stats = e.train_epoch(config, None);
+            assert!(stats.iterations > 0 && stats.loss.is_finite());
+            assert_eq!(
+                sampler.calls.load(std::sync::atomic::Ordering::Relaxed),
+                calls + stats.minibatches
+            );
+            assert_eq!(e.epochs_done(), 1);
+        }
+    }
+
     /// A fixture whose epochs all have the same shapes: one process, one
     /// global batch holding every train node, every neighbor taken. The
     /// partition reorders the seeds from epoch to epoch but the node sets —
@@ -1276,30 +1462,43 @@ mod tests {
     #[test]
     fn second_epoch_reuses_every_buffer_of_the_first() {
         // After one warm-up epoch the per-rank state is complete: a second
-        // epoch under the same config makes no fresh workspace allocation
-        // and no new input buffer — cache off (the step gathers into the
-        // ring's one buffer) and cache on (the loader fills it).
-        for cache_rows in [0, 256] {
-            let (d, sampler, o) = same_shape_every_epoch();
-            let mut e = Engine::new(d, sampler, o);
-            let config = Config::new(1, 1, 1).with_cache_rows(cache_rows);
-            assert_eq!(e.buffer_stats(), BufferStats::default());
-            e.train_epoch(config, None);
-            let warm = e.buffer_stats();
-            assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
-            assert_eq!(warm.input_buffers, 1, "one batch in flight at a time");
-            assert!(warm.input_bytes > 0, "the input came back to the ring");
-            e.train_epoch(config, None);
-            let again = e.buffer_stats();
-            assert_eq!(
-                (
-                    again.workspace_allocs,
-                    again.input_buffers,
-                    again.input_bytes
-                ),
-                (warm.workspace_allocs, warm.input_buffers, warm.input_bytes),
-                "cache_rows {cache_rows}"
-            );
+        // epoch under the same config makes no fresh workspace allocation,
+        // no new operand buffer and no new gather buffer — cache off or on,
+        // and for each shape of hand-off: GraphSAGE's aggregation plus self
+        // rows, GCN's aggregation alone, GAT's gathered rows.
+        let sets = [(Arch::Sage, 2), (Arch::Gcn, 1), (Arch::Gat { heads: 2 }, 1)];
+        for (kind, operands) in sets {
+            for cache_rows in [0, 256] {
+                let (d, sampler, mut o) = same_shape_every_epoch();
+                o.kind = kind;
+                let mut e = Engine::new(d, sampler, o);
+                let config = Config::new(1, 1, 1).with_cache_rows(cache_rows);
+                assert_eq!(e.buffer_stats(), BufferStats::default());
+                e.train_epoch(config, None);
+                let warm = e.buffer_stats();
+                let who = format!("{kind:?}, cache_rows {cache_rows}: {warm:?}");
+                assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
+                assert!(warm.input_bytes > 0, "the operands came back: {who}");
+                assert_eq!(warm.gather_buffers, 1, "one worker: {who}");
+                if let Arch::Gat { .. } = kind {
+                    // No arena, and the gathered rows are themselves the
+                    // hand-off: the private buffer stays empty.
+                    assert_eq!((warm.workspace_allocs, warm.gather_bytes), (0, 0), "{who}");
+                } else {
+                    assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
+                    // The worker parked its private `n_src × F` buffer again.
+                    assert!(warm.gather_bytes > 0, "{who}");
+                }
+                e.train_epoch(config, None);
+                // (Parked workspace bytes may shift: a best-fit reuse can leave
+                // a buffer at another capacity. What is pinned is that nothing
+                // new was made.)
+                let again = BufferStats {
+                    workspace_bytes: warm.workspace_bytes,
+                    ..e.buffer_stats()
+                };
+                assert_eq!(again, warm, "{who}");
+            }
         }
     }
 
@@ -1308,23 +1507,31 @@ mod tests {
         // The trap this pins: replicas that persist while every loader-made
         // input is parked in their workspace retain one input per batch (up
         // to the arena's 32 slots) — 613 MB instead of 264 on the DDP
-        // benchmark. With the return path the inputs live in the ring, which
-        // holds only what was in flight at once.
+        // benchmark. With the return path the operands live in the ring,
+        // which holds only what was in flight at once: per rank at most
+        // `prefetch` sets queued, one per worker being filled, one in the
+        // step — and a set is two `n_dst × F` operands (GraphSAGE), not the
+        // gathered `n_src × F` input, which stays in its worker's private
+        // buffer.
         let d = tiny();
         let mut o = opts(64);
         o.cache_capacity = 512;
-        let prefetch = o.prefetch;
+        let (prefetch, n_proc, n_samp) = (o.prefetch, 2, 1);
         let mut e = Engine::new(Arc::clone(&d), neighbor(), o);
         for _ in 0..5 {
-            e.train_epoch(Config::new(2, 1, 1), None);
+            e.train_epoch(Config::new(n_proc, n_samp, 1), None);
         }
         let s = e.buffer_stats();
-        // Per rank: one input being filled, `prefetch` queued, one in the step.
-        assert!((2..=2 * (prefetch + 2)).contains(&s.input_buffers), "{s:?}");
-        // No input is larger than every node's row; the arena's share is
-        // activations, far smaller on this 500-feature dataset.
+        let sets = n_proc * (prefetch + n_samp + 1);
+        assert!((2 * n_proc..=2 * sets).contains(&s.input_buffers), "{s:?}");
+        assert_eq!(s.gather_buffers, n_proc * n_samp, "{s:?}");
+        // No gathered input is larger than every node's row, and an operand
+        // has a row per layer-0 output node only: with fanouts [8, 4] from
+        // 32 seeds, far fewer. The arena's share is activations, far smaller
+        // on this 500-feature dataset.
         let one_input = d.graph.num_nodes() * d.feat_dim() * 4;
-        assert!(s.input_bytes <= s.input_buffers * one_input, "{s:?}");
+        assert!(s.gather_bytes <= s.gather_buffers * one_input, "{s:?}");
+        assert!(s.input_bytes <= s.input_buffers * one_input / 2, "{s:?}");
         assert!(s.workspace_bytes < 2 * one_input, "{s:?}");
     }
 

@@ -10,6 +10,7 @@ use std::borrow::Borrow;
 use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
+use argo_sample::loader::PreparedInput;
 use argo_sample::view::SampledBatchView;
 use argo_tensor::{DispatchPolicy, Matrix};
 
@@ -158,24 +159,9 @@ impl AnyModel {
         }
     }
 
-    /// One training step (loss + backward into the gradient buffers).
-    pub fn train_step(
-        &mut self,
-        batch: &SampledBatch,
-        feats: &Features,
-        labels: &[u32],
-        pool: Option<&ThreadPool>,
-    ) -> StepStats {
-        match self {
-            AnyModel::Gnn(m) => m.train_step(batch, feats, labels, pool),
-            AnyModel::Gat(m) => m.train_step(batch, feats, labels, pool),
-        }
-    }
-
-    /// [`AnyModel::train_step`] with the input-node feature rows already
-    /// gathered (e.g. pre-gathered by the loader, possibly through the
-    /// cross-batch feature cache); same `input` contract as
-    /// [`AnyModel::forward_gathered`].
+    /// One training step (loss + backward into the gradient buffers) over
+    /// the batch's gathered input-node feature rows; same `input` contract
+    /// as [`AnyModel::forward_gathered`].
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
@@ -187,6 +173,29 @@ impl AnyModel {
         match self {
             AnyModel::Gnn(m) => m.train_step_gathered(batch, input, labels, pool),
             AnyModel::Gat(m) => m.train_step_gathered(batch, input, labels, pool),
+        }
+    }
+
+    /// [`AnyModel::train_step_gathered`] over what a loader worker prepared
+    /// for the batch under this architecture's [`Arch::normalization`]:
+    /// GCN and GraphSAGE start at their first GEMM
+    /// ([`Gnn::train_step_prepared`]); GAT, whose first aggregation is
+    /// parameterised, is handed the gathered rows.
+    pub fn train_step_prepared(
+        &mut self,
+        batch: &SampledBatch,
+        input: &PreparedInput,
+        labels: &[u32],
+        pool: Option<&ThreadPool>,
+    ) -> StepStats {
+        match (self, input) {
+            (AnyModel::Gnn(m), input) => m.train_step_prepared(batch, input, labels, pool),
+            (AnyModel::Gat(m), PreparedInput::Gathered(rows)) => {
+                m.train_step_gathered(batch, rows, labels, pool)
+            }
+            (AnyModel::Gat(_), PreparedInput::Aggregated { .. }) => {
+                panic!("GAT's first aggregation is parameterised: it takes the gathered rows")
+            }
         }
     }
 
@@ -327,11 +336,18 @@ mod tests {
             let seeds: Vec<u32> = d.train_nodes.iter().copied().skip(skip).take(n).collect();
             sampler.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(n as u64))
         };
+        let gathered = |batch: &SampledBatch| {
+            let ids = batch.input_nodes();
+            let mut input = Matrix::zeros(ids.len(), d.feat_dim());
+            d.features.gather_into(ids, input.data_mut());
+            input
+        };
         for arch in [Arch::Sage, Arch::Gcn, Arch::Gat { heads: 2 }] {
             let build = || AnyModel::build(arch, d.feat_dim(), 16, d.num_classes, 2, 5);
             let mut used = build();
             for (skip, n) in [(0, 24), (30, 8), (3, 40)] {
-                used.train_step(&batch_of(skip, n), &d.features, &d.labels, None);
+                let batch = batch_of(skip, n);
+                used.train_step_gathered(&batch, gathered(&batch), &d.labels, None);
             }
             let mut params = Vec::new();
             used.params_flat(&mut params);
@@ -343,12 +359,7 @@ mod tests {
             fresh.set_params_flat(&params);
 
             let batch = batch_of(11, 32);
-            let ids = batch.input_nodes();
-            let input = Matrix::from_vec(
-                ids.len(),
-                d.feat_dim(),
-                d.features.gather(ids).data().to_vec(),
-            );
+            let input = gathered(&batch);
             // Borrowed on the replica, by value on the fresh model: the two
             // calling conventions are one implementation.
             let a = used.train_step_gathered(&batch, &input, &d.labels, None);

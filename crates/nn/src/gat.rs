@@ -281,20 +281,8 @@ impl Gat {
     }
 
     /// One training step: forward, loss, full backward into the gradient
-    /// buffers (overwritten). Parameters are not updated.
-    pub fn train_step(
-        &mut self,
-        batch: &SampledBatch,
-        feats: &Features,
-        labels: &[u32],
-        pool: Option<&ThreadPool>,
-    ) -> StepStats {
-        let input = gather(feats, batch.input_nodes());
-        self.train_step_gathered(batch, input, labels, pool)
-    }
-
-    /// [`Gat::train_step`] with the input-node feature rows already
-    /// gathered; see [`Gat::forward_gathered`].
+    /// buffers (overwritten), over the input-node feature rows already
+    /// gathered; see [`Gat::forward_gathered`]. Parameters are not updated.
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
@@ -630,7 +618,12 @@ mod tests {
             blocks(&d, 4)
         };
         let mut gat = Gat::new(d.feat_dim(), 4 * heads, d.num_classes, 2, heads, 13);
-        gat.train_step(&batch, &d.features, &d.labels, None);
+        gat.train_step_gathered(
+            &batch,
+            gather(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         let mut analytic = Vec::new();
         gat.grads_flat(&mut analytic);
         let mut params = Vec::new();
@@ -684,12 +677,17 @@ mod tests {
         let b = blocks(&d, 64);
         let mk = || Gat::new(d.feat_dim(), 8, d.num_classes, 2, 2, 11);
         let mut serial = mk();
-        serial.train_step(&b, &d.features, &d.labels, None);
+        serial.train_step_gathered(&b, gather(&d.features, b.input_nodes()), &d.labels, None);
         let mut gs = Vec::new();
         serial.grads_flat(&mut gs);
         let pool = ThreadPool::new("t", 4);
         let mut pooled = mk();
-        pooled.train_step(&b, &d.features, &d.labels, Some(&pool));
+        pooled.train_step_gathered(
+            &b,
+            gather(&d.features, b.input_nodes()),
+            &d.labels,
+            Some(&pool),
+        );
         let mut gp = Vec::new();
         pooled.grads_flat(&mut gp);
         assert_eq!(gs.len(), gp.len());
@@ -710,7 +708,12 @@ mod tests {
             let start = (step * 24) % d.train_nodes.len().saturating_sub(24).max(1);
             let seeds: Vec<u32> = d.train_nodes.iter().copied().skip(start).take(24).collect();
             let batch = sampler.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(step as u64));
-            let stats = gat.train_step(&batch, &d.features, &d.labels, None);
+            let stats = gat.train_step_gathered(
+                &batch,
+                gather(&d.features, batch.input_nodes()),
+                &d.labels,
+                None,
+            );
             first.get_or_insert(stats.loss);
             last = stats.loss;
             let mut g = Vec::new();

@@ -15,6 +15,7 @@ use std::cell::RefCell;
 use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::{Normalization, SampledBatch};
+use argo_sample::loader::PreparedInput;
 use argo_sample::view::SampledBatchView;
 use argo_tensor::ops::{
     accuracy, bias_grad_into, relu_backward_from_output, softmax_cross_entropy,
@@ -155,27 +156,43 @@ impl<L: LayerParams> Forward<'_, L> {
         h_self: &Matrix,
         pool: Option<&ThreadPool>,
     ) -> (Matrix, Matrix) {
-        let (w, b) = self.layers[l].params();
-        let (mut agg, mut z) = {
-            let mut ws = self.ws.borrow_mut();
-            (
-                ws.take_unzeroed(adj.rows(), h.cols()),
-                ws.take_unzeroed(adj.rows(), w.cols()),
-            )
-        };
+        let agg = self.aggregate(adj, h, pool);
+        (self.dense(l, &agg, Some(h_self), pool), agg)
+    }
+
+    /// The parameter-free half of a layer: `adj · h` in a workspace buffer.
+    fn aggregate(&self, adj: &SparseView<'_>, h: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
+        let mut agg = self.ws.borrow_mut().take_unzeroed(adj.rows(), h.cols());
         self.dispatch.aggregate_view_into(adj, h, pool, &mut agg);
+        agg
+    }
+
+    /// The parameterised half of layer `l`: the GEMM over its aggregation
+    /// `agg` (and, for SAGE, the self rows `h_self`) with the fused epilogue.
+    /// This is where a step whose first aggregation was run by the loader
+    /// starts.
+    fn dense(
+        &self,
+        l: usize,
+        agg: &Matrix,
+        h_self: Option<&Matrix>,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let (w, b) = self.layers[l].params();
+        let mut z = self.ws.borrow_mut().take_unzeroed(agg.rows(), w.cols());
         let epi = if l + 1 < self.layers.len() {
             Epilogue::bias_relu(b)
         } else {
             Epilogue::bias(b)
         };
-        match self.kind {
-            GnnKind::Gcn => self.dispatch.gemm_into(&agg, w, epi, pool, &mut z),
-            GnnKind::Sage => self
+        match (self.kind, h_self) {
+            (GnnKind::Gcn, _) => self.dispatch.gemm_into(agg, w, epi, pool, &mut z),
+            (GnnKind::Sage, Some(h_self)) => self
                 .dispatch
-                .sage_gemm_into(h_self, &agg, w, epi, pool, &mut z),
+                .sage_gemm_into(h_self, agg, w, epi, pool, &mut z),
+            (GnnKind::Sage, None) => panic!("GraphSAGE's GEMM reads the layer's self rows"),
         }
-        (z, agg)
+        z
     }
 
     /// Runs every layer and returns the logits: one row per row of the last
@@ -358,6 +375,12 @@ impl Cascade {
         self.first = l;
     }
 
+    /// `R[0]`, the rows of the batch a cut layer 0 computes; `None` when it
+    /// computes them all. (`build` stops at layer 0 before replacing them.)
+    fn input_rows(&self) -> Option<&[usize]> {
+        (self.first == 0).then_some(&self.rows[..])
+    }
+
     /// Layer `l`'s slice; `None` below the cascade.
     fn slice(&self, l: usize) -> Option<&SparseMatrix> {
         (l >= self.first).then(|| &self.slices[l])
@@ -374,6 +397,28 @@ impl Cascade {
         let adj = self.slice(l).map_or(full, SparseMatrix::view);
         (adj, self.self_rows(kind, l))
     }
+}
+
+/// Where a step finds layer 0's GEMM operands.
+enum FirstLayer<'a> {
+    /// The gathered input rows: the step aggregates them itself.
+    Gathered(&'a Matrix),
+    /// [`PreparedInput::Aggregated`], borrowed.
+    Aggregated {
+        agg: &'a Matrix,
+        self_rows: Option<&'a Matrix>,
+    },
+}
+
+/// What a step kept for its backward pass, per layer: the output, the
+/// aggregation and the self rows SAGE read — workspace buffers, or the
+/// caller's matrices where layer 0 read them in place.
+struct Kept<'a> {
+    outs: Vec<Matrix>,
+    aggs: Vec<Cow<'a, Matrix>>,
+    selfs: Vec<Option<Cow<'a, Matrix>>>,
+    /// The last gradient matrix of the backward pass.
+    grad: Matrix,
 }
 
 /// A multi-layer GNN (hidden dims all equal, ReLU between layers, no
@@ -523,25 +568,12 @@ impl Gnn {
             .forward_gathered_view(batch, input.borrow(), pool)
     }
 
-    /// One training step: forward, loss, full backward. Gradients are
-    /// written into the model's gradient buffers (overwriting previous
-    /// contents); parameters are *not* updated — the engine averages
-    /// gradients across processes first, then calls an optimizer.
-    pub fn train_step(
-        &mut self,
-        batch: &SampledBatch,
-        feats: &Features,
-        labels: &[u32],
-        pool: Option<&ThreadPool>,
-    ) -> StepStats {
-        let input = gather_input(&self.ws, feats, batch.input_nodes());
-        let stats = self.train_step_gathered(batch, &input, labels, pool);
-        self.ws.borrow_mut().put(input);
-        stats
-    }
-
-    /// [`Gnn::train_step`] with the input-node feature rows already
-    /// gathered; see [`Gnn::forward_gathered`] for the `input` contract.
+    /// One training step — forward, loss, full backward — over the batch's
+    /// gathered input-node feature rows; see [`Gnn::forward_gathered`] for
+    /// the `input` contract. Gradients are written into the model's gradient
+    /// buffers (overwriting previous contents); parameters are *not* updated
+    /// — the engine averages gradients across processes first, then calls an
+    /// optimizer.
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
@@ -549,7 +581,48 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let input = input.borrow();
+        let (stats, kept) = self.step(batch, FirstLayer::Gathered(input.borrow()), labels, pool);
+        self.recycle(kept);
+        stats
+    }
+
+    /// [`Gnn::train_step_gathered`] starting at the first GEMM: `input` is
+    /// what a loader worker prepared for this batch. Layer 0's aggregation
+    /// depends on the batch and the features only, so it was run where the
+    /// batch was made — with the kernel this model would have used, over the
+    /// adjacency it would have used, row by row in the same entry order:
+    /// bitwise the step over the gathered rows. The operands must have been
+    /// aggregated over this model's normalization
+    /// ([`crate::Arch::normalization`] fused by the sampler).
+    pub fn train_step_prepared(
+        &mut self,
+        batch: &SampledBatch,
+        input: &PreparedInput,
+        labels: &[u32],
+        pool: Option<&ThreadPool>,
+    ) -> StepStats {
+        let first = match input {
+            PreparedInput::Gathered(rows) => FirstLayer::Gathered(rows),
+            PreparedInput::Aggregated { agg, self_rows } => FirstLayer::Aggregated {
+                agg,
+                self_rows: self_rows.as_ref(),
+            },
+        };
+        let (stats, kept) = self.step(batch, first, labels, pool);
+        self.recycle(kept);
+        stats
+    }
+
+    /// The one forward/backward implementation. Layer 0's GEMM operands come
+    /// from `first`: aggregated here from the gathered rows, or taken as the
+    /// loader prepared them; everything after is the same body.
+    fn step<'a>(
+        &mut self,
+        batch: &SampledBatch,
+        first: FirstLayer<'a>,
+        labels: &[u32],
+        pool: Option<&ThreadPool>,
+    ) -> (StepStats, Kept<'a>) {
         let depth = self.layers.len();
         let fulls = normalized_adjs(self.kind, depth, batch);
         let mut cascade = self.cascade.borrow_mut();
@@ -557,18 +630,48 @@ impl Gnn {
         let (kind, cascade) = (self.kind, &*cascade);
         let norm_of = |l: usize| cascade.slice(l).unwrap_or(full_of(&fulls, l));
         // Forward, keeping per-layer outputs, aggregations and the self rows
-        // SAGE selected. Layer `l` reads `input` (l = 0) or `outs[l - 1]`.
+        // SAGE read. Layer `l > 0` reads `outs[l - 1]`; `selfs[l]` is `None`
+        // where its self rows are the first rows of that.
         let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
-        let mut aggs: Vec<Matrix> = Vec::with_capacity(depth);
-        let mut selfs: Vec<Option<Matrix>> = Vec::with_capacity(depth);
+        let mut aggs: Vec<Cow<'a, Matrix>> = Vec::with_capacity(depth);
+        let mut selfs: Vec<Option<Cow<'a, Matrix>>> = Vec::with_capacity(depth);
         let fwd = self.fwd();
-        for l in 0..depth {
-            let h = if l == 0 { input } else { &outs[l - 1] };
+        let (agg, h_self) = match first {
+            FirstLayer::Gathered(input) => {
+                let agg = fwd.aggregate(&norm_of(0).view(), input, pool);
+                // SAGE's self rows: the layer's selection, or the first rows
+                // of the input.
+                let h_self = (kind == GnnKind::Sage).then(|| match cascade.self_rows(kind, 0) {
+                    Some(pos) => Cow::Owned(select_rows(&self.ws, input, pos)),
+                    None => Cow::Borrowed(input),
+                });
+                (Cow::Owned(agg), h_self)
+            }
+            FirstLayer::Aggregated { agg, self_rows } => {
+                assert_eq!(
+                    (agg.rows(), agg.cols()),
+                    (full_of(&fulls, 0).rows(), self.dims[0]),
+                    "prepared aggregation does not fit the batch"
+                );
+                // The loader aggregated every row; a cut layer 0 reads its
+                // own (rows are independent: a copy, not a recompute).
+                let cut = |m: &'a Matrix| match cascade.input_rows() {
+                    Some(rows) => Cow::Owned(select_rows(&self.ws, m, rows)),
+                    None => Cow::Borrowed(m),
+                };
+                (cut(agg), self_rows.map(cut))
+            }
+        };
+        outs.push(fwd.dense(0, &agg, h_self.as_deref(), pool));
+        aggs.push(agg);
+        selfs.push(h_self);
+        for l in 1..depth {
+            let h = &outs[l - 1];
             let picked = (cascade.self_rows(kind, l)).map(|pos| select_rows(&self.ws, h, pos));
             let (z, agg) = fwd.layer(l, &norm_of(l).view(), h, picked.as_ref().unwrap_or(h), pool);
             outs.push(z);
-            aggs.push(agg);
-            selfs.push(picked);
+            aggs.push(Cow::Owned(agg));
+            selfs.push(picked.map(Cow::Owned));
         }
         // Loss over seeds: the last layer's rows are the seed rows.
         let logits = &outs[depth - 1];
@@ -582,17 +685,13 @@ impl Gnn {
         // because `grad_input_into` and the gather overwrite them.
         let dispatch = self.dispatch;
         for l in (0..depth).rev() {
-            let layer_input = if l == 0 { input } else { &outs[l - 1] };
-            let agg = &aggs[l];
+            let agg = &*aggs[l];
             if l + 1 < depth {
                 // The fused ReLU recorded no mask: `outs[l] > 0` is it.
                 relu_backward_from_output(&mut grad, &outs[l]);
             }
             let norm = norm_of(l);
             let n_dst = norm.rows();
-            // SAGE's self rows: the first `n_dst` input rows, or the layer's
-            // selection with the input row each one came from.
-            let picked = selfs[l].as_ref().zip(cascade.self_rows(kind, l));
             bias_grad_into(&grad, &mut self.layers[l].db);
             match self.kind {
                 GnnKind::Gcn => {
@@ -608,11 +707,13 @@ impl Gnn {
                 }
                 GnnKind::Sage => {
                     // Stacked halves of dW, no concatenation: the top f_in
-                    // rows reduce against the self features, the bottom
-                    // against the aggregation.
+                    // rows reduce against the self features — the layer's
+                    // selection, or the first `n_dst` rows of its input —
+                    // the bottom against the aggregation.
                     let f_in = self.dims[l];
+                    let h_self = selfs[l].as_deref().unwrap_or_else(|| &outs[l - 1]);
                     dispatch.grad_weights_into(
-                        picked.map_or(layer_input, |(h_self, _)| h_self),
+                        h_self,
                         0..n_dst,
                         &grad,
                         pool,
@@ -652,8 +753,9 @@ impl Gnn {
                     dispatch.aggregate_transpose_into(norm, &dmean, pool, &mut dh);
                     // Self-path gradient lands on the rows the self features
                     // were read from.
+                    let picked = cascade.self_rows(kind, l);
                     for r in 0..n_dst {
-                        let at = picked.map_or(r, |(_, pos)| pos[r]);
+                        let at = picked.map_or(r, |pos| pos[r]);
                         for (a, b) in dh.row_mut(at).iter_mut().zip(dself.row(r)) {
                             *a += b;
                         }
@@ -665,23 +767,39 @@ impl Gnn {
             }
             self.ws.borrow_mut().put(std::mem::replace(&mut grad, dh));
         }
-        // Recycle every per-step buffer for the next batch.
-        {
-            let mut ws = self.ws.borrow_mut();
-            for (out, agg) in outs.into_iter().zip(aggs) {
-                ws.put(out);
-                ws.put(agg);
-            }
-            for h_self in selfs.into_iter().flatten() {
-                ws.put(h_self);
-            }
-            ws.put(grad);
-        }
-        StepStats {
+        let stats = StepStats {
             loss,
             accuracy: acc,
             num_seeds: seeds.len(),
+        };
+        let kept = Kept {
+            outs,
+            aggs,
+            selfs,
+            grad,
+        };
+        (stats, kept)
+    }
+
+    /// Recycles every per-step buffer of the model's own for the next batch.
+    fn recycle(&self, kept: Kept<'_>) {
+        let mut ws = self.ws.borrow_mut();
+        let Kept {
+            outs,
+            aggs,
+            selfs,
+            grad,
+        } = kept;
+        // Layer 0's operands may be the caller's: those are not ours to park.
+        for m in aggs.into_iter().chain(selfs.into_iter().flatten()) {
+            if let Cow::Owned(m) = m {
+                ws.put(m);
+            }
         }
+        for out in outs {
+            ws.put(out);
+        }
+        ws.put(grad);
     }
 
     /// Flattens all gradients (layer order, `W` then `b`) into `out`.
@@ -876,7 +994,8 @@ mod tests {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 16, 2);
         let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
-        let stats = m.train_step(&batch, &d.features, &d.labels, None);
+        let stats =
+            m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
         assert!(stats.loss.is_finite() && stats.loss > 0.0);
         assert_eq!(stats.num_seeds, 16);
         let mut g = Vec::new();
@@ -902,7 +1021,7 @@ mod tests {
             sample_blocks(&d, 5, 2)
         };
         let mut m = Gnn::new(kind, d.feat_dim(), 6, d.num_classes, 2, 5);
-        m.train_step(&batch, &d.features, &d.labels, None);
+        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
         let mut analytic = Vec::new();
         m.grads_flat(&mut analytic);
         let mut params = Vec::new();
@@ -984,7 +1103,7 @@ mod tests {
         // run inline either way).
         let mk = || Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 2, 6);
         let mut serial = mk();
-        serial.train_step(&batch, &d.features, &d.labels, None);
+        serial.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
         let mut gs = Vec::new();
         serial.grads_flat(&mut gs);
         let pool = ThreadPool::new("t", 4);
@@ -992,7 +1111,12 @@ mod tests {
         assert!(pooled
             .dispatch()
             .goes_parallel(batch.seeds().len(), Some(&pool)));
-        pooled.train_step(&batch, &d.features, &d.labels, Some(&pool));
+        pooled.train_step_gathered(
+            &batch,
+            gathered(&d, batch.input_nodes()),
+            &d.labels,
+            Some(&pool),
+        );
         let mut gp = Vec::new();
         pooled.grads_flat(&mut gp);
         assert_eq!(gs.len(), gp.len());
@@ -1207,7 +1331,49 @@ mod tests {
         (stats.loss.to_bits(), bits(&g))
     }
 
-    /// The production step against the full-height oracle, bit for bit.
+    /// What a loader worker hands over for `batch`: `input` aggregated over
+    /// the model's own layer-0 adjacency (the fused one where the sampler
+    /// fused it), through the loader's own entry point.
+    fn prepared(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> PreparedInput {
+        let norms = normalized_adjs(m.kind, m.layers.len(), batch);
+        PreparedInput::aggregate(
+            full_of(&norms, 0).view(),
+            input,
+            m.kind == GnnKind::Sage,
+            m.dispatch,
+            None,
+            &argo_sample::InputRing::new(),
+        )
+    }
+
+    /// Loss, flat gradient and every activation one step kept for its
+    /// backward pass — per layer the output, the aggregation and the self
+    /// rows SAGE read (the layer's height of them) — as bits.
+    fn kept_bits(
+        m: &mut Gnn,
+        batch: &SampledBatch,
+        first: FirstLayer<'_>,
+        labels: &[u32],
+    ) -> (u32, Vec<u32>, Vec<Vec<u32>>) {
+        let (stats, kept) = m.step(batch, first, labels, None);
+        let mut activations = Vec::new();
+        for (l, out) in kept.outs.iter().enumerate() {
+            activations.push(bits(out.data()));
+            activations.push(bits(kept.aggs[l].data()));
+            if let Some(h_self) = &kept.selfs[l] {
+                activations.push(bits(&h_self.data()[..out.rows() * h_self.cols()]));
+            }
+        }
+        m.recycle(kept);
+        let mut g = Vec::new();
+        m.grads_flat(&mut g);
+        (stats.loss.to_bits(), bits(&g), activations)
+    }
+
+    /// The production step against the full-height oracle, bit for bit —
+    /// and the step started at the first GEMM, over what the loader
+    /// prepares, against the production step: loss, every gradient and every
+    /// kept activation.
     fn assert_step_is_the_oracles(
         m: &mut Gnn,
         batch: &SampledBatch,
@@ -1219,6 +1385,26 @@ mod tests {
         let (want_loss, want) = grads_with_recorded_masks(m, batch, input, labels);
         assert_eq!(loss, want_loss.to_bits(), "{who}: loss");
         assert_eq!(grads, bits(&want), "{who}: gradients");
+
+        let gathered = kept_bits(m, batch, FirstLayer::Gathered(input), labels);
+        assert_eq!((gathered.0, &gathered.1), (loss, &grads), "{who}: kept");
+        let handoff = prepared(m, batch, input);
+        let PreparedInput::Aggregated { agg, self_rows } = &handoff else {
+            panic!("{who}: a GCN/SAGE hand-off is aggregated");
+        };
+        let first = FirstLayer::Aggregated {
+            agg,
+            self_rows: self_rows.as_ref(),
+        };
+        let from_gemm = kept_bits(m, batch, first, labels);
+        assert_eq!(from_gemm.0, gathered.0, "{who}: prepared loss");
+        assert_eq!(from_gemm.1, gathered.1, "{who}: prepared gradients");
+        assert_eq!(from_gemm.2, gathered.2, "{who}: prepared activations");
+        // And through the public entry point.
+        let stats = m.train_step_prepared(batch, &handoff, labels, None);
+        let mut g = Vec::new();
+        m.grads_flat(&mut g);
+        assert_eq!((stats.loss.to_bits(), bits(&g)), (loss, grads), "{who}");
     }
 
     /// Both models at two, three and four layers.
@@ -1253,6 +1439,14 @@ mod tests {
                     let mut got = Vec::new();
                     m.grads_flat(&mut got);
                     assert!(got.iter().any(|g| *g != 0.0));
+                    // Two layers over a ShaDow subgraph read the seeds'
+                    // neighbours only: the prepared step above copied its
+                    // rows out of the loader's full-height aggregation.
+                    if depth == 2 && name == "shadow (fused)" {
+                        let c = m.cascade.borrow();
+                        let cut = c.input_rows().expect("layer 0 is cut");
+                        assert!(cut.len() < batch.input_nodes().len(), "{who}");
+                    }
                 }
             }
         }
@@ -1587,10 +1781,10 @@ mod tests {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 16, 2);
         let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
-        m.train_step(&batch, &d.features, &d.labels, None);
+        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
         let (allocs_first, _) = m.workspace_stats();
         assert!(allocs_first > 0, "first step should allocate");
-        m.train_step(&batch, &d.features, &d.labels, None);
+        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
         let (allocs_second, reuses) = m.workspace_stats();
         assert!(
             reuses >= allocs_first,
@@ -1630,10 +1824,6 @@ mod tests {
             "the arena ({} B) holds activations, not {input_bytes}-byte inputs",
             m.workspace_bytes()
         );
-        // `train_step` gathers into an arena buffer of its own and returns it.
-        m.train_step(&batch, &d.features, &d.labels, None);
-        m.train_step(&batch, &d.features, &d.labels, None);
-        assert_eq!(m.workspace_stats().0, allocs + 1);
     }
 
     #[test]
@@ -1653,7 +1843,8 @@ mod tests {
                 .take(32)
                 .collect();
             let batch = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(step as u64));
-            let stats = m.train_step(&batch, &d.features, &d.labels, None);
+            let stats =
+                m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
             if first.is_none() {
                 first = Some(stats.loss);
             }

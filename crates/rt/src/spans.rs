@@ -40,10 +40,13 @@ const BINS: usize = 2048;
 pub enum SpanKind {
     /// Seed draw + neighbor sampling on a loader worker.
     Pick,
-    /// Feature gather (`index_select`), on either side of the channel.
+    /// Feature gather (`index_select`) on a loader worker.
     Gather,
     /// Feature rows served through the cross-batch cache.
     Cache,
+    /// The parameter-free first aggregation `Â₀·X[input_nodes]`, run by the
+    /// loader worker on the rows it just gathered.
+    Aggregate,
     /// Producer blocked enqueueing into the bounded channel (consumer slow).
     EnqueueWait,
     /// Consumer blocked on channel receive / reorder heap (producers slow).
@@ -60,10 +63,11 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration order (a kind's ring code is its index).
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Pick,
         SpanKind::Gather,
         SpanKind::Cache,
+        SpanKind::Aggregate,
         SpanKind::EnqueueWait,
         SpanKind::DequeueWait,
         SpanKind::Compute,
@@ -79,6 +83,7 @@ impl SpanKind {
             SpanKind::Pick => "sample",
             SpanKind::Gather => "gather",
             SpanKind::Cache => "cache",
+            SpanKind::Aggregate => "aggregate",
             SpanKind::EnqueueWait => "channel_wait",
             SpanKind::DequeueWait => "heap_wait",
             SpanKind::Compute => "compute",
@@ -91,14 +96,15 @@ impl SpanKind {
     /// The training-process stage this span's time is charged to — the one
     /// map the stage histograms, the Figure-2 timeline and the
     /// `stage_summary` events are all derived through. A process *waits* for
-    /// its next batch (`Sample`), has its input rows gathered — by itself or,
-    /// through the cache, by its loader — computes and syncs. Producer-side
-    /// sampling and backpressure overlap those and are charged to no stage;
-    /// serving spans belong to the request path.
+    /// its next batch (`Sample`), has its loader gather the input rows and
+    /// run the first aggregation over them (`Gather`: everything between
+    /// pick and enqueue), computes and syncs. Producer-side sampling and
+    /// backpressure overlap those and are charged to no stage; serving spans
+    /// belong to the request path.
     pub const fn stage(self) -> Option<Stage> {
         match self {
             SpanKind::DequeueWait => Some(Stage::Sample),
-            SpanKind::Gather | SpanKind::Cache => Some(Stage::Gather),
+            SpanKind::Gather | SpanKind::Cache | SpanKind::Aggregate => Some(Stage::Gather),
             SpanKind::Compute => Some(Stage::Compute),
             SpanKind::Sync => Some(Stage::Sync),
             SpanKind::Pick | SpanKind::EnqueueWait | SpanKind::ServeQueue | SpanKind::ServeExec => {
@@ -116,7 +122,7 @@ impl SpanKind {
 }
 
 /// Which side of the batch channel a ring's owner works on. Producer rings
-/// belong to loader workers (pick/gather/cache/enqueue); consumer rings to
+/// belong to loader workers (pick/gather/cache/aggregate/enqueue); consumer rings to
 /// the training processes and the reorder-heap drain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
@@ -390,7 +396,7 @@ impl Default for SpanProfiler {
 }
 
 /// Attribution categories [`critical_path`] reports, in render order: the
-/// seven training [`SpanKind::label`]s, then `"other"`, which absorbs epoch
+/// eight training [`SpanKind::label`]s, then `"other"`, which absorbs epoch
 /// time not covered by any span (per-epoch setup, thread spawn/join,
 /// straggler skew).
 pub const CRITICAL_PATH_STAGES: &[&str] = &[
@@ -401,6 +407,7 @@ pub const CRITICAL_PATH_STAGES: &[&str] = &[
     SpanKind::Sync.label(),
     SpanKind::EnqueueWait.label(),
     SpanKind::DequeueWait.label(),
+    SpanKind::Aggregate.label(),
     "other",
 ];
 
@@ -413,10 +420,10 @@ pub const CRITICAL_PATH_STAGES: &[&str] = &[
 /// The binding constraint of an instant is decided by a fixed priority:
 ///
 /// 1. any consumer computing → `compute` (training makes progress);
-/// 2. any consumer gathering → `gather`; any consumer syncing → `sync`;
+/// 2. any consumer syncing → `sync`;
 /// 3. every active consumer waiting on the heap → whatever the producers
-///    are doing right then: `sample`, `gather`, or `cache` work means the
-///    loader is the constraint; producers stuck enqueueing means the
+///    are doing right then: `sample`, `gather`, `cache` or `aggregate` work
+///    means the loader is the constraint; producers stuck enqueueing means the
 ///    channel is (`channel_wait`); idle producers mean the reorder heap
 ///    itself is (`heap_wait`);
 /// 4. no span at all → `other`.
@@ -427,12 +434,12 @@ pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'sta
     }
     // One activity bitmap per (side, kind) we distinguish.
     let mut cons_compute = [false; BINS];
-    let mut cons_gather = [false; BINS];
     let mut cons_sync = [false; BINS];
     let mut cons_wait = [false; BINS];
     let mut prod_sample = [false; BINS];
     let mut prod_gather = [false; BINS];
     let mut prod_cache = [false; BINS];
+    let mut prod_aggregate = [false; BINS];
     let mut prod_enqueue = [false; BINS];
     for r in records {
         // Clamp into [0, BINS]; spans may straddle the window (stragglers).
@@ -442,30 +449,33 @@ pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'sta
         if lo >= hi {
             continue;
         }
-        let map = match (r.role, r.kind) {
-            (Role::Consumer, SpanKind::Compute) => &mut cons_compute,
-            (Role::Consumer, SpanKind::Gather) => &mut cons_gather,
-            (Role::Consumer, SpanKind::Sync) => &mut cons_sync,
-            (Role::Consumer, SpanKind::DequeueWait) => &mut cons_wait,
-            (Role::Producer, SpanKind::Pick) => &mut prod_sample,
-            (Role::Producer, SpanKind::Gather) => &mut prod_gather,
-            (Role::Producer, SpanKind::Cache) => &mut prod_cache,
-            (Role::Producer, SpanKind::EnqueueWait) => &mut prod_enqueue,
-            // Kinds on the "wrong" side carry no attribution signal; the
-            // `Serve*` kinds belong to the request path, whose attribution
-            // is per-request latency histograms, not the epoch timeline.
-            _ => continue,
+        // Exhaustive over the kinds, so a new one has to say where it counts.
+        let (side, map) = match r.kind {
+            SpanKind::Compute => (Role::Consumer, &mut cons_compute),
+            SpanKind::Sync => (Role::Consumer, &mut cons_sync),
+            SpanKind::DequeueWait => (Role::Consumer, &mut cons_wait),
+            SpanKind::Gather => (Role::Producer, &mut prod_gather),
+            SpanKind::Pick => (Role::Producer, &mut prod_sample),
+            SpanKind::Cache => (Role::Producer, &mut prod_cache),
+            SpanKind::Aggregate => (Role::Producer, &mut prod_aggregate),
+            SpanKind::EnqueueWait => (Role::Producer, &mut prod_enqueue),
+            // The `Serve*` kinds belong to the request path, whose
+            // attribution is per-request latency histograms, not the epoch
+            // timeline.
+            SpanKind::ServeQueue | SpanKind::ServeExec => continue,
         };
+        // A kind on the "wrong" side carries no attribution signal.
+        if r.role != side {
+            continue;
+        }
         for b in map.iter_mut().take(hi).skip(lo) {
             *b = true;
         }
     }
-    let mut counts = [0u64; 8];
+    let mut counts = [0u64; CRITICAL_PATH_STAGES.len()];
     for b in 0..BINS {
         let idx = if cons_compute[b] {
             0 // compute
-        } else if cons_gather[b] {
-            1 // gather
         } else if cons_sync[b] {
             4 // sync
         } else if cons_wait[b] {
@@ -475,13 +485,15 @@ pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'sta
                 1 // gather
             } else if prod_cache[b] {
                 3 // cache
+            } else if prod_aggregate[b] {
+                7 // aggregate
             } else if prod_enqueue[b] {
                 5 // channel_wait
             } else {
                 6 // heap_wait
             }
         } else {
-            7 // other
+            8 // other
         };
         counts[idx] += 1;
     }
@@ -590,6 +602,7 @@ mod tests {
         }
         assert_eq!(SpanKind::DequeueWait.stage(), Some(Stage::Sample));
         assert_eq!(SpanKind::Cache.stage(), Some(Stage::Gather));
+        assert_eq!(SpanKind::Aggregate.stage(), Some(Stage::Gather));
         assert_eq!(SpanKind::Pick.stage(), None);
         assert_eq!(SpanKind::EnqueueWait.stage(), None);
     }
@@ -636,11 +649,13 @@ mod tests {
 
     #[test]
     fn waits_attribute_to_producer_activity() {
-        // Consumer waits the whole time. Producers: enqueue-blocked first
-        // half, idle second half → channel_wait then heap_wait.
+        // Consumer waits the whole time. Producers: aggregating the first
+        // quarter, enqueue-blocked the second, idle the second half →
+        // aggregate, channel_wait, then heap_wait.
         let records = vec![
             rec(Role::Consumer, SpanKind::DequeueWait, 0.0, 1.0),
-            rec(Role::Producer, SpanKind::EnqueueWait, 0.0, 0.5),
+            rec(Role::Producer, SpanKind::Aggregate, 0.0, 0.25),
+            rec(Role::Producer, SpanKind::EnqueueWait, 0.25, 0.5),
         ];
         let cp = critical_path(&records, 0.0, 1.0);
         let get = |label: &str| {
@@ -649,7 +664,8 @@ mod tests {
                 .map(|(_, f)| *f)
                 .expect("label present")
         };
-        assert!((get("channel_wait") - 0.5).abs() < 2e-3);
+        assert!((get("aggregate") - 0.25).abs() < 2e-3);
+        assert!((get("channel_wait") - 0.25).abs() < 2e-3);
         assert!((get("heap_wait") - 0.5).abs() < 2e-3);
         assert_eq!(get("other"), 0.0);
     }

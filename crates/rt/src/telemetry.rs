@@ -13,6 +13,7 @@
 //! epoch: [`Telemetry::record_stages`] folds the drained spans through
 //! [`SpanKind::stage`](crate::SpanKind::stage).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,31 +83,46 @@ impl Telemetry {
     }
 
     /// Derives one epoch's per-stage telemetry from its drained spans — the
-    /// only way stage numbers come into existence. Each span whose kind maps
-    /// to a [`Stage`] becomes one `stage_seconds/<stage>` observation and
-    /// one timeline interval on its process's track; the per-stage sums and
+    /// only way stage numbers come into existence. The spans of one batch
+    /// that map to the same [`Stage`] on the same process (a loader's gather
+    /// and first aggregation) are one interval, from the first's start to
+    /// the last's end; each interval becomes one `stage_seconds/<stage>`
+    /// observation and one timeline interval on its process's track — one
+    /// per batch and stage, as in a modeled run — and the per-stage sums and
     /// counts become the epoch's four `stage_summary` events.
     pub fn record_stages(&self, epoch: u64, spans: &[SpanRecord]) {
         if !self.enabled {
             return;
         }
-        let hists = Stage::ALL.map(|s| self.metrics.time_histogram(&Self::stage_histogram_name(s)));
-        let mut totals = [(0.0f64, 0u64); Stage::ALL.len()];
-        let mut timeline = Vec::with_capacity(spans.len());
+        let mut timeline: Vec<TraceEvent> = Vec::with_capacity(spans.len());
+        let mut interval_of = HashMap::with_capacity(spans.len());
         for span in spans {
             let Some(stage) = span.kind.stage() else {
                 continue;
             };
-            let seconds = span.end - span.start;
-            hists[stage as usize].observe(seconds);
-            totals[stage as usize].0 += seconds;
-            totals[stage as usize].1 += 1;
-            timeline.push(TraceEvent {
-                process: span.process,
-                stage,
-                start: span.start,
-                end: span.end,
-            });
+            let at = *interval_of
+                .entry((span.process, stage, span.batch))
+                .or_insert(timeline.len());
+            match timeline.get_mut(at) {
+                Some(ev) => {
+                    ev.start = ev.start.min(span.start);
+                    ev.end = ev.end.max(span.end);
+                }
+                None => timeline.push(TraceEvent {
+                    process: span.process,
+                    stage,
+                    start: span.start,
+                    end: span.end,
+                }),
+            }
+        }
+        let hists = Stage::ALL.map(|s| self.metrics.time_histogram(&Self::stage_histogram_name(s)));
+        let mut totals = [(0.0f64, 0u64); Stage::ALL.len()];
+        for ev in &timeline {
+            let seconds = ev.end - ev.start;
+            hists[ev.stage as usize].observe(seconds);
+            totals[ev.stage as usize].0 += seconds;
+            totals[ev.stage as usize].1 += 1;
         }
         self.trace.extend(timeline);
         for (stage, (seconds, count)) in Stage::ALL.into_iter().zip(totals) {
@@ -290,6 +306,42 @@ mod tests {
         assert!(timeline
             .iter()
             .any(|e| e.stage == Stage::Gather && e.process == 1));
+    }
+
+    #[test]
+    fn a_batchs_spans_of_one_stage_are_one_observation() {
+        // The loader gathers a batch's rows, then aggregates them: two spans,
+        // one gather-stage interval per batch and process.
+        let t = Telemetry::new();
+        let batch = |batch, kind, start, end| SpanRecord {
+            batch,
+            ..span(0, kind, start, end)
+        };
+        t.record_stages(
+            0,
+            &[
+                batch(0, SpanKind::Gather, 0.0, 0.25),
+                batch(0, SpanKind::Aggregate, 0.25, 0.75),
+                batch(1, SpanKind::Cache, 1.0, 1.5),
+                batch(1, SpanKind::Aggregate, 1.5, 1.75),
+                // Another process's batch 1 is another interval.
+                SpanRecord {
+                    batch: 1,
+                    ..span(1, SpanKind::Gather, 1.0, 1.125)
+                },
+            ],
+        );
+        let gather = t
+            .metrics
+            .time_histogram(&Telemetry::stage_histogram_name(Stage::Gather));
+        assert_eq!((gather.count(), gather.sum()), (3, 1.625));
+        let timeline: Vec<_> = t
+            .trace
+            .events()
+            .iter()
+            .map(|e| (e.process, e.start, e.end))
+            .collect();
+        assert_eq!(timeline, [(0, 0.0, 0.75), (0, 1.0, 1.75), (1, 1.0, 1.125)]);
     }
 
     #[test]

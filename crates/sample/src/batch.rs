@@ -182,6 +182,16 @@ impl SampledBatch {
         }
     }
 
+    /// The adjacency of the layer that reads the gathered input rows
+    /// (`n_dst × input_nodes().len()`): the input-side block, or the one
+    /// adjacency a subgraph's layers share.
+    pub fn input_adj(&self) -> &SparseMatrix {
+        match self {
+            SampledBatch::Blocks(mb) => &mb.blocks[0].adj,
+            SampledBatch::Subgraph(sb) => &sb.adj,
+        }
+    }
+
     /// The batch's *sampled workload*: block edges summed over the layers,
     /// or the subgraph's edges once per layer — the paper's proxy ("the
     /// number of aggregations performed is proportional to the number of

@@ -34,7 +34,9 @@ pub mod view;
 pub use batch::{Block, MiniBatch, Normalization, SampledBatch, SubgraphBatch};
 pub use cache::{CacheStats, FeatureCache};
 pub use cluster::{full_graph_batch, ClusterGcnSampler};
-pub use loader::{InputRing, LoadedBatch, LoaderSpec, LoaderSpecBuilder, PipelinedLoader};
+pub use loader::{
+    InputRing, LoadedBatch, LoaderSpec, LoaderSpecBuilder, PipelinedLoader, PreparedInput,
+};
 pub use neighbor::NeighborSampler;
 pub use saint::SaintRwSampler;
 pub use scratch::SamplerScratch;

@@ -9,13 +9,18 @@
 //! is always drawn from RNG seed `seed_for(e, i)` regardless of which worker
 //! produced it, so pipelining never perturbs training semantics.
 //!
-//! When the [`LoaderSpec`] carries the node features, workers also
-//! *pre-gather* each batch's input rows — optionally through a shared
-//! [`FeatureCache`] — so the memory-bound gather runs on the sampling cores,
-//! overlapped with training, instead of on the training cores.
+//! When the [`LoaderSpec`] carries the node features, workers also run the
+//! step's **parameter-free prologue**: they gather each batch's input rows —
+//! optionally through a shared [`FeatureCache`] — and, when the batch
+//! carries a fused normalization, aggregate them over the input-side
+//! adjacency (`Â₀·X[input_nodes]` depends on the batch and the features,
+//! never on the weights). The memory-bound half of the first layer then runs
+//! on the sampling cores, overlapped with training, and the training thread
+//! starts at the first GEMM; see [`PreparedInput`] for what crosses the
+//! channel.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -24,7 +29,7 @@ use argo_graph::{Features, Graph, NodeId};
 use argo_rt::affinity::{bind_current_thread, CoreSet};
 use argo_rt::spans::{Role, SpanKind, SpanProfiler, WorkerRing};
 use argo_rt::{SeedSequence, ThreadPool};
-use argo_tensor::Matrix;
+use argo_tensor::{DispatchPolicy, Matrix, SparseView};
 use crossbeam::channel::{bounded, Receiver};
 
 use crate::batch::{Normalization, SampledBatch};
@@ -56,14 +61,19 @@ pub struct LoaderSpec {
     pub cores: CoreSet,
     /// Channel capacity (bounds memory).
     pub prefetch: usize,
-    /// Node features; when present, workers pre-gather each batch's input
-    /// rows into [`LoadedBatch::input`].
+    /// Node features; when present, workers prepare each batch's
+    /// [`LoadedBatch::input`]: the gathered input rows, aggregated over the
+    /// input-side adjacency when `normalization` fused values into it.
     pub features: Option<Arc<Features>>,
     /// Shared cross-batch feature cache consulted before the feature table.
     /// Ignored unless `features` is set.
     pub cache: Option<Arc<FeatureCache>>,
     /// Fused normalization the samplers write into each batch's adjacency
-    /// values during construction (no post-pass on the training side).
+    /// values during construction (no post-pass on the training side). It
+    /// also decides the prepared input: with values in place the first
+    /// aggregation needs nothing else, so the worker runs it (keeping the
+    /// self rows for [`Normalization::Mean`], GraphSAGE's scheme);
+    /// [`Normalization::None`] hands over the gathered rows.
     pub normalization: Normalization,
     /// Within-batch sampling parallelism. When > 1, each worker
     /// row-partitions a batch's seed rows over a thread pool spanning the
@@ -71,7 +81,7 @@ pub struct LoaderSpec {
     /// because every pick row draws from its own counter-based RNG stream.
     pub samp_pool: usize,
     /// Causal span profiler. When present, each worker registers a
-    /// producer ring (pick/gather/cache/enqueue-wait spans keyed by batch
+    /// producer ring (pick/gather/cache/aggregate/enqueue-wait spans keyed by batch
     /// id) and the consuming thread a consumer ring (channel/heap dequeue
     /// waits), each sized for the whole epoch. The spans are the loader's
     /// only telemetry: stage times and critical-path attribution are
@@ -82,7 +92,7 @@ pub struct LoaderSpec {
 impl LoaderSpec {
     /// A builder seeded with the three mandatory handles; everything else
     /// defaults (`batch_size` 1, `epoch` 0, one worker, unbound, prefetch 4,
-    /// no pre-gather).
+    /// no prepared input).
     pub fn builder(
         graph: Arc<Graph>,
         sampler: Arc<dyn Sampler>,
@@ -151,13 +161,14 @@ impl LoaderSpecBuilder {
         self
     }
 
-    /// Enables worker-side feature pre-gathering.
+    /// Enables the worker-side prologue (gather, and first aggregation where
+    /// the normalization is fused).
     pub fn features(mut self, features: Arc<Features>) -> Self {
         self.spec.features = Some(features);
         self
     }
 
-    /// Routes pre-gathering through a shared cross-batch cache.
+    /// Routes the prologue's gather through a shared cross-batch cache.
     pub fn cache(mut self, cache: Arc<FeatureCache>) -> Self {
         self.spec.cache = Some(cache);
         self
@@ -193,18 +204,123 @@ impl LoaderSpecBuilder {
     }
 }
 
-/// The recycled input-feature buffers of one loader/consumer pair.
+/// What a training step's first parameterised operation reads — the product
+/// of the parameter-free prologue a loader worker runs on each batch.
+pub enum PreparedInput {
+    /// The gathered input-node feature rows (`n_src × F`, `input_nodes()`
+    /// order), for a model whose first aggregation is parameterised (GAT) or
+    /// a batch sampled without a fused normalization.
+    Gathered(Matrix),
+    /// Layer 0's aggregation, which is all a GCN/GraphSAGE first GEMM reads
+    /// of the gathered rows; the `n_src × F` matrix itself never leaves the
+    /// worker.
+    Aggregated {
+        /// `Â₀·X[input_nodes]`, one row per row of the input-side adjacency
+        /// (`n_dst × F`).
+        agg: Matrix,
+        /// The `n_dst` self rows GraphSAGE concatenates (the first `n_dst`
+        /// gathered rows); `None` for GCN.
+        self_rows: Option<Matrix>,
+    },
+}
+
+impl PreparedInput {
+    /// Runs the prologue's second half: aggregates the `gathered` input rows
+    /// over `adj` — the batch's normalized input-side adjacency — with the
+    /// same dispatch kernel the model's layers use, into buffers of `ring`.
+    /// Every output row is one independent pass over its adjacency row, so
+    /// the result is bitwise what the model would have aggregated itself.
+    pub fn aggregate(
+        adj: SparseView<'_>,
+        gathered: &Matrix,
+        keep_self_rows: bool,
+        dispatch: DispatchPolicy,
+        pool: Option<&ThreadPool>,
+        ring: &InputRing,
+    ) -> Self {
+        let (n_dst, dim) = (adj.rows(), gathered.cols());
+        let mut agg = ring.take(n_dst, dim);
+        dispatch.aggregate_view_into(&adj, gathered, pool, &mut agg);
+        let self_rows = keep_self_rows.then(|| {
+            let mut rows = ring.take(n_dst, dim);
+            rows.data_mut()
+                .copy_from_slice(&gathered.data()[..n_dst * dim]);
+            rows
+        });
+        PreparedInput::Aggregated { agg, self_rows }
+    }
+
+    /// Retires every buffer to `ring` once the step has read them.
+    pub fn recycle(self, ring: &InputRing) {
+        match self {
+            PreparedInput::Gathered(m) => ring.put(m),
+            PreparedInput::Aggregated { agg, self_rows } => {
+                ring.put(agg);
+                if let Some(rows) = self_rows {
+                    ring.put(rows);
+                }
+            }
+        }
+    }
+}
+
+/// A free list of retired `f32` allocations and the count ever made.
+#[derive(Default)]
+struct BufferPool {
+    free: Mutex<Vec<Vec<f32>>>,
+    made: AtomicUsize,
+}
+
+impl BufferPool {
+    /// The most recently retired buffer, or a new (empty) one when none is
+    /// parked.
+    fn pop(&self) -> Vec<f32> {
+        self.free.lock().pop().unwrap_or_else(|| {
+            self.made.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        })
+    }
+
+    fn push(&self, buf: Vec<f32>) {
+        self.free.lock().push(buf);
+    }
+
+    fn parked_bytes(&self) -> usize {
+        let free = self.free.lock();
+        free.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>()
+    }
+}
+
+/// `buf` as a `rows × cols` matrix, grown to exactly the new high-water mark
+/// when it is too small, without carrying the stale rows over.
+fn resized(mut buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
+    let need = rows * cols;
+    if buf.capacity() < need {
+        buf.clear();
+        buf.reserve_exact(need);
+    }
+    buf.resize(need, 0.0);
+    Matrix::from_vec(rows, cols, buf)
+}
+
+/// The recycled feature-path buffers of one loader/consumer pair.
 ///
-/// A pre-gathered batch input is the largest buffer on the training path
-/// (`input nodes × feature dim`, megabytes) and it crosses threads: a loader
-/// worker fills it, the consumer trains on it. Instead of mapping a fresh
-/// one per batch and unmapping it after the step, the worker
-/// [`take`](InputRing::take)s a retired buffer and the consumer
-/// [`put`](InputRing::put)s it back when the step is done. The ring is a
-/// cheap handle (clones share the buffers) and outlives the per-epoch loader:
-/// the engine keeps one per rank across epochs. It holds as many buffers as
-/// were ever in flight at once — the prefetch depth plus one per worker plus
-/// the consumer's — each grown to the largest batch it has carried.
+/// A prepared batch input is the largest buffer on the training path
+/// (megabytes) and it crosses threads: a loader worker fills it, the consumer
+/// trains on it. Instead of mapping fresh ones per batch and unmapping them
+/// after the step, the worker [`take`](InputRing::take)s retired buffers and
+/// the consumer [`put`](InputRing::put)s them back when the step is done. The
+/// ring is a cheap handle (clones share the buffers) and outlives the
+/// per-epoch loader: the engine keeps one per rank across epochs. It holds as
+/// many operand sets as were ever in flight at once — the prefetch depth plus
+/// one per worker plus the consumer's — each buffer grown to the largest
+/// operand it has carried.
+///
+/// Beside them it parks, between epochs, each worker's **private gather
+/// buffer**: the `n_src × F` matrix the prologue gathers into and aggregates
+/// out of, several times an operand's size. It never crosses the channel, so
+/// there is one per worker, kept apart from the operands so that neither
+/// grows to the other's size.
 #[derive(Clone, Default)]
 pub struct InputRing {
     inner: Arc<RingInner>,
@@ -212,8 +328,8 @@ pub struct InputRing {
 
 #[derive(Default)]
 struct RingInner {
-    free: Mutex<Vec<Vec<f32>>>,
-    made: AtomicUsize,
+    operands: BufferPool,
+    gather: BufferPool,
 }
 
 impl InputRing {
@@ -222,51 +338,58 @@ impl InputRing {
         Self::default()
     }
 
-    /// A `rows × cols` matrix on the most recently retired buffer (or a new
-    /// one when none is parked). Contents are unspecified: the caller
-    /// overwrites every element.
+    /// A `rows × cols` operand matrix on the most recently retired buffer
+    /// (or a new one when none is parked). Contents are unspecified: the
+    /// caller overwrites every element.
     pub fn take(&self, rows: usize, cols: usize) -> Matrix {
-        let mut buf = self.inner.free.lock().pop().unwrap_or_else(|| {
-            self.inner.made.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        });
-        let need = rows * cols;
-        if buf.capacity() < need {
-            // Grow to exactly the new high-water mark, without carrying the
-            // stale rows over.
-            buf.clear();
-            buf.reserve_exact(need);
-        }
-        buf.resize(need, 0.0);
-        Matrix::from_vec(rows, cols, buf)
+        resized(self.inner.operands.pop(), rows, cols)
     }
 
-    /// Retires a matrix's allocation for the next [`InputRing::take`].
+    /// Retires an operand's allocation for the next [`InputRing::take`].
     pub fn put(&self, input: Matrix) {
-        self.inner.free.lock().push(input.into_data());
+        self.inner.operands.push(input.into_data());
     }
 
-    /// Buffers made so far (parked or in flight).
+    /// A worker's private gather buffer for the epoch, which it sizes per
+    /// batch and hands back with [`InputRing::put_gather`] when it is done.
+    fn take_gather(&self) -> Vec<f32> {
+        self.inner.gather.pop()
+    }
+
+    fn put_gather(&self, buf: Vec<f32>) {
+        self.inner.gather.push(buf);
+    }
+
+    /// Operand buffers made so far (parked or in flight).
     pub fn buffers_made(&self) -> usize {
-        self.inner.made.load(Ordering::Relaxed)
+        self.inner.operands.made.load(Ordering::Relaxed)
     }
 
-    /// Bytes held by the parked buffers.
+    /// Bytes held by the parked operand buffers.
     pub fn parked_bytes(&self) -> usize {
-        let free = self.inner.free.lock();
-        free.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>()
+        self.inner.operands.parked_bytes()
+    }
+
+    /// Private gather buffers made so far (one per concurrent worker).
+    pub fn gather_buffers_made(&self) -> usize {
+        self.inner.gather.made.load(Ordering::Relaxed)
+    }
+
+    /// Bytes held by the parked gather buffers.
+    pub fn gather_parked_bytes(&self) -> usize {
+        self.inner.gather.parked_bytes()
     }
 }
 
-/// One sampled (and possibly pre-gathered) mini-batch.
+/// One sampled (and possibly prepared) mini-batch.
 pub struct LoadedBatch {
     /// The sampled computation structure.
     pub batch: SampledBatch,
-    /// Input-node feature rows, pre-gathered on the sampling side into a
-    /// buffer of the loader's [`InputRing`]; hand it back with
-    /// [`InputRing::put`] after the step. `None` when the spec carried no
-    /// features.
-    pub input: Option<Matrix>,
+    /// What the step's first parameterised operation reads, prepared on the
+    /// sampling side in buffers of the loader's [`InputRing`]; hand them back
+    /// with [`PreparedInput::recycle`] after the step. `None` when the spec
+    /// carried no features.
+    pub input: Option<PreparedInput>,
     /// Scratch-arena allocations this batch charged to the producing
     /// worker's [`SamplerScratch`] (0 once the arena is warm).
     pub scratch_allocs: u64,
@@ -308,18 +431,32 @@ pub struct PipelinedLoader {
     total: usize,
     ring: Arc<WorkerRing>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    /// Set by a worker that unwinds, so the consumer stops the epoch at its
+    /// next receive instead of queueing what the surviving workers make.
+    failed: Arc<AtomicBool>,
+}
+
+/// Raises the loader's `failed` flag when its worker thread unwinds.
+struct FlagOnPanic(Arc<AtomicBool>);
+
+impl Drop for FlagOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 }
 
 impl PipelinedLoader {
     /// Starts `spec.n_samp` sampler threads producing all batches of one
     /// epoch, with a ring of its own: nothing is handed back, so every
-    /// pre-gathered input is a fresh buffer the consumer keeps.
+    /// prepared input sits in fresh buffers the consumer keeps.
     pub fn start(spec: LoaderSpec) -> Self {
         Self::start_recycling(spec, InputRing::new())
     }
 
-    /// [`PipelinedLoader::start`] with pre-gathered inputs taken from
-    /// `inputs`, the ring the consumer returns them to.
+    /// [`PipelinedLoader::start`] with prepared inputs taken from `inputs`,
+    /// the ring the consumer returns them to.
     pub fn start_recycling(spec: LoaderSpec, inputs: InputRing) -> Self {
         let LoaderSpec {
             graph,
@@ -341,9 +478,11 @@ impl PipelinedLoader {
         let total = seeds.len().div_ceil(batch_size);
         let (tx, rx) = bounded::<Indexed>(prefetch.max(1));
         let cursor = Arc::new(AtomicUsize::new(0));
+        let failed = Arc::new(AtomicBool::new(false));
         // Ring sizes follow from the batch count, so no span is ever
         // dropped: the consumer waits once per batch, and one worker may
-        // end up producing every batch (pick, gather/cache, enqueue).
+        // end up producing every batch (pick, gather/cache, aggregate,
+        // enqueue).
         let ring_for = |role: Role, spans_per_batch: usize| match &spans {
             Some(p) => p.ring(role, total * spans_per_batch),
             None => Arc::new(WorkerRing::detached()),
@@ -359,7 +498,8 @@ impl PipelinedLoader {
             let cache = cache.clone();
             let inputs = inputs.clone();
             let tx = tx.clone();
-            let ring = ring_for(Role::Producer, 3);
+            let on_panic = FlagOnPanic(Arc::clone(&failed));
+            let ring = ring_for(Role::Producer, 4);
             let my_core = if cores.is_empty() {
                 None
             } else {
@@ -370,13 +510,18 @@ impl PipelinedLoader {
                 std::thread::Builder::new()
                     .name(format!("argo-sampler-{w}"))
                     .spawn(move || {
+                        let _on_panic = on_panic;
                         if let Some(c) = &my_core {
                             let _ = bind_current_thread(c);
                         }
                         // Per-worker persistent state: the scratch arena is
                         // warm after the first batch, and the within-batch
                         // pool (when enabled) spans the sampling core set.
+                        // The gather buffer is private too: the `n_src × F`
+                        // rows are aggregated where they were gathered and
+                        // never cross the channel.
                         let mut scratch = SamplerScratch::new();
+                        let mut gathered = inputs.take_gather();
                         let pool = (samp_pool > 1).then(|| {
                             if pool_cores.is_empty() {
                                 ThreadPool::new("argo-samp", samp_pool)
@@ -413,14 +558,36 @@ impl PipelinedLoader {
                                 } else {
                                     SpanKind::Gather
                                 };
-                                ring.timed(kind, i as u64, || {
-                                    let mut m = inputs.take(ids.len(), f.dim());
-                                    match &cache {
-                                        Some(c) => c.gather_rows_into(f, ids, m.data_mut()),
-                                        None => f.gather_into(ids, m.data_mut()),
-                                    }
+                                let gather = |out: &mut [f32]| match &cache {
+                                    Some(c) => c.gather_rows_into(f, ids, out),
+                                    None => f.gather_into(ids, out),
+                                };
+                                if normalization == Normalization::None {
+                                    // The rows themselves are the hand-off.
+                                    return ring.timed(kind, i as u64, || {
+                                        let mut m = inputs.take(ids.len(), f.dim());
+                                        gather(m.data_mut());
+                                        PreparedInput::Gathered(m)
+                                    });
+                                }
+                                let rows = ring.timed(kind, i as u64, || {
+                                    let buf = std::mem::take(&mut gathered);
+                                    let mut m = resized(buf, ids.len(), f.dim());
+                                    gather(m.data_mut());
                                     m
-                                })
+                                });
+                                let prepared = ring.timed(SpanKind::Aggregate, i as u64, || {
+                                    PreparedInput::aggregate(
+                                        batch.input_adj().view(),
+                                        &rows,
+                                        normalization == Normalization::Mean,
+                                        DispatchPolicy::default(),
+                                        pool.as_ref(),
+                                        &inputs,
+                                    )
+                                });
+                                gathered = rows.into_data();
+                                prepared
                             });
                             let loaded = LoadedBatch {
                                 batch,
@@ -441,6 +608,7 @@ impl PipelinedLoader {
                                 break; // consumer dropped
                             }
                         }
+                        inputs.put_gather(gathered);
                     })
                     .expect("spawn sampler"),
             );
@@ -452,6 +620,7 @@ impl PipelinedLoader {
             total,
             ring: consumer_ring,
             workers,
+            failed,
         }
     }
 
@@ -476,6 +645,8 @@ impl Iterator for PipelinedLoader {
             reorder,
             next,
             ring,
+            workers,
+            failed,
             ..
         } = self;
         ring.timed(SpanKind::DequeueWait, *next as u64, || loop {
@@ -487,10 +658,34 @@ impl Iterator for PipelinedLoader {
                     return Some((item.index, item.batch));
                 }
             }
-            match rx.recv() {
-                Ok(item) => reorder.push(item),
-                Err(_) => return None, // workers gone with batches missing
-            }
+            // A worker died — it raised the flag, or every sender is gone
+            // with batches missing (one that runs out of batches has sent
+            // them all). Ending the iteration here would hand the consumer a
+            // short epoch, and waiting on would queue the rest of the
+            // epoch's prepared inputs behind a batch that never comes. What
+            // is already in the channel is still taken (the batches before
+            // the dead one arrive in order); then the worker's panic is
+            // re-raised on this thread, after the channel is closed under
+            // the survivors and every worker joined.
+            let received = if failed.load(Ordering::Acquire) {
+                rx.try_recv().ok()
+            } else {
+                rx.recv().ok()
+            };
+            let Some(item) = received else {
+                drop(std::mem::replace(rx, bounded(1).1));
+                let mut payload = None;
+                for w in workers.drain(..) {
+                    if let Err(p) = w.join() {
+                        payload.get_or_insert(p);
+                    }
+                }
+                std::panic::resume_unwind(
+                    payload
+                        .unwrap_or_else(|| Box::new("loader workers exited with batches missing")),
+                );
+            };
+            reorder.push(item);
         })
     }
 }
@@ -626,47 +821,88 @@ mod tests {
         assert_ne!(collect(0), collect(1));
     }
 
+    fn features() -> Arc<Features> {
+        Arc::new(Features::new(
+            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
+            4,
+        ))
+    }
+
+    /// `Â₀·X[input_nodes]` the obvious way: for every entry of the batch's
+    /// input-side adjacency, in row order, `out[i] += value · X[col]`.
+    fn aggregated_by_hand(batch: &SampledBatch, feats: &Features) -> Vec<f32> {
+        let (adj, ids) = (batch.input_adj(), batch.input_nodes());
+        let values = adj.values().expect("fused normalization");
+        let mut out = vec![0.0f32; adj.rows() * feats.dim()];
+        for (i, row) in out.chunks_mut(feats.dim()).enumerate() {
+            for k in adj.row_range(i) {
+                let src = feats.row(ids[adj.indices()[k] as usize]);
+                for (o, x) in row.iter_mut().zip(src) {
+                    *o += values[k] * x;
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn pre_gathered_input_matches_direct_gather() {
         // With features in the spec — cached or not — every yielded batch
-        // carries input rows bitwise identical to Features::gather.
+        // carries what its normalization says the first GEMM reads: the
+        // gathered rows bitwise (`None`), or their aggregation over the
+        // input-side adjacency, with the self rows for `Mean` only.
         let (g, s, seeds) = setup();
-        let feats = Arc::new(Features::new(
-            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
-            4,
-        ));
-        let run = |cache: Option<Arc<FeatureCache>>| {
+        let feats = features();
+        let run = |norm: Normalization, cache: Option<Arc<FeatureCache>>| {
             let mut b = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
                 .batch_size(16)
                 .epoch_seeds(SeedSequence::new(9))
                 .n_samp(3)
+                .normalization(norm)
                 .features(Arc::clone(&feats));
             if let Some(c) = cache {
                 b = b.cache(c);
             }
             for (_, lb) in b.start() {
-                let input = lb.input.expect("features requested");
-                assert_eq!(input.data(), feats.gather(lb.batch.input_nodes()).data());
+                let gathered = feats.gather(lb.batch.input_nodes());
+                match (norm, lb.input.expect("features requested")) {
+                    (Normalization::None, PreparedInput::Gathered(input)) => {
+                        assert_eq!(input.data(), gathered.data());
+                    }
+                    (_, PreparedInput::Aggregated { agg, self_rows }) => {
+                        let n_dst = lb.batch.input_adj().rows();
+                        assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
+                        let want = aggregated_by_hand(&lb.batch, &feats);
+                        for (a, w) in agg.data().iter().zip(&want) {
+                            assert!((a - w).abs() <= 1e-5 * w.abs().max(1.0), "{a} vs {w}");
+                        }
+                        assert_eq!(self_rows.is_some(), norm == Normalization::Mean);
+                        if let Some(rows) = self_rows {
+                            assert_eq!(rows.data(), &gathered.data()[..n_dst * 4]);
+                        }
+                    }
+                    (norm, _) => panic!("{norm:?} got the other hand-off"),
+                }
             }
         };
-        run(None);
-        let cache = Arc::new(FeatureCache::new(200, 4));
-        run(Some(Arc::clone(&cache)));
-        let stats = cache.stats();
-        assert!(stats.lookups() > 0);
+        for norm in [Normalization::None, Normalization::Mean, Normalization::Gcn] {
+            run(norm, None);
+            let cache = Arc::new(FeatureCache::new(200, 4));
+            run(norm, Some(Arc::clone(&cache)));
+            assert!(cache.stats().lookups() > 0);
+        }
     }
 
     #[test]
     fn returned_inputs_are_reused_across_epochs() {
-        // The consumer hands every input back, so three epochs of seven
-        // batches run on the few buffers that were ever in flight at once:
-        // one being filled, `prefetch` in the channel, one being consumed.
-        // Batches differ in size, so reuse also has to overwrite stale rows.
+        // The consumer hands every operand back, so three epochs of seven
+        // batches run on the few sets that were ever in flight at once: one
+        // being filled, `prefetch` in the channel, one being consumed — two
+        // operands each under `Mean` — and on one private gather buffer,
+        // which the worker parks between epochs. Batches differ in size, so
+        // reuse also has to overwrite stale rows.
         let (g, s, seeds) = setup();
-        let feats = Arc::new(Features::new(
-            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
-            4,
-        ));
+        let feats = features();
         let ring = InputRing::new();
         for epoch in 0..3 {
             let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
@@ -674,20 +910,103 @@ mod tests {
                 .epoch(epoch)
                 .epoch_seeds(SeedSequence::new(9))
                 .prefetch(2)
+                .normalization(Normalization::Mean)
                 .features(Arc::clone(&feats))
                 .build();
             for (_, lb) in PipelinedLoader::start_recycling(spec, ring.clone()) {
                 let input = lb.input.expect("features requested");
-                assert_eq!(input.data(), feats.gather(lb.batch.input_nodes()).data());
-                ring.put(input);
+                let PreparedInput::Aggregated { self_rows, .. } = &input else {
+                    panic!("a fused normalization is aggregated");
+                };
+                let rows = self_rows.as_ref().expect("mean keeps the self rows");
+                let gathered = feats.gather(lb.batch.input_nodes());
+                assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
+                input.recycle(&ring);
             }
         }
         assert!(
-            (1..=4).contains(&ring.buffers_made()),
+            (2..=2 * 4).contains(&ring.buffers_made()),
             "21 batches made {} buffers",
             ring.buffers_made()
         );
         assert!(ring.parked_bytes() > 0);
+        assert_eq!(ring.gather_buffers_made(), 1);
+        // The largest batch's `n_src × 4` rows, parked at the end of each epoch.
+        assert!(ring.gather_parked_bytes() >= 16 * 4 * 4);
+    }
+
+    /// A sampler that dies on its `at`-th call.
+    struct DiesAt {
+        inner: NeighborSampler,
+        calls: AtomicUsize,
+        at: usize,
+    }
+
+    impl Sampler for DiesAt {
+        fn sample_into<'a>(
+            &self,
+            graph: &Graph,
+            seeds: &[NodeId],
+            run: SampleRun<'a>,
+        ) -> crate::SampledBatchView<'a> {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            assert!(call != self.at, "sampler died at call {call}");
+            self.inner.sample_into(graph, seeds, run)
+        }
+
+        fn name(&self) -> &'static str {
+            "DiesAt"
+        }
+
+        fn num_layers(&self) -> usize {
+            self.inner.num_layers()
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_is_re_raised_on_the_consumer_not_a_short_epoch() {
+        // Batches before the dead one still arrive in order; the iteration
+        // then panics with the worker's own message instead of returning
+        // `None` with batches missing — and promptly: the surviving workers
+        // of a long epoch do not get to prepare the rest of it into the
+        // reorder heap first.
+        for (n_samp, batches) in [(1, 10), (3, 10), (3, 400)] {
+            let (g, _, _) = setup();
+            let seeds: Arc<Vec<NodeId>> = Arc::new((0..batches * 10).map(|i| i % 100).collect());
+            let dies = Arc::new(DiesAt {
+                inner: NeighborSampler::new(vec![5, 3]),
+                calls: AtomicUsize::new(0),
+                at: 4,
+            });
+            let mut loader = LoaderSpec::builder(g, Arc::clone(&dies) as Arc<dyn Sampler>, seeds)
+                .batch_size(10)
+                .epoch_seeds(SeedSequence::new(5))
+                .n_samp(n_samp)
+                .prefetch(2)
+                .normalization(Normalization::Mean)
+                .features(features())
+                .start();
+            assert_eq!(loader.num_batches(), batches as usize);
+            let mut seen = 0;
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for (i, _) in &mut loader {
+                    assert_eq!(i, seen);
+                    seen += 1;
+                }
+            }));
+            let payload = died.expect_err("more batches were promised");
+            let message = payload.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains("sampler died at call 4"), "{message}");
+            // One worker: calls are batches, so exactly four arrived. Three
+            // workers: whichever batch the fifth call was for is missing.
+            assert!(seen <= 9 && (n_samp > 1 || seen == 4), "{seen} batches");
+            assert!(loader.workers.is_empty(), "every worker joined");
+            // The survivors were stopped within a few batches of the death:
+            // what they had in hand, the channel's two, a few more while the
+            // consumer drained.
+            let calls = dies.calls.load(Ordering::Relaxed);
+            assert!(calls <= 40 && loader.reorder.len() <= 40, "{calls} calls");
+        }
     }
 
     #[test]
@@ -705,16 +1024,13 @@ mod tests {
     #[test]
     fn profiler_records_one_span_chain_per_batch() {
         let (g, s, seeds) = setup();
-        let feats = Arc::new(Features::new(
-            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
-            4,
-        ));
         let prof = SpanProfiler::new().for_process(1);
         let loader = LoaderSpec::builder(g, s, seeds)
             .batch_size(16)
             .epoch_seeds(SeedSequence::new(11))
             .n_samp(2)
-            .features(feats)
+            .normalization(Normalization::Gcn)
+            .features(features())
             .spans(prof.clone())
             .start();
         let n = loader.num_batches();
@@ -731,11 +1047,12 @@ mod tests {
                 .filter(|r| r.role == role && r.kind == kind)
                 .count()
         };
-        // One pick, one gather, one enqueue wait per batch on the producer
-        // side; one dequeue wait per batch on the consumer side — each
-        // keyed by the batch id so the chain is linkable.
+        // One pick, one gather, one aggregation, one enqueue wait per batch
+        // on the producer side; one dequeue wait per batch on the consumer
+        // side — each keyed by the batch id so the chain is linkable.
         assert_eq!(count(Role::Producer, SpanKind::Pick), n);
         assert_eq!(count(Role::Producer, SpanKind::Gather), n);
+        assert_eq!(count(Role::Producer, SpanKind::Aggregate), n);
         assert_eq!(count(Role::Producer, SpanKind::EnqueueWait), n);
         assert_eq!(count(Role::Consumer, SpanKind::DequeueWait), n);
         let mut picked: Vec<u64> = drained

@@ -122,9 +122,12 @@ fn minibatch_converges_faster_per_epoch_than_full_graph() {
     let mut full = AnyModel::build(Arch::Gcn, d.feat_dim(), 16, d.num_classes, 2, 3);
     let mut opt = Adam::new(full.num_params(), 5e-3);
     let batch = full_graph_batch(&d.graph, &d.train_nodes);
+    let ids = batch.input_nodes();
+    let mut input = argo::tensor::Matrix::zeros(ids.len(), d.feat_dim());
+    d.features.gather_into(ids, input.data_mut());
     let mut full_loss = 0.0;
     for _ in 0..epochs {
-        let stats = full.train_step(&batch, &d.features, &d.labels, None);
+        let stats = full.train_step_gathered(&batch, &input, &d.labels, None);
         full_loss = stats.loss;
         let (mut p, mut g) = (Vec::new(), Vec::new());
         full.params_flat(&mut p);
