@@ -16,11 +16,8 @@ cargo clippy --workspace --all-targets -- -D clippy::too_many_arguments
 echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, sampler-scratch, feature-gather)"
 cargo run -q -p argo-check --bin argo-lint
 
-echo "==> cargo test -q -p argo-check --features sanitize (lock-order sanitizer + mini-loom)"
-cargo test -q -p argo-check --features sanitize
-
-echo "==> cargo test -q -p argo-check --features race (happens-before race detector: seeded-bug corpus + zero-FP train/serve runs)"
-cargo test -q -p argo-check --features race
+echo "==> cargo test -q -p argo-check --features check (lock-order sanitizer + happens-before race detector: both seeded-bug corpora, zero-report train/serve runs; mini-loom)"
+cargo test -q -p argo-check --features check
 
 echo "==> cargo build --release"
 cargo build --workspace --release
@@ -37,11 +34,12 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 echo "==> micro_serving quick perf gate (tuned p99 must not lose to the library default; warm result-cache hit rate > 0.9)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_serving
 
-echo "==> benchmark/ builds against the public API and runs the three training workloads: train_neighbor_sage (block batches, loader prologue uncached), train_ddp_cached (two ranks, prologue through the cache) and train_shadow_gcn (subgraph batches) (quick: checks the outputs, enforces no bounds)"
+echo "==> benchmark/ builds against the public API and runs the three training workloads — train_neighbor_sage (block batches, loader prologue uncached), train_ddp_cached (two ranks, prologue through the cache), train_shadow_gcn (subgraph batches) — and serve_unique (forward_gathered_view over arena views) (quick: checks the outputs, enforces no bounds)"
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_neighbor_sage --quick
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_ddp_cached --quick
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_shadow_gcn --quick
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload serve_unique --quick
 
 echo "==> cargo test -q -p argo-sample"
 cargo test -q -p argo-sample

@@ -445,7 +445,9 @@ fn main() {
     let seeds: Vec<u32> = flickr.train_nodes.iter().copied().take(256).collect();
     let mut scratch = SamplerScratch::new();
     let run = SampleRun::new(SeedSequence::new(3), &mut scratch).with_norm(Normalization::Gcn);
-    let shadow = ShadowSampler::new(vec![10, 5], 3).sample_with(&flickr.graph, &seeds, run);
+    let shadow = ShadowSampler::new(vec![10, 5], 3)
+        .sample_into(&flickr.graph, &seeds, run)
+        .to_owned();
     let ids = shadow.input_nodes();
     let mut shadow_input = Matrix::zeros(ids.len(), flickr.feat_dim());
     flickr.features.gather_into(ids, shadow_input.data_mut());

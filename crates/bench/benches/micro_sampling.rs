@@ -159,10 +159,10 @@ fn main() {
     let stream = SeedSequence::new(17);
     let scratch_s = time_min(samples, || {
         let run = SampleRun::new(stream, &mut scratch);
-        sampler.sample_with(&graph, &seeds, run)
+        sampler.sample_into(&graph, &seeds, run).to_owned()
     });
     let run = SampleRun::new(stream, &mut scratch);
-    let batch = sampler.sample_with(&graph, &seeds, run);
+    let batch = sampler.sample_into(&graph, &seeds, run).to_owned();
     let scratch_edges = batch.total_edges(fanouts.len());
 
     // -- Fused arena view: assembly lands in the arena CSR and is consumed
@@ -181,7 +181,7 @@ fn main() {
     let mut pool_scratch = SamplerScratch::new();
     let pool_s = time_min(samples, || {
         let run = SampleRun::new(stream, &mut pool_scratch).with_pool(Some(&pool));
-        sampler.sample_with(&graph, &seeds, run)
+        sampler.sample_into(&graph, &seeds, run).to_owned()
     });
 
     // -- Loader drain: one epoch of `DRAIN_BATCHES` batches through a
@@ -360,10 +360,9 @@ fn main() {
             "variants",
             Json::Arr(rows.iter().map(SampRow::to_json).collect()),
         ),
-        // The two lower-is-better gated metrics (`argo perf diff` pairs
-        // them against the committed baseline with the standard tolerance):
-        // the fused arena assembly cost per sampled edge, and the compact
-        // arena metadata footprint of the steady-state batch.
+        // The two lower-is-better metrics: the fused arena assembly cost
+        // per sampled edge, and the compact arena metadata footprint of the
+        // steady-state batch.
         ("assembly_ns_per_edge", Json::Num(assembly_ns_per_edge)),
         ("metadata_bytes_per_batch", Json::Num(view_bytes as f64)),
         ("assembly_speedup_vs_legacy", Json::Num(assembly_speedup)),
@@ -420,9 +419,7 @@ fn main() {
         println!("perf gate OK: span profiler overhead {span_overhead_pct:.3}% (budget 5%)");
         // The fused arena-CSR assembly must beat the legacy edge-list
         // assembly outright even on a noisy CI core (the full-mode bar is
-        // 1.5x; quick mode uses a generous floor and leaves the ns/edge
-        // regression gate to `argo perf diff --quick` vs the committed
-        // quick baseline).
+        // 1.5x; quick mode uses a generous floor).
         if assembly_speedup < 1.0 {
             eprintln!(
                 "PERF GATE: arena assembly is slower than legacy edge-list assembly \

@@ -19,8 +19,7 @@
 //!    runner; latency percentiles are recorded as context only.
 //!
 //! Emits `BENCH_serving.json` at the repository root (full mode) or
-//! `target/BENCH_serving.quick.json` (ARGO_BENCH_QUICK=1), diffed by
-//! `argo perf-diff` against the committed baselines.
+//! `target/BENCH_serving.quick.json` (ARGO_BENCH_QUICK=1).
 
 use std::sync::Arc;
 use std::time::Instant;

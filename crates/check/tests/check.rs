@@ -1,31 +1,197 @@
-//! Tests of the vector-clock happens-before race detector (the `race`
-//! feature): a corpus of seeded bugs in the claimed-disjoint-window pattern
-//! is detected with file/line-attributed reports, each next to a fixed twin
-//! proving the corrected synchronization is clean — and, just as important,
-//! a full auto-tuned training run and a serving session over the real
-//! runtime (pool fork/join, pipelined loader channels, feature/result
-//! caches, fused dispatch kernels) produce **zero** reports.
+//! Tests of the two runtime checkers the `check` feature turns on inside the
+//! `parking_lot` / `crossbeam` shims, in one instrumented build: the
+//! lock-order sanitizer and the vector-clock happens-before race detector.
+//! Each has a corpus of seeded bugs — lock-order inversions (direct and
+//! through a chain) and double-locks; overlapping claimed-disjoint windows,
+//! a missing join edge, a send after close — reported with attribution,
+//! each next to a fixed twin proving the corrected code is clean. And, just
+//! as important, a full auto-tuned training run and a serving session over
+//! the real runtime (pool fork/join, pipelined loader channels,
+//! feature/result caches, fused dispatch kernels, telemetry) produce
+//! **zero** lock violations and **zero** race reports in the same run.
 //!
-//! Built only with `cargo test -p argo-check --features race`, which is how
+//! Built only with `cargo test -p argo-check --features check`, which is how
 //! `ci.sh` invokes it; the normal workspace build stays uninstrumented.
-#![cfg(feature = "race")]
+#![cfg(feature = "check")]
 
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 use argo_rt::racecheck;
 use argo_rt::ThreadPool;
 use parking_lot::race::AccessKind;
+use parking_lot::sanitizer::{self, Violation};
+use parking_lot::{Mutex, RwLock};
 
-/// The detector's shadow regions and report list are global; tests must not
-/// interleave. (Raw std mutex: the instrumented shim would thread the
-/// serialization lock's release clock into every test.)
+/// Both checkers keep global state (order graph and violation list; shadow
+/// regions and report list); tests must not interleave. (Raw std mutex: the
+/// instrumented shim would record the serialization lock itself in the
+/// order graph and thread its release clock into every test.)
 static SERIAL: StdMutex<()> = StdMutex::new(());
 
 fn serialized() -> StdMutexGuard<'static, ()> {
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    sanitizer::reset();
     racecheck::reset();
     guard
 }
+
+/// Both verdicts of the run since [`serialized`]: no lock violation and no
+/// race report.
+fn assert_both_checkers_clean(who: &str) {
+    let violations = sanitizer::take_violations();
+    assert!(
+        violations.is_empty(),
+        "{who} must be violation-free, got: {violations:#?}"
+    );
+    let reports = racecheck::take_reports();
+    assert!(
+        reports.is_empty(),
+        "{who} must be race-free, got: {reports:#?}"
+    );
+}
+
+/// The engine and the serve session publish both verdict counters into the
+/// run's metrics (so the zeros show up in `argo report`, not just here).
+fn assert_zero_verdicts_published(tel: &argo_rt::Telemetry) {
+    use argo_rt::telemetry::names;
+    let counters = tel.metrics.counters();
+    for name in [
+        names::CHECK_RACE_REPORTS_TOTAL,
+        names::CHECK_LOCK_VIOLATIONS_TOTAL,
+    ] {
+        let verdict = counters.iter().find(|(n, _)| n == name);
+        assert_eq!(
+            verdict,
+            Some(&(name.to_string(), 0)),
+            "verdict counter published and zero"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lock-order sanitizer: seeded inversions and double-locks.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn seeded_lock_order_inversion_is_detected() {
+    let _guard = serialized();
+    let a = Mutex::new(0u32);
+    let b = Mutex::new(0u32);
+    // Establish the order a → b …
+    {
+        let _ga = a.lock();
+        let _gb = b.lock();
+    }
+    // … then take them the other way around. No deadlock happens in this
+    // single-threaded execution, but the mirror-image schedule would — the
+    // sanitizer must flag the inversion.
+    {
+        let _gb = b.lock();
+        let _ga = a.lock();
+    }
+    let violations = sanitizer::take_violations();
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(
+        matches!(violations[0], Violation::OrderInversion { .. }),
+        "{violations:?}"
+    );
+    let msg = violations[0].to_string();
+    assert!(msg.contains("lock-order inversion"), "{msg}");
+}
+
+#[test]
+fn inversion_is_detected_through_transitive_chains() {
+    let _guard = serialized();
+    let a = Mutex::new(());
+    let b = Mutex::new(());
+    let c = Mutex::new(());
+    // a → b and b → c …
+    {
+        let _ga = a.lock();
+        let _gb = b.lock();
+    }
+    {
+        let _gb = b.lock();
+        let _gc = c.lock();
+    }
+    // … so c → a inverts via the path a →* c even though the pair (c, a)
+    // was never taken together before.
+    {
+        let _gc = c.lock();
+        let _ga = a.lock();
+    }
+    let violations = sanitizer::take_violations();
+    assert_eq!(violations.len(), 1, "{violations:?}");
+}
+
+#[test]
+fn seeded_double_lock_panics_and_is_recorded() {
+    let _guard = serialized();
+    let m = Arc::new(Mutex::new(0u32));
+    let m2 = Arc::clone(&m);
+    let result = std::panic::catch_unwind(move || {
+        let _g1 = m2.lock();
+        let _g2 = m2.lock(); // would deadlock the std-backed mutex for real
+    });
+    let err = result.expect_err("double-lock must panic, not hang");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("argo-sanitizer"), "{msg}");
+    assert!(msg.contains("double-lock"), "{msg}");
+    let violations = sanitizer::take_violations();
+    assert!(
+        violations
+            .iter()
+            .any(|v| matches!(v, Violation::DoubleLock { .. })),
+        "{violations:?}"
+    );
+}
+
+#[test]
+fn rwlock_double_write_is_detected() {
+    let _guard = serialized();
+    let l = Arc::new(RwLock::new(0u32));
+    let l2 = Arc::clone(&l);
+    let result = std::panic::catch_unwind(move || {
+        let _g1 = l2.write();
+        let _g2 = l2.read(); // read-after-write on the same lock: deadlock
+    });
+    assert!(result.is_err());
+    let violations = sanitizer::take_violations();
+    assert_eq!(violations.len(), 1, "{violations:?}");
+}
+
+#[test]
+fn consistent_order_across_threads_is_clean() {
+    let _guard = serialized();
+    let a = Arc::new(Mutex::new(0u32));
+    let b = Arc::new(Mutex::new(0u32));
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+            std::thread::spawn(move || {
+                for _ in 0..50 {
+                    let mut ga = a.lock();
+                    let mut gb = b.lock();
+                    *ga += 1;
+                    *gb += 1;
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker");
+    }
+    assert_eq!(*a.lock(), 200);
+    assert!(
+        sanitizer::take_violations().is_empty(),
+        "same-order acquisitions must not be flagged"
+    );
+    assert!(sanitizer::order_edge_count() >= 1);
+}
+
+// ---------------------------------------------------------------------------
+// Race detector: seeded bugs in the claimed-disjoint-window pattern.
+// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // Seeded bug 1: overlapping windows. Two threads each claim a window of the
@@ -49,7 +215,7 @@ fn seeded_overlapping_windows_are_detected() {
     assert_eq!(r.cell, 4, "the one shared cell is the race: {r}");
     assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Write));
     assert!(
-        r.site.contains("race.rs") && r.prior_site.contains("race.rs"),
+        r.site.contains("check.rs") && r.prior_site.contains("check.rs"),
         "both sites carry file/line attribution: {r}"
     );
     assert!(r
@@ -119,7 +285,10 @@ fn seeded_overlap_through_the_runner_is_detected() {
     );
     let r = &reports[0];
     assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Write));
-    assert!(r.cell > 0 && r.cell % 16 == 0, "a window boundary row: {r}");
+    assert!(
+        r.cell > 0 && r.cell.is_multiple_of(16),
+        "a window boundary row: {r}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -148,7 +317,7 @@ fn seeded_missing_join_edge_is_detected() {
     let r = &reports[0];
     assert_eq!(r.region, "corpus.missing_join");
     assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Read));
-    assert!(r.site.contains("race.rs"), "attributed: {r}");
+    assert!(r.site.contains("check.rs"), "attributed: {r}");
 }
 
 #[test]
@@ -203,7 +372,7 @@ fn seeded_send_after_close_is_detected() {
     let r = &reports[0];
     assert_eq!(r.region, "corpus.send_after_close");
     assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Read));
-    assert!(r.site.contains("race.rs"), "attributed: {r}");
+    assert!(r.site.contains("check.rs"), "attributed: {r}");
 }
 
 #[test]
@@ -235,13 +404,12 @@ fn successful_channel_handoff_orders_the_read() {
 /// A full auto-tuned training run — thread pool, pipelined loader, feature
 /// cache, fused dispatch kernels, telemetry — with every lock, channel,
 /// fork/join edge and disjoint-window annotation instrumented must record
-/// no races.
+/// no lock violation and no race.
 #[test]
-fn full_training_run_reports_zero_races() {
+fn full_training_run_reports_zero_violations_and_zero_races() {
     use argo_core::{Argo, ArgoOptions};
     use argo_engine::{Engine, EngineOptions};
     use argo_graph::datasets::FLICKR;
-    use argo_rt::telemetry::names;
     use argo_rt::Telemetry;
     use argo_sample::NeighborSampler;
 
@@ -269,34 +437,18 @@ fn full_training_run_reports_zero_races() {
     let tel = Telemetry::new();
     let _report = argo.train(&mut engine, Some(&tel), |_, _, _| {});
 
-    let reports = racecheck::take_reports();
-    assert!(
-        reports.is_empty(),
-        "training run must be race-free, got: {reports:#?}"
-    );
-    // The engine publishes checker verdicts at every epoch end, so the
-    // zero shows up in `argo report`, not just here.
-    let verdict = tel
-        .metrics
-        .counters()
-        .into_iter()
-        .find(|(name, _)| name == names::CHECK_RACE_REPORTS_TOTAL);
-    assert_eq!(
-        verdict,
-        Some((names::CHECK_RACE_REPORTS_TOTAL.to_string(), 0)),
-        "verdict counter published and zero"
-    );
+    assert_both_checkers_clean("training run");
+    assert_zero_verdicts_published(&tel);
 }
 
 /// A serving session — deadline micro-batcher, result cache slot handoffs,
 /// feature cache, inference kernels — under full instrumentation must also
-/// be race-free, including across cache hits that *read* slots other
-/// requests wrote.
+/// be clean on both counts, including across cache hits that *read* slots
+/// other requests wrote.
 #[test]
-fn serve_session_run_reports_zero_races() {
+fn serve_session_run_reports_zero_violations_and_zero_races() {
     use argo_graph::datasets::FLICKR;
     use argo_nn::{AnyModel, Arch};
-    use argo_rt::telemetry::names;
     use argo_rt::Telemetry;
     use argo_sample::{NeighborSampler, Normalization, Sampler};
     use argo_serve::{ManualClock, ServeSpec};
@@ -337,19 +489,34 @@ fn serve_session_run_reports_zero_races() {
         r.as_ref().expect("late drain still serves");
     }
 
-    let reports = racecheck::take_reports();
-    assert!(
-        reports.is_empty(),
-        "serve session must be race-free, got: {reports:#?}"
-    );
-    let verdict = tel
-        .metrics
-        .counters()
-        .into_iter()
-        .find(|(name, _)| name == names::CHECK_RACE_REPORTS_TOTAL);
-    assert_eq!(
-        verdict,
-        Some((names::CHECK_RACE_REPORTS_TOTAL.to_string(), 0)),
-        "drain publishes the (zero) verdict counter"
-    );
+    assert_both_checkers_clean("serve session");
+    assert_zero_verdicts_published(&tel);
+}
+
+/// Concurrent cache stress under instrumentation: shard locks are taken
+/// one at a time, so even heavy cross-thread sharing must stay clean.
+#[test]
+fn feature_cache_stress_has_zero_false_positives() {
+    use argo_graph::{Features, NodeId};
+    use argo_sample::FeatureCache;
+
+    let _guard = serialized();
+    let feats = Arc::new(Features::new((0..64 * 4).map(|i| i as f32).collect(), 4));
+    let cache = Arc::new(FeatureCache::with_shards(16, 4, 4));
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let (feats, cache) = (Arc::clone(&feats), Arc::clone(&cache));
+            std::thread::spawn(move || {
+                for i in 0..200u64 {
+                    let ids = [((i * (t + 1)) % 64) as NodeId, ((i * 7 + t) % 64) as NodeId];
+                    let got = cache.gather_rows(&feats, &ids);
+                    assert_eq!(got.len(), 8);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker");
+    }
+    assert_both_checkers_clean("sharded cache stress");
 }

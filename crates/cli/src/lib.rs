@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 
-pub mod perf;
 pub mod report;
 
 use argo_graph::datasets::{DatasetSpec, FLICKR, OGBN_PAPERS100M, OGBN_PRODUCTS, REDDIT};
@@ -63,16 +62,6 @@ pub fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
         ],
         "report" => &["metrics"],
         "top" => &["metrics", "refresh", "frames"],
-        "perf-diff" => &[
-            "quick",
-            "tolerance",
-            "baseline-sampling",
-            "baseline-kernels",
-            "baseline-serving",
-            "current-sampling",
-            "current-kernels",
-            "current-serving",
-        ],
         "space" => &["cores"],
         "info" | "help" | "-h" => &[],
         _ => return None,
@@ -220,21 +209,6 @@ USAGE:
       cache, bottleneck audit); re-reads the JSONL every --refresh seconds
       for --frames iterations
 
-  argo perf-diff [--quick true] [--tolerance 0.15]
-                 [--baseline-sampling FILE] [--baseline-kernels FILE]
-                 [--baseline-serving FILE]
-                 [--current-sampling FILE] [--current-kernels FILE]
-                 [--current-serving FILE]
-      perf-regression gate: compare a fresh bench run's speedup ratios
-      against the committed baselines; fails when any ratio drops more
-      than --tolerance (default 15%) below its baseline. --quick true
-      compares target/BENCH_*.quick.json (ARGO_BENCH_QUICK=1 artifacts)
-      against the committed BENCH_*.quick.json, as wired into ci.sh;
-      without it, baselines are BENCH_*.json and --current-* is required
-      (quick and full ratios are not cross-comparable). The serving pair
-      gates the tuned-vs-default p99 improvement and the warm result-cache
-      hit rate from BENCH_serving.json
-
   argo space    [--cores 112]
       inspect the configuration design space (needs at least 4 cores)
 
@@ -277,14 +251,7 @@ mod tests {
     #[test]
     fn every_subcommand_rejects_flags_it_does_not_declare() {
         for command in [
-            "train",
-            "simulate",
-            "report",
-            "top",
-            "perf-diff",
-            "space",
-            "info",
-            "help",
+            "train", "simulate", "report", "top", "space", "info", "help",
         ] {
             let accepted = accepted_flags(command).expect("known subcommand");
             let err = parse_args(&argv(&format!("{command} --bogus 1"))).unwrap_err();

@@ -4,18 +4,15 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use argo_cli::{
-    dataset_by_name, library_by_name, model_kind_by_name, parse_args,
-    perf::{diff_all, diff_serving, render_top, DEFAULT_TOLERANCE},
-    platform_by_name,
-    report::render_report,
-    sampler_kind_by_name, usage, Cli,
+    dataset_by_name, library_by_name, model_kind_by_name, parse_args, platform_by_name,
+    report::render_report, sampler_kind_by_name, usage, Cli,
 };
 use argo_core::{Argo, ArgoOptions, Error};
-use argo_engine::{evaluate_accuracy, Engine, EngineOptions};
+use argo_engine::{evaluate_confusion, Engine, EngineOptions};
 use argo_graph::Dataset;
-use argo_nn::{Arch, ConfusionMatrix};
+use argo_nn::Arch;
 use argo_platform::{Library, ModelKind, PerfModel, SamplerKind, Setup, ICE_LAKE_8380H};
-use argo_rt::{RunLogger, Source, Telemetry};
+use argo_rt::{RunEvent, RunLogger, Source, Telemetry};
 use argo_sample::{ClusterGcnSampler, NeighborSampler, SaintRwSampler, Sampler, ShadowSampler};
 use argo_tune::{paper_num_searches, SearchSpace};
 
@@ -41,7 +38,6 @@ fn run(args: &[String]) -> Result<(), Error> {
         "simulate" => simulate(&cli),
         "report" => report(&cli),
         "top" => top(&cli),
-        "perf-diff" => perf_diff(&cli),
         "space" => space(&cli),
         "info" => {
             info();
@@ -147,84 +143,87 @@ fn top(cli: &Cli) -> Result<(), Error> {
     Ok(())
 }
 
-/// `argo perf-diff` — the perf-regression gate. Compares speedup ratios in
-/// a fresh bench run against the committed baselines and fails (non-zero
-/// exit) when any ratio falls more than the tolerance below its baseline.
-fn perf_diff(cli: &Cli) -> Result<(), Error> {
-    let quick = cli.get_bool("quick").map_err(Error::InvalidArgument)?;
-    let tolerance: f64 = cli.get_num("tolerance", DEFAULT_TOLERANCE)?;
-    if !(0.0..1.0).contains(&tolerance) {
-        return Err(Error::InvalidArgument(format!(
-            "--tolerance must be in [0, 1), got {tolerance}"
-        )));
-    }
-    // Quick and full bench modes use different shapes, so ratios are only
-    // comparable within a mode: quick runs diff against the committed
-    // quick baselines (conservative min-of-several-runs), full runs against
-    // the committed full-mode baselines. Full-mode bench runs write to the
-    // full baseline paths themselves, so a non-quick diff needs explicit
-    // current paths.
-    let (def_base_s, def_base_k, def_base_v, def_cur_s, def_cur_k, def_cur_v) = if quick {
-        (
-            "BENCH_sampling.quick.json",
-            "BENCH_kernels.quick.json",
-            "BENCH_serving.quick.json",
-            "target/BENCH_sampling.quick.json",
-            "target/BENCH_kernels.quick.json",
-            "target/BENCH_serving.quick.json",
-        )
-    } else {
-        (
-            "BENCH_sampling.json",
-            "BENCH_kernels.json",
-            "BENCH_serving.json",
-            "",
-            "",
-            "",
-        )
-    };
-    let base_s = cli.get("baseline-sampling", def_base_s);
-    let base_k = cli.get("baseline-kernels", def_base_k);
-    let base_v = cli.get("baseline-serving", def_base_v);
-    let cur_s = cli.get("current-sampling", def_cur_s);
-    let cur_k = cli.get("current-kernels", def_cur_k);
-    let cur_v = cli.get("current-serving", def_cur_v);
-    if cur_s.is_empty() || cur_k.is_empty() {
-        return Err(Error::InvalidArgument(
-            "perf-diff needs --quick true (compares target/BENCH_*.quick.json) or explicit \
-             --current-sampling/--current-kernels paths"
-                .into(),
-        ));
-    }
-    let load = |path: &str| -> Result<argo_rt::Json, Error> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| Error::Io(format!("read {path}: {e} (run the bench first)")))?;
-        argo_rt::Json::parse(&text).map_err(|e| Error::Io(format!("parse {path}: {e}")))
-    };
-    let mut rep = diff_all(
-        &load(base_s)?,
-        &load(cur_s)?,
-        &load(base_k)?,
-        &load(cur_k)?,
-        tolerance,
-    );
-    // The serving artifact arrived later than the training pair; tolerate a
-    // missing current file (e.g. the serving bench wasn't run) with a note
-    // rather than failing the whole diff.
-    if !cur_v.is_empty() {
-        match (load(base_v), load(cur_v)) {
-            (Ok(b), Ok(c)) => rep.merge(diff_serving(&b, &c, tolerance)),
-            (Err(e), _) | (_, Err(e)) => rep.notes.push(format!("serving diff skipped: {e}")),
+/// One-screen live view of a run's most recent telemetry, rendered from the
+/// structured events (`argo top --metrics run.jsonl` re-reads and re-renders
+/// the file as the run appends to it).
+fn render_top(events: &[(RunEvent, f64, Source)]) -> String {
+    let mut out = String::new();
+    let mut last_epoch: Option<(u64, &argo_rt::EpochRecord)> = None;
+    let mut last_cp: Option<&Vec<(String, f64)>> = None;
+    let mut last_bytes: Option<&argo_rt::BytesRecord> = None;
+    let mut last_cache: Option<&argo_rt::CacheSummaryRecord> = None;
+    let mut last_trial: Option<&argo_rt::TrialRecord> = None;
+    let mut last_check: Option<(&String, &String)> = None;
+    let mut modeled = false;
+    for (e, _, s) in events {
+        modeled |= *s == Source::Modeled;
+        match e {
+            RunEvent::EpochEnd { epoch, record, .. } => last_epoch = Some((*epoch, record)),
+            RunEvent::CriticalPath { fractions, .. } => last_cp = Some(fractions),
+            RunEvent::BytesSummary { record, .. } => last_bytes = Some(record),
+            RunEvent::CacheSummary { summary, .. } => last_cache = Some(summary),
+            RunEvent::TunerTrial(t) => last_trial = Some(t),
+            RunEvent::BottleneckCheck {
+                predicted,
+                measured,
+                ..
+            } => last_check = Some((predicted, measured)),
+            _ => {}
         }
     }
-    print!("{}", rep.render());
-    if rep.regressions() > 0 {
-        return Err(Error::Other(format!(
-            "{} perf metric(s) regressed past tolerance",
-            rep.regressions()
-        )));
+    let Some((epoch, r)) = last_epoch else {
+        return "argo top — waiting for events…\n".to_string();
+    };
+    out.push_str(&format!(
+        "argo top — epoch {epoch}{}\n",
+        if modeled { " (modeled)" } else { "" }
+    ));
+    out.push_str(&format!(
+        "  epoch: {:.3}s, loss {:.4}, acc {:.3}, {} iterations, {} edges\n",
+        r.epoch_time, r.loss, r.train_accuracy, r.iterations, r.edges
+    ));
+    if let Some(fractions) = last_cp {
+        let mut sorted: Vec<&(String, f64)> = fractions.iter().filter(|(_, f)| *f > 0.0).collect();
+        sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let parts: Vec<String> = sorted
+            .iter()
+            .map(|(s, f)| format!("{s} {:.0}%", f * 100.0))
+            .collect();
+        out.push_str(&format!("  critical path: {}\n", parts.join(" | ")));
     }
-    Ok(())
+    if let Some(b) = last_bytes {
+        out.push_str(&format!(
+            "  bytes/batch: {:.1} KB metadata, {:.1} MB cache-served, {} scratch allocs\n",
+            b.metadata_bytes_per_batch() / 1e3,
+            b.cache_bytes as f64 / 1e6,
+            b.scratch_allocs
+        ));
+    }
+    if let Some(c) = last_cache {
+        out.push_str(&format!(
+            "  cache: hit rate {:.1}%, {} / {} rows resident\n",
+            c.hit_rate() * 100.0,
+            c.resident_rows,
+            c.capacity_rows
+        ));
+    }
+    if let Some((predicted, measured)) = last_check {
+        out.push_str(&format!(
+            "  bottleneck: predicted {predicted}, measured {measured} ({})\n",
+            if predicted == measured {
+                "agree"
+            } else {
+                "DISAGREE"
+            }
+        ));
+    }
+    if let Some(t) = last_trial {
+        out.push_str(&format!(
+            "  tuner: trial {} — best {:.3}s at {}\n",
+            t.trial, t.best_epoch_time, t.best_config
+        ));
+    }
+    out
 }
 
 fn report(cli: &Cli) -> Result<(), Error> {
@@ -346,31 +345,10 @@ fn train(cli: &Cli) -> Result<(), Error> {
     println!("total time {:.2}s (tuning included)", report.total_time);
     // Final metrics on the validation split.
     let model = engine.model();
-    let acc = evaluate_accuracy(&model, &dataset, &dataset.val_nodes);
-    let sampler_eval = NeighborSampler::new(vec![dataset.graph.max_degree().max(1); layers]);
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
-    let mut preds: Vec<u32> = Vec::new();
-    let mut truth: Vec<u32> = Vec::new();
-    for chunk in dataset.val_nodes.chunks(256) {
-        let batch = argo_sample::Sampler::sample(&sampler_eval, &dataset.graph, chunk, &mut rng);
-        let logits = model.forward(&batch, &dataset.features, None);
-        for (i, &v) in chunk.iter().enumerate() {
-            let row = logits.row(i);
-            let mut best = 0usize;
-            for (j, &x) in row.iter().enumerate() {
-                if x > row[best] {
-                    best = j;
-                }
-            }
-            preds.push(best as u32);
-            truth.push(dataset.labels[v as usize]);
-        }
-    }
-    let cm = ConfusionMatrix::from_predictions(&preds, &truth, dataset.num_classes);
+    let cm = evaluate_confusion(&model, &dataset, &dataset.val_nodes);
     println!(
         "validation: accuracy {:.3}, macro-F1 {:.3}, micro-F1 {:.3} (n={})",
-        acc,
+        cm.accuracy(),
         cm.macro_f1(),
         cm.micro_f1(),
         dataset.val_nodes.len()
@@ -491,6 +469,7 @@ fn info() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use argo_rt::{BytesRecord, Config, EpochRecord};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -517,5 +496,71 @@ mod tests {
                 other => panic!("{args}: expected InvalidArgument, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn top_renders_latest_state() {
+        let c = Config::new(2, 1, 2);
+        let mk = |e: RunEvent| (e, 0.0, Source::Measured);
+        let events = vec![
+            mk(RunEvent::EpochEnd {
+                epoch: 0,
+                config: c,
+                record: EpochRecord {
+                    epoch_time: 2.0,
+                    loss: 0.9,
+                    train_accuracy: 0.5,
+                    iterations: 4,
+                    minibatches: 8,
+                    edges: 100,
+                    sync_time: 0.1,
+                },
+            }),
+            mk(RunEvent::CriticalPath {
+                epoch: 1,
+                fractions: vec![("compute".to_string(), 0.7), ("heap_wait".to_string(), 0.3)],
+                spans: 10,
+                dropped: 0,
+            }),
+            mk(RunEvent::BytesSummary {
+                epoch: 1,
+                record: BytesRecord {
+                    batches: 4,
+                    metadata_bytes: 8_000,
+                    cache_bytes: 0,
+                    scratch_allocs: 2,
+                },
+            }),
+            mk(RunEvent::BottleneckCheck {
+                epoch: 1,
+                config: c,
+                predicted: "compute".to_string(),
+                measured: "compute".to_string(),
+            }),
+            mk(RunEvent::EpochEnd {
+                epoch: 1,
+                config: c,
+                record: EpochRecord {
+                    epoch_time: 1.5,
+                    loss: 0.7,
+                    train_accuracy: 0.6,
+                    iterations: 4,
+                    minibatches: 8,
+                    edges: 100,
+                    sync_time: 0.1,
+                },
+            }),
+        ];
+        let text = render_top(&events);
+        assert!(text.contains("epoch 1"), "{text}");
+        assert!(text.contains("1.500s"), "{text}");
+        assert!(text.contains("compute 70% | heap_wait 30%"), "{text}");
+        assert!(text.contains("2.0 KB metadata"), "{text}");
+        assert!(text.contains("2 scratch allocs"), "{text}");
+        assert!(
+            text.contains("predicted compute, measured compute (agree)"),
+            "{text}"
+        );
+        assert!(render_top(&[]).contains("waiting for events"));
     }
 }

@@ -459,8 +459,8 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
                 section.push_str(&format!("  {name:<26} {v}\n"));
             }
         }
-        // Runtime-checker verdicts (only present under `--features race` /
-        // `sanitize` builds). Zero is the healthy steady state, so render
+        // Runtime-checker verdicts (only present under `--features check`
+        // builds). Zero is the healthy steady state, so render
         // the line whenever the counter exists and flag any non-zero count
         // loudly — a race must not hide in a wall of healthy metrics.
         for name in [

@@ -36,8 +36,6 @@ pub struct EngineOptions {
     /// Total cores the core binder may plan over (defaults to the host's
     /// available cores; set explicitly to emulate a larger logical machine).
     pub total_cores: usize,
-    /// Prefetch depth of each process's sampling pipeline.
-    pub prefetch: usize,
     /// Optional global-L2 gradient clipping applied *after* the all-reduce
     /// (identical on every replica, so semantics stay synchronized).
     pub grad_clip: Option<f32>,
@@ -60,7 +58,6 @@ impl Default for EngineOptions {
             lr: 3e-3,
             seed: 0,
             total_cores: argo_rt::num_available_cores(),
-            prefetch: 4,
             grad_clip: None,
             lr_schedule: LrSchedule::Constant,
             cache_capacity: 0,
@@ -121,12 +118,6 @@ impl EngineOptions {
     /// Total cores the core binder may plan over.
     pub fn with_total_cores(mut self, total_cores: usize) -> Self {
         self.total_cores = total_cores;
-        self
-    }
-
-    /// Prefetch depth of each process's sampling pipeline.
-    pub fn with_prefetch(mut self, prefetch: usize) -> Self {
-        self.prefetch = prefetch;
         self
     }
 
@@ -646,7 +637,6 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
         .epoch_seeds(proc_seeds)
         .n_samp(n_samp)
         .cores(sampling_cores)
-        .prefetch(opts.prefetch)
         .normalization(opts.kind.normalization())
         .features(features)
         .spans(spans.clone());
@@ -1516,8 +1506,15 @@ mod tests {
         let d = tiny();
         let mut o = opts(64);
         o.cache_capacity = 512;
-        let (prefetch, n_proc, n_samp) = (o.prefetch, 2, 1);
+        let (n_proc, n_samp) = (2, 1);
         let mut e = Engine::new(Arc::clone(&d), neighbor(), o);
+        let prefetch = LoaderSpec::builder(
+            Arc::new(d.graph.clone()),
+            neighbor(),
+            Arc::new(d.train_nodes.clone()),
+        )
+        .build()
+        .prefetch;
         for _ in 0..5 {
             e.train_epoch(Config::new(n_proc, n_samp, 1), None);
         }

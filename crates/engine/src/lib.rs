@@ -23,6 +23,6 @@ pub mod engine;
 pub mod evaluate;
 
 pub use engine::{BufferStats, Engine, EngineOptions, EpochStats};
-pub use evaluate::evaluate_accuracy;
+pub use evaluate::{evaluate_accuracy, evaluate_confusion};
 
 pub use argo_rt::Config;

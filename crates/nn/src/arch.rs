@@ -7,7 +7,6 @@
 
 use std::borrow::Borrow;
 
-use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_sample::loader::PreparedInput;
@@ -112,23 +111,11 @@ impl AnyModel {
         }
     }
 
-    /// Inference logits over the batch seeds.
-    pub fn forward(
-        &self,
-        batch: &SampledBatch,
-        feats: &Features,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        match self {
-            AnyModel::Gnn(m) => m.forward(batch, feats, pool),
-            AnyModel::Gat(m) => m.forward(batch, feats, pool),
-        }
-    }
-
-    /// [`AnyModel::forward`] with the input-node feature rows already
-    /// gathered (in `input_nodes()` order). `input` is only read: pass
-    /// `&Matrix` to keep a recycled buffer, or a `Matrix` to have it dropped
-    /// afterwards — a caller's buffer is never parked in the model.
+    /// Inference logits over the batch seeds, from the input-node feature
+    /// rows already gathered (in `input_nodes()` order). `input` is only
+    /// read: pass `&Matrix` to keep a recycled buffer, or a `Matrix` to have
+    /// it dropped afterwards — a caller's buffer is never parked in the
+    /// model.
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
@@ -326,6 +313,7 @@ mod tests {
         // ran before — other batches, other shapes, other parameters — a
         // step depends only on (params, batch, input): same loss, same
         // gradients, bit for bit, as a model built for this one step.
+        use crate::gathered;
         use argo_graph::datasets::FLICKR;
         use argo_sample::{NeighborSampler, Sampler};
         use rand::rngs::SmallRng;
@@ -336,18 +324,17 @@ mod tests {
             let seeds: Vec<u32> = d.train_nodes.iter().copied().skip(skip).take(n).collect();
             sampler.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(n as u64))
         };
-        let gathered = |batch: &SampledBatch| {
-            let ids = batch.input_nodes();
-            let mut input = Matrix::zeros(ids.len(), d.feat_dim());
-            d.features.gather_into(ids, input.data_mut());
-            input
-        };
         for arch in [Arch::Sage, Arch::Gcn, Arch::Gat { heads: 2 }] {
             let build = || AnyModel::build(arch, d.feat_dim(), 16, d.num_classes, 2, 5);
             let mut used = build();
             for (skip, n) in [(0, 24), (30, 8), (3, 40)] {
                 let batch = batch_of(skip, n);
-                used.train_step_gathered(&batch, gathered(&batch), &d.labels, None);
+                used.train_step_gathered(
+                    &batch,
+                    gathered(&d.features, batch.input_nodes()),
+                    &d.labels,
+                    None,
+                );
             }
             let mut params = Vec::new();
             used.params_flat(&mut params);
@@ -359,7 +346,7 @@ mod tests {
             fresh.set_params_flat(&params);
 
             let batch = batch_of(11, 32);
-            let input = gathered(&batch);
+            let input = gathered(&d.features, batch.input_nodes());
             // Borrowed on the replica, by value on the fresh model: the two
             // calling conventions are one implementation.
             let a = used.train_step_gathered(&batch, &input, &d.labels, None);
@@ -374,7 +361,7 @@ mod tests {
             );
             let (fa, fb) = (
                 used.forward_gathered(&batch, &input, None),
-                fresh.forward(&batch, &d.features, None),
+                fresh.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None),
             );
             assert_eq!(fa.data(), fb.data(), "{arch:?}");
         }

@@ -17,7 +17,6 @@
 
 use std::borrow::Borrow;
 
-use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_tensor::ops::{
@@ -244,18 +243,9 @@ impl Gat {
         )
     }
 
-    /// Inference forward; logits over the batch seeds.
-    pub fn forward(
-        &self,
-        batch: &SampledBatch,
-        feats: &Features,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        self.forward_gathered(batch, gather(feats, batch.input_nodes()), pool)
-    }
-
-    /// [`Gat::forward`] with the input-node feature rows already gathered
-    /// (in `input_nodes()` order); pass `&Matrix` to keep the buffer.
+    /// Inference forward; logits over the batch seeds, from the input-node
+    /// feature rows already gathered (in `input_nodes()` order); pass
+    /// `&Matrix` to keep the buffer.
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
@@ -466,12 +456,6 @@ impl Gat {
     }
 }
 
-fn gather(feats: &Features, ids: &[u32]) -> Matrix {
-    let mut input = Matrix::zeros(ids.len(), feats.dim());
-    feats.gather_into(ids, input.data_mut());
-    input
-}
-
 fn slice_cols(m: &Matrix, start: usize, len: usize) -> Matrix {
     let mut out = Matrix::zeros(m.rows(), len);
     for r in 0..m.rows() {
@@ -517,6 +501,7 @@ fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gathered;
     use argo_graph::datasets::FLICKR;
     use argo_sample::{NeighborSampler, Sampler, ShadowSampler};
     use rand::rngs::SmallRng;
@@ -537,14 +522,14 @@ mod tests {
         let d = tiny();
         let gat = Gat::new(d.feat_dim(), 8, d.num_classes, 2, 2, 1);
         let b = blocks(&d, 6);
-        let out = gat.forward(&b, &d.features, None);
+        let out = gat.forward_gathered(&b, gathered(&d.features, b.input_nodes()), None);
         assert_eq!(out.rows(), 6);
         assert_eq!(out.cols(), d.num_classes);
 
         let sh = ShadowSampler::new(vec![4, 3], 2);
         let seeds: Vec<u32> = d.train_nodes.iter().copied().take(5).collect();
         let sb = sh.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(3));
-        let out = gat.forward(&sb, &d.features, None);
+        let out = gat.forward_gathered(&sb, gathered(&d.features, sb.input_nodes()), None);
         assert_eq!(out.rows(), 5);
         assert_eq!(out.cols(), d.num_classes);
     }
@@ -572,7 +557,7 @@ mod tests {
         };
         let block = &mb.blocks[0];
         // Recompute a head's α through the public kernels.
-        let x = gather(&d.features, &block.src_nodes);
+        let x = gathered(&d.features, &block.src_nodes);
         let z = argo_tensor::reference::matmul(&x, &gat.layers[0].w);
         let zc = slice_cols(&z, 0, gat.layers[0].out_dim);
         let n_dst = block.dst_nodes.len();
@@ -620,7 +605,7 @@ mod tests {
         let mut gat = Gat::new(d.feat_dim(), 4 * heads, d.num_classes, 2, heads, 13);
         gat.train_step_gathered(
             &batch,
-            gather(&d.features, batch.input_nodes()),
+            gathered(&d.features, batch.input_nodes()),
             &d.labels,
             None,
         );
@@ -632,7 +617,8 @@ mod tests {
         let labels: Vec<u32> = seeds.iter().map(|&v| d.labels[v as usize]).collect();
         let loss_at = |g: &mut Gat, p: &[f32]| -> f32 {
             g.set_params_flat(p);
-            let logits = g.forward(&batch, &d.features, None);
+            let logits =
+                g.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             softmax_cross_entropy(&logits, &labels).0
         };
         let eps = 2e-3f32;
@@ -677,14 +663,14 @@ mod tests {
         let b = blocks(&d, 64);
         let mk = || Gat::new(d.feat_dim(), 8, d.num_classes, 2, 2, 11);
         let mut serial = mk();
-        serial.train_step_gathered(&b, gather(&d.features, b.input_nodes()), &d.labels, None);
+        serial.train_step_gathered(&b, gathered(&d.features, b.input_nodes()), &d.labels, None);
         let mut gs = Vec::new();
         serial.grads_flat(&mut gs);
         let pool = ThreadPool::new("t", 4);
         let mut pooled = mk();
         pooled.train_step_gathered(
             &b,
-            gather(&d.features, b.input_nodes()),
+            gathered(&d.features, b.input_nodes()),
             &d.labels,
             Some(&pool),
         );
@@ -710,7 +696,7 @@ mod tests {
             let batch = sampler.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(step as u64));
             let stats = gat.train_step_gathered(
                 &batch,
-                gather(&d.features, batch.input_nodes()),
+                gathered(&d.features, batch.input_nodes()),
                 &d.labels,
                 None,
             );

@@ -28,3 +28,12 @@ pub use model::{Gnn, GnnKind, StepStats};
 pub use optim::{clip_grad_norm, Adam, AnyOptimizer, Optimizer, OptimizerKind, Sgd};
 pub use quant::QuantizedGnn;
 pub use schedule::LrSchedule;
+
+/// Rows `ids` of `feats` as the gathered input the models' forward and
+/// training steps take.
+#[cfg(test)]
+pub(crate) fn gathered(feats: &argo_graph::features::Features, ids: &[u32]) -> argo_tensor::Matrix {
+    let mut input = argo_tensor::Matrix::zeros(ids.len(), feats.dim());
+    feats.gather_into(ids, input.data_mut());
+    input
+}

@@ -12,14 +12,24 @@ pub struct ConfusionMatrix {
 }
 
 impl ConfusionMatrix {
+    /// An empty matrix over `classes` classes.
+    pub fn new(classes: usize) -> Self {
+        Self {
+            counts: vec![vec![0usize; classes]; classes],
+        }
+    }
+
     /// Builds the matrix from logits (argmax prediction) and labels.
     pub fn from_logits(logits: &Matrix, labels: &[u32], classes: usize) -> Self {
+        let mut cm = Self::new(classes);
+        cm.add_logits(logits, labels);
+        cm
+    }
+
+    /// Counts one more batch of logits (argmax prediction) and labels.
+    pub fn add_logits(&mut self, logits: &Matrix, labels: &[u32]) {
         assert_eq!(logits.rows(), labels.len());
-        assert!(
-            logits.cols() <= classes || logits.cols() == classes,
-            "class mismatch"
-        );
-        let mut counts = vec![vec![0usize; classes]; classes];
+        assert!(logits.cols() <= self.classes(), "class mismatch");
         for (i, &lab) in labels.iter().enumerate() {
             let row = logits.row(i);
             let mut best = 0usize;
@@ -28,9 +38,8 @@ impl ConfusionMatrix {
                     best = j;
                 }
             }
-            counts[lab as usize][best] += 1;
+            self.counts[lab as usize][best] += 1;
         }
-        Self { counts }
     }
 
     /// Builds the matrix from hard predictions.

@@ -12,7 +12,6 @@
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 
-use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::{Normalization, SampledBatch};
 use argo_sample::loader::PreparedInput;
@@ -219,22 +218,9 @@ impl<L: LayerParams> Forward<'_, L> {
         h
     }
 
-    /// Inference forward pass; returns logits over the batch's seeds. The
-    /// input rows are gathered once, into a workspace buffer.
-    pub(crate) fn forward(
-        &self,
-        batch: &SampledBatch,
-        feats: &Features,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        let input = gather_input(self.ws, feats, batch.input_nodes());
-        let logits = self.forward_gathered(batch, &input, pool);
-        self.ws.borrow_mut().put(input);
-        logits
-    }
-
-    /// [`Forward::forward`] with the input-node feature rows already
-    /// gathered; `input` is only read, never parked in the workspace.
+    /// Inference forward pass over the batch's gathered input-node feature
+    /// rows; returns logits over the batch's seeds. `input` is only read,
+    /// never parked in the workspace.
     pub(crate) fn forward_gathered(
         &self,
         batch: &SampledBatch,
@@ -527,23 +513,12 @@ impl Gnn {
         }
     }
 
-    /// Inference forward pass; returns logits over the batch's seeds. The
-    /// input rows are gathered once, into a workspace buffer.
-    pub fn forward(
-        &self,
-        batch: &SampledBatch,
-        feats: &Features,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        self.fwd().forward(batch, feats, pool)
-    }
-
-    /// [`Gnn::forward`] with the input-node feature rows already gathered
-    /// (e.g. pre-gathered on the sampling side, possibly through the
-    /// cross-batch feature cache). `input` must be the batch's input-node
-    /// rows in `input_nodes()` order; pass `&Matrix` to keep the buffer for
-    /// the next batch. The model only ever reads it — a caller's buffer is
-    /// never parked in the workspace.
+    /// Inference forward pass; returns logits over the batch's seeds.
+    /// `input` must be the batch's input-node feature rows in
+    /// `input_nodes()` order (`Features::gather_into`, or the cross-batch
+    /// feature cache); pass `&Matrix` to keep the buffer for the next batch.
+    /// The model only ever reads it — a caller's buffer is never parked in
+    /// the workspace.
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
@@ -905,14 +880,6 @@ fn full_of<'a>(fulls: &'a [Cow<'_, SparseMatrix>], l: usize) -> &'a SparseMatrix
     fulls.get(l).unwrap_or(&fulls[0])
 }
 
-/// Gathers rows `ids` of `feats`, once, into a buffer of the model's own
-/// workspace; the caller `put`s it back after the pass.
-fn gather_input(ws: &RefCell<Workspace>, feats: &Features, ids: &[u32]) -> Matrix {
-    let mut input = ws.borrow_mut().take_unzeroed(ids.len(), feats.dim());
-    feats.gather_into(ids, input.data_mut());
-    input
-}
-
 /// Rows `rows` of `m`, in that order, in a buffer of the workspace `ws`.
 fn select_rows(ws: &RefCell<Workspace>, m: &Matrix, rows: &[usize]) -> Matrix {
     let mut out = ws.borrow_mut().take_unzeroed(rows.len(), m.cols());
@@ -925,6 +892,7 @@ fn select_rows(ws: &RefCell<Workspace>, m: &Matrix, rows: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gathered;
     use argo_graph::datasets::FLICKR;
     use argo_rt::SeedSequence;
     use argo_sample::{
@@ -949,7 +917,8 @@ mod tests {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 8, 2);
         let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
-        let logits = model.forward(&batch, &d.features, None);
+        let logits =
+            model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         assert_eq!(logits.rows(), 8);
         assert_eq!(logits.cols(), d.num_classes);
     }
@@ -961,7 +930,8 @@ mod tests {
         let seeds: Vec<u32> = d.train_nodes.iter().copied().take(6).collect();
         let batch = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(5));
         let model = Gnn::new(GnnKind::Gcn, d.feat_dim(), 16, d.num_classes, 2, 2);
-        let logits = model.forward(&batch, &d.features, None);
+        let logits =
+            model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         assert_eq!(logits.rows(), 6);
         assert_eq!(logits.cols(), d.num_classes);
     }
@@ -994,8 +964,12 @@ mod tests {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 16, 2);
         let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
-        let stats =
-            m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        let stats = m.train_step_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         assert!(stats.loss.is_finite() && stats.loss > 0.0);
         assert_eq!(stats.num_seeds, 16);
         let mut g = Vec::new();
@@ -1021,7 +995,12 @@ mod tests {
             sample_blocks(&d, 5, 2)
         };
         let mut m = Gnn::new(kind, d.feat_dim(), 6, d.num_classes, 2, 5);
-        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        m.train_step_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         let mut analytic = Vec::new();
         m.grads_flat(&mut analytic);
         let mut params = Vec::new();
@@ -1030,7 +1009,8 @@ mod tests {
         let seed_labels: Vec<u32> = seeds.iter().map(|&v| d.labels[v as usize]).collect();
         let loss_at = |m: &mut Gnn, p: &[f32]| -> f32 {
             m.set_params_flat(p);
-            let logits = m.forward(&batch, &d.features, None);
+            let logits =
+                m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             softmax_cross_entropy(&logits, &seed_labels).0
         };
         let eps = 3e-3f32;
@@ -1077,9 +1057,13 @@ mod tests {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 64, 2);
         let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
-        let a = model.forward(&batch, &d.features, None);
+        let a = model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         let pool = ThreadPool::new("t", 3);
-        let b = model.forward(&batch, &d.features, Some(&pool));
+        let b = model.forward_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            Some(&pool),
+        );
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -1103,7 +1087,12 @@ mod tests {
         // run inline either way).
         let mk = || Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 2, 6);
         let mut serial = mk();
-        serial.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        serial.train_step_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         let mut gs = Vec::new();
         serial.grads_flat(&mut gs);
         let pool = ThreadPool::new("t", 4);
@@ -1113,7 +1102,7 @@ mod tests {
             .goes_parallel(batch.seeds().len(), Some(&pool)));
         pooled.train_step_gathered(
             &batch,
-            gathered(&d, batch.input_nodes()),
+            gathered(&d.features, batch.input_nodes()),
             &d.labels,
             Some(&pool),
         );
@@ -1291,7 +1280,9 @@ mod tests {
         let mut scratch = SamplerScratch::new();
         let mut out = Vec::new();
         for (name, s) in samplers(d, depth) {
-            let fused = s.sample_with(&d.graph, &seeds, fused_run(kind, &mut scratch));
+            let fused = s
+                .sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch))
+                .to_owned();
             out.push((format!("{name} (fused)"), fused));
             let plain = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9));
             out.push((format!("{name} (unfused)"), plain));
@@ -1306,12 +1297,6 @@ mod tests {
             full_graph_batch(&d.graph, &scattered),
         ));
         out
-    }
-
-    fn gathered(d: &argo_graph::Dataset, ids: &[u32]) -> Matrix {
-        let mut input = Matrix::zeros(ids.len(), d.feat_dim());
-        d.features.gather_into(ids, input.data_mut());
-        input
     }
 
     fn bits(xs: &[f32]) -> Vec<u32> {
@@ -1341,7 +1326,6 @@ mod tests {
             input,
             m.kind == GnnKind::Sage,
             m.dispatch,
-            None,
             &argo_sample::InputRing::new(),
         )
     }
@@ -1430,7 +1414,7 @@ mod tests {
         let d = tiny_dataset();
         for (kind, depth) in kinds_and_depths() {
             for (name, batch) in &every_batch_kind(&d, kind, depth) {
-                let input = gathered(&d, batch.input_nodes());
+                let input = gathered(&d.features, batch.input_nodes());
                 for policy in both_tiers() {
                     let mut m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, depth, 5)
                         .with_dispatch(policy);
@@ -1475,7 +1459,7 @@ mod tests {
         let n = subgraph_of(&batch).nodes.len();
         for kind in [GnnKind::Sage, GnnKind::Gcn] {
             let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 4, 5);
-            m.forward_gathered(&batch, gathered(&d, batch.input_nodes()), None);
+            m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
             assert!(c.first <= 1, "{kind:?}: layers {}.. are slices", c.first);
             let rows: Vec<usize> = (1..4).map(|l| c.slices[l].rows()).collect();
@@ -1534,7 +1518,7 @@ mod tests {
         let d = tiny_dataset();
         for (seeds, empty_layers) in [(vec![4, 9], false), (vec![9, 10], true)] {
             let batch = hand_built(path_graph(2), seeds);
-            let input = gathered(&d, batch.input_nodes());
+            let input = gathered(&d.features, batch.input_nodes());
             for (kind, depth) in kinds_and_depths() {
                 for policy in both_tiers() {
                     let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, depth, 5)
@@ -1566,7 +1550,7 @@ mod tests {
     fn repeated_and_unordered_seed_positions_are_tolerance_equal() {
         let d = tiny_dataset();
         let batch = hand_built(path_graph(2), vec![6, 2, 6, 0, 9, 3]);
-        let input = gathered(&d, batch.input_nodes());
+        let input = gathered(&d.features, batch.input_nodes());
         for kind in [GnnKind::Sage, GnnKind::Gcn] {
             let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, 3, 5);
             let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
@@ -1598,7 +1582,7 @@ mod tests {
             (hand_built(path_graph(0), vec![1, 4, 7]), 2),
         ] {
             let m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
-            m.forward_gathered(&batch, gathered(&d, batch.input_nodes()), None);
+            m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
             assert_eq!(c.first, first);
             for l in 0..first {
@@ -1626,7 +1610,12 @@ mod tests {
             &mut SmallRng::seed_from_u64(9),
         );
         let mut m = Gnn::new(GnnKind::Gcn, d.feat_dim(), hidden, d.num_classes, 3, 5);
-        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        m.train_step_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         let c = m.cascade.borrow();
         let bottom = c
             .slice(0)
@@ -1711,7 +1700,7 @@ mod tests {
                 }
             };
             for (name, batch) in &every_batch_kind(&d, kind, depth) {
-                let input = gathered(&d, batch.input_nodes());
+                let input = gathered(&d.features, batch.input_nodes());
                 let got = [
                     m.forward_gathered(batch, &input, None),
                     qm.forward_gathered(batch, &input, None),
@@ -1720,15 +1709,21 @@ mod tests {
             }
             let seeds = seeds_of(&d);
             let mut scratch = SamplerScratch::new();
+            // Fused as the loader and serving sample; unfused as evaluation
+            // does, where the view falls back to the owned batch and the
+            // model's own normalization.
             for (name, s) in samplers(&d, depth) {
-                let view = s.sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch));
-                let batch = view.to_owned();
-                let input = gathered(&d, batch.input_nodes());
-                let got = [
-                    m.forward_gathered_view(&view, &input, None),
-                    qm.forward_gathered_view(&view, &input, None),
-                ];
-                check(format!("{name}: view"), &batch, &input, got);
+                for norm in [wanted_norm_for(kind), Normalization::None] {
+                    let run = SampleRun::new(SeedSequence::new(9), &mut scratch).with_norm(norm);
+                    let view = s.sample_into(&d.graph, &seeds, run);
+                    let batch = view.to_owned();
+                    let input = gathered(&d.features, batch.input_nodes());
+                    let got = [
+                        m.forward_gathered_view(&view, &input, None),
+                        qm.forward_gathered_view(&view, &input, None),
+                    ];
+                    check(format!("{name}: view fused {norm:?}"), &batch, &input, got);
+                }
             }
         }
     }
@@ -1744,7 +1739,7 @@ mod tests {
         let blocks = NeighborSampler::new(vec![5; 3]).sample(&d.graph, &seeds, &mut rng());
         let shadow = ShadowSampler::new(vec![4, 3], 3).sample(&d.graph, &seeds, &mut rng());
         for (kind, batch) in [(GnnKind::Sage, blocks), (GnnKind::Gcn, shadow)] {
-            let input = gathered(&d, batch.input_nodes());
+            let input = gathered(&d.features, batch.input_nodes());
             let step = |m: &mut Gnn| {
                 let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
                 let mut g = Vec::new();
@@ -1781,10 +1776,20 @@ mod tests {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 16, 2);
         let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
-        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        m.train_step_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         let (allocs_first, _) = m.workspace_stats();
         assert!(allocs_first > 0, "first step should allocate");
-        m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+        m.train_step_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            &d.labels,
+            None,
+        );
         let (allocs_second, reuses) = m.workspace_stats();
         assert!(
             reuses >= allocs_first,
@@ -1843,8 +1848,12 @@ mod tests {
                 .take(32)
                 .collect();
             let batch = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(step as u64));
-            let stats =
-                m.train_step_gathered(&batch, gathered(&d, batch.input_nodes()), &d.labels, None);
+            let stats = m.train_step_gathered(
+                &batch,
+                gathered(&d.features, batch.input_nodes()),
+                &d.labels,
+                None,
+            );
             if first.is_none() {
                 first = Some(stats.loss);
             }

@@ -19,7 +19,6 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
-use argo_graph::features::Features;
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_sample::view::SampledBatchView;
@@ -104,18 +103,9 @@ impl QuantizedGnn {
         }
     }
 
-    /// Inference forward pass; returns logits over the batch's seeds.
-    pub fn forward(
-        &self,
-        batch: &SampledBatch,
-        feats: &Features,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        self.fwd().forward(batch, feats, pool)
-    }
-
-    /// [`QuantizedGnn::forward`] with the input-node feature rows already
-    /// gathered (same contract as [`Gnn::forward_gathered`]).
+    /// Inference forward pass over the gathered input-node feature rows;
+    /// returns logits over the batch's seeds (same contract as
+    /// [`Gnn::forward_gathered`]).
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
@@ -143,6 +133,7 @@ impl QuantizedGnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gathered;
     use argo_graph::datasets::FLICKR;
     use argo_sample::{NeighborSampler, Sampler};
     use rand::rngs::SmallRng;
@@ -192,12 +183,14 @@ mod tests {
         for kind in [GnnKind::Gcn, GnnKind::Sage] {
             let model = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 2, 1);
             let batch = sample_blocks(&d, 32, 2);
-            let f32_logits = model.forward(&batch, &d.features, None);
+            let f32_logits =
+                model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             for (quant, max_delta) in [(QuantKind::Bf16, 0.02f32), (QuantKind::Int8, 0.08)] {
                 let qm = model.quantize(quant);
                 assert_eq!(qm.quant_kind(), quant);
                 assert_eq!(qm.kind(), kind);
-                let q_logits = qm.forward(&batch, &d.features, None);
+                let q_logits =
+                    qm.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
                 assert_eq!(
                     (q_logits.rows(), q_logits.cols()),
                     (f32_logits.rows(), f32_logits.cols())
@@ -226,8 +219,12 @@ mod tests {
         let batch = sample_blocks(&d, 80, 2);
         assert!(model.dispatch().goes_parallel(80, Some(&pool)));
         let qm = model.quantize(QuantKind::Bf16);
-        let serial = qm.forward(&batch, &d.features, None);
-        let par = qm.forward(&batch, &d.features, Some(&pool));
+        let serial = qm.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
+        let par = qm.forward_gathered(
+            &batch,
+            gathered(&d.features, batch.input_nodes()),
+            Some(&pool),
+        );
         // The quantized GEMM is partition-invariant per element.
         assert_eq!(serial.data(), par.data());
     }

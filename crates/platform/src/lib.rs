@@ -25,14 +25,12 @@
 //! reproduces.
 
 pub mod calibration;
-pub mod des;
 pub mod library;
 pub mod perf;
 pub mod spec;
 pub mod workload;
 
 pub use calibration::{table4_dgl, table5_pyg, PaperRow};
-pub use des::{PipelineSim, SimOutcome};
 pub use library::{Library, LibraryProfile};
 pub use perf::{PerfModel, Setup};
 pub use spec::{PlatformSpec, ICE_LAKE_8380H, SAPPHIRE_RAPIDS_6430L};

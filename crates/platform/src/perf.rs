@@ -248,7 +248,7 @@ impl PerfModel {
 
     /// Achievable memory bandwidth in GB/s under `config`, including the
     /// dataset's gather-locality penalty.
-    pub fn achievable_bandwidth(&self, config: Config) -> f64 {
+    fn achievable_bandwidth(&self, config: Config) -> f64 {
         let plat = &self.setup.platform;
         let prof = self.setup.library.profile();
         let streams = config.n_proc as f64 * (config.n_train as f64).min(STREAMS_CAP_PER_PROC);
@@ -312,7 +312,7 @@ impl PerfModel {
     }
 
     /// Wall-clock time of one synchronized iteration under `config`.
-    pub fn iteration_time(&self, config: Config) -> f64 {
+    fn iteration_time(&self, config: Config) -> f64 {
         let prof = self.setup.library.profile();
         let g = self.gather_time(config);
         let c = self.compute_time(config);

@@ -16,20 +16,20 @@
 //! call sites attached.
 //!
 //! Everything here compiles unconditionally so annotation sites need no
-//! `cfg`; with the `race` feature off, [`Region`] is a ZST and every function
+//! `cfg`; with the `check` feature off, [`Region`] is a ZST and every function
 //! is an empty `#[inline]` that the optimizer deletes (asserted by the
 //! `micro_sampling` bench in quick mode via [`enabled`]).
 
-#[cfg(feature = "race")]
+#[cfg(feature = "check")]
 pub use parking_lot::race::RaceReport;
 
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::names;
 
-/// True when the `race` feature is compiled in (annotations are live).
+/// True when the `check` feature is compiled in (annotations are live).
 #[must_use]
 pub const fn enabled() -> bool {
-    cfg!(feature = "race")
+    cfg!(feature = "check")
 }
 
 /// A registered shadow-memory range: one detector cell per logical unit
@@ -41,13 +41,13 @@ pub const fn enabled() -> bool {
 /// buffer by a later call is a fresh region and deliberately out of scope.
 #[must_use = "a shadow region only checks accesses recorded while it is alive"]
 pub struct Region {
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     id: parking_lot::race::ObjectId,
 }
 
 impl Drop for Region {
     fn drop(&mut self) {
-        #[cfg(feature = "race")]
+        #[cfg(feature = "check")]
         parking_lot::race::region_unregister(self.id);
     }
 }
@@ -57,7 +57,7 @@ impl Drop for Region {
 pub fn region(name: &'static str, cells: usize) -> Region {
     let _ = (name, cells);
     Region {
-        #[cfg(feature = "race")]
+        #[cfg(feature = "check")]
         id: parking_lot::race::region_register(name, cells),
     }
 }
@@ -68,7 +68,7 @@ pub fn region(name: &'static str, cells: usize) -> Region {
 #[inline]
 pub fn write(region: &Region, start: usize, len: usize) {
     let _ = (region, start, len);
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     parking_lot::race::region_access(
         region.id,
         start,
@@ -84,7 +84,7 @@ pub fn write(region: &Region, start: usize, len: usize) {
 #[inline]
 pub fn read(region: &Region, start: usize, len: usize) {
     let _ = (region, start, len);
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     parking_lot::race::region_access(
         region.id,
         start,
@@ -103,7 +103,7 @@ pub fn read(region: &Region, start: usize, len: usize) {
 /// worker calls [`SyncPoint::publish`] when its slice is done; the waiter
 /// calls [`SyncPoint::acquire`] after the count hits zero.
 pub struct SyncPoint {
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     id: parking_lot::race::ObjectId,
 }
 
@@ -111,7 +111,7 @@ impl SyncPoint {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            #[cfg(feature = "race")]
+            #[cfg(feature = "check")]
             id: parking_lot::race::point_register(),
         }
     }
@@ -119,7 +119,7 @@ impl SyncPoint {
     /// Merges the calling thread's clock into the point (worker side).
     #[inline]
     pub fn publish(&self) {
-        #[cfg(feature = "race")]
+        #[cfg(feature = "check")]
         parking_lot::race::point_publish(self.id);
     }
 
@@ -127,7 +127,7 @@ impl SyncPoint {
     /// (waiter side).
     #[inline]
     pub fn acquire(&self) {
-        #[cfg(feature = "race")]
+        #[cfg(feature = "check")]
         parking_lot::race::point_acquire(self.id);
     }
 }
@@ -140,7 +140,7 @@ impl Default for SyncPoint {
 
 impl Drop for SyncPoint {
     fn drop(&mut self) {
-        #[cfg(feature = "race")]
+        #[cfg(feature = "check")]
         parking_lot::race::point_unregister(self.id);
     }
 }
@@ -148,11 +148,11 @@ impl Drop for SyncPoint {
 /// Number of race reports recorded so far (0 when the feature is off).
 #[must_use]
 pub fn report_count() -> usize {
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     {
         parking_lot::race::report_count()
     }
-    #[cfg(not(feature = "race"))]
+    #[cfg(not(feature = "check"))]
     {
         0
     }
@@ -160,7 +160,7 @@ pub fn report_count() -> usize {
 
 /// Drains the accumulated race reports (feature-gated: without the detector
 /// there is nothing to drain).
-#[cfg(feature = "race")]
+#[cfg(feature = "check")]
 #[must_use]
 pub fn take_reports() -> Vec<RaceReport> {
     parking_lot::race::take_reports()
@@ -172,7 +172,7 @@ pub fn take_reports() -> Vec<RaceReport> {
 /// cross-run race but never fabricate one — while regions, reports and
 /// dedup state are dropped.
 pub fn reset() {
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     parking_lot::race::reset();
 }
 
@@ -182,24 +182,29 @@ pub fn reset() {
 ///
 /// Counters are monotonic, so the publish is expressed as a delta against
 /// what was already recorded — calling this repeatedly (per epoch, at drain)
-/// is idempotent. When neither checker feature is compiled in, no counters
+/// is idempotent. When the `check` feature is not compiled in, no counters
 /// are created at all and the report omits the section.
 pub fn publish_verdicts(metrics: &MetricsRegistry) {
     let _ = metrics;
-    #[cfg(feature = "race")]
-    {
-        let c = metrics.counter(names::CHECK_RACE_REPORTS_TOTAL);
-        let n = parking_lot::race::report_count() as u64;
-        c.add(n.saturating_sub(c.get()));
+    #[cfg(feature = "check")]
+    for (name, n) in [
+        (
+            names::CHECK_RACE_REPORTS_TOTAL,
+            parking_lot::race::report_count(),
+        ),
+        (
+            names::CHECK_LOCK_VIOLATIONS_TOTAL,
+            parking_lot::sanitizer::violation_count(),
+        ),
+    ] {
+        let c = metrics.counter(name);
+        c.add((n as u64).saturating_sub(c.get()));
     }
-    #[cfg(feature = "sanitize")]
-    {
-        let c = metrics.counter(names::CHECK_LOCK_VIOLATIONS_TOTAL);
-        let n = parking_lot::sanitizer::violation_count() as u64;
-        c.add(n.saturating_sub(c.get()));
-    }
-    #[cfg(not(any(feature = "race", feature = "sanitize")))]
-    let _ = names::CHECK_RACE_REPORTS_TOTAL;
+    #[cfg(not(feature = "check"))]
+    let _ = (
+        names::CHECK_RACE_REPORTS_TOTAL,
+        names::CHECK_LOCK_VIOLATIONS_TOTAL,
+    );
 }
 
 #[cfg(test)]

@@ -205,10 +205,10 @@ pub mod names {
     /// Gauge: result-cache hit rate over the session so far.
     pub const SERVE_RESULT_HIT_RATE: &str = "serve_result_hit_rate";
     /// Counter of data races found by the happens-before detector (only
-    /// present when built with the `race` feature; steady state: 0).
+    /// present when built with the `check` feature; steady state: 0).
     pub const CHECK_RACE_REPORTS_TOTAL: &str = "check_race_reports_total";
     /// Counter of lock-order violations found by the lock sanitizer (only
-    /// present when built with the `sanitize` feature; steady state: 0).
+    /// present when built with the `check` feature; steady state: 0).
     pub const CHECK_LOCK_VIOLATIONS_TOTAL: &str = "check_lock_violations_total";
 }
 

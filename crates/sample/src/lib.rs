@@ -49,7 +49,7 @@ use argo_rt::{SeedSequence, ThreadPool};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Everything one [`Sampler::sample_with`] call needs beyond the graph and
+/// Everything one [`Sampler::sample_into`] call needs beyond the graph and
 /// the seeds: the deterministic RNG stream root, the normalization to fuse
 /// into the adjacency values, the caller-owned scratch arena, and an
 /// optional pool for within-batch parallelism.
@@ -100,9 +100,10 @@ pub trait Sampler: Send + Sync {
     /// batch-local CSR lands as `u32` ranges directly from pick positions —
     /// no intermediate edge-list `Vec`s, no COO→CSR pass — and steady-state
     /// calls perform **zero** heap allocations, assembly included. The view
-    /// borrows the scratch; call [`SampledBatchView::to_owned`] (or use
-    /// [`Sampler::sample_with`]) when the batch must outlive the next
-    /// sampling call on the same scratch.
+    /// borrows the scratch; call [`SampledBatchView::to_owned`] when the
+    /// batch must outlive the next sampling call on the same scratch (the
+    /// loader's reorder channel, training backward passes) — the owned batch
+    /// is bitwise what the pre-arena assembly produced.
     fn sample_into<'a>(
         &self,
         graph: &Graph,
@@ -110,21 +111,14 @@ pub trait Sampler: Send + Sync {
         run: SampleRun<'a>,
     ) -> SampledBatchView<'a>;
 
-    /// Samples and materializes an owned [`SampledBatch`] — the fallback for
-    /// callers that hand the batch across an ownership boundary (the
-    /// loader's reorder channel, training backward passes). Bitwise
-    /// identical to what the pre-arena assembly produced.
-    fn sample_with(&self, graph: &Graph, seeds: &[NodeId], run: SampleRun<'_>) -> SampledBatch {
-        self.sample_into(graph, seeds, run).to_owned()
-    }
-
-    /// Convenience wrapper: samples with throwaway scratch, seeding the
-    /// stream from `rng`. Equivalent output distribution to
-    /// [`Sampler::sample_with`]; prefer that in loops.
+    /// Convenience wrapper: samples an owned, unnormalized batch with
+    /// throwaway scratch, seeding the stream from `rng`. In loops, recycle
+    /// one scratch through [`Sampler::sample_into`] instead.
     fn sample(&self, graph: &Graph, seeds: &[NodeId], rng: &mut SmallRng) -> SampledBatch {
         let mut scratch = SamplerScratch::new();
         let stream = SeedSequence::new(rng.next_u64());
-        self.sample_with(graph, seeds, SampleRun::new(stream, &mut scratch))
+        self.sample_into(graph, seeds, SampleRun::new(stream, &mut scratch))
+            .to_owned()
     }
 
     /// Human-readable name ("Neighbor", "ShaDow").

@@ -28,7 +28,7 @@ use parking_lot::Mutex;
 use argo_graph::{Features, Graph, NodeId};
 use argo_rt::affinity::{bind_current_thread, CoreSet};
 use argo_rt::spans::{Role, SpanKind, SpanProfiler, WorkerRing};
-use argo_rt::{SeedSequence, ThreadPool};
+use argo_rt::SeedSequence;
 use argo_tensor::{DispatchPolicy, Matrix, SparseView};
 use crossbeam::channel::{bounded, Receiver};
 
@@ -75,11 +75,6 @@ pub struct LoaderSpec {
     /// self rows for [`Normalization::Mean`], GraphSAGE's scheme);
     /// [`Normalization::None`] hands over the gathered rows.
     pub normalization: Normalization,
-    /// Within-batch sampling parallelism. When > 1, each worker
-    /// row-partitions a batch's seed rows over a thread pool spanning the
-    /// sampling core set. Batch content is bitwise independent of this knob
-    /// because every pick row draws from its own counter-based RNG stream.
-    pub samp_pool: usize,
     /// Causal span profiler. When present, each worker registers a
     /// producer ring (pick/gather/cache/aggregate/enqueue-wait spans keyed by batch
     /// id) and the consuming thread a consumer ring (channel/heap dequeue
@@ -112,7 +107,6 @@ impl LoaderSpec {
                 features: None,
                 cache: None,
                 normalization: Normalization::None,
-                samp_pool: 1,
                 spans: None,
             },
         }
@@ -180,12 +174,6 @@ impl LoaderSpecBuilder {
         self
     }
 
-    /// Within-batch sampling parallelism (1 = off).
-    pub fn samp_pool(mut self, samp_pool: usize) -> Self {
-        self.spec.samp_pool = samp_pool;
-        self
-    }
-
     /// Attaches a causal span profiler (a handle made with
     /// [`SpanProfiler::for_process`] tags the loader's spans with that rank).
     pub fn spans(mut self, spans: SpanProfiler) -> Self {
@@ -235,12 +223,11 @@ impl PreparedInput {
         gathered: &Matrix,
         keep_self_rows: bool,
         dispatch: DispatchPolicy,
-        pool: Option<&ThreadPool>,
         ring: &InputRing,
     ) -> Self {
         let (n_dst, dim) = (adj.rows(), gathered.cols());
         let mut agg = ring.take(n_dst, dim);
-        dispatch.aggregate_view_into(&adj, gathered, pool, &mut agg);
+        dispatch.aggregate_view_into(&adj, gathered, None, &mut agg);
         let self_rows = keep_self_rows.then(|| {
             let mut rows = ring.take(n_dst, dim);
             rows.data_mut()
@@ -471,10 +458,9 @@ impl PipelinedLoader {
             features,
             cache,
             normalization,
-            samp_pool,
             spans,
         } = spec;
-        assert!(batch_size > 0 && n_samp > 0 && samp_pool > 0);
+        assert!(batch_size > 0 && n_samp > 0);
         let total = seeds.len().div_ceil(batch_size);
         let (tx, rx) = bounded::<Indexed>(prefetch.max(1));
         let cursor = Arc::new(AtomicUsize::new(0));
@@ -505,7 +491,6 @@ impl PipelinedLoader {
             } else {
                 Some(CoreSet::new(vec![cores.ids()[w % cores.len()]]))
             };
-            let pool_cores = cores.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("argo-sampler-{w}"))
@@ -515,20 +500,12 @@ impl PipelinedLoader {
                             let _ = bind_current_thread(c);
                         }
                         // Per-worker persistent state: the scratch arena is
-                        // warm after the first batch, and the within-batch
-                        // pool (when enabled) spans the sampling core set.
-                        // The gather buffer is private too: the `n_src × F`
+                        // warm after the first batch. The gather buffer is
+                        // private too: the `n_src × F`
                         // rows are aggregated where they were gathered and
                         // never cross the channel.
                         let mut scratch = SamplerScratch::new();
                         let mut gathered = inputs.take_gather();
-                        let pool = (samp_pool > 1).then(|| {
-                            if pool_cores.is_empty() {
-                                ThreadPool::new("argo-samp", samp_pool)
-                            } else {
-                                ThreadPool::pinned("argo-samp", &pool_cores)
-                            }
-                        });
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             if i >= total {
@@ -545,8 +522,7 @@ impl PipelinedLoader {
                             let (batch, metadata_bytes) =
                                 ring.timed(SpanKind::Pick, i as u64, || {
                                     let run = SampleRun::new(stream, &mut scratch)
-                                        .with_norm(normalization)
-                                        .with_pool(pool.as_ref());
+                                        .with_norm(normalization);
                                     let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
                                     (view.to_owned(), view.metadata_bytes() as u64)
                                 });
@@ -582,7 +558,6 @@ impl PipelinedLoader {
                                         &rows,
                                         normalization == Normalization::Mean,
                                         DispatchPolicy::default(),
-                                        pool.as_ref(),
                                         &inputs,
                                     )
                                 });
@@ -729,27 +704,23 @@ mod tests {
 
     #[test]
     fn batch_content_independent_of_worker_count() {
-        // Neither the number of sampler threads nor the within-batch pool
-        // width may change what gets sampled: batch i of epoch e is a pure
-        // function of (epoch_seeds, e, i).
+        // The number of sampler threads may not change what gets sampled:
+        // batch i of epoch e is a pure function of (epoch_seeds, e, i).
         let (g, s, seeds) = setup();
-        let run = |n_samp: usize, samp_pool: usize| -> Vec<Vec<NodeId>> {
+        let run = |n_samp: usize| -> Vec<Vec<NodeId>> {
             LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
                 .batch_size(10)
                 .epoch(3)
                 .epoch_seeds(SeedSequence::new(7))
                 .n_samp(n_samp)
-                .samp_pool(samp_pool)
                 .prefetch(2)
                 .start()
                 .map(|(_, b)| b.batch.input_nodes().to_vec())
                 .collect()
         };
-        let reference = run(1, 1);
-        assert_eq!(reference, run(4, 1));
-        assert_eq!(reference, run(1, 2));
-        assert_eq!(reference, run(1, 4));
-        assert_eq!(reference, run(2, 2));
+        let reference = run(1);
+        assert_eq!(reference, run(2));
+        assert_eq!(reference, run(4));
     }
 
     #[test]

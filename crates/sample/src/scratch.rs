@@ -29,7 +29,7 @@ use argo_rt::StreamRng;
 
 use crate::batch::Normalization;
 
-/// Scratch buffers recycled across [`Sampler::sample_with`](crate::Sampler)
+/// Scratch buffers recycled across [`Sampler::sample_into`](crate::Sampler)
 /// calls.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {

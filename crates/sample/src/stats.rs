@@ -8,11 +8,12 @@
 //! batches.
 
 use argo_graph::{Graph, NodeId};
+use argo_rt::SeedSequence;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::batch::SampledBatch;
-use crate::Sampler;
+use crate::{SampleRun, Sampler, SamplerScratch};
 
 /// Aggregate workload counters for a set of sampled batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -57,11 +58,15 @@ pub fn epoch_workload(
     let local_batch = (global_batch / n_proc).max(1);
     let parts = argo_graph::partition::random_partition(seeds, n_proc, seed);
     let mut stats = WorkloadStats::default();
+    let mut scratch = SamplerScratch::new();
     for (rank, part) in parts.iter().enumerate() {
         let mut rng = SmallRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9E3779B9));
         for chunk in part.chunks(local_batch) {
-            let batch = sampler.sample(graph, chunk, &mut rng);
-            stats.add(&batch, sampler.num_layers());
+            let run = SampleRun::new(SeedSequence::new(rng.next_u64()), &mut scratch);
+            let batch = sampler.sample_into(graph, chunk, run);
+            stats.edges += batch.total_edges(sampler.num_layers());
+            stats.input_nodes += batch.input_nodes().len();
+            stats.batches += 1;
         }
     }
     stats
@@ -89,6 +94,32 @@ mod tests {
             w1.edges
         );
         assert!(w8.input_nodes > w1.input_nodes);
+    }
+
+    /// The three counters as the fresh-scratch-per-batch `Sampler::sample`
+    /// loop returned them at commit d25464c: one batch per rank, and eight
+    /// per rank through the recycled scratch.
+    #[test]
+    fn epoch_workload_reproduces_the_recorded_counters() {
+        let g = power_law(3000, 60000, 0.75, 3);
+        let seeds: Vec<NodeId> = (0..1024).collect();
+        let sampler = NeighborSampler::new(vec![15, 10, 5]);
+        for (global_batch, n_proc, edges, input_nodes, batches) in [
+            (1024, 1, 67822, 3000, 1),
+            (1024, 4, 195476, 11989, 4),
+            (128, 1, 305326, 23895, 8),
+            (128, 4, 584292, 90663, 32),
+        ] {
+            assert_eq!(
+                epoch_workload(&g, &sampler, &seeds, global_batch, n_proc, 7),
+                WorkloadStats {
+                    edges,
+                    input_nodes,
+                    batches
+                },
+                "global batch {global_batch}, {n_proc} processes"
+            );
+        }
     }
 
     #[test]

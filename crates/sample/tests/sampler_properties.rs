@@ -46,7 +46,8 @@ fn run_with(
     key: u64,
     scratch: &mut SamplerScratch,
 ) -> SampledBatch {
-    s.sample_with(g, seeds, SampleRun::new(SeedSequence::new(key), scratch))
+    s.sample_into(g, seeds, SampleRun::new(SeedSequence::new(key), scratch))
+        .to_owned()
 }
 
 fn assert_subgraph_invariants(g: &Graph, seeds: &[NodeId], batch: &SampledBatch, who: &str) {
@@ -203,7 +204,7 @@ fn batches_identical_across_pool_sizes_1_2_4() {
         let run = SampleRun::new(SeedSequence::new(33), &mut scratch)
             .with_norm(Normalization::Gcn)
             .with_pool(pool);
-        block_fingerprint(&s.sample_with(&g, &seeds, run))
+        block_fingerprint(&s.sample_into(&g, &seeds, run).to_owned())
     };
     let serial = sample_at(None);
     for size in [2usize, 4] {
@@ -314,11 +315,11 @@ proptest! {
                         SampleRun::new(SeedSequence::new(key), &mut legacy_scratch).with_norm(norm),
                     );
                     let mut arena_scratch = SamplerScratch::new();
-                    let got = sampler.sample_with(
+                    let got = sampler.sample_into(
                         &g,
                         &seeds,
                         SampleRun::new(SeedSequence::new(key), &mut arena_scratch).with_norm(norm),
-                    );
+                    ).to_owned();
                     assert_batches_bitwise_equal(&got, &want, sampler.name());
                 }
             }

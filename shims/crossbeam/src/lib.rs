@@ -20,11 +20,11 @@ pub mod channel {
         /// Race-detector identity: the detector keeps a FIFO of sender
         /// vector clocks parallel to `queue` (both mutated under the
         /// `queue` mutex, so the two stay in lockstep).
-        #[cfg(feature = "race")]
+        #[cfg(feature = "check")]
         race_id: parking_lot::race::ObjectId,
     }
 
-    #[cfg(feature = "race")]
+    #[cfg(feature = "check")]
     impl<T> Drop for Inner<T> {
         fn drop(&mut self) {
             parking_lot::race::chan_unregister(self.race_id);
@@ -95,7 +95,7 @@ pub mod channel {
             capacity,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            #[cfg(feature = "race")]
+            #[cfg(feature = "check")]
             race_id: parking_lot::race::chan_register(),
         });
         (
@@ -166,7 +166,7 @@ pub mod channel {
             // Happens-before edge: the sender's clock rides with the message
             // (recorded under the queue mutex so clock order matches message
             // order). A failed send above establishes no edge.
-            #[cfg(feature = "race")]
+            #[cfg(feature = "check")]
             parking_lot::race::chan_send(self.inner.race_id);
             drop(queue);
             self.inner.not_empty.notify_one();
@@ -182,7 +182,7 @@ pub mod channel {
             loop {
                 if let Some(v) = queue.pop_front() {
                     // Join the clock that rode with this exact message.
-                    #[cfg(feature = "race")]
+                    #[cfg(feature = "check")]
                     parking_lot::race::chan_recv(self.inner.race_id);
                     drop(queue);
                     self.inner.not_full.notify_one();
@@ -203,7 +203,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(v) = queue.pop_front() {
-                #[cfg(feature = "race")]
+                #[cfg(feature = "check")]
                 parking_lot::race::chan_recv(self.inner.race_id);
                 drop(queue);
                 self.inner.not_full.notify_one();

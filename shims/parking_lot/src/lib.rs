@@ -5,40 +5,31 @@
 
 use std::ops::{Deref, DerefMut};
 
-#[cfg(feature = "race")]
+mod hook;
+#[cfg(feature = "check")]
 pub mod race;
-#[cfg(feature = "sanitize")]
+#[cfg(feature = "check")]
 pub mod sanitizer;
 
-#[cfg(feature = "sanitize")]
-use sanitizer::LockClass;
+use hook::{LockClass, LockId};
 
 /// Poison-free mutex: `lock()` returns the guard directly.
 pub struct Mutex<T: ?Sized> {
-    #[cfg(feature = "sanitize")]
-    id: sanitizer::LockId,
-    #[cfg(feature = "race")]
-    rid: race::ObjectId,
+    id: LockId,
     inner: std::sync::Mutex<T>,
 }
 
 /// RAII guard for [`Mutex`]. Holds an `Option` so [`Condvar::wait`] can
 /// temporarily take std's guard out and put the re-acquired one back.
 pub struct MutexGuard<'a, T: ?Sized> {
-    #[cfg(feature = "sanitize")]
-    id: sanitizer::LockId,
-    #[cfg(feature = "race")]
-    rid: race::ObjectId,
+    id: LockId,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Self {
-            #[cfg(feature = "sanitize")]
-            id: sanitizer::register(LockClass::Mutex),
-            #[cfg(feature = "race")]
-            rid: race::register_lock(),
+            id: hook::register(),
             inner: std::sync::Mutex::new(value),
         }
     }
@@ -50,18 +41,11 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        #[cfg(feature = "sanitize")]
-        sanitizer::before_acquire(self.id, LockClass::Mutex);
+        hook::before_acquire(self.id, LockClass::Mutex);
         let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "sanitize")]
-        sanitizer::after_acquire(self.id, LockClass::Mutex);
-        #[cfg(feature = "race")]
-        race::lock_acquire(self.rid);
+        hook::acquired(self.id, LockClass::Mutex);
         MutexGuard {
-            #[cfg(feature = "sanitize")]
             id: self.id,
-            #[cfg(feature = "race")]
-            rid: self.rid,
             inner: Some(g),
         }
     }
@@ -74,15 +58,9 @@ impl<T: ?Sized> Mutex<T> {
         };
         // A successful try_lock cannot deadlock, but it still establishes a
         // hold that later blocking acquisitions must order against.
-        #[cfg(feature = "sanitize")]
-        sanitizer::after_acquire(self.id, LockClass::Mutex);
-        #[cfg(feature = "race")]
-        race::lock_acquire(self.rid);
+        hook::acquired(self.id, LockClass::Mutex);
         Some(MutexGuard {
-            #[cfg(feature = "sanitize")]
             id: self.id,
-            #[cfg(feature = "race")]
-            rid: self.rid,
             inner: Some(g),
         })
     }
@@ -92,7 +70,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-#[cfg(any(feature = "sanitize", feature = "race"))]
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // `Condvar::wait` takes the inner guard out and releases bookkeeping
@@ -100,10 +77,7 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         // race hook runs in the drop *body*, i.e. before the std guard field
         // drops, so the clock publishes while the lock is still held.
         if self.inner.is_some() {
-            #[cfg(feature = "sanitize")]
-            sanitizer::on_release(self.id);
-            #[cfg(feature = "race")]
-            race::lock_release(self.rid);
+            hook::released(self.id);
         }
     }
 }
@@ -147,21 +121,13 @@ impl Condvar {
         // this thread while blocked do not order against it. The race
         // release publishes the waiter's clock before the lock actually
         // opens, and the re-acquire joins whatever the wakers released.
-        #[cfg(feature = "sanitize")]
-        sanitizer::on_release(guard.id);
-        #[cfg(feature = "race")]
-        race::lock_release(guard.rid);
+        hook::released(guard.id);
         let reacquired = self
             .inner
             .wait(std_guard)
             .unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "sanitize")]
-        {
-            sanitizer::before_acquire(guard.id, LockClass::Mutex);
-            sanitizer::after_acquire(guard.id, LockClass::Mutex);
-        }
-        #[cfg(feature = "race")]
-        race::lock_acquire(guard.rid);
+        hook::before_acquire(guard.id, LockClass::Mutex);
+        hook::acquired(guard.id, LockClass::Mutex);
         guard.inner = Some(reacquired);
     }
 
@@ -182,36 +148,24 @@ impl Default for Condvar {
 
 /// Poison-free reader-writer lock.
 pub struct RwLock<T: ?Sized> {
-    #[cfg(feature = "sanitize")]
-    id: sanitizer::LockId,
-    #[cfg(feature = "race")]
-    rid: race::ObjectId,
+    id: LockId,
     inner: std::sync::RwLock<T>,
 }
 
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg(feature = "sanitize")]
-    id: sanitizer::LockId,
-    #[cfg(feature = "race")]
-    rid: race::ObjectId,
+    id: LockId,
     inner: std::sync::RwLockReadGuard<'a, T>,
 }
 
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg(feature = "sanitize")]
-    id: sanitizer::LockId,
-    #[cfg(feature = "race")]
-    rid: race::ObjectId,
+    id: LockId,
     inner: std::sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
     pub fn new(value: T) -> Self {
         Self {
-            #[cfg(feature = "sanitize")]
-            id: sanitizer::register(LockClass::RwLock),
-            #[cfg(feature = "race")]
-            rid: race::register_lock(),
+            id: hook::register(),
             inner: std::sync::RwLock::new(value),
         }
     }
@@ -223,37 +177,23 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(feature = "sanitize")]
-        sanitizer::before_acquire(self.id, LockClass::RwLock);
+        hook::before_acquire(self.id, LockClass::RwLock);
         let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "sanitize")]
-        sanitizer::after_acquire(self.id, LockClass::RwLock);
         // Readers are modeled like mutex holders: the reader→reader edges
         // this adds can only hide races, never invent them.
-        #[cfg(feature = "race")]
-        race::lock_acquire(self.rid);
+        hook::acquired(self.id, LockClass::RwLock);
         RwLockReadGuard {
-            #[cfg(feature = "sanitize")]
             id: self.id,
-            #[cfg(feature = "race")]
-            rid: self.rid,
             inner: g,
         }
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(feature = "sanitize")]
-        sanitizer::before_acquire(self.id, LockClass::RwLock);
+        hook::before_acquire(self.id, LockClass::RwLock);
         let g = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "sanitize")]
-        sanitizer::after_acquire(self.id, LockClass::RwLock);
-        #[cfg(feature = "race")]
-        race::lock_acquire(self.rid);
+        hook::acquired(self.id, LockClass::RwLock);
         RwLockWriteGuard {
-            #[cfg(feature = "sanitize")]
             id: self.id,
-            #[cfg(feature = "race")]
-            rid: self.rid,
             inner: g,
         }
     }
@@ -263,23 +203,15 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-#[cfg(any(feature = "sanitize", feature = "race"))]
 impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        #[cfg(feature = "sanitize")]
-        sanitizer::on_release(self.id);
-        #[cfg(feature = "race")]
-        race::lock_release(self.rid);
+        hook::released(self.id);
     }
 }
 
-#[cfg(any(feature = "sanitize", feature = "race"))]
 impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        #[cfg(feature = "sanitize")]
-        sanitizer::on_release(self.id);
-        #[cfg(feature = "race")]
-        race::lock_release(self.rid);
+        hook::released(self.id);
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Because the workspace owns its `parking_lot` *and* `crossbeam` stand-ins,
 //! every synchronization edge the runtime actually uses flows through a
-//! handful of hook points that this module instruments when the `race`
+//! handful of hook points that this module instruments when the `check`
 //! feature is on:
 //!
 //! * **Locks** ([`lock_acquire`]/[`lock_release`]): releasing a lock joins
@@ -42,7 +42,9 @@ use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex as StdMutex;
 
-/// Identity of one instrumented object (lock, channel, sync point, region).
+use crate::sanitizer::LockId;
+
+/// Identity of one instrumented object (channel, sync point, region).
 pub type ObjectId = u64;
 
 /// A vector clock: `clock[t]` is the latest epoch of thread `t` known to
@@ -139,7 +141,7 @@ struct RegionState {
 #[derive(Default)]
 struct State {
     /// Lock id → clock of everything the last releaser had seen.
-    locks: BTreeMap<ObjectId, Clock>,
+    locks: BTreeMap<LockId, Clock>,
     /// Channel id → per-message sender clocks, FIFO-parallel to the queue.
     chans: BTreeMap<ObjectId, VecDeque<Clock>>,
     /// Sync point id → merged clock of every publisher so far.
@@ -197,13 +199,9 @@ fn fresh_id() -> ObjectId {
 
 // ---- locks ---------------------------------------------------------------
 
-/// Assigns an id to a new lock instance.
-pub fn register_lock() -> ObjectId {
-    fresh_id()
-}
-
 /// Acquire edge: the acquirer inherits everything the last releaser saw.
-pub fn lock_acquire(id: ObjectId) {
+/// Locks are keyed by the id [`crate::sanitizer`] assigned them.
+pub(crate) fn lock_acquire(id: LockId) {
     with_thread_state(|_tid, clock, state| {
         if let Some(lc) = state.locks.get(&id) {
             join(clock, lc);
@@ -213,7 +211,7 @@ pub fn lock_acquire(id: ObjectId) {
 
 /// Release edge: the lock's clock absorbs the releaser's, and the releaser
 /// starts a new epoch so later accesses are not ordered by this release.
-pub fn lock_release(id: ObjectId) {
+pub(crate) fn lock_release(id: LockId) {
     with_thread_state(|tid, clock, state| {
         join(state.locks.entry(id).or_default(), clock);
         clock[tid] += 1;
@@ -477,7 +475,7 @@ mod tests {
     fn lock_edge_orders_the_handoff() {
         reset();
         let r = region_register("locked", 1);
-        let l = register_lock();
+        let l = crate::sanitizer::register();
         // Writer: write under the lock, then release.
         lock_acquire(l);
         region_access(r, 0, 1, AccessKind::Write, loc());

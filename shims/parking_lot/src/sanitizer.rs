@@ -3,8 +3,9 @@
 //! Because the workspace owns its `parking_lot` stand-in, every lock
 //! acquisition in the runtime's hot paths (thread pool completion latches,
 //! feature-cache shards, telemetry registries, loader channels) flows
-//! through this one file when the `sanitize` feature is on. Two properties
-//! are checked at runtime:
+//! through this one file when the `check` feature is on (`crate::hook`
+//! reports each lock operation to this module and to [`crate::race`]). Two
+//! properties are checked at runtime:
 //!
 //! * **Lock-order inversions** (potential deadlocks): a global directed
 //!   graph records the edge `A → B` the first time any thread acquires `B`
@@ -139,8 +140,9 @@ fn reaches(order: &BTreeMap<LockId, BTreeSet<LockId>>, start: LockId, goal: Lock
     false
 }
 
-/// Assigns a fresh id to a new lock instance.
-pub(crate) fn register(_class: LockClass) -> LockId {
+/// Assigns a fresh id to a new lock instance; the same id keys the lock's
+/// vector clock in [`crate::race`].
+pub(crate) fn register() -> LockId {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 

@@ -379,7 +379,10 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let batch = sampler.sample(&g, &[0, 1, 2, 3, 4], &mut rng);
         let gat = Gat::new(8, 4 * heads, 3, 2, heads, seed);
-        let out = gat.forward(&batch, &feats, None);
+        let ids = batch.input_nodes();
+        let mut input = Matrix::zeros(ids.len(), 8);
+        feats.gather_into(ids, input.data_mut());
+        let out = gat.forward_gathered(&batch, input, None);
         prop_assert_eq!(out.rows(), 5);
         prop_assert!(out.data().iter().all(|x| x.is_finite()));
     }
