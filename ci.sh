@@ -28,7 +28,7 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
-echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; arena assembly must not lose to legacy; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue recorded, ungated)"
+echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 
 echo "==> micro_serving quick perf gate (tuned p99 must not lose to the library default; warm result-cache hit rate > 0.9)"

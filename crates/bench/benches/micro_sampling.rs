@@ -1,7 +1,7 @@
 //! Micro-benchmark of the sampling hot path: the pre-scratch serial
 //! reference (per-batch `HashMap` relabeling plus full-neighbor-list copies
-//! with a partial Fisher–Yates) vs the scratch-arena sampler vs the
-//! scratch-arena sampler with a 2-worker pick pool.
+//! with a partial Fisher–Yates) vs the scratch-arena sampler, owned and as a
+//! borrowed view; plus one loader worker's drain rate and the span cost.
 //!
 //! Emits machine-readable `BENCH_sampling.json` at the repository root
 //! (seeds/s and sampled-edges/s per variant, speedup vs the reference) so
@@ -10,8 +10,7 @@
 //! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: smaller graph, fewer
 //! samples, and a sanity perf gate — the process exits non-zero if the
 //! scratch sampler is slower than the serial reference (generous 1.0×
-//! threshold; the pool column is *recorded* but never gated, since CI may
-//! have a single core).
+//! threshold) or a batch's spans cost more than 5% of it.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -22,10 +21,8 @@ use argo_graph::generators::power_law;
 use argo_graph::{Features, Graph, NodeId};
 use argo_rt::json::Json;
 use argo_rt::spans::{Role, SpanKind, SpanProfiler};
-use argo_rt::{SeedSequence, ThreadPool};
-use argo_sample::{
-    legacy, LoaderSpec, NeighborSampler, Normalization, SampleRun, Sampler, SamplerScratch,
-};
+use argo_rt::SeedSequence;
+use argo_sample::{LoaderSpec, NeighborSampler, Normalization, SampleRun, Sampler, SamplerScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -176,14 +173,6 @@ fn main() {
     let run = SampleRun::new(stream, &mut view_scratch);
     let view_bytes = sampler.sample_into(&graph, &seeds, run).metadata_bytes();
 
-    // -- Scratch arena + 2-worker pick pool (content-identical batches). --
-    let pool = ThreadPool::new("samp", 2);
-    let mut pool_scratch = SamplerScratch::new();
-    let pool_s = time_min(samples, || {
-        let run = SampleRun::new(stream, &mut pool_scratch).with_pool(Some(&pool));
-        sampler.sample_into(&graph, &seeds, run).to_owned()
-    });
-
     // -- Loader drain: one epoch of `DRAIN_BATCHES` batches through a
     // stand-alone `PipelinedLoader` with one worker and nothing consuming —
     // sampling alone, then with the step's prologue on the worker (gather
@@ -243,48 +232,6 @@ fn main() {
     assert_eq!(spans_recorded, SPAN_PAIRS, "the ring dropped spans");
     let span_overhead_pct = span_ns * 1e-9 * SPANS_PER_BATCH / scratch_s * 100.0;
 
-    // -- Batch assembly in isolation: the legacy edge-list build (owned
-    // `Vec`s + COO-style relabel + validating `SparseMatrix::new`) vs the
-    // fused arena-CSR build, over an *identical* pre-discovered node set on
-    // 1 core. This isolates the metadata tax the fused path removes from
-    // the (shared) discovery and pick phases. --
-    let asm_seeds: Vec<NodeId> = (0..if quick { 256u32 } else { 512 }).collect();
-    let mut asm_scratch = SamplerScratch::new();
-    let asm_nodes = legacy::bench_discover(
-        &graph,
-        &asm_seeds,
-        vec![10, 5],
-        SeedSequence::new(23),
-        &mut asm_scratch,
-    );
-    let asm_legacy_s = time_min(samples.max(8), || {
-        legacy::bench_assembly_legacy(
-            &graph,
-            &asm_nodes,
-            asm_seeds.len(),
-            &mut asm_scratch,
-            Normalization::Gcn,
-        )
-    });
-    let asm_arena_s = time_min(samples.max(8), || {
-        legacy::bench_assembly_arena(
-            &graph,
-            &asm_nodes,
-            asm_seeds.len(),
-            &mut asm_scratch,
-            Normalization::Gcn,
-        )
-    });
-    let asm_nnz = legacy::bench_assembly_arena(
-        &graph,
-        &asm_nodes,
-        asm_seeds.len(),
-        &mut asm_scratch,
-        Normalization::Gcn,
-    );
-    let assembly_speedup = asm_legacy_s / asm_arena_s;
-    let assembly_ns_per_edge = asm_arena_s * 1e9 / asm_nnz as f64;
-
     let row = |name: &'static str, secs: f64, edges: usize, bytes: usize| SampRow {
         name,
         seeds_per_s: n_seeds as f64 / secs,
@@ -298,7 +245,6 @@ fn main() {
         row("serial_reference", serial_s, ref_edges, ref_bytes),
         row("scratch", scratch_s, scratch_edges, view_bytes),
         row("scratch_view", view_s, scratch_edges, view_bytes),
-        row("scratch_pool2", pool_s, scratch_edges, view_bytes),
     ];
 
     // -- Report. --
@@ -331,14 +277,6 @@ fn main() {
         );
     }
     println!(
-        "\nassembly (1 core, {} nodes, {} nnz): legacy {:.3}ms, arena {:.3}ms \
-         ({assembly_speedup:.2}x, {assembly_ns_per_edge:.2} ns/edge)",
-        asm_nodes.len(),
-        asm_nnz,
-        asm_legacy_s * 1e3,
-        asm_arena_s * 1e3,
-    );
-    println!(
         "\nspan profiler overhead: {span_overhead_pct:.3}% of a batch \
          ({span_ns:.0} ns/span over {spans_recorded} spans x {SPANS_PER_BATCH} spans/batch \
          vs the {:.3}ms scratch batch)",
@@ -360,12 +298,8 @@ fn main() {
             "variants",
             Json::Arr(rows.iter().map(SampRow::to_json).collect()),
         ),
-        // The two lower-is-better metrics: the fused arena assembly cost
-        // per sampled edge, and the compact arena metadata footprint of the
-        // steady-state batch.
-        ("assembly_ns_per_edge", Json::Num(assembly_ns_per_edge)),
+        // The compact arena metadata footprint of the steady-state batch.
         ("metadata_bytes_per_batch", Json::Num(view_bytes as f64)),
-        ("assembly_speedup_vs_legacy", Json::Num(assembly_speedup)),
         // Recorded only: one loader worker's cost per batch, without and
         // with the step's prologue.
         (
@@ -397,7 +331,7 @@ fn main() {
     }
 
     // -- Quick-mode perf gate: the scratch sampler must not lose to the
-    // pre-scratch reference. The pool column is informational only. --
+    // pre-scratch reference. --
     if quick {
         let speedup = serial_s / scratch_s;
         if speedup < 1.0 {
@@ -417,27 +351,5 @@ fn main() {
             std::process::exit(1);
         }
         println!("perf gate OK: span profiler overhead {span_overhead_pct:.3}% (budget 5%)");
-        // The fused arena-CSR assembly must beat the legacy edge-list
-        // assembly outright even on a noisy CI core (the full-mode bar is
-        // 1.5x; quick mode uses a generous floor).
-        if assembly_speedup < 1.0 {
-            eprintln!(
-                "PERF GATE: arena assembly is slower than legacy edge-list assembly \
-                 ({assembly_speedup:.2}x < required 1.00x)"
-            );
-            std::process::exit(1);
-        }
-        println!("perf gate OK: arena assembly at {assembly_speedup:.2}x vs legacy");
-    } else {
-        // Full mode regenerates the committed baseline; the tentpole
-        // acceptance bar is a >= 1.5x batch-assembly improvement on 1 core.
-        if assembly_speedup < 1.5 {
-            eprintln!(
-                "PERF GATE: arena assembly speedup {assembly_speedup:.2}x is below the \
-                 1.5x acceptance bar"
-            );
-            std::process::exit(1);
-        }
-        println!("\nperf gate OK: arena assembly at {assembly_speedup:.2}x vs legacy (bar 1.5x)");
     }
 }

@@ -26,12 +26,6 @@ pub const ALLOWLIST: &[AllowEntry] = &[
     // wall clock; measured paths are the clock's raison d'être. -------------
     AllowEntry {
         rule: "no-instant",
-        path: "crates/core/src/lib.rs",
-        needle: "Instant::now()",
-        why: "tuner suggest/observe CPU-time accounting around the real objective call",
-    },
-    AllowEntry {
-        rule: "no-instant",
         path: "crates/engine/src/engine.rs",
         needle: "let start = Instant::now()",
         why: "measured epoch wall-time; this IS the measurement the tuner consumes",

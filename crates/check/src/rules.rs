@@ -66,9 +66,7 @@ const SAMPLER_HOT_FILES: &[&str] = &[
     "crates/sample/src/scratch.rs",
     // Batch assembly moved into the arena (`sample_into`): the batch types
     // and the borrowed views over the arena are now hot-path assembly code
-    // too. `legacy.rs` (the reference edge-list assembly kept for the
-    // bitwise-equality proptests and benches) is deliberately out of scope —
-    // its allocation churn is the baseline being measured against.
+    // too.
     "crates/sample/src/batch.rs",
     "crates/sample/src/view.rs",
     // The serving request path runs the same sampler per query: per-request
@@ -842,12 +840,6 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "sampler-scratch");
-        // The legacy reference assembly is the measured baseline, not hot.
-        assert!(lint(
-            "crates/sample/src/legacy.rs",
-            "fn f() { let ids = nodes.clone(); }\n"
-        )
-        .is_empty());
     }
 
     #[test]

@@ -44,13 +44,11 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use argo_engine::{Engine, EpochStats};
 use argo_platform::PerfModel;
-use argo_rt::telemetry::names;
-use argo_rt::{Config, RunEvent, Telemetry, TrialRecord};
-use argo_tune::{BayesOpt, SearchSpace, Searcher};
+use argo_rt::{Config, RunEvent, Telemetry};
+use argo_tune::{BayesOpt, OnlineAutoTuner, SearchSpace};
 
 pub use argo_rt::Config as ArgoConfig;
 
@@ -228,76 +226,15 @@ impl Argo {
         train: impl FnMut(Config, usize) -> f64,
         telemetry: Option<&Telemetry>,
     ) -> ArgoReport {
-        match telemetry {
-            Some(t) => self.run_impl(train, t),
-            None => self.run_impl(train, &Telemetry::disabled()),
-        }
-    }
-
-    fn run_impl(
-        &mut self,
-        mut train: impl FnMut(Config, usize) -> f64,
-        telemetry: &Telemetry,
-    ) -> ArgoReport {
         // No point searching longer than the space is large (tiny hosts).
-        let n_search = self
-            .opts
-            .n_search
-            .min(self.opts.epochs)
-            .min(self.space.len());
-        let metrics = &telemetry.metrics;
-        let trials = metrics.counter(names::TUNER_TRIALS_TOTAL);
-        let suggest_h = metrics.time_histogram(names::TUNER_SUGGEST_SECONDS);
-        let observe_h = metrics.time_histogram(names::TUNER_OBSERVE_SECONDS);
-        let best_gauge = metrics.gauge(names::TUNER_BEST_EPOCH_SECONDS);
-
-        let mut tuner = BayesOpt::new(self.space.clone(), self.opts.seed);
-        let mut history = Vec::with_capacity(n_search);
-        let mut total_time = 0.0;
-        for trial in 0..n_search {
-            let t0 = Instant::now();
-            let config = tuner.suggest();
-            let suggest_seconds = t0.elapsed().as_secs_f64();
-            telemetry.logger.log(RunEvent::ConfigApplied {
-                config,
-                reason: "search".to_string(),
-            });
-            let t = train(config, 1);
-            let t1 = Instant::now();
-            tuner.observe(config, t);
-            let observe_seconds = t1.elapsed().as_secs_f64();
-            history.push((config, t));
-            total_time += t;
-
-            let (best_config, best_epoch_time) = tuner.best().expect("observed this trial");
-            trials.inc();
-            suggest_h.observe(suggest_seconds);
-            observe_h.observe(observe_seconds);
-            best_gauge.set(best_epoch_time);
-            telemetry.logger.log(RunEvent::TunerTrial(TrialRecord {
-                trial: trial as u64,
-                config,
-                epoch_time: t,
-                best_config,
-                best_epoch_time,
-                suggest_seconds,
-                observe_seconds,
-            }));
-        }
-        let (config_opt, best_epoch_time) = tuner.best().expect("n_search >= 1");
-        let remaining = self.opts.epochs - n_search;
-        if remaining > 0 {
-            telemetry.logger.log(RunEvent::ConfigApplied {
-                config: config_opt,
-                reason: "reuse".to_string(),
-            });
-            total_time += train(config_opt, remaining);
-        }
+        let n_search = self.opts.n_search.min(self.space.len());
+        let tuner = BayesOpt::new(self.space.clone(), self.opts.seed);
+        let report = OnlineAutoTuner::new(tuner, n_search).run(self.opts.epochs, train, telemetry);
         ArgoReport {
-            config_opt,
-            best_epoch_time,
-            history,
-            total_time,
+            config_opt: report.config_opt,
+            best_epoch_time: report.best_epoch_time,
+            history: report.history,
+            total_time: report.total_time,
             epochs_run: self.opts.epochs,
             space_size: self.space.len(),
         }
@@ -509,6 +446,33 @@ mod tests {
             report.best_epoch_time
         );
         assert_eq!(report.space_size, 694);
+    }
+
+    #[test]
+    fn run_is_algorithm_1_of_the_online_tuner() {
+        // `Argo::run` is a thin wrapper: on a modeled paper task, the
+        // tuner it drives sees the same trials in the same order as a
+        // hand-built `OnlineAutoTuner` over the same space and seed.
+        let model = PerfModel::new(Setup {
+            platform: ICE_LAKE_8380H,
+            library: Library::Dgl,
+            sampler: SamplerKind::Shadow,
+            model: ModelKind::Gcn,
+            dataset: FLICKR,
+        });
+        let objective = |c: Config, e: usize| model.epoch_time_noisy(c, 17) * e as f64;
+        let mut argo = Argo::new(ArgoOptions {
+            n_search: 12,
+            epochs: 30,
+            total_cores: 112,
+            seed: 3,
+        });
+        let via_argo = argo.run(objective, None);
+        let tuner = BayesOpt::new(SearchSpace::for_cores(112), 3);
+        let direct = OnlineAutoTuner::new(tuner, 12).run(30, objective, None);
+        assert_eq!(via_argo.history, direct.history);
+        assert_eq!(via_argo.config_opt, direct.config_opt);
+        assert_eq!(via_argo.total_time, direct.total_time);
     }
 
     #[test]

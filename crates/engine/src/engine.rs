@@ -195,8 +195,9 @@ pub struct BufferStats {
     pub workspace_bytes: usize,
     /// Buffers the loader rings have made for prepared inputs — what
     /// crosses the reorder channel: per batch one aggregation (plus, for
-    /// GraphSAGE, one block of self rows), so at most
-    /// `prefetch + n_samp + 1` such sets per rank at once.
+    /// GraphSAGE, one block of self rows), so `2·n_samp + 1` such sets per
+    /// rank at once (3 at `n_samp = 1`; with several workers, batches that
+    /// arrive early wait in the reorder heap on top).
     pub input_buffers: usize,
     /// Bytes parked in the input rings.
     pub input_bytes: usize,
@@ -1498,28 +1499,20 @@ mod tests {
         // input is parked in their workspace retain one input per batch (up
         // to the arena's 32 slots) — 613 MB instead of 264 on the DDP
         // benchmark. With the return path the operands live in the ring,
-        // which holds only what was in flight at once: per rank at most
-        // `prefetch` sets queued, one per worker being filled, one in the
-        // step — and a set is two `n_dst × F` operands (GraphSAGE), not the
-        // gathered `n_src × F` input, which stays in its worker's private
-        // buffer.
+        // which holds only what was in flight at once: per rank one set
+        // queued and one being filled per worker, one in the step — and a
+        // set is two `n_dst × F` operands (GraphSAGE), not the gathered
+        // `n_src × F` input, which stays in its worker's private buffer.
         let d = tiny();
         let mut o = opts(64);
         o.cache_capacity = 512;
         let (n_proc, n_samp) = (2, 1);
         let mut e = Engine::new(Arc::clone(&d), neighbor(), o);
-        let prefetch = LoaderSpec::builder(
-            Arc::new(d.graph.clone()),
-            neighbor(),
-            Arc::new(d.train_nodes.clone()),
-        )
-        .build()
-        .prefetch;
         for _ in 0..5 {
             e.train_epoch(Config::new(n_proc, n_samp, 1), None);
         }
         let s = e.buffer_stats();
-        let sets = n_proc * (prefetch + n_samp + 1);
+        let sets = n_proc * (2 * n_samp + 1);
         assert!((2 * n_proc..=2 * sets).contains(&s.input_buffers), "{s:?}");
         assert_eq!(s.gather_buffers, n_proc * n_samp, "{s:?}");
         // No gathered input is larger than every node's row, and an operand

@@ -53,11 +53,11 @@ impl SeedSequence {
 /// Counter-based SplitMix64 generator for per-item random streams.
 ///
 /// A [`StreamRng`] is cheap enough to construct *per sampled row*: the
-/// parallel samplers key one off [`SeedSequence::seed_for`]`(layer, row)` so
-/// every row's draws are a pure function of its logical coordinate. That is
-/// what makes within-batch pool parallelism deterministic — however seeds are
-/// partitioned across workers, row `r` of layer `l` always consumes the same
-/// stream, so batch content is bitwise independent of worker count.
+/// samplers key one off [`SeedSequence::seed_for`]`(layer, row)` so every
+/// row's draws are a pure function of its logical coordinate — row `r` of
+/// layer `l` always consumes the same stream, whatever else the batch
+/// draws, which is what lets a test oracle re-derive a row's picks on its
+/// own.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamRng {
     state: u64,

@@ -58,7 +58,7 @@ impl ClusterGcnSampler {
     /// Discovery phase: the union of the clusters the seeds live in, seeds
     /// first, capped at `max_nodes`. Entirely deterministic. Appends to
     /// `nodes` and leaves the dedup session ready for induced assembly.
-    pub(crate) fn discover_into(
+    fn discover_into(
         &self,
         graph: &Graph,
         seeds: &[NodeId],
@@ -100,7 +100,7 @@ impl Sampler for ClusterGcnSampler {
         seeds: &[NodeId],
         run: SampleRun<'a>,
     ) -> SampledBatchView<'a> {
-        // The RNG stream and pool are unused — see `discover_into`.
+        // The RNG stream is unused — see `discover_into`.
         let SampleRun { norm, scratch, .. } = run;
         let caps_before = scratch.arena.caps();
         let mut arena = std::mem::take(&mut scratch.arena);

@@ -22,7 +22,6 @@
 pub mod batch;
 pub mod cache;
 pub mod cluster;
-pub mod legacy;
 pub mod loader;
 pub mod neighbor;
 pub mod saint;
@@ -45,49 +44,39 @@ pub use stats::{batch_workload, WorkloadStats};
 pub use view::{BlockView, MiniBatchView, SampledBatchView, SubgraphView};
 
 use argo_graph::{Graph, NodeId};
-use argo_rt::{SeedSequence, ThreadPool};
+use argo_rt::SeedSequence;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// Everything one [`Sampler::sample_into`] call needs beyond the graph and
 /// the seeds: the deterministic RNG stream root, the normalization to fuse
-/// into the adjacency values, the caller-owned scratch arena, and an
-/// optional pool for within-batch parallelism.
+/// into the adjacency values, and the caller-owned scratch arena. A batch is
+/// built by one thread; a process's sampling parallelism is its loader
+/// workers, each building whole batches.
 pub struct SampleRun<'a> {
     /// Root of this batch's counter-based RNG streams. Samplers key
     /// per-row streams off `stream.seed_for(layer, row)`, so the draws a row
-    /// consumes depend only on its logical coordinate — never on how rows
-    /// were partitioned across pool workers.
+    /// consumes depend only on its logical coordinate.
     pub stream: SeedSequence,
     /// Normalization to write into the adjacency values during assembly.
     pub norm: Normalization,
     /// Recycled per-worker scratch buffers.
     pub scratch: &'a mut SamplerScratch,
-    /// Pool for within-batch parallel sampling (the sampling core set).
-    /// `None` runs serial; batch content is bitwise identical either way.
-    pub pool: Option<&'a ThreadPool>,
 }
 
 impl<'a> SampleRun<'a> {
-    /// A serial, unnormalized run.
+    /// An unnormalized run.
     pub fn new(stream: SeedSequence, scratch: &'a mut SamplerScratch) -> Self {
         Self {
             stream,
             norm: Normalization::None,
             scratch,
-            pool: None,
         }
     }
 
     /// Fuses `norm` into the sampled adjacency values.
     pub fn with_norm(mut self, norm: Normalization) -> Self {
         self.norm = norm;
-        self
-    }
-
-    /// Row-partitions the per-layer pick phase across `pool`.
-    pub fn with_pool(mut self, pool: Option<&'a ThreadPool>) -> Self {
-        self.pool = pool;
         self
     }
 }
@@ -103,7 +92,8 @@ pub trait Sampler: Send + Sync {
     /// borrows the scratch; call [`SampledBatchView::to_owned`] when the
     /// batch must outlive the next sampling call on the same scratch (the
     /// loader's reorder channel, training backward passes) — the owned batch
-    /// is bitwise what the pre-arena assembly produced.
+    /// is bitwise what the test oracle (`tests/oracle/mod.rs`) builds the
+    /// obvious way.
     fn sample_into<'a>(
         &self,
         graph: &Graph,

@@ -4,10 +4,11 @@
 //! propagation (paper Section V-A2); ARGO's auto-tuner decides how many
 //! cores each side gets. [`PipelinedLoader`] implements the sampling side:
 //! `n_samp` sampler threads (bound to the process's *sampling cores*)
-//! prefetch batches into a bounded channel while the training thread
-//! consumes them **in deterministic batch order** — batch `i` of epoch `e`
-//! is always drawn from RNG seed `seed_for(e, i)` regardless of which worker
-//! produced it, so pipelining never perturbs training semantics.
+//! produce batches into a channel of one ready batch per worker while the
+//! training thread consumes them **in deterministic batch order** — batch
+//! `i` of epoch `e` is always drawn from RNG seed `seed_for(e, i)`
+//! regardless of which worker produced it, so pipelining never perturbs
+//! training semantics.
 //!
 //! When the [`LoaderSpec`] carries the node features, workers also run the
 //! step's **parameter-free prologue**: they gather each batch's input rows —
@@ -55,12 +56,10 @@ pub struct LoaderSpec {
     /// The [`SeedSequence`] child for this process; batch `i` of `epoch`
     /// uses `epoch_seeds.seed_for(epoch, i)`.
     pub epoch_seeds: SeedSequence,
-    /// Number of sampler threads.
+    /// Number of sampler threads; the channel holds one ready batch each.
     pub n_samp: usize,
     /// Sampling cores to bind the workers to (empty = unbound).
     pub cores: CoreSet,
-    /// Channel capacity (bounds memory).
-    pub prefetch: usize,
     /// Node features; when present, workers prepare each batch's
     /// [`LoadedBatch::input`]: the gathered input rows, aggregated over the
     /// input-side adjacency when `normalization` fused values into it.
@@ -86,8 +85,8 @@ pub struct LoaderSpec {
 
 impl LoaderSpec {
     /// A builder seeded with the three mandatory handles; everything else
-    /// defaults (`batch_size` 1, `epoch` 0, one worker, unbound, prefetch 4,
-    /// no prepared input).
+    /// defaults (`batch_size` 1, `epoch` 0, one worker, unbound, no prepared
+    /// input).
     pub fn builder(
         graph: Arc<Graph>,
         sampler: Arc<dyn Sampler>,
@@ -103,7 +102,6 @@ impl LoaderSpec {
                 epoch_seeds: SeedSequence::new(0),
                 n_samp: 1,
                 cores: CoreSet::default(),
-                prefetch: 4,
                 features: None,
                 cache: None,
                 normalization: Normalization::None,
@@ -146,12 +144,6 @@ impl LoaderSpecBuilder {
     /// Sampling cores to bind to.
     pub fn cores(mut self, cores: CoreSet) -> Self {
         self.spec.cores = cores;
-        self
-    }
-
-    /// Prefetch channel capacity.
-    pub fn prefetch(mut self, prefetch: usize) -> Self {
-        self.spec.prefetch = prefetch;
         self
     }
 
@@ -299,9 +291,10 @@ fn resized(mut buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
 /// the consumer [`put`](InputRing::put)s them back when the step is done. The
 /// ring is a cheap handle (clones share the buffers) and outlives the
 /// per-epoch loader: the engine keeps one per rank across epochs. It holds as
-/// many operand sets as were ever in flight at once — the prefetch depth plus
-/// one per worker plus the consumer's — each buffer grown to the largest
-/// operand it has carried.
+/// many operand sets as were ever in flight at once — one per worker in the
+/// channel, one per worker being filled and the consumer's, `2·n_samp + 1`
+/// (with several workers, batches that arrive early wait in the reorder heap
+/// on top) — each buffer grown to the largest operand it has carried.
 ///
 /// Beside them it parks, between epochs, each worker's **private gather
 /// buffer**: the `n_src × F` matrix the prologue gathers into and aggregates
@@ -454,7 +447,6 @@ impl PipelinedLoader {
             epoch_seeds,
             n_samp,
             cores,
-            prefetch,
             features,
             cache,
             normalization,
@@ -462,7 +454,9 @@ impl PipelinedLoader {
         } = spec;
         assert!(batch_size > 0 && n_samp > 0);
         let total = seeds.len().div_ceil(batch_size);
-        let (tx, rx) = bounded::<Indexed>(prefetch.max(1));
+        // One ready batch per worker: the loader outpaces the step, so a
+        // deeper channel would only hold more prepared inputs in memory.
+        let (tx, rx) = bounded::<Indexed>(n_samp);
         let cursor = Arc::new(AtomicUsize::new(0));
         let failed = Arc::new(AtomicBool::new(false));
         // Ring sizes follow from the batch count, so no span is ever
@@ -571,7 +565,7 @@ impl PipelinedLoader {
                                 metadata_bytes,
                             };
                             // The enqueue-wait span measures backpressure:
-                            // time blocked on a full prefetch channel.
+                            // time blocked on a full channel.
                             let sent = ring.timed(SpanKind::EnqueueWait, i as u64, || {
                                 tx.send(Indexed {
                                     index: i,
@@ -713,7 +707,6 @@ mod tests {
                 .epoch(3)
                 .epoch_seeds(SeedSequence::new(7))
                 .n_samp(n_samp)
-                .prefetch(2)
                 .start()
                 .map(|(_, b)| b.batch.input_nodes().to_vec())
                 .collect()
@@ -756,7 +749,6 @@ mod tests {
             .batch_size(10)
             .epoch_seeds(SeedSequence::new(1))
             .n_samp(2)
-            .prefetch(2)
             .start();
         let sizes: Vec<usize> = loader.map(|(_, b)| b.batch.num_seeds()).collect();
         assert_eq!(sizes, vec![10, 10, 5]);
@@ -769,7 +761,6 @@ mod tests {
             .batch_size(4)
             .epoch_seeds(SeedSequence::new(5))
             .n_samp(2)
-            .prefetch(1)
             .start();
         let _ = loader.next();
         drop(loader); // must join cleanly even with batches unconsumed
@@ -784,7 +775,6 @@ mod tests {
                 .epoch(epoch)
                 .epoch_seeds(SeedSequence::new(7))
                 .n_samp(2)
-                .prefetch(2)
                 .start()
                 .map(|(_, b)| b.batch.input_nodes().to_vec())
                 .collect()
@@ -867,11 +857,11 @@ mod tests {
     #[test]
     fn returned_inputs_are_reused_across_epochs() {
         // The consumer hands every operand back, so three epochs of seven
-        // batches run on the few sets that were ever in flight at once: one
-        // being filled, `prefetch` in the channel, one being consumed — two
-        // operands each under `Mean` — and on one private gather buffer,
-        // which the worker parks between epochs. Batches differ in size, so
-        // reuse also has to overwrite stale rows.
+        // batches run on the three sets that can be in flight at once with
+        // one worker: one being filled, one in the channel, one being
+        // consumed — two operands each under `Mean` — and on one private
+        // gather buffer, which the worker parks between epochs. Batches
+        // differ in size, so reuse also has to overwrite stale rows.
         let (g, s, seeds) = setup();
         let feats = features();
         let ring = InputRing::new();
@@ -880,7 +870,6 @@ mod tests {
                 .batch_size(16)
                 .epoch(epoch)
                 .epoch_seeds(SeedSequence::new(9))
-                .prefetch(2)
                 .normalization(Normalization::Mean)
                 .features(Arc::clone(&feats))
                 .build();
@@ -896,7 +885,7 @@ mod tests {
             }
         }
         assert!(
-            (2..=2 * 4).contains(&ring.buffers_made()),
+            (2..=2 * 3).contains(&ring.buffers_made()),
             "21 batches made {} buffers",
             ring.buffers_made()
         );
@@ -953,7 +942,6 @@ mod tests {
                 .batch_size(10)
                 .epoch_seeds(SeedSequence::new(5))
                 .n_samp(n_samp)
-                .prefetch(2)
                 .normalization(Normalization::Mean)
                 .features(features())
                 .start();
@@ -973,8 +961,8 @@ mod tests {
             assert!(seen <= 9 && (n_samp > 1 || seen == 4), "{seen} batches");
             assert!(loader.workers.is_empty(), "every worker joined");
             // The survivors were stopped within a few batches of the death:
-            // what they had in hand, the channel's two, a few more while the
-            // consumer drained.
+            // what they had in hand, the channel's one per worker, a few more
+            // while the consumer drained.
             let calls = dies.calls.load(Ordering::Relaxed);
             assert!(calls <= 40 && loader.reorder.len() <= 40, "{calls} calls");
         }

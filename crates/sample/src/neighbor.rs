@@ -1,7 +1,7 @@
 //! Layer-wise neighbor sampling (Hamilton et al. 2017; paper Section II-B).
 
 use argo_graph::{Graph, NodeId};
-use argo_rt::{racecheck, SeedSequence, StreamRng, ThreadPool};
+use argo_rt::{SeedSequence, StreamRng};
 
 use crate::batch::Normalization;
 use crate::scratch::{LayerRec, SamplerScratch};
@@ -68,81 +68,30 @@ fn pick_row(
 /// Pick phase for one layer: fills `scratch.picked` (stride `fanout`) and
 /// `scratch.counts` for every row of `dst`. Each row draws from its own
 /// counter-based stream keyed by `(layer, row)`, so the picks are a pure
-/// function of the row's logical coordinate — the pool path partitions rows
-/// across workers and produces bitwise-identical buffers to the serial path.
-pub(crate) fn pick_layer(
+/// function of the row's logical coordinate.
+fn pick_layer(
     graph: &Graph,
     dst: &[NodeId],
     fanout: usize,
     stream: SeedSequence,
     layer: u64,
     scratch: &mut SamplerScratch,
-    pool: Option<&ThreadPool>,
 ) {
-    let rows = dst.len();
-    scratch.acquire_picks(rows, fanout);
-    match pool {
-        Some(pool) if pool.size() > 1 && rows >= 2 => {
-            // Workers write disjoint row windows of the two buffers; share
-            // the base pointers as plain addresses. Two buffers with two
-            // strides: one more than `ThreadPool::parallel_chunks_mut`'s
-            // single row window carries, so the windows are cut here.
-            let picked_addr = scratch.picked.as_mut_ptr() as usize;
-            let counts_addr = scratch.counts.as_mut_ptr() as usize;
-            // Shadow cells are row-granular: one per destination row.
-            let picked_shadow = racecheck::region("sample.pick_layer.picked", rows);
-            let counts_shadow = racecheck::region("sample.pick_layer.counts", rows);
-            pool.parallel_ranges(rows, |range| {
-                racecheck::write(&picked_shadow, range.start, range.len());
-                racecheck::write(&counts_shadow, range.start, range.len());
-                // SAFETY: `parallel_ranges` hands out disjoint row ranges
-                // and both buffers were sized for `rows` rows above, so each
-                // worker touches a private, in-bounds window; the buffers
-                // outlive the call because `parallel_ranges` blocks.
-                let picked = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (picked_addr as *mut NodeId).add(range.start * fanout),
-                        range.len() * fanout,
-                    )
-                };
-                // SAFETY: as above — disjoint per-worker window of `counts`.
-                let counts = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (counts_addr as *mut u32).add(range.start),
-                        range.len(),
-                    )
-                };
-                let mut positions = Vec::with_capacity(fanout);
-                for (k, i) in range.enumerate() {
-                    let rng = StreamRng::new(stream.seed_for(layer, i as u64));
-                    counts[k] = pick_row(
-                        graph,
-                        dst[i],
-                        fanout,
-                        rng,
-                        &mut picked[k * fanout..(k + 1) * fanout],
-                        &mut positions,
-                    );
-                }
-            });
-        }
-        _ => {
-            scratch.acquire_positions(fanout);
-            let picked = &mut scratch.picked;
-            let counts = &mut scratch.counts;
-            let positions = &mut scratch.positions;
-            for (i, &v) in dst.iter().enumerate() {
-                let rng = StreamRng::new(stream.seed_for(layer, i as u64));
-                counts[i] = pick_row(
-                    graph,
-                    v,
-                    fanout,
-                    rng,
-                    &mut picked[i * fanout..(i + 1) * fanout],
-                    positions,
-                );
-            }
-        }
+    scratch.acquire_picks(dst.len(), fanout);
+    scratch.acquire_positions(fanout);
+    let picked = &mut scratch.picked;
+    let counts = &mut scratch.counts;
+    let positions = &mut scratch.positions;
+    for (i, &v) in dst.iter().enumerate() {
+        let rng = StreamRng::new(stream.seed_for(layer, i as u64));
+        counts[i] = pick_row(
+            graph,
+            v,
+            fanout,
+            rng,
+            &mut picked[i * fanout..(i + 1) * fanout],
+            positions,
+        );
     }
 }
 
@@ -157,7 +106,6 @@ impl Sampler for NeighborSampler {
             stream,
             norm,
             scratch,
-            pool,
         } = run;
         let num_layers = self.fanouts.len();
         let inv_sqrt: &[f32] = if norm == Normalization::Gcn {
@@ -204,8 +152,7 @@ impl Sampler for NeighborSampler {
         }
         // Build from the output layer inward (fanouts accessed in reverse).
         // `prev` is the dst node range in the arena; each layer's src list
-        // extends it in place (the dst prefix is shared, not copied — the
-        // legacy path paid one `src` copy plus one `next` copy per layer).
+        // extends it in place (the dst prefix is shared, not copied).
         let mut prev = 0..seeds.len();
         for layer in (0..num_layers).rev() {
             let fanout = self.fanouts[layer];
@@ -217,7 +164,6 @@ impl Sampler for NeighborSampler {
                 stream,
                 layer as u64,
                 scratch,
-                pool,
             );
             // Relabel phase (serial): dense-table dedup in row order; column
             // indices land directly in the arena CSR as they are assigned.

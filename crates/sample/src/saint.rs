@@ -45,7 +45,7 @@ impl SaintRwSampler {
     /// Discovery phase: `walk_length` random-walk steps from every root,
     /// dedup-registered in visit order with seeds first. Appends to `nodes`
     /// and leaves the dedup session ready for induced assembly.
-    pub(crate) fn discover_into(
+    fn discover_into(
         &self,
         graph: &Graph,
         seeds: &[NodeId],
@@ -84,12 +84,10 @@ impl Sampler for SaintRwSampler {
         seeds: &[NodeId],
         run: SampleRun<'a>,
     ) -> SampledBatchView<'a> {
-        // Dedup-dominated like ShaDow; the pool is intentionally unused.
         let SampleRun {
             stream,
             norm,
             scratch,
-            ..
         } = run;
         let caps_before = scratch.arena.caps();
         let mut arena = std::mem::take(&mut scratch.arena);

@@ -45,7 +45,7 @@ pub struct SamplerScratch {
     pub(crate) picked: Vec<NodeId>,
     /// Number of valid picks per row.
     pub(crate) counts: Vec<u32>,
-    /// Floyd sample of distinct in-row positions (serial pick path).
+    /// Floyd sample of distinct in-row positions.
     pub(crate) positions: Vec<u32>,
     /// Current BFS frontier (ShaDow) / walk roots.
     pub(crate) frontier: Vec<NodeId>,
@@ -82,9 +82,9 @@ pub struct SamplerScratch {
 /// For layered (neighbor) batches the records are stored in **assembly
 /// order** — output layer first — and `nodes` is the layer's *src* list;
 /// the dst list is the previous record's `nodes` (the seed prefix for the
-/// first record). That sharing is the point: the legacy path stored every
-/// interior node list twice (once as a block's `src_nodes`, once as the
-/// next block's `dst_nodes`).
+/// first record). That sharing is the point: an owned block stack stores
+/// every interior node list twice (once as a block's `src_nodes`, once as
+/// the next block's `dst_nodes`).
 #[derive(Clone, Debug)]
 pub(crate) struct LayerRec {
     /// Src node range within `BatchArena::nodes` (and `degree`).
@@ -354,14 +354,14 @@ pub(crate) fn floyd_positions(
     }
 }
 
-/// Arena twin of the legacy [`crate::legacy::induced_batch`]: assembles the
-/// induced, relabeled CSR over `arena.nodes` **in place**, using the
-/// scratch's *current* dedup session as the relabel map (every entry of
-/// `arena.nodes` must be registered in it) and writing fused normalization
-/// values during row assembly. The adjacency lands as one `LayerRec` over
-/// the arena's flat `u32` arrays — no per-batch `Vec`s, no
-/// `SparseMatrix::new` revalidation. Output is bitwise-identical to the
-/// legacy path (pinned by proptest).
+/// Assembles the induced, relabeled CSR over `arena.nodes` **in place**,
+/// using the scratch's *current* dedup session as the relabel map (every
+/// entry of `arena.nodes` must be registered in it) and writing fused
+/// normalization values during row assembly. The adjacency lands as one
+/// `LayerRec` over the arena's flat `u32` arrays — no per-batch `Vec`s, no
+/// `SparseMatrix::new` revalidation. Row `i` holds the local ids of
+/// `nodes[i]`'s member neighbors in ascending order; output is bitwise what
+/// the test oracle builds row by row (pinned by proptest).
 pub(crate) fn arena_induced(
     graph: &Graph,
     arena: &mut BatchArena,
@@ -396,9 +396,9 @@ pub(crate) fn arena_induced(
 /// general path (≈half the assembly time on power-law batches) disappears.
 /// On a symmetric graph `nodes[i] ∈ N(nodes[j]) ⇔ nodes[j] ∈ N(nodes[i])`
 /// with equal multiplicity, so the transposed scan enumerates exactly the
-/// entry set the row-major legacy scan does, and the output — including the
-/// fused normalization values, written with the same row-factor-first
-/// operand order — stays bitwise-identical (pinned by proptest).
+/// entry set a row-major scan does, and the output — including the fused
+/// normalization values, written row factor first — stays bitwise-identical
+/// to [`induced_sorting`] (both pinned against the test oracle).
 fn induced_counting(
     graph: &Graph,
     arena: &mut BatchArena,
@@ -500,8 +500,8 @@ fn induced_counting(
     if norm == Normalization::Gcn {
         // Values in one sequential sweep over the finished rows: the column
         // array streams and the batch-local factor table is L1-resident, so
-        // no value ever rides the random scatter above. Row factor first —
-        // the legacy operand order.
+        // no value ever rides the random scatter above. Row factor first,
+        // as in every other assembly path.
         let factors = &scratch.factors;
         for i in 0..n {
             let fi = factors[i];

@@ -47,7 +47,7 @@ impl ShadowSampler {
     /// the dense dedup table keeps the union of the localized subgraphs,
     /// seeds first. Appends the discovered node set to `nodes` and leaves
     /// the dedup session registered over it, ready for induced assembly.
-    pub(crate) fn discover_into(
+    fn discover_into(
         &self,
         graph: &Graph,
         seeds: &[NodeId],
@@ -114,13 +114,10 @@ impl Sampler for ShadowSampler {
         seeds: &[NodeId],
         run: SampleRun<'a>,
     ) -> SampledBatchView<'a> {
-        // The pool is intentionally unused: this sampler is dedup-dominated
-        // and its frontier order is inherently sequential.
         let SampleRun {
             stream,
             norm,
             scratch,
-            ..
         } = run;
         let caps_before = scratch.arena.caps();
         let mut arena = std::mem::take(&mut scratch.arena);

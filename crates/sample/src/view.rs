@@ -9,8 +9,8 @@
 //! straight out of the arena with zero copies; anything that must cross an
 //! ownership boundary — the loader's reorder-heap channel, training's
 //! CSC-backed backward pass — calls [`SampledBatchView::to_owned`], which
-//! materializes the exact same [`SampledBatch`] the legacy assembly
-//! produced (pinned bitwise by proptest).
+//! copies the arena ranges into a [`SampledBatch`] (pinned bitwise against
+//! the test oracle in `tests/oracle/mod.rs`).
 
 use argo_graph::NodeId;
 use argo_tensor::SparseView;
@@ -38,7 +38,7 @@ pub struct BlockView<'a> {
 }
 
 impl BlockView<'_> {
-    /// Materializes an owned [`Block`] (legacy-identical).
+    /// Materializes an owned [`Block`].
     pub fn to_owned(&self) -> Block {
         Block {
             src_nodes: self.src_nodes.to_vec(),
@@ -55,7 +55,7 @@ impl BlockView<'_> {
 /// [`MiniBatch`]. Blocks are ordered input layer → output layer, as in the
 /// owned type; interior node lists are shared between adjacent blocks
 /// (block `l`'s dst slice *is* block `l+1`'s src prefix range), which is
-/// exactly the copy the legacy assembly paid per layer.
+/// exactly the copy an owned [`MiniBatch`] pays per layer.
 #[derive(Clone, Copy, Debug)]
 pub struct MiniBatchView<'a> {
     pub(crate) arena: &'a BatchArena,
@@ -98,7 +98,7 @@ impl<'a> MiniBatchView<'a> {
         self.arena.layers.iter().map(|r| r.entries.len()).sum()
     }
 
-    /// Materializes an owned [`MiniBatch`] (legacy-identical).
+    /// Materializes an owned [`MiniBatch`].
     pub fn to_owned(&self) -> MiniBatch {
         MiniBatch {
             seeds: self.seeds().to_vec(),
@@ -150,7 +150,7 @@ impl<'a> SubgraphView<'a> {
         self.arena.norm
     }
 
-    /// Materializes an owned [`SubgraphBatch`] (legacy-identical).
+    /// Materializes an owned [`SubgraphBatch`].
     pub fn to_owned(&self) -> SubgraphBatch {
         SubgraphBatch {
             nodes: self.nodes().to_vec(),
@@ -260,8 +260,7 @@ impl<'a> SampledBatchView<'a> {
         self.arena().metadata_bytes()
     }
 
-    /// Materializes an owned [`SampledBatch`], bitwise-identical to what
-    /// the legacy edge-list assembly produced — the fallback at the
+    /// Materializes an owned [`SampledBatch`] — the copy made at the
     /// loader's reorder-heap handoff and for training.
     pub fn to_owned(&self) -> SampledBatch {
         match self {

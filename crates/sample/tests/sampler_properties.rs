@@ -1,19 +1,18 @@
 //! Property tests pinning the scratch-arena samplers to reference behavior.
 //!
-//! The PR 5 rewrite replaced per-batch `HashMap` relabeling and full
-//! neighbor-list copies with an epoch-stamped dense dedup table, recycled
-//! pick buffers and Floyd position sampling. These properties pin the
-//! structural contract the old samplers satisfied — fanout bounds,
+//! The structural contract every batch satisfies — fanout bounds,
 //! src-prefix-is-dst, no duplicate src nodes, every sampled edge exists in
 //! the parent graph — across seed counts 1..130 and all four samplers, and
-//! pin the pool-parallel pick path to the serial one bitwise.
+//! the arena assembly bitwise against the test oracle (`oracle/mod.rs`).
+
+mod oracle;
 
 use argo_graph::generators::power_law;
 use argo_graph::{Graph, NodeId};
-use argo_rt::{SeedSequence, ThreadPool};
+use argo_rt::SeedSequence;
 use argo_sample::{
-    legacy, ClusterGcnSampler, NeighborSampler, Normalization, SaintRwSampler, SampleRun,
-    SampledBatch, Sampler, SamplerScratch, ShadowSampler,
+    ClusterGcnSampler, NeighborSampler, Normalization, SaintRwSampler, SampleRun, SampledBatch,
+    SampledBatchView, Sampler, SamplerScratch, ShadowSampler,
 };
 use proptest::prelude::*;
 
@@ -168,55 +167,6 @@ proptest! {
     }
 }
 
-/// One block's content: (src_nodes, dst_nodes, indptr, indices, values).
-type BlockContent = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<f32>);
-
-/// Collects everything content-bearing from a blocks batch.
-fn block_fingerprint(b: &SampledBatch) -> Vec<BlockContent> {
-    let SampledBatch::Blocks(mb) = b else {
-        panic!("expected blocks");
-    };
-    mb.blocks
-        .iter()
-        .map(|blk| {
-            (
-                blk.src_nodes.clone(),
-                blk.dst_nodes.clone(),
-                blk.adj.indptr().to_vec(),
-                blk.adj.indices().to_vec(),
-                blk.adj.values().map(<[f32]>::to_vec).unwrap_or_default(),
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn batches_identical_across_pool_sizes_1_2_4() {
-    // The tentpole determinism invariant: per-row counter-based RNG streams
-    // make the sampled batch a pure function of (stream, seeds), so the
-    // pool-parallel pick phase is bitwise identical to the serial one at
-    // any worker count — including the fused GCN normalization values.
-    let g = graph();
-    let seeds: Vec<NodeId> = (0..96).collect();
-    let s = NeighborSampler::new(vec![9, 5]);
-    let sample_at = |pool: Option<&ThreadPool>| {
-        let mut scratch = SamplerScratch::new();
-        let run = SampleRun::new(SeedSequence::new(33), &mut scratch)
-            .with_norm(Normalization::Gcn)
-            .with_pool(pool);
-        block_fingerprint(&s.sample_into(&g, &seeds, run).to_owned())
-    };
-    let serial = sample_at(None);
-    for size in [2usize, 4] {
-        let pool = ThreadPool::new("t", size);
-        assert_eq!(
-            sample_at(Some(&pool)),
-            serial,
-            "pool size {size} changed batch content"
-        );
-    }
-}
-
 /// f32 slices compared by bit pattern: "bitwise-identical" means exactly
 /// that, not approximate float equality.
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -281,46 +231,40 @@ fn assert_batches_bitwise_equal(got: &SampledBatch, want: &SampledBatch, who: &s
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole equality pin: arena-CSR assembly (`sample_into` +
-    /// `to_owned`) is bitwise-identical to the legacy edge-list assembly
-    /// for every sampler, seed count and normalization — same RNG stream,
-    /// independent scratch arenas.
+    /// The equality pin: arena-CSR assembly (`sample_into` + `to_owned`) is
+    /// bitwise the batch the oracle builds for every sampler, seed count and
+    /// normalization, on both fixtures — the symmetric graph routes through
+    /// the counting assembly, the directed one through the sorting fallback.
+    /// Subgraph discovery is the sampler's own; the oracle re-derives the
+    /// induced adjacency over the node set it found.
     #[test]
-    fn arena_assembly_matches_legacy_bitwise(
+    fn arena_assembly_matches_oracle_bitwise(
         count in 1usize..130,
         offset in 0usize..400,
         key in 0u64..(1u64 << 48),
     ) {
         let seeds: Vec<NodeId> = (offset..offset + count).map(|v| v as u32).collect();
-        // Both fixtures: the symmetric graph routes through the counting
-        // assembly, the directed one through the sorting fallback.
         for g in [graph(), directed_graph()] {
             let neighbor = NeighborSampler::new(vec![7, 4]);
             let shadow = ShadowSampler::new(vec![6, 3], 2);
             let saint = SaintRwSampler::new(3, 2);
             let cluster = ClusterGcnSampler::new(&g, 12, 2);
-            type LegacyFn<'s> = Box<dyn Fn(&Graph, &[NodeId], SampleRun<'_>) -> SampledBatch + 's>;
-            let pairs: [(&dyn Sampler, LegacyFn); 4] = [
-                (&neighbor, Box::new(|g, s, r| legacy::neighbor_sample(&neighbor, g, s, r))),
-                (&shadow, Box::new(|g, s, r| legacy::shadow_sample(&shadow, g, s, r))),
-                (&saint, Box::new(|g, s, r| legacy::saint_sample(&saint, g, s, r))),
-                (&cluster, Box::new(|g, s, r| legacy::cluster_sample(&cluster, g, s, r))),
-            ];
-            for (sampler, legacy_fn) in &pairs {
+            let samplers: [&dyn Sampler; 4] = [&neighbor, &shadow, &saint, &cluster];
+            for s in samplers {
                 for norm in [Normalization::None, Normalization::Mean, Normalization::Gcn] {
-                    let mut legacy_scratch = SamplerScratch::new();
-                    let want = legacy_fn(
-                        &g,
-                        &seeds,
-                        SampleRun::new(SeedSequence::new(key), &mut legacy_scratch).with_norm(norm),
-                    );
-                    let mut arena_scratch = SamplerScratch::new();
-                    let got = sampler.sample_into(
-                        &g,
-                        &seeds,
-                        SampleRun::new(SeedSequence::new(key), &mut arena_scratch).with_norm(norm),
-                    ).to_owned();
-                    assert_batches_bitwise_equal(&got, &want, sampler.name());
+                    let mut scratch = SamplerScratch::new();
+                    let stream = SeedSequence::new(key);
+                    let run = SampleRun::new(stream, &mut scratch).with_norm(norm);
+                    let view = s.sample_into(&g, &seeds, run);
+                    let want = match view {
+                        SampledBatchView::Blocks(_) => {
+                            oracle::blocks(&g, &seeds, neighbor.fanouts(), stream, norm)
+                        }
+                        SampledBatchView::Subgraph(sb) => {
+                            oracle::induced(&g, sb.nodes(), sb.num_seeds(), norm)
+                        }
+                    };
+                    assert_batches_bitwise_equal(&view.to_owned(), &want, s.name());
                 }
             }
         }

@@ -14,7 +14,7 @@
 //! [`ResultCache`](crate::result_cache::ResultCache) sound — a cached
 //! response is bitwise identical to re-executing the query. The micro-batch
 //! instead amortizes everything around the math: one clock read, one
-//! scratch arena, one telemetry flush, one warm thread pool.
+//! scratch arena, one telemetry flush.
 //!
 //! All timing flows through the [`Clock`](crate::clock::Clock) abstraction;
 //! this file never reads the wall clock directly, so every admission and
@@ -31,7 +31,7 @@ use argo_rt::spans::RING_CAPACITY;
 use argo_rt::telemetry::names;
 use argo_rt::{
     Config, Role, RunEvent, SeedSequence, ServeBatchRecord, ServeRequestRecord, SpanDrain,
-    SpanKind, SpanProfiler, Telemetry, ThreadPool, WorkerRing,
+    SpanKind, SpanProfiler, Telemetry, WorkerRing,
 };
 use argo_sample::{CacheStats, FeatureCache, Normalization, SampleRun, Sampler, SamplerScratch};
 use argo_tensor::{Matrix, QuantKind};
@@ -84,7 +84,6 @@ pub struct ServeSpec {
     result_cache_entries: usize,
     normalization: Normalization,
     seed: u64,
-    cores: usize,
     shed_after_us: Option<u64>,
     quantization: Option<QuantKind>,
     clock: Arc<dyn Clock>,
@@ -111,7 +110,6 @@ impl ServeSpec {
                 result_cache_entries: 0,
                 normalization: Normalization::None,
                 seed: 0,
-                cores: 0,
                 shed_after_us: None,
                 quantization: None,
                 clock: Arc::new(WallClock::new()),
@@ -190,13 +188,6 @@ impl ServeSpecBuilder {
         self
     }
 
-    /// Worker threads for within-request parallel sampling and compute
-    /// (default 0 = serial; batch content is identical either way).
-    pub fn cores(mut self, cores: usize) -> Self {
-        self.spec.cores = cores;
-        self
-    }
-
     /// Shed requests that queued longer than this many microseconds: they
     /// fail with [`Error::DeadlineExceeded`] instead of executing (default:
     /// never shed).
@@ -237,7 +228,7 @@ impl ServeSpecBuilder {
 }
 
 /// An online inference session. Single-driver: one caller thread submits,
-/// polls and drains (concurrency lives inside the pool, as in training).
+/// polls, drains and runs every query.
 pub struct ServeSession {
     dataset: Arc<Dataset>,
     sampler: Arc<dyn Sampler>,
@@ -250,7 +241,6 @@ pub struct ServeSession {
     shed_after_us: Option<u64>,
     clock: Arc<dyn Clock>,
     batcher: MicroBatcher,
-    pool: Option<ThreadPool>,
     scratch: SamplerScratch,
     /// The one input-feature buffer every query gathers into and the
     /// forward pass reads in place; it grows to the largest query seen.
@@ -279,7 +269,6 @@ impl ServeSession {
             result_cache_entries,
             normalization,
             seed,
-            cores,
             shed_after_us,
             quantization,
             clock,
@@ -289,11 +278,6 @@ impl ServeSession {
         let quantized = match (&model, quantization) {
             (AnyModel::Gnn(g), Some(q)) => Some(g.quantize(q)),
             _ => None,
-        };
-        let pool = if cores > 1 {
-            Some(ThreadPool::new("serve", cores))
-        } else {
-            None
         };
         let feature_cache = if feature_cache_rows > 0 {
             Some(FeatureCache::new(feature_cache_rows, dataset.feat_dim()))
@@ -317,7 +301,6 @@ impl ServeSession {
             shed_after_us,
             clock,
             batcher: MicroBatcher::new(max_batch, deadline_us, queue_cap),
-            pool,
             scratch: SamplerScratch::new(),
             input: Vec::new(),
             feature_cache,
@@ -395,20 +378,12 @@ impl ServeSession {
         }
     }
 
-    /// Adopts a tuner-chosen configuration: `n_samp` resizes the worker
-    /// pool, `cache_rows` resizes the feature cache, and the config epoch
-    /// is bumped — which invalidates every cached response, since results
-    /// are only reusable under the configuration that produced them.
+    /// Adopts a tuner-chosen configuration: `cache_rows` resizes the
+    /// feature cache, and the config epoch is bumped — which invalidates
+    /// every cached response, since results are only reusable under the
+    /// configuration that produced them. A query runs on the calling
+    /// thread, so the core counts have nothing to resize.
     pub fn apply_config(&mut self, config: Config) {
-        let cores = config.n_samp;
-        let pool_size = self.pool.as_ref().map_or(0, ThreadPool::size);
-        if cores != pool_size {
-            self.pool = if cores > 1 {
-                Some(ThreadPool::new("serve", cores))
-            } else {
-                None
-            };
-        }
         let cache_rows = self
             .feature_cache
             .as_ref()
@@ -594,9 +569,7 @@ impl ServeSession {
         let stream = SeedSequence::new(
             key_hash(seeds, self.config_epoch) ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let run = SampleRun::new(stream, &mut self.scratch)
-            .with_norm(self.normalization)
-            .with_pool(self.pool.as_ref());
+        let run = SampleRun::new(stream, &mut self.scratch).with_norm(self.normalization);
         // Borrowed view over the sampler's batch arena: the adjacency never
         // leaves scratch, the forward pass aggregates straight out of it.
         let batch = self.sampler.sample_into(&self.dataset.graph, seeds, run);
@@ -610,10 +583,8 @@ impl ServeSession {
         }
         let input = Matrix::from_vec(ids.len(), features.dim(), rows);
         let logits = match self.quantized.as_ref() {
-            Some(qm) => qm.forward_gathered_view(&batch, &input, self.pool.as_ref()),
-            None => self
-                .model
-                .forward_gathered_view(&batch, &input, self.pool.as_ref()),
+            Some(qm) => qm.forward_gathered_view(&batch, &input, None),
+            None => self.model.forward_gathered_view(&batch, &input, None),
         };
         self.input = input.into_data();
         logits

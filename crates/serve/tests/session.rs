@@ -95,6 +95,8 @@ fn apply_config_bumps_the_epoch_and_invalidates_cached_responses() {
 
     s.apply_config(argo_rt::Config::new(1, 1, 1).with_cache_rows(128));
     assert_eq!(s.config_epoch(), 1);
+    // The resize is the rest of what a configuration changes.
+    assert_eq!(s.feature_cache_stats().unwrap().capacity_rows, 128);
     let after = s.submit(vec![4, 5], None).unwrap();
     let r = after.completed[0].as_ref().unwrap();
     assert!(

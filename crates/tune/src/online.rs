@@ -15,7 +15,8 @@
 //! [`OnlineAutoTuner`] is generic over the searcher and the objective, so
 //! the same loop drives the real engine (measured epoch times) and the
 //! platform model (modeled epoch times), as well as the simulated-annealing
-//! baseline under an identical budget.
+//! baseline under an identical budget. It is the one implementation of the
+//! loop: `argo_core::Argo::run` delegates to it.
 
 use std::time::Instant;
 
@@ -64,8 +65,11 @@ impl<S: Searcher> OnlineAutoTuner<S> {
         &self.searcher
     }
 
-    /// Runs `total_epochs` of training through `objective` (which trains one
-    /// epoch under the given configuration and returns its epoch time).
+    /// Runs `total_epochs` of training through `objective(config, epochs)`,
+    /// which trains `epochs` epochs under `config` and returns the time they
+    /// took: each search epoch is one call with `epochs = 1`, and the reuse
+    /// phase is one call with the remaining epochs (mirroring the `ep`
+    /// variable of the paper's Listing 3).
     ///
     /// With `Some(telemetry)`, one `tuner_trial` event per search epoch is
     /// emitted (candidate config, observed epoch time, incumbent best, GP
@@ -74,7 +78,7 @@ impl<S: Searcher> OnlineAutoTuner<S> {
     pub fn run(
         self,
         total_epochs: usize,
-        objective: impl FnMut(Config) -> f64,
+        objective: impl FnMut(Config, usize) -> f64,
         telemetry: Option<&Telemetry>,
     ) -> TuningReport {
         match telemetry {
@@ -86,7 +90,7 @@ impl<S: Searcher> OnlineAutoTuner<S> {
     fn run_impl(
         mut self,
         total_epochs: usize,
-        mut objective: impl FnMut(Config) -> f64,
+        mut objective: impl FnMut(Config, usize) -> f64,
         telemetry: &Telemetry,
     ) -> TuningReport {
         assert!(total_epochs >= self.num_searches);
@@ -108,7 +112,7 @@ impl<S: Searcher> OnlineAutoTuner<S> {
                 config,
                 reason: "search".to_string(),
             });
-            let epoch_time = objective(config);
+            let epoch_time = objective(config, 1);
             total_time += epoch_time;
             let t1 = Instant::now();
             self.searcher.observe(config, epoch_time);
@@ -134,14 +138,13 @@ impl<S: Searcher> OnlineAutoTuner<S> {
         }
         let (config_opt, best_epoch_time) =
             self.searcher.best().expect("num_searches >= 1 observation");
-        if self.num_searches < total_epochs {
+        let remaining = total_epochs - self.num_searches;
+        if remaining > 0 {
             telemetry.logger.log(RunEvent::ConfigApplied {
                 config: config_opt,
                 reason: "reuse".to_string(),
             });
-        }
-        for _ in self.num_searches..total_epochs {
-            total_time += objective(config_opt);
+            total_time += objective(config_opt, remaining);
         }
         TuningReport {
             config_opt,
@@ -159,11 +162,15 @@ mod tests {
     use crate::bayesopt::BayesOpt;
     use crate::space::SearchSpace;
 
-    fn objective(c: Config) -> f64 {
+    fn per_epoch(c: Config) -> f64 {
         let p = c.n_proc as f64;
         let s = c.n_samp as f64;
         let t = c.n_train as f64;
         1.0 + 0.1 * (p - 5.0).powi(2) + 0.2 * (s - 2.0).powi(2) + 0.03 * (t - 6.0).powi(2)
+    }
+
+    fn objective(c: Config, epochs: usize) -> f64 {
+        per_epoch(c) * epochs as f64
     }
 
     fn tuner(seed: u64, n: usize) -> OnlineAutoTuner<BayesOpt> {
@@ -177,9 +184,9 @@ mod tests {
         // Total = search epochs at their own cost + 180 reuse epochs at the
         // best cost.
         let search_sum: f64 = report.history.iter().map(|(_, v)| v).sum();
-        let expect = search_sum + 180.0 * objective(report.config_opt);
+        let expect = search_sum + 180.0 * per_epoch(report.config_opt);
         assert!((report.total_time - expect).abs() < 1e-9);
-        assert!((report.best_epoch_time - objective(report.config_opt)).abs() < 1e-12);
+        assert!((report.best_epoch_time - per_epoch(report.config_opt)).abs() < 1e-12);
     }
 
     #[test]

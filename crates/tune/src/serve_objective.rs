@@ -138,10 +138,11 @@ impl<F: Fn(Config, usize) -> f64> ServeObjective<F> {
         l[rank - 1]
     }
 
-    /// Adapts the objective to the `FnMut(Config) -> f64` shape
-    /// [`crate::OnlineAutoTuner::run`] consumes.
-    pub fn into_objective(self) -> impl FnMut(Config) -> f64 {
-        move |config| self.tail_latency(config)
+    /// Adapts the objective to the `FnMut(Config, epochs) -> f64` shape
+    /// [`crate::OnlineAutoTuner::run`] consumes: `epochs` windows of the
+    /// (deterministic) workload cost `epochs` times one window's tail.
+    pub fn into_objective(self) -> impl FnMut(Config, usize) -> f64 {
+        move |config, epochs| self.tail_latency(config) * epochs as f64
     }
 }
 

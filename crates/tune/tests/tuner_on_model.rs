@@ -51,7 +51,7 @@ fn bayesopt_reaches_90_percent_of_optimal_with_paper_budget() {
         for seed in 0..runs {
             let space = SearchSpace::for_cores(platform.total_cores);
             let tuner = OnlineAutoTuner::new(BayesOpt::new(space, seed), budget);
-            let report = tuner.run(budget, |c| m.epoch_time(c), None);
+            let report = tuner.run(budget, |c, e| m.epoch_time(c) * e as f64, None);
             if opt / report.best_epoch_time >= 0.9 {
                 wins += 1;
             }
@@ -104,7 +104,7 @@ fn tuner_overhead_is_negligible() {
     let m = model(ICE_LAKE_8380H, SamplerKind::Neighbor, ModelKind::Sage);
     let space = SearchSpace::for_cores(112);
     let tuner = OnlineAutoTuner::new(BayesOpt::new(space, 0), 35);
-    let report = tuner.run(200, |c| m.epoch_time(c), None);
+    let report = tuner.run(200, |c, e| m.epoch_time(c) * e as f64, None);
     assert!(
         report.tuner_overhead < 0.01 * report.total_time,
         "overhead {} vs total {}",
@@ -131,7 +131,7 @@ fn tuned_200_epochs_beat_default_200_epochs() {
         });
         let budget = paper_num_searches(112, matches!(sampler, SamplerKind::Shadow));
         let tuner = OnlineAutoTuner::new(BayesOpt::new(SearchSpace::for_cores(112), 1), budget);
-        let report = tuner.run(200, |c| m.epoch_time(c), None);
+        let report = tuner.run(200, |c, e| m.epoch_time(c) * e as f64, None);
         let default_total = 200.0 * m.epoch_time(m.default_config());
         assert!(
             report.total_time < default_total,

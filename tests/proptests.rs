@@ -360,7 +360,6 @@ proptest! {
                 .batch_size(batch_size)
                 .epoch_seeds(SeedSequence::new(seed))
                 .n_samp(n_samp)
-                .prefetch(2)
                 .start()
                 .map(|(_, b)| b.batch.input_nodes().to_vec())
                 .collect()
