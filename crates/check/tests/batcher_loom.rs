@@ -2,14 +2,15 @@
 //! driven by the mini-loom in `argo_check::schedule`.
 //!
 //! The batcher itself is a single-driver state machine, but the *session*
-//! around it interleaves three operations whose relative order the wall
-//! clock decides at runtime: admissions, deadline polls, and the shutdown
-//! drain. Each test models two logical drivers as step lists, enumerates
-//! every interleaving under a [`ManualClock`], and asserts the invariants
-//! the serving path relies on — no request lost, duplicated or reordered;
-//! `Full` flushes carry exactly `max_batch`; `Deadline` flushes only once
-//! the *oldest* admit has aged out. A failure names the exact schedule
-//! (e.g. `ABBAB`) that broke it.
+//! around it interleaves four operations whose relative order the wall
+//! clock decides at runtime: admissions, result-cache hits answered at
+//! admission, deadline polls, and the shutdown drain. Each test models two
+//! logical drivers as step lists, enumerates every interleaving under a
+//! [`ManualClock`], and asserts the invariants the serving path relies on —
+//! request ids dense across hits and queued requests; no queued request
+//! lost, duplicated or reordered; `Full` flushes carry exactly `max_batch`;
+//! `Deadline` flushes only once the *oldest* admit has aged out. A failure
+//! names the exact schedule (e.g. `ABBAB`) that broke it.
 
 use std::sync::Arc;
 
@@ -17,12 +18,14 @@ use argo_check::schedule::{all_interleavings, explore};
 use argo_serve::{Clock, FlushReason, ManualClock, MicroBatch, MicroBatcher};
 
 /// Shared state for one explored schedule: the batcher, its manual clock,
-/// and every batch flushed so far (by either driver).
+/// every batch flushed so far (by either driver), and the ids handed out to
+/// queued requests and to hits, each in the order they were handed out.
 struct Harness {
     clock: Arc<ManualClock>,
     batcher: MicroBatcher,
     batches: Vec<MicroBatch>,
-    admitted: u64,
+    queued: Vec<u64>,
+    hits: Vec<u64>,
 }
 
 impl Harness {
@@ -31,15 +34,32 @@ impl Harness {
             clock: Arc::new(ManualClock::new()),
             batcher: MicroBatcher::new(max_batch, deadline_us, 64),
             batches: Vec::new(),
-            admitted: 0,
+            queued: Vec::new(),
+            hits: Vec::new(),
         }
     }
 
     fn admit(&mut self) {
         let now = self.clock.now_us();
-        let (_, batch) = self.batcher.admit(vec![1], now).expect("under cap");
-        self.admitted += 1;
+        let (id, batch) = self.batcher.admit(vec![1], now).expect("under cap");
+        self.queued.push(id);
         self.batches.extend(batch);
+    }
+
+    /// A request answered at admission: it must leave the queue untouched.
+    fn hit(&mut self) {
+        let pending = self.batcher.pending();
+        let due = self.batcher.next_deadline_us();
+        let batch = self.batcher.admit_hit(vec![2], self.clock.now_us());
+        assert_eq!(batch.reason, FlushReason::Hit);
+        assert_eq!(batch.requests.len(), 1, "a hit is a one-request batch");
+        assert_eq!(
+            (self.batcher.pending(), self.batcher.next_deadline_us()),
+            (pending, due),
+            "a hit takes no slot and moves no deadline"
+        );
+        self.hits.push(batch.requests[0].id);
+        self.batches.push(batch);
     }
 
     fn poll(&mut self) {
@@ -77,27 +97,45 @@ impl Harness {
                         b.flushed_us
                     );
                 }
+                FlushReason::Hit => assert_eq!(
+                    b.requests[0].admitted_us, b.flushed_us,
+                    "a hit never waits [{schedule}]"
+                ),
                 _ => {}
             }
         }
+        // Request ids are dense across both kinds: every id 0..n handed out
+        // exactly once, to a queued request or to a hit.
+        let mut all: Vec<u64> = self.queued.iter().chain(&self.hits).copied().collect();
+        all.sort_unstable();
+        let dense: Vec<u64> = (0..all.len() as u64).collect();
+        assert_eq!(
+            all, dense,
+            "request ids dense, no gap or duplicate [{schedule}]"
+        );
         // Conservation + FIFO: the queue flushes from the front, so the
-        // concatenated flushed ids must be exactly 0..k in order, with the
-        // remaining admitted - k requests still pending.
-        let ids: Vec<u64> = self
+        // concatenated queued ids flushed so far must be exactly the first k
+        // admitted, in order, with the rest still pending.
+        let (hit_batches, queue_batches): (Vec<&MicroBatch>, Vec<&MicroBatch>) = self
             .batches
+            .iter()
+            .partition(|b| b.reason == FlushReason::Hit);
+        let flushed: Vec<u64> = queue_batches
             .iter()
             .flat_map(|b| b.requests.iter().map(|r| r.id))
             .collect();
-        let expect: Vec<u64> = (0..ids.len() as u64).collect();
         assert_eq!(
-            ids, expect,
-            "no request lost, duplicated or reordered [{schedule}]"
+            self.queued.get(..flushed.len()),
+            Some(flushed.as_slice()),
+            "no queued request lost, duplicated or reordered [{schedule}]"
         );
         assert_eq!(
-            ids.len() + self.batcher.pending(),
-            self.admitted as usize,
+            flushed.len() + self.batcher.pending(),
+            self.queued.len(),
             "flushed + pending accounts for every admit [{schedule}]"
         );
+        let answered: Vec<u64> = hit_batches.iter().map(|b| b.requests[0].id).collect();
+        assert_eq!(answered, self.hits, "every hit answered once [{schedule}]");
     }
 }
 
@@ -189,6 +227,48 @@ fn deadline_is_keyed_to_the_oldest_admit_in_every_interleaving() {
             h.check(max_batch, deadline_us, schedule);
         },
     );
+}
+
+/// Hits answered at admission racing queued admits, polls and the drain:
+/// driver A alternates admits and hits (max_batch 2, so some admits flush
+/// `Full`) then drains; driver B ages the queue past its deadline and polls,
+/// answers a hit of its own, and polls again. In every interleaving the ids
+/// are dense across both kinds, batch ids stay sequential, and the queued
+/// requests still flush FIFO around the hits.
+#[test]
+fn hits_keep_ids_dense_and_the_queue_fifo_in_every_interleaving() {
+    let (max_batch, deadline_us) = (2, 1_000);
+    let n = explore(
+        6,
+        3,
+        || Harness::new(max_batch, deadline_us),
+        |h, i| {
+            match i {
+                5 => h.drain(),
+                _ if i % 2 == 0 => h.admit(),
+                _ => h.hit(),
+            }
+            h.clock.advance_us(10);
+        },
+        |h, i| {
+            if i == 1 {
+                h.hit();
+            } else {
+                h.clock.advance_us(deadline_us);
+                h.poll();
+            }
+        },
+        |h, schedule| {
+            assert_eq!(
+                h.batcher.pending(),
+                0,
+                "drain left the queue empty [{schedule}]"
+            );
+            assert_eq!((h.queued.len(), h.hits.len()), (3, 3));
+            h.check(max_batch, deadline_us, schedule);
+        },
+    );
+    assert_eq!(n, all_interleavings(6, 3).len());
 }
 
 /// Drain racing admissions: driver B drains mid-stream (session shutdown

@@ -350,13 +350,19 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         if !batches.is_empty() {
             let exec: Vec<f64> = batches.iter().map(|b| b.exec_seconds).collect();
             let total_reqs: u64 = batches.iter().map(|b| b.requests).sum();
-            let full = batches.iter().filter(|b| b.flush == "full").count();
-            let deadline = batches.iter().filter(|b| b.flush == "deadline").count();
-            let drain = batches.len() - full - deadline;
+            // One count per `FlushReason` label; a hit is a one-request batch
+            // answered at admission.
+            let flushes: Vec<String> = ["full", "deadline", "drain", "hit"]
+                .iter()
+                .map(|&label| {
+                    let n = batches.iter().filter(|b| b.flush == label).count();
+                    format!("{n} {label}")
+                })
+                .collect();
             out.push_str(&format!(
-                "  batches: mean size {:.1}, flushes {full} full / {deadline} deadline / \
-                 {drain} drain\n",
+                "  batches: mean size {:.1}, flushes {}\n",
                 total_reqs as f64 / batches.len() as f64,
+                flushes.join(" / "),
             ));
             if let Some(p) = percentiles(&exec) {
                 out.push_str(&format!(
@@ -818,7 +824,7 @@ mod tests {
                 RunEvent::ServeRequest {
                     record: ServeRequestRecord {
                         request: i,
-                        batch: i / 2,
+                        batch: i.saturating_sub(1),
                         seeds: 1,
                         queue_seconds: 0.001 * (i + 1) as f64,
                         latency_seconds: 0.002 * (i + 1) as f64,
@@ -829,13 +835,14 @@ mod tests {
                 Source::Measured,
             ));
         }
-        for b in 0..2u64 {
+        // Requests 0-1 flush full, 2 at its deadline, 3 is a hit.
+        for (b, requests, flush) in [(0u64, 2u64, "full"), (1, 1, "deadline"), (2, 1, "hit")] {
             events.push((
                 RunEvent::ServeBatch {
                     record: ServeBatchRecord {
                         batch: b,
-                        requests: 2,
-                        flush: if b == 0 { "full" } else { "deadline" }.to_string(),
+                        requests,
+                        flush: flush.to_string(),
                         exec_seconds: 0.0005,
                     },
                 },
@@ -845,7 +852,7 @@ mod tests {
         }
         let with = render_report(&events, None);
         assert!(
-            with.contains("serving (4 requests, 2 micro-batches):"),
+            with.contains("serving (4 requests, 3 micro-batches):"),
             "{with}"
         );
         assert!(with.contains("p99"), "{with}");
@@ -853,8 +860,11 @@ mod tests {
             with.contains("result cache: 2 hits / 4 requests (50.0%)"),
             "{with}"
         );
-        assert!(with.contains("mean size 2.0"), "{with}");
-        assert!(with.contains("1 full / 1 deadline / 0 drain"), "{with}");
+        assert!(with.contains("mean size 1.3"), "{with}");
+        assert!(
+            with.contains("flushes 1 full / 1 deadline / 0 drain / 1 hit"),
+            "{with}"
+        );
         assert!(with.contains("serve_queue"), "{with}");
         assert!(with.contains("serve_exec"), "{with}");
         // p99 of 4 samples (nearest rank) is the max: 8ms.

@@ -178,8 +178,10 @@ pub struct ServeBatchRecord {
     pub batch: u64,
     /// Requests flushed together in this micro-batch.
     pub requests: u64,
-    /// Why the batcher flushed: `"full"` (hit `max_batch`) or
-    /// `"deadline"` (oldest admit aged past `deadline_us`).
+    /// Why the batch left the batcher: `"full"` (reached `max_batch`),
+    /// `"deadline"` (oldest admit aged past `deadline_us`), `"drain"`
+    /// (session shutdown) or `"hit"` (one result-cache hit answered at
+    /// admission, never queued).
     pub flush: String,
     /// Seconds spent executing the batch (sample + gather + forward).
     pub exec_seconds: f64,

@@ -6,9 +6,12 @@
 //! (flush reason [`FlushReason::Full`]) or the *oldest* pending admit has
 //! aged past `deadline_us` (reason [`FlushReason::Deadline`]) — whichever
 //! comes first, bounding both batch occupancy and worst-case queueing
-//! delay. All decisions are pure functions of caller-supplied microsecond
-//! timestamps (see [`crate::clock::Clock`]), so every admission edge is
-//! deterministic and unit-tested below.
+//! delay. A request that is already answered when it arrives — a
+//! result-cache hit — does not queue at all: [`MicroBatcher::admit_hit`]
+//! gives it the next request and batch ids and returns it as a one-request
+//! batch ([`FlushReason::Hit`]). All decisions are pure functions of
+//! caller-supplied microsecond timestamps (see [`crate::clock::Clock`]), so
+//! every admission edge is deterministic and unit-tested below.
 
 use std::collections::VecDeque;
 
@@ -16,7 +19,7 @@ use argo_core::Error;
 use argo_graph::NodeId;
 use argo_rt::racecheck;
 
-/// Why a micro-batch left the queue.
+/// Why a micro-batch left the batcher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushReason {
     /// `max_batch` requests were pending.
@@ -25,6 +28,8 @@ pub enum FlushReason {
     Deadline,
     /// The caller drained the queue (session shutdown).
     Drain,
+    /// The request was answered at admission and never queued.
+    Hit,
 }
 
 impl FlushReason {
@@ -34,6 +39,7 @@ impl FlushReason {
             FlushReason::Full => "full",
             FlushReason::Deadline => "deadline",
             FlushReason::Drain => "drain",
+            FlushReason::Hit => "hit",
         }
     }
 }
@@ -141,6 +147,30 @@ impl MicroBatcher {
             None
         };
         Ok((id, batch))
+    }
+
+    /// Admits a request the caller has already answered (a result-cache
+    /// hit) at clock reading `now_us`. It takes the next request id and the
+    /// next batch id, so both stay dense and in admission order across hits
+    /// and queued requests, but it never enters the queue: it takes no slot,
+    /// so `queue_cap` does not apply, and it waits for nothing. Returns it
+    /// as a one-request batch flushed at `now_us` with reason
+    /// [`FlushReason::Hit`].
+    pub fn admit_hit(&mut self, seeds: Vec<NodeId>, now_us: u64) -> MicroBatch {
+        let id = self.next_request;
+        self.next_request += 1;
+        let batch = self.next_batch;
+        self.next_batch += 1;
+        MicroBatch {
+            id: batch,
+            reason: FlushReason::Hit,
+            flushed_us: now_us,
+            requests: vec![Admitted {
+                id,
+                seeds,
+                admitted_us: now_us,
+            }],
+        }
     }
 
     /// Flushes the queue if the oldest pending request's deadline has
@@ -265,6 +295,26 @@ mod tests {
         // Draining makes room again.
         assert!(b.flush(5, FlushReason::Drain).is_some());
         assert!(b.admit(seeds(1), 6).is_ok());
+    }
+
+    #[test]
+    fn a_hit_takes_the_next_ids_but_no_queue_slot() {
+        let mut b = MicroBatcher::new(2, 1_000, 1);
+        assert_eq!(b.admit(seeds(1), 0).unwrap().0, 0);
+        // The queue is at cap, but a hit takes no slot.
+        let hit = b.admit_hit(seeds(2), 10);
+        assert_eq!(
+            (hit.id, hit.reason, hit.flushed_us),
+            (0, FlushReason::Hit, 10)
+        );
+        assert_eq!(hit.requests.len(), 1);
+        assert_eq!((hit.requests[0].id, hit.requests[0].admitted_us), (1, 10));
+        assert_eq!(b.pending(), 1);
+        assert_eq!(b.next_deadline_us(), Some(1_000), "a hit moves no deadline");
+        // The queued request flushes next, in the next batch.
+        let queued = b.poll(1_000).expect("deadline reached");
+        assert_eq!((queued.id, queued.requests[0].id), (1, 0));
+        assert_eq!(b.admit(seeds(1), 1_000).unwrap().0, 2);
     }
 
     #[test]

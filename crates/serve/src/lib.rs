@@ -10,9 +10,10 @@
 //!
 //! * [`MicroBatcher`] — deadline-driven admission: requests queue until
 //!   either `max_batch` are pending or the oldest has aged `deadline_us`,
-//!   bounding both batch occupancy and worst-case queueing delay. All
-//!   decisions are pure functions of [`Clock`] readings, so admission edges
-//!   are deterministic and unit-testable via [`ManualClock`].
+//!   bounding both batch occupancy and worst-case queueing delay. A
+//!   result-cache hit skips the queue: the session answers it at admission.
+//!   All decisions are pure functions of [`Clock`] readings, so admission
+//!   edges are deterministic and unit-testable via [`ManualClock`].
 //! * [`ResultCache`] — a layered response cache keyed by
 //!   `(seed list, config epoch)`. The counter-based sampler makes every
 //!   response a pure function of that key, so a cached response is

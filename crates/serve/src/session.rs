@@ -12,9 +12,18 @@
 //! what every request samples. Keeping each request a pure function of
 //! `(its own seed list, config epoch)` is what makes the layered
 //! [`ResultCache`](crate::result_cache::ResultCache) sound — a cached
-//! response is bitwise identical to re-executing the query. The micro-batch
-//! instead amortizes everything around the math: one clock read, one
-//! scratch arena, one telemetry flush.
+//! response is bitwise identical to re-executing the query. What a
+//! micro-batch amortizes is the flush: one poll, one `serve_exec` span and
+//! one `serve_batch` event cover up to `max_batch` requests. Clock reads and
+//! the `serve_request` event are per request; the sampler scratch and the
+//! input buffer are per session.
+//!
+//! Because a cached response *is* the response, a result-cache hit is
+//! answered inside [`ServeSession::submit`] and never enters the batcher: it
+//! comes back as a one-request batch with [`FlushReason::Hit`] and zero
+//! queue time. The key is looked up once per request, at admission; a
+//! request that missed there queues, and its batch computes and inserts
+//! without looking again.
 //!
 //! All timing flows through the [`Clock`](crate::clock::Clock) abstraction;
 //! this file never reads the wall clock directly, so every admission and
@@ -66,8 +75,9 @@ pub struct ServeResponse {
 pub struct Submitted {
     /// Id of the request just admitted.
     pub request: u64,
-    /// Responses (or per-request failures) from an immediate flush; empty
-    /// when the request merely queued.
+    /// The request's own response when it was a result-cache hit, or the
+    /// responses (or per-request failures) of a flush this admission
+    /// triggered; empty when the request merely queued.
     pub completed: Vec<Result<ServeResponse, Error>>,
 }
 
@@ -311,10 +321,21 @@ impl ServeSession {
         }
     }
 
-    /// Submits one query. Validates the seeds, admits the request, and — if
-    /// the admission filled the batch or the deadline is zero — executes the
-    /// flushed micro-batch inline, returning its responses in
-    /// [`Submitted::completed`].
+    /// Submits one query. Validates the seeds, then:
+    ///
+    /// * a result-cache hit under the current config epoch is answered
+    ///   inside this call, as a one-request batch ([`FlushReason::Hit`],
+    ///   `queue_seconds == 0`) that takes the next request id. It never
+    ///   enters the queue, so it is answered even when the queue is at
+    ///   `queue_cap`, and it is never shed. It can overtake an earlier
+    ///   queued request: match responses by [`ServeResponse::request`].
+    /// * anything else is admitted to the micro-batcher, and — if the
+    ///   admission filled the batch or the deadline is zero — the flushed
+    ///   micro-batch executes inline. A queued request computes its response
+    ///   when its batch runs, even if an identical request queued in the
+    ///   same window; the two responses are bitwise equal.
+    ///
+    /// Either way the responses come back in [`Submitted::completed`].
     ///
     /// Outer errors reject the *admission*: [`Error::InvalidArgument`] for
     /// an empty seed list, [`Error::UnknownSeedNode`] for out-of-graph ids,
@@ -340,9 +361,19 @@ impl ServeSession {
             }
         }
         let now = self.clock.now_us();
+        let hit = self
+            .result_cache
+            .as_mut()
+            .and_then(|c| c.get(&seeds, self.config_epoch));
+        if let Some(logits) = hit {
+            let batch = self.batcher.admit_hit(seeds, now);
+            let request = batch.requests[0].id;
+            let completed = self.execute_batch(batch, Some(logits), telemetry);
+            return Ok(Submitted { request, completed });
+        }
         let (request, flushed) = self.batcher.admit(seeds, now)?;
         let completed = match flushed {
-            Some(batch) => self.execute_batch(batch, telemetry),
+            Some(batch) => self.execute_batch(batch, None, telemetry),
             None => Vec::new(),
         };
         Ok(Submitted { request, completed })
@@ -353,7 +384,7 @@ impl ServeSession {
     pub fn poll(&mut self, telemetry: Option<&Telemetry>) -> Vec<Result<ServeResponse, Error>> {
         let now = self.clock.now_us();
         match self.batcher.poll(now) {
-            Some(batch) => self.execute_batch(batch, telemetry),
+            Some(batch) => self.execute_batch(batch, None, telemetry),
             None => Vec::new(),
         }
     }
@@ -364,7 +395,7 @@ impl ServeSession {
         loop {
             let now = self.clock.now_us();
             match self.batcher.flush(now, FlushReason::Drain) {
-                Some(batch) => out.extend(self.execute_batch(batch, telemetry)),
+                Some(batch) => out.extend(self.execute_batch(batch, None, telemetry)),
                 None => {
                     // Session teardown is the serving analogue of epoch end:
                     // publish runtime-checker verdicts so a race found while
@@ -442,9 +473,12 @@ impl ServeSession {
         self.profiler.drain()
     }
 
+    /// Answers every request of `batch`. `hit` is the cached response of a
+    /// one-request [`FlushReason::Hit`] batch; every other request computes.
     fn execute_batch(
         &mut self,
         batch: MicroBatch,
+        mut hit: Option<Arc<Matrix>>,
         telemetry: Option<&Telemetry>,
     ) -> Vec<Result<ServeResponse, Error>> {
         // The one switch, as in the engine: no (or a disabled) handle means
@@ -453,7 +487,8 @@ impl ServeSession {
         let exec_start_us = batch.flushed_us;
         let mut out = Vec::with_capacity(batch.requests.len());
         for req in &batch.requests {
-            out.push(self.execute_request(req, batch.id, batch.flushed_us, telemetry));
+            let cached = hit.take();
+            out.push(self.execute_request(req, batch.id, batch.flushed_us, cached, telemetry));
         }
         let exec_end_us = self.clock.now_us().max(exec_start_us);
         let exec_seconds = (exec_end_us - exec_start_us) as f64 / US_PER_SEC;
@@ -484,6 +519,7 @@ impl ServeSession {
         req: &Admitted,
         batch_id: u64,
         flushed_us: u64,
+        cached: Option<Arc<Matrix>>,
         telemetry: Option<&Telemetry>,
     ) -> Result<ServeResponse, Error> {
         let queue_us = flushed_us.saturating_sub(req.admitted_us);
@@ -503,15 +539,12 @@ impl ServeSession {
                 )));
             }
         }
-        let mut cache_hit = true;
-        let logits = match self
-            .result_cache
-            .as_mut()
-            .and_then(|c| c.get(&req.seeds, self.config_epoch))
-        {
+        // A queued request already missed the cache at admission; looking
+        // again would count it twice.
+        let cache_hit = cached.is_some();
+        let logits = match cached {
             Some(cached) => cached,
             None => {
-                cache_hit = false;
                 let computed = Arc::new(self.run_query(&req.seeds));
                 if let Some(c) = self.result_cache.as_mut() {
                     c.insert(req.seeds.clone(), self.config_epoch, Arc::clone(&computed));

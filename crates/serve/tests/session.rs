@@ -10,7 +10,7 @@ use argo_nn::{AnyModel, Arch};
 use argo_rt::telemetry::names;
 use argo_rt::{RunEvent, SpanKind, Telemetry};
 use argo_sample::{NeighborSampler, Normalization, Sampler};
-use argo_serve::{FlushReason, ManualClock, ServeSession, ServeSpec};
+use argo_serve::{FlushReason, ManualClock, ServeSession, ServeSpec, ServeSpecBuilder};
 use proptest::prelude::*;
 
 fn tiny() -> Arc<Dataset> {
@@ -27,14 +27,38 @@ fn model(d: &Dataset) -> AnyModel {
 
 /// A session with a manual clock, immediate flushing and both caches on.
 fn session(d: &Arc<Dataset>, clock: &Arc<ManualClock>) -> ServeSession {
+    cached(d, clock, 0).start()
+}
+
+/// A builder with a manual clock, the given deadline and both caches on.
+fn cached(d: &Arc<Dataset>, clock: &Arc<ManualClock>, deadline_us: u64) -> ServeSpecBuilder {
     ServeSpec::builder(Arc::clone(d), neighbor(), model(d))
-        .deadline_us(0)
+        .deadline_us(deadline_us)
         .result_cache_entries(32)
         .feature_cache_rows(256)
         .normalization(Normalization::Mean)
         .seed(11)
         .clock(Arc::clone(clock) as Arc<dyn argo_serve::Clock>)
-        .start()
+}
+
+/// Computes `seeds` once outside any telemetry, so the next identical
+/// submit is a result-cache hit.
+fn warm(s: &mut ServeSession, seeds: &[NodeId]) {
+    s.submit(seeds.to_vec(), None).unwrap();
+    for r in s.drain(None) {
+        assert!(!r.unwrap().cache_hit);
+    }
+}
+
+fn flush_labels(tel: &Telemetry) -> Vec<String> {
+    tel.logger
+        .events()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            RunEvent::ServeBatch { record } => Some(record.flush.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -167,6 +191,71 @@ fn poll_flushes_at_the_deadline_and_drain_reports_drain_reason() {
         .collect();
     assert_eq!(reasons, vec!["deadline".to_string(), "drain".to_string()]);
     assert_eq!(FlushReason::Drain.label(), "drain");
+}
+
+#[test]
+fn a_result_cache_hit_is_answered_at_admission_past_a_queued_miss() {
+    let d = tiny();
+    let clock = Arc::new(ManualClock::new());
+    let tel = Telemetry::new();
+    let mut s = cached(&d, &clock, 1_000).max_batch(8).start();
+    warm(&mut s, &[1, 2]);
+
+    let a = s.submit(vec![3], Some(&tel)).unwrap();
+    assert!(a.completed.is_empty(), "a miss waits for its batch");
+    clock.advance_us(10);
+    let b = s.submit(vec![1, 2], Some(&tel)).unwrap();
+    assert_eq!(b.request, a.request + 1, "ids stay dense across hits");
+    assert_eq!(b.completed.len(), 1, "the hit is answered inside submit");
+    let hit = b.completed[0].as_ref().unwrap();
+    assert_eq!(hit.request, b.request);
+    assert!(hit.cache_hit);
+    assert_eq!(hit.queue_seconds, 0.0);
+    assert_eq!(s.pending(), 1, "only the miss is queued");
+
+    clock.advance_us(990);
+    let served = s.poll(Some(&tel));
+    assert_eq!(served.len(), 1, "the miss flushes at its own deadline");
+    let miss = served[0].as_ref().unwrap();
+    assert_eq!(miss.request, a.request);
+    assert!(!miss.cache_hit);
+    assert_eq!(s.pending(), 0);
+    assert_eq!(flush_labels(&tel), vec!["hit", "deadline"]);
+}
+
+#[test]
+fn a_hit_is_answered_at_queue_cap_where_a_miss_is_refused() {
+    let d = tiny();
+    let clock = Arc::new(ManualClock::new());
+    let mut s = cached(&d, &clock, 1_000).queue_cap(1).start();
+    warm(&mut s, &[1, 2]);
+
+    s.submit(vec![3], None).unwrap();
+    match s.submit(vec![4], None) {
+        Err(Error::QueueFull(_)) => {}
+        other => panic!("expected QueueFull, got {other:?}"),
+    }
+    let hit = s.submit(vec![1, 2], None).unwrap();
+    assert!(hit.completed[0].as_ref().unwrap().cache_hit);
+    assert_eq!(s.pending(), 1);
+}
+
+#[test]
+fn a_hit_is_never_shed() {
+    let d = tiny();
+    let clock = Arc::new(ManualClock::new());
+    let mut s = cached(&d, &clock, 1_000).shed_after_us(0).start();
+    warm(&mut s, &[1, 2]);
+
+    s.submit(vec![3], None).unwrap();
+    let hit = s.submit(vec![1, 2], None).unwrap();
+    assert!(hit.completed[0].as_ref().unwrap().cache_hit);
+    // The queued miss waits its deadline, which is past the shed limit.
+    clock.advance_us(1_000);
+    match s.poll(None).as_slice() {
+        [Err(Error::DeadlineExceeded(_))] => {}
+        other => panic!("expected one shed miss, got {other:?}"),
+    }
 }
 
 #[test]
@@ -355,23 +444,33 @@ proptest! {
 
     /// The load-bearing property of the layered cache: a response served
     /// from the result cache is bitwise identical to executing the same
-    /// query on a session with no caches at all.
+    /// query on a session with no caches at all. Under a non-zero deadline
+    /// the miss waits for its batch and the hit is answered at admission.
     #[test]
     fn cached_responses_match_uncached_execution_bitwise(
         raw in prop::collection::vec(0u32..64, 1..6),
+        windowed in 0u64..2,
     ) {
+        let deadline_us = windowed * 1_000;
         let d = tiny();
         let seeds: Vec<NodeId> =
             raw.iter().map(|&v| v % d.graph.num_nodes() as u32).collect();
 
         let clock = Arc::new(ManualClock::new());
-        let mut cached = session(&d, &clock);
-        let first = cached.submit(seeds.clone(), None).unwrap();
-        let miss = first.completed[0].as_ref().unwrap().clone();
+        let mut cached = cached(&d, &clock, deadline_us).start();
+        let mut first = cached.submit(seeds.clone(), None).unwrap().completed;
+        if deadline_us > 0 {
+            prop_assert!(first.is_empty());
+            clock.advance_us(deadline_us);
+            first = cached.poll(None);
+        }
+        let miss = first[0].as_ref().unwrap().clone();
         prop_assert!(!miss.cache_hit);
         let second = cached.submit(seeds.clone(), None).unwrap();
         let hit = second.completed[0].as_ref().unwrap().clone();
         prop_assert!(hit.cache_hit);
+        prop_assert_eq!(hit.queue_seconds, 0.0);
+        prop_assert_eq!(cached.pending(), 0);
 
         let bare_clock = Arc::new(ManualClock::new());
         let mut bare = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
