@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (-D clippy::too_many_arguments)"
 cargo clippy --workspace --all-targets -- -D clippy::too_many_arguments
 
+echo "==> cargo doc (-D warnings: no dangling or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, sampler-scratch, feature-gather)"
 cargo run -q -p argo-check --bin argo-lint
 

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use argo_graph::features::Features;
 use argo_graph::generators::power_law;
-use argo_nn::{Gnn, GnnKind};
+use argo_nn::{Arch, Gnn};
 use argo_rt::json::Json;
 use argo_rt::{SeedSequence, ThreadPool};
 use argo_sample::batch::Normalization;
@@ -429,7 +429,7 @@ fn main() {
     let step_rows = if quick { 1024 } else { 4096 };
     let (batch, input, labels, dim) = train_fixture(step_rows);
     let step_samples = if quick { 2 } else { 3 };
-    let mut model = Gnn::new(GnnKind::Sage, dim, 32, 8, 2, 1);
+    let mut model = Gnn::new(Arch::Sage, dim, 32, 8, 2, 1);
     let serial_step = time_min(step_samples, || {
         model.train_step_gathered(&batch, input.clone(), &labels, None)
     });
@@ -451,14 +451,7 @@ fn main() {
     let ids = shadow.input_nodes();
     let mut shadow_input = Matrix::zeros(ids.len(), flickr.feat_dim());
     flickr.features.gather_into(ids, shadow_input.data_mut());
-    let mut gcn = Gnn::new(
-        GnnKind::Gcn,
-        flickr.feat_dim(),
-        128,
-        flickr.num_classes,
-        3,
-        1,
-    );
+    let mut gcn = Gnn::new(Arch::Gcn, flickr.feat_dim(), 128, flickr.num_classes, 3, 1);
     let shadow_step = time_min(step_samples, || {
         gcn.train_step_gathered(&shadow, &shadow_input, &flickr.labels, None)
     });

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use argo_graph::datasets::FLICKR;
 use argo_graph::NodeId;
-use argo_nn::{AnyModel, Arch};
+use argo_nn::{Arch, Gnn};
 use argo_platform::PerfModel;
 use argo_rt::json::Json;
 use argo_rt::{Config, StreamRng};
@@ -131,7 +131,7 @@ fn main() {
     let scale = if quick { 0.005 } else { 0.02 };
     let dataset = Arc::new(FLICKR.synthesize(scale, 23));
     let arch = Arch::Sage;
-    let net = AnyModel::build(arch, dataset.feat_dim(), 16, dataset.num_classes, 2, 9);
+    let net = Gnn::new(arch, dataset.feat_dim(), 16, dataset.num_classes, 2, 9);
     let sampler = Arc::new(NeighborSampler::new(vec![10, 5]));
     let distinct = 64usize;
     let passes = if quick { 4 } else { 12 };

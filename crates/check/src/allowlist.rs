@@ -95,12 +95,6 @@ pub const ALLOWLIST: &[AllowEntry] = &[
         needle: ".expect(\"spawn sampler\")",
         why: "thread::Builder::spawn fails only on OS thread exhaustion; no meaningful recovery",
     },
-    AllowEntry {
-        rule: "no-panic",
-        path: "crates/tensor/src/sparse.rs",
-        needle: "needs values\")",
-        why: "weighted-matrix kernels require values by API contract; CSR constructor enforces it",
-    },
     // ---- sampler-scratch: serve-path sites that allocate by design. -------
     AllowEntry {
         rule: "sampler-scratch",

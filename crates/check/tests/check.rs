@@ -448,7 +448,7 @@ fn full_training_run_reports_zero_violations_and_zero_races() {
 #[test]
 fn serve_session_run_reports_zero_violations_and_zero_races() {
     use argo_graph::datasets::FLICKR;
-    use argo_nn::{AnyModel, Arch};
+    use argo_nn::{Arch, Gnn};
     use argo_rt::Telemetry;
     use argo_sample::{NeighborSampler, Normalization, Sampler};
     use argo_serve::{ManualClock, ServeSpec};
@@ -456,7 +456,7 @@ fn serve_session_run_reports_zero_violations_and_zero_races() {
     let _guard = serialized();
     let d = Arc::new(FLICKR.synthesize(0.003, 77));
     let sampler: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![6, 3]));
-    let model = AnyModel::build(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5);
+    let model = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5);
     let clock = Arc::new(ManualClock::new());
     let tel = Telemetry::new();
     let mut s = ServeSpec::builder(Arc::clone(&d), sampler, model)

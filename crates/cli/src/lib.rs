@@ -35,7 +35,6 @@ pub fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
             "scale",
             "sampler",
             "model",
-            "heads",
             "epochs",
             "n-search",
             "batch",
@@ -186,7 +185,7 @@ pub fn usage() -> &'static str {
 
 USAGE:
   argo train    [--dataset flickr] [--scale 0.02] [--sampler neighbor|shadow|saint|cluster]
-                [--model sage|gcn|gat] [--heads 2] [--epochs 20] [--n-search 5]
+                [--model sage|gcn] [--epochs 20] [--n-search 5]
                 [--batch 512] [--hidden 64] [--layers 2] [--lr 0.003] [--seed 0]
                 [--cache-rows 0]
                 [--save FILE] [--load FILE]

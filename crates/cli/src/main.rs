@@ -276,9 +276,6 @@ fn train(cli: &Cli) -> Result<(), Error> {
     let arch = match cli.get("model", "sage") {
         "sage" | "graphsage" => Arch::Sage,
         "gcn" => Arch::Gcn,
-        "gat" => Arch::Gat {
-            heads: cli.get_num("heads", 2)?,
-        },
         other => return Err(Error::InvalidArgument(format!("unknown model '{other}'"))),
     };
     let epochs: usize = cli.get_num("epochs", 20)?;
@@ -495,6 +492,23 @@ mod tests {
                 Err(Error::InvalidArgument(_)) => {}
                 other => panic!("{args}: expected InvalidArgument, got {other:?}"),
             }
+        }
+        // GCN and GraphSAGE are the models: `--heads` is no flag of `train`
+        // (the error names the ones it takes) and `gat` no model name.
+        match run(&argv("train --heads 2")) {
+            Err(Error::InvalidArgument(msg)) => {
+                assert!(msg.contains("--heads"), "{msg}");
+                for flag in argo_cli::accepted_flags("train").expect("known subcommand") {
+                    assert!(msg.contains(&format!("--{flag}")), "{msg}");
+                }
+            }
+            other => panic!("--heads: expected InvalidArgument, got {other:?}"),
+        }
+        match run(&argv("train --scale 0.001 --model gat")) {
+            Err(Error::InvalidArgument(msg)) => {
+                assert!(msg.contains("unknown model 'gat'"), "{msg}")
+            }
+            other => panic!("--model gat: expected InvalidArgument, got {other:?}"),
         }
     }
 

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use argo_graph::partition::random_partition;
 use argo_graph::{Dataset, Features, Graph};
-use argo_nn::{AnyModel, AnyOptimizer, Arch, LrSchedule, Optimizer, OptimizerKind};
+use argo_nn::{AnyOptimizer, Arch, Gnn, LrSchedule, Optimizer, OptimizerKind};
 use argo_rt::affinity::CoreSet;
 use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler};
 use argo_rt::telemetry::names;
@@ -180,7 +180,7 @@ struct ProcessResult {
 /// workspace arena stays warm, and the ring of buffers the rank's loader
 /// prepares each batch's input in and its training step hands back.
 struct Replica {
-    model: AnyModel,
+    model: Gnn,
     inputs: InputRing,
 }
 
@@ -289,7 +289,7 @@ impl Engine {
     }
 
     /// Builds a model carrying the current master parameters.
-    pub fn model(&self) -> AnyModel {
+    pub fn model(&self) -> Gnn {
         let mut m = build_model(&self.opts, &self.dataset);
         m.set_params_flat(&self.params);
         m
@@ -563,8 +563,8 @@ impl Engine {
 
 /// The model every replica starts from: deterministic in `opts.seed`, so
 /// replicas (and [`Engine::model`]) differ only in the parameters set on them.
-fn build_model(opts: &EngineOptions, dataset: &Dataset) -> AnyModel {
-    AnyModel::build(
+fn build_model(opts: &EngineOptions, dataset: &Dataset) -> Gnn {
+    Gnn::new(
         opts.kind,
         dataset.feat_dim(),
         opts.hidden,
@@ -672,8 +672,7 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
             ..
         } = loaded;
         let input = input.expect("the loader spec carries the feature table");
-        // The step starts at the first GEMM (GAT: at its attention over the
-        // gathered rows).
+        // The step starts at the first GEMM.
         let stats = ring.timed(SpanKind::Compute, i as u64, || {
             model.train_step_prepared(&batch, &input, &dataset.labels, train_pool.as_ref())
         });
@@ -1095,35 +1094,6 @@ mod tests {
     }
 
     #[test]
-    fn gat_architecture_trains_through_engine() {
-        let mut e = Engine::new(
-            tiny(),
-            neighbor(),
-            EngineOptions {
-                kind: Arch::Gat { heads: 2 },
-                hidden: 16,
-                num_layers: 2,
-                global_batch: 64,
-                lr: 5e-3,
-                seed: 3,
-                total_cores: 8,
-                ..Default::default()
-            },
-        );
-        let first = e.train_epoch(Config::new(2, 1, 1), None);
-        let mut last = first;
-        for _ in 0..4 {
-            last = e.train_epoch(Config::new(2, 1, 1), None);
-        }
-        assert!(
-            last.loss < first.loss,
-            "GAT loss {} !< {}",
-            last.loss,
-            first.loss
-        );
-    }
-
-    #[test]
     fn lr_schedule_decays_across_epochs() {
         use argo_nn::Optimizer;
         let mut o = opts(64);
@@ -1455,9 +1425,9 @@ mod tests {
         // After one warm-up epoch the per-rank state is complete: a second
         // epoch under the same config makes no fresh workspace allocation,
         // no new operand buffer and no new gather buffer — cache off or on,
-        // and for each shape of hand-off: GraphSAGE's aggregation plus self
-        // rows, GCN's aggregation alone, GAT's gathered rows.
-        let sets = [(Arch::Sage, 2), (Arch::Gcn, 1), (Arch::Gat { heads: 2 }, 1)];
+        // and for each hand-off: GraphSAGE's aggregation plus self rows,
+        // GCN's aggregation alone.
+        let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
         for (kind, operands) in sets {
             for cache_rows in [0, 256] {
                 let (d, sampler, mut o) = same_shape_every_epoch();
@@ -1471,15 +1441,9 @@ mod tests {
                 assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
                 assert!(warm.input_bytes > 0, "the operands came back: {who}");
                 assert_eq!(warm.gather_buffers, 1, "one worker: {who}");
-                if let Arch::Gat { .. } = kind {
-                    // No arena, and the gathered rows are themselves the
-                    // hand-off: the private buffer stays empty.
-                    assert_eq!((warm.workspace_allocs, warm.gather_bytes), (0, 0), "{who}");
-                } else {
-                    assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
-                    // The worker parked its private `n_src × F` buffer again.
-                    assert!(warm.gather_bytes > 0, "{who}");
-                }
+                assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
+                // The worker parked its private `n_src × F` buffer again.
+                assert!(warm.gather_bytes > 0, "{who}");
                 e.train_epoch(config, None);
                 // (Parked workspace bytes may shift: a best-fit reuse can leave
                 // a buffer at another capacity. What is pinned is that nothing

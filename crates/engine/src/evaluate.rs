@@ -2,7 +2,7 @@
 //! and `argo train`'s validation report).
 
 use argo_graph::Dataset;
-use argo_nn::{AnyModel, ConfusionMatrix};
+use argo_nn::{ConfusionMatrix, Gnn};
 use argo_rt::SeedSequence;
 use argo_sample::{NeighborSampler, SampleRun, Sampler, SamplerScratch};
 use argo_tensor::Matrix;
@@ -18,7 +18,7 @@ const CHUNK: usize = 256;
 /// chunk is sampled into `scratch` and gathered into one buffer; the batch
 /// is sampled unnormalized, so the model normalizes it itself.
 fn for_each_chunk(
-    model: &AnyModel,
+    model: &Gnn,
     dataset: &Dataset,
     nodes: &[u32],
     scratch: &mut SamplerScratch,
@@ -47,7 +47,7 @@ fn for_each_chunk(
 
 /// Accuracy of `model` on `nodes` (see [`evaluate_confusion`] for the
 /// per-class view of the same pass).
-pub fn evaluate_accuracy(model: &AnyModel, dataset: &Dataset, nodes: &[u32]) -> f64 {
+pub fn evaluate_accuracy(model: &Gnn, dataset: &Dataset, nodes: &[u32]) -> f64 {
     if nodes.is_empty() {
         return 0.0;
     }
@@ -60,7 +60,7 @@ pub fn evaluate_accuracy(model: &AnyModel, dataset: &Dataset, nodes: &[u32]) -> 
 }
 
 /// Confusion matrix of `model` on `nodes`.
-pub fn evaluate_confusion(model: &AnyModel, dataset: &Dataset, nodes: &[u32]) -> ConfusionMatrix {
+pub fn evaluate_confusion(model: &Gnn, dataset: &Dataset, nodes: &[u32]) -> ConfusionMatrix {
     let mut cm = ConfusionMatrix::new(dataset.num_classes);
     let mut scratch = SamplerScratch::new();
     for_each_chunk(model, dataset, nodes, &mut scratch, |labels, logits| {
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn empty_nodes_give_zero() {
         let d = FLICKR.synthesize(0.01, 5);
-        let model = AnyModel::build(Arch::Gcn, d.feat_dim(), 8, d.num_classes, 2, 1);
+        let model = Gnn::new(Arch::Gcn, d.feat_dim(), 8, d.num_classes, 2, 1);
         assert_eq!(evaluate_accuracy(&model, &d, &[]), 0.0);
     }
 
@@ -125,7 +125,7 @@ mod tests {
             (Arch::Sage, 2, 0x3fb9c59579fc9052u64, 0x3fbefeda1dd8f7f7u64),
             (Arch::Gcn, 3, 0x3fd0527844b98e9b, 0x3fd0a54f35f4852a),
         ] {
-            let model = AnyModel::build(arch, d.feat_dim(), 8, d.num_classes, layers, 3);
+            let model = Gnn::new(arch, d.feat_dim(), 8, d.num_classes, layers, 3);
             let got = evaluate_accuracy(&model, &d, &d.val_nodes).to_bits();
             assert_eq!(got, val, "{arch:?} val {got:#018x}");
             let got = evaluate_accuracy(&model, &d, &d.train_nodes).to_bits();
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn confusion_counts_the_same_pass() {
         let d = FLICKR.synthesize(0.01, 6);
-        let model = AnyModel::build(Arch::Gcn, d.feat_dim(), 8, d.num_classes, 3, 3);
+        let model = Gnn::new(Arch::Gcn, d.feat_dim(), 8, d.num_classes, 3, 3);
         let cm = evaluate_confusion(&model, &d, &d.train_nodes);
         assert_eq!(cm.total(), d.train_nodes.len());
         let acc = evaluate_accuracy(&model, &d, &d.train_nodes);
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn every_chunk_after_the_first_reuses_the_one_scratch() {
         let d = FLICKR.synthesize(0.01, 6);
-        let model = AnyModel::build(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 3);
+        let model = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 3);
         let mut scratch = SamplerScratch::new();
         let mut chunks = 0;
         let mut pass = |scratch: &mut SamplerScratch| {
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic() {
         let d = FLICKR.synthesize(0.01, 6);
-        let model = AnyModel::build(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 3);
+        let model = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 3);
         let a = evaluate_accuracy(&model, &d, &d.val_nodes);
         let b = evaluate_accuracy(&model, &d, &d.val_nodes);
         assert_eq!(a, b);

@@ -3,7 +3,7 @@
 //! The graph substrate of the ARGO reproduction:
 //!
 //! * [`Graph`] — compressed-sparse-row adjacency used by samplers and the
-//!   SpMM/SDDMM kernels (the two fundamental GNN kernels, paper Section II-C).
+//!   SpMM aggregation kernel (paper Section II-C).
 //! * [`generators`] — deterministic synthetic graph generators (power-law
 //!   Chung–Lu, Erdős–Rényi, RMAT-like) used to stand in for the OGB datasets,
 //!   which cannot be downloaded in this environment.

@@ -14,19 +14,15 @@
 //! gradient all-reduce.
 
 pub mod arch;
-pub mod gat;
 pub mod metrics;
 pub mod model;
 pub mod optim;
-pub mod quant;
 pub mod schedule;
 
 pub use arch::{AnyModel, Arch};
-pub use gat::Gat;
 pub use metrics::ConfusionMatrix;
-pub use model::{Gnn, GnnKind, StepStats};
+pub use model::{Gnn, StepStats};
 pub use optim::{clip_grad_norm, Adam, AnyOptimizer, Optimizer, OptimizerKind, Sgd};
-pub use quant::QuantizedGnn;
 pub use schedule::LrSchedule;
 
 /// Rows `ids` of `feats` as the gathered input the models' forward and

@@ -42,16 +42,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Builds the matrix from hard predictions.
-    pub fn from_predictions(preds: &[u32], labels: &[u32], classes: usize) -> Self {
-        assert_eq!(preds.len(), labels.len());
-        let mut counts = vec![vec![0usize; classes]; classes];
-        for (&p, &l) in preds.iter().zip(labels) {
-            counts[l as usize][p as usize] += 1;
-        }
-        Self { counts }
-    }
-
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.counts.len()
@@ -134,9 +124,21 @@ impl ConfusionMatrix {
 mod tests {
     use super::*;
 
+    /// The matrix of hard predictions, counted through [`ConfusionMatrix::add_logits`]
+    /// on one-hot logits.
+    fn of_predictions(preds: &[u32], labels: &[u32], classes: usize) -> ConfusionMatrix {
+        let mut one_hot = Matrix::zeros(preds.len(), classes);
+        for (i, &p) in preds.iter().enumerate() {
+            one_hot.set(i, p as usize, 1.0);
+        }
+        let mut cm = ConfusionMatrix::new(classes);
+        cm.add_logits(&one_hot, labels);
+        cm
+    }
+
     #[test]
     fn perfect_predictions() {
-        let cm = ConfusionMatrix::from_predictions(&[0, 1, 2, 1], &[0, 1, 2, 1], 3);
+        let cm = of_predictions(&[0, 1, 2, 1], &[0, 1, 2, 1], 3);
         assert_eq!(cm.accuracy(), 1.0);
         assert_eq!(cm.macro_f1(), 1.0);
         assert_eq!(cm.micro_f1(), 1.0);
@@ -146,7 +148,7 @@ mod tests {
     #[test]
     fn known_confusion() {
         // truths: [0,0,1,1]; preds: [0,1,1,1]
-        let cm = ConfusionMatrix::from_predictions(&[0, 1, 1, 1], &[0, 0, 1, 1], 2);
+        let cm = of_predictions(&[0, 1, 1, 1], &[0, 0, 1, 1], 2);
         assert_eq!(cm.count(0, 0), 1);
         assert_eq!(cm.count(0, 1), 1);
         assert_eq!(cm.count(1, 1), 2);
@@ -160,13 +162,13 @@ mod tests {
 
     #[test]
     fn micro_f1_equals_accuracy_for_single_label() {
-        let cm = ConfusionMatrix::from_predictions(&[0, 2, 1, 2, 0], &[0, 1, 1, 2, 2], 3);
+        let cm = of_predictions(&[0, 2, 1, 2, 0], &[0, 1, 1, 2, 2], 3);
         assert!((cm.micro_f1() - cm.accuracy()).abs() < 1e-12);
     }
 
     #[test]
     fn absent_class_scores_zero() {
-        let cm = ConfusionMatrix::from_predictions(&[0, 0], &[0, 0], 3);
+        let cm = of_predictions(&[0, 0], &[0, 0], 3);
         let f1 = cm.f1_per_class();
         assert_eq!(f1[1], 0.0);
         assert_eq!(f1[2], 0.0);
@@ -182,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_is_zero() {
-        let cm = ConfusionMatrix::from_predictions(&[], &[], 2);
+        let cm = of_predictions(&[], &[], 2);
         assert_eq!(cm.accuracy(), 0.0);
         assert_eq!(cm.micro_f1(), 0.0);
     }

@@ -1,44 +1,25 @@
 //! GCN / GraphSAGE models with manual forward and backward passes.
 //!
-//! Every matmul/SpMM goes through the crate-wide
-//! [`DispatchPolicy`](argo_tensor::DispatchPolicy) (blocked kernels, serial
-//! vs pool-parallel decided in one place), bias+ReLU are fused into the
-//! GEMM write-back, GraphSAGE's `[h ‖ agg]` concatenation is eliminated by
-//! multiplying against the self/neighbor halves of the stacked weight, and
-//! activations/gradient buffers round-trip through a per-model
-//! [`Workspace`](argo_tensor::Workspace) so steady-state training steps
-//! allocate (almost) nothing.
+//! Every matmul/SpMM goes through the crate-wide [`DispatchPolicy`] (blocked
+//! kernels, serial vs pool-parallel decided in one place), bias+ReLU are
+//! fused into the GEMM write-back, GraphSAGE's `[h ‖ agg]` concatenation is
+//! eliminated by multiplying against the self/neighbor halves of the stacked
+//! weight, and activations/gradient buffers round-trip through a per-model
+//! [`Workspace`] so steady-state training steps allocate (almost) nothing.
 
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 
 use argo_rt::ThreadPool;
-use argo_sample::batch::{Normalization, SampledBatch};
+use argo_sample::batch::SampledBatch;
 use argo_sample::loader::PreparedInput;
 use argo_sample::view::SampledBatchView;
 use argo_tensor::ops::{
     accuracy, bias_grad_into, relu_backward_from_output, softmax_cross_entropy,
 };
-use argo_tensor::{BSrc, DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
+use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
 
-/// Which aggregation rule a model uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GnnKind {
-    /// Graph Convolutional Network — Eq. 1.
-    Gcn,
-    /// GraphSAGE with mean aggregator and self-concat — Eq. 2.
-    Sage,
-}
-
-impl GnnKind {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GnnKind::Gcn => "GCN",
-            GnnKind::Sage => "GraphSAGE",
-        }
-    }
-}
+use crate::arch::Arch;
 
 struct Layer {
     w: Matrix,
@@ -69,26 +50,17 @@ pub struct StepStats {
     pub num_seeds: usize,
 }
 
-/// A layer's weight operand and bias — all a forward pass reads of it.
-pub(crate) trait LayerParams {
-    fn params(&self) -> (BSrc<'_>, &[f32]);
-}
-
-impl LayerParams for Layer {
-    fn params(&self) -> (BSrc<'_>, &[f32]) {
-        ((&self.w).into(), &self.b)
-    }
-}
-
-/// The forward pass, written once over the weight operand: [`Gnn`] runs it
-/// on its f32 layers (and training keeps what [`Forward::layer`] returns
-/// for backward), [`crate::quant::QuantizedGnn`] on its quantized ones.
+/// The needed-row cascade of one subgraph batch and the storage it reuses
+/// from batch to batch: slot `l` of `slices` and `self_rows` belongs to layer
+/// `l`, so a model's steady-state steps build their slices in place.
 ///
-/// Every layer takes its normalized adjacency as a borrowed [`SparseView`]
-/// (`n_dst × n_src`; the output has one row per adjacency row) — a view of
-/// an owned batch's matrix, one still sitting in the sampler's arena or a
-/// slice of the [`Cascade`], the forward pass cannot tell. Only backward
-/// needs the owned [`SparseMatrix`], for the transpose cached on it.
+/// Every layer of the forward pass ([`Gnn::layer`]; inference runs them
+/// all, training keeps what each returns for backward) takes its normalized
+/// adjacency as a borrowed [`SparseView`] (`n_dst × n_src`; the output has
+/// one row per adjacency row) — a view of an owned batch's matrix, one still
+/// sitting in the sampler's arena or a slice of the cascade, the forward
+/// pass cannot tell. Only backward needs the owned [`SparseMatrix`], for the
+/// transpose cached on it.
 ///
 /// # What a subgraph batch computes
 ///
@@ -118,14 +90,17 @@ impl LayerParams for Layer {
 /// path; the pooled weight-gradient reduction splits its partial sums by row
 /// count and is equal to tolerance, as it always was. A hand-built batch
 /// whose seed positions repeat or do not ascend is equal to tolerance only.
-pub(crate) struct Forward<'m, L> {
-    pub(crate) kind: GnnKind,
-    pub(crate) layers: &'m [L],
-    pub(crate) dispatch: DispatchPolicy,
-    // Interior mutability so `forward` (&self) can recycle buffers too;
-    // a model is only ever driven from one thread at a time.
-    pub(crate) ws: &'m RefCell<Workspace>,
-    pub(crate) cascade: &'m RefCell<Cascade>,
+#[derive(Default)]
+struct Cascade {
+    /// Layers `first..` run over their slice, the layers below over `Â`.
+    first: usize,
+    slices: Vec<SparseMatrix>,
+    /// Where the rows layer `l` computes sit in its input (SAGE only).
+    self_rows: Vec<Vec<usize>>,
+    /// `R[l]` while layer `l` is built.
+    rows: Vec<usize>,
+    /// Per column of `Â`: its rank in `R[l-1]`, `u32::MAX` outside it.
+    rank: Vec<u32>,
 }
 
 /// What one layer runs over: its normalized adjacency and, where the self
@@ -133,7 +108,7 @@ pub(crate) struct Forward<'m, L> {
 /// positions in it.
 type LayerIn<'a> = (SparseView<'a>, Option<&'a [usize]>);
 
-impl<L: LayerParams> Forward<'_, L> {
+impl Gnn {
     /// Layer `l`: returns `(output, aggregation)`.
     ///
     /// * GCN: `z = (Â h) W + b`
@@ -177,7 +152,7 @@ impl<L: LayerParams> Forward<'_, L> {
         h_self: Option<&Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let (w, b) = self.layers[l].params();
+        let Layer { w, b, .. } = &self.layers[l];
         let mut z = self.ws.borrow_mut().take_unzeroed(agg.rows(), w.cols());
         let epi = if l + 1 < self.layers.len() {
             Epilogue::bias_relu(b)
@@ -185,11 +160,11 @@ impl<L: LayerParams> Forward<'_, L> {
             Epilogue::bias(b)
         };
         match (self.kind, h_self) {
-            (GnnKind::Gcn, _) => self.dispatch.gemm_into(agg, w, epi, pool, &mut z),
-            (GnnKind::Sage, Some(h_self)) => self
+            (Arch::Gcn, _) => self.dispatch.gemm_into(agg, w, epi, pool, &mut z),
+            (Arch::Sage, Some(h_self)) => self
                 .dispatch
                 .sage_gemm_into(h_self, agg, w, epi, pool, &mut z),
-            (GnnKind::Sage, None) => panic!("GraphSAGE's GEMM reads the layer's self rows"),
+            (Arch::Sage, None) => panic!("GraphSAGE's GEMM reads the layer's self rows"),
         }
         z
     }
@@ -199,7 +174,7 @@ impl<L: LayerParams> Forward<'_, L> {
     fn run(&self, layers: &[LayerIn<'_>], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let step = |l: usize, h: &Matrix| {
             let (adj, self_rows) = &layers[l];
-            let picked = self_rows.map(|pos| select_rows(self.ws, h, pos));
+            let picked = self_rows.map(|pos| select_rows(&self.ws, h, pos));
             let (z, agg) = self.layer(l, adj, h, picked.as_ref().unwrap_or(h), pool);
             let mut ws = self.ws.borrow_mut();
             ws.put(agg);
@@ -218,13 +193,16 @@ impl<L: LayerParams> Forward<'_, L> {
         h
     }
 
-    /// Inference forward pass over the batch's gathered input-node feature
-    /// rows; returns logits over the batch's seeds. `input` is only read,
-    /// never parked in the workspace.
-    pub(crate) fn forward_gathered(
+    /// Inference forward pass; returns logits over the batch's seeds.
+    /// `input` must be the batch's input-node feature rows in
+    /// `input_nodes()` order (`Features::gather_into`, or the cross-batch
+    /// feature cache); pass `&Matrix` to keep the buffer for the next batch.
+    /// The model only ever reads it — a caller's buffer is never parked in
+    /// the workspace.
+    pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
-        input: &Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let depth = self.layers.len();
@@ -234,23 +212,24 @@ impl<L: LayerParams> Forward<'_, L> {
         let layers: Vec<_> = (0..depth)
             .map(|l| cascade.layer(self.kind, l, full_of(&fulls, l).view()))
             .collect();
-        self.run(&layers, input, pool)
+        self.run(&layers, input.borrow(), pool)
     }
 
-    /// [`Forward::forward_gathered`] over a borrowed [`SampledBatchView`]:
-    /// the adjacencies are consumed straight out of the sampler's batch
-    /// arena — every block, and a subgraph's full-height layers, with zero
-    /// copies. Falls back to materializing the owned batch when the fused
+    /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
+    /// adjacencies are consumed straight out of the sampler's batch arena —
+    /// every block, and a subgraph's full-height layers, with zero copies.
+    /// Falls back to materializing the owned batch when the fused
     /// normalization does not match this model (the owned path then
     /// re-normalizes).
-    pub(crate) fn forward_gathered_view(
+    pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
-        input: &Matrix,
+        input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
+        let input = input.borrow();
         let depth = self.layers.len();
-        let fused = batch.norm() == wanted_norm_for(self.kind);
+        let fused = batch.norm() == self.kind.normalization();
         match batch {
             SampledBatchView::Blocks(mb) if fused && mb.num_blocks() == depth => {
                 let layers: Vec<_> = (0..depth).map(|l| (mb.block(l).adj, None)).collect();
@@ -270,29 +249,12 @@ impl<L: LayerParams> Forward<'_, L> {
     }
 }
 
-/// The needed-row cascade of one subgraph batch (see [`Forward`]) and the
-/// storage it reuses from batch to batch: slot `l` of `slices` and
-/// `self_rows` belongs to layer `l`, so a model's steady-state steps build
-/// their slices in place.
-#[derive(Default)]
-pub(crate) struct Cascade {
-    /// Layers `first..` run over their slice, the layers below over `Â`.
-    first: usize,
-    slices: Vec<SparseMatrix>,
-    /// Where the rows layer `l` computes sit in its input (SAGE only).
-    self_rows: Vec<Vec<usize>>,
-    /// `R[l]` while layer `l` is built.
-    rows: Vec<usize>,
-    /// Per column of `Â`: its rank in `R[l-1]`, `u32::MAX` outside it.
-    rank: Vec<u32>,
-}
-
 impl Cascade {
     /// The cascade of an owned batch over its normalized adjacencies; a
     /// block batch has none (every layer runs over its own block).
     fn for_owned(
         &mut self,
-        kind: GnnKind,
+        kind: Arch,
         depth: usize,
         batch: &SampledBatch,
         fulls: &[Cow<'_, SparseMatrix>],
@@ -311,7 +273,7 @@ impl Cascade {
     /// `seeds` — the one place a subgraph batch's layers are cut down.
     fn build(
         &mut self,
-        kind: GnnKind,
+        kind: Arch,
         depth: usize,
         full: SparseView<'_>,
         seeds: impl Iterator<Item = usize>,
@@ -329,7 +291,7 @@ impl Cascade {
             let (slice, self_rows) = (&mut self.slices[l], &mut self.self_rows[l]);
             full.select_rows_into(&self.rows, slice);
             self_rows.clear();
-            if kind == GnnKind::Sage {
+            if kind == Arch::Sage {
                 self_rows.extend_from_slice(&self.rows);
             }
             if l == 0 {
@@ -374,12 +336,12 @@ impl Cascade {
 
     /// Where SAGE's layer `l` finds its self rows in its input; `None` where
     /// they are its first rows (below the cascade, and for GCN nowhere read).
-    fn self_rows(&self, kind: GnnKind, l: usize) -> Option<&[usize]> {
-        (kind == GnnKind::Sage && l >= self.first).then(|| &self.self_rows[l][..])
+    fn self_rows(&self, kind: Arch, l: usize) -> Option<&[usize]> {
+        (kind == Arch::Sage && l >= self.first).then(|| &self.self_rows[l][..])
     }
 
     /// What layer `l` runs over, `full` being its full-height adjacency.
-    fn layer<'a>(&'a self, kind: GnnKind, l: usize, full: SparseView<'a>) -> LayerIn<'a> {
+    fn layer<'a>(&'a self, kind: Arch, l: usize, full: SparseView<'a>) -> LayerIn<'a> {
         let adj = self.slice(l).map_or(full, SparseMatrix::view);
         (adj, self.self_rows(kind, l))
     }
@@ -389,11 +351,8 @@ impl Cascade {
 enum FirstLayer<'a> {
     /// The gathered input rows: the step aggregates them itself.
     Gathered(&'a Matrix),
-    /// [`PreparedInput::Aggregated`], borrowed.
-    Aggregated {
-        agg: &'a Matrix,
-        self_rows: Option<&'a Matrix>,
-    },
+    /// What a loader worker aggregated: the step starts at the GEMM.
+    Prepared(&'a PreparedInput),
 }
 
 /// What a step kept for its backward pass, per layer: the output, the
@@ -410,10 +369,12 @@ struct Kept<'a> {
 /// A multi-layer GNN (hidden dims all equal, ReLU between layers, no
 /// activation after the last layer — paper's standard 3-layer setup).
 pub struct Gnn {
-    kind: GnnKind,
+    kind: Arch,
     layers: Vec<Layer>,
     dims: Vec<usize>, // layer input/output dims: [in, hidden, ..., out]
     dispatch: DispatchPolicy,
+    // Interior mutability so the forward pass (&self) can recycle buffers
+    // too; a model is only ever driven from one thread at a time.
     ws: RefCell<Workspace>,
     cascade: RefCell<Cascade>,
 }
@@ -422,7 +383,7 @@ impl Gnn {
     /// Builds an `num_layers`-deep model `in_dim → hidden × (L-1) → out_dim`,
     /// deterministic in `seed`.
     pub fn new(
-        kind: GnnKind,
+        kind: Arch,
         in_dim: usize,
         hidden: usize,
         out_dim: usize,
@@ -439,8 +400,8 @@ impl Gnn {
         let layers = (0..num_layers)
             .map(|l| {
                 let fan_in = match kind {
-                    GnnKind::Gcn => dims[l],
-                    GnnKind::Sage => 2 * dims[l],
+                    Arch::Gcn => dims[l],
+                    Arch::Sage => 2 * dims[l],
                 };
                 Layer::new(fan_in, dims[l + 1], seed.wrapping_add(l as u64 * 7919))
             })
@@ -480,7 +441,7 @@ impl Gnn {
     }
 
     /// Model kind.
-    pub fn kind(&self) -> GnnKind {
+    pub fn kind(&self) -> Arch {
         self.kind
     }
 
@@ -495,52 +456,6 @@ impl Gnn {
             .iter()
             .map(|l| l.w.data().len() + l.b.len())
             .sum()
-    }
-
-    /// One layer's weights and bias — the quantized-inference builder in
-    /// [`crate::quant`] reads the trained parameters through this.
-    pub(crate) fn layer_params(&self, l: usize) -> (&Matrix, &[f32]) {
-        (&self.layers[l].w, &self.layers[l].b)
-    }
-
-    fn fwd(&self) -> Forward<'_, Layer> {
-        Forward {
-            kind: self.kind,
-            layers: &self.layers,
-            dispatch: self.dispatch,
-            ws: &self.ws,
-            cascade: &self.cascade,
-        }
-    }
-
-    /// Inference forward pass; returns logits over the batch's seeds.
-    /// `input` must be the batch's input-node feature rows in
-    /// `input_nodes()` order (`Features::gather_into`, or the cross-batch
-    /// feature cache); pass `&Matrix` to keep the buffer for the next batch.
-    /// The model only ever reads it — a caller's buffer is never parked in
-    /// the workspace.
-    pub fn forward_gathered(
-        &self,
-        batch: &SampledBatch,
-        input: impl Borrow<Matrix>,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        self.fwd().forward_gathered(batch, input.borrow(), pool)
-    }
-
-    /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
-    /// adjacencies are consumed straight out of the sampler's batch arena
-    /// with zero copies. Falls back to materializing the owned batch when
-    /// the fused normalization does not match this model (the owned path
-    /// then re-normalizes, exactly as before).
-    pub fn forward_gathered_view(
-        &self,
-        batch: &SampledBatchView<'_>,
-        input: impl Borrow<Matrix>,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        self.fwd()
-            .forward_gathered_view(batch, input.borrow(), pool)
     }
 
     /// One training step — forward, loss, full backward — over the batch's
@@ -568,7 +483,7 @@ impl Gnn {
     /// adjacency it would have used, row by row in the same entry order:
     /// bitwise the step over the gathered rows. The operands must have been
     /// aggregated over this model's normalization
-    /// ([`crate::Arch::normalization`] fused by the sampler).
+    /// ([`Arch::normalization`] fused by the sampler).
     pub fn train_step_prepared(
         &mut self,
         batch: &SampledBatch,
@@ -576,14 +491,7 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let first = match input {
-            PreparedInput::Gathered(rows) => FirstLayer::Gathered(rows),
-            PreparedInput::Aggregated { agg, self_rows } => FirstLayer::Aggregated {
-                agg,
-                self_rows: self_rows.as_ref(),
-            },
-        };
-        let (stats, kept) = self.step(batch, first, labels, pool);
+        let (stats, kept) = self.step(batch, FirstLayer::Prepared(input), labels, pool);
         self.recycle(kept);
         stats
     }
@@ -610,19 +518,18 @@ impl Gnn {
         let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
         let mut aggs: Vec<Cow<'a, Matrix>> = Vec::with_capacity(depth);
         let mut selfs: Vec<Option<Cow<'a, Matrix>>> = Vec::with_capacity(depth);
-        let fwd = self.fwd();
         let (agg, h_self) = match first {
             FirstLayer::Gathered(input) => {
-                let agg = fwd.aggregate(&norm_of(0).view(), input, pool);
+                let agg = self.aggregate(&norm_of(0).view(), input, pool);
                 // SAGE's self rows: the layer's selection, or the first rows
                 // of the input.
-                let h_self = (kind == GnnKind::Sage).then(|| match cascade.self_rows(kind, 0) {
+                let h_self = (kind == Arch::Sage).then(|| match cascade.self_rows(kind, 0) {
                     Some(pos) => Cow::Owned(select_rows(&self.ws, input, pos)),
                     None => Cow::Borrowed(input),
                 });
                 (Cow::Owned(agg), h_self)
             }
-            FirstLayer::Aggregated { agg, self_rows } => {
+            FirstLayer::Prepared(PreparedInput { agg, self_rows }) => {
                 assert_eq!(
                     (agg.rows(), agg.cols()),
                     (full_of(&fulls, 0).rows(), self.dims[0]),
@@ -634,16 +541,16 @@ impl Gnn {
                     Some(rows) => Cow::Owned(select_rows(&self.ws, m, rows)),
                     None => Cow::Borrowed(m),
                 };
-                (cut(agg), self_rows.map(cut))
+                (cut(agg), self_rows.as_ref().map(cut))
             }
         };
-        outs.push(fwd.dense(0, &agg, h_self.as_deref(), pool));
+        outs.push(self.dense(0, &agg, h_self.as_deref(), pool));
         aggs.push(agg);
         selfs.push(h_self);
         for l in 1..depth {
             let h = &outs[l - 1];
             let picked = (cascade.self_rows(kind, l)).map(|pos| select_rows(&self.ws, h, pos));
-            let (z, agg) = fwd.layer(l, &norm_of(l).view(), h, picked.as_ref().unwrap_or(h), pool);
+            let (z, agg) = self.layer(l, &norm_of(l).view(), h, picked.as_ref().unwrap_or(h), pool);
             outs.push(z);
             aggs.push(Cow::Owned(agg));
             selfs.push(picked.map(Cow::Owned));
@@ -669,7 +576,7 @@ impl Gnn {
             let n_dst = norm.rows();
             bias_grad_into(&grad, &mut self.layers[l].db);
             match self.kind {
-                GnnKind::Gcn => {
+                Arch::Gcn => {
                     // dW = aggᵀ grad (agg is the layer's GEMM input).
                     dispatch.grad_weights_into(
                         agg,
@@ -680,7 +587,7 @@ impl Gnn {
                         0,
                     );
                 }
-                GnnKind::Sage => {
+                Arch::Sage => {
                     // Stacked halves of dW, no concatenation: the top f_in
                     // rows reduce against the self features — the layer's
                     // selection, or the first `n_dst` rows of its input —
@@ -713,13 +620,13 @@ impl Gnn {
             let take = |rows: usize| self.ws.borrow_mut().take_unzeroed(rows, f_in);
             let mut dh = take(norm.cols());
             match self.kind {
-                GnnKind::Gcn => {
+                Arch::Gcn => {
                     let mut dagg = take(n_dst);
                     dispatch.grad_input_into(&grad, w, 0..f_in, pool, &mut dagg);
                     dispatch.aggregate_transpose_into(norm, &dagg, pool, &mut dh);
                     self.ws.borrow_mut().put(dagg);
                 }
-                GnnKind::Sage => {
+                Arch::Sage => {
                     // Pull d_self / d_neigh out of the stacked weight by row
                     // window instead of splitting a concatenated gradient.
                     let (mut dself, mut dmean) = (take(n_dst), take(n_dst));
@@ -830,24 +737,13 @@ impl Gnn {
     }
 }
 
-fn wanted_norm_for(kind: GnnKind) -> Normalization {
-    match kind {
-        GnnKind::Gcn => Normalization::Gcn,
-        GnnKind::Sage => Normalization::Mean,
-    }
-}
-
 /// The full-height normalized adjacencies of an owned batch for a
 /// `depth`-layer model of the given kind — one per block, or the single one a
 /// subgraph batch's layers share ([`full_of`]): a borrow where the sampler
 /// already fused the wanted normalization into the adjacency values, a matrix
 /// normalized here, once, otherwise (batches sampled without fusion).
-fn normalized_adjs(
-    kind: GnnKind,
-    depth: usize,
-    batch: &SampledBatch,
-) -> Vec<Cow<'_, SparseMatrix>> {
-    let want = wanted_norm_for(kind);
+fn normalized_adjs(kind: Arch, depth: usize, batch: &SampledBatch) -> Vec<Cow<'_, SparseMatrix>> {
+    let want = kind.normalization();
     match batch {
         SampledBatch::Blocks(mb) => {
             assert_eq!(mb.blocks.len(), depth, "batch depth != model depth");
@@ -858,8 +754,8 @@ fn normalized_adjs(
                         Cow::Borrowed(&b.adj)
                     } else {
                         Cow::Owned(match kind {
-                            GnnKind::Gcn => b.gcn_normalized(),
-                            GnnKind::Sage => b.mean_normalized(),
+                            Arch::Gcn => b.gcn_normalized(),
+                            Arch::Sage => b.mean_normalized(),
                         })
                     }
                 })
@@ -869,8 +765,8 @@ fn normalized_adjs(
             vec![Cow::Borrowed(&sb.adj)]
         }
         SampledBatch::Subgraph(sb) => vec![Cow::Owned(match kind {
-            GnnKind::Gcn => sb.gcn_normalized(),
-            GnnKind::Sage => sb.mean_normalized(),
+            Arch::Gcn => sb.gcn_normalized(),
+            Arch::Sage => sb.mean_normalized(),
         })],
     }
 }
@@ -895,6 +791,7 @@ mod tests {
     use crate::gathered;
     use argo_graph::datasets::FLICKR;
     use argo_rt::SeedSequence;
+    use argo_sample::batch::Normalization;
     use argo_sample::{
         full_graph_batch, ClusterGcnSampler, NeighborSampler, SaintRwSampler, SampleRun, Sampler,
         SamplerScratch, ShadowSampler,
@@ -916,7 +813,7 @@ mod tests {
     fn forward_shapes() {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 8, 2);
-        let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
+        let model = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
         let logits =
             model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         assert_eq!(logits.rows(), 8);
@@ -929,7 +826,7 @@ mod tests {
         let s = ShadowSampler::new(vec![5, 3], 2);
         let seeds: Vec<u32> = d.train_nodes.iter().copied().take(6).collect();
         let batch = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(5));
-        let model = Gnn::new(GnnKind::Gcn, d.feat_dim(), 16, d.num_classes, 2, 2);
+        let model = Gnn::new(Arch::Gcn, d.feat_dim(), 16, d.num_classes, 2, 2);
         let logits =
             model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         assert_eq!(logits.rows(), 6);
@@ -938,17 +835,17 @@ mod tests {
 
     #[test]
     fn num_params_counts() {
-        let m = Gnn::new(GnnKind::Gcn, 10, 8, 3, 2, 1);
+        let m = Gnn::new(Arch::Gcn, 10, 8, 3, 2, 1);
         // L1: 10*8 + 8; L2: 8*3 + 3.
         assert_eq!(m.num_params(), 80 + 8 + 24 + 3);
-        let s = Gnn::new(GnnKind::Sage, 10, 8, 3, 2, 1);
+        let s = Gnn::new(Arch::Sage, 10, 8, 3, 2, 1);
         // SAGE doubles fan-in: 20*8+8 + 16*3+3.
         assert_eq!(s.num_params(), 160 + 8 + 48 + 3);
     }
 
     #[test]
     fn flat_roundtrip() {
-        let mut m = Gnn::new(GnnKind::Sage, 6, 4, 3, 2, 7);
+        let mut m = Gnn::new(Arch::Sage, 6, 4, 3, 2, 7);
         let mut p = Vec::new();
         m.params_flat(&mut p);
         assert_eq!(p.len(), m.num_params());
@@ -963,7 +860,7 @@ mod tests {
     fn train_step_fills_grads() {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 16, 2);
-        let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
+        let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
         let stats = m.train_step_gathered(
             &batch,
             gathered(&d.features, batch.input_nodes()),
@@ -985,7 +882,7 @@ mod tests {
 
     /// Finite-difference check of the full backward pass (the core
     /// correctness test for manual backprop).
-    fn fd_check(kind: GnnKind, use_shadow: bool) {
+    fn fd_check(kind: Arch, use_shadow: bool) {
         let d = tiny_dataset();
         let batch = if use_shadow {
             let s = ShadowSampler::new(vec![4, 3], 2);
@@ -1034,29 +931,29 @@ mod tests {
 
     #[test]
     fn backward_matches_finite_difference_gcn_blocks() {
-        fd_check(GnnKind::Gcn, false);
+        fd_check(Arch::Gcn, false);
     }
 
     #[test]
     fn backward_matches_finite_difference_sage_blocks() {
-        fd_check(GnnKind::Sage, false);
+        fd_check(Arch::Sage, false);
     }
 
     #[test]
     fn backward_matches_finite_difference_gcn_shadow() {
-        fd_check(GnnKind::Gcn, true);
+        fd_check(Arch::Gcn, true);
     }
 
     #[test]
     fn backward_matches_finite_difference_sage_shadow() {
-        fd_check(GnnKind::Sage, true);
+        fd_check(Arch::Sage, true);
     }
 
     #[test]
     fn pool_and_serial_forward_agree() {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 64, 2);
-        let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
+        let model = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
         let a = model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         let pool = ThreadPool::new("t", 3);
         let b = model.forward_gathered(
@@ -1072,7 +969,7 @@ mod tests {
     /// The pool-parallel backward (per-worker partial dW reduction, CSC
     /// gather, parallel input-grad GEMMs) must agree with the serial
     /// backward to accumulation-order tolerance.
-    fn backward_agree(kind: GnnKind, use_shadow: bool) {
+    fn backward_agree(kind: Arch, use_shadow: bool) {
         let d = tiny_dataset();
         let batch = if use_shadow {
             let s = ShadowSampler::new(vec![4, 3], 2);
@@ -1119,17 +1016,17 @@ mod tests {
 
     #[test]
     fn pool_and_serial_backward_agree_gcn() {
-        backward_agree(GnnKind::Gcn, false);
+        backward_agree(Arch::Gcn, false);
     }
 
     #[test]
     fn pool_and_serial_backward_agree_sage() {
-        backward_agree(GnnKind::Sage, false);
+        backward_agree(Arch::Sage, false);
     }
 
     #[test]
     fn pool_and_serial_backward_agree_sage_shadow() {
-        backward_agree(GnnKind::Sage, true);
+        backward_agree(Arch::Sage, true);
     }
 
     /// Plain row selection and its inverse, for the full-height oracles.
@@ -1179,8 +1076,8 @@ mod tests {
             let mut z = Matrix::zeros(norm.rows(), layer.w.cols());
             let epi = Epilogue::bias(&layer.b);
             match m.kind {
-                GnnKind::Gcn => d.gemm_into(&agg, &layer.w, epi, None, &mut z),
-                GnnKind::Sage => d.sage_gemm_into(h, &agg, &layer.w, epi, None, &mut z),
+                Arch::Gcn => d.gemm_into(&agg, &layer.w, epi, None, &mut z),
+                Arch::Sage => d.sage_gemm_into(h, &agg, &layer.w, epi, None, &mut z),
             }
             masks.push((l + 1 < depth).then(|| relu_inplace(&mut z)));
             outs.push(z);
@@ -1206,8 +1103,8 @@ mod tests {
             let n_dst = norm.rows();
             let mut dw = Matrix::zeros(w.rows(), w.cols());
             match m.kind {
-                GnnKind::Gcn => d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, 0),
-                GnnKind::Sage => {
+                Arch::Gcn => d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, 0),
+                Arch::Sage => {
                     d.grad_weights_into(x, 0..n_dst, &grad, None, &mut dw, 0);
                     d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, f_in);
                 }
@@ -1217,11 +1114,11 @@ mod tests {
                 break;
             }
             grad = match m.kind {
-                GnnKind::Gcn => {
+                Arch::Gcn => {
                     let dagg = d.grad_input(&grad, w, 0..w.rows(), None);
                     d.aggregate_transpose(norm, &dagg, None)
                 }
-                GnnKind::Sage => {
+                Arch::Sage => {
                     let dself = d.grad_input(&grad, w, 0..f_in, None);
                     let dmean = d.grad_input(&grad, w, f_in..2 * f_in, None);
                     let mut dh = d.aggregate_transpose(norm, &dmean, None);
@@ -1263,8 +1160,8 @@ mod tests {
 
     /// A run that fuses `kind`'s normalization into the adjacency values,
     /// as the engine's loader and the serving path sample.
-    fn fused_run(kind: GnnKind, scratch: &mut SamplerScratch) -> SampleRun<'_> {
-        SampleRun::new(SeedSequence::new(9), scratch).with_norm(wanted_norm_for(kind))
+    fn fused_run(kind: Arch, scratch: &mut SamplerScratch) -> SampleRun<'_> {
+        SampleRun::new(SeedSequence::new(9), scratch).with_norm(kind.normalization())
     }
 
     /// One owned batch of every kind a `depth`-layer model of `kind` trains
@@ -1273,7 +1170,7 @@ mod tests {
     /// scattered in ascending order.
     fn every_batch_kind(
         d: &argo_graph::Dataset,
-        kind: GnnKind,
+        kind: Arch,
         depth: usize,
     ) -> Vec<(String, SampledBatch)> {
         let seeds = seeds_of(d);
@@ -1324,7 +1221,7 @@ mod tests {
         PreparedInput::aggregate(
             full_of(&norms, 0).view(),
             input,
-            m.kind == GnnKind::Sage,
+            m.kind == Arch::Sage,
             m.dispatch,
             &argo_sample::InputRing::new(),
         )
@@ -1373,14 +1270,7 @@ mod tests {
         let gathered = kept_bits(m, batch, FirstLayer::Gathered(input), labels);
         assert_eq!((gathered.0, &gathered.1), (loss, &grads), "{who}: kept");
         let handoff = prepared(m, batch, input);
-        let PreparedInput::Aggregated { agg, self_rows } = &handoff else {
-            panic!("{who}: a GCN/SAGE hand-off is aggregated");
-        };
-        let first = FirstLayer::Aggregated {
-            agg,
-            self_rows: self_rows.as_ref(),
-        };
-        let from_gemm = kept_bits(m, batch, first, labels);
+        let from_gemm = kept_bits(m, batch, FirstLayer::Prepared(&handoff), labels);
         assert_eq!(from_gemm.0, gathered.0, "{who}: prepared loss");
         assert_eq!(from_gemm.1, gathered.1, "{who}: prepared gradients");
         assert_eq!(from_gemm.2, gathered.2, "{who}: prepared activations");
@@ -1392,8 +1282,8 @@ mod tests {
     }
 
     /// Both models at two, three and four layers.
-    fn kinds_and_depths() -> impl Iterator<Item = (GnnKind, usize)> {
-        [GnnKind::Sage, GnnKind::Gcn]
+    fn kinds_and_depths() -> impl Iterator<Item = (Arch, usize)> {
+        [Arch::Sage, Arch::Gcn]
             .into_iter()
             .flat_map(|kind| [2, 3, 4].map(|depth| (kind, depth)))
     }
@@ -1457,7 +1347,7 @@ mod tests {
             &mut SmallRng::seed_from_u64(9),
         );
         let n = subgraph_of(&batch).nodes.len();
-        for kind in [GnnKind::Sage, GnnKind::Gcn] {
+        for kind in [Arch::Sage, Arch::Gcn] {
             let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 4, 5);
             m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
@@ -1471,7 +1361,7 @@ mod tests {
             // A slice's columns are the rows of the layer below.
             assert_eq!(c.slices[3].cols(), rows[1], "{kind:?}");
             assert_eq!(c.slices[2].cols(), rows[0], "{kind:?}");
-            if kind == GnnKind::Sage {
+            if kind == Arch::Sage {
                 // Ranks of `R[l]` in `R[l-1]`: ascending, and not a prefix.
                 let pos = c.self_rows(kind, 2).unwrap();
                 assert!(pos.windows(2).all(|w| w[0] < w[1]));
@@ -1528,14 +1418,13 @@ mod tests {
                     let c = m.cascade.borrow();
                     // GCN reads nothing below an isolated seed; SAGE still
                     // reads the seed's own row.
-                    if empty_layers && kind == GnnKind::Gcn {
+                    if empty_layers && kind == Arch::Gcn {
                         assert_eq!(c.slices[depth - 1].cols(), 0, "{who}");
                         assert_eq!(c.slices[depth - 2].rows(), 0, "{who}");
                     }
                     drop(c);
                     let logits = m.forward_gathered(&batch, &input, None);
-                    let f32_params: Vec<_> = m.layers.iter().map(LayerParams::params).collect();
-                    let want = full_height_logits(&m, &f32_params, &batch, &input);
+                    let want = full_height_logits(&m, &batch, &input);
                     assert_eq!(bits(logits.data()), bits(want.data()), "{who}: forward");
                 }
             }
@@ -1545,13 +1434,13 @@ mod tests {
     /// Hand-built seed positions that repeat or do not ascend: the top
     /// slice's rows then come in another order than the full-height
     /// reductions visit them, so the step is the oracle's to tolerance only
-    /// — documented on [`Forward`]; every sampler's positions ascend.
+    /// — documented on [`Cascade`]; every sampler's positions ascend.
     #[test]
     fn repeated_and_unordered_seed_positions_are_tolerance_equal() {
         let d = tiny_dataset();
         let batch = hand_built(path_graph(2), vec![6, 2, 6, 0, 9, 3]);
         let input = gathered(&d.features, batch.input_nodes());
-        for kind in [GnnKind::Sage, GnnKind::Gcn] {
+        for kind in [Arch::Sage, Arch::Gcn] {
             let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, 3, 5);
             let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
             let mut got = Vec::new();
@@ -1581,7 +1470,7 @@ mod tests {
             (full_graph_batch(&d.graph, &all), 3),
             (hand_built(path_graph(0), vec![1, 4, 7]), 2),
         ] {
-            let m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
+            let m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
             m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
             assert_eq!(c.first, first);
@@ -1609,7 +1498,7 @@ mod tests {
             &seeds_of(&d),
             &mut SmallRng::seed_from_u64(9),
         );
-        let mut m = Gnn::new(GnnKind::Gcn, d.feat_dim(), hidden, d.num_classes, 3, 5);
+        let mut m = Gnn::new(Arch::Gcn, d.feat_dim(), hidden, d.num_classes, 3, 5);
         m.train_step_gathered(
             &batch,
             gathered(&d.features, batch.input_nodes()),
@@ -1637,30 +1526,25 @@ mod tests {
         assert_eq!(at_least(middle), 3 + 4, "{caps:?}");
     }
 
-    /// Full-height forward over any weight operand, built from the dispatch
-    /// operations alone: every layer computes all of its rows, the seed rows
-    /// are selected at the end.
-    fn full_height_logits(
-        m: &Gnn,
-        params: &[(BSrc<'_>, &[f32])],
-        batch: &SampledBatch,
-        input: &Matrix,
-    ) -> Matrix {
+    /// Full-height forward built from the dispatch operations alone: every
+    /// layer computes all of its rows, the seed rows are selected at the end.
+    fn full_height_logits(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> Matrix {
         let d = m.dispatch;
-        let norms = normalized_adjs(m.kind, params.len(), batch);
+        let depth = m.layers.len();
+        let norms = normalized_adjs(m.kind, depth, batch);
         let mut h = input.clone();
-        for (l, &(w, b)) in params.iter().enumerate() {
+        for (l, Layer { w, b, .. }) in m.layers.iter().enumerate() {
             let norm = full_of(&norms, l);
             let agg = d.aggregate(norm, &h, None);
             let mut z = Matrix::zeros(norm.rows(), w.cols());
-            let epi = if l + 1 < params.len() {
+            let epi = if l + 1 < depth {
                 Epilogue::bias_relu(b)
             } else {
                 Epilogue::bias(b)
             };
             match m.kind {
-                GnnKind::Gcn => d.gemm_into(&agg, w, epi, None, &mut z),
-                GnnKind::Sage => d.sage_gemm_into(&h, &agg, w, epi, None, &mut z),
+                Arch::Gcn => d.gemm_into(&agg, w, epi, None, &mut z),
+                Arch::Sage => d.sage_gemm_into(&h, &agg, w, epi, None, &mut z),
             }
             h = z;
         }
@@ -1672,39 +1556,24 @@ mod tests {
 
     /// Every forward entry point returns the seed rows of the full-height
     /// forward, bit for bit: owned batches through `forward_gathered`, arena
-    /// views through `forward_gathered_view`, f32 and quantized weights.
+    /// views through `forward_gathered_view`.
     #[test]
     fn forward_returns_the_seed_rows_of_the_full_height_forward_bitwise() {
-        use argo_tensor::{QuantKind, QuantizedMatrix};
         let d = tiny_dataset();
         for (kind, depth, policy) in
             kinds_and_depths().flat_map(|(k, depth)| both_tiers().map(|p| (k, depth, p)))
         {
             let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, depth, 5).with_dispatch(policy);
-            let qm = m.quantize(QuantKind::Bf16);
-            let qw: Vec<QuantizedMatrix> = (m.layers.iter())
-                .map(|l| QuantizedMatrix::quantize(&l.w, QuantKind::Bf16))
-                .collect();
-            let f32_params: Vec<_> = m.layers.iter().map(LayerParams::params).collect();
-            let q_params: Vec<(BSrc<'_>, &[f32])> = (qw.iter().zip(&m.layers))
-                .map(|(w, l)| (w.into(), &l.b[..]))
-                .collect();
-
-            // `got`: the f32 and the quantized logits of one entry point.
-            let check = |who: String, batch: &SampledBatch, input: &Matrix, got: [Matrix; 2]| {
-                for (got, params) in got.iter().zip([&f32_params, &q_params]) {
-                    let want = full_height_logits(&m, params, batch, input);
-                    assert_eq!(want.rows(), batch.num_seeds());
-                    let who = format!("{kind:?}×{depth} simd={} {who}", policy.simd_enabled());
-                    assert_eq!(bits(got.data()), bits(want.data()), "{who}");
-                }
+            // `got`: the logits of one entry point.
+            let check = |who: String, batch: &SampledBatch, input: &Matrix, got: Matrix| {
+                let want = full_height_logits(&m, batch, input);
+                assert_eq!(want.rows(), batch.num_seeds());
+                let who = format!("{kind:?}×{depth} simd={} {who}", policy.simd_enabled());
+                assert_eq!(bits(got.data()), bits(want.data()), "{who}");
             };
             for (name, batch) in &every_batch_kind(&d, kind, depth) {
                 let input = gathered(&d.features, batch.input_nodes());
-                let got = [
-                    m.forward_gathered(batch, &input, None),
-                    qm.forward_gathered(batch, &input, None),
-                ];
+                let got = m.forward_gathered(batch, &input, None);
                 check(format!("{name}: owned"), batch, &input, got);
             }
             let seeds = seeds_of(&d);
@@ -1713,15 +1582,12 @@ mod tests {
             // does, where the view falls back to the owned batch and the
             // model's own normalization.
             for (name, s) in samplers(&d, depth) {
-                for norm in [wanted_norm_for(kind), Normalization::None] {
+                for norm in [kind.normalization(), Normalization::None] {
                     let run = SampleRun::new(SeedSequence::new(9), &mut scratch).with_norm(norm);
                     let view = s.sample_into(&d.graph, &seeds, run);
                     let batch = view.to_owned();
                     let input = gathered(&d.features, batch.input_nodes());
-                    let got = [
-                        m.forward_gathered_view(&view, &input, None),
-                        qm.forward_gathered_view(&view, &input, None),
-                    ];
+                    let got = m.forward_gathered_view(&view, &input, None);
                     check(format!("{name}: view fused {norm:?}"), &batch, &input, got);
                 }
             }
@@ -1738,7 +1604,7 @@ mod tests {
         let rng = || SmallRng::seed_from_u64(9);
         let blocks = NeighborSampler::new(vec![5; 3]).sample(&d.graph, &seeds, &mut rng());
         let shadow = ShadowSampler::new(vec![4, 3], 3).sample(&d.graph, &seeds, &mut rng());
-        for (kind, batch) in [(GnnKind::Sage, blocks), (GnnKind::Gcn, shadow)] {
+        for (kind, batch) in [(Arch::Sage, blocks), (Arch::Gcn, shadow)] {
             let input = gathered(&d.features, batch.input_nodes());
             let step = |m: &mut Gnn| {
                 let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
@@ -1775,7 +1641,7 @@ mod tests {
     fn workspace_recycles_buffers_across_steps() {
         let d = tiny_dataset();
         let batch = sample_blocks(&d, 16, 2);
-        let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
+        let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
         m.train_step_gathered(
             &batch,
             gathered(&d.features, batch.input_nodes()),
@@ -1814,7 +1680,7 @@ mod tests {
             d.feat_dim(),
             d.features.gather(ids).data().to_vec(),
         );
-        let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
+        let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
         let input_bytes = input.data().len() * 4;
         let first = m.train_step_gathered(&batch, &input, &d.labels, None);
         let allocs = m.workspace_stats().0;
@@ -1834,7 +1700,7 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let d = tiny_dataset();
-        let mut m = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 4);
+        let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 4);
         let mut opt = crate::optim::Adam::new(m.num_params(), 0.01);
         let mut first = None;
         let mut last = 0.0;

@@ -467,7 +467,7 @@ impl PerfModel {
     }
 
     /// Emits the modeled telemetry of one epoch under `config` — the same
-    /// event schema and metric names a measured [`argo_engine`] epoch
+    /// event schema and metric names a measured `argo_engine` epoch
     /// produces, so real and modeled runs are directly comparable. Pass a
     /// [`Telemetry`] built with `Source::Modeled` so consumers can tell the
     /// provenance apart. Returns the modeled epoch time.

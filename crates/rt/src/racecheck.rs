@@ -9,7 +9,7 @@
 //!
 //! A call site registers a [`Region`] sized in *logical cells* (typically one
 //! cell per output row, not per byte) next to the `as_mut_ptr() as usize`
-//! escape, then records each window access with [`write`] / [`read`]. The
+//! escape, then records each window access with [`write()`] / [`read`]. The
 //! detector crosses those accesses with the vector clocks it derives from
 //! lock, channel and [`SyncPoint`] edges: two accesses to the same cell that
 //! are not ordered by any such edge are reported as a data race with both

@@ -12,10 +12,10 @@
 //!
 //! When the [`LoaderSpec`] carries the node features, workers also run the
 //! step's **parameter-free prologue**: they gather each batch's input rows —
-//! optionally through a shared [`FeatureCache`] — and, when the batch
-//! carries a fused normalization, aggregate them over the input-side
-//! adjacency (`Â₀·X[input_nodes]` depends on the batch and the features,
-//! never on the weights). The memory-bound half of the first layer then runs
+//! optionally through a shared [`FeatureCache`] — and aggregate them over
+//! the input-side adjacency, whose values carry the fused normalization
+//! (`Â₀·X[input_nodes]` depends on the batch and the features, never on the
+//! weights). The memory-bound half of the first layer then runs
 //! on the sampling cores, overlapped with training, and the training thread
 //! starts at the first GEMM; see [`PreparedInput`] for what crosses the
 //! channel.
@@ -61,18 +61,19 @@ pub struct LoaderSpec {
     /// Sampling cores to bind the workers to (empty = unbound).
     pub cores: CoreSet,
     /// Node features; when present, workers prepare each batch's
-    /// [`LoadedBatch::input`]: the gathered input rows, aggregated over the
-    /// input-side adjacency when `normalization` fused values into it.
+    /// [`LoadedBatch::input`]: the gathered input rows aggregated over the
+    /// input-side adjacency. A spec with features must fuse a normalization
+    /// (not [`Normalization::None`]): the aggregation reads its values.
     pub features: Option<Arc<Features>>,
     /// Shared cross-batch feature cache consulted before the feature table.
     /// Ignored unless `features` is set.
     pub cache: Option<Arc<FeatureCache>>,
     /// Fused normalization the samplers write into each batch's adjacency
-    /// values during construction (no post-pass on the training side). It
-    /// also decides the prepared input: with values in place the first
-    /// aggregation needs nothing else, so the worker runs it (keeping the
-    /// self rows for [`Normalization::Mean`], GraphSAGE's scheme);
-    /// [`Normalization::None`] hands over the gathered rows.
+    /// values during construction (no post-pass on the training side). With
+    /// values in place the first aggregation needs nothing else, so a worker
+    /// with `features` runs it, keeping the self rows for
+    /// [`Normalization::Mean`] (GraphSAGE's scheme). [`Normalization::None`]
+    /// is for a spec without `features` only.
     pub normalization: Normalization,
     /// Causal span profiler. When present, each worker registers a
     /// producer ring (pick/gather/cache/aggregate/enqueue-wait spans keyed by batch
@@ -147,8 +148,8 @@ impl LoaderSpecBuilder {
         self
     }
 
-    /// Enables the worker-side prologue (gather, and first aggregation where
-    /// the normalization is fused).
+    /// Enables the worker-side prologue (gather and first aggregation); the
+    /// spec must also fuse a normalization.
     pub fn features(mut self, features: Arc<Features>) -> Self {
         self.spec.features = Some(features);
         self
@@ -185,23 +186,17 @@ impl LoaderSpecBuilder {
 }
 
 /// What a training step's first parameterised operation reads — the product
-/// of the parameter-free prologue a loader worker runs on each batch.
-pub enum PreparedInput {
-    /// The gathered input-node feature rows (`n_src × F`, `input_nodes()`
-    /// order), for a model whose first aggregation is parameterised (GAT) or
-    /// a batch sampled without a fused normalization.
-    Gathered(Matrix),
-    /// Layer 0's aggregation, which is all a GCN/GraphSAGE first GEMM reads
-    /// of the gathered rows; the `n_src × F` matrix itself never leaves the
-    /// worker.
-    Aggregated {
-        /// `Â₀·X[input_nodes]`, one row per row of the input-side adjacency
-        /// (`n_dst × F`).
-        agg: Matrix,
-        /// The `n_dst` self rows GraphSAGE concatenates (the first `n_dst`
-        /// gathered rows); `None` for GCN.
-        self_rows: Option<Matrix>,
-    },
+/// of the parameter-free prologue a loader worker runs on each batch: layer
+/// 0's aggregation, which is all a GCN/GraphSAGE first GEMM reads of the
+/// gathered rows. The `n_src × F` gathered matrix itself never leaves the
+/// worker.
+pub struct PreparedInput {
+    /// `Â₀·X[input_nodes]`, one row per row of the input-side adjacency
+    /// (`n_dst × F`).
+    pub agg: Matrix,
+    /// The `n_dst` self rows GraphSAGE concatenates (the first `n_dst`
+    /// gathered rows); `None` for GCN.
+    pub self_rows: Option<Matrix>,
 }
 
 impl PreparedInput {
@@ -226,19 +221,14 @@ impl PreparedInput {
                 .copy_from_slice(&gathered.data()[..n_dst * dim]);
             rows
         });
-        PreparedInput::Aggregated { agg, self_rows }
+        PreparedInput { agg, self_rows }
     }
 
     /// Retires every buffer to `ring` once the step has read them.
     pub fn recycle(self, ring: &InputRing) {
-        match self {
-            PreparedInput::Gathered(m) => ring.put(m),
-            PreparedInput::Aggregated { agg, self_rows } => {
-                ring.put(agg);
-                if let Some(rows) = self_rows {
-                    ring.put(rows);
-                }
-            }
+        ring.put(self.agg);
+        if let Some(rows) = self.self_rows {
+            ring.put(rows);
         }
     }
 }
@@ -453,6 +443,10 @@ impl PipelinedLoader {
             spans,
         } = spec;
         assert!(batch_size > 0 && n_samp > 0);
+        assert!(
+            features.is_none() || normalization != Normalization::None,
+            "a loader with features aggregates: it needs a fused normalization"
+        );
         let total = seeds.len().div_ceil(batch_size);
         // One ready batch per worker: the loader outpaces the step, so a
         // deeper channel would only hold more prepared inputs in memory.
@@ -532,14 +526,6 @@ impl PipelinedLoader {
                                     Some(c) => c.gather_rows_into(f, ids, out),
                                     None => f.gather_into(ids, out),
                                 };
-                                if normalization == Normalization::None {
-                                    // The rows themselves are the hand-off.
-                                    return ring.timed(kind, i as u64, || {
-                                        let mut m = inputs.take(ids.len(), f.dim());
-                                        gather(m.data_mut());
-                                        PreparedInput::Gathered(m)
-                                    });
-                                }
                                 let rows = ring.timed(kind, i as u64, || {
                                     let buf = std::mem::take(&mut gathered);
                                     let mut m = resized(buf, ids.len(), f.dim());
@@ -809,9 +795,8 @@ mod tests {
     #[test]
     fn pre_gathered_input_matches_direct_gather() {
         // With features in the spec — cached or not — every yielded batch
-        // carries what its normalization says the first GEMM reads: the
-        // gathered rows bitwise (`None`), or their aggregation over the
-        // input-side adjacency, with the self rows for `Mean` only.
+        // carries what the first GEMM reads: the gathered rows' aggregation
+        // over the input-side adjacency, with the self rows for `Mean` only.
         let (g, s, seeds) = setup();
         let feats = features();
         let run = |norm: Normalization, cache: Option<Arc<FeatureCache>>| {
@@ -826,27 +811,20 @@ mod tests {
             }
             for (_, lb) in b.start() {
                 let gathered = feats.gather(lb.batch.input_nodes());
-                match (norm, lb.input.expect("features requested")) {
-                    (Normalization::None, PreparedInput::Gathered(input)) => {
-                        assert_eq!(input.data(), gathered.data());
-                    }
-                    (_, PreparedInput::Aggregated { agg, self_rows }) => {
-                        let n_dst = lb.batch.input_adj().rows();
-                        assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
-                        let want = aggregated_by_hand(&lb.batch, &feats);
-                        for (a, w) in agg.data().iter().zip(&want) {
-                            assert!((a - w).abs() <= 1e-5 * w.abs().max(1.0), "{a} vs {w}");
-                        }
-                        assert_eq!(self_rows.is_some(), norm == Normalization::Mean);
-                        if let Some(rows) = self_rows {
-                            assert_eq!(rows.data(), &gathered.data()[..n_dst * 4]);
-                        }
-                    }
-                    (norm, _) => panic!("{norm:?} got the other hand-off"),
+                let PreparedInput { agg, self_rows } = lb.input.expect("features requested");
+                let n_dst = lb.batch.input_adj().rows();
+                assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
+                let want = aggregated_by_hand(&lb.batch, &feats);
+                for (a, w) in agg.data().iter().zip(&want) {
+                    assert!((a - w).abs() <= 1e-5 * w.abs().max(1.0), "{a} vs {w}");
+                }
+                assert_eq!(self_rows.is_some(), norm == Normalization::Mean);
+                if let Some(rows) = self_rows {
+                    assert_eq!(rows.data(), &gathered.data()[..n_dst * 4]);
                 }
             }
         };
-        for norm in [Normalization::None, Normalization::Mean, Normalization::Gcn] {
+        for norm in [Normalization::Mean, Normalization::Gcn] {
             run(norm, None);
             let cache = Arc::new(FeatureCache::new(200, 4));
             run(norm, Some(Arc::clone(&cache)));
@@ -875,10 +853,7 @@ mod tests {
                 .build();
             for (_, lb) in PipelinedLoader::start_recycling(spec, ring.clone()) {
                 let input = lb.input.expect("features requested");
-                let PreparedInput::Aggregated { self_rows, .. } = &input else {
-                    panic!("a fused normalization is aggregated");
-                };
-                let rows = self_rows.as_ref().expect("mean keeps the self rows");
+                let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
                 let gathered = feats.gather(lb.batch.input_nodes());
                 assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
                 input.recycle(&ring);
@@ -966,6 +941,15 @@ mod tests {
             let calls = dies.calls.load(Ordering::Relaxed);
             assert!(calls <= 40 && loader.reorder.len() <= 40, "{calls} calls");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a fused normalization")]
+    fn features_without_a_fused_normalization_are_refused() {
+        let (g, s, seeds) = setup();
+        LoaderSpec::builder(g, s, seeds)
+            .features(features())
+            .start();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! For a batch of root nodes, performs `walk_length` random-walk steps from
 //! every root and trains on the subgraph induced by all visited nodes. Like
 //! ShaDow, the model runs all of its layers inside the subgraph, so the
-//! sampler reuses [`SubgraphBatch`].
+//! sampler reuses [`SubgraphBatch`](crate::batch::SubgraphBatch).
 
 use argo_graph::{Graph, NodeId};
 use argo_rt::{SeedSequence, StreamRng};

@@ -6,7 +6,7 @@
 //! the calling worker, so the steady-state sampling loop performs **zero
 //! per-batch heap allocations for sampler metadata**. The assembled batch
 //! itself also lives here — `sample_into` builds its CSR directly in the
-//! scratch's [`BatchArena`] and returns a borrowed
+//! scratch's batch arena and returns a borrowed
 //! [`SampledBatchView`](crate::SampledBatchView); owned memory is spent
 //! only where a batch must outlive the arena (`to_owned`, e.g. at the
 //! loader's reorder-channel boundary).

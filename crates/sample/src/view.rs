@@ -1,10 +1,9 @@
 //! Borrowed batch views over the sampler's batch arena.
 //!
 //! [`Sampler::sample_into`](crate::Sampler::sample_into) assembles a batch
-//! directly inside [`SamplerScratch`](crate::SamplerScratch)'s
-//! [`BatchArena`](crate::scratch::BatchArena) and returns a
-//! [`SampledBatchView`] — slices into that arena plus
-//! [`SparseView`](argo_tensor::SparseView) adjacencies. Consumers on the
+//! directly inside [`SamplerScratch`](crate::SamplerScratch)'s batch arena
+//! and returns a [`SampledBatchView`] — slices into that arena plus
+//! [`SparseView`] adjacencies. Consumers on the
 //! same thread (the serving session, inference forward passes) aggregate
 //! straight out of the arena with zero copies; anything that must cross an
 //! ownership boundary — the loader's reorder-heap channel, training's

@@ -10,14 +10,14 @@
 use std::sync::Arc;
 
 use argo_graph::datasets::FLICKR;
-use argo_nn::{AnyModel, Arch};
+use argo_nn::{Arch, Gnn};
 use argo_rt::Telemetry;
 use argo_sample::{NeighborSampler, Normalization};
 use argo_serve::ServeSpec;
 
 fn main() {
     let dataset = Arc::new(FLICKR.synthesize(0.005, 23));
-    let net = AnyModel::build(
+    let net = Gnn::new(
         Arch::Sage,
         dataset.feat_dim(),
         16,

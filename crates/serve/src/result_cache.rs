@@ -11,7 +11,7 @@
 //! Eviction reuses the CLOCK second-chance design of the feature cache
 //! (PR 2): each entry carries a small frequency counter, a sweeping hand
 //! decrements until it finds a zero, and repeated hits saturate at
-//! [`MAX_FREQ`] so one-hit wonders leave before hot queries do.
+//! `MAX_FREQ` so one-hit wonders leave before hot queries do.
 
 use std::collections::HashMap;
 use std::sync::Arc;

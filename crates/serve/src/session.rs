@@ -2,7 +2,7 @@
 //!
 //! [`ServeSession`] is the online counterpart of the training engine. A
 //! caller submits "embed/classify these seed nodes" queries; the session
-//! queues them in the deadline [`MicroBatcher`](crate::batcher::MicroBatcher),
+//! queues them in the deadline [`MicroBatcher`],
 //! and executes each flushed micro-batch over the same zero-allocation
 //! sampler, feature cache and forward kernels the training path uses.
 //!
@@ -11,7 +11,7 @@
 //! seed list, so merging queries into one combined seed list would change
 //! what every request samples. Keeping each request a pure function of
 //! `(its own seed list, config epoch)` is what makes the layered
-//! [`ResultCache`](crate::result_cache::ResultCache) sound — a cached
+//! [`ResultCache`] sound — a cached
 //! response is bitwise identical to re-executing the query. What a
 //! micro-batch amortizes is the flush: one poll, one `serve_exec` span and
 //! one `serve_batch` event cover up to `max_batch` requests. Clock reads and
@@ -25,7 +25,7 @@
 //! request that missed there queues, and its batch computes and inserts
 //! without looking again.
 //!
-//! All timing flows through the [`Clock`](crate::clock::Clock) abstraction;
+//! All timing flows through the [`Clock`] abstraction;
 //! this file never reads the wall clock directly, so every admission and
 //! deadline decision is deterministic under [`ManualClock`](crate::clock::ManualClock).
 
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use argo_core::Error;
 use argo_engine::Engine;
 use argo_graph::{Dataset, NodeId};
-use argo_nn::{AnyModel, QuantizedGnn};
+use argo_nn::Gnn;
 use argo_rt::racecheck;
 use argo_rt::spans::RING_CAPACITY;
 use argo_rt::telemetry::names;
@@ -43,7 +43,7 @@ use argo_rt::{
     SpanKind, SpanProfiler, Telemetry, WorkerRing,
 };
 use argo_sample::{CacheStats, FeatureCache, Normalization, SampleRun, Sampler, SamplerScratch};
-use argo_tensor::{Matrix, QuantKind};
+use argo_tensor::Matrix;
 
 use crate::batcher::{Admitted, FlushReason, MicroBatch, MicroBatcher};
 use crate::clock::{Clock, WallClock};
@@ -86,7 +86,7 @@ pub struct Submitted {
 pub struct ServeSpec {
     dataset: Arc<Dataset>,
     sampler: Arc<dyn Sampler>,
-    model: AnyModel,
+    model: Gnn,
     max_batch: usize,
     deadline_us: u64,
     queue_cap: usize,
@@ -95,7 +95,6 @@ pub struct ServeSpec {
     normalization: Normalization,
     seed: u64,
     shed_after_us: Option<u64>,
-    quantization: Option<QuantKind>,
     clock: Arc<dyn Clock>,
 }
 
@@ -106,7 +105,7 @@ impl ServeSpec {
     pub fn builder(
         dataset: Arc<Dataset>,
         sampler: Arc<dyn Sampler>,
-        model: AnyModel,
+        model: Gnn,
     ) -> ServeSpecBuilder {
         ServeSpecBuilder {
             spec: ServeSpec {
@@ -121,7 +120,6 @@ impl ServeSpec {
                 normalization: Normalization::None,
                 seed: 0,
                 shed_after_us: None,
-                quantization: None,
                 clock: Arc::new(WallClock::new()),
             },
         }
@@ -206,19 +204,6 @@ impl ServeSpecBuilder {
         self
     }
 
-    /// Serve from post-training-quantized weights (default: full f32).
-    /// The session quantizes the model's trained f32 weights once at
-    /// start-up and routes every forward pass through the quantized
-    /// kernels; responses stay within the documented accuracy delta of
-    /// f32 (see `argo_nn::quant`). GAT has no quantized form yet, so a
-    /// GAT model silently serves f32 — check
-    /// [`ServeSession::active_quantization`] for what actually took
-    /// effect.
-    pub fn quantization(mut self, quant: QuantKind) -> Self {
-        self.spec.quantization = Some(quant);
-        self
-    }
-
     /// Clock driving admission and latency accounting (default
     /// [`WallClock`]; tests inject [`crate::clock::ManualClock`]).
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
@@ -242,10 +227,7 @@ impl ServeSpecBuilder {
 pub struct ServeSession {
     dataset: Arc<Dataset>,
     sampler: Arc<dyn Sampler>,
-    model: AnyModel,
-    /// Quantized twin of `model`, built once at start-up when the spec
-    /// asked for it; `run_query` routes through it when present.
-    quantized: Option<QuantizedGnn>,
+    model: Gnn,
     normalization: Normalization,
     seed: u64,
     shed_after_us: Option<u64>,
@@ -280,15 +262,8 @@ impl ServeSession {
             normalization,
             seed,
             shed_after_us,
-            quantization,
             clock,
         } = spec;
-        // GAT has no quantized form; it keeps serving f32 (the getter
-        // `active_quantization` reports what actually took effect).
-        let quantized = match (&model, quantization) {
-            (AnyModel::Gnn(g), Some(q)) => Some(g.quantize(q)),
-            _ => None,
-        };
         let feature_cache = if feature_cache_rows > 0 {
             Some(FeatureCache::new(feature_cache_rows, dataset.feat_dim()))
         } else {
@@ -305,7 +280,6 @@ impl ServeSession {
             dataset,
             sampler,
             model,
-            quantized,
             normalization,
             seed,
             shed_after_us,
@@ -436,14 +410,6 @@ impl ServeSession {
     /// [`ServeSession::apply_config`]).
     pub fn config_epoch(&self) -> u64 {
         self.config_epoch
-    }
-
-    /// The weight-quantization scheme forward passes actually run under,
-    /// or `None` when serving full f32 (either because the spec never
-    /// asked for quantization, or because the architecture has no
-    /// quantized form — GAT).
-    pub fn active_quantization(&self) -> Option<QuantKind> {
-        self.quantized.as_ref().map(QuantizedGnn::quant_kind)
     }
 
     /// Requests currently queued.
@@ -615,10 +581,7 @@ impl ServeSession {
             None => features.gather_into(ids, &mut rows),
         }
         let input = Matrix::from_vec(ids.len(), features.dim(), rows);
-        let logits = match self.quantized.as_ref() {
-            Some(qm) => qm.forward_gathered_view(&batch, &input, None),
-            None => self.model.forward_gathered_view(&batch, &input, None),
-        };
+        let logits = self.model.forward_gathered_view(&batch, &input, None);
         self.input = input.into_data();
         logits
     }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use argo_core::Error;
 use argo_graph::datasets::{Dataset, FLICKR};
 use argo_graph::NodeId;
-use argo_nn::{AnyModel, Arch};
+use argo_nn::{Arch, Gnn};
 use argo_rt::telemetry::names;
 use argo_rt::{RunEvent, SpanKind, Telemetry};
 use argo_sample::{NeighborSampler, Normalization, Sampler};
@@ -21,8 +21,8 @@ fn neighbor() -> Arc<dyn Sampler> {
     Arc::new(NeighborSampler::new(vec![6, 3]))
 }
 
-fn model(d: &Dataset) -> AnyModel {
-    AnyModel::build(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5)
+fn model(d: &Dataset) -> Gnn {
+    Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5)
 }
 
 /// A session with a manual clock, immediate flushing and both caches on.
@@ -341,77 +341,6 @@ fn requests_without_telemetry_record_no_spans() {
     let spans = s.drain_spans();
     assert!(spans.records.is_empty(), "{} spans", spans.records.len());
     assert_eq!(spans.dropped, 0);
-}
-
-#[test]
-fn quantized_serving_tracks_f32_within_accuracy_delta() {
-    use argo_tensor::QuantKind;
-    let d = tiny();
-    let seeds: Vec<NodeId> = (0..24).collect();
-
-    let f32_clock = Arc::new(ManualClock::new());
-    let mut f32_session = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
-        .deadline_us(0)
-        .normalization(Normalization::Mean)
-        .seed(11)
-        .clock(Arc::clone(&f32_clock) as Arc<dyn argo_serve::Clock>)
-        .start();
-    assert_eq!(f32_session.active_quantization(), None);
-    let f32_out = f32_session.submit(seeds.clone(), None).unwrap();
-    let f32_logits = Arc::clone(&f32_out.completed[0].as_ref().unwrap().logits);
-
-    for (quant, max_delta) in [(QuantKind::Bf16, 0.02f32), (QuantKind::Int8, 0.08)] {
-        let clock = Arc::new(ManualClock::new());
-        let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
-            .deadline_us(0)
-            .normalization(Normalization::Mean)
-            .seed(11)
-            .quantization(quant)
-            .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
-            .start();
-        assert_eq!(s.active_quantization(), Some(quant));
-        let out = s.submit(seeds.clone(), None).unwrap();
-        let q = &out.completed[0].as_ref().unwrap().logits;
-        assert_eq!((q.rows(), q.cols()), (f32_logits.rows(), f32_logits.cols()));
-        // Same seed list + same session seed sample the same batch, so the
-        // only difference is the weight rounding — bounded per scheme.
-        let num: f32 = q
-            .data()
-            .iter()
-            .zip(f32_logits.data())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            .sqrt();
-        let den: f32 = f32_logits
-            .data()
-            .iter()
-            .map(|x| x * x)
-            .sum::<f32>()
-            .sqrt()
-            .max(1e-12);
-        let delta = num / den;
-        assert!(
-            delta <= max_delta,
-            "{quant:?}: serve logits delta {delta} > {max_delta}"
-        );
-    }
-}
-
-#[test]
-fn gat_ignores_quantization_and_serves_f32() {
-    use argo_tensor::QuantKind;
-    let d = tiny();
-    let gat = AnyModel::build(Arch::Gat { heads: 2 }, d.feat_dim(), 8, d.num_classes, 2, 5);
-    let clock = Arc::new(ManualClock::new());
-    let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), gat)
-        .deadline_us(0)
-        .quantization(QuantKind::Int8)
-        .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
-        .start();
-    assert_eq!(s.active_quantization(), None, "GAT has no quantized form");
-    let out = s.submit(vec![0, 1], None).unwrap();
-    let r = out.completed[0].as_ref().unwrap();
-    assert!(r.logits.data().iter().all(|x| x.is_finite()));
 }
 
 #[test]

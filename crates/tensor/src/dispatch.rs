@@ -23,8 +23,6 @@
 //! * **One gather.** Forward aggregation over an owned or a borrowed
 //!   adjacency and transposed aggregation over the cached transpose are the
 //!   same call ([`crate::sparse`]).
-//! * **One operand.** The weight side of a GEMM is a [`BSrc`], f32 or
-//!   quantized.
 //! * **Two constants.** `ROW_THRESHOLD` and `SPARSE_WORK_THRESHOLD` decide
 //!   serial vs pool; nothing sets them.
 
@@ -33,7 +31,7 @@ use std::ops::Range;
 use argo_rt::ThreadPool;
 
 use crate::dense::Matrix;
-use crate::kernels::{self, BSrc};
+use crate::kernels;
 use crate::simd;
 use crate::sparse::{self, SparseMatrix, SparseView};
 
@@ -162,7 +160,7 @@ impl DispatchPolicy {
         &self,
         a: &Matrix,
         rows: Range<usize>,
-        b: BSrc<'_>,
+        b: &Matrix,
         b_row_offset: usize,
         dst: &mut [f32],
         accumulate: bool,
@@ -192,17 +190,15 @@ impl DispatchPolicy {
     }
 
     /// Blocked GEMM `out = a @ b` with the epilogue fused into each
-    /// worker's write-back. `b` is f32 weights (`&Matrix`) or quantized
-    /// ones (`&QuantizedMatrix`, dequantized inside the kernel).
-    pub fn gemm_into<'b>(
+    /// worker's write-back.
+    pub fn gemm_into(
         &self,
         a: &Matrix,
-        b: impl Into<BSrc<'b>>,
+        b: &Matrix,
         epi: Epilogue<'_>,
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        let b = b.into();
         assert_eq!(a.cols(), b.rows(), "gemm shape mismatch");
         assert_eq!((out.rows(), out.cols()), (a.rows(), b.cols()), "gemm out");
         ThreadPool::parallel_chunks_mut(
@@ -219,19 +215,17 @@ impl DispatchPolicy {
 
     /// Fused GraphSAGE GEMM: `out = h[0..n_dst] @ w[0..f] + agg @ w[f..2f]`
     /// plus the epilogue — the `[h ‖ agg]` concatenation is never built.
-    /// `w` stores `W_self` stacked above `W_neigh` (`2f × o`, f32 or
-    /// quantized), `agg` is `n_dst × f`, and `h` supplies self features in
-    /// its first `n_dst` rows.
-    pub fn sage_gemm_into<'b>(
+    /// `w` stores `W_self` stacked above `W_neigh` (`2f × o`), `agg` is
+    /// `n_dst × f`, and `h` supplies self features in its first `n_dst` rows.
+    pub fn sage_gemm_into(
         &self,
         h: &Matrix,
         agg: &Matrix,
-        w: impl Into<BSrc<'b>>,
+        w: &Matrix,
         epi: Epilogue<'_>,
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        let w = w.into();
         let f = h.cols();
         let n_dst = agg.rows();
         assert_eq!(agg.cols(), f, "sage_gemm agg width");
@@ -450,7 +444,6 @@ impl DispatchPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::QuantizedMatrix;
     use crate::reference;
 
     fn pool2() -> ThreadPool {
@@ -751,72 +744,6 @@ mod tests {
             let (want_self, want_neigh) = naive_full.split_cols(f);
             assert_eq!(d_self.data(), want_self.data());
             assert_eq!(d_neigh.data(), want_neigh.data());
-        }
-    }
-
-    #[test]
-    fn quant_gemm_tracks_dequantized_reference() {
-        let pool = pool2();
-        let a = Matrix::xavier(70, 12, 20);
-        let b = Matrix::xavier(12, 9, 21);
-        let bias: Vec<f32> = (0..9).map(|i| 0.2 * i as f32 - 0.7).collect();
-        for kind in [crate::QuantKind::Bf16, crate::QuantKind::Int8] {
-            let qb = QuantizedMatrix::quantize(&b, kind);
-            let deq = qb.dequantize();
-            for (use_pool, use_simd) in [(false, false), (true, false), (false, true), (true, true)]
-            {
-                let mut policy = DispatchPolicy::default();
-                if !use_simd {
-                    policy = policy.force_scalar();
-                }
-                let p = use_pool.then_some(&pool);
-                // Reference: the same call on the dequantized f32 weights —
-                // one GEMM, two operand kinds.
-                let mut want = Matrix::zeros(70, 9);
-                policy.gemm_into(&a, &deq, Epilogue::bias_relu(&bias), p, &mut want);
-                let mut out = Matrix::zeros(70, 9);
-                policy.gemm_into(&a, &qb, Epilogue::bias_relu(&bias), p, &mut out);
-                for (g, w) in out.data().iter().zip(want.data()) {
-                    assert!(
-                        (g - w).abs() <= 1e-5 * 1.0f32.max(w.abs()),
-                        "{kind:?} pool={use_pool} simd={use_simd}: {g} vs {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sage_quant_gemm_tracks_f32_sage_gemm() {
-        let pool = pool2();
-        let f = 6;
-        let o = 5;
-        let n_dst = 72;
-        let h = Matrix::xavier(95, f, 22);
-        let agg = Matrix::xavier(n_dst, f, 23);
-        let w = Matrix::xavier(2 * f, o, 24);
-        let bias: Vec<f32> = (0..o).map(|i| 0.1 * i as f32 - 0.2).collect();
-        let policy = DispatchPolicy::default();
-        let mut want = Matrix::zeros(n_dst, o);
-        policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), None, &mut want);
-        for kind in [crate::QuantKind::Bf16, crate::QuantKind::Int8] {
-            let qw = QuantizedMatrix::quantize(&w, kind);
-            // bf16 keeps ~8 mantissa bits, int8 ~7: both stay within a few
-            // percent on these magnitudes.
-            let tol = match kind {
-                crate::QuantKind::Bf16 => 0.02f32,
-                crate::QuantKind::Int8 => 0.08,
-            };
-            for p in [None, Some(&pool)] {
-                let mut out = Matrix::zeros(n_dst, o);
-                policy.sage_gemm_into(&h, &agg, &qw, Epilogue::bias_relu(&bias), p, &mut out);
-                for (g, w_) in out.data().iter().zip(want.data()) {
-                    assert!(
-                        (g - w_).abs() <= tol * 1.0f32.max(w_.abs()),
-                        "{kind:?}: {g} vs {w_}"
-                    );
-                }
-            }
         }
     }
 }

@@ -24,50 +24,6 @@
 use std::ops::Range;
 
 use crate::dense::Matrix;
-use crate::quant::{self, QuantizedMatrix};
-
-/// The `B` (weight) operand of a GEMM: plain f32 rows, or a quantized
-/// matrix whose values are dequantized as the kernel reads them. Everything
-/// above the kernels is written once over this type, so training (f32) and
-/// quantized inference share one GEMM, one fused-SAGE GEMM and one layer
-/// forward.
-#[derive(Clone, Copy)]
-pub enum BSrc<'a> {
-    /// f32 weights.
-    F32(&'a Matrix),
-    /// bf16 / int8 weights.
-    Quant(&'a QuantizedMatrix),
-}
-
-impl BSrc<'_> {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        match self {
-            BSrc::F32(b) => b.rows(),
-            BSrc::Quant(b) => b.rows(),
-        }
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        match self {
-            BSrc::F32(b) => b.cols(),
-            BSrc::Quant(b) => b.cols(),
-        }
-    }
-}
-
-impl<'a> From<&'a Matrix> for BSrc<'a> {
-    fn from(b: &'a Matrix) -> Self {
-        BSrc::F32(b)
-    }
-}
-
-impl<'a> From<&'a QuantizedMatrix> for BSrc<'a> {
-    fn from(b: &'a QuantizedMatrix) -> Self {
-        BSrc::Quant(b)
-    }
-}
 
 /// Rows of `A` per cache block.
 pub(crate) const MC: usize = 64;
@@ -85,21 +41,6 @@ const MR: usize = 4;
 ///
 /// `dst` is row-major `rows.len() × b.cols()`.
 pub(crate) fn gemm_into(
-    a: &Matrix,
-    rows: Range<usize>,
-    b: BSrc<'_>,
-    b_row_offset: usize,
-    dst: &mut [f32],
-    accumulate: bool,
-) {
-    match b {
-        BSrc::F32(b) => gemm_f32(a, rows, b, b_row_offset, dst, accumulate),
-        BSrc::Quant(qb) => quant::gemm_scalar(a, rows, qb, b_row_offset, dst, accumulate),
-    }
-}
-
-/// The blocked f32 GEMM behind [`gemm_into`].
-fn gemm_f32(
     a: &Matrix,
     rows: Range<usize>,
     b: &Matrix,
@@ -392,7 +333,7 @@ mod tests {
             let a = Matrix::xavier(m, k, 1);
             let b = Matrix::xavier(k, n, 2);
             let mut blocked = Matrix::zeros(m, n);
-            gemm_into(&a, 0..m, (&b).into(), 0, blocked.data_mut(), false);
+            gemm_into(&a, 0..m, &b, 0, blocked.data_mut(), false);
             assert_eq!(
                 reference::matmul(&a, &b).data(),
                 blocked.data(),
@@ -438,16 +379,16 @@ mod tests {
         let a = Matrix::xavier(10, 6, 7);
         let w = Matrix::xavier(12, 8, 8); // two stacked 6x8 halves
         let mut top = Matrix::zeros(10, 8);
-        gemm_into(&a, 0..10, (&w).into(), 0, top.data_mut(), false);
+        gemm_into(&a, 0..10, &w, 0, top.data_mut(), false);
         let mut bot = Matrix::zeros(10, 8);
-        gemm_into(&a, 0..10, (&w).into(), 6, bot.data_mut(), false);
+        gemm_into(&a, 0..10, &w, 6, bot.data_mut(), false);
         let w_top = Matrix::from_vec(6, 8, w.data()[..48].to_vec());
         let w_bot = Matrix::from_vec(6, 8, w.data()[48..].to_vec());
         assert_eq!(top.data(), reference::matmul(&a, &w_top).data());
         assert_eq!(bot.data(), reference::matmul(&a, &w_bot).data());
         // accumulate=true fuses the two halves into one output.
         let mut fused = top.clone();
-        gemm_into(&a, 0..10, (&w).into(), 6, fused.data_mut(), true);
+        gemm_into(&a, 0..10, &w, 6, fused.data_mut(), true);
         for (f, (t, b)) in fused.data().iter().zip(top.data().iter().zip(bot.data())) {
             assert!((f - (t + b)).abs() < 1e-5);
         }

@@ -2,12 +2,9 @@
 //!
 //! This crate is the Rust stand-in for the numerical backend the paper's GNN
 //! libraries get from PyTorch: a dense row-major [`Matrix`] with the GEMM,
-//! bias/activation and loss kernels a 3-layer GNN needs, plus the two
-//! "fundamental GNN kernels" DGL builds message passing on (paper
-//! Section II-C):
-//!
-//! * **SpMM** — sparse × dense, used for feature aggregation (Eq. 1–2);
-//! * **SDDMM** — sampled dense-dense, used for edge-wise scores.
+//! bias/activation and loss kernels a 3-layer GNN needs, plus **SpMM** —
+//! sparse × dense, the feature aggregation of Eq. 1–2 and the fundamental
+//! GNN kernel DGL builds message passing on (paper Section II-C).
 //!
 //! Model code reaches the matmul/SpMM kernels only through
 //! [`DispatchPolicy`], which runs each operation inline or row-partitioned
@@ -20,7 +17,6 @@ pub mod dense;
 pub mod dispatch;
 mod kernels;
 pub mod ops;
-pub mod quant;
 pub mod reference;
 mod simd;
 pub mod sparse;
@@ -28,8 +24,6 @@ pub mod workspace;
 
 pub use dense::Matrix;
 pub use dispatch::{DispatchPolicy, Epilogue};
-pub use kernels::BSrc;
-pub use quant::{QuantKind, QuantizedMatrix};
 pub use simd::available as simd_available;
 pub use sparse::{SparseMatrix, SparseView};
 pub use workspace::Workspace;

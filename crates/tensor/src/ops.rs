@@ -36,21 +36,6 @@ pub fn relu_backward_from_output(grad: &mut Matrix, out: &Matrix) {
     }
 }
 
-/// LeakyReLU over a value slice: `x if x > 0 else slope·x`. Returns the
-/// per-element derivative (1 or `slope`) for the backward pass.
-pub fn leaky_relu_inplace(x: &mut [f32], slope: f32) -> Vec<f32> {
-    let mut deriv = Vec::with_capacity(x.len());
-    for v in x.iter_mut() {
-        if *v > 0.0 {
-            deriv.push(1.0);
-        } else {
-            *v *= slope;
-            deriv.push(slope);
-        }
-    }
-    deriv
-}
-
 /// Adds the bias row vector to every row of `x`.
 pub fn add_bias(x: &mut Matrix, bias: &[f32]) {
     assert_eq!(x.cols(), bias.len(), "bias length mismatch");
@@ -169,14 +154,6 @@ mod tests {
         relu_backward_from_output(&mut g, &Matrix::from_vec(1, 4, vec![1.0, 1.0, 0.0, 0.0]));
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(g.data()), bits(&[odd[0], odd[1], 0.0, 0.0]));
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let mut x = vec![-2.0f32, 0.0, 3.0];
-        let d = leaky_relu_inplace(&mut x, 0.2);
-        assert_eq!(x, vec![-0.4, 0.0, 3.0]);
-        assert_eq!(d, vec![0.2, 0.2, 1.0]);
     }
 
     #[test]

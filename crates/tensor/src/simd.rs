@@ -23,16 +23,13 @@
 //!
 //! The GEMM packs `A` into `MR`-row and `B` into `NR`-column panels (layout
 //! below) drawn from the per-thread pack arena in [`crate::workspace`], so
-//! steady-state training and serving do not allocate here. Quantized
-//! (bf16/int8) weight panels are dequantized during packing — the pack pass
-//! already touches every `B` element once, making dequantization nearly
-//! free relative to the `MC`-row GEMM that consumes the panel.
+//! steady-state training and serving do not allocate here.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::dense::Matrix;
-use crate::kernels::{self, BSrc};
+use crate::kernels;
 
 /// Whether the SIMD tier is usable on this host: `x86_64` with `avx2` and
 /// `fma`, and not disabled via `ARGO_SIMD=off` (or `0`). Cached after the
@@ -62,11 +59,10 @@ fn detect() -> bool {
 }
 
 /// SIMD [`crate::kernels::gemm_into`]: `dst (+)= A[rows] @ B[b_row_offset..]`.
-/// A quantized `B` is dequantized while its panels are packed.
 pub(crate) fn gemm_into(
     a: &Matrix,
     rows: Range<usize>,
-    b: BSrc<'_>,
+    b: &Matrix,
     b_row_offset: usize,
     dst: &mut [f32],
     accumulate: bool,
@@ -163,7 +159,7 @@ mod x86 {
     use std::ops::Range;
 
     use crate::dense::Matrix;
-    use crate::kernels::{BSrc, KC, MC, NC};
+    use crate::kernels::{KC, MC, NC};
     use crate::workspace;
 
     /// Micro-kernel row tile: `A` values broadcast across the lanes.
@@ -195,20 +191,15 @@ mod x86 {
 
     /// Packs a `kc × nc` block of `B` (rows `kk..`, columns `jj..`) into
     /// `NR`-column tiles, k-major within each tile
-    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails. A
-    /// quantized source is dequantized here, on the one pass that touches
-    /// every `B` element anyway.
-    fn pack_b(src: BSrc<'_>, kk: usize, kc: usize, jj: usize, nc: usize, buf: &mut [f32]) {
+    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails.
+    fn pack_b(b: &Matrix, kk: usize, kc: usize, jj: usize, nc: usize, buf: &mut [f32]) {
         for t in 0..nc.div_ceil(NR) {
             let j0 = jj + t * NR;
             let w = NR.min(jj + nc - j0);
             let tile = &mut buf[t * NR * kc..(t + 1) * NR * kc];
             for k in 0..kc {
                 let lanes = &mut tile[k * NR..(k + 1) * NR];
-                match src {
-                    BSrc::F32(b) => lanes[..w].copy_from_slice(&b.row(kk + k)[j0..j0 + w]),
-                    BSrc::Quant(b) => b.dequant_segment_into(kk + k, j0, &mut lanes[..w]),
-                }
+                lanes[..w].copy_from_slice(&b.row(kk + k)[j0..j0 + w]);
                 lanes[w..].fill(0.0);
             }
         }
@@ -303,13 +294,13 @@ mod x86 {
     pub(super) fn gemm(
         a: &Matrix,
         rows: Range<usize>,
-        bsrc: BSrc<'_>,
+        b: &Matrix,
         b_row_offset: usize,
         dst: &mut [f32],
         accumulate: bool,
     ) {
         let k_dim = a.cols();
-        let n = bsrc.cols();
+        let n = b.cols();
         let m = rows.len();
         debug_assert_eq!(dst.len(), m * n, "dst shape");
         if !accumulate {
@@ -323,7 +314,7 @@ mod x86 {
                 let kc = KC.min(k_dim - kk);
                 for jj in (0..n).step_by(NC) {
                     let nc = NC.min(n - jj);
-                    pack_b(bsrc, b_row_offset + kk, kc, jj, nc, pb);
+                    pack_b(b, b_row_offset + kk, kc, jj, nc, pb);
                     for ii in (0..m).step_by(MC) {
                         let mc = MC.min(m - ii);
                         pack_a(a, rows.start + ii, mc, kk, kc, pa);
@@ -666,7 +657,6 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{QuantKind, QuantizedMatrix};
     use crate::reference;
     use crate::workspace;
 
@@ -691,7 +681,7 @@ mod tests {
             let a = Matrix::xavier(m, k, 1);
             let b = Matrix::xavier(k, n, 2);
             let mut got = vec![0.0f32; m * n];
-            gemm_into(&a, 0..m, (&b).into(), 0, &mut got, false);
+            gemm_into(&a, 0..m, &b, 0, &mut got, false);
             let want = reference::matmul(&a, &b);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "{m}x{k}x{n}: {g} vs {w}");
@@ -708,8 +698,8 @@ mod tests {
         let a = Matrix::xavier(10, 6, 7);
         let w = Matrix::xavier(12, 8, 8);
         let mut fused = vec![0.0f32; 10 * 8];
-        gemm_into(&a, 0..10, (&w).into(), 0, &mut fused, false);
-        gemm_into(&a, 0..10, (&w).into(), 6, &mut fused, true);
+        gemm_into(&a, 0..10, &w, 0, &mut fused, false);
+        gemm_into(&a, 0..10, &w, 6, &mut fused, true);
         let w_top = Matrix::from_vec(6, 8, w.data()[..48].to_vec());
         let w_bot = Matrix::from_vec(6, 8, w.data()[48..].to_vec());
         let want_top = reference::matmul(&a, &w_top);
@@ -732,11 +722,11 @@ mod tests {
         let a = Matrix::xavier(71, 33, 3);
         let b = Matrix::xavier(33, 19, 4);
         let mut whole = vec![0.0f32; 71 * 19];
-        gemm_into(&a, 0..71, (&b).into(), 0, &mut whole, false);
+        gemm_into(&a, 0..71, &b, 0, &mut whole, false);
         let mut split = vec![0.0f32; 71 * 19];
         let (top, bot) = split.split_at_mut(40 * 19);
-        gemm_into(&a, 0..40, (&b).into(), 0, top, false);
-        gemm_into(&a, 40..71, (&b).into(), 0, bot, false);
+        gemm_into(&a, 0..40, &b, 0, top, false);
+        gemm_into(&a, 40..71, &b, 0, bot, false);
         assert_eq!(whole, split);
     }
 
@@ -788,30 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_gemm_tracks_f32_gemm() {
-        let a = Matrix::xavier(33, 24, 9);
-        let b = Matrix::xavier(24, 17, 10);
-        let want = reference::matmul(&a, &b);
-        for (kind, tol) in [(QuantKind::Bf16, 0.02f32), (QuantKind::Int8, 0.08)] {
-            let qb = QuantizedMatrix::quantize(&b, kind);
-            let mut got = vec![0.0f32; 33 * 17];
-            gemm_into(&a, 0..33, (&qb).into(), 0, &mut got, false);
-            let norm: f32 = want.data().iter().map(|x| x * x).sum::<f32>().sqrt();
-            let err: f32 = got
-                .iter()
-                .zip(want.data())
-                .map(|(g, w)| (g - w) * (g - w))
-                .sum::<f32>()
-                .sqrt();
-            assert!(
-                err <= tol * norm,
-                "{kind:?}: relative error {} > {tol}",
-                err / norm
-            );
-        }
-    }
-
-    #[test]
     fn pack_arena_reaches_steady_state() {
         if !available() {
             return;
@@ -819,10 +785,10 @@ mod tests {
         let a = Matrix::xavier(100, 300, 11);
         let b = Matrix::xavier(300, 40, 12);
         let mut out = vec![0.0f32; 100 * 40];
-        gemm_into(&a, 0..100, (&b).into(), 0, &mut out, false);
+        gemm_into(&a, 0..100, &b, 0, &mut out, false);
         let warm = workspace::pack_buffer_grows();
         for _ in 0..3 {
-            gemm_into(&a, 0..100, (&b).into(), 0, &mut out, false);
+            gemm_into(&a, 0..100, &b, 0, &mut out, false);
         }
         assert_eq!(
             workspace::pack_buffer_grows(),

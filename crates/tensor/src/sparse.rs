@@ -1,5 +1,5 @@
-//! CSR sparse matrix with the two fundamental GNN kernels: SpMM and SDDMM
-//! (paper Section II-C).
+//! CSR sparse matrix with the fundamental GNN kernel, SpMM (paper
+//! Section II-C).
 //!
 //! There is one SpMM: `gather_into`, a row gather over a [`SparseView`].
 //! An owned [`SparseMatrix`] hands out a view of itself for free, a sampled
@@ -224,110 +224,6 @@ impl SparseMatrix {
             }
         }
         Self::from_validated(self.cols, self.rows, colptr, rowidx, values)
-    }
-
-    /// **SDDMM**: for every stored entry `(i, j)` computes `a_i · b_j`
-    /// (rows of `a` and `b`), returning a sparse matrix with the same
-    /// structure and the dot products as values.
-    pub fn sddmm(&self, a: &Matrix, b: &Matrix) -> SparseMatrix {
-        assert_eq!(a.rows(), self.rows, "sddmm a rows");
-        assert_eq!(b.rows(), self.cols, "sddmm b rows");
-        assert_eq!(a.cols(), b.cols(), "sddmm inner dim");
-        let mut vals = vec![0.0f32; self.nnz()];
-        for i in 0..self.rows {
-            let ar = a.row(i);
-            for k in self.row_range(i) {
-                let br = b.row(self.indices[k] as usize);
-                let mut acc = 0.0f32;
-                for (x, y) in ar.iter().zip(br) {
-                    acc += x * y;
-                }
-                vals[k] = acc;
-            }
-        }
-        self.with_values(vals)
-    }
-
-    /// Broadcast-add SDDMM variant (`u_add_v` in DGL terms): value of entry
-    /// `(i, j)` becomes `row_vals[i] + col_vals[j]` — the edge-score
-    /// computation of attention models (GAT).
-    pub fn sddmm_add(&self, row_vals: &[f32], col_vals: &[f32]) -> SparseMatrix {
-        assert_eq!(row_vals.len(), self.rows, "sddmm_add row length");
-        assert_eq!(col_vals.len(), self.cols, "sddmm_add col length");
-        let mut vals = vec![0.0f32; self.nnz()];
-        for (i, &rv) in row_vals.iter().enumerate() {
-            for k in self.row_range(i) {
-                vals[k] = rv + col_vals[self.indices[k] as usize];
-            }
-        }
-        self.with_values(vals)
-    }
-
-    /// Row-wise softmax over the stored values (edge softmax): within each
-    /// row the values are replaced by `exp(v - max) / Σ exp(v - max)`.
-    /// Rows without entries are left empty. Panics if no values are set.
-    pub fn row_softmax(&self) -> SparseMatrix {
-        let v = self.values.as_ref().expect("row_softmax needs values");
-        let mut out = v.clone();
-        for i in 0..self.rows {
-            let row = &mut out[self.row_range(i)];
-            if row.is_empty() {
-                continue;
-            }
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0f32;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                denom += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= denom;
-            }
-        }
-        self.with_values(out)
-    }
-
-    /// Backward of [`SparseMatrix::row_softmax`]: given the softmax output
-    /// `alpha` (this matrix's values) and upstream gradient `d_alpha`,
-    /// returns `d_logits`: `α_k (dα_k − Σ_{k'∈row} α_{k'} dα_{k'})`.
-    pub fn row_softmax_backward(&self, d_alpha: &[f32]) -> Vec<f32> {
-        let alpha = self
-            .values
-            .as_ref()
-            .expect("row_softmax_backward needs values");
-        assert_eq!(d_alpha.len(), alpha.len(), "gradient length");
-        let mut out = vec![0.0f32; alpha.len()];
-        for i in 0..self.rows {
-            let row = self.row_range(i);
-            let dot: f32 = alpha[row.clone()]
-                .iter()
-                .zip(&d_alpha[row.clone()])
-                .map(|(a, d)| a * d)
-                .sum();
-            for k in row {
-                out[k] = alpha[k] * (d_alpha[k] - dot);
-            }
-        }
-        out
-    }
-
-    /// Sums the stored values within each row (e.g. `Σ_k de_k` per dst node
-    /// in attention backward). Panics if no values are set.
-    pub fn row_value_sums(&self) -> Vec<f32> {
-        let v = self.values.as_ref().expect("row_value_sums needs values");
-        (0..self.rows)
-            .map(|i| v[self.row_range(i)].iter().sum())
-            .collect()
-    }
-
-    /// Sums the stored values per *column* (scatter to sources).
-    pub fn col_value_sums(&self) -> Vec<f32> {
-        let v = self.values.as_ref().expect("col_value_sums needs values");
-        let mut out = vec![0.0f32; self.cols];
-        for (k, &j) in self.indices.iter().enumerate() {
-            out[j as usize] += v[k];
-        }
-        out
     }
 
     /// Replaces the values; structure unchanged — and not re-validated: it
@@ -700,17 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn sddmm_computes_dots() {
-        let s = SparseMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], None);
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = Matrix::from_vec(2, 2, vec![5., 6., 7., 8.]);
-        let out = s.sddmm(&a, &b);
-        // entry (0,1): a0·b1 = 1*7+2*8 = 23; entry (1,0): a1·b0 = 3*5+4*6=39.
-        assert_eq!(out.values().unwrap(), &[23.0, 39.0]);
-        assert_eq!(out.indices(), s.indices());
-    }
-
-    #[test]
     fn to_dense_roundtrip_values() {
         let s = sample();
         let d = s.to_dense();
@@ -730,73 +615,6 @@ mod tests {
     #[should_panic]
     fn col_out_of_range_panics() {
         SparseMatrix::new(1, 2, vec![0, 1], vec![5], None);
-    }
-
-    #[test]
-    fn sddmm_add_broadcasts() {
-        let s = SparseMatrix::new(2, 3, vec![0, 2, 3], vec![0, 2, 1], None);
-        let out = s.sddmm_add(&[10.0, 20.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(out.values().unwrap(), &[11.0, 13.0, 22.0]);
-    }
-
-    #[test]
-    fn row_softmax_rows_sum_to_one() {
-        let s = SparseMatrix::new(3, 3, vec![0, 2, 2, 5], vec![0, 1, 0, 1, 2], None)
-            .with_values(vec![1.0, 2.0, 5.0, 5.0, 5.0]);
-        let sm = s.row_softmax();
-        let v = sm.values().unwrap();
-        assert!((v[0] + v[1] - 1.0).abs() < 1e-6);
-        assert!(v[1] > v[0]); // larger logit gets more mass
-        assert!((v[2] + v[3] + v[4] - 1.0).abs() < 1e-6);
-        assert!((v[2] - 1.0 / 3.0).abs() < 1e-6); // uniform row
-    }
-
-    #[test]
-    fn row_softmax_stable_for_large_values() {
-        let s = SparseMatrix::new(1, 2, vec![0, 2], vec![0, 1], Some(vec![1000.0, -1000.0]));
-        let v = s.row_softmax();
-        assert!(v.values().unwrap().iter().all(|x| x.is_finite()));
-        assert!((v.values().unwrap()[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn row_softmax_backward_matches_finite_difference() {
-        let logits = vec![0.3f32, -0.5, 1.2, 0.1];
-        let s = SparseMatrix::new(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], Some(logits.clone()));
-        let alpha = s.row_softmax();
-        // Upstream grad on alpha.
-        let d_alpha = vec![0.7f32, -0.2, 0.4, 0.9];
-        let analytic = alpha.row_softmax_backward(&d_alpha);
-        // FD on loss = Σ d_alpha · softmax(logits).
-        let eps = 1e-3f32;
-        for k in 0..4 {
-            let mut lp = logits.clone();
-            lp[k] += eps;
-            let mut lm = logits.clone();
-            lm[k] -= eps;
-            let f = |l: Vec<f32>| -> f32 {
-                let sm = s.with_values(l).row_softmax();
-                sm.values()
-                    .unwrap()
-                    .iter()
-                    .zip(&d_alpha)
-                    .map(|(a, d)| a * d)
-                    .sum()
-            };
-            let fd = (f(lp) - f(lm)) / (2.0 * eps);
-            assert!(
-                (fd - analytic[k]).abs() < 1e-3,
-                "k={k}: fd {fd} vs {}",
-                analytic[k]
-            );
-        }
-    }
-
-    #[test]
-    fn row_and_col_value_sums() {
-        let s = sample();
-        assert_eq!(s.row_value_sums(), vec![3.0, 3.0]);
-        assert_eq!(s.col_value_sums(), vec![1.0, 3.0, 2.0]);
     }
 
     #[test]

@@ -304,47 +304,6 @@ proptest! {
         prop_assert!(!c.fits(c.total_cores() - 1));
     }
 
-    /// Edge softmax: rows are probability distributions for any structure
-    /// and any logits, and its backward matches the analytic Jacobian
-    /// (gradients sum to ~0 within a row under a constant upstream).
-    #[test]
-    fn edge_softmax_rows_are_distributions(
-        rows in 1usize..8,
-        cols in 1usize..8,
-        mask in prop::collection::vec(any::<bool>(), 64),
-        logits in prop::collection::vec(-4.0f32..4.0, 64),
-    ) {
-        let mut indptr = vec![0u32];
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..rows {
-            for j in 0..cols {
-                let k = i * cols + j;
-                if mask[k % mask.len()] {
-                    indices.push(j as u32);
-                    vals.push(logits[k % logits.len()]);
-                }
-            }
-            indptr.push(indices.len() as u32);
-        }
-        let s = SparseMatrix::new(rows, cols, indptr, indices, Some(vals));
-        let sm = s.row_softmax();
-        let v = sm.values().unwrap();
-        for i in 0..rows {
-            let row = &v[sm.row_range(i)];
-            if !row.is_empty() {
-                let sum: f32 = row.iter().sum();
-                prop_assert!((sum - 1.0).abs() < 1e-4, "row {i} sums to {sum}");
-                prop_assert!(row.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
-            }
-        }
-        // Constant upstream gradient ⇒ logits gradient ≈ 0 (softmax is
-        // invariant to constant shifts).
-        let d_alpha = vec![1.0f32; sm.nnz()];
-        let de = sm.row_softmax_backward(&d_alpha);
-        prop_assert!(de.iter().all(|g| g.abs() < 1e-5));
-    }
-
     /// The pipelined loader yields identical batch contents regardless of
     /// the number of sampler workers, for any batch size.
     #[test]
@@ -365,25 +324,6 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(collect(1), collect(workers));
-    }
-
-    /// GAT attention rows are probability distributions on any sampled
-    /// batch, via the full model forward (smoke + invariant).
-    #[test]
-    fn gat_forward_is_finite(seed in 0u64..15, heads in 1usize..4) {
-        use argo::nn::Gat;
-        let g = planted_communities(120, 900, 3, 0.85, seed);
-        let feats = argo::graph::features::community_features(120, 8, 3, 0.3, seed).0;
-        let sampler = NeighborSampler::new(vec![4, 3]);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let batch = sampler.sample(&g, &[0, 1, 2, 3, 4], &mut rng);
-        let gat = Gat::new(8, 4 * heads, 3, 2, heads, seed);
-        let ids = batch.input_nodes();
-        let mut input = Matrix::zeros(ids.len(), 8);
-        feats.gather_into(ids, input.data_mut());
-        let out = gat.forward_gathered(&batch, input, None);
-        prop_assert_eq!(out.rows(), 5);
-        prop_assert!(out.data().iter().all(|x| x.is_finite()));
     }
 
     /// Dataset serialization round-trips any synthesized instance.
