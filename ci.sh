@@ -16,7 +16,7 @@ cargo clippy --workspace --all-targets -- -D clippy::too_many_arguments
 echo "==> cargo doc (-D warnings: no dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> argo-lint (static analysis: unsafe/SAFETY, no-panic, no-instant, sampler-scratch, feature-gather)"
+echo "==> argo-lint (static analysis: simd-isolation, window-racecheck, unsafe-safety, no-panic, no-instant, kernel-dispatch, sampler-scratch, feature-gather, borrowed-batch)"
 cargo run -q -p argo-check --bin argo-lint
 
 echo "==> cargo test -q -p argo-check --features check (lock-order sanitizer + happens-before race detector: both seeded-bug corpora, zero-report train/serve runs; mini-loom)"
@@ -24,6 +24,18 @@ cargo test -q -p argo-check --features check
 
 echo "==> cargo build --release"
 cargo build --workspace --release
+
+echo "==> CLI round trip: argo train writes --metrics-out/--trace-out, argo report --metrics reads the JSONL back"
+cli_dir="$(mktemp -d)"
+target/release/argo train --scale 0.002 --epochs 3 --n-search 2 \
+    --metrics-out "$cli_dir/run.jsonl" --trace-out "$cli_dir/trace.json" >/dev/null
+target/release/argo report --metrics "$cli_dir/run.jsonl" >"$cli_dir/report.txt"
+if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
+    cat "$cli_dir/report.txt"
+    echo "CLI round trip: the report of the written JSONL has no tuner convergence section" >&2
+    exit 1
+fi
+rm -rf "$cli_dir"
 
 echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd must not lose to the tier below)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels

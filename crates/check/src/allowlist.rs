@@ -39,12 +39,6 @@ pub const ALLOWLIST: &[AllowEntry] = &[
     },
     AllowEntry {
         rule: "no-instant",
-        path: "crates/rt/src/events.rs",
-        needle: "origin: std::time::Instant::now()",
-        why: "RunLogger event timestamps are wall-clock by design (JSONL `t` field)",
-    },
-    AllowEntry {
-        rule: "no-instant",
         path: "crates/tune/src/online.rs",
         needle: "Instant::now()",
         why: "suggest/observe overhead metrics (Table 5 reproduction)",

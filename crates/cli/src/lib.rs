@@ -60,7 +60,6 @@ pub fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
             "report",
         ],
         "report" => &["metrics"],
-        "top" => &["metrics", "refresh", "frames"],
         "space" => &["cores"],
         "info" | "help" | "-h" => &[],
         _ => return None,
@@ -203,11 +202,6 @@ USAGE:
       attribution, bytes/batch, feature-cache hit rates, bottleneck audit,
       tuner convergence) from a JSONL file written with --metrics-out
 
-  argo top      --metrics run.jsonl [--refresh 2] [--frames 1]
-      compact live view of the latest epoch (critical path, bytes/batch,
-      cache, bottleneck audit); re-reads the JSONL every --refresh seconds
-      for --frames iterations
-
   argo space    [--cores 112]
       inspect the configuration design space (needs at least 4 cores)
 
@@ -249,9 +243,7 @@ mod tests {
 
     #[test]
     fn every_subcommand_rejects_flags_it_does_not_declare() {
-        for command in [
-            "train", "simulate", "report", "top", "space", "info", "help",
-        ] {
+        for command in ["train", "simulate", "report", "space", "info", "help"] {
             let accepted = accepted_flags(command).expect("known subcommand");
             let err = parse_args(&argv(&format!("{command} --bogus 1"))).unwrap_err();
             assert!(err.contains("--bogus"), "{command}: {err}");

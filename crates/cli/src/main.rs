@@ -12,7 +12,7 @@ use argo_engine::{evaluate_confusion, Engine, EngineOptions};
 use argo_graph::Dataset;
 use argo_nn::Arch;
 use argo_platform::{Library, ModelKind, PerfModel, SamplerKind, Setup, ICE_LAKE_8380H};
-use argo_rt::{RunEvent, RunLogger, Source, Telemetry};
+use argo_rt::{RunLogger, Source, Telemetry};
 use argo_sample::{ClusterGcnSampler, NeighborSampler, SaintRwSampler, Sampler, ShadowSampler};
 use argo_tune::{paper_num_searches, SearchSpace};
 
@@ -37,7 +37,6 @@ fn run(args: &[String]) -> Result<(), Error> {
         "train" => train(&cli),
         "simulate" => simulate(&cli),
         "report" => report(&cli),
-        "top" => top(&cli),
         "space" => space(&cli),
         "info" => {
             info();
@@ -113,117 +112,6 @@ fn flush_telemetry(cli: &Cli, tel: &Telemetry, want_report: bool) -> Result<(), 
         print!("\n{}", render_report(&events, Some(tel)));
     }
     Ok(())
-}
-
-/// `argo top` — compact live view of the most recent epoch in a metrics
-/// JSONL. Re-reads the file every `--refresh` seconds for `--frames`
-/// iterations, so it can watch a run that is appending with `--metrics-out`.
-fn top(cli: &Cli) -> Result<(), Error> {
-    let path = cli.options.get("metrics").ok_or_else(|| {
-        Error::InvalidArgument(
-            "top needs --metrics FILE (a JSONL written with --metrics-out)".into(),
-        )
-    })?;
-    let refresh: f64 = cli.get_num("refresh", 2.0)?;
-    let frames: usize = cli.get_num("frames", 1)?;
-    for frame in 0..frames.max(1) {
-        if frame > 0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(refresh.clamp(0.1, 60.0)));
-            // ANSI clear + home so successive frames overwrite in place.
-            print!("\x1b[2J\x1b[H");
-        }
-        // A file that does not exist yet (run not started) or a torn tail
-        // line renders as "waiting" rather than an error.
-        let events = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| RunLogger::parse_jsonl(&text).ok())
-            .unwrap_or_default();
-        print!("{}", render_top(&events));
-    }
-    Ok(())
-}
-
-/// One-screen live view of a run's most recent telemetry, rendered from the
-/// structured events (`argo top --metrics run.jsonl` re-reads and re-renders
-/// the file as the run appends to it).
-fn render_top(events: &[(RunEvent, f64, Source)]) -> String {
-    let mut out = String::new();
-    let mut last_epoch: Option<(u64, &argo_rt::EpochRecord)> = None;
-    let mut last_cp: Option<&Vec<(String, f64)>> = None;
-    let mut last_bytes: Option<&argo_rt::BytesRecord> = None;
-    let mut last_cache: Option<&argo_rt::CacheSummaryRecord> = None;
-    let mut last_trial: Option<&argo_rt::TrialRecord> = None;
-    let mut last_check: Option<(&String, &String)> = None;
-    let mut modeled = false;
-    for (e, _, s) in events {
-        modeled |= *s == Source::Modeled;
-        match e {
-            RunEvent::EpochEnd { epoch, record, .. } => last_epoch = Some((*epoch, record)),
-            RunEvent::CriticalPath { fractions, .. } => last_cp = Some(fractions),
-            RunEvent::BytesSummary { record, .. } => last_bytes = Some(record),
-            RunEvent::CacheSummary { summary, .. } => last_cache = Some(summary),
-            RunEvent::TunerTrial(t) => last_trial = Some(t),
-            RunEvent::BottleneckCheck {
-                predicted,
-                measured,
-                ..
-            } => last_check = Some((predicted, measured)),
-            _ => {}
-        }
-    }
-    let Some((epoch, r)) = last_epoch else {
-        return "argo top — waiting for events…\n".to_string();
-    };
-    out.push_str(&format!(
-        "argo top — epoch {epoch}{}\n",
-        if modeled { " (modeled)" } else { "" }
-    ));
-    out.push_str(&format!(
-        "  epoch: {:.3}s, loss {:.4}, acc {:.3}, {} iterations, {} edges\n",
-        r.epoch_time, r.loss, r.train_accuracy, r.iterations, r.edges
-    ));
-    if let Some(fractions) = last_cp {
-        let mut sorted: Vec<&(String, f64)> = fractions.iter().filter(|(_, f)| *f > 0.0).collect();
-        sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let parts: Vec<String> = sorted
-            .iter()
-            .map(|(s, f)| format!("{s} {:.0}%", f * 100.0))
-            .collect();
-        out.push_str(&format!("  critical path: {}\n", parts.join(" | ")));
-    }
-    if let Some(b) = last_bytes {
-        out.push_str(&format!(
-            "  bytes/batch: {:.1} KB metadata, {:.1} MB cache-served, {} scratch allocs\n",
-            b.metadata_bytes_per_batch() / 1e3,
-            b.cache_bytes as f64 / 1e6,
-            b.scratch_allocs
-        ));
-    }
-    if let Some(c) = last_cache {
-        out.push_str(&format!(
-            "  cache: hit rate {:.1}%, {} / {} rows resident\n",
-            c.hit_rate() * 100.0,
-            c.resident_rows,
-            c.capacity_rows
-        ));
-    }
-    if let Some((predicted, measured)) = last_check {
-        out.push_str(&format!(
-            "  bottleneck: predicted {predicted}, measured {measured} ({})\n",
-            if predicted == measured {
-                "agree"
-            } else {
-                "DISAGREE"
-            }
-        ));
-    }
-    if let Some(t) = last_trial {
-        out.push_str(&format!(
-            "  tuner: trial {} — best {:.3}s at {}\n",
-            t.trial, t.best_epoch_time, t.best_config
-        ));
-    }
-    out
 }
 
 fn report(cli: &Cli) -> Result<(), Error> {
@@ -466,7 +354,6 @@ fn info() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argo_rt::{BytesRecord, Config, EpochRecord};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -487,7 +374,12 @@ mod tests {
 
     #[test]
     fn unknown_flags_and_subcommands_are_invalid_arguments() {
-        for args in ["train --metric-out run.jsonl", "info --verbose 1", "tune"] {
+        for args in [
+            "train --metric-out run.jsonl",
+            "info --verbose 1",
+            "tune",
+            "top",
+        ] {
             match run(&argv(args)) {
                 Err(Error::InvalidArgument(_)) => {}
                 other => panic!("{args}: expected InvalidArgument, got {other:?}"),
@@ -510,71 +402,5 @@ mod tests {
             }
             other => panic!("--model gat: expected InvalidArgument, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn top_renders_latest_state() {
-        let c = Config::new(2, 1, 2);
-        let mk = |e: RunEvent| (e, 0.0, Source::Measured);
-        let events = vec![
-            mk(RunEvent::EpochEnd {
-                epoch: 0,
-                config: c,
-                record: EpochRecord {
-                    epoch_time: 2.0,
-                    loss: 0.9,
-                    train_accuracy: 0.5,
-                    iterations: 4,
-                    minibatches: 8,
-                    edges: 100,
-                    sync_time: 0.1,
-                },
-            }),
-            mk(RunEvent::CriticalPath {
-                epoch: 1,
-                fractions: vec![("compute".to_string(), 0.7), ("heap_wait".to_string(), 0.3)],
-                spans: 10,
-                dropped: 0,
-            }),
-            mk(RunEvent::BytesSummary {
-                epoch: 1,
-                record: BytesRecord {
-                    batches: 4,
-                    metadata_bytes: 8_000,
-                    cache_bytes: 0,
-                    scratch_allocs: 2,
-                },
-            }),
-            mk(RunEvent::BottleneckCheck {
-                epoch: 1,
-                config: c,
-                predicted: "compute".to_string(),
-                measured: "compute".to_string(),
-            }),
-            mk(RunEvent::EpochEnd {
-                epoch: 1,
-                config: c,
-                record: EpochRecord {
-                    epoch_time: 1.5,
-                    loss: 0.7,
-                    train_accuracy: 0.6,
-                    iterations: 4,
-                    minibatches: 8,
-                    edges: 100,
-                    sync_time: 0.1,
-                },
-            }),
-        ];
-        let text = render_top(&events);
-        assert!(text.contains("epoch 1"), "{text}");
-        assert!(text.contains("1.500s"), "{text}");
-        assert!(text.contains("compute 70% | heap_wait 30%"), "{text}");
-        assert!(text.contains("2.0 KB metadata"), "{text}");
-        assert!(text.contains("2 scratch allocs"), "{text}");
-        assert!(
-            text.contains("predicted compute, measured compute (agree)"),
-            "{text}"
-        );
-        assert!(render_top(&[]).contains("waiting for events"));
     }
 }

@@ -1,15 +1,14 @@
 //! Rendering of telemetry into the `argo report` text output.
 //!
 //! Works from two sources that can be combined:
-//! * a live [`Telemetry`] handle right after a run (histogram quantiles,
-//!   overlap gauge), and/or
+//! * a live [`Telemetry`] handle right after a run (stage-histogram
+//!   quantiles, the Figure-2 overlap of its timeline), and/or
 //! * the structured events themselves — which is all a JSONL file written
 //!   with `--metrics-out` contains, so `argo report --metrics run.jsonl`
 //!   renders the same sections offline.
 
 use std::collections::BTreeMap;
 
-use argo_rt::telemetry::names;
 use argo_rt::{
     BytesRecord, CacheSummaryRecord, Config, RunEvent, ServeBatchRecord, ServeRequestRecord,
     Source, SpanKind, Stage, StageSummaryRecord, Telemetry, TrialRecord,
@@ -141,7 +140,7 @@ impl<'a> Sorted<'a> {
 /// Renders the report from parsed events plus (optionally) the live
 /// telemetry handle the run used. With a live handle, per-stage quantiles
 /// come from the per-iteration histograms and the overlap fraction from its
-/// gauge; from events alone, quantiles are over per-epoch stage totals.
+/// timeline; from events alone, quantiles are over per-epoch stage totals.
 pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry>) -> String {
     let mut out = String::new();
 
@@ -236,10 +235,15 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     }
 
     // ---- Overlap fraction (Figure 2) ---------------------------------
+    // Over the live timeline, up to the end of its last interval.
     if let Some(t) = live {
-        let gauges: BTreeMap<String, f64> = t.metrics.gauges().into_iter().collect();
-        if let Some(f) = gauges.get(names::OVERLAP_FRACTION) {
-            out.push_str(&format!("\ngather/compute overlap fraction: {f:.3}\n"));
+        let timeline = t.trace.events();
+        if !timeline.is_empty() {
+            let horizon = timeline.iter().map(|e| e.end).fold(0.0, f64::max);
+            out.push_str(&format!(
+                "\ngather/compute overlap fraction: {:.3}\n",
+                t.trace.overlap_fraction(horizon)
+            ));
         }
     }
 
@@ -434,95 +438,6 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         }
     }
 
-    // ---- Metrics snapshot (live handle only) --------------------------
-    // Renders the registry under its schema names. Together with the
-    // overlap gauge above this consumes every constant in `names`;
-    // `tests/telemetry.rs` checks a real run's registry against it.
-    if let Some(t) = live {
-        let counters: BTreeMap<String, u64> = t.metrics.counters().into_iter().collect();
-        let gauges: BTreeMap<String, f64> = t.metrics.gauges().into_iter().collect();
-        let mut section = String::new();
-        for name in [
-            names::EPOCHS_TOTAL,
-            names::ITERATIONS_TOTAL,
-            names::MINIBATCHES_TOTAL,
-            names::EDGES_TOTAL,
-            names::TUNER_TRIALS_TOTAL,
-            names::CACHE_HITS_TOTAL,
-            names::CACHE_MISSES_TOTAL,
-            names::CACHE_EVICTIONS_TOTAL,
-            names::CACHE_MOVED_BYTES_TOTAL,
-            names::SCRATCH_ALLOCS_TOTAL,
-            names::METADATA_BYTES_TOTAL,
-            names::SPANS_RECORDED_TOTAL,
-            names::SPANS_DROPPED_TOTAL,
-            names::SERVE_REQUESTS_TOTAL,
-            names::SERVE_BATCHES_TOTAL,
-            names::SERVE_RESULT_HITS_TOTAL,
-            names::SERVE_RESULT_MISSES_TOTAL,
-        ] {
-            if let Some(v) = counters.get(name) {
-                section.push_str(&format!("  {name:<26} {v}\n"));
-            }
-        }
-        // Runtime-checker verdicts (only present under `--features check`
-        // builds). Zero is the healthy steady state, so render
-        // the line whenever the counter exists and flag any non-zero count
-        // loudly — a race must not hide in a wall of healthy metrics.
-        for name in [
-            names::CHECK_RACE_REPORTS_TOTAL,
-            names::CHECK_LOCK_VIOLATIONS_TOTAL,
-        ] {
-            if let Some(v) = counters.get(name) {
-                let verdict = if *v == 0 { "" } else { "  <-- FAILED" };
-                section.push_str(&format!("  {name:<26} {v}{verdict}\n"));
-            }
-        }
-        for name in [
-            names::TUNER_BEST_EPOCH_SECONDS,
-            names::CACHE_BYTES,
-            names::CACHE_HIT_RATE,
-            names::SERVE_RESULT_HIT_RATE,
-        ] {
-            if let Some(v) = gauges.get(name) {
-                section.push_str(&format!("  {name:<26} {v:.3}\n"));
-            }
-        }
-        for name in [
-            names::EPOCH_SECONDS,
-            names::TUNER_SUGGEST_SECONDS,
-            names::TUNER_OBSERVE_SECONDS,
-        ] {
-            if let Some(h) = live_hists.get(name).filter(|h| h.count() > 0) {
-                section.push_str(&format!(
-                    "  {name:<26} p50 {:>10} p95 {:>10} n={}{}\n",
-                    fmt_seconds(h.quantile(0.50)),
-                    fmt_seconds(h.quantile(0.95)),
-                    h.count(),
-                    overflow_note(h)
-                ));
-            }
-        }
-        // Serving latency is a tail-latency metric: its snapshot line leads
-        // with the p99 the serve tuner objective optimizes.
-        {
-            let name = names::SERVE_REQUEST_SECONDS;
-            if let Some(h) = live_hists.get(name).filter(|h| h.count() > 0) {
-                section.push_str(&format!(
-                    "  {name:<26} p50 {:>10} p99 {:>10} n={}{}\n",
-                    fmt_seconds(h.quantile(0.50)),
-                    fmt_seconds(h.quantile(0.99)),
-                    h.count(),
-                    overflow_note(h)
-                ));
-            }
-        }
-        if !section.is_empty() {
-            out.push_str("\nmetrics snapshot:\n");
-            out.push_str(&section);
-        }
-    }
-
     out
 }
 
@@ -615,7 +530,7 @@ mod tests {
     #[test]
     fn report_roundtrips_through_jsonl() {
         // Encoding to JSONL and parsing back renders identically.
-        let logger = RunLogger::new();
+        let logger = &Telemetry::new().logger;
         for (e, _, _) in evs() {
             logger.log(e);
         }
@@ -872,36 +787,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_metrics_appear_in_the_live_snapshot() {
-        let tel = Telemetry::new();
-        tel.metrics.counter(names::SERVE_REQUESTS_TOTAL).add(7);
-        tel.metrics.counter(names::SERVE_BATCHES_TOTAL).add(3);
-        tel.metrics.counter(names::SERVE_RESULT_HITS_TOTAL).add(5);
-        tel.metrics.counter(names::SERVE_RESULT_MISSES_TOTAL).add(2);
-        tel.metrics
-            .gauge(names::SERVE_RESULT_HIT_RATE)
-            .set(5.0 / 7.0);
-        let h = tel.metrics.time_histogram(names::SERVE_REQUEST_SECONDS);
-        h.observe(0.001);
-        h.observe(0.004);
-        let text = render_report(&[], Some(&tel));
-        for name in [
-            names::SERVE_REQUESTS_TOTAL,
-            names::SERVE_BATCHES_TOTAL,
-            names::SERVE_RESULT_HITS_TOTAL,
-            names::SERVE_RESULT_MISSES_TOTAL,
-            names::SERVE_RESULT_HIT_RATE,
-            names::SERVE_REQUEST_SECONDS,
-        ] {
-            assert!(text.contains(name), "missing {name} in:\n{text}");
-        }
-        assert!(text.contains("p99"), "{text}");
-    }
-
-    #[test]
     fn histogram_overflow_is_rendered() {
         let tel = Telemetry::new();
-        let h = tel.metrics.time_histogram(names::EPOCH_SECONDS);
+        let h = tel.metrics.stage_histogram(Stage::Compute);
         h.observe(0.5);
         h.observe(1e9); // past the last finite bound → +Inf bucket
         let text = render_report(&[], Some(&tel));

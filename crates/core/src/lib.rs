@@ -205,6 +205,12 @@ impl Argo {
         &self.opts
     }
 
+    /// Search epochs actually run: `n_search`, but no more than the space
+    /// has configurations (tiny hosts).
+    fn n_search(&self) -> usize {
+        self.opts.n_search.min(self.space.len())
+    }
+
     /// The design space the tuner searches.
     pub fn space(&self) -> &SearchSpace {
         &self.space
@@ -218,18 +224,17 @@ impl Argo {
     ///
     /// With `Some(telemetry)`, the tuner's introspection is recorded: one
     /// `tuner_trial` event per search epoch (candidate configuration,
-    /// observed epoch time, incumbent best, suggest/observe CPU seconds), a
-    /// `config_applied` event on every configuration switch, and tuner
-    /// metrics into `telemetry.metrics`. `None` runs without any recording.
+    /// observed epoch time, incumbent best, suggest/observe CPU seconds) and
+    /// a `config_applied` event on every configuration switch. `None` runs
+    /// without any recording.
     pub fn run(
         &mut self,
         train: impl FnMut(Config, usize) -> f64,
         telemetry: Option<&Telemetry>,
     ) -> ArgoReport {
-        // No point searching longer than the space is large (tiny hosts).
-        let n_search = self.opts.n_search.min(self.space.len());
         let tuner = BayesOpt::new(self.space.clone(), self.opts.seed);
-        let report = OnlineAutoTuner::new(tuner, n_search).run(self.opts.epochs, train, telemetry);
+        let report =
+            OnlineAutoTuner::new(tuner, self.n_search()).run(self.opts.epochs, train, telemetry);
         ArgoReport {
             config_opt: report.config_opt,
             best_epoch_time: report.best_epoch_time,
@@ -284,7 +289,7 @@ impl Argo {
         telemetry: Option<&Telemetry>,
         mut on_epoch: impl FnMut(usize, Config, &EpochStats),
     ) -> ArgoReport {
-        let n_search = self.opts.n_search;
+        let n_search = self.n_search();
         let logger = telemetry.map(|t| Arc::clone(&t.logger));
         self.train(engine, telemetry, move |epoch_idx, config, stats| {
             if epoch_idx < n_search {
@@ -475,11 +480,10 @@ mod tests {
         assert_eq!(via_argo.total_time, direct.total_time);
     }
 
-    #[test]
-    fn train_drives_a_real_engine() {
+    fn tiny_engine() -> Engine {
         let dataset = Arc::new(FLICKR.synthesize(0.008, 3));
         let sampler: Arc<dyn argo_sample::Sampler> = Arc::new(NeighborSampler::new(vec![6, 3]));
-        let mut engine = Engine::new(
+        Engine::new(
             dataset,
             sampler,
             EngineOptions {
@@ -489,7 +493,22 @@ mod tests {
                 total_cores: 16,
                 ..Default::default()
             },
-        );
+        )
+    }
+
+    fn flickr_model() -> PerfModel {
+        PerfModel::new(Setup {
+            platform: ICE_LAKE_8380H,
+            library: Library::Dgl,
+            sampler: SamplerKind::Neighbor,
+            model: ModelKind::Sage,
+            dataset: FLICKR,
+        })
+    }
+
+    #[test]
+    fn train_drives_a_real_engine() {
+        let mut engine = tiny_engine();
         let mut argo = Argo::new(ArgoOptions {
             n_search: 3,
             epochs: 5,
@@ -588,26 +607,8 @@ mod tests {
     #[test]
     fn train_audited_emits_bottleneck_checks() {
         use argo_rt::RunEvent;
-        let dataset = Arc::new(FLICKR.synthesize(0.008, 3));
-        let sampler: Arc<dyn argo_sample::Sampler> = Arc::new(NeighborSampler::new(vec![6, 3]));
-        let mut engine = Engine::new(
-            dataset,
-            sampler,
-            EngineOptions {
-                hidden: 8,
-                num_layers: 2,
-                global_batch: 64,
-                total_cores: 16,
-                ..Default::default()
-            },
-        );
-        let model = PerfModel::new(Setup {
-            platform: ICE_LAKE_8380H,
-            library: Library::Dgl,
-            sampler: SamplerKind::Neighbor,
-            model: ModelKind::Sage,
-            dataset: FLICKR,
-        });
+        let mut engine = tiny_engine();
+        let model = flickr_model();
         let tel = Telemetry::new();
         let mut argo = Argo::new(ArgoOptions {
             n_search: 3,
@@ -639,19 +640,7 @@ mod tests {
         }
 
         // Without telemetry the audited path is exactly Argo::train.
-        let dataset = Arc::new(FLICKR.synthesize(0.008, 3));
-        let sampler: Arc<dyn argo_sample::Sampler> = Arc::new(NeighborSampler::new(vec![6, 3]));
-        let mut engine2 = Engine::new(
-            dataset,
-            sampler,
-            EngineOptions {
-                hidden: 8,
-                num_layers: 2,
-                global_batch: 64,
-                total_cores: 16,
-                ..Default::default()
-            },
-        );
+        let mut engine2 = tiny_engine();
         let mut argo2 = Argo::new(ArgoOptions {
             n_search: 3,
             epochs: 5,
@@ -661,6 +650,36 @@ mod tests {
         let mut n = 0usize;
         argo2.train_audited(&mut engine2, &model, None, |_, _, _| n += 1);
         assert_eq!(n, 5);
+    }
+
+    #[test]
+    fn train_audited_audits_only_the_search_epochs_the_space_allows() {
+        // 4 cores hold one configuration, so `n_search: 3` runs one search
+        // epoch: the other three reuse it and are not audited.
+        let tel = Telemetry::new();
+        let mut argo = Argo::new(ArgoOptions {
+            n_search: 3,
+            epochs: 4,
+            total_cores: 4,
+            seed: 5,
+        });
+        assert_eq!(argo.space().len(), 1);
+        argo.train_audited(
+            &mut tiny_engine(),
+            &flickr_model(),
+            Some(&tel),
+            |_, _, _| {},
+        );
+        let count = |kind: &str| {
+            tel.logger
+                .events()
+                .iter()
+                .filter(|(_, e)| e.kind() == kind)
+                .count()
+        };
+        assert_eq!(count("tuner_trial"), 1);
+        assert_eq!(count("bottleneck_check"), count("tuner_trial"));
+        assert_eq!(count("epoch_end"), 4);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use argo_graph::{Dataset, Features, Graph};
 use argo_nn::{AnyOptimizer, Arch, Gnn, LrSchedule, Optimizer, OptimizerKind};
 use argo_rt::affinity::CoreSet;
 use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler};
-use argo_rt::telemetry::names;
 use argo_rt::{
     AllReduce, BytesRecord, CacheSummaryRecord, Config, CoreBinder, EpochRecord, RunEvent,
     SeedSequence, Telemetry, ThreadPool,
@@ -339,11 +338,12 @@ impl Engine {
     /// Pass `Some(&telemetry)` to record the epoch: the hot loops write spans
     /// into per-worker rings, and at epoch end the stage histograms, the
     /// Figure-2 timeline and the `stage_summary` events are derived from
-    /// them ([`Telemetry::record_stages`]), next to the workload counters
-    /// and the `epoch_start`/`critical_path`/`bytes_summary`/
-    /// `cache_summary`/`epoch_end` events. Pass `None` (or a disabled
-    /// handle) and the loops record nothing and read no clock but the one
-    /// around the all-reduce that [`EpochStats::sync_time`] reports.
+    /// them ([`Telemetry::record_stages`]), next to the
+    /// `epoch_start`/`critical_path`/`bytes_summary`/`cache_summary`/
+    /// `epoch_end` events that carry every other number of the epoch. Pass
+    /// `None` (or a disabled handle) and the loops record nothing and read
+    /// no clock but the one around the all-reduce that
+    /// [`EpochStats::sync_time`] reports.
     pub fn train_epoch(&mut self, config: Config, telemetry: Option<&Telemetry>) -> EpochStats {
         let telemetry = telemetry.filter(|t| t.is_enabled());
         let n_proc = config.n_proc;
@@ -492,35 +492,6 @@ impl Engine {
             // Stage histograms, timeline and `stage_summary` events: all
             // derived from the drained spans, here, once.
             t.record_stages(epoch, &drained.records);
-            let m = &t.metrics;
-            m.time_histogram(names::EPOCH_SECONDS).observe(epoch_time);
-            m.counter(names::EPOCHS_TOTAL).inc();
-            m.counter(names::ITERATIONS_TOTAL)
-                .add(stats.iterations as u64);
-            m.counter(names::MINIBATCHES_TOTAL)
-                .add(stats.minibatches as u64);
-            m.counter(names::EDGES_TOTAL).add(stats.edges as u64);
-            m.gauge(names::OVERLAP_FRACTION)
-                .set(t.trace.overlap_fraction(window_end));
-            m.counter(names::SCRATCH_ALLOCS_TOTAL).add(scratch_allocs);
-            m.counter(names::METADATA_BYTES_TOTAL).add(metadata_bytes);
-            m.counter(names::SPANS_RECORDED_TOTAL)
-                .add(drained.records.len() as u64);
-            m.counter(names::SPANS_DROPPED_TOTAL).add(drained.dropped);
-            if let Some(d) = &cache_delta {
-                m.counter(names::CACHE_HITS_TOTAL).add(d.hits);
-                m.counter(names::CACHE_MISSES_TOTAL).add(d.misses);
-                m.counter(names::CACHE_EVICTIONS_TOTAL).add(d.evictions);
-                m.counter(names::CACHE_MOVED_BYTES_TOTAL)
-                    .add(bytes_record.cache_bytes);
-                m.gauge(names::CACHE_BYTES).set(d.bytes as f64);
-                m.gauge(names::CACHE_HIT_RATE).set(d.hit_rate());
-            }
-            // Surface runtime-checker verdicts (race reports, lock-order
-            // violations) in the same snapshot the report renders; no-op
-            // unless a checker feature is compiled in.
-            argo_rt::racecheck::publish_verdicts(m);
-
             let l = &t.logger;
             // Critical-path attribution: which stage (or wait) was the
             // binding constraint, sampled over the epoch's span timeline.
@@ -933,38 +904,34 @@ mod tests {
         let tel = Telemetry::new();
         let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));
         assert_eq!(stats.minibatches, batches);
-        let counters: std::collections::BTreeMap<_, _> =
-            tel.metrics.counters().into_iter().collect();
-        assert_eq!(counters[names::SPANS_DROPPED_TOTAL], 0);
+        let coverage = tel.logger.events().into_iter().find_map(|(_, e)| match e {
+            argo_rt::RunEvent::CriticalPath { spans, dropped, .. } => Some((spans, dropped)),
+            _ => None,
+        });
         // pick + gather + aggregate + enqueue, dequeue, compute + sync per
-        // batch.
-        assert_eq!(counters[names::SPANS_RECORDED_TOTAL], 7 * batches as u64);
+        // batch, and none dropped.
+        assert_eq!(coverage, Some((7 * batches as u64, 0)));
     }
 
     #[test]
     fn telemetry_epoch_emits_metrics_and_events() {
-        use argo_rt::telemetry::names;
         let mut e = Engine::new(tiny(), neighbor(), opts(64));
         let tel = Telemetry::new();
         let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
 
-        // Counters track the stats exactly.
-        let counters: std::collections::BTreeMap<_, _> =
-            tel.metrics.counters().into_iter().collect();
-        assert_eq!(counters[names::EPOCHS_TOTAL], 1);
-        assert_eq!(counters[names::ITERATIONS_TOTAL], stats.iterations as u64);
-        assert_eq!(counters[names::MINIBATCHES_TOTAL], stats.minibatches as u64);
-        assert_eq!(counters[names::EDGES_TOTAL], stats.edges as u64);
-
-        // Stage histograms saw one observation per mini-batch.
+        // The registry holds the four stage histograms and nothing else; they
+        // saw one observation per mini-batch.
         let hists: std::collections::BTreeMap<_, _> =
             tel.metrics.histograms().into_iter().collect();
+        let mut names: Vec<String> = Stage::ALL
+            .map(Telemetry::stage_histogram_name)
+            .into_iter()
+            .collect();
+        names.sort();
+        assert_eq!(hists.keys().cloned().collect::<Vec<_>>(), names);
         let compute = &hists[&Telemetry::stage_histogram_name(Stage::Compute)];
         assert_eq!(compute.count(), stats.minibatches as u64);
         assert!(compute.sum() > 0.0);
-        let epoch_h = &hists[names::EPOCH_SECONDS];
-        assert_eq!(epoch_h.count(), 1);
-        assert!((epoch_h.sum() - stats.epoch_time).abs() < 1e-9);
 
         // Structured events: one epoch_start, four stage summaries, the
         // profiler's critical-path and bytes summaries, one epoch_end whose
@@ -998,8 +965,8 @@ mod tests {
             }
             None => panic!("no critical_path event"),
         }
-        // Byte accounting: metadata flowed, the scratch counter matched the
-        // metric, and no cache means no cache bytes.
+        // Byte accounting: metadata flowed, and no cache means no cache
+        // bytes.
         match events.iter().find_map(|(_, e)| match e {
             argo_rt::RunEvent::BytesSummary { record, .. } => Some(*record),
             _ => None,
@@ -1009,8 +976,6 @@ mod tests {
                 assert!(r.metadata_bytes > 0);
                 assert!(r.metadata_bytes_per_batch() > 0.0);
                 assert_eq!(r.cache_bytes, 0);
-                assert_eq!(counters[names::SCRATCH_ALLOCS_TOTAL], r.scratch_allocs);
-                assert_eq!(counters[names::METADATA_BYTES_TOTAL], r.metadata_bytes);
             }
             None => panic!("no bytes_summary event"),
         }
@@ -1022,8 +987,11 @@ mod tests {
             } => {
                 assert_eq!(*epoch, 0);
                 assert_eq!(config.n_proc, 2);
+                // The record mirrors the stats exactly.
                 assert!((record.epoch_time - stats.epoch_time).abs() < 1e-12);
                 assert_eq!(record.iterations, stats.iterations as u64);
+                assert_eq!(record.minibatches, stats.minibatches as u64);
+                assert_eq!(record.edges, stats.edges as u64);
             }
             other => panic!("expected epoch_end, got {other:?}"),
         }
@@ -1065,7 +1033,6 @@ mod tests {
         let tel = Telemetry::disabled();
         let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
         assert!(stats.iterations > 0);
-        assert!(tel.metrics.counters().is_empty());
         assert!(tel.metrics.histograms().is_empty());
         assert!(tel.logger.is_empty());
         assert!(tel.trace.events().is_empty());
@@ -1536,7 +1503,6 @@ mod tests {
 
     #[test]
     fn cache_telemetry_emits_summary_and_hit_rate() {
-        use argo_rt::telemetry::names;
         let mut o = opts(64);
         o.cache_capacity = 4096;
         let mut e = Engine::new(tiny(), neighbor(), o);
@@ -1544,17 +1510,26 @@ mod tests {
         e.train_epoch(Config::new(2, 1, 1), Some(&tel));
         e.train_epoch(Config::new(2, 1, 1), Some(&tel));
 
-        let counters: std::collections::BTreeMap<_, _> =
-            tel.metrics.counters().into_iter().collect();
-        assert!(counters[names::CACHE_MISSES_TOTAL] > 0);
+        // Summed over both epochs' cache summaries: misses fill the cache,
+        // shared neighborhoods hit it, and the last epoch ends with rows
+        // resident.
+        let summaries: Vec<_> = tel
+            .logger
+            .events()
+            .into_iter()
+            .filter_map(|(_, e)| match e {
+                argo_rt::RunEvent::CacheSummary { summary, .. } => Some(summary),
+                _ => None,
+            })
+            .collect();
+        assert!(summaries.iter().map(|s| s.misses).sum::<u64>() > 0);
         assert!(
-            counters[names::CACHE_HITS_TOTAL] > 0,
+            summaries.iter().map(|s| s.hits).sum::<u64>() > 0,
             "shared neighborhoods should hit by the second epoch"
         );
-        let gauges: std::collections::BTreeMap<_, _> = tel.metrics.gauges().into_iter().collect();
-        let rate = gauges[names::CACHE_HIT_RATE];
-        assert!(rate > 0.0 && rate <= 1.0, "hit rate {rate} out of range");
-        assert!(gauges[names::CACHE_BYTES] > 0.0);
+        let last = summaries.last().expect("cache summaries");
+        assert!(last.hit_rate() > 0.0 && last.hit_rate() <= 1.0);
+        assert!(last.bytes > 0);
 
         // Each epoch logs exactly one cache_summary, between the stage
         // summaries and epoch_end.

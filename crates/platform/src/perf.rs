@@ -25,7 +25,6 @@
 //!    grows with the process count; re-partitioning on process-count changes
 //!    adds a per-epoch cost (Section V-A1).
 
-use argo_rt::telemetry::names;
 use argo_rt::{
     enumerate_space, Config, EpochRecord, RunEvent, Stage, StageSummaryRecord, Telemetry,
 };
@@ -467,7 +466,7 @@ impl PerfModel {
     }
 
     /// Emits the modeled telemetry of one epoch under `config` — the same
-    /// event schema and metric names a measured `argo_engine` epoch
+    /// event schema and stage histograms a measured `argo_engine` epoch
     /// produces, so real and modeled runs are directly comparable. Pass a
     /// [`Telemetry`] built with `Source::Modeled` so consumers can tell the
     /// provenance apart. Returns the modeled epoch time.
@@ -486,24 +485,8 @@ impl PerfModel {
         ];
 
         telemetry.logger.log(RunEvent::EpochStart { epoch, config });
-        let metrics = &telemetry.metrics;
         for (stage, t) in per_iter {
-            metrics
-                .time_histogram(&Telemetry::stage_histogram_name(stage))
-                .observe(t);
-        }
-        metrics
-            .time_histogram(names::EPOCH_SECONDS)
-            .observe(epoch_time);
-        metrics.counter(names::EPOCHS_TOTAL).inc();
-        metrics.counter(names::ITERATIONS_TOTAL).add(iters as u64);
-        metrics
-            .counter(names::MINIBATCHES_TOTAL)
-            .add(iters as u64 * config.n_proc as u64);
-        metrics
-            .counter(names::EDGES_TOTAL)
-            .add(w.epoch_edges(config.n_proc) as u64);
-        for (stage, t) in per_iter {
+            telemetry.metrics.stage_histogram(stage).observe(t);
             telemetry.logger.log(RunEvent::StageSummary {
                 epoch,
                 summary: StageSummaryRecord {
@@ -607,8 +590,12 @@ mod tests {
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        assert!(names_seen.contains(&Telemetry::stage_histogram_name(Stage::Gather)));
-        assert!(names_seen.contains(&names::EPOCH_SECONDS.to_string()));
+        let mut want: Vec<String> = Stage::ALL
+            .map(Telemetry::stage_histogram_name)
+            .into_iter()
+            .collect();
+        want.sort();
+        assert_eq!(names_seen, want);
     }
 
     #[test]

@@ -1,24 +1,23 @@
-//! Structured run events (JSONL) — the run-level half of the telemetry
-//! layer.
+//! Structured run events (JSONL) — the telemetry schema.
 //!
-//! Every meaningful runtime decision becomes one [`RunEvent`]: epochs
-//! starting and ending (with full [`EpochRecord`] statistics), per-stage
-//! summaries, auto-tuner trials (candidate configuration, observed epoch
-//! time, incumbent best, tuner CPU cost) and configuration switches. The
+//! Every fact a run reports is a field of one [`RunEvent`], and nowhere
+//! else: epochs starting and ending (with full [`EpochRecord`] statistics),
+//! per-stage summaries, critical paths, byte and cache accounting, auto-tuner
+//! trials (candidate configuration, observed epoch time, incumbent best,
+//! tuner CPU cost), configuration switches and serving requests. The
 //! [`RunLogger`] collects them thread-safely and serializes one JSON object
 //! per line, so a run's history can be replayed, diffed, or rendered by
 //! `argo report` — and since the platform model emits the *same* schema
 //! with [`Source::Modeled`], real and modeled runs are directly comparable.
 
-use std::io::Write;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::config::Config;
 use crate::json::Json;
 
-/// Where telemetry came from: a real measured run or the DES/platform
-/// model.
+/// Where telemetry came from: a real measured run or the platform model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
     Measured,
@@ -288,7 +287,7 @@ impl RunEvent {
     }
 
     /// Encodes the event as one JSON object with envelope fields `event`,
-    /// `ts` (seconds since the logger's origin) and `source`.
+    /// `ts` (seconds on the run clock) and `source`.
     pub fn to_json(&self, ts: f64, source: Source) -> Json {
         let mut fields = vec![
             ("event", Json::str(self.kind())),
@@ -572,24 +571,22 @@ impl RunEvent {
     }
 }
 
-/// Thread-safe collector of [`RunEvent`]s with JSONL export.
+/// Thread-safe collector of [`RunEvent`]s with JSONL export. Built by
+/// [`crate::Telemetry`], whose run clock stamps every event, so a JSONL `ts`
+/// and a `--trace-out` timestamp count from the same zero.
 pub struct RunLogger {
-    origin: std::time::Instant,
+    origin: Instant,
     source: Source,
     events: Mutex<Vec<(f64, RunEvent)>>,
     enabled: bool,
 }
 
 impl RunLogger {
-    /// An active logger for measured runs.
-    pub fn new() -> Self {
-        Self::with_source(Source::Measured)
-    }
-
-    /// An active logger tagging every event with `source`.
-    pub fn with_source(source: Source) -> Self {
+    /// An active logger tagging every event with `source` and stamping it
+    /// with seconds since `origin`.
+    pub(crate) fn new(source: Source, origin: Instant) -> Self {
         Self {
-            origin: std::time::Instant::now(),
+            origin,
             source,
             events: Mutex::new(Vec::new()),
             enabled: true,
@@ -598,12 +595,10 @@ impl RunLogger {
 
     /// A logger that drops all events: the off state of
     /// [`crate::Telemetry::disabled`], the only switch.
-    pub(crate) fn disabled() -> Self {
+    pub(crate) fn disabled(origin: Instant) -> Self {
         Self {
-            origin: std::time::Instant::now(),
-            source: Source::Measured,
-            events: Mutex::new(Vec::new()),
             enabled: false,
+            ..Self::new(Source::Measured, origin)
         }
     }
 
@@ -617,7 +612,7 @@ impl RunLogger {
         self.source
     }
 
-    /// Records one event, stamped with seconds since logger creation.
+    /// Records one event, stamped with seconds on the run clock.
     pub fn log(&self, event: RunEvent) {
         if !self.enabled {
             return;
@@ -650,11 +645,6 @@ impl RunLogger {
         out
     }
 
-    /// Writes [`RunLogger::to_jsonl`] to `w`.
-    pub fn write_jsonl(&self, w: &mut impl Write) -> std::io::Result<()> {
-        w.write_all(self.to_jsonl().as_bytes())
-    }
-
     /// Parses a JSONL document back into `(event, ts, source)` triples.
     /// Blank lines are skipped; any malformed line is an error.
     pub fn parse_jsonl(text: &str) -> Result<Vec<(RunEvent, f64, Source)>, String> {
@@ -671,15 +661,13 @@ impl RunLogger {
     }
 }
 
-impl Default for RunLogger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn measured() -> RunLogger {
+        RunLogger::new(Source::Measured, Instant::now())
+    }
 
     fn sample_events() -> Vec<RunEvent> {
         let c = Config::new(2, 1, 2);
@@ -727,7 +715,7 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip_preserves_every_event() {
-        let logger = RunLogger::new();
+        let logger = measured();
         for e in sample_events() {
             logger.log(e);
         }
@@ -744,7 +732,7 @@ mod tests {
 
     #[test]
     fn modeled_source_survives_roundtrip() {
-        let logger = RunLogger::with_source(Source::Modeled);
+        let logger = RunLogger::new(Source::Modeled, Instant::now());
         logger.log(RunEvent::EpochStart {
             epoch: 3,
             config: Config::new(4, 2, 2),
@@ -755,7 +743,7 @@ mod tests {
 
     #[test]
     fn disabled_logger_drops_events() {
-        let logger = RunLogger::disabled();
+        let logger = RunLogger::disabled(Instant::now());
         logger.log(RunEvent::EpochStart {
             epoch: 0,
             config: Config::new(2, 1, 1),
@@ -767,7 +755,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_monotone() {
-        let logger = RunLogger::new();
+        let logger = measured();
         for e in sample_events() {
             logger.log(e);
         }
@@ -785,7 +773,7 @@ mod tests {
 
     #[test]
     fn cache_summary_roundtrip() {
-        let logger = RunLogger::new();
+        let logger = measured();
         logger.log(RunEvent::CacheSummary {
             epoch: 4,
             summary: CacheSummaryRecord {
@@ -813,7 +801,7 @@ mod tests {
 
     #[test]
     fn config_cache_rows_survives_roundtrip_and_stays_optional() {
-        let logger = RunLogger::new();
+        let logger = measured();
         logger.log(RunEvent::EpochStart {
             epoch: 0,
             config: Config::new(2, 1, 2).with_cache_rows(1024),
@@ -840,7 +828,7 @@ mod tests {
 
     #[test]
     fn critical_path_and_bytes_summary_roundtrip() {
-        let logger = RunLogger::new();
+        let logger = measured();
         logger.log(RunEvent::CriticalPath {
             epoch: 2,
             fractions: vec![
@@ -911,7 +899,7 @@ mod tests {
 
     #[test]
     fn serve_events_roundtrip() {
-        let logger = RunLogger::new();
+        let logger = measured();
         logger.log(RunEvent::ServeBatch {
             record: ServeBatchRecord {
                 batch: 7,

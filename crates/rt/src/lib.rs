@@ -16,11 +16,12 @@
 //!   Multi-Process Engine to emulate PyTorch DDP (Section IV-B2).
 //! * [`spans`] — per-worker lock-free span rings: the only thing the hot
 //!   loops record, and the input of critical-path attribution.
-//! * [`trace`] / [`metrics`] / [`events`] / [`telemetry`] — what is derived
-//!   from the spans and reported beside them: the Figure-2 timeline,
-//!   lock-cheap counters/gauges/histograms, structured JSONL run events
-//!   (epoch stats, tuner trials, config switches), and the [`Telemetry`]
-//!   handle that bundles them behind one on/off switch and one clock.
+//! * [`events`] / [`trace`] / [`metrics`] / [`telemetry`] — what is derived
+//!   from the spans and reported beside them: structured JSONL run events
+//!   (epoch stats, tuner trials, config switches; the one record of every
+//!   fact), the Figure-2 timeline, the per-iteration stage histograms, and
+//!   the [`Telemetry`] handle that bundles them behind one on/off switch and
+//!   one clock.
 //! * [`rng`] — deterministic seed fan-out so that multi-process runs are
 //!   reproducible and semantics tests can compare runs bit-for-bit.
 
@@ -45,7 +46,7 @@ pub use events::{
     ServeRequestRecord, Source, StageSummaryRecord, TrialRecord,
 };
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use pool::ThreadPool;
 pub use rng::{SeedSequence, StreamRng};
 pub use spans::{

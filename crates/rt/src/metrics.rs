@@ -1,21 +1,17 @@
-//! Lock-cheap runtime metrics: counters, gauges and fixed-bucket
-//! histograms.
+//! Per-iteration stage histograms: the one aggregate a run keeps beside its
+//! event log.
 //!
-//! ARGO's adaptivity argument rests on *measured* per-stage behaviour
-//! (paper Figures 2 and 6, the auto-tuner's epoch-time objective), so the
-//! runtime carries a [`MetricsRegistry`] everywhere the trace recorder
-//! already goes. Design constraints:
+//! Every fact a run reports is a field of one [`crate::RunEvent`]. What an
+//! epoch's events cannot carry is the *distribution* of per-batch stage
+//! durations, so [`crate::Telemetry::record_stages`] folds the drained spans
+//! into one fixed-bucket [`Histogram`] per [`Stage`], registered under
+//! [`crate::Telemetry::stage_histogram_name`]. The registry hands out
+//! nothing else, so every name in it is one the compiler knows.
 //!
-//! * **Hot-path cost is one atomic op.** Handles ([`Counter`], [`Gauge`],
-//!   [`Histogram`]) are `Arc`s over atomics; the registry's internal lock is
-//!   only taken at registration time, never per observation.
-//! * **Per-process registries merge.** The Multi-Process Engine gives each
-//!   training process its own view; [`MetricsRegistry::merge`] folds them
-//!   into a run-global registry with the same totals (property-tested in
-//!   `tests/proptests.rs`).
+//! * **Observing is lock-free.** A [`Histogram`] is atomics behind an `Arc`;
+//!   the registry's lock is only taken to hand one out.
 //! * **Disabled is free.** The registry of a [`crate::Telemetry::disabled`]
-//!   handle drops all observations so un-instrumented runs stay
-//!   un-perturbed.
+//!   handle keeps nothing, so un-instrumented runs stay un-perturbed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,59 +19,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// Monotone event counter.
-#[derive(Clone, Default)]
-pub struct Counter {
-    value: Arc<AtomicU64>,
-}
+use crate::trace::Stage;
+use crate::Telemetry;
 
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins instantaneous value (stored as `f64` bits).
-#[derive(Clone)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self {
-            bits: Arc::new(AtomicU64::new(0f64.to_bits())),
-        }
-    }
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Fixed-bucket histogram over non-negative `f64` observations (seconds,
-/// bytes, …). Buckets are upper-bound–inclusive like Prometheus's:
-/// observation `x` lands in the first bucket with `x <= bound`; anything
-/// above the last bound lands in the implicit `+Inf` bucket.
+/// Fixed-bucket histogram over non-negative `f64` observations (seconds).
+/// Buckets are upper-bound–inclusive like Prometheus's: observation `x`
+/// lands in the first bucket with `x <= bound`; anything above the last
+/// bound lands in the implicit `+Inf` bucket.
 pub struct Histogram {
     bounds: Vec<f64>,
     /// `bounds.len() + 1` bucket counts (last = +Inf overflow bucket).
@@ -104,9 +54,9 @@ impl Histogram {
         }
     }
 
-    /// Default bounds for stage latencies: 20 exponential buckets from
-    /// 10 µs to ~5 s.
-    pub fn default_time_bounds() -> Vec<f64> {
+    /// Bounds for stage latencies: 20 exponential buckets from 10 µs to
+    /// ~5 s.
+    fn default_time_bounds() -> Vec<f64> {
         (0..20).map(|i| 1e-5 * 2f64.powi(i)).collect()
     }
 
@@ -142,23 +92,6 @@ impl Histogram {
         f64::from_bits(self.max_bits.load(Ordering::Relaxed))
     }
 
-    /// Mean observation (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Bucket upper bounds.
-    #[must_use]
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Observations that saturated the histogram: samples above the last
     /// finite bound, i.e. the `+Inf` bucket's count. A non-zero overflow
     /// means the configured bounds are too tight for the workload — the
@@ -167,15 +100,6 @@ impl Histogram {
     #[must_use]
     pub fn overflow_count(&self) -> u64 {
         self.buckets[self.bounds.len()].load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket counts (`bounds().len() + 1` entries, last = +Inf).
-    #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Quantile estimate from the bucket counts (`q` in `[0, 1]`): the
@@ -216,156 +140,54 @@ fn atomic_f64_update(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     }
 }
 
-#[derive(Default)]
-struct Tables {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-/// A named collection of metrics. Cloning a handle (`counter`, `gauge`,
-/// `histogram`) is the only operation that takes the internal lock;
-/// observations through the returned handles are lock-free.
+/// The run's stage histograms, by name. Handing one out is the only
+/// operation that takes the internal lock.
 pub struct MetricsRegistry {
-    tables: Mutex<Tables>,
+    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     enabled: bool,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MetricsRegistry {
     /// An active registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            tables: Mutex::new(Tables::default()),
+            histograms: Mutex::new(BTreeMap::new()),
             enabled: true,
         }
     }
 
-    /// A registry that drops all observations: the off state of
+    /// A registry that keeps nothing: the off state of
     /// [`crate::Telemetry::disabled`], the only switch.
     pub(crate) fn disabled() -> Self {
         Self {
-            tables: Mutex::new(Tables::default()),
             enabled: false,
+            ..Self::new()
         }
     }
 
-    /// Whether observations are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The counter registered under `name` (created on first use).
-    /// Disabled registries hand out dangling handles that are never stored.
-    pub fn counter(&self, name: &str) -> Counter {
+    /// The per-iteration duration histogram of `stage` (created on first
+    /// use). A disabled registry hands out a detached histogram it never
+    /// stores.
+    pub fn stage_histogram(&self, stage: Stage) -> Arc<Histogram> {
+        let fresh = || Arc::new(Histogram::new(Histogram::default_time_bounds()));
         if !self.enabled {
-            return Counter::default();
-        }
-        self.tables
-            .lock()
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        if !self.enabled {
-            return Gauge::default();
-        }
-        self.tables
-            .lock()
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// The histogram registered under `name`, created with `bounds` on
-    /// first use (later calls reuse the existing buckets and ignore
-    /// `bounds`).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        if !self.enabled {
-            return Arc::new(Histogram::new(bounds.to_vec()));
+            return fresh();
         }
         Arc::clone(
-            self.tables
+            self.histograms
                 .lock()
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds.to_vec()))),
+                .entry(Telemetry::stage_histogram_name(stage))
+                .or_insert_with(fresh),
         )
-    }
-
-    /// Stage-latency histogram with the default exponential time bounds.
-    pub fn time_histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram(name, &Histogram::default_time_bounds())
-    }
-
-    /// Registered counter names and values, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.tables
-            .lock()
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Registered gauge names and values, sorted by name.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        self.tables
-            .lock()
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
     }
 
     /// Registered histogram names and handles, sorted by name.
     pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.tables
+        self.histograms
             .lock()
-            .histograms
             .iter()
             .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect()
-    }
-
-    /// Folds `other`'s observations into `self`: counters add, gauges take
-    /// `other`'s value when set, histogram buckets/sums add (bounds must
-    /// match for shared names). This is how per-process registries combine
-    /// into the run-global view.
-    pub fn merge(&self, other: &MetricsRegistry) {
-        if !self.enabled || !other.enabled {
-            return;
-        }
-        for (name, value) in other.counters() {
-            self.counter(&name).add(value);
-        }
-        for (name, value) in other.gauges() {
-            self.gauge(&name).set(value);
-        }
-        for (name, h) in other.histograms() {
-            let mine = self.histogram(&name, h.bounds());
-            assert_eq!(
-                mine.bounds(),
-                h.bounds(),
-                "merge: histogram '{name}' bounds differ"
-            );
-            for (idx, n) in h.bucket_counts().into_iter().enumerate() {
-                mine.buckets[idx].fetch_add(n, Ordering::Relaxed);
-            }
-            mine.count.fetch_add(h.count(), Ordering::Relaxed);
-            atomic_f64_update(&mine.sum_bits, |s| s + h.sum());
-            atomic_f64_update(&mine.max_bits, |m| m.max(h.max()));
-        }
     }
 }
 
@@ -373,34 +195,21 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_accumulates_and_is_shared() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("iters");
-        let b = reg.counter("iters");
-        a.inc();
-        b.add(4);
-        assert_eq!(reg.counter("iters").get(), 5);
-        assert_eq!(reg.counters(), vec![("iters".to_string(), 5)]);
-    }
-
-    #[test]
-    fn gauge_last_write_wins() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("overlap").set(0.25);
-        reg.gauge("overlap").set(0.75);
-        assert_eq!(reg.gauge("overlap").get(), 0.75);
+    fn bucket_counts(h: &Histogram) -> Vec<u64> {
+        h.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
     }
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &[1.0, 2.0, 4.0]);
+        let h = Histogram::new(vec![1.0, 2.0, 4.0]);
         // Exactly on a bound -> that bucket; above the last -> overflow.
         for x in [0.5, 1.0, 1.5, 2.0, 4.0, 9.0] {
             h.observe(x);
         }
-        assert_eq!(h.bucket_counts(), vec![2, 2, 1, 1]);
+        assert_eq!(bucket_counts(&h), vec![2, 2, 1, 1]);
         assert_eq!(h.count(), 6);
         assert!((h.sum() - 18.0).abs() < 1e-12);
         assert_eq!(h.max(), 9.0);
@@ -408,19 +217,17 @@ mod tests {
 
     #[test]
     fn histogram_clamps_negative_and_nan() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &[1.0]);
+        let h = Histogram::new(vec![1.0]);
         h.observe(-3.0);
         h.observe(f64::NAN);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 0.0);
-        assert_eq!(h.bucket_counts(), vec![2, 0]);
+        assert_eq!(bucket_counts(&h), vec![2, 0]);
     }
 
     #[test]
     fn histogram_quantiles_from_buckets() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &[1.0, 2.0, 4.0, 8.0]);
+        let h = Histogram::new(vec![1.0, 2.0, 4.0, 8.0]);
         for _ in 0..50 {
             h.observe(0.5); // bucket <=1
         }
@@ -438,8 +245,7 @@ mod tests {
 
     #[test]
     fn overflow_count_tracks_saturation() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &[1.0, 2.0]);
+        let h = Histogram::new(vec![1.0, 2.0]);
         assert_eq!(h.overflow_count(), 0);
         h.observe(0.5);
         h.observe(2.0); // on the last finite bound — not overflow
@@ -447,75 +253,61 @@ mod tests {
         h.observe(3.0);
         h.observe(100.0);
         assert_eq!(h.overflow_count(), 2);
-        // Merging adds overflow like any other bucket.
-        let global = MetricsRegistry::new();
-        global.histogram("lat", &[1.0, 2.0]).observe(9.0);
-        global.merge(&reg);
-        assert_eq!(global.histogram("lat", &[1.0, 2.0]).overflow_count(), 3);
+        assert_eq!(bucket_counts(&h), vec![1, 1, 2]);
     }
 
     #[test]
     fn quantile_empty_is_zero() {
-        let reg = MetricsRegistry::new();
-        let h = reg.time_histogram("lat");
+        let h = MetricsRegistry::new().stage_histogram(Stage::Gather);
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0.0);
+    }
+
+    #[test]
+    fn stage_histograms_are_shared_and_named_by_stage() {
+        let reg = MetricsRegistry::new();
+        reg.stage_histogram(Stage::Sync).observe(0.25);
+        reg.stage_histogram(Stage::Sync).observe(0.5);
+        reg.stage_histogram(Stage::Compute).observe(1.0);
+        let names: Vec<(String, u64)> = reg
+            .histograms()
+            .into_iter()
+            .map(|(n, h)| (n, h.count()))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("stage_seconds/compute".to_string(), 1),
+                ("stage_seconds/sync".to_string(), 2)
+            ]
+        );
     }
 
     #[test]
     fn disabled_registry_drops_everything() {
         let reg = MetricsRegistry::disabled();
-        reg.counter("n").add(7);
-        reg.gauge("g").set(1.0);
-        reg.histogram("h", &[1.0]).observe(0.5);
-        assert!(!reg.is_enabled());
-        assert!(reg.counters().is_empty());
-        assert!(reg.gauges().is_empty());
+        reg.stage_histogram(Stage::Sample).observe(0.5);
         assert!(reg.histograms().is_empty());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_buckets() {
-        let global = MetricsRegistry::new();
-        let p0 = MetricsRegistry::new();
-        let p1 = MetricsRegistry::new();
-        p0.counter("edges").add(10);
-        p1.counter("edges").add(32);
-        p0.histogram("t", &[1.0, 2.0]).observe(0.5);
-        p1.histogram("t", &[1.0, 2.0]).observe(1.5);
-        p1.histogram("t", &[1.0, 2.0]).observe(5.0);
-        global.merge(&p0);
-        global.merge(&p1);
-        assert_eq!(global.counter("edges").get(), 42);
-        let h = global.histogram("t", &[1.0, 2.0]);
-        assert_eq!(h.bucket_counts(), vec![1, 1, 1]);
-        assert_eq!(h.count(), 3);
-        assert!((h.sum() - 7.0).abs() < 1e-12);
-        assert_eq!(h.max(), 5.0);
     }
 
     #[test]
     fn concurrent_observations_are_complete() {
         let reg = Arc::new(MetricsRegistry::new());
-        let h = reg.time_histogram("t");
-        let c = reg.counter("n");
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let h = Arc::clone(&h);
-            let c = c.clone();
+            let reg = Arc::clone(&reg);
             handles.push(std::thread::spawn(move || {
+                let h = reg.stage_histogram(Stage::Compute);
                 for i in 0..1000 {
                     h.observe(i as f64 * 1e-5);
-                    c.inc();
                 }
             }));
         }
         for t in handles {
             t.join().unwrap();
         }
-        assert_eq!(c.get(), 4000);
-        assert_eq!(h.count(), 4000);
+        assert_eq!(reg.stage_histogram(Stage::Compute).count(), 4000);
     }
 
     #[test]

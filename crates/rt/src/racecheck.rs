@@ -23,9 +23,6 @@
 #[cfg(feature = "check")]
 pub use parking_lot::race::RaceReport;
 
-use crate::metrics::MetricsRegistry;
-use crate::telemetry::names;
-
 /// True when the `check` feature is compiled in (annotations are live).
 #[must_use]
 pub const fn enabled() -> bool {
@@ -176,37 +173,6 @@ pub fn reset() {
     parking_lot::race::reset();
 }
 
-/// Publishes runtime-checker verdict counters into `metrics` so a race (or
-/// lock-order violation) found during a telemetry-enabled run shows up in
-/// `argo report`, not just on stderr.
-///
-/// Counters are monotonic, so the publish is expressed as a delta against
-/// what was already recorded — calling this repeatedly (per epoch, at drain)
-/// is idempotent. When the `check` feature is not compiled in, no counters
-/// are created at all and the report omits the section.
-pub fn publish_verdicts(metrics: &MetricsRegistry) {
-    let _ = metrics;
-    #[cfg(feature = "check")]
-    for (name, n) in [
-        (
-            names::CHECK_RACE_REPORTS_TOTAL,
-            parking_lot::race::report_count(),
-        ),
-        (
-            names::CHECK_LOCK_VIOLATIONS_TOTAL,
-            parking_lot::sanitizer::violation_count(),
-        ),
-    ] {
-        let c = metrics.counter(name);
-        c.add((n as u64).saturating_sub(c.get()));
-    }
-    #[cfg(not(feature = "check"))]
-    let _ = (
-        names::CHECK_RACE_REPORTS_TOTAL,
-        names::CHECK_LOCK_VIOLATIONS_TOTAL,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,24 +192,5 @@ mod tests {
         drop(r);
         assert_eq!(report_count(), 0);
         reset();
-    }
-
-    #[test]
-    fn publish_verdicts_is_idempotent() {
-        let m = MetricsRegistry::new();
-        publish_verdicts(&m);
-        publish_verdicts(&m);
-        let race_counter = m
-            .counters()
-            .into_iter()
-            .find(|(name, _)| name == names::CHECK_RACE_REPORTS_TOTAL);
-        if enabled() {
-            assert_eq!(
-                race_counter,
-                Some((names::CHECK_RACE_REPORTS_TOTAL.to_string(), 0))
-            );
-        } else {
-            assert_eq!(race_counter, None);
-        }
     }
 }

@@ -1,11 +1,13 @@
 //! One handle, one switch, one clock for the telemetry of a run.
 //!
-//! The engine, auto-tuner and platform model all report into the same trio:
-//! a [`TraceRecorder`] timeline for Figure-2 interval traces, a
-//! [`MetricsRegistry`] for counters/gauges/histograms, and a [`RunLogger`]
-//! for structured JSONL events. [`Telemetry`] carries them together (each
-//! behind an `Arc`, so a clone is cheap), is either on or off as a whole,
-//! and owns the run clock the span rings tick on.
+//! The engine, auto-tuner, platform model and serve session all report into
+//! the same trio: a [`RunLogger`] of structured JSONL events — the one
+//! record of every fact a run reports — a [`TraceRecorder`] timeline for
+//! Figure-2 interval traces, and a [`MetricsRegistry`] of the per-iteration
+//! stage histograms. [`Telemetry`] carries them together (each behind an
+//! `Arc`, so a clone is cheap), is either on or off as a whole, and owns the
+//! run clock the span rings, the timeline and the event timestamps all
+//! count from.
 //!
 //! Hot loops record **spans only** ([`crate::spans`]). Everything per-stage
 //! — the `stage_seconds/<stage>` histograms, the timeline, the
@@ -29,7 +31,8 @@ pub struct Telemetry {
     pub trace: Arc<TraceRecorder>,
     pub metrics: Arc<MetricsRegistry>,
     pub logger: Arc<RunLogger>,
-    /// Zero of the run clock: span and timeline timestamps count from here.
+    /// Zero of the run clock: span, timeline and event timestamps count
+    /// from here.
     origin: Instant,
     enabled: bool,
 }
@@ -41,14 +44,15 @@ impl Telemetry {
     }
 
     /// Telemetry on, with events tagged `source` (use [`Source::Modeled`]
-    /// for platform/DES runs so real and modeled telemetry share one
+    /// for platform-model runs so real and modeled telemetry share one
     /// schema).
     pub fn with_source(source: Source) -> Self {
+        let origin = Instant::now();
         Self {
             trace: Arc::new(TraceRecorder::new()),
             metrics: Arc::new(MetricsRegistry::new()),
-            logger: Arc::new(RunLogger::with_source(source)),
-            origin: Instant::now(),
+            logger: Arc::new(RunLogger::new(source, origin)),
+            origin,
             enabled: true,
         }
     }
@@ -56,11 +60,12 @@ impl Telemetry {
     /// Telemetry off: every sink drops what it is handed, so a caller that
     /// takes `&Telemetry` needs no `Option` — and no hot loop pays for it.
     pub fn disabled() -> Self {
+        let origin = Instant::now();
         Self {
             trace: Arc::new(TraceRecorder::new()),
             metrics: Arc::new(MetricsRegistry::disabled()),
-            logger: Arc::new(RunLogger::disabled()),
-            origin: Instant::now(),
+            logger: Arc::new(RunLogger::disabled(origin)),
+            origin,
             enabled: false,
         }
     }
@@ -116,7 +121,7 @@ impl Telemetry {
                 }),
             }
         }
-        let hists = Stage::ALL.map(|s| self.metrics.time_histogram(&Self::stage_histogram_name(s)));
+        let hists = Stage::ALL.map(|s| self.metrics.stage_histogram(s));
         let mut totals = [(0.0f64, 0u64); Stage::ALL.len()];
         for ev in &timeline {
             let seconds = ev.end - ev.start;
@@ -150,68 +155,6 @@ impl Default for Telemetry {
     }
 }
 
-/// Well-known metric names shared by producers and the report renderer.
-pub mod names {
-    /// Histogram of whole-epoch wall-clock seconds.
-    pub const EPOCH_SECONDS: &str = "epoch_seconds";
-    /// Counter of completed epochs.
-    pub const EPOCHS_TOTAL: &str = "epochs_total";
-    /// Counter of executed mini-batches (all processes).
-    pub const MINIBATCHES_TOTAL: &str = "minibatches_total";
-    /// Counter of sampled edges (all processes).
-    pub const EDGES_TOTAL: &str = "edges_total";
-    /// Counter of synchronized iterations.
-    pub const ITERATIONS_TOTAL: &str = "iterations_total";
-    /// Counter of auto-tuner trials.
-    pub const TUNER_TRIALS_TOTAL: &str = "tuner_trials_total";
-    /// Histogram of tuner suggest (GP fit + acquisition) CPU seconds.
-    pub const TUNER_SUGGEST_SECONDS: &str = "tuner_suggest_seconds";
-    /// Histogram of tuner observe CPU seconds.
-    pub const TUNER_OBSERVE_SECONDS: &str = "tuner_observe_seconds";
-    /// Gauge: best (lowest) epoch time seen by the tuner so far.
-    pub const TUNER_BEST_EPOCH_SECONDS: &str = "tuner_best_epoch_seconds";
-    /// Gauge: overlap fraction of the most recent epoch (Figure 2).
-    pub const OVERLAP_FRACTION: &str = "overlap_fraction";
-    /// Counter of feature-cache lookups served from the cache.
-    pub const CACHE_HITS_TOTAL: &str = "cache_hits_total";
-    /// Counter of feature-cache lookups that fell through to DRAM.
-    pub const CACHE_MISSES_TOTAL: &str = "cache_misses_total";
-    /// Counter of feature-cache evictions.
-    pub const CACHE_EVICTIONS_TOTAL: &str = "cache_evictions_total";
-    /// Gauge: feature-cache resident bytes at the last epoch end.
-    pub const CACHE_BYTES: &str = "cache_bytes";
-    /// Gauge: feature-cache hit rate over the most recent epoch.
-    pub const CACHE_HIT_RATE: &str = "cache_hit_rate";
-    /// Counter of sampler scratch-arena allocations (steady state: 0).
-    pub const SCRATCH_ALLOCS_TOTAL: &str = "loader_scratch_allocs_total";
-    /// Counter of batch-metadata bytes (node ids + edge indices) produced.
-    pub const METADATA_BYTES_TOTAL: &str = "batch_metadata_bytes_total";
-    /// Counter of feature bytes served out of the cross-batch cache.
-    pub const CACHE_MOVED_BYTES_TOTAL: &str = "cache_moved_bytes_total";
-    /// Counter of profiler spans recorded across all rings.
-    pub const SPANS_RECORDED_TOTAL: &str = "prof_spans_total";
-    /// Counter of profiler spans lost to full rings.
-    pub const SPANS_DROPPED_TOTAL: &str = "prof_spans_dropped_total";
-    /// Counter of serving requests completed.
-    pub const SERVE_REQUESTS_TOTAL: &str = "serve_requests_total";
-    /// Counter of serving micro-batches executed.
-    pub const SERVE_BATCHES_TOTAL: &str = "serve_batches_total";
-    /// Histogram of end-to-end request latency seconds (queue + execute).
-    pub const SERVE_REQUEST_SECONDS: &str = "serve_request_seconds";
-    /// Counter of serving responses answered from the result cache.
-    pub const SERVE_RESULT_HITS_TOTAL: &str = "serve_result_hits_total";
-    /// Counter of serving responses that required sampling + a forward pass.
-    pub const SERVE_RESULT_MISSES_TOTAL: &str = "serve_result_misses_total";
-    /// Gauge: result-cache hit rate over the session so far.
-    pub const SERVE_RESULT_HIT_RATE: &str = "serve_result_hit_rate";
-    /// Counter of data races found by the happens-before detector (only
-    /// present when built with the `check` feature; steady state: 0).
-    pub const CHECK_RACE_REPORTS_TOTAL: &str = "check_race_reports_total";
-    /// Counter of lock-order violations found by the lock sanitizer (only
-    /// present when built with the `check` feature; steady state: 0).
-    pub const CHECK_LOCK_VIOLATIONS_TOTAL: &str = "check_lock_violations_total";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,10 +164,10 @@ mod tests {
     fn clones_share_sinks() {
         let t = Telemetry::new();
         let t2 = t.clone();
-        t.metrics.counter("c").inc();
-        assert_eq!(t2.metrics.counters(), vec![("c".to_string(), 1)]);
         t2.record_stages(0, &[span(0, SpanKind::Compute, 0.0, 0.1)]);
         assert_eq!(t.trace.events().len(), 1);
+        assert_eq!(t.metrics.histograms().len(), 4);
+        assert_eq!(t.logger.len(), 4);
     }
 
     #[test]
@@ -233,9 +176,7 @@ mod tests {
         assert!(!t.is_enabled());
         assert!(Telemetry::new().is_enabled());
         assert!(!t.profiler().is_enabled());
-        t.metrics.counter("c").inc();
         t.record_stages(0, &[span(0, SpanKind::Compute, 0.0, 0.1)]);
-        assert!(t.metrics.counters().is_empty());
         assert!(t.metrics.histograms().is_empty());
         assert!(t.logger.is_empty());
         assert!(t.trace.events().is_empty());
@@ -331,9 +272,7 @@ mod tests {
                 },
             ],
         );
-        let gather = t
-            .metrics
-            .time_histogram(&Telemetry::stage_histogram_name(Stage::Gather));
+        let gather = t.metrics.stage_histogram(Stage::Gather);
         assert_eq!((gather.count(), gather.sum()), (3, 1.625));
         let timeline: Vec<_> = t
             .trace
@@ -349,7 +288,23 @@ mod tests {
         let t = Telemetry::new();
         std::thread::sleep(std::time::Duration::from_millis(2));
         // A profiler made later still counts from the telemetry's creation.
-        assert!(t.profiler().now() >= 0.002);
+        let span_clock = t.profiler().now();
+        assert!(span_clock >= 0.002);
+        // So do event timestamps: one axis for the JSONL and the trace.
+        t.logger.log(RunEvent::StageSummary {
+            epoch: 0,
+            summary: StageSummaryRecord {
+                stage: "sync".to_string(),
+                seconds: 0.0,
+                count: 0,
+            },
+        });
+        let ts = t.logger.events()[0].0;
+        assert!(
+            ts >= span_clock,
+            "event ts {ts} before span clock {span_clock}"
+        );
+        assert!(ts <= t.profiler().now());
     }
 
     #[test]

@@ -35,9 +35,7 @@ use argo_core::Error;
 use argo_engine::Engine;
 use argo_graph::{Dataset, NodeId};
 use argo_nn::Gnn;
-use argo_rt::racecheck;
 use argo_rt::spans::RING_CAPACITY;
-use argo_rt::telemetry::names;
 use argo_rt::{
     Config, Role, RunEvent, SeedSequence, ServeBatchRecord, ServeRequestRecord, SpanDrain,
     SpanKind, SpanProfiler, Telemetry, WorkerRing,
@@ -366,21 +364,10 @@ impl ServeSession {
     /// Flushes and executes everything still pending (session shutdown).
     pub fn drain(&mut self, telemetry: Option<&Telemetry>) -> Vec<Result<ServeResponse, Error>> {
         let mut out = Vec::new();
-        loop {
-            let now = self.clock.now_us();
-            match self.batcher.flush(now, FlushReason::Drain) {
-                Some(batch) => out.extend(self.execute_batch(batch, None, telemetry)),
-                None => {
-                    // Session teardown is the serving analogue of epoch end:
-                    // publish runtime-checker verdicts so a race found while
-                    // serving lands in the report's metric snapshot.
-                    if let Some(t) = telemetry {
-                        racecheck::publish_verdicts(&t.metrics);
-                    }
-                    return out;
-                }
-            }
+        while let Some(batch) = self.batcher.flush(self.clock.now_us(), FlushReason::Drain) {
+            out.extend(self.execute_batch(batch, None, telemetry));
         }
+        out
     }
 
     /// Adopts a tuner-chosen configuration: `cache_rows` resizes the
@@ -448,7 +435,7 @@ impl ServeSession {
         telemetry: Option<&Telemetry>,
     ) -> Vec<Result<ServeResponse, Error>> {
         // The one switch, as in the engine: no (or a disabled) handle means
-        // no spans, no metrics, no events.
+        // no spans and no events.
         let telemetry = telemetry.filter(|t| t.is_enabled());
         let exec_start_us = batch.flushed_us;
         let mut out = Vec::with_capacity(batch.requests.len());
@@ -467,7 +454,6 @@ impl ServeSession {
                 exec_start_us as f64 / US_PER_SEC,
                 exec_end_us as f64 / US_PER_SEC,
             );
-            t.metrics.counter(names::SERVE_BATCHES_TOTAL).inc();
             t.logger.log(RunEvent::ServeBatch {
                 record: ServeBatchRecord {
                     batch: batch.id,
@@ -522,22 +508,6 @@ impl ServeSession {
         let queue_seconds = queue_us as f64 / US_PER_SEC;
         let latency_seconds = done_us.saturating_sub(req.admitted_us) as f64 / US_PER_SEC;
         if let Some(t) = telemetry {
-            t.metrics.counter(names::SERVE_REQUESTS_TOTAL).inc();
-            t.metrics
-                .time_histogram(names::SERVE_REQUEST_SECONDS)
-                .observe(latency_seconds);
-            if self.result_cache.is_some() {
-                if cache_hit {
-                    t.metrics.counter(names::SERVE_RESULT_HITS_TOTAL).inc();
-                } else {
-                    t.metrics.counter(names::SERVE_RESULT_MISSES_TOTAL).inc();
-                }
-            }
-            if let Some(stats) = self.result_cache_stats() {
-                t.metrics
-                    .gauge(names::SERVE_RESULT_HIT_RATE)
-                    .set(stats.hit_rate());
-            }
             t.logger.log(RunEvent::ServeRequest {
                 record: ServeRequestRecord {
                     request: req.id,

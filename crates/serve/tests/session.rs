@@ -7,7 +7,6 @@ use argo_core::Error;
 use argo_graph::datasets::{Dataset, FLICKR};
 use argo_graph::NodeId;
 use argo_nn::{Arch, Gnn};
-use argo_rt::telemetry::names;
 use argo_rt::{RunEvent, SpanKind, Telemetry};
 use argo_sample::{NeighborSampler, Normalization, Sampler};
 use argo_serve::{FlushReason, ManualClock, ServeSession, ServeSpec, ServeSpecBuilder};
@@ -268,46 +267,31 @@ fn telemetry_reports_requests_batches_and_hit_rate() {
     s.submit(vec![1, 2], Some(&tel)).unwrap();
     s.submit(vec![1, 2], Some(&tel)).unwrap();
 
-    let counters = tel.metrics.counters();
-    let get = |name: &str| {
-        counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    assert_eq!(get(names::SERVE_REQUESTS_TOTAL), 3);
-    assert_eq!(get(names::SERVE_BATCHES_TOTAL), 3);
-    assert_eq!(get(names::SERVE_RESULT_HITS_TOTAL), 2);
-    assert_eq!(get(names::SERVE_RESULT_MISSES_TOTAL), 1);
-
-    let gauges = tel.metrics.gauges();
-    let rate = gauges
-        .iter()
-        .find(|(n, _)| n == names::SERVE_RESULT_HIT_RATE)
-        .map(|(_, v)| *v)
-        .unwrap();
-    assert!((rate - 2.0 / 3.0).abs() < 1e-9, "hit rate gauge: {rate}");
-
-    let hist = tel.metrics.histograms();
-    assert!(
-        hist.iter()
-            .any(|(n, h)| n == names::SERVE_REQUEST_SECONDS && h.count() == 3),
-        "latency histogram observed every request"
-    );
-
-    // Request events carry cache_hit and ids; spans cover queue + exec.
-    let hits: Vec<bool> = tel
+    // One batch event per flush: the first query computes at its (zero)
+    // deadline, the repeats are hits answered at admission.
+    assert_eq!(flush_labels(&tel), ["deadline", "hit", "hit"]);
+    // One request event per query, carrying its id, hit flag and latency;
+    // the session's hit rate is the events' hit share.
+    let requests: Vec<(u64, bool, f64)> = tel
         .logger
         .events()
         .iter()
         .filter_map(|(_, e)| match e {
-            RunEvent::ServeRequest { record } => Some(record.cache_hit),
+            RunEvent::ServeRequest { record } => {
+                Some((record.request, record.cache_hit, record.latency_seconds))
+            }
             _ => None,
         })
         .collect();
-    assert_eq!(hits, vec![false, true, true]);
+    let ids_and_hits: Vec<(u64, bool)> = requests.iter().map(|r| (r.0, r.1)).collect();
+    assert_eq!(ids_and_hits, [(0, false), (1, true), (2, true)]);
+    assert!(requests.iter().all(|r| r.2 >= 0.0));
+    let rate = s.result_cache_stats().expect("cache on").hit_rate();
+    assert!((rate - 2.0 / 3.0).abs() < 1e-9, "hit rate: {rate}");
+    // Serving registers no histogram: latency lives in the request events.
+    assert!(tel.metrics.histograms().is_empty());
 
+    // Spans cover queue + exec.
     let spans = s.drain_spans();
     let queues = spans
         .records

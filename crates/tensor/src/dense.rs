@@ -107,26 +107,6 @@ impl Matrix {
         (a, b)
     }
 
-    /// Element-wise `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Scales all elements by `alpha`.
-    pub fn scale(&mut self, alpha: f32) {
-        for a in self.data.iter_mut() {
-            *a *= alpha;
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Takes the rows listed in `ids` into a new matrix.
     pub fn gather_rows(&self, ids: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(ids.len(), self.cols);
@@ -217,16 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = m(1, 3, &[1., 2., 3.]);
-        let b = m(1, 3, &[10., 20., 30.]);
-        a.axpy(0.1, &b);
-        assert_eq!(a.data(), &[2., 4., 6.]);
-        a.scale(0.5);
-        assert_eq!(a.data(), &[1., 2., 3.]);
-    }
-
-    #[test]
     fn gather_rows_selects() {
         let a = m(3, 2, &[0., 1., 2., 3., 4., 5.]);
         let g = a.gather_rows(&[2, 0]);
@@ -240,11 +210,5 @@ mod tests {
         assert!(a.data().iter().all(|x| x.abs() <= bound));
         assert_eq!(a, Matrix::xavier(10, 10, 4));
         assert_ne!(a, Matrix::xavier(10, 10, 5));
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = m(1, 2, &[3., 4.]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 }

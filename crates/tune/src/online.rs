@@ -20,7 +20,6 @@
 
 use std::time::Instant;
 
-use argo_rt::telemetry::names;
 use argo_rt::{Config, RunEvent, Telemetry, TrialRecord};
 
 use crate::Searcher;
@@ -73,8 +72,8 @@ impl<S: Searcher> OnlineAutoTuner<S> {
     ///
     /// With `Some(telemetry)`, one `tuner_trial` event per search epoch is
     /// emitted (candidate config, observed epoch time, incumbent best, GP
-    /// fit/acquisition CPU time), a `config_applied` event on every
-    /// configuration switch, and tuner metrics into `telemetry.metrics`.
+    /// fit/acquisition CPU time) and a `config_applied` event on every
+    /// configuration switch.
     pub fn run(
         self,
         total_epochs: usize,
@@ -94,12 +93,6 @@ impl<S: Searcher> OnlineAutoTuner<S> {
         telemetry: &Telemetry,
     ) -> TuningReport {
         assert!(total_epochs >= self.num_searches);
-        let metrics = &telemetry.metrics;
-        let trials = metrics.counter(names::TUNER_TRIALS_TOTAL);
-        let suggest_h = metrics.time_histogram(names::TUNER_SUGGEST_SECONDS);
-        let observe_h = metrics.time_histogram(names::TUNER_OBSERVE_SECONDS);
-        let best_gauge = metrics.gauge(names::TUNER_BEST_EPOCH_SECONDS);
-
         let mut history = Vec::with_capacity(self.num_searches);
         let mut total_time = 0.0;
         let mut tuner_overhead = 0.0;
@@ -122,10 +115,6 @@ impl<S: Searcher> OnlineAutoTuner<S> {
 
             let (best_config, best_epoch_time) =
                 self.searcher.best().expect("observed at least one trial");
-            trials.inc();
-            suggest_h.observe(suggest_seconds);
-            observe_h.observe(observe_seconds);
-            best_gauge.set(best_epoch_time);
             telemetry.logger.log(RunEvent::TunerTrial(TrialRecord {
                 trial: trial as u64,
                 config,
@@ -218,7 +207,6 @@ mod tests {
 
     #[test]
     fn telemetry_emits_trial_per_search_epoch() {
-        use argo_rt::telemetry::names;
         let tel = Telemetry::new();
         let report = tuner(7, 12).run(20, objective, Some(&tel));
 
@@ -242,6 +230,10 @@ mod tests {
             assert!(t.suggest_seconds >= 0.0 && t.observe_seconds >= 0.0);
         }
         assert_eq!(trials.last().unwrap().best_config, report.config_opt);
+        assert_eq!(
+            trials.last().unwrap().best_epoch_time,
+            report.best_epoch_time
+        );
 
         // Config switches: one "search" per trial, one final "reuse".
         let reasons: Vec<&str> = events
@@ -254,12 +246,6 @@ mod tests {
         assert_eq!(reasons.iter().filter(|r| **r == "search").count(), 12);
         assert_eq!(reasons.iter().filter(|r| **r == "reuse").count(), 1);
         assert_eq!(reasons.last(), Some(&"reuse"));
-
-        let counters: std::collections::BTreeMap<_, _> =
-            tel.metrics.counters().into_iter().collect();
-        assert_eq!(counters[names::TUNER_TRIALS_TOTAL], 12);
-        let gauges: std::collections::BTreeMap<_, _> = tel.metrics.gauges().into_iter().collect();
-        assert!((gauges[names::TUNER_BEST_EPOCH_SECONDS] - report.best_epoch_time).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cross-crate property-based tests (proptest): invariants that must hold
-//! for *any* graph, batch, configuration or observation set — the
-//! correctness backbone of the reproduction.
+//! for *any* graph, batch or configuration — the correctness backbone of
+//! the reproduction.
 
 use proptest::prelude::*;
 
@@ -365,56 +365,6 @@ proptest! {
             all.sort_unstable();
             all.dedup();
             prop_assert_eq!(all.len(), n, "overlapping cores");
-        }
-    }
-
-    /// Merging per-process metric registries into an empty one equals the
-    /// global registry that saw every observation directly: counters add,
-    /// histogram buckets/counts/sums add, maxes take the max — for any
-    /// split of any observation sequence across any number of processes.
-    #[test]
-    fn merged_per_process_registries_equal_global(
-        obs in prop::collection::vec((0usize..4, 0u64..1000), 0..120),
-        n_proc in 1usize..5,
-    ) {
-        use argo::rt::MetricsRegistry;
-        let global = MetricsRegistry::new();
-        let locals: Vec<MetricsRegistry> =
-            (0..n_proc).map(|_| MetricsRegistry::new()).collect();
-        for (i, &(which, raw)) in obs.iter().enumerate() {
-            let local = &locals[i % n_proc];
-            // Mix counters and histograms; values span several buckets.
-            let value = raw as f64 * 1e-5;
-            match which {
-                0 => {
-                    global.counter("iters").add(raw);
-                    local.counter("iters").add(raw);
-                }
-                1 => {
-                    global.counter("edges").inc();
-                    local.counter("edges").inc();
-                }
-                _ => {
-                    let name = if which == 2 { "stage/compute" } else { "stage/sync" };
-                    global.time_histogram(name).observe(value);
-                    local.time_histogram(name).observe(value);
-                }
-            }
-        }
-        let merged = MetricsRegistry::new();
-        for local in &locals {
-            merged.merge(local);
-        }
-        prop_assert_eq!(merged.counters(), global.counters());
-        let mh = merged.histograms();
-        let gh = global.histograms();
-        prop_assert_eq!(mh.len(), gh.len());
-        for ((mn, m), (gn, g)) in mh.iter().zip(gh.iter()) {
-            prop_assert_eq!(mn, gn);
-            prop_assert_eq!(m.count(), g.count());
-            prop_assert_eq!(m.bucket_counts(), g.bucket_counts());
-            prop_assert!((m.sum() - g.sum()).abs() <= 1e-12 * g.sum().abs().max(1.0));
-            prop_assert_eq!(m.max(), g.max());
         }
     }
 }

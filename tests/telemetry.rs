@@ -10,7 +10,6 @@ use argo::core::{Argo, ArgoOptions};
 use argo::engine::{Engine, EngineOptions};
 use argo::graph::datasets::{FLICKR, OGBN_PRODUCTS};
 use argo::platform::{Library, ModelKind, PerfModel, SamplerKind, Setup, ICE_LAKE_8380H};
-use argo::rt::telemetry::names;
 use argo::rt::{Json, RunEvent, RunLogger, Source, Telemetry};
 use argo::sample::NeighborSampler;
 
@@ -94,17 +93,15 @@ fn measured_run_produces_full_telemetry() {
     let widest = report.history.iter().map(|(c, _)| c.n_proc).max().unwrap();
     assert_eq!(tids, (0..widest as u64).collect());
 
-    // --- Metrics agree with the structured events ------------------------
-    let counters: std::collections::BTreeMap<_, _> = tel.metrics.counters().into_iter().collect();
-    assert_eq!(counters[names::EPOCHS_TOTAL], 5);
-    assert_eq!(counters[names::TUNER_TRIALS_TOTAL], 3);
-    let total_iters: u64 = epoch_ends.iter().map(|(_, r)| r.iterations).sum();
-    assert_eq!(counters[names::ITERATIONS_TOTAL], total_iters);
+    // --- Stage histograms agree with the structured events ---------------
+    // Every batch of every epoch is one compute observation.
+    let hists: std::collections::BTreeMap<_, _> = tel.metrics.histograms().into_iter().collect();
+    let minibatches: u64 = epoch_ends.iter().map(|(_, r)| r.minibatches).sum();
+    assert_eq!(hists["stage_seconds/compute"].count(), minibatches);
 
     // EpochStats::sync_time (rank 0) reconciles with the sync histogram,
     // which covers every rank: per-epoch sync_time sums to at most the
     // histogram total, and both are positive.
-    let hists: std::collections::BTreeMap<_, _> = tel.metrics.histograms().into_iter().collect();
     let sync = &hists["stage_seconds/sync"];
     let stats_sync: f64 = epoch_ends.iter().map(|(_, r)| r.sync_time).sum();
     assert!(stats_sync > 0.0);
@@ -125,14 +122,35 @@ fn measured_run_produces_full_telemetry() {
 }
 
 #[test]
-fn every_metric_a_real_run_registers_is_rendered() {
-    // Metric names are plain strings handed to a registry, so no type ties
-    // a producer to the report. This does: whatever a cached, auto-tuned
-    // run and a serving session register must show up in the report under
-    // its registry name (the per-stage histograms under their stage label).
+fn a_real_run_registers_only_stage_histograms_and_reports_the_same_offline() {
+    // Every fact is one event field; the registry holds only the four stage
+    // histograms. So after a cached, audited, auto-tuned run and a serving
+    // session, the report of the JSONL alone has every section the live
+    // report has — except the overlap line, which needs the live timeline.
     use argo::rt::Stage;
     use argo_serve::ServeSpec;
-    let mut engine = tiny_engine(13);
+    let dataset = Arc::new(FLICKR.synthesize(0.008, 13));
+    let sampler: Arc<dyn argo::sample::Sampler> = Arc::new(NeighborSampler::new(vec![6, 3]));
+    let mut engine = Engine::new(
+        dataset,
+        sampler,
+        EngineOptions {
+            hidden: 8,
+            num_layers: 2,
+            global_batch: 64,
+            total_cores: 16,
+            seed: 13,
+            cache_capacity: 256,
+            ..Default::default()
+        },
+    );
+    let model = PerfModel::new(Setup {
+        platform: ICE_LAKE_8380H,
+        library: Library::Dgl,
+        sampler: SamplerKind::Neighbor,
+        model: ModelKind::Sage,
+        dataset: FLICKR,
+    });
     let mut argo = Argo::new(ArgoOptions {
         n_search: 2,
         epochs: 3,
@@ -140,21 +158,7 @@ fn every_metric_a_real_run_registers_is_rendered() {
         seed: 13,
     });
     let tel = Telemetry::new();
-    let mut epochs = 0;
-    argo.run(
-        |config, n| {
-            epochs += n;
-            (0..n)
-                .map(|_| {
-                    engine
-                        .train_epoch(config.with_cache_rows(256), Some(&tel))
-                        .epoch_time
-                })
-                .sum()
-        },
-        Some(&tel),
-    );
-    assert_eq!(epochs, 3);
+    argo.train_audited(&mut engine, &model, Some(&tel), |_, _, _| {});
     let mut session = ServeSpec::from_engine(&engine)
         .result_cache_entries(8)
         .deadline_us(0)
@@ -164,27 +168,68 @@ fn every_metric_a_real_run_registers_is_rendered() {
     }
     session.drain(Some(&tel));
 
-    let text = argo_cli::report::render_report(&[], Some(&tel));
-    let mut registered: Vec<String> = Vec::new();
-    registered.extend(tel.metrics.counters().into_iter().map(|(n, _)| n));
-    registered.extend(tel.metrics.gauges().into_iter().map(|(n, _)| n));
-    registered.extend(tel.metrics.histograms().into_iter().map(|(n, _)| n));
-    // The run exercised every producer: stages, cache, tuner, spans, serving.
-    assert!(registered.len() >= 25, "{registered:?}");
-    for name in &registered {
-        let shown = match Stage::ALL
-            .into_iter()
-            .find(|s| *name == Telemetry::stage_histogram_name(*s))
-        {
-            Some(stage) => stage.label().to_string(),
-            None if name == names::OVERLAP_FRACTION => "overlap fraction".to_string(),
-            None => name.clone(),
-        };
+    let mut registered: Vec<String> = tel
+        .metrics
+        .histograms()
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    let mut stages: Vec<String> = Stage::ALL
+        .map(Telemetry::stage_histogram_name)
+        .into_iter()
+        .collect();
+    registered.sort();
+    stages.sort();
+    assert_eq!(registered, stages);
+
+    let live_events: Vec<_> = tel
+        .logger
+        .events()
+        .into_iter()
+        .map(|(ts, e)| (e, ts, Source::Measured))
+        .collect();
+    let live = argo_cli::report::render_report(&live_events, Some(&tel));
+    let parsed = RunLogger::parse_jsonl(&tel.logger.to_jsonl()).unwrap();
+    let offline = argo_cli::report::render_report(&parsed, None);
+    // A heading is an unindented line, named up to its first ':' or " (".
+    let headings = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.is_empty() && !l.starts_with(' '))
+            .map(|l| {
+                let end = [l.find(':'), l.find(" (")]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                    .unwrap_or(l.len());
+                l[..end].to_string()
+            })
+            .collect()
+    };
+    let overlap = "gather/compute overlap fraction";
+    let live_headings = headings(&live);
+    assert!(live_headings.iter().any(|h| h == overlap), "{live}");
+    // The run exercised every producer.
+    for section in [
+        "per-stage timings",
+        "critical path",
+        "bytes/batch",
+        "feature cache",
+        "serving",
+        "tuner convergence",
+        "bottleneck audit",
+        "config applications",
+    ] {
         assert!(
-            text.contains(&shown),
-            "{name} is registered but not rendered"
+            live_headings.iter().any(|h| h == section),
+            "no {section} in:\n{live}"
         );
     }
+    let without_overlap: Vec<String> = live_headings.into_iter().filter(|h| h != overlap).collect();
+    assert_eq!(
+        headings(&offline),
+        without_overlap,
+        "offline:\n{offline}\nlive:\n{live}"
+    );
 }
 
 #[test]
