@@ -7,7 +7,6 @@
 
 use argo_graph::datasets::OGBN_PRODUCTS;
 use argo_platform::{table4_dgl, table5_pyg, Library, ModelKind, PerfModel, SamplerKind};
-use argo_rt::Config;
 
 fn main() {
     println!(
@@ -50,22 +49,6 @@ fn main() {
             t4 / m.baseline_epoch_time(cores),
             t4 / ta,
             bc
-        );
-    }
-
-    // Serving terms: per-request latency vs micro-batch size on a 16-core
-    // slice, with and without the feature cache (see DESIGN.md §12).
-    let m = PerfModel::builder().build(); // Neighbor-SAGE / Flickr / DGL
-    let plain = Config::new(1, 4, 12);
-    let cached = plain.with_cache_rows(m.setup().dataset.num_nodes);
-    println!("\nserving (16-core slice): batch -> predicted ms/request, bottleneck");
-    for batch in [1usize, 4, 8, 32] {
-        println!(
-            "  batch {batch:>3}: plain {:>7.3} ms ({:<7}) cached {:>7.3} ms ({})",
-            m.predicted_request_seconds(plain, batch) / batch as f64 * 1e3,
-            m.predicted_serve_bottleneck(plain, batch),
-            m.predicted_request_seconds(cached, batch) / batch as f64 * 1e3,
-            m.predicted_serve_bottleneck(cached, batch),
         );
     }
 }

@@ -213,26 +213,9 @@ impl PerfModel {
         cpu / speedup * contention
     }
 
-    /// Expected hit rate of the cross-batch feature cache under `config`
-    /// (0 when `config.cache_rows == 0`, i.e. cache disabled).
-    ///
-    /// Hit rates on power-law neighbor distributions grow sublinearly in
-    /// cache coverage: a small cache already captures the hub nodes that
-    /// dominate re-gathers, while the long tail needs disproportionally more
-    /// rows. Modeled as `coverage^0.35`, capped below 1 (cold misses).
-    pub fn cache_hit_rate(&self, config: Config) -> f64 {
-        if config.cache_rows == 0 {
-            return 0.0;
-        }
-        let coverage = (config.cache_rows as f64 / self.setup.dataset.num_nodes as f64).min(1.0);
-        coverage.powf(0.35).min(0.95)
-    }
-
     /// Wall-clock duration of the memory-bound phase of one iteration
     /// (global across processes — they share the memory system): feature
-    /// gathering plus the library's scatter/message traffic. Cache hits
-    /// skip the feature-table traffic, so the gather term scales by the
-    /// expected miss rate.
+    /// gathering plus the library's scatter/message traffic.
     pub fn gather_time(&self, config: Config) -> f64 {
         let w = self.setup.workload().iteration(config.n_proc);
         let prof = self.setup.library.profile();
@@ -240,8 +223,7 @@ impl PerfModel {
         // Mean feature width of aggregated messages over the three layers.
         let f_avg = (d.f0 as f64 + 2.0 * 128.0) / 3.0;
         let scatter_bytes = w.edges * f_avg * 4.0 * prof.scatter_traffic_factor;
-        let miss_rate = 1.0 - self.cache_hit_rate(config);
-        let bytes = w.gather_bytes * MEM_AMPLIFICATION * miss_rate + scatter_bytes;
+        let bytes = w.gather_bytes * MEM_AMPLIFICATION + scatter_bytes;
         bytes / 1e9 / self.achievable_bandwidth(config)
     }
 
@@ -406,65 +388,6 @@ impl PerfModel {
         best.0
     }
 
-    /// Per-stage (sample, gather, compute) durations of serving one
-    /// micro-batch of `requests` single-seed queries under `config`.
-    ///
-    /// A serving micro-batch is a scaled-down training iteration: the same
-    /// sample → gather → compute pipeline over `requests` seeds instead of
-    /// the workload's global batch, executed by one process (queries are
-    /// never sharded across processes the way training batches are). Work
-    /// terms scale by the seed ratio. The library's per-batch dataloader
-    /// launch (`per_batch_overhead`, tens of milliseconds of Python re-entry)
-    /// is *not* paid: the serving runtime executes the pipeline in-process,
-    /// so each micro-batch only pays the library's dispatch/sync floor
-    /// (`sync_cost_per_proc`) — the fixed term micro-batching amortizes.
-    fn serve_stage_seconds(&self, config: Config, requests: usize) -> (f64, f64, f64) {
-        let prof = self.setup.library.profile();
-        let single = Config::new(1, config.n_samp.max(1), config.n_train.max(1))
-            .with_cache_rows(config.cache_rows);
-        let scale = requests.max(1) as f64 / self.setup.workload().global_batch as f64;
-        let sample = self.sampling_time(single) * scale;
-        // In-batch neighbor sharing (the Figure 5 effect) vanishes at
-        // micro-batch sizes: a 1024-seed training batch dedups hub
-        // neighbors across seeds before gathering, a handful of serving
-        // seeds cannot — so per-seed gather traffic *rises* as the batch
-        // shrinks. Power-law neighborhoods give a power-law penalty; the
-        // cross-batch feature cache (`config.cache_rows`, already inside
-        // `gather_time`'s miss rate) is the serving-side answer.
-        let dedup_penalty =
-            (self.setup.workload().global_batch as f64 / requests.max(1) as f64).powf(0.3);
-        let gather = self.gather_time(single) * scale * dedup_penalty;
-        let train_overhead = prof.per_batch_overhead / self.setup.platform.core_speed_factor;
-        let dispatch = prof.sync_cost_per_proc / self.setup.platform.core_speed_factor;
-        let compute = (self.compute_time(single) - train_overhead) * scale + dispatch;
-        (sample, gather, compute)
-    }
-
-    /// Modeled wall-clock seconds to execute one serving micro-batch of
-    /// `requests` queries under `config` — the service-time model a
-    /// [`argo-tune` serve objective] plugs in to turn the p99 simulation
-    /// into a pure function of the configuration.
-    pub fn predicted_request_seconds(&self, config: Config, requests: usize) -> f64 {
-        let (sample, gather, compute) = self.serve_stage_seconds(config, requests);
-        sample + gather + compute
-    }
-
-    /// The serving stage the model predicts to dominate a micro-batch of
-    /// `requests` queries under `config` — same stage labels as
-    /// [`PerfModel::predicted_bottleneck`] minus `sync` (a single serving
-    /// process has no inter-process barrier).
-    pub fn predicted_serve_bottleneck(&self, config: Config, requests: usize) -> &'static str {
-        let (sample, gather, compute) = self.serve_stage_seconds(config, requests);
-        let candidates = [("sample", sample), ("gather", gather), ("compute", compute)];
-        let mut best = candidates[0];
-        for c in &candidates[1..] {
-            if c.1 > best.1 {
-                best = *c;
-            }
-        }
-        best.0
-    }
-
     /// Emits the modeled telemetry of one epoch under `config` — the same
     /// event schema and stage histograms a measured `argo_engine` epoch
     /// produces, so real and modeled runs are directly comparable. Pass a
@@ -522,11 +445,7 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 fn hash_config(c: Config) -> u64 {
-    let mut h = splitmix((c.n_proc as u64) << 32 | (c.n_samp as u64) << 16 | c.n_train as u64);
-    if c.cache_rows > 0 {
-        h ^= splitmix(c.cache_rows as u64);
-    }
-    h
+    splitmix((c.n_proc as u64) << 32 | (c.n_samp as u64) << 16 | c.n_train as u64)
 }
 
 #[cfg(test)]
@@ -628,36 +547,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_reduces_modeled_gather_time() {
-        let m = setup(
-            ICE_LAKE_8380H,
-            Library::Dgl,
-            SamplerKind::Neighbor,
-            ModelKind::Sage,
-            OGBN_PRODUCTS,
-        );
-        let c = Config::new(4, 2, 8);
-        assert_eq!(m.cache_hit_rate(c), 0.0);
-        let base = m.gather_time(c);
-        let mut prev_rate = 0.0;
-        let mut prev_time = base;
-        for rows in [1 << 16, 1 << 20, 1 << 22] {
-            let cc = c.with_cache_rows(rows);
-            let rate = m.cache_hit_rate(cc);
-            let t = m.gather_time(cc);
-            assert!(rate > prev_rate, "hit rate monotone in capacity");
-            assert!(rate <= 0.95);
-            assert!(t < prev_time, "gather time shrinks as the cache grows");
-            assert!(t > 0.0, "scatter traffic keeps the term positive");
-            prev_rate = rate;
-            prev_time = t;
-        }
-        // Cache capacity is part of the modeled config identity.
-        assert_ne!(hash_config(c), hash_config(c.with_cache_rows(1 << 20)));
-        assert!(m.epoch_time(c.with_cache_rows(1 << 22)) < m.epoch_time(c));
     }
 
     #[test]
@@ -937,42 +826,5 @@ mod tests {
         assert_eq!(overridden.setup().label(), expect.setup().label());
         let c = overridden.default_config();
         assert_eq!(overridden.epoch_time(c), expect.epoch_time(c));
-    }
-
-    #[test]
-    fn request_seconds_grow_with_batch_and_shrink_with_cores() {
-        let m = PerfModel::builder().build();
-        let c = Config::new(1, 2, 2);
-        let one = m.predicted_request_seconds(c, 1);
-        let eight = m.predicted_request_seconds(c, 8);
-        let sixty_four = m.predicted_request_seconds(c, 64);
-        assert!(one > 0.0);
-        assert!(
-            one < eight && eight < sixty_four,
-            "{one} {eight} {sixty_four}"
-        );
-        // Micro-batching amortizes the fixed launch overhead: 8 requests in
-        // one batch are cheaper than 8 batches of 1.
-        assert!(eight < 8.0 * one);
-
-        // More cores shorten the same micro-batch.
-        let wide = Config::new(1, 8, 8);
-        assert!(m.predicted_request_seconds(wide, 8) < eight);
-    }
-
-    #[test]
-    fn serve_bottleneck_is_a_training_stage_minus_sync() {
-        let m = products_dgl_il();
-        for config in enumerate_space(16) {
-            for requests in [1usize, 8, 64] {
-                let b = m.predicted_serve_bottleneck(config, requests);
-                assert!(["sample", "gather", "compute"].contains(&b));
-            }
-        }
-        // Tiny batches are overhead-(compute-)dominated on this task.
-        assert_eq!(
-            m.predicted_serve_bottleneck(Config::new(1, 4, 4), 1),
-            "compute"
-        );
     }
 }

@@ -14,23 +14,19 @@
 //!   result-cache hit skips the queue: the session answers it at admission.
 //!   All decisions are pure functions of [`Clock`] readings, so admission
 //!   edges are deterministic and unit-testable via [`ManualClock`].
-//! * [`ResultCache`] — a layered response cache keyed by
-//!   `(seed list, config epoch)`. The counter-based sampler makes every
-//!   response a pure function of that key, so a cached response is
+//! * [`ResultCache`] — a layered response cache keyed by the seed list.
+//!   The counter-based sampler makes every response a pure function of
+//!   that key, so a cached response is
 //!   *bitwise identical* to re-executing the query (property-tested).
 //! * [`ServeSession`] — ties them together: validates and admits queries,
 //!   executes flushed micro-batches over the shared sampler/cache/model
 //!   stack, and reports per-request telemetry (`serve_request` /
-//!   `serve_batch` events, request-latency histograms, `serve_queue` /
-//!   `serve_exec` spans) through the same `Option<&Telemetry>` surface as
-//!   every other ARGO entry point.
+//!   `serve_batch` events, `serve_queue` / `serve_exec` spans) through the
+//!   same `Option<&Telemetry>` surface as every other ARGO entry point.
 //!
 //! Sessions are built with [`ServeSpec::builder`] (or
 //! [`ServeSpec::from_engine`] to serve a training checkpoint in place), the
-//! same builder shape as the pipelined loader's `LoaderSpec`. The `argo-tune`
-//! crate pairs this with a `ServeObjective` that retargets the paper's
-//! auto-tuner from epoch time to p99 latency under an open-loop arrival
-//! model.
+//! same builder shape as the pipelined loader's `LoaderSpec`.
 
 pub mod batcher;
 pub mod clock;

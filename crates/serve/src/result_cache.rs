@@ -1,12 +1,11 @@
 //! Layered serving result cache.
 //!
-//! PR-5's counter-based `StreamRng` made sampling a pure function of
+//! The counter-based `StreamRng` makes sampling a pure function of
 //! `(stream root, layer, row)` — so with the stream root derived from the
 //! query itself, the *entire* serving response (sampled subgraph → gather →
-//! forward pass) is a pure function of `(seed list, config epoch)`. That is
-//! the cache key: identical repeated queries skip sampling and compute
-//! entirely, and any configuration change bumps the epoch so stale entries
-//! can never be served.
+//! forward pass) is a pure function of the seed list (for a session's fixed
+//! model and seed). The seed list is the cache key: identical repeated
+//! queries skip sampling and compute entirely.
 //!
 //! Eviction reuses the CLOCK second-chance design of the feature cache
 //! (PR 2): each entry carries a small frequency counter, a sweeping hand
@@ -55,12 +54,11 @@ struct Entry {
     /// Exact key, verified on every hit so hash collisions can never serve
     /// the wrong response.
     seeds: Vec<NodeId>,
-    epoch: u64,
     logits: Arc<Matrix>,
     freq: u8,
 }
 
-/// Fixed-capacity CLOCK cache mapping `(seed list, config epoch)` to the
+/// Fixed-capacity CLOCK cache mapping a seed list to the
 /// finished response logits. Single-writer, like the session that owns it.
 pub struct ResultCache {
     slots: Vec<Option<Entry>>,
@@ -85,9 +83,10 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Key hash over the *ordered* seed list and the config epoch. Order
-/// matters by design: a seed's RNG stream is keyed by its row position, so
-/// `[3, 5]` and `[5, 3]` are genuinely different queries.
+/// Key hash over the *ordered* seed list. Order matters by design: a seed's
+/// RNG stream is keyed by its row position, so `[3, 5]` and `[5, 3]` are
+/// genuinely different queries. The key is the seed list alone: every
+/// caller passes `epoch = 0`, which only salts the starting state.
 pub fn key_hash(seeds: &[NodeId], epoch: u64) -> u64 {
     let mut h = mix(0x5EED_CAFE, epoch);
     for &s in seeds {
@@ -112,11 +111,11 @@ impl ResultCache {
     }
 
     /// Looks up a response. A hit refreshes the entry's CLOCK counter.
-    pub fn get(&mut self, seeds: &[NodeId], epoch: u64) -> Option<Arc<Matrix>> {
-        let hash = key_hash(seeds, epoch);
+    pub fn get(&mut self, seeds: &[NodeId]) -> Option<Arc<Matrix>> {
+        let hash = key_hash(seeds, 0);
         if let Some(&slot) = self.index.get(&hash) {
             if let Some(e) = self.slots[slot].as_mut() {
-                if e.hash == hash && e.epoch == epoch && e.seeds == seeds {
+                if e.hash == hash && e.seeds == seeds {
                     racecheck::read(&self.shadow, slot, 1);
                     e.freq = (e.freq + 1).min(MAX_FREQ);
                     self.hits += 1;
@@ -129,8 +128,8 @@ impl ResultCache {
     }
 
     /// Inserts a finished response, evicting by CLOCK if full.
-    pub fn insert(&mut self, seeds: Vec<NodeId>, epoch: u64, logits: Arc<Matrix>) {
-        let hash = key_hash(&seeds, epoch);
+    pub fn insert(&mut self, seeds: Vec<NodeId>, logits: Arc<Matrix>) {
+        let hash = key_hash(&seeds, 0);
         if let Some(&slot) = self.index.get(&hash) {
             // Same key raced a concurrent... no: single-writer; an existing
             // entry under this hash is simply replaced in place.
@@ -138,7 +137,6 @@ impl ResultCache {
             self.slots[slot] = Some(Entry {
                 hash,
                 seeds,
-                epoch,
                 logits,
                 freq: 1,
             });
@@ -154,7 +152,6 @@ impl ResultCache {
         self.slots[slot] = Some(Entry {
             hash,
             seeds,
-            epoch,
             logits,
             freq: 1,
         });
@@ -197,9 +194,9 @@ mod tests {
     #[test]
     fn hit_returns_the_exact_inserted_response() {
         let mut c = ResultCache::new(4);
-        assert!(c.get(&[1, 2, 3], 0).is_none());
-        c.insert(vec![1, 2, 3], 0, logits(0.5));
-        let got = c.get(&[1, 2, 3], 0).expect("hit");
+        assert!(c.get(&[1, 2, 3]).is_none());
+        c.insert(vec![1, 2, 3], logits(0.5));
+        let got = c.get(&[1, 2, 3]).expect("hit");
         assert_eq!(got.data(), &[0.5, -0.5]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.resident), (1, 1, 1));
@@ -207,36 +204,35 @@ mod tests {
     }
 
     #[test]
-    fn seed_order_and_epoch_are_part_of_the_key() {
+    fn seed_order_is_part_of_the_key() {
         let mut c = ResultCache::new(4);
-        c.insert(vec![3, 5], 0, logits(1.0));
-        assert!(c.get(&[5, 3], 0).is_none(), "order is significant");
-        assert!(c.get(&[3, 5], 1).is_none(), "epoch bump invalidates");
-        assert!(c.get(&[3, 5], 0).is_some());
+        c.insert(vec![3, 5], logits(1.0));
+        assert!(c.get(&[5, 3]).is_none(), "order is significant");
+        assert!(c.get(&[3, 5]).is_some());
     }
 
     #[test]
     fn clock_eviction_prefers_cold_entries() {
         let mut c = ResultCache::new(2);
-        c.insert(vec![1], 0, logits(1.0));
-        c.insert(vec![2], 0, logits(2.0));
+        c.insert(vec![1], logits(1.0));
+        c.insert(vec![2], logits(2.0));
         // Heat up seed [1]; insertions then displace the cold [2].
         for _ in 0..3 {
-            assert!(c.get(&[1], 0).is_some());
+            assert!(c.get(&[1]).is_some());
         }
-        c.insert(vec![3], 0, logits(3.0));
-        assert!(c.get(&[1], 0).is_some(), "hot entry survived");
-        assert!(c.get(&[3], 0).is_some(), "new entry resident");
-        assert!(c.get(&[2], 0).is_none(), "cold entry evicted");
+        c.insert(vec![3], logits(3.0));
+        assert!(c.get(&[1]).is_some(), "hot entry survived");
+        assert!(c.get(&[3]).is_some(), "new entry resident");
+        assert!(c.get(&[2]).is_none(), "cold entry evicted");
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reinsert_replaces_in_place() {
         let mut c = ResultCache::new(2);
-        c.insert(vec![7], 4, logits(1.0));
-        c.insert(vec![7], 4, logits(9.0));
-        assert_eq!(c.get(&[7], 4).unwrap().data(), &[9.0, -9.0]);
+        c.insert(vec![7], logits(1.0));
+        c.insert(vec![7], logits(9.0));
+        assert_eq!(c.get(&[7]).unwrap().data(), &[9.0, -9.0]);
         assert_eq!(c.stats().resident, 1);
     }
 }

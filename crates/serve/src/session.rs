@@ -9,8 +9,8 @@
 //! Requests inside a micro-batch execute *individually*, on purpose: the
 //! counter-based sampler keys a row's RNG stream off its position in the
 //! seed list, so merging queries into one combined seed list would change
-//! what every request samples. Keeping each request a pure function of
-//! `(its own seed list, config epoch)` is what makes the layered
+//! what every request samples. Keeping each request a pure function of its
+//! own seed list is what makes the layered
 //! [`ResultCache`] sound — a cached
 //! response is bitwise identical to re-executing the query. What a
 //! micro-batch amortizes is the flush: one poll, one `serve_exec` span and
@@ -37,8 +37,8 @@ use argo_graph::{Dataset, NodeId};
 use argo_nn::Gnn;
 use argo_rt::spans::RING_CAPACITY;
 use argo_rt::{
-    Config, Role, RunEvent, SeedSequence, ServeBatchRecord, ServeRequestRecord, SpanDrain,
-    SpanKind, SpanProfiler, Telemetry, WorkerRing,
+    Role, RunEvent, SeedSequence, ServeBatchRecord, ServeRequestRecord, SpanDrain, SpanKind,
+    SpanProfiler, Telemetry, WorkerRing,
 };
 use argo_sample::{CacheStats, FeatureCache, Normalization, SampleRun, Sampler, SamplerScratch};
 use argo_tensor::Matrix;
@@ -175,8 +175,7 @@ impl ServeSpecBuilder {
     }
 
     /// Entries of the layered result cache (default 0 = off). Repeated
-    /// identical queries under the same config epoch are answered without
-    /// sampling or compute.
+    /// identical queries are answered without sampling or compute.
     pub fn result_cache_entries(mut self, entries: usize) -> Self {
         self.spec.result_cache_entries = entries;
         self
@@ -239,10 +238,6 @@ pub struct ServeSession {
     result_cache: Option<ResultCache>,
     profiler: SpanProfiler,
     ring: Arc<WorkerRing>,
-    /// Bumped by [`ServeSession::apply_config`]; part of every result-cache
-    /// key and RNG stream root, so a reconfiguration atomically invalidates
-    /// all cached responses.
-    config_epoch: u64,
 }
 
 impl ServeSession {
@@ -289,15 +284,14 @@ impl ServeSession {
             result_cache,
             profiler,
             ring,
-            config_epoch: 0,
         }
     }
 
     /// Submits one query. Validates the seeds, then:
     ///
-    /// * a result-cache hit under the current config epoch is answered
-    ///   inside this call, as a one-request batch ([`FlushReason::Hit`],
-    ///   `queue_seconds == 0`) that takes the next request id. It never
+    /// * a result-cache hit is answered inside this call, as a one-request
+    ///   batch ([`FlushReason::Hit`], `queue_seconds == 0`) that takes the
+    ///   next request id. It never
     ///   enters the queue, so it is answered even when the queue is at
     ///   `queue_cap`, and it is never shed. It can overtake an earlier
     ///   queued request: match responses by [`ServeResponse::request`].
@@ -333,10 +327,7 @@ impl ServeSession {
             }
         }
         let now = self.clock.now_us();
-        let hit = self
-            .result_cache
-            .as_mut()
-            .and_then(|c| c.get(&seeds, self.config_epoch));
+        let hit = self.result_cache.as_mut().and_then(|c| c.get(&seeds));
         if let Some(logits) = hit {
             let batch = self.batcher.admit_hit(seeds, now);
             let request = batch.requests[0].id;
@@ -368,35 +359,6 @@ impl ServeSession {
             out.extend(self.execute_batch(batch, None, telemetry));
         }
         out
-    }
-
-    /// Adopts a tuner-chosen configuration: `cache_rows` resizes the
-    /// feature cache, and the config epoch is bumped — which invalidates
-    /// every cached response, since results are only reusable under the
-    /// configuration that produced them. A query runs on the calling
-    /// thread, so the core counts have nothing to resize.
-    pub fn apply_config(&mut self, config: Config) {
-        let cache_rows = self
-            .feature_cache
-            .as_ref()
-            .map_or(0, FeatureCache::capacity_rows);
-        if config.cache_rows != cache_rows {
-            self.feature_cache = if config.cache_rows > 0 {
-                Some(FeatureCache::new(
-                    config.cache_rows,
-                    self.dataset.feat_dim(),
-                ))
-            } else {
-                None
-            };
-        }
-        self.config_epoch += 1;
-    }
-
-    /// The current configuration epoch (bumps on every
-    /// [`ServeSession::apply_config`]).
-    pub fn config_epoch(&self) -> u64 {
-        self.config_epoch
     }
 
     /// Requests currently queued.
@@ -499,7 +461,7 @@ impl ServeSession {
             None => {
                 let computed = Arc::new(self.run_query(&req.seeds));
                 if let Some(c) = self.result_cache.as_mut() {
-                    c.insert(req.seeds.clone(), self.config_epoch, Arc::clone(&computed));
+                    c.insert(req.seeds.clone(), Arc::clone(&computed));
                 }
                 computed
             }
@@ -530,14 +492,13 @@ impl ServeSession {
     }
 
     /// Samples, gathers and runs the forward pass for one query. The RNG
-    /// stream root folds the session seed, config epoch and the seed list
-    /// itself, so the response is a pure function of the cache key — which
+    /// stream root folds the session seed and the seed list itself, so the
+    /// response is a pure function of the cache key — which
     /// is exactly what makes cached responses bitwise-identical to
     /// recomputed ones.
     fn run_query(&mut self, seeds: &[NodeId]) -> Matrix {
-        let stream = SeedSequence::new(
-            key_hash(seeds, self.config_epoch) ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let stream =
+            SeedSequence::new(key_hash(seeds, 0) ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let run = SampleRun::new(stream, &mut self.scratch).with_norm(self.normalization);
         // Borrowed view over the sampler's batch arena: the adjacency never
         // leaves scratch, the forward pass aggregates straight out of it.

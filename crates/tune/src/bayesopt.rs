@@ -29,7 +29,7 @@ pub struct BayesOpt {
     /// log epoch time): each observation extends the per-scale Cholesky
     /// factors in O(n²) instead of refitting in O(n³), with bitwise-
     /// identical posteriors.
-    surrogate: IncrementalGp<4>,
+    surrogate: IncrementalGp<3>,
 }
 
 impl BayesOpt {

@@ -26,13 +26,11 @@ pub mod baselines;
 pub mod bayesopt;
 pub mod gp;
 pub mod online;
-pub mod serve_objective;
 pub mod space;
 
 pub use baselines::{ExhaustiveSearch, GreedyPruning, SimulatedAnnealing};
 pub use bayesopt::BayesOpt;
 pub use online::{OnlineAutoTuner, TuningReport};
-pub use serve_objective::{ServeObjective, ServeWorkload};
 pub use space::SearchSpace;
 
 use argo_rt::Config;

@@ -5,91 +5,35 @@ use argo_rt::{enumerate_space, Config};
 /// The valid-configuration set for a machine, with index↔config mapping and
 /// coordinate normalization for the GP surrogate.
 ///
-/// The space is four-dimensional: the paper's `(n_proc, n_samp, n_train)`
-/// knobs plus the optional feature-cache capacity (`cache_rows`). Plain
-/// spaces built with [`SearchSpace::for_cores`] keep the cache axis
-/// degenerate (every member has `cache_rows = 0`), so the GP sees a constant
-/// fourth coordinate there; [`SearchSpace::with_cache_levels`] crosses the
-/// core partition with explicit cache capacities.
+/// The space is the paper's three knobs, `(n_proc, n_samp, n_train)`; every
+/// member has `cache_rows = 0`.
 #[derive(Clone, Debug)]
 pub struct SearchSpace {
     configs: Vec<Config>,
     cores: usize,
-    max: [f64; 4],
-    min: [f64; 4],
+    max: [f64; 3],
+    min: [f64; 3],
 }
 
-fn coords(c: &Config) -> [f64; 4] {
-    [
-        c.n_proc as f64,
-        c.n_samp as f64,
-        c.n_train as f64,
-        c.cache_rows as f64,
-    ]
+fn coords(c: &Config) -> [f64; 3] {
+    [c.n_proc as f64, c.n_samp as f64, c.n_train as f64]
 }
 
 impl SearchSpace {
     /// The space for a machine with `cores` cores (see
     /// [`argo_rt::enumerate_space`] for the rule and its relation to the
-    /// paper's 726/408 counts). The cache axis stays at 0.
+    /// paper's 726/408 counts).
     pub fn for_cores(cores: usize) -> Self {
-        Self::from_configs(enumerate_space(cores), cores)
-    }
-
-    /// The core-partition space crossed with the given feature-cache
-    /// capacities (in rows). `levels` may include 0 (cache off); levels are
-    /// deduplicated and sorted so the index order is deterministic.
-    pub fn with_cache_levels(cores: usize, levels: &[usize]) -> Self {
-        let mut levels: Vec<usize> = levels.to_vec();
-        levels.sort_unstable();
-        levels.dedup();
-        if levels.is_empty() {
-            levels.push(0);
-        }
-        let base = enumerate_space(cores);
-        let mut configs = Vec::with_capacity(base.len() * levels.len());
-        for &rows in &levels {
-            for &c in &base {
-                configs.push(c.with_cache_rows(rows));
-            }
-        }
-        Self::from_configs(configs, cores)
-    }
-
-    /// The single-process serving space: an inference session never shards
-    /// a query across training processes (the paper's `n_proc` axis exists
-    /// to stagger training mini-batches), so the serving knobs are the
-    /// in-process split — sampling cores `s ∈ {1..cores−1}`, compute cores
-    /// `t ∈ {1..cores−s}` — crossed with the feature-cache levels the same
-    /// way [`SearchSpace::with_cache_levels`] does.
-    pub fn for_serving(cores: usize, cache_levels: &[usize]) -> Self {
-        let mut levels: Vec<usize> = cache_levels.to_vec();
-        levels.sort_unstable();
-        levels.dedup();
-        if levels.is_empty() {
-            levels.push(0);
-        }
-        let mut configs = Vec::new();
-        for &rows in &levels {
-            for s in 1..cores {
-                for t in 1..=(cores - s) {
-                    configs.push(Config::new(1, s, t).with_cache_rows(rows));
-                }
-            }
-        }
-        Self::from_configs(configs, cores)
-    }
-
-    fn from_configs(configs: Vec<Config>, cores: usize) -> Self {
+        let configs = enumerate_space(cores);
         assert!(
             !configs.is_empty(),
             "machine too small for ARGO ({cores} cores)"
         );
-        let mut min = [f64::INFINITY; 4];
-        let mut max = [f64::NEG_INFINITY; 4];
+        let mut min = [f64::INFINITY; 3];
+        let mut max = [f64::NEG_INFINITY; 3];
         for c in &configs {
             let v = coords(c);
-            for d in 0..4 {
+            for d in 0..3 {
                 min[d] = min[d].min(v[d]);
                 max[d] = max[d].max(v[d]);
             }
@@ -137,13 +81,12 @@ impl SearchSpace {
         self.index_of(config).is_some()
     }
 
-    /// Normalizes a configuration into `[0,1]⁴` for the GP kernel. A
-    /// degenerate axis (all members share the value, e.g. `cache_rows` in a
-    /// plain space) maps to 0.
-    pub fn normalize(&self, config: Config) -> [f64; 4] {
+    /// Normalizes a configuration into `[0,1]³` for the GP kernel. A
+    /// degenerate axis (all members share the value) maps to 0.
+    pub fn normalize(&self, config: Config) -> [f64; 3] {
         let v = coords(&config);
-        let mut out = [0.0; 4];
-        for d in 0..4 {
+        let mut out = [0.0; 3];
+        for d in 0..3 {
             let span = self.max[d] - self.min[d];
             if span > 1e-12 {
                 out[d] = (v[d] - self.min[d]) / span;
@@ -154,9 +97,7 @@ impl SearchSpace {
 
     /// Projects an arbitrary `(p, s, t)` proposal onto the nearest member of
     /// the space (L1 distance in raw coordinates) — used by simulated
-    /// annealing moves that step outside the valid region. The cache axis is
-    /// ignored, so the projection lands on the proposal's nearest core
-    /// partition at whatever cache level minimizes nothing (first match).
+    /// annealing moves that step outside the valid region.
     pub fn project(&self, p: i64, s: i64, t: i64) -> Config {
         *self
             .configs
@@ -192,23 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn serving_space_is_single_process_and_crosses_cache_levels() {
-        let s = SearchSpace::for_serving(16, &[0, 1_000]);
-        // s ∈ {1..15}, t ∈ {1..16−s}: Σ (16−s) = 120 splits per cache level.
-        assert_eq!(s.len(), 240);
-        for &c in s.configs() {
-            assert_eq!(c.n_proc, 1);
-            assert!(c.n_samp >= 1 && c.n_samp + c.n_train <= 16);
-            assert!(c.cache_rows == 0 || c.cache_rows == 1_000);
-        }
-        assert!(s.contains(argo_rt::Config::new(1, 4, 12)));
-        assert!(s.contains(argo_rt::Config::new(1, 4, 12).with_cache_rows(1_000)));
-        // Duplicate/empty levels collapse like with_cache_levels.
-        assert_eq!(SearchSpace::for_serving(16, &[]).len(), 120);
-        assert_eq!(SearchSpace::for_serving(16, &[5, 5, 5]).len(), 120);
-    }
-
-    #[test]
     fn index_roundtrip() {
         let s = SearchSpace::for_cores(64);
         for (i, &c) in s.configs().iter().enumerate() {
@@ -222,14 +146,10 @@ mod tests {
         let s = SearchSpace::for_cores(64);
         for &c in s.configs() {
             let v = s.normalize(c);
-            for d in 0..4 {
-                assert!((0.0..=1.0).contains(&v[d]), "{c} -> {v:?}");
-            }
-            // Degenerate cache axis pins to 0 in a plain space.
-            assert_eq!(v[3], 0.0);
+            assert!(v.iter().all(|x| (0.0..=1.0).contains(x)), "{c} -> {v:?}");
         }
-        // Extremes hit 0 and 1 on the three core axes.
-        let all: Vec<[f64; 4]> = s.configs().iter().map(|&c| s.normalize(c)).collect();
+        // Extremes hit 0 and 1 on every axis.
+        let all: Vec<[f64; 3]> = s.configs().iter().map(|&c| s.normalize(c)).collect();
         for d in 0..3 {
             assert!(all.iter().any(|v| v[d] < 1e-9));
             assert!(all.iter().any(|v| v[d] > 1.0 - 1e-9));
@@ -254,26 +174,5 @@ mod tests {
         let s = SearchSpace::for_cores(16);
         assert!(!s.contains(Config::new(1, 1, 1))); // p=1 not in space
         assert!(!s.contains(Config::new(2, 1, 100)));
-    }
-
-    #[test]
-    fn cache_levels_cross_the_core_partition() {
-        let plain = SearchSpace::for_cores(16);
-        let s = SearchSpace::with_cache_levels(16, &[0, 4096, 4096, 1024]);
-        assert_eq!(s.len(), plain.len() * 3, "3 deduped levels");
-        for &c in s.configs() {
-            assert!([0, 1024, 4096].contains(&c.cache_rows));
-            assert!(c.fits(16));
-        }
-        // The cache axis now spans the unit interval.
-        let v_on = s.normalize(plain.get(0).with_cache_rows(4096));
-        let v_off = s.normalize(plain.get(0));
-        assert!((v_on[3] - 1.0).abs() < 1e-12);
-        assert_eq!(v_off[3], 0.0);
-        // Members at distinct cache levels are distinct configurations.
-        assert_ne!(
-            s.index_of(plain.get(0)),
-            s.index_of(plain.get(0).with_cache_rows(1024))
-        );
     }
 }

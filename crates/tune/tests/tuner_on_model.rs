@@ -64,6 +64,65 @@ fn bayesopt_reaches_90_percent_of_optimal_with_paper_budget() {
     }
 }
 
+/// The 35 trials of `BayesOpt::new(SearchSpace::for_cores(112), 0)` on DGL /
+/// Ice Lake / Neighbor-SAGE / ogbn-products: `((n_proc, n_samp, n_train),
+/// f64::to_bits(epoch_time))`. A change to the space, the GP or the model
+/// that claims to leave posteriors and epoch times unchanged must leave this
+/// sequence unchanged bit for bit.
+const TRAJECTORY_ICELAKE_NEIGHBOR_SAGE: [((usize, usize, usize), u64); 35] = [
+    ((7, 1, 8), 0x401be7874d5aed91),
+    ((2, 3, 22), 0x401f2b13f600da3b),
+    ((3, 2, 19), 0x401cb1caf98d04b2),
+    ((7, 2, 5), 0x401d2d4a739b03be),
+    ((5, 1, 1), 0x402a5ee6fa036f1e),
+    ((8, 1, 8), 0x401bd8901dbfb07b),
+    ((7, 1, 15), 0x401aea28687e6a89),
+    ((8, 2, 12), 0x401b3a34ceb5de97),
+    ((8, 3, 11), 0x401b56ff97434a92),
+    ((8, 4, 1), 0x40250c849dad76bc),
+    ((7, 2, 14), 0x401afed7569addb9),
+    ((3, 2, 35), 0x401cb1caf98d04b2),
+    ((6, 3, 15), 0x401af51576e450fd),
+    ((2, 1, 55), 0x40335d114a8e5183),
+    ((4, 3, 25), 0x401ae3a7b2cb8cc3),
+    ((4, 2, 26), 0x401ad7fad1b9a068),
+    ((4, 4, 24), 0x401af04da69ef77a),
+    ((2, 4, 44), 0x401dddb53ab415a1),
+    ((4, 4, 7), 0x401e053fc398f76d),
+    ((5, 3, 19), 0x401ad6b855626a07),
+    ((2, 4, 1), 0x403a25e7af24526a),
+    ((5, 4, 14), 0x401b4905ca1a95bc),
+    ((3, 3, 34), 0x401b8d5c3b1988c5),
+    ((5, 3, 5), 0x401e7e8c0dc43135),
+    ((2, 3, 53), 0x401da519113cc8c5),
+    ((5, 2, 20), 0x401ac6b7bacdc011),
+    ((2, 2, 26), 0x4024898752a149ec),
+    ((3, 4, 33), 0x401b964609e62ac8),
+    ((7, 3, 13), 0x401b16b4df809db5),
+    ((4, 2, 16), 0x401b8e680e71ad6b),
+    ((5, 4, 2), 0x40236b22620e990d),
+    ((4, 4, 16), 0x401b8e680e71ad6b),
+    ((4, 3, 15), 0x401bae06f0023835),
+    ((6, 2, 16), 0x401adff839274612),
+    ((5, 4, 18), 0x401ae8801d95d188),
+];
+
+/// The tuner's trajectory on the modeled objective is pinned bit for bit:
+/// every suggestion and every epoch time it observes.
+#[test]
+fn bayesopt_trajectory_is_pinned_bitwise() {
+    let m = model(ICE_LAKE_8380H, SamplerKind::Neighbor, ModelKind::Sage);
+    let mut bo = BayesOpt::new(SearchSpace::for_cores(112), 0);
+    let mut trials = Vec::with_capacity(35);
+    for _ in 0..35 {
+        let c = bo.suggest();
+        let v = m.epoch_time(c);
+        trials.push(((c.n_proc, c.n_samp, c.n_train), v.to_bits()));
+        bo.observe(c, v);
+    }
+    assert_eq!(trials, TRAJECTORY_ICELAKE_NEIGHBOR_SAGE);
+}
+
 /// Paper claim: with the same number of searches, the auto-tuner outperforms
 /// simulated annealing on average (Table IV discussion).
 #[test]
