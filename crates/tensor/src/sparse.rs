@@ -264,14 +264,13 @@ pub(crate) fn gather_into(
     adj: SparseView<'_>,
     dense: &Matrix,
     pool: Option<&ThreadPool>,
-    region: &'static str,
     use_simd: bool,
     out: &mut Matrix,
 ) {
     assert_eq!(adj.cols, dense.rows(), "spmm shape mismatch");
     assert_eq!((out.rows(), out.cols()), (adj.rows, dense.cols()));
     let n = dense.cols();
-    ThreadPool::parallel_chunks_mut(pool, out.data_mut(), n, region, |rows, window| {
+    ThreadPool::parallel_chunks_mut(pool, out.data_mut(), n, |rows, window| {
         window.fill(0.0);
         for (k, i) in rows.enumerate() {
             let drow = &mut window[k * n..(k + 1) * n];
@@ -477,7 +476,7 @@ mod tests {
     /// already made (`pool` is used as given, whatever the shape).
     fn spmm(adj: SparseView<'_>, dense: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut out = Matrix::zeros(adj.rows(), dense.cols());
-        gather_into(adj, dense, pool, "test.spmm", simd::available(), &mut out);
+        gather_into(adj, dense, pool, simd::available(), &mut out);
         out
     }
 
@@ -657,8 +656,8 @@ mod tests {
         let d = Matrix::xavier(3, 9, 6);
         let mut a = Matrix::zeros(2, 9);
         let mut b = Matrix::zeros(2, 9);
-        gather_into(v, &d, None, "test.scalar", false, &mut a);
-        gather_into(v, &d, None, "test.simd", simd::available(), &mut b);
+        gather_into(v, &d, None, false, &mut a);
+        gather_into(v, &d, None, simd::available(), &mut b);
         assert_eq!(a.data(), b.data());
     }
 

@@ -17,18 +17,6 @@ pub mod channel {
         capacity: Option<usize>,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-        /// Race-detector identity: the detector keeps a FIFO of sender
-        /// vector clocks parallel to `queue` (both mutated under the
-        /// `queue` mutex, so the two stay in lockstep).
-        #[cfg(feature = "check")]
-        race_id: parking_lot::race::ObjectId,
-    }
-
-    #[cfg(feature = "check")]
-    impl<T> Drop for Inner<T> {
-        fn drop(&mut self) {
-            parking_lot::race::chan_unregister(self.race_id);
-        }
     }
 
     impl<T> Inner<T> {
@@ -95,8 +83,6 @@ pub mod channel {
             capacity,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            #[cfg(feature = "check")]
-            race_id: parking_lot::race::chan_register(),
         });
         (
             Sender {
@@ -163,11 +149,6 @@ pub mod channel {
                 }
             }
             queue.push_back(value);
-            // Happens-before edge: the sender's clock rides with the message
-            // (recorded under the queue mutex so clock order matches message
-            // order). A failed send above establishes no edge.
-            #[cfg(feature = "check")]
-            parking_lot::race::chan_send(self.inner.race_id);
             drop(queue);
             self.inner.not_empty.notify_one();
             Ok(())
@@ -181,9 +162,6 @@ pub mod channel {
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(v) = queue.pop_front() {
-                    // Join the clock that rode with this exact message.
-                    #[cfg(feature = "check")]
-                    parking_lot::race::chan_recv(self.inner.race_id);
                     drop(queue);
                     self.inner.not_full.notify_one();
                     return Ok(v);
@@ -203,8 +181,6 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(v) = queue.pop_front() {
-                #[cfg(feature = "check")]
-                parking_lot::race::chan_recv(self.inner.race_id);
                 drop(queue);
                 self.inner.not_full.notify_one();
                 return Ok(v);

@@ -7,8 +7,6 @@ use std::ops::{Deref, DerefMut};
 
 mod hook;
 #[cfg(feature = "check")]
-pub mod race;
-#[cfg(feature = "check")]
 pub mod sanitizer;
 
 use hook::{LockClass, LockId};
@@ -73,9 +71,7 @@ impl<T: ?Sized> Mutex<T> {
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // `Condvar::wait` takes the inner guard out and releases bookkeeping
-        // itself; only a guard still holding the lock releases here. The
-        // race hook runs in the drop *body*, i.e. before the std guard field
-        // drops, so the clock publishes while the lock is still held.
+        // itself; only a guard still holding the lock releases here.
         if self.inner.is_some() {
             hook::released(self.id);
         }
@@ -118,9 +114,7 @@ impl Condvar {
         let std_guard = guard.inner.take().expect("guard taken during wait");
         // The wait releases the mutex until woken: mirror that in the
         // sanitizer's held-lock bookkeeping so other acquisitions made by
-        // this thread while blocked do not order against it. The race
-        // release publishes the waiter's clock before the lock actually
-        // opens, and the re-acquire joins whatever the wakers released.
+        // this thread while blocked do not order against it.
         hook::released(guard.id);
         let reacquired = self
             .inner
@@ -179,8 +173,7 @@ impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         hook::before_acquire(self.id, LockClass::RwLock);
         let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        // Readers are modeled like mutex holders: the reader→reader edges
-        // this adds can only hide races, never invent them.
+        // Readers are modeled like mutex holders in the lock-order graph.
         hook::acquired(self.id, LockClass::RwLock);
         RwLockReadGuard {
             id: self.id,

@@ -4,8 +4,8 @@
 //! acquisition in the runtime's hot paths (thread pool completion latches,
 //! feature-cache shards, telemetry registries, loader channels) flows
 //! through this one file when the `check` feature is on (`crate::hook`
-//! reports each lock operation to this module and to [`crate::race`]). Two
-//! properties are checked at runtime:
+//! reports each lock operation here). Two properties are checked at
+//! runtime:
 //!
 //! * **Lock-order inversions** (potential deadlocks): a global directed
 //!   graph records the edge `A → B` the first time any thread acquires `B`
@@ -140,8 +140,7 @@ fn reaches(order: &BTreeMap<LockId, BTreeSet<LockId>>, start: LockId, goal: Lock
     false
 }
 
-/// Assigns a fresh id to a new lock instance; the same id keys the lock's
-/// vector clock in [`crate::race`].
+/// Assigns a fresh id to a new lock instance.
 pub(crate) fn register() -> LockId {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
@@ -180,14 +179,15 @@ pub(crate) fn before_acquire(id: LockId, class: LockClass) {
     });
 }
 
-/// Post-acquisition bookkeeping: push onto this thread's held stack.
-pub(crate) fn after_acquire(id: LockId, class: LockClass) {
+/// Post-acquisition bookkeeping (a successful `try_lock` starts here): push
+/// onto this thread's held stack.
+pub(crate) fn acquired(id: LockId, class: LockClass) {
     HELD.with(|h| h.borrow_mut().push((id, class)));
 }
 
 /// Release bookkeeping: remove the most recent hold of `id` (guards may be
 /// dropped out of acquisition order, so search from the top).
-pub(crate) fn on_release(id: LockId) {
+pub(crate) fn released(id: LockId) {
     HELD.with(|h| {
         let mut held = h.borrow_mut();
         if let Some(pos) = held.iter().rposition(|&(l, _)| l == id) {
