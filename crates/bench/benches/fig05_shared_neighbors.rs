@@ -93,7 +93,7 @@ fn main() {
     let t0 = Instant::now();
     for _ in 0..epochs {
         for ids in &batches {
-            std::hint::black_box(cache.gather(&d.features, ids));
+            std::hint::black_box(cache.gather_rows(&d.features, ids));
         }
     }
     let cached = t0.elapsed().as_secs_f64();
@@ -105,11 +105,10 @@ fn main() {
         total_rows
     );
     println!(
-        "  hit rate {:.1}% ({} hits / {} lookups), {} evictions",
+        "  hit rate {:.1}% ({} hits / {} lookups)",
         stats.hit_rate() * 100.0,
         stats.hits,
         stats.lookups(),
-        stats.evictions
     );
     println!(
         "  raw copy loop: uncached {:.1} ms, cached {:.1} ms (both RAM-hot here)",

@@ -90,9 +90,8 @@ const FEATURE_PATH_CRATES: &[&str] = &[
     "crates/engine/",
 ];
 
-/// The allocating feature-path spellings: the by-value `Features::gather` /
-/// `FeatureCache::gather` wrappers, and the `.data().to_vec()` second copy
-/// that used to follow them.
+/// The allocating feature-path spellings: the by-value `Features::gather`
+/// wrapper, and the `.data().to_vec()` second copy that used to follow it.
 const FEATURE_GATHER_NEEDLES: &[&str] = &[".gather(", ".data().to_vec()"];
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit.

@@ -2,7 +2,7 @@
 //! the `parking_lot` shim: a corpus of seeded bugs — lock-order inversions
 //! (direct and through a chain) and double-locks — reported with
 //! attribution, next to a clean twin. And, just as important, a full
-//! auto-tuned training run, a serving session and a sharded-cache stress
+//! auto-tuned training run, a serving session and a shared-cache stress
 //! over the real runtime (pool fork/join, pipelined loader channels,
 //! feature/result caches, dispatch kernels, telemetry) record **zero**
 //! violations.
@@ -249,8 +249,8 @@ fn serve_session_run_reports_zero_violations() {
     assert_violation_free("serve session");
 }
 
-/// Concurrent cache stress under instrumentation: shard locks are taken
-/// one at a time, so even heavy cross-thread sharing must stay clean.
+/// Concurrent cache stress under instrumentation: the fill lock is the only
+/// lock a gather takes, so even heavy cross-thread sharing must stay clean.
 #[test]
 fn feature_cache_stress_has_zero_false_positives() {
     use argo_graph::{Features, NodeId};
@@ -258,7 +258,7 @@ fn feature_cache_stress_has_zero_false_positives() {
 
     let _guard = serialized();
     let feats = Arc::new(Features::new((0..64 * 4).map(|i| i as f32).collect(), 4));
-    let cache = Arc::new(FeatureCache::with_shards(16, 4, 4));
+    let cache = Arc::new(FeatureCache::new(16, 4));
     let handles: Vec<_> = (0..4u64)
         .map(|t| {
             let (feats, cache) = (Arc::clone(&feats), Arc::clone(&cache));
@@ -274,5 +274,5 @@ fn feature_cache_stress_has_zero_false_positives() {
     for h in handles {
         h.join().expect("worker");
     }
-    assert_violation_free("sharded cache stress");
+    assert_violation_free("shared cache stress");
 }

@@ -295,11 +295,10 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         for (epoch, s) in &cache_epochs {
             out.push_str(&format!(
                 "  epoch {epoch:>3} hit rate {:>6.1}% ({} hits / {} lookups), \
-                 {} evictions, {} / {} rows resident ({:.1} MB)\n",
+                 {} / {} rows resident ({:.1} MB)\n",
                 s.hit_rate() * 100.0,
                 s.hits,
                 s.hits + s.misses,
-                s.evictions,
                 s.resident_rows,
                 s.capacity_rows,
                 s.bytes as f64 / 1e6,
@@ -577,7 +576,6 @@ mod tests {
                 summary: CacheSummaryRecord {
                     hits: 3,
                     misses: 1,
-                    evictions: 0,
                     resident_rows: 4,
                     capacity_rows: 64,
                     bytes: 2048,
@@ -808,7 +806,6 @@ mod tests {
                 summary: CacheSummaryRecord {
                     hits: 75,
                     misses: 25,
-                    evictions: 3,
                     resident_rows: 40,
                     capacity_rows: 64,
                     bytes: 2_000_000,
@@ -823,7 +820,6 @@ mod tests {
             with.contains("hit rate   75.0% (75 hits / 100 lookups)"),
             "{with}"
         );
-        assert!(with.contains("3 evictions"));
         assert!(with.contains("40 / 64 rows resident (2.0 MB)"));
         assert!(with.contains("overall hit rate 75.0% over 100 lookups"));
     }

@@ -468,7 +468,6 @@ impl Engine {
             CacheSummaryRecord {
                 hits: d.hits,
                 misses: d.misses,
-                evictions: d.evictions,
                 resident_rows: d.resident_rows,
                 capacity_rows: d.capacity_rows,
                 bytes: d.bytes,

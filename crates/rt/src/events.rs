@@ -99,8 +99,6 @@ pub struct CacheSummaryRecord {
     pub hits: u64,
     /// Lookups that fell through to the backing feature store this epoch.
     pub misses: u64,
-    /// Rows displaced by eviction this epoch.
-    pub evictions: u64,
     /// Rows resident at epoch end.
     pub resident_rows: u64,
     /// Configured capacity in rows.
@@ -329,7 +327,6 @@ impl RunEvent {
                 fields.push(("epoch", Json::Num(*epoch as f64)));
                 fields.push(("hits", Json::Num(summary.hits as f64)));
                 fields.push(("misses", Json::Num(summary.misses as f64)));
-                fields.push(("evictions", Json::Num(summary.evictions as f64)));
                 fields.push(("resident_rows", Json::Num(summary.resident_rows as f64)));
                 fields.push(("capacity_rows", Json::Num(summary.capacity_rows as f64)));
                 fields.push(("bytes", Json::Num(summary.bytes as f64)));
@@ -468,7 +465,6 @@ impl RunEvent {
                 summary: CacheSummaryRecord {
                     hits: num(v, "hits")? as u64,
                     misses: num(v, "misses")? as u64,
-                    evictions: num(v, "evictions")? as u64,
                     resident_rows: num(v, "resident_rows")? as u64,
                     capacity_rows: num(v, "capacity_rows")? as u64,
                     bytes: num(v, "bytes")? as u64,
@@ -779,7 +775,6 @@ mod tests {
             summary: CacheSummaryRecord {
                 hits: 900,
                 misses: 100,
-                evictions: 7,
                 resident_rows: 512,
                 capacity_rows: 512,
                 bytes: 512 * 64 * 4,

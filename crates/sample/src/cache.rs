@@ -2,37 +2,33 @@
 //!
 //! Figure 5's observation — consecutive mini-batches share heavily-reused
 //! neighborhoods — means the gather stage re-reads the same feature rows
-//! over and over. [`FeatureCache`] is a sharded, bounded cache keyed by
-//! [`NodeId`] that holds gathered feature rows across batches, consulted by
-//! [`PipelinedLoader`](crate::PipelinedLoader) workers before touching
-//! the feature table. Eviction is CLOCK / second-chance — an
-//! LRU-with-frequency approximation whose per-hit cost is one atomic-free
-//! counter bump under the shard lock, so hot rows (shared neighbors) stick
-//! while cold rows cycle out.
+//! over and over. [`FeatureCache`] holds up to `capacity_rows` of them, keyed
+//! by [`NodeId`], and is consulted by
+//! [`PipelinedLoader`](crate::PipelinedLoader) workers before the feature
+//! table.
+//!
+//! **Fill once, never evict.** A miss is admitted while there is room, so
+//! the cache holds the first `capacity_rows` distinct rows it was asked for,
+//! and no row is ever displaced. Once full it is frozen: from then on a
+//! gather is a read-only pass that takes no lock and writes nothing shared —
+//! per position one index load and one row copy, from the cache's slab or
+//! from the feature table. That is an uncached gather plus the index load.
+//! Eviction cannot pay for itself here: the backing store is DRAM like the
+//! cache, so a policy that copies every miss into the slab and bumps a
+//! counter on every hit only adds work (DESIGN.md §7 has the measurement).
 //!
 //! Cached and uncached gathers are **bitwise identical**: rows are copied
 //! verbatim, so enabling the cache never perturbs training semantics.
 //!
 //! Layout: node ids are dense, so residency is one direct-mapped
-//! `node id → slot` table shared by all shards (4 B per node, sized from the
-//! feature table on first use) instead of a hash map, and each shard keeps
-//! its rows in one flat `capacity × dim` slab instead of a box per row. A
-//! batch groups its positions by shard with a counting sort and visits each
-//! shard once: all of the shard's lookups, then all of its inserts. Lookups
-//! must come first — a batch touches more distinct rows than a shard holds,
-//! so inserting a miss while later positions still wait to be looked up
-//! would evict rows the same batch is about to hit.
+//! `node id → slot` table (4 B per node, sized from the feature table on
+//! first use), and the rows sit in one flat slab in admission order.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use argo_graph::{Features, NodeId};
 use parking_lot::Mutex;
-
-/// Reference-count ceiling: a row needs this many consecutive CLOCK sweeps
-/// without a hit before it becomes an eviction candidate.
-const MAX_FREQ: u8 = 3;
 
 /// `slot_of` entry of a node that is not resident.
 const ABSENT: u32 = u32::MAX;
@@ -45,7 +41,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the backing [`Features`].
     pub misses: u64,
-    /// Rows displaced by CLOCK second-chance eviction.
+    /// Rows displaced from the cache: always 0, because nothing is evicted.
+    /// Kept for callers that report it.
     pub evictions: u64,
     /// Rows currently resident.
     pub resident_rows: u64,
@@ -85,126 +82,80 @@ impl CacheStats {
     }
 }
 
-/// One shard's resident rows. Slot `i` holds node `node_of[i]` with CLOCK
-/// counter `freq[i]` and its features at `rows[i * dim..(i + 1) * dim]`; the
-/// slab is allocated once, at full capacity.
-struct Shard {
-    node_of: Vec<NodeId>,
-    freq: Vec<u8>,
-    rows: Vec<f32>,
-    hand: usize,
-    capacity: usize,
-}
-
-impl Shard {
-    fn new(capacity: usize, dim: usize) -> Self {
-        assert!(capacity < ABSENT as usize, "shard capacity overflows u32");
-        Self {
-            node_of: Vec::with_capacity(capacity),
-            freq: Vec::with_capacity(capacity),
-            rows: vec![0.0; capacity * dim],
-            hand: 0,
-            capacity,
-        }
-    }
-
-    /// Inserts `v`'s row, evicting via CLOCK when full. Returns whether an
-    /// eviction happened. The caller holds this shard's lock, which is what
-    /// orders the `slot_of` entries of the shard's nodes.
-    fn insert(&mut self, v: NodeId, row: &[f32], slot_of: &[AtomicU32]) -> bool {
-        if self.capacity == 0 || slot_of[v as usize].load(Ordering::Relaxed) != ABSENT {
-            return false; // no room, or already inserted for an earlier position
-        }
-        let d = row.len();
-        let resident = self.node_of.len();
-        if resident < self.capacity {
-            slot_of[v as usize].store(resident as u32, Ordering::Relaxed);
-            self.node_of.push(v);
-            self.freq.push(1);
-            self.rows[resident * d..(resident + 1) * d].copy_from_slice(row);
-            return false;
-        }
-        // CLOCK sweep: decrement second-chance counters until a victim with
-        // freq 0 comes under the hand. Terminates within MAX_FREQ+1 laps.
-        loop {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % resident;
-            if self.freq[slot] == 0 {
-                slot_of[self.node_of[slot] as usize].store(ABSENT, Ordering::Relaxed);
-                slot_of[v as usize].store(slot as u32, Ordering::Relaxed);
-                self.node_of[slot] = v;
-                self.freq[slot] = 1;
-                self.rows[slot * d..(slot + 1) * d].copy_from_slice(row);
-                return true;
-            }
-            self.freq[slot] -= 1;
-        }
-    }
-}
-
-/// Per-thread grouping buffers of [`FeatureCache::gather_rows_into`], kept
-/// so a loader worker's steady-state gathers allocate nothing.
+/// The resident rows: node `v` sits in slot `slot_of[v]` (or is absent), and
+/// slot `s` holds its features at `rows[s * dim..(s + 1) * dim]`.
 #[derive(Default)]
-struct Grouping {
-    /// Shard of each position.
-    shard: Vec<u32>,
-    /// Start of each shard's run in `order`, plus the end sentinel.
-    starts: Vec<usize>,
-    /// Positions grouped by shard, ascending within a shard.
-    order: Vec<u32>,
-    /// Missed positions of the shard being visited.
-    missed: Vec<u32>,
+struct Table {
+    slot_of: Vec<u32>,
+    rows: Vec<f32>,
 }
 
-thread_local! {
-    static GROUPING: RefCell<Grouping> = RefCell::new(Grouping::default());
+impl Table {
+    /// Copies `v`'s row into `dst`, from the slab when `v` is resident and
+    /// from `feats` otherwise. Returns whether it was a hit.
+    fn copy_row(&self, feats: &Features, v: NodeId, dst: &mut [f32]) -> bool {
+        let d = dst.len();
+        match self.slot_of[v as usize] {
+            ABSENT => {
+                dst.copy_from_slice(feats.row(v));
+                false
+            }
+            s => {
+                let s = s as usize;
+                dst.copy_from_slice(&self.rows[s * d..(s + 1) * d]);
+                true
+            }
+        }
+    }
+
+    /// The read-only gather of a frozen cache. Returns the hit count.
+    fn copy_rows(&self, feats: &Features, ids: &[NodeId], out: &mut [f32]) -> u64 {
+        self.check(feats);
+        let mut hits = 0;
+        for (dst, &v) in out.chunks_exact_mut(feats.dim()).zip(ids) {
+            hits += u64::from(self.copy_row(feats, v, dst));
+        }
+        hits
+    }
+
+    fn check(&self, feats: &Features) {
+        assert_eq!(
+            self.slot_of.len(),
+            feats.num_nodes(),
+            "cache reused over a different feature table"
+        );
+    }
 }
 
-/// Sharded, bounded, CLOCK-evicting cache of gathered feature rows.
+/// Bounded cache of gathered feature rows that fills once and never evicts.
 ///
-/// Thread-safe: a gather holds one shard lock at a time, so concurrent
-/// [`PipelinedLoader`](crate::PipelinedLoader) workers proceed mostly in
-/// parallel. Hit/miss/eviction counters are atomics read via
+/// Thread-safe: while it fills, gathers take turns under one lock; once it
+/// is full, they run in parallel and take no lock at all. Hit and miss
+/// counters are atomics, bumped once per gather, read via
 /// [`FeatureCache::stats`].
 pub struct FeatureCache {
-    shards: Vec<Mutex<Shard>>,
-    /// `node id → slot within its shard`, or [`ABSENT`]. Sized from the
-    /// feature table on first use; node `v`'s entry is only ever touched
-    /// under the lock of `shard_of(v)`, which is why `Relaxed` suffices.
-    slot_of: OnceLock<Box<[AtomicU32]>>,
+    /// The table while it still has room.
+    filling: Mutex<Table>,
+    /// The table once it is full; it is never written again.
+    frozen: OnceLock<Table>,
     dim: usize,
     capacity_rows: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl FeatureCache {
-    /// A cache holding up to `capacity_rows` rows of `dim` floats, sharded
-    /// for concurrent access. Small caches get fewer shards so per-shard
-    /// capacity stays useful (≥ 8 rows per shard, up to 16 shards).
+    /// A cache holding up to `capacity_rows` rows of `dim` floats.
     pub fn new(capacity_rows: usize, dim: usize) -> Self {
-        Self::with_shards(capacity_rows, dim, (capacity_rows / 8).clamp(1, 16))
-    }
-
-    /// Like [`FeatureCache::new`] with an explicit shard count (use 1 for
-    /// deterministic eviction-order tests).
-    pub fn with_shards(capacity_rows: usize, dim: usize, n_shards: usize) -> Self {
         assert!(dim > 0, "feature dim must be positive");
-        assert!(n_shards > 0, "need at least one shard");
-        let base = capacity_rows / n_shards;
-        let extra = capacity_rows % n_shards;
-        let shards = (0..n_shards)
-            .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra), dim)))
-            .collect();
+        assert!(capacity_rows < ABSENT as usize, "capacity overflows u32");
         Self {
-            shards,
-            slot_of: OnceLock::new(),
+            filling: Mutex::new(Table::default()),
+            frozen: OnceLock::new(),
             dim,
             capacity_rows,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -218,98 +169,62 @@ impl FeatureCache {
         self.dim
     }
 
-    fn shard_of(&self, v: NodeId) -> usize {
-        // Fibonacci multiplicative hash: spreads consecutive node ids.
-        let h = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) % self.shards.len()
-    }
-
     /// Gathers rows `ids` from `feats` through the cache into `out`, a
     /// row-major `ids.len() x dim` buffer the caller owns and recycles —
-    /// bitwise identical to `feats.gather_into(ids, out)`. Per shard and
-    /// under one lock acquisition, hits are copied out of the slab, then the
-    /// shard's misses are copied from `feats` and inserted.
+    /// bitwise identical to `feats.gather_into(ids, out)`. While the cache
+    /// has room, each miss is admitted as it is copied.
     pub fn gather_rows_into(&self, feats: &Features, ids: &[NodeId], out: &mut [f32]) {
         assert_eq!(feats.dim(), self.dim, "feature dim mismatch");
-        let d = self.dim;
-        assert_eq!(out.len(), ids.len() * d, "output buffer shape mismatch");
-        assert!(ids.len() < ABSENT as usize, "batch positions overflow u32");
-        let slot_of = self.slot_of.get_or_init(|| {
-            (0..feats.num_nodes())
-                .map(|_| AtomicU32::new(ABSENT))
-                .collect()
-        });
         assert_eq!(
-            slot_of.len(),
-            feats.num_nodes(),
-            "cache reused over a different feature table"
+            out.len(),
+            ids.len() * self.dim,
+            "output buffer shape mismatch"
         );
-        let n_shards = self.shards.len();
-        let (mut missed_total, mut evicted) = (0u64, 0u64);
-        GROUPING.with(|g| {
-            let Grouping {
-                shard,
-                starts,
-                order,
-                missed,
-            } = &mut *g.borrow_mut();
-            // Counting sort of the positions by shard. It is stable, so each
-            // shard sees its positions in batch order.
-            shard.clear();
-            starts.clear();
-            starts.resize(n_shards + 1, 0);
-            for &v in ids {
-                let s = self.shard_of(v);
-                shard.push(s as u32);
-                starts[s + 1] += 1;
-            }
-            for s in 0..n_shards {
-                starts[s + 1] += starts[s];
-            }
-            order.clear();
-            order.resize(ids.len(), 0);
-            for (p, &s) in shard.iter().enumerate() {
-                order[starts[s as usize]] = p as u32;
-                starts[s as usize] += 1;
-            }
-            // The placement pass advanced every start to its run's end, which
-            // is the next run's start.
-            let mut lo = 0;
-            for (lock, &hi) in self.shards.iter().zip(starts.iter()) {
-                let group = &order[lo..hi];
-                lo = hi;
-                if group.is_empty() {
-                    continue;
-                }
-                let mut guard = lock.lock();
-                let sh = &mut *guard;
-                missed.clear();
-                for &p in group {
-                    let p = p as usize;
-                    let slot = slot_of[ids[p] as usize].load(Ordering::Relaxed);
-                    if slot == ABSENT {
-                        missed.push(p as u32);
-                        continue;
-                    }
-                    let slot = slot as usize;
-                    sh.freq[slot] = (sh.freq[slot] + 1).min(MAX_FREQ);
-                    out[p * d..(p + 1) * d].copy_from_slice(&sh.rows[slot * d..(slot + 1) * d]);
-                }
-                for &p in missed.iter() {
-                    let p = p as usize;
-                    let row = feats.row(ids[p]);
-                    out[p * d..(p + 1) * d].copy_from_slice(row);
-                    evicted += u64::from(sh.insert(ids[p], row, slot_of));
-                }
-                missed_total += missed.len() as u64;
-            }
-        });
-        self.hits
-            .fetch_add(ids.len() as u64 - missed_total, Ordering::Relaxed);
-        self.misses.fetch_add(missed_total, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        let hits = match self.frozen.get() {
+            Some(table) => table.copy_rows(feats, ids, out),
+            None => self.gather_filling(feats, ids, out),
+        };
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses
+            .fetch_add(ids.len() as u64 - hits, Ordering::Relaxed);
+    }
+
+    /// The gather of a cache that was not yet full when the call began:
+    /// under the fill lock, copy every row and admit each miss while there
+    /// is room; freeze the table the moment it is full.
+    fn gather_filling(&self, feats: &Features, ids: &[NodeId], out: &mut [f32]) -> u64 {
+        let mut table = self.filling.lock();
+        // Another gather may have frozen the table while this one waited.
+        if let Some(frozen) = self.frozen.get() {
+            drop(table);
+            return frozen.copy_rows(feats, ids, out);
         }
+        // A table with fewer rows than the capacity is full when every row
+        // is resident.
+        let room = self.capacity_rows.min(feats.num_nodes());
+        if table.slot_of.is_empty() {
+            table.slot_of = vec![ABSENT; feats.num_nodes()];
+            table.rows.reserve_exact(room * self.dim);
+        }
+        table.check(feats);
+        let mut hits = 0;
+        for (dst, &v) in out.chunks_exact_mut(self.dim).zip(ids) {
+            if table.copy_row(feats, v, dst) {
+                hits += 1;
+                continue;
+            }
+            let resident = table.rows.len() / self.dim;
+            if resident < room {
+                table.slot_of[v as usize] = resident as u32;
+                table.rows.extend_from_slice(dst);
+            }
+        }
+        if table.rows.len() == room * self.dim {
+            // `frozen` is empty and only ever set under this lock, so the
+            // `set` cannot fail.
+            let _ = self.frozen.set(std::mem::take(&mut *table));
+        }
+        hits
     }
 
     /// [`FeatureCache::gather_rows_into`] into a fresh buffer, for callers
@@ -320,21 +235,20 @@ impl FeatureCache {
         out
     }
 
-    /// [`FeatureCache::gather_rows`] packaged as a [`Features`] matrix.
-    pub fn gather(&self, feats: &Features, ids: &[NodeId]) -> Features {
-        Features::new(self.gather_rows(feats, ids), self.dim)
-    }
-
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let resident: usize = self.shards.iter().map(|s| s.lock().node_of.len()).sum();
+        // Read the filling table before `frozen`: a freeze moves the rows
+        // from the one to the other, so if it happens in between, `frozen`
+        // is already set when it is read.
+        let filling = self.filling.lock().rows.len();
+        let floats = self.frozen.get().map_or(filling, |t| t.rows.len());
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident_rows: resident as u64,
+            evictions: 0,
+            resident_rows: (floats / self.dim) as u64,
             capacity_rows: self.capacity_rows as u64,
-            bytes: (resident * self.dim * std::mem::size_of::<f32>()) as u64,
+            bytes: (floats * std::mem::size_of::<f32>()) as u64,
         }
     }
 }
@@ -369,32 +283,72 @@ mod tests {
     }
 
     #[test]
-    fn clock_evicts_cold_row_before_hot_row() {
-        // Capacity 2, one shard for determinism. A is touched twice (hot),
-        // B once (cold); inserting C must displace B.
+    fn a_full_cache_keeps_its_first_rows() {
+        // Capacity 2: A and B fill it. C misses and is not admitted, however
+        // often it comes back; A and B stay resident and keep hitting.
         let f = feats(10, 2);
-        let c = FeatureCache::with_shards(2, 2, 1);
-        c.gather_rows(&f, &[0, 1]); // A=0, B=1 resident
-        c.gather_rows(&f, &[0]); // A hot
-        c.gather_rows(&f, &[2]); // C evicts the cold row
-        assert_eq!(c.stats().evictions, 1);
-        c.gather_rows(&f, &[0]); // A survived
-        assert_eq!(c.stats().hits, 2);
-        c.gather_rows(&f, &[1]); // B was the victim
-        assert_eq!(c.stats().misses, 4);
+        let c = FeatureCache::new(2, 2);
+        c.gather_rows(&f, &[0, 1]); // A=0, B=1 fill the cache
+        for _ in 0..3 {
+            c.gather_rows(&f, &[2]); // C misses every time
+        }
+        c.gather_rows(&f, &[1, 0]); // both still resident
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 5, 0));
+        assert_eq!(s.resident_rows, 2);
     }
 
     #[test]
-    fn eviction_keeps_occupancy_at_capacity() {
+    fn occupancy_stops_at_capacity() {
+        // The first eight distinct rows asked for (0, 16, 1, 17, 2, 18, 3,
+        // 19) are admitted; nothing after them is.
         let f = feats(64, 3);
-        let c = FeatureCache::with_shards(8, 3, 2);
+        let c = FeatureCache::new(8, 3);
         for start in 0..32u32 {
             c.gather_rows(&f, &[start, start + 16]);
         }
         let s = c.stats();
-        assert!(s.resident_rows <= 8);
-        assert!(s.evictions > 0);
-        assert_eq!(s.bytes, s.resident_rows * 3 * 4);
+        assert_eq!((s.resident_rows, s.evictions), (8, 0));
+        assert_eq!(s.bytes, 8 * 3 * 4);
+        // 16..20 come back as the second id of starts 0..4 and as the first
+        // id of starts 16..20: four hits.
+        assert_eq!(s.hits, 4);
+        let before = c.stats();
+        c.gather_rows(&f, &[0, 16, 1, 17, 2, 18, 3, 19, 4, 20]);
+        let d = c.stats().delta(&before);
+        assert_eq!((d.hits, d.misses), (8, 2));
+    }
+
+    #[test]
+    fn a_full_cache_gathers_without_taking_the_fill_lock() {
+        // Once full, the cache is read-only: a gather must go through while
+        // the fill lock is held elsewhere. The timeout only turns a gather
+        // that blocks on the lock into a failure instead of a hang.
+        let f = feats(16, 2);
+        let c = FeatureCache::new(4, 2);
+        c.gather_rows(&f, &[0, 1, 2, 3, 4]);
+        let ids = [3, 9, 0, 0, 15];
+        let held = c.filling.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(c.gather_rows(&f, &ids)));
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(held);
+            assert_eq!(got.ok().as_deref(), Some(f.gather(&ids).data()));
+        });
+        assert_eq!(c.hits.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_cache_larger_than_the_table_freezes_once_every_row_is_resident() {
+        let f = feats(6, 2);
+        let c = FeatureCache::new(100, 2);
+        c.gather_rows(&f, &[5, 4, 3]);
+        assert!(c.frozen.get().is_none());
+        c.gather_rows(&f, &[0, 1, 2, 3]);
+        assert!(c.frozen.get().is_some());
+        let s = c.stats();
+        assert_eq!((s.resident_rows, s.hits, s.misses), (6, 1, 6));
     }
 
     #[test]
@@ -421,9 +375,9 @@ mod tests {
 
     #[test]
     fn concurrent_workers_see_consistent_rows() {
-        // Cross-thread shard consistency: many threads gather overlapping id
-        // sets through one shared cache while eviction churns; every result
-        // must stay bitwise identical to the uncached gather.
+        // Many threads gather overlapping id sets through one shared cache
+        // while it fills and after it freezes; every result must stay
+        // bitwise identical to the uncached gather.
         let f = std::sync::Arc::new(feats(256, 8));
         let c = std::sync::Arc::new(FeatureCache::new(64, 8));
         std::thread::scope(|s| {
@@ -442,7 +396,7 @@ mod tests {
         });
         let s = c.stats();
         assert_eq!(s.lookups(), 8 * 50 * 32);
-        assert!(s.resident_rows <= 64);
+        assert_eq!(s.resident_rows, 64);
     }
 
     #[test]
@@ -476,42 +430,38 @@ mod tests {
     fn scan_larger_than_capacity_keeps_its_hits() {
         // Six distinct rows per batch against four slots, the same batch
         // repeated: the shape of a training epoch (a batch touches more rows
-        // than the cache holds). With every lookup ahead of every insert, the
-        // four rows resident when a batch arrives all hit and only the two
-        // misses rotate through CLOCK. Inserting a miss inline, while later
-        // positions still wait to be looked up, evicts exactly the rows those
-        // positions want: every repeat would then score zero hits.
+        // than the cache holds). The first four rows are admitted and stay,
+        // so every repeat hits four times and misses the same two rows.
         let f = feats(8, 3);
-        let c = FeatureCache::with_shards(4, 3, 1);
+        let c = FeatureCache::new(4, 3);
         let ids: Vec<NodeId> = (0..6).collect();
         for _ in 0..4 {
             assert_eq!(c.gather_rows(&f, &ids), f.gather(&ids).data());
         }
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (12, 12, 8));
+        assert_eq!((s.hits, s.misses, s.evictions), (12, 12, 0));
         assert_eq!(s.resident_rows, 4);
     }
 
     #[test]
-    fn duplicate_ids_in_one_batch_all_miss_then_all_hit() {
-        // Lookups precede inserts, so every copy of a cold id misses; the
-        // first copy's insert makes the later ones no-ops, not evictions.
+    fn duplicate_ids_in_one_batch_are_admitted_once() {
+        // The first copy of a cold id misses and is admitted on the spot,
+        // so its later copies in the same batch already hit.
         let f = feats(10, 2);
-        let c = FeatureCache::with_shards(4, 2, 1);
+        let c = FeatureCache::new(4, 2);
         let ids = [7, 7, 3, 7];
         assert_eq!(c.gather_rows(&f, &ids), f.gather(&ids).data());
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (0, 4, 0));
-        assert_eq!(s.resident_rows, 2);
+        assert_eq!((s.hits, s.misses, s.resident_rows), (2, 2, 2));
         assert_eq!(c.gather_rows(&f, &ids), f.gather(&ids).data());
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.resident_rows), (4, 4, 2));
+        assert_eq!((s.hits, s.misses, s.resident_rows), (6, 2, 2));
     }
 
     #[test]
     fn gather_rows_into_overwrites_a_recycled_buffer() {
         let f = feats(12, 3);
-        let c = FeatureCache::with_shards(5, 3, 2);
+        let c = FeatureCache::new(5, 3);
         let mut out = vec![f32::NAN; 4 * 3];
         for ids in [[1, 9, 1, 4], [4, 2, 9, 11], [0, 1, 2, 3]] {
             c.gather_rows_into(&f, &ids, &mut out);
@@ -524,12 +474,11 @@ mod tests {
         fn cached_gather_is_bitwise_identical(
             ids in prop::collection::vec(0u32..40, 1..64),
             cap in 0usize..32,
-            shards in 1usize..5,
             dim in 1usize..6,
         ) {
             let f = feats(40, dim);
-            let c = FeatureCache::with_shards(cap, dim, shards);
-            // Repeated gathers exercise hit, miss and eviction paths.
+            let c = FeatureCache::new(cap, dim);
+            // Repeated gathers exercise the filling and the frozen path.
             for _ in 0..3 {
                 let got = c.gather_rows(&f, &ids);
                 let want = f.gather(&ids);

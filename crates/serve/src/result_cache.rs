@@ -7,10 +7,11 @@
 //! model and seed). The seed list is the cache key: identical repeated
 //! queries skip sampling and compute entirely.
 //!
-//! Eviction reuses the CLOCK second-chance design of the feature cache
-//! (PR 2): each entry carries a small frequency counter, a sweeping hand
-//! decrements until it finds a zero, and repeated hits saturate at
-//! `MAX_FREQ` so one-hit wonders leave before hot queries do.
+//! Eviction is CLOCK second-chance: each entry carries a small frequency
+//! counter, a sweeping hand decrements until it finds a zero, and repeated
+//! hits saturate at `MAX_FREQ` so one-hit wonders leave before hot queries
+//! do. Unlike the feature cache, which never evicts, this cache pays for its
+//! policy: a hit skips sampling, the gather and the forward pass.
 //!
 //! Every method that reads or writes a slot takes `&mut self`, so the cache
 //! has one writer at a time by construction: the session that owns it.
@@ -21,7 +22,7 @@ use std::sync::Arc;
 use argo_graph::NodeId;
 use argo_tensor::Matrix;
 
-/// Hit saturation for the CLOCK counters (matches the feature cache).
+/// Hit saturation for the CLOCK counters.
 const MAX_FREQ: u8 = 3;
 
 /// Cumulative cache counters.
