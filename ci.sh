@@ -34,10 +34,10 @@ if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
 fi
 rm -rf "$cli_dir"
 
-echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd must not lose to the tier below)"
+echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
-echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path)"
+echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue recorded, ungated)"

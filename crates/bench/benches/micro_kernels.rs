@@ -7,8 +7,9 @@
 //! (GFLOP/s and speedup-vs-serial per kernel and shape) so future PRs can
 //! diff kernel performance against this baseline. Columns: `serial` is
 //! `argo_tensor::reference` (the naive loops), `blocked` the scalar tier
-//! (`force_scalar()`), `simd` the default tier run inline (AVX2+FMA on
-//! hosts that have it, scalar otherwise), and `pool` the default policy
+//! (`force_scalar()`), `simd` the default tier run inline (AVX-512 or
+//! AVX2+FMA on hosts that have it, scalar otherwise; `simd_tier` in the JSON
+//! names which), and `pool` the default policy
 //! handed a 4-worker pool — what production routes. A row whose shape the
 //! dispatch constants keep inline has no `pool` column: it would time the
 //! `simd` kernel a second time.
@@ -220,8 +221,14 @@ fn main() {
     };
     let mut rows: Vec<KernelRow> = Vec::new();
 
-    // -- GEMM: small and large shapes; large is the gated one. --
-    for (m, k, n, gate_min) in [(256, 64, 32, None), (1024, 256, 128, Some(1.0))] {
+    // -- GEMM: small and large shapes, and the training step's forward GEMM
+    // (layer 1 of `train_neighbor_sage`). Each row's floors: blocked vs
+    // serial, simd vs blocked. --
+    for (m, k, n, gate_min, simd_gate_min) in [
+        (256, 64, 32, None, None),
+        (1024, 256, 128, Some(1.0), Some(1.0)),
+        (4566, 64, 128, None, Some(1.0)),
+    ] {
         let a = Matrix::xavier(m, k, 1);
         let b = Matrix::xavier(k, n, 2);
         let [serial, blocked, simd] = time_gated(
@@ -232,7 +239,7 @@ fn main() {
                 &mut || drop(black_box(scalar.gemm(&a, &b, None))),
                 &mut || drop(black_box(policy.gemm(&a, &b, None))),
             ],
-            [None, gate_min, gate_min],
+            [None, gate_min, simd_gate_min],
         );
         let pooled = dense_pool(m).map(|p| time_min(samples, || policy.gemm(&a, &b, Some(p))));
         rows.push(KernelRow {
@@ -244,13 +251,13 @@ fn main() {
             simd_s: Some(simd),
             pool_s: pooled,
             gate_min,
-            simd_gate_min: gate_min,
+            simd_gate_min,
         });
     }
 
-    // -- Weight gradient dW = Xᵀ dY (reduction over 4096 rows). --
-    {
-        let (m, k, n) = (4096, 64, 32);
+    // -- Weight gradient dW = Xᵀ dY: a reduction over 4096 rows, and the
+    // training step's over 4544. --
+    for (m, k, n, gate_min) in [(4096, 64, 32, Some(1.0)), (4544, 64, 128, None)] {
         let x = Matrix::xavier(m, k, 3);
         let g = Matrix::xavier(m, n, 4);
         let [serial, blocked, simd] = time_gated(
@@ -261,7 +268,7 @@ fn main() {
                 &mut || drop(black_box(scalar.grad_weights(&x, &g, None))),
                 &mut || drop(black_box(policy.grad_weights(&x, &g, None))),
             ],
-            [None, Some(1.0), Some(1.0)],
+            [None, gate_min, Some(1.0)],
         );
         let pooled =
             dense_pool(m).map(|p| time_min(samples, || policy.grad_weights(&x, &g, Some(p))));
@@ -273,14 +280,13 @@ fn main() {
             blocked_s: Some(blocked),
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min: Some(1.0),
+            gate_min,
             simd_gate_min: Some(1.0),
         });
     }
 
-    // -- Input gradient dX = dY Wᵀ. --
-    {
-        let (m, k, n) = (4096, 64, 32);
+    // -- Input gradient dX = dY Wᵀ, and the training step's. --
+    for (m, k, n, gate_min) in [(4096, 64, 32, Some(1.0)), (1751, 128, 128, None)] {
         let g = Matrix::xavier(m, n, 5);
         let w = Matrix::xavier(k, n, 6);
         let [serial, blocked, simd] = time_gated(
@@ -291,7 +297,7 @@ fn main() {
                 &mut || drop(black_box(scalar.grad_input(&g, &w, 0..k, None))),
                 &mut || drop(black_box(policy.grad_input(&g, &w, 0..k, None))),
             ],
-            [None, Some(1.0), Some(1.0)],
+            [None, gate_min, Some(1.0)],
         );
         let pooled =
             dense_pool(m).map(|p| time_min(samples, || policy.grad_input(&g, &w, 0..k, Some(p))));
@@ -303,7 +309,7 @@ fn main() {
             blocked_s: Some(blocked),
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min: Some(1.0),
+            gate_min,
             simd_gate_min: Some(1.0),
         });
     }
@@ -458,7 +464,10 @@ fn main() {
 
     // -- Report. --
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("=== micro_kernels (quick={quick}, host_threads={host_threads}) ===\n");
+    let tier = argo_tensor::simd_tier();
+    println!(
+        "=== micro_kernels (quick={quick}, host_threads={host_threads}, simd tier {tier}) ===\n"
+    );
     println!(
         "{:<16} {:<22} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
         "kernel", "shape", "serial ms", "blocked", "simd", "pool", "blk x", "simd x", "pool x"
@@ -500,6 +509,7 @@ fn main() {
     let json = Json::obj(vec![
         ("host_threads", Json::Num(host_threads as f64)),
         ("quick", Json::Bool(quick)),
+        ("simd_tier", Json::str(tier)),
         ("pool_workers", Json::Num(4.0)),
         (
             "kernels",
@@ -538,7 +548,7 @@ fn main() {
 
     // -- Quick-mode perf gate: blocked must not lose to naive serial, and
     // SIMD must not lose to the tier directly below it. The SIMD gate only
-    // bites on hosts where the AVX2 tier is actually live; on scalar
+    // bites on hosts where a SIMD tier is actually live; on scalar
     // fallback hosts both sides run the same kernels and sit at ~1.0x.
     if quick {
         let mut failed = false;

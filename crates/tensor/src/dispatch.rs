@@ -7,8 +7,9 @@
 //! never touch a kernel directly (enforced by the `kernel-dispatch`
 //! argo-lint rule). Each operation has exactly one implementation:
 //!
-//! * **Two tiers.** AVX2+FMA (`simd.rs`) and the blocked scalar
-//!   kernels it falls back to (`kernels.rs`); [`mod@crate::reference`]
+//! * **Two tiers.** SIMD (`simd.rs`: AVX2+FMA, or AVX-512 for the dense
+//!   kernels on hosts with it) and the blocked scalar kernels it falls
+//!   back to (`kernels.rs`); [`mod@crate::reference`]
 //!   holds the naive oracles tests and benches compare against, which are
 //!   not a tier.
 //! * **One runner.** Forward GEMM, input gradients and the CSR gather
@@ -91,7 +92,8 @@ impl<'a> Epilogue<'a> {
 /// Serial-vs-parallel and scalar-vs-SIMD dispatch for the training
 /// kernels. The SIMD tier is orthogonal to the pool: each worker (or the
 /// serial path) independently runs the vectorized kernels when the policy
-/// allows it and the host supports AVX2+FMA.
+/// allows it and the host supports AVX2+FMA (the dense kernels run their
+/// AVX-512 versions, bitwise equal, where the host has `avx512f`).
 ///
 /// The only switch is [`DispatchPolicy::force_scalar`], for tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -10,7 +10,8 @@
 //! [`DispatchPolicy`], which runs each operation inline or row-partitioned
 //! over an [`argo_rt::ThreadPool`] — so the engine can bind the compute to
 //! the *training cores* chosen by the auto-tuner — on one of two tiers
-//! (AVX2+FMA, or the blocked scalar kernels it falls back to).
+//! (SIMD — AVX-512 or AVX2+FMA, by the host — or the blocked scalar kernels
+//! it falls back to; [`simd_tier`] names the one this process runs).
 //! [`mod@reference`] holds the naive oracles tests and benches compare against.
 
 pub mod dense;
@@ -24,6 +25,6 @@ pub mod workspace;
 
 pub use dense::Matrix;
 pub use dispatch::{DispatchPolicy, Epilogue};
-pub use simd::available as simd_available;
+pub use simd::{available as simd_available, simd_tier};
 pub use sparse::{SparseMatrix, SparseView};
 pub use workspace::Workspace;

@@ -1,7 +1,8 @@
 //! Naive reference kernels — the oracles, not a tier.
 //!
-//! Production code has two kernel tiers: AVX2+FMA (`simd.rs`) and the
-//! blocked scalar kernels it falls back to (`kernels.rs`), both
+//! Production code has two kernel tiers: SIMD (`simd.rs`: AVX2+FMA, or
+//! AVX-512 for the dense kernels) and the blocked scalar kernels it falls
+//! back to (`kernels.rs`), both
 //! reached only through [`crate::DispatchPolicy`]. The functions here are
 //! the obvious loops those tiers are tested and benchmarked against: per
 //! output element they add the contributions one at a time in ascending

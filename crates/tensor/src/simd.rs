@@ -1,12 +1,12 @@
-//! Explicit-SIMD kernel tier: AVX2+FMA f32x8 micro-kernels behind one
-//! runtime dispatch point.
+//! Explicit-SIMD kernel tier: AVX2+FMA f32x8 micro-kernels, and AVX-512
+//! variants of the three dense kernels, behind one runtime dispatch point.
 //!
 //! Everything in this module is reachable only through the free functions
-//! at the top, each of which consults [`available`] — a cached runtime
-//! check of `avx2` + `fma` CPU features (overridable with `ARGO_SIMD=off`)
-//! — and otherwise falls back to the scalar blocked kernels in
-//! [`crate::kernels`]. The scalar fallback is compiled unconditionally, so
-//! non-x86 hosts and feature-less CPUs keep today's bitwise behavior.
+//! at the top, each of which consults [`tier`] — a cached runtime check of
+//! the CPU features (overridable with `ARGO_SIMD=off`) — and otherwise falls
+//! back to the scalar blocked kernels in [`crate::kernels`]. The scalar
+//! fallback is compiled unconditionally, so non-x86 hosts and feature-less
+//! CPUs keep today's bitwise behavior.
 //!
 //! Numerical contract per path (pinned by `tests/kernel_properties.rs`):
 //!
@@ -21,9 +21,33 @@
 //!   are independent and per-element operation order is exactly the
 //!   scalar order, so these stay **bitwise** equal to the scalar kernels.
 //!
-//! The GEMM packs `A` into `MR`-row and `B` into `NR`-column panels (layout
-//! below) drawn from the per-thread pack arena in [`crate::workspace`], so
-//! steady-state training and serving do not allocate here.
+//! **Across vector widths the dense kernels are bitwise equal.** Each of the
+//! three fixes the operation sequence every output element sees, and the
+//! AVX-512 kernels (on hosts with `avx512f`) only put more elements in
+//! flight, never reorder one element's operations:
+//!
+//! * GEMM: per `KC` block of the reduction, an accumulator from `0`, FMA
+//!   over `k` ascending, then `dst + acc` (an add, not a store, so a `-0`
+//!   accumulator still turns `+0`).
+//! * Weight gradient: FMA into `dst` over rows ascending for the columns
+//!   below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
+//!   row, ascending.
+//! * Input gradient: eight lane accumulators (lane `l` folds `k ≡ l mod 8`
+//!   ascending by FMA), reduced by the fixed 8-lane add tree of the AVX2
+//!   `hsum`, `((v0+v4) + (v2+v6)) + ((v1+v5) + (v3+v7))`, plus the scalar
+//!   `k`-tail sum. The AVX-512 kernel holds two such dots per register, one
+//!   per 256-bit half, and runs that same tree for sixteen dots at a time
+//!   (a 16-lane reduction would pair the lanes differently, and change
+//!   bits).
+//!
+//! So `ARGO_SIMD` and the host's width choose the speed, not the bits: the
+//! AVX-512 and AVX2 tiers give equal results on every input
+//! (`avx512_tier_equals_avx2_tier_bitwise`).
+//!
+//! The GEMMs pack `B` into column panels (and the AVX2 one `A` into row
+//! panels; layouts below), the AVX-512 input gradient packs `B` into row
+//! pairs, all drawn from the per-thread pack arena in [`crate::workspace`],
+//! so steady-state training and serving do not allocate here.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -31,31 +55,68 @@ use std::sync::OnceLock;
 use crate::dense::Matrix;
 use crate::kernels;
 
-/// Whether the SIMD tier is usable on this host: `x86_64` with `avx2` and
-/// `fma`, and not disabled via `ARGO_SIMD=off` (or `0`). Cached after the
-/// first call, so the environment switch must be set before any kernel
-/// runs (as the CI fallback stage does).
-pub fn available() -> bool {
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
+/// The kernel tier the host runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Tier {
+    /// The blocked scalar kernels of [`crate::kernels`].
+    Scalar,
+    /// AVX2+FMA for every kernel.
+    Avx2,
+    /// AVX-512 for GEMM and both gradients; AVX2+FMA for the rest.
+    Avx512,
+}
+
+/// The tier every kernel dispatches on: AVX-512 on `x86_64` hosts with
+/// `avx512f` (besides `avx2` + `fma`), AVX2 on hosts with `avx2` + `fma`,
+/// scalar otherwise or when disabled via `ARGO_SIMD=off` (or `0`). Cached
+/// after the first call, so the environment switch must be set before any
+/// kernel runs (as the CI fallback stage does).
+fn tier() -> Tier {
+    static TIER: OnceLock<Tier> = OnceLock::new();
+    *TIER.get_or_init(|| {
         if matches!(
             std::env::var("ARGO_SIMD").as_deref(),
             Ok("off") | Ok("0") | Ok("false")
         ) {
-            return false;
+            return Tier::Scalar;
         }
         detect()
     })
 }
 
 #[cfg(target_arch = "x86_64")]
-fn detect() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+fn detect() -> Tier {
+    if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
+        Tier::Scalar
+    } else if is_x86_feature_detected!("avx512f") {
+        Tier::Avx512
+    } else {
+        Tier::Avx2
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn detect() -> bool {
-    false
+fn detect() -> Tier {
+    Tier::Scalar
+}
+
+/// Whether the SIMD tier is usable on this host: `x86_64` with `avx2` and
+/// `fma`, and not disabled via `ARGO_SIMD=off` (or `0`). Cached after the
+/// first call, so the environment switch must be set before any kernel
+/// runs (as the CI fallback stage does).
+pub fn available() -> bool {
+    tier() != Tier::Scalar
+}
+
+/// The name of the kernel tier this process dispatches to: `"avx512f"`,
+/// `"avx2+fma"` or `"scalar"` — the same detection the kernels read.
+pub fn simd_tier() -> &'static str {
+    match tier() {
+        Tier::Avx512 => "avx512f",
+        Tier::Avx2 => "avx2+fma",
+        Tier::Scalar => "scalar",
+    }
 }
 
 /// SIMD [`crate::kernels::gemm_into`]: `dst (+)= A[rows] @ B[b_row_offset..]`.
@@ -69,9 +130,10 @@ pub(crate) fn gemm_into(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if available() {
-            x86::gemm(a, rows, b, b_row_offset, dst, accumulate);
-            return;
+        match tier() {
+            Tier::Avx512 => return avx512::gemm(a, rows, b, b_row_offset, dst, accumulate),
+            Tier::Avx2 => return x86::gemm(a, rows, b, b_row_offset, dst, accumulate),
+            Tier::Scalar => {}
         }
     }
     kernels::gemm_into(a, rows, b, b_row_offset, dst, accumulate);
@@ -89,9 +151,12 @@ pub(crate) fn transpose_self_into(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if available() {
-            x86::transpose_self(a, b, rows, a_row_offset, dst, accumulate);
-            return;
+        match tier() {
+            Tier::Avx512 => {
+                return avx512::transpose_self(a, b, rows, a_row_offset, dst, accumulate)
+            }
+            Tier::Avx2 => return x86::transpose_self(a, b, rows, a_row_offset, dst, accumulate),
+            Tier::Scalar => {}
         }
     }
     kernels::transpose_self_into(a, b, rows, a_row_offset, dst, accumulate);
@@ -108,9 +173,10 @@ pub(crate) fn transpose_other_into(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if available() {
-            x86::transpose_other(a, a_rows, b, b_rows, dst);
-            return;
+        match tier() {
+            Tier::Avx512 => return avx512::transpose_other(a, a_rows, b, b_rows, dst),
+            Tier::Avx2 => return x86::transpose_other(a, a_rows, b, b_rows, dst),
+            Tier::Scalar => {}
         }
     }
     kernels::transpose_other_into(a, a_rows, b, b_rows, dst);
@@ -191,8 +257,16 @@ mod x86 {
 
     /// Packs a `kc × nc` block of `B` (rows `kk..`, columns `jj..`) into
     /// `NR`-column tiles, k-major within each tile
-    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails.
-    fn pack_b(b: &Matrix, kk: usize, kc: usize, jj: usize, nc: usize, buf: &mut [f32]) {
+    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails. `NR` is
+    /// the micro-kernel's width: 16 here, 32 in the AVX-512 GEMM.
+    pub(super) fn pack_b<const NR: usize>(
+        b: &Matrix,
+        kk: usize,
+        kc: usize,
+        jj: usize,
+        nc: usize,
+        buf: &mut [f32],
+    ) {
         for t in 0..nc.div_ceil(NR) {
             let j0 = jj + t * NR;
             let w = NR.min(jj + nc - j0);
@@ -314,7 +388,7 @@ mod x86 {
                 let kc = KC.min(k_dim - kk);
                 for jj in (0..n).step_by(NC) {
                     let nc = NC.min(n - jj);
-                    pack_b(b, b_row_offset + kk, kc, jj, nc, pb);
+                    pack_b::<NR>(b, b_row_offset + kk, kc, jj, nc, pb);
                     for ii in (0..m).step_by(MC) {
                         let mc = MC.min(m - ii);
                         pack_a(a, rows.start + ii, mc, kk, kc, pa);
@@ -552,7 +626,9 @@ mod x86 {
         }
     }
 
-    /// Horizontal sum of the 8 lanes.
+    /// Horizontal sum of the 8 lanes, in a fixed order: the two 128-bit
+    /// halves, then lanes `{0,1} + {2,3}`, then `0 + 1`. The AVX-512 input
+    /// gradient runs this same add tree, sixteen dots at a time.
     #[target_feature(enable = "avx2")]
     fn hsum(v: __m256) -> f32 {
         let lo = _mm256_castps256_ps128(v);
@@ -650,6 +726,435 @@ mod x86 {
         }
         for c in j..n {
             d[c] += w * s[c];
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! The AVX-512 GEMM, weight gradient and input gradient. Every function
+    //! here is only reachable through the module-level wrappers after
+    //! [`super::tier`] has detected `avx512f` next to `avx2` + `fma` at
+    //! runtime. Each output element sees exactly the operation sequence the
+    //! AVX2 kernel in [`super::x86`] gives it (module doc), so the two tiers
+    //! are bitwise equal; the wider registers only hold more elements.
+
+    use std::arch::x86_64::{
+        __m256, __m512, __mmask16, _mm256_castps_pd, _mm256_loadu_ps, _mm512_add_ps,
+        _mm512_broadcast_f64x4, _mm512_castpd_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_permutexvar_ps, _mm512_set1_ps,
+        _mm512_setr_epi32, _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_shuffle_ps,
+        _mm512_storeu_ps,
+    };
+    use std::ops::Range;
+
+    use super::x86::pack_b;
+    use crate::dense::Matrix;
+    use crate::kernels::{KC, NC};
+    use crate::workspace;
+
+    /// Register tile rows: `A` values (GEMM) or `dst` rows (weight gradient)
+    /// broadcast across the lanes.
+    const MR: usize = 8;
+    /// Register tile columns: two f32x16 vectors per tile row.
+    const NR: usize = 32;
+    /// Reduction rows per pass of the weight gradient: its `dst` tile is
+    /// loaded once and stored once per chunk, and the chunk's rows of both
+    /// operands stay cache-resident across the tile's column passes.
+    const DW_ROWS: usize = 128;
+    /// Input-gradient block rows: rows of `A`.
+    const TR: usize = 4;
+    /// Input-gradient block columns: pairs of `B` rows, two dots each.
+    const TP: usize = 4;
+
+    /// Lane masks of the two 16-lane halves of a `w`-column tile (`w ≤ 32`).
+    fn masks(w: usize) -> (__mmask16, __mmask16) {
+        let bits = if w >= NR { u32::MAX } else { (1u32 << w) - 1 };
+        (bits as u16, (bits >> 16) as u16)
+    }
+
+    /// The GEMM micro-kernel: `dst[at + r*ldd + c] += Σ_k ar[r][k] *
+    /// pb[k*NR+c]` for the `mr × nr` valid corner of an 8×32 tile. Rows of
+    /// `ar` past `mr` may repeat a valid row (computed, never stored);
+    /// columns past `nr` are zero-padded in `pb` and masked off the
+    /// write-back.
+    #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn micro_8x32(
+        ar: &[&[f32]; MR],
+        pb: &[f32],
+        kc: usize,
+        dst: &mut [f32],
+        at: usize,
+        ldd: usize,
+        mr: usize,
+        nr: usize,
+    ) {
+        debug_assert!(
+            ar.iter().all(|r| r.len() >= kc) && pb.len() >= kc * NR,
+            "A rows and packed B panel"
+        );
+        let ap = ar.map(<[f32]>::as_ptr);
+        let pbp = pb.as_ptr();
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+        for k in 0..kc {
+            // SAFETY: avx512f (with avx2+fma) was detected by `tier()`
+            // before any call into this module; every `ar` row holds `kc`
+            // values and `pb` holds `kc` packed groups of NR lanes (asserted
+            // above), so every load is in bounds.
+            unsafe {
+                let b0 = _mm512_loadu_ps(pbp.add(k * NR));
+                let b1 = _mm512_loadu_ps(pbp.add(k * NR + 16));
+                for (c, p) in acc.iter_mut().zip(&ap) {
+                    let av = _mm512_set1_ps(*p.add(k));
+                    c[0] = _mm512_fmadd_ps(av, b0, c[0]);
+                    c[1] = _mm512_fmadd_ps(av, b1, c[1]);
+                }
+            }
+        }
+        let (m0, m1) = masks(nr);
+        for (r, [v0, v1]) in acc.into_iter().take(mr).enumerate() {
+            let p = dst[at + r * ldd..][..nr].as_mut_ptr();
+            if nr == NR {
+                // SAFETY: `tier()` detected avx512f (and avx2+fma); `p`
+                // starts a bounds-checked slice of `nr = 32` floats, so both
+                // 16-lane loads/stores of this output row are inside `dst`.
+                unsafe {
+                    _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), v0));
+                    _mm512_storeu_ps(p.add(16), _mm512_add_ps(_mm512_loadu_ps(p.add(16)), v1));
+                }
+            } else {
+                // SAFETY: `tier()` detected avx512f (and avx2+fma); the
+                // masks cover only the row's `nr` valid columns, the
+                // bounds-checked slice `p` starts, and masked-off lanes are
+                // neither read nor written.
+                unsafe {
+                    let q = p.wrapping_add(16);
+                    _mm512_mask_storeu_ps(p, m0, _mm512_add_ps(_mm512_maskz_loadu_ps(m0, p), v0));
+                    _mm512_mask_storeu_ps(q, m1, _mm512_add_ps(_mm512_maskz_loadu_ps(m1, q), v1));
+                }
+            }
+        }
+    }
+
+    /// Packed-panel GEMM with the 8×32 micro-kernel: the AVX2 GEMM's
+    /// `k`-outermost `KC`/`NC` blocking (so each element's `KC` blocks
+    /// arrive in the same order), `B` packed into 32-column panels, and
+    /// `A` read in place — an 8-row tile of `A` stays in L1 across the
+    /// panels.
+    pub(super) fn gemm(
+        a: &Matrix,
+        rows: Range<usize>,
+        b: &Matrix,
+        b_row_offset: usize,
+        dst: &mut [f32],
+        accumulate: bool,
+    ) {
+        let k_dim = a.cols();
+        let n = b.cols();
+        let m = rows.len();
+        debug_assert_eq!(dst.len(), m * n, "dst shape");
+        if !accumulate {
+            dst.fill(0.0);
+        }
+        if m == 0 || n == 0 || k_dim == 0 {
+            return;
+        }
+        workspace::with_pack_buffers(0, KC * NC, |_, pb| {
+            for kk in (0..k_dim).step_by(KC) {
+                let kc = KC.min(k_dim - kk);
+                for jj in (0..n).step_by(NC) {
+                    let nc = NC.min(n - jj);
+                    pack_b::<NR>(b, b_row_offset + kk, kc, jj, nc, pb);
+                    for it in (0..m).step_by(MR) {
+                        let mr = MR.min(m - it);
+                        let ar = std::array::from_fn(|r| {
+                            &a.row(rows.start + it + r.min(mr - 1))[kk..kk + kc]
+                        });
+                        for jt in (0..nc).step_by(NR) {
+                            let pb_tile = &pb[(jt / NR) * NR * kc..][..NR * kc];
+                            let at = it * n + jj + jt;
+                            let nr = NR.min(nc - jt);
+                            // SAFETY: avx512f (with avx2+fma) was detected
+                            // by `tier()` before dispatch routed here.
+                            unsafe { micro_8x32(&ar, pb_tile, kc, dst, at, n, mr, nr) }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Weight gradient `dst (+)= A[a_row_offset + rows]ᵀ @ B[rows]` with an
+    /// 8×32 tile of `dst` held in registers across [`DW_ROWS`] rows of the
+    /// reduction.
+    pub(super) fn transpose_self(
+        a: &Matrix,
+        b: &Matrix,
+        rows: Range<usize>,
+        a_row_offset: usize,
+        dst: &mut [f32],
+        accumulate: bool,
+    ) {
+        if !accumulate {
+            dst.fill(0.0);
+        }
+        // SAFETY: avx512f (with avx2+fma) was detected by `tier()` before
+        // dispatch routed into this module.
+        unsafe { transpose_self_avx512(a, b, rows, a_row_offset, dst) }
+    }
+
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn transpose_self_avx512(
+        a: &Matrix,
+        b: &Matrix,
+        rows: Range<usize>,
+        a_row_offset: usize,
+        dst: &mut [f32],
+    ) {
+        let k_a = a.cols();
+        let n = b.cols();
+        debug_assert_eq!(dst.len(), k_a * n, "dst shape");
+        // Columns the AVX2 tier covers with 8-lane FMA; past them it keeps
+        // a separate `mul` + `add`, and so does this tier.
+        let nv = n - n % 8;
+        for r0 in rows.clone().step_by(DW_ROWS) {
+            let r1 = (r0 + DW_ROWS).min(rows.end);
+            for i0 in (0..k_a).step_by(MR) {
+                let ni = MR.min(k_a - i0);
+                // Tile rows past `ni` repeat the last one: computed, never
+                // stored.
+                let ic: [usize; MR] = std::array::from_fn(|t| i0 + t.min(ni - 1));
+                for j0 in (0..nv).step_by(NR) {
+                    let (m0, m1) = masks(NR.min(nv - j0));
+                    let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+                    for (c, &i) in acc.iter_mut().zip(&ic) {
+                        let p = dst[i * n..(i + 1) * n][j0..].as_ptr();
+                        // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                        // the masks cover columns `j0..nv` of row `i`,
+                        // inside `dst`.
+                        unsafe {
+                            c[0] = _mm512_maskz_loadu_ps(m0, p);
+                            c[1] = _mm512_maskz_loadu_ps(m1, p.wrapping_add(16));
+                        }
+                    }
+                    // Rows `r0..r1` of both operands, walked by stride.
+                    let a_rows = &a.data()[(a_row_offset + r0) * k_a..(a_row_offset + r1) * k_a];
+                    let b_rows = &b.data()[r0 * n..r1 * n];
+                    for r in 0..r1 - r0 {
+                        // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                        // row `r` of each window is in bounds, every `ic`
+                        // index is below `k_a`, and the masks cover columns
+                        // `j0..nv` of the `b` row.
+                        unsafe {
+                            let ap = a_rows.as_ptr().add(r * k_a);
+                            let bp = b_rows.as_ptr().add(r * n + j0);
+                            let b0 = _mm512_maskz_loadu_ps(m0, bp);
+                            let b1 = _mm512_maskz_loadu_ps(m1, bp.wrapping_add(16));
+                            for (c, &i) in acc.iter_mut().zip(&ic) {
+                                let x = _mm512_set1_ps(*ap.add(i));
+                                c[0] = _mm512_fmadd_ps(x, b0, c[0]);
+                                c[1] = _mm512_fmadd_ps(x, b1, c[1]);
+                            }
+                        }
+                    }
+                    for (c, &i) in acc.iter().zip(&ic).take(ni) {
+                        let p = dst[i * n..(i + 1) * n][j0..].as_mut_ptr();
+                        // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                        // the masks cover columns `j0..nv` of row `i`,
+                        // inside `dst`.
+                        unsafe {
+                            _mm512_mask_storeu_ps(p, m0, c[0]);
+                            _mm512_mask_storeu_ps(p.wrapping_add(16), m1, c[1]);
+                        }
+                    }
+                }
+            }
+        }
+        if nv < n {
+            for r in rows {
+                let br = &b.row(r)[nv..];
+                for (i, &x) in a.row(a_row_offset + r).iter().enumerate() {
+                    for (d, &bv) in dst[i * n + nv..(i + 1) * n].iter_mut().zip(br) {
+                        *d += x * bv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Packs the first `kv` columns of `B[b_rows]` as row pairs
+    /// (`j = 2p`, `2p + 1`; an odd last row pairs with itself),
+    /// interleaved per 8 columns: `buf[p*2*kv + 2*q + l]` is row `2p`'s
+    /// column `q + l` for `l < 8` and row `2p + 1`'s column `q + l - 8`
+    /// otherwise (`q` a multiple of 8).
+    fn pack_pairs(b: &Matrix, b_rows: Range<usize>, kv: usize, buf: &mut [f32]) {
+        let n = b_rows.len();
+        if kv == 0 {
+            return;
+        }
+        for (p, panel) in buf.chunks_exact_mut(2 * kv).enumerate() {
+            let lo = &b.row(b_rows.start + 2 * p)[..kv];
+            let hi = &b.row(b_rows.start + (2 * p + 1).min(n - 1))[..kv];
+            for ((out, l), h) in panel
+                .chunks_exact_mut(16)
+                .zip(lo.chunks_exact(8))
+                .zip(hi.chunks_exact(8))
+            {
+                out[..8].copy_from_slice(l);
+                out[8..].copy_from_slice(h);
+            }
+        }
+    }
+
+    /// `[v, v]`: one 8-lane vector in both 256-bit halves.
+    #[target_feature(enable = "avx512f")]
+    fn both_halves(v: __m256) -> __m512 {
+        _mm512_castpd_ps(_mm512_broadcast_f64x4(_mm256_castps_pd(v)))
+    }
+
+    /// The sixteen dots of two block rows, folded from their lane
+    /// accumulators: `ra[u]` / `rb[u]` hold dots `2u` and `2u + 1` of one
+    /// row, one per 256-bit half. Every dot is summed by exactly the AVX2
+    /// tier's `hsum` add tree, `((v0+v4) + (v2+v6)) + ((v1+v5) + (v3+v7))`:
+    /// the shuffles only line sixteen dots' operands up, so each level of
+    /// the tree is one add for all of them. Row `ra`'s dots land in lanes
+    /// 0..8, `rb`'s in lanes 8..16, in order.
+    #[target_feature(enable = "avx512f")]
+    fn fold_dots(ra: &[__m512; TP], rb: &[__m512; TP]) -> __m512 {
+        // Quarter q of a `halve` is dot q's `v[i] + v[i+4]`, i < 4.
+        let halve = |x: __m512, y: __m512| {
+            _mm512_add_ps(
+                _mm512_shuffle_f32x4::<0x88>(x, y),
+                _mm512_shuffle_f32x4::<0xDD>(x, y),
+            )
+        };
+        // Quarter q: `s[0]+s[2], s[1]+s[3]` of dots q and q + 4.
+        let pairs = |x: __m512, y: __m512| {
+            _mm512_add_ps(
+                _mm512_shuffle_ps::<0x44>(x, y),
+                _mm512_shuffle_ps::<0xEE>(x, y),
+            )
+        };
+        let a = pairs(halve(ra[0], ra[1]), halve(ra[2], ra[3]));
+        let b = pairs(halve(rb[0], rb[1]), halve(rb[2], rb[3]));
+        // Quarter q: the sums of `ra`'s dots q, q + 4, then `rb`'s.
+        let sums = _mm512_add_ps(
+            _mm512_shuffle_ps::<0x88>(a, b),
+            _mm512_shuffle_ps::<0xDD>(a, b),
+        );
+        let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+        _mm512_permutexvar_ps(order, sums)
+    }
+
+    /// The scalar `k`-tail of one input-gradient dot, as the AVX2 tier sums
+    /// it: from `0.0`, `mul` + `add`, `k` ascending.
+    fn tail(ar: &[f32], br: &[f32], kv: usize) -> f32 {
+        let mut t = 0.0f32;
+        for (&x, &y) in ar[kv..].iter().zip(&br[kv..]) {
+            t += x * y;
+        }
+        t
+    }
+
+    /// Input gradient `dst = A[a_rows] @ B[b_rows]ᵀ`: blocks of 4 rows of
+    /// `A` × 4 pairs of `B` rows, each pair's two dots in one register (row
+    /// `2p` in the low half, `2p + 1` in the high half).
+    pub(super) fn transpose_other(
+        a: &Matrix,
+        a_rows: Range<usize>,
+        b: &Matrix,
+        b_rows: Range<usize>,
+        dst: &mut [f32],
+    ) {
+        debug_assert_eq!(a.cols(), b.cols(), "inner dim");
+        let n = b_rows.len();
+        debug_assert_eq!(dst.len(), a_rows.len() * n, "dst shape");
+        if a_rows.is_empty() || n == 0 {
+            return;
+        }
+        let kv = a.cols() - a.cols() % 8;
+        workspace::with_pack_buffers(0, n.div_ceil(2) * 2 * kv, |_, pb| {
+            pack_pairs(b, b_rows.clone(), kv, pb);
+            // SAFETY: avx512f (with avx2+fma) was detected by `tier()`
+            // before dispatch routed into this module.
+            unsafe { transpose_other_avx512(a, a_rows, b, b_rows, pb, kv, dst) }
+        });
+    }
+
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn transpose_other_avx512(
+        a: &Matrix,
+        a_rows: Range<usize>,
+        b: &Matrix,
+        b_rows: Range<usize>,
+        pb: &[f32],
+        kv: usize,
+        dst: &mut [f32],
+    ) {
+        let n = b_rows.len();
+        let m = a_rows.len();
+        let pairs = n.div_ceil(2);
+        for i0 in (0..m).step_by(TR) {
+            let nr = TR.min(m - i0);
+            // Block rows past `nr` and pairs past `np` repeat the last
+            // valid one: computed, never stored.
+            let ar: [&[f32]; TR] =
+                std::array::from_fn(|t| a.row(a_rows.start + i0 + t.min(nr - 1)));
+            for p0 in (0..pairs).step_by(TP) {
+                let np = TP.min(pairs - p0);
+                let bp: [&[f32]; TP] =
+                    std::array::from_fn(|u| &pb[(p0 + u.min(np - 1)) * 2 * kv..][..2 * kv]);
+                let mut acc = [[_mm512_setzero_ps(); TP]; TR];
+                for q in (0..kv).step_by(8) {
+                    // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                    // `q + 8 <= kv`, every `ar` row holds `kv` or more
+                    // values and every `bp` panel `2 * kv`, so each load is
+                    // in bounds.
+                    unsafe {
+                        let bv: [__m512; TP] =
+                            std::array::from_fn(|u| _mm512_loadu_ps(bp[u].as_ptr().add(2 * q)));
+                        for (c, r) in acc.iter_mut().zip(&ar) {
+                            let av = both_halves(_mm256_loadu_ps(r.as_ptr().add(q)));
+                            for (cu, &bu) in c.iter_mut().zip(&bv) {
+                                *cu = _mm512_fmadd_ps(av, bu, *cu);
+                            }
+                        }
+                    }
+                }
+                // This block's dots per row: columns `j0..j0 + w`.
+                let j0 = 2 * p0;
+                let w = (n - j0).min(2 * TP);
+                let valid: __mmask16 = (1 << w) - 1;
+                for t in (0..nr).step_by(2) {
+                    let mut tails = [0.0f32; 16];
+                    if kv < a.cols() {
+                        for (h, row) in [(0, t), (8, t + 1)] {
+                            for (d, out) in tails[h..h + w].iter_mut().enumerate() {
+                                *out = tail(ar[row], b.row(b_rows.start + j0 + d), kv);
+                            }
+                        }
+                    }
+                    // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                    // `tails` holds 16 floats, and each masked store writes
+                    // only the `w` columns `j0..j0 + w` of a block row below
+                    // `nr`: a bounds-checked slice of `dst`.
+                    unsafe {
+                        let out = _mm512_add_ps(
+                            fold_dots(&acc[t], &acc[t + 1]),
+                            _mm512_loadu_ps(tails.as_ptr()),
+                        );
+                        let p = dst[(i0 + t) * n + j0..][..w].as_mut_ptr();
+                        _mm512_mask_storeu_ps(p, valid, out);
+                        if t + 1 < nr {
+                            // Lanes 8.. are row `t + 1`: shift the base so
+                            // lane 8 lands on its column `j0`.
+                            let q = dst[(i0 + t + 1) * n + j0..][..w].as_mut_ptr();
+                            _mm512_mask_storeu_ps(q.wrapping_sub(8), valid << 8, out);
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -777,6 +1282,88 @@ mod tests {
         }
     }
 
+    /// `rows × cols` Xavier values with `+0.0` and `-0.0` sprinkled in.
+    fn with_signed_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = Matrix::xavier(rows, cols, seed);
+        for (i, v) in m.data_mut().iter_mut().enumerate() {
+            match i % 7 {
+                0 => *v = -0.0,
+                3 => *v = 0.0,
+                _ => {}
+            }
+        }
+        m
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The AVX-512 kernels against the AVX2 ones, called directly (not
+    /// through the dispatch), on ragged shapes: row windows, `B`/`A` row
+    /// offsets, `accumulate` both ways and signed zeros in every operand.
+    /// Equal bits, not a tolerance: both tiers give every output element
+    /// the same operation sequence.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tier_equals_avx2_tier_bitwise() {
+        if detect() != Tier::Avx512 {
+            eprintln!("avx512_tier_equals_avx2_tier_bitwise: skipped, this host lacks avx512f");
+            return;
+        }
+        const KS: [usize; 9] = [1, 7, 8, 16, 63, 64, 128, 256, 300];
+        const NS: [usize; 10] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 128];
+        let mut shapes: Vec<(usize, usize, usize)> = (1..=17)
+            .flat_map(|m| {
+                KS.iter()
+                    .flat_map(move |&k| NS.iter().map(move |&n| (m, k, n)))
+            })
+            .collect();
+        // The training step's tall row count, across the reduction depths
+        // (300 crosses a `KC` block boundary) and ragged widths.
+        shapes
+            .extend([(64, 128), (128, 33), (300, 17), (63, 31), (7, 8)].map(|(k, n)| (4566, k, n)));
+        for (m, k, n) in shapes {
+            let seed = (m * 10_000 + k * 100 + n) as u64;
+            let check = |what: &str, accumulate: bool, avx2: &[f32], avx512: &[f32]| {
+                assert!(
+                    bits(avx2) == bits(avx512),
+                    "{what} m={m} k={k} n={n} accumulate={accumulate}: tiers differ"
+                );
+            };
+            // GEMM over rows 2..2+m of A and the row window of B at 3.
+            let a = with_signed_zeros(m + 3, k, seed);
+            let b = with_signed_zeros(k + 5, n, seed + 1);
+            let init = with_signed_zeros(m, n, seed + 2).into_data();
+            for accumulate in [false, true] {
+                let (mut d2, mut d5) = (init.clone(), init.clone());
+                x86::gemm(&a, 2..2 + m, &b, 3, &mut d2, accumulate);
+                avx512::gemm(&a, 2..2 + m, &b, 3, &mut d5, accumulate);
+                check("gemm", accumulate, &d2, &d5);
+            }
+            // Weight gradient over rows 1..1+m, A's window slid by 2.
+            let x = with_signed_zeros(m + 3, k, seed + 3);
+            let g = with_signed_zeros(m + 1, n, seed + 4);
+            let init = with_signed_zeros(k, n, seed + 5).into_data();
+            for accumulate in [false, true] {
+                let (mut d2, mut d5) = (init.clone(), init.clone());
+                x86::transpose_self(&x, &g, 1..1 + m, 2, &mut d2, accumulate);
+                avx512::transpose_self(&x, &g, 1..1 + m, 2, &mut d5, accumulate);
+                check("transpose_self", accumulate, &d2, &d5);
+            }
+            // Input gradient: rows 1..1+m of A against rows 2..2+n of B.
+            let ga = with_signed_zeros(m + 2, k, seed + 6);
+            let w = with_signed_zeros(n + 3, k, seed + 7);
+            let (mut d2, mut d5) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
+            x86::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d2);
+            avx512::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d5);
+            check("transpose_other", false, &d2, &d5);
+        }
+    }
+
+    /// The packing kernels — the GEMM on either SIMD tier and the AVX-512
+    /// input gradient — draw their panels from the per-thread pack arena:
+    /// after one call of each, repeated calls never grow it.
     #[test]
     fn pack_arena_reaches_steady_state() {
         if !available() {
@@ -784,16 +1371,23 @@ mod tests {
         }
         let a = Matrix::xavier(100, 300, 11);
         let b = Matrix::xavier(300, 40, 12);
+        let g = Matrix::xavier(100, 136, 13);
+        let w = Matrix::xavier(200, 136, 14);
         let mut out = vec![0.0f32; 100 * 40];
-        gemm_into(&a, 0..100, &b, 0, &mut out, false);
+        let mut dx = vec![0.0f32; 100 * 150];
+        let mut run = || {
+            gemm_into(&a, 0..100, &b, 0, &mut out, false);
+            transpose_other_into(&g, 0..100, &w, 50..200, &mut dx);
+        };
+        run();
         let warm = workspace::pack_buffer_grows();
         for _ in 0..3 {
-            gemm_into(&a, 0..100, &b, 0, &mut out, false);
+            run();
         }
         assert_eq!(
             workspace::pack_buffer_grows(),
             warm,
-            "steady-state GEMM must not grow the pack arena"
+            "steady-state GEMM and input gradient must not grow the pack arena"
         );
     }
 }
