@@ -34,13 +34,13 @@ if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
 fi
 rm -rf "$cli_dir"
 
-echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too)"
+echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too, and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
 echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
-echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue recorded, ungated)"
+echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue — one pass over the feature table, no gathered copy — recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 
 echo "==> benchmark/ builds against the public API and runs the three training workloads — train_neighbor_sage (block batches, loader prologue uncached), train_ddp_cached (two ranks, prologue through the cache), train_shadow_gcn (subgraph batches) — and both serving workloads: serve_unique (forward_gathered_view over arena views) and serve_zipf (result-cache hits answered at admission; the only run whose cache_hits_match_first_response and responses_match_recompute checks cover that path) (quick: checks the outputs, enforces no bounds)"

@@ -164,10 +164,10 @@ fn main() {
 
     // -- Loader drain: one epoch of `DRAIN_BATCHES` batches through a
     // stand-alone `PipelinedLoader` with one worker and nothing consuming —
-    // sampling alone, then with the step's prologue on the worker (gather
-    // plus the first aggregation under the fused mean normalization, 64
-    // features per node). Recorded so the loader's per-batch cost is on
-    // file; never gated. --
+    // sampling alone, then with the step's prologue on the worker (the
+    // first aggregation under the fused mean normalization, read straight
+    // from the 64-feature table, plus the self rows). Recorded so the
+    // loader's per-batch cost is on file; never gated. --
     const DRAIN_BATCHES: usize = 8;
     const DRAIN_FEATURES: usize = 64;
     let shared_graph = Arc::new(graph.clone());

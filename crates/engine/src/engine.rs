@@ -201,7 +201,8 @@ pub struct BufferStats {
     /// Bytes parked in the input rings.
     pub input_bytes: usize,
     /// Private gather buffers the loader workers have made (`n_src × F`
-    /// each; one per concurrent worker, never sent anywhere).
+    /// each; one per concurrent worker of a cached loader, never sent
+    /// anywhere; none without a cache).
     pub gather_buffers: usize,
     /// Bytes of the gather buffers parked between epochs.
     pub gather_bytes: usize,
@@ -564,7 +565,8 @@ struct ProcessSpec<'a> {
     training_cores: CoreSet,
     allreduce: &'a AllReduce,
     /// `Some` iff the cross-batch cache is on this epoch; the loader then
-    /// gathers each batch's input rows through it.
+    /// gathers each batch's input rows through it before aggregating them
+    /// (without it the loader aggregates straight from the feature table).
     cache: Option<Arc<FeatureCache>>,
     /// This rank's handle on the epoch's span profiler (a disabled profiler
     /// hands out detached rings — zero overhead).
@@ -1392,7 +1394,8 @@ mod tests {
         // epoch under the same config makes no fresh workspace allocation,
         // no new operand buffer and no new gather buffer — cache off or on,
         // and for each hand-off: GraphSAGE's aggregation plus self rows,
-        // GCN's aggregation alone.
+        // GCN's aggregation alone. Without a cache the loader aggregates
+        // straight from the feature table and makes no gather buffer at all.
         let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
         for (kind, operands) in sets {
             for cache_rows in [0, 256] {
@@ -1406,10 +1409,15 @@ mod tests {
                 let who = format!("{kind:?}, cache_rows {cache_rows}: {warm:?}");
                 assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
                 assert!(warm.input_bytes > 0, "the operands came back: {who}");
-                assert_eq!(warm.gather_buffers, 1, "one worker: {who}");
                 assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
-                // The worker parked its private `n_src × F` buffer again.
-                assert!(warm.gather_bytes > 0, "{who}");
+                if cache_rows > 0 {
+                    assert_eq!(warm.gather_buffers, 1, "one worker: {who}");
+                    // The worker parked its private `n_src × F` buffer again.
+                    assert!(warm.gather_bytes > 0, "{who}");
+                } else {
+                    assert_eq!(warm.gather_buffers, 0, "no gathered copy: {who}");
+                    assert_eq!(warm.gather_bytes, 0, "{who}");
+                }
                 e.train_epoch(config, None);
                 // (Parked workspace bytes may shift: a best-fit reuse can leave
                 // a buffer at another capacity. What is pinned is that nothing

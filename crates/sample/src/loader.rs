@@ -11,14 +11,17 @@
 //! training semantics.
 //!
 //! When the [`LoaderSpec`] carries the node features, workers also run the
-//! step's **parameter-free prologue**: they gather each batch's input rows —
-//! optionally through a shared [`FeatureCache`] — and aggregate them over
-//! the input-side adjacency, whose values carry the fused normalization
-//! (`Â₀·X[input_nodes]` depends on the batch and the features, never on the
-//! weights). The memory-bound half of the first layer then runs
-//! on the sampling cores, overlapped with training, and the training thread
-//! starts at the first GEMM; see [`PreparedInput`] for what crosses the
-//! channel.
+//! step's **parameter-free prologue**: they aggregate each batch's input
+//! rows over the input-side adjacency, whose values carry the fused
+//! normalization (`Â₀·X[input_nodes]` depends on the batch and the features,
+//! never on the weights). Without a cache that is one pass over the feature
+//! table: the aggregation reads each input row straight out of
+//! [`Features::data`] through the batch's input-node ids, and no gathered
+//! copy is made. With a shared [`FeatureCache`] the rows are gathered
+//! through the cache first and aggregated out of that copy. The
+//! memory-bound half of the first layer then runs on the sampling cores,
+//! overlapped with training, and the training thread starts at the first
+//! GEMM; see [`PreparedInput`] for what crosses the channel.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -61,8 +64,8 @@ pub struct LoaderSpec {
     /// Sampling cores to bind the workers to (empty = unbound).
     pub cores: CoreSet,
     /// Node features; when present, workers prepare each batch's
-    /// [`LoadedBatch::input`]: the gathered input rows aggregated over the
-    /// input-side adjacency. A spec with features must fuse a normalization
+    /// [`LoadedBatch::input`]: the input rows aggregated over the input-side
+    /// adjacency. A spec with features must fuse a normalization
     /// (not [`Normalization::None`]): the aggregation reads its values.
     pub features: Option<Arc<Features>>,
     /// Shared cross-batch feature cache consulted before the feature table.
@@ -188,8 +191,8 @@ impl LoaderSpecBuilder {
 /// What a training step's first parameterised operation reads — the product
 /// of the parameter-free prologue a loader worker runs on each batch: layer
 /// 0's aggregation, which is all a GCN/GraphSAGE first GEMM reads of the
-/// gathered rows. The `n_src × F` gathered matrix itself never leaves the
-/// worker.
+/// input rows. No `n_src × F` matrix of them leaves the worker; without a
+/// cache none is made.
 pub struct PreparedInput {
     /// `Â₀·X[input_nodes]`, one row per row of the input-side adjacency
     /// (`n_dst × F`).
@@ -220,6 +223,44 @@ impl PreparedInput {
             rows.data_mut()
                 .copy_from_slice(&gathered.data()[..n_dst * dim]);
             rows
+        });
+        PreparedInput { agg, self_rows }
+    }
+
+    /// The prologue in one pass over the feature table: `adj` aggregated
+    /// straight from `features` through `ids`, the batch's input nodes
+    /// (column `j` of `adj` reads `features.row(ids[j])`), and the self
+    /// rows gathered from the table. Bitwise what
+    /// [`PreparedInput::aggregate`] makes of `features.gather(ids)`. The
+    /// two halves run under `spans`' `Gather` (the self rows; empty for
+    /// GCN) and `Aggregate` spans of batch `batch_id`.
+    fn from_features(
+        adj: SparseView<'_>,
+        features: &Features,
+        ids: &[NodeId],
+        keep_self_rows: bool,
+        ring: &InputRing,
+        spans: &WorkerRing,
+        batch_id: u64,
+    ) -> Self {
+        let (n_dst, dim) = (adj.rows(), features.dim());
+        let self_rows = spans.timed(SpanKind::Gather, batch_id, || {
+            keep_self_rows.then(|| {
+                let mut rows = ring.take(n_dst, dim);
+                features.gather_into(&ids[..n_dst], rows.data_mut());
+                rows
+            })
+        });
+        let agg = spans.timed(SpanKind::Aggregate, batch_id, || {
+            let mut agg = ring.take(n_dst, dim);
+            DispatchPolicy::default().aggregate_table_into(
+                &adj,
+                features.data(),
+                ids,
+                None,
+                &mut agg,
+            );
+            agg
         });
         PreparedInput { agg, self_rows }
     }
@@ -286,11 +327,13 @@ fn resized(mut buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
 /// (with several workers, batches that arrive early wait in the reorder heap
 /// on top) — each buffer grown to the largest operand it has carried.
 ///
-/// Beside them it parks, between epochs, each worker's **private gather
-/// buffer**: the `n_src × F` matrix the prologue gathers into and aggregates
-/// out of, several times an operand's size. It never crosses the channel, so
-/// there is one per worker, kept apart from the operands so that neither
-/// grows to the other's size.
+/// Beside them it parks, between epochs, each cached loader worker's
+/// **private gather buffer**: the `n_src × F` matrix the prologue gathers
+/// into through the cache and aggregates out of, several times an operand's
+/// size. It never crosses the channel, so there is one per worker, kept
+/// apart from the operands so that neither grows to the other's size. A
+/// loader without a cache aggregates straight from the feature table and
+/// makes none.
 #[derive(Clone, Default)]
 pub struct InputRing {
     inner: Arc<RingInner>,
@@ -340,7 +383,8 @@ impl InputRing {
         self.inner.operands.parked_bytes()
     }
 
-    /// Private gather buffers made so far (one per concurrent worker).
+    /// Private gather buffers made so far (one per concurrent worker of a
+    /// cached loader).
     pub fn gather_buffers_made(&self) -> usize {
         self.inner.gather.made.load(Ordering::Relaxed)
     }
@@ -488,12 +532,13 @@ impl PipelinedLoader {
                             let _ = bind_current_thread(c);
                         }
                         // Per-worker persistent state: the scratch arena is
-                        // warm after the first batch. The gather buffer is
-                        // private too: the `n_src × F`
-                        // rows are aggregated where they were gathered and
-                        // never cross the channel.
+                        // warm after the first batch. A cached loader's
+                        // gather buffer is private too: the `n_src × F` rows
+                        // are aggregated where they were gathered and never
+                        // cross the channel.
                         let mut scratch = SamplerScratch::new();
-                        let mut gathered = inputs.take_gather();
+                        let mut gathered =
+                            (features.is_some() && cache.is_some()).then(|| inputs.take_gather());
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             if i >= total {
@@ -516,32 +561,34 @@ impl PipelinedLoader {
                                 });
                             let scratch_allocs = scratch.allocs() - allocs_before;
                             let input = features.as_ref().map(|f| {
-                                let ids = batch.input_nodes();
-                                let kind = if cache.is_some() {
-                                    SpanKind::Cache
-                                } else {
-                                    SpanKind::Gather
+                                let (adj, ids) = (batch.input_adj().view(), batch.input_nodes());
+                                let keep_self_rows = normalization == Normalization::Mean;
+                                let (Some(c), Some(buf)) = (&cache, gathered.as_mut()) else {
+                                    return PreparedInput::from_features(
+                                        adj,
+                                        f,
+                                        ids,
+                                        keep_self_rows,
+                                        &inputs,
+                                        &ring,
+                                        i as u64,
+                                    );
                                 };
-                                let gather = |out: &mut [f32]| match &cache {
-                                    Some(c) => c.gather_rows_into(f, ids, out),
-                                    None => f.gather_into(ids, out),
-                                };
-                                let rows = ring.timed(kind, i as u64, || {
-                                    let buf = std::mem::take(&mut gathered);
-                                    let mut m = resized(buf, ids.len(), f.dim());
-                                    gather(m.data_mut());
+                                let rows = ring.timed(SpanKind::Cache, i as u64, || {
+                                    let mut m = resized(std::mem::take(buf), ids.len(), f.dim());
+                                    c.gather_rows_into(f, ids, m.data_mut());
                                     m
                                 });
                                 let prepared = ring.timed(SpanKind::Aggregate, i as u64, || {
                                     PreparedInput::aggregate(
-                                        batch.input_adj().view(),
+                                        adj,
                                         &rows,
-                                        normalization == Normalization::Mean,
+                                        keep_self_rows,
                                         DispatchPolicy::default(),
                                         &inputs,
                                     )
                                 });
-                                gathered = rows.into_data();
+                                *buf = rows.into_data();
                                 prepared
                             });
                             let loaded = LoadedBatch {
@@ -563,7 +610,9 @@ impl PipelinedLoader {
                                 break; // consumer dropped
                             }
                         }
-                        inputs.put_gather(gathered);
+                        if let Some(buf) = gathered {
+                            inputs.put_gather(buf);
+                        }
                     })
                     .expect("spawn sampler"),
             );
@@ -837,37 +886,108 @@ mod tests {
         // The consumer hands every operand back, so three epochs of seven
         // batches run on the three sets that can be in flight at once with
         // one worker: one being filled, one in the channel, one being
-        // consumed — two operands each under `Mean` — and on one private
-        // gather buffer, which the worker parks between epochs. Batches
-        // differ in size, so reuse also has to overwrite stale rows.
+        // consumed — two operands each under `Mean`. Batches differ in size,
+        // so reuse also has to overwrite stale rows. Without a cache the
+        // worker aggregates straight from the feature table and makes no
+        // private gather buffer; with one it gathers into one buffer, which
+        // it parks between epochs.
         let (g, s, seeds) = setup();
         let feats = features();
-        let ring = InputRing::new();
-        for epoch in 0..3 {
-            let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(16)
-                .epoch(epoch)
-                .epoch_seeds(SeedSequence::new(9))
-                .normalization(Normalization::Mean)
-                .features(Arc::clone(&feats))
-                .build();
-            for (_, lb) in PipelinedLoader::start_recycling(spec, ring.clone()) {
-                let input = lb.input.expect("features requested");
-                let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
-                let gathered = feats.gather(lb.batch.input_nodes());
-                assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
-                input.recycle(&ring);
+        for cached in [false, true] {
+            let ring = InputRing::new();
+            for epoch in 0..3 {
+                let mut spec =
+                    LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                        .batch_size(16)
+                        .epoch(epoch)
+                        .epoch_seeds(SeedSequence::new(9))
+                        .normalization(Normalization::Mean)
+                        .features(Arc::clone(&feats));
+                if cached {
+                    spec = spec.cache(Arc::new(FeatureCache::new(200, 4)));
+                }
+                for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
+                    let input = lb.input.expect("features requested");
+                    let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
+                    let gathered = feats.gather(lb.batch.input_nodes());
+                    assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
+                    input.recycle(&ring);
+                }
+            }
+            assert!(
+                (2..=2 * 3).contains(&ring.buffers_made()),
+                "21 batches made {} buffers",
+                ring.buffers_made()
+            );
+            assert!(ring.parked_bytes() > 0);
+            if cached {
+                assert_eq!(ring.gather_buffers_made(), 1);
+                // The largest batch's `n_src × 4` rows, parked at the end of
+                // each epoch.
+                assert!(ring.gather_parked_bytes() >= 16 * 4 * 4);
+            } else {
+                assert_eq!(ring.gather_buffers_made(), 0);
+                assert_eq!(ring.gather_parked_bytes(), 0);
             }
         }
-        assert!(
-            (2..=2 * 3).contains(&ring.buffers_made()),
-            "21 batches made {} buffers",
-            ring.buffers_made()
-        );
-        assert!(ring.parked_bytes() > 0);
-        assert_eq!(ring.gather_buffers_made(), 1);
-        // The largest batch's `n_src × 4` rows, parked at the end of each epoch.
-        assert!(ring.gather_parked_bytes() >= 16 * 4 * 4);
+    }
+
+    #[test]
+    fn fused_prologue_equals_gather_then_aggregate_bitwise() {
+        // A loader with features and no cache reads the input rows straight
+        // out of the feature table. What it hands over must be bit for bit
+        // what gathering `X[input_nodes]` and aggregating that copy gives —
+        // and what the by-hand entry loop gives — for block and subgraph
+        // batches, GraphSAGE's `Mean` (with self rows) and GCN's `Gcn`. The
+        // SIMD-off CI stage reruns this on the scalar tier.
+        let (g, _, seeds) = setup();
+        let feats = Arc::new(Features::new(
+            (0..500 * 67)
+                .map(|x| ((x * 7919) % 1013) as f32 * 1.7e-3 - 0.8)
+                .collect(),
+            67,
+        ));
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let samplers: [Arc<dyn Sampler>; 2] = [
+            Arc::new(NeighborSampler::new(vec![5, 3])),
+            Arc::new(crate::ShadowSampler::new(vec![4, 2], 2)),
+        ];
+        for s in samplers {
+            for norm in [Normalization::Mean, Normalization::Gcn] {
+                let loader =
+                    LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                        .batch_size(16)
+                        .epoch_seeds(SeedSequence::new(13))
+                        .normalization(norm)
+                        .features(Arc::clone(&feats))
+                        .start();
+                for (i, lb) in loader {
+                    let who = format!("{} {norm:?} batch {i}", s.name());
+                    let gathered = feats.gather(lb.batch.input_nodes());
+                    let gathered =
+                        Matrix::from_vec(gathered.num_nodes(), 67, gathered.data().to_vec());
+                    let want = PreparedInput::aggregate(
+                        lb.batch.input_adj().view(),
+                        &gathered,
+                        norm == Normalization::Mean,
+                        DispatchPolicy::default(),
+                        &InputRing::new(),
+                    );
+                    let got = lb.input.expect("features requested");
+                    assert!(bits(&got.agg) == bits(&want.agg), "agg: {who}");
+                    let by_hand: Vec<u32> = aggregated_by_hand(&lb.batch, &feats)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    assert!(bits(&got.agg) == by_hand, "agg vs the entry loop: {who}");
+                    match (&got.self_rows, &want.self_rows) {
+                        (Some(a), Some(b)) => assert!(bits(a) == bits(b), "self rows: {who}"),
+                        (None, None) => assert_eq!(norm, Normalization::Gcn, "{who}"),
+                        _ => panic!("self rows kept on one side only: {who}"),
+                    }
+                }
+            }
+        }
     }
 
     /// A sampler that dies on its `at`-th call.

@@ -253,9 +253,24 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        let work = adj.nnz().saturating_mul(dense.cols());
+        assert_eq!(adj.cols(), dense.rows(), "spmm shape mismatch");
+        assert_eq!(out.cols(), dense.cols(), "spmm output columns");
+        self.gather_table(adj, dense.data(), None, pool, out);
+    }
+
+    /// [`DispatchPolicy::gather`] over a row-major table, read through
+    /// `ids` when given.
+    fn gather_table(
+        &self,
+        adj: SparseView<'_>,
+        table: &[f32],
+        ids: Option<&[u32]>,
+        pool: Option<&ThreadPool>,
+        out: &mut Matrix,
+    ) {
+        let work = adj.nnz().saturating_mul(out.cols());
         let pool = self.sparse_pool_for(adj.rows(), work, pool);
-        sparse::gather_into(adj, dense, pool, self.simd, out);
+        sparse::gather_into(adj, table, ids, pool, self.simd, out);
     }
 
     /// Feature aggregation `adj @ h` (SpMM).
@@ -286,6 +301,22 @@ impl DispatchPolicy {
         out: &mut Matrix,
     ) {
         self.gather(*adj, h, pool, out);
+    }
+
+    /// [`DispatchPolicy::aggregate_view_into`] with the source rows read
+    /// straight out of a row-major feature `table` (`out.cols()` columns):
+    /// column `j` of `adj` reads table row `ids[j]`. Bitwise equal to
+    /// gathering `table[ids]` and aggregating that, without the gathered
+    /// copy. A stored column whose table row is out of range panics.
+    pub fn aggregate_table_into(
+        &self,
+        adj: &SparseView<'_>,
+        table: &[f32],
+        ids: &[u32],
+        pool: Option<&ThreadPool>,
+        out: &mut Matrix,
+    ) {
+        self.gather_table(*adj, table, Some(ids), pool, out);
     }
 
     /// Backward of aggregation: `adjᵀ @ grad`.

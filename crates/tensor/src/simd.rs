@@ -16,10 +16,13 @@
 //!   kernels, never bitwise. Each path is still deterministic and
 //!   partition-invariant: per output element the `k` contributions are
 //!   folded in ascending order regardless of row ranges or pool size.
-//! * **SpMM gather ([`axpy`]) and the bias/ReLU epilogue** vectorize the
-//!   *feature* dimension with separate `mul` + `add` (never FMA): lanes
-//!   are independent and per-element operation order is exactly the
-//!   scalar order, so these stay **bitwise** equal to the scalar kernels.
+//! * **The SpMM row kernel ([`spmm_rows`]) and the bias/ReLU epilogue**
+//!   vectorize the *feature* dimension with separate `mul` + `add` (never
+//!   FMA): lanes are independent and per-element operation order is exactly
+//!   the scalar order, so these stay **bitwise** equal to the scalar
+//!   kernels. The row kernel keeps a 64-column block of its output row in
+//!   registers across all of the row's entries; it runs AVX2 on the
+//!   AVX-512 tier too.
 //!
 //! **Across vector widths the dense kernels are bitwise equal.** Each of the
 //! three fixes the operation sequence every output element sees, and the
@@ -54,6 +57,7 @@ use std::sync::OnceLock;
 
 use crate::dense::Matrix;
 use crate::kernels;
+use crate::sparse::SparseView;
 
 /// The kernel tier the host runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,19 +199,87 @@ pub(crate) fn epilogue_bias_relu(dst: &mut [f32], bias: &[f32], relu: bool) {
     kernels::epilogue_bias_relu(dst, bias, relu);
 }
 
-/// Vectorized row gather step `d[c] += w * s[c]` — the inner loop of SpMM
-/// and the CSC-gather transposed SpMM. Uses separate `mul` + `add` (no
-/// FMA), so it is bitwise-equal to the scalar loop it replaces.
-pub(crate) fn axpy(d: &mut [f32], w: f32, s: &[f32]) {
+/// The SpMM row kernel, over rows `rows` of `adj` into `out` (`n` floats a
+/// row): output row `i` is `Σ_k w_k · src(c_k)` over the row's stored
+/// entries `k` in order, where `c_k` is the entry's column, `w_k` its value
+/// (1 when `adj` has none) and `src(c)` row `c` of the row-major `n`-column
+/// `table` — or row `ids[c]` of it, through an id list.
+///
+/// Per output element both tiers run one sequence: an accumulator from
+/// `+0`, then `acc + w·s` with a separate `mul` and `add` (never FMA) for
+/// each entry in stored order, stored once. The AVX2 tier holds a 64-column
+/// block of the row in eight registers across all of the row's entries;
+/// the scalar tier adds into the zeroed row. Their results are bitwise
+/// equal.
+///
+/// Every source row index, after the id map, is checked against the
+/// table's rows before any of the row's sources is read: a bad one panics
+/// (in release builds too), it is never read out of bounds.
+pub(crate) fn spmm_rows(
+    adj: &SparseView<'_>,
+    rows: Range<usize>,
+    table: &[f32],
+    ids: Option<&[u32]>,
+    n: usize,
+    use_simd: bool,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), rows.len() * n, "out shape");
+    if n == 0 {
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     {
-        if available() {
-            x86::axpy(d, w, s);
+        if use_simd && available() {
+            x86::spmm_rows(adj, rows, table, ids, n, out);
             return;
         }
     }
-    for (dv, &sv) in d.iter_mut().zip(s) {
-        *dv += w * sv;
+    let _ = use_simd;
+    let table_rows = table.len() / n;
+    for (i, drow) in rows.zip(out.chunks_exact_mut(n)) {
+        let (cols, vals) = row_entries(adj, i);
+        check_sources(cols, ids, table_rows);
+        drow.fill(0.0);
+        for (k, &c) in cols.iter().enumerate() {
+            let w = vals.map_or(1.0, |v| v[k]);
+            let r = source_row(c, ids);
+            for (d, &s) in drow.iter_mut().zip(&table[r * n..(r + 1) * n]) {
+                *d += w * s;
+            }
+        }
+    }
+}
+
+/// Row `i`'s stored columns and, when `adj` has them, values.
+#[inline]
+fn row_entries<'a>(adj: &SparseView<'a>, i: usize) -> (&'a [u32], Option<&'a [f32]>) {
+    let range = adj.row_range(i);
+    (
+        &adj.indices()[range.clone()],
+        adj.values().map(|v| &v[range]),
+    )
+}
+
+/// The table row stored column `c` reads: `ids[c]` through an id list, `c`
+/// without one.
+#[inline]
+fn source_row(c: u32, ids: Option<&[u32]>) -> usize {
+    match ids {
+        Some(ids) => ids[c as usize] as usize,
+        None => c as usize,
+    }
+}
+
+/// Panics unless every column of `cols` reads a row below `table_rows`.
+#[inline]
+fn check_sources(cols: &[u32], ids: Option<&[u32]>, table_rows: usize) {
+    for &c in cols {
+        let r = source_row(c, ids);
+        assert!(
+            r < table_rows,
+            "spmm source row {r} out of range of a {table_rows}-row table"
+        );
     }
 }
 
@@ -226,6 +298,7 @@ mod x86 {
 
     use crate::dense::Matrix;
     use crate::kernels::{KC, MC, NC};
+    use crate::sparse::SparseView;
     use crate::workspace;
 
     /// Micro-kernel row tile: `A` values broadcast across the lanes.
@@ -701,31 +774,89 @@ mod x86 {
         }
     }
 
-    /// `d[c] += w * s[c]` with separate `mul` + `add` — deliberately no
-    /// FMA, to stay bitwise-equal to the scalar gather loop.
-    pub(super) fn axpy(d: &mut [f32], w: f32, s: &[f32]) {
+    /// Columns per register block of the SpMM row kernel: eight 8-lane
+    /// accumulators.
+    const SPMM_BLOCK: usize = 64;
+
+    /// The AVX2 tier of [`super::spmm_rows`]: per output row, each
+    /// 64-column block accumulates in eight registers across all of the
+    /// row's entries and is stored once; columns past the last full block
+    /// take the same per-element sequence 8 lanes at a time, then scalar.
+    /// `mul` then `add`, never FMA.
+    pub(super) fn spmm_rows(
+        adj: &SparseView<'_>,
+        rows: Range<usize>,
+        table: &[f32],
+        ids: Option<&[u32]>,
+        n: usize,
+        out: &mut [f32],
+    ) {
         // SAFETY: avx2 was confirmed by `available()` before dispatch
         // routed into this module.
-        unsafe { axpy_avx(d, w, s) }
+        unsafe { spmm_rows_avx(adj, rows, table, ids, n, out) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn axpy_avx(d: &mut [f32], w: f32, s: &[f32]) {
-        let n = d.len().min(s.len());
-        let wv = _mm256_set1_ps(w);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: avx2 confirmed by `available()`; `j + 8 <= n` bounds
-            // both 8-lane loads and the store.
-            unsafe {
-                let dp = d.as_mut_ptr().add(j);
-                let prod = _mm256_mul_ps(wv, _mm256_loadu_ps(s.as_ptr().add(j)));
-                _mm256_storeu_ps(dp, _mm256_add_ps(_mm256_loadu_ps(dp), prod));
+    fn spmm_rows_avx(
+        adj: &SparseView<'_>,
+        rows: Range<usize>,
+        table: &[f32],
+        ids: Option<&[u32]>,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let table_rows = table.len() / n;
+        let nb = n - n % SPMM_BLOCK;
+        let nv = n - n % 8;
+        for (i, drow) in rows.zip(out.chunks_exact_mut(n)) {
+            let (cols, vals) = super::row_entries(adj, i);
+            super::check_sources(cols, ids, table_rows);
+            let weight = |k: usize| vals.map_or(1.0, |v| v[k]);
+            // Entry `k`'s source row, which `check_sources` put inside
+            // `table`: `n` floats from here are readable.
+            let src = |k: usize| table[super::source_row(cols[k], ids) * n..].as_ptr();
+            let dp = drow.as_mut_ptr();
+            for j0 in (0..nb).step_by(SPMM_BLOCK) {
+                let mut acc = [_mm256_setzero_ps(); SPMM_BLOCK / 8];
+                for k in 0..cols.len() {
+                    let (w, s) = (_mm256_set1_ps(weight(k)), src(k));
+                    for (l, a) in acc.iter_mut().enumerate() {
+                        // SAFETY: avx2 confirmed by `available()`; the
+                        // source row holds `n` floats and `j0 + 8l + 8 <= nb
+                        // <= n` bounds this 8-lane load.
+                        let x = unsafe { _mm256_loadu_ps(s.add(j0 + 8 * l)) };
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(w, x));
+                    }
+                }
+                for (l, a) in acc.into_iter().enumerate() {
+                    // SAFETY: avx2 confirmed by `available()`; `drow` holds
+                    // `n` floats and `j0 + 8l + 8 <= n` bounds the store.
+                    unsafe { _mm256_storeu_ps(dp.add(j0 + 8 * l), a) }
+                }
             }
-            j += 8;
-        }
-        for c in j..n {
-            d[c] += w * s[c];
+            for j0 in (nb..nv).step_by(8) {
+                let mut acc = _mm256_setzero_ps();
+                for k in 0..cols.len() {
+                    // SAFETY: avx2 confirmed by `available()`; the source
+                    // row holds `n` floats and `j0 + 8 <= nv <= n` bounds
+                    // this 8-lane load.
+                    let x = unsafe { _mm256_loadu_ps(src(k).add(j0)) };
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(weight(k)), x));
+                }
+                // SAFETY: avx2 confirmed by `available()`; `j0 + 8 <= n`
+                // bounds the store into `drow`.
+                unsafe { _mm256_storeu_ps(dp.add(j0), acc) }
+            }
+            if nv < n {
+                let mut tail = [0.0f32; 8];
+                for (k, &c) in cols.iter().enumerate() {
+                    let (w, r) = (weight(k), super::source_row(c, ids));
+                    for (t, &s) in tail.iter_mut().zip(&table[r * n + nv..(r + 1) * n]) {
+                        *t += w * s;
+                    }
+                }
+                drow[nv..].copy_from_slice(&tail[..n - nv]);
+            }
         }
     }
 }
@@ -1260,17 +1391,8 @@ mod tests {
     }
 
     #[test]
-    fn simd_axpy_and_epilogue_bitwise_equal_scalar() {
+    fn simd_epilogue_bitwise_equal_scalar() {
         for n in [1usize, 7, 8, 9, 16, 31, 64, 130] {
-            let src: Vec<f32> = (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect();
-            let mut a: Vec<f32> = (0..n).map(|i| (i as f32) * -0.11 + 1.0).collect();
-            let mut b = a.clone();
-            axpy(&mut a, 0.73, &src);
-            for (d, &s) in b.iter_mut().zip(&src) {
-                *d += 0.73 * s;
-            }
-            assert_eq!(a, b, "axpy n={n}");
-
             let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.21 - 1.3).collect();
             let mut d1: Vec<f32> = (0..2 * n).map(|i| (i as f32) * 0.17 - 2.0).collect();
             let mut d2 = d1.clone();
@@ -1280,6 +1402,100 @@ mod tests {
                 assert_eq!(d1, d2, "epilogue n={n} relu={relu}");
             }
         }
+    }
+
+    /// The obvious SpMM: per output row, from `+0`, `d += w * s` for each
+    /// stored entry in order — the sequence the row kernel must reproduce.
+    fn entry_loop(adj: &SparseView<'_>, table: &[f32], ids: Option<&[u32]>, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; adj.rows() * n];
+        for (i, drow) in out.chunks_exact_mut(n).enumerate() {
+            for k in adj.row_range(i) {
+                let c = adj.indices()[k] as usize;
+                let r = ids.map_or(c, |ids| ids[c] as usize);
+                let w = adj.values().map_or(1.0, |v| v[k]);
+                for (d, &s) in drow.iter_mut().zip(&table[r * n..(r + 1) * n]) {
+                    *d += w * s;
+                }
+            }
+        }
+        out
+    }
+
+    /// Values that stress the per-element sequence: signed zeros,
+    /// subnormals, and magnitudes far apart (so a reordered or fused sum
+    /// rounds differently).
+    fn awkward(i: usize) -> f32 {
+        match i % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(0x0000_0001 + i as u32 % 977), // subnormal
+            3 => -f32::from_bits(0x0040_0000),                 // subnormal
+            4 => 1.0e7 + i as f32,
+            5 => -3.0e-3,
+            _ => ((i * 7919) % 1000) as f32 * 1.37e-3 - 0.6,
+        }
+    }
+
+    #[test]
+    fn spmm_row_kernel_equals_the_entry_loop_bitwise() {
+        const WIDTHS: [usize; 10] = [1, 7, 8, 9, 63, 64, 65, 127, 128, 130];
+        const ROW_LENS: [usize; 6] = [0, 1, 2, 15, 16, 100];
+        let table_rows = 37;
+        // One row per length; column `(3i + 5k) % 37` repeats columns
+        // within the 100-entry row, and every tenth entry repeats the last.
+        let mut indptr = vec![0u32];
+        let mut indices: Vec<u32> = Vec::new();
+        for (i, &len) in ROW_LENS.iter().enumerate() {
+            for k in 0..len {
+                let c = match indices.last() {
+                    Some(&last) if k % 10 == 9 => last,
+                    _ => ((3 * i + 5 * k) % 37) as u32,
+                };
+                indices.push(c);
+            }
+            indptr.push(indices.len() as u32);
+        }
+        let values: Vec<f32> = (0..indices.len()).map(|k| awkward(k * 3 + 1)).collect();
+        // The id map names table rows out of order, with repeats.
+        let ids: Vec<u32> = (0..37u32).map(|c| (c * 11 + 4) % 29).collect();
+        let avx2 = cfg!(target_arch = "x86_64") && detect() != Tier::Scalar;
+        for n in WIDTHS {
+            let table: Vec<f32> = (0..table_rows * n).map(|i| awkward(i + n)).collect();
+            for vals in [None, Some(&values[..])] {
+                let adj = SparseView::new(ROW_LENS.len(), 37, &indptr, &indices, vals);
+                for map in [None, Some(&ids[..])] {
+                    let want = bits(&entry_loop(&adj, &table, map, n));
+                    let run = |simd: bool| {
+                        let mut out = vec![f32::NAN; adj.rows() * n];
+                        if simd {
+                            #[cfg(target_arch = "x86_64")]
+                            x86::spmm_rows(&adj, 0..adj.rows(), &table, map, n, &mut out);
+                        } else {
+                            spmm_rows(&adj, 0..adj.rows(), &table, map, n, false, &mut out);
+                        }
+                        bits(&out)
+                    };
+                    let what = format!("n={n} values={} ids={}", vals.is_some(), map.is_some());
+                    assert!(run(false) == want, "scalar tier, {what}");
+                    if avx2 {
+                        assert!(run(true) == want, "avx2 tier, {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spmm source row 9 out of range of a 9-row table")]
+    fn spmm_row_kernel_panics_on_a_source_row_past_the_table() {
+        // Column 9 of a 9-row table: `SparseView::new` checks columns in
+        // debug builds only, so the kernel has to refuse it itself — on
+        // whichever tier the host runs.
+        let (indptr, indices) = (vec![0u32, 1, 2], vec![0u32, 9]);
+        let adj = SparseView::new(2, 10, &indptr, &indices, None);
+        let table = vec![1.0f32; 9 * 64];
+        let mut out = vec![0.0f32; 2 * 64];
+        spmm_rows(&adj, 0..2, &table, None, 64, true, &mut out);
     }
 
     /// `rows × cols` Xavier values with `+0.0` and `-0.0` sprinkled in.

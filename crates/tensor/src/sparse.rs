@@ -253,54 +253,33 @@ impl SparseMatrix {
     }
 }
 
-/// **SpMM** `out = adj @ dense` — the one CSR gather behind forward
-/// aggregation (owned or borrowed adjacency) and transposed aggregation
-/// (the same call over [`SparseMatrix::csc`]). Output rows are partitioned
-/// over `pool` (already filtered by the dispatch policy; `None` runs
-/// inline); each row accumulates its entries in stored order, so the result
-/// is bitwise-independent of the partition. `use_simd` picks the vectorized
-/// row step, which is bitwise-equal to the scalar one.
+/// **SpMM** `out = adj @ table` — the one CSR gather behind forward
+/// aggregation (owned or borrowed adjacency), transposed aggregation (the
+/// same call over [`SparseMatrix::csc`]) and the loader's aggregation
+/// straight out of a feature table. `table` is row-major with `out.cols()`
+/// columns; column `j` of `adj` reads its row `j`, or row `ids[j]` through
+/// an id list — `adj @ table[ids]` without gathering `table[ids]`. Output
+/// rows are partitioned over `pool` (already filtered by the dispatch
+/// policy; `None` runs inline); each row accumulates its entries in stored
+/// order, so the result is bitwise-independent of the partition. `use_simd`
+/// picks the vectorized row kernel, which is bitwise-equal to the scalar
+/// one ([`simd::spmm_rows`]).
 pub(crate) fn gather_into(
     adj: SparseView<'_>,
-    dense: &Matrix,
+    table: &[f32],
+    ids: Option<&[u32]>,
     pool: Option<&ThreadPool>,
     use_simd: bool,
     out: &mut Matrix,
 ) {
-    assert_eq!(adj.cols, dense.rows(), "spmm shape mismatch");
-    assert_eq!((out.rows(), out.cols()), (adj.rows, dense.cols()));
-    let n = dense.cols();
-    ThreadPool::parallel_chunks_mut(pool, out.data_mut(), n, |rows, window| {
-        window.fill(0.0);
-        for (k, i) in rows.enumerate() {
-            let drow = &mut window[k * n..(k + 1) * n];
-            accumulate_entries(&adj, adj.row_range(i), dense, drow, use_simd);
-        }
-    });
-}
-
-/// The entry-accumulation loop: `drow += w_k * dense[col_of(k)]` for each
-/// stored entry `k` in `range`.
-#[inline]
-fn accumulate_entries(
-    adj: &SparseView<'_>,
-    range: Range<usize>,
-    dense: &Matrix,
-    drow: &mut [f32],
-    use_simd: bool,
-) {
-    for k in range {
-        let j = adj.indices[k] as usize;
-        let w = adj.values.map_or(1.0, |v| v[k]);
-        let src = dense.row(j);
-        if use_simd {
-            simd::axpy(drow, w, src);
-        } else {
-            for (d, &s) in drow.iter_mut().zip(src) {
-                *d += w * s;
-            }
-        }
+    assert_eq!(out.rows(), adj.rows, "spmm output rows");
+    if let Some(ids) = ids {
+        assert_eq!(adj.cols, ids.len(), "spmm id list covers the columns");
     }
+    let n = out.cols();
+    ThreadPool::parallel_chunks_mut(pool, out.data_mut(), n, |rows, window| {
+        simd::spmm_rows(&adj, rows, table, ids, n, use_simd, window);
+    });
 }
 
 /// A **borrowed** CSR adjacency: the layout of [`SparseMatrix`] with all
@@ -476,7 +455,7 @@ mod tests {
     /// already made (`pool` is used as given, whatever the shape).
     fn spmm(adj: SparseView<'_>, dense: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut out = Matrix::zeros(adj.rows(), dense.cols());
-        gather_into(adj, dense, pool, simd::available(), &mut out);
+        gather_into(adj, dense.data(), None, pool, simd::available(), &mut out);
         out
     }
 
@@ -656,8 +635,8 @@ mod tests {
         let d = Matrix::xavier(3, 9, 6);
         let mut a = Matrix::zeros(2, 9);
         let mut b = Matrix::zeros(2, 9);
-        gather_into(v, &d, None, false, &mut a);
-        gather_into(v, &d, None, simd::available(), &mut b);
+        gather_into(v, d.data(), None, None, false, &mut a);
+        gather_into(v, d.data(), None, None, simd::available(), &mut b);
         assert_eq!(a.data(), b.data());
     }
 
