@@ -22,10 +22,12 @@ cargo test -q -p argo-check --features check
 echo "==> cargo build --release"
 cargo build --workspace --release
 
-echo "==> CLI round trip: argo train writes --metrics-out/--trace-out, argo report --metrics reads the JSONL back"
+echo "==> CLI round trip: argo train writes --metrics-out/--trace-out and --save, argo report --metrics reads the JSONL back, argo train --load trains ShaDow on the saved dataset"
 cli_dir="$(mktemp -d)"
-target/release/argo train --scale 0.002 --epochs 3 --n-search 2 \
+target/release/argo train --scale 0.002 --epochs 3 --n-search 2 --save "$cli_dir/d.bin" \
     --metrics-out "$cli_dir/run.jsonl" --trace-out "$cli_dir/trace.json" >/dev/null
+target/release/argo train --load "$cli_dir/d.bin" --sampler shadow --layers 3 --epochs 1 \
+    --n-search 1 >/dev/null
 target/release/argo report --metrics "$cli_dir/run.jsonl" >"$cli_dir/report.txt"
 if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
     cat "$cli_dir/report.txt"

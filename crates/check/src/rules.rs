@@ -61,8 +61,6 @@ const SAMPLER_HOT_FILES: &[&str] = &[
     "crates/sample/src/cache.rs",
     "crates/sample/src/neighbor.rs",
     "crates/sample/src/shadow.rs",
-    "crates/sample/src/saint.rs",
-    "crates/sample/src/cluster.rs",
     "crates/sample/src/scratch.rs",
     // Batch assembly moved into the arena (`sample_into`): the batch types
     // and the borrowed views over the arena are now hot-path assembly code
@@ -530,7 +528,7 @@ mod tests {
         assert_eq!(d.len(), 1, "one diagnostic per offending line");
         assert_eq!(d[0].rule, "sampler-scratch");
         let d = lint(
-            "crates/sample/src/cluster.rs",
+            "crates/sample/src/scratch.rs",
             "fn f() { let s = HashSet::new(); }\n",
         );
         assert_eq!(d.len(), 1);

@@ -7,13 +7,16 @@
 //! every flag against the set its subcommand declares.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub mod report;
 
+use argo_core::Error;
 use argo_graph::datasets::{DatasetSpec, FLICKR, OGBN_PAPERS100M, OGBN_PRODUCTS, REDDIT};
 use argo_platform::{
     Library, ModelKind, PlatformSpec, SamplerKind, ICE_LAKE_8380H, SAPPHIRE_RAPIDS_6430L,
 };
+use argo_sample::{NeighborSampler, Sampler, ShadowSampler};
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -169,6 +172,24 @@ pub fn sampler_kind_by_name(name: &str) -> Result<SamplerKind, String> {
     }
 }
 
+/// The sampler `argo train --sampler name --layers layers` trains with:
+/// Neighbor with one fanout per layer (10, then 5s), or ShaDow `[10, 5]`
+/// feeding a `layers`-deep model. Either way its depth is `layers`, the
+/// depth `Engine::new` requires of it.
+pub fn train_sampler(name: &str, layers: usize) -> Result<Arc<dyn Sampler>, Error> {
+    if layers == 0 {
+        return Err(Error::InvalidArgument("--layers must be at least 1".into()));
+    }
+    let kind = sampler_kind_by_name(name).map_err(Error::InvalidArgument)?;
+    Ok(match kind {
+        SamplerKind::Neighbor => {
+            let fanouts = (0..layers).map(|l| if l == 0 { 10 } else { 5 }).collect();
+            Arc::new(NeighborSampler::new(fanouts))
+        }
+        SamplerKind::Shadow => Arc::new(ShadowSampler::new(vec![10, 5], layers)),
+    })
+}
+
 /// Resolves a modeled model name.
 pub fn model_kind_by_name(name: &str) -> Result<ModelKind, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -183,7 +204,7 @@ pub fn usage() -> &'static str {
     "argo — auto-tuning runtime for scalable GNN training (paper reproduction)
 
 USAGE:
-  argo train    [--dataset flickr] [--scale 0.02] [--sampler neighbor|shadow|saint|cluster]
+  argo train    [--dataset flickr] [--scale 0.02] [--sampler neighbor|shadow]
                 [--model sage|gcn] [--epochs 20] [--n-search 5]
                 [--batch 512] [--hidden 64] [--layers 2] [--lr 0.003] [--seed 0]
                 [--cache-rows 0]
@@ -286,5 +307,21 @@ mod tests {
         assert!(library_by_name("jax").is_err());
         assert_eq!(sampler_kind_by_name("shadow").unwrap(), SamplerKind::Shadow);
         assert_eq!(model_kind_by_name("graphsage").unwrap(), ModelKind::Sage);
+    }
+
+    #[test]
+    fn train_sampler_has_the_model_depth() {
+        for layers in 1..=4 {
+            for name in ["neighbor", "shadow"] {
+                let s = train_sampler(name, layers).unwrap();
+                assert_eq!(s.num_layers(), layers, "{name} --layers {layers}");
+            }
+        }
+        for (name, layers) in [("neighbor", 0), ("shadow", 0), ("saint", 2), ("cluster", 2)] {
+            assert!(
+                matches!(train_sampler(name, layers), Err(Error::InvalidArgument(_))),
+                "{name} --layers {layers}"
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use argo_cli::{
     dataset_by_name, library_by_name, model_kind_by_name, parse_args, platform_by_name,
-    report::render_report, sampler_kind_by_name, usage, Cli,
+    report::render_report, sampler_kind_by_name, train_sampler, usage, Cli,
 };
 use argo_core::{Argo, ArgoOptions, Error};
 use argo_engine::{evaluate_confusion, Engine, EngineOptions};
@@ -13,7 +13,6 @@ use argo_graph::Dataset;
 use argo_nn::Arch;
 use argo_platform::{Library, ModelKind, PerfModel, SamplerKind, Setup, ICE_LAKE_8380H};
 use argo_rt::{RunLogger, Source, Telemetry};
-use argo_sample::{ClusterGcnSampler, NeighborSampler, SaintRwSampler, Sampler, ShadowSampler};
 use argo_tune::{paper_num_searches, SearchSpace};
 
 fn main() -> ExitCode {
@@ -152,15 +151,7 @@ fn train(cli: &Cli) -> Result<(), Error> {
         println!("saved dataset to {path}");
     }
     let layers: usize = cli.get_num("layers", 2)?;
-    let sampler: Arc<dyn Sampler> = match cli.get("sampler", "neighbor") {
-        "neighbor" => Arc::new(NeighborSampler::new(
-            vec![10, 5, 5][..layers.min(3)].to_vec(),
-        )),
-        "shadow" => Arc::new(ShadowSampler::new(vec![10, 5], layers)),
-        "saint" => Arc::new(SaintRwSampler::new(3, layers)),
-        "cluster" => Arc::new(ClusterGcnSampler::new(&dataset.graph, 32, layers)),
-        other => return Err(Error::InvalidArgument(format!("unknown sampler '{other}'"))),
-    };
+    let sampler = train_sampler(cli.get("sampler", "neighbor"), layers)?;
     let arch = match cli.get("model", "sage") {
         "sage" | "graphsage" => Arch::Sage,
         "gcn" => Arch::Gcn,
@@ -201,10 +192,8 @@ fn train(cli: &Cli) -> Result<(), Error> {
     let audit_model = PerfModel::new(Setup {
         platform: ICE_LAKE_8380H,
         library: Library::Dgl,
-        sampler: match cli.get("sampler", "neighbor") {
-            "shadow" => SamplerKind::Shadow,
-            _ => SamplerKind::Neighbor,
-        },
+        sampler: sampler_kind_by_name(cli.get("sampler", "neighbor"))
+            .map_err(Error::InvalidArgument)?,
         model: match cli.get("model", "sage") {
             "gcn" => ModelKind::Gcn,
             _ => ModelKind::Sage,
@@ -271,10 +260,7 @@ fn simulate(cli: &Cli) -> Result<(), Error> {
         m.default_config()
     );
     println!("  exhaustive best  : {best:.2}s/epoch at {best_cfg}");
-    let n_search = paper_num_searches(
-        platform.total_cores,
-        matches!(sampler, argo_platform::SamplerKind::Shadow),
-    );
+    let n_search = paper_num_searches(platform.total_cores, matches!(sampler, SamplerKind::Shadow));
     let mut runtime = Argo::new(ArgoOptions {
         n_search,
         epochs: 200,

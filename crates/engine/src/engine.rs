@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use argo_graph::partition::random_partition;
 use argo_graph::{Dataset, Features, Graph};
-use argo_nn::{AnyOptimizer, Arch, Gnn, LrSchedule, Optimizer, OptimizerKind};
+use argo_nn::{AnyOptimizer, Arch, Gnn, Optimizer, OptimizerKind};
 use argo_rt::affinity::CoreSet;
 use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler};
 use argo_rt::{
@@ -35,12 +35,6 @@ pub struct EngineOptions {
     /// Total cores the core binder may plan over (defaults to the host's
     /// available cores; set explicitly to emulate a larger logical machine).
     pub total_cores: usize,
-    /// Optional global-L2 gradient clipping applied *after* the all-reduce
-    /// (identical on every replica, so semantics stay synchronized).
-    pub grad_clip: Option<f32>,
-    /// Learning-rate schedule, keyed on the shared epoch counter so every
-    /// replica applies the same rate.
-    pub lr_schedule: LrSchedule,
     /// Default cross-batch feature-cache capacity in rows (0 = cache
     /// disabled). A per-epoch [`Config::cache_rows`] > 0 overrides this.
     pub cache_capacity: usize,
@@ -57,8 +51,6 @@ impl Default for EngineOptions {
             lr: 3e-3,
             seed: 0,
             total_cores: argo_rt::num_available_cores(),
-            grad_clip: None,
-            lr_schedule: LrSchedule::Constant,
             cache_capacity: 0,
         }
     }
@@ -117,18 +109,6 @@ impl EngineOptions {
     /// Total cores the core binder may plan over.
     pub fn with_total_cores(mut self, total_cores: usize) -> Self {
         self.total_cores = total_cores;
-        self
-    }
-
-    /// Global-L2 gradient clipping threshold.
-    pub fn with_grad_clip(mut self, max_norm: f32) -> Self {
-        self.grad_clip = Some(max_norm);
-        self
-    }
-
-    /// Learning-rate schedule.
-    pub fn with_lr_schedule(mut self, lr_schedule: LrSchedule) -> Self {
-        self.lr_schedule = lr_schedule;
         self
     }
 
@@ -361,9 +341,6 @@ impl Engine {
         );
         let min_len = parts.iter().map(Vec::len).min().unwrap_or(0);
         let local_batch = (self.opts.global_batch / n_proc).max(1);
-        // Schedule the learning rate for this epoch (identical on replicas).
-        self.opt
-            .set_learning_rate(self.opts.lr * self.opts.lr_schedule.multiplier(self.epoch));
         let allreduce = AllReduce::new(n_proc, self.params.len());
         let epoch = self.epoch;
 
@@ -670,9 +647,6 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
         let sync_elapsed = sync_start.elapsed();
         sync_time += sync_elapsed.as_secs_f64();
         ring.push_measured(SpanKind::Sync, i as u64, sync_start, sync_elapsed);
-        if let Some(max_norm) = opts.grad_clip {
-            argo_nn::optim::clip_grad_norm(&mut grads, max_norm);
-        }
         opt.step(&mut params, &grads);
         model.set_params_flat(&params);
         iterations += 1;
@@ -1062,24 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn lr_schedule_decays_across_epochs() {
-        use argo_nn::Optimizer;
-        let mut o = opts(64);
-        o.lr = 1e-2;
-        o.lr_schedule = LrSchedule::StepDecay {
-            every: 2,
-            gamma: 0.5,
-        };
-        let mut e = Engine::new(tiny(), neighbor(), o);
-        for _ in 0..2 {
-            e.train_epoch(Config::new(1, 1, 1), None);
-        }
-        // After epochs 0 and 1, epoch 2 runs at lr/2.
-        e.train_epoch(Config::new(1, 1, 1), None);
-        assert!((e.opt.learning_rate() - 5e-3).abs() < 1e-9);
-    }
-
-    #[test]
     fn training_is_deterministic_across_core_allocations() {
         // Repeating a run with the same core allocation is bit-identical:
         // row-partitioned kernels give each output row to exactly one
@@ -1100,23 +1056,6 @@ mod tests {
         for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
             assert!((a - b).abs() <= 1e-4, "param {i}: 1-core {a} vs 2-core {b}");
         }
-    }
-
-    #[test]
-    fn grad_clipping_keeps_replicas_synchronized() {
-        let mut o = opts(64);
-        o.grad_clip = Some(0.5);
-        let mut e = Engine::new(tiny(), neighbor(), o);
-        let first = e.train_epoch(Config::new(2, 1, 1), None);
-        let mut last = first;
-        for _ in 0..3 {
-            last = e.train_epoch(Config::new(2, 1, 1), None);
-        }
-        // Training still converges under clipping, and parameters stayed
-        // finite (replica divergence would blow up the loss).
-        assert!(last.loss.is_finite());
-        assert!(last.loss <= first.loss * 1.2);
-        assert!(e.params().iter().all(|p| p.is_finite()));
     }
 
     #[test]

@@ -35,40 +35,38 @@ fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-fn write_u32_slice(w: &mut impl Write, v: &[u32]) -> io::Result<()> {
+/// Writes `v` as a `u64` length followed by each item's `N` bytes.
+fn write_vec<T: Copy, const N: usize>(
+    w: &mut impl Write,
+    v: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
     write_u64(w, v.len() as u64)?;
     for &x in v {
-        w.write_all(&x.to_le_bytes())?;
+        w.write_all(&to_le(x))?;
     }
     Ok(())
 }
 
-fn read_u32_vec(r: &mut impl Read) -> io::Result<Vec<u32>> {
-    let n = read_u64(r)? as usize;
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn write_f32_slice(w: &mut impl Write, v: &[f32]) -> io::Result<()> {
-    write_u64(w, v.len() as u64)?;
-    for &x in v {
-        w.write_all(&x.to_le_bytes())?;
+/// Reads what [`write_vec`] wrote. The buffer grows with the bytes that
+/// actually arrive, not with the length field, so a corrupt length on a
+/// short stream is an error instead of an overflow or a huge allocation.
+fn read_vec<T, const N: usize>(
+    r: &mut impl Read,
+    from_le: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let bytes = read_u64(r)?
+        .checked_mul(N as u64)
+        .ok_or_else(|| bad("length field overflows"))?;
+    let mut buf = Vec::new();
+    r.by_ref().take(bytes).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < bytes {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ends before the declared length",
+        ));
     }
-    Ok(())
-}
-
-fn read_f32_vec(r: &mut impl Read) -> io::Result<Vec<f32>> {
-    let n = read_u64(r)? as usize;
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    Ok(buf.as_chunks::<N>().0.iter().map(|&c| from_le(c)).collect())
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -80,11 +78,8 @@ pub fn write_graph(w: &mut impl Write, graph: &Graph) -> io::Result<()> {
     w.write_all(MAGIC)?;
     write_u32(w, VERSION)?;
     write_u64(w, graph.num_nodes() as u64)?;
-    write_u64(w, graph.indptr().len() as u64)?;
-    for &p in graph.indptr() {
-        write_u64(w, p as u64)?;
-    }
-    write_u32_slice(w, graph.indices())
+    write_vec(w, graph.indptr(), |p| (p as u64).to_le_bytes())?;
+    write_vec(w, graph.indices(), u32::to_le_bytes)
 }
 
 /// Reads a graph written by [`write_graph`]; validates the CSR invariants.
@@ -99,12 +94,8 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<Graph> {
         return Err(bad("unsupported format version"));
     }
     let _nodes = read_u64(r)?;
-    let np = read_u64(r)? as usize;
-    let mut indptr = Vec::with_capacity(np);
-    for _ in 0..np {
-        indptr.push(read_u64(r)? as usize);
-    }
-    let indices = read_u32_vec(r)?;
+    let indptr = read_vec(r, |b| u64::from_le_bytes(b) as usize)?;
+    let indices = read_vec(r, u32::from_le_bytes)?;
     let g = Graph::from_csr_checked(indptr, indices).map_err(|e| bad(&e))?;
     Ok(g)
 }
@@ -113,15 +104,13 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<Graph> {
 pub fn write_dataset(w: &mut impl Write, d: &Dataset) -> io::Result<()> {
     write_graph(w, &d.graph)?;
     write_u64(w, d.features.dim() as u64)?;
-    write_f32_slice(w, d.features.data())?;
-    write_u32_slice(w, &d.labels)?;
-    write_u32_slice(w, &d.train_nodes)?;
-    write_u32_slice(w, &d.val_nodes)?;
+    write_vec(w, d.features.data(), f32::to_le_bytes)?;
+    for ids in [&d.labels, &d.train_nodes, &d.val_nodes] {
+        write_vec(w, ids, u32::to_le_bytes)?;
+    }
     write_u64(w, d.num_classes as u64)?;
     // Spec essentials (name resolved against the known table on load).
-    let name = d.spec.name.as_bytes();
-    write_u64(w, name.len() as u64)?;
-    w.write_all(name)?;
+    write_vec(w, d.spec.name.as_bytes(), |b| [b])?;
     for v in [
         d.spec.num_nodes,
         d.spec.num_edges,
@@ -138,7 +127,7 @@ pub fn write_dataset(w: &mut impl Write, d: &Dataset) -> io::Result<()> {
 pub fn read_dataset(r: &mut impl Read) -> io::Result<Dataset> {
     let graph = read_graph(r)?;
     let dim = read_u64(r)? as usize;
-    let feat_data = read_f32_vec(r)?;
+    let feat_data = read_vec(r, f32::from_le_bytes)?;
     if dim == 0 || feat_data.len() % dim != 0 {
         return Err(bad("corrupt feature table"));
     }
@@ -146,12 +135,12 @@ pub fn read_dataset(r: &mut impl Read) -> io::Result<Dataset> {
     if features.num_nodes() != graph.num_nodes() {
         return Err(bad("feature/graph node-count mismatch"));
     }
-    let labels = read_u32_vec(r)?;
+    let labels = read_vec(r, u32::from_le_bytes)?;
     if labels.len() != graph.num_nodes() {
         return Err(bad("label/graph node-count mismatch"));
     }
-    let train_nodes = read_u32_vec(r)?;
-    let val_nodes = read_u32_vec(r)?;
+    let train_nodes = read_vec(r, u32::from_le_bytes)?;
+    let val_nodes = read_vec(r, u32::from_le_bytes)?;
     let num_classes = read_u64(r)? as usize;
     if labels.iter().any(|&l| l as usize >= num_classes) {
         return Err(bad("label out of class range"));
@@ -163,10 +152,8 @@ pub fn read_dataset(r: &mut impl Read) -> io::Result<Dataset> {
     {
         return Err(bad("split node out of range"));
     }
-    let name_len = read_u64(r)? as usize;
-    let mut name_buf = vec![0u8; name_len];
-    r.read_exact(&mut name_buf)?;
-    let name = String::from_utf8(name_buf).map_err(|_| bad("non-utf8 dataset name"))?;
+    let name =
+        String::from_utf8(read_vec(r, |[b]| b)?).map_err(|_| bad("non-utf8 dataset name"))?;
     let mut nums = [0u64; 5];
     for v in nums.iter_mut() {
         *v = read_u64(r)?;
@@ -295,6 +282,58 @@ mod tests {
         buf[off] = 0xFF;
         buf[off + 1] = 0xFF;
         assert!(read_graph(&mut buf.as_slice()).is_err());
+    }
+
+    /// A graph file's first 28 bytes (magic, version, node count) followed
+    /// by an indptr length of `np`.
+    fn header_claiming(np: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend(VERSION.to_le_bytes());
+        buf.extend(0u64.to_le_bytes());
+        buf.extend(np.to_le_bytes());
+        buf
+    }
+
+    /// A one-node graph file whose indices length field reads `len`.
+    fn indices_claiming(len: u64) -> Vec<u8> {
+        let mut buf = header_claiming(2);
+        buf.extend([0u64, 0].iter().flat_map(|p| p.to_le_bytes()));
+        buf.extend(len.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn rejects_an_indptr_length_past_the_address_space() {
+        let err = read_graph(&mut header_claiming(1 << 61).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_an_indices_length_whose_byte_count_overflows() {
+        let err = read_graph(&mut indices_claiming(u64::MAX).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_an_indices_length_longer_than_the_stream() {
+        // 2^40 entries would be a 4 TiB buffer if sized from the header.
+        let err = read_graph(&mut indices_claiming(1 << 40).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(read_graph(&mut indices_claiming(1).as_slice()).is_err());
+        // The same file with the length it really has is a valid graph.
+        assert!(read_graph(&mut indices_claiming(0).as_slice()).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_dataset_name_longer_than_the_stream() {
+        let d = FLICKR.synthesize(0.01, 5);
+        let mut buf = Vec::new();
+        write_dataset(&mut buf, &d).unwrap();
+        // The tail is the name length, the name and five u64 spec fields.
+        let at = buf.len() - 5 * 8 - d.spec.name.len() - 8;
+        buf[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = read_dataset(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

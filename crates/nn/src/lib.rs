@@ -17,13 +17,11 @@ pub mod arch;
 pub mod metrics;
 pub mod model;
 pub mod optim;
-pub mod schedule;
 
 pub use arch::{AnyModel, Arch};
 pub use metrics::ConfusionMatrix;
 pub use model::{Gnn, StepStats};
-pub use optim::{clip_grad_norm, Adam, AnyOptimizer, Optimizer, OptimizerKind, Sgd};
-pub use schedule::LrSchedule;
+pub use optim::{Adam, AnyOptimizer, Optimizer, OptimizerKind, Sgd};
 
 /// Rows `ids` of `feats` as the gathered input the models' forward and
 /// training steps take.

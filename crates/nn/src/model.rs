@@ -65,7 +65,7 @@ pub struct StepStats {
 /// # What a subgraph batch computes
 ///
 /// A block batch shrinks from layer to layer by construction. A subgraph
-/// batch (ShaDow, SAINT, Cluster, `full_graph_batch`) shares one `N × N`
+/// batch (ShaDow, or a whole graph built by hand) shares one `N × N`
 /// adjacency `Â` between its layers, but only its seed rows are ever read,
 /// so each layer computes only the rows the next one reads — the
 /// **needed-row cascade** [`Cascade::build`] computes per batch, for owned
@@ -693,21 +693,6 @@ impl Gnn {
         }
     }
 
-    /// Overwrites gradients from a flat buffer (inverse of
-    /// [`Gnn::grads_flat`]).
-    pub fn set_grads_flat(&mut self, flat: &[f32]) {
-        let mut at = 0usize;
-        for l in &mut self.layers {
-            let nw = l.dw.data().len();
-            l.dw.data_mut().copy_from_slice(&flat[at..at + nw]);
-            at += nw;
-            let nb = l.db.len();
-            l.db.copy_from_slice(&flat[at..at + nb]);
-            at += nb;
-        }
-        assert_eq!(at, flat.len(), "flat gradient length mismatch");
-    }
-
     /// Flattens all parameters into `out` (same layout as gradients).
     pub fn params_flat(&self, out: &mut Vec<f32>) {
         out.clear();
@@ -792,10 +777,7 @@ mod tests {
     use argo_graph::datasets::FLICKR;
     use argo_rt::SeedSequence;
     use argo_sample::batch::Normalization;
-    use argo_sample::{
-        full_graph_batch, ClusterGcnSampler, NeighborSampler, SaintRwSampler, SampleRun, Sampler,
-        SamplerScratch, ShadowSampler,
-    };
+    use argo_sample::{NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1138,18 +1120,13 @@ mod tests {
     /// "shadow 3-hop" reaches far enough from its seeds that the cascade
     /// renumbers the columns of consecutive layers (pinned by
     /// `three_hop_shadow_compacts_consecutive_layers`).
-    fn samplers(d: &argo_graph::Dataset, depth: usize) -> Vec<(&'static str, Box<dyn Sampler>)> {
+    fn samplers(depth: usize) -> Vec<(&'static str, Box<dyn Sampler>)> {
         vec![
             ("neighbor", Box::new(NeighborSampler::new(vec![5; depth]))),
             ("shadow", Box::new(ShadowSampler::new(vec![4, 3], depth))),
             (
                 "shadow 3-hop",
                 Box::new(ShadowSampler::new(vec![3, 2, 2], depth)),
-            ),
-            ("saint", Box::new(SaintRwSampler::new(2, depth))),
-            (
-                "cluster",
-                Box::new(ClusterGcnSampler::new(&d.graph, 24, depth)),
             ),
         ]
     }
@@ -1176,7 +1153,7 @@ mod tests {
         let seeds = seeds_of(d);
         let mut scratch = SamplerScratch::new();
         let mut out = Vec::new();
-        for (name, s) in samplers(d, depth) {
+        for (name, s) in samplers(depth) {
             let fused = s
                 .sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch))
                 .to_owned();
@@ -1189,9 +1166,10 @@ mod tests {
             .collect();
         scattered.sort_unstable();
         assert_ne!(scattered, (0..24).collect::<Vec<u32>>());
+        let positions = scattered.iter().map(|&v| v as usize).collect();
         out.push((
             "full graph".to_string(),
-            full_graph_batch(&d.graph, &scattered),
+            hand_built(graph_csr(&d.graph), positions),
         ));
         out
     }
@@ -1384,6 +1362,19 @@ mod tests {
         })
     }
 
+    /// The whole graph's CSR as a batch adjacency: under [`hand_built`] its
+    /// row lengths are the graph's degrees, so the batch is the full graph.
+    fn graph_csr(g: &argo_graph::Graph) -> SparseMatrix {
+        let indptr = g.indptr().iter().map(|&p| p as u32).collect();
+        SparseMatrix::new(
+            g.num_nodes(),
+            g.num_nodes(),
+            indptr,
+            g.indices().to_vec(),
+            None,
+        )
+    }
+
     /// The 9-node path `0 – 1 – … – 8` followed by `isolated` nodes without
     /// an entry.
     fn path_graph(isolated: usize) -> SparseMatrix {
@@ -1462,12 +1453,12 @@ mod tests {
     #[test]
     fn a_layer_that_needs_every_row_gets_no_slice() {
         let d = tiny_dataset();
-        let all: Vec<u32> = (0..d.graph.num_nodes() as u32).collect();
+        let all: Vec<usize> = (0..d.graph.num_nodes()).collect();
         // Every node a seed: no layer is cut. Every third node of a path:
         // SAGE's last layer reads the seeds and both neighbours of each,
         // which is every node, so only that layer is.
         for (batch, first) in [
-            (full_graph_batch(&d.graph, &all), 3),
+            (hand_built(graph_csr(&d.graph), all), 3),
             (hand_built(path_graph(0), vec![1, 4, 7]), 2),
         ] {
             let m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
@@ -1581,7 +1572,7 @@ mod tests {
             // Fused as the loader and serving sample; unfused as evaluation
             // does, where the view falls back to the owned batch and the
             // model's own normalization.
-            for (name, s) in samplers(&d, depth) {
+            for (name, s) in samplers(depth) {
                 for norm in [kind.normalization(), Normalization::None] {
                     let run = SampleRun::new(SeedSequence::new(9), &mut scratch).with_norm(norm);
                     let view = s.sample_into(&d.graph, &seeds, run);

@@ -9,13 +9,6 @@
 pub trait Optimizer {
     /// Applies one update of `params` from `grads`.
     fn step(&mut self, params: &mut [f32], grads: &[f32]);
-
-    /// Learning rate currently in use.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (used by LR schedules; all DDP replicas
-    /// apply the same value derived from the shared epoch counter).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Plain SGD with optional momentum.
@@ -46,15 +39,6 @@ impl Optimizer for Sgd {
             *v = self.momentum * *v + g;
             *p -= self.lr * *v;
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
     }
 }
 
@@ -102,34 +86,6 @@ impl Optimizer for Adam {
             params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-}
-
-/// Clips `grads` to a maximum global L2 norm (PyTorch's
-/// `clip_grad_norm_`): if `‖g‖ > max_norm`, every element is scaled by
-/// `max_norm / ‖g‖`. Returns the pre-clip norm.
-pub fn clip_grad_norm(grads: &mut [f32], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0);
-    let norm = grads
-        .iter()
-        .map(|g| (*g as f64) * (*g as f64))
-        .sum::<f64>()
-        .sqrt() as f32;
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            *g *= scale;
-        }
-    }
-    norm
 }
 
 /// Which optimizer an engine should build.
@@ -169,20 +125,6 @@ impl Optimizer for AnyOptimizer {
         match self {
             AnyOptimizer::Sgd(s) => s.step(params, grads),
             AnyOptimizer::Adam(a) => a.step(params, grads),
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        match self {
-            AnyOptimizer::Sgd(s) => s.learning_rate(),
-            AnyOptimizer::Adam(a) => a.learning_rate(),
-        }
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        match self {
-            AnyOptimizer::Sgd(s) => s.set_learning_rate(lr),
-            AnyOptimizer::Adam(a) => a.set_learning_rate(lr),
         }
     }
 }
@@ -244,31 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn clip_grad_norm_scales_only_when_needed() {
-        let mut g = vec![3.0f32, 4.0]; // norm 5
-        let pre = clip_grad_norm(&mut g, 10.0);
-        assert!((pre - 5.0).abs() < 1e-6);
-        assert_eq!(g, vec![3.0, 4.0]); // untouched
-        let pre = clip_grad_norm(&mut g, 1.0);
-        assert!((pre - 5.0).abs() < 1e-6);
-        let norm: f32 = g.iter().map(|x| x * x).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-6);
-        // Direction preserved.
-        assert!((g[0] / g[1] - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_grad_norm_zero_vector_is_noop() {
-        let mut g = vec![0.0f32; 4];
-        assert_eq!(clip_grad_norm(&mut g, 1.0), 0.0);
-        assert!(g.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
     fn any_optimizer_dispatches() {
         let mut s = AnyOptimizer::build(OptimizerKind::Sgd { momentum: 0.0 }, 1, 0.1);
         assert!(quadratic_descend(&mut s, 50) < 1e-3);
-        assert!((s.learning_rate() - 0.1).abs() < 1e-9);
         let mut a = AnyOptimizer::build(OptimizerKind::Adam, 1, 0.1);
         assert!(quadratic_descend(&mut a, 300) < 1e-2);
     }

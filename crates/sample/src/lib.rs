@@ -21,10 +21,8 @@
 
 pub mod batch;
 pub mod cache;
-pub mod cluster;
 pub mod loader;
 pub mod neighbor;
-pub mod saint;
 pub mod scratch;
 pub mod shadow;
 pub mod stats;
@@ -32,12 +30,10 @@ pub mod view;
 
 pub use batch::{Block, MiniBatch, Normalization, SampledBatch, SubgraphBatch};
 pub use cache::{CacheStats, FeatureCache};
-pub use cluster::{full_graph_batch, ClusterGcnSampler};
 pub use loader::{
     InputRing, LoadedBatch, LoaderSpec, LoaderSpecBuilder, PipelinedLoader, PreparedInput,
 };
 pub use neighbor::NeighborSampler;
-pub use saint::SaintRwSampler;
 pub use scratch::SamplerScratch;
 pub use shadow::ShadowSampler;
 pub use stats::{batch_workload, WorkloadStats};

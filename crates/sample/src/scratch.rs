@@ -47,12 +47,10 @@ pub struct SamplerScratch {
     pub(crate) counts: Vec<u32>,
     /// Floyd sample of distinct in-row positions.
     pub(crate) positions: Vec<u32>,
-    /// Current BFS frontier (ShaDow) / walk roots.
+    /// Current BFS frontier (ShaDow).
     pub(crate) frontier: Vec<NodeId>,
     /// Next BFS frontier being built.
     pub(crate) next_frontier: Vec<NodeId>,
-    /// Chosen cluster ids (Cluster-GCN).
-    pub(crate) chosen: Vec<u32>,
     /// Membership bitmap over global node ids (1 bit per graph node),
     /// rebuilt per induced assembly from the arena's node list. At ~12.5 KB
     /// per 100k nodes it stays L1-resident, so the hot membership scan
@@ -287,16 +285,6 @@ impl SamplerScratch {
         if grew {
             self.frontier.reserve(hint);
             self.next_frontier.reserve(hint);
-        }
-    }
-
-    /// Acquires the chosen-cluster buffer with room for `hint` entries.
-    pub(crate) fn acquire_chosen(&mut self, hint: usize) {
-        let grew = self.chosen.capacity() < hint;
-        self.chosen.clear();
-        self.note(grew);
-        if grew {
-            self.chosen.reserve(hint);
         }
     }
 

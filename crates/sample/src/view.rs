@@ -197,7 +197,7 @@ fn block_view<'a>(
 pub enum SampledBatchView<'a> {
     /// Layered bipartite blocks (neighbor sampling).
     Blocks(MiniBatchView<'a>),
-    /// One induced subgraph (ShaDow / SAINT / Cluster-GCN sampling).
+    /// One induced subgraph (ShaDow sampling).
     Subgraph(SubgraphView<'a>),
 }
 

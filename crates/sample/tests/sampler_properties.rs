@@ -2,7 +2,7 @@
 //!
 //! The structural contract every batch satisfies — fanout bounds,
 //! src-prefix-is-dst, no duplicate src nodes, every sampled edge exists in
-//! the parent graph — across seed counts 1..130 and all four samplers, and
+//! the parent graph — across seed counts 1..130 and both samplers, and
 //! the arena assembly bitwise against the test oracle (`oracle/mod.rs`).
 
 mod oracle;
@@ -11,8 +11,8 @@ use argo_graph::generators::power_law;
 use argo_graph::{Graph, NodeId};
 use argo_rt::SeedSequence;
 use argo_sample::{
-    ClusterGcnSampler, NeighborSampler, Normalization, SaintRwSampler, SampleRun, SampledBatch,
-    SampledBatchView, Sampler, SamplerScratch, ShadowSampler,
+    NeighborSampler, Normalization, SampleRun, SampledBatch, SampledBatchView, Sampler,
+    SamplerScratch, ShadowSampler,
 };
 use proptest::prelude::*;
 
@@ -130,14 +130,9 @@ proptest! {
         let g = graph();
         let seeds: Vec<NodeId> = (offset..offset + count).map(|v| v as u32).collect();
         let shadow = ShadowSampler::new(vec![6, 3], 2);
-        let saint = SaintRwSampler::new(3, 2);
-        let cluster = ClusterGcnSampler::new(&g, 12, 2);
-        let samplers: [&dyn Sampler; 3] = [&shadow, &saint, &cluster];
         let mut scratch = SamplerScratch::new();
-        for s in samplers {
-            let batch = run_with(s, &g, &seeds, key, &mut scratch);
-            assert_subgraph_invariants(&g, &seeds, &batch, s.name());
-        }
+        let batch = run_with(&shadow, &g, &seeds, key, &mut scratch);
+        assert_subgraph_invariants(&g, &seeds, &batch, shadow.name());
     }
 
     #[test]
@@ -247,9 +242,7 @@ proptest! {
         for g in [graph(), directed_graph()] {
             let neighbor = NeighborSampler::new(vec![7, 4]);
             let shadow = ShadowSampler::new(vec![6, 3], 2);
-            let saint = SaintRwSampler::new(3, 2);
-            let cluster = ClusterGcnSampler::new(&g, 12, 2);
-            let samplers: [&dyn Sampler; 4] = [&neighbor, &shadow, &saint, &cluster];
+            let samplers: [&dyn Sampler; 2] = [&neighbor, &shadow];
             for s in samplers {
                 for norm in [Normalization::None, Normalization::Mean, Normalization::Gcn] {
                     let mut scratch = SamplerScratch::new();
@@ -281,9 +274,7 @@ fn steady_state_assembly_is_allocation_free() {
     let g = graph();
     let neighbor = NeighborSampler::new(vec![7, 4]);
     let shadow = ShadowSampler::new(vec![6, 3], 2);
-    let saint = SaintRwSampler::new(3, 2);
-    let cluster = ClusterGcnSampler::new(&g, 12, 2);
-    let samplers: [&dyn Sampler; 4] = [&neighbor, &shadow, &saint, &cluster];
+    let samplers: [&dyn Sampler; 2] = [&neighbor, &shadow];
     let seed_sets: Vec<Vec<NodeId>> = (0..4u32).map(|i| (i * 50..i * 50 + 64).collect()).collect();
     for s in samplers {
         let mut scratch = SamplerScratch::new();

@@ -1,7 +1,6 @@
-//! Sampler zoo: the four mini-batch samplers side by side on one dataset —
-//! their subgraph sizes, workload, and end-to-end accuracy after a short
-//! auto-tuned training run. Neighbor and ShaDow are the paper's evaluation
-//! pair; GraphSAINT-RW and Cluster-GCN are the other families it cites.
+//! Sampler zoo: the paper's two mini-batch samplers, Neighbor and ShaDow,
+//! side by side on one dataset — their subgraph sizes, workload, and
+//! end-to-end accuracy after a short auto-tuned training run.
 //!
 //! Run with: `cargo run --release --example sampler_zoo`
 
@@ -11,7 +10,7 @@ use argo::core::{Argo, ArgoOptions};
 use argo::engine::{evaluate_accuracy, Engine, EngineOptions};
 use argo::graph::datasets::FLICKR;
 use argo::nn::Arch;
-use argo::sample::{ClusterGcnSampler, NeighborSampler, SaintRwSampler, Sampler, ShadowSampler};
+use argo::sample::{NeighborSampler, Sampler, ShadowSampler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -31,11 +30,6 @@ fn main() {
         (
             "ShaDow [10,5]",
             Arc::new(ShadowSampler::new(vec![10, 5], 2)),
-        ),
-        ("SAINT-RW (len 3)", Arc::new(SaintRwSampler::new(3, 2))),
-        (
-            "ClusterGCN (32 cl.)",
-            Arc::new(ClusterGcnSampler::new(&dataset.graph, 32, 2)),
         ),
     ];
     println!(
@@ -75,7 +69,7 @@ fn main() {
         );
         assert!(acc > 0.5, "{name} failed to learn");
     }
-    println!("\nAll sampling families train through the same ARGO runtime; their different");
+    println!("\nBoth samplers train through the same ARGO runtime; their different");
     println!("subgraph shapes are exactly why the auto-tuner must learn a per-setup model");
     println!("(paper Section V-B).");
 }

@@ -8,9 +8,7 @@ use argo::core::{Argo, ArgoOptions};
 use argo::engine::{evaluate_accuracy, Engine, EngineOptions};
 use argo::graph::datasets::{Dataset, FLICKR, REDDIT};
 use argo::nn::Arch;
-use argo::sample::{
-    full_graph_batch, ClusterGcnSampler, NeighborSampler, SaintRwSampler, Sampler, ShadowSampler,
-};
+use argo::sample::{NeighborSampler, Sampler, ShadowSampler};
 
 fn tiny(seed: u64) -> Arc<Dataset> {
     Arc::new(FLICKR.synthesize(0.015, seed))
@@ -84,71 +82,6 @@ fn shadow_sage_learns() {
         tiny(4),
     );
     assert!(after > before + 0.25, "ShaDow-SAGE: {before} -> {after}");
-}
-
-#[test]
-fn saint_rw_sampler_learns() {
-    let (before, after) = train_and_eval(Arch::Sage, Arc::new(SaintRwSampler::new(4, 2)), tiny(8));
-    assert!(after > before + 0.2, "SAINT-RW: {before} -> {after}");
-}
-
-#[test]
-fn cluster_gcn_sampler_learns() {
-    let dataset = tiny(9);
-    let sampler = Arc::new(ClusterGcnSampler::new(&dataset.graph, 16, 2));
-    let (before, after) = train_and_eval(Arch::Gcn, sampler, dataset);
-    assert!(after > before + 0.2, "ClusterGCN: {before} -> {after}");
-}
-
-#[test]
-fn minibatch_converges_faster_per_epoch_than_full_graph() {
-    // Paper Section II-B: full-graph training updates the model once per
-    // epoch and "requires more epochs to converge" than mini-batch training.
-    use argo::nn::{Adam, Gnn, Optimizer};
-    let d = tiny(10);
-    let epochs = 6;
-    // Full-graph: one update per epoch over the whole graph.
-    let mut full = Gnn::new(Arch::Gcn, d.feat_dim(), 16, d.num_classes, 2, 3);
-    let mut opt = Adam::new(full.num_params(), 5e-3);
-    let batch = full_graph_batch(&d.graph, &d.train_nodes);
-    let ids = batch.input_nodes();
-    let mut input = argo::tensor::Matrix::zeros(ids.len(), d.feat_dim());
-    d.features.gather_into(ids, input.data_mut());
-    let mut full_loss = 0.0;
-    for _ in 0..epochs {
-        let stats = full.train_step_gathered(&batch, &input, &d.labels, None);
-        full_loss = stats.loss;
-        let (mut p, mut g) = (Vec::new(), Vec::new());
-        full.params_flat(&mut p);
-        full.grads_flat(&mut g);
-        opt.step(&mut p, &g);
-        full.set_params_flat(&p);
-    }
-    // Mini-batch: many updates per epoch via the engine, same epoch count.
-    let mut engine = Engine::new(
-        Arc::clone(&d),
-        Arc::new(NeighborSampler::new(vec![8, 4])),
-        EngineOptions {
-            kind: Arch::Gcn,
-            hidden: 16,
-            num_layers: 2,
-            global_batch: 64,
-            lr: 5e-3,
-            seed: 3,
-            total_cores: 4,
-            ..Default::default()
-        },
-    );
-    let mut mb_loss = f32::INFINITY;
-    for _ in 0..epochs {
-        mb_loss = engine
-            .train_epoch(argo::rt::Config::new(2, 1, 1), None)
-            .loss;
-    }
-    assert!(
-        mb_loss < full_loss,
-        "after {epochs} epochs, mini-batch loss {mb_loss} should undercut full-graph loss {full_loss}"
-    );
 }
 
 #[test]
