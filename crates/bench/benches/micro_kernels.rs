@@ -418,9 +418,17 @@ fn main() {
     );
     let layer0_shape = format!("{}x{}_nnz{}_d{f0}", adj0.rows(), adj0.cols(), adj0.nnz());
 
-    // -- Fused GraphSAGE GEMM vs materialized concat reference. --
-    {
-        let (n_dst, f, o) = (4096, 64, 32);
+    // -- Fused GraphSAGE GEMM (self rows and aggregation against the stacked
+    // weight, bias + ReLU) vs the materialized concat reference: the
+    // 4096-row shape, `train_neighbor_sage`'s layer 0 (4600 rows, 64‖64 ->
+    // 128) and two serving-size batches at its widths. Blocked vs serial is
+    // gated at the first shape only. --
+    for (n_dst, f, o, gate_min) in [
+        (4096, 64, 32, Some(1.0)),
+        (4600, 64, 128, None),
+        (150, 64, 128, None),
+        (9, 64, 128, None),
+    ] {
         let h = Matrix::xavier(n_dst + 1024, f, 9);
         let agg = Matrix::xavier(n_dst, f, 10);
         let w = Matrix::xavier(2 * f, o, 11);
@@ -449,7 +457,7 @@ fn main() {
                     black_box(out);
                 },
             ],
-            [None, Some(1.0), Some(1.0)],
+            [None, gate_min, Some(1.0)],
         );
         let pooled = dense_pool(n_dst).map(|p| {
             time_min(samples, || {
@@ -465,7 +473,48 @@ fn main() {
             blocked_s: Some(blocked),
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min: Some(1.0),
+            gate_min,
+            simd_gate_min: Some(1.0),
+        });
+    }
+
+    // -- The stacked GraphSAGE weight gradient `[dW_self; dW_neigh]` of
+    // `train_neighbor_sage`'s layer 0 vs the concat reference. --
+    {
+        let (n_dst, f, o) = (4600, 64, 128);
+        let h = Matrix::xavier(n_dst + 1024, f, 12);
+        let agg = Matrix::xavier(n_dst, f, 13);
+        let g = Matrix::xavier(n_dst, o, 14);
+        let ids: Vec<u32> = (0..n_dst as u32).collect();
+        let (mut dw_scalar, mut dw_simd) = (Matrix::zeros(2 * f, o), Matrix::zeros(2 * f, o));
+        let [serial, blocked, simd] = time_gated(
+            "sage_grad_weights",
+            samples,
+            [
+                &mut || {
+                    let cat = h.gather_rows(&ids).concat_cols(&agg);
+                    black_box(reference::matmul_transpose_self(&cat, &g));
+                },
+                &mut || scalar.grad_weights_into(&[&h, &agg], &g, None, black_box(&mut dw_scalar)),
+                &mut || policy.grad_weights_into(&[&h, &agg], &g, None, black_box(&mut dw_simd)),
+            ],
+            [None, None, Some(1.0)],
+        );
+        let mut dw_pool = Matrix::zeros(2 * f, o);
+        let pooled = dense_pool(n_dst).map(|p| {
+            time_min(samples, || {
+                policy.grad_weights_into(&[&h, &agg], &g, Some(p), &mut dw_pool)
+            })
+        });
+        rows.push(KernelRow {
+            name: "sage_grad_weights",
+            shape: format!("{n_dst}x{}x{o}", 2 * f),
+            flops: 2.0 * (n_dst * 2 * f * o) as f64,
+            serial_s: serial,
+            blocked_s: Some(blocked),
+            simd_s: Some(simd),
+            pool_s: pooled,
+            gate_min: None,
             simd_gate_min: Some(1.0),
         });
     }
@@ -508,12 +557,12 @@ fn main() {
         "=== micro_kernels (quick={quick}, host_threads={host_threads}, simd tier {tier}) ===\n"
     );
     println!(
-        "{:<16} {:<22} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
+        "{:<18} {:<22} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
         "kernel", "shape", "serial ms", "blocked", "simd", "pool", "blk x", "simd x", "pool x"
     );
     for r in &rows {
         println!(
-            "{:<16} {:<22} {:>10.3} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
+            "{:<18} {:<22} {:>10.3} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
             r.name,
             r.shape,
             r.serial_s * 1e3,

@@ -578,38 +578,16 @@ impl Gnn {
             match self.kind {
                 Arch::Gcn => {
                     // dW = aggᵀ grad (agg is the layer's GEMM input).
-                    dispatch.grad_weights_into(
-                        agg,
-                        0..n_dst,
-                        &grad,
-                        pool,
-                        &mut self.layers[l].dw,
-                        0,
-                    );
+                    dispatch.grad_weights_into(&[agg], &grad, pool, &mut self.layers[l].dw);
                 }
                 Arch::Sage => {
                     // Stacked halves of dW, no concatenation: the top f_in
                     // rows reduce against the self features — the layer's
                     // selection, or the first `n_dst` rows of its input —
                     // the bottom against the aggregation.
-                    let f_in = self.dims[l];
                     let h_self = selfs[l].as_deref().unwrap_or_else(|| &outs[l - 1]);
-                    dispatch.grad_weights_into(
-                        h_self,
-                        0..n_dst,
-                        &grad,
-                        pool,
-                        &mut self.layers[l].dw,
-                        0,
-                    );
-                    dispatch.grad_weights_into(
-                        agg,
-                        0..n_dst,
-                        &grad,
-                        pool,
-                        &mut self.layers[l].dw,
-                        f_in,
-                    );
+                    let xs = [h_self, agg];
+                    dispatch.grad_weights_into(&xs, &grad, pool, &mut self.layers[l].dw);
                 }
             }
             if l == 0 {
@@ -1085,11 +1063,8 @@ mod tests {
             let n_dst = norm.rows();
             let mut dw = Matrix::zeros(w.rows(), w.cols());
             match m.kind {
-                Arch::Gcn => d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, 0),
-                Arch::Sage => {
-                    d.grad_weights_into(x, 0..n_dst, &grad, None, &mut dw, 0);
-                    d.grad_weights_into(&aggs[l], 0..n_dst, &grad, None, &mut dw, f_in);
-                }
+                Arch::Gcn => d.grad_weights_into(&[&aggs[l]], &grad, None, &mut dw),
+                Arch::Sage => d.grad_weights_into(&[x, &aggs[l]], &grad, None, &mut dw),
             }
             per_layer[l] = [dw.data(), &bias_grad(&grad)].concat();
             if l == 0 {

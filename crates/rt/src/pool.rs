@@ -11,6 +11,8 @@
 //! [`ThreadPool::parallel_chunks_mut`]) that block until every worker
 //! finished, which makes borrowing local data sound.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -21,9 +23,14 @@ use crate::affinity::{bind_current_thread, CoreSet};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// What a panicking job unwound with.
+type Payload = Box<dyn Any + Send + 'static>;
+
+/// The jobs of one blocking call still running, and the first panic among
+/// the finished ones.
 struct Completion {
     remaining: AtomicUsize,
-    lock: Mutex<()>,
+    panic: Mutex<Option<Payload>>,
     cv: Condvar,
 }
 
@@ -31,22 +38,32 @@ impl Completion {
     fn new(n: usize) -> Self {
         Self {
             remaining: AtomicUsize::new(n),
-            lock: Mutex::new(()),
+            panic: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    fn finish_one(&self) {
+    /// Marks one job finished, keeping its panic payload if it is the first.
+    fn finish_one(&self, outcome: Result<(), Payload>) {
+        if let Err(payload) = outcome {
+            self.panic.lock().get_or_insert(payload);
+        }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.lock.lock();
+            let _g = self.panic.lock();
             self.cv.notify_all();
         }
     }
 
+    /// Blocks until every job finished, then resumes the first panic, if
+    /// any, on the calling thread.
     fn wait(&self) {
-        let mut g = self.lock.lock();
+        let mut g = self.panic.lock();
         while self.remaining.load(Ordering::Acquire) != 0 {
             self.cv.wait(&mut g);
+        }
+        if let Some(payload) = g.take() {
+            drop(g);
+            panic::resume_unwind(payload);
         }
     }
 }
@@ -86,8 +103,11 @@ impl ThreadPool {
                     if let Some(cs) = pin {
                         let _ = bind_current_thread(&cs);
                     }
+                    // A panicking job unwinds into here, not out of the
+                    // worker: the panic hook has reported it, and the
+                    // worker lives on for the next job.
                     while let Ok(job) = rx.recv() {
-                        job();
+                        let _ = panic::catch_unwind(AssertUnwindSafe(job));
                     }
                 })
                 .expect("spawn pool worker");
@@ -118,6 +138,10 @@ impl ThreadPool {
     /// contiguous ranges, one batch per worker. Blocks until done, so `f`
     /// may borrow from the caller's stack: the (internally `unsafe`)
     /// lifetime extension below never outlives the call.
+    ///
+    /// If `f` panics on some range, the call still waits for every other
+    /// range, then resumes the first panic on the calling thread — the
+    /// contract of `std::thread::scope`. The workers survive it.
     pub fn parallel_ranges<F>(&self, n: usize, f: F)
     where
         F: Fn(std::ops::Range<usize>) + Sync,
@@ -141,13 +165,13 @@ impl ThreadPool {
             let start = t * chunk;
             let end = ((t + 1) * chunk).min(n);
             if start >= end {
-                completion.finish_one();
+                completion.finish_one(Ok(()));
                 continue;
             }
             let completion = Arc::clone(&completion);
             self.execute(move || {
-                f_static(start..end);
-                completion.finish_one();
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| f_static(start..end)));
+                completion.finish_one(outcome);
             });
         }
         completion.wait();
@@ -400,6 +424,49 @@ mod tests {
         }
         drop(pool); // join workers
         assert_eq!(counter.load(Ordering::SeqCst), 16);
+    }
+
+    /// A range that panics on a pool worker re-panics on the caller, with
+    /// its own message, once every range finished — and the pool keeps
+    /// every worker: a barrier only all of them together can pass then
+    /// opens. The body runs on its own thread and the test waits a bounded
+    /// time, so a hang fails instead of stalling the suite.
+    #[test]
+    fn a_panicking_range_re_panics_on_the_caller_and_the_workers_survive() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let pool = ThreadPool::new("t", 4);
+            let ran = AtomicUsize::new(0);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_ranges(4, |r| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    assert!(r.start != 2, "range {} refused", r.start);
+                })
+            }));
+            let message = caught
+                .expect_err("the range's panic reaches the caller")
+                .downcast::<String>()
+                .map(|m| *m)
+                .ok();
+            let ran = ran.load(Ordering::SeqCst);
+            // Four ranges at once on four workers: only a full pool opens
+            // the barrier.
+            let barrier = std::sync::Barrier::new(4);
+            let leaders = AtomicUsize::new(0);
+            pool.parallel_ranges(4, |_| {
+                if barrier.wait().is_leader() {
+                    leaders.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            let _ = done.send((message, ran, leaders.load(Ordering::SeqCst)));
+        });
+        let (message, ran, leaders) = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the pool returned within 30 s");
+        body.join().expect("test body thread");
+        assert_eq!(message.as_deref(), Some("range 2 refused"));
+        assert_eq!(ran, 4, "every range ran before the caller resumed");
+        assert_eq!(leaders, 1, "all four workers met at the barrier");
     }
 
     #[test]

@@ -57,8 +57,8 @@ const SPARSE_WORK_THRESHOLD: usize = 8 * 1024 * 1024;
 /// add, or bias + ReLU.
 #[derive(Clone, Copy, Debug)]
 pub struct Epilogue<'a> {
-    bias: Option<&'a [f32]>,
-    relu: bool,
+    pub(crate) bias: Option<&'a [f32]>,
+    pub(crate) relu: bool,
 }
 
 impl<'a> Epilogue<'a> {
@@ -157,33 +157,6 @@ impl DispatchPolicy {
             .filter(|_| work >= SPARSE_WORK_THRESHOLD)
     }
 
-    /// GEMM kernel of the active tier.
-    fn run_gemm(
-        &self,
-        a: &Matrix,
-        rows: Range<usize>,
-        b: &Matrix,
-        b_row_offset: usize,
-        dst: &mut [f32],
-        accumulate: bool,
-    ) {
-        if self.simd {
-            simd::gemm_into(a, rows, b, b_row_offset, dst, accumulate);
-        } else {
-            kernels::gemm_into(a, rows, b, b_row_offset, dst, accumulate);
-        }
-    }
-
-    /// Bias/ReLU epilogue of the active tier (bitwise-equal either way).
-    fn run_epilogue(&self, dst: &mut [f32], epi: Epilogue<'_>) {
-        let Some(bias) = epi.bias else { return };
-        if self.simd {
-            simd::epilogue_bias_relu(dst, bias, epi.relu);
-        } else {
-            kernels::epilogue_bias_relu(dst, bias, epi.relu);
-        }
-    }
-
     /// Blocked GEMM `a @ b`, no epilogue.
     pub fn gemm(&self, a: &Matrix, b: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -207,10 +180,7 @@ impl DispatchPolicy {
             self.pool_for(a.rows(), pool),
             out.data_mut(),
             b.cols(),
-            |rows, dst| {
-                self.run_gemm(a, rows, b, 0, dst, false);
-                self.run_epilogue(dst, epi);
-            },
+            |rows, dst| simd::gemm_into(&[(a, 0)], rows, b, epi, self.simd, dst),
         );
     }
 
@@ -237,11 +207,7 @@ impl DispatchPolicy {
             self.pool_for(n_dst, pool),
             out.data_mut(),
             w.cols(),
-            |rows, dst| {
-                self.run_gemm(h, rows.clone(), w, 0, dst, false);
-                self.run_gemm(agg, rows, w, f, dst, true);
-                self.run_epilogue(dst, epi);
-            },
+            |rows, dst| simd::gemm_into(&[(h, 0), (agg, f)], rows, w, epi, self.simd, dst),
         );
     }
 
@@ -344,41 +310,35 @@ impl DispatchPolicy {
         self.gather(adj.csc().view(), grad, pool, out);
     }
 
-    /// Weight gradient `dst[dst_row_offset..][..] = x[x_rows]ᵀ @ grad` —
-    /// the reduction-over-rows GEMM of the backward pass. The row offset
-    /// lets fused GraphSAGE write the `W_self` and `W_neigh` halves of one
-    /// stacked gradient without concatenating inputs.
+    /// Weight gradient of a layer whose GEMM read `xs`: `dst = [x_0ᵀ; x_1ᵀ;
+    /// …] @ grad` — the reduction-over-rows GEMM of the backward pass, over
+    /// the first `grad.rows()` rows of every `x_o`. Fused GraphSAGE passes
+    /// its self rows and its aggregation and gets the stacked `[dW_self;
+    /// dW_neigh]` in one pass over `grad`, without concatenating inputs.
     ///
     /// Parallelized with per-worker partial accumulators reduced in range
     /// order (deterministic for a fixed pool size, tolerance-level equal to
     /// serial).
     pub fn grad_weights_into(
         &self,
-        x: &Matrix,
-        x_rows: Range<usize>,
+        xs: &[&Matrix],
         grad: &Matrix,
         pool: Option<&ThreadPool>,
         dst: &mut Matrix,
-        dst_row_offset: usize,
     ) {
-        let k = x.cols();
+        let m = grad.rows();
         let n = grad.cols();
-        assert_eq!(dst.cols(), n, "grad_weights dst cols");
-        assert!(dst_row_offset + k <= dst.rows(), "grad_weights dst rows");
-        assert!(x_rows.end <= x.rows(), "grad_weights x range");
-        assert_eq!(x_rows.len(), grad.rows(), "grad_weights reduction len");
-        let m = x_rows.len();
-        let lo = dst_row_offset * n;
-        let region = &mut dst.data_mut()[lo..lo + k * n];
+        let k: usize = xs.iter().map(|x| x.cols()).sum();
+        assert_eq!((dst.rows(), dst.cols()), (k, n), "grad_weights dst");
+        assert!(xs.iter().all(|x| x.rows() >= m), "grad_weights x rows");
+        let dst = dst.data_mut();
         match self.pool_for(m, pool) {
             Some(p) => {
                 let partial = p.parallel_map_reduce(
                     m,
                     |r| {
                         let mut buf = vec![0.0f32; k * n];
-                        // grad row r.start corresponds to x row
-                        // x_rows.start + r.start: slide both windows.
-                        self.run_transpose_self(x, grad, r, x_rows.start, &mut buf, false);
+                        simd::grad_weights_into(xs, grad, r, self.simd, &mut buf);
                         buf
                     },
                     |mut a, b| {
@@ -389,30 +349,11 @@ impl DispatchPolicy {
                     },
                 );
                 match partial {
-                    Some(buf) => region.copy_from_slice(&buf),
-                    None => region.fill(0.0),
+                    Some(buf) => dst.copy_from_slice(&buf),
+                    None => dst.fill(0.0),
                 }
             }
-            None => {
-                self.run_transpose_self(x, grad, 0..m, x_rows.start, region, false);
-            }
-        }
-    }
-
-    /// Weight-gradient kernel of the active tier.
-    fn run_transpose_self(
-        &self,
-        a: &Matrix,
-        b: &Matrix,
-        rows: Range<usize>,
-        a_row_offset: usize,
-        dst: &mut [f32],
-        accumulate: bool,
-    ) {
-        if self.simd {
-            simd::transpose_self_into(a, b, rows, a_row_offset, dst, accumulate);
-        } else {
-            kernels::transpose_self_into(a, b, rows, a_row_offset, dst, accumulate);
+            None => simd::grad_weights_into(xs, grad, 0..m, self.simd, dst),
         }
     }
 
@@ -420,7 +361,7 @@ impl DispatchPolicy {
     /// over all rows: `xᵀ @ grad`.
     pub fn grad_weights(&self, x: &Matrix, grad: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut out = Matrix::zeros(x.cols(), grad.cols());
-        self.grad_weights_into(x, 0..x.rows(), grad, pool, &mut out, 0);
+        self.grad_weights_into(&[x], grad, pool, &mut out);
         out
     }
 
@@ -754,8 +695,7 @@ mod tests {
         let agg = Matrix::xavier(n_dst, f, 13);
         let grad = Matrix::xavier(n_dst, o, 14);
         let mut dw = Matrix::zeros(2 * f, o);
-        policy.grad_weights_into(&h, 0..n_dst, &grad, None, &mut dw, 0);
-        policy.grad_weights_into(&agg, 0..n_dst, &grad, None, &mut dw, f);
+        policy.grad_weights_into(&[&h, &agg], &grad, None, &mut dw);
         let h_dst = h.gather_rows(&(0..n_dst as u32).collect::<Vec<_>>());
         let want = reference::matmul_transpose_self(&h_dst.concat_cols(&agg), &grad);
         for (a, b) in dw.data().iter().zip(want.data()) {

@@ -29,12 +29,20 @@
 //! AVX-512 kernels (on hosts with `avx512f`) only put more elements in
 //! flight, never reorder one element's operations:
 //!
-//! * GEMM: per `KC` block of the reduction, an accumulator from `0`, FMA
-//!   over `k` ascending, then `dst + acc` (an add, not a store, so a `-0`
-//!   accumulator still turns `+0`).
-//! * Weight gradient: FMA into `dst` over rows ascending for the columns
+//! * GEMM ([`gemm_into`], one operand or several against row windows of one
+//!   `B`): from `+0`, per operand in order and per `KC` block of its
+//!   reduction, an accumulator from `+0`, FMA over `k` ascending, then
+//!   `dst + acc` (an add, not a store: the first block's `0 + acc` turns a
+//!   `-0` accumulator `+0`); after the last block `+ bias`, then
+//!   `max(·, 0)` for ReLU. The AVX2 tier zeroes `dst`, accumulates each
+//!   operand into it and runs the epilogue over it; the AVX-512 tier makes
+//!   one pass per 6×64 output tile, adding each block's accumulator to the
+//!   tile and applying the epilogue to the last in registers.
+//! * Weight gradient ([`grad_weights_into`], the gradients of a stacked
+//!   weight): from `+0`, FMA into `dst` over rows ascending for the columns
 //!   below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
-//!   row, ascending.
+//!   row, ascending. The AVX-512 tier reads each 64-row chunk of the
+//!   gradient once for every operand.
 //! * Input gradient: eight lane accumulators (lane `l` folds `k ≡ l mod 8`
 //!   ascending by FMA), reduced by the fixed 8-lane add tree of the AVX2
 //!   `hsum`, `((v0+v4) + (v2+v6)) + ((v1+v5) + (v3+v7))`, plus the scalar
@@ -56,6 +64,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::dense::Matrix;
+use crate::dispatch::Epilogue;
 use crate::kernels;
 use crate::sparse::SparseView;
 
@@ -105,6 +114,16 @@ fn detect() -> Tier {
     Tier::Scalar
 }
 
+/// The tier a kernel runs: the host's, or scalar when the caller's policy
+/// turned SIMD off.
+fn tier_for(use_simd: bool) -> Tier {
+    if use_simd {
+        tier()
+    } else {
+        Tier::Scalar
+    }
+}
+
 /// Whether the SIMD tier is usable on this host: `x86_64` with `avx2` and
 /// `fma`, and not disabled via `ARGO_SIMD=off` (or `0`). Cached after the
 /// first call, so the environment switch must be set before any kernel
@@ -123,47 +142,93 @@ pub fn simd_tier() -> &'static str {
     }
 }
 
-/// SIMD [`crate::kernels::gemm_into`]: `dst (+)= A[rows] @ B[b_row_offset..]`.
+/// The GEMM every dense layer runs: `dst = epi(Σ_o A_o[rows] @ B[off_o..off_o
+/// + A_o.cols()])` over the operands `ops = [(A_o, off_o), …]` — one for a
+/// plain layer, GraphSAGE's self rows and aggregation against the two halves
+/// of its stacked weight. `dst` is row-major `rows.len() × b.cols()`.
+///
+/// Every tier gives each output element one sequence (module doc): from
+/// `+0`, per operand in order and per `KC` block of its reduction `dst +
+/// acc`, then the epilogue. The AVX-512 tier runs it in one pass per output
+/// tile; the AVX2 and scalar tiers zero `dst`, accumulate one operand after
+/// the other into it and run the epilogue over it.
 pub(crate) fn gemm_into(
-    a: &Matrix,
+    ops: &[(&Matrix, usize)],
     rows: Range<usize>,
     b: &Matrix,
-    b_row_offset: usize,
+    epi: Epilogue<'_>,
+    use_simd: bool,
     dst: &mut [f32],
-    accumulate: bool,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match tier() {
-            Tier::Avx512 => return avx512::gemm(a, rows, b, b_row_offset, dst, accumulate),
-            Tier::Avx2 => return x86::gemm(a, rows, b, b_row_offset, dst, accumulate),
-            Tier::Scalar => {}
-        }
-    }
-    kernels::gemm_into(a, rows, b, b_row_offset, dst, accumulate);
+    gemm_on(tier_for(use_simd), ops, rows, b, epi, dst);
 }
 
-/// SIMD [`crate::kernels::transpose_self_into`]: `dst (+)= Aᵀ @ B` over a
-/// row window (the weight-gradient reduction).
-pub(crate) fn transpose_self_into(
-    a: &Matrix,
-    b: &Matrix,
+/// [`gemm_into`] on `tier`, which the host must have.
+fn gemm_on(
+    tier: Tier,
+    ops: &[(&Matrix, usize)],
     rows: Range<usize>,
-    a_row_offset: usize,
+    b: &Matrix,
+    epi: Epilogue<'_>,
     dst: &mut [f32],
-    accumulate: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        match tier() {
-            Tier::Avx512 => {
-                return avx512::transpose_self(a, b, rows, a_row_offset, dst, accumulate)
-            }
-            Tier::Avx2 => return x86::transpose_self(a, b, rows, a_row_offset, dst, accumulate),
-            Tier::Scalar => {}
+    if tier == Tier::Avx512 {
+        return avx512::gemm(ops, rows, b, epi, dst);
+    }
+    dst.fill(0.0);
+    for &(a, b_row_offset) in ops {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => x86::gemm(a, rows.clone(), b, b_row_offset, dst, true),
+            _ => kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst, true),
         }
     }
-    kernels::transpose_self_into(a, b, rows, a_row_offset, dst, accumulate);
+    if let Some(bias) = epi.bias {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => x86::epilogue(dst, bias, epi.relu),
+            _ => kernels::epilogue_bias_relu(dst, bias, epi.relu),
+        }
+    }
+}
+
+/// The weight gradient of a layer whose GEMM read `xs`: `dst = [X_0ᵀ; X_1ᵀ;
+/// …] @ G` reduced over rows `rows` of `grad` and of every `X_o` — the
+/// `X_o.cols() × n` gradients of a stacked weight, stacked in operand order
+/// (`dst` is `Σ_o X_o.cols() × grad.cols()`, overwritten).
+///
+/// Per output element: from `+0`, FMA over the rows ascending (the scalar
+/// tier: `mul` + `add`). The AVX-512 tier reads each chunk of `grad` once
+/// for every operand; the AVX2 and scalar tiers reduce one operand after
+/// the other.
+pub(crate) fn grad_weights_into(
+    xs: &[&Matrix],
+    grad: &Matrix,
+    rows: Range<usize>,
+    use_simd: bool,
+    dst: &mut [f32],
+) {
+    grad_weights_on(tier_for(use_simd), xs, grad, rows, dst);
+}
+
+/// [`grad_weights_into`] on `tier`, which the host must have.
+fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 {
+        return avx512::grad_weights(xs, grad, rows, dst);
+    }
+    let n = grad.cols();
+    let mut at = 0;
+    for x in xs {
+        let d = &mut dst[at..at + x.cols() * n];
+        at += d.len();
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => x86::transpose_self(x, grad, rows.clone(), 0, d, false),
+            _ => kernels::transpose_self_into(x, grad, rows.clone(), 0, d, false),
+        }
+    }
 }
 
 /// SIMD [`crate::kernels::transpose_other_into`]: `dst = A[a_rows] @
@@ -184,19 +249,6 @@ pub(crate) fn transpose_other_into(
         }
     }
     kernels::transpose_other_into(a, a_rows, b, b_rows, dst);
-}
-
-/// SIMD [`crate::kernels::epilogue_bias_relu`]; bitwise-equal to the scalar
-/// epilogue (per-element `add`/`max`, lane order preserved).
-pub(crate) fn epilogue_bias_relu(dst: &mut [f32], bias: &[f32], relu: bool) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if available() {
-            x86::epilogue(dst, bias, relu);
-            return;
-        }
-    }
-    kernels::epilogue_bias_relu(dst, bias, relu);
 }
 
 /// The SpMM row kernel, over rows `rows` of `adj` into `out` (`n` floats a
@@ -331,7 +383,7 @@ mod x86 {
     /// Packs a `kc × nc` block of `B` (rows `kk..`, columns `jj..`) into
     /// `NR`-column tiles, k-major within each tile
     /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails. `NR` is
-    /// the micro-kernel's width: 16 here, 32 in the AVX-512 GEMM.
+    /// the micro-kernel's width: 16 here, 16 to 64 in the AVX-512 GEMM.
     pub(super) fn pack_b<const NR: usize>(
         b: &Matrix,
         kk: usize,
@@ -867,148 +919,113 @@ mod avx512 {
     //! here is only reachable through the module-level wrappers after
     //! [`super::tier`] has detected `avx512f` next to `avx2` + `fma` at
     //! runtime. Each output element sees exactly the operation sequence the
-    //! AVX2 kernel in [`super::x86`] gives it (module doc), so the two tiers
-    //! are bitwise equal; the wider registers only hold more elements.
+    //! AVX2 tier gives it (module doc), so the two tiers are bitwise equal;
+    //! the wider registers only hold more elements, and the GEMM and weight
+    //! gradient take all of a layer's operands in one pass.
 
     use std::arch::x86_64::{
         __m256, __m512, __mmask16, _mm256_castps_pd, _mm256_loadu_ps, _mm512_add_ps,
         _mm512_broadcast_f64x4, _mm512_castpd_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_permutexvar_ps, _mm512_set1_ps,
-        _mm512_setr_epi32, _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_shuffle_ps,
-        _mm512_storeu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_permutexvar_ps,
+        _mm512_set1_ps, _mm512_setr_epi32, _mm512_setzero_ps, _mm512_shuffle_f32x4,
+        _mm512_shuffle_ps,
     };
     use std::ops::Range;
 
     use super::x86::pack_b;
     use crate::dense::Matrix;
-    use crate::kernels::{KC, NC};
+    use crate::dispatch::Epilogue;
+    use crate::kernels::KC;
     use crate::workspace;
 
     /// Register tile rows: `A` values (GEMM) or `dst` rows (weight gradient)
     /// broadcast across the lanes.
-    const MR: usize = 8;
-    /// Register tile columns: two f32x16 vectors per tile row.
-    const NR: usize = 32;
-    /// Reduction rows per pass of the weight gradient: its `dst` tile is
-    /// loaded once and stored once per chunk, and the chunk's rows of both
-    /// operands stay cache-resident across the tile's column passes.
-    const DW_ROWS: usize = 128;
+    const MR: usize = 6;
+    /// Register tile columns, at most: four f32x16 vectors per tile row. A
+    /// narrower matrix, or the last panel of a wider one, gets a tile of
+    /// `⌈w/16⌉` vectors, so narrow layers compute no padded lanes.
+    const NR: usize = 64;
+    /// Reduction rows per pass of the weight gradient: each chunk of `grad`
+    /// (and of every operand) is read from memory once, and a `dst` tile is
+    /// loaded once and stored once per chunk.
+    const DW_ROWS: usize = 64;
     /// Input-gradient block rows: rows of `A`.
     const TR: usize = 4;
     /// Input-gradient block columns: pairs of `B` rows, two dots each.
     const TP: usize = 4;
 
-    /// Lane masks of the two 16-lane halves of a `w`-column tile (`w ≤ 32`).
-    fn masks(w: usize) -> (__mmask16, __mmask16) {
-        let bits = if w >= NR { u32::MAX } else { (1u32 << w) - 1 };
-        (bits as u16, (bits >> 16) as u16)
+    /// Lane masks of the `NV` 16-lane vectors of a `w`-column tile.
+    fn masks<const NV: usize>(w: usize) -> [__mmask16; NV] {
+        std::array::from_fn(|v| ((1u32 << w.saturating_sub(16 * v).min(16)) - 1) as u16)
     }
 
-    /// The GEMM micro-kernel: `dst[at + r*ldd + c] += Σ_k ar[r][k] *
-    /// pb[k*NR+c]` for the `mr × nr` valid corner of an 8×32 tile. Rows of
-    /// `ar` past `mr` may repeat a valid row (computed, never stored);
-    /// columns past `nr` are zero-padded in `pb` and masked off the
-    /// write-back.
-    #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    fn micro_8x32(
-        ar: &[&[f32]; MR],
-        pb: &[f32],
-        kc: usize,
-        dst: &mut [f32],
-        at: usize,
-        ldd: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        debug_assert!(
-            ar.iter().all(|r| r.len() >= kc) && pb.len() >= kc * NR,
-            "A rows and packed B panel"
-        );
-        let ap = ar.map(<[f32]>::as_ptr);
-        let pbp = pb.as_ptr();
-        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-        for k in 0..kc {
-            // SAFETY: avx512f (with avx2+fma) was detected by `tier()`
-            // before any call into this module; every `ar` row holds `kc`
-            // values and `pb` holds `kc` packed groups of NR lanes (asserted
-            // above), so every load is in bounds.
-            unsafe {
-                let b0 = _mm512_loadu_ps(pbp.add(k * NR));
-                let b1 = _mm512_loadu_ps(pbp.add(k * NR + 16));
-                for (c, p) in acc.iter_mut().zip(&ap) {
-                    let av = _mm512_set1_ps(*p.add(k));
-                    c[0] = _mm512_fmadd_ps(av, b0, c[0]);
-                    c[1] = _mm512_fmadd_ps(av, b1, c[1]);
-                }
-            }
-        }
-        let (m0, m1) = masks(nr);
-        for (r, [v0, v1]) in acc.into_iter().take(mr).enumerate() {
-            let p = dst[at + r * ldd..][..nr].as_mut_ptr();
-            if nr == NR {
-                // SAFETY: `tier()` detected avx512f (and avx2+fma); `p`
-                // starts a bounds-checked slice of `nr = 32` floats, so both
-                // 16-lane loads/stores of this output row are inside `dst`.
-                unsafe {
-                    _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), v0));
-                    _mm512_storeu_ps(p.add(16), _mm512_add_ps(_mm512_loadu_ps(p.add(16)), v1));
-                }
-            } else {
-                // SAFETY: `tier()` detected avx512f (and avx2+fma); the
-                // masks cover only the row's `nr` valid columns, the
-                // bounds-checked slice `p` starts, and masked-off lanes are
-                // neither read nor written.
-                unsafe {
-                    let q = p.wrapping_add(16);
-                    _mm512_mask_storeu_ps(p, m0, _mm512_add_ps(_mm512_maskz_loadu_ps(m0, p), v0));
-                    _mm512_mask_storeu_ps(q, m1, _mm512_add_ps(_mm512_maskz_loadu_ps(m1, q), v1));
-                }
-            }
+    /// Packs rows `k0..k0 + k` of `B`, columns `j0..j0 + w`, `k`-major and
+    /// `w` rounded up to whole vectors: `buf[k * 16⌈w/16⌉ + lane]`, padded
+    /// lanes zero.
+    fn pack_panel(b: &Matrix, k0: usize, k: usize, j0: usize, w: usize, buf: &mut [f32]) {
+        match w.div_ceil(16) {
+            1 => pack_b::<16>(b, k0, k, j0, w, buf),
+            2 => pack_b::<32>(b, k0, k, j0, w, buf),
+            3 => pack_b::<48>(b, k0, k, j0, w, buf),
+            _ => pack_b::<NR>(b, k0, k, j0, w, buf),
         }
     }
 
-    /// Packed-panel GEMM with the 8×32 micro-kernel: the AVX2 GEMM's
-    /// `k`-outermost `KC`/`NC` blocking (so each element's `KC` blocks
-    /// arrive in the same order), `B` packed into 32-column panels, and
-    /// `A` read in place — an 8-row tile of `A` stays in L1 across the
-    /// panels.
+    /// The multi-operand GEMM of [`super::gemm_into`], one pass per output
+    /// tile. `B` is packed once per call into panels of [`NR`] columns, each
+    /// holding every operand's rows in turn. Per `MR`-row tile and panel,
+    /// every `KC` block of every operand computes `acc` from `+0` in
+    /// registers and adds it to the tile's sum (from `+0`, so the first
+    /// block is `0 + acc`), which waits in L1 between blocks; then the bias
+    /// and the clamp, in registers, and one store. `A` is read in place.
     pub(super) fn gemm(
-        a: &Matrix,
+        ops: &[(&Matrix, usize)],
         rows: Range<usize>,
         b: &Matrix,
-        b_row_offset: usize,
+        epi: Epilogue<'_>,
         dst: &mut [f32],
-        accumulate: bool,
     ) {
-        let k_dim = a.cols();
         let n = b.cols();
         let m = rows.len();
         debug_assert_eq!(dst.len(), m * n, "dst shape");
-        if !accumulate {
-            dst.fill(0.0);
-        }
-        if m == 0 || n == 0 || k_dim == 0 {
+        let k_total: usize = ops.iter().map(|(a, _)| a.cols()).sum();
+        if m == 0 || n == 0 {
             return;
         }
-        workspace::with_pack_buffers(0, KC * NC, |_, pb| {
-            for kk in (0..k_dim).step_by(KC) {
-                let kc = KC.min(k_dim - kk);
-                for jj in (0..n).step_by(NC) {
-                    let nc = NC.min(n - jj);
-                    pack_b::<NR>(b, b_row_offset + kk, kc, jj, nc, pb);
-                    for it in (0..m).step_by(MR) {
-                        let mr = MR.min(m - it);
-                        let ar = std::array::from_fn(|r| {
-                            &a.row(rows.start + it + r.min(mr - 1))[kk..kk + kc]
-                        });
-                        for jt in (0..nc).step_by(NR) {
-                            let pb_tile = &pb[(jt / NR) * NR * kc..][..NR * kc];
-                            let at = it * n + jj + jt;
-                            let nr = NR.min(nc - jt);
-                            // SAFETY: avx512f (with avx2+fma) was detected
-                            // by `tier()` before dispatch routed here.
-                            unsafe { micro_8x32(&ar, pb_tile, kc, dst, at, n, mr, nr) }
+        // Panel `p` (columns `j0 = 64p..`) starts at `k_total * j0`: every
+        // panel before it is `NR` lanes wide.
+        workspace::with_pack_buffers(0, k_total * n.next_multiple_of(16), |_, pb| {
+            for j0 in (0..n).step_by(NR) {
+                let w = NR.min(n - j0);
+                let lanes = w.next_multiple_of(16);
+                let mut at = k_total * j0;
+                for &(a, b_row_offset) in ops {
+                    let len = a.cols() * lanes;
+                    pack_panel(b, b_row_offset, a.cols(), j0, w, &mut pb[at..at + len]);
+                    at += len;
+                }
+            }
+            for i0 in (0..m).step_by(MR) {
+                let out = &mut dst[i0 * n..(i0 + MR).min(m) * n];
+                for j0 in (0..n).step_by(NR) {
+                    let w = NR.min(n - j0);
+                    let panel = &pb[k_total * j0..][..k_total * w.next_multiple_of(16)];
+                    let tile = Tile {
+                        a_row0: rows.start + i0,
+                        n,
+                        j0,
+                        w,
+                        bias: epi.bias.map(|bias| &bias[j0..j0 + w]),
+                        relu: epi.relu,
+                    };
+                    // SAFETY: avx512f (with avx2+fma) was detected by
+                    // `tier()` before dispatch routed here.
+                    unsafe {
+                        match w.div_ceil(16) {
+                            1 => gemm_tile::<1>(ops, panel, &tile, out),
+                            2 => gemm_tile::<2>(ops, panel, &tile, out),
+                            3 => gemm_tile::<3>(ops, panel, &tile, out),
+                            _ => gemm_tile::<4>(ops, panel, &tile, out),
                         }
                     }
                 }
@@ -1016,100 +1033,207 @@ mod avx512 {
         });
     }
 
-    /// Weight gradient `dst (+)= A[a_row_offset + rows]ᵀ @ B[rows]` with an
-    /// 8×32 tile of `dst` held in registers across [`DW_ROWS`] rows of the
-    /// reduction.
-    pub(super) fn transpose_self(
-        a: &Matrix,
-        b: &Matrix,
-        rows: Range<usize>,
-        a_row_offset: usize,
-        dst: &mut [f32],
-        accumulate: bool,
-    ) {
-        if !accumulate {
-            dst.fill(0.0);
-        }
-        // SAFETY: avx512f (with avx2+fma) was detected by `tier()` before
-        // dispatch routed into this module.
-        unsafe { transpose_self_avx512(a, b, rows, a_row_offset, dst) }
+    /// Where one GEMM tile reads and writes: `A` rows from `a_row0`, output
+    /// columns `j0..j0 + w` of rows `n` wide, and the epilogue's bias over
+    /// those columns.
+    struct Tile<'a> {
+        a_row0: usize,
+        n: usize,
+        j0: usize,
+        w: usize,
+        bias: Option<&'a [f32]>,
+        relu: bool,
     }
 
+    /// One tile of [`gemm`]: the tile's columns of the `mr ≤ MR` rows of
+    /// `out`, from `panel` (`NV` vectors wide, every operand's rows in turn).
+    /// Tile rows past `mr` repeat the last valid one (computed, never
+    /// stored); lanes past `w` are zero in `panel` and masked off `out`.
     #[target_feature(enable = "avx512f,avx2,fma")]
-    fn transpose_self_avx512(
-        a: &Matrix,
-        b: &Matrix,
-        rows: Range<usize>,
-        a_row_offset: usize,
-        dst: &mut [f32],
+    fn gemm_tile<const NV: usize>(
+        ops: &[(&Matrix, usize)],
+        panel: &[f32],
+        tile: &Tile<'_>,
+        out: &mut [f32],
     ) {
-        let k_a = a.cols();
-        let n = b.cols();
-        debug_assert_eq!(dst.len(), k_a * n, "dst shape");
-        // Columns the AVX2 tier covers with 8-lane FMA; past them it keeps
-        // a separate `mul` + `add`, and so does this tier.
-        let nv = n - n % 8;
-        for r0 in rows.clone().step_by(DW_ROWS) {
-            let r1 = (r0 + DW_ROWS).min(rows.end);
-            for i0 in (0..k_a).step_by(MR) {
-                let ni = MR.min(k_a - i0);
-                // Tile rows past `ni` repeat the last one: computed, never
-                // stored.
-                let ic: [usize; MR] = std::array::from_fn(|t| i0 + t.min(ni - 1));
-                for j0 in (0..nv).step_by(NR) {
-                    let (m0, m1) = masks(NR.min(nv - j0));
-                    let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-                    for (c, &i) in acc.iter_mut().zip(&ic) {
-                        let p = dst[i * n..(i + 1) * n][j0..].as_ptr();
-                        // SAFETY: `tier()` detected avx512f (and avx2+fma);
-                        // the masks cover columns `j0..nv` of row `i`,
-                        // inside `dst`.
-                        unsafe {
-                            c[0] = _mm512_maskz_loadu_ps(m0, p);
-                            c[1] = _mm512_maskz_loadu_ps(m1, p.wrapping_add(16));
-                        }
-                    }
-                    // Rows `r0..r1` of both operands, walked by stride.
-                    let a_rows = &a.data()[(a_row_offset + r0) * k_a..(a_row_offset + r1) * k_a];
-                    let b_rows = &b.data()[r0 * n..r1 * n];
-                    for r in 0..r1 - r0 {
-                        // SAFETY: `tier()` detected avx512f (and avx2+fma);
-                        // row `r` of each window is in bounds, every `ic`
-                        // index is below `k_a`, and the masks cover columns
-                        // `j0..nv` of the `b` row.
-                        unsafe {
-                            let ap = a_rows.as_ptr().add(r * k_a);
-                            let bp = b_rows.as_ptr().add(r * n + j0);
-                            let b0 = _mm512_maskz_loadu_ps(m0, bp);
-                            let b1 = _mm512_maskz_loadu_ps(m1, bp.wrapping_add(16));
-                            for (c, &i) in acc.iter_mut().zip(&ic) {
-                                let x = _mm512_set1_ps(*ap.add(i));
-                                c[0] = _mm512_fmadd_ps(x, b0, c[0]);
-                                c[1] = _mm512_fmadd_ps(x, b1, c[1]);
+        let lanes = 16 * NV;
+        let (n, j0, w) = (tile.n, tile.j0, tile.w);
+        let mr = out.len() / n;
+        let masks = masks::<NV>(w);
+        let zero = _mm512_setzero_ps();
+        // The tile between blocks, in L1: from `+0`, plus each block's
+        // accumulator.
+        let mut sum = [[zero; NV]; MR];
+        // Panel row of the current operand's first `B` row.
+        let mut k0 = 0;
+        for &(a, _) in ops {
+            let k_dim = a.cols();
+            let ar: [&[f32]; MR] = std::array::from_fn(|r| a.row(tile.a_row0 + r.min(mr - 1)));
+            for kk in (0..k_dim).step_by(KC) {
+                let kc = KC.min(k_dim - kk);
+                let pbp = panel[(k0 + kk) * lanes..][..kc * lanes].as_ptr();
+                let ap = ar.map(|row| row[kk..kk + kc].as_ptr());
+                let mut acc = [[zero; NV]; MR];
+                for k in 0..kc {
+                    // SAFETY: `tier()` detected avx512f (and avx2+fma); each
+                    // `ap` row and the `pbp` block are bounds-checked slices
+                    // of `kc` values and `kc` groups of `lanes` floats, and
+                    // `k < kc`, so every load is in bounds.
+                    unsafe {
+                        let bv: [__m512; NV] =
+                            std::array::from_fn(|v| _mm512_loadu_ps(pbp.add(k * lanes + 16 * v)));
+                        for (c, p) in acc.iter_mut().zip(&ap) {
+                            let av = _mm512_set1_ps(*p.add(k));
+                            for (cv, &bk) in c.iter_mut().zip(&bv) {
+                                *cv = _mm512_fmadd_ps(av, bk, *cv);
                             }
                         }
                     }
-                    for (c, &i) in acc.iter().zip(&ic).take(ni) {
-                        let p = dst[i * n..(i + 1) * n][j0..].as_mut_ptr();
-                        // SAFETY: `tier()` detected avx512f (and avx2+fma);
-                        // the masks cover columns `j0..nv` of row `i`,
-                        // inside `dst`.
+                }
+                for (s, c) in sum.iter_mut().zip(&acc) {
+                    for (sv, &cv) in s.iter_mut().zip(c) {
+                        *sv = _mm512_add_ps(*sv, cv);
+                    }
+                }
+            }
+            k0 += k_dim;
+        }
+        for (r, s) in sum.iter().enumerate().take(mr) {
+            let p = out[r * n + j0..][..w].as_mut_ptr();
+            for (v, (&sv, &mask)) in s.iter().zip(&masks).enumerate() {
+                // SAFETY: `tier()` detected avx512f (and avx2+fma); `mask`
+                // covers only this vector's columns below `w` of the
+                // bounds-checked `w`-float slices `p` (of `out`) and `bias`
+                // start, and masked-off lanes are neither read nor written.
+                unsafe {
+                    let mut d = sv;
+                    if let Some(bias) = tile.bias {
+                        let b = _mm512_maskz_loadu_ps(mask, bias.as_ptr().wrapping_add(16 * v));
+                        d = _mm512_add_ps(d, b);
+                        if tile.relu {
+                            d = _mm512_max_ps(d, zero);
+                        }
+                    }
+                    _mm512_mask_storeu_ps(p.wrapping_add(16 * v), mask, d);
+                }
+            }
+        }
+    }
+
+    /// The stacked weight gradient of [`super::grad_weights_into`]: per
+    /// [`DW_ROWS`]-row chunk of the reduction, every operand's `MR × NR`
+    /// tiles of `dst`, each loaded, advanced by FMA over the chunk's rows
+    /// and stored once — so the chunk of `grad` is read from memory once and
+    /// stays in cache for every operand. Columns past `8·⌊n/8⌋` keep the
+    /// AVX2 tier's separate `mul` + `add`.
+    pub(super) fn grad_weights(xs: &[&Matrix], grad: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
+        let n = grad.cols();
+        debug_assert_eq!(
+            dst.len(),
+            xs.iter().map(|x| x.cols()).sum::<usize>() * n,
+            "dst shape"
+        );
+        dst.fill(0.0);
+        // Columns the AVX2 tier covers with 8-lane FMA.
+        let nv = n - n % 8;
+        for r0 in rows.clone().step_by(DW_ROWS) {
+            let chunk = r0..(r0 + DW_ROWS).min(rows.end);
+            let mut at = 0;
+            for x in xs {
+                let d = &mut dst[at..at + x.cols() * n];
+                at += d.len();
+                for j0 in (0..nv).step_by(NR) {
+                    let w = NR.min(nv - j0);
+                    for i0 in (0..x.cols()).step_by(MR) {
+                        let (x, g, c) = (*x, grad, chunk.clone());
+                        // SAFETY: avx512f (with avx2+fma) was detected by
+                        // `tier()` before dispatch routed here.
                         unsafe {
-                            _mm512_mask_storeu_ps(p, m0, c[0]);
-                            _mm512_mask_storeu_ps(p.wrapping_add(16), m1, c[1]);
+                            match w.div_ceil(16) {
+                                1 => dw_tile::<1>(x, g, c, i0, j0, w, d),
+                                2 => dw_tile::<2>(x, g, c, i0, j0, w, d),
+                                3 => dw_tile::<3>(x, g, c, i0, j0, w, d),
+                                _ => dw_tile::<4>(x, g, c, i0, j0, w, d),
+                            }
                         }
                     }
                 }
             }
         }
         if nv < n {
-            for r in rows {
-                let br = &b.row(r)[nv..];
-                for (i, &x) in a.row(a_row_offset + r).iter().enumerate() {
-                    for (d, &bv) in dst[i * n + nv..(i + 1) * n].iter_mut().zip(br) {
-                        *d += x * bv;
+            let mut at = 0;
+            for x in xs {
+                for r in rows.clone() {
+                    let gr = &grad.row(r)[nv..];
+                    for (i, &xv) in x.row(r).iter().enumerate() {
+                        let drow = &mut dst[at + i * n..at + (i + 1) * n];
+                        for (d, &gv) in drow[nv..].iter_mut().zip(gr) {
+                            *d += xv * gv;
+                        }
                     }
                 }
+                at += x.cols() * n;
+            }
+        }
+    }
+
+    /// One tile of [`grad_weights`]: rows `i0..i0 + MR` (at most) and
+    /// columns `j0..j0 + w` of one operand's gradient `d` (`x.cols() × n`),
+    /// advanced over the reduction rows `chunk`. Tile rows past the last
+    /// valid one repeat it (computed, never stored).
+    #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn dw_tile<const NV: usize>(
+        x: &Matrix,
+        grad: &Matrix,
+        chunk: Range<usize>,
+        i0: usize,
+        j0: usize,
+        w: usize,
+        d: &mut [f32],
+    ) {
+        let (k_a, n) = (x.cols(), grad.cols());
+        let ni = MR.min(k_a - i0);
+        let ic: [usize; MR] = std::array::from_fn(|t| i0 + t.min(ni - 1));
+        let masks = masks::<NV>(w);
+        let mut acc = [[_mm512_setzero_ps(); NV]; MR];
+        for (c, &i) in acc.iter_mut().zip(&ic) {
+            let p = d[i * n + j0..][..w].as_ptr();
+            for (cv, (v, &mask)) in c.iter_mut().zip(masks.iter().enumerate()) {
+                // SAFETY: `tier()` detected avx512f (and avx2+fma); `mask`
+                // covers only this vector's columns below `w` of the
+                // bounds-checked `w`-float slice `p` starts.
+                *cv = unsafe { _mm512_maskz_loadu_ps(mask, p.wrapping_add(16 * v)) };
+            }
+        }
+        // The chunk's rows of both operands, walked by stride.
+        let xr = &x.data()[chunk.start * k_a..chunk.end * k_a];
+        let gr = &grad.data()[chunk.start * n..chunk.end * n];
+        for r in 0..chunk.len() {
+            // SAFETY: `tier()` detected avx512f (and avx2+fma); row `r` of
+            // each window is in bounds, every `ic` index is below `k_a`, and
+            // the masks cover only columns `j0..j0 + w ≤ n` of the `grad` row.
+            unsafe {
+                let xp = xr.as_ptr().add(r * k_a);
+                let gp = gr.as_ptr().add(r * n + j0);
+                let gv: [__m512; NV] = std::array::from_fn(|v| {
+                    _mm512_maskz_loadu_ps(masks[v], gp.wrapping_add(16 * v))
+                });
+                for (c, &i) in acc.iter_mut().zip(&ic) {
+                    let xv = _mm512_set1_ps(*xp.add(i));
+                    for (cv, &g) in c.iter_mut().zip(&gv) {
+                        *cv = _mm512_fmadd_ps(xv, g, *cv);
+                    }
+                }
+            }
+        }
+        for (c, &i) in acc.iter().zip(&ic).take(ni) {
+            let p = d[i * n + j0..][..w].as_mut_ptr();
+            for (v, (&cv, &mask)) in c.iter().zip(&masks).enumerate() {
+                // SAFETY: `tier()` detected avx512f (and avx2+fma); `mask`
+                // covers only this vector's columns below `w` of the
+                // bounds-checked `w`-float slice `p` starts.
+                unsafe { _mm512_mask_storeu_ps(p.wrapping_add(16 * v), mask, cv) };
             }
         }
     }
@@ -1317,7 +1441,7 @@ mod tests {
             let a = Matrix::xavier(m, k, 1);
             let b = Matrix::xavier(k, n, 2);
             let mut got = vec![0.0f32; m * n];
-            gemm_into(&a, 0..m, &b, 0, &mut got, false);
+            gemm_into(&[(&a, 0)], 0..m, &b, Epilogue::none(), true, &mut got);
             let want = reference::matmul(&a, &b);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "{m}x{k}x{n}: {g} vs {w}");
@@ -1334,8 +1458,14 @@ mod tests {
         let a = Matrix::xavier(10, 6, 7);
         let w = Matrix::xavier(12, 8, 8);
         let mut fused = vec![0.0f32; 10 * 8];
-        gemm_into(&a, 0..10, &w, 0, &mut fused, false);
-        gemm_into(&a, 0..10, &w, 6, &mut fused, true);
+        gemm_into(
+            &[(&a, 0), (&a, 6)],
+            0..10,
+            &w,
+            Epilogue::none(),
+            true,
+            &mut fused,
+        );
         let w_top = Matrix::from_vec(6, 8, w.data()[..48].to_vec());
         let w_bot = Matrix::from_vec(6, 8, w.data()[48..].to_vec());
         let want_top = reference::matmul(&a, &w_top);
@@ -1358,11 +1488,11 @@ mod tests {
         let a = Matrix::xavier(71, 33, 3);
         let b = Matrix::xavier(33, 19, 4);
         let mut whole = vec![0.0f32; 71 * 19];
-        gemm_into(&a, 0..71, &b, 0, &mut whole, false);
+        gemm_into(&[(&a, 0)], 0..71, &b, Epilogue::none(), true, &mut whole);
         let mut split = vec![0.0f32; 71 * 19];
         let (top, bot) = split.split_at_mut(40 * 19);
-        gemm_into(&a, 0..40, &b, 0, top, false);
-        gemm_into(&a, 40..71, &b, 0, bot, false);
+        gemm_into(&[(&a, 0)], 0..40, &b, Epilogue::none(), true, top);
+        gemm_into(&[(&a, 0)], 40..71, &b, Epilogue::none(), true, bot);
         assert_eq!(whole, split);
     }
 
@@ -1375,7 +1505,7 @@ mod tests {
             let a = Matrix::xavier(m, k, 5);
             let b = Matrix::xavier(m, n, 6);
             let mut got = vec![0.0f32; k * n];
-            transpose_self_into(&a, &b, 0..m, 0, &mut got, false);
+            grad_weights_into(&[&a], &b, 0..m, true, &mut got);
             let want = reference::matmul_transpose_self(&a, &b);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "AtB {m}x{k}x{n}: {g} vs {w}");
@@ -1396,8 +1526,17 @@ mod tests {
             let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.21 - 1.3).collect();
             let mut d1: Vec<f32> = (0..2 * n).map(|i| (i as f32) * 0.17 - 2.0).collect();
             let mut d2 = d1.clone();
+            // The AVX2 tier's epilogue; the AVX-512 GEMM's fused one is
+            // pinned against it by `avx512_tier_equals_avx2_tier_bitwise`.
+            let simd_epilogue = |d: &mut [f32], relu: bool| {
+                #[cfg(target_arch = "x86_64")]
+                if available() {
+                    return x86::epilogue(d, &bias, relu);
+                }
+                kernels::epilogue_bias_relu(d, &bias, relu)
+            };
             for relu in [true, false] {
-                epilogue_bias_relu(&mut d1, &bias, relu);
+                simd_epilogue(&mut d1, relu);
                 kernels::epilogue_bias_relu(&mut d2, &bias, relu);
                 assert_eq!(d1, d2, "epilogue n={n} relu={relu}");
             }
@@ -1498,13 +1637,16 @@ mod tests {
         spmm_rows(&adj, 0..2, &table, None, 64, true, &mut out);
     }
 
-    /// `rows × cols` Xavier values with `+0.0` and `-0.0` sprinkled in.
+    /// `rows × cols` Xavier values with `+0.0`, `-0.0` and tiny values
+    /// sprinkled in: the product of two tiny values of opposite sign
+    /// underflows to `-0.0`, so an accumulator from `+0` can end at `-0`.
     fn with_signed_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut m = Matrix::xavier(rows, cols, seed);
         for (i, v) in m.data_mut().iter_mut().enumerate() {
             match i % 7 {
                 0 => *v = -0.0,
                 3 => *v = 0.0,
+                5 => *v *= 1e-30,
                 _ => {}
             }
         }
@@ -1515,11 +1657,13 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The AVX-512 kernels against the AVX2 ones, called directly (not
-    /// through the dispatch), on ragged shapes: row windows, `B`/`A` row
-    /// offsets, `accumulate` both ways and signed zeros in every operand.
-    /// Equal bits, not a tolerance: both tiers give every output element
-    /// the same operation sequence.
+    /// The AVX-512 kernels against the AVX2 tier's composition of its
+    /// kernels, each on its tier directly (not through the host's dispatch),
+    /// on ragged shapes: row windows that start off a multiple of the tile,
+    /// one operand and two against a stacked `B`, each epilogue, and signed
+    /// zeros and tiny values in every operand, the bias and the incoming
+    /// `dst`. Equal bits, not a tolerance: both tiers give every output
+    /// element the same operation sequence.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_tier_equals_avx2_tier_bitwise() {
@@ -1527,59 +1671,79 @@ mod tests {
             eprintln!("avx512_tier_equals_avx2_tier_bitwise: skipped, this host lacks avx512f");
             return;
         }
-        const KS: [usize; 9] = [1, 7, 8, 16, 63, 64, 128, 256, 300];
-        const NS: [usize; 10] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 128];
-        let mut shapes: Vec<(usize, usize, usize)> = (1..=17)
+        const KS: [usize; 4] = [1, 64, 256, 300];
+        const NS: [usize; 8] = [7, 16, 32, 48, 64, 65, 128, 130];
+        // `(m, k, k2, n)`: the second operand's depth `k2` is the next one in
+        // `KS`, so the two operands' `KC` blocks end at different places.
+        let mut shapes: Vec<(usize, usize, usize, usize)> = (1..=13)
             .flat_map(|m| {
-                KS.iter()
-                    .flat_map(move |&k| NS.iter().map(move |&n| (m, k, n)))
+                KS.iter().enumerate().flat_map(move |(i, &k)| {
+                    let k2 = KS[(i + 1) % KS.len()];
+                    NS.iter().map(move |&n| (m, k, k2, n))
+                })
             })
             .collect();
-        // The training step's tall row count, across the reduction depths
-        // (300 crosses a `KC` block boundary) and ragged widths.
+        // The training step's tall row count (many weight-gradient chunks)
+        // at SAGE layer 0's depths and its two widths, and across a `KC`
+        // block.
         shapes
-            .extend([(64, 128), (128, 33), (300, 17), (63, 31), (7, 8)].map(|(k, n)| (4566, k, n)));
-        for (m, k, n) in shapes {
+            .extend([(64, 64, 16), (64, 64, 128), (300, 1, 48)].map(|(k, k2, n)| (4600, k, k2, n)));
+        for (m, k, k2, n) in shapes {
             let seed = (m * 10_000 + k * 100 + n) as u64;
-            let check = |what: &str, accumulate: bool, avx2: &[f32], avx512: &[f32]| {
+            let check = |what: &str, avx2: &[f32], avx512: &[f32]| {
                 assert!(
                     bits(avx2) == bits(avx512),
-                    "{what} m={m} k={k} n={n} accumulate={accumulate}: tiers differ"
+                    "{what} m={m} k={k} k2={k2} n={n}: tiers differ"
                 );
             };
-            // GEMM over rows 2..2+m of A and the row window of B at 3.
-            let a = with_signed_zeros(m + 3, k, seed);
-            let b = with_signed_zeros(k + 5, n, seed + 1);
-            let init = with_signed_zeros(m, n, seed + 2).into_data();
-            for accumulate in [false, true] {
-                let (mut d2, mut d5) = (init.clone(), init.clone());
-                x86::gemm(&a, 2..2 + m, &b, 3, &mut d2, accumulate);
-                avx512::gemm(&a, 2..2 + m, &b, 3, &mut d5, accumulate);
-                check("gemm", accumulate, &d2, &d5);
+            // GEMM over rows 7..7+m of each operand, against the row windows
+            // of B at 3 and, for the second operand, right below the first.
+            let a1 = with_signed_zeros(m + 9, k, seed);
+            let a2 = with_signed_zeros(m + 9, k2, seed + 1);
+            let b = with_signed_zeros(3 + k + k2, n, seed + 2);
+            let bias = with_signed_zeros(1, n, seed + 3).into_data();
+            let init = with_signed_zeros(m, n, seed + 4).into_data();
+            let one = [(&a1, 3)];
+            let two = [(&a1, 3), (&a2, 3 + k)];
+            for ops in [&one[..], &two[..]] {
+                for epi in [
+                    Epilogue::none(),
+                    Epilogue::bias(&bias),
+                    Epilogue::bias_relu(&bias),
+                ] {
+                    let (mut d2, mut d5) = (init.clone(), init.clone());
+                    gemm_on(Tier::Avx2, ops, 7..7 + m, &b, epi, &mut d2);
+                    gemm_on(Tier::Avx512, ops, 7..7 + m, &b, epi, &mut d5);
+                    check(&format!("gemm, {} operands, {epi:?}", ops.len()), &d2, &d5);
+                }
             }
-            // Weight gradient over rows 1..1+m, A's window slid by 2.
-            let x = with_signed_zeros(m + 3, k, seed + 3);
-            let g = with_signed_zeros(m + 1, n, seed + 4);
-            let init = with_signed_zeros(k, n, seed + 5).into_data();
-            for accumulate in [false, true] {
-                let (mut d2, mut d5) = (init.clone(), init.clone());
-                x86::transpose_self(&x, &g, 1..1 + m, 2, &mut d2, accumulate);
-                avx512::transpose_self(&x, &g, 1..1 + m, 2, &mut d5, accumulate);
-                check("transpose_self", accumulate, &d2, &d5);
+            // Weight gradient over rows 1..1+m of the gradient and of each
+            // operand, one operand and the stacked pair.
+            let x1 = with_signed_zeros(m + 3, k, seed + 5);
+            let x2 = with_signed_zeros(m + 3, k2, seed + 6);
+            let g = with_signed_zeros(m + 1, n, seed + 7);
+            for xs in [&[&x1][..], &[&x1, &x2][..]] {
+                let rows = xs.iter().map(|x| x.cols()).sum::<usize>();
+                let init = with_signed_zeros(rows, n, seed + 8).into_data();
+                let (mut d2, mut d5) = (init.clone(), init);
+                grad_weights_on(Tier::Avx2, xs, &g, 1..1 + m, &mut d2);
+                grad_weights_on(Tier::Avx512, xs, &g, 1..1 + m, &mut d5);
+                check(&format!("grad_weights, {} operands", xs.len()), &d2, &d5);
             }
             // Input gradient: rows 1..1+m of A against rows 2..2+n of B.
-            let ga = with_signed_zeros(m + 2, k, seed + 6);
-            let w = with_signed_zeros(n + 3, k, seed + 7);
+            let ga = with_signed_zeros(m + 2, k, seed + 9);
+            let w = with_signed_zeros(n + 3, k, seed + 10);
             let (mut d2, mut d5) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
             x86::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d2);
             avx512::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d5);
-            check("transpose_other", false, &d2, &d5);
+            check("transpose_other", &d2, &d5);
         }
     }
 
-    /// The packing kernels — the GEMM on either SIMD tier and the AVX-512
-    /// input gradient — draw their panels from the per-thread pack arena:
-    /// after one call of each, repeated calls never grow it.
+    /// The packing kernels — the GEMM on either SIMD tier, one operand or
+    /// two against a stacked `B` over several column panels, and the
+    /// AVX-512 input gradient — draw their panels from the per-thread pack
+    /// arena: after one call of each, repeated calls never grow it.
     #[test]
     fn pack_arena_reaches_steady_state() {
         if !available() {
@@ -1591,8 +1755,13 @@ mod tests {
         let w = Matrix::xavier(200, 136, 14);
         let mut out = vec![0.0f32; 100 * 40];
         let mut dx = vec![0.0f32; 100 * 150];
+        let (h, agg) = (Matrix::xavier(120, 64, 15), Matrix::xavier(100, 64, 16));
+        let stacked = Matrix::xavier(128, 130, 17);
+        let mut sage = vec![0.0f32; 100 * 130];
         let mut run = || {
-            gemm_into(&a, 0..100, &b, 0, &mut out, false);
+            gemm_into(&[(&a, 0)], 0..100, &b, Epilogue::none(), true, &mut out);
+            let ops = [(&h, 0), (&agg, 64)];
+            gemm_into(&ops, 0..100, &stacked, Epilogue::none(), true, &mut sage);
             transpose_other_into(&g, 0..100, &w, 50..200, &mut dx);
         };
         run();
