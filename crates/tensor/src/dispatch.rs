@@ -358,8 +358,10 @@ impl DispatchPolicy {
     }
 
     /// Convenience allocating form of [`DispatchPolicy::grad_weights_into`]
-    /// over all rows: `xᵀ @ grad`.
+    /// over all rows: `xᵀ @ grad`. `x` and `grad` must have equal row
+    /// counts.
     pub fn grad_weights(&self, x: &Matrix, grad: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
+        assert_eq!(x.rows(), grad.rows(), "grad_weights reduction len");
         let mut out = Matrix::zeros(x.cols(), grad.cols());
         self.grad_weights_into(&[x], grad, pool, &mut out);
         out
@@ -681,6 +683,14 @@ mod tests {
         for (a, b) in naive.data().iter().zip(par.data()) {
             assert!((a - b).abs() <= 1e-5);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "grad_weights reduction len")]
+    fn grad_weights_rejects_a_taller_x() {
+        let x = Matrix::xavier(12, 3, 10);
+        let grad = Matrix::xavier(10, 2, 11);
+        DispatchPolicy::default().grad_weights(&x, &grad, None);
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub(crate) const NC: usize = 512;
 /// Micro-kernel row tile: output rows held live across the `k` loop.
 const MR: usize = 4;
 
-/// Computes `dst = A[rows] @ B[b_row_offset ..]` (or `+=` when
-/// `accumulate`), where the `B` operand is the row window
-/// `b.rows() ∈ [b_row_offset, b_row_offset + a.cols())`.
+/// Computes `dst += A[rows] @ B[b_row_offset ..]`, where the `B` operand is
+/// the row window `b.rows() ∈ [b_row_offset, b_row_offset + a.cols())`.
 ///
 /// `dst` is row-major `rows.len() × b.cols()`.
 pub(crate) fn gemm_into(
@@ -46,15 +45,11 @@ pub(crate) fn gemm_into(
     b: &Matrix,
     b_row_offset: usize,
     dst: &mut [f32],
-    accumulate: bool,
 ) {
     let k_dim = a.cols();
     let n = b.cols();
     debug_assert!(b_row_offset + k_dim <= b.rows(), "B row window in range");
     debug_assert_eq!(dst.len(), rows.len() * n, "dst shape");
-    if !accumulate {
-        dst.fill(0.0);
-    }
     let m = rows.len();
     // k is the outermost blocked loop so that, per output element, the k
     // contributions still arrive in ascending order (exactness invariant).
@@ -142,31 +137,19 @@ fn micro_gemm_mr(
     }
 }
 
-/// Computes `dst += A[a_row_offset + rows]ᵀ @ B[rows]` where `dst` is the
-/// full `a.cols() × b.cols()` weight-gradient matrix (`dW = Xᵀ dY`
-/// restricted to a row range of the reduction). `a_row_offset` slides the
-/// `A` window relative to `B` so a gathered batch (`B` rows are
-/// batch-local) can reduce against a row window of a larger activation
-/// matrix. Callers parallelize by giving each worker a disjoint `rows`
-/// range and a private `dst`, then reducing.
+/// Computes `dst = A[rows]ᵀ @ B[rows]` where `dst` is the full `a.cols() ×
+/// b.cols()` weight-gradient matrix (`dW = Xᵀ dY` restricted to a row range
+/// of the reduction), overwritten. Callers parallelize by giving each worker
+/// a disjoint `rows` range and a private `dst`, then reducing.
 ///
 /// Contributions per output element arrive in ascending row order, matching
 /// the naive kernel exactly when `rows` covers the whole reduction
 /// serially.
-pub(crate) fn transpose_self_into(
-    a: &Matrix,
-    b: &Matrix,
-    rows: Range<usize>,
-    a_row_offset: usize,
-    dst: &mut [f32],
-    accumulate: bool,
-) {
+pub(crate) fn transpose_self_into(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
     let k_a = a.cols();
     let n = b.cols();
     debug_assert_eq!(dst.len(), k_a * n, "dst shape");
-    if !accumulate {
-        dst.fill(0.0);
-    }
+    dst.fill(0.0);
     let lo = rows.start;
     let m = rows.len();
     // Block the reduction (rows of A/B) and the output rows (cols of A):
@@ -181,10 +164,10 @@ pub(crate) fn transpose_self_into(
                 // folds four (a_row ⊗ b_row) outer products, added
                 // sequentially so accumulation order is still ascending.
                 let (ar0, ar1, ar2, ar3) = (
-                    a.row(a_row_offset + lo + r),
-                    a.row(a_row_offset + lo + r + 1),
-                    a.row(a_row_offset + lo + r + 2),
-                    a.row(a_row_offset + lo + r + 3),
+                    a.row(lo + r),
+                    a.row(lo + r + 1),
+                    a.row(lo + r + 2),
+                    a.row(lo + r + 3),
                 );
                 let (br0, br1, br2, br3) = (
                     b.row(lo + r),
@@ -213,7 +196,7 @@ pub(crate) fn transpose_self_into(
                 r += MR;
             }
             for rem in r..r_hi {
-                let ar = a.row(a_row_offset + lo + rem);
+                let ar = a.row(lo + rem);
                 let br = b.row(lo + rem);
                 for i in ii..i_hi {
                     let x = ar[i];
@@ -333,7 +316,7 @@ mod tests {
             let a = Matrix::xavier(m, k, 1);
             let b = Matrix::xavier(k, n, 2);
             let mut blocked = Matrix::zeros(m, n);
-            gemm_into(&a, 0..m, &b, 0, blocked.data_mut(), false);
+            gemm_into(&a, 0..m, &b, 0, blocked.data_mut());
             assert_eq!(
                 reference::matmul(&a, &b).data(),
                 blocked.data(),
@@ -348,7 +331,7 @@ mod tests {
             let a = Matrix::xavier(rows, ka, 3);
             let b = Matrix::xavier(rows, n, 4);
             let mut blocked = Matrix::zeros(ka, n);
-            transpose_self_into(&a, &b, 0..rows, 0, blocked.data_mut(), false);
+            transpose_self_into(&a, &b, 0..rows, blocked.data_mut());
             assert_eq!(
                 reference::matmul_transpose_self(&a, &b).data(),
                 blocked.data(),
@@ -379,16 +362,16 @@ mod tests {
         let a = Matrix::xavier(10, 6, 7);
         let w = Matrix::xavier(12, 8, 8); // two stacked 6x8 halves
         let mut top = Matrix::zeros(10, 8);
-        gemm_into(&a, 0..10, &w, 0, top.data_mut(), false);
+        gemm_into(&a, 0..10, &w, 0, top.data_mut());
         let mut bot = Matrix::zeros(10, 8);
-        gemm_into(&a, 0..10, &w, 6, bot.data_mut(), false);
+        gemm_into(&a, 0..10, &w, 6, bot.data_mut());
         let w_top = Matrix::from_vec(6, 8, w.data()[..48].to_vec());
         let w_bot = Matrix::from_vec(6, 8, w.data()[48..].to_vec());
         assert_eq!(top.data(), reference::matmul(&a, &w_top).data());
         assert_eq!(bot.data(), reference::matmul(&a, &w_bot).data());
-        // accumulate=true fuses the two halves into one output.
+        // Accumulating into `dst` fuses the two halves into one output.
         let mut fused = top.clone();
-        gemm_into(&a, 0..10, &w, 6, fused.data_mut(), true);
+        gemm_into(&a, 0..10, &w, 6, fused.data_mut());
         for (f, (t, b)) in fused.data().iter().zip(top.data().iter().zip(bot.data())) {
             assert!((f - (t + b)).abs() < 1e-5);
         }

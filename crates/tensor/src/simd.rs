@@ -180,8 +180,8 @@ fn gemm_on(
     for &(a, b_row_offset) in ops {
         match tier {
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => x86::gemm(a, rows.clone(), b, b_row_offset, dst, true),
-            _ => kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst, true),
+            Tier::Avx2 | Tier::Avx512 => x86::gemm(a, rows.clone(), b, b_row_offset, dst),
+            _ => kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst),
         }
     }
     if let Some(bias) = epi.bias {
@@ -225,8 +225,8 @@ fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>
         at += d.len();
         match tier {
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => x86::transpose_self(x, grad, rows.clone(), 0, d, false),
-            _ => kernels::transpose_self_into(x, grad, rows.clone(), 0, d, false),
+            Tier::Avx2 | Tier::Avx512 => x86::transpose_self(x, grad, rows.clone(), d),
+            _ => kernels::transpose_self_into(x, grad, rows.clone(), d),
         }
     }
 }
@@ -485,6 +485,7 @@ mod x86 {
         }
     }
 
+    /// `dst += A[rows] @ B[b_row_offset..]`.
     /// Packed-panel GEMM driver: the same `k`-outermost MC/KC/NC blocking
     /// as [`crate::kernels::gemm_into`], with panels packed into the
     /// per-thread arena and the 4×16 FMA micro-kernel in the middle. `A`
@@ -496,15 +497,11 @@ mod x86 {
         b: &Matrix,
         b_row_offset: usize,
         dst: &mut [f32],
-        accumulate: bool,
     ) {
         let k_dim = a.cols();
         let n = b.cols();
         let m = rows.len();
         debug_assert_eq!(dst.len(), m * n, "dst shape");
-        if !accumulate {
-            dst.fill(0.0);
-        }
         if m == 0 || n == 0 || k_dim == 0 {
             return;
         }
@@ -541,33 +538,19 @@ mod x86 {
         });
     }
 
+    /// `dst = A[rows]ᵀ @ B[rows]`, overwritten.
     /// FMA weight-gradient reduction, same blocking/unroll structure as
     /// [`crate::kernels::transpose_self_into`] with the `n` loop in 8-wide
     /// FMA lanes (scalar mul+add tail; tolerance contract).
-    pub(super) fn transpose_self(
-        a: &Matrix,
-        b: &Matrix,
-        rows: Range<usize>,
-        a_row_offset: usize,
-        dst: &mut [f32],
-        accumulate: bool,
-    ) {
-        if !accumulate {
-            dst.fill(0.0);
-        }
+    pub(super) fn transpose_self(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
+        dst.fill(0.0);
         // SAFETY: avx2+fma were confirmed by `available()` before dispatch
         // routed into this module.
-        unsafe { transpose_self_avx(a, b, rows, a_row_offset, dst) }
+        unsafe { transpose_self_avx(a, b, rows, dst) }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    fn transpose_self_avx(
-        a: &Matrix,
-        b: &Matrix,
-        rows: Range<usize>,
-        a_row_offset: usize,
-        dst: &mut [f32],
-    ) {
+    fn transpose_self_avx(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
         let k_a = a.cols();
         let n = b.cols();
         debug_assert_eq!(dst.len(), k_a * n, "dst shape");
@@ -580,10 +563,10 @@ mod x86 {
                 let mut r = rr;
                 while r + MR <= r_hi {
                     let (ar0, ar1, ar2, ar3) = (
-                        a.row(a_row_offset + lo + r),
-                        a.row(a_row_offset + lo + r + 1),
-                        a.row(a_row_offset + lo + r + 2),
-                        a.row(a_row_offset + lo + r + 3),
+                        a.row(lo + r),
+                        a.row(lo + r + 1),
+                        a.row(lo + r + 2),
+                        a.row(lo + r + 3),
                     );
                     let (br0, br1, br2, br3) = (
                         b.row(lo + r),
@@ -626,7 +609,7 @@ mod x86 {
                     r += MR;
                 }
                 for rem in r..r_hi {
-                    let ar = a.row(a_row_offset + lo + rem);
+                    let ar = a.row(lo + rem);
                     let br = b.row(lo + rem);
                     for i in ii..i_hi {
                         let x = ar[i];
@@ -954,6 +937,31 @@ mod avx512 {
     /// Input-gradient block columns: pairs of `B` rows, two dots each.
     const TP: usize = 4;
 
+    /// Runs `$body` with the const `$nv` bound to `⌈w/16⌉`, the number of
+    /// 16-lane vectors (1 to 4) of a `w`-column tile.
+    macro_rules! with_vectors {
+        ($w:expr, $nv:ident => $body:expr) => {
+            match $w.div_ceil(16) {
+                1 => {
+                    const $nv: usize = 1;
+                    $body
+                }
+                2 => {
+                    const $nv: usize = 2;
+                    $body
+                }
+                3 => {
+                    const $nv: usize = 3;
+                    $body
+                }
+                _ => {
+                    const $nv: usize = 4;
+                    $body
+                }
+            }
+        };
+    }
+
     /// Lane masks of the `NV` 16-lane vectors of a `w`-column tile.
     fn masks<const NV: usize>(w: usize) -> [__mmask16; NV] {
         std::array::from_fn(|v| ((1u32 << w.saturating_sub(16 * v).min(16)) - 1) as u16)
@@ -963,12 +971,7 @@ mod avx512 {
     /// `w` rounded up to whole vectors: `buf[k * 16⌈w/16⌉ + lane]`, padded
     /// lanes zero.
     fn pack_panel(b: &Matrix, k0: usize, k: usize, j0: usize, w: usize, buf: &mut [f32]) {
-        match w.div_ceil(16) {
-            1 => pack_b::<16>(b, k0, k, j0, w, buf),
-            2 => pack_b::<32>(b, k0, k, j0, w, buf),
-            3 => pack_b::<48>(b, k0, k, j0, w, buf),
-            _ => pack_b::<NR>(b, k0, k, j0, w, buf),
-        }
+        with_vectors!(w, NV => pack_b::<{ 16 * NV }>(b, k0, k, j0, w, buf))
     }
 
     /// The multi-operand GEMM of [`super::gemm_into`], one pass per output
@@ -1010,55 +1013,39 @@ mod avx512 {
                 for j0 in (0..n).step_by(NR) {
                     let w = NR.min(n - j0);
                     let panel = &pb[k_total * j0..][..k_total * w.next_multiple_of(16)];
-                    let tile = Tile {
-                        a_row0: rows.start + i0,
-                        n,
-                        j0,
-                        w,
-                        bias: epi.bias.map(|bias| &bias[j0..j0 + w]),
-                        relu: epi.relu,
-                    };
+                    let a_row0 = rows.start + i0;
                     // SAFETY: avx512f (with avx2+fma) was detected by
                     // `tier()` before dispatch routed here.
                     unsafe {
-                        match w.div_ceil(16) {
-                            1 => gemm_tile::<1>(ops, panel, &tile, out),
-                            2 => gemm_tile::<2>(ops, panel, &tile, out),
-                            3 => gemm_tile::<3>(ops, panel, &tile, out),
-                            _ => gemm_tile::<4>(ops, panel, &tile, out),
-                        }
+                        with_vectors!(w, NV => {
+                            gemm_tile::<NV>(ops, panel, a_row0, n, j0, w, epi, out)
+                        })
                     }
                 }
             }
         });
     }
 
-    /// Where one GEMM tile reads and writes: `A` rows from `a_row0`, output
-    /// columns `j0..j0 + w` of rows `n` wide, and the epilogue's bias over
-    /// those columns.
-    struct Tile<'a> {
-        a_row0: usize,
-        n: usize,
-        j0: usize,
-        w: usize,
-        bias: Option<&'a [f32]>,
-        relu: bool,
-    }
-
-    /// One tile of [`gemm`]: the tile's columns of the `mr ≤ MR` rows of
-    /// `out`, from `panel` (`NV` vectors wide, every operand's rows in turn).
-    /// Tile rows past `mr` repeat the last valid one (computed, never
-    /// stored); lanes past `w` are zero in `panel` and masked off `out`.
+    /// One tile of [`gemm`]: columns `j0..j0 + w` of the `mr ≤ MR` rows of
+    /// `out` (`n` wide), from `A` rows `a_row0..` and `panel` (`NV` vectors
+    /// wide, every operand's rows in turn). Tile rows past `mr` repeat the
+    /// last valid one (computed, never stored); lanes past `w` are zero in
+    /// `panel` and masked off `out`.
+    #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
     #[target_feature(enable = "avx512f,avx2,fma")]
     fn gemm_tile<const NV: usize>(
         ops: &[(&Matrix, usize)],
         panel: &[f32],
-        tile: &Tile<'_>,
+        a_row0: usize,
+        n: usize,
+        j0: usize,
+        w: usize,
+        epi: Epilogue<'_>,
         out: &mut [f32],
     ) {
         let lanes = 16 * NV;
-        let (n, j0, w) = (tile.n, tile.j0, tile.w);
         let mr = out.len() / n;
+        let bias = epi.bias.map(|bias| &bias[j0..j0 + w]);
         let masks = masks::<NV>(w);
         let zero = _mm512_setzero_ps();
         // The tile between blocks, in L1: from `+0`, plus each block's
@@ -1068,7 +1055,7 @@ mod avx512 {
         let mut k0 = 0;
         for &(a, _) in ops {
             let k_dim = a.cols();
-            let ar: [&[f32]; MR] = std::array::from_fn(|r| a.row(tile.a_row0 + r.min(mr - 1)));
+            let ar: [&[f32]; MR] = std::array::from_fn(|r| a.row(a_row0 + r.min(mr - 1)));
             for kk in (0..k_dim).step_by(KC) {
                 let kc = KC.min(k_dim - kk);
                 let pbp = panel[(k0 + kk) * lanes..][..kc * lanes].as_ptr();
@@ -1107,10 +1094,10 @@ mod avx512 {
                 // start, and masked-off lanes are neither read nor written.
                 unsafe {
                     let mut d = sv;
-                    if let Some(bias) = tile.bias {
+                    if let Some(bias) = bias {
                         let b = _mm512_maskz_loadu_ps(mask, bias.as_ptr().wrapping_add(16 * v));
                         d = _mm512_add_ps(d, b);
-                        if tile.relu {
+                        if epi.relu {
                             d = _mm512_max_ps(d, zero);
                         }
                     }
@@ -1145,16 +1132,12 @@ mod avx512 {
                 for j0 in (0..nv).step_by(NR) {
                     let w = NR.min(nv - j0);
                     for i0 in (0..x.cols()).step_by(MR) {
-                        let (x, g, c) = (*x, grad, chunk.clone());
                         // SAFETY: avx512f (with avx2+fma) was detected by
                         // `tier()` before dispatch routed here.
                         unsafe {
-                            match w.div_ceil(16) {
-                                1 => dw_tile::<1>(x, g, c, i0, j0, w, d),
-                                2 => dw_tile::<2>(x, g, c, i0, j0, w, d),
-                                3 => dw_tile::<3>(x, g, c, i0, j0, w, d),
-                                _ => dw_tile::<4>(x, g, c, i0, j0, w, d),
-                            }
+                            with_vectors!(w, NV => {
+                                dw_tile::<NV>(x, grad, chunk.clone(), i0, j0, w, d)
+                            })
                         }
                     }
                 }
@@ -1657,25 +1640,19 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The AVX-512 kernels against the AVX2 tier's composition of its
-    /// kernels, each on its tier directly (not through the host's dispatch),
-    /// on ragged shapes: row windows that start off a multiple of the tile,
-    /// one operand and two against a stacked `B`, each epilogue, and signed
-    /// zeros and tiny values in every operand, the bias and the incoming
-    /// `dst`. Equal bits, not a tolerance: both tiers give every output
-    /// element the same operation sequence.
+    /// The shapes the AVX-512 kernels are pinned to the AVX2 tier on,
+    /// `(m, k, k2, n)`: every `m` to 17; depths on both sides of 8, 16, 64
+    /// and the `KC` block, the second operand's depth `k2` the next one in
+    /// the list (so the two operands' `KC` blocks end at different places);
+    /// widths on both sides of every vector and tile width, among them 8,
+    /// 15, 31 and 40, whose weight-gradient vector columns end in a
+    /// half-masked vector. The tall shapes are training steps, at SAGE
+    /// layer 0's depths among others.
     #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_tier_equals_avx2_tier_bitwise() {
-        if detect() != Tier::Avx512 {
-            eprintln!("avx512_tier_equals_avx2_tier_bitwise: skipped, this host lacks avx512f");
-            return;
-        }
-        const KS: [usize; 4] = [1, 64, 256, 300];
-        const NS: [usize; 8] = [7, 16, 32, 48, 64, 65, 128, 130];
-        // `(m, k, k2, n)`: the second operand's depth `k2` is the next one in
-        // `KS`, so the two operands' `KC` blocks end at different places.
-        let mut shapes: Vec<(usize, usize, usize, usize)> = (1..=13)
+    fn tier_shapes() -> Vec<(usize, usize, usize, usize)> {
+        const KS: [usize; 9] = [1, 7, 8, 16, 63, 64, 128, 256, 300];
+        const NS: [usize; 15] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 40, 48, 64, 65, 128, 130];
+        let mut shapes: Vec<_> = (1..=17)
             .flat_map(|m| {
                 KS.iter().enumerate().flat_map(move |(i, &k)| {
                     let k2 = KS[(i + 1) % KS.len()];
@@ -1683,61 +1660,126 @@ mod tests {
                 })
             })
             .collect();
-        // The training step's tall row count (many weight-gradient chunks)
-        // at SAGE layer 0's depths and its two widths, and across a `KC`
-        // block.
+        shapes.extend([
+            (4566, 64, 128, 128),
+            (4566, 128, 64, 33),
+            (4566, 300, 17, 17),
+            (4566, 63, 7, 31),
+            (4566, 7, 8, 8),
+            (4600, 64, 64, 16),
+            (4600, 64, 64, 128),
+            (4600, 300, 1, 48),
+        ]);
         shapes
-            .extend([(64, 64, 16), (64, 64, 128), (300, 1, 48)].map(|(k, k2, n)| (4600, k, k2, n)));
-        for (m, k, k2, n) in shapes {
-            let seed = (m * 10_000 + k * 100 + n) as u64;
-            let check = |what: &str, avx2: &[f32], avx512: &[f32]| {
-                assert!(
-                    bits(avx2) == bits(avx512),
-                    "{what} m={m} k={k} k2={k2} n={n}: tiers differ"
-                );
-            };
-            // GEMM over rows 7..7+m of each operand, against the row windows
-            // of B at 3 and, for the second operand, right below the first.
-            let a1 = with_signed_zeros(m + 9, k, seed);
-            let a2 = with_signed_zeros(m + 9, k2, seed + 1);
-            let b = with_signed_zeros(3 + k + k2, n, seed + 2);
-            let bias = with_signed_zeros(1, n, seed + 3).into_data();
-            let init = with_signed_zeros(m, n, seed + 4).into_data();
-            let one = [(&a1, 3)];
-            let two = [(&a1, 3), (&a2, 3 + k)];
-            for ops in [&one[..], &two[..]] {
-                for epi in [
-                    Epilogue::none(),
-                    Epilogue::bias(&bias),
-                    Epilogue::bias_relu(&bias),
-                ] {
-                    let (mut d2, mut d5) = (init.clone(), init.clone());
-                    gemm_on(Tier::Avx2, ops, 7..7 + m, &b, epi, &mut d2);
-                    gemm_on(Tier::Avx512, ops, 7..7 + m, &b, epi, &mut d5);
-                    check(&format!("gemm, {} operands, {epi:?}", ops.len()), &d2, &d5);
-                }
-            }
-            // Weight gradient over rows 1..1+m of the gradient and of each
-            // operand, one operand and the stacked pair.
-            let x1 = with_signed_zeros(m + 3, k, seed + 5);
-            let x2 = with_signed_zeros(m + 3, k2, seed + 6);
-            let g = with_signed_zeros(m + 1, n, seed + 7);
-            for xs in [&[&x1][..], &[&x1, &x2][..]] {
-                let rows = xs.iter().map(|x| x.cols()).sum::<usize>();
-                let init = with_signed_zeros(rows, n, seed + 8).into_data();
-                let (mut d2, mut d5) = (init.clone(), init);
-                grad_weights_on(Tier::Avx2, xs, &g, 1..1 + m, &mut d2);
-                grad_weights_on(Tier::Avx512, xs, &g, 1..1 + m, &mut d5);
-                check(&format!("grad_weights, {} operands", xs.len()), &d2, &d5);
-            }
-            // Input gradient: rows 1..1+m of A against rows 2..2+n of B.
-            let ga = with_signed_zeros(m + 2, k, seed + 9);
-            let w = with_signed_zeros(n + 3, k, seed + 10);
-            let (mut d2, mut d5) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
-            x86::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d2);
-            avx512::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d5);
-            check("transpose_other", &d2, &d5);
+    }
+
+    /// Runs `check(m, k, k2, n, seed)` over [`tier_shapes`] on a host with
+    /// `avx512f`; elsewhere says so and returns.
+    #[cfg(target_arch = "x86_64")]
+    fn over_tier_shapes(test: &str, check: impl Fn(usize, usize, usize, usize, u64)) {
+        if detect() != Tier::Avx512 {
+            eprintln!("{test}: skipped, this host lacks avx512f");
+            return;
         }
+        for (m, k, k2, n) in tier_shapes() {
+            check(m, k, k2, n, (m * 10_000 + k * 100 + n) as u64);
+        }
+    }
+
+    // The AVX-512 kernels against the AVX2 tier's composition of its
+    // kernels, each on its tier directly (not through the host's dispatch),
+    // on ragged shapes: row windows that start off a multiple of the tile,
+    // one operand and two against a stacked `B`, each epilogue, and signed
+    // zeros and tiny values in every operand, the bias and the incoming
+    // `dst`. Equal bits, not a tolerance: both tiers give every output
+    // element the same operation sequence. One test per kernel, so the
+    // three run side by side.
+
+    /// The GEMM.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tier_equals_avx2_tier_bitwise() {
+        over_tier_shapes("avx512_tier_equals_avx2_tier_bitwise", gemm_tiers_agree);
+    }
+
+    /// The weight gradient.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_grad_weights_equals_avx2_bitwise() {
+        over_tier_shapes(
+            "avx512_grad_weights_equals_avx2_bitwise",
+            grad_weights_tiers_agree,
+        );
+    }
+
+    /// The input gradient (it reads no second operand).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_transpose_other_equals_avx2_bitwise() {
+        over_tier_shapes(
+            "avx512_transpose_other_equals_avx2_bitwise",
+            |m, k, _, n, seed| transpose_other_tiers_agree(m, k, n, seed),
+        );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn assert_bits(what: &str, avx2: &[f32], avx512: &[f32]) {
+        assert!(bits(avx2) == bits(avx512), "{what}: tiers differ");
+    }
+
+    /// GEMM over rows 7..7+m of each operand, against the row windows of B
+    /// at 3 and, for the second operand, right below the first.
+    #[cfg(target_arch = "x86_64")]
+    fn gemm_tiers_agree(m: usize, k: usize, k2: usize, n: usize, seed: u64) {
+        let a1 = with_signed_zeros(m + 9, k, seed);
+        let a2 = with_signed_zeros(m + 9, k2, seed + 1);
+        let b = with_signed_zeros(3 + k + k2, n, seed + 2);
+        let bias = with_signed_zeros(1, n, seed + 3).into_data();
+        let init = with_signed_zeros(m, n, seed + 4).into_data();
+        let one = [(&a1, 3)];
+        let two = [(&a1, 3), (&a2, 3 + k)];
+        for ops in [&one[..], &two[..]] {
+            for epi in [
+                Epilogue::none(),
+                Epilogue::bias(&bias),
+                Epilogue::bias_relu(&bias),
+            ] {
+                let (mut d2, mut d5) = (init.clone(), init.clone());
+                gemm_on(Tier::Avx2, ops, 7..7 + m, &b, epi, &mut d2);
+                gemm_on(Tier::Avx512, ops, 7..7 + m, &b, epi, &mut d5);
+                let what = format!("gemm, {} operands, {epi:?}", ops.len());
+                assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
+            }
+        }
+    }
+
+    /// Weight gradient over rows 1..1+m of the gradient and of each
+    /// operand, one operand and the stacked pair.
+    #[cfg(target_arch = "x86_64")]
+    fn grad_weights_tiers_agree(m: usize, k: usize, k2: usize, n: usize, seed: u64) {
+        let x1 = with_signed_zeros(m + 3, k, seed + 5);
+        let x2 = with_signed_zeros(m + 3, k2, seed + 6);
+        let g = with_signed_zeros(m + 1, n, seed + 7);
+        for xs in [&[&x1][..], &[&x1, &x2][..]] {
+            let rows = xs.iter().map(|x| x.cols()).sum::<usize>();
+            let init = with_signed_zeros(rows, n, seed + 8).into_data();
+            let (mut d2, mut d5) = (init.clone(), init);
+            grad_weights_on(Tier::Avx2, xs, &g, 1..1 + m, &mut d2);
+            grad_weights_on(Tier::Avx512, xs, &g, 1..1 + m, &mut d5);
+            let what = format!("grad_weights, {} operands", xs.len());
+            assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
+        }
+    }
+
+    /// Input gradient: rows 1..1+m of A against rows 2..2+n of B.
+    #[cfg(target_arch = "x86_64")]
+    fn transpose_other_tiers_agree(m: usize, k: usize, n: usize, seed: u64) {
+        let ga = with_signed_zeros(m + 2, k, seed + 9);
+        let w = with_signed_zeros(n + 3, k, seed + 10);
+        let (mut d2, mut d5) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
+        x86::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d2);
+        avx512::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d5);
+        assert_bits(&format!("transpose_other m={m} k={k} n={n}"), &d2, &d5);
     }
 
     /// The packing kernels — the GEMM on either SIMD tier, one operand or
