@@ -7,6 +7,8 @@
 //!
 //! This library holds the shared task definitions.
 
+#![forbid(unsafe_code)]
+
 use argo_graph::datasets::{DatasetSpec, FLICKR, OGBN_PAPERS100M, OGBN_PRODUCTS, REDDIT};
 use argo_platform::{
     Library, ModelKind, PerfModel, PlatformSpec, SamplerKind, Setup, ICE_LAKE_8380H,

@@ -6,6 +6,10 @@
 //! hand-rolled `--key value` reader (no external dependency) that checks
 //! every flag against the set its subcommand declares.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -1,5 +1,9 @@
 //! The `argo` binary. See [`argo_cli::usage`] for commands.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

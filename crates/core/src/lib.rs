@@ -42,6 +42,8 @@
 //! point takes an `Option<&Telemetry>` (the pre-0.2 `*_telemetry` variants
 //! have been removed).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::Arc;
 

@@ -329,6 +329,11 @@ impl Engine {
         let telemetry = telemetry.filter(|t| t.is_enabled());
         let n_proc = config.n_proc;
         let binder = CoreBinder::new(self.opts.total_cores.max(config.total_cores()));
+        #[expect(
+            clippy::expect_used,
+            reason = "train_epoch sizes the CoreBinder to max(opts.total_cores, config.total_cores()), \
+                      so plan can fail only on a zero count, which Config::new rejects"
+        )]
         let plan = binder
             .plan(n_proc, config.n_samp, config.n_train)
             .expect("configuration exceeds engine cores");
@@ -365,6 +370,10 @@ impl Engine {
         let spans = telemetry.map_or_else(SpanProfiler::disabled, Telemetry::profiler);
 
         let window_start = spans.now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measured epoch wall-time; this IS the measurement the tuner consumes"
+        )]
         let start = Instant::now();
         let results: Vec<ProcessResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n_proc);
@@ -620,6 +629,11 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
             metadata_bytes: batch_metadata_bytes,
             ..
         } = loaded;
+        #[expect(
+            clippy::expect_used,
+            reason = "run_process puts the feature table in every LoaderSpec it builds, so every \
+                      batch arrives with its prepared input"
+        )]
         let input = input.expect("the loader spec carries the feature table");
         // The step starts at the first GEMM.
         let stats = ring.timed(SpanKind::Compute, i as u64, || {
@@ -642,6 +656,11 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
         // `sync_time` is a result the tuner reads with telemetry off, so
         // this stage is timed by a plain clock pair, and its span is that
         // same measurement: one clock, two readers.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "EpochStats::sync_time is a result the tuner reads with telemetry off; the \
+                      Sync span is recorded from this same clock pair"
+        )]
         let sync_start = Instant::now();
         allreduce.reduce_mean(&mut grads);
         let sync_elapsed = sync_start.elapsed();

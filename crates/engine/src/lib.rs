@@ -19,6 +19,10 @@
 //! evaluates: one call = one epoch under one configuration, returning the
 //! measured epoch time.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod engine;
 pub mod evaluate;
 

@@ -14,6 +14,8 @@
 //!   paper's default) and a BFS-locality "METIS-like" partitioner for the
 //!   Section VII-A ablation.
 
+#![forbid(unsafe_code)]
+
 pub mod csr;
 pub mod datasets;
 pub mod features;

@@ -13,6 +13,8 @@
 //! gradients can be flattened to a single `Vec<f32>` for the engine's DDP
 //! gradient all-reduce.
 
+#![forbid(unsafe_code)]
+
 pub mod arch;
 pub mod metrics;
 pub mod model;

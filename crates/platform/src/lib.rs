@@ -24,6 +24,8 @@
 //! of every exhibit (who wins, by what factor, where curves flatten)
 //! reproduces.
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod library;
 pub mod perf;

@@ -168,6 +168,10 @@ impl CoreBinder {
             let socket = p % sockets;
             // Overflow to the next socket with room (round-robin may fill
             // unevenly when n_proc is not a multiple of sockets).
+            #[expect(
+                clippy::expect_used,
+                reason = "preceding if-branch guarantees capacity; see the comment at the call site"
+            )]
             let socket = (0..sockets)
                 .map(|k| (socket + k) % sockets)
                 .find(|&s| used[s] < cap_per_socket)

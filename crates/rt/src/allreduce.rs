@@ -94,69 +94,75 @@ mod tests {
 
     #[test]
     fn mean_across_four_participants() {
-        let n = 4;
-        let ar = Arc::new(AllReduce::new(n, 8));
-        let mut handles = Vec::new();
-        for rank in 0..n {
-            let ar = Arc::clone(&ar);
-            handles.push(std::thread::spawn(move || {
-                let mut buf = vec![rank as f32; 8];
-                ar.reduce_mean(&mut buf);
-                buf
-            }));
-        }
-        let expected = (0..n).map(|r| r as f32).sum::<f32>() / n as f32;
-        for h in handles {
-            let buf = h.join().unwrap();
-            assert!(buf.iter().all(|&x| (x - expected).abs() < 1e-6));
-        }
+        crate::watchdog(30, || {
+            let n = 4;
+            let ar = Arc::new(AllReduce::new(n, 8));
+            let mut handles = Vec::new();
+            for rank in 0..n {
+                let ar = Arc::clone(&ar);
+                handles.push(std::thread::spawn(move || {
+                    let mut buf = vec![rank as f32; 8];
+                    ar.reduce_mean(&mut buf);
+                    buf
+                }));
+            }
+            let expected = (0..n).map(|r| r as f32).sum::<f32>() / n as f32;
+            for h in handles {
+                let buf = h.join().unwrap();
+                assert!(buf.iter().all(|&x| (x - expected).abs() < 1e-6));
+            }
+        });
     }
 
     #[test]
     fn reusable_across_rounds() {
-        let n = 3;
-        let rounds = 10;
-        let ar = Arc::new(AllReduce::new(n, 4));
-        let mut handles = Vec::new();
-        for rank in 0..n {
-            let ar = Arc::clone(&ar);
-            handles.push(std::thread::spawn(move || {
-                let mut out = Vec::new();
-                for round in 0..rounds {
-                    let mut buf = vec![(rank * rounds + round) as f32; 4];
-                    ar.reduce_mean(&mut buf);
-                    out.push(buf[0]);
-                }
-                out
-            }));
-        }
-        let results: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for round in 0..rounds {
-            let expected = (0..n).map(|r| (r * rounds + round) as f32).sum::<f32>() / n as f32;
-            for r in &results {
-                assert!((r[round] - expected).abs() < 1e-5, "round {round}");
+        crate::watchdog(30, || {
+            let n = 3;
+            let rounds = 10;
+            let ar = Arc::new(AllReduce::new(n, 4));
+            let mut handles = Vec::new();
+            for rank in 0..n {
+                let ar = Arc::clone(&ar);
+                handles.push(std::thread::spawn(move || {
+                    let mut out = Vec::new();
+                    for round in 0..rounds {
+                        let mut buf = vec![(rank * rounds + round) as f32; 4];
+                        ar.reduce_mean(&mut buf);
+                        out.push(buf[0]);
+                    }
+                    out
+                }));
             }
-        }
+            let results: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            for round in 0..rounds {
+                let expected = (0..n).map(|r| (r * rounds + round) as f32).sum::<f32>() / n as f32;
+                for r in &results {
+                    assert!((r[round] - expected).abs() < 1e-5, "round {round}");
+                }
+            }
+        });
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "mismatch detected")]
     fn mismatched_lengths_panic() {
-        let ar = AllReduce::new(2, 4);
-        // Run both participants so we do not deadlock before the panic.
-        let ar = Arc::new(ar);
-        let a2 = Arc::clone(&ar);
-        let h = std::thread::spawn(move || {
-            let mut ok = vec![0.0; 4];
-            a2.reduce_mean(&mut ok);
+        crate::watchdog(30, || {
+            let ar = AllReduce::new(2, 4);
+            // Run both participants so we do not deadlock before the panic.
+            let ar = Arc::new(ar);
+            let a2 = Arc::clone(&ar);
+            let h = std::thread::spawn(move || {
+                let mut ok = vec![0.0; 4];
+                a2.reduce_mean(&mut ok);
+            });
+            let mut bad = vec![0.0; 3];
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ar.reduce_mean(&mut bad);
+            }));
+            drop(h); // participant thread will hang; leak it (test process exits)
+            if res.is_err() {
+                panic!("mismatch detected");
+            }
         });
-        let mut bad = vec![0.0; 3];
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ar.reduce_mean(&mut bad);
-        }));
-        drop(h); // participant thread will hang; leak it (test process exits)
-        if res.is_err() {
-            panic!("mismatch detected");
-        }
     }
 }

@@ -658,6 +658,10 @@ impl RunLogger {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests build loggers on any origin"
+)]
 mod tests {
     use super::*;
 

@@ -25,12 +25,18 @@
 //! * [`rng`] — deterministic seed fan-out so that multi-process runs are
 //!   reproducible and semantics tests can compare runs bit-for-bit.
 
+#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
+#[allow(unsafe_code)]
 pub mod affinity;
 pub mod allreduce;
 pub mod config;
 pub mod events;
 pub mod json;
 pub mod metrics;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod rng;
 pub mod spans;
@@ -54,3 +60,30 @@ pub use spans::{
 };
 pub use telemetry::Telemetry;
 pub use trace::{Stage, TraceEvent, TraceRecorder};
+
+/// Runs a test's `body` on a thread of its own and returns what it returns,
+/// or fails the test if `body` has not finished within `secs` seconds: a
+/// hang fails with the test's name instead of stalling `cargo test`. A panic
+/// in `body` is resumed on the caller.
+#[cfg(test)]
+pub(crate) fn watchdog<T: Send + 'static>(
+    secs: u64,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    let (done, finished) = mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(out) => {
+            body.join().expect("the body returned after sending");
+            out
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("the test body is still running after {secs} s"),
+        // The body panicked before it could send.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(body.join().expect_err("the body sends unless it panics"))
+        }
+    }
+}

@@ -109,8 +109,12 @@ impl ThreadPool {
                     while let Ok(job) = rx.recv() {
                         let _ = panic::catch_unwind(AssertUnwindSafe(job));
                     }
-                })
-                .expect("spawn pool worker");
+                });
+            #[expect(
+                clippy::expect_used,
+                reason = "thread::Builder::spawn fails only on OS thread exhaustion; no meaningful recovery"
+            )]
+            let handle = handle.expect("spawn pool worker");
             workers.push(handle);
         }
         Self {
@@ -127,11 +131,16 @@ impl ThreadPool {
 
     /// Submits a fire-and-forget task.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("pool alive")
-            .send(Box::new(job))
-            .expect("pool workers alive");
+        #[expect(
+            clippy::expect_used,
+            reason = "worker channels live exactly as long as the pool that owns them"
+        )]
+        let sender = self.sender.as_ref().expect("pool alive");
+        #[expect(
+            clippy::expect_used,
+            reason = "completion latch is held open until every worker acks; disconnect is unreachable"
+        )]
+        sender.send(Box::new(job)).expect("pool workers alive");
     }
 
     /// Runs `f(range)` over a partition of `0..n` into roughly equal
@@ -155,9 +164,9 @@ impl ThreadPool {
             return;
         }
         let completion = Arc::new(Completion::new(tasks));
+        let f_static: &(dyn Fn(std::ops::Range<usize>) + Sync) = &f;
         // SAFETY: we block on `completion.wait()` before returning, so the
         // borrowed closure outlives every worker's use of it.
-        let f_static: &(dyn Fn(std::ops::Range<usize>) + Sync) = &f;
         let f_static: &'static (dyn Fn(std::ops::Range<usize>) + Sync) =
             unsafe { std::mem::transmute(f_static) };
         let chunk = n.div_ceil(tasks);
@@ -405,11 +414,13 @@ mod tests {
 
     #[test]
     fn pinned_pool_runs() {
-        let cores = CoreSet::range(0, 2);
-        let pool = ThreadPool::pinned("p", &cores);
-        assert_eq!(pool.size(), 2);
-        let s = pool.parallel_map_reduce(10, |r| r.sum::<usize>(), |a, b| a + b);
-        assert_eq!(s, Some(45));
+        crate::watchdog(30, || {
+            let cores = CoreSet::range(0, 2);
+            let pool = ThreadPool::pinned("p", &cores);
+            assert_eq!(pool.size(), 2);
+            let s = pool.parallel_map_reduce(10, |r| r.sum::<usize>(), |a, b| a + b);
+            assert_eq!(s, Some(45));
+        });
     }
 
     #[test]
@@ -429,12 +440,11 @@ mod tests {
     /// A range that panics on a pool worker re-panics on the caller, with
     /// its own message, once every range finished — and the pool keeps
     /// every worker: a barrier only all of them together can pass then
-    /// opens. The body runs on its own thread and the test waits a bounded
-    /// time, so a hang fails instead of stalling the suite.
+    /// opens. The body runs under a watchdog, so a hang fails instead of
+    /// stalling the suite.
     #[test]
     fn a_panicking_range_re_panics_on_the_caller_and_the_workers_survive() {
-        let (done, finished) = std::sync::mpsc::channel();
-        let body = std::thread::spawn(move || {
+        let (message, ran, leaders) = crate::watchdog(30, || {
             let pool = ThreadPool::new("t", 4);
             let ran = AtomicUsize::new(0);
             let caught = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -458,12 +468,8 @@ mod tests {
                     leaders.fetch_add(1, Ordering::SeqCst);
                 }
             });
-            let _ = done.send((message, ran, leaders.load(Ordering::SeqCst)));
+            (message, ran, leaders.load(Ordering::SeqCst))
         });
-        let (message, ran, leaders) = finished
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("the pool returned within 30 s");
-        body.join().expect("test body thread");
         assert_eq!(message.as_deref(), Some("range 2 refused"));
         assert_eq!(ran, 4, "every range ran before the caller resumed");
         assert_eq!(leaders, 1, "all four workers met at the barrier");

@@ -15,6 +15,11 @@
 //! fractions that sum to 1.0 — the observability base for the metadata-tax
 //! and work-stealing work in ROADMAP items 2–3.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the span rings tick on the run clock"
+)]
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -15,6 +15,11 @@
 //! epoch: [`Telemetry::record_stages`] folds the drained spans through
 //! [`SpanKind::stage`](crate::SpanKind::stage).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the telemetry handle owns the run clock"
+)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;

@@ -19,6 +19,10 @@
 //! batches on dedicated sampler threads (bound to the *sampling cores*)
 //! while the training cores consume them **in deterministic order**.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod batch;
 pub mod cache;
 pub mod loader;

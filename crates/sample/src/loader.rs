@@ -523,99 +523,99 @@ impl PipelinedLoader {
             } else {
                 Some(CoreSet::new(vec![cores.ids()[w % cores.len()]]))
             };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("argo-sampler-{w}"))
-                    .spawn(move || {
-                        let _on_panic = on_panic;
-                        if let Some(c) = &my_core {
-                            let _ = bind_current_thread(c);
+            let worker = std::thread::Builder::new()
+                .name(format!("argo-sampler-{w}"))
+                .spawn(move || {
+                    let _on_panic = on_panic;
+                    if let Some(c) = &my_core {
+                        let _ = bind_current_thread(c);
+                    }
+                    // Per-worker persistent state: the scratch arena is
+                    // warm after the first batch. A cached loader's
+                    // gather buffer is private too: the `n_src × F` rows
+                    // are aggregated where they were gathered and never
+                    // cross the channel.
+                    let mut scratch = SamplerScratch::new();
+                    let mut gathered =
+                        (features.is_some() && cache.is_some()).then(|| inputs.take_gather());
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= total {
+                            break;
                         }
-                        // Per-worker persistent state: the scratch arena is
-                        // warm after the first batch. A cached loader's
-                        // gather buffer is private too: the `n_src × F` rows
-                        // are aggregated where they were gathered and never
-                        // cross the channel.
-                        let mut scratch = SamplerScratch::new();
-                        let mut gathered =
-                            (features.is_some() && cache.is_some()).then(|| inputs.take_gather());
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            let lo = i * batch_size;
-                            let hi = ((i + 1) * batch_size).min(seeds.len());
-                            let stream = SeedSequence::new(epoch_seeds.seed_for(epoch, i as u64));
-                            let allocs_before = scratch.allocs();
-                            // Assemble in the scratch arena, account the
-                            // compact metadata footprint, then materialize
-                            // the owned copy the reorder channel requires
-                            // (the sanctioned ownership boundary).
-                            let (batch, metadata_bytes) =
-                                ring.timed(SpanKind::Pick, i as u64, || {
-                                    let run = SampleRun::new(stream, &mut scratch)
-                                        .with_norm(normalization);
-                                    let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
-                                    (view.to_owned(), view.metadata_bytes() as u64)
-                                });
-                            let scratch_allocs = scratch.allocs() - allocs_before;
-                            let input = features.as_ref().map(|f| {
-                                let (adj, ids) = (batch.input_adj().view(), batch.input_nodes());
-                                let keep_self_rows = normalization == Normalization::Mean;
-                                let (Some(c), Some(buf)) = (&cache, gathered.as_mut()) else {
-                                    return PreparedInput::from_features(
-                                        adj,
-                                        f,
-                                        ids,
-                                        keep_self_rows,
-                                        &inputs,
-                                        &ring,
-                                        i as u64,
-                                    );
-                                };
-                                let rows = ring.timed(SpanKind::Cache, i as u64, || {
-                                    let mut m = resized(std::mem::take(buf), ids.len(), f.dim());
-                                    c.gather_rows_into(f, ids, m.data_mut());
-                                    m
-                                });
-                                let prepared = ring.timed(SpanKind::Aggregate, i as u64, || {
-                                    PreparedInput::aggregate(
-                                        adj,
-                                        &rows,
-                                        keep_self_rows,
-                                        DispatchPolicy::default(),
-                                        &inputs,
-                                    )
-                                });
-                                *buf = rows.into_data();
-                                prepared
-                            });
-                            let loaded = LoadedBatch {
-                                batch,
-                                input,
-                                scratch_allocs,
-                                metadata_bytes,
+                        let lo = i * batch_size;
+                        let hi = ((i + 1) * batch_size).min(seeds.len());
+                        let stream = SeedSequence::new(epoch_seeds.seed_for(epoch, i as u64));
+                        let allocs_before = scratch.allocs();
+                        // Assemble in the scratch arena, account the
+                        // compact metadata footprint, then materialize
+                        // the owned copy the reorder channel requires
+                        // (the sanctioned ownership boundary).
+                        let (batch, metadata_bytes) = ring.timed(SpanKind::Pick, i as u64, || {
+                            let run = SampleRun::new(stream, &mut scratch).with_norm(normalization);
+                            let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
+                            (view.to_owned(), view.metadata_bytes() as u64)
+                        });
+                        let scratch_allocs = scratch.allocs() - allocs_before;
+                        let input = features.as_ref().map(|f| {
+                            let (adj, ids) = (batch.input_adj().view(), batch.input_nodes());
+                            let keep_self_rows = normalization == Normalization::Mean;
+                            let (Some(c), Some(buf)) = (&cache, gathered.as_mut()) else {
+                                return PreparedInput::from_features(
+                                    adj,
+                                    f,
+                                    ids,
+                                    keep_self_rows,
+                                    &inputs,
+                                    &ring,
+                                    i as u64,
+                                );
                             };
-                            // The enqueue-wait span measures backpressure:
-                            // time blocked on a full channel.
-                            let sent = ring.timed(SpanKind::EnqueueWait, i as u64, || {
-                                tx.send(Indexed {
-                                    index: i,
-                                    batch: loaded,
-                                })
-                                .is_ok()
+                            let rows = ring.timed(SpanKind::Cache, i as u64, || {
+                                let mut m = resized(std::mem::take(buf), ids.len(), f.dim());
+                                c.gather_rows_into(f, ids, m.data_mut());
+                                m
                             });
-                            if !sent {
-                                break; // consumer dropped
-                            }
+                            let prepared = ring.timed(SpanKind::Aggregate, i as u64, || {
+                                PreparedInput::aggregate(
+                                    adj,
+                                    &rows,
+                                    keep_self_rows,
+                                    DispatchPolicy::default(),
+                                    &inputs,
+                                )
+                            });
+                            *buf = rows.into_data();
+                            prepared
+                        });
+                        let loaded = LoadedBatch {
+                            batch,
+                            input,
+                            scratch_allocs,
+                            metadata_bytes,
+                        };
+                        // The enqueue-wait span measures backpressure:
+                        // time blocked on a full channel.
+                        let sent = ring.timed(SpanKind::EnqueueWait, i as u64, || {
+                            tx.send(Indexed {
+                                index: i,
+                                batch: loaded,
+                            })
+                            .is_ok()
+                        });
+                        if !sent {
+                            break; // consumer dropped
                         }
-                        if let Some(buf) = gathered {
-                            inputs.put_gather(buf);
-                        }
-                    })
-                    .expect("spawn sampler"),
-            );
+                    }
+                    if let Some(buf) = gathered {
+                        inputs.put_gather(buf);
+                    }
+                });
+            #[expect(
+                clippy::expect_used,
+                reason = "thread::Builder::spawn fails only on OS thread exhaustion; no meaningful recovery"
+            )]
+            workers.push(worker.expect("spawn sampler"));
         }
         Self {
             rx,

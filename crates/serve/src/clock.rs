@@ -5,8 +5,13 @@
 //! micro-batcher's admission logic is a pure function of clock readings and
 //! can be unit-tested deterministically with [`ManualClock`]. Production
 //! sessions use [`WallClock`]; this file is the *only* place in the serving
-//! path allowed to read `Instant::now` (enforced by the argo-lint
-//! `no-instant` rule).
+//! path allowed to read `Instant::now` (clippy's `disallowed_methods`, set
+//! in `clippy.toml`, rejects it everywhere without an `#[expect]`).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "`WallClock` is the one measured `Clock`"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

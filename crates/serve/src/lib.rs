@@ -28,6 +28,10 @@
 //! [`ServeSpec::from_engine`] to serve a training checkpoint in place), the
 //! same builder shape as the pipelined loader's `LoaderSpec`.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod batcher;
 pub mod clock;
 pub mod result_cache;

@@ -4,8 +4,9 @@
 //!
 //! [`DispatchPolicy`] exposes the *semantic* operations a GNN layer needs —
 //! `gemm`, `aggregate`, `grad_weights`, … — so callers in `nn`/`engine`
-//! never touch a kernel directly (enforced by the `kernel-dispatch`
-//! argo-lint rule). Each operation has exactly one implementation:
+//! never touch a kernel directly (enforced by the `kernel-dispatch` rule of
+//! `crates/check/tests/hot_paths.rs`). Each operation has exactly one
+//! implementation:
 //!
 //! * **Two tiers.** SIMD (`simd.rs`: AVX2+FMA, or AVX-512 for the dense
 //!   kernels on hosts with it) and the blocked scalar kernels it falls

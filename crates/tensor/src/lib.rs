@@ -14,11 +14,16 @@
 //! it falls back to; [`simd_tier`] names the one this process runs).
 //! [`mod@reference`] holds the naive oracles tests and benches compare against.
 
+#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod dense;
 pub mod dispatch;
 mod kernels;
 pub mod ops;
 pub mod reference;
+#[allow(unsafe_code, clippy::disallowed_types)]
 mod simd;
 pub mod sparse;
 pub mod workspace;

@@ -9,8 +9,9 @@
 //! order, which is the order the scalar tier and the CSR gather preserve —
 //! so the bitwise pins in `tests/kernel_properties.rs` compare against
 //! these, and the `serial` column of `micro_kernels` times them. Only tests
-//! and benches call them (`argo-lint`'s `kernel-dispatch` rule keeps
-//! `reference::` out of model, engine and serving code).
+//! and benches call them (the `kernel-dispatch` rule of
+//! `crates/check/tests/hot_paths.rs` keeps `reference::` out of model,
+//! engine and serving code).
 
 use crate::dense::Matrix;
 use crate::sparse::SparseMatrix;

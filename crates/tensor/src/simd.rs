@@ -67,17 +67,66 @@ use crate::dense::Matrix;
 use crate::dispatch::Epilogue;
 use crate::kernels;
 use crate::sparse::SparseView;
+use cpu::{detect, Avx2, Avx512};
 
-/// The kernel tier the host runs.
+/// The kernel tier the host runs. A vector tier carries its CPU feature
+/// token ([`cpu`]), which the kernels of [`x86`] and [`avx512`] take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Tier {
     /// The blocked scalar kernels of [`crate::kernels`].
     Scalar,
     /// AVX2+FMA for every kernel.
-    Avx2,
+    Avx2(Avx2),
     /// AVX-512 for GEMM and both gradients; AVX2+FMA for the rest.
-    Avx512,
+    Avx512(Avx512),
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl Tier {
+    /// The AVX2+FMA token of either vector tier.
+    fn avx2(self) -> Option<Avx2> {
+        match self {
+            Tier::Scalar => None,
+            Tier::Avx2(avx2) => Some(avx2),
+            Tier::Avx512(avx512) => Some(avx512.avx2()),
+        }
+    }
+}
+
+mod cpu {
+    //! The CPU feature tokens. Their fields are private to this module, so
+    //! [`detect`] is the only code that builds one.
+    #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+
+    use super::Tier;
+
+    /// Proof that the host has `avx2` and `fma`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Avx2(());
+
+    /// Proof that the host has `avx512f` besides `avx2` and `fma`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Avx512(());
+
+    impl Avx512 {
+        /// An AVX-512 host has AVX2+FMA too: [`detect`] checks them first.
+        pub(super) fn avx2(self) -> Avx2 {
+            Avx2(())
+        }
+    }
+
+    pub(super) fn detect() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return if is_x86_feature_detected!("avx512f") {
+                Tier::Avx512(Avx512(()))
+            } else {
+                Tier::Avx2(Avx2(()))
+            };
+        }
+        Tier::Scalar
+    }
 }
 
 /// The tier every kernel dispatches on: AVX-512 on `x86_64` hosts with
@@ -96,22 +145,6 @@ fn tier() -> Tier {
         }
         detect()
     })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect() -> Tier {
-    if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
-        Tier::Scalar
-    } else if is_x86_feature_detected!("avx512f") {
-        Tier::Avx512
-    } else {
-        Tier::Avx2
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> Tier {
-    Tier::Scalar
 }
 
 /// The tier a kernel runs: the host's, or scalar when the caller's policy
@@ -136,8 +169,8 @@ pub fn available() -> bool {
 /// `"avx2+fma"` or `"scalar"` — the same detection the kernels read.
 pub fn simd_tier() -> &'static str {
     match tier() {
-        Tier::Avx512 => "avx512f",
-        Tier::Avx2 => "avx2+fma",
+        Tier::Avx512(_) => "avx512f",
+        Tier::Avx2(_) => "avx2+fma",
         Tier::Scalar => "scalar",
     }
 }
@@ -173,21 +206,21 @@ fn gemm_on(
     dst: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 {
-        return avx512::gemm(ops, rows, b, epi, dst);
+    if let Tier::Avx512(avx512) = tier {
+        return avx512::gemm(avx512, ops, rows, b, epi, dst);
     }
     dst.fill(0.0);
     for &(a, b_row_offset) in ops {
-        match tier {
+        match tier.avx2() {
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => x86::gemm(a, rows.clone(), b, b_row_offset, dst),
+            Some(avx2) => x86::gemm(avx2, a, rows.clone(), b, b_row_offset, dst),
             _ => kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst),
         }
     }
     if let Some(bias) = epi.bias {
-        match tier {
+        match tier.avx2() {
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => x86::epilogue(dst, bias, epi.relu),
+            Some(avx2) => x86::epilogue(avx2, dst, bias, epi.relu),
             _ => kernels::epilogue_bias_relu(dst, bias, epi.relu),
         }
     }
@@ -215,17 +248,17 @@ pub(crate) fn grad_weights_into(
 /// [`grad_weights_into`] on `tier`, which the host must have.
 fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 {
-        return avx512::grad_weights(xs, grad, rows, dst);
+    if let Tier::Avx512(avx512) = tier {
+        return avx512::grad_weights(avx512, xs, grad, rows, dst);
     }
     let n = grad.cols();
     let mut at = 0;
     for x in xs {
         let d = &mut dst[at..at + x.cols() * n];
         at += d.len();
-        match tier {
+        match tier.avx2() {
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 | Tier::Avx512 => x86::transpose_self(x, grad, rows.clone(), d),
+            Some(avx2) => x86::transpose_self(avx2, x, grad, rows.clone(), d),
             _ => kernels::transpose_self_into(x, grad, rows.clone(), d),
         }
     }
@@ -241,12 +274,10 @@ pub(crate) fn transpose_other_into(
     dst: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        match tier() {
-            Tier::Avx512 => return avx512::transpose_other(a, a_rows, b, b_rows, dst),
-            Tier::Avx2 => return x86::transpose_other(a, a_rows, b, b_rows, dst),
-            Tier::Scalar => {}
-        }
+    match tier() {
+        Tier::Avx512(t) => return avx512::transpose_other(t, a, a_rows, b, b_rows, dst),
+        Tier::Avx2(t) => return x86::transpose_other(t, a, a_rows, b, b_rows, dst),
+        Tier::Scalar => {}
     }
     kernels::transpose_other_into(a, a_rows, b, b_rows, dst);
 }
@@ -281,11 +312,9 @@ pub(crate) fn spmm_rows(
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    {
-        if use_simd && available() {
-            x86::spmm_rows(adj, rows, table, ids, n, out);
-            return;
-        }
+    if let Some(avx2) = tier_for(use_simd).avx2() {
+        x86::spmm_rows(avx2, adj, rows, table, ids, n, out);
+        return;
     }
     let _ = use_simd;
     let table_rows = table.len() / n;
@@ -337,9 +366,9 @@ fn check_sources(cols: &[u32], ids: Option<&[u32]>, table_rows: usize) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2+FMA implementations. Every function here is only reachable
-    //! through the module-level wrappers after [`super::available`] has
-    //! confirmed the `avx2` and `fma` CPU features at runtime.
+    //! The AVX2+FMA implementations. Every entry point takes an [`Avx2`]
+    //! token, which only [`super::detect`] builds, after it has confirmed
+    //! the `avx2` and `fma` CPU features at runtime.
 
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
@@ -348,6 +377,7 @@ mod x86 {
     };
     use std::ops::Range;
 
+    use super::Avx2;
     use crate::dense::Matrix;
     use crate::kernels::{KC, MC, NC};
     use crate::sparse::SparseView;
@@ -433,8 +463,8 @@ mod x86 {
         let pap = pa.as_ptr();
         let pbp = pb.as_ptr();
         for k in 0..kc {
-            // SAFETY: avx2+fma were confirmed by `available()` before any
-            // call into this module; `pa`/`pb` hold `kc` packed groups of
+            // SAFETY: avx2+fma are proven by the `Avx2` token every entry
+            // point takes; `pa`/`pb` hold `kc` packed groups of
             // MR / NR lanes (asserted above), so every load is in bounds.
             unsafe {
                 let b0 = _mm256_loadu_ps(pbp.add(k * NR));
@@ -457,7 +487,7 @@ mod x86 {
         if mr == MR && nr == NR {
             debug_assert!(at + (MR - 1) * ldd + NR <= dst.len(), "full tile bounds");
             for (r, [v0, v1]) in acc.into_iter().enumerate() {
-                // SAFETY: avx2 confirmed by `available()`; the full-tile
+                // SAFETY: avx2 proven by the `Avx2` token; the full-tile
                 // bounds assertion above keeps each 8-lane load/store of
                 // this output row inside `dst`.
                 unsafe {
@@ -469,7 +499,7 @@ mod x86 {
         } else {
             let mut tmp = [0.0f32; MR * NR];
             for (r, [v0, v1]) in acc.into_iter().enumerate() {
-                // SAFETY: avx2 confirmed by `available()`; `tmp` holds
+                // SAFETY: avx2 proven by the `Avx2` token; `tmp` holds
                 // exactly MR*NR floats, so both 8-lane stores fit.
                 unsafe {
                     _mm256_storeu_ps(tmp.as_mut_ptr().add(r * NR), v0);
@@ -492,6 +522,7 @@ mod x86 {
     /// is repacked per `jj` panel — irrelevant at the model-side widths
     /// (`n ≤ NC` means the `jj` loop runs once).
     pub(super) fn gemm(
+        _: Avx2,
         a: &Matrix,
         rows: Range<usize>,
         b: &Matrix,
@@ -523,8 +554,8 @@ mod x86 {
                                 let nr = NR.min(nc - jt);
                                 let pb_tile = &pb[(jt / NR) * NR * kc..][..NR * kc];
                                 let at = (ii + it) * n + jj + jt;
-                                // SAFETY: avx2+fma were confirmed by
-                                // `available()` before dispatch routed here.
+                                // SAFETY: avx2+fma are proven by the
+                                // `Avx2` token `gemm` takes.
                                 unsafe {
                                     micro_4x16(pa_tile, pb_tile, kc, dst, at, n, mr, nr);
                                 }
@@ -542,10 +573,15 @@ mod x86 {
     /// FMA weight-gradient reduction, same blocking/unroll structure as
     /// [`crate::kernels::transpose_self_into`] with the `n` loop in 8-wide
     /// FMA lanes (scalar mul+add tail; tolerance contract).
-    pub(super) fn transpose_self(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
+    pub(super) fn transpose_self(
+        _: Avx2,
+        a: &Matrix,
+        b: &Matrix,
+        rows: Range<usize>,
+        dst: &mut [f32],
+    ) {
         dst.fill(0.0);
-        // SAFETY: avx2+fma were confirmed by `available()` before dispatch
-        // routed into this module.
+        // SAFETY: avx2+fma are proven by the `Avx2` token.
         unsafe { transpose_self_avx(a, b, rows, dst) }
     }
 
@@ -583,7 +619,7 @@ mod x86 {
                         let drow = &mut dst[i * n..(i + 1) * n];
                         let mut j = 0;
                         while j + 8 <= n {
-                            // SAFETY: avx2+fma confirmed by `available()`;
+                            // SAFETY: avx2+fma proven by the `Avx2` token;
                             // `j + 8 <= n` bounds every 8-lane load/store
                             // of the four b rows and the dst row.
                             unsafe {
@@ -617,7 +653,7 @@ mod x86 {
                         let drow = &mut dst[i * n..(i + 1) * n];
                         let mut j = 0;
                         while j + 8 <= n {
-                            // SAFETY: avx2+fma confirmed by `available()`;
+                            // SAFETY: avx2+fma proven by the `Avx2` token;
                             // `j + 8 <= n` bounds the 8-lane load/store.
                             unsafe {
                                 let dp = drow.as_mut_ptr().add(j);
@@ -643,14 +679,14 @@ mod x86 {
     /// reduction runs in 8 independent lanes folded by a horizontal sum,
     /// which reassociates the reduction — tolerance contract.
     pub(super) fn transpose_other(
+        _: Avx2,
         a: &Matrix,
         a_rows: Range<usize>,
         b: &Matrix,
         b_rows: Range<usize>,
         dst: &mut [f32],
     ) {
-        // SAFETY: avx2+fma were confirmed by `available()` before dispatch
-        // routed into this module.
+        // SAFETY: avx2+fma are proven by the `Avx2` token.
         unsafe { transpose_other_avx(a, a_rows, b, b_rows, dst) }
     }
 
@@ -684,7 +720,7 @@ mod x86 {
                 let mut v3 = _mm256_setzero_ps();
                 let mut k = 0;
                 while k + 8 <= k_dim {
-                    // SAFETY: avx2+fma confirmed by `available()`;
+                    // SAFETY: avx2+fma proven by the `Avx2` token;
                     // `k + 8 <= k_dim` bounds every 8-lane load.
                     unsafe {
                         let av = _mm256_loadu_ps(ar.as_ptr().add(k));
@@ -714,7 +750,7 @@ mod x86 {
                 let mut v = _mm256_setzero_ps();
                 let mut k = 0;
                 while k + 8 <= k_dim {
-                    // SAFETY: avx2+fma confirmed by `available()`;
+                    // SAFETY: avx2+fma proven by the `Avx2` token;
                     // `k + 8 <= k_dim` bounds both 8-lane loads.
                     unsafe {
                         v = _mm256_fmadd_ps(
@@ -749,9 +785,8 @@ mod x86 {
 
     /// Vectorized bias/ReLU epilogue; bitwise-equal to the scalar one
     /// (per-element `add`, `max` — lane order preserved).
-    pub(super) fn epilogue(dst: &mut [f32], bias: &[f32], relu: bool) {
-        // SAFETY: avx2 was confirmed by `available()` before dispatch
-        // routed into this module.
+    pub(super) fn epilogue(_: Avx2, dst: &mut [f32], bias: &[f32], relu: bool) {
+        // SAFETY: avx2 is proven by the `Avx2` token.
         unsafe { epilogue_avx(dst, bias, relu) }
     }
 
@@ -767,7 +802,7 @@ mod x86 {
             for drow in dst.chunks_exact_mut(n) {
                 let mut j = 0;
                 while j + 8 <= n {
-                    // SAFETY: avx2 confirmed by `available()`;
+                    // SAFETY: avx2 proven by the `Avx2` token;
                     // `j + 8 <= n` bounds the loads and the store.
                     unsafe {
                         let dp = drow.as_mut_ptr().add(j);
@@ -788,7 +823,7 @@ mod x86 {
             for drow in dst.chunks_exact_mut(n) {
                 let mut j = 0;
                 while j + 8 <= n {
-                    // SAFETY: avx2 confirmed by `available()`;
+                    // SAFETY: avx2 proven by the `Avx2` token;
                     // `j + 8 <= n` bounds the loads and the store.
                     unsafe {
                         let dp = drow.as_mut_ptr().add(j);
@@ -819,6 +854,7 @@ mod x86 {
     /// take the same per-element sequence 8 lanes at a time, then scalar.
     /// `mul` then `add`, never FMA.
     pub(super) fn spmm_rows(
+        _: Avx2,
         adj: &SparseView<'_>,
         rows: Range<usize>,
         table: &[f32],
@@ -826,8 +862,7 @@ mod x86 {
         n: usize,
         out: &mut [f32],
     ) {
-        // SAFETY: avx2 was confirmed by `available()` before dispatch
-        // routed into this module.
+        // SAFETY: avx2 is proven by the `Avx2` token.
         unsafe { spmm_rows_avx(adj, rows, table, ids, n, out) }
     }
 
@@ -856,7 +891,7 @@ mod x86 {
                 for k in 0..cols.len() {
                     let (w, s) = (_mm256_set1_ps(weight(k)), src(k));
                     for (l, a) in acc.iter_mut().enumerate() {
-                        // SAFETY: avx2 confirmed by `available()`; the
+                        // SAFETY: avx2 proven by the `Avx2` token; the
                         // source row holds `n` floats and `j0 + 8l + 8 <= nb
                         // <= n` bounds this 8-lane load.
                         let x = unsafe { _mm256_loadu_ps(s.add(j0 + 8 * l)) };
@@ -864,7 +899,7 @@ mod x86 {
                     }
                 }
                 for (l, a) in acc.into_iter().enumerate() {
-                    // SAFETY: avx2 confirmed by `available()`; `drow` holds
+                    // SAFETY: avx2 proven by the `Avx2` token; `drow` holds
                     // `n` floats and `j0 + 8l + 8 <= n` bounds the store.
                     unsafe { _mm256_storeu_ps(dp.add(j0 + 8 * l), a) }
                 }
@@ -872,13 +907,13 @@ mod x86 {
             for j0 in (nb..nv).step_by(8) {
                 let mut acc = _mm256_setzero_ps();
                 for k in 0..cols.len() {
-                    // SAFETY: avx2 confirmed by `available()`; the source
+                    // SAFETY: avx2 proven by the `Avx2` token; the source
                     // row holds `n` floats and `j0 + 8 <= nv <= n` bounds
                     // this 8-lane load.
                     let x = unsafe { _mm256_loadu_ps(src(k).add(j0)) };
                     acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(weight(k)), x));
                 }
-                // SAFETY: avx2 confirmed by `available()`; `j0 + 8 <= n`
+                // SAFETY: avx2 proven by the `Avx2` token; `j0 + 8 <= n`
                 // bounds the store into `drow`.
                 unsafe { _mm256_storeu_ps(dp.add(j0), acc) }
             }
@@ -898,11 +933,11 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! The AVX-512 GEMM, weight gradient and input gradient. Every function
-    //! here is only reachable through the module-level wrappers after
-    //! [`super::tier`] has detected `avx512f` next to `avx2` + `fma` at
-    //! runtime. Each output element sees exactly the operation sequence the
-    //! AVX2 tier gives it (module doc), so the two tiers are bitwise equal;
+    //! The AVX-512 GEMM, weight gradient and input gradient. Every entry
+    //! point takes an [`Avx512`] token, which only [`super::detect`] builds,
+    //! after it has detected `avx512f` next to `avx2` + `fma` at runtime.
+    //! Each output element sees exactly the operation sequence the AVX2
+    //! tier gives it (module doc), so the two tiers are bitwise equal;
     //! the wider registers only hold more elements, and the GEMM and weight
     //! gradient take all of a layer's operands in one pass.
 
@@ -916,6 +951,7 @@ mod avx512 {
     use std::ops::Range;
 
     use super::x86::pack_b;
+    use super::Avx512;
     use crate::dense::Matrix;
     use crate::dispatch::Epilogue;
     use crate::kernels::KC;
@@ -982,6 +1018,7 @@ mod avx512 {
     /// block is `0 + acc`), which waits in L1 between blocks; then the bias
     /// and the clamp, in registers, and one store. `A` is read in place.
     pub(super) fn gemm(
+        _: Avx512,
         ops: &[(&Matrix, usize)],
         rows: Range<usize>,
         b: &Matrix,
@@ -1014,8 +1051,8 @@ mod avx512 {
                     let w = NR.min(n - j0);
                     let panel = &pb[k_total * j0..][..k_total * w.next_multiple_of(16)];
                     let a_row0 = rows.start + i0;
-                    // SAFETY: avx512f (with avx2+fma) was detected by
-                    // `tier()` before dispatch routed here.
+                    // SAFETY: the `Avx512` token `gemm` takes proves
+                    // avx512f (with avx2+fma).
                     unsafe {
                         with_vectors!(w, NV => {
                             gemm_tile::<NV>(ops, panel, a_row0, n, j0, w, epi, out)
@@ -1062,7 +1099,7 @@ mod avx512 {
                 let ap = ar.map(|row| row[kk..kk + kc].as_ptr());
                 let mut acc = [[zero; NV]; MR];
                 for k in 0..kc {
-                    // SAFETY: `tier()` detected avx512f (and avx2+fma); each
+                    // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); each
                     // `ap` row and the `pbp` block are bounds-checked slices
                     // of `kc` values and `kc` groups of `lanes` floats, and
                     // `k < kc`, so every load is in bounds.
@@ -1088,7 +1125,7 @@ mod avx512 {
         for (r, s) in sum.iter().enumerate().take(mr) {
             let p = out[r * n + j0..][..w].as_mut_ptr();
             for (v, (&sv, &mask)) in s.iter().zip(&masks).enumerate() {
-                // SAFETY: `tier()` detected avx512f (and avx2+fma); `mask`
+                // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); `mask`
                 // covers only this vector's columns below `w` of the
                 // bounds-checked `w`-float slices `p` (of `out`) and `bias`
                 // start, and masked-off lanes are neither read nor written.
@@ -1113,7 +1150,13 @@ mod avx512 {
     /// and stored once — so the chunk of `grad` is read from memory once and
     /// stays in cache for every operand. Columns past `8·⌊n/8⌋` keep the
     /// AVX2 tier's separate `mul` + `add`.
-    pub(super) fn grad_weights(xs: &[&Matrix], grad: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
+    pub(super) fn grad_weights(
+        _: Avx512,
+        xs: &[&Matrix],
+        grad: &Matrix,
+        rows: Range<usize>,
+        dst: &mut [f32],
+    ) {
         let n = grad.cols();
         debug_assert_eq!(
             dst.len(),
@@ -1132,8 +1175,8 @@ mod avx512 {
                 for j0 in (0..nv).step_by(NR) {
                     let w = NR.min(nv - j0);
                     for i0 in (0..x.cols()).step_by(MR) {
-                        // SAFETY: avx512f (with avx2+fma) was detected by
-                        // `tier()` before dispatch routed here.
+                        // SAFETY: the `Avx512` token `grad_weights` takes
+                        // proves avx512f (with avx2+fma).
                         unsafe {
                             with_vectors!(w, NV => {
                                 dw_tile::<NV>(x, grad, chunk.clone(), i0, j0, w, d)
@@ -1183,7 +1226,7 @@ mod avx512 {
         for (c, &i) in acc.iter_mut().zip(&ic) {
             let p = d[i * n + j0..][..w].as_ptr();
             for (cv, (v, &mask)) in c.iter_mut().zip(masks.iter().enumerate()) {
-                // SAFETY: `tier()` detected avx512f (and avx2+fma); `mask`
+                // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); `mask`
                 // covers only this vector's columns below `w` of the
                 // bounds-checked `w`-float slice `p` starts.
                 *cv = unsafe { _mm512_maskz_loadu_ps(mask, p.wrapping_add(16 * v)) };
@@ -1193,7 +1236,7 @@ mod avx512 {
         let xr = &x.data()[chunk.start * k_a..chunk.end * k_a];
         let gr = &grad.data()[chunk.start * n..chunk.end * n];
         for r in 0..chunk.len() {
-            // SAFETY: `tier()` detected avx512f (and avx2+fma); row `r` of
+            // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); row `r` of
             // each window is in bounds, every `ic` index is below `k_a`, and
             // the masks cover only columns `j0..j0 + w ≤ n` of the `grad` row.
             unsafe {
@@ -1213,7 +1256,7 @@ mod avx512 {
         for (c, &i) in acc.iter().zip(&ic).take(ni) {
             let p = d[i * n + j0..][..w].as_mut_ptr();
             for (v, (&cv, &mask)) in c.iter().zip(&masks).enumerate() {
-                // SAFETY: `tier()` detected avx512f (and avx2+fma); `mask`
+                // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); `mask`
                 // covers only this vector's columns below `w` of the
                 // bounds-checked `w`-float slice `p` starts.
                 unsafe { _mm512_mask_storeu_ps(p.wrapping_add(16 * v), mask, cv) };
@@ -1299,6 +1342,7 @@ mod avx512 {
     /// `A` × 4 pairs of `B` rows, each pair's two dots in one register (row
     /// `2p` in the low half, `2p + 1` in the high half).
     pub(super) fn transpose_other(
+        _: Avx512,
         a: &Matrix,
         a_rows: Range<usize>,
         b: &Matrix,
@@ -1314,8 +1358,8 @@ mod avx512 {
         let kv = a.cols() - a.cols() % 8;
         workspace::with_pack_buffers(0, n.div_ceil(2) * 2 * kv, |_, pb| {
             pack_pairs(b, b_rows.clone(), kv, pb);
-            // SAFETY: avx512f (with avx2+fma) was detected by `tier()`
-            // before dispatch routed into this module.
+            // SAFETY: the `Avx512` token `transpose_other` takes
+            // proves avx512f (with avx2+fma).
             unsafe { transpose_other_avx512(a, a_rows, b, b_rows, pb, kv, dst) }
         });
     }
@@ -1345,7 +1389,7 @@ mod avx512 {
                     std::array::from_fn(|u| &pb[(p0 + u.min(np - 1)) * 2 * kv..][..2 * kv]);
                 let mut acc = [[_mm512_setzero_ps(); TP]; TR];
                 for q in (0..kv).step_by(8) {
-                    // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                    // SAFETY: the `Avx512` token proves avx512f (and avx2+fma);
                     // `q + 8 <= kv`, every `ar` row holds `kv` or more
                     // values and every `bp` panel `2 * kv`, so each load is
                     // in bounds.
@@ -1373,7 +1417,7 @@ mod avx512 {
                             }
                         }
                     }
-                    // SAFETY: `tier()` detected avx512f (and avx2+fma);
+                    // SAFETY: the `Avx512` token proves avx512f (and avx2+fma);
                     // `tails` holds 16 floats, and each masked store writes
                     // only the `w` columns `j0..j0 + w` of a block row below
                     // `nr`: a bounds-checked slice of `dst`.
@@ -1513,8 +1557,8 @@ mod tests {
             // pinned against it by `avx512_tier_equals_avx2_tier_bitwise`.
             let simd_epilogue = |d: &mut [f32], relu: bool| {
                 #[cfg(target_arch = "x86_64")]
-                if available() {
-                    return x86::epilogue(d, &bias, relu);
+                if let Some(avx2) = tier().avx2() {
+                    return x86::epilogue(avx2, d, &bias, relu);
                 }
                 kernels::epilogue_bias_relu(d, &bias, relu)
             };
@@ -1580,27 +1624,27 @@ mod tests {
         let values: Vec<f32> = (0..indices.len()).map(|k| awkward(k * 3 + 1)).collect();
         // The id map names table rows out of order, with repeats.
         let ids: Vec<u32> = (0..37u32).map(|c| (c * 11 + 4) % 29).collect();
-        let avx2 = cfg!(target_arch = "x86_64") && detect() != Tier::Scalar;
+        let avx2 = detect().avx2();
         for n in WIDTHS {
             let table: Vec<f32> = (0..table_rows * n).map(|i| awkward(i + n)).collect();
             for vals in [None, Some(&values[..])] {
                 let adj = SparseView::new(ROW_LENS.len(), 37, &indptr, &indices, vals);
                 for map in [None, Some(&ids[..])] {
                     let want = bits(&entry_loop(&adj, &table, map, n));
-                    let run = |simd: bool| {
+                    let run = |simd: Option<Avx2>| {
                         let mut out = vec![f32::NAN; adj.rows() * n];
-                        if simd {
+                        if let Some(_avx2) = simd {
                             #[cfg(target_arch = "x86_64")]
-                            x86::spmm_rows(&adj, 0..adj.rows(), &table, map, n, &mut out);
+                            x86::spmm_rows(_avx2, &adj, 0..adj.rows(), &table, map, n, &mut out);
                         } else {
                             spmm_rows(&adj, 0..adj.rows(), &table, map, n, false, &mut out);
                         }
                         bits(&out)
                     };
                     let what = format!("n={n} values={} ids={}", vals.is_some(), map.is_some());
-                    assert!(run(false) == want, "scalar tier, {what}");
-                    if avx2 {
-                        assert!(run(true) == want, "avx2 tier, {what}");
+                    assert!(run(None) == want, "scalar tier, {what}");
+                    if avx2.is_some() {
+                        assert!(run(avx2) == want, "avx2 tier, {what}");
                     }
                 }
             }
@@ -1673,16 +1717,16 @@ mod tests {
         shapes
     }
 
-    /// Runs `check(m, k, k2, n, seed)` over [`tier_shapes`] on a host with
-    /// `avx512f`; elsewhere says so and returns.
+    /// Runs `check(avx512, m, k, k2, n, seed)` over [`tier_shapes`] on a
+    /// host with `avx512f`; elsewhere says so and returns.
     #[cfg(target_arch = "x86_64")]
-    fn over_tier_shapes(test: &str, check: impl Fn(usize, usize, usize, usize, u64)) {
-        if detect() != Tier::Avx512 {
+    fn over_tier_shapes(test: &str, check: impl Fn(Avx512, usize, usize, usize, usize, u64)) {
+        let Tier::Avx512(avx512) = detect() else {
             eprintln!("{test}: skipped, this host lacks avx512f");
             return;
-        }
+        };
         for (m, k, k2, n) in tier_shapes() {
-            check(m, k, k2, n, (m * 10_000 + k * 100 + n) as u64);
+            check(avx512, m, k, k2, n, (m * 10_000 + k * 100 + n) as u64);
         }
     }
 
@@ -1718,7 +1762,7 @@ mod tests {
     fn avx512_transpose_other_equals_avx2_bitwise() {
         over_tier_shapes(
             "avx512_transpose_other_equals_avx2_bitwise",
-            |m, k, _, n, seed| transpose_other_tiers_agree(m, k, n, seed),
+            |avx512, m, k, _, n, seed| transpose_other_tiers_agree(avx512, m, k, n, seed),
         );
     }
 
@@ -1730,7 +1774,7 @@ mod tests {
     /// GEMM over rows 7..7+m of each operand, against the row windows of B
     /// at 3 and, for the second operand, right below the first.
     #[cfg(target_arch = "x86_64")]
-    fn gemm_tiers_agree(m: usize, k: usize, k2: usize, n: usize, seed: u64) {
+    fn gemm_tiers_agree(avx512: Avx512, m: usize, k: usize, k2: usize, n: usize, seed: u64) {
         let a1 = with_signed_zeros(m + 9, k, seed);
         let a2 = with_signed_zeros(m + 9, k2, seed + 1);
         let b = with_signed_zeros(3 + k + k2, n, seed + 2);
@@ -1745,8 +1789,8 @@ mod tests {
                 Epilogue::bias_relu(&bias),
             ] {
                 let (mut d2, mut d5) = (init.clone(), init.clone());
-                gemm_on(Tier::Avx2, ops, 7..7 + m, &b, epi, &mut d2);
-                gemm_on(Tier::Avx512, ops, 7..7 + m, &b, epi, &mut d5);
+                gemm_on(Tier::Avx2(avx512.avx2()), ops, 7..7 + m, &b, epi, &mut d2);
+                gemm_on(Tier::Avx512(avx512), ops, 7..7 + m, &b, epi, &mut d5);
                 let what = format!("gemm, {} operands, {epi:?}", ops.len());
                 assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
             }
@@ -1756,7 +1800,14 @@ mod tests {
     /// Weight gradient over rows 1..1+m of the gradient and of each
     /// operand, one operand and the stacked pair.
     #[cfg(target_arch = "x86_64")]
-    fn grad_weights_tiers_agree(m: usize, k: usize, k2: usize, n: usize, seed: u64) {
+    fn grad_weights_tiers_agree(
+        avx512: Avx512,
+        m: usize,
+        k: usize,
+        k2: usize,
+        n: usize,
+        seed: u64,
+    ) {
         let x1 = with_signed_zeros(m + 3, k, seed + 5);
         let x2 = with_signed_zeros(m + 3, k2, seed + 6);
         let g = with_signed_zeros(m + 1, n, seed + 7);
@@ -1764,8 +1815,8 @@ mod tests {
             let rows = xs.iter().map(|x| x.cols()).sum::<usize>();
             let init = with_signed_zeros(rows, n, seed + 8).into_data();
             let (mut d2, mut d5) = (init.clone(), init);
-            grad_weights_on(Tier::Avx2, xs, &g, 1..1 + m, &mut d2);
-            grad_weights_on(Tier::Avx512, xs, &g, 1..1 + m, &mut d5);
+            grad_weights_on(Tier::Avx2(avx512.avx2()), xs, &g, 1..1 + m, &mut d2);
+            grad_weights_on(Tier::Avx512(avx512), xs, &g, 1..1 + m, &mut d5);
             let what = format!("grad_weights, {} operands", xs.len());
             assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
         }
@@ -1773,12 +1824,12 @@ mod tests {
 
     /// Input gradient: rows 1..1+m of A against rows 2..2+n of B.
     #[cfg(target_arch = "x86_64")]
-    fn transpose_other_tiers_agree(m: usize, k: usize, n: usize, seed: u64) {
+    fn transpose_other_tiers_agree(avx512: Avx512, m: usize, k: usize, n: usize, seed: u64) {
         let ga = with_signed_zeros(m + 2, k, seed + 9);
         let w = with_signed_zeros(n + 3, k, seed + 10);
         let (mut d2, mut d5) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
-        x86::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d2);
-        avx512::transpose_other(&ga, 1..1 + m, &w, 2..2 + n, &mut d5);
+        x86::transpose_other(avx512.avx2(), &ga, 1..1 + m, &w, 2..2 + n, &mut d2);
+        avx512::transpose_other(avx512, &ga, 1..1 + m, &w, 2..2 + n, &mut d5);
         assert_bits(&format!("transpose_other m={m} k={k} n={n}"), &d2, &d5);
     }
 

@@ -21,6 +21,8 @@
 //! All searchers implement [`Searcher`], so benches can drive them
 //! uniformly against either a measured engine or the platform model.
 
+#![forbid(unsafe_code)]
+
 pub mod acquisition;
 pub mod baselines;
 pub mod bayesopt;

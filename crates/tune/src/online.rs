@@ -97,6 +97,10 @@ impl<S: Searcher> OnlineAutoTuner<S> {
         let mut total_time = 0.0;
         let mut tuner_overhead = 0.0;
         for trial in 0..self.num_searches {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "suggest/observe overhead metrics (Table 5 reproduction)"
+            )]
             let t0 = Instant::now();
             let config = self.searcher.suggest();
             let suggest_seconds = t0.elapsed().as_secs_f64();
@@ -107,6 +111,10 @@ impl<S: Searcher> OnlineAutoTuner<S> {
             });
             let epoch_time = objective(config, 1);
             total_time += epoch_time;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "suggest/observe overhead metrics (Table 5 reproduction)"
+            )]
             let t1 = Instant::now();
             self.searcher.observe(config, epoch_time);
             let observe_seconds = t1.elapsed().as_secs_f64();

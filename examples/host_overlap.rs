@@ -1,5 +1,10 @@
 //! Do this host's cores overlap? An FMA loop and a random-row gather, alone and
 //! as two concurrent copies: ratio ~1.0 = side by side, ~2.0 = taking turns.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a wall-clock measurement of the host"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

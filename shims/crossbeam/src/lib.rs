@@ -4,6 +4,8 @@
 //! (std's `mpsc::Receiver` is not `Clone`, so a shared-queue channel is
 //! implemented here directly).
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;

@@ -3,6 +3,8 @@
 //! workspace uses is provided: [`Mutex`], [`RwLock`] and [`Condvar`] with
 //! parking_lot's poison-free, guard-returning API.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Deref, DerefMut};
 
 mod hook;

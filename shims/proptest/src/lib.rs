@@ -8,6 +8,8 @@
 //! Failing cases are reported with their case index and seed but are **not
 //! shrunk** — rerun with the printed seed to reproduce.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,6 +6,8 @@
 //! Streams are deterministic for a given seed but are **not** identical to
 //! upstream `rand`'s; all workspace code treats RNG output as opaque.
 
+#![forbid(unsafe_code)]
+
 /// Types that can be drawn uniformly from the full value domain
 /// (`Rng::gen`). Floats are drawn from `[0, 1)`.
 pub trait Standard: Sized {

@@ -4,6 +4,8 @@
 //! single dependency. Library users should depend on `argo-core` (the
 //! user-facing runtime) or on individual substrate crates directly.
 
+#![forbid(unsafe_code)]
+
 pub use argo_core as core;
 pub use argo_engine as engine;
 pub use argo_graph as graph;
