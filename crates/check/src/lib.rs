@@ -3,11 +3,60 @@
 //! A deterministic schedule-permutation explorer ([`schedule`], a
 //! mini-loom) used by this crate's test suite, which with `--features
 //! check` also turns on the lock-order / double-lock sanitizer inside the
-//! `parking_lot` shim (`tests/check.rs`). `tests/hot_paths.rs` scans the
-//! hot-path files for the allocation and kernel-bypass spellings no
-//! compiler or clippy lint can scope to a file list; every other source
-//! rule is a compiler or clippy lint (`clippy.toml` and the crate roots).
+//! `parking_lot` shim (`tests/check.rs`). [`rules`] holds the hot-path
+//! allocation and kernel-bypass spellings no compiler or clippy lint can
+//! scope to a file list, and `tests/hot_paths.rs` runs them over the tree;
+//! every other source rule is a compiler or clippy lint (`clippy.toml` and
+//! the crate roots).
 
 #![forbid(unsafe_code)]
 
+pub mod rules;
 pub mod schedule;
+
+#[cfg(test)]
+mod tests {
+    use super::rules::{check_file, check_tree};
+    use std::path::Path;
+
+    #[test]
+    fn seeded_violations_surface_with_file_and_line() {
+        // Plant one violation of each rule next to the real tree and check
+        // each is reported at its exact file:line, the exception's site is
+        // excused, and the real tree adds no finding but its one exception.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut found = check_tree(&root).expect("the covered files read");
+        found.extend(check_file(
+            "crates/serve/src/session.rs",
+            "fn f() {\n    let m: HashMap<u64, usize> = HashMap::new();\n    \
+             let z = reference::matmul(&x, &w);\n    \
+             let g = feats.gather(ids).data().to_vec();\n    \
+             let key = req.seeds.clone();\n}\n",
+        ));
+        let (excused, found): (Vec<_>, Vec<_>) = found.into_iter().partition(|f| f.excused);
+        let rendered: Vec<String> = found.iter().map(|f| f.to_string()).collect();
+        let path = "crates/serve/src/session.rs";
+        assert_eq!(
+            rendered,
+            [
+                format!(
+                    "{path}:2: [sampler-scratch] `HashMap`: keep batch-lifetime state in the \
+                     `SamplerScratch` arena"
+                ),
+                format!(
+                    "{path}:3: [kernel-dispatch] `reference::`: route the kernel through \
+                     `argo_tensor::DispatchPolicy`"
+                ),
+                format!(
+                    "{path}:4: [feature-gather] `.gather(`: gather into a recycled buffer with \
+                     `Features::gather_into`"
+                ),
+            ]
+        );
+        assert_eq!(
+            excused.len(),
+            2,
+            "the seeded site and the real one: {excused:?}"
+        );
+    }
+}

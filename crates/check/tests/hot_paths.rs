@@ -1,97 +1,27 @@
-//! The source rules no lint can scope to a list of files, checked over each
-//! listed file's code up to its first `#[cfg(test)]`, skipping `//` lines.
+//! Runs `argo_check::rules` over the tree: the source rules no lint can
+//! scope to a list of files.
 
+use argo_check::rules::{check_tree, scan, RULES};
 use std::path::Path;
-
-/// Each rule: what it asks for, its needles, and the files (or whole `src`
-/// directories) it covers.
-const RULES: &[(&str, &[&str], &[&str])] = &[
-    (
-        "sampler-scratch: keep batch-lifetime state in the `SamplerScratch` arena",
-        &["HashMap", "HashSet", ".clone()"],
-        &[
-            "crates/sample/src/cache.rs",
-            "crates/sample/src/neighbor.rs",
-            "crates/sample/src/shadow.rs",
-            "crates/sample/src/scratch.rs",
-            "crates/sample/src/batch.rs",
-            "crates/sample/src/view.rs",
-            "crates/serve/src/session.rs",
-            "crates/serve/src/batcher.rs",
-        ],
-    ),
-    (
-        "kernel-dispatch: route the kernel through `argo_tensor::DispatchPolicy`",
-        &["reference::"],
-        &["crates/nn/src", "crates/engine/src", "crates/serve/src"],
-    ),
-    (
-        "feature-gather: gather into a recycled buffer with `Features::gather_into`",
-        &[".gather(", ".data().to_vec()"],
-        &[
-            "crates/nn/src",
-            "crates/sample/src",
-            "crates/serve/src",
-            "crates/engine/src",
-        ],
-    ),
-];
-
-/// The one sanctioned site: the result cache takes ownership of its key, one
-/// clone per computed (miss) response, not per batch element; hits allocate
-/// nothing.
-const EXCEPTION: (&str, &str) = ("crates/serve/src/session.rs", "req.seeds.clone()");
-
-/// Every `(line number, line, needle)` in the code of `src` before its first
-/// `#[cfg(test)]`, skipping `//` lines. A needle that starts with an
-/// identifier character must not continue one (`cross_reference::`).
-fn scan<'a>(src: &'a str, needles: &[&'static str]) -> Vec<(usize, &'a str, &'static str)> {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut hits = Vec::new();
-    let code = src
-        .lines()
-        .take_while(|l| l.trim() != "#[cfg(test)]")
-        .enumerate();
-    for (i, line) in code.filter(|(_, l)| !l.trim_start().starts_with("//")) {
-        for &needle in needles {
-            let mut at = line.match_indices(needle).map(|(at, _)| at);
-            if at.any(|at| !needle.starts_with(ident) || !line[..at].ends_with(ident)) {
-                hits.push((i + 1, line, needle));
-            }
-        }
-    }
-    hits
-}
 
 #[test]
 fn hot_paths_hold_no_allocation_or_kernel_bypass() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let (mut found, mut excused) = (Vec::new(), 0);
-    for (rule, needles, paths) in RULES {
-        for path in paths.iter().map(|p| root.join(p)) {
-            let files = match std::fs::read_dir(&path) {
-                Ok(dir) => dir.map(|e| e.unwrap().path()).collect(),
-                Err(_) => vec![path],
-            };
-            for file in files {
-                let src = std::fs::read_to_string(&file).expect("a listed file");
-                for (n, line, needle) in scan(&src, needles) {
-                    if file.ends_with(EXCEPTION.0) && line.contains(EXCEPTION.1) {
-                        excused += 1;
-                    } else {
-                        found.push(format!("{}:{n}: `{needle}`: {rule}", file.display()));
-                    }
-                }
-            }
-        }
-    }
+    let (excused, found): (Vec<_>, Vec<_>) = check_tree(&root)
+        .expect("the covered files read")
+        .into_iter()
+        .partition(|f| f.excused);
+    let found: Vec<String> = found.iter().map(|f| f.to_string()).collect();
     assert!(found.is_empty(), "{found:#?}");
-    assert_eq!(excused, 1, "the exception matches no site: delete it");
+    assert_eq!(excused.len(), 1, "the exception matches no site: delete it");
 }
 
 #[test]
 fn scan_reports_every_needle_and_skips_comments_and_the_test_tail() {
-    let needles: Vec<&str> = RULES.iter().flat_map(|r| r.1.iter().copied()).collect();
+    let needles: Vec<&str> = RULES
+        .iter()
+        .flat_map(|r| r.needles.iter().copied())
+        .collect();
     let mut src: String = needles.iter().map(|n| format!("x {n} y\n")).collect();
     src += "// HashMap .clone() reference:: .gather( in a comment\n";
     src += "let z = cross_reference::f(); feats.gather_into(ids, out);\n";
