@@ -207,7 +207,7 @@ fn serve_session_run_reports_zero_violations() {
     use argo_graph::datasets::FLICKR;
     use argo_nn::{Arch, Gnn};
     use argo_rt::Telemetry;
-    use argo_sample::{NeighborSampler, Normalization, Sampler};
+    use argo_sample::{NeighborSampler, Sampler};
     use argo_serve::{ManualClock, ServeSpec};
 
     let _guard = serialized();
@@ -221,7 +221,6 @@ fn serve_session_run_reports_zero_violations() {
         .deadline_us(500)
         .result_cache_entries(16)
         .feature_cache_rows(128)
-        .normalization(Normalization::Mean)
         .seed(11)
         .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
         .start();

@@ -180,11 +180,11 @@ pub struct BufferStats {
     pub input_buffers: usize,
     /// Bytes parked in the input rings.
     pub input_bytes: usize,
-    /// Private gather buffers the loader workers have made (`n_src × F`
-    /// each; one per concurrent worker of a cached loader, never sent
+    /// Gather buffers the cached prologue has made (`n_src × F` each; at
+    /// most one per worker, taken and handed back per batch, never sent
     /// anywhere; none without a cache).
     pub gather_buffers: usize,
-    /// Bytes of the gather buffers parked between epochs.
+    /// Bytes of the parked gather buffers.
     pub gather_bytes: usize,
 }
 
@@ -1370,7 +1370,7 @@ mod tests {
                 assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
                 if cache_rows > 0 {
                     assert_eq!(warm.gather_buffers, 1, "one worker: {who}");
-                    // The worker parked its private `n_src × F` buffer again.
+                    // The prologue handed its `n_src × F` buffer back.
                     assert!(warm.gather_bytes > 0, "{who}");
                 } else {
                     assert_eq!(warm.gather_buffers, 0, "no gathered copy: {who}");
@@ -1398,7 +1398,7 @@ mod tests {
         // which holds only what was in flight at once: per rank one set
         // queued and one being filled per worker, one in the step — and a
         // set is two `n_dst × F` operands (GraphSAGE), not the gathered
-        // `n_src × F` input, which stays in its worker's private buffer.
+        // `n_src × F` input, which stays in the ring's gather buffers.
         let d = tiny();
         let mut o = opts(64);
         o.cache_capacity = 512;

@@ -54,8 +54,8 @@ pub struct StepStats {
 /// from batch to batch: slot `l` of `slices` and `self_rows` belongs to layer
 /// `l`, so a model's steady-state steps build their slices in place.
 ///
-/// Every layer of the forward pass ([`Gnn::layer`]; inference runs them
-/// all, training keeps what each returns for backward) takes its normalized
+/// Every layer of the forward pass ([`Gnn::forward`]; inference keeps the
+/// logits, training every layer's buffers for backward) takes its normalized
 /// adjacency as a borrowed [`SparseView`] (`n_dst × n_src`; the output has
 /// one row per adjacency row) — a view of an owned batch's matrix, one still
 /// sitting in the sampler's arena or a slice of the cascade, the forward
@@ -109,42 +109,27 @@ struct Cascade {
 type LayerIn<'a> = (SparseView<'a>, Option<&'a [usize]>);
 
 impl Gnn {
-    /// Layer `l`: returns `(output, aggregation)`.
-    ///
-    /// * GCN: `z = (Â h) W + b`
-    /// * SAGE: `z = h_self W_self + mean(h) W_neigh + b` — the fused form
-    ///   of `[h_self ‖ mean(h)] W + b` with `W = [W_self; W_neigh]`
-    ///   stacked; the concatenation is never materialized. `h_self` holds
-    ///   the self features of the `n_dst` output rows in its first `n_dst`
-    ///   rows — `h` itself whenever the outputs are a prefix of the inputs;
-    ///   GCN ignores it.
-    ///
-    /// Bias (and ReLU on all layers except the last) are fused into the
-    /// GEMM write-back. Output and aggregation buffers come from the
-    /// model's workspace arena, unzeroed: both kernels overwrite them.
-    fn layer(
-        &self,
-        l: usize,
-        adj: &SparseView<'_>,
-        h: &Matrix,
-        h_self: &Matrix,
-        pool: Option<&ThreadPool>,
-    ) -> (Matrix, Matrix) {
-        let agg = self.aggregate(adj, h, pool);
-        (self.dense(l, &agg, Some(h_self), pool), agg)
-    }
-
-    /// The parameter-free half of a layer: `adj · h` in a workspace buffer.
+    /// The parameter-free half of a layer: `adj · h` in a workspace buffer,
+    /// taken unzeroed (the kernel overwrites it).
     fn aggregate(&self, adj: &SparseView<'_>, h: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut agg = self.ws.borrow_mut().take_unzeroed(adj.rows(), h.cols());
         self.dispatch.aggregate_view_into(adj, h, pool, &mut agg);
         agg
     }
 
-    /// The parameterised half of layer `l`: the GEMM over its aggregation
-    /// `agg` (and, for SAGE, the self rows `h_self`) with the fused epilogue.
-    /// This is where a step whose first aggregation was run by the loader
-    /// starts.
+    /// The parameterised half of layer `l`, over its aggregation `agg`:
+    ///
+    /// * GCN: `z = agg W + b`, `agg = Â h`
+    /// * SAGE: `z = h_self W_self + agg W_neigh + b`, `agg = mean(h)` — the
+    ///   fused form of `[h_self ‖ agg] W + b` with `W = [W_self; W_neigh]`
+    ///   stacked; the concatenation is never materialized. `h_self` holds
+    ///   the self features of the `n_dst` output rows in its first `n_dst`
+    ///   rows — `h` itself whenever the outputs are a prefix of the inputs;
+    ///   GCN ignores it.
+    ///
+    /// Bias (and ReLU on all layers except the last) are fused into the GEMM
+    /// write-back, into a workspace buffer taken unzeroed. This is where a
+    /// step whose first aggregation was run by the loader starts.
     fn dense(
         &self,
         l: usize,
@@ -169,28 +154,74 @@ impl Gnn {
         z
     }
 
-    /// Runs every layer and returns the logits: one row per row of the last
-    /// adjacency.
-    fn run(&self, layers: &[LayerIn<'_>], input: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
-        let step = |l: usize, h: &Matrix| {
-            let (adj, self_rows) = &layers[l];
-            let picked = self_rows.map(|pos| select_rows(&self.ws, h, pos));
-            let (z, agg) = self.layer(l, adj, h, picked.as_ref().unwrap_or(h), pool);
-            let mut ws = self.ws.borrow_mut();
-            ws.put(agg);
-            if let Some(m) = picked {
-                ws.put(m);
+    /// The one forward body, training's and inference's: runs `layers` and
+    /// keeps every layer's buffers. Layer 0 starts from `first`; a prepared
+    /// input has every row of the batch, so a subgraph layer 0 cut to
+    /// `input_rows` copies its own (rows are independent).
+    fn forward<'a>(
+        &self,
+        layers: &[LayerIn<'_>],
+        first: FirstLayer<'a>,
+        input_rows: Option<&[usize]>,
+        pool: Option<&ThreadPool>,
+    ) -> Kept<'a> {
+        let (adj, self_rows) = &layers[0];
+        let (agg, h_self) = match first {
+            FirstLayer::Gathered(input) => {
+                let agg = self.aggregate(adj, input, pool);
+                // SAGE's self rows: the layer's selection, or the first rows
+                // of the input.
+                let h_self = (self.kind == Arch::Sage).then(|| match self_rows {
+                    Some(pos) => Cow::Owned(select_rows(&self.ws, input, pos)),
+                    None => Cow::Borrowed(input),
+                });
+                (Cow::Owned(agg), h_self)
             }
-            z
+            FirstLayer::Prepared(PreparedInput { agg, self_rows }) => {
+                let cut = |m: &'a Matrix| match input_rows {
+                    Some(rows) => Cow::Owned(select_rows(&self.ws, m, rows)),
+                    None => Cow::Borrowed(m),
+                };
+                let agg = cut(agg);
+                assert_eq!(
+                    (agg.rows(), agg.cols()),
+                    (adj.rows(), self.dims[0]),
+                    "prepared aggregation does not fit the batch"
+                );
+                (agg, self_rows.as_ref().map(cut))
+            }
         };
-        // The first layer reads the caller's input in place; from then on
-        // each layer's output replaces the previous one, which is retired.
-        let mut h = step(0, input);
-        for l in 1..layers.len() {
-            let z = step(l, &h);
-            self.ws.borrow_mut().put(std::mem::replace(&mut h, z));
+        let mut kept = Kept {
+            outs: vec![self.dense(0, &agg, h_self.as_deref(), pool)],
+            aggs: vec![agg],
+            selfs: vec![h_self],
+            grad: None,
+        };
+        for (l, (adj, self_rows)) in layers.iter().enumerate().skip(1) {
+            let h = &kept.outs[l - 1];
+            let picked = self_rows.map(|pos| select_rows(&self.ws, h, pos));
+            let agg = self.aggregate(adj, h, pool);
+            let z = self.dense(l, &agg, Some(picked.as_ref().unwrap_or(h)), pool);
+            kept.outs.push(z);
+            kept.aggs.push(Cow::Owned(agg));
+            kept.selfs.push(picked.map(Cow::Owned));
         }
-        h
+        kept
+    }
+
+    /// Inference: [`Gnn::forward`] with everything but the logits (one row
+    /// per row of the last adjacency) recycled.
+    fn run(
+        &self,
+        layers: &[LayerIn<'_>],
+        first: FirstLayer<'_>,
+        input_rows: Option<&[usize]>,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let mut kept = self.forward(layers, first, input_rows, pool);
+        let logits = kept.outs.swap_remove(layers.len() - 1);
+        self.recycle(kept);
+        logits
     }
 
     /// Inference forward pass; returns logits over the batch's seeds.
@@ -212,7 +243,8 @@ impl Gnn {
         let layers: Vec<_> = (0..depth)
             .map(|l| cascade.layer(self.kind, l, full_of(&fulls, l).view()))
             .collect();
-        self.run(&layers, input.borrow(), pool)
+        let first = FirstLayer::Gathered(input.borrow());
+        self.run(&layers, first, cascade.input_rows(), pool)
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
@@ -227,13 +259,34 @@ impl Gnn {
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let input = input.borrow();
+        self.forward_view(batch, FirstLayer::Gathered(input.borrow()), pool)
+    }
+
+    /// [`Gnn::forward_gathered_view`] from the first GEMM, over what
+    /// [`PreparedInput::prepare`] made of this view: bitwise the same logits.
+    /// Panics unless the view fuses this model's normalization (and, for
+    /// blocks, has its depth).
+    pub fn forward_prepared(
+        &self,
+        batch: &SampledBatchView<'_>,
+        input: &PreparedInput,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        self.forward_view(batch, FirstLayer::Prepared(input), pool)
+    }
+
+    fn forward_view(
+        &self,
+        batch: &SampledBatchView<'_>,
+        first: FirstLayer<'_>,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
         let depth = self.layers.len();
         let fused = batch.norm() == self.kind.normalization();
         match batch {
             SampledBatchView::Blocks(mb) if fused && mb.num_blocks() == depth => {
                 let layers: Vec<_> = (0..depth).map(|l| (mb.block(l).adj, None)).collect();
-                self.run(&layers, input, pool)
+                self.run(&layers, first, None, pool)
             }
             SampledBatchView::Subgraph(sb) if fused => {
                 // Subgraph-view seeds are the node-list prefix.
@@ -242,9 +295,12 @@ impl Gnn {
                 let layers: Vec<_> = (0..depth)
                     .map(|l| cascade.layer(self.kind, l, sb.adj()))
                     .collect();
-                self.run(&layers, input, pool)
+                self.run(&layers, first, cascade.input_rows(), pool)
             }
-            _ => self.forward_gathered(&batch.to_owned(), input, pool),
+            _ => match first {
+                FirstLayer::Gathered(h) => self.forward_gathered(&batch.to_owned(), h, pool),
+                FirstLayer::Prepared(_) => panic!("a prepared input needs a fused view"),
+            },
         }
     }
 }
@@ -355,15 +411,15 @@ enum FirstLayer<'a> {
     Prepared(&'a PreparedInput),
 }
 
-/// What a step kept for its backward pass, per layer: the output, the
-/// aggregation and the self rows SAGE read — workspace buffers, or the
-/// caller's matrices where layer 0 read them in place.
+/// What a forward pass kept (a step's, for its backward pass), per layer:
+/// the output, the aggregation and the self rows SAGE read — workspace
+/// buffers, or the caller's matrices where layer 0 read them in place.
 struct Kept<'a> {
     outs: Vec<Matrix>,
     aggs: Vec<Cow<'a, Matrix>>,
     selfs: Vec<Option<Cow<'a, Matrix>>>,
-    /// The last gradient matrix of the backward pass.
-    grad: Matrix,
+    /// The last gradient matrix of the backward pass; `None` after inference.
+    grad: Option<Matrix>,
 }
 
 /// A multi-layer GNN (hidden dims all equal, ReLU between layers, no
@@ -496,9 +552,8 @@ impl Gnn {
         stats
     }
 
-    /// The one forward/backward implementation. Layer 0's GEMM operands come
-    /// from `first`: aggregated here from the gathered rows, or taken as the
-    /// loader prepared them; everything after is the same body.
+    /// The one training step: [`Gnn::forward`], layer 0 from `first`, then
+    /// the loss and the full backward pass over what the forward kept.
     fn step<'a>(
         &mut self,
         batch: &SampledBatch,
@@ -512,49 +567,13 @@ impl Gnn {
         cascade.for_owned(self.kind, depth, batch, &fulls);
         let (kind, cascade) = (self.kind, &*cascade);
         let norm_of = |l: usize| cascade.slice(l).unwrap_or(full_of(&fulls, l));
-        // Forward, keeping per-layer outputs, aggregations and the self rows
-        // SAGE read. Layer `l > 0` reads `outs[l - 1]`; `selfs[l]` is `None`
-        // where its self rows are the first rows of that.
-        let mut outs: Vec<Matrix> = Vec::with_capacity(depth);
-        let mut aggs: Vec<Cow<'a, Matrix>> = Vec::with_capacity(depth);
-        let mut selfs: Vec<Option<Cow<'a, Matrix>>> = Vec::with_capacity(depth);
-        let (agg, h_self) = match first {
-            FirstLayer::Gathered(input) => {
-                let agg = self.aggregate(&norm_of(0).view(), input, pool);
-                // SAGE's self rows: the layer's selection, or the first rows
-                // of the input.
-                let h_self = (kind == Arch::Sage).then(|| match cascade.self_rows(kind, 0) {
-                    Some(pos) => Cow::Owned(select_rows(&self.ws, input, pos)),
-                    None => Cow::Borrowed(input),
-                });
-                (Cow::Owned(agg), h_self)
-            }
-            FirstLayer::Prepared(PreparedInput { agg, self_rows }) => {
-                assert_eq!(
-                    (agg.rows(), agg.cols()),
-                    (full_of(&fulls, 0).rows(), self.dims[0]),
-                    "prepared aggregation does not fit the batch"
-                );
-                // The loader aggregated every row; a cut layer 0 reads its
-                // own (rows are independent: a copy, not a recompute).
-                let cut = |m: &'a Matrix| match cascade.input_rows() {
-                    Some(rows) => Cow::Owned(select_rows(&self.ws, m, rows)),
-                    None => Cow::Borrowed(m),
-                };
-                (cut(agg), self_rows.as_ref().map(cut))
-            }
-        };
-        outs.push(self.dense(0, &agg, h_self.as_deref(), pool));
-        aggs.push(agg);
-        selfs.push(h_self);
-        for l in 1..depth {
-            let h = &outs[l - 1];
-            let picked = (cascade.self_rows(kind, l)).map(|pos| select_rows(&self.ws, h, pos));
-            let (z, agg) = self.layer(l, &norm_of(l).view(), h, picked.as_ref().unwrap_or(h), pool);
-            outs.push(z);
-            aggs.push(Cow::Owned(agg));
-            selfs.push(picked.map(Cow::Owned));
-        }
+        let layers: Vec<_> = (0..depth)
+            .map(|l| cascade.layer(kind, l, full_of(&fulls, l).view()))
+            .collect();
+        let mut kept = self.forward(&layers, first, cascade.input_rows(), pool);
+        let Kept {
+            outs, aggs, selfs, ..
+        } = &kept;
         // Loss over seeds: the last layer's rows are the seed rows.
         let logits = &outs[depth - 1];
         let seeds = batch.seeds();
@@ -632,16 +651,11 @@ impl Gnn {
             accuracy: acc,
             num_seeds: seeds.len(),
         };
-        let kept = Kept {
-            outs,
-            aggs,
-            selfs,
-            grad,
-        };
+        kept.grad = Some(grad);
         (stats, kept)
     }
 
-    /// Recycles every per-step buffer of the model's own for the next batch.
+    /// Recycles every per-pass buffer of the model's own for the next batch.
     fn recycle(&self, kept: Kept<'_>) {
         let mut ws = self.ws.borrow_mut();
         let Kept {
@@ -656,10 +670,9 @@ impl Gnn {
                 ws.put(m);
             }
         }
-        for out in outs {
+        for out in outs.into_iter().chain(grad) {
             ws.put(out);
         }
-        ws.put(grad);
     }
 
     /// Flattens all gradients (layer order, `W` then `b`) into `out`.
@@ -753,9 +766,11 @@ mod tests {
     use super::*;
     use crate::gathered;
     use argo_graph::datasets::FLICKR;
-    use argo_rt::SeedSequence;
+    use argo_rt::{SeedSequence, WorkerRing};
     use argo_sample::batch::Normalization;
-    use argo_sample::{NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler};
+    use argo_sample::{
+        FeatureCache, InputRing, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+    };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1176,7 +1191,7 @@ mod tests {
             input,
             m.kind == Arch::Sage,
             m.dispatch,
-            &argo_sample::InputRing::new(),
+            &InputRing::new(),
         )
     }
 
@@ -1522,7 +1537,8 @@ mod tests {
 
     /// Every forward entry point returns the seed rows of the full-height
     /// forward, bit for bit: owned batches through `forward_gathered`, arena
-    /// views through `forward_gathered_view`.
+    /// views through `forward_gathered_view`, and fused views through
+    /// `forward_prepared` over what the shared prologue makes of them.
     #[test]
     fn forward_returns_the_seed_rows_of_the_full_height_forward_bitwise() {
         let d = tiny_dataset();
@@ -1544,6 +1560,7 @@ mod tests {
             }
             let seeds = seeds_of(&d);
             let mut scratch = SamplerScratch::new();
+            let cache = FeatureCache::new(64, d.feat_dim());
             // Fused as the loader and serving sample; unfused as evaluation
             // does, where the view falls back to the owned batch and the
             // model's own normalization.
@@ -1555,6 +1572,23 @@ mod tests {
                     let input = gathered(&d.features, batch.input_nodes());
                     let got = m.forward_gathered_view(&view, &input, None);
                     check(format!("{name}: view fused {norm:?}"), &batch, &input, got);
+                    // The serving path: the fused view's prologue, cached or
+                    // not, then the forward pass from the first GEMM.
+                    if norm == Normalization::None {
+                        continue;
+                    }
+                    for c in [None, Some(&cache)] {
+                        let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+                        let prepared =
+                            PreparedInput::prepare(&view, &d.features, c, &ring, &spans, 0);
+                        let got = m.forward_prepared(&view, &prepared, None);
+                        check(
+                            format!("{name}: prepared, cached {}", c.is_some()),
+                            &batch,
+                            &input,
+                            got,
+                        );
+                    }
                 }
             }
         }

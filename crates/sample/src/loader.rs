@@ -14,11 +14,12 @@
 //! step's **parameter-free prologue**: they aggregate each batch's input
 //! rows over the input-side adjacency, whose values carry the fused
 //! normalization (`Â₀·X[input_nodes]` depends on the batch and the features,
-//! never on the weights). Without a cache that is one pass over the feature
-//! table: the aggregation reads each input row straight out of
-//! [`Features::data`] through the batch's input-node ids, and no gathered
-//! copy is made. With a shared [`FeatureCache`] the rows are gathered
-//! through the cache first and aggregated out of that copy. The
+//! never on the weights) with [`PreparedInput::prepare`], which serving
+//! runs too. Without a cache that is one pass over the feature table: the
+//! aggregation reads each input row straight out of [`Features::data`]
+//! through the batch's input-node ids, and no gathered copy is made. With a
+//! shared [`FeatureCache`] the rows are gathered through the cache into a
+//! gather buffer of the [`InputRing`] and aggregated out of that copy. The
 //! memory-bound half of the first layer then runs on the sampling cores,
 //! overlapped with training, and the training thread starts at the first
 //! GEMM; see [`PreparedInput`] for what crosses the channel.
@@ -39,6 +40,7 @@ use crossbeam::channel::{bounded, Receiver};
 use crate::batch::{Normalization, SampledBatch};
 use crate::cache::FeatureCache;
 use crate::scratch::SamplerScratch;
+use crate::view::SampledBatchView;
 use crate::{SampleRun, Sampler};
 
 /// Everything [`PipelinedLoader::start`] needs for one epoch of one
@@ -227,23 +229,38 @@ impl PreparedInput {
         PreparedInput { agg, self_rows }
     }
 
-    /// The prologue in one pass over the feature table: `adj` aggregated
-    /// straight from `features` through `ids`, the batch's input nodes
-    /// (column `j` of `adj` reads `features.row(ids[j])`), and the self
-    /// rows gathered from the table. Bitwise what
-    /// [`PreparedInput::aggregate`] makes of `features.gather(ids)`. The
-    /// two halves run under `spans`' `Gather` (the self rows; empty for
-    /// GCN) and `Aggregate` spans of batch `batch_id`.
-    fn from_features(
-        adj: SparseView<'_>,
+    /// The prologue, the one layer-0 function the loader's workers and the
+    /// serving session share: `batch`'s input rows aggregated over its
+    /// input-side adjacency (whose values carry the fused normalization),
+    /// plus the self rows under [`Normalization::Mean`]. Without a `cache` it
+    /// is one pass over the feature table (`Gather` and `Aggregate` spans of
+    /// `batch_id`); with one the rows are gathered through it into a gather
+    /// buffer of `ring`, aggregated out of that copy (`Cache`, `Aggregate`)
+    /// and the buffer handed back. Bitwise what [`PreparedInput::aggregate`]
+    /// makes of `features.gather(ids)` either way.
+    pub fn prepare(
+        batch: &SampledBatchView<'_>,
         features: &Features,
-        ids: &[NodeId],
-        keep_self_rows: bool,
+        cache: Option<&FeatureCache>,
         ring: &InputRing,
         spans: &WorkerRing,
         batch_id: u64,
     ) -> Self {
+        let (adj, ids) = (batch.input_adj(), batch.input_nodes());
+        let keep_self_rows = batch.norm() == Normalization::Mean;
         let (n_dst, dim) = (adj.rows(), features.dim());
+        if let Some(cache) = cache {
+            let rows = spans.timed(SpanKind::Cache, batch_id, || {
+                let mut m = resized(ring.inner.gather.pop(), ids.len(), dim);
+                cache.gather_rows_into(features, ids, m.data_mut());
+                m
+            });
+            let prepared = spans.timed(SpanKind::Aggregate, batch_id, || {
+                Self::aggregate(adj, &rows, keep_self_rows, DispatchPolicy::default(), ring)
+            });
+            ring.inner.gather.push(rows.into_data());
+            return prepared;
+        }
         let self_rows = spans.timed(SpanKind::Gather, batch_id, || {
             keep_self_rows.then(|| {
                 let mut rows = ring.take(n_dst, dim);
@@ -327,13 +344,12 @@ fn resized(mut buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
 /// (with several workers, batches that arrive early wait in the reorder heap
 /// on top) — each buffer grown to the largest operand it has carried.
 ///
-/// Beside them it parks, between epochs, each cached loader worker's
-/// **private gather buffer**: the `n_src × F` matrix the prologue gathers
-/// into through the cache and aggregates out of, several times an operand's
-/// size. It never crosses the channel, so there is one per worker, kept
-/// apart from the operands so that neither grows to the other's size. A
-/// loader without a cache aggregates straight from the feature table and
-/// makes none.
+/// Beside them it keeps the **gather buffers**: the `n_src × F` matrices
+/// the cached [`PreparedInput::prepare`] gathers into and aggregates out of,
+/// several times an operand's size. A call hands its buffer back before it
+/// returns, so the ring holds as many as ran at once (at most one per
+/// worker), apart from the operands so that neither grows to the other's
+/// size. Without a cache the prologue reads the feature table and makes none.
 #[derive(Clone, Default)]
 pub struct InputRing {
     inner: Arc<RingInner>,
@@ -363,16 +379,6 @@ impl InputRing {
         self.inner.operands.push(input.into_data());
     }
 
-    /// A worker's private gather buffer for the epoch, which it sizes per
-    /// batch and hands back with [`InputRing::put_gather`] when it is done.
-    fn take_gather(&self) -> Vec<f32> {
-        self.inner.gather.pop()
-    }
-
-    fn put_gather(&self, buf: Vec<f32>) {
-        self.inner.gather.push(buf);
-    }
-
     /// Operand buffers made so far (parked or in flight).
     pub fn buffers_made(&self) -> usize {
         self.inner.operands.made.load(Ordering::Relaxed)
@@ -383,8 +389,8 @@ impl InputRing {
         self.inner.operands.parked_bytes()
     }
 
-    /// Private gather buffers made so far (one per concurrent worker of a
-    /// cached loader).
+    /// Gather buffers made so far: the most cached prologues that ever ran
+    /// at once.
     pub fn gather_buffers_made(&self) -> usize {
         self.inner.gather.made.load(Ordering::Relaxed)
     }
@@ -531,13 +537,8 @@ impl PipelinedLoader {
                         let _ = bind_current_thread(c);
                     }
                     // Per-worker persistent state: the scratch arena is
-                    // warm after the first batch. A cached loader's
-                    // gather buffer is private too: the `n_src × F` rows
-                    // are aggregated where they were gathered and never
-                    // cross the channel.
+                    // warm after the first batch.
                     let mut scratch = SamplerScratch::new();
-                    let mut gathered =
-                        (features.is_some() && cache.is_some()).then(|| inputs.take_gather());
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
@@ -545,49 +546,23 @@ impl PipelinedLoader {
                         }
                         let lo = i * batch_size;
                         let hi = ((i + 1) * batch_size).min(seeds.len());
-                        let stream = SeedSequence::new(epoch_seeds.seed_for(epoch, i as u64));
+                        let id = i as u64;
+                        let stream = SeedSequence::new(epoch_seeds.seed_for(epoch, id));
                         let allocs_before = scratch.allocs();
                         // Assemble in the scratch arena, account the
                         // compact metadata footprint, then materialize
                         // the owned copy the reorder channel requires
                         // (the sanctioned ownership boundary).
-                        let (batch, metadata_bytes) = ring.timed(SpanKind::Pick, i as u64, || {
-                            let run = SampleRun::new(stream, &mut scratch).with_norm(normalization);
+                        let run = SampleRun::new(stream, &mut scratch).with_norm(normalization);
+                        let (view, batch, metadata_bytes) = ring.timed(SpanKind::Pick, id, || {
                             let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
-                            (view.to_owned(), view.metadata_bytes() as u64)
+                            (view, view.to_owned(), view.metadata_bytes() as u64)
                         });
+                        let cache = cache.as_deref();
+                        let input = features
+                            .as_deref()
+                            .map(|f| PreparedInput::prepare(&view, f, cache, &inputs, &ring, id));
                         let scratch_allocs = scratch.allocs() - allocs_before;
-                        let input = features.as_ref().map(|f| {
-                            let (adj, ids) = (batch.input_adj().view(), batch.input_nodes());
-                            let keep_self_rows = normalization == Normalization::Mean;
-                            let (Some(c), Some(buf)) = (&cache, gathered.as_mut()) else {
-                                return PreparedInput::from_features(
-                                    adj,
-                                    f,
-                                    ids,
-                                    keep_self_rows,
-                                    &inputs,
-                                    &ring,
-                                    i as u64,
-                                );
-                            };
-                            let rows = ring.timed(SpanKind::Cache, i as u64, || {
-                                let mut m = resized(std::mem::take(buf), ids.len(), f.dim());
-                                c.gather_rows_into(f, ids, m.data_mut());
-                                m
-                            });
-                            let prepared = ring.timed(SpanKind::Aggregate, i as u64, || {
-                                PreparedInput::aggregate(
-                                    adj,
-                                    &rows,
-                                    keep_self_rows,
-                                    DispatchPolicy::default(),
-                                    &inputs,
-                                )
-                            });
-                            *buf = rows.into_data();
-                            prepared
-                        });
                         let loaded = LoadedBatch {
                             batch,
                             input,
@@ -596,7 +571,7 @@ impl PipelinedLoader {
                         };
                         // The enqueue-wait span measures backpressure:
                         // time blocked on a full channel.
-                        let sent = ring.timed(SpanKind::EnqueueWait, i as u64, || {
+                        let sent = ring.timed(SpanKind::EnqueueWait, id, || {
                             tx.send(Indexed {
                                 index: i,
                                 batch: loaded,
@@ -606,9 +581,6 @@ impl PipelinedLoader {
                         if !sent {
                             break; // consumer dropped
                         }
-                    }
-                    if let Some(buf) = gathered {
-                        inputs.put_gather(buf);
                     }
                 });
             #[expect(
@@ -889,8 +861,8 @@ mod tests {
         // consumed — two operands each under `Mean`. Batches differ in size,
         // so reuse also has to overwrite stale rows. Without a cache the
         // worker aggregates straight from the feature table and makes no
-        // private gather buffer; with one it gathers into one buffer, which
-        // it parks between epochs.
+        // gather buffer; with one each batch gathers into the ring's one
+        // gather buffer and hands it back.
         let (g, s, seeds) = setup();
         let feats = features();
         for cached in [false, true] {
@@ -922,8 +894,8 @@ mod tests {
             assert!(ring.parked_bytes() > 0);
             if cached {
                 assert_eq!(ring.gather_buffers_made(), 1);
-                // The largest batch's `n_src × 4` rows, parked at the end of
-                // each epoch.
+                // The largest batch's `n_src × 4` rows, parked after every
+                // batch.
                 assert!(ring.gather_parked_bytes() >= 16 * 4 * 4);
             } else {
                 assert_eq!(ring.gather_buffers_made(), 0);
@@ -934,12 +906,13 @@ mod tests {
 
     #[test]
     fn fused_prologue_equals_gather_then_aggregate_bitwise() {
-        // A loader with features and no cache reads the input rows straight
-        // out of the feature table. What it hands over must be bit for bit
-        // what gathering `X[input_nodes]` and aggregating that copy gives —
-        // and what the by-hand entry loop gives — for block and subgraph
-        // batches, GraphSAGE's `Mean` (with self rows) and GCN's `Gcn`. The
-        // SIMD-off CI stage reruns this on the scalar tier.
+        // The shared prologue, without a cache reading the input rows
+        // straight out of the feature table and with one gathering them
+        // through it, must hand over bit for bit what gathering
+        // `X[input_nodes]` and aggregating that copy gives — and what the
+        // by-hand entry loop gives — for block and subgraph batches,
+        // GraphSAGE's `Mean` (with self rows) and GCN's `Gcn`. The SIMD-off
+        // CI stage reruns this on the scalar tier.
         let (g, _, seeds) = setup();
         let feats = Arc::new(Features::new(
             (0..500 * 67)
@@ -952,42 +925,49 @@ mod tests {
             Arc::new(NeighborSampler::new(vec![5, 3])),
             Arc::new(crate::ShadowSampler::new(vec![4, 2], 2)),
         ];
+        let (cache, ring) = (FeatureCache::new(200, 67), InputRing::new());
+        let mut scratch = SamplerScratch::new();
         for s in samplers {
             for norm in [Normalization::Mean, Normalization::Gcn] {
-                let loader =
-                    LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                        .batch_size(16)
-                        .epoch_seeds(SeedSequence::new(13))
-                        .normalization(norm)
-                        .features(Arc::clone(&feats))
-                        .start();
-                for (i, lb) in loader {
-                    let who = format!("{} {norm:?} batch {i}", s.name());
-                    let gathered = feats.gather(lb.batch.input_nodes());
+                for (i, chunk) in seeds.chunks(16).enumerate() {
+                    let run = SampleRun::new(SeedSequence::new(13 + i as u64), &mut scratch)
+                        .with_norm(norm);
+                    let view = s.sample_into(&g, chunk, run);
+                    let batch = view.to_owned();
+                    let gathered = feats.gather(batch.input_nodes());
                     let gathered =
                         Matrix::from_vec(gathered.num_nodes(), 67, gathered.data().to_vec());
                     let want = PreparedInput::aggregate(
-                        lb.batch.input_adj().view(),
+                        batch.input_adj().view(),
                         &gathered,
                         norm == Normalization::Mean,
                         DispatchPolicy::default(),
                         &InputRing::new(),
                     );
-                    let got = lb.input.expect("features requested");
-                    assert!(bits(&got.agg) == bits(&want.agg), "agg: {who}");
-                    let by_hand: Vec<u32> = aggregated_by_hand(&lb.batch, &feats)
+                    let by_hand: Vec<u32> = aggregated_by_hand(&batch, &feats)
                         .iter()
                         .map(|x| x.to_bits())
                         .collect();
-                    assert!(bits(&got.agg) == by_hand, "agg vs the entry loop: {who}");
-                    match (&got.self_rows, &want.self_rows) {
-                        (Some(a), Some(b)) => assert!(bits(a) == bits(b), "self rows: {who}"),
-                        (None, None) => assert_eq!(norm, Normalization::Gcn, "{who}"),
-                        _ => panic!("self rows kept on one side only: {who}"),
+                    for c in [None, Some(&cache)] {
+                        let who = format!("{} {norm:?} batch {i} cached {}", s.name(), c.is_some());
+                        let spans = WorkerRing::detached();
+                        let got = PreparedInput::prepare(&view, &feats, c, &ring, &spans, 0);
+                        assert!(bits(&got.agg) == bits(&want.agg), "agg: {who}");
+                        assert!(bits(&got.agg) == by_hand, "agg vs the entry loop: {who}");
+                        match (&got.self_rows, &want.self_rows) {
+                            (Some(a), Some(b)) => assert!(bits(a) == bits(b), "self rows: {who}"),
+                            (None, None) => assert_eq!(norm, Normalization::Gcn, "{who}"),
+                            _ => panic!("self rows kept on one side only: {who}"),
+                        }
+                        got.recycle(&ring);
                     }
                 }
             }
         }
+        // The cached calls ran one at a time: one gather buffer, handed back
+        // by each.
+        assert_eq!(ring.gather_buffers_made(), 1);
+        assert!(ring.gather_parked_bytes() > 0);
     }
 
     /// A sampler that dies on its `at`-th call.

@@ -233,6 +233,14 @@ impl<'a> SampledBatchView<'a> {
         }
     }
 
+    /// The input-side adjacency — see [`SampledBatch::input_adj`].
+    pub fn input_adj(&self) -> SparseView<'a> {
+        match self {
+            SampledBatchView::Blocks(mb) => mb.block(0).adj,
+            SampledBatchView::Subgraph(sb) => sb.adj(),
+        }
+    }
+
     /// The batch's sampled workload — see [`SampledBatch::total_edges`]: a
     /// subgraph's edges count once per layer, whatever the model traverses.
     pub fn total_edges(&self, num_layers: usize) -> usize {

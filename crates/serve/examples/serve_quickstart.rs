@@ -12,7 +12,7 @@ use std::sync::Arc;
 use argo_graph::datasets::FLICKR;
 use argo_nn::{Arch, Gnn};
 use argo_rt::Telemetry;
-use argo_sample::{NeighborSampler, Normalization};
+use argo_sample::NeighborSampler;
 use argo_serve::ServeSpec;
 
 fn main() {
@@ -32,7 +32,6 @@ fn main() {
         .deadline_us(0) // inline execution: each submit answers immediately
         .result_cache_entries(64)
         .feature_cache_rows(1_024)
-        .normalization(Normalization::Mean)
         .seed(3)
         .start();
 

@@ -15,8 +15,11 @@
 //! response is bitwise identical to re-executing the query. What a
 //! micro-batch amortizes is the flush: one poll, one `serve_exec` span and
 //! one `serve_batch` event cover up to `max_batch` requests. Clock reads and
-//! the `serve_request` event are per request; the sampler scratch and the
-//! input buffer are per session.
+//! the `serve_request` event are per request. A computed request runs
+//! training's layer 0: it samples with the model's own normalization, runs
+//! the loader's prologue ([`PreparedInput::prepare`]) and starts the model
+//! at its first GEMM ([`Gnn::forward_prepared`]). The sampler scratch and
+//! the prologue's [`InputRing`] are per session.
 //!
 //! Because a cached response *is* the response, a result-cache hit is
 //! answered inside [`ServeSession::submit`] and never enters the batcher: it
@@ -40,7 +43,10 @@ use argo_rt::{
     Role, RunEvent, SeedSequence, ServeBatchRecord, ServeRequestRecord, SpanDrain, SpanKind,
     SpanProfiler, Telemetry, WorkerRing,
 };
-use argo_sample::{CacheStats, FeatureCache, Normalization, SampleRun, Sampler, SamplerScratch};
+use argo_sample::{
+    CacheStats, FeatureCache, InputRing, Normalization, PreparedInput, SampleRun, SampledBatchView,
+    Sampler, SamplerScratch,
+};
 use argo_tensor::Matrix;
 
 use crate::batcher::{Admitted, FlushReason, MicroBatch, MicroBatcher};
@@ -90,7 +96,6 @@ pub struct ServeSpec {
     queue_cap: usize,
     feature_cache_rows: usize,
     result_cache_entries: usize,
-    normalization: Normalization,
     seed: u64,
     shed_after_us: Option<u64>,
     clock: Arc<dyn Clock>,
@@ -115,7 +120,6 @@ impl ServeSpec {
                 queue_cap: 1_024,
                 feature_cache_rows: 0,
                 result_cache_entries: 0,
-                normalization: Normalization::None,
                 seed: 0,
                 shed_after_us: None,
                 clock: Arc::new(WallClock::new()),
@@ -125,19 +129,14 @@ impl ServeSpec {
 
     /// A builder pre-wired to a training session: shares its dataset and
     /// sampler, snapshots its current model parameters, and inherits its
-    /// seed and the architecture's adjacency normalization so serving
-    /// batches match what the model was trained on.
+    /// seed.
     pub fn from_engine(engine: &Engine) -> ServeSpecBuilder {
-        let opts = engine.options();
-        let seed = opts.seed;
-        let norm = opts.kind.normalization();
         ServeSpec::builder(
             Arc::clone(engine.dataset()),
             Arc::clone(engine.sampler()),
             engine.model(),
         )
-        .seed(seed)
-        .normalization(norm)
+        .seed(engine.options().seed)
     }
 }
 
@@ -181,9 +180,9 @@ impl ServeSpecBuilder {
         self
     }
 
-    /// Adjacency normalization fused into sampled batches (default `None`).
-    pub fn normalization(mut self, normalization: Normalization) -> Self {
-        self.spec.normalization = normalization;
+    /// Does nothing, kept so that existing callers build: a session fuses
+    /// its model's own normalization ([`argo_nn::Arch::normalization`]).
+    pub fn normalization(self, _normalization: Normalization) -> Self {
         self
     }
 
@@ -225,15 +224,14 @@ pub struct ServeSession {
     dataset: Arc<Dataset>,
     sampler: Arc<dyn Sampler>,
     model: Gnn,
-    normalization: Normalization,
     seed: u64,
     shed_after_us: Option<u64>,
     clock: Arc<dyn Clock>,
     batcher: MicroBatcher,
     scratch: SamplerScratch,
-    /// The one input-feature buffer every query gathers into and the
-    /// forward pass reads in place; it grows to the largest query seen.
-    input: Vec<f32>,
+    /// The prologue's operand and gather buffers, handed back after every
+    /// query; each grows to the largest query seen.
+    inputs: InputRing,
     feature_cache: Option<FeatureCache>,
     result_cache: Option<ResultCache>,
     profiler: SpanProfiler,
@@ -252,7 +250,6 @@ impl ServeSession {
             queue_cap,
             feature_cache_rows,
             result_cache_entries,
-            normalization,
             seed,
             shed_after_us,
             clock,
@@ -273,13 +270,12 @@ impl ServeSession {
             dataset,
             sampler,
             model,
-            normalization,
             seed,
             shed_after_us,
             clock,
             batcher: MicroBatcher::new(max_batch, deadline_us, queue_cap),
             scratch: SamplerScratch::new(),
-            input: Vec::new(),
+            inputs: InputRing::new(),
             feature_cache,
             result_cache,
             profiler,
@@ -304,10 +300,11 @@ impl ServeSession {
     /// Either way the responses come back in [`Submitted::completed`].
     ///
     /// Outer errors reject the *admission*: [`Error::InvalidArgument`] for
-    /// an empty seed list, [`Error::UnknownSeedNode`] for out-of-graph ids,
-    /// [`Error::QueueFull`] at capacity. Per-request failures of an
-    /// executed batch (e.g. [`Error::DeadlineExceeded`] sheds) come back
-    /// inside `completed`.
+    /// an empty seed list or a model not as wide as the features,
+    /// [`Error::UnknownSeedNode`] for out-of-graph ids, [`Error::QueueFull`]
+    /// at capacity. Per-request failures come back inside `completed`:
+    /// sheds ([`Error::DeadlineExceeded`]), block batches not as deep as the
+    /// model ([`Error::InvalidArgument`]).
     pub fn submit(
         &mut self,
         seeds: Vec<NodeId>,
@@ -317,6 +314,12 @@ impl ServeSession {
             return Err(Error::InvalidArgument(
                 "serve query needs at least one seed node".to_string(),
             ));
+        }
+        let (feat_dim, in_dim) = (self.dataset.feat_dim(), self.model.dims()[0]);
+        if feat_dim != in_dim {
+            let msg =
+                format!("the model reads {in_dim} input features, the dataset has {feat_dim}");
+            return Err(Error::InvalidArgument(msg));
         }
         let num_nodes = self.dataset.graph.num_nodes() as u64;
         for &s in &seeds {
@@ -459,7 +462,7 @@ impl ServeSession {
         let logits = match cached {
             Some(cached) => cached,
             None => {
-                let computed = Arc::new(self.run_query(&req.seeds));
+                let computed = Arc::new(self.run_query(&req.seeds)?);
                 if let Some(c) = self.result_cache.as_mut() {
                     c.insert(req.seeds.clone(), Arc::clone(&computed));
                 }
@@ -491,29 +494,71 @@ impl ServeSession {
         })
     }
 
-    /// Samples, gathers and runs the forward pass for one query. The RNG
-    /// stream root folds the session seed and the seed list itself, so the
-    /// response is a pure function of the cache key — which
-    /// is exactly what makes cached responses bitwise-identical to
-    /// recomputed ones.
-    fn run_query(&mut self, seeds: &[NodeId]) -> Matrix {
+    /// Samples, runs the prologue and the forward pass for one query. The
+    /// RNG stream root folds the session seed and the seed list itself, so
+    /// the response is a pure function of the cache key — which is exactly
+    /// what makes cached responses bitwise-identical to recomputed ones.
+    fn run_query(&mut self, seeds: &[NodeId]) -> Result<Matrix, Error> {
         let stream =
             SeedSequence::new(key_hash(seeds, 0) ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let run = SampleRun::new(stream, &mut self.scratch).with_norm(self.normalization);
+        let norm = self.model.kind().normalization();
+        let run = SampleRun::new(stream, &mut self.scratch).with_norm(norm);
         // Borrowed view over the sampler's batch arena: the adjacency never
-        // leaves scratch, the forward pass aggregates straight out of it.
+        // leaves scratch, the prologue and the forward pass read it there.
         let batch = self.sampler.sample_into(&self.dataset.graph, seeds, run);
-        let ids = batch.input_nodes();
-        let features = &self.dataset.features;
-        let mut rows = std::mem::take(&mut self.input);
-        rows.resize(ids.len() * features.dim(), 0.0);
-        match self.feature_cache.as_ref() {
-            Some(cache) => cache.gather_rows_into(features, ids, &mut rows),
-            None => features.gather_into(ids, &mut rows),
+        if let SampledBatchView::Blocks(mb) = batch {
+            let (blocks, depth) = (mb.num_blocks(), self.model.num_layers());
+            if blocks != depth {
+                let msg = format!("the sampler made {blocks} blocks for a {depth}-layer model");
+                return Err(Error::InvalidArgument(msg));
+            }
         }
-        let input = Matrix::from_vec(ids.len(), features.dim(), rows);
-        let logits = self.model.forward_gathered_view(&batch, &input, None);
-        self.input = input.into_data();
-        logits
+        // A detached span ring: serving records its own spans, not the loader's.
+        let (features, spans) = (&self.dataset.features, WorkerRing::detached());
+        let cache = self.feature_cache.as_ref();
+        let input = PreparedInput::prepare(&batch, features, cache, &self.inputs, &spans, 0);
+        let logits = self.model.forward_prepared(&batch, &input, None);
+        input.recycle(&self.inputs);
+        Ok(logits)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use argo_graph::datasets::FLICKR;
+    use argo_nn::Arch;
+    use argo_sample::NeighborSampler;
+
+    #[test]
+    fn a_warm_session_makes_no_new_buffer() {
+        // Once a session has run its largest query, every later query takes
+        // its prologue buffers from the session's ring and hands them back:
+        // no operand or gather buffer is made, and none grows. The warm-up
+        // runs every query once, so it includes the largest.
+        let d = Arc::new(FLICKR.synthesize(0.003, 77));
+        let queries: Vec<Vec<NodeId>> = (0..24).map(|i| (i..i + 1 + i % 8).collect()).collect();
+        for cache_rows in [0, 256] {
+            let model = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5);
+            let sampler = Arc::new(NeighborSampler::new(vec![6, 3]));
+            let mut s = ServeSpec::builder(Arc::clone(&d), sampler, model)
+                .deadline_us(0)
+                .feature_cache_rows(cache_rows)
+                .start();
+            let mut serve_all = || {
+                for q in &queries {
+                    let done = s.submit(q.clone(), None).unwrap().completed;
+                    assert!(done[0].is_ok());
+                }
+                let ring = &s.inputs;
+                let made = (ring.buffers_made(), ring.gather_buffers_made());
+                (made, ring.parked_bytes(), ring.gather_parked_bytes())
+            };
+            let warm = serve_all();
+            // GraphSAGE's aggregation and self rows; the gathered copy only
+            // behind a feature cache.
+            assert_eq!(warm.0, (2, usize::from(cache_rows > 0)), "{cache_rows}");
+            assert_eq!(serve_all(), warm, "cache rows {cache_rows}");
+        }
     }
 }

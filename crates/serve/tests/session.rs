@@ -1,5 +1,6 @@
 //! Integration tests for the serving session: admission errors, telemetry,
-//! and the bitwise cached == uncached property.
+//! the bitwise cached == uncached property, and every response against the
+//! benchmark's recompute recipe, bit for bit.
 
 use std::sync::Arc;
 
@@ -7,9 +8,13 @@ use argo_core::Error;
 use argo_graph::datasets::{Dataset, FLICKR};
 use argo_graph::NodeId;
 use argo_nn::{Arch, Gnn};
-use argo_rt::{RunEvent, SpanKind, Telemetry};
-use argo_sample::{NeighborSampler, Normalization, Sampler};
+use argo_rt::{RunEvent, SeedSequence, SpanKind, Telemetry};
+use argo_sample::{
+    FeatureCache, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+};
+use argo_serve::result_cache::key_hash;
 use argo_serve::{FlushReason, ManualClock, ServeSession, ServeSpec, ServeSpecBuilder};
+use argo_tensor::Matrix;
 use proptest::prelude::*;
 
 fn tiny() -> Arc<Dataset> {
@@ -35,7 +40,6 @@ fn cached(d: &Arc<Dataset>, clock: &Arc<ManualClock>, deadline_us: u64) -> Serve
         .deadline_us(deadline_us)
         .result_cache_entries(32)
         .feature_cache_rows(256)
-        .normalization(Normalization::Mean)
         .seed(11)
         .clock(Arc::clone(clock) as Arc<dyn argo_serve::Clock>)
 }
@@ -340,6 +344,105 @@ fn from_engine_serves_the_training_checkpoint() {
     assert!(r.logits.data().iter().all(|x| x.is_finite()));
 }
 
+/// One response the way the benchmark's `responses_match_recompute` check
+/// recomputes it: `sample_into` with the session's stream and the model's
+/// fused normalization, `Features::gather` (or `FeatureCache::gather_rows`
+/// behind a feature cache), then `forward_gathered_view`.
+fn recomputed(
+    d: &Dataset,
+    sampler: &dyn Sampler,
+    (model, cache): (&Gnn, Option<&FeatureCache>),
+    seed: u64,
+    seeds: &[NodeId],
+) -> Matrix {
+    let stream = SeedSequence::new(key_hash(seeds, 0) ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut scratch = SamplerScratch::new();
+    let run = SampleRun::new(stream, &mut scratch).with_norm(model.kind().normalization());
+    let view = sampler.sample_into(&d.graph, seeds, run);
+    let ids = view.input_nodes();
+    let rows = match cache {
+        Some(c) => c.gather_rows(&d.features, ids),
+        None => d.features.gather(ids).data().to_vec(),
+    };
+    let input = Matrix::from_vec(ids.len(), d.feat_dim(), rows);
+    model.forward_gathered_view(&view, input, None)
+}
+
+#[test]
+fn every_response_is_the_recompute_recipe_bitwise() {
+    // Sessions built without `.normalization(..)`: each fuses its model's
+    // own. GraphSAGE and GCN over neighbor blocks, GCN over a ShaDow
+    // subgraph, the feature cache off and on, seed lists of one to eight.
+    let d = tiny();
+    let n = d.graph.num_nodes() as NodeId;
+    let queries: Vec<Vec<NodeId>> = (0..24)
+        .map(|i| (0..1 + i % 8).map(|k| (i * 37 + k * 11) % n).collect())
+        .collect();
+    let shadow: Arc<dyn Sampler> = Arc::new(ShadowSampler::new(vec![4, 2], 2));
+    for (kind, sampler) in [
+        (Arch::Sage, neighbor()),
+        (Arch::Gcn, neighbor()),
+        (Arch::Gcn, shadow),
+    ] {
+        for cache_rows in [0, 64] {
+            let mk = || Gnn::new(kind, d.feat_dim(), 8, d.num_classes, 2, 5);
+            let mut s = ServeSpec::builder(Arc::clone(&d), Arc::clone(&sampler), mk())
+                .deadline_us(0)
+                .feature_cache_rows(cache_rows)
+                .seed(11)
+                .start();
+            let oracle = mk();
+            let cache = (cache_rows > 0).then(|| FeatureCache::new(cache_rows, d.feat_dim()));
+            for q in &queries {
+                let done = s.submit(q.clone(), None).unwrap().completed;
+                let got = done[0].as_ref().unwrap();
+                let want = recomputed(&d, &*sampler, (&oracle, cache.as_ref()), 11, q);
+                let who = format!("{kind:?} {} cache {cache_rows} {q:?}", sampler.name());
+                let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(bits(&got.logits) == bits(&want), "{who}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_model_narrower_or_wider_than_the_features_is_refused_at_admission() {
+    let d = tiny();
+    for in_dim in [d.feat_dim() - 1, d.feat_dim() + 1] {
+        let misfit = Gnn::new(Arch::Sage, in_dim, 8, d.num_classes, 2, 5);
+        let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), misfit)
+            .deadline_us(0)
+            .start();
+        match s.submit(vec![1, 2], None) {
+            Err(Error::InvalidArgument(msg)) => {
+                let (model, data) = (in_dim.to_string(), d.feat_dim().to_string());
+                assert!(msg.contains(&model) && msg.contains(&data), "{msg}");
+            }
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        assert_eq!(s.pending(), 0);
+    }
+}
+
+#[test]
+fn a_block_batch_of_the_wrong_depth_fails_its_request() {
+    // A three-block sampler under a two-layer model: the request is
+    // admitted, and fails inside its batch; the session serves on.
+    let d = tiny();
+    let deep: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![6, 3, 2]));
+    let mut s = ServeSpec::builder(Arc::clone(&d), deep, model(&d))
+        .deadline_us(0)
+        .start();
+    for _ in 0..2 {
+        match s.submit(vec![1, 2], None).unwrap().completed.as_slice() {
+            [Err(Error::InvalidArgument(msg))] => {
+                assert!(msg.contains("3 blocks") && msg.contains("2-layer"), "{msg}")
+            }
+            other => panic!("expected one InvalidArgument, got {other:?}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -376,7 +479,6 @@ proptest! {
         let bare_clock = Arc::new(ManualClock::new());
         let mut bare = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
             .deadline_us(0)
-            .normalization(Normalization::Mean)
             .seed(11)
             .clock(Arc::clone(&bare_clock) as Arc<dyn argo_serve::Clock>)
             .start();
