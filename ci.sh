@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_un
 echo "==> cargo doc (-D warnings: no dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> cargo test -q -p argo-check --features check (lock-order sanitizer + mini-loom: the seeded-bug corpus, zero-violation train/serve/cache-stress runs)"
+echo "==> cargo test -q -p argo-check --features check (lock-order sanitizer + mini-loom: the seeded-bug corpus, zero-violation train/serve runs)"
 cargo test -q -p argo-check --features check
 
 echo "==> cargo build --release"
@@ -42,7 +42,7 @@ ARGO_SIMD=off cargo test -q -p argo-tensor
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue — one pass over the feature table, no gathered copy — recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 
-echo "==> benchmark/ builds against the public API and runs the three training workloads — train_neighbor_sage (block batches, loader prologue uncached), train_ddp_cached (two ranks, prologue through the cache), train_shadow_gcn (subgraph batches) — and both serving workloads: serve_unique (the loader's prologue and forward_prepared over arena views) and serve_zipf (result-cache hits answered at admission; the only run whose cache_hits_match_first_response and responses_match_recompute checks cover that path) (quick: checks the outputs, enforces no bounds)"
+echo "==> benchmark/ builds against the public API and runs the three training workloads — train_neighbor_sage (block batches, the loader's prologue), train_ddp_cached (two ranks; its with_cache_rows does nothing since the feature cache was deleted), train_shadow_gcn (subgraph batches) — and both serving workloads: serve_unique (the loader's prologue and forward_prepared over arena views) and serve_zipf (result-cache hits answered at admission; the only run whose cache_hits_match_first_response and responses_match_recompute checks cover that path) (quick: checks the outputs, enforces no bounds)"
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_neighbor_sage --quick
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload train_ddp_cached --quick

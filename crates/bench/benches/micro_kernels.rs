@@ -382,8 +382,8 @@ fn main() {
     // Neighbor[15,10] from 512 shuffled seeds of Reddit x0.1, mean-normalized,
     // F = 64.
     // Two ways to `Â₀·X[input_nodes]`: gather the input rows into a buffer,
-    // then aggregate it (what a cached loader does), or one pass over the
-    // feature table through the ids (what an uncached loader does).
+    // then aggregate it (the reference, `PreparedInput::aggregate`), or one
+    // pass over the feature table through the ids (what the loader does).
     // Reported, never gated. --
     let reddit = argo_graph::datasets::REDDIT.synthesize(0.1, 1);
     let layer0 = {

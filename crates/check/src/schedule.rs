@@ -11,7 +11,8 @@
 //! consistent execution of that schedule, so any invariant that holds for
 //! every enumerated schedule holds for every SC execution of the two
 //! threads — which is what the linearizability tests in
-//! `tests/linearize.rs` assert for the feature cache and loader channels.
+//! `tests/linearize.rs` assert for the loader channels and the pool's slot
+//! protocol.
 
 /// One schedule: `true` = next step of thread A, `false` = thread B.
 pub type Schedule = Vec<bool>;

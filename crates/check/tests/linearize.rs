@@ -4,10 +4,6 @@
 //! interleaving (see `argo_check::schedule`), asserting the invariant the
 //! runtime relies on:
 //!
-//! * [`FeatureCache`] is transparent — a gather through the cache is
-//!   bitwise identical to an uncached [`Features::gather`], for every
-//!   interleaving of two threads sharing the cache, including schedules
-//!   in which the cache fills up and freezes mid-stream.
 //! * The loader's channel handoff (crossbeam channel + binary-heap
 //!   reordering, as in `PipelinedLoader::next`) delivers every batch
 //!   exactly once, in index order, no matter how producer completions
@@ -22,56 +18,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use argo_check::schedule::explore;
-use argo_graph::{Features, NodeId};
-use argo_sample::FeatureCache;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-
-/// Deterministic feature matrix: row v = [v*10+0, v*10+1, …].
-fn features(rows: usize, dim: usize) -> Features {
-    let data: Vec<f32> = (0..rows * dim)
-        .map(|i| (i / dim * 10 + i % dim) as f32)
-        .collect();
-    Features::new(data, dim)
-}
-
-/// Expected bitwise result of gathering `ids` without any cache.
-fn expected(feats: &Features, ids: &[NodeId]) -> Vec<f32> {
-    ids.iter().flat_map(|&v| feats.row(v).to_vec()).collect()
-}
-
-#[test]
-fn feature_cache_gathers_are_linearizable() {
-    let feats = features(8, 3);
-    // Overlapping id sets with a 4-row cache: interleavings mix hits and
-    // misses while it fills, and gathers on either side of the freeze.
-    let a_batches: Vec<Vec<NodeId>> = vec![vec![0, 1, 2], vec![2, 3, 4], vec![0, 5, 6]];
-    let b_batches: Vec<Vec<NodeId>> = vec![vec![1, 2, 3], vec![6, 7, 0], vec![4, 4, 5]];
-
-    let n = explore(
-        a_batches.len(),
-        b_batches.len(),
-        || FeatureCache::new(4, 3),
-        |cache, i| {
-            let got = cache.gather_rows(&feats, &a_batches[i]);
-            assert_eq!(got, expected(&feats, &a_batches[i]), "A batch {i}");
-        },
-        |cache, i| {
-            let got = cache.gather_rows(&feats, &b_batches[i]);
-            assert_eq!(got, expected(&feats, &b_batches[i]), "B batch {i}");
-        },
-        |cache, sched| {
-            // Conservation: every lookup was either a hit or a miss, and
-            // the cache filled to exactly its capacity.
-            let s = cache.stats();
-            let rows: u64 = (a_batches.iter().chain(&b_batches))
-                .map(|b| b.len() as u64)
-                .sum();
-            assert_eq!(s.hits + s.misses, rows, "schedule {sched}");
-            assert_eq!(s.resident_rows, s.capacity_rows, "schedule {sched}");
-        },
-    );
-    assert_eq!(n, 20, "C(6,3) schedules explored");
-}
 
 /// Shared state for the handoff model: the channel, the consumer's reorder
 /// heap and its in-order output (mirrors `PipelinedLoader::next`).

@@ -49,7 +49,6 @@ pub fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
             "layers",
             "lr",
             "seed",
-            "cache-rows",
             "save",
             "load",
             "metrics-out",
@@ -211,11 +210,9 @@ USAGE:
   argo train    [--dataset flickr] [--scale 0.02] [--sampler neighbor|shadow]
                 [--model sage|gcn] [--epochs 20] [--n-search 5]
                 [--batch 512] [--hidden 64] [--layers 2] [--lr 0.003] [--seed 0]
-                [--cache-rows 0]
                 [--save FILE] [--load FILE]
                 [--metrics-out run.jsonl] [--trace-out trace.json] [--report true]
-      run real auto-tuned training on a synthetic (or saved) dataset;
-      --cache-rows N enables the cross-batch feature cache (N rows, 0 = off)
+      run real auto-tuned training on a synthetic (or saved) dataset
 
   argo simulate [--platform icelake|spr] [--library dgl|pyg]
                 [--sampler neighbor|shadow] [--model sage|gcn] [--dataset products]
@@ -224,7 +221,7 @@ USAGE:
 
   argo report   --metrics run.jsonl
       render a telemetry report (per-stage p50/p95/max, critical-path
-      attribution, bytes/batch, feature-cache hit rates, bottleneck audit,
+      attribution, bytes/batch, bottleneck audit,
       tuner convergence) from a JSONL file written with --metrics-out
 
   argo space    [--cores 112]

@@ -163,9 +163,6 @@ fn train(cli: &Cli) -> Result<(), Error> {
     };
     let epochs: usize = cli.get_num("epochs", 20)?;
     let n_search: usize = cli.get_num("n-search", 5)?;
-    let cache_rows: usize = cli
-        .get_num("cache-rows", 0)
-        .map_err(Error::InvalidArgument)?;
     let mut engine = Engine::new(
         Arc::clone(&dataset),
         sampler,
@@ -175,8 +172,7 @@ fn train(cli: &Cli) -> Result<(), Error> {
             .with_num_layers(layers)
             .with_global_batch(cli.get_num("batch", 512)?)
             .with_lr(cli.get_num("lr", 3e-3)?)
-            .with_seed(cli.get_num("seed", 0)?)
-            .with_cache_capacity(cache_rows),
+            .with_seed(cli.get_num("seed", 0)?),
     );
     println!(
         "training {} on {} ({} nodes, {} classes) for {epochs} epochs, {n_search} searches",

@@ -10,8 +10,8 @@
 use std::collections::BTreeMap;
 
 use argo_rt::{
-    BytesRecord, CacheSummaryRecord, Config, RunEvent, ServeBatchRecord, ServeRequestRecord,
-    Source, SpanKind, Stage, StageSummaryRecord, Telemetry, TrialRecord,
+    BytesRecord, Config, RunEvent, ServeBatchRecord, ServeRequestRecord, Source, SpanKind, Stage,
+    StageSummaryRecord, Telemetry, TrialRecord,
 };
 
 /// p50/p95/max of a sample set.
@@ -87,7 +87,6 @@ struct Sorted<'a> {
     critical_paths: Vec<&'a [(String, f64)]>,
     span_coverage: (u64, u64),
     bytes: Vec<(u64, BytesRecord)>,
-    caches: Vec<(u64, CacheSummaryRecord)>,
     requests: Vec<&'a ServeRequestRecord>,
     batches: Vec<&'a ServeBatchRecord>,
     trials: Vec<&'a TrialRecord>,
@@ -109,7 +108,6 @@ impl<'a> Sorted<'a> {
                 }
                 RunEvent::EpochEnd { record, .. } => s.epochs.push((record.epoch_time, *source)),
                 RunEvent::StageSummary { summary, .. } => s.stages.push(summary),
-                RunEvent::CacheSummary { epoch, summary } => s.caches.push((*epoch, *summary)),
                 RunEvent::TunerTrial(trial) => s.trials.push(trial),
                 RunEvent::ConfigApplied { config, reason } => s.applied.push((*config, reason)),
                 RunEvent::CriticalPath {
@@ -151,7 +149,6 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         critical_paths,
         span_coverage: (spans, dropped),
         bytes,
-        caches: cache_epochs,
         requests,
         batches,
         trials,
@@ -272,44 +269,17 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         ));
     }
 
-    // ---- Bytes/batch (loader and cache data movement). Metadata is the
+    // ---- Bytes/batch (loader data movement). Metadata is the
     // measured arena-CSR footprint per batch (ids + degrees + indptr +
     // indices + values), reported by the loader workers. -----------------
     if !bytes.is_empty() {
         out.push_str("\nbytes/batch:\n");
         for (epoch, r) in &bytes {
             out.push_str(&format!(
-                "  epoch {epoch:>3} {:>8.1} KB metadata/batch, {:>7.1} MB cache-served, \
-                 {} scratch allocs ({} batches)\n",
+                "  epoch {epoch:>3} {:>8.1} KB metadata/batch, {} scratch allocs ({} batches)\n",
                 r.metadata_bytes_per_batch() / 1e3,
-                r.cache_bytes as f64 / 1e6,
                 r.scratch_allocs,
                 r.batches,
-            ));
-        }
-    }
-
-    // ---- Feature cache (only present when the cache was enabled) ------
-    if !cache_epochs.is_empty() {
-        out.push_str("\nfeature cache (per epoch):\n");
-        for (epoch, s) in &cache_epochs {
-            out.push_str(&format!(
-                "  epoch {epoch:>3} hit rate {:>6.1}% ({} hits / {} lookups), \
-                 {} / {} rows resident ({:.1} MB)\n",
-                s.hit_rate() * 100.0,
-                s.hits,
-                s.hits + s.misses,
-                s.resident_rows,
-                s.capacity_rows,
-                s.bytes as f64 / 1e6,
-            ));
-        }
-        let hits: u64 = cache_epochs.iter().map(|(_, s)| s.hits).sum();
-        let lookups: u64 = cache_epochs.iter().map(|(_, s)| s.hits + s.misses).sum();
-        if lookups > 0 {
-            out.push_str(&format!(
-                "  overall hit rate {:.1}% over {lookups} lookups\n",
-                hits as f64 / lookups as f64 * 100.0
             ));
         }
     }
@@ -545,7 +515,6 @@ mod tests {
         let text = render_report(&[], None);
         assert!(text.contains("epochs: 0"));
         assert!(!text.contains("tuner convergence"));
-        assert!(!text.contains("feature cache"));
     }
 
     /// One value of every [`RunEvent`] kind. `slot` has no wildcard arm, so
@@ -556,31 +525,20 @@ mod tests {
                 RunEvent::EpochStart { .. } => 0,
                 RunEvent::EpochEnd { .. } => 1,
                 RunEvent::StageSummary { .. } => 2,
-                RunEvent::CacheSummary { .. } => 3,
-                RunEvent::TunerTrial(_) => 4,
-                RunEvent::ConfigApplied { .. } => 5,
-                RunEvent::CriticalPath { .. } => 6,
-                RunEvent::BytesSummary { .. } => 7,
-                RunEvent::BottleneckCheck { .. } => 8,
-                RunEvent::ServeRequest { .. } => 9,
-                RunEvent::ServeBatch { .. } => 10,
+                RunEvent::TunerTrial(_) => 3,
+                RunEvent::ConfigApplied { .. } => 4,
+                RunEvent::CriticalPath { .. } => 5,
+                RunEvent::BytesSummary { .. } => 6,
+                RunEvent::BottleneckCheck { .. } => 7,
+                RunEvent::ServeRequest { .. } => 8,
+                RunEvent::ServeBatch { .. } => 9,
             }
         }
-        let c = Config::new(2, 1, 2).with_cache_rows(64);
+        let c = Config::new(2, 1, 2);
         // epoch_start, a stage summary, epoch_end and a trial from `evs`.
         let base = evs();
         let mut table = [0, 1, 3, 4].map(|i| base[i].0.clone()).to_vec();
         table.extend([
-            RunEvent::CacheSummary {
-                epoch: 0,
-                summary: CacheSummaryRecord {
-                    hits: 3,
-                    misses: 1,
-                    resident_rows: 4,
-                    capacity_rows: 64,
-                    bytes: 2048,
-                },
-            },
             RunEvent::ConfigApplied {
                 config: c,
                 reason: "search".into(),
@@ -596,7 +554,6 @@ mod tests {
                 record: BytesRecord {
                     batches: 2,
                     metadata_bytes: 4096,
-                    cache_bytes: 1024,
                     scratch_allocs: 1,
                 },
             },
@@ -627,7 +584,7 @@ mod tests {
         ]);
         let mut slots: Vec<usize> = table.iter().map(slot).collect();
         slots.sort_unstable();
-        assert_eq!(slots, (0..=10).collect::<Vec<_>>(), "one value per kind");
+        assert_eq!(slots, (0..=9).collect::<Vec<_>>(), "one value per kind");
         table
     }
 
@@ -677,7 +634,6 @@ mod tests {
                 record: BytesRecord {
                     batches: 10,
                     metadata_bytes: 50_000,
-                    cache_bytes: 3_000_000,
                     scratch_allocs: 4,
                 },
             },
@@ -691,7 +647,6 @@ mod tests {
         assert!(with.contains("1234 spans, 0 dropped"), "{with}");
         assert!(with.contains("bytes/batch:"), "{with}");
         assert!(with.contains("5.0 KB metadata/batch"), "{with}");
-        assert!(with.contains("3.0 MB cache-served"), "{with}");
         assert!(with.contains("4 scratch allocs (10 batches)"), "{with}");
     }
 
@@ -792,35 +747,5 @@ mod tests {
         h.observe(1e9); // past the last finite bound → +Inf bucket
         let text = render_report(&[], Some(&tel));
         assert!(text.contains("overflow=1"), "{text}");
-    }
-
-    #[test]
-    fn report_renders_cache_section_only_when_present() {
-        use argo_rt::CacheSummaryRecord;
-        let without = render_report(&evs(), None);
-        assert!(!without.contains("feature cache"));
-        let mut events = evs();
-        events.push((
-            RunEvent::CacheSummary {
-                epoch: 0,
-                summary: CacheSummaryRecord {
-                    hits: 75,
-                    misses: 25,
-                    resident_rows: 40,
-                    capacity_rows: 64,
-                    bytes: 2_000_000,
-                },
-            },
-            0.0,
-            Source::Measured,
-        ));
-        let with = render_report(&events, None);
-        assert!(with.contains("feature cache (per epoch):"));
-        assert!(
-            with.contains("hit rate   75.0% (75 hits / 100 lookups)"),
-            "{with}"
-        );
-        assert!(with.contains("40 / 64 rows resident (2.0 MB)"));
-        assert!(with.contains("overall hit rate 75.0% over 100 lookups"));
     }
 }

@@ -250,7 +250,7 @@ impl Argo {
     /// Trains a real [`Engine`] under ARGO, reporting per-epoch statistics
     /// through `on_epoch`. With `Some(telemetry)`, the full layer is
     /// recorded: per-epoch engine telemetry (stage histograms, structured
-    /// epoch events, cache summaries) plus the tuner introspection of
+    /// epoch events, byte summaries) plus the tuner introspection of
     /// [`Argo::run`], all into the same sinks.
     pub fn train(
         &mut self,
@@ -699,7 +699,7 @@ mod tests {
 
     #[test]
     fn error_renders_one_line_diagnostics() {
-        let e = Error::InvalidArgument("--cache-rows wants a number, got 'many'".into());
+        let e = Error::InvalidArgument("--epochs wants a number, got 'many'".into());
         let line = e.to_string();
         assert!(line.starts_with("invalid argument:"), "{line}");
         assert!(!line.contains('\n'));

@@ -9,10 +9,10 @@ use argo_nn::{AnyOptimizer, Arch, Gnn, Optimizer, OptimizerKind};
 use argo_rt::affinity::CoreSet;
 use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler};
 use argo_rt::{
-    AllReduce, BytesRecord, CacheSummaryRecord, Config, CoreBinder, EpochRecord, RunEvent,
-    SeedSequence, Telemetry, ThreadPool,
+    AllReduce, BytesRecord, Config, CoreBinder, EpochRecord, RunEvent, SeedSequence, Telemetry,
+    ThreadPool,
 };
-use argo_sample::{FeatureCache, InputRing, LoadedBatch, LoaderSpec, PipelinedLoader, Sampler};
+use argo_sample::{InputRing, LoadedBatch, LoaderSpec, PipelinedLoader, Sampler};
 
 /// Construction options for an [`Engine`].
 #[derive(Clone)]
@@ -35,9 +35,6 @@ pub struct EngineOptions {
     /// Total cores the core binder may plan over (defaults to the host's
     /// available cores; set explicitly to emulate a larger logical machine).
     pub total_cores: usize,
-    /// Default cross-batch feature-cache capacity in rows (0 = cache
-    /// disabled). A per-epoch [`Config::cache_rows`] > 0 overrides this.
-    pub cache_capacity: usize,
 }
 
 impl Default for EngineOptions {
@@ -51,13 +48,12 @@ impl Default for EngineOptions {
             lr: 3e-3,
             seed: 0,
             total_cores: argo_rt::num_available_cores(),
-            cache_capacity: 0,
         }
     }
 }
 
-/// Fluent builder-style constructors, so adding fields (like
-/// `cache_capacity`) never breaks existing call sites.
+/// Fluent builder-style constructors, so adding a field never breaks
+/// existing call sites.
 impl EngineOptions {
     /// Starts from [`EngineOptions::default`].
     pub fn builder() -> Self {
@@ -109,12 +105,6 @@ impl EngineOptions {
     /// Total cores the core binder may plan over.
     pub fn with_total_cores(mut self, total_cores: usize) -> Self {
         self.total_cores = total_cores;
-        self
-    }
-
-    /// Default feature-cache capacity in rows (0 disables the cache).
-    pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
-        self.cache_capacity = cache_capacity;
         self
     }
 }
@@ -180,12 +170,6 @@ pub struct BufferStats {
     pub input_buffers: usize,
     /// Bytes parked in the input rings.
     pub input_bytes: usize,
-    /// Gather buffers the cached prologue has made (`n_src × F` each; at
-    /// most one per worker, taken and handed back per batch, never sent
-    /// anywhere; none without a cache).
-    pub gather_buffers: usize,
-    /// Bytes of the parked gather buffers.
-    pub gather_bytes: usize,
 }
 
 /// A persistent GNN training session whose epochs can each run under a
@@ -200,9 +184,6 @@ pub struct Engine {
     opt: AnyOptimizer,
     epoch: u64,
     seeds: SeedSequence,
-    /// Cross-batch feature cache, persistent across epochs so reuse
-    /// compounds; rebuilt only when the effective capacity changes.
-    cache: Option<Arc<FeatureCache>>,
     /// The topology and feature table as the shared handles the loader
     /// threads need — one copy each for the whole session, made in
     /// [`Engine::new`], never per rank or per epoch.
@@ -235,7 +216,6 @@ impl Engine {
             opt,
             epoch: 0,
             seeds,
-            cache: None,
             graph,
             features,
             replicas: Vec::new(),
@@ -283,34 +263,8 @@ impl Engine {
             stats.workspace_bytes += r.model.workspace_bytes();
             stats.input_buffers += r.inputs.buffers_made();
             stats.input_bytes += r.inputs.parked_bytes();
-            stats.gather_buffers += r.inputs.gather_buffers_made();
-            stats.gather_bytes += r.inputs.gather_parked_bytes();
         }
         stats
-    }
-
-    /// The feature cache for this epoch's effective capacity
-    /// (`config.cache_rows`, falling back to `opts.cache_capacity`), or
-    /// `None` when caching is off. The cache persists across epochs and is
-    /// rebuilt only when the capacity knob moves.
-    fn cache_for(&mut self, config: Config) -> Option<Arc<FeatureCache>> {
-        let rows = if config.cache_rows > 0 {
-            config.cache_rows
-        } else {
-            self.opts.cache_capacity
-        };
-        if rows == 0 {
-            self.cache = None;
-            return None;
-        }
-        match &self.cache {
-            Some(c) if c.capacity_rows() == rows => Some(Arc::clone(c)),
-            _ => {
-                let c = Arc::new(FeatureCache::new(rows, self.dataset.feat_dim()));
-                self.cache = Some(Arc::clone(&c));
-                Some(c)
-            }
-        }
     }
 
     /// Trains one epoch under `config`. Returns measured statistics; the
@@ -320,8 +274,8 @@ impl Engine {
     /// into per-worker rings, and at epoch end the stage histograms, the
     /// Figure-2 timeline and the `stage_summary` events are derived from
     /// them ([`Telemetry::record_stages`]), next to the
-    /// `epoch_start`/`critical_path`/`bytes_summary`/`cache_summary`/
-    /// `epoch_end` events that carry every other number of the epoch. Pass
+    /// `epoch_start`/`critical_path`/`bytes_summary`/`epoch_end`
+    /// events that carry every other number of the epoch. Pass
     /// `None` (or a disabled handle) and the loops record nothing and read
     /// no clock but the one around the all-reduce that
     /// [`EpochStats::sync_time`] reports.
@@ -349,10 +303,6 @@ impl Engine {
         let allreduce = AllReduce::new(n_proc, self.params.len());
         let epoch = self.epoch;
 
-        // Cross-batch feature cache (tentpole): shared by all processes so
-        // neighborhoods re-gathered anywhere hit everywhere.
-        let cache = self.cache_for(config);
-        let cache_snapshot = cache.as_ref().map(|c| c.stats());
         while self.replicas.len() < n_proc {
             let model = build_model(&self.opts, &self.dataset);
             self.replicas.push(Replica {
@@ -394,7 +344,6 @@ impl Engine {
                     sampling_cores: binding.sampling,
                     training_cores: binding.training,
                     allreduce: &allreduce,
-                    cache: cache.clone(),
                     spans: spans.for_process(rank),
                 };
                 handles.push(scope.spawn(move || run_process(spec, replica)));
@@ -448,29 +397,12 @@ impl Engine {
             sync_time: r0.sync_time,
         };
 
-        // Per-epoch cache counters (only when the cache is enabled, so
-        // cache-less runs keep the PR-1 event sequence exactly).
-        let cache_delta = cache.as_ref().zip(cache_snapshot.as_ref()).map(|(c, s0)| {
-            let d = c.stats().delta(s0);
-            CacheSummaryRecord {
-                hits: d.hits,
-                misses: d.misses,
-                resident_rows: d.resident_rows,
-                capacity_rows: d.capacity_rows,
-                bytes: d.bytes,
-            }
-        });
-
         // Byte/alloc accounting for this epoch: how much batch metadata the
-        // loaders produced, how many feature bytes the cross-batch cache
-        // served, and whether the scratch arena stayed allocation-free.
-        let row_bytes = self.dataset.feat_dim() * std::mem::size_of::<f32>();
+        // loaders produced and whether the scratch arena stayed
+        // allocation-free.
         let bytes_record = BytesRecord {
             batches: stats.minibatches as u64,
             metadata_bytes,
-            cache_bytes: cache_delta
-                .as_ref()
-                .map_or(0, |d| d.hits * row_bytes as u64),
             scratch_allocs,
         };
 
@@ -497,9 +429,6 @@ impl Engine {
                 epoch,
                 record: bytes_record,
             });
-            if let Some(summary) = cache_delta {
-                l.log(RunEvent::CacheSummary { epoch, summary });
-            }
             l.log(RunEvent::EpochEnd {
                 epoch,
                 config,
@@ -550,10 +479,6 @@ struct ProcessSpec<'a> {
     sampling_cores: CoreSet,
     training_cores: CoreSet,
     allreduce: &'a AllReduce,
-    /// `Some` iff the cross-batch cache is on this epoch; the loader then
-    /// gathers each batch's input rows through it before aggregating them
-    /// (without it the loader aggregates straight from the feature table).
-    cache: Option<Arc<FeatureCache>>,
     /// This rank's handle on the epoch's span profiler (a disabled profiler
     /// hands out detached rings — zero overhead).
     spans: SpanProfiler,
@@ -575,7 +500,6 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
         sampling_cores,
         training_cores,
         allreduce,
-        cache,
         spans,
     } = spec;
 
@@ -587,10 +511,10 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
     let mut opt = opt0;
 
     // The loader runs the step's parameter-free prologue on the sampling
-    // cores: it gathers every batch's input rows and, where the architecture
-    // fuses a normalization into the batch, aggregates layer 0 over them.
+    // cores: it aggregates layer 0 over every batch's input rows, read
+    // straight from the feature table.
     let n_samp = sampling_cores.len();
-    let mut loader_spec = LoaderSpec::builder(graph, sampler, seeds_part)
+    let loader_spec = LoaderSpec::builder(graph, sampler, seeds_part)
         .batch_size(local_batch)
         .epoch(epoch)
         .epoch_seeds(proc_seeds)
@@ -599,9 +523,6 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
         .normalization(opts.kind.normalization())
         .features(features)
         .spans(spans.clone());
-    if let Some(c) = cache {
-        loader_spec = loader_spec.cache(c);
-    }
     let loader = PipelinedLoader::start_recycling(loader_spec.build(), inputs.clone());
     // Consumer-side span ring: the compute/sync spans here chain (by batch
     // id) onto the producer spans the loader records.
@@ -854,35 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_epoch_charges_the_loader_cache_span_to_gather() {
-        // The consumer gathers nothing, cache or no cache: a batch's gather
-        // stage is one interval over its loader's `Gather`/`Cache` span and
-        // its `Aggregate` span, on its process's track, and the step's
-        // `Compute` span starts at the first GEMM.
-        for cache_capacity in [0, 512] {
-            let mut o = opts(64);
-            o.cache_capacity = cache_capacity;
-            let mut e = Engine::new(tiny(), neighbor(), o);
-            let tel = Telemetry::new();
-            let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-            let gather = stage_summaries(&tel, 0)
-                .into_iter()
-                .find(|(label, ..)| label == Stage::Gather.label())
-                .expect("gather summary");
-            assert_eq!(gather.2, stats.minibatches as u64);
-            assert!(gather.1 > 0.0);
-            let gathers: Vec<_> = tel
-                .trace
-                .events()
-                .into_iter()
-                .filter(|ev| ev.stage == Stage::Gather)
-                .collect();
-            assert_eq!(gathers.len(), stats.minibatches);
-            assert!(gathers.iter().any(|ev| ev.process == 1));
-        }
-    }
-
-    #[test]
     fn long_epochs_drop_no_spans() {
         // Rings are sized from the batch count: an epoch with more batches
         // than a fixed RING_CAPACITY ring could hold (it used to cap a
@@ -959,8 +851,7 @@ mod tests {
             }
             None => panic!("no critical_path event"),
         }
-        // Byte accounting: metadata flowed, and no cache means no cache
-        // bytes.
+        // Byte accounting: metadata flowed.
         match events.iter().find_map(|(_, e)| match e {
             argo_rt::RunEvent::BytesSummary { record, .. } => Some(*record),
             _ => None,
@@ -969,7 +860,6 @@ mod tests {
                 assert_eq!(r.batches, stats.minibatches as u64);
                 assert!(r.metadata_bytes > 0);
                 assert!(r.metadata_bytes_per_batch() > 0.0);
-                assert_eq!(r.cache_bytes, 0);
             }
             None => panic!("no bytes_summary event"),
         }
@@ -1146,14 +1036,13 @@ mod tests {
 
     #[test]
     fn cached_training_matches_uncached_bitwise() {
-        // The cache returns feature rows verbatim, so enabling it must not
-        // perturb training at all: parameters stay bit-identical.
+        // `Config::with_cache_rows` is kept as a no-op (there is no feature
+        // cache any more), so a config that asks for a cache must train
+        // exactly as one that does not: parameters stay bit-identical.
         let run = |cache_rows: usize| {
-            let mut o = opts(64);
-            o.cache_capacity = cache_rows;
-            let mut e = Engine::new(tiny(), neighbor(), o);
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
             for _ in 0..3 {
-                e.train_epoch(Config::new(2, 1, 1), None);
+                e.train_epoch(Config::new(2, 1, 1).with_cache_rows(cache_rows), None);
             }
             e.params().to_vec()
         };
@@ -1229,7 +1118,7 @@ mod tests {
         // Moving the first aggregation to the loader thread moved no bit:
         // every epoch's loss and the final parameters are what the serial
         // gather-then-whole-step replay computes — one process or two, one
-        // sampler thread or two, cache off or on, block batches under
+        // sampler thread or two, block batches under
         // GraphSAGE and subgraph batches (whose layer 0 the model may cut
         // out of the loader's full-height aggregation) under GCN.
         let d = tiny();
@@ -1242,22 +1131,20 @@ mod tests {
             o.kind = kind;
             for (p, s, t) in [(1, 1, 1), (1, 2, 1), (2, 1, 1)] {
                 let want = gathered_replay(&d, &*sampler, &o, p, 3);
-                for cache_rows in [0, 256] {
-                    let mut e = Engine::new(Arc::clone(&d), Arc::clone(&sampler), o.clone());
-                    let config = Config::new(p, s, t).with_cache_rows(cache_rows);
-                    let losses: Vec<u32> = (0..3)
-                        .map(|_| e.train_epoch(config, None).loss.to_bits())
-                        .collect();
-                    let who = format!("{kind:?} ({p},{s},{t}) cache_rows {cache_rows}");
-                    assert_eq!(losses, want.0, "{who}: per-epoch loss");
-                    assert!(
-                        e.params()
-                            .iter()
-                            .zip(&want.1)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{who}: final parameters"
-                    );
-                }
+                let mut e = Engine::new(Arc::clone(&d), Arc::clone(&sampler), o.clone());
+                let config = Config::new(p, s, t);
+                let losses: Vec<u32> = (0..3)
+                    .map(|_| e.train_epoch(config, None).loss.to_bits())
+                    .collect();
+                let who = format!("{kind:?} ({p},{s},{t})");
+                assert_eq!(losses, want.0, "{who}: per-epoch loss");
+                assert!(
+                    e.params()
+                        .iter()
+                        .zip(&want.1)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{who}: final parameters"
+                );
             }
         }
     }
@@ -1350,42 +1237,32 @@ mod tests {
     fn second_epoch_reuses_every_buffer_of_the_first() {
         // After one warm-up epoch the per-rank state is complete: a second
         // epoch under the same config makes no fresh workspace allocation,
-        // no new operand buffer and no new gather buffer — cache off or on,
-        // and for each hand-off: GraphSAGE's aggregation plus self rows,
-        // GCN's aggregation alone. Without a cache the loader aggregates
-        // straight from the feature table and makes no gather buffer at all.
+        // no new operand buffer, for each hand-off: GraphSAGE's
+        // aggregation plus self rows, GCN's aggregation alone. The loader
+        // aggregates straight from the feature table and makes no other
+        // buffer.
         let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
         for (kind, operands) in sets {
-            for cache_rows in [0, 256] {
-                let (d, sampler, mut o) = same_shape_every_epoch();
-                o.kind = kind;
-                let mut e = Engine::new(d, sampler, o);
-                let config = Config::new(1, 1, 1).with_cache_rows(cache_rows);
-                assert_eq!(e.buffer_stats(), BufferStats::default());
-                e.train_epoch(config, None);
-                let warm = e.buffer_stats();
-                let who = format!("{kind:?}, cache_rows {cache_rows}: {warm:?}");
-                assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
-                assert!(warm.input_bytes > 0, "the operands came back: {who}");
-                assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
-                if cache_rows > 0 {
-                    assert_eq!(warm.gather_buffers, 1, "one worker: {who}");
-                    // The prologue handed its `n_src × F` buffer back.
-                    assert!(warm.gather_bytes > 0, "{who}");
-                } else {
-                    assert_eq!(warm.gather_buffers, 0, "no gathered copy: {who}");
-                    assert_eq!(warm.gather_bytes, 0, "{who}");
-                }
-                e.train_epoch(config, None);
-                // (Parked workspace bytes may shift: a best-fit reuse can leave
-                // a buffer at another capacity. What is pinned is that nothing
-                // new was made.)
-                let again = BufferStats {
-                    workspace_bytes: warm.workspace_bytes,
-                    ..e.buffer_stats()
-                };
-                assert_eq!(again, warm, "{who}");
-            }
+            let (d, sampler, mut o) = same_shape_every_epoch();
+            o.kind = kind;
+            let mut e = Engine::new(d, sampler, o);
+            let config = Config::new(1, 1, 1);
+            assert_eq!(e.buffer_stats(), BufferStats::default());
+            e.train_epoch(config, None);
+            let warm = e.buffer_stats();
+            let who = format!("{kind:?}: {warm:?}");
+            assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
+            assert!(warm.input_bytes > 0, "the operands came back: {who}");
+            assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
+            e.train_epoch(config, None);
+            // (Parked workspace bytes may shift: a best-fit reuse can leave
+            // a buffer at another capacity. What is pinned is that nothing
+            // new was made.)
+            let again = BufferStats {
+                workspace_bytes: warm.workspace_bytes,
+                ..e.buffer_stats()
+            };
+            assert_eq!(again, warm, "{who}");
         }
     }
 
@@ -1397,26 +1274,22 @@ mod tests {
         // benchmark. With the return path the operands live in the ring,
         // which holds only what was in flight at once: per rank one set
         // queued and one being filled per worker, one in the step — and a
-        // set is two `n_dst × F` operands (GraphSAGE), not the gathered
-        // `n_src × F` input, which stays in the ring's gather buffers.
+        // set is two `n_dst × F` operands (GraphSAGE), never an `n_src × F`
+        // gathered input. The epochs are the DDP benchmark's shape, config
+        // and (no-op) cache setter included.
         let d = tiny();
-        let mut o = opts(64);
-        o.cache_capacity = 512;
         let (n_proc, n_samp) = (2, 1);
-        let mut e = Engine::new(Arc::clone(&d), neighbor(), o);
+        let mut e = Engine::new(Arc::clone(&d), neighbor(), opts(64));
         for _ in 0..5 {
-            e.train_epoch(Config::new(n_proc, n_samp, 1), None);
+            e.train_epoch(Config::new(n_proc, n_samp, 1).with_cache_rows(512), None);
         }
         let s = e.buffer_stats();
         let sets = n_proc * (2 * n_samp + 1);
         assert!((2 * n_proc..=2 * sets).contains(&s.input_buffers), "{s:?}");
-        assert_eq!(s.gather_buffers, n_proc * n_samp, "{s:?}");
-        // No gathered input is larger than every node's row, and an operand
-        // has a row per layer-0 output node only: with fanouts [8, 4] from
-        // 32 seeds, far fewer. The arena's share is activations, far smaller
-        // on this 500-feature dataset.
+        // An operand has a row per layer-0 output node only: with fanouts
+        // [8, 4] from 32 seeds, far fewer than every node's row. The arena's
+        // share is activations, far smaller on this 500-feature dataset.
         let one_input = d.graph.num_nodes() * d.feat_dim() * 4;
-        assert!(s.gather_bytes <= s.gather_buffers * one_input, "{s:?}");
         assert!(s.input_bytes <= s.input_buffers * one_input / 2, "{s:?}");
         assert!(s.workspace_bytes < 2 * one_input, "{s:?}");
     }
@@ -1434,13 +1307,10 @@ mod tests {
             }
             e.params().to_vec()
         };
-        // Deterministic, and cached ≡ uncached bitwise, on multi-batch epochs.
+        // Deterministic on multi-batch epochs.
         let (d, s) = (tiny(), neighbor());
         let plain = run(&d, &s, &opts(64), &[one, two, one]);
         assert_eq!(plain, run(&d, &s, &opts(64), &[one, two, one]));
-        let mut cached = opts(64);
-        cached.cache_capacity = 512;
-        assert_eq!(plain, run(&d, &s, &cached, &[one, two, one]));
         // DDP ≡ single process (to accumulation tolerance) where sampling is
         // exhaustive and an epoch is one global batch.
         let (d, s, o) = same_shape_every_epoch();
@@ -1452,95 +1322,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(max_diff < 2e-3, "divergence {max_diff}");
-    }
-
-    #[test]
-    fn config_cache_rows_overrides_engine_default() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        // Engine built without a cache; the per-epoch config switches it on.
-        e.train_epoch(Config::new(2, 1, 1).with_cache_rows(256), None);
-        let c = e.cache.as_ref().expect("config should enable the cache");
-        assert_eq!(c.capacity_rows(), 256);
-        // Back to a cache-less config: the cache is dropped again.
-        e.train_epoch(Config::new(2, 1, 1), None);
-        assert!(e.cache.is_none());
-    }
-
-    #[test]
-    fn cache_telemetry_emits_summary_and_hit_rate() {
-        let mut o = opts(64);
-        o.cache_capacity = 4096;
-        let mut e = Engine::new(tiny(), neighbor(), o);
-        let tel = Telemetry::new();
-        e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-
-        // Summed over both epochs' cache summaries: misses fill the cache,
-        // shared neighborhoods hit it, and the last epoch ends with rows
-        // resident.
-        let summaries: Vec<_> = tel
-            .logger
-            .events()
-            .into_iter()
-            .filter_map(|(_, e)| match e {
-                argo_rt::RunEvent::CacheSummary { summary, .. } => Some(summary),
-                _ => None,
-            })
-            .collect();
-        assert!(summaries.iter().map(|s| s.misses).sum::<u64>() > 0);
-        assert!(
-            summaries.iter().map(|s| s.hits).sum::<u64>() > 0,
-            "shared neighborhoods should hit by the second epoch"
-        );
-        let last = summaries.last().expect("cache summaries");
-        assert!(last.hit_rate() > 0.0 && last.hit_rate() <= 1.0);
-        assert!(last.bytes > 0);
-
-        // Each epoch logs exactly one cache_summary, between the stage
-        // summaries and epoch_end.
-        let events = tel.logger.events();
-        let kinds: Vec<&str> = events.iter().map(|(_, e)| e.kind()).collect();
-        assert_eq!(
-            kinds.iter().filter(|k| **k == "cache_summary").count(),
-            2,
-            "kinds: {kinds:?}"
-        );
-        let epoch1: Vec<&str> = kinds[kinds.len() / 2..].to_vec();
-        assert_eq!(
-            epoch1,
-            vec![
-                "epoch_start",
-                "stage_summary",
-                "stage_summary",
-                "stage_summary",
-                "stage_summary",
-                "critical_path",
-                "bytes_summary",
-                "cache_summary",
-                "epoch_end"
-            ]
-        );
-        // With the cache on, the loader pre-gathers through it, so the
-        // epoch's bytes summary reports cache traffic.
-        let moved = events
-            .iter()
-            .filter_map(|(_, e)| match e {
-                argo_rt::RunEvent::BytesSummary { record, .. } => Some(record.cache_bytes),
-                _ => None,
-            })
-            .sum::<u64>();
-        assert!(moved > 0, "cache served no bytes");
-        match events.iter().rev().find_map(|(_, e)| match e {
-            argo_rt::RunEvent::CacheSummary { epoch, summary } => Some((*epoch, *summary)),
-            _ => None,
-        }) {
-            Some((epoch, s)) => {
-                assert_eq!(epoch, 1);
-                assert!(s.hits > 0, "second epoch should re-hit resident rows");
-                assert!(s.hit_rate() > 0.0);
-            }
-            None => panic!("no cache_summary event"),
-        }
     }
 
     #[test]
@@ -1558,13 +1339,10 @@ mod tests {
             .with_global_batch(64)
             .with_lr(5e-3)
             .with_seed(3)
-            .with_total_cores(8)
-            .with_cache_capacity(128);
-        let mut lit = opts(64);
-        lit.cache_capacity = 128;
+            .with_total_cores(8);
+        let lit = opts(64);
         assert_eq!(built.hidden, lit.hidden);
         assert_eq!(built.global_batch, lit.global_batch);
-        assert_eq!(built.cache_capacity, 128);
         assert_eq!(built.total_cores, lit.total_cores);
     }
 }

@@ -769,7 +769,7 @@ mod tests {
     use argo_rt::{SeedSequence, WorkerRing};
     use argo_sample::batch::Normalization;
     use argo_sample::{
-        FeatureCache, InputRing, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+        InputRing, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
     };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1560,7 +1560,6 @@ mod tests {
             }
             let seeds = seeds_of(&d);
             let mut scratch = SamplerScratch::new();
-            let cache = FeatureCache::new(64, d.feat_dim());
             // Fused as the loader and serving sample; unfused as evaluation
             // does, where the view falls back to the owned batch and the
             // model's own normalization.
@@ -1572,23 +1571,15 @@ mod tests {
                     let input = gathered(&d.features, batch.input_nodes());
                     let got = m.forward_gathered_view(&view, &input, None);
                     check(format!("{name}: view fused {norm:?}"), &batch, &input, got);
-                    // The serving path: the fused view's prologue, cached or
-                    // not, then the forward pass from the first GEMM.
+                    // The serving path: the fused view's prologue, then the
+                    // forward pass from the first GEMM.
                     if norm == Normalization::None {
                         continue;
                     }
-                    for c in [None, Some(&cache)] {
-                        let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-                        let prepared =
-                            PreparedInput::prepare(&view, &d.features, c, &ring, &spans, 0);
-                        let got = m.forward_prepared(&view, &prepared, None);
-                        check(
-                            format!("{name}: prepared, cached {}", c.is_some()),
-                            &batch,
-                            &input,
-                            got,
-                        );
-                    }
+                    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+                    let prepared = PreparedInput::prepare(&view, &d.features, &ring, &spans, 0);
+                    let got = m.forward_prepared(&view, &prepared, None);
+                    check(format!("{name}: prepared"), &batch, &input, got);
                 }
             }
         }

@@ -12,14 +12,10 @@ pub struct Config {
     pub n_samp: usize,
     /// Training (model-propagation) cores per process.
     pub n_train: usize,
-    /// Feature-cache capacity in rows shared across processes; 0 disables
-    /// the cache (the paper's original 3-parameter space).
-    pub cache_rows: usize,
 }
 
 impl Config {
-    /// Creates a configuration; all fields must be positive. The feature
-    /// cache starts disabled — opt in with [`Config::with_cache_rows`].
+    /// Creates a configuration; all fields must be positive.
     pub fn new(n_proc: usize, n_samp: usize, n_train: usize) -> Self {
         assert!(
             n_proc > 0 && n_samp > 0 && n_train > 0,
@@ -29,13 +25,12 @@ impl Config {
             n_proc,
             n_samp,
             n_train,
-            cache_rows: 0,
         }
     }
 
-    /// The same core allocation with a feature-cache capacity attached.
-    pub fn with_cache_rows(mut self, cache_rows: usize) -> Self {
-        self.cache_rows = cache_rows;
+    /// Does nothing: there is no feature cache to size (DESIGN.md §7). Kept
+    /// until the benchmark, which calls it, drops the call (ROADMAP 11.8).
+    pub fn with_cache_rows(self, _cache_rows: usize) -> Self {
         self
     }
 
@@ -74,19 +69,11 @@ pub fn enumerate_space(cores: usize) -> Vec<Config> {
 
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.cache_rows > 0 {
-            write!(
-                f,
-                "(proc={}, samp={}, train={}, cache={})",
-                self.n_proc, self.n_samp, self.n_train, self.cache_rows
-            )
-        } else {
-            write!(
-                f,
-                "(proc={}, samp={}, train={})",
-                self.n_proc, self.n_samp, self.n_train
-            )
-        }
+        write!(
+            f,
+            "(proc={}, samp={}, train={})",
+            self.n_proc, self.n_samp, self.n_train
+        )
     }
 }
 
@@ -118,16 +105,18 @@ mod tests {
 
     #[test]
     fn display_includes_cache_only_when_enabled() {
+        // The cache can no longer be enabled: the no-op setter leaves the
+        // display as it was.
         assert_eq!(
             Config::new(2, 1, 3).with_cache_rows(4096).to_string(),
-            "(proc=2, samp=1, train=3, cache=4096)"
+            "(proc=2, samp=1, train=3)"
         );
     }
 
     #[test]
     fn cache_rows_defaults_off_and_does_not_affect_cores() {
         let c = Config::new(4, 2, 2);
-        assert_eq!(c.cache_rows, 0);
+        assert_eq!(c.with_cache_rows(1 << 20), c);
         assert_eq!(c.total_cores(), c.with_cache_rows(1 << 20).total_cores());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every fact a run reports is a field of one [`RunEvent`], and nowhere
 //! else: epochs starting and ending (with full [`EpochRecord`] statistics),
-//! per-stage summaries, critical paths, byte and cache accounting, auto-tuner
+//! per-stage summaries, critical paths, byte accounting, auto-tuner
 //! trials (candidate configuration, observed epoch time, incumbent best,
 //! tuner CPU cost), configuration switches and serving requests. The
 //! [`RunLogger`] collects them thread-safely and serializes one JSON object
@@ -92,48 +92,19 @@ pub struct TrialRecord {
     pub observe_seconds: f64,
 }
 
-/// Per-epoch feature-cache counters carried by [`RunEvent::CacheSummary`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CacheSummaryRecord {
-    /// Lookups served from the cache this epoch.
-    pub hits: u64,
-    /// Lookups that fell through to the backing feature store this epoch.
-    pub misses: u64,
-    /// Rows resident at epoch end.
-    pub resident_rows: u64,
-    /// Configured capacity in rows.
-    pub capacity_rows: u64,
-    /// Bytes of feature data resident at epoch end.
-    pub bytes: u64,
-}
-
-impl CacheSummaryRecord {
-    /// Fraction of this epoch's lookups served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.hits + self.misses;
-        if n == 0 {
-            0.0
-        } else {
-            self.hits as f64 / n as f64
-        }
-    }
-}
-
 /// Per-epoch byte/alloc accounting carried by [`RunEvent::BytesSummary`] —
 /// the "metadata tax" view: how many bytes of batch metadata the host
-/// pipeline shuffled per batch, how many feature bytes the cache served,
-/// and how often the sampler scratch arena had to grow. Metadata bytes are
-/// measured on the arena-resident batch CSR (node ids, degrees, `u32` row
-/// pointers, column indices, fused normalization values), not estimated
-/// from separate node-id/edge-index arrays.
+/// pipeline shuffled per batch and how often the sampler scratch arena had
+/// to grow. Metadata bytes are measured on the arena-resident batch CSR
+/// (node ids, degrees, `u32` row pointers, column indices, fused
+/// normalization values), not estimated from separate node-id/edge-index
+/// arrays.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BytesRecord {
     /// Mini-batches the epoch processed (denominator for per-batch rates).
     pub batches: u64,
     /// Bytes of batch metadata (compact arena-CSR layout) produced.
     pub metadata_bytes: u64,
-    /// Bytes of feature rows served out of the cross-batch cache.
-    pub cache_bytes: u64,
     /// Scratch-arena allocations observed (steady state should be 0).
     pub scratch_allocs: u64,
 }
@@ -200,12 +171,6 @@ pub enum RunEvent {
         epoch: u64,
         summary: StageSummaryRecord,
     },
-    /// Feature-cache counters for one epoch (emitted only when the cache
-    /// is enabled).
-    CacheSummary {
-        epoch: u64,
-        summary: CacheSummaryRecord,
-    },
     /// One online-learning search step of the auto-tuner.
     TunerTrial(TrialRecord),
     /// The runtime switched to `config` (`reason` = `search` while
@@ -239,31 +204,27 @@ pub enum RunEvent {
 }
 
 fn config_json(c: Config) -> Json {
-    let mut fields = vec![
+    Json::obj(vec![
         ("n_proc", Json::Num(c.n_proc as f64)),
         ("n_samp", Json::Num(c.n_samp as f64)),
         ("n_train", Json::Num(c.n_train as f64)),
-    ];
-    // Omitted when 0 so PR-1 readers keep parsing cache-less runs.
-    if c.cache_rows > 0 {
-        fields.push(("cache_rows", Json::Num(c.cache_rows as f64)));
-    }
-    Json::obj(fields)
+    ])
 }
 
+/// The config a log line carries. Each field must be positive, as
+/// [`Config::new`] asserts; other keys (an old log's `cache_rows`) are
+/// ignored.
 fn config_from_json(v: &Json) -> Result<Config, String> {
-    let field = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config missing '{k}'"))
+    let field = |k: &str| match v.get(k).and_then(Json::as_u64) {
+        None => Err(format!("config missing '{k}'")),
+        Some(0) => Err(format!("config field '{k}' must be positive")),
+        Some(n) => Ok(n as usize),
     };
-    let cache_rows = v.get("cache_rows").and_then(Json::as_u64).unwrap_or(0);
     Ok(Config::new(
-        field("n_proc")? as usize,
-        field("n_samp")? as usize,
-        field("n_train")? as usize,
-    )
-    .with_cache_rows(cache_rows as usize))
+        field("n_proc")?,
+        field("n_samp")?,
+        field("n_train")?,
+    ))
 }
 
 impl RunEvent {
@@ -273,7 +234,6 @@ impl RunEvent {
             RunEvent::EpochStart { .. } => "epoch_start",
             RunEvent::EpochEnd { .. } => "epoch_end",
             RunEvent::StageSummary { .. } => "stage_summary",
-            RunEvent::CacheSummary { .. } => "cache_summary",
             RunEvent::TunerTrial(_) => "tuner_trial",
             RunEvent::ConfigApplied { .. } => "config_applied",
             RunEvent::CriticalPath { .. } => "critical_path",
@@ -323,14 +283,6 @@ impl RunEvent {
                 fields.push(("seconds", Json::Num(summary.seconds)));
                 fields.push(("count", Json::Num(summary.count as f64)));
             }
-            RunEvent::CacheSummary { epoch, summary } => {
-                fields.push(("epoch", Json::Num(*epoch as f64)));
-                fields.push(("hits", Json::Num(summary.hits as f64)));
-                fields.push(("misses", Json::Num(summary.misses as f64)));
-                fields.push(("resident_rows", Json::Num(summary.resident_rows as f64)));
-                fields.push(("capacity_rows", Json::Num(summary.capacity_rows as f64)));
-                fields.push(("bytes", Json::Num(summary.bytes as f64)));
-            }
             RunEvent::TunerTrial(t) => {
                 fields.push(("trial", Json::Num(t.trial as f64)));
                 fields.push(("config", config_json(t.config)));
@@ -372,7 +324,6 @@ impl RunEvent {
                 fields.push(("epoch", Json::Num(*epoch as f64)));
                 fields.push(("batches", Json::Num(record.batches as f64)));
                 fields.push(("metadata_bytes", Json::Num(record.metadata_bytes as f64)));
-                fields.push(("cache_bytes", Json::Num(record.cache_bytes as f64)));
                 fields.push(("scratch_allocs", Json::Num(record.scratch_allocs as f64)));
             }
             RunEvent::BottleneckCheck {
@@ -460,16 +411,6 @@ impl RunEvent {
                     count: num(v, "count")? as u64,
                 },
             },
-            "cache_summary" => RunEvent::CacheSummary {
-                epoch: epoch()?,
-                summary: CacheSummaryRecord {
-                    hits: num(v, "hits")? as u64,
-                    misses: num(v, "misses")? as u64,
-                    resident_rows: num(v, "resident_rows")? as u64,
-                    capacity_rows: num(v, "capacity_rows")? as u64,
-                    bytes: num(v, "bytes")? as u64,
-                },
-            },
             "tuner_trial" => RunEvent::TunerTrial(TrialRecord {
                 trial: v
                     .get("trial")
@@ -518,7 +459,6 @@ impl RunEvent {
                 record: BytesRecord {
                     batches: num(v, "batches")? as u64,
                     metadata_bytes: num(v, "metadata_bytes")? as u64,
-                    cache_bytes: num(v, "cache_bytes")? as u64,
                     scratch_allocs: num(v, "scratch_allocs")? as u64,
                 },
             },
@@ -767,61 +707,41 @@ mod tests {
     fn parse_rejects_malformed_lines() {
         assert!(RunLogger::parse_jsonl("{\"event\":\"epoch_start\"}").is_err());
         assert!(RunLogger::parse_jsonl("not json").is_err());
+        // A zero config field is an error naming the field, not a panic in
+        // `Config::new`.
+        let zero = r#"{"event":"epoch_start","ts":0,"source":"measured","epoch":0,"config":{"n_proc":0,"n_samp":1,"n_train":1}}"#;
+        let err = RunLogger::parse_jsonl(zero).unwrap_err();
+        assert!(err.contains("'n_proc' must be positive"), "{err}");
+        // The feature cache's per-epoch event is gone: an old log's line is
+        // an unknown kind.
+        let old = r#"{"event":"cache_summary","ts":0,"source":"measured","epoch":0,"hits":1,"misses":1,"resident_rows":1,"capacity_rows":1,"bytes":4}"#;
+        let err = RunLogger::parse_jsonl(old).unwrap_err();
+        assert!(err.contains("unknown event kind 'cache_summary'"), "{err}");
         // Blank lines are fine.
         assert_eq!(RunLogger::parse_jsonl("\n\n").unwrap().len(), 0);
     }
 
     #[test]
-    fn cache_summary_roundtrip() {
-        let logger = measured();
-        logger.log(RunEvent::CacheSummary {
-            epoch: 4,
-            summary: CacheSummaryRecord {
-                hits: 900,
-                misses: 100,
-                resident_rows: 512,
-                capacity_rows: 512,
-                bytes: 512 * 64 * 4,
-            },
-        });
-        let parsed = RunLogger::parse_jsonl(&logger.to_jsonl()).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let (event, _, _) = &parsed[0];
-        assert_eq!(event.kind(), "cache_summary");
-        match event {
-            RunEvent::CacheSummary { epoch, summary } => {
-                assert_eq!(*epoch, 4);
-                assert_eq!(summary.hits, 900);
-                assert!((summary.hit_rate() - 0.9).abs() < 1e-12);
-            }
-            other => panic!("wrong event: {other:?}"),
-        }
-    }
-
-    #[test]
     fn config_cache_rows_survives_roundtrip_and_stays_optional() {
+        // `with_cache_rows` is a no-op, so the config round-trips as the
+        // bare core allocation and no line carries `cache_rows`; an old
+        // log's `cache_rows` key stays optional to the reader: ignored.
         let logger = measured();
         logger.log(RunEvent::EpochStart {
             epoch: 0,
             config: Config::new(2, 1, 2).with_cache_rows(1024),
         });
-        logger.log(RunEvent::EpochStart {
-            epoch: 1,
-            config: Config::new(2, 1, 2),
-        });
-        let text = logger.to_jsonl();
-        let mut lines = text.lines();
-        assert!(lines.next().unwrap().contains("cache_rows"));
-        // Cache-less configs keep the PR-1 wire format exactly.
-        assert!(!lines.next().unwrap().contains("cache_rows"));
-        let parsed = RunLogger::parse_jsonl(&text).unwrap();
-        match &parsed[0].0 {
-            RunEvent::EpochStart { config, .. } => assert_eq!(config.cache_rows, 1024),
-            other => panic!("wrong event: {other:?}"),
-        }
-        match &parsed[1].0 {
-            RunEvent::EpochStart { config, .. } => assert_eq!(config.cache_rows, 0),
-            other => panic!("wrong event: {other:?}"),
+        let line = logger.to_jsonl();
+        assert!(!line.contains("cache_rows"), "{line}");
+        // A line written while the cache existed still parses, to the same
+        // core allocation.
+        let old = line.replace("\"n_train\":2", "\"n_train\":2,\"cache_rows\":1024");
+        assert!(old.contains("cache_rows"), "{old}");
+        for text in [line, old] {
+            match &RunLogger::parse_jsonl(&text).unwrap()[0].0 {
+                RunEvent::EpochStart { config, .. } => assert_eq!(*config, Config::new(2, 1, 2)),
+                other => panic!("wrong event: {other:?}"),
+            }
         }
     }
 
@@ -843,7 +763,6 @@ mod tests {
             record: BytesRecord {
                 batches: 16,
                 metadata_bytes: 65536,
-                cache_bytes: 4096,
                 scratch_allocs: 3,
             },
         });

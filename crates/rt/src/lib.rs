@@ -47,8 +47,8 @@ pub use affinity::{bind_current_thread, num_available_cores, CoreBinder, CoreSet
 pub use allreduce::AllReduce;
 pub use config::{enumerate_space, Config};
 pub use events::{
-    BytesRecord, CacheSummaryRecord, EpochRecord, RunEvent, RunLogger, ServeBatchRecord,
-    ServeRequestRecord, Source, StageSummaryRecord, TrialRecord,
+    BytesRecord, EpochRecord, RunEvent, RunLogger, ServeBatchRecord, ServeRequestRecord, Source,
+    StageSummaryRecord, TrialRecord,
 };
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry};

@@ -2,7 +2,7 @@
 //!
 //! The PR-1 telemetry layer answers *how long* each stage took; this module
 //! answers *why the epoch took as long as it did*. Every batch's life —
-//! seed pick, neighbor sampling, feature gather, cache service, channel
+//! seed pick, neighbor sampling, feature gather, first aggregation, channel
 //! enqueue, reorder-heap dequeue, forward/backward, gradient sync — is
 //! recorded as a span `(worker, role, kind, batch, start, end)` into a
 //! lock-free per-worker ring ([`WorkerRing`]): one writer per ring, no
@@ -47,8 +47,6 @@ pub enum SpanKind {
     Pick,
     /// Feature gather (`index_select`) on a loader worker.
     Gather,
-    /// Feature rows served through the cross-batch cache.
-    Cache,
     /// The parameter-free first aggregation `Â₀·X[input_nodes]`, run by the
     /// loader worker on the rows it just gathered.
     Aggregate,
@@ -68,10 +66,9 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration order (a kind's ring code is its index).
-    pub const ALL: [SpanKind; 10] = [
+    pub const ALL: [SpanKind; 9] = [
         SpanKind::Pick,
         SpanKind::Gather,
-        SpanKind::Cache,
         SpanKind::Aggregate,
         SpanKind::EnqueueWait,
         SpanKind::DequeueWait,
@@ -87,7 +84,6 @@ impl SpanKind {
         match self {
             SpanKind::Pick => "sample",
             SpanKind::Gather => "gather",
-            SpanKind::Cache => "cache",
             SpanKind::Aggregate => "aggregate",
             SpanKind::EnqueueWait => "channel_wait",
             SpanKind::DequeueWait => "heap_wait",
@@ -109,7 +105,7 @@ impl SpanKind {
     pub const fn stage(self) -> Option<Stage> {
         match self {
             SpanKind::DequeueWait => Some(Stage::Sample),
-            SpanKind::Gather | SpanKind::Cache | SpanKind::Aggregate => Some(Stage::Gather),
+            SpanKind::Gather | SpanKind::Aggregate => Some(Stage::Gather),
             SpanKind::Compute => Some(Stage::Compute),
             SpanKind::Sync => Some(Stage::Sync),
             SpanKind::Pick | SpanKind::EnqueueWait | SpanKind::ServeQueue | SpanKind::ServeExec => {
@@ -127,8 +123,8 @@ impl SpanKind {
 }
 
 /// Which side of the batch channel a ring's owner works on. Producer rings
-/// belong to loader workers (pick/gather/cache/aggregate/enqueue); consumer rings to
-/// the training processes and the reorder-heap drain.
+/// belong to loader workers (pick/gather/aggregate/enqueue); consumer rings
+/// to the training processes and the reorder-heap drain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
     /// Loader-side: produces batches into the channel.
@@ -401,14 +397,13 @@ impl Default for SpanProfiler {
 }
 
 /// Attribution categories [`critical_path`] reports, in render order: the
-/// eight training [`SpanKind::label`]s, then `"other"`, which absorbs epoch
+/// seven training [`SpanKind::label`]s, then `"other"`, which absorbs epoch
 /// time not covered by any span (per-epoch setup, thread spawn/join,
 /// straggler skew).
 pub const CRITICAL_PATH_STAGES: &[&str] = &[
     SpanKind::Compute.label(),
     SpanKind::Gather.label(),
     SpanKind::Pick.label(),
-    SpanKind::Cache.label(),
     SpanKind::Sync.label(),
     SpanKind::EnqueueWait.label(),
     SpanKind::DequeueWait.label(),
@@ -427,7 +422,7 @@ pub const CRITICAL_PATH_STAGES: &[&str] = &[
 /// 1. any consumer computing → `compute` (training makes progress);
 /// 2. any consumer syncing → `sync`;
 /// 3. every active consumer waiting on the heap → whatever the producers
-///    are doing right then: `sample`, `gather`, `cache` or `aggregate` work
+///    are doing right then: `sample`, `gather` or `aggregate` work
 ///    means the loader is the constraint; producers stuck enqueueing means the
 ///    channel is (`channel_wait`); idle producers mean the reorder heap
 ///    itself is (`heap_wait`);
@@ -443,7 +438,6 @@ pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'sta
     let mut cons_wait = [false; BINS];
     let mut prod_sample = [false; BINS];
     let mut prod_gather = [false; BINS];
-    let mut prod_cache = [false; BINS];
     let mut prod_aggregate = [false; BINS];
     let mut prod_enqueue = [false; BINS];
     for r in records {
@@ -461,7 +455,6 @@ pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'sta
             SpanKind::DequeueWait => (Role::Consumer, &mut cons_wait),
             SpanKind::Gather => (Role::Producer, &mut prod_gather),
             SpanKind::Pick => (Role::Producer, &mut prod_sample),
-            SpanKind::Cache => (Role::Producer, &mut prod_cache),
             SpanKind::Aggregate => (Role::Producer, &mut prod_aggregate),
             SpanKind::EnqueueWait => (Role::Producer, &mut prod_enqueue),
             // The `Serve*` kinds belong to the request path, whose
@@ -482,23 +475,21 @@ pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'sta
         let idx = if cons_compute[b] {
             0 // compute
         } else if cons_sync[b] {
-            4 // sync
+            3 // sync
         } else if cons_wait[b] {
             if prod_sample[b] {
                 2 // sample
             } else if prod_gather[b] {
                 1 // gather
-            } else if prod_cache[b] {
-                3 // cache
             } else if prod_aggregate[b] {
-                7 // aggregate
+                6 // aggregate
             } else if prod_enqueue[b] {
-                5 // channel_wait
+                4 // channel_wait
             } else {
-                6 // heap_wait
+                5 // heap_wait
             }
         } else {
-            8 // other
+            7 // other
         };
         counts[idx] += 1;
     }
@@ -606,7 +597,6 @@ mod tests {
             assert!(SpanKind::ALL.iter().any(|k| k.stage() == Some(stage)));
         }
         assert_eq!(SpanKind::DequeueWait.stage(), Some(Stage::Sample));
-        assert_eq!(SpanKind::Cache.stage(), Some(Stage::Gather));
         assert_eq!(SpanKind::Aggregate.stage(), Some(Stage::Gather));
         assert_eq!(SpanKind::Pick.stage(), None);
         assert_eq!(SpanKind::EnqueueWait.stage(), None);

@@ -205,7 +205,7 @@ mod tests {
         let spans = [
             span(0, SpanKind::DequeueWait, 0.0, 0.125),
             span(0, SpanKind::Gather, 0.125, 0.25),
-            span(1, SpanKind::Cache, 0.0, 0.5),
+            span(1, SpanKind::Aggregate, 0.0, 0.5),
             span(0, SpanKind::Compute, 0.25, 1.0),
             span(0, SpanKind::Sync, 1.0, 1.0625),
             // Producer-side work and serving spans are charged to no stage.
@@ -248,7 +248,7 @@ mod tests {
                 .sum();
             assert_eq!(on_timeline, seconds, "{stage:?}");
         }
-        // The cache span ran on process 1's loader: its own track.
+        // The aggregate span ran on process 1's loader: its own track.
         assert!(timeline
             .iter()
             .any(|e| e.stage == Stage::Gather && e.process == 1));
@@ -268,7 +268,7 @@ mod tests {
             &[
                 batch(0, SpanKind::Gather, 0.0, 0.25),
                 batch(0, SpanKind::Aggregate, 0.25, 0.75),
-                batch(1, SpanKind::Cache, 1.0, 1.5),
+                batch(1, SpanKind::Gather, 1.0, 1.5),
                 batch(1, SpanKind::Aggregate, 1.5, 1.75),
                 // Another process's batch 1 is another interval.
                 SpanRecord {

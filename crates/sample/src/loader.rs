@@ -15,14 +15,14 @@
 //! rows over the input-side adjacency, whose values carry the fused
 //! normalization (`Â₀·X[input_nodes]` depends on the batch and the features,
 //! never on the weights) with [`PreparedInput::prepare`], which serving
-//! runs too. Without a cache that is one pass over the feature table: the
-//! aggregation reads each input row straight out of [`Features::data`]
-//! through the batch's input-node ids, and no gathered copy is made. With a
-//! shared [`FeatureCache`] the rows are gathered through the cache into a
-//! gather buffer of the [`InputRing`] and aggregated out of that copy. The
-//! memory-bound half of the first layer then runs on the sampling cores,
-//! overlapped with training, and the training thread starts at the first
-//! GEMM; see [`PreparedInput`] for what crosses the channel.
+//! runs too. That is one pass over the feature table: the aggregation
+//! reads each input row straight out of [`Features::data`] through the
+//! batch's input-node ids, and no gathered copy is made. Unlike the feature
+//! cache this module once had in front of the table (DESIGN.md §7), it adds
+//! no second copy of the rows to the memory-bound work. The memory-bound
+//! half of the first layer then runs on the sampling cores, overlapped with
+//! training, and the training thread starts at the first GEMM; see
+//! [`PreparedInput`] for what crosses the channel.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,7 +38,6 @@ use argo_tensor::{DispatchPolicy, Matrix, SparseView};
 use crossbeam::channel::{bounded, Receiver};
 
 use crate::batch::{Normalization, SampledBatch};
-use crate::cache::FeatureCache;
 use crate::scratch::SamplerScratch;
 use crate::view::SampledBatchView;
 use crate::{SampleRun, Sampler};
@@ -70,9 +69,6 @@ pub struct LoaderSpec {
     /// adjacency. A spec with features must fuse a normalization
     /// (not [`Normalization::None`]): the aggregation reads its values.
     pub features: Option<Arc<Features>>,
-    /// Shared cross-batch feature cache consulted before the feature table.
-    /// Ignored unless `features` is set.
-    pub cache: Option<Arc<FeatureCache>>,
     /// Fused normalization the samplers write into each batch's adjacency
     /// values during construction (no post-pass on the training side). With
     /// values in place the first aggregation needs nothing else, so a worker
@@ -81,9 +77,9 @@ pub struct LoaderSpec {
     /// is for a spec without `features` only.
     pub normalization: Normalization,
     /// Causal span profiler. When present, each worker registers a
-    /// producer ring (pick/gather/cache/aggregate/enqueue-wait spans keyed by batch
-    /// id) and the consuming thread a consumer ring (channel/heap dequeue
-    /// waits), each sized for the whole epoch. The spans are the loader's
+    /// producer ring (pick/gather/aggregate/enqueue-wait spans keyed by
+    /// batch id) and the consuming thread a consumer ring (channel/heap
+    /// dequeue waits), each sized for the whole epoch. The spans are the loader's
     /// only telemetry: stage times and critical-path attribution are
     /// derived from them at epoch end.
     pub spans: Option<SpanProfiler>,
@@ -109,7 +105,6 @@ impl LoaderSpec {
                 n_samp: 1,
                 cores: CoreSet::default(),
                 features: None,
-                cache: None,
                 normalization: Normalization::None,
                 spans: None,
             },
@@ -160,9 +155,10 @@ impl LoaderSpecBuilder {
         self
     }
 
-    /// Routes the prologue's gather through a shared cross-batch cache.
-    pub fn cache(mut self, cache: Arc<FeatureCache>) -> Self {
-        self.spec.cache = Some(cache);
+    /// Does nothing: the prologue reads the feature table, with no cache in
+    /// front of it (DESIGN.md §7). Kept until the benchmark, which calls it,
+    /// drops the call (ROADMAP 11.8).
+    pub fn cache(self, _cache: Arc<crate::FeatureCache>) -> Self {
         self
     }
 
@@ -193,8 +189,7 @@ impl LoaderSpecBuilder {
 /// What a training step's first parameterised operation reads — the product
 /// of the parameter-free prologue a loader worker runs on each batch: layer
 /// 0's aggregation, which is all a GCN/GraphSAGE first GEMM reads of the
-/// input rows. No `n_src × F` matrix of them leaves the worker; without a
-/// cache none is made.
+/// input rows. No `n_src × F` matrix of them is made.
 pub struct PreparedInput {
     /// `Â₀·X[input_nodes]`, one row per row of the input-side adjacency
     /// (`n_dst × F`).
@@ -205,11 +200,12 @@ pub struct PreparedInput {
 }
 
 impl PreparedInput {
-    /// Runs the prologue's second half: aggregates the `gathered` input rows
-    /// over `adj` — the batch's normalized input-side adjacency — with the
-    /// same dispatch kernel the model's layers use, into buffers of `ring`.
-    /// Every output row is one independent pass over its adjacency row, so
-    /// the result is bitwise what the model would have aggregated itself.
+    /// The reference the prologue is pinned against: aggregates the
+    /// `gathered` input rows over `adj` — the batch's normalized input-side
+    /// adjacency — with the same dispatch kernel the model's layers use,
+    /// into buffers of `ring`. Every output row is one independent pass over
+    /// its adjacency row, so the result is bitwise what the model would have
+    /// aggregated itself.
     pub fn aggregate(
         adj: SparseView<'_>,
         gathered: &Matrix,
@@ -232,16 +228,12 @@ impl PreparedInput {
     /// The prologue, the one layer-0 function the loader's workers and the
     /// serving session share: `batch`'s input rows aggregated over its
     /// input-side adjacency (whose values carry the fused normalization),
-    /// plus the self rows under [`Normalization::Mean`]. Without a `cache` it
-    /// is one pass over the feature table (`Gather` and `Aggregate` spans of
-    /// `batch_id`); with one the rows are gathered through it into a gather
-    /// buffer of `ring`, aggregated out of that copy (`Cache`, `Aggregate`)
-    /// and the buffer handed back. Bitwise what [`PreparedInput::aggregate`]
-    /// makes of `features.gather(ids)` either way.
+    /// plus the self rows under [`Normalization::Mean`], in one pass over the
+    /// feature table (`Gather` and `Aggregate` spans of `batch_id`). Bitwise
+    /// what [`PreparedInput::aggregate`] makes of `features.gather(ids)`.
     pub fn prepare(
         batch: &SampledBatchView<'_>,
         features: &Features,
-        cache: Option<&FeatureCache>,
         ring: &InputRing,
         spans: &WorkerRing,
         batch_id: u64,
@@ -249,18 +241,6 @@ impl PreparedInput {
         let (adj, ids) = (batch.input_adj(), batch.input_nodes());
         let keep_self_rows = batch.norm() == Normalization::Mean;
         let (n_dst, dim) = (adj.rows(), features.dim());
-        if let Some(cache) = cache {
-            let rows = spans.timed(SpanKind::Cache, batch_id, || {
-                let mut m = resized(ring.inner.gather.pop(), ids.len(), dim);
-                cache.gather_rows_into(features, ids, m.data_mut());
-                m
-            });
-            let prepared = spans.timed(SpanKind::Aggregate, batch_id, || {
-                Self::aggregate(adj, &rows, keep_self_rows, DispatchPolicy::default(), ring)
-            });
-            ring.inner.gather.push(rows.into_data());
-            return prepared;
-        }
         let self_rows = spans.timed(SpanKind::Gather, batch_id, || {
             keep_self_rows.then(|| {
                 let mut rows = ring.take(n_dst, dim);
@@ -291,45 +271,6 @@ impl PreparedInput {
     }
 }
 
-/// A free list of retired `f32` allocations and the count ever made.
-#[derive(Default)]
-struct BufferPool {
-    free: Mutex<Vec<Vec<f32>>>,
-    made: AtomicUsize,
-}
-
-impl BufferPool {
-    /// The most recently retired buffer, or a new (empty) one when none is
-    /// parked.
-    fn pop(&self) -> Vec<f32> {
-        self.free.lock().pop().unwrap_or_else(|| {
-            self.made.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        })
-    }
-
-    fn push(&self, buf: Vec<f32>) {
-        self.free.lock().push(buf);
-    }
-
-    fn parked_bytes(&self) -> usize {
-        let free = self.free.lock();
-        free.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>()
-    }
-}
-
-/// `buf` as a `rows × cols` matrix, grown to exactly the new high-water mark
-/// when it is too small, without carrying the stale rows over.
-fn resized(mut buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
-    let need = rows * cols;
-    if buf.capacity() < need {
-        buf.clear();
-        buf.reserve_exact(need);
-    }
-    buf.resize(need, 0.0);
-    Matrix::from_vec(rows, cols, buf)
-}
-
 /// The recycled feature-path buffers of one loader/consumer pair.
 ///
 /// A prepared batch input is the largest buffer on the training path
@@ -343,22 +284,19 @@ fn resized(mut buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
 /// channel, one per worker being filled and the consumer's, `2·n_samp + 1`
 /// (with several workers, batches that arrive early wait in the reorder heap
 /// on top) — each buffer grown to the largest operand it has carried.
-///
-/// Beside them it keeps the **gather buffers**: the `n_src × F` matrices
-/// the cached [`PreparedInput::prepare`] gathers into and aggregates out of,
-/// several times an operand's size. A call hands its buffer back before it
-/// returns, so the ring holds as many as ran at once (at most one per
-/// worker), apart from the operands so that neither grows to the other's
-/// size. Without a cache the prologue reads the feature table and makes none.
+/// Unlike the feature cache this crate once had, whose prologue gathered
+/// `n_src × F` rows into a second pool of buffers here, the prologue reads
+/// the feature table, and the ring holds operands only.
 #[derive(Clone, Default)]
 pub struct InputRing {
     inner: Arc<RingInner>,
 }
 
+/// A free list of retired `f32` allocations and the count ever made.
 #[derive(Default)]
 struct RingInner {
-    operands: BufferPool,
-    gather: BufferPool,
+    free: Mutex<Vec<Vec<f32>>>,
+    made: AtomicUsize,
 }
 
 impl InputRing {
@@ -368,36 +306,37 @@ impl InputRing {
     }
 
     /// A `rows × cols` operand matrix on the most recently retired buffer
-    /// (or a new one when none is parked). Contents are unspecified: the
-    /// caller overwrites every element.
+    /// (or a new one when none is parked), grown to exactly the new
+    /// high-water mark when it is too small, without carrying the stale rows
+    /// over. Contents are unspecified: the caller overwrites every element.
     pub fn take(&self, rows: usize, cols: usize) -> Matrix {
-        resized(self.inner.operands.pop(), rows, cols)
+        let mut buf = self.inner.free.lock().pop().unwrap_or_else(|| {
+            self.inner.made.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        });
+        let need = rows * cols;
+        if buf.capacity() < need {
+            buf.clear();
+            buf.reserve_exact(need);
+        }
+        buf.resize(need, 0.0);
+        Matrix::from_vec(rows, cols, buf)
     }
 
     /// Retires an operand's allocation for the next [`InputRing::take`].
     pub fn put(&self, input: Matrix) {
-        self.inner.operands.push(input.into_data());
+        self.inner.free.lock().push(input.into_data());
     }
 
     /// Operand buffers made so far (parked or in flight).
     pub fn buffers_made(&self) -> usize {
-        self.inner.operands.made.load(Ordering::Relaxed)
+        self.inner.made.load(Ordering::Relaxed)
     }
 
     /// Bytes held by the parked operand buffers.
     pub fn parked_bytes(&self) -> usize {
-        self.inner.operands.parked_bytes()
-    }
-
-    /// Gather buffers made so far: the most cached prologues that ever ran
-    /// at once.
-    pub fn gather_buffers_made(&self) -> usize {
-        self.inner.gather.made.load(Ordering::Relaxed)
-    }
-
-    /// Bytes held by the parked gather buffers.
-    pub fn gather_parked_bytes(&self) -> usize {
-        self.inner.gather.parked_bytes()
+        let free = self.inner.free.lock();
+        free.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>()
     }
 }
 
@@ -488,7 +427,6 @@ impl PipelinedLoader {
             n_samp,
             cores,
             features,
-            cache,
             normalization,
             spans,
         } = spec;
@@ -505,7 +443,7 @@ impl PipelinedLoader {
         let failed = Arc::new(AtomicBool::new(false));
         // Ring sizes follow from the batch count, so no span is ever
         // dropped: the consumer waits once per batch, and one worker may
-        // end up producing every batch (pick, gather/cache, aggregate,
+        // end up producing every batch (pick, gather, aggregate,
         // enqueue).
         let ring_for = |role: Role, spans_per_batch: usize| match &spans {
             Some(p) => p.ring(role, total * spans_per_batch),
@@ -519,7 +457,6 @@ impl PipelinedLoader {
             let seeds = Arc::clone(&seeds);
             let cursor = Arc::clone(&cursor);
             let features = features.clone();
-            let cache = cache.clone();
             let inputs = inputs.clone();
             let tx = tx.clone();
             let on_panic = FlagOnPanic(Arc::clone(&failed));
@@ -558,10 +495,9 @@ impl PipelinedLoader {
                             let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
                             (view, view.to_owned(), view.metadata_bytes() as u64)
                         });
-                        let cache = cache.as_deref();
                         let input = features
                             .as_deref()
-                            .map(|f| PreparedInput::prepare(&view, f, cache, &inputs, &ring, id));
+                            .map(|f| PreparedInput::prepare(&view, f, &inputs, &ring, id));
                         let scratch_allocs = scratch.allocs() - allocs_before;
                         let loaded = LoadedBatch {
                             batch,
@@ -815,21 +751,18 @@ mod tests {
 
     #[test]
     fn pre_gathered_input_matches_direct_gather() {
-        // With features in the spec — cached or not — every yielded batch
+        // With features in the spec, every yielded batch
         // carries what the first GEMM reads: the gathered rows' aggregation
         // over the input-side adjacency, with the self rows for `Mean` only.
         let (g, s, seeds) = setup();
         let feats = features();
-        let run = |norm: Normalization, cache: Option<Arc<FeatureCache>>| {
-            let mut b = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+        for norm in [Normalization::Mean, Normalization::Gcn] {
+            let b = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
                 .batch_size(16)
                 .epoch_seeds(SeedSequence::new(9))
                 .n_samp(3)
                 .normalization(norm)
                 .features(Arc::clone(&feats));
-            if let Some(c) = cache {
-                b = b.cache(c);
-            }
             for (_, lb) in b.start() {
                 let gathered = feats.gather(lb.batch.input_nodes());
                 let PreparedInput { agg, self_rows } = lb.input.expect("features requested");
@@ -844,12 +777,6 @@ mod tests {
                     assert_eq!(rows.data(), &gathered.data()[..n_dst * 4]);
                 }
             }
-        };
-        for norm in [Normalization::Mean, Normalization::Gcn] {
-            run(norm, None);
-            let cache = Arc::new(FeatureCache::new(200, 4));
-            run(norm, Some(Arc::clone(&cache)));
-            assert!(cache.stats().lookups() > 0);
         }
     }
 
@@ -859,56 +786,38 @@ mod tests {
         // batches run on the three sets that can be in flight at once with
         // one worker: one being filled, one in the channel, one being
         // consumed — two operands each under `Mean`. Batches differ in size,
-        // so reuse also has to overwrite stale rows. Without a cache the
-        // worker aggregates straight from the feature table and makes no
-        // gather buffer; with one each batch gathers into the ring's one
-        // gather buffer and hands it back.
+        // so reuse also has to overwrite stale rows. The worker aggregates
+        // straight from the feature table and makes no other buffer.
         let (g, s, seeds) = setup();
         let feats = features();
-        for cached in [false, true] {
-            let ring = InputRing::new();
-            for epoch in 0..3 {
-                let mut spec =
-                    LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                        .batch_size(16)
-                        .epoch(epoch)
-                        .epoch_seeds(SeedSequence::new(9))
-                        .normalization(Normalization::Mean)
-                        .features(Arc::clone(&feats));
-                if cached {
-                    spec = spec.cache(Arc::new(FeatureCache::new(200, 4)));
-                }
-                for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
-                    let input = lb.input.expect("features requested");
-                    let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
-                    let gathered = feats.gather(lb.batch.input_nodes());
-                    assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
-                    input.recycle(&ring);
-                }
-            }
-            assert!(
-                (2..=2 * 3).contains(&ring.buffers_made()),
-                "21 batches made {} buffers",
-                ring.buffers_made()
-            );
-            assert!(ring.parked_bytes() > 0);
-            if cached {
-                assert_eq!(ring.gather_buffers_made(), 1);
-                // The largest batch's `n_src × 4` rows, parked after every
-                // batch.
-                assert!(ring.gather_parked_bytes() >= 16 * 4 * 4);
-            } else {
-                assert_eq!(ring.gather_buffers_made(), 0);
-                assert_eq!(ring.gather_parked_bytes(), 0);
+        let ring = InputRing::new();
+        for epoch in 0..3 {
+            let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                .batch_size(16)
+                .epoch(epoch)
+                .epoch_seeds(SeedSequence::new(9))
+                .normalization(Normalization::Mean)
+                .features(Arc::clone(&feats));
+            for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
+                let input = lb.input.expect("features requested");
+                let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
+                let gathered = feats.gather(lb.batch.input_nodes());
+                assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
+                input.recycle(&ring);
             }
         }
+        assert!(
+            (2..=2 * 3).contains(&ring.buffers_made()),
+            "21 batches made {} buffers",
+            ring.buffers_made()
+        );
+        assert!(ring.parked_bytes() > 0);
     }
 
     #[test]
     fn fused_prologue_equals_gather_then_aggregate_bitwise() {
-        // The shared prologue, without a cache reading the input rows
-        // straight out of the feature table and with one gathering them
-        // through it, must hand over bit for bit what gathering
+        // The shared prologue, reading the input rows straight out of the
+        // feature table, must hand over bit for bit what gathering
         // `X[input_nodes]` and aggregating that copy gives — and what the
         // by-hand entry loop gives — for block and subgraph batches,
         // GraphSAGE's `Mean` (with self rows) and GCN's `Gcn`. The SIMD-off
@@ -925,7 +834,7 @@ mod tests {
             Arc::new(NeighborSampler::new(vec![5, 3])),
             Arc::new(crate::ShadowSampler::new(vec![4, 2], 2)),
         ];
-        let (cache, ring) = (FeatureCache::new(200, 67), InputRing::new());
+        let ring = InputRing::new();
         let mut scratch = SamplerScratch::new();
         for s in samplers {
             for norm in [Normalization::Mean, Normalization::Gcn] {
@@ -948,26 +857,20 @@ mod tests {
                         .iter()
                         .map(|x| x.to_bits())
                         .collect();
-                    for c in [None, Some(&cache)] {
-                        let who = format!("{} {norm:?} batch {i} cached {}", s.name(), c.is_some());
-                        let spans = WorkerRing::detached();
-                        let got = PreparedInput::prepare(&view, &feats, c, &ring, &spans, 0);
-                        assert!(bits(&got.agg) == bits(&want.agg), "agg: {who}");
-                        assert!(bits(&got.agg) == by_hand, "agg vs the entry loop: {who}");
-                        match (&got.self_rows, &want.self_rows) {
-                            (Some(a), Some(b)) => assert!(bits(a) == bits(b), "self rows: {who}"),
-                            (None, None) => assert_eq!(norm, Normalization::Gcn, "{who}"),
-                            _ => panic!("self rows kept on one side only: {who}"),
-                        }
-                        got.recycle(&ring);
+                    let who = format!("{} {norm:?} batch {i}", s.name());
+                    let spans = WorkerRing::detached();
+                    let got = PreparedInput::prepare(&view, &feats, &ring, &spans, 0);
+                    assert!(bits(&got.agg) == bits(&want.agg), "agg: {who}");
+                    assert!(bits(&got.agg) == by_hand, "agg vs the entry loop: {who}");
+                    match (&got.self_rows, &want.self_rows) {
+                        (Some(a), Some(b)) => assert!(bits(a) == bits(b), "self rows: {who}"),
+                        (None, None) => assert_eq!(norm, Normalization::Gcn, "{who}"),
+                        _ => panic!("self rows kept on one side only: {who}"),
                     }
+                    got.recycle(&ring);
                 }
             }
         }
-        // The cached calls ran one at a time: one gather buffer, handed back
-        // by each.
-        assert_eq!(ring.gather_buffers_made(), 1);
-        assert!(ring.gather_parked_bytes() > 0);
     }
 
     /// A sampler that dies on its `at`-th call.

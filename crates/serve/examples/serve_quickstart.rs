@@ -31,7 +31,6 @@ fn main() {
     let mut session = ServeSpec::builder(dataset, sampler, net)
         .deadline_us(0) // inline execution: each submit answers immediately
         .result_cache_entries(64)
-        .feature_cache_rows(1_024)
         .seed(3)
         .start();
 

@@ -4,9 +4,12 @@
 //! offline, once per training run. Serving flips the problem online: queries
 //! for "embed/classify these seed nodes" arrive continuously, and the
 //! latency target is a *tail* (p99), not epoch throughput. This crate
-//! reuses the training substrate — the zero-allocation samplers, the CLOCK
-//! feature cache, the blocked forward kernels — behind a request loop built
-//! from three pieces:
+//! reuses the training substrate — the zero-allocation samplers, the
+//! loader's layer-0 prologue over the feature table, the blocked forward
+//! kernels — behind a request loop built from three pieces. Unlike the
+//! feature cache the sessions once had in front of that table, which only
+//! traded one DRAM row copy for another (DESIGN.md §7), the one cache left
+//! saves whole queries:
 //!
 //! * [`MicroBatcher`] — deadline-driven admission: requests queue until
 //!   either `max_batch` are pending or the oldest has aged `deadline_us`,
@@ -19,10 +22,10 @@
 //!   that key, so a cached response is
 //!   *bitwise identical* to re-executing the query (property-tested).
 //! * [`ServeSession`] — ties them together: validates and admits queries,
-//!   executes flushed micro-batches over the shared sampler/cache/model
-//!   stack, and reports per-request telemetry (`serve_request` /
-//!   `serve_batch` events, `serve_queue` / `serve_exec` spans) through the
-//!   same `Option<&Telemetry>` surface as every other ARGO entry point.
+//!   executes flushed micro-batches over the shared sampler/model stack,
+//!   and reports per-request telemetry (`serve_request` / `serve_batch`
+//!   events, `serve_queue` / `serve_exec` spans) through the same
+//!   `Option<&Telemetry>` surface as every other ARGO entry point.
 //!
 //! Sessions are built with [`ServeSpec::builder`] (or
 //! [`ServeSpec::from_engine`] to serve a training checkpoint in place), the

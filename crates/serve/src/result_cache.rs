@@ -10,8 +10,9 @@
 //! Eviction is CLOCK second-chance: each entry carries a small frequency
 //! counter, a sweeping hand decrements until it finds a zero, and repeated
 //! hits saturate at `MAX_FREQ` so one-hit wonders leave before hot queries
-//! do. Unlike the feature cache, which never evicts, this cache pays for its
-//! policy: a hit skips sampling, the gather and the forward pass.
+//! do. Unlike the feature cache this crate's sessions once had (DESIGN.md
+//! §7), whose hit saved one DRAM row copy for another, this cache pays for
+//! its policy: a hit skips sampling, the gather and the forward pass.
 //!
 //! Every method that reads or writes a slot takes `&mut self`, so the cache
 //! has one writer at a time by construction: the session that owns it.

@@ -4,7 +4,7 @@
 //! caller submits "embed/classify these seed nodes" queries; the session
 //! queues them in the deadline [`MicroBatcher`],
 //! and executes each flushed micro-batch over the same zero-allocation
-//! sampler, feature cache and forward kernels the training path uses.
+//! sampler, layer-0 prologue and forward kernels the training path uses.
 //!
 //! Requests inside a micro-batch execute *individually*, on purpose: the
 //! counter-based sampler keys a row's RNG stream off its position in the
@@ -44,8 +44,8 @@ use argo_rt::{
     SpanProfiler, Telemetry, WorkerRing,
 };
 use argo_sample::{
-    CacheStats, FeatureCache, InputRing, Normalization, PreparedInput, SampleRun, SampledBatchView,
-    Sampler, SamplerScratch,
+    CacheStats, InputRing, Normalization, PreparedInput, SampleRun, SampledBatchView, Sampler,
+    SamplerScratch,
 };
 use argo_tensor::Matrix;
 
@@ -94,7 +94,6 @@ pub struct ServeSpec {
     max_batch: usize,
     deadline_us: u64,
     queue_cap: usize,
-    feature_cache_rows: usize,
     result_cache_entries: usize,
     seed: u64,
     shed_after_us: Option<u64>,
@@ -118,7 +117,6 @@ impl ServeSpec {
                 max_batch: 8,
                 deadline_us: 1_000,
                 queue_cap: 1_024,
-                feature_cache_rows: 0,
                 result_cache_entries: 0,
                 seed: 0,
                 shed_after_us: None,
@@ -166,10 +164,10 @@ impl ServeSpecBuilder {
         self
     }
 
-    /// Rows of the feature cache fronting the gather stage (default 0 =
-    /// gather straight from DRAM).
-    pub fn feature_cache_rows(mut self, rows: usize) -> Self {
-        self.spec.feature_cache_rows = rows;
+    /// Does nothing, kept so that existing callers build: a query's layer 0
+    /// is one pass over the feature table, with no feature cache in front
+    /// of it (DESIGN.md §7).
+    pub fn feature_cache_rows(self, _rows: usize) -> Self {
         self
     }
 
@@ -229,10 +227,9 @@ pub struct ServeSession {
     clock: Arc<dyn Clock>,
     batcher: MicroBatcher,
     scratch: SamplerScratch,
-    /// The prologue's operand and gather buffers, handed back after every
-    /// query; each grows to the largest query seen.
+    /// The prologue's operand buffers, handed back after every query; each
+    /// grows to the largest query seen.
     inputs: InputRing,
-    feature_cache: Option<FeatureCache>,
     result_cache: Option<ResultCache>,
     profiler: SpanProfiler,
     ring: Arc<WorkerRing>,
@@ -248,17 +245,11 @@ impl ServeSession {
             max_batch,
             deadline_us,
             queue_cap,
-            feature_cache_rows,
             result_cache_entries,
             seed,
             shed_after_us,
             clock,
         } = spec;
-        let feature_cache = if feature_cache_rows > 0 {
-            Some(FeatureCache::new(feature_cache_rows, dataset.feat_dim()))
-        } else {
-            None
-        };
         let result_cache = if result_cache_entries > 0 {
             Some(ResultCache::new(result_cache_entries))
         } else {
@@ -276,7 +267,6 @@ impl ServeSession {
             batcher: MicroBatcher::new(max_batch, deadline_us, queue_cap),
             scratch: SamplerScratch::new(),
             inputs: InputRing::new(),
-            feature_cache,
             result_cache,
             profiler,
             ring,
@@ -379,9 +369,10 @@ impl ServeSession {
         self.result_cache.as_ref().map(ResultCache::stats)
     }
 
-    /// Feature-cache counters, when the cache is enabled.
+    /// Always `None`: there is no feature cache (DESIGN.md §7). Kept so
+    /// that existing callers build.
     pub fn feature_cache_stats(&self) -> Option<CacheStats> {
-        self.feature_cache.as_ref().map(FeatureCache::stats)
+        None
     }
 
     /// Collects the `serve_queue`/`serve_exec` spans recorded so far — by
@@ -515,8 +506,7 @@ impl ServeSession {
         }
         // A detached span ring: serving records its own spans, not the loader's.
         let (features, spans) = (&self.dataset.features, WorkerRing::detached());
-        let cache = self.feature_cache.as_ref();
-        let input = PreparedInput::prepare(&batch, features, cache, &self.inputs, &spans, 0);
+        let input = PreparedInput::prepare(&batch, features, &self.inputs, &spans, 0);
         let logits = self.model.forward_prepared(&batch, &input, None);
         input.recycle(&self.inputs);
         Ok(logits)
@@ -534,31 +524,25 @@ mod tests {
     fn a_warm_session_makes_no_new_buffer() {
         // Once a session has run its largest query, every later query takes
         // its prologue buffers from the session's ring and hands them back:
-        // no operand or gather buffer is made, and none grows. The warm-up
-        // runs every query once, so it includes the largest.
+        // no operand buffer is made, and none grows. The warm-up runs every
+        // query once, so it includes the largest.
         let d = Arc::new(FLICKR.synthesize(0.003, 77));
         let queries: Vec<Vec<NodeId>> = (0..24).map(|i| (i..i + 1 + i % 8).collect()).collect();
-        for cache_rows in [0, 256] {
-            let model = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5);
-            let sampler = Arc::new(NeighborSampler::new(vec![6, 3]));
-            let mut s = ServeSpec::builder(Arc::clone(&d), sampler, model)
-                .deadline_us(0)
-                .feature_cache_rows(cache_rows)
-                .start();
-            let mut serve_all = || {
-                for q in &queries {
-                    let done = s.submit(q.clone(), None).unwrap().completed;
-                    assert!(done[0].is_ok());
-                }
-                let ring = &s.inputs;
-                let made = (ring.buffers_made(), ring.gather_buffers_made());
-                (made, ring.parked_bytes(), ring.gather_parked_bytes())
-            };
-            let warm = serve_all();
-            // GraphSAGE's aggregation and self rows; the gathered copy only
-            // behind a feature cache.
-            assert_eq!(warm.0, (2, usize::from(cache_rows > 0)), "{cache_rows}");
-            assert_eq!(serve_all(), warm, "cache rows {cache_rows}");
-        }
+        let model = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5);
+        let sampler = Arc::new(NeighborSampler::new(vec![6, 3]));
+        let mut s = ServeSpec::builder(Arc::clone(&d), sampler, model)
+            .deadline_us(0)
+            .start();
+        let mut serve_all = || {
+            for q in &queries {
+                let done = s.submit(q.clone(), None).unwrap().completed;
+                assert!(done[0].is_ok());
+            }
+            (s.inputs.buffers_made(), s.inputs.parked_bytes())
+        };
+        let warm = serve_all();
+        // GraphSAGE's aggregation and self rows.
+        assert_eq!(warm.0, 2);
+        assert_eq!(serve_all(), warm);
     }
 }

@@ -29,12 +29,15 @@ fn model(d: &Dataset) -> Gnn {
     Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5)
 }
 
-/// A session with a manual clock, immediate flushing and both caches on.
+/// A session with a manual clock, immediate flushing and the result cache
+/// on.
 fn session(d: &Arc<Dataset>, clock: &Arc<ManualClock>) -> ServeSession {
     cached(d, clock, 0).start()
 }
 
-/// A builder with a manual clock, the given deadline and both caches on.
+/// A builder with a manual clock, the given deadline and the result cache
+/// on. It also calls the no-op `feature_cache_rows`, as the benchmark's warm
+/// serving workload does.
 fn cached(d: &Arc<Dataset>, clock: &Arc<ManualClock>, deadline_us: u64) -> ServeSpecBuilder {
     ServeSpec::builder(Arc::clone(d), neighbor(), model(d))
         .deadline_us(deadline_us)
@@ -346,8 +349,9 @@ fn from_engine_serves_the_training_checkpoint() {
 
 /// One response the way the benchmark's `responses_match_recompute` check
 /// recomputes it: `sample_into` with the session's stream and the model's
-/// fused normalization, `Features::gather` (or `FeatureCache::gather_rows`
-/// behind a feature cache), then `forward_gathered_view`.
+/// fused normalization, `Features::gather` (or the `FeatureCache` stub's
+/// `gather_rows`, which the benchmark calls when it asks for a feature
+/// cache), then `forward_gathered_view`.
 fn recomputed(
     d: &Dataset,
     sampler: &dyn Sampler,
@@ -372,7 +376,9 @@ fn recomputed(
 fn every_response_is_the_recompute_recipe_bitwise() {
     // Sessions built without `.normalization(..)`: each fuses its model's
     // own. GraphSAGE and GCN over neighbor blocks, GCN over a ShaDow
-    // subgraph, the feature cache off and on, seed lists of one to eight.
+    // subgraph, seed lists of one to eight. The no-op `feature_cache_rows`
+    // setter and the `FeatureCache` stub's gather must change nothing: the
+    // cache-on input is the benchmark's warm-serving recipe.
     let d = tiny();
     let n = d.graph.num_nodes() as NodeId;
     let queries: Vec<Vec<NodeId>> = (0..24)

@@ -5,8 +5,7 @@ use argo_rt::{enumerate_space, Config};
 /// The valid-configuration set for a machine, with index↔config mapping and
 /// coordinate normalization for the GP surrogate.
 ///
-/// The space is the paper's three knobs, `(n_proc, n_samp, n_train)`; every
-/// member has `cache_rows = 0`.
+/// The space is the paper's three knobs, `(n_proc, n_samp, n_train)`.
 #[derive(Clone, Debug)]
 pub struct SearchSpace {
     configs: Vec<Config>,
@@ -128,7 +127,6 @@ mod tests {
             assert!(c.fits(32));
             assert!(c.n_proc >= 2 && c.n_proc <= 8);
             assert!(c.n_samp >= 1 && c.n_samp <= 4);
-            assert_eq!(c.cache_rows, 0, "plain space keeps the cache off");
         }
     }
 

@@ -124,7 +124,7 @@ fn measured_run_produces_full_telemetry() {
 #[test]
 fn a_real_run_registers_only_stage_histograms_and_reports_the_same_offline() {
     // Every fact is one event field; the registry holds only the four stage
-    // histograms. So after a cached, audited, auto-tuned run and a serving
+    // histograms. So after an audited, auto-tuned run and a serving
     // session, the report of the JSONL alone has every section the live
     // report has — except the overlap line, which needs the live timeline.
     use argo::rt::Stage;
@@ -140,7 +140,6 @@ fn a_real_run_registers_only_stage_histograms_and_reports_the_same_offline() {
             global_batch: 64,
             total_cores: 16,
             seed: 13,
-            cache_capacity: 256,
             ..Default::default()
         },
     );
@@ -213,7 +212,6 @@ fn a_real_run_registers_only_stage_histograms_and_reports_the_same_offline() {
         "per-stage timings",
         "critical path",
         "bytes/batch",
-        "feature cache",
         "serving",
         "tuner convergence",
         "bottleneck audit",
@@ -337,7 +335,6 @@ fn new_event_kinds_round_trip_through_jsonl() {
                 record: BytesRecord {
                     batches: next() % 1024,
                     metadata_bytes: next() % (1 << 48),
-                    cache_bytes: next() % (1 << 48),
                     scratch_allocs: next() % 64,
                 },
             },
