@@ -36,7 +36,7 @@ rm -rf "$cli_dir"
 echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
-echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f)"
+echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f, and the scalar mul_add oracle pin of the GEMM and weight-gradient tiles at each vector width the host has)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue — one pass over the feature table, no gathered copy — recorded, ungated)"

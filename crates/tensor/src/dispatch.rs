@@ -8,11 +8,12 @@
 //! `crates/check/tests/hot_paths.rs`). Each operation has exactly one
 //! implementation:
 //!
-//! * **Two tiers.** SIMD (`simd.rs`: AVX2+FMA, or AVX-512 for the dense
-//!   kernels on hosts with it) and the blocked scalar kernels it falls
-//!   back to (`kernels.rs`); [`mod@crate::reference`]
-//!   holds the naive oracles tests and benches compare against, which are
-//!   not a tier.
+//! * **Two tiers.** SIMD (`simd.rs`: the dense kernels at the host's
+//!   vector width, AVX-512 or AVX2+FMA, bitwise equal at both) and the
+//!   blocked scalar kernels it falls back to (`kernels.rs`). Each kernel
+//!   takes the policy's `use_simd` and picks its tier once.
+//!   [`mod@crate::reference`] holds the naive oracles tests and benches
+//!   compare against, which are not a tier.
 //! * **One runner.** Forward GEMM, input gradients and the CSR gather
 //!   partition **output rows**: each is one closure handed to
 //!   [`ThreadPool::parallel_chunks_mut`], which carves the output into one
@@ -33,7 +34,6 @@ use std::ops::Range;
 use argo_rt::ThreadPool;
 
 use crate::dense::Matrix;
-use crate::kernels;
 use crate::simd;
 use crate::sparse::{self, SparseMatrix, SparseView};
 
@@ -93,8 +93,8 @@ impl<'a> Epilogue<'a> {
 /// Serial-vs-parallel and scalar-vs-SIMD dispatch for the training
 /// kernels. The SIMD tier is orthogonal to the pool: each worker (or the
 /// serial path) independently runs the vectorized kernels when the policy
-/// allows it and the host supports AVX2+FMA (the dense kernels run their
-/// AVX-512 versions, bitwise equal, where the host has `avx512f`).
+/// allows it and the host supports AVX2+FMA (the dense kernels run at
+/// AVX-512 width, bitwise equal, where the host has `avx512f`).
 ///
 /// The only switch is [`DispatchPolicy::force_scalar`], for tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -399,11 +399,7 @@ impl DispatchPolicy {
         let n = w_rows.len();
         assert_eq!((out.rows(), out.cols()), (m, n), "grad_input out");
         ThreadPool::parallel_chunks_mut(self.pool_for(m, pool), out.data_mut(), n, |rows, dst| {
-            if self.simd {
-                simd::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
-            } else {
-                kernels::transpose_other_into(grad, rows, w, w_rows.clone(), dst);
-            }
+            simd::transpose_other_into(grad, rows, w, w_rows.clone(), self.simd, dst)
         });
     }
 }

@@ -1,5 +1,6 @@
-//! Explicit-SIMD kernel tier: AVX2+FMA f32x8 micro-kernels, and AVX-512
-//! variants of the three dense kernels, behind one runtime dispatch point.
+//! Explicit-SIMD kernel tier: the dense kernels at two vector widths,
+//! AVX2+FMA (f32x8) and AVX-512 (f32x16), and the SpMM row kernel, behind
+//! one runtime dispatch point.
 //!
 //! Everything in this module is reachable only through the free functions
 //! at the top, each of which consults [`tier`] — a cached runtime check of
@@ -26,22 +27,22 @@
 //!
 //! **Across vector widths the dense kernels are bitwise equal.** Each of the
 //! three fixes the operation sequence every output element sees, and the
-//! AVX-512 kernels (on hosts with `avx512f`) only put more elements in
-//! flight, never reorder one element's operations:
+//! wider registers only put more elements in flight, never reorder one
+//! element's operations. The GEMM and the weight gradient are one tile body
+//! each ([`tile`]), run at either width:
 //!
 //! * GEMM ([`gemm_into`], one operand or several against row windows of one
 //!   `B`): from `+0`, per operand in order and per `KC` block of its
 //!   reduction, an accumulator from `+0`, FMA over `k` ascending, then
 //!   `dst + acc` (an add, not a store: the first block's `0 + acc` turns a
 //!   `-0` accumulator `+0`); after the last block `+ bias`, then
-//!   `max(·, 0)` for ReLU. The AVX2 tier zeroes `dst`, accumulates each
-//!   operand into it and runs the epilogue over it; the AVX-512 tier makes
-//!   one pass per 6×64 output tile, adding each block's accumulator to the
-//!   tile and applying the epilogue to the last in registers.
+//!   `max(·, 0)` for ReLU. Both vector tiers make one pass per output tile
+//!   (6×16 at AVX2, 6×64 at AVX-512), adding each block's accumulator to
+//!   the tile and applying the epilogue to the last in registers.
 //! * Weight gradient ([`grad_weights_into`], the gradients of a stacked
 //!   weight): from `+0`, FMA into `dst` over rows ascending for the columns
 //!   below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
-//!   row, ascending. The AVX-512 tier reads each 64-row chunk of the
+//!   row, ascending. Both vector tiers read each 64-row chunk of the
 //!   gradient once for every operand.
 //! * Input gradient: eight lane accumulators (lane `l` folds `k ≡ l mod 8`
 //!   ascending by FMA), reduced by the fixed 8-lane add tree of the AVX2
@@ -53,12 +54,14 @@
 //!
 //! So `ARGO_SIMD` and the host's width choose the speed, not the bits: the
 //! AVX-512 and AVX2 tiers give equal results on every input
-//! (`avx512_tier_equals_avx2_tier_bitwise`).
+//! (`avx512_tier_equals_avx2_tier_bitwise`), and both equal a scalar
+//! `f32::mul_add` spelling of the GEMM and weight-gradient sequences above
+//! (`vector_tiers_equal_the_mul_add_oracle_bitwise`).
 //!
-//! The GEMMs pack `B` into column panels (and the AVX2 one `A` into row
-//! panels; layouts below), the AVX-512 input gradient packs `B` into row
-//! pairs, all drawn from the per-thread pack arena in [`crate::workspace`],
-//! so steady-state training and serving do not allocate here.
+//! The GEMMs pack `B` into column panels and the AVX-512 input gradient
+//! packs `B` into row pairs (layouts below), all drawn from the per-thread
+//! pack arena in [`crate::workspace`], so steady-state training and serving
+//! do not allocate here.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -70,7 +73,8 @@ use crate::sparse::SparseView;
 use cpu::{detect, Avx2, Avx512};
 
 /// The kernel tier the host runs. A vector tier carries its CPU feature
-/// token ([`cpu`]), which the kernels of [`x86`] and [`avx512`] take.
+/// token ([`cpu`]), which the kernels of [`x86`], [`tile`] and [`avx512`]
+/// take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Tier {
@@ -182,9 +186,9 @@ pub fn simd_tier() -> &'static str {
 ///
 /// Every tier gives each output element one sequence (module doc): from
 /// `+0`, per operand in order and per `KC` block of its reduction `dst +
-/// acc`, then the epilogue. The AVX-512 tier runs it in one pass per output
-/// tile; the AVX2 and scalar tiers zero `dst`, accumulate one operand after
-/// the other into it and run the epilogue over it.
+/// acc`, then the epilogue. The vector tiers run it in one pass per output
+/// tile, at their width; the scalar tier zeroes `dst`, accumulates one
+/// operand after the other into it and runs the epilogue over it.
 pub(crate) fn gemm_into(
     ops: &[(&Matrix, usize)],
     rows: Range<usize>,
@@ -196,7 +200,8 @@ pub(crate) fn gemm_into(
     gemm_on(tier_for(use_simd), ops, rows, b, epi, dst);
 }
 
-/// [`gemm_into`] on `tier`, which the host must have.
+/// [`gemm_into`] on `tier`, which the host must have: the scalar kernels,
+/// or the vector tile at the tier's width.
 fn gemm_on(
     tier: Tier,
     ops: &[(&Matrix, usize)],
@@ -205,23 +210,19 @@ fn gemm_on(
     epi: Epilogue<'_>,
     dst: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if let Tier::Avx512(avx512) = tier {
-        return avx512::gemm(avx512, ops, rows, b, epi, dst);
-    }
-    dst.fill(0.0);
-    for &(a, b_row_offset) in ops {
-        match tier.avx2() {
-            #[cfg(target_arch = "x86_64")]
-            Some(avx2) => x86::gemm(avx2, a, rows.clone(), b, b_row_offset, dst),
-            _ => kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst),
-        }
-    }
-    if let Some(bias) = epi.bias {
-        match tier.avx2() {
-            #[cfg(target_arch = "x86_64")]
-            Some(avx2) => x86::epilogue(avx2, dst, bias, epi.relu),
-            _ => kernels::epilogue_bias_relu(dst, bias, epi.relu),
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2(avx2) => tile::gemm(avx2, ops, rows, b, epi, dst),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512(avx512) => tile::gemm(avx512, ops, rows, b, epi, dst),
+        _ => {
+            dst.fill(0.0);
+            for &(a, b_row_offset) in ops {
+                kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst);
+            }
+            if let Some(bias) = epi.bias {
+                kernels::epilogue_bias_relu(dst, bias, epi.relu);
+            }
         }
     }
 }
@@ -232,9 +233,8 @@ fn gemm_on(
 /// (`dst` is `Σ_o X_o.cols() × grad.cols()`, overwritten).
 ///
 /// Per output element: from `+0`, FMA over the rows ascending (the scalar
-/// tier: `mul` + `add`). The AVX-512 tier reads each chunk of `grad` once
-/// for every operand; the AVX2 and scalar tiers reduce one operand after
-/// the other.
+/// tier: `mul` + `add`). The vector tiers read each chunk of `grad` once
+/// for every operand; the scalar tier reduces one operand after the other.
 pub(crate) fn grad_weights_into(
     xs: &[&Matrix],
     grad: &Matrix,
@@ -245,41 +245,43 @@ pub(crate) fn grad_weights_into(
     grad_weights_on(tier_for(use_simd), xs, grad, rows, dst);
 }
 
-/// [`grad_weights_into`] on `tier`, which the host must have.
+/// [`grad_weights_into`] on `tier`, which the host must have: the scalar
+/// kernel, or the vector tile at the tier's width.
 fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if let Tier::Avx512(avx512) = tier {
-        return avx512::grad_weights(avx512, xs, grad, rows, dst);
-    }
-    let n = grad.cols();
-    let mut at = 0;
-    for x in xs {
-        let d = &mut dst[at..at + x.cols() * n];
-        at += d.len();
-        match tier.avx2() {
-            #[cfg(target_arch = "x86_64")]
-            Some(avx2) => x86::transpose_self(avx2, x, grad, rows.clone(), d),
-            _ => kernels::transpose_self_into(x, grad, rows.clone(), d),
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2(avx2) => tile::grad_weights(avx2, xs, grad, rows, dst),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512(avx512) => tile::grad_weights(avx512, xs, grad, rows, dst),
+        _ => {
+            let mut at = 0;
+            for x in xs {
+                let d = &mut dst[at..at + x.cols() * grad.cols()];
+                at += d.len();
+                kernels::transpose_self_into(x, grad, rows.clone(), d);
+            }
         }
     }
 }
 
-/// SIMD [`crate::kernels::transpose_other_into`]: `dst = A[a_rows] @
-/// B[b_rows]ᵀ` (the input-gradient dot-product kernel).
+/// The input gradient `dst = A[a_rows] @ B[b_rows]ᵀ`: the dot-product
+/// kernel of the tier `use_simd` picks (the scalar tier's is
+/// [`crate::kernels::transpose_other_into`]).
 pub(crate) fn transpose_other_into(
     a: &Matrix,
     a_rows: Range<usize>,
     b: &Matrix,
     b_rows: Range<usize>,
+    use_simd: bool,
     dst: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    match tier() {
-        Tier::Avx512(t) => return avx512::transpose_other(t, a, a_rows, b, b_rows, dst),
-        Tier::Avx2(t) => return x86::transpose_other(t, a, a_rows, b, b_rows, dst),
-        Tier::Scalar => {}
+    match tier_for(use_simd) {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2(t) => x86::transpose_other(t, a, a_rows, b, b_rows, dst),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512(t) => avx512::transpose_other(t, a, a_rows, b, b_rows, dst),
+        _ => kernels::transpose_other_into(a, a_rows, b, b_rows, dst),
     }
-    kernels::transpose_other_into(a, a_rows, b, b_rows, dst);
 }
 
 /// The SpMM row kernel, over rows `rows` of `adj` into `out` (`n` floats a
@@ -366,311 +368,44 @@ fn check_sources(cols: &[u32], ids: Option<&[u32]>, table_rows: usize) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2+FMA implementations. Every entry point takes an [`Avx2`]
-    //! token, which only [`super::detect`] builds, after it has confirmed
-    //! the `avx2` and `fma` CPU features at runtime.
+    //! The AVX2+FMA input gradient and SpMM row kernel, and the `B` packing
+    //! of the GEMM tiles ([`super::tile`]). Every entry point takes an
+    //! [`Avx2`] token, which only [`super::detect`] builds, after it has
+    //! confirmed the `avx2` and `fma` CPU features at runtime.
 
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
+        _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
     };
     use std::ops::Range;
 
     use super::Avx2;
     use crate::dense::Matrix;
-    use crate::kernels::{KC, MC, NC};
     use crate::sparse::SparseView;
-    use crate::workspace;
-
-    /// Micro-kernel row tile: `A` values broadcast across the lanes.
-    const MR: usize = 4;
-    /// Micro-kernel column tile: two f32x8 vectors per output row.
-    const NR: usize = 16;
-
-    /// Packs an `mc × kc` block of `A` (rows `row0..row0+mc`, reduction
-    /// columns `kk..kk+kc`) into `MR`-row tiles, k-major within each tile
-    /// (`buf[tile*MR*kc + k*MR + r]`), zero-padding rows past `mc` so the
-    /// micro-kernel never branches on the row tail.
-    fn pack_a(a: &Matrix, row0: usize, mc: usize, kk: usize, kc: usize, buf: &mut [f32]) {
-        for t in 0..mc.div_ceil(MR) {
-            let tile = &mut buf[t * MR * kc..(t + 1) * MR * kc];
-            for r in 0..MR {
-                let gr = t * MR + r;
-                if gr < mc {
-                    for (k, &v) in a.row(row0 + gr)[kk..kk + kc].iter().enumerate() {
-                        tile[k * MR + r] = v;
-                    }
-                } else {
-                    for k in 0..kc {
-                        tile[k * MR + r] = 0.0;
-                    }
-                }
-            }
-        }
-    }
 
     /// Packs a `kc × nc` block of `B` (rows `kk..`, columns `jj..`) into
-    /// `NR`-column tiles, k-major within each tile
-    /// (`buf[tile*NR*kc + k*NR + lane]`), zero-padding column tails. `NR` is
-    /// the micro-kernel's width: 16 here, 16 to 64 in the AVX-512 GEMM.
-    pub(super) fn pack_b<const NR: usize>(
+    /// `nr`-column tiles, k-major within each tile
+    /// (`buf[tile*nr*kc + k*nr + lane]`), zero-padding column tails. The
+    /// GEMM tiles pack one tile per panel, `nr` its columns rounded up to
+    /// whole vectors.
+    pub(super) fn pack_b(
         b: &Matrix,
         kk: usize,
         kc: usize,
         jj: usize,
         nc: usize,
+        nr: usize,
         buf: &mut [f32],
     ) {
-        for t in 0..nc.div_ceil(NR) {
-            let j0 = jj + t * NR;
-            let w = NR.min(jj + nc - j0);
-            let tile = &mut buf[t * NR * kc..(t + 1) * NR * kc];
+        for t in 0..nc.div_ceil(nr) {
+            let j0 = jj + t * nr;
+            let w = nr.min(jj + nc - j0);
+            let tile = &mut buf[t * nr * kc..(t + 1) * nr * kc];
             for k in 0..kc {
-                let lanes = &mut tile[k * NR..(k + 1) * NR];
+                let lanes = &mut tile[k * nr..(k + 1) * nr];
                 lanes[..w].copy_from_slice(&b.row(kk + k)[j0..j0 + w]);
                 lanes[w..].fill(0.0);
-            }
-        }
-    }
-
-    /// The register-blocked micro-kernel: `dst[at + r*ldd + c] += Σ_k
-    /// pa[k*MR+r] * pb[k*NR+c]` for the `mr × nr` valid corner of a 4×16
-    /// tile. Full tiles write back straight into `dst`; partial edge tiles
-    /// drain through a stack temp so padded lanes never touch `dst` —
-    /// valid lanes see an identical FMA sequence either way.
-    #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
-    #[target_feature(enable = "avx2,fma")]
-    fn micro_4x16(
-        pa: &[f32],
-        pb: &[f32],
-        kc: usize,
-        dst: &mut [f32],
-        at: usize,
-        ldd: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR, "packed panels");
-        let mut c00 = _mm256_setzero_ps();
-        let mut c01 = _mm256_setzero_ps();
-        let mut c10 = _mm256_setzero_ps();
-        let mut c11 = _mm256_setzero_ps();
-        let mut c20 = _mm256_setzero_ps();
-        let mut c21 = _mm256_setzero_ps();
-        let mut c30 = _mm256_setzero_ps();
-        let mut c31 = _mm256_setzero_ps();
-        let pap = pa.as_ptr();
-        let pbp = pb.as_ptr();
-        for k in 0..kc {
-            // SAFETY: avx2+fma are proven by the `Avx2` token every entry
-            // point takes; `pa`/`pb` hold `kc` packed groups of
-            // MR / NR lanes (asserted above), so every load is in bounds.
-            unsafe {
-                let b0 = _mm256_loadu_ps(pbp.add(k * NR));
-                let b1 = _mm256_loadu_ps(pbp.add(k * NR + 8));
-                let a0 = _mm256_set1_ps(*pap.add(k * MR));
-                let a1 = _mm256_set1_ps(*pap.add(k * MR + 1));
-                let a2 = _mm256_set1_ps(*pap.add(k * MR + 2));
-                let a3 = _mm256_set1_ps(*pap.add(k * MR + 3));
-                c00 = _mm256_fmadd_ps(a0, b0, c00);
-                c01 = _mm256_fmadd_ps(a0, b1, c01);
-                c10 = _mm256_fmadd_ps(a1, b0, c10);
-                c11 = _mm256_fmadd_ps(a1, b1, c11);
-                c20 = _mm256_fmadd_ps(a2, b0, c20);
-                c21 = _mm256_fmadd_ps(a2, b1, c21);
-                c30 = _mm256_fmadd_ps(a3, b0, c30);
-                c31 = _mm256_fmadd_ps(a3, b1, c31);
-            }
-        }
-        let acc = [[c00, c01], [c10, c11], [c20, c21], [c30, c31]];
-        if mr == MR && nr == NR {
-            debug_assert!(at + (MR - 1) * ldd + NR <= dst.len(), "full tile bounds");
-            for (r, [v0, v1]) in acc.into_iter().enumerate() {
-                // SAFETY: avx2 proven by the `Avx2` token; the full-tile
-                // bounds assertion above keeps each 8-lane load/store of
-                // this output row inside `dst`.
-                unsafe {
-                    let p = dst.as_mut_ptr().add(at + r * ldd);
-                    _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), v0));
-                    _mm256_storeu_ps(p.add(8), _mm256_add_ps(_mm256_loadu_ps(p.add(8)), v1));
-                }
-            }
-        } else {
-            let mut tmp = [0.0f32; MR * NR];
-            for (r, [v0, v1]) in acc.into_iter().enumerate() {
-                // SAFETY: avx2 proven by the `Avx2` token; `tmp` holds
-                // exactly MR*NR floats, so both 8-lane stores fit.
-                unsafe {
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(r * NR), v0);
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(r * NR + 8), v1);
-                }
-            }
-            for r in 0..mr {
-                let drow = &mut dst[at + r * ldd..at + r * ldd + nr];
-                for (d, &t) in drow.iter_mut().zip(&tmp[r * NR..r * NR + nr]) {
-                    *d += t;
-                }
-            }
-        }
-    }
-
-    /// `dst += A[rows] @ B[b_row_offset..]`.
-    /// Packed-panel GEMM driver: the same `k`-outermost MC/KC/NC blocking
-    /// as [`crate::kernels::gemm_into`], with panels packed into the
-    /// per-thread arena and the 4×16 FMA micro-kernel in the middle. `A`
-    /// is repacked per `jj` panel — irrelevant at the model-side widths
-    /// (`n ≤ NC` means the `jj` loop runs once).
-    pub(super) fn gemm(
-        _: Avx2,
-        a: &Matrix,
-        rows: Range<usize>,
-        b: &Matrix,
-        b_row_offset: usize,
-        dst: &mut [f32],
-    ) {
-        let k_dim = a.cols();
-        let n = b.cols();
-        let m = rows.len();
-        debug_assert_eq!(dst.len(), m * n, "dst shape");
-        if m == 0 || n == 0 || k_dim == 0 {
-            return;
-        }
-        workspace::with_pack_buffers(MC * KC, KC * NC, |pa, pb| {
-            for kk in (0..k_dim).step_by(KC) {
-                let kc = KC.min(k_dim - kk);
-                for jj in (0..n).step_by(NC) {
-                    let nc = NC.min(n - jj);
-                    pack_b::<NR>(b, b_row_offset + kk, kc, jj, nc, pb);
-                    for ii in (0..m).step_by(MC) {
-                        let mc = MC.min(m - ii);
-                        pack_a(a, rows.start + ii, mc, kk, kc, pa);
-                        let mut it = 0;
-                        while it < mc {
-                            let mr = MR.min(mc - it);
-                            let pa_tile = &pa[(it / MR) * MR * kc..][..MR * kc];
-                            let mut jt = 0;
-                            while jt < nc {
-                                let nr = NR.min(nc - jt);
-                                let pb_tile = &pb[(jt / NR) * NR * kc..][..NR * kc];
-                                let at = (ii + it) * n + jj + jt;
-                                // SAFETY: avx2+fma are proven by the
-                                // `Avx2` token `gemm` takes.
-                                unsafe {
-                                    micro_4x16(pa_tile, pb_tile, kc, dst, at, n, mr, nr);
-                                }
-                                jt += NR;
-                            }
-                            it += MR;
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// `dst = A[rows]ᵀ @ B[rows]`, overwritten.
-    /// FMA weight-gradient reduction, same blocking/unroll structure as
-    /// [`crate::kernels::transpose_self_into`] with the `n` loop in 8-wide
-    /// FMA lanes (scalar mul+add tail; tolerance contract).
-    pub(super) fn transpose_self(
-        _: Avx2,
-        a: &Matrix,
-        b: &Matrix,
-        rows: Range<usize>,
-        dst: &mut [f32],
-    ) {
-        dst.fill(0.0);
-        // SAFETY: avx2+fma are proven by the `Avx2` token.
-        unsafe { transpose_self_avx(a, b, rows, dst) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    fn transpose_self_avx(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
-        let k_a = a.cols();
-        let n = b.cols();
-        debug_assert_eq!(dst.len(), k_a * n, "dst shape");
-        let lo = rows.start;
-        let m = rows.len();
-        for rr in (0..m).step_by(KC) {
-            let r_hi = (rr + KC).min(m);
-            for ii in (0..k_a).step_by(MC) {
-                let i_hi = (ii + MC).min(k_a);
-                let mut r = rr;
-                while r + MR <= r_hi {
-                    let (ar0, ar1, ar2, ar3) = (
-                        a.row(lo + r),
-                        a.row(lo + r + 1),
-                        a.row(lo + r + 2),
-                        a.row(lo + r + 3),
-                    );
-                    let (br0, br1, br2, br3) = (
-                        b.row(lo + r),
-                        b.row(lo + r + 1),
-                        b.row(lo + r + 2),
-                        b.row(lo + r + 3),
-                    );
-                    for i in ii..i_hi {
-                        let (x0, x1, x2, x3) = (ar0[i], ar1[i], ar2[i], ar3[i]);
-                        let xv0 = _mm256_set1_ps(x0);
-                        let xv1 = _mm256_set1_ps(x1);
-                        let xv2 = _mm256_set1_ps(x2);
-                        let xv3 = _mm256_set1_ps(x3);
-                        let drow = &mut dst[i * n..(i + 1) * n];
-                        let mut j = 0;
-                        while j + 8 <= n {
-                            // SAFETY: avx2+fma proven by the `Avx2` token;
-                            // `j + 8 <= n` bounds every 8-lane load/store
-                            // of the four b rows and the dst row.
-                            unsafe {
-                                let dp = drow.as_mut_ptr().add(j);
-                                let mut d = _mm256_loadu_ps(dp);
-                                d = _mm256_fmadd_ps(xv0, _mm256_loadu_ps(br0.as_ptr().add(j)), d);
-                                d = _mm256_fmadd_ps(xv1, _mm256_loadu_ps(br1.as_ptr().add(j)), d);
-                                d = _mm256_fmadd_ps(xv2, _mm256_loadu_ps(br2.as_ptr().add(j)), d);
-                                d = _mm256_fmadd_ps(xv3, _mm256_loadu_ps(br3.as_ptr().add(j)), d);
-                                _mm256_storeu_ps(dp, d);
-                            }
-                            j += 8;
-                        }
-                        for c in j..n {
-                            let mut v = drow[c];
-                            v += x0 * br0[c];
-                            v += x1 * br1[c];
-                            v += x2 * br2[c];
-                            v += x3 * br3[c];
-                            drow[c] = v;
-                        }
-                    }
-                    r += MR;
-                }
-                for rem in r..r_hi {
-                    let ar = a.row(lo + rem);
-                    let br = b.row(lo + rem);
-                    for i in ii..i_hi {
-                        let x = ar[i];
-                        let xv = _mm256_set1_ps(x);
-                        let drow = &mut dst[i * n..(i + 1) * n];
-                        let mut j = 0;
-                        while j + 8 <= n {
-                            // SAFETY: avx2+fma proven by the `Avx2` token;
-                            // `j + 8 <= n` bounds the 8-lane load/store.
-                            unsafe {
-                                let dp = drow.as_mut_ptr().add(j);
-                                let d = _mm256_fmadd_ps(
-                                    xv,
-                                    _mm256_loadu_ps(br.as_ptr().add(j)),
-                                    _mm256_loadu_ps(dp),
-                                );
-                                _mm256_storeu_ps(dp, d);
-                            }
-                            j += 8;
-                        }
-                        for c in j..n {
-                            drow[c] += x * br[c];
-                        }
-                    }
-                }
             }
         }
     }
@@ -783,67 +518,6 @@ mod x86 {
         _mm_cvtss_f32(s)
     }
 
-    /// Vectorized bias/ReLU epilogue; bitwise-equal to the scalar one
-    /// (per-element `add`, `max` — lane order preserved).
-    pub(super) fn epilogue(_: Avx2, dst: &mut [f32], bias: &[f32], relu: bool) {
-        // SAFETY: avx2 is proven by the `Avx2` token.
-        unsafe { epilogue_avx(dst, bias, relu) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn epilogue_avx(dst: &mut [f32], bias: &[f32], relu: bool) {
-        let n = bias.len();
-        if n == 0 {
-            return;
-        }
-        debug_assert!(dst.len().is_multiple_of(n), "dst rows × bias len");
-        let zero = _mm256_setzero_ps();
-        if relu {
-            for drow in dst.chunks_exact_mut(n) {
-                let mut j = 0;
-                while j + 8 <= n {
-                    // SAFETY: avx2 proven by the `Avx2` token;
-                    // `j + 8 <= n` bounds the loads and the store.
-                    unsafe {
-                        let dp = drow.as_mut_ptr().add(j);
-                        let z = _mm256_add_ps(
-                            _mm256_loadu_ps(dp),
-                            _mm256_loadu_ps(bias.as_ptr().add(j)),
-                        );
-                        _mm256_storeu_ps(dp, _mm256_max_ps(z, zero));
-                    }
-                    j += 8;
-                }
-                for c in j..n {
-                    let z = drow[c] + bias[c];
-                    drow[c] = if z > 0.0 { z } else { 0.0 };
-                }
-            }
-        } else {
-            for drow in dst.chunks_exact_mut(n) {
-                let mut j = 0;
-                while j + 8 <= n {
-                    // SAFETY: avx2 proven by the `Avx2` token;
-                    // `j + 8 <= n` bounds the loads and the store.
-                    unsafe {
-                        let dp = drow.as_mut_ptr().add(j);
-                        _mm256_storeu_ps(
-                            dp,
-                            _mm256_add_ps(
-                                _mm256_loadu_ps(dp),
-                                _mm256_loadu_ps(bias.as_ptr().add(j)),
-                            ),
-                        );
-                    }
-                    j += 8;
-                }
-                for c in j..n {
-                    drow[c] += bias[c];
-                }
-            }
-        }
-    }
-
     /// Columns per register block of the SpMM row kernel: eight 8-lane
     /// accumulators.
     const SPMM_BLOCK: usize = 64;
@@ -932,26 +606,26 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx512 {
-    //! The AVX-512 GEMM, weight gradient and input gradient. Every entry
-    //! point takes an [`Avx512`] token, which only [`super::detect`] builds,
-    //! after it has detected `avx512f` next to `avx2` + `fma` at runtime.
-    //! Each output element sees exactly the operation sequence the AVX2
-    //! tier gives it (module doc), so the two tiers are bitwise equal;
-    //! the wider registers only hold more elements, and the GEMM and weight
-    //! gradient take all of a layer's operands in one pass.
+mod tile {
+    //! The GEMM and the weight gradient: one tile body each, generic over
+    //! the [`Width`] that the two vector tiers' tokens implement. [`Avx2`]
+    //! runs 8 lanes and tiles of at most 6×16 (12 ymm accumulators, two `B`
+    //! vectors and a broadcast: 15 of 16 registers), [`Avx512`] 16 lanes and
+    //! at most 6×64 (24 of 32 zmm registers). A narrower matrix, or the last
+    //! panel of a wider one, gets a tile of `⌈w/LANES⌉` vectors, so narrow
+    //! layers compute no padded lanes. The width changes how many elements
+    //! are in flight, never one element's sequence (module doc).
 
     use std::arch::x86_64::{
-        __m256, __m512, __mmask16, _mm256_castps_pd, _mm256_loadu_ps, _mm512_add_ps,
-        _mm512_broadcast_f64x4, _mm512_castpd_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_permutexvar_ps,
-        _mm512_set1_ps, _mm512_setr_epi32, _mm512_setzero_ps, _mm512_shuffle_f32x4,
-        _mm512_shuffle_ps,
+        __m256, __m256i, __m512, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_setr_epi32, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_set1_ps,
     };
     use std::ops::Range;
 
     use super::x86::pack_b;
-    use super::Avx512;
+    use super::{Avx2, Avx512};
     use crate::dense::Matrix;
     use crate::dispatch::Epilogue;
     use crate::kernels::KC;
@@ -960,24 +634,171 @@ mod avx512 {
     /// Register tile rows: `A` values (GEMM) or `dst` rows (weight gradient)
     /// broadcast across the lanes.
     const MR: usize = 6;
-    /// Register tile columns, at most: four f32x16 vectors per tile row. A
-    /// narrower matrix, or the last panel of a wider one, gets a tile of
-    /// `⌈w/16⌉` vectors, so narrow layers compute no padded lanes.
-    const NR: usize = 64;
     /// Reduction rows per pass of the weight gradient: each chunk of `grad`
     /// (and of every operand) is read from memory once, and a `dst` tile is
     /// loaded once and stored once per chunk.
     const DW_ROWS: usize = 64;
-    /// Input-gradient block rows: rows of `A`.
-    const TR: usize = 4;
-    /// Input-gradient block columns: pairs of `B` rows, two dots each.
-    const TP: usize = 4;
 
-    /// Runs `$body` with the const `$nv` bound to `⌈w/16⌉`, the number of
-    /// 16-lane vectors (1 to 4) of a `w`-column tile.
+    /// A vector width, implemented by the token that proves the host has
+    /// it. Each method is one instruction once inlined into a [`Pass`] that
+    /// [`Width::enable`] runs.
+    pub(super) trait Width: Copy {
+        /// `LANES` floats.
+        type V: Copy;
+        const LANES: usize;
+        /// Vectors per tile row, at most.
+        const NV: usize;
+
+        /// Runs `pass` compiled with this width's CPU features.
+        fn enable(self, pass: impl Pass);
+        fn splat(self, x: f32) -> Self::V;
+        /// # Safety
+        /// `p` is readable for `LANES` floats.
+        unsafe fn load(self, p: *const f32) -> Self::V;
+        /// The lanes below `n` from `p`, zero in the others.
+        ///
+        /// # Safety
+        /// `p` is readable for `min(n, LANES)` floats.
+        unsafe fn load_first(self, n: usize, p: *const f32) -> Self::V;
+        /// Stores the lanes below `n` of `v` at `p`.
+        ///
+        /// # Safety
+        /// `p` is writable for `min(n, LANES)` floats.
+        unsafe fn store_first(self, n: usize, p: *mut f32, v: Self::V);
+        /// `a·b + c`, rounded once.
+        fn fmadd(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        fn add(self, a: Self::V, b: Self::V) -> Self::V;
+        /// Per lane `a` where `a > b`, else `b`.
+        fn max(self, a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    /// Kernel code that [`Width::enable`] runs from a function compiled with
+    /// the width's CPU features. `run` is `#[inline(always)]`, so it inlines
+    /// there with every method of `W` it calls, down to the intrinsics (a
+    /// closure too large to inline would leave them out-of-line calls).
+    pub(super) trait Pass {
+        fn run<W: Width>(self, w: W);
+    }
+
+    impl Width for Avx2 {
+        type V = __m256;
+        const LANES: usize = 8;
+        const NV: usize = 2;
+
+        fn enable(self, pass: impl Pass) {
+            #[target_feature(enable = "avx2,fma")]
+            fn run(w: Avx2, pass: impl Pass) {
+                pass.run(w)
+            }
+            // SAFETY: the `Avx2` token proves avx2+fma.
+            unsafe { run(self, pass) }
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m256 {
+            // SAFETY: the token proves avx2+fma; so in every method below.
+            unsafe { _mm256_set1_ps(x) }
+        }
+        #[inline(always)]
+        unsafe fn load(self, p: *const f32) -> __m256 {
+            // SAFETY: as in `splat`; the caller keeps `p` in bounds.
+            unsafe { _mm256_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn load_first(self, n: usize, p: *const f32) -> __m256 {
+            // SAFETY: as in `splat`; the caller keeps the lanes below `n`
+            // in bounds, and the others are not read.
+            unsafe { _mm256_maskload_ps(p, self.lanes_below(n)) }
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, n: usize, p: *mut f32, v: __m256) {
+            // SAFETY: as in `load_first`; the other lanes are not written.
+            unsafe { _mm256_maskstore_ps(p, self.lanes_below(n), v) }
+        }
+        #[inline(always)]
+        fn fmadd(self, a: __m256, b: __m256, c: __m256) -> __m256 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn max(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_max_ps(a, b) }
+        }
+    }
+
+    impl Avx2 {
+        /// The mask of the lanes below `n`.
+        #[inline(always)]
+        fn lanes_below(self, n: usize) -> __m256i {
+            // SAFETY: the token proves avx2.
+            unsafe {
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(n.min(8) as i32), lane)
+            }
+        }
+    }
+
+    impl Width for Avx512 {
+        type V = __m512;
+        const LANES: usize = 16;
+        const NV: usize = 4;
+
+        fn enable(self, pass: impl Pass) {
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            fn run(w: Avx512, pass: impl Pass) {
+                pass.run(w)
+            }
+            // SAFETY: the `Avx512` token proves avx512f (with avx2+fma).
+            unsafe { run(self, pass) }
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m512 {
+            // SAFETY: the token proves avx512f; so in every method below.
+            unsafe { _mm512_set1_ps(x) }
+        }
+        #[inline(always)]
+        unsafe fn load(self, p: *const f32) -> __m512 {
+            // SAFETY: as in `splat`; the caller keeps `p` in bounds.
+            unsafe { _mm512_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn load_first(self, n: usize, p: *const f32) -> __m512 {
+            // SAFETY: as in `splat`; the caller keeps the lanes below `n`
+            // in bounds, and the others are not read.
+            unsafe { _mm512_maskz_loadu_ps(((1u32 << n.min(16)) - 1) as u16, p) }
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, n: usize, p: *mut f32, v: __m512) {
+            // SAFETY: as in `load_first`; the other lanes are not written.
+            unsafe { _mm512_mask_storeu_ps(p, ((1u32 << n.min(16)) - 1) as u16, v) }
+        }
+        #[inline(always)]
+        fn fmadd(self, a: __m512, b: __m512, c: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn max(self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_max_ps(a, b) }
+        }
+    }
+
+    /// Runs `$body` with the const `$nv` bound to `⌈cols/LANES⌉`, the number
+    /// of vectors (1 to `W::NV`) of a `cols`-column tile.
     macro_rules! with_vectors {
-        ($w:expr, $nv:ident => $body:expr) => {
-            match $w.div_ceil(16) {
+        ($W:ty, $cols:expr, $nv:ident => $body:expr) => {
+            match $cols.div_ceil(<$W>::LANES).min(<$W>::NV) {
                 1 => {
                     const $nv: usize = 1;
                     $body
@@ -998,93 +819,94 @@ mod avx512 {
         };
     }
 
-    /// Lane masks of the `NV` 16-lane vectors of a `w`-column tile.
-    fn masks<const NV: usize>(w: usize) -> [__mmask16; NV] {
-        std::array::from_fn(|v| ((1u32 << w.saturating_sub(16 * v).min(16)) - 1) as u16)
-    }
-
-    /// Packs rows `k0..k0 + k` of `B`, columns `j0..j0 + w`, `k`-major and
-    /// `w` rounded up to whole vectors: `buf[k * 16⌈w/16⌉ + lane]`, padded
-    /// lanes zero.
-    fn pack_panel(b: &Matrix, k0: usize, k: usize, j0: usize, w: usize, buf: &mut [f32]) {
-        with_vectors!(w, NV => pack_b::<{ 16 * NV }>(b, k0, k, j0, w, buf))
-    }
-
     /// The multi-operand GEMM of [`super::gemm_into`], one pass per output
-    /// tile. `B` is packed once per call into panels of [`NR`] columns, each
-    /// holding every operand's rows in turn. Per `MR`-row tile and panel,
-    /// every `KC` block of every operand computes `acc` from `+0` in
+    /// tile. `B` is packed once per call into panels of `LANES·NV` columns,
+    /// each holding every operand's rows in turn. Per `MR`-row tile and
+    /// panel, every `KC` block of every operand computes `acc` from `+0` in
     /// registers and adds it to the tile's sum (from `+0`, so the first
     /// block is `0 + acc`), which waits in L1 between blocks; then the bias
     /// and the clamp, in registers, and one store. `A` is read in place.
-    pub(super) fn gemm(
-        _: Avx512,
+    pub(super) fn gemm<W: Width>(
+        w: W,
         ops: &[(&Matrix, usize)],
         rows: Range<usize>,
         b: &Matrix,
         epi: Epilogue<'_>,
         dst: &mut [f32],
     ) {
-        let n = b.cols();
-        let m = rows.len();
-        debug_assert_eq!(dst.len(), m * n, "dst shape");
-        let k_total: usize = ops.iter().map(|(a, _)| a.cols()).sum();
-        if m == 0 || n == 0 {
+        debug_assert_eq!(dst.len(), rows.len() * b.cols(), "dst shape");
+        if rows.is_empty() || b.cols() == 0 {
             return;
         }
-        // Panel `p` (columns `j0 = 64p..`) starts at `k_total * j0`: every
-        // panel before it is `NR` lanes wide.
-        workspace::with_pack_buffers(0, k_total * n.next_multiple_of(16), |_, pb| {
-            for j0 in (0..n).step_by(NR) {
-                let w = NR.min(n - j0);
-                let lanes = w.next_multiple_of(16);
+        let k_total: usize = ops.iter().map(|(a, _)| a.cols()).sum();
+        let len = k_total * b.cols().next_multiple_of(W::LANES);
+        workspace::with_pack_buffer(len, |pb| w.enable(Gemm(ops, rows, b, epi, pb, dst)));
+    }
+
+    /// [`gemm`]'s arguments and its pack buffer.
+    struct Gemm<'a>(
+        &'a [(&'a Matrix, usize)],
+        Range<usize>,
+        &'a Matrix,
+        Epilogue<'a>,
+        &'a mut [f32],
+        &'a mut [f32],
+    );
+
+    impl Pass for Gemm<'_> {
+        #[inline(always)]
+        fn run<W: Width>(self, w: W) {
+            let Gemm(ops, rows, b, epi, pb, dst) = self;
+            let (m, n, nr) = (rows.len(), b.cols(), W::LANES * W::NV);
+            let k_total: usize = ops.iter().map(|(a, _)| a.cols()).sum();
+            // Panel `p` (columns `j0 = nr·p..`) starts at `k_total * j0`:
+            // every panel before it is `nr` lanes wide.
+            for j0 in (0..n).step_by(nr) {
+                let cols = nr.min(n - j0);
+                let lanes = cols.next_multiple_of(W::LANES);
                 let mut at = k_total * j0;
                 for &(a, b_row_offset) in ops {
-                    let len = a.cols() * lanes;
-                    pack_panel(b, b_row_offset, a.cols(), j0, w, &mut pb[at..at + len]);
-                    at += len;
+                    let panel = &mut pb[at..at + a.cols() * lanes];
+                    pack_b(b, b_row_offset, a.cols(), j0, cols, lanes, panel);
+                    at += panel.len();
                 }
             }
             for i0 in (0..m).step_by(MR) {
                 let out = &mut dst[i0 * n..(i0 + MR).min(m) * n];
-                for j0 in (0..n).step_by(NR) {
-                    let w = NR.min(n - j0);
-                    let panel = &pb[k_total * j0..][..k_total * w.next_multiple_of(16)];
+                for j0 in (0..n).step_by(nr) {
+                    let cols = nr.min(n - j0);
+                    let panel = &pb[k_total * j0..][..k_total * cols.next_multiple_of(W::LANES)];
                     let a_row0 = rows.start + i0;
-                    // SAFETY: the `Avx512` token `gemm` takes proves
-                    // avx512f (with avx2+fma).
-                    unsafe {
-                        with_vectors!(w, NV => {
-                            gemm_tile::<NV>(ops, panel, a_row0, n, j0, w, epi, out)
-                        })
-                    }
+                    with_vectors!(W, cols, NV => {
+                        gemm_tile::<W, NV>(w, ops, panel, a_row0, n, j0, cols, epi, out)
+                    })
                 }
             }
-        });
+        }
     }
 
-    /// One tile of [`gemm`]: columns `j0..j0 + w` of the `mr ≤ MR` rows of
-    /// `out` (`n` wide), from `A` rows `a_row0..` and `panel` (`NV` vectors
-    /// wide, every operand's rows in turn). Tile rows past `mr` repeat the
-    /// last valid one (computed, never stored); lanes past `w` are zero in
-    /// `panel` and masked off `out`.
+    /// One tile of [`gemm`]: columns `j0..j0 + cols` of the `mr ≤ MR` rows
+    /// of `out` (`n` wide), from `A` rows `a_row0..` and `panel` (`NV`
+    /// vectors wide, every operand's rows in turn). Tile rows past `mr`
+    /// repeat the last valid one (computed, never stored); lanes past `cols`
+    /// are zero in `panel` and masked off `out`.
     #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    fn gemm_tile<const NV: usize>(
+    #[inline(always)]
+    fn gemm_tile<W: Width, const NV: usize>(
+        w: W,
         ops: &[(&Matrix, usize)],
         panel: &[f32],
         a_row0: usize,
         n: usize,
         j0: usize,
-        w: usize,
+        cols: usize,
         epi: Epilogue<'_>,
         out: &mut [f32],
     ) {
-        let lanes = 16 * NV;
+        let lanes = W::LANES * NV;
         let mr = out.len() / n;
-        let bias = epi.bias.map(|bias| &bias[j0..j0 + w]);
-        let masks = masks::<NV>(w);
-        let zero = _mm512_setzero_ps();
+        let bias = epi.bias.map(|bias| &bias[j0..j0 + cols]);
+        let zero = w.splat(0.0);
         // The tile between blocks, in L1: from `+0`, plus each block's
         // accumulator.
         let mut sum = [[zero; NV]; MR];
@@ -1099,170 +921,201 @@ mod avx512 {
                 let ap = ar.map(|row| row[kk..kk + kc].as_ptr());
                 let mut acc = [[zero; NV]; MR];
                 for k in 0..kc {
-                    // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); each
-                    // `ap` row and the `pbp` block are bounds-checked slices
-                    // of `kc` values and `kc` groups of `lanes` floats, and
-                    // `k < kc`, so every load is in bounds.
+                    // SAFETY: each `ap` row and the `pbp` block are
+                    // bounds-checked slices of `kc` values and `kc` groups
+                    // of `lanes` floats, and `k < kc`, so every load is in
+                    // bounds.
                     unsafe {
-                        let bv: [__m512; NV] =
-                            std::array::from_fn(|v| _mm512_loadu_ps(pbp.add(k * lanes + 16 * v)));
+                        let mut bv = [zero; NV];
+                        for (v, bk) in bv.iter_mut().enumerate() {
+                            *bk = w.load(pbp.add(k * lanes + W::LANES * v));
+                        }
                         for (c, p) in acc.iter_mut().zip(&ap) {
-                            let av = _mm512_set1_ps(*p.add(k));
+                            let av = w.splat(*p.add(k));
                             for (cv, &bk) in c.iter_mut().zip(&bv) {
-                                *cv = _mm512_fmadd_ps(av, bk, *cv);
+                                *cv = w.fmadd(av, bk, *cv);
                             }
                         }
                     }
                 }
                 for (s, c) in sum.iter_mut().zip(&acc) {
                     for (sv, &cv) in s.iter_mut().zip(c) {
-                        *sv = _mm512_add_ps(*sv, cv);
+                        *sv = w.add(*sv, cv);
                     }
                 }
             }
             k0 += k_dim;
         }
         for (r, s) in sum.iter().enumerate().take(mr) {
-            let p = out[r * n + j0..][..w].as_mut_ptr();
-            for (v, (&sv, &mask)) in s.iter().zip(&masks).enumerate() {
-                // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); `mask`
-                // covers only this vector's columns below `w` of the
-                // bounds-checked `w`-float slices `p` (of `out`) and `bias`
-                // start, and masked-off lanes are neither read nor written.
+            let p = out[r * n + j0..][..cols].as_mut_ptr();
+            for (v, &sv) in s.iter().enumerate() {
+                let at = W::LANES * v;
+                // SAFETY: vector `v` covers columns `at..` of `cols`, and
+                // `p` (of `out`) and `bias` start bounds-checked slices of
+                // `cols` floats; lanes past `cols - at` are neither read nor
+                // written.
                 unsafe {
                     let mut d = sv;
                     if let Some(bias) = bias {
-                        let b = _mm512_maskz_loadu_ps(mask, bias.as_ptr().wrapping_add(16 * v));
-                        d = _mm512_add_ps(d, b);
+                        d = w.add(d, w.load_first(cols - at, bias.as_ptr().add(at)));
                         if epi.relu {
-                            d = _mm512_max_ps(d, zero);
+                            d = w.max(d, zero);
                         }
                     }
-                    _mm512_mask_storeu_ps(p.wrapping_add(16 * v), mask, d);
+                    w.store_first(cols - at, p.add(at), d);
                 }
             }
         }
     }
 
     /// The stacked weight gradient of [`super::grad_weights_into`]: per
-    /// [`DW_ROWS`]-row chunk of the reduction, every operand's `MR × NR`
+    /// [`DW_ROWS`]-row chunk of the reduction, every operand's `MR`-row
     /// tiles of `dst`, each loaded, advanced by FMA over the chunk's rows
-    /// and stored once — so the chunk of `grad` is read from memory once and
-    /// stays in cache for every operand. Columns past `8·⌊n/8⌋` keep the
-    /// AVX2 tier's separate `mul` + `add`.
-    pub(super) fn grad_weights(
-        _: Avx512,
+    /// and stored once — so the chunk of `grad` is read from memory once
+    /// and stays in cache for every operand. Columns past `8·⌊n/8⌋` take a
+    /// separate `mul` + `add` per row, at either width.
+    pub(super) fn grad_weights<W: Width>(
+        w: W,
         xs: &[&Matrix],
         grad: &Matrix,
         rows: Range<usize>,
         dst: &mut [f32],
     ) {
-        let n = grad.cols();
-        debug_assert_eq!(
-            dst.len(),
-            xs.iter().map(|x| x.cols()).sum::<usize>() * n,
-            "dst shape"
-        );
-        dst.fill(0.0);
-        // Columns the AVX2 tier covers with 8-lane FMA.
-        let nv = n - n % 8;
-        for r0 in rows.clone().step_by(DW_ROWS) {
-            let chunk = r0..(r0 + DW_ROWS).min(rows.end);
-            let mut at = 0;
-            for x in xs {
-                let d = &mut dst[at..at + x.cols() * n];
-                at += d.len();
-                for j0 in (0..nv).step_by(NR) {
-                    let w = NR.min(nv - j0);
-                    for i0 in (0..x.cols()).step_by(MR) {
-                        // SAFETY: the `Avx512` token `grad_weights` takes
-                        // proves avx512f (with avx2+fma).
-                        unsafe {
-                            with_vectors!(w, NV => {
-                                dw_tile::<NV>(x, grad, chunk.clone(), i0, j0, w, d)
+        w.enable(GradWeights(xs, grad, rows, dst));
+    }
+
+    /// [`grad_weights`]' arguments.
+    struct GradWeights<'a>(&'a [&'a Matrix], &'a Matrix, Range<usize>, &'a mut [f32]);
+
+    impl Pass for GradWeights<'_> {
+        #[inline(always)]
+        fn run<W: Width>(self, w: W) {
+            let GradWeights(xs, grad, rows, dst) = self;
+            let n = grad.cols();
+            let k_total: usize = xs.iter().map(|x| x.cols()).sum();
+            debug_assert_eq!(dst.len(), k_total * n, "dst shape");
+            dst.fill(0.0);
+            let (nv, nr) = (n - n % 8, W::LANES * W::NV);
+            for r0 in rows.clone().step_by(DW_ROWS) {
+                let chunk = r0..(r0 + DW_ROWS).min(rows.end);
+                let mut at = 0;
+                for x in xs {
+                    let d = &mut dst[at..at + x.cols() * n];
+                    at += d.len();
+                    for j0 in (0..nv).step_by(nr) {
+                        let cols = nr.min(nv - j0);
+                        for i0 in (0..x.cols()).step_by(MR) {
+                            with_vectors!(W, cols, NV => {
+                                dw_tile::<W, NV>(w, x, grad, chunk.clone(), i0, j0, cols, d)
                             })
                         }
                     }
                 }
             }
-        }
-        if nv < n {
-            let mut at = 0;
-            for x in xs {
-                for r in rows.clone() {
-                    let gr = &grad.row(r)[nv..];
-                    for (i, &xv) in x.row(r).iter().enumerate() {
-                        let drow = &mut dst[at + i * n..at + (i + 1) * n];
-                        for (d, &gv) in drow[nv..].iter_mut().zip(gr) {
-                            *d += xv * gv;
+            if nv < n {
+                let mut at = 0;
+                for x in xs {
+                    for r in rows.clone() {
+                        let gr = &grad.row(r)[nv..];
+                        for (i, &xv) in x.row(r).iter().enumerate() {
+                            let drow = &mut dst[at + i * n..at + (i + 1) * n];
+                            for (d, &gv) in drow[nv..].iter_mut().zip(gr) {
+                                *d += xv * gv;
+                            }
                         }
                     }
+                    at += x.cols() * n;
                 }
-                at += x.cols() * n;
             }
         }
     }
 
     /// One tile of [`grad_weights`]: rows `i0..i0 + MR` (at most) and
-    /// columns `j0..j0 + w` of one operand's gradient `d` (`x.cols() × n`),
-    /// advanced over the reduction rows `chunk`. Tile rows past the last
-    /// valid one repeat it (computed, never stored).
+    /// columns `j0..j0 + cols` of one operand's gradient `d` (`x.cols() ×
+    /// n`), advanced over the reduction rows `chunk`. Tile rows past the
+    /// last valid one repeat it (computed, never stored).
     #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    fn dw_tile<const NV: usize>(
+    #[inline(always)]
+    fn dw_tile<W: Width, const NV: usize>(
+        w: W,
         x: &Matrix,
         grad: &Matrix,
         chunk: Range<usize>,
         i0: usize,
         j0: usize,
-        w: usize,
+        cols: usize,
         d: &mut [f32],
     ) {
         let (k_a, n) = (x.cols(), grad.cols());
         let ni = MR.min(k_a - i0);
         let ic: [usize; MR] = std::array::from_fn(|t| i0 + t.min(ni - 1));
-        let masks = masks::<NV>(w);
-        let mut acc = [[_mm512_setzero_ps(); NV]; MR];
+        let mut acc = [[w.splat(0.0); NV]; MR];
         for (c, &i) in acc.iter_mut().zip(&ic) {
-            let p = d[i * n + j0..][..w].as_ptr();
-            for (cv, (v, &mask)) in c.iter_mut().zip(masks.iter().enumerate()) {
-                // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); `mask`
-                // covers only this vector's columns below `w` of the
-                // bounds-checked `w`-float slice `p` starts.
-                *cv = unsafe { _mm512_maskz_loadu_ps(mask, p.wrapping_add(16 * v)) };
+            let p = d[i * n + j0..][..cols].as_ptr();
+            for (v, cv) in c.iter_mut().enumerate() {
+                let at = W::LANES * v;
+                // SAFETY: vector `v` covers columns `at..` of `cols`, and `p`
+                // starts a bounds-checked slice of `cols` floats.
+                *cv = unsafe { w.load_first(cols - at, p.add(at)) };
             }
         }
         // The chunk's rows of both operands, walked by stride.
         let xr = &x.data()[chunk.start * k_a..chunk.end * k_a];
         let gr = &grad.data()[chunk.start * n..chunk.end * n];
         for r in 0..chunk.len() {
-            // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); row `r` of
-            // each window is in bounds, every `ic` index is below `k_a`, and
-            // the masks cover only columns `j0..j0 + w ≤ n` of the `grad` row.
+            // SAFETY: row `r` of each window is in bounds, every `ic` index
+            // is below `k_a`, and vector `v` reads only columns `j0 + at..j0
+            // + cols ≤ n` of the `grad` row.
             unsafe {
                 let xp = xr.as_ptr().add(r * k_a);
                 let gp = gr.as_ptr().add(r * n + j0);
-                let gv: [__m512; NV] = std::array::from_fn(|v| {
-                    _mm512_maskz_loadu_ps(masks[v], gp.wrapping_add(16 * v))
-                });
+                let mut gv = [w.splat(0.0); NV];
+                for (v, g) in gv.iter_mut().enumerate() {
+                    *g = w.load_first(cols - W::LANES * v, gp.add(W::LANES * v));
+                }
                 for (c, &i) in acc.iter_mut().zip(&ic) {
-                    let xv = _mm512_set1_ps(*xp.add(i));
+                    let xv = w.splat(*xp.add(i));
                     for (cv, &g) in c.iter_mut().zip(&gv) {
-                        *cv = _mm512_fmadd_ps(xv, g, *cv);
+                        *cv = w.fmadd(xv, g, *cv);
                     }
                 }
             }
         }
         for (c, &i) in acc.iter().zip(&ic).take(ni) {
-            let p = d[i * n + j0..][..w].as_mut_ptr();
-            for (v, (&cv, &mask)) in c.iter().zip(&masks).enumerate() {
-                // SAFETY: the `Avx512` token proves avx512f (and avx2+fma); `mask`
-                // covers only this vector's columns below `w` of the
-                // bounds-checked `w`-float slice `p` starts.
-                unsafe { _mm512_mask_storeu_ps(p.wrapping_add(16 * v), mask, cv) };
+            let p = d[i * n + j0..][..cols].as_mut_ptr();
+            for (v, &cv) in c.iter().enumerate() {
+                let at = W::LANES * v;
+                // SAFETY: as for the loads above.
+                unsafe { w.store_first(cols - at, p.add(at), cv) };
             }
         }
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! The AVX-512 input gradient. Its entry point takes an [`Avx512`]
+    //! token, which only [`super::detect`] builds, after it has detected
+    //! `avx512f` next to `avx2` + `fma` at runtime. Each output element sees
+    //! exactly the operation sequence the AVX2 kernel gives it (module doc),
+    //! so the two are bitwise equal; the wider registers only hold more dots.
+
+    use std::arch::x86_64::{
+        __m256, __m512, __mmask16, _mm256_castps_pd, _mm256_loadu_ps, _mm512_add_ps,
+        _mm512_broadcast_f64x4, _mm512_castpd_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_permutexvar_ps, _mm512_setr_epi32, _mm512_setzero_ps,
+        _mm512_shuffle_f32x4, _mm512_shuffle_ps,
+    };
+    use std::ops::Range;
+
+    use super::Avx512;
+    use crate::dense::Matrix;
+    use crate::workspace;
+
+    /// Input-gradient block rows: rows of `A`.
+    const TR: usize = 4;
+    /// Input-gradient block columns: pairs of `B` rows, two dots each.
+    const TP: usize = 4;
 
     /// Packs the first `kv` columns of `B[b_rows]` as row pairs
     /// (`j = 2p`, `2p + 1`; an odd last row pairs with itself),
@@ -1356,7 +1209,7 @@ mod avx512 {
             return;
         }
         let kv = a.cols() - a.cols() % 8;
-        workspace::with_pack_buffers(0, n.div_ceil(2) * 2 * kv, |_, pb| {
+        workspace::with_pack_buffer(n.div_ceil(2) * 2 * kv, |pb| {
             pack_pairs(b, b_rows.clone(), kv, pb);
             // SAFETY: the `Avx512` token `transpose_other` takes
             // proves avx512f (with avx2+fma).
@@ -1539,33 +1392,10 @@ mod tests {
             }
             let bt = Matrix::xavier(n, k, 7);
             let mut got = vec![0.0f32; m * n];
-            transpose_other_into(&a, 0..m, &bt, 0..n, &mut got);
+            transpose_other_into(&a, 0..m, &bt, 0..n, true, &mut got);
             let want = reference::matmul_transpose_other(&a, &bt);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "ABt {m}x{k}x{n}: {g} vs {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_epilogue_bitwise_equal_scalar() {
-        for n in [1usize, 7, 8, 9, 16, 31, 64, 130] {
-            let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.21 - 1.3).collect();
-            let mut d1: Vec<f32> = (0..2 * n).map(|i| (i as f32) * 0.17 - 2.0).collect();
-            let mut d2 = d1.clone();
-            // The AVX2 tier's epilogue; the AVX-512 GEMM's fused one is
-            // pinned against it by `avx512_tier_equals_avx2_tier_bitwise`.
-            let simd_epilogue = |d: &mut [f32], relu: bool| {
-                #[cfg(target_arch = "x86_64")]
-                if let Some(avx2) = tier().avx2() {
-                    return x86::epilogue(avx2, d, &bias, relu);
-                }
-                kernels::epilogue_bias_relu(d, &bias, relu)
-            };
-            for relu in [true, false] {
-                simd_epilogue(&mut d1, relu);
-                kernels::epilogue_bias_relu(&mut d2, &bias, relu);
-                assert_eq!(d1, d2, "epilogue n={n} relu={relu}");
             }
         }
     }
@@ -1833,6 +1663,130 @@ mod tests {
         assert_bits(&format!("transpose_other m={m} k={k} n={n}"), &d2, &d5);
     }
 
+    /// The GEMM's sequence (module doc), spelled with scalar `mul_add` one
+    /// output element at a time.
+    fn gemm_oracle(
+        ops: &[(&Matrix, usize)],
+        rows: Range<usize>,
+        b: &Matrix,
+        epi: Epilogue<'_>,
+    ) -> Vec<f32> {
+        let mut out = Vec::new();
+        for i in rows {
+            for j in 0..b.cols() {
+                let mut s = 0.0f32;
+                for &(a, off) in ops {
+                    for kk in (0..a.cols()).step_by(kernels::KC) {
+                        let mut acc = 0.0f32;
+                        for k in kk..(kk + kernels::KC).min(a.cols()) {
+                            acc = a.row(i)[k].mul_add(b.row(off + k)[j], acc);
+                        }
+                        s += acc;
+                    }
+                }
+                if let Some(bias) = epi.bias {
+                    s += bias[j];
+                    if epi.relu {
+                        s = if s > 0.0 { s } else { 0.0 };
+                    }
+                }
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    /// The weight gradient's sequence (module doc): `mul_add` over the rows
+    /// below column `8·⌊n/8⌋`, a separate `mul` and `add` past it.
+    fn grad_weights_oracle(xs: &[&Matrix], g: &Matrix, rows: Range<usize>) -> Vec<f32> {
+        let (n, mut out) = (g.cols(), Vec::new());
+        for x in xs {
+            for i in 0..x.cols() {
+                for j in 0..n {
+                    let mut d = 0.0f32;
+                    for r in rows.clone() {
+                        let (xv, gv) = (x.row(r)[i], g.row(r)[j]);
+                        d = if j < n - n % 8 {
+                            xv.mul_add(gv, d)
+                        } else {
+                            d + xv * gv
+                        };
+                    }
+                    out.push(d);
+                }
+            }
+        }
+        out
+    }
+
+    /// Both vector widths, through `gemm_on` / `grad_weights_on` at each
+    /// tier the host has, against the scalar `mul_add` oracles above — a
+    /// reference that shares no code with the tiles. Over the `m ≤ 17`
+    /// shapes of [`tier_shapes`], one (operands, epilogue) combination per
+    /// shape in turn, and the epilogue's own cases: pre-bias values and a
+    /// bias on both sides of zero, with `-0`, at every tail width.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_tiers_equal_the_mul_add_oracle_bitwise() {
+        let tiers = match detect() {
+            Tier::Avx512(avx512) => vec![Tier::Avx2(avx512.avx2()), Tier::Avx512(avx512)],
+            Tier::Avx2(avx2) => vec![Tier::Avx2(avx2)],
+            Tier::Scalar => return eprintln!("skipped, this host lacks avx2+fma"),
+        };
+        let gemm =
+            |ops: &[(&Matrix, usize)], m: usize, b: &Matrix, epi: Epilogue<'_>, what: &str| {
+                let want = bits(&gemm_oracle(ops, 7..7 + m, b, epi));
+                for &tier in &tiers {
+                    let mut got = vec![f32::NAN; want.len()];
+                    gemm_on(tier, ops, 7..7 + m, b, epi, &mut got);
+                    assert!(bits(&got) == want, "{tier:?} gemm {what} {epi:?}");
+                }
+            };
+        let shapes = tier_shapes().into_iter().filter(|&(m, ..)| m <= 17);
+        for (s, (m, k, k2, n)) in shapes.enumerate() {
+            let seed = (m * 10_000 + k * 100 + n) as u64;
+            let a1 = with_signed_zeros(m + 9, k, seed);
+            let a2 = with_signed_zeros(m + 9, k2, seed + 1);
+            let b = with_signed_zeros(3 + k + k2, n, seed + 2);
+            let bias = with_signed_zeros(1, n, seed + 3).into_data();
+            let ops = [(&a1, 3), (&a2, 3 + k)];
+            let ops = &ops[..1 + s % 2];
+            let epi = [
+                Epilogue::none(),
+                Epilogue::bias(&bias),
+                Epilogue::bias_relu(&bias),
+            ];
+            let what = format!("{} operands m={m} k={k} k2={k2} n={n}", ops.len());
+            gemm(ops, m, &b, epi[s / 2 % 3], &what);
+            let xs = [&a1, &a2];
+            let xs = &xs[..1 + s % 2];
+            let (g, rows) = (with_signed_zeros(m + 9, n, seed + 4), 7..7 + m);
+            let want = bits(&grad_weights_oracle(xs, &g, rows.clone()));
+            for &tier in &tiers {
+                let mut got = vec![f32::NAN; want.len()];
+                grad_weights_on(tier, xs, &g, rows.clone(), &mut got);
+                assert!(bits(&got) == want, "{tier:?} grad_weights {what}");
+            }
+        }
+        // The epilogue: rows 7 and 8 of `A` pick the two rows of `D`, so
+        // `i·0.17 - 2.0` (and `-0`, which `0 + acc` turns `+0`) meets the
+        // bias `j·0.21 - 1.3` (and `-0`).
+        let mut pick = Matrix::zeros(9, 2);
+        pick.data_mut()[14] = 1.0;
+        pick.data_mut()[17] = 1.0;
+        let signed = |i: usize, x: f32| if i % 5 == 3 { -0.0 } else { x };
+        for n in [1usize, 7, 8, 9, 16, 31, 64, 130] {
+            let d = (0..2 * n)
+                .map(|i| signed(i, i as f32 * 0.17 - 2.0))
+                .collect();
+            let d = Matrix::from_vec(2, n, d);
+            let bias: Vec<f32> = (0..n).map(|j| signed(j, j as f32 * 0.21 - 1.3)).collect();
+            for epi in [Epilogue::bias(&bias), Epilogue::bias_relu(&bias)] {
+                gemm(&[(&pick, 0)], 2, &d, epi, &format!("epilogue n={n}"));
+            }
+        }
+    }
+
     /// The packing kernels — the GEMM on either SIMD tier, one operand or
     /// two against a stacked `B` over several column panels, and the
     /// AVX-512 input gradient — draw their panels from the per-thread pack
@@ -1855,7 +1809,7 @@ mod tests {
             gemm_into(&[(&a, 0)], 0..100, &b, Epilogue::none(), true, &mut out);
             let ops = [(&h, 0), (&agg, 64)];
             gemm_into(&ops, 0..100, &stacked, Epilogue::none(), true, &mut sage);
-            transpose_other_into(&g, 0..100, &w, 50..200, &mut dx);
+            transpose_other_into(&g, 0..100, &w, 50..200, true, &mut dx);
         };
         run();
         let warm = workspace::pack_buffer_grows();

@@ -20,44 +20,34 @@ use crate::dense::Matrix;
 /// Maximum retired buffers kept; beyond this the smallest is dropped.
 const MAX_FREE: usize = 32;
 
-/// Per-thread panel-packing scratch for the SIMD GEMM tier. Pool workers
-/// each pack their own row range concurrently, so these buffers are
+/// Per-thread panel-packing scratch for the SIMD kernels. Pool workers
+/// each pack their own row range concurrently, so the buffer is
 /// thread-local rather than routed through a model's (single-threaded)
-/// [`Workspace`]. They grow to the high-water panel size on first use and
-/// are reused for every subsequent GEMM on that thread — `grows` counts
+/// [`Workspace`]. It grows to the high-water panel size on first use and is
+/// reused for every subsequent kernel call on that thread — `grows` counts
 /// reallocations so tests can pin the zero-steady-state-alloc property.
 #[derive(Default)]
 struct PackScratch {
-    a: Vec<f32>,
-    b: Vec<f32>,
+    buf: Vec<f32>,
     grows: usize,
 }
 
 thread_local! {
-    static PACK: RefCell<PackScratch> = const { RefCell::new(PackScratch { a: Vec::new(), b: Vec::new(), grows: 0 }) };
+    static PACK: RefCell<PackScratch> = const { RefCell::new(PackScratch { buf: Vec::new(), grows: 0 }) };
 }
 
-/// Runs `f` with this thread's packing buffers resized to at least
-/// `a_len` / `b_len` elements (contents unspecified on entry; callers
-/// overwrite before reading). Not reentrant — kernels never recurse into
-/// another GEMM while packing.
-pub(crate) fn with_pack_buffers<R>(
-    a_len: usize,
-    b_len: usize,
-    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
-) -> R {
+/// Runs `f` with this thread's packing buffer resized to at least `len`
+/// elements (contents unspecified on entry; callers overwrite before
+/// reading). Not reentrant — kernels never recurse into another kernel
+/// while packing.
+pub(crate) fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     PACK.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        if scratch.a.len() < a_len {
+        if scratch.buf.len() < len {
             scratch.grows += 1;
-            scratch.a.resize(a_len, 0.0);
+            scratch.buf.resize(len, 0.0);
         }
-        if scratch.b.len() < b_len {
-            scratch.grows += 1;
-            scratch.b.resize(b_len, 0.0);
-        }
-        let PackScratch { a, b, .. } = &mut *scratch;
-        f(&mut a[..a_len], &mut b[..b_len])
+        f(&mut scratch.buf[..len])
     })
 }
 
@@ -224,27 +214,26 @@ mod tests {
         // the thread-local counter.
         std::thread::spawn(|| {
             let before = pack_buffer_grows();
-            with_pack_buffers(16, 32, |a, b| {
-                assert_eq!((a.len(), b.len()), (16, 32));
-                a.fill(1.0);
+            with_pack_buffer(32, |b| {
+                assert_eq!(b.len(), 32);
                 b.fill(2.0);
             });
-            assert_eq!(pack_buffer_grows(), before + 2);
+            assert_eq!(pack_buffer_grows(), before + 1);
             for _ in 0..4 {
-                with_pack_buffers(16, 32, |a, b| {
-                    assert_eq!((a.len(), b.len()), (16, 32));
+                with_pack_buffer(32, |b| {
+                    assert_eq!(b.len(), 32);
                 });
             }
-            with_pack_buffers(8, 8, |a, b| {
-                assert_eq!((a.len(), b.len()), (8, 8));
+            with_pack_buffer(8, |b| {
+                assert_eq!(b.len(), 8);
             });
             assert_eq!(
                 pack_buffer_grows(),
-                before + 2,
+                before + 1,
                 "smaller takes must not grow"
             );
-            with_pack_buffers(64, 32, |_, _| {});
-            assert_eq!(pack_buffer_grows(), before + 3, "only A grew");
+            with_pack_buffer(64, |_| {});
+            assert_eq!(pack_buffer_grows(), before + 2, "a larger take grew");
         })
         .join()
         .unwrap();
