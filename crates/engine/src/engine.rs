@@ -634,96 +634,108 @@ mod tests {
 
     #[test]
     fn epoch_runs_and_advances() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let before = e.params().to_vec();
-        let stats = e.train_epoch(Config::new(2, 1, 2), None);
-        assert!(stats.epoch_time > 0.0);
-        assert!(stats.iterations > 0);
-        assert_eq!(stats.minibatches, stats.iterations * 2);
-        assert!(stats.loss.is_finite());
-        assert_ne!(e.params(), &before[..], "parameters did not move");
-        assert_eq!(e.epochs_done(), 1);
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let before = e.params().to_vec();
+            let stats = e.train_epoch(Config::new(2, 1, 2), None);
+            assert!(stats.epoch_time > 0.0);
+            assert!(stats.iterations > 0);
+            assert_eq!(stats.minibatches, stats.iterations * 2);
+            assert!(stats.loss.is_finite());
+            assert_ne!(e.params(), &before[..], "parameters did not move");
+            assert_eq!(e.epochs_done(), 1);
+        });
     }
 
     #[test]
     fn effective_batch_size_preserved() {
-        // Iterations per epoch must be ~train_len / global_batch regardless
-        // of n_proc (Section IV-B2): each process does b/n per iteration.
-        let d = tiny();
-        let n_train = d.train_nodes.len();
-        let mut e1 = Engine::new(Arc::clone(&d), neighbor(), opts(64));
-        let s1 = e1.train_epoch(Config::new(1, 1, 1), None);
-        let mut e4 = Engine::new(Arc::clone(&d), neighbor(), opts(64));
-        let s4 = e4.train_epoch(Config::new(4, 1, 1), None);
-        let expect = n_train / 64;
-        assert!(
-            (s1.iterations as i64 - expect as i64).abs() <= 1,
-            "{} vs {}",
-            s1.iterations,
-            expect
-        );
-        assert!(
-            (s4.iterations as i64 - expect as i64).abs() <= 1,
-            "{} vs {}",
-            s4.iterations,
-            expect
-        );
-        // Total seeds consumed per iteration is the same.
-        assert_eq!(s4.minibatches, s4.iterations * 4);
+        argo_rt::watchdog(120, || {
+            // Iterations per epoch must be ~train_len / global_batch regardless
+            // of n_proc (Section IV-B2): each process does b/n per iteration.
+            let d = tiny();
+            let n_train = d.train_nodes.len();
+            let mut e1 = Engine::new(Arc::clone(&d), neighbor(), opts(64));
+            let s1 = e1.train_epoch(Config::new(1, 1, 1), None);
+            let mut e4 = Engine::new(Arc::clone(&d), neighbor(), opts(64));
+            let s4 = e4.train_epoch(Config::new(4, 1, 1), None);
+            let expect = n_train / 64;
+            assert!(
+                (s1.iterations as i64 - expect as i64).abs() <= 1,
+                "{} vs {}",
+                s1.iterations,
+                expect
+            );
+            assert!(
+                (s4.iterations as i64 - expect as i64).abs() <= 1,
+                "{} vs {}",
+                s4.iterations,
+                expect
+            );
+            // Total seeds consumed per iteration is the same.
+            assert_eq!(s4.minibatches, s4.iterations * 4);
+        });
     }
 
     #[test]
     fn loss_decreases_over_epochs() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let first = e.train_epoch(Config::new(2, 1, 1), None);
-        let mut last = first;
-        for _ in 0..5 {
-            last = e.train_epoch(Config::new(2, 1, 1), None);
-        }
-        assert!(
-            last.loss < first.loss,
-            "loss {} did not drop from {}",
-            last.loss,
-            first.loss
-        );
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let first = e.train_epoch(Config::new(2, 1, 1), None);
+            let mut last = first;
+            for _ in 0..5 {
+                last = e.train_epoch(Config::new(2, 1, 1), None);
+            }
+            assert!(
+                last.loss < first.loss,
+                "loss {} did not drop from {}",
+                last.loss,
+                first.loss
+            );
+        });
     }
 
     #[test]
     fn config_can_change_between_epochs() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(32));
-        for (p, s, t) in [(1, 1, 1), (2, 1, 2), (4, 1, 1), (2, 2, 1)] {
-            let stats = e.train_epoch(Config::new(p, s, t), None);
-            assert!(stats.iterations > 0);
-        }
-        assert_eq!(e.epochs_done(), 4);
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(tiny(), neighbor(), opts(32));
+            for (p, s, t) in [(1, 1, 1), (2, 1, 2), (4, 1, 1), (2, 2, 1)] {
+                let stats = e.train_epoch(Config::new(p, s, t), None);
+                assert!(stats.iterations > 0);
+            }
+            assert_eq!(e.epochs_done(), 4);
+        });
     }
 
     #[test]
     fn shadow_sampler_works() {
-        let mut e = Engine::new(
-            tiny(),
-            Arc::new(ShadowSampler::new(vec![6, 3], 2)),
-            opts(48),
-        );
-        let stats = e.train_epoch(Config::new(2, 1, 1), None);
-        assert!(stats.loss.is_finite());
-        assert!(stats.edges > 0);
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(
+                tiny(),
+                Arc::new(ShadowSampler::new(vec![6, 3], 2)),
+                opts(48),
+            );
+            let stats = e.train_epoch(Config::new(2, 1, 1), None);
+            assert!(stats.loss.is_finite());
+            assert!(stats.edges > 0);
+        });
     }
 
     #[test]
     fn trace_records_all_stages() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let tel = Telemetry::new();
-        e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        let events = tel.trace.events();
-        for stage in Stage::ALL {
-            assert!(
-                events.iter().any(|ev| ev.stage == stage),
-                "missing {stage:?} events"
-            );
-        }
-        // Both processes traced.
-        assert!(events.iter().any(|ev| ev.process == 1));
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let tel = Telemetry::new();
+            e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+            let events = tel.trace.events();
+            for stage in Stage::ALL {
+                assert!(
+                    events.iter().any(|ev| ev.stage == stage),
+                    "missing {stage:?} events"
+                );
+            }
+            // Both processes traced.
+            assert!(events.iter().any(|ev| ev.process == 1));
+        });
     }
 
     /// Stage seconds and counts the epoch's `stage_summary` events carry.
@@ -742,229 +754,245 @@ mod tests {
 
     #[test]
     fn stage_numbers_are_one_fold_of_the_spans() {
-        // Histograms, `stage_summary` events and the timeline all come out
-        // of the same pass over the same drained spans, so on a fresh
-        // handle they agree to the bit, and every stage saw every batch
-        // once (the loader's gather and aggregation are one gather-stage
-        // interval).
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let tel = Telemetry::new();
-        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        let hists: std::collections::BTreeMap<_, _> =
-            tel.metrics.histograms().into_iter().collect();
-        let summaries = stage_summaries(&tel, 0);
-        let timeline = tel.trace.events();
-        assert_eq!(summaries.len(), Stage::ALL.len());
-        for (stage, (label, seconds, count)) in Stage::ALL.into_iter().zip(summaries) {
-            let h = &hists[&Telemetry::stage_histogram_name(stage)];
-            let want = stats.minibatches as u64;
-            assert_eq!(label, stage.label());
-            assert_eq!(h.count(), want, "{label}");
-            assert_eq!(count, want, "{label}");
-            assert_eq!(h.sum(), seconds, "{label}");
-            assert!(seconds > 0.0, "{label}");
-            // `events()` sorts by start, which is the drain order.
-            let spans = timeline.iter().filter(|ev| ev.stage == stage);
-            assert_eq!(spans.clone().count() as u64, want);
-            assert_eq!(spans.map(|ev| ev.end - ev.start).sum::<f64>(), seconds);
-        }
-        // One track per process.
-        for rank in 0..2 {
-            assert!(timeline.iter().any(|ev| ev.process == rank));
-        }
+        argo_rt::watchdog(120, || {
+            // Histograms, `stage_summary` events and the timeline all come out
+            // of the same pass over the same drained spans, so on a fresh
+            // handle they agree to the bit, and every stage saw every batch
+            // once (the loader's gather and aggregation are one gather-stage
+            // interval).
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let tel = Telemetry::new();
+            let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+            let hists: std::collections::BTreeMap<_, _> =
+                tel.metrics.histograms().into_iter().collect();
+            let summaries = stage_summaries(&tel, 0);
+            let timeline = tel.trace.events();
+            assert_eq!(summaries.len(), Stage::ALL.len());
+            for (stage, (label, seconds, count)) in Stage::ALL.into_iter().zip(summaries) {
+                let h = &hists[&Telemetry::stage_histogram_name(stage)];
+                let want = stats.minibatches as u64;
+                assert_eq!(label, stage.label());
+                assert_eq!(h.count(), want, "{label}");
+                assert_eq!(count, want, "{label}");
+                assert_eq!(h.sum(), seconds, "{label}");
+                assert!(seconds > 0.0, "{label}");
+                // `events()` sorts by start, which is the drain order.
+                let spans = timeline.iter().filter(|ev| ev.stage == stage);
+                assert_eq!(spans.clone().count() as u64, want);
+                assert_eq!(spans.map(|ev| ev.end - ev.start).sum::<f64>(), seconds);
+            }
+            // One track per process.
+            for rank in 0..2 {
+                assert!(timeline.iter().any(|ev| ev.process == rank));
+            }
+        });
     }
 
     #[test]
     fn long_epochs_drop_no_spans() {
-        // Rings are sized from the batch count: an epoch with more batches
-        // than a fixed RING_CAPACITY ring could hold (it used to cap a
-        // consumer ring at capacity / 4 batches) still records every span.
-        let batches = argo_rt::spans::RING_CAPACITY / 4 + 50;
-        let mut d = (*tiny()).clone();
-        let n = d.graph.num_nodes() as u32;
-        d.train_nodes = (0..batches as u32).map(|i| i % n).collect();
-        let mut o = opts(1);
-        o.hidden = 4;
-        let sampler = Arc::new(NeighborSampler::new(vec![2, 2]));
-        let mut e = Engine::new(Arc::new(d), sampler, o);
-        let tel = Telemetry::new();
-        let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));
-        assert_eq!(stats.minibatches, batches);
-        let coverage = tel.logger.events().into_iter().find_map(|(_, e)| match e {
-            argo_rt::RunEvent::CriticalPath { spans, dropped, .. } => Some((spans, dropped)),
-            _ => None,
+        argo_rt::watchdog(120, || {
+            // Rings are sized from the batch count: an epoch with more batches
+            // than a fixed RING_CAPACITY ring could hold (it used to cap a
+            // consumer ring at capacity / 4 batches) still records every span.
+            let batches = argo_rt::spans::RING_CAPACITY / 4 + 50;
+            let mut d = (*tiny()).clone();
+            let n = d.graph.num_nodes() as u32;
+            d.train_nodes = (0..batches as u32).map(|i| i % n).collect();
+            let mut o = opts(1);
+            o.hidden = 4;
+            let sampler = Arc::new(NeighborSampler::new(vec![2, 2]));
+            let mut e = Engine::new(Arc::new(d), sampler, o);
+            let tel = Telemetry::new();
+            let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));
+            assert_eq!(stats.minibatches, batches);
+            let coverage = tel.logger.events().into_iter().find_map(|(_, e)| match e {
+                argo_rt::RunEvent::CriticalPath { spans, dropped, .. } => Some((spans, dropped)),
+                _ => None,
+            });
+            // pick + gather + aggregate + enqueue, dequeue, compute + sync per
+            // batch, and none dropped.
+            assert_eq!(coverage, Some((7 * batches as u64, 0)));
         });
-        // pick + gather + aggregate + enqueue, dequeue, compute + sync per
-        // batch, and none dropped.
-        assert_eq!(coverage, Some((7 * batches as u64, 0)));
     }
 
     #[test]
     fn telemetry_epoch_emits_metrics_and_events() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let tel = Telemetry::new();
-        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let tel = Telemetry::new();
+            let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
 
-        // The registry holds the four stage histograms and nothing else; they
-        // saw one observation per mini-batch.
-        let hists: std::collections::BTreeMap<_, _> =
-            tel.metrics.histograms().into_iter().collect();
-        let mut names: Vec<String> = Stage::ALL
-            .map(Telemetry::stage_histogram_name)
-            .into_iter()
-            .collect();
-        names.sort();
-        assert_eq!(hists.keys().cloned().collect::<Vec<_>>(), names);
-        let compute = &hists[&Telemetry::stage_histogram_name(Stage::Compute)];
-        assert_eq!(compute.count(), stats.minibatches as u64);
-        assert!(compute.sum() > 0.0);
+            // The registry holds the four stage histograms and nothing else; they
+            // saw one observation per mini-batch.
+            let hists: std::collections::BTreeMap<_, _> =
+                tel.metrics.histograms().into_iter().collect();
+            let mut names: Vec<String> = Stage::ALL
+                .map(Telemetry::stage_histogram_name)
+                .into_iter()
+                .collect();
+            names.sort();
+            assert_eq!(hists.keys().cloned().collect::<Vec<_>>(), names);
+            let compute = &hists[&Telemetry::stage_histogram_name(Stage::Compute)];
+            assert_eq!(compute.count(), stats.minibatches as u64);
+            assert!(compute.sum() > 0.0);
 
-        // Structured events: one epoch_start, four stage summaries, the
-        // profiler's critical-path and bytes summaries, one epoch_end whose
-        // record mirrors the returned stats.
-        let events = tel.logger.events();
-        let kinds: Vec<&str> = events.iter().map(|(_, e)| e.kind()).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "epoch_start",
-                "stage_summary",
-                "stage_summary",
-                "stage_summary",
-                "stage_summary",
-                "critical_path",
-                "bytes_summary",
-                "epoch_end"
-            ]
-        );
-        // Critical-path fractions cover the whole epoch (sum ≈ 1).
-        match events.iter().find_map(|(_, e)| match e {
-            argo_rt::RunEvent::CriticalPath {
-                fractions, spans, ..
-            } => Some((fractions.clone(), *spans)),
-            _ => None,
-        }) {
-            Some((fractions, spans)) => {
-                assert!(spans > 0);
-                let total: f64 = fractions.iter().map(|(_, f)| f).sum();
-                assert!((total - 1.0).abs() < 1e-6, "fractions sum {total}");
+            // Structured events: one epoch_start, four stage summaries, the
+            // profiler's critical-path and bytes summaries, one epoch_end whose
+            // record mirrors the returned stats.
+            let events = tel.logger.events();
+            let kinds: Vec<&str> = events.iter().map(|(_, e)| e.kind()).collect();
+            assert_eq!(
+                kinds,
+                vec![
+                    "epoch_start",
+                    "stage_summary",
+                    "stage_summary",
+                    "stage_summary",
+                    "stage_summary",
+                    "critical_path",
+                    "bytes_summary",
+                    "epoch_end"
+                ]
+            );
+            // Critical-path fractions cover the whole epoch (sum ≈ 1).
+            match events.iter().find_map(|(_, e)| match e {
+                argo_rt::RunEvent::CriticalPath {
+                    fractions, spans, ..
+                } => Some((fractions.clone(), *spans)),
+                _ => None,
+            }) {
+                Some((fractions, spans)) => {
+                    assert!(spans > 0);
+                    let total: f64 = fractions.iter().map(|(_, f)| f).sum();
+                    assert!((total - 1.0).abs() < 1e-6, "fractions sum {total}");
+                }
+                None => panic!("no critical_path event"),
             }
-            None => panic!("no critical_path event"),
-        }
-        // Byte accounting: metadata flowed.
-        match events.iter().find_map(|(_, e)| match e {
-            argo_rt::RunEvent::BytesSummary { record, .. } => Some(*record),
-            _ => None,
-        }) {
-            Some(r) => {
-                assert_eq!(r.batches, stats.minibatches as u64);
-                assert!(r.metadata_bytes > 0);
-                assert!(r.metadata_bytes_per_batch() > 0.0);
+            // Byte accounting: metadata flowed.
+            match events.iter().find_map(|(_, e)| match e {
+                argo_rt::RunEvent::BytesSummary { record, .. } => Some(*record),
+                _ => None,
+            }) {
+                Some(r) => {
+                    assert_eq!(r.batches, stats.minibatches as u64);
+                    assert!(r.metadata_bytes > 0);
+                    assert!(r.metadata_bytes_per_batch() > 0.0);
+                }
+                None => panic!("no bytes_summary event"),
             }
-            None => panic!("no bytes_summary event"),
-        }
-        match &events.last().unwrap().1 {
-            argo_rt::RunEvent::EpochEnd {
-                epoch,
-                config,
-                record,
-            } => {
-                assert_eq!(*epoch, 0);
-                assert_eq!(config.n_proc, 2);
-                // The record mirrors the stats exactly.
-                assert!((record.epoch_time - stats.epoch_time).abs() < 1e-12);
-                assert_eq!(record.iterations, stats.iterations as u64);
-                assert_eq!(record.minibatches, stats.minibatches as u64);
-                assert_eq!(record.edges, stats.edges as u64);
+            match &events.last().unwrap().1 {
+                argo_rt::RunEvent::EpochEnd {
+                    epoch,
+                    config,
+                    record,
+                } => {
+                    assert_eq!(*epoch, 0);
+                    assert_eq!(config.n_proc, 2);
+                    // The record mirrors the stats exactly.
+                    assert!((record.epoch_time - stats.epoch_time).abs() < 1e-12);
+                    assert_eq!(record.iterations, stats.iterations as u64);
+                    assert_eq!(record.minibatches, stats.minibatches as u64);
+                    assert_eq!(record.edges, stats.edges as u64);
+                }
+                other => panic!("expected epoch_end, got {other:?}"),
             }
-            other => panic!("expected epoch_end, got {other:?}"),
-        }
+        });
     }
 
     #[test]
     fn sync_time_agrees_with_metrics() {
-        use std::collections::BTreeMap;
-        // Single process: the sync histogram's total is the EpochStats
-        // sync_time (both time the same rank-0 all-reduces).
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let tel = Telemetry::new();
-        let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));
-        let hists: BTreeMap<_, _> = tel.metrics.histograms().into_iter().collect();
-        let sync = &hists[&Telemetry::stage_histogram_name(Stage::Sync)];
-        let tol = 1e-6 + 0.05 * stats.sync_time;
-        assert!(
-            (sync.sum() - stats.sync_time).abs() <= tol,
-            "sync histogram {} vs stats {}",
-            sync.sum(),
-            stats.sync_time
-        );
-        assert_eq!(sync.count(), stats.iterations as u64);
+        argo_rt::watchdog(120, || {
+            use std::collections::BTreeMap;
+            // Single process: the sync histogram's total is the EpochStats
+            // sync_time (both time the same rank-0 all-reduces).
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let tel = Telemetry::new();
+            let stats = e.train_epoch(Config::new(1, 1, 1), Some(&tel));
+            let hists: BTreeMap<_, _> = tel.metrics.histograms().into_iter().collect();
+            let sync = &hists[&Telemetry::stage_histogram_name(Stage::Sync)];
+            let tol = 1e-6 + 0.05 * stats.sync_time;
+            assert!(
+                (sync.sum() - stats.sync_time).abs() <= tol,
+                "sync histogram {} vs stats {}",
+                sync.sum(),
+                stats.sync_time
+            );
+            assert_eq!(sync.count(), stats.iterations as u64);
 
-        // Multi-process: stats report rank 0 only, so the all-rank
-        // histogram total must be at least that and count every rank.
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let tel = Telemetry::new();
-        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        let hists: BTreeMap<_, _> = tel.metrics.histograms().into_iter().collect();
-        let sync = &hists[&Telemetry::stage_histogram_name(Stage::Sync)];
-        assert!(sync.sum() >= stats.sync_time * 0.95);
-        assert_eq!(sync.count(), (stats.iterations * 2) as u64);
+            // Multi-process: stats report rank 0 only, so the all-rank
+            // histogram total must be at least that and count every rank.
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let tel = Telemetry::new();
+            let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+            let hists: BTreeMap<_, _> = tel.metrics.histograms().into_iter().collect();
+            let sync = &hists[&Telemetry::stage_histogram_name(Stage::Sync)];
+            assert!(sync.sum() >= stats.sync_time * 0.95);
+            assert_eq!(sync.count(), (stats.iterations * 2) as u64);
+        });
     }
 
     #[test]
     fn telemetry_disabled_is_inert_and_stats_match() {
-        let mut e = Engine::new(tiny(), neighbor(), opts(64));
-        let tel = Telemetry::disabled();
-        let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
-        assert!(stats.iterations > 0);
-        assert!(tel.metrics.histograms().is_empty());
-        assert!(tel.logger.is_empty());
-        assert!(tel.trace.events().is_empty());
+        argo_rt::watchdog(120, || {
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let tel = Telemetry::disabled();
+            let stats = e.train_epoch(Config::new(2, 1, 1), Some(&tel));
+            assert!(stats.iterations > 0);
+            assert!(tel.metrics.histograms().is_empty());
+            assert!(tel.logger.is_empty());
+            assert!(tel.trace.events().is_empty());
+        });
     }
 
     #[test]
     fn more_processes_than_batch_still_works() {
-        // Degenerate split: global batch 4 over 4 processes → local batch 1.
-        let mut e = Engine::new(tiny(), neighbor(), opts(4));
-        let stats = e.train_epoch(Config::new(4, 1, 1), None);
-        assert!(stats.iterations > 0);
-        assert!(stats.loss.is_finite());
+        argo_rt::watchdog(120, || {
+            // Degenerate split: global batch 4 over 4 processes → local batch 1.
+            let mut e = Engine::new(tiny(), neighbor(), opts(4));
+            let stats = e.train_epoch(Config::new(4, 1, 1), None);
+            assert!(stats.iterations > 0);
+            assert!(stats.loss.is_finite());
+        });
     }
 
     #[test]
     fn tiny_train_set_with_many_processes() {
-        // Fewer train nodes than processes×batch: drop-last still leaves at
-        // least one synchronized iteration per process.
-        let mut d = (*tiny()).clone();
-        d.train_nodes.truncate(9);
-        let mut e = Engine::new(Arc::new(d), neighbor(), opts(2));
-        let stats = e.train_epoch(Config::new(3, 1, 1), None);
-        // 9 nodes over 3 procs = 3 each; batch max(2/3,1)=1 → 3 iterations.
-        assert_eq!(stats.iterations, 3);
-        assert_eq!(stats.minibatches, 9);
+        argo_rt::watchdog(120, || {
+            // Fewer train nodes than processes×batch: drop-last still leaves at
+            // least one synchronized iteration per process.
+            let mut d = (*tiny()).clone();
+            d.train_nodes.truncate(9);
+            let mut e = Engine::new(Arc::new(d), neighbor(), opts(2));
+            let stats = e.train_epoch(Config::new(3, 1, 1), None);
+            // 9 nodes over 3 procs = 3 each; batch max(2/3,1)=1 → 3 iterations.
+            assert_eq!(stats.iterations, 3);
+            assert_eq!(stats.minibatches, 9);
+        });
     }
 
     #[test]
     fn training_is_deterministic_across_core_allocations() {
-        // Repeating a run with the same core allocation is bit-identical:
-        // row-partitioned kernels give each output row to exactly one
-        // worker, and the weight-gradient reduction folds per-worker
-        // partials in a fixed range order. Across *different* allocations
-        // the reduction legally regroups FP sums (chunk size follows pool
-        // size), so cross-allocation agreement is tolerance-level, not
-        // bitwise.
-        let run = |t: usize| {
-            let mut e = Engine::new(tiny(), neighbor(), opts(64));
-            e.train_epoch(Config::new(2, 1, t), None);
-            e.params().to_vec()
-        };
-        let serial = run(1);
-        let pooled = run(2);
-        assert_eq!(pooled, run(2), "fixed allocation must be bit-identical");
-        assert_eq!(serial.len(), pooled.len());
-        for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
-            assert!((a - b).abs() <= 1e-4, "param {i}: 1-core {a} vs 2-core {b}");
-        }
+        argo_rt::watchdog(120, || {
+            // Repeating a run with the same core allocation is bit-identical:
+            // row-partitioned kernels give each output row to exactly one
+            // worker, and the weight-gradient reduction folds per-worker
+            // partials in a fixed range order. Across *different* allocations
+            // the reduction legally regroups FP sums (chunk size follows pool
+            // size), so cross-allocation agreement is tolerance-level, not
+            // bitwise.
+            let run = |t: usize| {
+                let mut e = Engine::new(tiny(), neighbor(), opts(64));
+                e.train_epoch(Config::new(2, 1, t), None);
+                e.params().to_vec()
+            };
+            let serial = run(1);
+            let pooled = run(2);
+            assert_eq!(pooled, run(2), "fixed allocation must be bit-identical");
+            assert_eq!(serial.len(), pooled.len());
+            for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
+                assert!((a - b).abs() <= 1e-4, "param {i}: 1-core {a} vs 2-core {b}");
+            }
+        });
     }
 
     #[test]
@@ -1018,8 +1046,10 @@ mod tests {
 
     #[test]
     fn ddp_semantics_match_single_process() {
-        ddp_matches_single_process(Arch::Sage, |max_deg| {
-            Arc::new(NeighborSampler::new(vec![max_deg; 2]))
+        argo_rt::watchdog(120, || {
+            ddp_matches_single_process(Arch::Sage, |max_deg| {
+                Arc::new(NeighborSampler::new(vec![max_deg; 2]))
+            });
         });
     }
 
@@ -1029,24 +1059,28 @@ mod tests {
     /// and only seed rows reach the loss.
     #[test]
     fn ddp_semantics_match_single_process_shadow() {
-        ddp_matches_single_process(Arch::Gcn, |max_deg| {
-            Arc::new(ShadowSampler::new(vec![max_deg; 2], 2))
+        argo_rt::watchdog(120, || {
+            ddp_matches_single_process(Arch::Gcn, |max_deg| {
+                Arc::new(ShadowSampler::new(vec![max_deg; 2], 2))
+            });
         });
     }
 
     #[test]
     fn cached_training_matches_uncached_bitwise() {
-        // `Config::with_cache_rows` is kept as a no-op (there is no feature
-        // cache any more), so a config that asks for a cache must train
-        // exactly as one that does not: parameters stay bit-identical.
-        let run = |cache_rows: usize| {
-            let mut e = Engine::new(tiny(), neighbor(), opts(64));
-            for _ in 0..3 {
-                e.train_epoch(Config::new(2, 1, 1).with_cache_rows(cache_rows), None);
-            }
-            e.params().to_vec()
-        };
-        assert_eq!(run(0), run(512));
+        argo_rt::watchdog(120, || {
+            // `Config::with_cache_rows` is kept as a no-op (there is no feature
+            // cache any more), so a config that asks for a cache must train
+            // exactly as one that does not: parameters stay bit-identical.
+            let run = |cache_rows: usize| {
+                let mut e = Engine::new(tiny(), neighbor(), opts(64));
+                for _ in 0..3 {
+                    e.train_epoch(Config::new(2, 1, 1).with_cache_rows(cache_rows), None);
+                }
+                e.params().to_vec()
+            };
+            assert_eq!(run(0), run(512));
+        });
     }
 
     /// The engine as it ran before the prologue moved to the loader, written
@@ -1115,38 +1149,40 @@ mod tests {
 
     #[test]
     fn engine_matches_the_gathered_step_replay_bitwise() {
-        // Moving the first aggregation to the loader thread moved no bit:
-        // every epoch's loss and the final parameters are what the serial
-        // gather-then-whole-step replay computes — one process or two, one
-        // sampler thread or two, block batches under
-        // GraphSAGE and subgraph batches (whose layer 0 the model may cut
-        // out of the loader's full-height aggregation) under GCN.
-        let d = tiny();
-        let cases: [(Arch, Arc<dyn Sampler>); 2] = [
-            (Arch::Sage, neighbor()),
-            (Arch::Gcn, Arc::new(ShadowSampler::new(vec![6, 3], 2))),
-        ];
-        for (kind, sampler) in cases {
-            let mut o = opts(64);
-            o.kind = kind;
-            for (p, s, t) in [(1, 1, 1), (1, 2, 1), (2, 1, 1)] {
-                let want = gathered_replay(&d, &*sampler, &o, p, 3);
-                let mut e = Engine::new(Arc::clone(&d), Arc::clone(&sampler), o.clone());
-                let config = Config::new(p, s, t);
-                let losses: Vec<u32> = (0..3)
-                    .map(|_| e.train_epoch(config, None).loss.to_bits())
-                    .collect();
-                let who = format!("{kind:?} ({p},{s},{t})");
-                assert_eq!(losses, want.0, "{who}: per-epoch loss");
-                assert!(
-                    e.params()
-                        .iter()
-                        .zip(&want.1)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{who}: final parameters"
-                );
+        argo_rt::watchdog(120, || {
+            // Moving the first aggregation to the loader thread moved no bit:
+            // every epoch's loss and the final parameters are what the serial
+            // gather-then-whole-step replay computes — one process or two, one
+            // sampler thread or two, block batches under
+            // GraphSAGE and subgraph batches (whose layer 0 the model may cut
+            // out of the loader's full-height aggregation) under GCN.
+            let d = tiny();
+            let cases: [(Arch, Arc<dyn Sampler>); 2] = [
+                (Arch::Sage, neighbor()),
+                (Arch::Gcn, Arc::new(ShadowSampler::new(vec![6, 3], 2))),
+            ];
+            for (kind, sampler) in cases {
+                let mut o = opts(64);
+                o.kind = kind;
+                for (p, s, t) in [(1, 1, 1), (1, 2, 1), (2, 1, 1)] {
+                    let want = gathered_replay(&d, &*sampler, &o, p, 3);
+                    let mut e = Engine::new(Arc::clone(&d), Arc::clone(&sampler), o.clone());
+                    let config = Config::new(p, s, t);
+                    let losses: Vec<u32> = (0..3)
+                        .map(|_| e.train_epoch(config, None).loss.to_bits())
+                        .collect();
+                    let who = format!("{kind:?} ({p},{s},{t})");
+                    assert_eq!(losses, want.0, "{who}: per-epoch loss");
+                    assert!(
+                        e.params()
+                            .iter()
+                            .zip(&want.1)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{who}: final parameters"
+                    );
+                }
             }
-        }
+        });
     }
 
     /// A sampler that dies on its `at`-th call (counted across threads).
@@ -1181,40 +1217,42 @@ mod tests {
 
     #[test]
     fn a_dead_loader_worker_fails_the_epoch_with_its_own_message() {
-        // A loader worker that panics mid-epoch used to end the iteration
-        // early and the engine adopted the short epoch. Now the epoch panics
-        // with the worker's message, on the caller's thread, after every
-        // thread of the epoch is joined — and the engine is as it was
-        // before the failed epoch: the next one runs clean.
-        for n_samp in [1, 2] {
-            let sampler = Arc::new(DiesAt {
-                inner: NeighborSampler::new(vec![8, 4]),
-                calls: Default::default(),
-                at: 3,
-            });
-            let mut e = Engine::new(tiny(), sampler.clone(), opts(64));
-            let config = Config::new(1, n_samp, 1);
-            let before = e.params().to_vec();
-            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                e.train_epoch(config, None)
-            }));
-            let payload = failed.expect_err("the epoch must not end short");
-            let message = payload
-                .downcast_ref::<String>()
-                .expect("the worker's formatted message");
-            assert!(message.contains("sampler died at call 3"), "{message}");
-            assert_eq!((e.epochs_done(), e.params()), (0, &before[..]));
-            // Scoped rank threads and joined loader workers: nothing of the
-            // failed epoch is left to touch the sampler.
-            let calls = sampler.calls.load(std::sync::atomic::Ordering::Relaxed);
-            let stats = e.train_epoch(config, None);
-            assert!(stats.iterations > 0 && stats.loss.is_finite());
-            assert_eq!(
-                sampler.calls.load(std::sync::atomic::Ordering::Relaxed),
-                calls + stats.minibatches
-            );
-            assert_eq!(e.epochs_done(), 1);
-        }
+        argo_rt::watchdog(120, || {
+            // A loader worker that panics mid-epoch used to end the iteration
+            // early and the engine adopted the short epoch. Now the epoch panics
+            // with the worker's message, on the caller's thread, after every
+            // thread of the epoch is joined — and the engine is as it was
+            // before the failed epoch: the next one runs clean.
+            for n_samp in [1, 2] {
+                let sampler = Arc::new(DiesAt {
+                    inner: NeighborSampler::new(vec![8, 4]),
+                    calls: Default::default(),
+                    at: 3,
+                });
+                let mut e = Engine::new(tiny(), sampler.clone(), opts(64));
+                let config = Config::new(1, n_samp, 1);
+                let before = e.params().to_vec();
+                let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    e.train_epoch(config, None)
+                }));
+                let payload = failed.expect_err("the epoch must not end short");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("the worker's formatted message");
+                assert!(message.contains("sampler died at call 3"), "{message}");
+                assert_eq!((e.epochs_done(), e.params()), (0, &before[..]));
+                // Scoped rank threads and joined loader workers: nothing of the
+                // failed epoch is left to touch the sampler.
+                let calls = sampler.calls.load(std::sync::atomic::Ordering::Relaxed);
+                let stats = e.train_epoch(config, None);
+                assert!(stats.iterations > 0 && stats.loss.is_finite());
+                assert_eq!(
+                    sampler.calls.load(std::sync::atomic::Ordering::Relaxed),
+                    calls + stats.minibatches
+                );
+                assert_eq!(e.epochs_done(), 1);
+            }
+        });
     }
 
     /// A fixture whose epochs all have the same shapes: one process, one
@@ -1235,93 +1273,100 @@ mod tests {
 
     #[test]
     fn second_epoch_reuses_every_buffer_of_the_first() {
-        // After one warm-up epoch the per-rank state is complete: a second
-        // epoch under the same config makes no fresh workspace allocation,
-        // no new operand buffer, for each hand-off: GraphSAGE's
-        // aggregation plus self rows, GCN's aggregation alone. The loader
-        // aggregates straight from the feature table and makes no other
-        // buffer.
-        let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
-        for (kind, operands) in sets {
-            let (d, sampler, mut o) = same_shape_every_epoch();
-            o.kind = kind;
-            let mut e = Engine::new(d, sampler, o);
-            let config = Config::new(1, 1, 1);
-            assert_eq!(e.buffer_stats(), BufferStats::default());
-            e.train_epoch(config, None);
-            let warm = e.buffer_stats();
-            let who = format!("{kind:?}: {warm:?}");
-            assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
-            assert!(warm.input_bytes > 0, "the operands came back: {who}");
-            assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
-            e.train_epoch(config, None);
-            // (Parked workspace bytes may shift: a best-fit reuse can leave
-            // a buffer at another capacity. What is pinned is that nothing
-            // new was made.)
-            let again = BufferStats {
-                workspace_bytes: warm.workspace_bytes,
-                ..e.buffer_stats()
-            };
-            assert_eq!(again, warm, "{who}");
-        }
+        argo_rt::watchdog(120, || {
+            // After one warm-up epoch the per-rank state is complete: a second
+            // epoch under the same config makes no fresh workspace allocation,
+            // no new operand buffer, for each hand-off: GraphSAGE's
+            // aggregation plus self rows, GCN's aggregation alone. The loader
+            // aggregates straight from the feature table and makes no other
+            // buffer.
+            let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
+            for (kind, operands) in sets {
+                let (d, sampler, mut o) = same_shape_every_epoch();
+                o.kind = kind;
+                let mut e = Engine::new(d, sampler, o);
+                let config = Config::new(1, 1, 1);
+                assert_eq!(e.buffer_stats(), BufferStats::default());
+                e.train_epoch(config, None);
+                let warm = e.buffer_stats();
+                let who = format!("{kind:?}: {warm:?}");
+                assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
+                assert!(warm.input_bytes > 0, "the operands came back: {who}");
+                assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
+                e.train_epoch(config, None);
+                // (Parked workspace bytes may shift: a best-fit reuse can leave
+                // a buffer at another capacity. What is pinned is that nothing
+                // new was made.)
+                let again = BufferStats {
+                    workspace_bytes: warm.workspace_bytes,
+                    ..e.buffer_stats()
+                };
+                assert_eq!(again, warm, "{who}");
+            }
+        });
     }
 
     #[test]
     fn retained_buffers_stay_bounded_over_cached_epochs() {
-        // The trap this pins: replicas that persist while every loader-made
-        // input is parked in their workspace retain one input per batch (up
-        // to the arena's 32 slots) — 613 MB instead of 264 on the DDP
-        // benchmark. With the return path the operands live in the ring,
-        // which holds only what was in flight at once: per rank one set
-        // queued and one being filled per worker, one in the step — and a
-        // set is two `n_dst × F` operands (GraphSAGE), never an `n_src × F`
-        // gathered input. The epochs are the DDP benchmark's shape, config
-        // and (no-op) cache setter included.
-        let d = tiny();
-        let (n_proc, n_samp) = (2, 1);
-        let mut e = Engine::new(Arc::clone(&d), neighbor(), opts(64));
-        for _ in 0..5 {
-            e.train_epoch(Config::new(n_proc, n_samp, 1).with_cache_rows(512), None);
-        }
-        let s = e.buffer_stats();
-        let sets = n_proc * (2 * n_samp + 1);
-        assert!((2 * n_proc..=2 * sets).contains(&s.input_buffers), "{s:?}");
-        // An operand has a row per layer-0 output node only: with fanouts
-        // [8, 4] from 32 seeds, far fewer than every node's row. The arena's
-        // share is activations, far smaller on this 500-feature dataset.
-        let one_input = d.graph.num_nodes() * d.feat_dim() * 4;
-        assert!(s.input_bytes <= s.input_buffers * one_input / 2, "{s:?}");
-        assert!(s.workspace_bytes < 2 * one_input, "{s:?}");
+        argo_rt::watchdog(120, || {
+            // The trap this pins: replicas that persist while every loader-made
+            // input is parked in their workspace retain one input per batch (up
+            // to the arena's 32 slots) — 613 MB instead of 264 on the DDP
+            // benchmark. With the return path the operands live in the ring,
+            // which holds only what was in flight at once: per rank one set
+            // queued and one being filled per worker, one in the step — and a
+            // set is two `n_dst × F` operands (GraphSAGE), never an `n_src × F`
+            // gathered input. The epochs are the DDP benchmark's shape, config
+            // and (no-op) cache setter included.
+            let d = tiny();
+            let (n_proc, n_samp) = (2, 1);
+            let mut e = Engine::new(Arc::clone(&d), neighbor(), opts(64));
+            for _ in 0..5 {
+                e.train_epoch(Config::new(n_proc, n_samp, 1).with_cache_rows(512), None);
+            }
+            let s = e.buffer_stats();
+            let sets = n_proc * (2 * n_samp + 1);
+            assert!((2 * n_proc..=2 * sets).contains(&s.input_buffers), "{s:?}");
+            // An operand has a row per layer-0 output node only: with fanouts
+            // [8, 4] from 32 seeds, far fewer than every node's row. The arena's
+            // share is activations, far smaller on this 500-feature dataset.
+            let one_input = d.graph.num_nodes() * d.feat_dim() * 4;
+            assert!(s.input_bytes <= s.input_buffers * one_input / 2, "{s:?}");
+            assert!(s.workspace_bytes < 2 * one_input, "{s:?}");
+        });
     }
 
     #[test]
     fn replicas_survive_process_count_changes() {
-        // (1,1,1) → (2,1,1) → (1,1,1): rank 0's replica is reused warm across
-        // all three epochs, rank 1's is built for the second and then idles.
-        // The three pins that hold for fresh replicas hold for these.
-        let (one, two) = (Config::new(1, 1, 1), Config::new(2, 1, 1));
-        let run = |d: &Arc<Dataset>, s: &Arc<dyn Sampler>, o: &EngineOptions, seq: &[Config]| {
-            let mut e = Engine::new(Arc::clone(d), Arc::clone(s), o.clone());
-            for &c in seq {
-                e.train_epoch(c, None);
-            }
-            e.params().to_vec()
-        };
-        // Deterministic on multi-batch epochs.
-        let (d, s) = (tiny(), neighbor());
-        let plain = run(&d, &s, &opts(64), &[one, two, one]);
-        assert_eq!(plain, run(&d, &s, &opts(64), &[one, two, one]));
-        // DDP ≡ single process (to accumulation tolerance) where sampling is
-        // exhaustive and an epoch is one global batch.
-        let (d, s, o) = same_shape_every_epoch();
-        let mixed = run(&d, &s, &o, &[one, two, one]);
-        let single = run(&d, &s, &o, &[one, one, one]);
-        let max_diff = mixed
-            .iter()
-            .zip(&single)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 2e-3, "divergence {max_diff}");
+        argo_rt::watchdog(120, || {
+            // (1,1,1) → (2,1,1) → (1,1,1): rank 0's replica is reused warm across
+            // all three epochs, rank 1's is built for the second and then idles.
+            // The three pins that hold for fresh replicas hold for these.
+            let (one, two) = (Config::new(1, 1, 1), Config::new(2, 1, 1));
+            let run =
+                |d: &Arc<Dataset>, s: &Arc<dyn Sampler>, o: &EngineOptions, seq: &[Config]| {
+                    let mut e = Engine::new(Arc::clone(d), Arc::clone(s), o.clone());
+                    for &c in seq {
+                        e.train_epoch(c, None);
+                    }
+                    e.params().to_vec()
+                };
+            // Deterministic on multi-batch epochs.
+            let (d, s) = (tiny(), neighbor());
+            let plain = run(&d, &s, &opts(64), &[one, two, one]);
+            assert_eq!(plain, run(&d, &s, &opts(64), &[one, two, one]));
+            // DDP ≡ single process (to accumulation tolerance) where sampling is
+            // exhaustive and an epoch is one global batch.
+            let (d, s, o) = same_shape_every_epoch();
+            let mixed = run(&d, &s, &o, &[one, two, one]);
+            let single = run(&d, &s, &o, &[one, one, one]);
+            let max_diff = mixed
+                .iter()
+                .zip(&single)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f32, f32::max);
+            assert!(max_diff < 2e-3, "divergence {max_diff}");
+        });
     }
 
     #[test]

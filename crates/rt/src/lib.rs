@@ -65,11 +65,16 @@ pub use trace::{Stage, TraceEvent, TraceRecorder};
 /// or fails the test if `body` has not finished within `secs` seconds: a
 /// hang fails with the test's name instead of stalling `cargo test`. A panic
 /// in `body` is resumed on the caller.
-#[cfg(test)]
-pub(crate) fn watchdog<T: Send + 'static>(
-    secs: u64,
-    body: impl FnOnce() -> T + Send + 'static,
-) -> T {
+///
+/// Test support only: public so that the other crates' thread-blocking
+/// tests (loader workers, engine ranks, serving sessions) can run under it.
+#[doc(hidden)]
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test harness: failing the calling test is its job"
+)]
+pub fn watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
     use std::sync::mpsc::{self, RecvTimeoutError};
     let (done, finished) = mpsc::channel();
     let body = std::thread::spawn(move || {

@@ -628,101 +628,113 @@ mod tests {
 
     #[test]
     fn yields_all_batches_in_order() {
-        let (g, s, seeds) = setup();
-        let loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(16)
-            .epoch_seeds(SeedSequence::new(42))
-            .n_samp(3)
-            .start();
-        assert_eq!(loader.num_batches(), 7);
-        let idxs: Vec<usize> = loader.map(|(i, _)| i).collect();
-        assert_eq!(idxs, vec![0, 1, 2, 3, 4, 5, 6]);
+        argo_rt::watchdog(60, || {
+            let (g, s, seeds) = setup();
+            let loader = LoaderSpec::builder(g, s, seeds)
+                .batch_size(16)
+                .epoch_seeds(SeedSequence::new(42))
+                .n_samp(3)
+                .start();
+            assert_eq!(loader.num_batches(), 7);
+            let idxs: Vec<usize> = loader.map(|(i, _)| i).collect();
+            assert_eq!(idxs, vec![0, 1, 2, 3, 4, 5, 6]);
+        });
     }
 
     #[test]
     fn batch_content_independent_of_worker_count() {
-        // The number of sampler threads may not change what gets sampled:
-        // batch i of epoch e is a pure function of (epoch_seeds, e, i).
-        let (g, s, seeds) = setup();
-        let run = |n_samp: usize| -> Vec<Vec<NodeId>> {
-            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(10)
-                .epoch(3)
-                .epoch_seeds(SeedSequence::new(7))
-                .n_samp(n_samp)
-                .start()
-                .map(|(_, b)| b.batch.input_nodes().to_vec())
-                .collect()
-        };
-        let reference = run(1);
-        assert_eq!(reference, run(2));
-        assert_eq!(reference, run(4));
+        argo_rt::watchdog(60, || {
+            // The number of sampler threads may not change what gets sampled:
+            // batch i of epoch e is a pure function of (epoch_seeds, e, i).
+            let (g, s, seeds) = setup();
+            let run = |n_samp: usize| -> Vec<Vec<NodeId>> {
+                LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                    .batch_size(10)
+                    .epoch(3)
+                    .epoch_seeds(SeedSequence::new(7))
+                    .n_samp(n_samp)
+                    .start()
+                    .map(|(_, b)| b.batch.input_nodes().to_vec())
+                    .collect()
+            };
+            let reference = run(1);
+            assert_eq!(reference, run(2));
+            assert_eq!(reference, run(4));
+        });
     }
 
     #[test]
     fn steady_state_sampling_is_allocation_free() {
-        // The scratch arena warms up on the first batch; after that the
-        // worker loop charges zero allocations for sampler metadata. Every
-        // batch here has identical seed content (nodes 0..16), so the warm
-        // arena is provably large enough for all later batches.
-        let g = Arc::new(power_law(500, 5000, 0.8, 1));
-        let s: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![5, 3]));
-        let seeds: Arc<Vec<NodeId>> = Arc::new((0..12).flat_map(|_| 0..16).collect());
-        let allocs: Vec<u64> = LoaderSpec::builder(g, s, seeds)
-            .batch_size(16)
-            .epoch_seeds(SeedSequence::new(11))
-            .normalization(Normalization::Gcn)
-            .n_samp(1)
-            .start()
-            .map(|(_, b)| b.scratch_allocs)
-            .collect();
-        assert_eq!(allocs.len(), 12);
-        assert!(allocs[0] > 0, "first batch must warm the arena: {allocs:?}");
-        assert!(
-            allocs[1..].iter().all(|&a| a == 0),
-            "steady state must not allocate: {allocs:?}"
-        );
+        argo_rt::watchdog(60, || {
+            // The scratch arena warms up on the first batch; after that the
+            // worker loop charges zero allocations for sampler metadata. Every
+            // batch here has identical seed content (nodes 0..16), so the warm
+            // arena is provably large enough for all later batches.
+            let g = Arc::new(power_law(500, 5000, 0.8, 1));
+            let s: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![5, 3]));
+            let seeds: Arc<Vec<NodeId>> = Arc::new((0..12).flat_map(|_| 0..16).collect());
+            let allocs: Vec<u64> = LoaderSpec::builder(g, s, seeds)
+                .batch_size(16)
+                .epoch_seeds(SeedSequence::new(11))
+                .normalization(Normalization::Gcn)
+                .n_samp(1)
+                .start()
+                .map(|(_, b)| b.scratch_allocs)
+                .collect();
+            assert_eq!(allocs.len(), 12);
+            assert!(allocs[0] > 0, "first batch must warm the arena: {allocs:?}");
+            assert!(
+                allocs[1..].iter().all(|&a| a == 0),
+                "steady state must not allocate: {allocs:?}"
+            );
+        });
     }
 
     #[test]
     fn last_batch_is_short() {
-        let (g, s, _) = setup();
-        let seeds: Arc<Vec<NodeId>> = Arc::new((0..25).collect());
-        let loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(10)
-            .epoch_seeds(SeedSequence::new(1))
-            .n_samp(2)
-            .start();
-        let sizes: Vec<usize> = loader.map(|(_, b)| b.batch.num_seeds()).collect();
-        assert_eq!(sizes, vec![10, 10, 5]);
+        argo_rt::watchdog(60, || {
+            let (g, s, _) = setup();
+            let seeds: Arc<Vec<NodeId>> = Arc::new((0..25).collect());
+            let loader = LoaderSpec::builder(g, s, seeds)
+                .batch_size(10)
+                .epoch_seeds(SeedSequence::new(1))
+                .n_samp(2)
+                .start();
+            let sizes: Vec<usize> = loader.map(|(_, b)| b.batch.num_seeds()).collect();
+            assert_eq!(sizes, vec![10, 10, 5]);
+        });
     }
 
     #[test]
     fn early_drop_does_not_hang() {
-        let (g, s, seeds) = setup();
-        let mut loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(4)
-            .epoch_seeds(SeedSequence::new(5))
-            .n_samp(2)
-            .start();
-        let _ = loader.next();
-        drop(loader); // must join cleanly even with batches unconsumed
+        argo_rt::watchdog(60, || {
+            let (g, s, seeds) = setup();
+            let mut loader = LoaderSpec::builder(g, s, seeds)
+                .batch_size(4)
+                .epoch_seeds(SeedSequence::new(5))
+                .n_samp(2)
+                .start();
+            let _ = loader.next();
+            drop(loader); // must join cleanly even with batches unconsumed
+        });
     }
 
     #[test]
     fn different_epochs_differ() {
-        let (g, s, seeds) = setup();
-        let collect = |epoch: u64| -> Vec<Vec<NodeId>> {
-            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(10)
-                .epoch(epoch)
-                .epoch_seeds(SeedSequence::new(7))
-                .n_samp(2)
-                .start()
-                .map(|(_, b)| b.batch.input_nodes().to_vec())
-                .collect()
-        };
-        assert_ne!(collect(0), collect(1));
+        argo_rt::watchdog(60, || {
+            let (g, s, seeds) = setup();
+            let collect = |epoch: u64| -> Vec<Vec<NodeId>> {
+                LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                    .batch_size(10)
+                    .epoch(epoch)
+                    .epoch_seeds(SeedSequence::new(7))
+                    .n_samp(2)
+                    .start()
+                    .map(|(_, b)| b.batch.input_nodes().to_vec())
+                    .collect()
+            };
+            assert_ne!(collect(0), collect(1));
+        });
     }
 
     fn features() -> Arc<Features> {
@@ -751,67 +763,71 @@ mod tests {
 
     #[test]
     fn pre_gathered_input_matches_direct_gather() {
-        // With features in the spec, every yielded batch
-        // carries what the first GEMM reads: the gathered rows' aggregation
-        // over the input-side adjacency, with the self rows for `Mean` only.
-        let (g, s, seeds) = setup();
-        let feats = features();
-        for norm in [Normalization::Mean, Normalization::Gcn] {
-            let b = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(16)
-                .epoch_seeds(SeedSequence::new(9))
-                .n_samp(3)
-                .normalization(norm)
-                .features(Arc::clone(&feats));
-            for (_, lb) in b.start() {
-                let gathered = feats.gather(lb.batch.input_nodes());
-                let PreparedInput { agg, self_rows } = lb.input.expect("features requested");
-                let n_dst = lb.batch.input_adj().rows();
-                assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
-                let want = aggregated_by_hand(&lb.batch, &feats);
-                for (a, w) in agg.data().iter().zip(&want) {
-                    assert!((a - w).abs() <= 1e-5 * w.abs().max(1.0), "{a} vs {w}");
-                }
-                assert_eq!(self_rows.is_some(), norm == Normalization::Mean);
-                if let Some(rows) = self_rows {
-                    assert_eq!(rows.data(), &gathered.data()[..n_dst * 4]);
+        argo_rt::watchdog(60, || {
+            // With features in the spec, every yielded batch
+            // carries what the first GEMM reads: the gathered rows' aggregation
+            // over the input-side adjacency, with the self rows for `Mean` only.
+            let (g, s, seeds) = setup();
+            let feats = features();
+            for norm in [Normalization::Mean, Normalization::Gcn] {
+                let b = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                    .batch_size(16)
+                    .epoch_seeds(SeedSequence::new(9))
+                    .n_samp(3)
+                    .normalization(norm)
+                    .features(Arc::clone(&feats));
+                for (_, lb) in b.start() {
+                    let gathered = feats.gather(lb.batch.input_nodes());
+                    let PreparedInput { agg, self_rows } = lb.input.expect("features requested");
+                    let n_dst = lb.batch.input_adj().rows();
+                    assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
+                    let want = aggregated_by_hand(&lb.batch, &feats);
+                    for (a, w) in agg.data().iter().zip(&want) {
+                        assert!((a - w).abs() <= 1e-5 * w.abs().max(1.0), "{a} vs {w}");
+                    }
+                    assert_eq!(self_rows.is_some(), norm == Normalization::Mean);
+                    if let Some(rows) = self_rows {
+                        assert_eq!(rows.data(), &gathered.data()[..n_dst * 4]);
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
     fn returned_inputs_are_reused_across_epochs() {
-        // The consumer hands every operand back, so three epochs of seven
-        // batches run on the three sets that can be in flight at once with
-        // one worker: one being filled, one in the channel, one being
-        // consumed — two operands each under `Mean`. Batches differ in size,
-        // so reuse also has to overwrite stale rows. The worker aggregates
-        // straight from the feature table and makes no other buffer.
-        let (g, s, seeds) = setup();
-        let feats = features();
-        let ring = InputRing::new();
-        for epoch in 0..3 {
-            let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(16)
-                .epoch(epoch)
-                .epoch_seeds(SeedSequence::new(9))
-                .normalization(Normalization::Mean)
-                .features(Arc::clone(&feats));
-            for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
-                let input = lb.input.expect("features requested");
-                let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
-                let gathered = feats.gather(lb.batch.input_nodes());
-                assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
-                input.recycle(&ring);
+        argo_rt::watchdog(60, || {
+            // The consumer hands every operand back, so three epochs of seven
+            // batches run on the three sets that can be in flight at once with
+            // one worker: one being filled, one in the channel, one being
+            // consumed — two operands each under `Mean`. Batches differ in size,
+            // so reuse also has to overwrite stale rows. The worker aggregates
+            // straight from the feature table and makes no other buffer.
+            let (g, s, seeds) = setup();
+            let feats = features();
+            let ring = InputRing::new();
+            for epoch in 0..3 {
+                let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                    .batch_size(16)
+                    .epoch(epoch)
+                    .epoch_seeds(SeedSequence::new(9))
+                    .normalization(Normalization::Mean)
+                    .features(Arc::clone(&feats));
+                for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
+                    let input = lb.input.expect("features requested");
+                    let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
+                    let gathered = feats.gather(lb.batch.input_nodes());
+                    assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
+                    input.recycle(&ring);
+                }
             }
-        }
-        assert!(
-            (2..=2 * 3).contains(&ring.buffers_made()),
-            "21 batches made {} buffers",
-            ring.buffers_made()
-        );
-        assert!(ring.parked_bytes() > 0);
+            assert!(
+                (2..=2 * 3).contains(&ring.buffers_made()),
+                "21 batches made {} buffers",
+                ring.buffers_made()
+            );
+            assert!(ring.parked_bytes() > 0);
+        });
     }
 
     #[test]
@@ -903,47 +919,51 @@ mod tests {
 
     #[test]
     fn a_worker_panic_is_re_raised_on_the_consumer_not_a_short_epoch() {
-        // Batches before the dead one still arrive in order; the iteration
-        // then panics with the worker's own message instead of returning
-        // `None` with batches missing — and promptly: the surviving workers
-        // of a long epoch do not get to prepare the rest of it into the
-        // reorder heap first.
-        for (n_samp, batches) in [(1, 10), (3, 10), (3, 400)] {
-            let (g, _, _) = setup();
-            let seeds: Arc<Vec<NodeId>> = Arc::new((0..batches * 10).map(|i| i % 100).collect());
-            let dies = Arc::new(DiesAt {
-                inner: NeighborSampler::new(vec![5, 3]),
-                calls: AtomicUsize::new(0),
-                at: 4,
-            });
-            let mut loader = LoaderSpec::builder(g, Arc::clone(&dies) as Arc<dyn Sampler>, seeds)
-                .batch_size(10)
-                .epoch_seeds(SeedSequence::new(5))
-                .n_samp(n_samp)
-                .normalization(Normalization::Mean)
-                .features(features())
-                .start();
-            assert_eq!(loader.num_batches(), batches as usize);
-            let mut seen = 0;
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for (i, _) in &mut loader {
-                    assert_eq!(i, seen);
-                    seen += 1;
-                }
-            }));
-            let payload = died.expect_err("more batches were promised");
-            let message = payload.downcast_ref::<String>().expect("formatted message");
-            assert!(message.contains("sampler died at call 4"), "{message}");
-            // One worker: calls are batches, so exactly four arrived. Three
-            // workers: whichever batch the fifth call was for is missing.
-            assert!(seen <= 9 && (n_samp > 1 || seen == 4), "{seen} batches");
-            assert!(loader.workers.is_empty(), "every worker joined");
-            // The survivors were stopped within a few batches of the death:
-            // what they had in hand, the channel's one per worker, a few more
-            // while the consumer drained.
-            let calls = dies.calls.load(Ordering::Relaxed);
-            assert!(calls <= 40 && loader.reorder.len() <= 40, "{calls} calls");
-        }
+        argo_rt::watchdog(60, || {
+            // Batches before the dead one still arrive in order; the iteration
+            // then panics with the worker's own message instead of returning
+            // `None` with batches missing — and promptly: the surviving workers
+            // of a long epoch do not get to prepare the rest of it into the
+            // reorder heap first.
+            for (n_samp, batches) in [(1, 10), (3, 10), (3, 400)] {
+                let (g, _, _) = setup();
+                let seeds: Arc<Vec<NodeId>> =
+                    Arc::new((0..batches * 10).map(|i| i % 100).collect());
+                let dies = Arc::new(DiesAt {
+                    inner: NeighborSampler::new(vec![5, 3]),
+                    calls: AtomicUsize::new(0),
+                    at: 4,
+                });
+                let mut loader =
+                    LoaderSpec::builder(g, Arc::clone(&dies) as Arc<dyn Sampler>, seeds)
+                        .batch_size(10)
+                        .epoch_seeds(SeedSequence::new(5))
+                        .n_samp(n_samp)
+                        .normalization(Normalization::Mean)
+                        .features(features())
+                        .start();
+                assert_eq!(loader.num_batches(), batches as usize);
+                let mut seen = 0;
+                let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    for (i, _) in &mut loader {
+                        assert_eq!(i, seen);
+                        seen += 1;
+                    }
+                }));
+                let payload = died.expect_err("more batches were promised");
+                let message = payload.downcast_ref::<String>().expect("formatted message");
+                assert!(message.contains("sampler died at call 4"), "{message}");
+                // One worker: calls are batches, so exactly four arrived. Three
+                // workers: whichever batch the fifth call was for is missing.
+                assert!(seen <= 9 && (n_samp > 1 || seen == 4), "{seen} batches");
+                assert!(loader.workers.is_empty(), "every worker joined");
+                // The survivors were stopped within a few batches of the death:
+                // what they had in hand, the channel's one per worker, a few more
+                // while the consumer drained.
+                let calls = dies.calls.load(Ordering::Relaxed);
+                assert!(calls <= 40 && loader.reorder.len() <= 40, "{calls} calls");
+            }
+        });
     }
 
     #[test]
@@ -957,67 +977,73 @@ mod tests {
 
     #[test]
     fn without_features_input_is_none() {
-        let (g, s, seeds) = setup();
-        let loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(50)
-            .epoch_seeds(SeedSequence::new(2))
-            .start();
-        for (_, lb) in loader {
-            assert!(lb.input.is_none());
-        }
+        argo_rt::watchdog(60, || {
+            let (g, s, seeds) = setup();
+            let loader = LoaderSpec::builder(g, s, seeds)
+                .batch_size(50)
+                .epoch_seeds(SeedSequence::new(2))
+                .start();
+            for (_, lb) in loader {
+                assert!(lb.input.is_none());
+            }
+        });
     }
 
     #[test]
     fn profiler_records_one_span_chain_per_batch() {
-        let (g, s, seeds) = setup();
-        let prof = SpanProfiler::new().for_process(1);
-        let loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(16)
-            .epoch_seeds(SeedSequence::new(11))
-            .n_samp(2)
-            .normalization(Normalization::Gcn)
-            .features(features())
-            .spans(prof.clone())
-            .start();
-        let n = loader.num_batches();
-        let got: Vec<_> = loader.collect();
-        assert_eq!(got.len(), n);
-        let drained = prof.drain();
-        assert_eq!(drained.dropped, 0);
-        // Every ring the loader registered carries the handle's rank.
-        assert!(drained.records.iter().all(|r| r.process == 1));
-        let count = |role: Role, kind: SpanKind| {
-            drained
+        argo_rt::watchdog(60, || {
+            let (g, s, seeds) = setup();
+            let prof = SpanProfiler::new().for_process(1);
+            let loader = LoaderSpec::builder(g, s, seeds)
+                .batch_size(16)
+                .epoch_seeds(SeedSequence::new(11))
+                .n_samp(2)
+                .normalization(Normalization::Gcn)
+                .features(features())
+                .spans(prof.clone())
+                .start();
+            let n = loader.num_batches();
+            let got: Vec<_> = loader.collect();
+            assert_eq!(got.len(), n);
+            let drained = prof.drain();
+            assert_eq!(drained.dropped, 0);
+            // Every ring the loader registered carries the handle's rank.
+            assert!(drained.records.iter().all(|r| r.process == 1));
+            let count = |role: Role, kind: SpanKind| {
+                drained
+                    .records
+                    .iter()
+                    .filter(|r| r.role == role && r.kind == kind)
+                    .count()
+            };
+            // One pick, one gather, one aggregation, one enqueue wait per batch
+            // on the producer side; one dequeue wait per batch on the consumer
+            // side — each keyed by the batch id so the chain is linkable.
+            assert_eq!(count(Role::Producer, SpanKind::Pick), n);
+            assert_eq!(count(Role::Producer, SpanKind::Gather), n);
+            assert_eq!(count(Role::Producer, SpanKind::Aggregate), n);
+            assert_eq!(count(Role::Producer, SpanKind::EnqueueWait), n);
+            assert_eq!(count(Role::Consumer, SpanKind::DequeueWait), n);
+            let mut picked: Vec<u64> = drained
                 .records
                 .iter()
-                .filter(|r| r.role == role && r.kind == kind)
-                .count()
-        };
-        // One pick, one gather, one aggregation, one enqueue wait per batch
-        // on the producer side; one dequeue wait per batch on the consumer
-        // side — each keyed by the batch id so the chain is linkable.
-        assert_eq!(count(Role::Producer, SpanKind::Pick), n);
-        assert_eq!(count(Role::Producer, SpanKind::Gather), n);
-        assert_eq!(count(Role::Producer, SpanKind::Aggregate), n);
-        assert_eq!(count(Role::Producer, SpanKind::EnqueueWait), n);
-        assert_eq!(count(Role::Consumer, SpanKind::DequeueWait), n);
-        let mut picked: Vec<u64> = drained
-            .records
-            .iter()
-            .filter(|r| r.kind == SpanKind::Pick)
-            .map(|r| r.batch)
-            .collect();
-        picked.sort_unstable();
-        assert_eq!(picked, (0..n as u64).collect::<Vec<_>>());
+                .filter(|r| r.kind == SpanKind::Pick)
+                .map(|r| r.batch)
+                .collect();
+            picked.sort_unstable();
+            assert_eq!(picked, (0..n as u64).collect::<Vec<_>>());
+        });
     }
 
     #[test]
     fn no_profiler_records_nothing() {
-        let (g, s, seeds) = setup();
-        let loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(32)
-            .epoch_seeds(SeedSequence::new(3))
-            .start();
-        assert_eq!(loader.count(), 4);
+        argo_rt::watchdog(60, || {
+            let (g, s, seeds) = setup();
+            let loader = LoaderSpec::builder(g, s, seeds)
+                .batch_size(32)
+                .epoch_seeds(SeedSequence::new(3))
+                .start();
+            assert_eq!(loader.count(), 4);
+        });
     }
 }

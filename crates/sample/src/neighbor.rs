@@ -4,7 +4,7 @@ use argo_graph::{Graph, NodeId};
 use argo_rt::{SeedSequence, StreamRng};
 
 use crate::batch::Normalization;
-use crate::scratch::{LayerRec, SamplerScratch};
+use crate::scratch::{drawn_words, floyd_positions, LayerRec, SamplerScratch};
 use crate::view::SampledBatchView;
 use crate::{SampleRun, Sampler};
 
@@ -39,9 +39,9 @@ impl NeighborSampler {
 ///
 /// When the row is no larger than the fanout the whole row is copied. When
 /// it is larger, Robert Floyd's algorithm samples `fanout` *distinct
-/// positions* in `0..deg` — uniform without replacement, O(fanout log
-/// fanout), and crucially no degree-sized copy of the adjacency row: a hub
-/// node with thousands of neighbors costs the same as any other row.
+/// positions* in `0..deg` — uniform without replacement, O(fanout +
+/// deg/64) over a bitset, and crucially no degree-sized copy of the
+/// adjacency row — and `neigh[p]` is written straight from the bit scan.
 /// Distinct positions preserve the multi-edge semantics of the old partial
 /// Fisher–Yates (a neighbor repeats only as often as its multiplicity).
 fn pick_row(
@@ -50,7 +50,7 @@ fn pick_row(
     fanout: usize,
     mut rng: StreamRng,
     out: &mut [NodeId],
-    positions: &mut Vec<u32>,
+    drawn: &mut Vec<u64>,
 ) -> u32 {
     let neigh = graph.neighbors(v);
     let deg = neigh.len();
@@ -58,10 +58,12 @@ fn pick_row(
         out[..deg].copy_from_slice(neigh);
         return deg as u32;
     }
-    crate::scratch::floyd_positions(&mut rng, deg, fanout, positions);
-    for (k, &p) in positions.iter().enumerate() {
-        out[k] = neigh[p as usize];
-    }
+    let words = drawn_words(drawn, graph, deg);
+    let mut k = 0;
+    floyd_positions(&mut rng, deg, fanout, words, |p| {
+        out[k] = neigh[p];
+        k += 1;
+    });
     fanout as u32
 }
 
@@ -78,10 +80,10 @@ fn pick_layer(
     scratch: &mut SamplerScratch,
 ) {
     scratch.acquire_picks(dst.len(), fanout);
-    scratch.acquire_positions(fanout);
     let picked = &mut scratch.picked;
     let counts = &mut scratch.counts;
-    let positions = &mut scratch.positions;
+    let drawn = &mut scratch.drawn;
+    let drawn_cap = drawn.capacity();
     for (i, &v) in dst.iter().enumerate() {
         let rng = StreamRng::new(stream.seed_for(layer, i as u64));
         counts[i] = pick_row(
@@ -90,9 +92,10 @@ fn pick_layer(
             fanout,
             rng,
             &mut picked[i * fanout..(i + 1) * fanout],
-            positions,
+            drawn,
         );
     }
+    scratch.note_growth(scratch.drawn.capacity() > drawn_cap);
 }
 
 impl Sampler for NeighborSampler {

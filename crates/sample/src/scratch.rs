@@ -2,10 +2,10 @@
 //!
 //! Mirrors the tensor crate's workspace arena: every sampler obtains its
 //! bookkeeping buffers — the dense dedup table, the per-row pick buffers,
-//! Floyd position sets, BFS frontiers — from a [`SamplerScratch`] owned by
-//! the calling worker, so the steady-state sampling loop performs **zero
-//! per-batch heap allocations for sampler metadata**. The assembled batch
-//! itself also lives here — `sample_into` builds its CSR directly in the
+//! Floyd's drawn-position bitset, BFS frontiers — from a [`SamplerScratch`]
+//! owned by the calling worker, so the steady-state sampling loop performs
+//! **zero per-batch heap allocations for sampler metadata**. The assembled
+//! batch itself also lives here — `sample_into` builds its CSR directly in the
 //! scratch's batch arena and returns a borrowed
 //! [`SampledBatchView`](crate::SampledBatchView); owned memory is spent
 //! only where a batch must outlive the arena (`to_owned`, e.g. at the
@@ -45,8 +45,9 @@ pub struct SamplerScratch {
     pub(crate) picked: Vec<NodeId>,
     /// Number of valid picks per row.
     pub(crate) counts: Vec<u32>,
-    /// Floyd sample of distinct in-row positions.
-    pub(crate) positions: Vec<u32>,
+    /// Floyd's drawn set: one bit per position of the row being sampled
+    /// (a row uses its first ⌈deg/64⌉ words), all zero between rows.
+    pub(crate) drawn: Vec<u64>,
     /// Current BFS frontier (ShaDow).
     pub(crate) frontier: Vec<NodeId>,
     /// Next BFS frontier being built.
@@ -266,16 +267,6 @@ impl SamplerScratch {
         self.note(g1 || g2);
     }
 
-    /// Acquires the Floyd position buffer with room for `fanout` entries.
-    pub(crate) fn acquire_positions(&mut self, fanout: usize) {
-        let grew = self.positions.capacity() < fanout;
-        self.positions.clear();
-        self.note(grew);
-        if grew {
-            self.positions.reserve(fanout);
-        }
-    }
-
     /// Acquires both frontier buffers with room for `hint` nodes each.
     pub(crate) fn acquire_frontiers(&mut self, hint: usize) {
         let grew = self.frontier.capacity() < hint || self.next_frontier.capacity() < hint;
@@ -319,25 +310,51 @@ impl SamplerScratch {
     }
 }
 
+/// The words of Floyd's drawn set for a row of `deg` positions. The first
+/// row that outgrows `drawn` sizes it for `graph`'s largest row, so it grows
+/// at most once per graph; callers charge the growth to the scratch
+/// counters by comparing its capacity across a layer.
+pub(crate) fn drawn_words<'a>(drawn: &'a mut Vec<u64>, graph: &Graph, deg: usize) -> &'a mut [u64] {
+    let words = deg.div_ceil(64);
+    if drawn.len() < words {
+        drawn.resize(graph.max_degree().div_ceil(64).max(words), 0);
+    }
+    &mut drawn[..words]
+}
+
 /// Robert Floyd's algorithm: a uniform sample of `fanout` *distinct*
-/// positions in `0..deg` (`deg > fanout`), left sorted in `positions`.
+/// positions in `0..deg` (`deg > fanout`), handed to `visit` in ascending
+/// order.
 ///
-/// For `j` in `deg-fanout..deg`, draw `t` in `0..=j`; on a collision insert
-/// `j` instead. `j` strictly exceeds every entry already present, so the
-/// collision case appends at the end and fresh draws binary-search to their
-/// slot — O(fanout log fanout), no degree-sized copy, no hash set.
+/// For `j` in `deg-fanout..deg`, draw `t` in `0..=j`; if `t` is already
+/// drawn, take `j` instead. The drawn set is a bitset over `0..deg` (`drawn`
+/// holds its ⌈deg/64⌉ words, all zero on entry), so membership is one bit
+/// test. Reading it back scans the words with `trailing_zeros`, which yields
+/// the positions in ascending order without a sort and clears each word as
+/// it goes, leaving `drawn` zeroed for the next row. O(fanout + deg/64): no
+/// degree-sized copy, no hash set, no sort.
 pub(crate) fn floyd_positions(
     rng: &mut StreamRng,
     deg: usize,
     fanout: usize,
-    positions: &mut Vec<u32>,
+    drawn: &mut [u64],
+    mut visit: impl FnMut(usize),
 ) {
-    positions.clear();
+    debug_assert_eq!(drawn.len(), deg.div_ceil(64));
     for j in (deg - fanout)..deg {
-        let t = rng.index(j + 1) as u32;
-        match positions.binary_search(&t) {
-            Ok(_) => positions.push(j as u32),
-            Err(at) => positions.insert(at, t),
+        let t = rng.index(j + 1);
+        let bit = 1u64 << (t & 63);
+        if drawn[t >> 6] & bit == 0 {
+            drawn[t >> 6] |= bit;
+        } else {
+            drawn[j >> 6] |= 1u64 << (j & 63);
+        }
+    }
+    for (w, word) in drawn.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            visit(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 }
@@ -589,15 +606,58 @@ mod tests {
     fn buffers_alloc_once_then_recycle() {
         let mut s = SamplerScratch::new();
         s.acquire_picks(64, 10);
-        s.acquire_positions(10);
         assert!(s.allocs() > 0);
         let after_first = s.allocs();
         for _ in 0..5 {
             s.acquire_picks(64, 10);
             s.acquire_picks(16, 5); // smaller shapes reuse the same capacity
-            s.acquire_positions(10);
         }
         assert_eq!(s.allocs(), after_first, "steady state must not allocate");
         assert!(s.reuses() > 0);
+    }
+
+    /// Floyd's draw written out over a `BTreeSet`, as the sampler oracle
+    /// (`tests/oracle/mod.rs`) defines it.
+    fn btree_floyd(rng: &mut StreamRng, deg: usize, fanout: usize) -> Vec<usize> {
+        let mut chosen = std::collections::BTreeSet::new();
+        for j in deg - fanout..deg {
+            let t = rng.index(j + 1);
+            if !chosen.insert(t) {
+                chosen.insert(j);
+            }
+        }
+        chosen.into_iter().collect()
+    }
+
+    #[test]
+    fn bitset_floyd_matches_an_independent_set() {
+        // One scratch for every case, widest rows first: a bit a row left
+        // behind would show up in a later, narrower row's positions.
+        let mut scratch = SamplerScratch::new();
+        let graph = Graph::from_edges(1, &[], true);
+        let stream = argo_rt::SeedSequence::new(43);
+        let mut cases = Vec::new();
+        for deg in [5000, 1000, 129, 128, 127, 65, 64, 63] {
+            for fanout in [1, 7, 15, deg - 1] {
+                cases.push((deg, fanout));
+            }
+        }
+        cases.extend([15, 7, 1].map(|fanout| (fanout + 1, fanout)));
+        for (case, &(deg, fanout)) in cases.iter().enumerate() {
+            for key in 0..256u64 {
+                let seed = stream.seed_for(case as u64, key);
+                let want = btree_floyd(&mut StreamRng::new(seed), deg, fanout);
+                let mut got = Vec::with_capacity(fanout);
+                let words = drawn_words(&mut scratch.drawn, &graph, deg);
+                floyd_positions(&mut StreamRng::new(seed), deg, fanout, words, |p| {
+                    got.push(p)
+                });
+                assert_eq!(got, want, "deg {deg}, fanout {fanout}, key {key}");
+            }
+        }
+        assert!(
+            scratch.drawn.iter().all(|&w| w == 0),
+            "the scan clears every word"
+        );
     }
 }

@@ -8,7 +8,7 @@
 use argo_graph::{Graph, NodeId};
 use argo_rt::{SeedSequence, StreamRng};
 
-use crate::scratch::{arena_induced, floyd_positions, SamplerScratch};
+use crate::scratch::{arena_induced, drawn_words, floyd_positions, SamplerScratch};
 use crate::view::SampledBatchView;
 use crate::{SampleRun, Sampler};
 
@@ -64,14 +64,12 @@ impl ShadowSampler {
             );
         }
         scratch.acquire_frontiers(seeds.len());
-        let max_fanout = self.fanouts.iter().copied().fold(0, usize::max);
-        scratch.acquire_positions(max_fanout);
         // Move the buffers out so the dedup table stays borrowable (moved
         // back below; no allocation).
         let mut frontier = std::mem::take(&mut scratch.frontier);
         let mut next = std::mem::take(&mut scratch.next_frontier);
-        let mut positions = std::mem::take(&mut scratch.positions);
-        let caps_before = frontier.capacity() + next.capacity();
+        let mut drawn = std::mem::take(&mut scratch.drawn);
+        let caps_before = frontier.capacity() + next.capacity() + drawn.capacity();
         frontier.extend_from_slice(seeds);
         for (hop, &fanout) in self.fanouts.iter().enumerate() {
             next.clear();
@@ -92,18 +90,18 @@ impl ShadowSampler {
                         grow(u, nodes, &mut next);
                     }
                 } else {
-                    floyd_positions(&mut rng, deg, fanout, &mut positions);
-                    for &p in positions.iter() {
-                        grow(neigh[p as usize], nodes, &mut next);
-                    }
+                    let words = drawn_words(&mut drawn, graph, deg);
+                    floyd_positions(&mut rng, deg, fanout, words, |p| {
+                        grow(neigh[p], nodes, &mut next);
+                    });
                 }
             }
             std::mem::swap(&mut frontier, &mut next);
         }
-        scratch.note_growth(frontier.capacity() + next.capacity() > caps_before);
+        scratch.note_growth(frontier.capacity() + next.capacity() + drawn.capacity() > caps_before);
         scratch.frontier = frontier;
         scratch.next_frontier = next;
-        scratch.positions = positions;
+        scratch.drawn = drawn;
     }
 }
 

@@ -264,6 +264,18 @@ proptest! {
     }
 }
 
+/// Floyd's drawn set is a bitset of ⌈deg/64⌉ words, so the oracle pin
+/// above crosses word boundaries only if the fixture has rows wider than
+/// two words.
+#[test]
+fn fixture_has_multi_word_rows() {
+    let max = graph().max_degree();
+    assert!(
+        max > 128,
+        "max degree {max}: no row spans three bitset words"
+    );
+}
+
 #[test]
 fn steady_state_assembly_is_allocation_free() {
     // Zero-alloc must cover *assembly*, not just the pick phase: once the

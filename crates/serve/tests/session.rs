@@ -125,131 +125,141 @@ fn zero_deadline_serves_inline_and_repeats_hit_the_result_cache() {
 
 #[test]
 fn shed_requests_fail_with_deadline_exceeded() {
-    let d = tiny();
-    let clock = Arc::new(ManualClock::new());
-    let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
-        .max_batch(8)
-        .deadline_us(10_000)
-        .shed_after_us(500)
-        .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
-        .start();
-    s.submit(vec![1], None).unwrap();
-    // Age the queued request far past the shed threshold, then drain.
-    clock.advance_us(5_000);
-    let out = s.drain(None);
-    assert_eq!(out.len(), 1);
-    match &out[0] {
-        Err(Error::DeadlineExceeded(msg)) => {
-            assert!(msg.contains("shed"), "diagnostic explains the shed: {msg}")
+    argo_rt::watchdog(120, || {
+        let d = tiny();
+        let clock = Arc::new(ManualClock::new());
+        let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
+            .max_batch(8)
+            .deadline_us(10_000)
+            .shed_after_us(500)
+            .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
+            .start();
+        s.submit(vec![1], None).unwrap();
+        // Age the queued request far past the shed threshold, then drain.
+        clock.advance_us(5_000);
+        let out = s.drain(None);
+        assert_eq!(out.len(), 1);
+        match &out[0] {
+            Err(Error::DeadlineExceeded(msg)) => {
+                assert!(msg.contains("shed"), "diagnostic explains the shed: {msg}")
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
+    });
 }
 
 #[test]
 fn poll_flushes_at_the_deadline_and_drain_reports_drain_reason() {
-    let d = tiny();
-    let clock = Arc::new(ManualClock::new());
-    let tel = Telemetry::new();
-    let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
-        .max_batch(8)
-        .deadline_us(1_000)
-        .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
-        .start();
-    s.submit(vec![1], Some(&tel)).unwrap();
-    assert!(s.poll(Some(&tel)).is_empty(), "deadline not reached yet");
-    clock.advance_us(1_000);
-    let served = s.poll(Some(&tel));
-    assert_eq!(served.len(), 1);
-    let r = served[0].as_ref().unwrap();
-    assert!(
-        (r.queue_seconds - 1e-3).abs() < 1e-9,
-        "queued exactly one deadline: {}",
-        r.queue_seconds
-    );
+    argo_rt::watchdog(120, || {
+        let d = tiny();
+        let clock = Arc::new(ManualClock::new());
+        let tel = Telemetry::new();
+        let mut s = ServeSpec::builder(Arc::clone(&d), neighbor(), model(&d))
+            .max_batch(8)
+            .deadline_us(1_000)
+            .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
+            .start();
+        s.submit(vec![1], Some(&tel)).unwrap();
+        assert!(s.poll(Some(&tel)).is_empty(), "deadline not reached yet");
+        clock.advance_us(1_000);
+        let served = s.poll(Some(&tel));
+        assert_eq!(served.len(), 1);
+        let r = served[0].as_ref().unwrap();
+        assert!(
+            (r.queue_seconds - 1e-3).abs() < 1e-9,
+            "queued exactly one deadline: {}",
+            r.queue_seconds
+        );
 
-    s.submit(vec![2], Some(&tel)).unwrap();
-    s.submit(vec![3], Some(&tel)).unwrap();
-    assert_eq!(s.drain(Some(&tel)).len(), 2);
-    assert_eq!(s.pending(), 0);
+        s.submit(vec![2], Some(&tel)).unwrap();
+        s.submit(vec![3], Some(&tel)).unwrap();
+        assert_eq!(s.drain(Some(&tel)).len(), 2);
+        assert_eq!(s.pending(), 0);
 
-    // Telemetry: batch events carry the flush reason labels.
-    let reasons: Vec<String> = tel
-        .logger
-        .events()
-        .iter()
-        .filter_map(|(_, e)| match e {
-            RunEvent::ServeBatch { record } => Some(record.flush.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(reasons, vec!["deadline".to_string(), "drain".to_string()]);
-    assert_eq!(FlushReason::Drain.label(), "drain");
+        // Telemetry: batch events carry the flush reason labels.
+        let reasons: Vec<String> = tel
+            .logger
+            .events()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                RunEvent::ServeBatch { record } => Some(record.flush.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons, vec!["deadline".to_string(), "drain".to_string()]);
+        assert_eq!(FlushReason::Drain.label(), "drain");
+    });
 }
 
 #[test]
 fn a_result_cache_hit_is_answered_at_admission_past_a_queued_miss() {
-    let d = tiny();
-    let clock = Arc::new(ManualClock::new());
-    let tel = Telemetry::new();
-    let mut s = cached(&d, &clock, 1_000).max_batch(8).start();
-    warm(&mut s, &[1, 2]);
+    argo_rt::watchdog(120, || {
+        let d = tiny();
+        let clock = Arc::new(ManualClock::new());
+        let tel = Telemetry::new();
+        let mut s = cached(&d, &clock, 1_000).max_batch(8).start();
+        warm(&mut s, &[1, 2]);
 
-    let a = s.submit(vec![3], Some(&tel)).unwrap();
-    assert!(a.completed.is_empty(), "a miss waits for its batch");
-    clock.advance_us(10);
-    let b = s.submit(vec![1, 2], Some(&tel)).unwrap();
-    assert_eq!(b.request, a.request + 1, "ids stay dense across hits");
-    assert_eq!(b.completed.len(), 1, "the hit is answered inside submit");
-    let hit = b.completed[0].as_ref().unwrap();
-    assert_eq!(hit.request, b.request);
-    assert!(hit.cache_hit);
-    assert_eq!(hit.queue_seconds, 0.0);
-    assert_eq!(s.pending(), 1, "only the miss is queued");
+        let a = s.submit(vec![3], Some(&tel)).unwrap();
+        assert!(a.completed.is_empty(), "a miss waits for its batch");
+        clock.advance_us(10);
+        let b = s.submit(vec![1, 2], Some(&tel)).unwrap();
+        assert_eq!(b.request, a.request + 1, "ids stay dense across hits");
+        assert_eq!(b.completed.len(), 1, "the hit is answered inside submit");
+        let hit = b.completed[0].as_ref().unwrap();
+        assert_eq!(hit.request, b.request);
+        assert!(hit.cache_hit);
+        assert_eq!(hit.queue_seconds, 0.0);
+        assert_eq!(s.pending(), 1, "only the miss is queued");
 
-    clock.advance_us(990);
-    let served = s.poll(Some(&tel));
-    assert_eq!(served.len(), 1, "the miss flushes at its own deadline");
-    let miss = served[0].as_ref().unwrap();
-    assert_eq!(miss.request, a.request);
-    assert!(!miss.cache_hit);
-    assert_eq!(s.pending(), 0);
-    assert_eq!(flush_labels(&tel), vec!["hit", "deadline"]);
+        clock.advance_us(990);
+        let served = s.poll(Some(&tel));
+        assert_eq!(served.len(), 1, "the miss flushes at its own deadline");
+        let miss = served[0].as_ref().unwrap();
+        assert_eq!(miss.request, a.request);
+        assert!(!miss.cache_hit);
+        assert_eq!(s.pending(), 0);
+        assert_eq!(flush_labels(&tel), vec!["hit", "deadline"]);
+    });
 }
 
 #[test]
 fn a_hit_is_answered_at_queue_cap_where_a_miss_is_refused() {
-    let d = tiny();
-    let clock = Arc::new(ManualClock::new());
-    let mut s = cached(&d, &clock, 1_000).queue_cap(1).start();
-    warm(&mut s, &[1, 2]);
+    argo_rt::watchdog(120, || {
+        let d = tiny();
+        let clock = Arc::new(ManualClock::new());
+        let mut s = cached(&d, &clock, 1_000).queue_cap(1).start();
+        warm(&mut s, &[1, 2]);
 
-    s.submit(vec![3], None).unwrap();
-    match s.submit(vec![4], None) {
-        Err(Error::QueueFull(_)) => {}
-        other => panic!("expected QueueFull, got {other:?}"),
-    }
-    let hit = s.submit(vec![1, 2], None).unwrap();
-    assert!(hit.completed[0].as_ref().unwrap().cache_hit);
-    assert_eq!(s.pending(), 1);
+        s.submit(vec![3], None).unwrap();
+        match s.submit(vec![4], None) {
+            Err(Error::QueueFull(_)) => {}
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        let hit = s.submit(vec![1, 2], None).unwrap();
+        assert!(hit.completed[0].as_ref().unwrap().cache_hit);
+        assert_eq!(s.pending(), 1);
+    });
 }
 
 #[test]
 fn a_hit_is_never_shed() {
-    let d = tiny();
-    let clock = Arc::new(ManualClock::new());
-    let mut s = cached(&d, &clock, 1_000).shed_after_us(0).start();
-    warm(&mut s, &[1, 2]);
+    argo_rt::watchdog(120, || {
+        let d = tiny();
+        let clock = Arc::new(ManualClock::new());
+        let mut s = cached(&d, &clock, 1_000).shed_after_us(0).start();
+        warm(&mut s, &[1, 2]);
 
-    s.submit(vec![3], None).unwrap();
-    let hit = s.submit(vec![1, 2], None).unwrap();
-    assert!(hit.completed[0].as_ref().unwrap().cache_hit);
-    // The queued miss waits its deadline, which is past the shed limit.
-    clock.advance_us(1_000);
-    match s.poll(None).as_slice() {
-        [Err(Error::DeadlineExceeded(_))] => {}
-        other => panic!("expected one shed miss, got {other:?}"),
-    }
+        s.submit(vec![3], None).unwrap();
+        let hit = s.submit(vec![1, 2], None).unwrap();
+        assert!(hit.completed[0].as_ref().unwrap().cache_hit);
+        // The queued miss waits its deadline, which is past the shed limit.
+        clock.advance_us(1_000);
+        match s.poll(None).as_slice() {
+            [Err(Error::DeadlineExceeded(_))] => {}
+            other => panic!("expected one shed miss, got {other:?}"),
+        }
+    });
 }
 
 #[test]
@@ -324,27 +334,29 @@ fn requests_without_telemetry_record_no_spans() {
 
 #[test]
 fn from_engine_serves_the_training_checkpoint() {
-    use argo_engine::{Engine, EngineOptions};
-    let d = tiny();
-    let opts = EngineOptions {
-        hidden: 8,
-        num_layers: 2,
-        global_batch: 32,
-        seed: 5,
-        ..Default::default()
-    };
-    let mut engine = Engine::new(Arc::clone(&d), neighbor(), opts);
-    engine.train_epoch(argo_rt::Config::new(1, 1, 1), None);
-    let clock = Arc::new(ManualClock::new());
-    let mut s = ServeSpec::from_engine(&engine)
-        .deadline_us(0)
-        .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
-        .start();
-    let out = s.submit(vec![0, 1], None).unwrap();
-    let r = out.completed[0].as_ref().unwrap();
-    assert_eq!(r.logits.rows(), 2);
-    assert_eq!(r.logits.cols(), d.num_classes);
-    assert!(r.logits.data().iter().all(|x| x.is_finite()));
+    argo_rt::watchdog(120, || {
+        use argo_engine::{Engine, EngineOptions};
+        let d = tiny();
+        let opts = EngineOptions {
+            hidden: 8,
+            num_layers: 2,
+            global_batch: 32,
+            seed: 5,
+            ..Default::default()
+        };
+        let mut engine = Engine::new(Arc::clone(&d), neighbor(), opts);
+        engine.train_epoch(argo_rt::Config::new(1, 1, 1), None);
+        let clock = Arc::new(ManualClock::new());
+        let mut s = ServeSpec::from_engine(&engine)
+            .deadline_us(0)
+            .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
+            .start();
+        let out = s.submit(vec![0, 1], None).unwrap();
+        let r = out.completed[0].as_ref().unwrap();
+        assert_eq!(r.logits.rows(), 2);
+        assert_eq!(r.logits.cols(), d.num_classes);
+        assert!(r.logits.data().iter().all(|x| x.is_finite()));
+    });
 }
 
 /// One response the way the benchmark's `responses_match_recompute` check
