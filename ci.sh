@@ -59,7 +59,10 @@ ARGO_SIMD=off cargo test -q -p argo-nn
 echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too)"
 ARGO_SIMD=off cargo test -q -p argo-engine
 
-echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch, kernel-dispatch, feature-gather)"
+echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue, training step and dispatch kernel allocate nothing)"
+ARGO_SIMD=off cargo test -q --test allocations
+
+echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch, kernel-dispatch, feature-gather; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source)"
 cargo test -q
 
 echo "CI OK"

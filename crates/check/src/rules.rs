@@ -51,11 +51,6 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
-/// The one sanctioned site: the result cache takes ownership of its key, one
-/// clone per computed (miss) response, not per batch element; hits allocate
-/// nothing.
-pub const EXCEPTION: (&str, &str) = ("crates/serve/src/session.rs", "req.seeds.clone()");
-
 /// One rule's hit on one line of a file.
 #[derive(Debug, Clone)]
 pub struct Finding {
@@ -63,8 +58,6 @@ pub struct Finding {
     pub line: usize,
     pub rule: &'static Rule,
     pub needle: &'static str,
-    /// The line is [`EXCEPTION`]'s site.
-    pub excused: bool,
 }
 
 impl fmt::Display for Finding {
@@ -121,13 +114,12 @@ pub fn check_file(path: &str, src: &str) -> Vec<Finding> {
         .iter()
         .filter(|r| r.paths.iter().any(|s| covers(s, path)))
     {
-        for (line, text, needle) in scan(src, rule.needles) {
+        for (line, _, needle) in scan(src, rule.needles) {
             found.push(Finding {
                 path: path.to_owned(),
                 line,
                 rule,
                 needle,
-                excused: path == EXCEPTION.0 && text.contains(EXCEPTION.1),
             });
         }
     }
@@ -164,12 +156,10 @@ pub fn check_tree(root: &Path) -> io::Result<Vec<Finding>> {
 mod tests {
     use super::*;
 
-    /// `(line, rule)` of each finding in `src` at `path`, the exception's
-    /// site left out.
+    /// `(line, rule)` of each finding in `src` at `path`.
     fn lint(path: &str, src: &str) -> Vec<(usize, &'static str)> {
         check_file(path, src)
             .iter()
-            .filter(|f| !f.excused)
             .map(|f| (f.line, f.rule.name))
             .collect()
     }
@@ -314,11 +304,12 @@ mod tests {
         // The result cache owns a long-lived map keyed by seed lists.
         let src = "fn f() { let m: HashMap<u64, usize> = HashMap::new(); }\n";
         assert!(lint("crates/serve/src/result_cache.rs", src).is_empty());
-        // The one exception: the miss path's owned cache key.
+        // No site is excused: the miss path moves its seeds into the cache.
         let src = "fn f() { let key = req.seeds.clone(); }\n";
-        let f = check_file("crates/serve/src/session.rs", src);
-        assert!(f.len() == 1 && f[0].excused, "{f:?}");
-        assert!(!check_file("crates/serve/src/batcher.rs", src)[0].excused);
+        assert_eq!(
+            lint("crates/serve/src/session.rs", src),
+            [(1, "sampler-scratch")]
+        );
     }
 
     #[test]

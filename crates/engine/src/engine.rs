@@ -157,9 +157,6 @@ struct Replica {
 /// replicas built so far (see [`Engine::buffer_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferStats {
-    /// Fresh allocations the model workspaces have made (steady state:
-    /// constant from epoch to epoch).
-    pub workspace_allocs: usize,
     /// Bytes parked in the model workspaces.
     pub workspace_bytes: usize,
     /// Buffers the loader rings have made for prepared inputs — what
@@ -259,7 +256,6 @@ impl Engine {
     pub fn buffer_stats(&self) -> BufferStats {
         let mut stats = BufferStats::default();
         for r in &self.replicas {
-            stats.workspace_allocs += r.model.workspace_stats().0;
             stats.workspace_bytes += r.model.workspace_bytes();
             stats.input_buffers += r.inputs.buffers_made();
             stats.input_bytes += r.inputs.parked_bytes();
@@ -1275,8 +1271,9 @@ mod tests {
     fn second_epoch_reuses_every_buffer_of_the_first() {
         argo_rt::watchdog(120, || {
             // After one warm-up epoch the per-rank state is complete: a second
-            // epoch under the same config makes no fresh workspace allocation,
-            // no new operand buffer, for each hand-off: GraphSAGE's
+            // epoch under the same config makes no new operand buffer (that its
+            // steps allocate nothing is `tests/allocations.rs`' pin), for each
+            // hand-off: GraphSAGE's
             // aggregation plus self rows, GCN's aggregation alone. The loader
             // aggregates straight from the feature table and makes no other
             // buffer.
@@ -1292,7 +1289,7 @@ mod tests {
                 let who = format!("{kind:?}: {warm:?}");
                 assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
                 assert!(warm.input_bytes > 0, "the operands came back: {who}");
-                assert!(warm.workspace_allocs > 0 && warm.workspace_bytes > 0);
+                assert!(warm.workspace_bytes > 0, "{who}");
                 e.train_epoch(config, None);
                 // (Parked workspace bytes may shift: a best-fit reuse can leave
                 // a buffer at another capacity. What is pinned is that nothing

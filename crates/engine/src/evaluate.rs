@@ -157,11 +157,8 @@ mod tests {
             for_each_chunk(&model, &d, &d.train_nodes, scratch, |_, _| chunks += 1);
         };
         pass(&mut scratch);
-        let (cold, reused) = (scratch.allocs(), scratch.reuses());
-        assert!(
-            cold > 0 && reused > 0,
-            "the second chunk recycles the first's buffers"
-        );
+        let cold = scratch.allocs();
+        assert!(cold > 0, "the first chunk sizes the scratch");
         pass(&mut scratch);
         assert_eq!(scratch.allocs(), cold, "a warm pass allocates nothing");
         assert_eq!(chunks, 4);

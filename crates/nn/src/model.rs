@@ -5,7 +5,9 @@
 //! fused into the GEMM write-back, GraphSAGE's `[h ‖ agg]` concatenation is
 //! eliminated by multiplying against the self/neighbor halves of the stacked
 //! weight, and activations/gradient buffers round-trip through a per-model
-//! [`Workspace`] so steady-state training steps allocate (almost) nothing.
+//! [`Workspace`], the lists that hold them are the model's own and the
+//! backward transposes go to a per-thread buffer, so a warm training step
+//! allocates nothing (`tests/allocations.rs` pins it).
 
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
@@ -14,8 +16,9 @@ use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_sample::loader::PreparedInput;
 use argo_sample::view::SampledBatchView;
+use argo_sample::Normalization;
 use argo_tensor::ops::{
-    accuracy, bias_grad_into, relu_backward_from_output, softmax_cross_entropy,
+    accuracy, bias_grad_into, relu_backward_from_output, softmax_cross_entropy_into,
 };
 use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
 
@@ -59,8 +62,8 @@ pub struct StepStats {
 /// adjacency as a borrowed [`SparseView`] (`n_dst × n_src`; the output has
 /// one row per adjacency row) — a view of an owned batch's matrix, one still
 /// sitting in the sampler's arena or a slice of the cascade, the forward
-/// pass cannot tell. Only backward needs the owned [`SparseMatrix`], for the
-/// transpose cached on it.
+/// pass cannot tell. Only backward needs the owned [`SparseMatrix`], to
+/// transpose.
 ///
 /// # What a subgraph batch computes
 ///
@@ -76,7 +79,7 @@ pub struct StepStats {
 /// `R[l-1]`, which makes it `|R[l]| × |R[l-1]|`. Once `R[l-1]` is every
 /// row, the layers below run over `Â` itself. Activations, gradients, the
 /// `dW`/`db` reductions and the transposed gather (over each slice's own
-/// cached transpose) are all sized by the adjacency, so they shrink with it.
+/// transpose) are all sized by the adjacency, so they shrink with it.
 ///
 /// This is bitwise the full-height computation followed by a row selection.
 /// SpMM and GEMM rows are independent of each other (the GEMM is pinned
@@ -154,21 +157,24 @@ impl Gnn {
         z
     }
 
-    /// The one forward body, training's and inference's: runs `layers` and
-    /// keeps every layer's buffers. Layer 0 starts from `first`; a prepared
-    /// input has every row of the batch, so a subgraph layer 0 cut to
-    /// `input_rows` copies its own (rows are independent).
-    fn forward<'a>(
+    /// The one forward body, training's and inference's: runs layer `l`
+    /// over `layer(l)` and keeps every layer's buffers in `kept` (empty on
+    /// entry), except layer 0's operands, which it returns. Layer 0 starts
+    /// from `first`; a prepared input has every row of the batch, so a
+    /// subgraph layer 0 cut to `input_rows` copies its own (rows are
+    /// independent).
+    fn forward<'a, 'l>(
         &self,
-        layers: &[LayerIn<'_>],
+        kept: &mut Kept,
+        layer: impl Fn(usize) -> LayerIn<'l>,
         first: FirstLayer<'a>,
         input_rows: Option<&[usize]>,
         pool: Option<&ThreadPool>,
-    ) -> Kept<'a> {
-        let (adj, self_rows) = &layers[0];
+    ) -> Layer0<'a> {
+        let (adj, self_rows) = layer(0);
         let (agg, h_self) = match first {
             FirstLayer::Gathered(input) => {
-                let agg = self.aggregate(adj, input, pool);
+                let agg = self.aggregate(&adj, input, pool);
                 // SAGE's self rows: the layer's selection, or the first rows
                 // of the input.
                 let h_self = (self.kind == Arch::Sage).then(|| match self_rows {
@@ -191,36 +197,34 @@ impl Gnn {
                 (agg, self_rows.as_ref().map(cut))
             }
         };
-        let mut kept = Kept {
-            outs: vec![self.dense(0, &agg, h_self.as_deref(), pool)],
-            aggs: vec![agg],
-            selfs: vec![h_self],
-            grad: None,
-        };
-        for (l, (adj, self_rows)) in layers.iter().enumerate().skip(1) {
+        kept.outs.push(self.dense(0, &agg, h_self.as_deref(), pool));
+        for l in 1..self.layers.len() {
+            let (adj, self_rows) = layer(l);
             let h = &kept.outs[l - 1];
             let picked = self_rows.map(|pos| select_rows(&self.ws, h, pos));
-            let agg = self.aggregate(adj, h, pool);
+            let agg = self.aggregate(&adj, h, pool);
             let z = self.dense(l, &agg, Some(picked.as_ref().unwrap_or(h)), pool);
             kept.outs.push(z);
-            kept.aggs.push(Cow::Owned(agg));
-            kept.selfs.push(picked.map(Cow::Owned));
+            kept.aggs.push(agg);
+            kept.selfs.push(picked);
         }
-        kept
+        Layer0 { agg, h_self }
     }
 
     /// Inference: [`Gnn::forward`] with everything but the logits (one row
     /// per row of the last adjacency) recycled.
-    fn run(
+    fn run<'l>(
         &self,
-        layers: &[LayerIn<'_>],
+        layer: impl Fn(usize) -> LayerIn<'l>,
         first: FirstLayer<'_>,
         input_rows: Option<&[usize]>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let mut kept = self.forward(layers, first, input_rows, pool);
-        let logits = kept.outs.swap_remove(layers.len() - 1);
-        self.recycle(kept);
+        let mut kept = self.kept.borrow_mut();
+        let first = self.forward(&mut kept, layer, first, input_rows, pool);
+        let logits = kept.outs.swap_remove(self.layers.len() - 1);
+        drop(kept);
+        self.recycle(first);
         logits
     }
 
@@ -237,14 +241,13 @@ impl Gnn {
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let depth = self.layers.len();
-        let fulls = normalized_adjs(self.kind, depth, batch);
+        let renormed = renormalized(self.kind, depth, batch);
         let mut cascade = self.cascade.borrow_mut();
-        cascade.for_owned(self.kind, depth, batch, &fulls);
-        let layers: Vec<_> = (0..depth)
-            .map(|l| cascade.layer(self.kind, l, full_of(&fulls, l).view()))
-            .collect();
+        cascade.for_owned(self.kind, depth, batch, full_of(batch, &renormed, 0));
+        let cascade = &*cascade;
+        let layer = |l| cascade.layer(self.kind, l, full_of(batch, &renormed, l).view());
         let first = FirstLayer::Gathered(input.borrow());
-        self.run(&layers, first, cascade.input_rows(), pool)
+        self.run(layer, first, cascade.input_rows(), pool)
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
@@ -285,17 +288,15 @@ impl Gnn {
         let fused = batch.norm() == self.kind.normalization();
         match batch {
             SampledBatchView::Blocks(mb) if fused && mb.num_blocks() == depth => {
-                let layers: Vec<_> = (0..depth).map(|l| (mb.block(l).adj, None)).collect();
-                self.run(&layers, first, None, pool)
+                self.run(|l| (mb.block(l).adj, None), first, None, pool)
             }
             SampledBatchView::Subgraph(sb) if fused => {
                 // Subgraph-view seeds are the node-list prefix.
                 let mut cascade = self.cascade.borrow_mut();
                 cascade.build(self.kind, depth, sb.adj(), 0..sb.num_seeds());
-                let layers: Vec<_> = (0..depth)
-                    .map(|l| cascade.layer(self.kind, l, sb.adj()))
-                    .collect();
-                self.run(&layers, first, cascade.input_rows(), pool)
+                let cascade = &*cascade;
+                let layer = |l| cascade.layer(self.kind, l, sb.adj());
+                self.run(layer, first, cascade.input_rows(), pool)
             }
             _ => match first {
                 FirstLayer::Gathered(h) => self.forward_gathered(&batch.to_owned(), h, pool),
@@ -306,20 +307,15 @@ impl Gnn {
 }
 
 impl Cascade {
-    /// The cascade of an owned batch over its normalized adjacencies; a
-    /// block batch has none (every layer runs over its own block).
-    fn for_owned(
-        &mut self,
-        kind: Arch,
-        depth: usize,
-        batch: &SampledBatch,
-        fulls: &[Cow<'_, SparseMatrix>],
-    ) {
+    /// The cascade of an owned batch over its normalized adjacency `full`
+    /// (a subgraph's; a block batch has no cascade: every layer runs over
+    /// its own block).
+    fn for_owned(&mut self, kind: Arch, depth: usize, batch: &SampledBatch, full: &SparseMatrix) {
         match batch {
             SampledBatch::Blocks(_) => self.first = depth,
             SampledBatch::Subgraph(sb) => {
                 let seeds = sb.seed_positions.iter().copied();
-                self.build(kind, depth, fulls[0].view(), seeds);
+                self.build(kind, depth, full.view(), seeds);
             }
         }
     }
@@ -411,15 +407,29 @@ enum FirstLayer<'a> {
     Prepared(&'a PreparedInput),
 }
 
-/// What a forward pass kept (a step's, for its backward pass), per layer:
-/// the output, the aggregation and the self rows SAGE read — workspace
-/// buffers, or the caller's matrices where layer 0 read them in place.
-struct Kept<'a> {
+/// What a forward pass keeps (a step's, for its backward pass), in lists
+/// the model reuses from pass to pass: per layer the output, and from layer
+/// 1 on the aggregation and the self rows SAGE read where they are not the
+/// first rows of the layer's input (`aggs[l - 1]`, `selfs[l - 1]`). All are
+/// workspace buffers; layer 0's operands, which may be the caller's, are a
+/// [`Layer0`] of their own.
+#[derive(Default)]
+struct Kept {
     outs: Vec<Matrix>,
-    aggs: Vec<Cow<'a, Matrix>>,
-    selfs: Vec<Option<Cow<'a, Matrix>>>,
+    aggs: Vec<Matrix>,
+    selfs: Vec<Option<Matrix>>,
+    /// The seeds' labels, the loss's targets.
+    labels: Vec<u32>,
     /// The last gradient matrix of the backward pass; `None` after inference.
     grad: Option<Matrix>,
+}
+
+/// Layer 0's GEMM operands: the aggregation and SAGE's self rows —
+/// workspace buffers, or the caller's matrices where layer 0 reads them in
+/// place.
+struct Layer0<'a> {
+    agg: Cow<'a, Matrix>,
+    h_self: Option<Cow<'a, Matrix>>,
 }
 
 /// A multi-layer GNN (hidden dims all equal, ReLU between layers, no
@@ -433,6 +443,7 @@ pub struct Gnn {
     // too; a model is only ever driven from one thread at a time.
     ws: RefCell<Workspace>,
     cascade: RefCell<Cascade>,
+    kept: RefCell<Kept>,
 }
 
 impl Gnn {
@@ -469,6 +480,7 @@ impl Gnn {
             dispatch: DispatchPolicy::default(),
             ws: RefCell::new(Workspace::new()),
             cascade: RefCell::default(),
+            kept: RefCell::default(),
         }
     }
 
@@ -482,13 +494,6 @@ impl Gnn {
     /// The active kernel dispatch policy.
     pub fn dispatch(&self) -> DispatchPolicy {
         self.dispatch
-    }
-
-    /// Workspace arena counters `(fresh allocations, reuses)` — observability
-    /// for the cross-batch buffer recycling.
-    pub fn workspace_stats(&self) -> (usize, usize) {
-        let ws = self.ws.borrow();
-        (ws.allocs(), ws.reuses())
     }
 
     /// Bytes parked in the workspace arena between steps.
@@ -527,8 +532,8 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let (stats, kept) = self.step(batch, FirstLayer::Gathered(input.borrow()), labels, pool);
-        self.recycle(kept);
+        let (stats, first) = self.step(batch, FirstLayer::Gathered(input.borrow()), labels, pool);
+        self.recycle(first);
         stats
     }
 
@@ -547,46 +552,60 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let (stats, kept) = self.step(batch, FirstLayer::Prepared(input), labels, pool);
-        self.recycle(kept);
+        let (stats, first) = self.step(batch, FirstLayer::Prepared(input), labels, pool);
+        self.recycle(first);
         stats
     }
 
     /// The one training step: [`Gnn::forward`], layer 0 from `first`, then
-    /// the loss and the full backward pass over what the forward kept.
+    /// the loss and the full backward pass over what the forward kept. The
+    /// model's [`Kept`] is left full, its last gradient included, for
+    /// [`Gnn::recycle`].
     fn step<'a>(
         &mut self,
         batch: &SampledBatch,
         first: FirstLayer<'a>,
         labels: &[u32],
         pool: Option<&ThreadPool>,
-    ) -> (StepStats, Kept<'a>) {
+    ) -> (StepStats, Layer0<'a>) {
         let depth = self.layers.len();
-        let fulls = normalized_adjs(self.kind, depth, batch);
+        let renormed = renormalized(self.kind, depth, batch);
+        let full = |l| full_of(batch, &renormed, l);
         let mut cascade = self.cascade.borrow_mut();
-        cascade.for_owned(self.kind, depth, batch, &fulls);
+        cascade.for_owned(self.kind, depth, batch, full(0));
         let (kind, cascade) = (self.kind, &*cascade);
-        let norm_of = |l: usize| cascade.slice(l).unwrap_or(full_of(&fulls, l));
-        let layers: Vec<_> = (0..depth)
-            .map(|l| cascade.layer(kind, l, full_of(&fulls, l).view()))
-            .collect();
-        let mut kept = self.forward(&layers, first, cascade.input_rows(), pool);
+        let norm_of = |l: usize| cascade.slice(l).unwrap_or(full(l));
+        let mut kept = self.kept.borrow_mut();
+        let layer = |l| cascade.layer(kind, l, full(l).view());
+        let first = self.forward(&mut kept, layer, first, cascade.input_rows(), pool);
         let Kept {
-            outs, aggs, selfs, ..
-        } = &kept;
+            outs,
+            aggs,
+            selfs,
+            labels: seed_labels,
+            grad: last_grad,
+        } = &mut *kept;
         // Loss over seeds: the last layer's rows are the seed rows.
         let logits = &outs[depth - 1];
         let seeds = batch.seeds();
-        let seed_labels: Vec<u32> = seeds.iter().map(|&v| labels[v as usize]).collect();
-        let (loss, mut grad) = softmax_cross_entropy(logits, &seed_labels);
-        let acc = accuracy(logits, &seed_labels);
+        seed_labels.clear();
+        seed_labels.extend(seeds.iter().map(|&v| labels[v as usize]));
+        let mut grad = self
+            .ws
+            .borrow_mut()
+            .take_unzeroed(logits.rows(), logits.cols());
+        let loss = softmax_cross_entropy_into(logits, seed_labels, &mut grad);
+        let acc = accuracy(logits, seed_labels);
         // Backward through the layers. Weight/bias gradients are written in
         // place into the model's persistent `dw`/`db` buffers; intermediate
         // gradient matrices cycle through the workspace, taken unzeroed
         // because `grad_input_into` and the gather overwrite them.
         let dispatch = self.dispatch;
         for l in (0..depth).rev() {
-            let agg = &*aggs[l];
+            let (agg, h_self) = match l {
+                0 => (&*first.agg, first.h_self.as_deref()),
+                _ => (&aggs[l - 1], selfs[l - 1].as_ref()),
+            };
             if l + 1 < depth {
                 // The fused ReLU recorded no mask: `outs[l] > 0` is it.
                 relu_backward_from_output(&mut grad, &outs[l]);
@@ -604,7 +623,7 @@ impl Gnn {
                     // rows reduce against the self features — the layer's
                     // selection, or the first `n_dst` rows of its input —
                     // the bottom against the aggregation.
-                    let h_self = selfs[l].as_deref().unwrap_or_else(|| &outs[l - 1]);
+                    let h_self = h_self.unwrap_or_else(|| &outs[l - 1]);
                     let xs = [h_self, agg];
                     dispatch.grad_weights_into(&xs, &grad, pool, &mut self.layers[l].dw);
                 }
@@ -651,27 +670,36 @@ impl Gnn {
             accuracy: acc,
             num_seeds: seeds.len(),
         };
-        kept.grad = Some(grad);
-        (stats, kept)
+        *last_grad = Some(grad);
+        (stats, first)
     }
 
-    /// Recycles every per-pass buffer of the model's own for the next batch.
-    fn recycle(&self, kept: Kept<'_>) {
+    /// Recycles every per-pass buffer of the model's own for the next batch,
+    /// and empties the kept lists, keeping their storage.
+    fn recycle(&self, first: Layer0<'_>) {
         let mut ws = self.ws.borrow_mut();
+        let mut kept = self.kept.borrow_mut();
         let Kept {
             outs,
             aggs,
             selfs,
             grad,
-        } = kept;
+            ..
+        } = &mut *kept;
         // Layer 0's operands may be the caller's: those are not ours to park.
-        for m in aggs.into_iter().chain(selfs.into_iter().flatten()) {
-            if let Cow::Owned(m) = m {
-                ws.put(m);
-            }
-        }
-        for out in outs.into_iter().chain(grad) {
-            ws.put(out);
+        let owned = |m| match m {
+            Cow::Owned(m) => Some(m),
+            Cow::Borrowed(_) => None,
+        };
+        let parked = owned(first.agg)
+            .into_iter()
+            .chain(aggs.drain(..))
+            .chain(first.h_self.and_then(owned))
+            .chain(selfs.drain(..).flatten())
+            .chain(outs.drain(..))
+            .chain(grad.take());
+        for m in parked {
+            ws.put(m);
         }
     }
 
@@ -713,43 +741,49 @@ impl Gnn {
     }
 }
 
-/// The full-height normalized adjacencies of an owned batch for a
-/// `depth`-layer model of the given kind — one per block, or the single one a
-/// subgraph batch's layers share ([`full_of`]): a borrow where the sampler
-/// already fused the wanted normalization into the adjacency values, a matrix
-/// normalized here, once, otherwise (batches sampled without fusion).
-fn normalized_adjs(kind: Arch, depth: usize, batch: &SampledBatch) -> Vec<Cow<'_, SparseMatrix>> {
+/// The full-height adjacencies of an owned batch that a `depth`-layer model
+/// of the given kind normalizes itself, once per pass: one slot per block,
+/// or the one a subgraph batch's layers share, `None` where the sampler
+/// already fused the wanted normalization into the adjacency values — and no
+/// list at all when it fused every one. [`full_of`] picks a layer's.
+fn renormalized(kind: Arch, depth: usize, batch: &SampledBatch) -> Vec<Option<SparseMatrix>> {
     let want = kind.normalization();
+    let fused = |norm: Normalization, adj: &SparseMatrix| norm == want && adj.values().is_some();
     match batch {
         SampledBatch::Blocks(mb) => {
             assert_eq!(mb.blocks.len(), depth, "batch depth != model depth");
+            if mb.blocks.iter().all(|b| fused(b.norm, &b.adj)) {
+                return Vec::new();
+            }
+            let normalized = |b: &argo_sample::batch::Block| match kind {
+                Arch::Gcn => b.gcn_normalized(),
+                Arch::Sage => b.mean_normalized(),
+            };
             mb.blocks
                 .iter()
-                .map(|b| {
-                    if b.norm == want && b.adj.values().is_some() {
-                        Cow::Borrowed(&b.adj)
-                    } else {
-                        Cow::Owned(match kind {
-                            Arch::Gcn => b.gcn_normalized(),
-                            Arch::Sage => b.mean_normalized(),
-                        })
-                    }
-                })
+                .map(|b| (!fused(b.norm, &b.adj)).then(|| normalized(b)))
                 .collect()
         }
-        SampledBatch::Subgraph(sb) if sb.norm == want && sb.adj.values().is_some() => {
-            vec![Cow::Borrowed(&sb.adj)]
-        }
-        SampledBatch::Subgraph(sb) => vec![Cow::Owned(match kind {
+        SampledBatch::Subgraph(sb) if fused(sb.norm, &sb.adj) => Vec::new(),
+        SampledBatch::Subgraph(sb) => vec![Some(match kind {
             Arch::Gcn => sb.gcn_normalized(),
             Arch::Sage => sb.mean_normalized(),
         })],
     }
 }
 
-/// Layer `l`'s entry of [`normalized_adjs`].
-fn full_of<'a>(fulls: &'a [Cow<'_, SparseMatrix>], l: usize) -> &'a SparseMatrix {
-    fulls.get(l).unwrap_or(&fulls[0])
+/// Layer `l`'s full-height normalized adjacency: the batch's own, or its
+/// copy in `renormed` ([`renormalized`]).
+fn full_of<'a>(
+    batch: &'a SampledBatch,
+    renormed: &'a [Option<SparseMatrix>],
+    l: usize,
+) -> &'a SparseMatrix {
+    let (own, at) = match batch {
+        SampledBatch::Blocks(mb) => (&mb.blocks[l].adj, l),
+        SampledBatch::Subgraph(sb) => (&sb.adj, 0),
+    };
+    renormed.get(at).and_then(Option::as_ref).unwrap_or(own)
 }
 
 /// Rows `rows` of `m`, in that order, in a buffer of the workspace `ws`.
@@ -767,10 +801,10 @@ mod tests {
     use crate::gathered;
     use argo_graph::datasets::FLICKR;
     use argo_rt::{SeedSequence, WorkerRing};
-    use argo_sample::batch::Normalization;
     use argo_sample::{
         InputRing, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
     };
+    use argo_tensor::ops::softmax_cross_entropy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1042,11 +1076,11 @@ mod tests {
         use argo_tensor::ops::{bias_grad, relu_backward, relu_inplace};
         let d = m.dispatch;
         let depth = m.layers.len();
-        let norms = normalized_adjs(m.kind, depth, batch);
+        let norms = renormalized(m.kind, depth, batch);
         let (mut outs, mut aggs, mut masks) = (Vec::new(), Vec::new(), Vec::new());
         for (l, layer) in m.layers.iter().enumerate() {
             let h = if l == 0 { input } else { &outs[l - 1] };
-            let norm = full_of(&norms, l);
+            let norm = full_of(batch, &norms, l);
             let agg = d.aggregate(norm, h, None);
             let mut z = Matrix::zeros(norm.rows(), layer.w.cols());
             let epi = Epilogue::bias(&layer.b);
@@ -1074,7 +1108,7 @@ mod tests {
                 relu_backward(&mut grad, mask);
             }
             let x = if l == 0 { input } else { &outs[l - 1] };
-            let (norm, w, f_in) = (full_of(&norms, l), &m.layers[l].w, m.dims[l]);
+            let (norm, w, f_in) = (full_of(batch, &norms, l), &m.layers[l].w, m.dims[l]);
             let n_dst = norm.rows();
             let mut dw = Matrix::zeros(w.rows(), w.cols());
             match m.kind {
@@ -1185,9 +1219,9 @@ mod tests {
     /// the model's own layer-0 adjacency (the fused one where the sampler
     /// fused it), through the loader's own entry point.
     fn prepared(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> PreparedInput {
-        let norms = normalized_adjs(m.kind, m.layers.len(), batch);
+        let norms = renormalized(m.kind, m.layers.len(), batch);
         PreparedInput::aggregate(
-            full_of(&norms, 0).view(),
+            full_of(batch, &norms, 0).view(),
             input,
             m.kind == Arch::Sage,
             m.dispatch,
@@ -1204,16 +1238,22 @@ mod tests {
         first: FirstLayer<'_>,
         labels: &[u32],
     ) -> (u32, Vec<u32>, Vec<Vec<u32>>) {
-        let (stats, kept) = m.step(batch, first, labels, None);
+        let (stats, first) = m.step(batch, first, labels, None);
         let mut activations = Vec::new();
+        let kept = m.kept.borrow();
         for (l, out) in kept.outs.iter().enumerate() {
+            let (agg, h_self) = match l {
+                0 => (&*first.agg, first.h_self.as_deref()),
+                _ => (&kept.aggs[l - 1], kept.selfs[l - 1].as_ref()),
+            };
             activations.push(bits(out.data()));
-            activations.push(bits(kept.aggs[l].data()));
-            if let Some(h_self) = &kept.selfs[l] {
+            activations.push(bits(agg.data()));
+            if let Some(h_self) = h_self {
                 activations.push(bits(&h_self.data()[..out.rows() * h_self.cols()]));
             }
         }
-        m.recycle(kept);
+        drop(kept);
+        m.recycle(first);
         let mut g = Vec::new();
         m.grads_flat(&mut g);
         (stats.loss.to_bits(), bits(&g), activations)
@@ -1512,10 +1552,10 @@ mod tests {
     fn full_height_logits(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> Matrix {
         let d = m.dispatch;
         let depth = m.layers.len();
-        let norms = normalized_adjs(m.kind, depth, batch);
+        let norms = renormalized(m.kind, depth, batch);
         let mut h = input.clone();
         for (l, Layer { w, b, .. }) in m.layers.iter().enumerate() {
-            let norm = full_of(&norms, l);
+            let norm = full_of(batch, &norms, l);
             let agg = d.aggregate(norm, &h, None);
             let mut z = Matrix::zeros(norm.rows(), w.cols());
             let epi = if l + 1 < depth {
@@ -1608,54 +1648,31 @@ mod tests {
             // One step parks every buffer the next one will take; poison them.
             let mut used = mk();
             step(&mut used);
-            {
-                let mut ws = used.ws.borrow_mut();
+            let parked = |m: &Gnn| {
+                let mut ws = m.ws.borrow_mut();
                 let mut bufs = Vec::new();
                 while ws.free_len() > 0 {
                     bufs.push(ws.take_unzeroed(1, 1).into_data());
                 }
-                assert!(bufs.len() >= 2 * 3, "outputs and aggregations");
-                for mut buf in bufs {
-                    let cap = buf.capacity();
-                    buf.clear();
-                    buf.resize(cap, f32::NAN);
-                    ws.put(Matrix::from_vec(1, cap, buf));
-                }
+                bufs
+            };
+            let bufs = parked(&used);
+            assert!(bufs.len() >= 2 * 3, "outputs and aggregations");
+            let mut poisoned: Vec<_> = bufs.iter().map(|b| b.as_ptr()).collect();
+            for mut buf in bufs {
+                let cap = buf.capacity();
+                buf.clear();
+                buf.resize(cap, f32::NAN);
+                used.ws.borrow_mut().put(Matrix::from_vec(1, cap, buf));
             }
-            let allocs = used.workspace_stats().0;
             assert_eq!(step(&mut used), want, "{kind:?}");
-            assert_eq!(used.workspace_stats().0, allocs, "every take was a reuse");
+            // Every take was a reuse: the poisoned buffers, and only they,
+            // came back.
+            let mut back: Vec<_> = parked(&used).iter().map(|b| b.as_ptr()).collect();
+            poisoned.sort();
+            back.sort();
+            assert_eq!(back, poisoned, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn workspace_recycles_buffers_across_steps() {
-        let d = tiny_dataset();
-        let batch = sample_blocks(&d, 16, 2);
-        let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
-        m.train_step_gathered(
-            &batch,
-            gathered(&d.features, batch.input_nodes()),
-            &d.labels,
-            None,
-        );
-        let (allocs_first, _) = m.workspace_stats();
-        assert!(allocs_first > 0, "first step should allocate");
-        m.train_step_gathered(
-            &batch,
-            gathered(&d.features, batch.input_nodes()),
-            &d.labels,
-            None,
-        );
-        let (allocs_second, reuses) = m.workspace_stats();
-        assert!(
-            reuses >= allocs_first,
-            "second step should reuse first-step buffers: {reuses} reuses, {allocs_first} first-step allocs"
-        );
-        assert_eq!(
-            allocs_second, allocs_first,
-            "steady state should allocate nothing new"
-        );
     }
 
     #[test]
@@ -1674,13 +1691,11 @@ mod tests {
         let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
         let input_bytes = input.data().len() * 4;
         let first = m.train_step_gathered(&batch, &input, &d.labels, None);
-        let allocs = m.workspace_stats().0;
         for _ in 0..6 {
             let again = m.train_step_gathered(&batch, input.clone(), &d.labels, None);
             assert_eq!(again, first);
             m.forward_gathered(&batch, input.clone(), None);
         }
-        assert_eq!(m.workspace_stats().0, allocs);
         assert!(
             m.workspace_bytes() < input_bytes,
             "the arena ({} B) holds activations, not {input_bytes}-byte inputs",

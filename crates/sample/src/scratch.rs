@@ -72,7 +72,6 @@ pub struct SamplerScratch {
     /// whatever must outlive the next `sample_into` call.
     pub(crate) arena: BatchArena,
     allocs: u64,
-    reuses: u64,
 }
 
 /// One assembled adjacency inside the [`BatchArena`]: which sub-ranges of
@@ -195,19 +194,6 @@ impl SamplerScratch {
         self.allocs
     }
 
-    /// Acquisitions served entirely from recycled capacity.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    fn note(&mut self, grew: bool) {
-        if grew {
-            self.allocs += 1;
-        } else {
-            self.reuses += 1;
-        }
-    }
-
     /// Starts a dedup session over a graph with `num_nodes` nodes. All
     /// previous membership is forgotten in O(1).
     pub(crate) fn begin_dedup(&mut self, num_nodes: usize) {
@@ -215,9 +201,7 @@ impl SamplerScratch {
             let grew = self.stamp.capacity() < num_nodes || self.slot.capacity() < num_nodes;
             self.stamp.resize(num_nodes, 0);
             self.slot.resize(num_nodes, 0);
-            self.note(grew);
-        } else {
-            self.note(false);
+            self.note_growth(grew);
         }
         if self.generation == u32::MAX {
             self.stamp.fill(0);
@@ -252,7 +236,7 @@ impl SamplerScratch {
     /// which drift batch to batch under dedup — never grow a warm arena.
     pub(crate) fn warm_picks(&mut self, rows: usize, picked: usize) {
         let grew = self.picked.capacity() < picked || self.counts.capacity() < rows;
-        self.note(grew);
+        self.note_growth(grew);
         if grew {
             self.picked.reserve(picked);
             self.counts.reserve(rows);
@@ -264,7 +248,7 @@ impl SamplerScratch {
     pub(crate) fn acquire_picks(&mut self, rows: usize, fanout: usize) {
         let g1 = prep(&mut self.picked, rows * fanout);
         let g2 = prep(&mut self.counts, rows);
-        self.note(g1 || g2);
+        self.note_growth(g1 || g2);
     }
 
     /// Acquires both frontier buffers with room for `hint` nodes each.
@@ -272,17 +256,18 @@ impl SamplerScratch {
         let grew = self.frontier.capacity() < hint || self.next_frontier.capacity() < hint;
         self.frontier.clear();
         self.next_frontier.clear();
-        self.note(grew);
+        self.note_growth(grew);
         if grew {
             self.frontier.reserve(hint);
             self.next_frontier.reserve(hint);
         }
     }
 
-    /// Records buffer growth observed outside an `acquire_*` call (e.g. a
-    /// BFS frontier that outgrew its hint while being pushed to).
+    /// Counts an acquisition that grew a buffer, inside an `acquire_*` call
+    /// or outside one (e.g. a BFS frontier that outgrew its hint while being
+    /// pushed to).
     pub(crate) fn note_growth(&mut self, grew: bool) {
-        self.note(grew);
+        self.allocs += u64::from(grew);
     }
 
     /// Acquires the counting-assembly buffers: per-row counters and
@@ -306,7 +291,7 @@ impl SamplerScratch {
             }
             grew
         };
-        self.note(g2 || g3 || g4);
+        self.note_growth(g2 || g3 || g4);
     }
 }
 
@@ -613,7 +598,6 @@ mod tests {
             s.acquire_picks(16, 5); // smaller shapes reuse the same capacity
         }
         assert_eq!(s.allocs(), after_first, "steady state must not allocate");
-        assert!(s.reuses() > 0);
     }
 
     /// Floyd's draw written out over a `BTreeSet`, as the sampler oracle

@@ -394,8 +394,9 @@ impl ServeSession {
         // no spans and no events.
         let telemetry = telemetry.filter(|t| t.is_enabled());
         let exec_start_us = batch.flushed_us;
-        let mut out = Vec::with_capacity(batch.requests.len());
-        for req in &batch.requests {
+        let num_requests = batch.requests.len();
+        let mut out = Vec::with_capacity(num_requests);
+        for req in batch.requests {
             let cached = hit.take();
             out.push(self.execute_request(req, batch.id, batch.flushed_us, cached, telemetry));
         }
@@ -413,7 +414,7 @@ impl ServeSession {
             t.logger.log(RunEvent::ServeBatch {
                 record: ServeBatchRecord {
                     batch: batch.id,
-                    requests: batch.requests.len() as u64,
+                    requests: num_requests as u64,
                     flush: batch.reason.label().to_string(),
                     exec_seconds,
                 },
@@ -422,14 +423,17 @@ impl ServeSession {
         out
     }
 
+    /// Answers one request. A computed response's seeds move into the
+    /// result cache as its key.
     fn execute_request(
         &mut self,
-        req: &Admitted,
+        req: Admitted,
         batch_id: u64,
         flushed_us: u64,
         cached: Option<Arc<Matrix>>,
         telemetry: Option<&Telemetry>,
     ) -> Result<ServeResponse, Error> {
+        let num_seeds = req.seeds.len() as u64;
         let queue_us = flushed_us.saturating_sub(req.admitted_us);
         if telemetry.is_some() {
             self.ring.push(
@@ -455,7 +459,7 @@ impl ServeSession {
             None => {
                 let computed = Arc::new(self.run_query(&req.seeds)?);
                 if let Some(c) = self.result_cache.as_mut() {
-                    c.insert(req.seeds.clone(), Arc::clone(&computed));
+                    c.insert(req.seeds, Arc::clone(&computed));
                 }
                 computed
             }
@@ -468,7 +472,7 @@ impl ServeSession {
                 record: ServeRequestRecord {
                     request: req.id,
                     batch: batch_id,
-                    seeds: req.seeds.len() as u64,
+                    seeds: num_seeds,
                     queue_seconds,
                     latency_seconds,
                     cache_hit,

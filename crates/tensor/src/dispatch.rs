@@ -24,8 +24,8 @@
 //!   [`ThreadPool::parallel_map_reduce`], deterministic for a fixed pool
 //!   size.
 //! * **One gather.** Forward aggregation over an owned or a borrowed
-//!   adjacency and transposed aggregation over the cached transpose are the
-//!   same call ([`crate::sparse`]).
+//!   adjacency and transposed aggregation over the adjacency's transpose
+//!   are the same call ([`crate::sparse`]).
 //! * **Two constants.** `ROW_THRESHOLD` and `SPARSE_WORK_THRESHOLD` decide
 //!   serial vs pool; nothing sets them.
 
@@ -36,6 +36,7 @@ use argo_rt::ThreadPool;
 use crate::dense::Matrix;
 use crate::simd;
 use crate::sparse::{self, SparseMatrix, SparseView};
+use crate::workspace;
 
 /// Minimum number of output rows before a kernel goes pool-parallel —
 /// below this the fork/join overhead outweighs the work.
@@ -299,8 +300,8 @@ impl DispatchPolicy {
     }
 
     /// [`DispatchPolicy::aggregate_transpose`] into a caller-provided
-    /// matrix: the gather over `adj`'s transpose, which the first call
-    /// builds and caches on `adj`.
+    /// matrix: `adj` is transposed into this thread's transpose buffer
+    /// ([`SparseMatrix::transpose_into`]) and gathered over.
     pub fn aggregate_transpose_into(
         &self,
         adj: &SparseMatrix,
@@ -308,7 +309,10 @@ impl DispatchPolicy {
         pool: Option<&ThreadPool>,
         out: &mut Matrix,
     ) {
-        self.gather(adj.csc().view(), grad, pool, out);
+        workspace::with_transpose_buffer(|t| {
+            adj.transpose_into(t);
+            self.gather(t.view(), grad, pool, out);
+        });
     }
 
     /// Weight gradient of a layer whose GEMM read `xs`: `dst = [x_0ᵀ; x_1ᵀ;

@@ -71,11 +71,19 @@ pub fn bias_grad_into(dy: &Matrix, out: &mut [f32]) {
 /// *mean* loss (already divided by the batch size) — matching what a DDP
 /// process computes on its local mini-batch before gradient averaging.
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
+    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into `grad` (same
+/// shape as `logits`, every element overwritten); returns the mean loss.
+pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[u32], grad: &mut Matrix) -> f32 {
     assert_eq!(logits.rows(), labels.len(), "labels length mismatch");
     assert!(logits.rows() > 0, "empty batch");
     let n = logits.rows();
     let c = logits.cols();
-    let mut grad = Matrix::zeros(n, c);
+    assert_eq!((grad.rows(), grad.cols()), (n, c), "gradient shape");
     let mut loss = 0.0f64;
     let inv_n = 1.0 / n as f32;
     for (i, &lab) in labels.iter().enumerate() {
@@ -95,7 +103,7 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
             grow[j] = (p - if j == label { 1.0 } else { 0.0 }) * inv_n;
         }
     }
-    ((loss / n as f64) as f32, grad)
+    (loss / n as f64) as f32
 }
 
 /// Fraction of rows whose argmax equals the label.

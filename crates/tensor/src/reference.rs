@@ -74,8 +74,8 @@ pub fn matmul_transpose_other(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `adjᵀ @ dense` as a scatter over the CSR entries in row-major order
 /// (backward of aggregation: `dX = Aᵀ dY`). The production path gathers over
-/// the cached transpose instead ([`SparseMatrix::csc`]), which visits each
-/// output element's contributions in this same order.
+/// the transpose instead ([`SparseMatrix::transpose_into`]), which visits
+/// each output element's contributions in this same order.
 pub fn spmm_transpose(adj: &SparseMatrix, dense: &Matrix) -> Matrix {
     assert_eq!(adj.rows(), dense.rows(), "spmm_transpose shape mismatch");
     let n = dense.cols();

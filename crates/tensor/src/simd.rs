@@ -1298,7 +1298,6 @@ mod avx512 {
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::workspace;
 
     /// Scaled tolerance of the FMA contract: one fused rounding per `k`
     /// step against two scalar roundings.
@@ -1785,41 +1784,5 @@ mod tests {
                 gemm(&[(&pick, 0)], 2, &d, epi, &format!("epilogue n={n}"));
             }
         }
-    }
-
-    /// The packing kernels — the GEMM on either SIMD tier, one operand or
-    /// two against a stacked `B` over several column panels, and the
-    /// AVX-512 input gradient — draw their panels from the per-thread pack
-    /// arena: after one call of each, repeated calls never grow it.
-    #[test]
-    fn pack_arena_reaches_steady_state() {
-        if !available() {
-            return;
-        }
-        let a = Matrix::xavier(100, 300, 11);
-        let b = Matrix::xavier(300, 40, 12);
-        let g = Matrix::xavier(100, 136, 13);
-        let w = Matrix::xavier(200, 136, 14);
-        let mut out = vec![0.0f32; 100 * 40];
-        let mut dx = vec![0.0f32; 100 * 150];
-        let (h, agg) = (Matrix::xavier(120, 64, 15), Matrix::xavier(100, 64, 16));
-        let stacked = Matrix::xavier(128, 130, 17);
-        let mut sage = vec![0.0f32; 100 * 130];
-        let mut run = || {
-            gemm_into(&[(&a, 0)], 0..100, &b, Epilogue::none(), true, &mut out);
-            let ops = [(&h, 0), (&agg, 64)];
-            gemm_into(&ops, 0..100, &stacked, Epilogue::none(), true, &mut sage);
-            transpose_other_into(&g, 0..100, &w, 50..200, true, &mut dx);
-        };
-        run();
-        let warm = workspace::pack_buffer_grows();
-        for _ in 0..3 {
-            run();
-        }
-        assert_eq!(
-            workspace::pack_buffer_grows(),
-            warm,
-            "steady-state GEMM and input gradient must not grow the pack arena"
-        );
     }
 }

@@ -4,12 +4,11 @@
 //! There is one SpMM: `gather_into`, a row gather over a [`SparseView`].
 //! An owned [`SparseMatrix`] hands out a view of itself for free, a sampled
 //! batch in the sampler's arena *is* a view, and transposed aggregation is
-//! the same gather over the cached transpose ([`SparseMatrix::csc`]) — so
-//! forward, borrowed and backward aggregation are one loop, reached through
-//! `DispatchPolicy::aggregate*`.
+//! the same gather over the transpose ([`SparseMatrix::transpose_into`]) —
+//! so forward, borrowed and backward aggregation are one loop, reached
+//! through `DispatchPolicy::aggregate*`.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
 
 use argo_rt::ThreadPool;
 
@@ -24,52 +23,18 @@ use crate::simd;
 /// Row pointers are `u32`, the layout of the sampler's batch arena this is
 /// copied from ([`SparseView::to_owned`]): a sampled block never has more
 /// than `u32::MAX` entries, and [`SparseMatrix::new`] rejects one that does.
-///
-/// The transpose ([`SparseMatrix::csc`]) is built lazily on first
-/// transposed aggregation and cached; clones share an already-built one via
-/// `Arc`, so every layer and the backward pass of a training step reuse one
-/// transpose per adjacency.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
     indptr: Vec<u32>,
     indices: Vec<u32>,
     values: Option<Vec<f32>>,
-    csc: OnceLock<Arc<SparseMatrix>>,
-}
-
-impl Clone for SparseMatrix {
-    fn clone(&self) -> Self {
-        let csc = OnceLock::new();
-        // Share an already-built transpose; an unbuilt one stays lazy.
-        if let Some(m) = self.csc.get() {
-            let _ = csc.set(Arc::clone(m));
-        }
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            values: self.values.clone(),
-            csc,
-        }
-    }
-}
-
-impl PartialEq for SparseMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        // The cached transpose is derived state: equality is structural.
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.indptr == other.indptr
-            && self.indices == other.indices
-            && self.values == other.values
-    }
 }
 
 impl Default for SparseMatrix {
-    /// The `0 × 0` matrix — spare storage for [`SparseView::select_rows_into`].
+    /// The `0 × 0` matrix — spare storage for [`SparseView::select_rows_into`]
+    /// and [`SparseMatrix::transpose_into`].
     fn default() -> Self {
         Self::from_validated(0, 0, vec![0], Vec::new(), None)
     }
@@ -110,7 +75,6 @@ impl SparseMatrix {
             indptr,
             indices,
             values,
-            csc: OnceLock::new(),
         }
     }
 
@@ -171,20 +135,20 @@ impl SparseMatrix {
     /// (the rank of each within an ascending superset of them) the map is
     /// monotone: no row's entry order changes, nor any row's of the transpose,
     /// so both aggregations accumulate every value exactly as before — what a
-    /// model's needed-row cascade relies on. Drops a cached transpose.
+    /// model's needed-row cascade relies on.
     pub fn rank_columns(&mut self, rank: &[u32], cols: usize) {
         for c in &mut self.indices {
             *c = rank[*c as usize];
             assert!((*c as usize) < cols, "column rank in range");
         }
         self.cols = cols;
-        self.csc = OnceLock::new();
     }
 
-    /// The cached transpose, built on first use (a counting sort,
-    /// `O(nnz + cols)`): this matrix in CSC form, held as the CSR of `selfᵀ`
-    /// so that transposed aggregation is the ordinary gather over it. Clones
-    /// made after this call share it.
+    /// Writes the transpose into `out`, whose three arrays are reused (a
+    /// per-thread buffer keeps its allocations from call to call): this
+    /// matrix in CSC form, held as the CSR of `selfᵀ` so that transposed
+    /// aggregation is the ordinary gather over it. A counting sort,
+    /// `O(nnz + cols)`.
     ///
     /// The CSR entries are visited in row-major order, so within every row
     /// of the transpose (column of `self`) the source rows appear in
@@ -192,38 +156,41 @@ impl SparseMatrix {
     /// element in exactly the order the naive scatter
     /// ([`crate::reference::spmm_transpose`]) does, and the two agree
     /// bitwise.
-    pub fn csc(&self) -> &SparseMatrix {
-        self.csc.get_or_init(|| Arc::new(self.build_csc()))
-    }
-
-    /// Whether the transpose has been built (for cache-reuse assertions).
-    pub fn csc_is_built(&self) -> bool {
-        self.csc.get().is_some()
-    }
-
-    fn build_csc(&self) -> SparseMatrix {
-        let mut colptr = vec![0u32; self.cols + 1];
+    pub fn transpose_into(&self, out: &mut SparseMatrix) {
+        let nnz = self.nnz();
+        let colptr = &mut out.indptr;
+        colptr.clear();
+        colptr.resize(self.cols + 1, 0);
         for &j in &self.indices {
             colptr[j as usize + 1] += 1;
         }
         for c in 0..self.cols {
             colptr[c + 1] += colptr[c];
         }
-        let mut next = colptr.clone();
-        let mut rowidx = vec![0u32; self.nnz()];
-        let mut values = self.values.as_ref().map(|_| vec![0.0f32; self.nnz()]);
+        out.indices.clear();
+        out.indices.resize(nnz, 0);
+        let mut values = self.values.as_ref().map(|_| {
+            let mut v = out.values.take().unwrap_or_default();
+            v.clear();
+            v.resize(nnz, 0.0);
+            v
+        });
+        // `colptr[j]` is column `j`'s cursor: it ends at column `j + 1`'s
+        // start, so the shift below restores the pointers.
         for i in 0..self.rows {
             for k in self.row_range(i) {
                 let j = self.indices[k] as usize;
-                let slot = next[j] as usize;
-                next[j] += 1;
-                rowidx[slot] = i as u32;
+                let slot = colptr[j] as usize;
+                colptr[j] += 1;
+                out.indices[slot] = i as u32;
                 if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
                     dst[slot] = src[k];
                 }
             }
         }
-        Self::from_validated(self.cols, self.rows, colptr, rowidx, values)
+        colptr.copy_within(..self.cols, 1);
+        colptr[0] = 0;
+        (out.rows, out.cols, out.values) = (self.cols, self.rows, values);
     }
 
     /// Replaces the values; structure unchanged — and not re-validated: it
@@ -255,7 +222,7 @@ impl SparseMatrix {
 
 /// **SpMM** `out = adj @ table` — the one CSR gather behind forward
 /// aggregation (owned or borrowed adjacency), transposed aggregation (the
-/// same call over [`SparseMatrix::csc`]) and the loader's aggregation
+/// same call over [`SparseMatrix::transpose_into`]'s output) and the loader's aggregation
 /// straight out of a feature table. `table` is row-major with `out.cols()`
 /// columns; column `j` of `adj` reads its row `j`, or row `ids[j]` through
 /// an id list — `adj @ table[ids]` without gathering `table[ids]`. Output
@@ -285,13 +252,12 @@ pub(crate) fn gather_into(
 /// A **borrowed** CSR adjacency: the layout of [`SparseMatrix`] with all
 /// three arrays as slices into caller-owned storage — the sampler's
 /// epoch-stamped batch arena, an owned matrix ([`SparseMatrix::view`]) or
-/// its cached transpose.
+/// a transpose.
 ///
 /// This is the operand type of the gather, and the zero-copy handoff type
 /// of the fused sampling→assembly path: `nn`/`serve` aggregate straight out
 /// of the arena through `DispatchPolicy::aggregate_view_into`. Crossing an
-/// ownership boundary (the loader's reorder heap, training's backward pass,
-/// which needs somewhere to cache the transpose) materializes via
+/// ownership boundary (the loader's reorder heap) materializes via
 /// [`SparseView::to_owned`].
 #[derive(Clone, Copy, Debug)]
 pub struct SparseView<'a> {
@@ -385,8 +351,7 @@ impl<'a> SparseView<'a> {
     /// The `rows.len() × cols` matrix whose row `i` is this one's row
     /// `rows[i]` — entries copied in stored order, `O(selected nnz)`. Rows may
     /// repeat and come in any order. The result is a matrix of its own: its
-    /// transpose ([`SparseMatrix::csc`]) is built and cached on it, over the
-    /// selected entries only.
+    /// transpose covers the selected entries only.
     pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
         let mut out = SparseMatrix::default();
         self.select_rows_into(rows, &mut out);
@@ -394,8 +359,7 @@ impl<'a> SparseView<'a> {
     }
 
     /// [`SparseView::select_rows`] over `out`, whose three arrays are reused
-    /// (a per-step slice keeps its allocations from step to step) and whose
-    /// cached transpose is dropped.
+    /// (a per-step slice keeps its allocations from step to step).
     pub fn select_rows_into(&self, rows: &[usize], out: &mut SparseMatrix) {
         out.indptr.clear();
         out.indptr.push(0);
@@ -417,11 +381,10 @@ impl<'a> SparseView<'a> {
             "selected entries fit u32"
         );
         (out.rows, out.cols, out.values) = (rows.len(), self.cols, values);
-        out.csc = OnceLock::new();
     }
 
     /// Materializes an owned [`SparseMatrix`] — the fallback at ownership
-    /// boundaries (loader channel handoff, the backward pass). Same layout
+    /// boundaries (the loader's channel handoff). Same layout
     /// and a structure validated at view construction, so this is three
     /// straight copies, not a revalidating [`SparseMatrix::new`].
     pub fn to_owned(&self) -> SparseMatrix {
@@ -520,6 +483,13 @@ mod tests {
         assert_eq!(got.data(), want.data());
     }
 
+    /// `s`'s transpose in a matrix of its own.
+    fn transpose(s: &SparseMatrix) -> SparseMatrix {
+        let mut t = SparseMatrix::default();
+        s.transpose_into(&mut t);
+        t
+    }
+
     #[test]
     fn csc_gather_matches_scatter_bitwise() {
         // Ragged structure with values: gather vs scatter must agree exactly.
@@ -527,7 +497,7 @@ mod tests {
         let d = Matrix::xavier(37, 9, 11);
         assert_eq!(
             reference::spmm_transpose(&s, &d).data(),
-            spmm(s.csc().view(), &d, None).data()
+            spmm(transpose(&s).view(), &d, None).data()
         );
     }
 
@@ -536,15 +506,16 @@ mod tests {
         let pool = ThreadPool::new("t", 4);
         let s = SparseMatrix::new(3, 4, vec![0, 2, 3, 5], vec![0, 3, 1, 0, 2], None);
         let d = Matrix::xavier(3, 6, 12);
-        let serial = spmm(s.csc().view(), &d, None);
-        let par = spmm(s.csc().view(), &d, Some(&pool));
+        let t = transpose(&s);
+        let serial = spmm(t.view(), &d, None);
+        let par = spmm(t.view(), &d, Some(&pool));
         assert_eq!(serial.data(), par.data());
     }
 
     #[test]
     fn csc_rows_ascend_within_columns() {
         for s in [sample(), ragged(37, 23)] {
-            let csc = s.csc();
+            let csc = transpose(&s);
             assert_eq!(
                 (csc.rows(), csc.cols(), csc.nnz()),
                 (s.cols(), s.rows(), s.nnz())
@@ -557,20 +528,35 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_built_csc_mirror() {
-        let s = sample();
-        assert!(!s.csc_is_built());
-        let before = s.clone();
-        assert!(!before.csc_is_built(), "lazy mirror is not cloned eagerly");
-        let _ = s.csc();
-        let after = s.clone();
-        assert!(after.csc_is_built(), "built mirror is shared into clones");
-        assert!(
-            std::ptr::eq(s.csc(), after.csc()),
-            "same Arc, not a rebuild"
+    fn transpose_into_reuses_its_buffer() {
+        let (big, small) = (ragged(37, 23), sample());
+        let mut t = SparseMatrix::default();
+        big.transpose_into(&mut t);
+        let (indptr, indices, values) = (
+            t.indptr().as_ptr(),
+            t.indices().as_ptr(),
+            t.values().unwrap().as_ptr(),
         );
-        assert_eq!(s, after, "equality ignores the cache");
-        assert_eq!(s, before);
+        // A smaller transpose fits the buffer's arrays: same allocations, and
+        // nothing of the larger one left over.
+        small.transpose_into(&mut t);
+        assert_eq!(t, transpose(&small));
+        assert_eq!(t.indptr().as_ptr(), indptr);
+        assert_eq!(t.indices().as_ptr(), indices);
+        assert_eq!(t.values().unwrap().as_ptr(), values);
+        // Values follow the source, and transposing twice is the identity.
+        let ones = SparseMatrix::new(2, 3, vec![0, 1, 3], vec![2, 0, 1], None);
+        ones.transpose_into(&mut t);
+        assert_eq!(
+            t,
+            SparseMatrix::new(3, 2, vec![0, 1, 2, 3], vec![1, 1, 0], None)
+        );
+        assert_eq!(transpose(&t), ones);
+        big.transpose_into(&mut t);
+        assert_eq!(transpose(&t), big);
+        // No columns: a `0 × rows` transpose.
+        SparseMatrix::new(2, 0, vec![0, 0, 0], vec![], None).transpose_into(&mut t);
+        assert_eq!((t.rows(), t.cols(), t.indptr()), (0, 2, &[0][..]));
     }
 
     #[test]
@@ -602,7 +588,6 @@ mod tests {
         assert_eq!(t.indptr(), s.indptr());
         assert_eq!(t.indices(), s.indices());
         assert_eq!(t.values().unwrap(), &[9.0, 9.0, 9.0]);
-        assert!(!t.csc_is_built(), "new values, new transpose");
     }
 
     #[test]
@@ -667,7 +652,6 @@ mod tests {
         let v = SparseView::new(2, 3, &indptr, &indices, Some(&values));
         let owned = v.to_owned();
         assert_eq!(owned, sample());
-        assert!(!owned.csc_is_built(), "materialized view starts lazy");
         // And back: an owned matrix's view is its own arrays.
         let back = owned.view();
         assert_eq!(
@@ -691,11 +675,7 @@ mod tests {
                 Some(vec![3.0, 1.0, 2.0, 3.0]),
             )
         );
-        assert!(
-            !picked.csc_is_built(),
-            "a selection has a transpose of its own"
-        );
-        assert_eq!(picked.csc().rows(), 3);
+        assert_eq!(transpose(&picked).rows(), 3);
         assert_eq!(s.select_rows(&[0, 1]), s);
         // Empty selection: no rows, the same columns.
         let none = s.select_rows(&[]);
@@ -717,15 +697,10 @@ mod tests {
         assert_eq!((slot.rows(), slot.cols(), slot.nnz()), (0, 0, 0));
         s.view().select_rows_into(&[8, 2, 2], &mut slot);
         assert_eq!(slot, s.select_rows(&[8, 2, 2]));
-        slot.csc();
         let (indices, values) = (slot.indices().as_ptr(), slot.values().unwrap().as_ptr());
         // A smaller selection fits the slot's arrays: same allocations.
         s.view().select_rows_into(&[2], &mut slot);
         assert_eq!(slot, s.select_rows(&[2]));
-        assert!(
-            !slot.csc_is_built(),
-            "the old selection's transpose is gone"
-        );
         assert_eq!(slot.indices().as_ptr(), indices);
         assert_eq!(slot.values().unwrap().as_ptr(), values);
         // Values follow the source: implicit ones stay implicit, and back.
@@ -746,18 +721,18 @@ mod tests {
         // Rows 0 and 1 of `sample()` name columns {0, 2} and {1}; keep the
         // ascending superset {0, 2} of row 0's.
         let mut m = sample().select_rows(&[0]);
-        m.csc();
         m.rank_columns(&[0, u32::MAX, 1], 2);
         assert_eq!(
             m,
             SparseMatrix::new(1, 2, vec![0, 2], vec![0, 1], Some(vec![1.0, 2.0]))
         );
-        assert!(!m.csc_is_built(), "the transpose had the old columns");
-        assert_eq!((m.csc().rows(), m.csc().cols()), (2, 1));
+        let t = transpose(&m);
+        assert_eq!((t.rows(), t.cols()), (2, 1));
         // No columns left at all: a `rows × 0` matrix.
         let mut none = SparseMatrix::new(2, 3, vec![0, 0, 0], vec![], None);
         none.rank_columns(&[u32::MAX; 3], 0);
-        assert_eq!((none.rows(), none.cols(), none.csc().rows()), (2, 0, 0));
+        let t = transpose(&none);
+        assert_eq!((none.rows(), none.cols(), t.rows()), (2, 0, 0));
     }
 
     #[test]

@@ -12,28 +12,27 @@
 //! best-fit lookup. It is **not** thread-safe — each model keeps its own
 //! (behind a `RefCell`), which is the right granularity because kernels
 //! parallelize *inside* one step, never across steps of one model.
+//!
+//! Two kernel buffers are per thread instead: the SIMD kernels' packed
+//! panels and the transposed aggregation's transpose. Each grows to its
+//! high-water size on first use and is reused by every later kernel call on
+//! that thread.
 
 use std::cell::RefCell;
 
 use crate::dense::Matrix;
+use crate::sparse::SparseMatrix;
 
 /// Maximum retired buffers kept; beyond this the smallest is dropped.
 const MAX_FREE: usize = 32;
 
-/// Per-thread panel-packing scratch for the SIMD kernels. Pool workers
-/// each pack their own row range concurrently, so the buffer is
-/// thread-local rather than routed through a model's (single-threaded)
-/// [`Workspace`]. It grows to the high-water panel size on first use and is
-/// reused for every subsequent kernel call on that thread — `grows` counts
-/// reallocations so tests can pin the zero-steady-state-alloc property.
-#[derive(Default)]
-struct PackScratch {
-    buf: Vec<f32>,
-    grows: usize,
-}
-
 thread_local! {
-    static PACK: RefCell<PackScratch> = const { RefCell::new(PackScratch { buf: Vec::new(), grows: 0 }) };
+    /// Panel-packing scratch for the SIMD kernels. Pool workers each pack
+    /// their own row range concurrently, so the buffer is thread-local
+    /// rather than routed through a model's (single-threaded) [`Workspace`].
+    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The adjacency transpose a transposed aggregation gathers over.
+    static TRANSPOSE: RefCell<SparseMatrix> = RefCell::new(SparseMatrix::default());
 }
 
 /// Runs `f` with this thread's packing buffer resized to at least `len`
@@ -42,19 +41,19 @@ thread_local! {
 /// while packing.
 pub(crate) fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     PACK.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        if scratch.buf.len() < len {
-            scratch.grows += 1;
-            scratch.buf.resize(len, 0.0);
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
         }
-        f(&mut scratch.buf[..len])
+        f(&mut buf[..len])
     })
 }
 
-/// Times this thread's pack buffers have grown (ever). Steady-state
-/// kernels must leave this constant.
-pub fn pack_buffer_grows() -> usize {
-    PACK.with(|cell| cell.borrow().grows)
+/// Runs `f` with this thread's transpose buffer (contents unspecified on
+/// entry; callers overwrite it with [`SparseMatrix::transpose_into`]). Not
+/// reentrant, like the pack buffer: the gather over it never transposes.
+pub(crate) fn with_transpose_buffer<R>(f: impl FnOnce(&mut SparseMatrix) -> R) -> R {
+    TRANSPOSE.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// A capacity-sorted free list of retired `Vec<f32>` allocations.
@@ -62,8 +61,6 @@ pub fn pack_buffer_grows() -> usize {
 pub struct Workspace {
     /// Retired buffers, sorted ascending by capacity (best-fit = first fit).
     free: Vec<Vec<f32>>,
-    allocs: usize,
-    reuses: usize,
 }
 
 impl Workspace {
@@ -90,7 +87,6 @@ impl Workspace {
         let pick = self.free.iter().position(|b| b.capacity() >= need);
         match pick {
             Some(i) => {
-                self.reuses += 1;
                 let mut buf = self.free.remove(i);
                 if zero {
                     buf.clear();
@@ -98,10 +94,7 @@ impl Workspace {
                 buf.resize(need, 0.0);
                 Matrix::from_vec(rows, cols, buf)
             }
-            None => {
-                self.allocs += 1;
-                Matrix::zeros(rows, cols)
-            }
+            None => Matrix::zeros(rows, cols),
         }
     }
 
@@ -117,16 +110,6 @@ impl Workspace {
             // Drop the smallest: large buffers are the expensive ones.
             self.free.remove(0);
         }
-    }
-
-    /// Fresh allocations served so far.
-    pub fn allocs(&self) -> usize {
-        self.allocs
-    }
-
-    /// Takes satisfied from the free list so far.
-    pub fn reuses(&self) -> usize {
-        self.reuses
     }
 
     /// Buffers currently parked in the free list.
@@ -149,10 +132,11 @@ mod tests {
         let mut ws = Workspace::new();
         let mut m = ws.take(3, 4);
         m.data_mut().fill(7.5);
+        let buf = m.data().as_ptr();
         ws.put(m);
         let m2 = ws.take(3, 4);
         assert!(m2.data().iter().all(|&x| x == 0.0));
-        assert_eq!((ws.allocs(), ws.reuses()), (1, 1));
+        assert_eq!(m2.data().as_ptr(), buf, "the retired buffer came back");
     }
 
     #[test]
@@ -160,6 +144,7 @@ mod tests {
         let mut ws = Workspace::new();
         let mut m = ws.take(2, 4);
         m.data_mut().fill(7.5);
+        let buf = m.data().as_ptr();
         ws.put(m);
         assert_eq!(ws.parked_bytes(), 8 * 4);
         // Shrinking keeps the stale prefix; growing within capacity zero-fills
@@ -169,71 +154,71 @@ mod tests {
         ws.put(m);
         let m = ws.take_unzeroed(2, 4);
         assert_eq!(m.data(), &[7.5, 7.5, 7.5, 7.5, 0.0, 0.0, 0.0, 0.0]);
-        assert_eq!((ws.allocs(), ws.reuses()), (1, 2));
+        assert_eq!(m.data().as_ptr(), buf, "one buffer throughout");
     }
 
     #[test]
     fn best_fit_prefers_smallest_sufficient_buffer() {
         let mut ws = Workspace::new();
-        ws.put(Matrix::zeros(10, 10)); // cap 100
-        ws.put(Matrix::zeros(2, 3)); // cap 6
+        let (large, small) = (Matrix::zeros(10, 10), Matrix::zeros(2, 3));
+        let (large_at, small_at) = (large.data().as_ptr(), small.data().as_ptr());
+        ws.put(large); // cap 100
+        ws.put(small); // cap 6
         let m = ws.take(2, 2); // needs 4 → the 6-cap buffer
         assert_eq!(m.data().len(), 4);
+        assert_eq!(m.data().as_ptr(), small_at);
         assert_eq!(ws.free_len(), 1);
         let big = ws.take(5, 10); // needs 50 → the 100-cap buffer
         assert_eq!(big.data().len(), 50);
-        assert_eq!(ws.allocs(), 0);
-        assert_eq!(ws.reuses(), 2);
+        assert_eq!(big.data().as_ptr(), large_at);
     }
 
     #[test]
     fn shape_can_differ_as_long_as_capacity_fits() {
         let mut ws = Workspace::new();
-        ws.put(Matrix::zeros(8, 8));
+        let parked = Matrix::zeros(8, 8);
+        let at = parked.data().as_ptr();
+        ws.put(parked);
         let m = ws.take(4, 16);
         assert_eq!((m.rows(), m.cols()), (4, 16));
-        assert_eq!(ws.reuses(), 1);
+        assert_eq!(m.data().as_ptr(), at);
     }
 
     #[test]
     fn free_list_is_capped() {
         let mut ws = Workspace::new();
+        let mut largest = std::ptr::null();
         for i in 1..=(MAX_FREE + 5) {
-            ws.put(Matrix::zeros(i, 1));
+            let m = Matrix::zeros(i, 1);
+            largest = m.data().as_ptr();
+            ws.put(m);
         }
         assert_eq!(ws.free_len(), MAX_FREE);
         // The survivors are the largest ones.
         let m = ws.take(MAX_FREE + 5, 1);
-        assert_eq!(ws.reuses(), 1);
+        assert_eq!(m.data().as_ptr(), largest);
         assert_eq!(m.data().len(), MAX_FREE + 5);
     }
 
     #[test]
     fn pack_buffers_grow_once_then_stabilize() {
-        // Run on a dedicated thread so other tests' pack use can't skew
-        // the thread-local counter.
+        // On a dedicated thread, so no other test's pack use shares the
+        // thread-local buffer.
         std::thread::spawn(|| {
-            let before = pack_buffer_grows();
-            with_pack_buffer(32, |b| {
-                assert_eq!(b.len(), 32);
-                b.fill(2.0);
-            });
-            assert_eq!(pack_buffer_grows(), before + 1);
+            let at = |len: usize| {
+                with_pack_buffer(len, |b| {
+                    assert_eq!(b.len(), len);
+                    b.fill(2.0);
+                    b.as_ptr()
+                })
+            };
+            let first = at(32);
             for _ in 0..4 {
-                with_pack_buffer(32, |b| {
-                    assert_eq!(b.len(), 32);
-                });
+                assert_eq!(at(32), first);
             }
-            with_pack_buffer(8, |b| {
-                assert_eq!(b.len(), 8);
-            });
-            assert_eq!(
-                pack_buffer_grows(),
-                before + 1,
-                "smaller takes must not grow"
-            );
-            with_pack_buffer(64, |_| {});
-            assert_eq!(pack_buffer_grows(), before + 2, "a larger take grew");
+            assert_eq!(at(8), first, "smaller takes must not grow");
+            let grown = at(64);
+            assert_eq!(at(16), grown, "a larger take grew, once");
         })
         .join()
         .unwrap();

@@ -2,7 +2,7 @@
 //! references.
 //!
 //! The blocked GEMM family and the transposed aggregation (a gather over
-//! the cached transpose) are written so their per-element accumulation
+//! the adjacency's transpose) are written so their per-element accumulation
 //! order matches the naive oracles in `argo_tensor::reference` exactly
 //! (ascending `k` for GEMM, ascending row within column for the transpose) — so the strongest possible property holds: **bitwise
 //! equality**, not just tolerance, across ragged shapes that straddle

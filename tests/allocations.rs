@@ -1,0 +1,278 @@
+//! The process's one allocation instrument: a counting global allocator,
+//! and the warm hot paths pinned with it.
+//!
+//! Every allocation (and reallocation) is counted on the thread that makes
+//! it, so a pin measures exactly the calls it makes on its own thread while
+//! the harness runs other tests on theirs. Each pin makes one warm-up call,
+//! then counts a second, identical one: a warm training step, sampler call,
+//! prologue or dispatch kernel allocates nothing. Kernels run with
+//! `pool = None`; a pool's workers allocate on their own threads.
+//!
+//! Run it alone with `cargo test -q --test allocations` (and with
+//! `ARGO_SIMD=off` for the scalar tier).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use argo::graph::datasets::{Dataset, FLICKR};
+use argo::nn::{Arch, Gnn};
+use argo::rt::{SeedSequence, WorkerRing};
+use argo::sample::{
+    InputRing, NeighborSampler, PreparedInput, SampleRun, SampledBatch, Sampler, SamplerScratch,
+    ShadowSampler,
+};
+use argo::tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix};
+use argo_serve::clock::ManualClock;
+use argo_serve::{ServeSession, ServeSpec};
+
+/// Counts every `alloc`, `alloc_zeroed` (through the default method, which
+/// calls `alloc`) and `realloc` on the calling thread, then defers to the
+/// system allocator.
+struct Counting;
+
+thread_local! {
+    /// This thread's allocations so far. A `const` `Cell` of a `Copy` type:
+    /// reading or bumping it neither allocates nor registers a destructor,
+    /// so the allocator can use it from inside an allocation.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract; the count beside it touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc`'s contract (non-zero size).
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with `layout`, and the caller
+        // upholds `realloc`'s contract on `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocs_in(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations of the second of two calls of `f`: a warm call.
+fn warm_allocs(mut f: impl FnMut()) -> usize {
+    f();
+    allocs_in(f)
+}
+
+fn dataset() -> Dataset {
+    FLICKR.synthesize(0.02, 7)
+}
+
+fn seeds(d: &Dataset) -> Vec<u32> {
+    d.train_nodes.iter().copied().take(128).collect()
+}
+
+/// The two paper tasks: Neighbor[15,10] + 2-layer SAGE (mean-normalized
+/// blocks) and ShaDow[10,5] + 3-layer GCN (a GCN-normalized subgraph).
+fn tasks() -> [(Arch, Box<dyn Sampler>, usize); 2] {
+    [
+        (Arch::Sage, Box::new(NeighborSampler::new(vec![15, 10])), 2),
+        (Arch::Gcn, Box::new(ShadowSampler::new(vec![10, 5], 3)), 3),
+    ]
+}
+
+fn run<'a>(arch: Arch, scratch: &'a mut SamplerScratch) -> SampleRun<'a> {
+    SampleRun::new(SeedSequence::new(5), scratch).with_norm(arch.normalization())
+}
+
+#[test]
+fn warm_sampling_and_prologue_allocate_nothing() {
+    let d = dataset();
+    let seeds = seeds(&d);
+    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+    for (arch, sampler, _) in tasks() {
+        let mut scratch = SamplerScratch::new();
+        let sample = warm_allocs(|| {
+            sampler.sample_into(&d.graph, &seeds, run(arch, &mut scratch));
+        });
+        assert_eq!(sample, 0, "{}: sample_into", sampler.name());
+        let view = sampler.sample_into(&d.graph, &seeds, run(arch, &mut scratch));
+        let prepare = warm_allocs(|| {
+            PreparedInput::prepare(&view, &d.features, &ring, &spans, 0).recycle(&ring);
+        });
+        assert_eq!(prepare, 0, "{}: PreparedInput::prepare", sampler.name());
+    }
+}
+
+/// One batch of `sampler` as the engine's training thread receives it: the
+/// owned batch and what the loader prepared for it.
+fn loaded(d: &Dataset, arch: Arch, sampler: &dyn Sampler) -> (SampledBatch, PreparedInput) {
+    let mut scratch = SamplerScratch::new();
+    let view = sampler.sample_into(&d.graph, &seeds(d), run(arch, &mut scratch));
+    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+    let input = PreparedInput::prepare(&view, &d.features, &ring, &spans, 0);
+    (view.to_owned(), input)
+}
+
+/// A warm step over a batch it has not seen: the warm-up step runs over one
+/// copy of the batch and the counted step over another, as each step of an
+/// epoch receives a batch of its own from the loader.
+#[test]
+fn warm_training_step_allocates_nothing() {
+    let d = dataset();
+    for (arch, sampler, depth) in tasks() {
+        let (batch, input) = loaded(&d, arch, &*sampler);
+        for policy in [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ] {
+            let mut m = Gnn::new(arch, d.feat_dim(), 128, d.num_classes, depth, 3);
+            m = m.with_dispatch(policy);
+            m.train_step_prepared(&batch.clone(), &input, &d.labels, None);
+            let next = batch.clone();
+            let step = allocs_in(|| {
+                m.train_step_prepared(&next, &input, &d.labels, None);
+            });
+            let who = format!("{arch:?}-{depth} over {}", sampler.name());
+            assert_eq!(step, 0, "{who}, simd {}", policy.simd_enabled());
+        }
+    }
+}
+
+/// The dispatch kernels the step calls, on a thread of their own so that
+/// its per-thread kernel buffers (packed panels, the transpose) start
+/// empty: a call at a shape no larger than one already run allocates
+/// nothing, and a larger shape allocates on its first call only.
+#[test]
+fn dispatch_kernels_grow_once_then_allocate_nothing() {
+    std::thread::spawn(|| {
+        for policy in [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ] {
+            let tier = format!("simd {}", policy.simd_enabled());
+            // `kernels(n)` runs all five over `n` rows: GEMM and SAGE's
+            // fused GEMM into a 128-wide layer, the weight gradient of both
+            // halves, the input gradient and the transposed aggregation.
+            let kernels = |n: usize, grows: &dyn Fn(&str, usize)| {
+                let (h, agg) = (Matrix::xavier(n + 8, 64, 1), Matrix::xavier(n, 64, 2));
+                let (w, stacked) = (Matrix::xavier(64, 128, 3), Matrix::xavier(128, 128, 4));
+                let (grad, adj) = (Matrix::xavier(n, 128, 5), ring_adj(n));
+                let dgrad = Matrix::xavier(n, 64, 6);
+                let mut out = Matrix::zeros(n, 128);
+                let mut dw = Matrix::zeros(128, 128);
+                let mut dx = Matrix::zeros(n, 64);
+                let mut dh = Matrix::zeros(n + 8, 64);
+                let bias = vec![0.1; 128];
+                grows(
+                    "gemm_into",
+                    allocs_in(|| policy.gemm_into(&agg, &w, Epilogue::none(), None, &mut out)),
+                );
+                grows(
+                    "sage_gemm_into",
+                    allocs_in(|| {
+                        let epi = Epilogue::bias_relu(&bias);
+                        policy.sage_gemm_into(&h, &agg, &stacked, epi, None, &mut out);
+                    }),
+                );
+                grows(
+                    "grad_weights_into",
+                    allocs_in(|| policy.grad_weights_into(&[&h, &agg], &grad, None, &mut dw)),
+                );
+                grows(
+                    "grad_input_into",
+                    allocs_in(|| policy.grad_input_into(&grad, &stacked, 64..128, None, &mut dx)),
+                );
+                grows(
+                    "aggregate_transpose_into",
+                    allocs_in(|| policy.aggregate_transpose_into(&adj, &dgrad, None, &mut dh)),
+                );
+            };
+            kernels(200, &|_, _| {});
+            for n in [200, 150, 1] {
+                kernels(n, &|kernel: &str, allocs| {
+                    assert_eq!(allocs, 0, "{kernel} at {n} rows after 200, {tier}");
+                });
+            }
+            // The transpose's arrays grow once at the larger shape; so does
+            // the pack buffer of the SIMD tier's packing kernels.
+            kernels(400, &|kernel: &str, allocs| {
+                assert!(allocs <= 3, "{kernel}: {allocs} at 400 rows, {tier}");
+            });
+            kernels(400, &|kernel: &str, allocs| {
+                assert_eq!(allocs, 0, "{kernel} at 400 rows again, {tier}");
+            });
+        }
+    })
+    .join()
+    .unwrap();
+}
+
+/// An `n × (n + 8)` adjacency: row `i` names columns `i`, `i + 3` and
+/// `i + 8`, with values.
+fn ring_adj(n: usize) -> SparseMatrix {
+    let indptr = (0..=n as u32).map(|i| 3 * i).collect();
+    let indices = (0..n as u32).flat_map(|i| [i, i + 3, i + 8]).collect();
+    let values = (0..3 * n).map(|k| 0.5 + k as f32 * 1e-3).collect();
+    SparseMatrix::new(n, n + 8, indptr, indices, Some(values))
+}
+
+/// What a computed serve query allocates once warm (deadline 0, no result
+/// cache), each counted once:
+///
+/// 1. the admitted request's micro-batch: `MicroBatcher` flushes it as a
+///    `Vec` of its own;
+/// 2. the `Vec` of responses [`ServeSession::submit`] returns;
+/// 3. the logits, which leave the model in the response;
+/// 4. their `Arc` (shared with the result cache, when one is on).
+const SERVE_QUERY_ALLOCS: usize = 4;
+
+#[test]
+fn warm_serve_query_allocates_only_its_response() {
+    let d = Arc::new(dataset());
+    for (arch, sampler, depth) in tasks() {
+        let sampler: Arc<dyn Sampler> = Arc::from(sampler);
+        let model = Gnn::new(arch, d.feat_dim(), 128, d.num_classes, depth, 3);
+        let mut s: ServeSession = ServeSpec::builder(Arc::clone(&d), Arc::clone(&sampler), model)
+            .deadline_us(0)
+            .clock(Arc::new(ManualClock::new()))
+            .start();
+        let query = seeds(&d)[..8].to_vec();
+        let mut submit = |seeds: Vec<u32>| {
+            let done = s.submit(seeds, None).unwrap();
+            assert!(matches!(done.completed[..], [Ok(_)]));
+        };
+        submit(query.clone());
+        let seeds = query.clone();
+        let allocs = allocs_in(|| submit(seeds));
+        assert_eq!(allocs, SERVE_QUERY_ALLOCS, "{}", sampler.name());
+    }
+}
+
+/// The instrument itself: an allocation and a reallocation count once
+/// each, and freeing counts nothing.
+#[test]
+fn the_counter_counts_allocations_and_reallocations() {
+    let mut v: Vec<u64> = Vec::with_capacity(1);
+    assert_eq!(allocs_in(|| v.reserve(100)), 1);
+    assert_eq!(allocs_in(|| drop(std::hint::black_box(vec![7u8; 64]))), 1);
+    assert_eq!(allocs_in(|| drop(v)), 0);
+}

@@ -1,0 +1,190 @@
+//! What a warm engine epoch allocates per batch, and where it comes from:
+//! the per-epoch churn a persistent per-rank process would remove (ROADMAP
+//! item 2(b)).
+//!
+//! A counting global allocator counts every allocation of the process, so
+//! this binary holds a single test: no other test's allocations share the
+//! count. The epoch's total is measured; its named sources are measured one
+//! by one, in isolation, at the epoch's own sizes:
+//!
+//! * `to_owned`: each batch's copy out of the sampler's arena, made for the
+//!   loader's channel;
+//! * thread spawns: each rank's scoped thread and its loader's named
+//!   sampler threads, spawned and joined;
+//! * kernel buffers: the per-thread pack and transpose buffers each fresh
+//!   rank thread grows in its first step;
+//! * `params` and `opt` clones: each rank's copy of the master parameters
+//!   and optimizer state;
+//! * the channel: the loader's bounded channel, made and used once per
+//!   batch.
+//!
+//! What is left is per-epoch setup (the seed split, the loader, the span
+//! rings, the core plan) and buffers that grow for a batch larger than any
+//! before it. The test prints the table (`--nocapture`) and pins no count:
+//! the total is not reproducible — twenty runs of this binary gave two or
+//! three different totals for each row, a few allocations apart, as the
+//! ranks' and loaders' threads interleave differently — and consecutive
+//! warm epochs draw different batches (the seed split depends on the
+//! epoch), so a buffer may grow in any of them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use argo::engine::{Config, Engine, EngineOptions};
+use argo::graph::datasets::FLICKR;
+use argo::nn::{AnyOptimizer, Arch, Gnn};
+use argo::rt::{SeedSequence, WorkerRing};
+use argo::sample::{
+    InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+};
+
+/// Counts every `alloc` (`alloc_zeroed` included, through the default
+/// method) and `realloc` of the process, then defers to the system
+/// allocator.
+struct Counting;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract; the count beside it is one atomic add.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `alloc`'s contract (non-zero size).
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout`, and the caller
+        // upholds `realloc`'s contract on `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations the process makes while `f` runs, and what `f` returned.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let out = f();
+    (ALLOCS.load(Ordering::SeqCst) - before, out)
+}
+
+#[test]
+fn warm_epoch_allocations_per_batch_by_source() {
+    argo::rt::watchdog(300, || {
+        let d = Arc::new(FLICKR.synthesize(0.05, 3));
+        let tasks: [(&str, Arch, Arc<dyn Sampler>); 2] = [
+            (
+                "SAGE/Neighbor",
+                Arch::Sage,
+                Arc::new(NeighborSampler::new(vec![15, 10])),
+            ),
+            (
+                "GCN/ShaDow",
+                Arch::Gcn,
+                Arc::new(ShadowSampler::new(vec![10, 5], 3)),
+            ),
+        ];
+        println!(
+            "warm epoch allocations per batch: total = to_owned + spawns + kernel buffers + \
+             params/opt + channel + rest"
+        );
+        for (name, kind, sampler) in tasks {
+            for config in [Config::new(1, 1, 1), Config::new(2, 1, 1)] {
+                let opts = EngineOptions {
+                    kind,
+                    hidden: 64,
+                    num_layers: sampler.num_layers(),
+                    global_batch: 128,
+                    seed: 1,
+                    total_cores: 4,
+                    ..Default::default()
+                };
+                let mut e = Engine::new(Arc::clone(&d), Arc::clone(&sampler), opts);
+                e.train_epoch(config, None);
+                let (total, stats) = allocs_in(|| e.train_epoch(config, None));
+                let sources = sources(&e, config, stats.minibatches);
+                let rest = total as i64 - sources.iter().sum::<usize>() as i64;
+                let per = |n: f64| n / stats.minibatches as f64;
+                let named: Vec<String> = sources
+                    .iter()
+                    .map(|&n| format!("{:.1}", per(n as f64)))
+                    .collect();
+                println!(
+                    "  {name} {config:?}: {} batches, {:.1} = {} + {:.1}",
+                    stats.minibatches,
+                    per(total as f64),
+                    named.join(" + "),
+                    per(rest as f64),
+                );
+                assert!(total > 0 && stats.minibatches > 0);
+            }
+        }
+    });
+}
+
+/// The named sources' allocations in one epoch of `e` under `config`
+/// (`batches` of them over all ranks): `to_owned`, thread spawns, the fresh
+/// rank threads' kernel buffers, `params`/`opt` clones and the channel.
+fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 5] {
+    let (d, sampler, opts) = (e.dataset(), e.sampler(), e.options());
+    let (n_proc, n_samp) = (config.n_proc, config.n_samp);
+    let local = (opts.global_batch / n_proc).max(1);
+    let seeds: Vec<u32> = d.train_nodes[..local].to_vec();
+    let mut scratch = SamplerScratch::new();
+    let run =
+        SampleRun::new(SeedSequence::new(1), &mut scratch).with_norm(opts.kind.normalization());
+    let view = sampler.sample_into(&d.graph, &seeds, run);
+    let to_owned = allocs_in(|| view.to_owned()).0 * batches;
+
+    let spawns = allocs_in(|| {
+        std::thread::scope(|s| {
+            for _ in 0..n_proc {
+                s.spawn(|| {
+                    for w in 0..n_samp {
+                        let worker = std::thread::Builder::new().name(format!("argo-sampler-{w}"));
+                        worker.spawn(|| ()).unwrap().join().unwrap();
+                    }
+                });
+            }
+        })
+    })
+    .0;
+
+    // A warm model's step, on a warm thread and then on a fresh one.
+    let batch = view.to_owned();
+    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+    let input = PreparedInput::prepare(&view, &d.features, &ring, &spans, 0);
+    let mut m: Gnn = e.model();
+    m.train_step_prepared(&batch, &input, &d.labels, None);
+    let kernel_buffers = n_proc
+        * std::thread::scope(|s| {
+            s.spawn(|| allocs_in(|| m.train_step_prepared(&batch, &input, &d.labels, None)).0)
+                .join()
+                .unwrap()
+        });
+
+    let opt = AnyOptimizer::build(opts.optimizer, e.params().len(), opts.lr);
+    let clones = n_proc * allocs_in(|| (e.params().to_vec(), opt.clone())).0;
+
+    let channel = n_proc
+        * allocs_in(|| {
+            let (tx, rx) = crossbeam::channel::bounded::<usize>(n_samp);
+            for i in 0..batches / n_proc {
+                tx.send(i).unwrap();
+                rx.recv().unwrap();
+            }
+        })
+        .0;
+    [to_owned, spawns, kernel_buffers, clones, channel]
+}
