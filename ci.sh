@@ -33,10 +33,10 @@ if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
 fi
 rm -rf "$cli_dir"
 
-echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
+echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
-echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f, and the scalar mul_add oracle pin of the GEMM and weight-gradient tiles at each vector width the host has)"
+echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path: the scalar dX, the GEMM over the transposed weight, bitwise equal to the naive dot for the full width and both SAGE windows, serial and pooled; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f, dX through the GEMM, and the scalar mul_add oracle pin of the GEMM, weight-gradient (narrow columns too) and dX-on-tile sequences at each vector width the host has)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue — one pass over the feature table, no gathered copy — recorded, ungated)"
@@ -62,7 +62,7 @@ ARGO_SIMD=off cargo test -q -p argo-engine
 echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue, training step and dispatch kernel allocate nothing)"
 ARGO_SIMD=off cargo test -q --test allocations
 
-echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch, kernel-dispatch, feature-gather; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source)"
+echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch, kernel-dispatch, feature-gather; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source)"
 cargo test -q
 
 echo "CI OK"

@@ -6,8 +6,9 @@
 //! under a 3-layer GCN (all three reported, never gated).
 //!
 //! Emits machine-readable `BENCH_kernels.json` at the repository root
-//! (GFLOP/s and speedup-vs-serial per kernel and shape) so future PRs can
-//! diff kernel performance against this baseline. Columns: `serial` is
+//! (GFLOP/s and speedup-vs-serial per kernel and shape, and its
+//! provenance: commit, rustc, CPU model, vCPUs) so future PRs can diff
+//! kernel performance against this baseline. Columns: `serial` is
 //! `argo_tensor::reference` (the naive loops), `blocked` the scalar tier
 //! (`force_scalar()`), `simd` the default tier run inline (AVX-512 or
 //! AVX2+FMA on hosts that have it, scalar otherwise; `simd_tier` in the JSON
@@ -171,6 +172,41 @@ impl KernelRow {
     }
 }
 
+/// Where the numbers come from: the commit (`git rev-parse --short HEAD`,
+/// `"unknown"` outside a checkout), `rustc --version`, the CPU model named
+/// in `/proc/cpuinfo`, the vCPU count, and that they are measured, not
+/// modeled.
+fn provenance(vcpus: usize) -> Json {
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    Json::obj(vec![
+        (
+            "commit",
+            Json::str(&run("git", &["rev-parse", "--short", "HEAD"])),
+        ),
+        ("rustc", Json::str(&run("rustc", &["--version"]))),
+        ("cpu_model", Json::str(&cpu_model)),
+        ("vcpus", Json::Num(vcpus as f64)),
+        ("measured", Json::Bool(true)),
+    ])
+}
+
 /// Builds a 2-layer neighbor-sampled batch with `n_seeds` destination rows
 /// and synthetic 64-dim features, for the end-to-end train-step benchmark.
 fn train_fixture(
@@ -254,9 +290,14 @@ fn main() {
         });
     }
 
-    // -- Weight gradient dW = Xᵀ dY: a reduction over 4096 rows, and the
-    // training step's over 4544. --
-    for (m, k, n, gate_min) in [(4096, 64, 32, Some(1.0)), (4544, 64, 128, None)] {
+    // -- Weight gradient dW = Xᵀ dY: a reduction over 4096 rows, the
+    // training step's over 4544, and the ShaDow-GCN classifier's narrow
+    // 128 × 7 over a 1751-row subgraph. --
+    for (m, k, n, gate_min) in [
+        (4096, 64, 32, Some(1.0)),
+        (4544, 64, 128, None),
+        (1751, 128, 7, None),
+    ] {
         let x = Matrix::xavier(m, k, 3);
         let g = Matrix::xavier(m, n, 4);
         let [serial, blocked, simd] = time_gated(
@@ -284,8 +325,13 @@ fn main() {
         });
     }
 
-    // -- Input gradient dX = dY Wᵀ, and the training step's. --
-    for (m, k, n, gate_min) in [(4096, 64, 32, Some(1.0)), (1751, 128, 128, None)] {
+    // -- Input gradient dX = dY Wᵀ, the training step's, and the ShaDow-GCN
+    // classifier's (m × 7 → 128). --
+    for (m, k, n, gate_min) in [
+        (4096, 64, 32, Some(1.0)),
+        (1751, 128, 128, None),
+        (1751, 128, 7, None),
+    ] {
         let g = Matrix::xavier(m, n, 5);
         let w = Matrix::xavier(k, n, 6);
         let [serial, blocked, simd] = time_gated(
@@ -604,6 +650,7 @@ fn main() {
     );
 
     let json = Json::obj(vec![
+        ("provenance", provenance(host_threads)),
         ("host_threads", Json::Num(host_threads as f64)),
         ("quick", Json::Bool(quick)),
         ("simd_tier", Json::str(tier)),

@@ -38,11 +38,6 @@ impl AllReduce {
         }
     }
 
-    /// Number of participants.
-    pub fn world_size(&self) -> usize {
-        self.n
-    }
-
     /// Element-wise mean across all participants' `buf`s; `buf` is
     /// overwritten with the result. All `n` participants must call this the
     /// same number of times with equal-length buffers.

@@ -194,10 +194,10 @@ impl ThreadPool {
     /// Workers only ever write their own result slot; the fold order depends
     /// solely on `n` and the pool size, never on thread scheduling — so for
     /// deterministic `map` the result is deterministic even when `reduce` is
-    /// not associative/commutative (e.g. float accumulation). This is the
-    /// primitive behind the pool-parallel `dW = Xᵀ dY` reduction in
-    /// `argo-tensor`, where each worker produces a partial gradient over its
-    /// row range.
+    /// not associative/commutative (e.g. float accumulation). The
+    /// pool-parallel `dW = Xᵀ dY` of `argo-tensor` folds its per-range
+    /// partial gradients in this partition and order, from a reused
+    /// per-thread buffer instead of one fresh `T` per range.
     pub fn parallel_map_reduce<T, M, R>(&self, n: usize, map: M, mut reduce: R) -> Option<T>
     where
         T: Send,
@@ -239,7 +239,8 @@ impl ThreadPool {
     /// most one row it runs `f(0..rows, data)` inline. Blocks until done.
     ///
     /// Every row-partitioned kernel of `argo-tensor` (GEMM, input gradient,
-    /// the CSR gather) goes through here. The windows are `chunks_mut` of
+    /// the CSR gather) goes through here, and so does its pooled weight
+    /// gradient, over one partials block per range. The windows are `chunks_mut` of
     /// `data` over the partition [`ThreadPool::parallel_ranges`] hands out,
     /// so their disjointness is the borrow checker's, not a claim.
     pub fn parallel_chunks_mut<T, F>(

@@ -14,15 +14,15 @@
 //!   takes the policy's `use_simd` and picks its tier once.
 //!   [`mod@crate::reference`] holds the naive oracles tests and benches
 //!   compare against, which are not a tier.
-//! * **One runner.** Forward GEMM, input gradients and the CSR gather
-//!   partition **output rows**: each is one closure handed to
+//! * **One runner.** Forward GEMM, input gradients (the same GEMM, over
+//!   the transposed weight window) and the CSR gather partition **output
+//!   rows**: each is one closure handed to
 //!   [`ThreadPool::parallel_chunks_mut`], which carves the output into one
 //!   `&mut` row window per worker, and runs the closure inline when the
-//!   decision below says serial. Weight gradients (`dW = Xᵀ dY`,
-//!   a reduction over rows) are the one other strategy: per-worker partial
-//!   accumulators folded **in range order** on the caller via
-//!   [`ThreadPool::parallel_map_reduce`], deterministic for a fixed pool
-//!   size.
+//!   decision below says serial. Weight gradients (`dW = Xᵀ dY`, a
+//!   reduction over rows) hand it the blocks of a per-thread partials
+//!   buffer instead, one per range of rows, and fold them **in range
+//!   order** on the caller, deterministic for a fixed pool size.
 //! * **One gather.** Forward aggregation over an owned or a borrowed
 //!   adjacency and transposed aggregation over the adjacency's transpose
 //!   are the same call ([`crate::sparse`]).
@@ -321,9 +321,12 @@ impl DispatchPolicy {
     /// its self rows and its aggregation and gets the stacked `[dW_self;
     /// dW_neigh]` in one pass over `grad`, without concatenating inputs.
     ///
-    /// Parallelized with per-worker partial accumulators reduced in range
-    /// order (deterministic for a fixed pool size, tolerance-level equal to
-    /// serial).
+    /// Parallelized over the rows in the partition
+    /// [`ThreadPool::parallel_map_reduce`] makes: range `s` writes its
+    /// partial into block `s` of the calling thread's partials buffer
+    /// ([`crate::workspace`]), and the blocks are folded in range order
+    /// (deterministic for a fixed pool size, tolerance-level equal to
+    /// serial). A warm pooled call allocates nothing per `k × n`.
     pub fn grad_weights_into(
         &self,
         xs: &[&Matrix],
@@ -337,26 +340,26 @@ impl DispatchPolicy {
         assert_eq!((dst.rows(), dst.cols()), (k, n), "grad_weights dst");
         assert!(xs.iter().all(|x| x.rows() >= m), "grad_weights x rows");
         let dst = dst.data_mut();
-        match self.pool_for(m, pool) {
+        let len = k * n;
+        // An empty `dst` has no partials to fold.
+        match self.pool_for(m, pool).filter(|_| len > 0) {
             Some(p) => {
-                let partial = p.parallel_map_reduce(
-                    m,
-                    |r| {
-                        let mut buf = vec![0.0f32; k * n];
-                        simd::grad_weights_into(xs, grad, r, self.simd, &mut buf);
-                        buf
-                    },
-                    |mut a, b| {
-                        for (av, bv) in a.iter_mut().zip(&b) {
-                            *av += bv;
+                let chunk = m.div_ceil(p.size().min(m));
+                workspace::with_partials_buffer(m.div_ceil(chunk) * len, |partials| {
+                    ThreadPool::parallel_chunks_mut(Some(p), partials, len, |ranges, bufs| {
+                        for (s, buf) in ranges.zip(bufs.chunks_exact_mut(len)) {
+                            let rows = s * chunk..((s + 1) * chunk).min(m);
+                            simd::grad_weights_into(xs, grad, rows, self.simd, buf);
                         }
-                        a
-                    },
-                );
-                match partial {
-                    Some(buf) => dst.copy_from_slice(&buf),
-                    None => dst.fill(0.0),
-                }
+                    });
+                    let (first, rest) = partials.split_at(len);
+                    dst.copy_from_slice(first);
+                    for part in rest.chunks_exact(len) {
+                        for (d, &v) in dst.iter_mut().zip(part) {
+                            *d += v;
+                        }
+                    }
+                });
             }
             None => simd::grad_weights_into(xs, grad, 0..m, self.simd, dst),
         }
@@ -372,10 +375,9 @@ impl DispatchPolicy {
         out
     }
 
-    /// Input gradient `grad @ w[w_rows]ᵀ`: every output element is a dot of
-    /// a `grad` row with a `w` row. The row window lets fused GraphSAGE
-    /// pull `d_self` / `d_neigh` out of the stacked weight without
-    /// splitting it.
+    /// Input gradient `grad @ w[w_rows]ᵀ`: the GEMM of `grad` by the
+    /// transposed weight window. The row window lets fused GraphSAGE pull
+    /// `d_self` / `d_neigh` out of the stacked weight without splitting it.
     pub fn grad_input(
         &self,
         grad: &Matrix,
@@ -388,7 +390,12 @@ impl DispatchPolicy {
         out
     }
 
-    /// [`DispatchPolicy::grad_input`] into a caller-provided matrix.
+    /// [`DispatchPolicy::grad_input`] into a caller-provided matrix:
+    /// `w[w_rows]ᵀ` is transposed once, on the calling thread, into its
+    /// transposed-weight buffer ([`crate::workspace`]), and the output rows
+    /// run the forward's GEMM over it, with no epilogue. On the scalar tier
+    /// each element is then the `k` terms added one at a time, ascending
+    /// from `+0` — bitwise the dot of [`crate::reference::matmul_transpose_other`].
     pub fn grad_input_into(
         &self,
         grad: &Matrix,
@@ -402,8 +409,15 @@ impl DispatchPolicy {
         let m = grad.rows();
         let n = w_rows.len();
         assert_eq!((out.rows(), out.cols()), (m, n), "grad_input out");
-        ThreadPool::parallel_chunks_mut(self.pool_for(m, pool), out.data_mut(), n, |rows, dst| {
-            simd::transpose_other_into(grad, rows, w, w_rows.clone(), self.simd, dst)
+        workspace::with_transposed_rows(w, w_rows, |wt| {
+            ThreadPool::parallel_chunks_mut(
+                self.pool_for(m, pool),
+                out.data_mut(),
+                n,
+                |rows, dst| {
+                    simd::gemm_into(&[(grad, 0)], rows, wt, Epilogue::none(), self.simd, dst)
+                },
+            )
         });
     }
 }
@@ -687,6 +701,41 @@ mod tests {
     }
 
     #[test]
+    fn pooled_grad_weights_folds_the_range_partials_in_order_bitwise() {
+        // The partition `parallel_map_reduce` makes: `⌈m / min(size, m)⌉`
+        // rows a range; each range's partial is one serial call, and the
+        // pooled result is their left fold, first + second + ….
+        let (m, f, o) = (70, 9, 7);
+        let (h, agg) = (Matrix::xavier(m + 5, f, 20), Matrix::xavier(m, f, 21));
+        let grad = Matrix::xavier(m, o, 22);
+        for policy in [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ] {
+            for size in POOL_SIZES {
+                let chunk = m.div_ceil(size.min(m));
+                let mut want = vec![0.0f32; 2 * f * o];
+                let mut part = want.clone();
+                for (s, r0) in (0..m).step_by(chunk).enumerate() {
+                    let rows = r0..(r0 + chunk).min(m);
+                    let dst = if s == 0 { &mut want } else { &mut part };
+                    simd::grad_weights_into(&[&h, &agg], &grad, rows, policy.simd, dst);
+                    if s > 0 {
+                        for (w, &p) in want.iter_mut().zip(&part) {
+                            *w += p;
+                        }
+                    }
+                }
+                let pool = ThreadPool::new("t", size);
+                let mut got = Matrix::zeros(2 * f, o);
+                policy.grad_weights_into(&[&h, &agg], &grad, Some(&pool), &mut got);
+                let simd = policy.simd_enabled();
+                assert_eq!(got.data(), &want[..], "pool size {size}, simd {simd}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "grad_weights reduction len")]
     fn grad_weights_rejects_a_taller_x() {
         let x = Matrix::xavier(12, 3, 10);
@@ -714,25 +763,30 @@ mod tests {
         }
     }
 
+    /// The scalar tier's input gradient, the GEMM over the transposed
+    /// window, equals the naive dot bitwise: over the full stacked weight
+    /// and SAGE's two windows of it, inline and on every pool size, at
+    /// depths `o` from a toy 3 through the classifier's 7 and a hidden
+    /// layer's 128 to one past the `KC` block.
     #[test]
     fn grad_input_window_equals_split_reference() {
         let pools = POOL_SIZES.map(|size| ThreadPool::new("t", size));
-        let f = 4;
-        let o = 3;
-        let grad = Matrix::xavier(80, o, 15);
-        let w = Matrix::xavier(2 * f, o, 16);
-        let naive_full = reference::matmul_transpose_other(&grad, &w);
         let policy = DispatchPolicy::default().force_scalar();
-        for p in std::iter::once(None).chain(pools.iter().map(Some)) {
-            let at = format!("pool size {:?}", p.map(ThreadPool::size));
-            let full = policy.grad_input(&grad, &w, 0..2 * f, p);
-            assert_eq!(full.data(), naive_full.data(), "{at}");
+        for (f, o) in [(4, 3), (21, 7), (21, 128), (21, 300)] {
+            let grad = Matrix::xavier(80, o, 15 + o as u64);
+            let w = Matrix::xavier(2 * f, o, 16 + o as u64);
+            let naive_full = reference::matmul_transpose_other(&grad, &w);
             // Row windows = columns of the split reference.
-            let d_self = policy.grad_input(&grad, &w, 0..f, p);
-            let d_neigh = policy.grad_input(&grad, &w, f..2 * f, p);
             let (want_self, want_neigh) = naive_full.split_cols(f);
-            assert_eq!(d_self.data(), want_self.data(), "{at}");
-            assert_eq!(d_neigh.data(), want_neigh.data(), "{at}");
+            for p in std::iter::once(None).chain(pools.iter().map(Some)) {
+                let at = format!("o={o}, pool size {:?}", p.map(ThreadPool::size));
+                let full = policy.grad_input(&grad, &w, 0..2 * f, p);
+                assert_eq!(full.data(), naive_full.data(), "{at}");
+                let d_self = policy.grad_input(&grad, &w, 0..f, p);
+                let d_neigh = policy.grad_input(&grad, &w, f..2 * f, p);
+                assert_eq!(d_self.data(), want_self.data(), "{at}");
+                assert_eq!(d_neigh.data(), want_neigh.data(), "{at}");
+            }
         }
     }
 }

@@ -15,6 +15,12 @@
 //! (under `f32` `==`) to the reference implementations, not merely close.
 //! The property suite in `tests/kernel_properties.rs` pins this down.
 //!
+//! Two products, [`gemm_into`] and [`transpose_self_into`]: the input
+//! gradient `dY · Wᵀ` is [`gemm_into`] over the transposed weight window
+//! (see [`crate::dispatch::DispatchPolicy::grad_input_into`]), whose `k`
+//! terms per element arrive one at a time, ascending from `+0` — exactly
+//! the naive dot of [`crate::reference::matmul_transpose_other`].
+//!
 //! All functions take explicit row ranges so the pool-parallel wrappers in
 //! [`crate::dispatch`] can hand disjoint output slices to workers, and so
 //! the fused GraphSAGE layer can multiply against a *row window* of the
@@ -210,80 +216,6 @@ pub(crate) fn transpose_self_into(a: &Matrix, b: &Matrix, rows: Range<usize>, ds
     }
 }
 
-/// Computes `dst = A[a_rows] @ B[b_rows]ᵀ`: every output element is the dot
-/// product `a.row(i) · b.row(j)`. `dst` is `a_rows.len() × b_rows.len()`.
-///
-/// The micro-kernel computes a 2×4 tile of dots with eight independent
-/// accumulator chains (ILP), but each individual dot still sums `k` in
-/// ascending order with a single accumulator — exact against the naive
-/// kernel.
-pub(crate) fn transpose_other_into(
-    a: &Matrix,
-    a_rows: Range<usize>,
-    b: &Matrix,
-    b_rows: Range<usize>,
-    dst: &mut [f32],
-) {
-    debug_assert_eq!(a.cols(), b.cols(), "inner dim");
-    let k_dim = a.cols();
-    let n = b_rows.len();
-    debug_assert_eq!(dst.len(), a_rows.len() * n, "dst shape");
-    let m = a_rows.len();
-    const TI: usize = 2;
-    const TJ: usize = 4;
-    let mut i = 0;
-    while i + TI <= m {
-        let (ar0, ar1) = (a.row(a_rows.start + i), a.row(a_rows.start + i + 1));
-        let mut j = 0;
-        while j + TJ <= n {
-            let (br0, br1, br2, br3) = (
-                b.row(b_rows.start + j),
-                b.row(b_rows.start + j + 1),
-                b.row(b_rows.start + j + 2),
-                b.row(b_rows.start + j + 3),
-            );
-            let mut acc = [0.0f32; TI * TJ];
-            for k in 0..k_dim {
-                let (x0, x1) = (ar0[k], ar1[k]);
-                let (y0, y1, y2, y3) = (br0[k], br1[k], br2[k], br3[k]);
-                acc[0] += x0 * y0;
-                acc[1] += x0 * y1;
-                acc[2] += x0 * y2;
-                acc[3] += x0 * y3;
-                acc[4] += x1 * y0;
-                acc[5] += x1 * y1;
-                acc[6] += x1 * y2;
-                acc[7] += x1 * y3;
-            }
-            dst[i * n + j..i * n + j + TJ].copy_from_slice(&acc[..TJ]);
-            dst[(i + 1) * n + j..(i + 1) * n + j + TJ].copy_from_slice(&acc[TJ..]);
-            j += TJ;
-        }
-        for jr in j..n {
-            let br = b.row(b_rows.start + jr);
-            let (mut s0, mut s1) = (0.0f32, 0.0f32);
-            for k in 0..k_dim {
-                s0 += ar0[k] * br[k];
-                s1 += ar1[k] * br[k];
-            }
-            dst[i * n + jr] = s0;
-            dst[(i + 1) * n + jr] = s1;
-        }
-        i += TI;
-    }
-    for ir in i..m {
-        let ar = a.row(a_rows.start + ir);
-        for (jr, d) in dst[ir * n..(ir + 1) * n].iter_mut().enumerate() {
-            let br = b.row(b_rows.start + jr);
-            let mut s = 0.0f32;
-            for (x, y) in ar.iter().zip(br) {
-                s += x * y;
-            }
-            *d = s;
-        }
-    }
-}
-
 /// Fused GEMM write-back: adds `bias` to every row of `dst` and, when
 /// `relu`, clamps negatives in place. No activation mask is recorded: the
 /// output is `z if z > 0 else 0`, so `out > 0` *is* the mask and the
@@ -336,21 +268,6 @@ mod tests {
                 reference::matmul_transpose_self(&a, &b).data(),
                 blocked.data(),
                 "shape {rows}x{ka}x{n}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_transpose_other_matches_naive_exactly() {
-        for (m, k, r) in [(1, 1, 1), (9, 70, 5), (67, 13, 130)] {
-            let a = Matrix::xavier(m, k, 5);
-            let b = Matrix::xavier(r, k, 6);
-            let mut blocked = Matrix::zeros(m, r);
-            transpose_other_into(&a, 0..m, &b, 0..r, blocked.data_mut());
-            assert_eq!(
-                reference::matmul_transpose_other(&a, &b).data(),
-                blocked.data(),
-                "shape {m}x{k}x{r}"
             );
         }
     }

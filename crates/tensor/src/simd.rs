@@ -25,11 +25,11 @@
 //!   registers across all of the row's entries; it runs AVX2 on the
 //!   AVX-512 tier too.
 //!
-//! **Across vector widths the dense kernels are bitwise equal.** Each of the
-//! three fixes the operation sequence every output element sees, and the
-//! wider registers only put more elements in flight, never reorder one
-//! element's operations. The GEMM and the weight gradient are one tile body
-//! each ([`tile`]), run at either width:
+//! **Across vector widths the dense kernels are bitwise equal.** Each fixes
+//! the operation sequence every output element sees, and the wider
+//! registers only put more elements in flight, never reorder one element's
+//! operations. The GEMM and the weight gradient are one tile body each
+//! ([`tile`]), run at either width, and the input gradient is the GEMM:
 //!
 //! * GEMM ([`gemm_into`], one operand or several against row windows of one
 //!   `B`): from `+0`, per operand in order and per `KC` block of its
@@ -42,26 +42,25 @@
 //! * Weight gradient ([`grad_weights_into`], the gradients of a stacked
 //!   weight): from `+0`, FMA into `dst` over rows ascending for the columns
 //!   below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
-//!   row, ascending. Both vector tiers read each 64-row chunk of the
-//!   gradient once for every operand.
-//! * Input gradient: eight lane accumulators (lane `l` folds `k ≡ l mod 8`
-//!   ascending by FMA), reduced by the fixed 8-lane add tree of the AVX2
-//!   `hsum`, `((v0+v4) + (v2+v6)) + ((v1+v5) + (v3+v7))`, plus the scalar
-//!   `k`-tail sum. The AVX-512 kernel holds two such dots per register, one
-//!   per 256-bit half, and runs that same tree for sixteen dots at a time
-//!   (a 16-lane reduction would pair the lanes differently, and change
-//!   bits).
+//!   row, ascending, vectorized over `dst`'s rows (the operands' columns)
+//!   in a transposed scratch that is scattered into `dst` at the end. Both
+//!   vector tiers read each 64-row chunk of the gradient once for every
+//!   operand.
+//! * Input gradient (`dX = dY · W[w_rows]ᵀ`, in
+//!   [`crate::dispatch::DispatchPolicy::grad_input_into`]): the GEMM over
+//!   `W[w_rows]ᵀ`, with one operand and no epilogue.
 //!
 //! So `ARGO_SIMD` and the host's width choose the speed, not the bits: the
 //! AVX-512 and AVX2 tiers give equal results on every input
-//! (`avx512_tier_equals_avx2_tier_bitwise`), and both equal a scalar
-//! `f32::mul_add` spelling of the GEMM and weight-gradient sequences above
+//! (`avx512_tier_equals_avx2_tier_bitwise`, which covers the input gradient
+//! through the GEMM), and both equal a scalar `f32::mul_add` spelling of
+//! the GEMM, weight-gradient and input-gradient sequences above
 //! (`vector_tiers_equal_the_mul_add_oracle_bitwise`).
 //!
-//! The GEMMs pack `B` into column panels and the AVX-512 input gradient
-//! packs `B` into row pairs (layouts below), all drawn from the per-thread
-//! pack arena in [`crate::workspace`], so steady-state training and serving
-//! do not allocate here.
+//! The GEMMs pack `B` into column panels (layout below), and the narrow
+//! weight-gradient columns accumulate in a transposed scratch, both drawn
+//! from the per-thread pack arena in [`crate::workspace`], so steady-state
+//! training and serving do not allocate here.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -73,8 +72,7 @@ use crate::sparse::SparseView;
 use cpu::{detect, Avx2, Avx512};
 
 /// The kernel tier the host runs. A vector tier carries its CPU feature
-/// token ([`cpu`]), which the kernels of [`x86`], [`tile`] and [`avx512`]
-/// take.
+/// token ([`cpu`]), which the kernels of [`x86`] and [`tile`] take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Tier {
@@ -181,8 +179,9 @@ pub fn simd_tier() -> &'static str {
 
 /// The GEMM every dense layer runs: `dst = epi(Σ_o A_o[rows] @ B[off_o..off_o
 /// + A_o.cols()])` over the operands `ops = [(A_o, off_o), …]` — one for a
-/// plain layer, GraphSAGE's self rows and aggregation against the two halves
-/// of its stacked weight. `dst` is row-major `rows.len() × b.cols()`.
+/// plain layer and for an input gradient (over the transposed weight),
+/// GraphSAGE's self rows and aggregation against the two halves of its
+/// stacked weight. `dst` is row-major `rows.len() × b.cols()`.
 ///
 /// Every tier gives each output element one sequence (module doc): from
 /// `+0`, per operand in order and per `KC` block of its reduction `dst +
@@ -261,26 +260,6 @@ fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>
                 kernels::transpose_self_into(x, grad, rows.clone(), d);
             }
         }
-    }
-}
-
-/// The input gradient `dst = A[a_rows] @ B[b_rows]ᵀ`: the dot-product
-/// kernel of the tier `use_simd` picks (the scalar tier's is
-/// [`crate::kernels::transpose_other_into`]).
-pub(crate) fn transpose_other_into(
-    a: &Matrix,
-    a_rows: Range<usize>,
-    b: &Matrix,
-    b_rows: Range<usize>,
-    use_simd: bool,
-    dst: &mut [f32],
-) {
-    match tier_for(use_simd) {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2(t) => x86::transpose_other(t, a, a_rows, b, b_rows, dst),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512(t) => avx512::transpose_other(t, a, a_rows, b, b_rows, dst),
-        _ => kernels::transpose_other_into(a, a_rows, b, b_rows, dst),
     }
 }
 
@@ -368,15 +347,14 @@ fn check_sources(cols: &[u32], ids: Option<&[u32]>, table_rows: usize) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2+FMA input gradient and SpMM row kernel, and the `B` packing
-    //! of the GEMM tiles ([`super::tile`]). Every entry point takes an
+    //! The AVX2 SpMM row kernel, and the `B` packing of the GEMM tiles
+    //! ([`super::tile`]). Every entry point takes an
     //! [`Avx2`] token, which only [`super::detect`] builds, after it has
     //! confirmed the `avx2` and `fma` CPU features at runtime.
 
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
     use std::ops::Range;
 
@@ -408,114 +386,6 @@ mod x86 {
                 lanes[w..].fill(0.0);
             }
         }
-    }
-
-    /// FMA dot-product kernel for `dst = A[a_rows] @ B[b_rows]ᵀ`: the `k`
-    /// reduction runs in 8 independent lanes folded by a horizontal sum,
-    /// which reassociates the reduction — tolerance contract.
-    pub(super) fn transpose_other(
-        _: Avx2,
-        a: &Matrix,
-        a_rows: Range<usize>,
-        b: &Matrix,
-        b_rows: Range<usize>,
-        dst: &mut [f32],
-    ) {
-        // SAFETY: avx2+fma are proven by the `Avx2` token.
-        unsafe { transpose_other_avx(a, a_rows, b, b_rows, dst) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    fn transpose_other_avx(
-        a: &Matrix,
-        a_rows: Range<usize>,
-        b: &Matrix,
-        b_rows: Range<usize>,
-        dst: &mut [f32],
-    ) {
-        debug_assert_eq!(a.cols(), b.cols(), "inner dim");
-        let k_dim = a.cols();
-        let n = b_rows.len();
-        debug_assert_eq!(dst.len(), a_rows.len() * n, "dst shape");
-        const TJ: usize = 4;
-        for (ir, i) in a_rows.enumerate() {
-            let ar = a.row(i);
-            let out_row = &mut dst[ir * n..(ir + 1) * n];
-            let mut j = 0;
-            while j + TJ <= n {
-                let (br0, br1, br2, br3) = (
-                    b.row(b_rows.start + j),
-                    b.row(b_rows.start + j + 1),
-                    b.row(b_rows.start + j + 2),
-                    b.row(b_rows.start + j + 3),
-                );
-                let mut v0 = _mm256_setzero_ps();
-                let mut v1 = _mm256_setzero_ps();
-                let mut v2 = _mm256_setzero_ps();
-                let mut v3 = _mm256_setzero_ps();
-                let mut k = 0;
-                while k + 8 <= k_dim {
-                    // SAFETY: avx2+fma proven by the `Avx2` token;
-                    // `k + 8 <= k_dim` bounds every 8-lane load.
-                    unsafe {
-                        let av = _mm256_loadu_ps(ar.as_ptr().add(k));
-                        v0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(br0.as_ptr().add(k)), v0);
-                        v1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(br1.as_ptr().add(k)), v1);
-                        v2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(br2.as_ptr().add(k)), v2);
-                        v3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(br3.as_ptr().add(k)), v3);
-                    }
-                    k += 8;
-                }
-                let (mut t0, mut t1, mut t2, mut t3) = (0.0f32, 0.0, 0.0, 0.0);
-                for c in k..k_dim {
-                    let x = ar[c];
-                    t0 += x * br0[c];
-                    t1 += x * br1[c];
-                    t2 += x * br2[c];
-                    t3 += x * br3[c];
-                }
-                out_row[j] = hsum(v0) + t0;
-                out_row[j + 1] = hsum(v1) + t1;
-                out_row[j + 2] = hsum(v2) + t2;
-                out_row[j + 3] = hsum(v3) + t3;
-                j += TJ;
-            }
-            for (jr, out) in out_row.iter_mut().enumerate().take(n).skip(j) {
-                let br = b.row(b_rows.start + jr);
-                let mut v = _mm256_setzero_ps();
-                let mut k = 0;
-                while k + 8 <= k_dim {
-                    // SAFETY: avx2+fma proven by the `Avx2` token;
-                    // `k + 8 <= k_dim` bounds both 8-lane loads.
-                    unsafe {
-                        v = _mm256_fmadd_ps(
-                            _mm256_loadu_ps(ar.as_ptr().add(k)),
-                            _mm256_loadu_ps(br.as_ptr().add(k)),
-                            v,
-                        );
-                    }
-                    k += 8;
-                }
-                let mut t = 0.0f32;
-                for c in k..k_dim {
-                    t += ar[c] * br[c];
-                }
-                *out = hsum(v) + t;
-            }
-        }
-    }
-
-    /// Horizontal sum of the 8 lanes, in a fixed order: the two 128-bit
-    /// halves, then lanes `{0,1} + {2,3}`, then `0 + 1`. The AVX-512 input
-    /// gradient runs this same add tree, sixteen dots at a time.
-    #[target_feature(enable = "avx2")]
-    fn hsum(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps::<1>(v);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
-        _mm_cvtss_f32(s)
     }
 
     /// Columns per register block of the SpMM row kernel: eight 8-lane
@@ -618,9 +488,10 @@ mod tile {
 
     use std::arch::x86_64::{
         __m256, __m256i, __m512, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_set1_epi32,
-        _mm256_set1_ps, _mm256_setr_epi32, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_set1_ps,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_mul_ps,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm512_add_ps, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
+        _mm512_mul_ps, _mm512_set1_ps,
     };
     use std::ops::Range;
 
@@ -667,6 +538,7 @@ mod tile {
         unsafe fn store_first(self, n: usize, p: *mut f32, v: Self::V);
         /// `a·b + c`, rounded once.
         fn fmadd(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        fn mul(self, a: Self::V, b: Self::V) -> Self::V;
         fn add(self, a: Self::V, b: Self::V) -> Self::V;
         /// Per lane `a` where `a > b`, else `b`.
         fn max(self, a: Self::V, b: Self::V) -> Self::V;
@@ -718,6 +590,11 @@ mod tile {
         fn fmadd(self, a: __m256, b: __m256, c: __m256) -> __m256 {
             // SAFETY: as in `splat`.
             unsafe { _mm256_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_mul_ps(a, b) }
         }
         #[inline(always)]
         fn add(self, a: __m256, b: __m256) -> __m256 {
@@ -781,6 +658,11 @@ mod tile {
         fn fmadd(self, a: __m512, b: __m512, c: __m512) -> __m512 {
             // SAFETY: as in `splat`.
             unsafe { _mm512_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_mul_ps(a, b) }
         }
         #[inline(always)]
         fn add(self, a: __m512, b: __m512) -> __m512 {
@@ -972,8 +854,11 @@ mod tile {
     /// [`DW_ROWS`]-row chunk of the reduction, every operand's `MR`-row
     /// tiles of `dst`, each loaded, advanced by FMA over the chunk's rows
     /// and stored once — so the chunk of `grad` is read from memory once
-    /// and stays in cache for every operand. Columns past `8·⌊n/8⌋` take a
-    /// separate `mul` + `add` per row, at either width.
+    /// and stays in cache for every operand. Columns past `8·⌊n/8⌋` run over
+    /// the same chunk as `MR`-row tiles of the operand's transposed
+    /// gradient (one row per column, its lanes over `dst`'s rows), advanced
+    /// by a separate `mul` + `add` per row, in a scratch from the pack
+    /// arena that is scattered into `dst` after the last chunk.
     pub(super) fn grad_weights<W: Width>(
         w: W,
         xs: &[&Matrix],
@@ -981,24 +866,35 @@ mod tile {
         rows: Range<usize>,
         dst: &mut [f32],
     ) {
-        w.enable(GradWeights(xs, grad, rows, dst));
+        let k_total: usize = xs.iter().map(|x| x.cols()).sum();
+        let narrow = grad.cols() % 8;
+        workspace::with_pack_buffer(k_total * narrow, |t| {
+            w.enable(GradWeights(xs, grad, rows, dst, t))
+        });
     }
 
-    /// [`grad_weights`]' arguments.
-    struct GradWeights<'a>(&'a [&'a Matrix], &'a Matrix, Range<usize>, &'a mut [f32]);
+    /// [`grad_weights`]' arguments and its transposed scratch.
+    struct GradWeights<'a>(
+        &'a [&'a Matrix],
+        &'a Matrix,
+        Range<usize>,
+        &'a mut [f32],
+        &'a mut [f32],
+    );
 
     impl Pass for GradWeights<'_> {
         #[inline(always)]
         fn run<W: Width>(self, w: W) {
-            let GradWeights(xs, grad, rows, dst) = self;
+            let GradWeights(xs, grad, rows, dst, t) = self;
             let n = grad.cols();
             let k_total: usize = xs.iter().map(|x| x.cols()).sum();
             debug_assert_eq!(dst.len(), k_total * n, "dst shape");
             dst.fill(0.0);
+            t.fill(0.0);
             let (nv, nr) = (n - n % 8, W::LANES * W::NV);
             for r0 in rows.clone().step_by(DW_ROWS) {
                 let chunk = r0..(r0 + DW_ROWS).min(rows.end);
-                let mut at = 0;
+                let (mut at, mut t_at) = (0, 0);
                 for x in xs {
                     let d = &mut dst[at..at + x.cols() * n];
                     at += d.len();
@@ -1010,21 +906,29 @@ mod tile {
                             })
                         }
                     }
+                    let dt = &mut t[t_at..t_at + x.cols() * (n - nv)];
+                    t_at += dt.len();
+                    for j0 in (nv..n).step_by(MR) {
+                        for i0 in (0..x.cols()).step_by(nr) {
+                            let cols = nr.min(x.cols() - i0);
+                            with_vectors!(W, cols, NV => {
+                                dw_narrow_tile::<W, NV>(w, x, grad, chunk.clone(), j0, i0, cols, dt)
+                            })
+                        }
+                    }
                 }
             }
             if nv < n {
-                let mut at = 0;
+                let (mut at, mut t_at) = (0, 0);
                 for x in xs {
-                    for r in rows.clone() {
-                        let gr = &grad.row(r)[nv..];
-                        for (i, &xv) in x.row(r).iter().enumerate() {
-                            let drow = &mut dst[at + i * n..at + (i + 1) * n];
-                            for (d, &gv) in drow[nv..].iter_mut().zip(gr) {
-                                *d += xv * gv;
-                            }
+                    let k_a = x.cols();
+                    for (i, drow) in dst[at..at + k_a * n].chunks_exact_mut(n).enumerate() {
+                        for (j, d) in drow[nv..].iter_mut().enumerate() {
+                            *d = t[t_at + j * k_a + i];
                         }
                     }
-                    at += x.cols() * n;
+                    at += k_a * n;
+                    t_at += k_a * (n - nv);
                 }
             }
         }
@@ -1090,205 +994,61 @@ mod tile {
             }
         }
     }
-}
 
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    //! The AVX-512 input gradient. Its entry point takes an [`Avx512`]
-    //! token, which only [`super::detect`] builds, after it has detected
-    //! `avx512f` next to `avx2` + `fma` at runtime. Each output element sees
-    //! exactly the operation sequence the AVX2 kernel gives it (module doc),
-    //! so the two are bitwise equal; the wider registers only hold more dots.
-
-    use std::arch::x86_64::{
-        __m256, __m512, __mmask16, _mm256_castps_pd, _mm256_loadu_ps, _mm512_add_ps,
-        _mm512_broadcast_f64x4, _mm512_castpd_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
-        _mm512_mask_storeu_ps, _mm512_permutexvar_ps, _mm512_setr_epi32, _mm512_setzero_ps,
-        _mm512_shuffle_f32x4, _mm512_shuffle_ps,
-    };
-    use std::ops::Range;
-
-    use super::Avx512;
-    use crate::dense::Matrix;
-    use crate::workspace;
-
-    /// Input-gradient block rows: rows of `A`.
-    const TR: usize = 4;
-    /// Input-gradient block columns: pairs of `B` rows, two dots each.
-    const TP: usize = 4;
-
-    /// Packs the first `kv` columns of `B[b_rows]` as row pairs
-    /// (`j = 2p`, `2p + 1`; an odd last row pairs with itself),
-    /// interleaved per 8 columns: `buf[p*2*kv + 2*q + l]` is row `2p`'s
-    /// column `q + l` for `l < 8` and row `2p + 1`'s column `q + l - 8`
-    /// otherwise (`q` a multiple of 8).
-    fn pack_pairs(b: &Matrix, b_rows: Range<usize>, kv: usize, buf: &mut [f32]) {
-        let n = b_rows.len();
-        if kv == 0 {
-            return;
-        }
-        for (p, panel) in buf.chunks_exact_mut(2 * kv).enumerate() {
-            let lo = &b.row(b_rows.start + 2 * p)[..kv];
-            let hi = &b.row(b_rows.start + (2 * p + 1).min(n - 1))[..kv];
-            for ((out, l), h) in panel
-                .chunks_exact_mut(16)
-                .zip(lo.chunks_exact(8))
-                .zip(hi.chunks_exact(8))
-            {
-                out[..8].copy_from_slice(l);
-                out[8..].copy_from_slice(h);
+    /// One tile of [`grad_weights`]' columns past `nv = 8·⌊n/8⌋`: the
+    /// columns `j0..j0 + MR` (at most, all `≥ nv`) of one operand's
+    /// gradient, held transposed in `dt` (row `j - nv` is column `j`, `k_a`
+    /// wide), over its rows `i0..i0 + cols`, advanced over the reduction
+    /// rows `chunk` by `dt + x·g` with a separate `mul` and `add`. Tile rows
+    /// past the last valid column repeat it (computed, never stored).
+    #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
+    #[inline(always)]
+    fn dw_narrow_tile<W: Width, const NV: usize>(
+        w: W,
+        x: &Matrix,
+        grad: &Matrix,
+        chunk: Range<usize>,
+        j0: usize,
+        i0: usize,
+        cols: usize,
+        dt: &mut [f32],
+    ) {
+        let (k_a, n) = (x.cols(), grad.cols());
+        let nv = n - n % 8;
+        let nj = MR.min(n - j0);
+        let jc: [usize; MR] = std::array::from_fn(|t| j0 + t.min(nj - 1));
+        let mut acc = [[w.splat(0.0); NV]; MR];
+        for (c, &j) in acc.iter_mut().zip(&jc) {
+            let p = dt[(j - nv) * k_a + i0..][..cols].as_ptr();
+            for (v, cv) in c.iter_mut().enumerate() {
+                let at = W::LANES * v;
+                // SAFETY: vector `v` covers rows `at..` of `cols`, and `p`
+                // starts a bounds-checked slice of `cols` floats.
+                *cv = unsafe { w.load_first(cols - at, p.add(at)) };
             }
         }
-    }
-
-    /// `[v, v]`: one 8-lane vector in both 256-bit halves.
-    #[target_feature(enable = "avx512f")]
-    fn both_halves(v: __m256) -> __m512 {
-        _mm512_castpd_ps(_mm512_broadcast_f64x4(_mm256_castps_pd(v)))
-    }
-
-    /// The sixteen dots of two block rows, folded from their lane
-    /// accumulators: `ra[u]` / `rb[u]` hold dots `2u` and `2u + 1` of one
-    /// row, one per 256-bit half. Every dot is summed by exactly the AVX2
-    /// tier's `hsum` add tree, `((v0+v4) + (v2+v6)) + ((v1+v5) + (v3+v7))`:
-    /// the shuffles only line sixteen dots' operands up, so each level of
-    /// the tree is one add for all of them. Row `ra`'s dots land in lanes
-    /// 0..8, `rb`'s in lanes 8..16, in order.
-    #[target_feature(enable = "avx512f")]
-    fn fold_dots(ra: &[__m512; TP], rb: &[__m512; TP]) -> __m512 {
-        // Quarter q of a `halve` is dot q's `v[i] + v[i+4]`, i < 4.
-        let halve = |x: __m512, y: __m512| {
-            _mm512_add_ps(
-                _mm512_shuffle_f32x4::<0x88>(x, y),
-                _mm512_shuffle_f32x4::<0xDD>(x, y),
-            )
-        };
-        // Quarter q: `s[0]+s[2], s[1]+s[3]` of dots q and q + 4.
-        let pairs = |x: __m512, y: __m512| {
-            _mm512_add_ps(
-                _mm512_shuffle_ps::<0x44>(x, y),
-                _mm512_shuffle_ps::<0xEE>(x, y),
-            )
-        };
-        let a = pairs(halve(ra[0], ra[1]), halve(ra[2], ra[3]));
-        let b = pairs(halve(rb[0], rb[1]), halve(rb[2], rb[3]));
-        // Quarter q: the sums of `ra`'s dots q, q + 4, then `rb`'s.
-        let sums = _mm512_add_ps(
-            _mm512_shuffle_ps::<0x88>(a, b),
-            _mm512_shuffle_ps::<0xDD>(a, b),
-        );
-        let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
-        _mm512_permutexvar_ps(order, sums)
-    }
-
-    /// The scalar `k`-tail of one input-gradient dot, as the AVX2 tier sums
-    /// it: from `0.0`, `mul` + `add`, `k` ascending.
-    fn tail(ar: &[f32], br: &[f32], kv: usize) -> f32 {
-        let mut t = 0.0f32;
-        for (&x, &y) in ar[kv..].iter().zip(&br[kv..]) {
-            t += x * y;
-        }
-        t
-    }
-
-    /// Input gradient `dst = A[a_rows] @ B[b_rows]ᵀ`: blocks of 4 rows of
-    /// `A` × 4 pairs of `B` rows, each pair's two dots in one register (row
-    /// `2p` in the low half, `2p + 1` in the high half).
-    pub(super) fn transpose_other(
-        _: Avx512,
-        a: &Matrix,
-        a_rows: Range<usize>,
-        b: &Matrix,
-        b_rows: Range<usize>,
-        dst: &mut [f32],
-    ) {
-        debug_assert_eq!(a.cols(), b.cols(), "inner dim");
-        let n = b_rows.len();
-        debug_assert_eq!(dst.len(), a_rows.len() * n, "dst shape");
-        if a_rows.is_empty() || n == 0 {
-            return;
-        }
-        let kv = a.cols() - a.cols() % 8;
-        workspace::with_pack_buffer(n.div_ceil(2) * 2 * kv, |pb| {
-            pack_pairs(b, b_rows.clone(), kv, pb);
-            // SAFETY: the `Avx512` token `transpose_other` takes
-            // proves avx512f (with avx2+fma).
-            unsafe { transpose_other_avx512(a, a_rows, b, b_rows, pb, kv, dst) }
-        });
-    }
-
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    fn transpose_other_avx512(
-        a: &Matrix,
-        a_rows: Range<usize>,
-        b: &Matrix,
-        b_rows: Range<usize>,
-        pb: &[f32],
-        kv: usize,
-        dst: &mut [f32],
-    ) {
-        let n = b_rows.len();
-        let m = a_rows.len();
-        let pairs = n.div_ceil(2);
-        for i0 in (0..m).step_by(TR) {
-            let nr = TR.min(m - i0);
-            // Block rows past `nr` and pairs past `np` repeat the last
-            // valid one: computed, never stored.
-            let ar: [&[f32]; TR] =
-                std::array::from_fn(|t| a.row(a_rows.start + i0 + t.min(nr - 1)));
-            for p0 in (0..pairs).step_by(TP) {
-                let np = TP.min(pairs - p0);
-                let bp: [&[f32]; TP] =
-                    std::array::from_fn(|u| &pb[(p0 + u.min(np - 1)) * 2 * kv..][..2 * kv]);
-                let mut acc = [[_mm512_setzero_ps(); TP]; TR];
-                for q in (0..kv).step_by(8) {
-                    // SAFETY: the `Avx512` token proves avx512f (and avx2+fma);
-                    // `q + 8 <= kv`, every `ar` row holds `kv` or more
-                    // values and every `bp` panel `2 * kv`, so each load is
-                    // in bounds.
-                    unsafe {
-                        let bv: [__m512; TP] =
-                            std::array::from_fn(|u| _mm512_loadu_ps(bp[u].as_ptr().add(2 * q)));
-                        for (c, r) in acc.iter_mut().zip(&ar) {
-                            let av = both_halves(_mm256_loadu_ps(r.as_ptr().add(q)));
-                            for (cu, &bu) in c.iter_mut().zip(&bv) {
-                                *cu = _mm512_fmadd_ps(av, bu, *cu);
-                            }
-                        }
-                    }
+        for r in chunk {
+            let (xp, g) = (x.row(r)[i0..i0 + cols].as_ptr(), grad.row(r));
+            let mut xv = [w.splat(0.0); NV];
+            for (v, xl) in xv.iter_mut().enumerate() {
+                let at = W::LANES * v;
+                // SAFETY: as for the loads of `dt` above; `xp` starts a
+                // bounds-checked slice of `cols` floats of row `r`.
+                *xl = unsafe { w.load_first(cols - at, xp.add(at)) };
+            }
+            for (c, &j) in acc.iter_mut().zip(&jc) {
+                let gv = w.splat(g[j]);
+                for (cv, &xl) in c.iter_mut().zip(&xv) {
+                    *cv = w.add(*cv, w.mul(xl, gv));
                 }
-                // This block's dots per row: columns `j0..j0 + w`.
-                let j0 = 2 * p0;
-                let w = (n - j0).min(2 * TP);
-                let valid: __mmask16 = (1 << w) - 1;
-                for t in (0..nr).step_by(2) {
-                    let mut tails = [0.0f32; 16];
-                    if kv < a.cols() {
-                        for (h, row) in [(0, t), (8, t + 1)] {
-                            for (d, out) in tails[h..h + w].iter_mut().enumerate() {
-                                *out = tail(ar[row], b.row(b_rows.start + j0 + d), kv);
-                            }
-                        }
-                    }
-                    // SAFETY: the `Avx512` token proves avx512f (and avx2+fma);
-                    // `tails` holds 16 floats, and each masked store writes
-                    // only the `w` columns `j0..j0 + w` of a block row below
-                    // `nr`: a bounds-checked slice of `dst`.
-                    unsafe {
-                        let out = _mm512_add_ps(
-                            fold_dots(&acc[t], &acc[t + 1]),
-                            _mm512_loadu_ps(tails.as_ptr()),
-                        );
-                        let p = dst[(i0 + t) * n + j0..][..w].as_mut_ptr();
-                        _mm512_mask_storeu_ps(p, valid, out);
-                        if t + 1 < nr {
-                            // Lanes 8.. are row `t + 1`: shift the base so
-                            // lane 8 lands on its column `j0`.
-                            let q = dst[(i0 + t + 1) * n + j0..][..w].as_mut_ptr();
-                            _mm512_mask_storeu_ps(q.wrapping_sub(8), valid << 8, out);
-                        }
-                    }
-                }
+            }
+        }
+        for (c, &j) in acc.iter().zip(&jc).take(nj) {
+            let p = dt[(j - nv) * k_a + i0..][..cols].as_mut_ptr();
+            for (v, &cv) in c.iter().enumerate() {
+                let at = W::LANES * v;
+                // SAFETY: as for the loads above.
+                unsafe { w.store_first(cols - at, p.add(at), cv) };
             }
         }
     }
@@ -1297,7 +1057,7 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
+    use crate::{reference, workspace};
 
     /// Scaled tolerance of the FMA contract: one fused rounding per `k`
     /// step against two scalar roundings.
@@ -1390,10 +1150,9 @@ mod tests {
                 assert!(close(*g, *w), "AtB {m}x{k}x{n}: {g} vs {w}");
             }
             let bt = Matrix::xavier(n, k, 7);
-            let mut got = vec![0.0f32; m * n];
-            transpose_other_into(&a, 0..m, &bt, 0..n, true, &mut got);
+            let got = crate::DispatchPolicy::default().grad_input(&a, &bt, 0..n, None);
             let want = reference::matmul_transpose_other(&a, &bt);
-            for (g, w) in got.iter().zip(want.data()) {
+            for (g, w) in got.data().iter().zip(want.data()) {
                 assert!(close(*g, *w), "ABt {m}x{k}x{n}: {g} vs {w}");
             }
         }
@@ -1565,10 +1324,11 @@ mod tests {
     // one operand and two against a stacked `B`, each epilogue, and signed
     // zeros and tiny values in every operand, the bias and the incoming
     // `dst`. Equal bits, not a tolerance: both tiers give every output
-    // element the same operation sequence. One test per kernel, so the
-    // three run side by side.
+    // element the same operation sequence. One test per kernel, so the two
+    // run side by side.
 
-    /// The GEMM.
+    /// The GEMM, and so the input gradient: it is this GEMM over a
+    /// transposed weight window, one operand, no epilogue.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_tier_equals_avx2_tier_bitwise() {
@@ -1582,16 +1342,6 @@ mod tests {
         over_tier_shapes(
             "avx512_grad_weights_equals_avx2_bitwise",
             grad_weights_tiers_agree,
-        );
-    }
-
-    /// The input gradient (it reads no second operand).
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_transpose_other_equals_avx2_bitwise() {
-        over_tier_shapes(
-            "avx512_transpose_other_equals_avx2_bitwise",
-            |avx512, m, k, _, n, seed| transpose_other_tiers_agree(avx512, m, k, n, seed),
         );
     }
 
@@ -1649,17 +1399,6 @@ mod tests {
             let what = format!("grad_weights, {} operands", xs.len());
             assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
         }
-    }
-
-    /// Input gradient: rows 1..1+m of A against rows 2..2+n of B.
-    #[cfg(target_arch = "x86_64")]
-    fn transpose_other_tiers_agree(avx512: Avx512, m: usize, k: usize, n: usize, seed: u64) {
-        let ga = with_signed_zeros(m + 2, k, seed + 9);
-        let w = with_signed_zeros(n + 3, k, seed + 10);
-        let (mut d2, mut d5) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
-        x86::transpose_other(avx512.avx2(), &ga, 1..1 + m, &w, 2..2 + n, &mut d2);
-        avx512::transpose_other(avx512, &ga, 1..1 + m, &w, 2..2 + n, &mut d5);
-        assert_bits(&format!("transpose_other m={m} k={k} n={n}"), &d2, &d5);
     }
 
     /// The GEMM's sequence (module doc), spelled with scalar `mul_add` one
@@ -1722,8 +1461,11 @@ mod tests {
     /// tier the host has, against the scalar `mul_add` oracles above — a
     /// reference that shares no code with the tiles. Over the `m ≤ 17`
     /// shapes of [`tier_shapes`], one (operands, epilogue) combination per
-    /// shape in turn, and the epilogue's own cases: pre-bias values and a
-    /// bias on both sides of zero, with `-0`, at every tail width.
+    /// shape in turn, the input gradient `dY · W[2..2 + n]ᵀ` (`dY` `k`
+    /// wide: the transposed weight window the dispatch builds, against the
+    /// GEMM oracle over the test's own transpose), and the epilogue's own
+    /// cases: pre-bias values and a bias on both sides of zero, with `-0`,
+    /// at every tail width.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_tiers_equal_the_mul_add_oracle_bitwise() {
@@ -1765,6 +1507,28 @@ mod tests {
                 let mut got = vec![f32::NAN; want.len()];
                 grad_weights_on(tier, xs, &g, rows.clone(), &mut got);
                 assert!(bits(&got) == want, "{tier:?} grad_weights {what}");
+            }
+            let (dy, w) = (&a1, with_signed_zeros(n + 3, k, seed + 5));
+            let wt = (0..k * n).map(|i| w.row(2 + i % n)[i / n]).collect();
+            let want = bits(&gemm_oracle(
+                &[(dy, 0)],
+                rows.clone(),
+                &Matrix::from_vec(k, n, wt),
+                Epilogue::none(),
+            ));
+            for &tier in &tiers {
+                let mut got = vec![f32::NAN; want.len()];
+                workspace::with_transposed_rows(&w, 2..2 + n, |wt| {
+                    gemm_on(
+                        tier,
+                        &[(dy, 0)],
+                        rows.clone(),
+                        wt,
+                        Epilogue::none(),
+                        &mut got,
+                    )
+                });
+                assert!(bits(&got) == want, "{tier:?} grad_input m={m} k={k} n={n}");
             }
         }
         // The epilogue: rows 7 and 8 of `A` pick the two rows of `D`, so

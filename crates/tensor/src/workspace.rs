@@ -13,12 +13,14 @@
 //! (behind a `RefCell`), which is the right granularity because kernels
 //! parallelize *inside* one step, never across steps of one model.
 //!
-//! Two kernel buffers are per thread instead: the SIMD kernels' packed
-//! panels and the transposed aggregation's transpose. Each grows to its
-//! high-water size on first use and is reused by every later kernel call on
-//! that thread.
+//! Four kernel buffers are per thread instead: the SIMD kernels' packed
+//! panels, the input gradient's transposed weight window, the pooled weight
+//! gradient's partials and the transposed aggregation's transpose. Each
+//! grows to its high-water size on first use and is reused by every later
+//! kernel call on that thread.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::dense::Matrix;
 use crate::sparse::SparseMatrix;
@@ -31,6 +33,12 @@ thread_local! {
     /// their own row range concurrently, so the buffer is thread-local
     /// rather than routed through a model's (single-threaded) [`Workspace`].
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The transposed weight window an input gradient multiplies by: made
+    /// on the calling thread, read by the pool's workers through `&Matrix`.
+    static WEIGHT_T: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The pooled weight gradient's per-range partials, one `k × n` block
+    /// per range, folded on the calling thread.
+    static PARTIALS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The adjacency transpose a transposed aggregation gathers over.
     static TRANSPOSE: RefCell<SparseMatrix> = RefCell::new(SparseMatrix::default());
 }
@@ -46,6 +54,43 @@ pub(crate) fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -
             buf.resize(len, 0.0);
         }
         f(&mut buf[..len])
+    })
+}
+
+/// Runs `f` with this thread's partials buffer resized to at least `len`
+/// elements (contents unspecified on entry). Not reentrant.
+pub(crate) fn with_partials_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    PARTIALS.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Runs `f` with `w[rows]ᵀ`, the `w.cols() × rows.len()` transpose of a row
+/// window of `w`, built in this thread's transposed-weight buffer. Not
+/// reentrant.
+pub(crate) fn with_transposed_rows<R>(
+    w: &Matrix,
+    rows: Range<usize>,
+    f: impl FnOnce(&Matrix) -> R,
+) -> R {
+    WEIGHT_T.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let (k, n) = (w.cols(), rows.len());
+        let mut data = std::mem::take(&mut *buf);
+        data.resize(k * n, 0.0);
+        for (j, r) in rows.enumerate() {
+            for (c, &v) in w.row(r).iter().enumerate() {
+                data[c * n + j] = v;
+            }
+        }
+        let wt = Matrix::from_vec(k, n, data);
+        let out = f(&wt);
+        *buf = wt.into_data();
+        out
     })
 }
 
