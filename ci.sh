@@ -53,16 +53,16 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload s
 echo "==> cargo test -q -p argo-sample with SIMD force-disabled (arena assembly + gather on the scalar path)"
 ARGO_SIMD=off cargo test -q -p argo-sample
 
-echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path)"
+echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — cascade and transposes built on the worker — equals the gathered step at 1, 2 and 4 workers)"
 ARGO_SIMD=off cargo test -q -p argo-nn
 
 echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too)"
 ARGO_SIMD=off cargo test -q -p argo-engine
 
-echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue, training step and dispatch kernel allocate nothing)"
+echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step and dispatch kernel allocate nothing)"
 ARGO_SIMD=off cargo test -q --test allocations
 
-echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch, kernel-dispatch, feature-gather; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source)"
+echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
 cargo test -q
 
 echo "CI OK"

@@ -172,41 +172,6 @@ impl KernelRow {
     }
 }
 
-/// Where the numbers come from: the commit (`git rev-parse --short HEAD`,
-/// `"unknown"` outside a checkout), `rustc --version`, the CPU model named
-/// in `/proc/cpuinfo`, the vCPU count, and that they are measured, not
-/// modeled.
-fn provenance(vcpus: usize) -> Json {
-    let run = |cmd: &str, args: &[&str]| {
-        std::process::Command::new(cmd)
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .unwrap_or_else(|| "unknown".to_string())
-    };
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, model)| model.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    Json::obj(vec![
-        (
-            "commit",
-            Json::str(&run("git", &["rev-parse", "--short", "HEAD"])),
-        ),
-        ("rustc", Json::str(&run("rustc", &["--version"]))),
-        ("cpu_model", Json::str(&cpu_model)),
-        ("vcpus", Json::Num(vcpus as f64)),
-        ("measured", Json::Bool(true)),
-    ])
-}
-
 /// Builds a 2-layer neighbor-sampled batch with `n_seeds` destination rows
 /// and synthetic 64-dim features, for the end-to-end train-step benchmark.
 fn train_fixture(
@@ -650,7 +615,7 @@ fn main() {
     );
 
     let json = Json::obj(vec![
-        ("provenance", provenance(host_threads)),
+        ("provenance", argo_bench::provenance(host_threads)),
         ("host_threads", Json::Num(host_threads as f64)),
         ("quick", Json::Bool(quick)),
         ("simd_tier", Json::str(tier)),

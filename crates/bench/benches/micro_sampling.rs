@@ -4,8 +4,9 @@
 //! borrowed view; plus one loader worker's drain rate and the span cost.
 //!
 //! Emits machine-readable `BENCH_sampling.json` at the repository root
-//! (seeds/s and sampled-edges/s per variant, speedup vs the reference) so
-//! future PRs can diff sampling throughput against this baseline.
+//! (seeds/s and sampled-edges/s per variant, speedup vs the reference, and
+//! its provenance: commit, rustc, CPU model, vCPUs) so future PRs can diff
+//! sampling throughput against this baseline.
 //!
 //! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: smaller graph, fewer
 //! samples, and a sanity perf gate — the process exits non-zero if the
@@ -273,6 +274,7 @@ fn main() {
     );
 
     let json = Json::obj(vec![
+        ("provenance", argo_bench::provenance(host_threads)),
         ("host_threads", Json::Num(host_threads as f64)),
         ("quick", Json::Bool(quick)),
         ("span_overhead_pct", Json::Num(span_overhead_pct)),

@@ -5,7 +5,8 @@
 //! prints the rows/series of its exhibit; EXPERIMENTS.md records paper-vs-
 //! measured values.
 //!
-//! This library holds the shared task definitions.
+//! This library holds the shared task definitions, and the provenance the
+//! micro-benchmarks write into their `BENCH_*.json` baselines.
 
 #![forbid(unsafe_code)]
 
@@ -14,6 +15,7 @@ use argo_platform::{
     Library, ModelKind, PerfModel, PlatformSpec, SamplerKind, Setup, ICE_LAKE_8380H,
     SAPPHIRE_RAPIDS_6430L,
 };
+use argo_rt::json::Json;
 
 /// The four paper datasets in Table III order.
 pub const DATASETS: [DatasetSpec; 4] = [FLICKR, REDDIT, OGBN_PRODUCTS, OGBN_PAPERS100M];
@@ -209,6 +211,41 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     let mean = xs.iter().sum::<f64>() / n;
     let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
     (mean, var.sqrt())
+}
+
+/// Where the numbers come from: the commit (`git rev-parse --short HEAD`,
+/// `"unknown"` outside a checkout), `rustc --version`, the CPU model named
+/// in `/proc/cpuinfo`, the vCPU count, and that they are measured, not
+/// modeled.
+pub fn provenance(vcpus: usize) -> Json {
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    Json::obj(vec![
+        (
+            "commit",
+            Json::str(&run("git", &["rev-parse", "--short", "HEAD"])),
+        ),
+        ("rustc", Json::str(&run("rustc", &["--version"]))),
+        ("cpu_model", Json::str(&cpu_model)),
+        ("vcpus", Json::Num(vcpus as f64)),
+        ("measured", Json::Bool(true)),
+    ])
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@ pub const RULES: &[Rule] = &[
         needles: &["HashMap", "HashSet", ".clone()"],
         paths: &[
             "crates/sample/src/cache.rs",
+            "crates/sample/src/cascade.rs",
             "crates/sample/src/neighbor.rs",
             "crates/sample/src/shadow.rs",
             "crates/sample/src/scratch.rs",
@@ -48,6 +49,17 @@ pub const RULES: &[Rule] = &[
             "crates/serve/src",
             "crates/engine/src",
         ],
+    },
+    Rule {
+        name: "carried-transposes",
+        fix: "gather over the transposes the batch's `Cascade` carries \
+              (`Cascade::transpose_layers`, `aggregate_transposed_into`)",
+        needles: &[
+            "aggregate_transpose_into(",
+            "aggregate_transpose(",
+            "transpose_into(",
+        ],
+        paths: &["crates/nn/src", "crates/engine/src", "crates/serve/src"],
     },
 ];
 
@@ -215,6 +227,39 @@ mod tests {
             "fn f() { let ids = nodes.clone(); }\n",
         );
         assert_eq!(d, [(1, "sampler-scratch")]);
+        let d = lint(
+            "crates/sample/src/cascade.rs",
+            "fn f() { let rows = self.rows.clone(); }\n",
+        );
+        assert_eq!(d, [(1, "sampler-scratch")]);
+    }
+
+    #[test]
+    fn a_transpose_built_by_the_model_engine_or_session_is_flagged() {
+        for (path, call) in [
+            ("crates/nn/src/model.rs", "adj.transpose_into(&mut t);"),
+            (
+                "crates/nn/src/x.rs",
+                "d.aggregate_transpose_into(adj, &g, None, &mut o);",
+            ),
+            (
+                "crates/engine/src/engine.rs",
+                "d.aggregate_transpose(adj, &g, None);",
+            ),
+            ("crates/serve/src/session.rs", "a.transpose_into(&mut t);"),
+        ] {
+            let d = lint(path, &format!("fn f() {{ {call} }}\n"));
+            assert_eq!(d, [(1, "carried-transposes")], "{path}: {call}");
+        }
+        // The gather over a carried transpose, the builder's own crate and
+        // test modules pass.
+        let src = "fn f() { d.aggregate_transposed_into(t, &g, None, &mut o); }\n";
+        assert!(lint("crates/nn/src/model.rs", src).is_empty());
+        let src = "fn f() { adj.transpose_into(&mut self.transposes[l]); }\n";
+        assert!(lint("crates/sample/src/cascade.rs", src).is_empty());
+        let src =
+            "#[cfg(test)]\nmod tests {\n    fn t() { d.aggregate_transpose(n, &g, None); }\n}\n";
+        assert!(lint("crates/nn/src/model.rs", src).is_empty());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   reordering, as in `PipelinedLoader::next`) delivers every batch
 //!   exactly once, in index order, no matter how producer completions
 //!   interleave with consumer pumps.
-//! * [`ThreadPool::parallel_map_reduce`]'s slot protocol — workers write
-//!   per-range partials into index-addressed slots, the caller folds the
-//!   slots in range order — produces a bitwise-identical reduction for
+//! * The pooled weight gradient's slot protocol — workers write per-range
+//!   partials into index-addressed blocks (one
+//!   [`ThreadPool::parallel_chunks_mut`] window each), the caller folds the
+//!   blocks in range order — produces a bitwise-identical reduction for
 //!   every completion interleaving, which is what makes the pool-parallel
 //!   weight gradients (`dW = Xᵀ dY`) deterministic for a fixed pool size.
 
@@ -96,13 +97,20 @@ fn map_reduce_slot_protocol_is_schedule_independent() {
     // a fixed fold order gives a stable answer.
     let partials: [f32; 4] = [1.0e8, 3.125, -1.0e8, 2.0 - 9.75e-4];
 
-    // Reference: what the real pool computes for the same 4 ranges. Chunk
-    // size in `parallel_map_reduce` is ceil(n / workers), so n = 8 over a
-    // 4-worker pool yields exactly the ranges 0..2, 2..4, 4..6, 6..8.
+    // Reference: what the real pool computes for the same 4 ranges, the
+    // way `DispatchPolicy::grad_weights_into` runs them: one one-element
+    // block per range, written through `parallel_chunks_mut` windows on a
+    // 4-worker pool, then folded on this thread in range order — the first
+    // block copied, the others added to it one by one.
     let pool = ThreadPool::new("mr", 4);
-    let real = pool
-        .parallel_map_reduce(8, |r| partials[r.start / 2], |a, b| a + b)
-        .expect("non-empty reduction");
+    let mut blocks = [0.0f32; 4];
+    ThreadPool::parallel_chunks_mut(Some(&pool), &mut blocks, 1, |ranges, window| {
+        for (s, slot) in ranges.zip(window) {
+            *slot = partials[s];
+        }
+    });
+    let (first, rest) = blocks.split_at(1);
+    let real = rest.iter().fold(first[0], |acc, &v| acc + v);
 
     // Model: worker A owns slots {0, 2}, worker B owns slots {1, 3} —
     // each schedule is one order in which range results can land. The

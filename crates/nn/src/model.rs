@@ -5,15 +5,23 @@
 //! fused into the GEMM write-back, GraphSAGE's `[h ‖ agg]` concatenation is
 //! eliminated by multiplying against the self/neighbor halves of the stacked
 //! weight, and activations/gradient buffers round-trip through a per-model
-//! [`Workspace`], the lists that hold them are the model's own and the
-//! backward transposes go to a per-thread buffer, so a warm training step
-//! allocates nothing (`tests/allocations.rs` pins it).
+//! [`Workspace`] and the lists that hold them are the model's own, so a warm
+//! training step allocates nothing (`tests/allocations.rs` pins it).
+//!
+//! A batch's layers — the needed-row [`Cascade`] of a subgraph batch and
+//! every layer's transposed adjacency, which backward gathers over — are
+//! parameter-free. [`Gnn::train_step_prepared`] and [`Gnn::forward_prepared`]
+//! read the ones a loader worker (or the serving prologue) built into the
+//! [`PreparedInput`], starting at the first GEMM: the step runs the batch as
+//! it is. The gathered entry points build the model's own cascade per call
+//! (and a training step its transposes), through the same code.
 
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
+use argo_sample::cascade::{Cascade, LayerIn};
 use argo_sample::loader::PreparedInput;
 use argo_sample::view::SampledBatchView;
 use argo_sample::Normalization;
@@ -52,64 +60,6 @@ pub struct StepStats {
     /// Number of target nodes.
     pub num_seeds: usize,
 }
-
-/// The needed-row cascade of one subgraph batch and the storage it reuses
-/// from batch to batch: slot `l` of `slices` and `self_rows` belongs to layer
-/// `l`, so a model's steady-state steps build their slices in place.
-///
-/// Every layer of the forward pass ([`Gnn::forward`]; inference keeps the
-/// logits, training every layer's buffers for backward) takes its normalized
-/// adjacency as a borrowed [`SparseView`] (`n_dst × n_src`; the output has
-/// one row per adjacency row) — a view of an owned batch's matrix, one still
-/// sitting in the sampler's arena or a slice of the cascade, the forward
-/// pass cannot tell. Only backward needs the owned [`SparseMatrix`], to
-/// transpose.
-///
-/// # What a subgraph batch computes
-///
-/// A block batch shrinks from layer to layer by construction. A subgraph
-/// batch (ShaDow, or a whole graph built by hand) shares one `N × N`
-/// adjacency `Â` between its layers, but only its seed rows are ever read,
-/// so each layer computes only the rows the next one reads — the
-/// **needed-row cascade** [`Cascade::build`] computes per batch, for owned
-/// batches and arena views alike: `R[L-1]` is the seed positions; layer `l`
-/// runs over `Â.select_rows(R[l])`; `R[l-1]` is the distinct columns that
-/// slice names, ascending (for SAGE joined with `R[l]`, so every self row is
-/// there); and the slice's columns are renumbered to their ranks in
-/// `R[l-1]`, which makes it `|R[l]| × |R[l-1]|`. Once `R[l-1]` is every
-/// row, the layers below run over `Â` itself. Activations, gradients, the
-/// `dW`/`db` reductions and the transposed gather (over each slice's own
-/// transpose) are all sized by the adjacency, so they shrink with it.
-///
-/// This is bitwise the full-height computation followed by a row selection.
-/// SpMM and GEMM rows are independent of each other (the GEMM is pinned
-/// row-partition-invariant), so a kept row has the bits it had. A rank map
-/// over an ascending set is monotone, so the entries of every slice row, and
-/// of every row of its transpose, stay in the order they had in `Â`. And
-/// every dropped row of layer `l`'s output had an exactly zero gradient at
-/// full height — no kept row of layer `l + 1` names it — so it contributed
-/// `acc + x·0` to `db`/`dW`, which add rows in ascending order, and
-/// `d + w·0` to the input gradient: `acc` and `d`. That holds on the serial
-/// path; the pooled weight-gradient reduction splits its partial sums by row
-/// count and is equal to tolerance, as it always was. A hand-built batch
-/// whose seed positions repeat or do not ascend is equal to tolerance only.
-#[derive(Default)]
-struct Cascade {
-    /// Layers `first..` run over their slice, the layers below over `Â`.
-    first: usize,
-    slices: Vec<SparseMatrix>,
-    /// Where the rows layer `l` computes sit in its input (SAGE only).
-    self_rows: Vec<Vec<usize>>,
-    /// `R[l]` while layer `l` is built.
-    rows: Vec<usize>,
-    /// Per column of `Â`: its rank in `R[l-1]`, `u32::MAX` outside it.
-    rank: Vec<u32>,
-}
-
-/// What one layer runs over: its normalized adjacency and, where the self
-/// rows SAGE reads are not the first rows of the layer's input, their
-/// positions in it.
-type LayerIn<'a> = (SparseView<'a>, Option<&'a [usize]>);
 
 impl Gnn {
     /// The parameter-free half of a layer: `adj · h` in a workspace buffer,
@@ -160,15 +110,12 @@ impl Gnn {
     /// The one forward body, training's and inference's: runs layer `l`
     /// over `layer(l)` and keeps every layer's buffers in `kept` (empty on
     /// entry), except layer 0's operands, which it returns. Layer 0 starts
-    /// from `first`; a prepared input has every row of the batch, so a
-    /// subgraph layer 0 cut to `input_rows` copies its own (rows are
-    /// independent).
+    /// from `first`: a prepared input is exactly layer 0's operands.
     fn forward<'a, 'l>(
         &self,
         kept: &mut Kept,
         layer: impl Fn(usize) -> LayerIn<'l>,
         first: FirstLayer<'a>,
-        input_rows: Option<&[usize]>,
         pool: Option<&ThreadPool>,
     ) -> Layer0<'a> {
         let (adj, self_rows) = layer(0);
@@ -183,18 +130,13 @@ impl Gnn {
                 });
                 (Cow::Owned(agg), h_self)
             }
-            FirstLayer::Prepared(PreparedInput { agg, self_rows }) => {
-                let cut = |m: &'a Matrix| match input_rows {
-                    Some(rows) => Cow::Owned(select_rows(&self.ws, m, rows)),
-                    None => Cow::Borrowed(m),
-                };
-                let agg = cut(agg);
+            FirstLayer::Prepared(PreparedInput { agg, self_rows, .. }) => {
                 assert_eq!(
                     (agg.rows(), agg.cols()),
                     (adj.rows(), self.dims[0]),
                     "prepared aggregation does not fit the batch"
                 );
-                (agg, self_rows.as_ref().map(cut))
+                (Cow::Borrowed(agg), self_rows.as_ref().map(Cow::Borrowed))
             }
         };
         kept.outs.push(self.dense(0, &agg, h_self.as_deref(), pool));
@@ -217,11 +159,10 @@ impl Gnn {
         &self,
         layer: impl Fn(usize) -> LayerIn<'l>,
         first: FirstLayer<'_>,
-        input_rows: Option<&[usize]>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let mut kept = self.kept.borrow_mut();
-        let first = self.forward(&mut kept, layer, first, input_rows, pool);
+        let first = self.forward(&mut kept, layer, first, pool);
         let logits = kept.outs.swap_remove(self.layers.len() - 1);
         drop(kept);
         self.recycle(first);
@@ -242,12 +183,12 @@ impl Gnn {
     ) -> Matrix {
         let depth = self.layers.len();
         let renormed = renormalized(self.kind, depth, batch);
+        let full = |l| full_of(batch, &renormed, l).view();
         let mut cascade = self.cascade.borrow_mut();
-        cascade.for_owned(self.kind, depth, batch, full_of(batch, &renormed, 0));
+        cascade.for_owned(depth, batch, full(0), self.kind == Arch::Sage);
         let cascade = &*cascade;
-        let layer = |l| cascade.layer(self.kind, l, full_of(batch, &renormed, l).view());
         let first = FirstLayer::Gathered(input.borrow());
-        self.run(layer, first, cascade.input_rows(), pool)
+        self.run(|l| cascade.layer(l, full(l)), first, pool)
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
@@ -262,140 +203,53 @@ impl Gnn {
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        self.forward_view(batch, FirstLayer::Gathered(input.borrow()), pool)
+        let input = input.borrow();
+        if !self.fits(batch) {
+            return self.forward_gathered(&batch.to_owned(), input, pool);
+        }
+        let mut cascade = self.cascade.borrow_mut();
+        cascade.for_view(self.layers.len(), batch);
+        let cascade = &*cascade;
+        let layer = |l| cascade.layer(l, batch.layer_adj(l));
+        self.run(layer, FirstLayer::Gathered(input), pool)
     }
 
     /// [`Gnn::forward_gathered_view`] from the first GEMM, over what
-    /// [`PreparedInput::prepare`] made of this view: bitwise the same logits.
-    /// Panics unless the view fuses this model's normalization (and, for
-    /// blocks, has its depth).
+    /// [`PreparedInput::prepare`] made of this view — its layer-0 operands
+    /// and its cascade: bitwise the same logits. Panics unless the view
+    /// fuses this model's normalization (and, for blocks, has its depth) and
+    /// the input was prepared for this model's depth.
     pub fn forward_prepared(
         &self,
         batch: &SampledBatchView<'_>,
         input: &PreparedInput,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        self.forward_view(batch, FirstLayer::Prepared(input), pool)
+        assert!(self.fits(batch), "a prepared input needs a fused view");
+        let cascade = self.carried(input);
+        let layer = |l| cascade.layer(l, batch.layer_adj(l));
+        self.run(layer, FirstLayer::Prepared(input), pool)
     }
 
-    fn forward_view(
-        &self,
-        batch: &SampledBatchView<'_>,
-        first: FirstLayer<'_>,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        let depth = self.layers.len();
-        let fused = batch.norm() == self.kind.normalization();
-        match batch {
-            SampledBatchView::Blocks(mb) if fused && mb.num_blocks() == depth => {
-                self.run(|l| (mb.block(l).adj, None), first, None, pool)
-            }
-            SampledBatchView::Subgraph(sb) if fused => {
-                // Subgraph-view seeds are the node-list prefix.
-                let mut cascade = self.cascade.borrow_mut();
-                cascade.build(self.kind, depth, sb.adj(), 0..sb.num_seeds());
-                let cascade = &*cascade;
-                let layer = |l| cascade.layer(self.kind, l, sb.adj());
-                self.run(layer, first, cascade.input_rows(), pool)
-            }
-            _ => match first {
-                FirstLayer::Gathered(h) => self.forward_gathered(&batch.to_owned(), h, pool),
-                FirstLayer::Prepared(_) => panic!("a prepared input needs a fused view"),
-            },
-        }
-    }
-}
-
-impl Cascade {
-    /// The cascade of an owned batch over its normalized adjacency `full`
-    /// (a subgraph's; a block batch has no cascade: every layer runs over
-    /// its own block).
-    fn for_owned(&mut self, kind: Arch, depth: usize, batch: &SampledBatch, full: &SparseMatrix) {
-        match batch {
-            SampledBatch::Blocks(_) => self.first = depth,
-            SampledBatch::Subgraph(sb) => {
-                let seeds = sb.seed_positions.iter().copied();
-                self.build(kind, depth, full.view(), seeds);
-            }
-        }
+    /// Whether this model runs over `batch` as it is: it fuses the model's
+    /// normalization and, if it is a block batch, has one block per layer.
+    fn fits(&self, batch: &SampledBatchView<'_>) -> bool {
+        let depth_fits = match batch {
+            SampledBatchView::Blocks(mb) => mb.num_blocks() == self.layers.len(),
+            SampledBatchView::Subgraph(_) => true,
+        };
+        depth_fits && batch.norm() == self.kind.normalization()
     }
 
-    /// Builds the per-layer adjacencies of a `depth`-layer model over the
-    /// normalized `N × N` adjacency `full` whose outputs are read at rows
-    /// `seeds` — the one place a subgraph batch's layers are cut down.
-    fn build(
-        &mut self,
-        kind: Arch,
-        depth: usize,
-        full: SparseView<'_>,
-        seeds: impl Iterator<Item = usize>,
-    ) {
-        let n = full.rows();
-        self.slices.resize_with(depth, SparseMatrix::default);
-        self.self_rows.resize_with(depth, Vec::new);
-        self.rows.clear();
-        self.rows.extend(seeds);
-        let mut l = depth;
-        // Once a layer computes every row, it and the layers below it run
-        // over `full` itself: no slice, no copy.
-        while l > 0 && !self.rows.iter().copied().eq(0..n) {
-            l -= 1;
-            let (slice, self_rows) = (&mut self.slices[l], &mut self.self_rows[l]);
-            full.select_rows_into(&self.rows, slice);
-            self_rows.clear();
-            if kind == Arch::Sage {
-                self_rows.extend_from_slice(&self.rows);
-            }
-            if l == 0 {
-                break; // reads the caller's input, which has every row
-            }
-            // R[l-1]: mark what layer `l` reads, then list and rank the marks.
-            self.rank.clear();
-            self.rank.resize(n, u32::MAX);
-            for &c in slice.indices() {
-                self.rank[c as usize] = 0;
-            }
-            for &r in self_rows.iter() {
-                self.rank[r] = 0;
-            }
-            self.rows.clear();
-            for (c, r) in self.rank.iter_mut().enumerate() {
-                if *r == 0 {
-                    *r = self.rows.len() as u32;
-                    self.rows.push(c);
-                }
-            }
-            if self.rows.len() < n {
-                slice.rank_columns(&self.rank, self.rows.len());
-                for p in self_rows.iter_mut() {
-                    *p = self.rank[*p] as usize;
-                }
-            }
-        }
-        self.first = l;
-    }
-
-    /// `R[0]`, the rows of the batch a cut layer 0 computes; `None` when it
-    /// computes them all. (`build` stops at layer 0 before replacing them.)
-    fn input_rows(&self) -> Option<&[usize]> {
-        (self.first == 0).then_some(&self.rows[..])
-    }
-
-    /// Layer `l`'s slice; `None` below the cascade.
-    fn slice(&self, l: usize) -> Option<&SparseMatrix> {
-        (l >= self.first).then(|| &self.slices[l])
-    }
-
-    /// Where SAGE's layer `l` finds its self rows in its input; `None` where
-    /// they are its first rows (below the cascade, and for GCN nowhere read).
-    fn self_rows(&self, kind: Arch, l: usize) -> Option<&[usize]> {
-        (kind == Arch::Sage && l >= self.first).then(|| &self.self_rows[l][..])
-    }
-
-    /// What layer `l` runs over, `full` being its full-height adjacency.
-    fn layer<'a>(&'a self, kind: Arch, l: usize, full: SparseView<'a>) -> LayerIn<'a> {
-        let adj = self.slice(l).map_or(full, SparseMatrix::view);
-        (adj, self.self_rows(kind, l))
+    /// The cascade `input` carries, checked against this model.
+    fn carried<'a>(&self, input: &'a PreparedInput) -> &'a Cascade {
+        let cascade = &input.cascade;
+        assert_eq!(
+            (cascade.depth(), cascade.keeps_self_rows()),
+            (self.layers.len(), self.kind == Arch::Sage),
+            "the input was prepared for another model"
+        );
+        cascade
     }
 }
 
@@ -532,18 +386,20 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let (stats, first) = self.step(batch, FirstLayer::Gathered(input.borrow()), labels, pool);
+        let (stats, first) = self.step_gathered(batch, input.borrow(), labels, pool);
         self.recycle(first);
         stats
     }
 
     /// [`Gnn::train_step_gathered`] starting at the first GEMM: `input` is
-    /// what a loader worker prepared for this batch. Layer 0's aggregation
-    /// depends on the batch and the features only, so it was run where the
-    /// batch was made — with the kernel this model would have used, over the
-    /// adjacency it would have used, row by row in the same entry order:
-    /// bitwise the step over the gathered rows. The operands must have been
-    /// aggregated over this model's normalization
+    /// what a loader worker prepared for this batch
+    /// ([`PreparedInput::prepare_for_training`]). Layer 0's aggregation, the
+    /// cascade and the transposes depend on the batch and the features only,
+    /// so they were built where the batch was made — with the kernel this
+    /// model would have used, over the adjacencies it would have used, row by
+    /// row in the same entry order: bitwise the step over the gathered rows.
+    /// The step builds no cascade and transposes nothing. The operands must
+    /// have been aggregated over this model's normalization
     /// ([`Arch::normalization`] fused by the sampler).
     pub fn train_step_prepared(
         &mut self,
@@ -552,32 +408,67 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let (stats, first) = self.step(batch, FirstLayer::Prepared(input), labels, pool);
+        let (stats, first) = self.step_prepared(batch, input, labels, pool);
         self.recycle(first);
         stats
     }
 
-    /// The one training step: [`Gnn::forward`], layer 0 from `first`, then
-    /// the loss and the full backward pass over what the forward kept. The
-    /// model's [`Kept`] is left full, its last gradient included, for
-    /// [`Gnn::recycle`].
-    fn step<'a>(
+    /// [`Gnn::step`] over the gathered input rows: the model's own cascade
+    /// and transposes are built for the batch first.
+    fn step_gathered<'a>(
         &mut self,
         batch: &SampledBatch,
-        first: FirstLayer<'a>,
+        input: &'a Matrix,
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> (StepStats, Layer0<'a>) {
         let depth = self.layers.len();
         let renormed = renormalized(self.kind, depth, batch);
-        let full = |l| full_of(batch, &renormed, l);
-        let mut cascade = self.cascade.borrow_mut();
-        cascade.for_owned(self.kind, depth, batch, full(0));
-        let (kind, cascade) = (self.kind, &*cascade);
-        let norm_of = |l: usize| cascade.slice(l).unwrap_or(full(l));
+        let full = |l| full_of(batch, &renormed, l).view();
+        let mut cascade = std::mem::take(self.cascade.get_mut());
+        cascade.for_owned(depth, batch, full(0), self.kind == Arch::Sage);
+        cascade.transpose_layers(full);
+        let first = FirstLayer::Gathered(input);
+        let out = self.step(&cascade, full, batch.seeds(), first, labels, pool);
+        *self.cascade.get_mut() = cascade;
+        out
+    }
+
+    /// [`Gnn::step`] over a prepared input, whose cascade and transposes it
+    /// reads as they are.
+    fn step_prepared<'a>(
+        &mut self,
+        batch: &SampledBatch,
+        input: &'a PreparedInput,
+        labels: &[u32],
+        pool: Option<&ThreadPool>,
+    ) -> (StepStats, Layer0<'a>) {
+        let renormed = renormalized(self.kind, self.layers.len(), batch);
+        let full = |l| full_of(batch, &renormed, l).view();
+        let cascade = self.carried(input);
+        let first = FirstLayer::Prepared(input);
+        self.step(cascade, full, batch.seeds(), first, labels, pool)
+    }
+
+    /// The one training step: [`Gnn::forward`] over the layers of
+    /// `cascade` (`full(l)` being layer `l`'s full-height adjacency), layer
+    /// 0 from `first`, then the loss over the `seeds`' labels and the full
+    /// backward pass over what the forward kept, gathering over the
+    /// cascade's transposes. The model's [`Kept`] is left full, its last
+    /// gradient included, for [`Gnn::recycle`].
+    fn step<'a, 'b>(
+        &mut self,
+        cascade: &'b Cascade,
+        full: impl Fn(usize) -> SparseView<'b>,
+        seeds: &[u32],
+        first: FirstLayer<'a>,
+        labels: &[u32],
+        pool: Option<&ThreadPool>,
+    ) -> (StepStats, Layer0<'a>) {
+        let depth = self.layers.len();
         let mut kept = self.kept.borrow_mut();
-        let layer = |l| cascade.layer(kind, l, full(l).view());
-        let first = self.forward(&mut kept, layer, first, cascade.input_rows(), pool);
+        let layer = |l| cascade.layer(l, full(l));
+        let first = self.forward(&mut kept, layer, first, pool);
         let Kept {
             outs,
             aggs,
@@ -587,7 +478,6 @@ impl Gnn {
         } = &mut *kept;
         // Loss over seeds: the last layer's rows are the seed rows.
         let logits = &outs[depth - 1];
-        let seeds = batch.seeds();
         seed_labels.clear();
         seed_labels.extend(seeds.iter().map(|&v| labels[v as usize]));
         let mut grad = self
@@ -610,8 +500,6 @@ impl Gnn {
                 // The fused ReLU recorded no mask: `outs[l] > 0` is it.
                 relu_backward_from_output(&mut grad, &outs[l]);
             }
-            let norm = norm_of(l);
-            let n_dst = norm.rows();
             bias_grad_into(&grad, &mut self.layers[l].db);
             match self.kind {
                 Arch::Gcn => {
@@ -633,13 +521,16 @@ impl Gnn {
             }
             let w = &self.layers[l].w;
             let f_in = self.dims[l];
+            // The layer's adjacency transposed: `n_src × n_dst`.
+            let adj_t = cascade.transposed(l);
+            let n_dst = adj_t.cols();
             let take = |rows: usize| self.ws.borrow_mut().take_unzeroed(rows, f_in);
-            let mut dh = take(norm.cols());
+            let mut dh = take(adj_t.rows());
             match self.kind {
                 Arch::Gcn => {
                     let mut dagg = take(n_dst);
                     dispatch.grad_input_into(&grad, w, 0..f_in, pool, &mut dagg);
-                    dispatch.aggregate_transpose_into(norm, &dagg, pool, &mut dh);
+                    dispatch.aggregate_transposed_into(adj_t, &dagg, pool, &mut dh);
                     self.ws.borrow_mut().put(dagg);
                 }
                 Arch::Sage => {
@@ -648,10 +539,10 @@ impl Gnn {
                     let (mut dself, mut dmean) = (take(n_dst), take(n_dst));
                     dispatch.grad_input_into(&grad, w, 0..f_in, pool, &mut dself);
                     dispatch.grad_input_into(&grad, w, f_in..2 * f_in, pool, &mut dmean);
-                    dispatch.aggregate_transpose_into(norm, &dmean, pool, &mut dh);
+                    dispatch.aggregate_transposed_into(adj_t, &dmean, pool, &mut dh);
                     // Self-path gradient lands on the rows the self features
                     // were read from.
-                    let picked = cascade.self_rows(kind, l);
+                    let picked = cascade.self_rows(l);
                     for r in 0..n_dst {
                         let at = picked.map_or(r, |pos| pos[r]);
                         for (a, b) in dh.row_mut(at).iter_mut().zip(dself.row(r)) {
@@ -802,11 +693,12 @@ mod tests {
     use argo_graph::datasets::FLICKR;
     use argo_rt::{SeedSequence, WorkerRing};
     use argo_sample::{
-        InputRing, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+        InputRing, LoaderSpec, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
     };
     use argo_tensor::ops::softmax_cross_entropy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn tiny_dataset() -> argo_graph::Dataset {
         FLICKR.synthesize(0.01, 11)
@@ -1215,18 +1107,18 @@ mod tests {
         (stats.loss.to_bits(), bits(&g))
     }
 
-    /// What a loader worker hands over for `batch`: `input` aggregated over
-    /// the model's own layer-0 adjacency (the fused one where the sampler
-    /// fused it), through the loader's own entry point.
+    /// What a loader worker hands over for `batch`: the cascade and
+    /// transposes of the model's own adjacencies (the fused ones where the
+    /// sampler fused them), and `input` aggregated over layer 0's, through
+    /// the loader's own reference entry point.
     fn prepared(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> PreparedInput {
-        let norms = renormalized(m.kind, m.layers.len(), batch);
-        PreparedInput::aggregate(
-            full_of(batch, &norms, 0).view(),
-            input,
-            m.kind == Arch::Sage,
-            m.dispatch,
-            &InputRing::new(),
-        )
+        let depth = m.layers.len();
+        let norms = renormalized(m.kind, depth, batch);
+        let full = |l| full_of(batch, &norms, l).view();
+        let mut cascade = Cascade::default();
+        cascade.for_owned(depth, batch, full(0), m.kind == Arch::Sage);
+        cascade.transpose_layers(full);
+        PreparedInput::aggregate(cascade, full(0), input, m.dispatch, &InputRing::new())
     }
 
     /// Loss, flat gradient and every activation one step kept for its
@@ -1238,7 +1130,10 @@ mod tests {
         first: FirstLayer<'_>,
         labels: &[u32],
     ) -> (u32, Vec<u32>, Vec<Vec<u32>>) {
-        let (stats, first) = m.step(batch, first, labels, None);
+        let (stats, first) = match first {
+            FirstLayer::Gathered(input) => m.step_gathered(batch, input, labels, None),
+            FirstLayer::Prepared(input) => m.step_prepared(batch, input, labels, None),
+        };
         let mut activations = Vec::new();
         let kept = m.kept.borrow();
         for (l, out) in kept.outs.iter().enumerate() {
@@ -1322,8 +1217,8 @@ mod tests {
                     m.grads_flat(&mut got);
                     assert!(got.iter().any(|g| *g != 0.0));
                     // Two layers over a ShaDow subgraph read the seeds'
-                    // neighbours only: the prepared step above copied its
-                    // rows out of the loader's full-height aggregation.
+                    // neighbours only: layer 0 is cut, and the prepared step
+                    // above ran over operands of `R[0]`'s rows alone.
                     if depth == 2 && name == "shadow (fused)" {
                         let c = m.cascade.borrow();
                         let cut = c.input_rows().expect("layer 0 is cut");
@@ -1359,19 +1254,23 @@ mod tests {
             let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 4, 5);
             m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
-            assert!(c.first <= 1, "{kind:?}: layers {}.. are slices", c.first);
-            let rows: Vec<usize> = (1..4).map(|l| c.slices[l].rows()).collect();
+            assert!(
+                c.first() <= 1,
+                "{kind:?}: layers {}.. are slices",
+                c.first()
+            );
+            let rows: Vec<usize> = (1..4).map(|l| c.slices()[l].rows()).collect();
             assert!(rows.windows(2).all(|w| w[0] > w[1]), "{kind:?}: {rows:?}");
             assert!(
                 rows[0] < n && rows[2] == batch.num_seeds(),
                 "{kind:?}: {rows:?}"
             );
             // A slice's columns are the rows of the layer below.
-            assert_eq!(c.slices[3].cols(), rows[1], "{kind:?}");
-            assert_eq!(c.slices[2].cols(), rows[0], "{kind:?}");
+            assert_eq!(c.slices()[3].cols(), rows[1], "{kind:?}");
+            assert_eq!(c.slices()[2].cols(), rows[0], "{kind:?}");
             if kind == Arch::Sage {
                 // Ranks of `R[l]` in `R[l-1]`: ascending, and not a prefix.
-                let pos = c.self_rows(kind, 2).unwrap();
+                let pos = c.self_rows(2).unwrap();
                 assert!(pos.windows(2).all(|w| w[0] < w[1]));
                 assert!(pos.iter().copied().ne(0..pos.len()));
             }
@@ -1440,8 +1339,8 @@ mod tests {
                     // GCN reads nothing below an isolated seed; SAGE still
                     // reads the seed's own row.
                     if empty_layers && kind == Arch::Gcn {
-                        assert_eq!(c.slices[depth - 1].cols(), 0, "{who}");
-                        assert_eq!(c.slices[depth - 2].rows(), 0, "{who}");
+                        assert_eq!(c.slices()[depth - 1].cols(), 0, "{who}");
+                        assert_eq!(c.slices()[depth - 2].rows(), 0, "{who}");
                     }
                     drop(c);
                     let logits = m.forward_gathered(&batch, &input, None);
@@ -1494,14 +1393,14 @@ mod tests {
             let m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
             m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
-            assert_eq!(c.first, first);
+            assert_eq!(c.first(), first);
             for l in 0..first {
                 assert!(c.slice(l).is_none());
-                assert_eq!(c.slices[l], SparseMatrix::default(), "layer {l}: no copy");
+                assert_eq!(c.slices()[l], SparseMatrix::default(), "layer {l}: no copy");
             }
             // The slice above a full-height layer keeps the batch's columns.
             for l in first..3 {
-                assert_eq!(c.slices[l].cols(), subgraph_of(&batch).nodes.len());
+                assert_eq!(c.slices()[l].cols(), subgraph_of(&batch).nodes.len());
             }
         }
     }
@@ -1530,9 +1429,9 @@ mod tests {
         let bottom = c
             .slice(0)
             .map_or(subgraph_of(&batch).nodes.len(), SparseMatrix::rows);
-        let middle = c.slices[1].rows();
+        let middle = c.slices()[1].rows();
         assert!(
-            c.first <= 1 && 2 * middle < 2 * bottom,
+            c.first() <= 1 && 2 * middle < 2 * bottom,
             "{middle} of {bottom}"
         );
         let mut ws = m.ws.borrow_mut();
@@ -1617,12 +1516,65 @@ mod tests {
                         continue;
                     }
                     let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-                    let prepared = PreparedInput::prepare(&view, &d.features, &ring, &spans, 0);
+                    let prepared =
+                        PreparedInput::prepare(&view, &d.features, depth, &ring, &spans, 0);
                     let got = m.forward_prepared(&view, &prepared, None);
                     check(format!("{name}: prepared"), &batch, &input, got);
                 }
             }
         }
+    }
+
+    /// What the engine's loader hands over is what the step over the
+    /// gathered rows computes for itself: every ShaDow batch of an epoch
+    /// loaded by 1, 2 and 4 workers, stepped from its prepared input —
+    /// layer-0 operands, cascade and transposes built on the worker — equals
+    /// the gathered step in loss and every gradient bit, both models, both
+    /// tiers. A prepared step never builds the model's own cascade.
+    #[test]
+    fn loaded_shadow_batches_step_as_gathered_bitwise_at_any_worker_count() {
+        argo_rt::watchdog(60, || {
+            let d = tiny_dataset();
+            let (graph, feats) = (Arc::new(d.graph.clone()), Arc::new(d.features.clone()));
+            let seeds: Arc<Vec<u32>> = Arc::new(d.train_nodes.iter().copied().take(72).collect());
+            let sampler: Arc<dyn Sampler> = Arc::new(ShadowSampler::new(vec![4, 3], 3));
+            let step_bits = |m: &mut Gnn, stats: StepStats| {
+                let mut g = Vec::new();
+                m.grads_flat(&mut g);
+                (stats.loss.to_bits(), bits(&g))
+            };
+            for (kind, n_samp) in [Arch::Gcn, Arch::Sage]
+                .into_iter()
+                .flat_map(|kind| [1, 2, 4].map(|n| (kind, n)))
+            {
+                let loader = LoaderSpec::builder(graph.clone(), sampler.clone(), seeds.clone())
+                    .batch_size(24)
+                    .epoch_seeds(SeedSequence::new(5))
+                    .n_samp(n_samp)
+                    .normalization(kind.normalization())
+                    .features(feats.clone())
+                    .start();
+                for (i, lb) in loader {
+                    let input = lb.input.expect("the spec carries the features");
+                    assert!(input.cascade.first() < 3, "the top layer is a slice");
+                    let rows = gathered(&d.features, lb.batch.input_nodes());
+                    for policy in both_tiers() {
+                        let who = format!("{kind:?} {n_samp} workers batch {i} {policy:?}");
+                        let mk = || {
+                            Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 3, 5)
+                                .with_dispatch(policy)
+                        };
+                        let (mut prepared, mut own) = (mk(), mk());
+                        let stats =
+                            prepared.train_step_prepared(&lb.batch, &input, &d.labels, None);
+                        let got = step_bits(&mut prepared, stats);
+                        let stats = own.train_step_gathered(&lb.batch, &rows, &d.labels, None);
+                        assert_eq!(got, step_bits(&mut own, stats), "{who}");
+                        assert_eq!(prepared.cascade.borrow().depth(), 0, "{who}: built nothing");
+                    }
+                }
+            }
+        });
     }
 
     /// Every buffer a step takes unzeroed is overwritten in full: a model

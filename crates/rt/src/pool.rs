@@ -6,10 +6,9 @@
 //! [`ThreadPool`] built over an explicit [`CoreSet`].
 //!
 //! The pool supports `'static` task submission ([`ThreadPool::execute`]) and
-//! scoped data-parallel loops ([`ThreadPool::parallel_ranges`],
-//! [`ThreadPool::parallel_map_reduce`] and the row-window runner
-//! [`ThreadPool::parallel_chunks_mut`]) that block until every worker
-//! finished, which makes borrowing local data sound.
+//! scoped data-parallel loops ([`ThreadPool::parallel_ranges`] and the
+//! row-window runner [`ThreadPool::parallel_chunks_mut`]) that block until
+//! every worker finished, which makes borrowing local data sound.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -186,52 +185,6 @@ impl ThreadPool {
         completion.wait();
     }
 
-    /// Maps `map` over a partition of `0..n` into contiguous ranges (the
-    /// same partition [`ThreadPool::parallel_ranges`] hands out) and folds
-    /// the per-range results with `reduce` **on the calling thread, in
-    /// ascending range order**. Returns `None` when `n == 0`.
-    ///
-    /// Workers only ever write their own result slot; the fold order depends
-    /// solely on `n` and the pool size, never on thread scheduling — so for
-    /// deterministic `map` the result is deterministic even when `reduce` is
-    /// not associative/commutative (e.g. float accumulation). The
-    /// pool-parallel `dW = Xᵀ dY` of `argo-tensor` folds its per-range
-    /// partial gradients in this partition and order, from a reused
-    /// per-thread buffer instead of one fresh `T` per range.
-    pub fn parallel_map_reduce<T, M, R>(&self, n: usize, map: M, mut reduce: R) -> Option<T>
-    where
-        T: Send,
-        M: Fn(std::ops::Range<usize>) -> T + Sync,
-        R: FnMut(T, T) -> T,
-    {
-        if n == 0 {
-            return None;
-        }
-        let tasks = self.size.min(n);
-        if tasks == 1 {
-            return Some(map(0..n));
-        }
-        // `parallel_ranges` partitions 0..n with exactly this chunk size, so
-        // `range.start / chunk` recovers a stable per-range slot index.
-        let chunk = n.div_ceil(tasks);
-        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
-        self.parallel_ranges(n, |range| {
-            let idx = range.start / chunk;
-            let value = map(range);
-            slots.lock()[idx] = Some(value);
-        });
-        let mut acc: Option<T> = None;
-        for slot in slots.into_inner() {
-            // Trailing empty ranges never ran `map`; their slots stay None.
-            let Some(v) = slot else { continue };
-            acc = Some(match acc {
-                Some(a) => reduce(a, v),
-                None => v,
-            });
-        }
-        acc
-    }
-
     /// The row-window runner: treats `data` as `data.len() / row_len` rows
     /// of `row_len` elements, partitions the rows over `pool` and passes
     /// each worker `(rows, window)` — its row range and the `&mut` window of
@@ -358,69 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_reduce_sums_match_serial() {
-        let pool = ThreadPool::new("t", 4);
-        let got =
-            pool.parallel_map_reduce(1000, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| a + b);
-        assert_eq!(got, Some((0..1000u64).sum()));
-    }
-
-    #[test]
-    fn parallel_map_reduce_empty_is_none() {
-        let pool = ThreadPool::new("t", 3);
-        let got = pool.parallel_map_reduce(0, |_| 1u32, |a, b| a + b);
-        assert_eq!(got, None);
-    }
-
-    #[test]
-    fn parallel_map_reduce_folds_in_range_order() {
-        // The fold must see partials in ascending range order regardless of
-        // which worker finishes first: reduce with a non-commutative op
-        // (sequence concatenation) and check the result is sorted.
-        let pool = ThreadPool::new("t", 4);
-        for n in [1usize, 2, 7, 64, 137] {
-            let got = pool
-                .parallel_map_reduce(
-                    n,
-                    |r| r.collect::<Vec<usize>>(),
-                    |mut a, b| {
-                        a.extend(b);
-                        a
-                    },
-                )
-                .expect("n > 0");
-            let expect: Vec<usize> = (0..n).collect();
-            assert_eq!(got, expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn parallel_map_reduce_float_accumulation_is_deterministic() {
-        // Same pool size + same n → identical bits across repeated runs,
-        // even though f32 addition is not associative.
-        let pool = ThreadPool::new("t", 4);
-        let run = || {
-            pool.parallel_map_reduce(
-                10_000,
-                |r| r.map(|i| (i as f32).sin()).sum::<f32>(),
-                |a, b| a + b,
-            )
-            .expect("n > 0")
-        };
-        let first = run();
-        for _ in 0..5 {
-            assert_eq!(first.to_bits(), run().to_bits());
-        }
-    }
-
-    #[test]
     fn pinned_pool_runs() {
         crate::watchdog(30, || {
             let cores = CoreSet::range(0, 2);
             let pool = ThreadPool::pinned("p", &cores);
             assert_eq!(pool.size(), 2);
-            let s = pool.parallel_map_reduce(10, |r| r.sum::<usize>(), |a, b| a + b);
-            assert_eq!(s, Some(45));
+            let sum = Mutex::new(0usize);
+            pool.parallel_ranges(10, |r| *sum.lock() += r.sum::<usize>());
+            assert_eq!(sum.into_inner(), 45);
         });
     }
 

@@ -25,6 +25,7 @@
 
 pub mod batch;
 pub mod cache;
+pub mod cascade;
 pub mod loader;
 pub mod neighbor;
 pub mod scratch;
@@ -34,6 +35,7 @@ pub mod view;
 
 pub use batch::{Block, MiniBatch, Normalization, SampledBatch, SubgraphBatch};
 pub use cache::{CacheStats, FeatureCache};
+pub use cascade::Cascade;
 pub use loader::{
     InputRing, LoadedBatch, LoaderSpec, LoaderSpecBuilder, PipelinedLoader, PreparedInput,
 };

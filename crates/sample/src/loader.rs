@@ -21,8 +21,18 @@
 //! cache this module once had in front of the table (DESIGN.md §7), it adds
 //! no second copy of the rows to the memory-bound work. The memory-bound
 //! half of the first layer then runs on the sampling cores, overlapped with
-//! training, and the training thread starts at the first GEMM; see
-//! [`PreparedInput`] for what crosses the channel.
+//! training, and the training thread starts at the first GEMM.
+//!
+//! The rest of the batch's parameter-free preparation runs there too: the
+//! worker builds the batch's needed-row [`Cascade`] for the model's depth
+//! (the sampler's, which the engine holds equal to its model's) — so a
+//! subgraph batch's layer 0 aggregates only the rows layer 1 reads — and
+//! transposes every layer's adjacency for backward
+//! ([`PreparedInput::prepare_for_training`]). The training step runs the
+//! batch as it is handed over: it builds no cascade, cuts no rows and
+//! transposes nothing. See [`PreparedInput`] for what crosses the channel;
+//! the consumer hands it back to the [`InputRing`], operand buffers and
+//! cascade storage alike.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,6 +48,7 @@ use argo_tensor::{DispatchPolicy, Matrix, SparseView};
 use crossbeam::channel::{bounded, Receiver};
 
 use crate::batch::{Normalization, SampledBatch};
+use crate::cascade::Cascade;
 use crate::scratch::SamplerScratch;
 use crate::view::SampledBatchView;
 use crate::{SampleRun, Sampler};
@@ -65,9 +76,10 @@ pub struct LoaderSpec {
     /// Sampling cores to bind the workers to (empty = unbound).
     pub cores: CoreSet,
     /// Node features; when present, workers prepare each batch's
-    /// [`LoadedBatch::input`]: the input rows aggregated over the input-side
-    /// adjacency. A spec with features must fuse a normalization
-    /// (not [`Normalization::None`]): the aggregation reads its values.
+    /// [`LoadedBatch::input`]: the input rows aggregated over layer 0's
+    /// adjacency, the batch's cascade and its transposes. A spec with
+    /// features must fuse a normalization (not [`Normalization::None`]): the
+    /// aggregation reads its values.
     pub features: Option<Arc<Features>>,
     /// Fused normalization the samplers write into each batch's adjacency
     /// values during construction (no post-pass on the training side). With
@@ -186,70 +198,127 @@ impl LoaderSpecBuilder {
     }
 }
 
-/// What a training step's first parameterised operation reads — the product
-/// of the parameter-free prologue a loader worker runs on each batch: layer
+/// What a loader worker hands a training step (or serving its forward
+/// pass) for one batch: the product of the parameter-free prologue. Layer
 /// 0's aggregation, which is all a GCN/GraphSAGE first GEMM reads of the
-/// input rows. No `n_src × F` matrix of them is made.
+/// input rows (no `n_src × F` matrix of them is made), and the batch's
+/// layers as the model runs them — the needed-row [`Cascade`] and, on
+/// training's loader, every layer's transpose. The step runs the batch as it
+/// is: it builds no cascade, cuts no rows and transposes nothing.
 pub struct PreparedInput {
-    /// `Â₀·X[input_nodes]`, one row per row of the input-side adjacency
-    /// (`n_dst × F`).
+    /// `Â₀·X[input_nodes]` over layer 0's adjacency as the cascade cuts it,
+    /// one row per row the layer computes (`n_dst × F`).
     pub agg: Matrix,
-    /// The `n_dst` self rows GraphSAGE concatenates (the first `n_dst`
-    /// gathered rows); `None` for GCN.
+    /// The `n_dst` self rows GraphSAGE concatenates (the input rows at the
+    /// cascade's layer-0 self-row positions, or the first `n_dst` of them);
+    /// `None` for GCN.
     pub self_rows: Option<Matrix>,
+    /// The batch's per-layer adjacencies (and, for training, transposes).
+    pub cascade: Cascade,
 }
 
 impl PreparedInput {
     /// The reference the prologue is pinned against: aggregates the
-    /// `gathered` input rows over `adj` — the batch's normalized input-side
-    /// adjacency — with the same dispatch kernel the model's layers use,
-    /// into buffers of `ring`. Every output row is one independent pass over
-    /// its adjacency row, so the result is bitwise what the model would have
-    /// aggregated itself.
+    /// `gathered` input rows over layer 0's adjacency as `cascade` cuts it
+    /// out of `adj` — the batch's normalized input-side adjacency — with the
+    /// same dispatch kernel the model's layers use, into buffers of `ring`,
+    /// and keeps the self rows where the cascade does. Every output row is
+    /// one independent pass over its adjacency row, so the result is
+    /// bitwise what the model would have aggregated itself.
     pub fn aggregate(
+        cascade: Cascade,
         adj: SparseView<'_>,
         gathered: &Matrix,
-        keep_self_rows: bool,
         dispatch: DispatchPolicy,
         ring: &InputRing,
     ) -> Self {
+        let (adj, self_at) = cascade.layer(0, adj);
         let (n_dst, dim) = (adj.rows(), gathered.cols());
         let mut agg = ring.take(n_dst, dim);
         dispatch.aggregate_view_into(&adj, gathered, None, &mut agg);
-        let self_rows = keep_self_rows.then(|| {
+        let self_rows = cascade.keeps_self_rows().then(|| {
             let mut rows = ring.take(n_dst, dim);
-            rows.data_mut()
-                .copy_from_slice(&gathered.data()[..n_dst * dim]);
+            for i in 0..n_dst {
+                let at = self_at.map_or(i, |pos| pos[i]);
+                rows.row_mut(i).copy_from_slice(gathered.row(at));
+            }
             rows
         });
-        PreparedInput { agg, self_rows }
+        PreparedInput {
+            agg,
+            self_rows,
+            cascade,
+        }
     }
 
     /// The prologue, the one layer-0 function the loader's workers and the
-    /// serving session share: `batch`'s input rows aggregated over its
-    /// input-side adjacency (whose values carry the fused normalization),
-    /// plus the self rows under [`Normalization::Mean`], in one pass over the
-    /// feature table (`Gather` and `Aggregate` spans of `batch_id`). Bitwise
-    /// what [`PreparedInput::aggregate`] makes of `features.gather(ids)`.
+    /// serving session share: the cascade of `batch` under a `depth`-layer
+    /// model (the model's own depth), then the batch's input rows
+    /// aggregated over layer 0's adjacency as the cascade cuts it — whose
+    /// values carry the fused normalization — plus the self rows under
+    /// [`Normalization::Mean`], in one pass over the feature table
+    /// (`Gather` and `Aggregate` spans of `batch_id`; the cascade is part of
+    /// the gather's). Bitwise what [`PreparedInput::aggregate`] makes
+    /// of `features.gather(ids)` over the same cascade. No transposes: a
+    /// forward pass reads none.
     pub fn prepare(
         batch: &SampledBatchView<'_>,
         features: &Features,
+        depth: usize,
         ring: &InputRing,
         spans: &WorkerRing,
         batch_id: u64,
     ) -> Self {
-        let (adj, ids) = (batch.input_adj(), batch.input_nodes());
-        let keep_self_rows = batch.norm() == Normalization::Mean;
-        let (n_dst, dim) = (adj.rows(), features.dim());
+        Self::prologue(batch, features, depth, false, ring, spans, batch_id)
+    }
+
+    /// [`PreparedInput::prepare`] plus every layer's transpose
+    /// ([`Cascade::transpose_layers`], inside the `Aggregate` span): what a
+    /// training loader worker hands the step, whose backward gathers over
+    /// them.
+    pub fn prepare_for_training(
+        batch: &SampledBatchView<'_>,
+        features: &Features,
+        depth: usize,
+        ring: &InputRing,
+        spans: &WorkerRing,
+        batch_id: u64,
+    ) -> Self {
+        Self::prologue(batch, features, depth, true, ring, spans, batch_id)
+    }
+
+    fn prologue(
+        batch: &SampledBatchView<'_>,
+        features: &Features,
+        depth: usize,
+        transposed: bool,
+        ring: &InputRing,
+        spans: &WorkerRing,
+        batch_id: u64,
+    ) -> Self {
+        let ids = batch.input_nodes();
+        let dim = features.dim();
+        let mut cascade = ring.take_cascade();
+        // The cascade decides which input rows layer 0 reads, so it opens
+        // the gather's span.
         let self_rows = spans.timed(SpanKind::Gather, batch_id, || {
-            keep_self_rows.then(|| {
-                let mut rows = ring.take(n_dst, dim);
-                features.gather_into(&ids[..n_dst], rows.data_mut());
+            cascade.for_view(depth, batch);
+            let (adj, self_at) = cascade.layer(0, batch.layer_adj(0));
+            cascade.keeps_self_rows().then(|| {
+                let mut rows = ring.take(adj.rows(), dim);
+                for i in 0..adj.rows() {
+                    let at = self_at.map_or(i, |pos| pos[i]);
+                    rows.row_mut(i).copy_from_slice(features.row(ids[at]));
+                }
                 rows
             })
         });
         let agg = spans.timed(SpanKind::Aggregate, batch_id, || {
-            let mut agg = ring.take(n_dst, dim);
+            if transposed {
+                cascade.transpose_layers(|l| batch.layer_adj(l));
+            }
+            let (adj, _) = cascade.layer(0, batch.layer_adj(0));
+            let mut agg = ring.take(adj.rows(), dim);
             DispatchPolicy::default().aggregate_table_into(
                 &adj,
                 features.data(),
@@ -259,7 +328,11 @@ impl PreparedInput {
             );
             agg
         });
-        PreparedInput { agg, self_rows }
+        PreparedInput {
+            agg,
+            self_rows,
+            cascade,
+        }
     }
 
     /// Retires every buffer to `ring` once the step has read them.
@@ -268,6 +341,7 @@ impl PreparedInput {
         if let Some(rows) = self.self_rows {
             ring.put(rows);
         }
+        ring.put_cascade(self.cascade);
     }
 }
 
@@ -283,20 +357,25 @@ impl PreparedInput {
 /// many operand sets as were ever in flight at once — one per worker in the
 /// channel, one per worker being filled and the consumer's, `2·n_samp + 1`
 /// (with several workers, batches that arrive early wait in the reorder heap
-/// on top) — each buffer grown to the largest operand it has carried.
+/// on top) — each buffer grown to the largest operand it has carried. A
+/// set's [`Cascade`] (slices, self-row maps, transposes) is recycled beside
+/// its buffers ([`InputRing::take_cascade`]), so a warm prologue allocates
+/// nothing.
 /// Unlike the feature cache this crate once had, whose prologue gathered
 /// `n_src × F` rows into a second pool of buffers here, the prologue reads
-/// the feature table, and the ring holds operands only.
+/// the feature table, and the ring holds only what the step reads.
 #[derive(Clone, Default)]
 pub struct InputRing {
     inner: Arc<RingInner>,
 }
 
-/// A free list of retired `f32` allocations and the count ever made.
+/// A free list of retired `f32` allocations, the count ever made, and the
+/// retired cascades whose slices and transposes the next batches reuse.
 #[derive(Default)]
 struct RingInner {
     free: Mutex<Vec<Vec<f32>>>,
     made: AtomicUsize,
+    cascades: Mutex<Vec<Cascade>>,
 }
 
 impl InputRing {
@@ -326,6 +405,17 @@ impl InputRing {
     /// Retires an operand's allocation for the next [`InputRing::take`].
     pub fn put(&self, input: Matrix) {
         self.inner.free.lock().push(input.into_data());
+    }
+
+    /// The most recently retired cascade (an empty one when none is
+    /// parked), its storage kept for the next batch to build in.
+    pub fn take_cascade(&self) -> Cascade {
+        self.inner.cascades.lock().pop().unwrap_or_default()
+    }
+
+    /// Retires a cascade's storage for the next [`InputRing::take_cascade`].
+    pub fn put_cascade(&self, cascade: Cascade) {
+        self.inner.cascades.lock().push(cascade);
     }
 
     /// Operand buffers made so far (parked or in flight).
@@ -476,6 +566,9 @@ impl PipelinedLoader {
                     // Per-worker persistent state: the scratch arena is
                     // warm after the first batch.
                     let mut scratch = SamplerScratch::new();
+                    // The depth the sampler makes batches for: the model's
+                    // (`Engine::new` holds the two equal).
+                    let depth = sampler.num_layers();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
@@ -495,9 +588,9 @@ impl PipelinedLoader {
                             let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
                             (view, view.to_owned(), view.metadata_bytes() as u64)
                         });
-                        let input = features
-                            .as_deref()
-                            .map(|f| PreparedInput::prepare(&view, f, &inputs, &ring, id));
+                        let input = features.as_deref().map(|f| {
+                            PreparedInput::prepare_for_training(&view, f, depth, &inputs, &ring, id)
+                        });
                         let scratch_allocs = scratch.allocs() - allocs_before;
                         let loaded = LoadedBatch {
                             batch,
@@ -778,7 +871,8 @@ mod tests {
                     .features(Arc::clone(&feats));
                 for (_, lb) in b.start() {
                     let gathered = feats.gather(lb.batch.input_nodes());
-                    let PreparedInput { agg, self_rows } = lb.input.expect("features requested");
+                    let PreparedInput { agg, self_rows, .. } =
+                        lb.input.expect("features requested");
                     let n_dst = lb.batch.input_adj().rows();
                     assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
                     let want = aggregated_by_hand(&lb.batch, &feats);
@@ -834,10 +928,11 @@ mod tests {
     fn fused_prologue_equals_gather_then_aggregate_bitwise() {
         // The shared prologue, reading the input rows straight out of the
         // feature table, must hand over bit for bit what gathering
-        // `X[input_nodes]` and aggregating that copy gives — and what the
-        // by-hand entry loop gives — for block and subgraph batches,
-        // GraphSAGE's `Mean` (with self rows) and GCN's `Gcn`. The SIMD-off
-        // CI stage reruns this on the scalar tier.
+        // `X[input_nodes]` and aggregating that copy over the same cascade
+        // gives — and the rows of the by-hand entry loop that layer 0
+        // computes — for block and subgraph batches, GraphSAGE's `Mean`
+        // (with self rows) and GCN's `Gcn`. The SIMD-off CI stage reruns
+        // this on the scalar tier.
         let (g, _, seeds) = setup();
         let feats = Arc::new(Features::new(
             (0..500 * 67)
@@ -862,20 +957,29 @@ mod tests {
                     let gathered = feats.gather(batch.input_nodes());
                     let gathered =
                         Matrix::from_vec(gathered.num_nodes(), 67, gathered.data().to_vec());
+                    let mut cascade = Cascade::default();
+                    cascade.for_view(2, &view);
                     let want = PreparedInput::aggregate(
+                        cascade,
                         batch.input_adj().view(),
                         &gathered,
-                        norm == Normalization::Mean,
                         DispatchPolicy::default(),
                         &InputRing::new(),
                     );
-                    let by_hand: Vec<u32> = aggregated_by_hand(&batch, &feats)
+                    let by_hand = aggregated_by_hand(&batch, &feats);
+                    let rows: Vec<usize> = match want.cascade.input_rows() {
+                        Some(rows) => rows.to_vec(),
+                        None => (0..batch.input_adj().rows()).collect(),
+                    };
+                    let by_hand: Vec<u32> = rows
                         .iter()
+                        .flat_map(|&r| &by_hand[r * 67..(r + 1) * 67])
                         .map(|x| x.to_bits())
                         .collect();
                     let who = format!("{} {norm:?} batch {i}", s.name());
                     let spans = WorkerRing::detached();
-                    let got = PreparedInput::prepare(&view, &feats, &ring, &spans, 0);
+                    let got = PreparedInput::prepare(&view, &feats, 2, &ring, &spans, 0);
+                    assert_eq!(got.cascade.input_rows(), want.cascade.input_rows(), "{who}");
                     assert!(bits(&got.agg) == bits(&want.agg), "agg: {who}");
                     assert!(bits(&got.agg) == by_hand, "agg vs the entry loop: {who}");
                     match (&got.self_rows, &want.self_rows) {

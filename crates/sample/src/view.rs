@@ -233,10 +233,12 @@ impl<'a> SampledBatchView<'a> {
         }
     }
 
-    /// The input-side adjacency — see [`SampledBatch::input_adj`].
-    pub fn input_adj(&self) -> SparseView<'a> {
+    /// Layer `l`'s full-height adjacency: block `l`, or the subgraph's,
+    /// which every layer shares. Layer 0's is the input-side adjacency (see
+    /// [`SampledBatch::input_adj`]).
+    pub fn layer_adj(&self, l: usize) -> SparseView<'a> {
         match self {
-            SampledBatchView::Blocks(mb) => mb.block(0).adj,
+            SampledBatchView::Blocks(mb) => mb.block(l).adj,
             SampledBatchView::Subgraph(sb) => sb.adj(),
         }
     }

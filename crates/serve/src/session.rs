@@ -510,7 +510,8 @@ impl ServeSession {
         }
         // A detached span ring: serving records its own spans, not the loader's.
         let (features, spans) = (&self.dataset.features, WorkerRing::detached());
-        let input = PreparedInput::prepare(&batch, features, &self.inputs, &spans, 0);
+        let depth = self.model.num_layers();
+        let input = PreparedInput::prepare(&batch, features, depth, &self.inputs, &spans, 0);
         let logits = self.model.forward_prepared(&batch, &input, None);
         input.recycle(&self.inputs);
         Ok(logits)

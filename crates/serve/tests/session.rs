@@ -424,6 +424,34 @@ fn every_response_is_the_recompute_recipe_bitwise() {
 }
 
 #[test]
+fn a_shadow_session_answers_the_recompute_bitwise() {
+    // A computed ShaDow query runs over the cascade its prologue built:
+    // layer 0 cut to the rows layer 1 reads, layer 0's operands aggregated
+    // or gathered for those rows only, the layers above over their slices.
+    // Both models at three layers, one to eight seeds: every response is
+    // the `forward_gathered_view` recompute, bit for bit.
+    let d = tiny();
+    let n = d.graph.num_nodes() as NodeId;
+    let sampler: Arc<dyn Sampler> = Arc::new(ShadowSampler::new(vec![4, 2], 3));
+    for kind in [Arch::Sage, Arch::Gcn] {
+        let mk = || Gnn::new(kind, d.feat_dim(), 8, d.num_classes, 3, 5);
+        let mut s = ServeSpec::builder(Arc::clone(&d), Arc::clone(&sampler), mk())
+            .deadline_us(0)
+            .seed(7)
+            .start();
+        let oracle = mk();
+        for i in 0..24 {
+            let q: Vec<NodeId> = (0..1 + i % 8).map(|k| (i * 53 + k * 17) % n).collect();
+            let done = s.submit(q.clone(), None).unwrap().completed;
+            let got = done[0].as_ref().unwrap();
+            let want = recomputed(&d, &*sampler, (&oracle, None), 7, &q);
+            let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got.logits) == bits(&want), "{kind:?} {q:?}");
+        }
+    }
+}
+
+#[test]
 fn a_model_narrower_or_wider_than_the_features_is_refused_at_admission() {
     let d = tiny();
     for in_dim in [d.feat_dim() - 1, d.feat_dim() + 1] {

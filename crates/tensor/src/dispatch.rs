@@ -301,7 +301,8 @@ impl DispatchPolicy {
 
     /// [`DispatchPolicy::aggregate_transpose`] into a caller-provided
     /// matrix: `adj` is transposed into this thread's transpose buffer
-    /// ([`SparseMatrix::transpose_into`]) and gathered over.
+    /// ([`SparseMatrix::transpose_into`]), then
+    /// [`DispatchPolicy::aggregate_transposed_into`] gathers over it.
     pub fn aggregate_transpose_into(
         &self,
         adj: &SparseMatrix,
@@ -311,8 +312,22 @@ impl DispatchPolicy {
     ) {
         workspace::with_transpose_buffer(|t| {
             adj.transpose_into(t);
-            self.gather(t.view(), grad, pool, out);
+            self.aggregate_transposed_into(t, grad, pool, out);
         });
+    }
+
+    /// `adjᵀ @ grad` over a transpose built beforehand: `adj_t` is
+    /// [`SparseMatrix::transpose_into`]'s output for `adj`, and the gather
+    /// over it is bitwise [`DispatchPolicy::aggregate_transpose_into`]. A
+    /// training step gathers over the transposes its loader built.
+    pub fn aggregate_transposed_into(
+        &self,
+        adj_t: &SparseMatrix,
+        grad: &Matrix,
+        pool: Option<&ThreadPool>,
+        out: &mut Matrix,
+    ) {
+        self.gather(adj_t.view(), grad, pool, out);
     }
 
     /// Weight gradient of a layer whose GEMM read `xs`: `dst = [x_0ᵀ; x_1ᵀ;
@@ -321,12 +336,13 @@ impl DispatchPolicy {
     /// its self rows and its aggregation and gets the stacked `[dW_self;
     /// dW_neigh]` in one pass over `grad`, without concatenating inputs.
     ///
-    /// Parallelized over the rows in the partition
-    /// [`ThreadPool::parallel_map_reduce`] makes: range `s` writes its
-    /// partial into block `s` of the calling thread's partials buffer
-    /// ([`crate::workspace`]), and the blocks are folded in range order
-    /// (deterministic for a fixed pool size, tolerance-level equal to
-    /// serial). A warm pooled call allocates nothing per `k × n`.
+    /// Parallelized over the rows in chunks of `⌈m / min(size, m)⌉`: range
+    /// `s` writes its partial into block `s` of the calling thread's
+    /// partials buffer ([`crate::workspace`]), one
+    /// [`ThreadPool::parallel_chunks_mut`] window each, and the blocks are
+    /// folded in range order (deterministic for a fixed pool size,
+    /// tolerance-level equal to serial). A warm pooled call allocates
+    /// nothing per `k × n`.
     pub fn grad_weights_into(
         &self,
         xs: &[&Matrix],
@@ -702,7 +718,7 @@ mod tests {
 
     #[test]
     fn pooled_grad_weights_folds_the_range_partials_in_order_bitwise() {
-        // The partition `parallel_map_reduce` makes: `⌈m / min(size, m)⌉`
+        // The pooled weight gradient's partition: `⌈m / min(size, m)⌉`
         // rows a range; each range's partial is one serial call, and the
         // pooled result is their left fold, first + second + ….
         let (m, f, o) = (70, 9, 7);

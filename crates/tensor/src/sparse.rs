@@ -144,53 +144,9 @@ impl SparseMatrix {
         self.cols = cols;
     }
 
-    /// Writes the transpose into `out`, whose three arrays are reused (a
-    /// per-thread buffer keeps its allocations from call to call): this
-    /// matrix in CSC form, held as the CSR of `selfᵀ` so that transposed
-    /// aggregation is the ordinary gather over it. A counting sort,
-    /// `O(nnz + cols)`.
-    ///
-    /// The CSR entries are visited in row-major order, so within every row
-    /// of the transpose (column of `self`) the source rows appear in
-    /// **ascending** order — the gather therefore accumulates each output
-    /// element in exactly the order the naive scatter
-    /// ([`crate::reference::spmm_transpose`]) does, and the two agree
-    /// bitwise.
+    /// [`SparseView::transpose_into`] of this matrix.
     pub fn transpose_into(&self, out: &mut SparseMatrix) {
-        let nnz = self.nnz();
-        let colptr = &mut out.indptr;
-        colptr.clear();
-        colptr.resize(self.cols + 1, 0);
-        for &j in &self.indices {
-            colptr[j as usize + 1] += 1;
-        }
-        for c in 0..self.cols {
-            colptr[c + 1] += colptr[c];
-        }
-        out.indices.clear();
-        out.indices.resize(nnz, 0);
-        let mut values = self.values.as_ref().map(|_| {
-            let mut v = out.values.take().unwrap_or_default();
-            v.clear();
-            v.resize(nnz, 0.0);
-            v
-        });
-        // `colptr[j]` is column `j`'s cursor: it ends at column `j + 1`'s
-        // start, so the shift below restores the pointers.
-        for i in 0..self.rows {
-            for k in self.row_range(i) {
-                let j = self.indices[k] as usize;
-                let slot = colptr[j] as usize;
-                colptr[j] += 1;
-                out.indices[slot] = i as u32;
-                if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
-                    dst[slot] = src[k];
-                }
-            }
-        }
-        colptr.copy_within(..self.cols, 1);
-        colptr[0] = 0;
-        (out.rows, out.cols, out.values) = (self.cols, self.rows, values);
+        self.view().transpose_into(out);
     }
 
     /// Replaces the values; structure unchanged — and not re-validated: it
@@ -381,6 +337,55 @@ impl<'a> SparseView<'a> {
             "selected entries fit u32"
         );
         (out.rows, out.cols, out.values) = (rows.len(), self.cols, values);
+    }
+
+    /// Writes the transpose into `out`, whose three arrays are reused (a
+    /// per-thread buffer keeps its allocations from call to call): this
+    /// matrix in CSC form, held as the CSR of `selfᵀ` so that transposed
+    /// aggregation is the ordinary gather over it. A counting sort,
+    /// `O(nnz + cols)`.
+    ///
+    /// The CSR entries are visited in row-major order, so within every row
+    /// of the transpose (column of `self`) the source rows appear in
+    /// **ascending** order — the gather therefore accumulates each output
+    /// element in exactly the order the naive scatter
+    /// ([`crate::reference::spmm_transpose`]) does, and the two agree
+    /// bitwise.
+    pub fn transpose_into(&self, out: &mut SparseMatrix) {
+        let nnz = self.nnz();
+        let colptr = &mut out.indptr;
+        colptr.clear();
+        colptr.resize(self.cols + 1, 0);
+        for &j in self.indices {
+            colptr[j as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            colptr[c + 1] += colptr[c];
+        }
+        out.indices.clear();
+        out.indices.resize(nnz, 0);
+        let mut values = self.values.map(|_| {
+            let mut v = out.values.take().unwrap_or_default();
+            v.clear();
+            v.resize(nnz, 0.0);
+            v
+        });
+        // `colptr[j]` is column `j`'s cursor: it ends at column `j + 1`'s
+        // start, so the shift below restores the pointers.
+        for i in 0..self.rows {
+            for k in self.row_range(i) {
+                let j = self.indices[k] as usize;
+                let slot = colptr[j] as usize;
+                colptr[j] += 1;
+                out.indices[slot] = i as u32;
+                if let (Some(dst), Some(src)) = (values.as_mut(), self.values) {
+                    dst[slot] = src[k];
+                }
+            }
+        }
+        colptr.copy_within(..self.cols, 1);
+        colptr[0] = 0;
+        (out.rows, out.cols, out.values) = (self.cols, self.rows, values);
     }
 
     /// Materializes an owned [`SparseMatrix`] — the fallback at ownership

@@ -103,32 +103,55 @@ fn run<'a>(arch: Arch, scratch: &'a mut SamplerScratch) -> SampleRun<'a> {
     SampleRun::new(SeedSequence::new(5), scratch).with_norm(arch.normalization())
 }
 
+/// A warm sampler call, and a warm prologue over its view: serving's
+/// `prepare` (layer-0 operands and the cascade — for ShaDow[10,5]×3 a
+/// three-layer cascade), the loader's transpose build alone, and the
+/// loader's `prepare_for_training`, which runs both. The ring hands back
+/// the operand buffers and the cascade a call retired.
 #[test]
 fn warm_sampling_and_prologue_allocate_nothing() {
     let d = dataset();
     let seeds = seeds(&d);
     let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-    for (arch, sampler, _) in tasks() {
+    for (arch, sampler, depth) in tasks() {
+        let name = sampler.name();
         let mut scratch = SamplerScratch::new();
         let sample = warm_allocs(|| {
             sampler.sample_into(&d.graph, &seeds, run(arch, &mut scratch));
         });
-        assert_eq!(sample, 0, "{}: sample_into", sampler.name());
+        assert_eq!(sample, 0, "{name}: sample_into");
         let view = sampler.sample_into(&d.graph, &seeds, run(arch, &mut scratch));
         let prepare = warm_allocs(|| {
-            PreparedInput::prepare(&view, &d.features, &ring, &spans, 0).recycle(&ring);
+            PreparedInput::prepare(&view, &d.features, depth, &ring, &spans, 0).recycle(&ring);
         });
-        assert_eq!(prepare, 0, "{}: PreparedInput::prepare", sampler.name());
+        assert_eq!(prepare, 0, "{name}: PreparedInput::prepare");
+        let mut input = PreparedInput::prepare(&view, &d.features, depth, &ring, &spans, 0);
+        if name == "ShaDow" {
+            assert!(input.cascade.first() < depth, "{name}: the cascade cuts");
+        }
+        let transposes = warm_allocs(|| input.cascade.transpose_layers(|l| view.layer_adj(l)));
+        assert_eq!(transposes, 0, "{name}: Cascade::transpose_layers");
+        input.recycle(&ring);
+        let training = warm_allocs(|| {
+            PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0)
+                .recycle(&ring);
+        });
+        assert_eq!(training, 0, "{name}: PreparedInput::prepare_for_training");
     }
 }
 
 /// One batch of `sampler` as the engine's training thread receives it: the
 /// owned batch and what the loader prepared for it.
-fn loaded(d: &Dataset, arch: Arch, sampler: &dyn Sampler) -> (SampledBatch, PreparedInput) {
+fn loaded(
+    d: &Dataset,
+    arch: Arch,
+    sampler: &dyn Sampler,
+    depth: usize,
+) -> (SampledBatch, PreparedInput) {
     let mut scratch = SamplerScratch::new();
     let view = sampler.sample_into(&d.graph, &seeds(d), run(arch, &mut scratch));
     let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-    let input = PreparedInput::prepare(&view, &d.features, &ring, &spans, 0);
+    let input = PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0);
     (view.to_owned(), input)
 }
 
@@ -139,7 +162,7 @@ fn loaded(d: &Dataset, arch: Arch, sampler: &dyn Sampler) -> (SampledBatch, Prep
 fn warm_training_step_allocates_nothing() {
     let d = dataset();
     for (arch, sampler, depth) in tasks() {
-        let (batch, input) = loaded(&d, arch, &*sampler);
+        let (batch, input) = loaded(&d, arch, &*sampler, depth);
         for policy in [
             DispatchPolicy::default(),
             DispatchPolicy::default().force_scalar(),

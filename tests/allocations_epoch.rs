@@ -11,16 +11,21 @@
 //!   loader's channel;
 //! * thread spawns: each rank's scoped thread and its loader's named
 //!   sampler threads, spawned and joined;
-//! * kernel buffers: the per-thread pack and transpose buffers each fresh
-//!   rank thread grows in its first step;
+//! * kernel buffers: the per-thread pack, transposed-weight and partials
+//!   buffers each fresh rank thread grows in its first step;
 //! * `params` and `opt` clones: each rank's copy of the master parameters
 //!   and optimizer state;
 //! * the channel: the loader's bounded channel, made and used once per
-//!   batch.
+//!   batch;
+//! * the carried cascades: the needed-row cascade and the per-layer
+//!   transposes a loader worker builds into the storage its ring recycles
+//!   (`2·n_samp + 1` sets in flight per rank), which grows for a batch
+//!   larger than any that storage carried — counted over a second pass of
+//!   batches after a first one warmed it, as a warm epoch follows another.
 //!
 //! What is left is per-epoch setup (the seed split, the loader, the span
-//! rings, the core plan) and buffers that grow for a batch larger than any
-//! before it. The test prints the table (`--nocapture`) and pins no count:
+//! rings, the core plan) and the other buffers that grow for a batch larger
+//! than any before it: the ring's operand buffers and the step's workspace. The test prints the table (`--nocapture`) and pins no count:
 //! the total is not reproducible — twenty runs of this binary gave two or
 //! three different totals for each row, a few allocations apart, as the
 //! ranks' and loaders' threads interleave differently — and consecutive
@@ -36,7 +41,8 @@ use argo::graph::datasets::FLICKR;
 use argo::nn::{AnyOptimizer, Arch, Gnn};
 use argo::rt::{SeedSequence, WorkerRing};
 use argo::sample::{
-    InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+    Cascade, InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch,
+    ShadowSampler,
 };
 
 /// Counts every `alloc` (`alloc_zeroed` included, through the default
@@ -97,7 +103,7 @@ fn warm_epoch_allocations_per_batch_by_source() {
         ];
         println!(
             "warm epoch allocations per batch: total = to_owned + spawns + kernel buffers + \
-             params/opt + channel + rest"
+             params/opt + channel + cascades + rest"
         );
         for (name, kind, sampler) in tasks {
             for config in [Config::new(1, 1, 1), Config::new(2, 1, 1)] {
@@ -135,8 +141,9 @@ fn warm_epoch_allocations_per_batch_by_source() {
 
 /// The named sources' allocations in one epoch of `e` under `config`
 /// (`batches` of them over all ranks): `to_owned`, thread spawns, the fresh
-/// rank threads' kernel buffers, `params`/`opt` clones and the channel.
-fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 5] {
+/// rank threads' kernel buffers, `params`/`opt` clones, the channel and the
+/// carried cascades.
+fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 6] {
     let (d, sampler, opts) = (e.dataset(), e.sampler(), e.options());
     let (n_proc, n_samp) = (config.n_proc, config.n_samp);
     let local = (opts.global_batch / n_proc).max(1);
@@ -164,7 +171,8 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 5] {
     // A warm model's step, on a warm thread and then on a fresh one.
     let batch = view.to_owned();
     let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-    let input = PreparedInput::prepare(&view, &d.features, &ring, &spans, 0);
+    let depth = opts.num_layers;
+    let input = PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0);
     let mut m: Gnn = e.model();
     m.train_step_prepared(&batch, &input, &d.labels, None);
     let kernel_buffers = n_proc
@@ -186,5 +194,40 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 5] {
             }
         })
         .0;
-    [to_owned, spawns, kernel_buffers, clones, channel]
+    let cascades = n_proc * cascade_growth(e, config, batches / n_proc);
+    [to_owned, spawns, kernel_buffers, clones, channel, cascades]
+}
+
+/// What one rank's carried cascades allocate over `per_rank` batches once
+/// warm: `2·n_samp + 1` cascades, as many as the rank's ring holds in
+/// flight, take the batches in turn and build each one's cascade and
+/// transposes, as `PreparedInput::prepare_for_training` does. A first pass
+/// warms them; a second, over batches drawn from other streams, is counted.
+fn cascade_growth(e: &Engine, config: Config, per_rank: usize) -> usize {
+    let (d, sampler, opts) = (e.dataset(), e.sampler(), e.options());
+    let local = (opts.global_batch / config.n_proc).max(1);
+    let mut cascades: Vec<Cascade> = (0..2 * config.n_samp + 1)
+        .map(|_| Cascade::default())
+        .collect();
+    let mut scratch = SamplerScratch::new();
+    let mut counted = 0;
+    for pass in 0..2u64 {
+        for i in 0..per_rank {
+            let lo = (i * local) % d.train_nodes.len();
+            let seeds = &d.train_nodes[lo..(lo + local).min(d.train_nodes.len())];
+            let stream = SeedSequence::new(SeedSequence::new(pass).seed_for(pass, i as u64));
+            let run = SampleRun::new(stream, &mut scratch).with_norm(opts.kind.normalization());
+            let view = sampler.sample_into(&d.graph, seeds, run);
+            let n = cascades.len();
+            let cascade = &mut cascades[i % n];
+            let (allocs, ()) = allocs_in(|| {
+                cascade.for_view(opts.num_layers, &view);
+                cascade.transpose_layers(|l| view.layer_adj(l));
+            });
+            if pass == 1 {
+                counted += allocs;
+            }
+        }
+    }
+    counted
 }
