@@ -215,7 +215,7 @@ fn cascade_growth(e: &Engine, config: Config, per_rank: usize) -> usize {
         for i in 0..per_rank {
             let lo = (i * local) % d.train_nodes.len();
             let seeds = &d.train_nodes[lo..(lo + local).min(d.train_nodes.len())];
-            let stream = SeedSequence::new(SeedSequence::new(pass).seed_for(pass, i as u64));
+            let stream = SeedSequence::new(pass << 32 | i as u64);
             let run = SampleRun::new(stream, &mut scratch).with_norm(opts.kind.normalization());
             let view = sampler.sample_into(&d.graph, seeds, run);
             let n = cascades.len();
