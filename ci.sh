@@ -33,10 +33,10 @@ if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
 fi
 rm -rf "$cli_dir"
 
-echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
+echo "==> micro_kernels quick perf gate (the scalar column must not lose to serial where it times different code: the dX GEMM over the transposed weight vs the naive dot, the fused SAGE forward vs concat + matmul, and the transposed SpMM gather vs the scatter at 0.95x; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
-echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path: the scalar dX, the GEMM over the transposed weight, bitwise equal to the naive dot for the full width and both SAGE windows, serial and pooled; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f, dX through the GEMM, and the scalar mul_add oracle pin of the GEMM, weight-gradient (narrow columns too) and dX-on-tile sequences at each vector width the host has)"
+echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (the scalar tier is the reference row forms: the GEMM and dW run reference::gemm_rows_into / transpose_self_rows_into, and dX is the row-form GEMM over the transposed weight, bitwise equal to the naive dot for the full width and both SAGE windows, serial and pooled; a NaN or an inf behind an exact zero reaches the output; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f, dX through the GEMM, and the scalar mul_add oracle pin of the GEMM, weight-gradient (narrow columns too) and dX-on-tile sequences at each vector width the host has)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue — one pass over the feature table, no gathered copy — recorded, ungated)"

@@ -9,18 +9,24 @@
 //! (GFLOP/s and speedup-vs-serial per kernel and shape, and its
 //! provenance: commit, rustc, CPU model, vCPUs) so future PRs can diff
 //! kernel performance against this baseline. Columns: `serial` is
-//! `argo_tensor::reference` (the naive loops), `blocked` the scalar tier
+//! `argo_tensor::reference` (the naive loops), `scalar` the scalar tier
 //! (`force_scalar()`), `simd` the default tier run inline (AVX-512 or
 //! AVX2+FMA on hosts that have it, scalar otherwise; `simd_tier` in the JSON
 //! names which), and `pool` the default policy
 //! handed a 4-worker pool — what production routes. A row whose shape the
 //! dispatch constants keep inline has no `pool` column: it would time the
-//! `simd` kernel a second time.
+//! `simd` kernel a second time. The scalar tier's GEMM and weight gradient
+//! *are* the reference loops, so the `gemm`, `grad_weights` and
+//! `sage_grad_weights` rows have no `scalar` column: it would time `serial`
+//! again. The rows that keep it time different code: the input gradient
+//! (the GEMM over `Wᵀ` vs the naive dot), the fused SAGE GEMM (windowed
+//! GEMM vs concat + matmul) and the transposed SpMM (a gather vs the
+//! scatter).
 //!
 //! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: a smaller train-step
-//! batch, and a sanity perf gate — the process exits non-zero
-//! if any blocked kernel is slower than its naive serial counterpart at
-//! the large shape (generous 1.0× threshold), or if a SIMD kernel loses to
+//! batch, and a sanity perf gate — the process exits non-zero if a gated
+//! scalar column is slower than its naive serial counterpart (generous 1.0×
+//! threshold; 0.95× for the transposed SpMM), or if a SIMD kernel loses to
 //! the tier below it (1.0× floor for the GEMM family, [`GATHER_SIMD_FLOOR`]
 //! for the memory-bound SpMM gathers; pool speedups are *recorded* but never
 //! gated, since CI may have a single core). A row that reads under a floor
@@ -122,26 +128,28 @@ struct KernelRow {
     shape: String,
     flops: f64,
     serial_s: f64,
-    blocked_s: Option<f64>,
+    /// The scalar tier, on the rows where it runs different code from
+    /// `serial`.
+    scalar_s: Option<f64>,
     simd_s: Option<f64>,
     /// `None` when the dispatch constants keep this shape off the pool.
     pool_s: Option<f64>,
-    /// Quick-mode perf-gate floor for blocked-vs-serial speedup, when
-    /// gated: 1.0 for the blocked GEMMs (generous — they sit at 1.2x+),
-    /// 0.95 for the CSC transpose, which is parity-by-design on one core
-    /// (its win is parallelizability) and only needs to not regress.
-    gate_min: Option<f64>,
-    /// Quick-mode floor for SIMD vs the tier directly below it (blocked
-    /// when present, else serial): 1.0 for the FMA GEMM family,
+    /// Quick-mode perf-gate floor for scalar-vs-serial speedup, when
+    /// gated: 1.0 for the input gradient and the fused SAGE GEMM, 0.95 for
+    /// the CSC transpose, which is parity-by-design on one core (its win is
+    /// parallelizability) and only needs to not regress.
+    scalar_gate_min: Option<f64>,
+    /// Quick-mode floor for SIMD vs the tier directly below it (scalar
+    /// when the row has it, else serial): 1.0 for the FMA GEMM family,
     /// [`GATHER_SIMD_FLOOR`] for the memory-bound SpMM gathers.
     simd_gate_min: Option<f64>,
 }
 
 impl KernelRow {
-    /// The tier the SIMD column is gated against: blocked when the kernel
-    /// has one, naive serial otherwise (the SpMM rows).
+    /// The tier the SIMD column is gated against: the scalar column when
+    /// the row has one, naive serial otherwise.
     fn simd_baseline_s(&self) -> f64 {
-        self.blocked_s.unwrap_or(self.serial_s)
+        self.scalar_s.unwrap_or(self.serial_s)
     }
 
     fn to_json(&self) -> Json {
@@ -158,10 +166,10 @@ impl KernelRow {
             fields.push(("pool_gflops", Json::Num(gflops(p))));
             fields.push(("speedup_pool", Json::Num(self.serial_s / p)));
         }
-        if let Some(b) = self.blocked_s {
-            fields.push(("blocked_ms", Json::Num(b * 1e3)));
-            fields.push(("blocked_gflops", Json::Num(gflops(b))));
-            fields.push(("speedup_blocked", Json::Num(self.serial_s / b)));
+        if let Some(c) = self.scalar_s {
+            fields.push(("scalar_ms", Json::Num(c * 1e3)));
+            fields.push(("scalar_gflops", Json::Num(gflops(c))));
+            fields.push(("speedup_scalar", Json::Num(self.serial_s / c)));
         }
         if let Some(s) = self.simd_s {
             fields.push(("simd_ms", Json::Num(s * 1e3)));
@@ -208,7 +216,7 @@ fn main() {
     let samples = if quick { 8 } else { 5 };
     let pool = ThreadPool::new("bench", 4);
     // `policy` is the dispatch default (what production routes), `scalar`
-    // pins the scalar tier for the blocked column.
+    // pins the scalar tier for the scalar column.
     let policy = DispatchPolicy::default();
     let scalar = policy.force_scalar();
     // The pool column of a dense / sparse row, when the policy uses the pool
@@ -222,24 +230,23 @@ fn main() {
     let mut rows: Vec<KernelRow> = Vec::new();
 
     // -- GEMM: small and large shapes, and the training step's forward GEMM
-    // (layer 1 of `train_neighbor_sage`). Each row's floors: blocked vs
-    // serial, simd vs blocked. --
-    for (m, k, n, gate_min, simd_gate_min) in [
-        (256, 64, 32, None, None),
-        (1024, 256, 128, Some(1.0), Some(1.0)),
-        (4566, 64, 128, None, Some(1.0)),
+    // (layer 1 of `train_neighbor_sage`). The floor: simd vs serial, which
+    // is the scalar tier's loop. --
+    for (m, k, n, simd_gate_min) in [
+        (256, 64, 32, None),
+        (1024, 256, 128, Some(1.0)),
+        (4566, 64, 128, Some(1.0)),
     ] {
         let a = Matrix::xavier(m, k, 1);
         let b = Matrix::xavier(k, n, 2);
-        let [serial, blocked, simd] = time_gated(
+        let [serial, simd] = time_gated(
             "gemm",
             samples,
             [
                 &mut || drop(black_box(reference::matmul(&a, &b))),
-                &mut || drop(black_box(scalar.gemm(&a, &b, None))),
                 &mut || drop(black_box(policy.gemm(&a, &b, None))),
             ],
-            [None, gate_min, simd_gate_min],
+            [None, simd_gate_min],
         );
         let pooled = dense_pool(m).map(|p| time_min(samples, || policy.gemm(&a, &b, Some(p))));
         rows.push(KernelRow {
@@ -247,10 +254,10 @@ fn main() {
             shape: format!("{m}x{k}x{n}"),
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
-            blocked_s: Some(blocked),
+            scalar_s: None,
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min,
+            scalar_gate_min: None,
             simd_gate_min,
         });
     }
@@ -258,22 +265,17 @@ fn main() {
     // -- Weight gradient dW = Xᵀ dY: a reduction over 4096 rows, the
     // training step's over 4544, and the ShaDow-GCN classifier's narrow
     // 128 × 7 over a 1751-row subgraph. --
-    for (m, k, n, gate_min) in [
-        (4096, 64, 32, Some(1.0)),
-        (4544, 64, 128, None),
-        (1751, 128, 7, None),
-    ] {
+    for (m, k, n) in [(4096, 64, 32), (4544, 64, 128), (1751, 128, 7)] {
         let x = Matrix::xavier(m, k, 3);
         let g = Matrix::xavier(m, n, 4);
-        let [serial, blocked, simd] = time_gated(
+        let [serial, simd] = time_gated(
             "grad_weights",
             samples,
             [
                 &mut || drop(black_box(reference::matmul_transpose_self(&x, &g))),
-                &mut || drop(black_box(scalar.grad_weights(&x, &g, None))),
                 &mut || drop(black_box(policy.grad_weights(&x, &g, None))),
             ],
-            [None, gate_min, Some(1.0)],
+            [None, Some(1.0)],
         );
         let pooled =
             dense_pool(m).map(|p| time_min(samples, || policy.grad_weights(&x, &g, Some(p))));
@@ -282,10 +284,10 @@ fn main() {
             shape: format!("{m}x{k}x{n}"),
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
-            blocked_s: Some(blocked),
+            scalar_s: None,
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min,
+            scalar_gate_min: None,
             simd_gate_min: Some(1.0),
         });
     }
@@ -299,7 +301,7 @@ fn main() {
     ] {
         let g = Matrix::xavier(m, n, 5);
         let w = Matrix::xavier(k, n, 6);
-        let [serial, blocked, simd] = time_gated(
+        let [serial, scalar_s, simd] = time_gated(
             "grad_input",
             samples,
             [
@@ -316,15 +318,16 @@ fn main() {
             shape: format!("{m}x{n}x{k}"),
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
-            blocked_s: Some(blocked),
+            scalar_s: Some(scalar_s),
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min,
+            scalar_gate_min: gate_min,
             simd_gate_min: Some(1.0),
         });
     }
 
-    // -- SpMM (forward aggregation): no blocked variant. --
+    // -- SpMM (forward aggregation): the scalar row step is the serial
+    // column. --
     let adj = random_csr(4096, 4096, 16);
     // 4096 x 16 x 64 ≈ 4.2 M multiply-adds: below the sparse work constant,
     // so neither SpMM row has a pool column.
@@ -351,10 +354,10 @@ fn main() {
             shape: "4096x4096_nnz16_d64".to_string(),
             flops: 2.0 * (adj.nnz() * 64) as f64,
             serial_s: serial,
-            blocked_s: None,
+            scalar_s: None,
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min: None,
+            scalar_gate_min: None,
             simd_gate_min: Some(GATHER_SIMD_FLOOR),
         });
     }
@@ -383,10 +386,10 @@ fn main() {
             shape: "4096x4096_nnz16_d64".to_string(),
             flops: 2.0 * (adj.nnz() * 64) as f64,
             serial_s: serial,
-            blocked_s: Some(csc),
+            scalar_s: Some(csc),
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min: Some(0.95),
+            scalar_gate_min: Some(0.95),
             simd_gate_min: Some(GATHER_SIMD_FLOOR),
         });
     }
@@ -434,7 +437,7 @@ fn main() {
     // -- Fused GraphSAGE GEMM (self rows and aggregation against the stacked
     // weight, bias + ReLU) vs the materialized concat reference: the
     // 4096-row shape, `train_neighbor_sage`'s layer 0 (4600 rows, 64‖64 ->
-    // 128) and two serving-size batches at its widths. Blocked vs serial is
+    // 128) and two serving-size batches at its widths. Scalar vs serial is
     // gated at the first shape only. --
     for (n_dst, f, o, gate_min) in [
         (4096, 64, 32, Some(1.0)),
@@ -448,7 +451,7 @@ fn main() {
         let bias = vec![0.01f32; o];
         let ids: Vec<u32> = (0..n_dst as u32).collect();
         let epi = Epilogue::bias_relu(&bias);
-        let [serial, blocked, simd] = time_gated(
+        let [serial, scalar_s, simd] = time_gated(
             "sage_fused_gemm",
             samples,
             [
@@ -483,24 +486,25 @@ fn main() {
             shape: format!("{n_dst}x{}x{o}", 2 * f),
             flops: 2.0 * (n_dst * 2 * f * o) as f64,
             serial_s: serial,
-            blocked_s: Some(blocked),
+            scalar_s: Some(scalar_s),
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min,
+            scalar_gate_min: gate_min,
             simd_gate_min: Some(1.0),
         });
     }
 
     // -- The stacked GraphSAGE weight gradient `[dW_self; dW_neigh]` of
-    // `train_neighbor_sage`'s layer 0 vs the concat reference. --
+    // `train_neighbor_sage`'s layer 0 vs the concat reference (the scalar
+    // tier runs the same loops over the two operands in turn). --
     {
         let (n_dst, f, o) = (4600, 64, 128);
         let h = Matrix::xavier(n_dst + 1024, f, 12);
         let agg = Matrix::xavier(n_dst, f, 13);
         let g = Matrix::xavier(n_dst, o, 14);
         let ids: Vec<u32> = (0..n_dst as u32).collect();
-        let (mut dw_scalar, mut dw_simd) = (Matrix::zeros(2 * f, o), Matrix::zeros(2 * f, o));
-        let [serial, blocked, simd] = time_gated(
+        let mut dw_simd = Matrix::zeros(2 * f, o);
+        let [serial, simd] = time_gated(
             "sage_grad_weights",
             samples,
             [
@@ -508,10 +512,9 @@ fn main() {
                     let cat = h.gather_rows(&ids).concat_cols(&agg);
                     black_box(reference::matmul_transpose_self(&cat, &g));
                 },
-                &mut || scalar.grad_weights_into(&[&h, &agg], &g, None, black_box(&mut dw_scalar)),
                 &mut || policy.grad_weights_into(&[&h, &agg], &g, None, black_box(&mut dw_simd)),
             ],
-            [None, None, Some(1.0)],
+            [None, Some(1.0)],
         );
         let mut dw_pool = Matrix::zeros(2 * f, o);
         let pooled = dense_pool(n_dst).map(|p| {
@@ -524,10 +527,10 @@ fn main() {
             shape: format!("{n_dst}x{}x{o}", 2 * f),
             flops: 2.0 * (n_dst * 2 * f * o) as f64,
             serial_s: serial,
-            blocked_s: Some(blocked),
+            scalar_s: None,
             simd_s: Some(simd),
             pool_s: pooled,
-            gate_min: None,
+            scalar_gate_min: None,
             simd_gate_min: Some(1.0),
         });
     }
@@ -571,7 +574,7 @@ fn main() {
     );
     println!(
         "{:<18} {:<22} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
-        "kernel", "shape", "serial ms", "blocked", "simd", "pool", "blk x", "simd x", "pool x"
+        "kernel", "shape", "serial ms", "scalar", "simd", "pool", "scal x", "simd x", "pool x"
     );
     for r in &rows {
         println!(
@@ -579,14 +582,14 @@ fn main() {
             r.name,
             r.shape,
             r.serial_s * 1e3,
-            r.blocked_s
-                .map_or("-".to_string(), |b| format!("{:.3}", b * 1e3)),
+            r.scalar_s
+                .map_or("-".to_string(), |c| format!("{:.3}", c * 1e3)),
             r.simd_s
                 .map_or("-".to_string(), |s| format!("{:.3}", s * 1e3)),
             r.pool_s
                 .map_or("-".to_string(), |p| format!("{:.3}", p * 1e3)),
-            r.blocked_s
-                .map_or("-".to_string(), |b| format!("{:.2}", r.serial_s / b)),
+            r.scalar_s
+                .map_or("-".to_string(), |c| format!("{:.2}", r.serial_s / c)),
             r.simd_s
                 .map_or("-".to_string(), |s| format!("{:.2}", r.serial_s / s)),
             r.pool_s
@@ -670,18 +673,18 @@ fn main() {
         Err(e) => eprintln!("\nfailed to write {}: {e}", out_path.display()),
     }
 
-    // -- Quick-mode perf gate: blocked must not lose to naive serial, and
-    // SIMD must not lose to the tier directly below it. The SIMD gate only
+    // -- Quick-mode perf gate: a gated scalar column must not lose to naive
+    // serial, and SIMD must not lose to the tier directly below it. The SIMD gate only
     // bites on hosts where a SIMD tier is actually live; on scalar
     // fallback hosts both sides run the same kernels and sit at ~1.0x.
     if quick {
         let mut failed = false;
         for r in &rows {
-            if let (Some(floor), Some(b)) = (r.gate_min, r.blocked_s) {
-                let speedup = r.serial_s / b;
+            if let (Some(floor), Some(c)) = (r.scalar_gate_min, r.scalar_s) {
+                let speedup = r.serial_s / c;
                 if speedup < floor {
                     eprintln!(
-                        "PERF GATE: {} @ {} blocked is slower than serial \
+                        "PERF GATE: {} @ {} scalar is slower than serial \
                          ({speedup:.2}x < required {floor:.2}x)",
                         r.name, r.shape
                     );
@@ -704,7 +707,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "perf gate OK: no blocked kernel regresses against serial, \
+            "perf gate OK: no gated scalar kernel regresses against serial, \
              no simd kernel regresses against the tier below"
         );
     }

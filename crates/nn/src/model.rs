@@ -1,7 +1,7 @@
 //! GCN / GraphSAGE models with manual forward and backward passes.
 //!
-//! Every matmul/SpMM goes through the crate-wide [`DispatchPolicy`] (blocked
-//! kernels, serial vs pool-parallel decided in one place), bias+ReLU are
+//! Every matmul/SpMM goes through the crate-wide [`DispatchPolicy`] (kernel
+//! tier and serial vs pool-parallel decided in one place), bias+ReLU are
 //! fused into the GEMM write-back, GraphSAGE's `[h ‖ agg]` concatenation is
 //! eliminated by multiplying against the self/neighbor halves of the stacked
 //! weight, and activations/gradient buffers round-trip through a per-model

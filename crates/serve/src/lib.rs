@@ -5,7 +5,7 @@
 //! for "embed/classify these seed nodes" arrive continuously, and the
 //! latency target is a *tail* (p99), not epoch throughput. This crate
 //! reuses the training substrate — the zero-allocation samplers, the
-//! loader's layer-0 prologue over the feature table, the blocked forward
+//! loader's layer-0 prologue over the feature table, the dispatched forward
 //! kernels — behind a request loop built from three pieces. Unlike the
 //! feature cache the sessions once had in front of that table, which only
 //! traded one DRAM row copy for another (DESIGN.md §7), the one cache left

@@ -10,10 +10,10 @@
 //!
 //! * **Two tiers.** SIMD (`simd.rs`: the dense kernels at the host's
 //!   vector width, AVX-512 or AVX2+FMA, bitwise equal at both) and the
-//!   blocked scalar kernels it falls back to (`kernels.rs`). Each kernel
-//!   takes the policy's `use_simd` and picks its tier once.
-//!   [`mod@crate::reference`] holds the naive oracles tests and benches
-//!   compare against, which are not a tier.
+//!   scalar tier it falls back to, which for the dense kernels is the row
+//!   forms of [`mod@crate::reference`] — the same loops the tests' oracles
+//!   run. Each kernel takes the policy's `use_simd` and picks its tier
+//!   once.
 //! * **One runner.** Forward GEMM, input gradients (the same GEMM, over
 //!   the transposed weight window) and the CSR gather partition **output
 //!   rows**: each is one closure handed to
@@ -112,8 +112,10 @@ impl Default for DispatchPolicy {
 
 impl DispatchPolicy {
     /// This policy with the SIMD tier disabled: every kernel runs the
-    /// scalar blocked implementation even on AVX2+FMA hosts. The scalar
-    /// tier is the bitwise reference the SIMD contract is tested against.
+    /// scalar tier even on AVX2+FMA hosts — for the dense kernels the
+    /// reference row forms ([`crate::reference::gemm_rows_into`],
+    /// [`crate::reference::transpose_self_rows_into`]), for SpMM the scalar
+    /// row step. The SIMD contract is tested against it.
     pub fn force_scalar(self) -> Self {
         Self { simd: false }
     }
@@ -159,14 +161,14 @@ impl DispatchPolicy {
             .filter(|_| work >= SPARSE_WORK_THRESHOLD)
     }
 
-    /// Blocked GEMM `a @ b`, no epilogue.
+    /// GEMM `a @ b`, no epilogue.
     pub fn gemm(&self, a: &Matrix, b: &Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         self.gemm_into(a, b, Epilogue::none(), pool, &mut out);
         out
     }
 
-    /// Blocked GEMM `out = a @ b` with the epilogue fused into each
+    /// GEMM `out = a @ b` with the epilogue fused into each
     /// worker's write-back.
     pub fn gemm_into(
         &self,
@@ -783,7 +785,7 @@ mod tests {
     /// window, equals the naive dot bitwise: over the full stacked weight
     /// and SAGE's two windows of it, inline and on every pool size, at
     /// depths `o` from a toy 3 through the classifier's 7 and a hidden
-    /// layer's 128 to one past the `KC` block.
+    /// layer's 128 to 300.
     #[test]
     fn grad_input_window_equals_split_reference() {
         let pools = POOL_SIZES.map(|size| ThreadPool::new("t", size));

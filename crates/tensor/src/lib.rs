@@ -10,9 +10,11 @@
 //! [`DispatchPolicy`], which runs each operation inline or row-partitioned
 //! over an [`argo_rt::ThreadPool`] — so the engine can bind the compute to
 //! the *training cores* chosen by the auto-tuner — on one of two tiers
-//! (SIMD — AVX-512 or AVX2+FMA, by the host — or the blocked scalar kernels
-//! it falls back to; [`simd_tier`] names the one this process runs).
-//! [`mod@reference`] holds the naive oracles tests and benches compare against.
+//! (SIMD — AVX-512 or AVX2+FMA, by the host — or the scalar tier it falls
+//! back to; [`simd_tier`] names the one this process runs). The scalar
+//! tier's dense kernels are the row forms of [`mod@reference`], whose
+//! whole-matrix loops are also the oracles tests and benches compare
+//! against.
 
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -20,7 +22,6 @@
 
 pub mod dense;
 pub mod dispatch;
-mod kernels;
 pub mod ops;
 pub mod reference;
 #[allow(unsafe_code, clippy::disallowed_types)]

@@ -1,58 +1,79 @@
-//! Naive reference kernels — the oracles, not a tier.
+//! The reference kernels: the obvious loops, and the scalar tier. Per
+//! output element each adds every contribution, skipping none (a NaN or an
+//! ∞ behind an exact zero reaches the output), one at a time in ascending
+//! order, with a separate multiply and add.
 //!
-//! Production code has two kernel tiers: SIMD (`simd.rs`: AVX2+FMA, or
-//! AVX-512 for the dense kernels) and the blocked scalar kernels it falls
-//! back to (`kernels.rs`), both
-//! reached only through [`crate::DispatchPolicy`]. The functions here are
-//! the obvious loops those tiers are tested and benchmarked against: per
-//! output element they add the contributions one at a time in ascending
-//! order, which is the order the scalar tier and the CSR gather preserve —
-//! so the bitwise pins in `tests/kernel_properties.rs` compare against
-//! these, and the `serial` column of `micro_kernels` times them. Only tests
-//! and benches call them (the `kernel-dispatch` rule of
-//! `crates/check/tests/hot_paths.rs` keeps `reference::` out of model,
-//! engine and serving code).
+//! The row forms [`gemm_rows_into`] and [`transpose_self_rows_into`] *are*
+//! the scalar tier's dense kernels: [`crate::DispatchPolicy`] runs them over
+//! its pool's row ranges without AVX2+FMA, under `ARGO_SIMD=off` and under
+//! `force_scalar`; its scalar input gradient is [`gemm_rows_into`] over the
+//! transposed weight window, term for term [`matmul_transpose_other`]'s dot.
+//! The whole-matrix functions are the oracles of the bitwise pins in
+//! `tests/kernel_properties.rs` and the `serial` column of `micro_kernels`.
+//! Model, engine and serving code reach kernels only through the dispatch:
+//! the `kernel-dispatch` rule (`crates/check/src/rules.rs`) keeps
+//! `reference::` out of them.
+
+use std::ops::Range;
 
 use crate::dense::Matrix;
 use crate::sparse::SparseMatrix;
 
-/// `a @ b` (ikj-ordered).
+/// `a @ b`: [`gemm_rows_into`] over every row.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    gemm_rows_into(a, 0..a.rows(), b, 0, out.data_mut());
+    out
+}
+
+/// `dst += A[rows] @ B[b_row_offset..b_row_offset + a.cols()]`: the GEMM
+/// against a row window of `b` (GraphSAGE's two halves of one stacked
+/// weight), into the row-major `rows.len() × b.cols()` `dst` (ikj-ordered).
+pub fn gemm_rows_into(
+    a: &Matrix,
+    rows: Range<usize>,
+    b: &Matrix,
+    b_row_offset: usize,
+    dst: &mut [f32],
+) {
     let n = b.cols();
-    let mut out = Matrix::zeros(a.rows(), n);
-    for i in 0..a.rows() {
-        let drow = &mut out.data_mut()[i * n..(i + 1) * n];
+    assert!(b_row_offset + a.cols() <= b.rows(), "gemm B row window");
+    assert_eq!(dst.len(), rows.len() * n, "gemm dst shape");
+    for (r, i) in rows.enumerate() {
+        let drow = &mut dst[r * n..(r + 1) * n];
         for (k, &av) in a.row(i).iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            for (d, &bv) in drow.iter_mut().zip(b.row(k)) {
+            for (d, &bv) in drow.iter_mut().zip(b.row(b_row_offset + k)) {
                 *d += av * bv;
             }
         }
     }
+}
+
+/// `aᵀ @ b` (weight gradients: `dW = Xᵀ dY`): [`transpose_self_rows_into`]
+/// over every row.
+pub fn matmul_transpose_self(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.rows(), b.rows(), "matmul_transpose_self shape mismatch");
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    transpose_self_rows_into(a, b, 0..a.rows(), out.data_mut());
     out
 }
 
-/// `aᵀ @ b` (weight gradients: `dW = Xᵀ dY`).
-pub fn matmul_transpose_self(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "matmul_transpose_self shape mismatch");
+/// `dst = A[rows]ᵀ @ B[rows]`: the weight gradient reduced over rows `rows`
+/// of `a` and `b`, into the row-major `a.cols() × b.cols()` `dst`,
+/// overwritten (from `+0`, rows ascending).
+pub fn transpose_self_rows_into(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
     let n = b.cols();
-    let mut out = Matrix::zeros(a.cols(), n);
-    for k in 0..a.rows() {
+    assert_eq!(dst.len(), a.cols() * n, "transpose_self dst shape");
+    dst.fill(0.0);
+    for k in rows {
         let yr = b.row(k);
         for (i, &x) in a.row(k).iter().enumerate() {
-            if x == 0.0 {
-                continue;
-            }
-            let dst = &mut out.data_mut()[i * n..(i + 1) * n];
-            for (d, &y) in dst.iter_mut().zip(yr) {
+            for (d, &y) in dst[i * n..(i + 1) * n].iter_mut().zip(yr) {
                 *d += x * y;
             }
         }
     }
-    out
 }
 
 /// `a @ bᵀ` (input gradients: `dX = dY Wᵀ`).

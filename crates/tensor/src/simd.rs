@@ -5,23 +5,24 @@
 //! Everything in this module is reachable only through the free functions
 //! at the top, each of which consults [`tier`] — a cached runtime check of
 //! the CPU features (overridable with `ARGO_SIMD=off`) — and otherwise falls
-//! back to the scalar blocked kernels in [`crate::kernels`]. The scalar
-//! fallback is compiled unconditionally, so non-x86 hosts and feature-less
-//! CPUs keep today's bitwise behavior.
+//! back to the scalar tier: the row forms of [`crate::reference`] for the
+//! dense kernels, the scalar row step for SpMM. The scalar tier is compiled
+//! unconditionally, so non-x86 hosts and feature-less CPUs run the
+//! reference loops, bit for bit.
 //!
 //! Numerical contract per path (pinned by `tests/kernel_properties.rs`):
 //!
 //! * **GEMM / weight gradient / input gradient** use `vfmadd` — the fused
-//!   multiply-add rounds once where the scalar kernels round twice, so
+//!   multiply-add rounds once where the scalar tier rounds twice, so
 //!   these paths are *tolerance*-equal (≤ 1e-5 scaled) to the scalar
-//!   kernels, never bitwise. Each path is still deterministic and
+//!   tier, never bitwise. Each path is still deterministic and
 //!   partition-invariant: per output element the `k` contributions are
 //!   folded in ascending order regardless of row ranges or pool size.
 //! * **The SpMM row kernel ([`spmm_rows`]) and the bias/ReLU epilogue**
 //!   vectorize the *feature* dimension with separate `mul` + `add` (never
 //!   FMA): lanes are independent and per-element operation order is exactly
 //!   the scalar order, so these stay **bitwise** equal to the scalar
-//!   kernels. The row kernel keeps a 64-column block of its output row in
+//!   tier. The row kernel keeps a 64-column block of its output row in
 //!   registers across all of the row's entries; it runs AVX2 on the
 //!   AVX-512 tier too.
 //!
@@ -67,7 +68,7 @@ use std::sync::OnceLock;
 
 use crate::dense::Matrix;
 use crate::dispatch::Epilogue;
-use crate::kernels;
+use crate::reference;
 use crate::sparse::SparseView;
 use cpu::{detect, Avx2, Avx512};
 
@@ -76,7 +77,8 @@ use cpu::{detect, Avx2, Avx512};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Tier {
-    /// The blocked scalar kernels of [`crate::kernels`].
+    /// The reference row forms ([`crate::reference`]) and the scalar SpMM
+    /// row step.
     Scalar,
     /// AVX2+FMA for every kernel.
     Avx2(Avx2),
@@ -183,11 +185,11 @@ pub fn simd_tier() -> &'static str {
 /// GraphSAGE's self rows and aggregation against the two halves of its
 /// stacked weight. `dst` is row-major `rows.len() × b.cols()`.
 ///
-/// Every tier gives each output element one sequence (module doc): from
-/// `+0`, per operand in order and per `KC` block of its reduction `dst +
-/// acc`, then the epilogue. The vector tiers run it in one pass per output
-/// tile, at their width; the scalar tier zeroes `dst`, accumulates one
-/// operand after the other into it and runs the epilogue over it.
+/// The vector tiers give each output element one sequence (module doc):
+/// from `+0`, per operand in order and per `KC` block of its reduction
+/// `dst + acc`, then the epilogue, in one pass per output tile. The scalar
+/// tier zeroes `dst`, adds each term into it ([`reference::gemm_rows_into`],
+/// operand after operand), then the bias and the `z > 0 ? z : 0` clamp.
 pub(crate) fn gemm_into(
     ops: &[(&Matrix, usize)],
     rows: Range<usize>,
@@ -199,8 +201,8 @@ pub(crate) fn gemm_into(
     gemm_on(tier_for(use_simd), ops, rows, b, epi, dst);
 }
 
-/// [`gemm_into`] on `tier`, which the host must have: the scalar kernels,
-/// or the vector tile at the tier's width.
+/// [`gemm_into`] on `tier`, which the host must have: the reference row
+/// form, or the vector tile at the tier's width.
 fn gemm_on(
     tier: Tier,
     ops: &[(&Matrix, usize)],
@@ -217,10 +219,13 @@ fn gemm_on(
         _ => {
             dst.fill(0.0);
             for &(a, b_row_offset) in ops {
-                kernels::gemm_into(a, rows.clone(), b, b_row_offset, dst);
+                reference::gemm_rows_into(a, rows.clone(), b, b_row_offset, dst);
             }
             if let Some(bias) = epi.bias {
-                kernels::epilogue_bias_relu(dst, bias, epi.relu);
+                for (v, &bv) in dst.iter_mut().zip(bias.iter().cycle()) {
+                    let z = *v + bv;
+                    *v = if !epi.relu || z > 0.0 { z } else { 0.0 };
+                }
             }
         }
     }
@@ -233,7 +238,8 @@ fn gemm_on(
 ///
 /// Per output element: from `+0`, FMA over the rows ascending (the scalar
 /// tier: `mul` + `add`). The vector tiers read each chunk of `grad` once
-/// for every operand; the scalar tier reduces one operand after the other.
+/// for every operand; the scalar tier reduces one operand after the other
+/// ([`reference::transpose_self_rows_into`]).
 pub(crate) fn grad_weights_into(
     xs: &[&Matrix],
     grad: &Matrix,
@@ -244,8 +250,8 @@ pub(crate) fn grad_weights_into(
     grad_weights_on(tier_for(use_simd), xs, grad, rows, dst);
 }
 
-/// [`grad_weights_into`] on `tier`, which the host must have: the scalar
-/// kernel, or the vector tile at the tier's width.
+/// [`grad_weights_into`] on `tier`, which the host must have: the
+/// reference row form, or the vector tile at the tier's width.
 fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
     match tier {
         #[cfg(target_arch = "x86_64")]
@@ -257,7 +263,7 @@ fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>
             for x in xs {
                 let d = &mut dst[at..at + x.cols() * grad.cols()];
                 at += d.len();
-                kernels::transpose_self_into(x, grad, rows.clone(), d);
+                reference::transpose_self_rows_into(x, grad, rows.clone(), d);
             }
         }
     }
@@ -499,8 +505,11 @@ mod tile {
     use super::{Avx2, Avx512};
     use crate::dense::Matrix;
     use crate::dispatch::Epilogue;
-    use crate::kernels::KC;
     use crate::workspace;
+
+    /// Reduction depth per accumulator: each `KC` block of an operand's `k`
+    /// sums into a register from `+0` before it is added to the output.
+    pub(super) const KC: usize = 256;
 
     /// Register tile rows: `A` values (GEMM) or `dst` rows (weight gradient)
     /// broadcast across the lanes.
@@ -1057,7 +1066,7 @@ mod tile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reference, workspace};
+    use crate::workspace;
 
     /// Scaled tolerance of the FMA contract: one fused rounding per `k`
     /// step against two scalar roundings.
@@ -1403,6 +1412,7 @@ mod tests {
 
     /// The GEMM's sequence (module doc), spelled with scalar `mul_add` one
     /// output element at a time.
+    #[cfg(target_arch = "x86_64")]
     fn gemm_oracle(
         ops: &[(&Matrix, usize)],
         rows: Range<usize>,
@@ -1414,9 +1424,9 @@ mod tests {
             for j in 0..b.cols() {
                 let mut s = 0.0f32;
                 for &(a, off) in ops {
-                    for kk in (0..a.cols()).step_by(kernels::KC) {
+                    for kk in (0..a.cols()).step_by(tile::KC) {
                         let mut acc = 0.0f32;
-                        for k in kk..(kk + kernels::KC).min(a.cols()) {
+                        for k in kk..(kk + tile::KC).min(a.cols()) {
                             acc = a.row(i)[k].mul_add(b.row(off + k)[j], acc);
                         }
                         s += acc;

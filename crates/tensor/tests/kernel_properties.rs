@@ -1,15 +1,18 @@
-//! Property tests pinning the blocked and SIMD kernels to the naive
+//! Property tests pinning the scalar and SIMD kernels to the naive
 //! references.
 //!
-//! The blocked GEMM family and the transposed aggregation (a gather over
-//! the adjacency's transpose) are written so their per-element accumulation
-//! order matches the naive oracles in `argo_tensor::reference` exactly
-//! (ascending `k` for GEMM, ascending row within column for the transpose) — so the strongest possible property holds: **bitwise
-//! equality**, not just tolerance, across ragged shapes that straddle
-//! every blocking boundary (1×1, primes, tall-skinny, rows below the
-//! 64-row block). Pool-parallel weight gradients reduce per-worker
-//! partials, which legally reorders across ranges, so those are held to
-//! max-abs-error ≤ 1e-5 instead.
+//! The scalar tier's dense kernels are the row forms of
+//! `argo_tensor::reference` itself, and the transposed aggregation (a
+//! gather over the adjacency's transpose) adds each output element's
+//! contributions in the order of the naive scatter — so through the
+//! dispatch, with its row ranges and workspace buffers, the strongest
+//! possible property holds: **bitwise equality** with the whole-matrix
+//! oracles (ascending `k` for GEMM, ascending row within column for the
+//! transpose), across ragged shapes (1×1, primes, tall-skinny, rows below
+//! the pool's 64-row constant). Pool-parallel weight gradients reduce
+//! per-worker partials, which legally reorders across ranges, so those are
+//! held to max-abs-error ≤ 1e-5 instead. No tier skips a zero term: a NaN
+//! or an ∞ behind an exact zero reaches the output on both.
 //!
 //! The SIMD tier has a two-level contract against the scalar tier
 //! (`DispatchPolicy::force_scalar`, the forced-fallback path):
@@ -52,35 +55,129 @@ fn sparse(
     SparseMatrix::new(rows, cols, indptr, indices, with_values.then_some(vals))
 }
 
-/// Shapes that straddle the MC=64 / KC=256 / NC=512 blocking boundaries
-/// plus degenerate and prime-dimension cases.
+/// Degenerate, prime and pool-boundary (63 / 64 / 65 rows) dimensions.
 const EDGE_DIMS: &[usize] = &[1, 2, 3, 5, 7, 31, 63, 64, 65, 127, 130];
 
 #[test]
 fn blocked_gemm_bitwise_equals_naive_at_edge_shapes() {
-    let blocked = DispatchPolicy::default().force_scalar();
+    let scalar = DispatchPolicy::default().force_scalar();
     for (s, &m) in EDGE_DIMS.iter().enumerate() {
         let k = EDGE_DIMS[(s + 3) % EDGE_DIMS.len()];
         let n = EDGE_DIMS[(s + 7) % EDGE_DIMS.len()];
         let a = Matrix::xavier(m, k, s as u64);
         let b = Matrix::xavier(k, n, s as u64 + 100);
         assert_eq!(
-            blocked.gemm(&a, &b, None).data(),
+            scalar.gemm(&a, &b, None).data(),
             reference::matmul(&a, &b).data(),
             "gemm {m}x{k}x{n}"
         );
         let b2 = Matrix::xavier(m, n, s as u64 + 150);
         assert_eq!(
-            blocked.grad_weights(&a, &b2, None).data(),
+            scalar.grad_weights(&a, &b2, None).data(),
             reference::matmul_transpose_self(&a, &b2).data(),
             "AtB {m}x{k}x{n}"
         );
         let bt = Matrix::xavier(n, k, s as u64 + 200);
         assert_eq!(
-            blocked.grad_input(&a, &bt, 0..n, None).data(),
+            scalar.grad_input(&a, &bt, 0..n, None).data(),
             reference::matmul_transpose_other(&a, &bt).data(),
             "ABt {m}x{k}x{n}"
         );
+    }
+}
+
+/// `m` × `cols` Xavier values with column `zero` set to an exact `0.0`:
+/// ReLU's zeros.
+fn with_zero_col(m: usize, cols: usize, zero: usize, seed: u64) -> Matrix {
+    let mut x = Matrix::xavier(m, cols, seed);
+    for i in 0..m {
+        x.set(i, zero, 0.0);
+    }
+    x
+}
+
+/// The columns of `out` that hold a NaN in every row, and whether every
+/// other entry is finite.
+fn nan_columns(out: &Matrix) -> (Vec<usize>, bool) {
+    let nan = (0..out.cols())
+        .filter(|&j| (0..out.rows()).all(|i| out.get(i, j).is_nan()))
+        .collect::<Vec<_>>();
+    let rest_finite = (0..out.rows())
+        .all(|i| (0..out.cols()).all(|j| nan.contains(&j) || out.get(i, j).is_finite()));
+    (nan, rest_finite)
+}
+
+/// A NaN or an ∞ in `B` (or in the gradient) behind an exact-zero `A`
+/// entry reaches the output, on both tiers, inline and on a 2-worker pool:
+/// `0 · NaN` and `0 · ∞` are NaN and no kernel skips a zero term. Every
+/// hidden layer reads ReLU output, whose zeros are exact, so a kernel that
+/// skipped them would hide a diverged weight or gradient.
+#[test]
+fn nonfinite_behind_an_exact_zero_reaches_the_output() {
+    let two = ThreadPool::new("nonfinite", 2);
+    let (m, f, o) = (70, 5, 6);
+    for bad in [f32::NAN, f32::INFINITY] {
+        for policy in [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ] {
+            for pool in [None, Some(&two)] {
+                let what = format!(
+                    "{bad} simd={} pool={}",
+                    policy.simd_enabled(),
+                    pool.is_some()
+                );
+                let bias = vec![0.5f32; o];
+
+                // GEMM: column 2 of `A` is zero, `B[2][3]` is bad.
+                let a = with_zero_col(m, f, 2, 1);
+                let mut b = Matrix::xavier(f, o, 2);
+                b.set(2, 3, bad);
+                let mut out = Matrix::zeros(m, o);
+                policy.gemm_into(&a, &b, Epilogue::bias(&bias), pool, &mut out);
+                assert_eq!(nan_columns(&out), (vec![3], true), "gemm_into {what}");
+
+                // Fused SAGE: `h`'s column 0 against `W_self[0][4]`, `agg`'s
+                // column 1 against `W_neigh[1][1]`.
+                let h = with_zero_col(m + 3, f, 0, 3);
+                let agg = with_zero_col(m, f, 1, 4);
+                let mut w = Matrix::xavier(2 * f, o, 5);
+                w.set(0, 4, bad);
+                w.set(f + 1, 1, bad);
+                policy.sage_gemm_into(&h, &agg, &w, Epilogue::bias(&bias), pool, &mut out);
+                assert_eq!(
+                    nan_columns(&out),
+                    (vec![1, 4], true),
+                    "sage_gemm_into {what}"
+                );
+
+                // Weight gradient: row 9 of both operands is zero, the
+                // gradient's `[9][3]` is bad, so column 3 of both stacked
+                // gradients is NaN.
+                let (mut x, mut x2) = (Matrix::xavier(m, f, 6), Matrix::xavier(m, f, 7));
+                x.row_mut(9).fill(0.0);
+                x2.row_mut(9).fill(0.0);
+                let mut g = Matrix::xavier(m, o, 8);
+                g.set(9, 3, bad);
+                let mut dw = Matrix::zeros(2 * f, o);
+                policy.grad_weights_into(&[&x, &x2], &g, pool, &mut dw);
+                assert_eq!(
+                    nan_columns(&dw),
+                    (vec![3], true),
+                    "grad_weights_into {what}"
+                );
+
+                // Input gradient over the window `W[f..2f]`: column 2 of the
+                // gradient is zero, `W[f + 4][2]` is bad, so output column 4
+                // is NaN.
+                let g = with_zero_col(m, o, 2, 9);
+                let mut w = Matrix::xavier(2 * f, o, 10);
+                w.set(f + 4, 2, bad);
+                let mut dx = Matrix::zeros(m, f);
+                policy.grad_input_into(&g, &w, f..2 * f, pool, &mut dx);
+                assert_eq!(nan_columns(&dx), (vec![4], true), "grad_input_into {what}");
+            }
+        }
     }
 }
 
@@ -105,7 +202,7 @@ fn csc_spmm_bitwise_equals_scatter_at_edge_shapes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Blocked GEMM == naive GEMM, bitwise, over random ragged shapes
+    /// Scalar-tier GEMM == naive GEMM, bitwise, over random ragged shapes
     /// (tall-skinny, short-wide, sub-block) and seeds.
     #[test]
     fn blocked_gemm_matches_naive(
@@ -116,9 +213,9 @@ proptest! {
     ) {
         let a = Matrix::xavier(m, k, seed);
         let b = Matrix::xavier(k, n, seed ^ 0x5EED);
-        let blocked = DispatchPolicy::default().force_scalar();
+        let scalar = DispatchPolicy::default().force_scalar();
         prop_assert_eq!(
-            blocked.gemm(&a, &b, None).data(),
+            scalar.gemm(&a, &b, None).data(),
             reference::matmul(&a, &b).data()
         );
     }
@@ -131,16 +228,16 @@ proptest! {
         n in 1usize..24,
         seed in 0u64..1000,
     ) {
-        let blocked = DispatchPolicy::default().force_scalar();
+        let scalar = DispatchPolicy::default().force_scalar();
         let a = Matrix::xavier(m, k, seed);
         let b = Matrix::xavier(m, n, seed ^ 0xA11);
         prop_assert_eq!(
-            blocked.grad_weights(&a, &b, None).data(),
+            scalar.grad_weights(&a, &b, None).data(),
             reference::matmul_transpose_self(&a, &b).data()
         );
         let c = Matrix::xavier(n, k, seed ^ 0xB22);
         prop_assert_eq!(
-            blocked.grad_input(&a, &c, 0..n, None).data(),
+            scalar.grad_input(&a, &c, 0..n, None).data(),
             reference::matmul_transpose_other(&a, &c).data()
         );
     }
@@ -337,7 +434,7 @@ proptest! {
     /// scaled-1e-5 equal; the fused bias/ReLU epilogue values come out of
     /// bitwise-equal lane ops on tolerance-close inputs. Shapes span
     /// 1..130 across every register-tile and blocking boundary. On hosts
-    /// without AVX2+FMA both policies run the identical scalar kernels and
+    /// without AVX2+FMA both policies run the identical scalar tier and
     /// the properties hold trivially.
     #[test]
     fn simd_dispatch_matches_scalar_within_contract(

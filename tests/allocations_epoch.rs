@@ -17,15 +17,25 @@
 //!   and optimizer state;
 //! * the channel: the loader's bounded channel, made and used once per
 //!   batch;
-//! * the carried cascades: the needed-row cascade and the per-layer
-//!   transposes a loader worker builds into the storage its ring recycles
-//!   (`2·n_samp + 1` sets in flight per rank), which grows for a batch
-//!   larger than any that storage carried — counted over a second pass of
-//!   batches after a first one warmed it, as a warm epoch follows another.
+//! * the sampler scratch: each loader worker's `SamplerScratch`, fresh every
+//!   epoch, growing to the epoch's batches — counted over a first pass of
+//!   batches on cold arenas ([`growth`]);
+//! * three kinds of storage a rank keeps across epochs, which grow for a
+//!   batch larger than any they carried — each counted over a second pass
+//!   of batches after a first one warmed it, as a warm epoch follows
+//!   another ([`growth`]):
+//!   * the carried cascades: the needed-row cascade and the per-layer
+//!     transposes a loader worker builds into the storage its ring recycles
+//!     (`2·n_samp + 1` sets in flight per rank);
+//!   * the ring's operand buffers: the aggregation (and GraphSAGE's self
+//!     rows) `PreparedInput::prepare_for_training` takes from the
+//!     `InputRing` and the step puts back;
+//!   * the step: a warm model's `train_step_prepared`, whose workspace
+//!     takes its buffers best-fit.
 //!
 //! What is left is per-epoch setup (the seed split, the loader, the span
-//! rings, the core plan) and the other buffers that grow for a batch larger
-//! than any before it: the ring's operand buffers and the step's workspace. The test prints the table (`--nocapture`) and pins no count:
+//! rings, the core plan) and whatever no source above names. The test
+//! prints the table (`--nocapture`) and pins no count:
 //! the total is not reproducible — twenty runs of this binary gave two or
 //! three different totals for each row, a few allocations apart, as the
 //! ranks' and loaders' threads interleave differently — and consecutive
@@ -33,6 +43,7 @@
 //! epoch), so a buffer may grow in any of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -44,6 +55,7 @@ use argo::sample::{
     Cascade, InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch,
     ShadowSampler,
 };
+use argo::tensor::Matrix;
 
 /// Counts every `alloc` (`alloc_zeroed` included, through the default
 /// method) and `realloc` of the process, then defers to the system
@@ -103,7 +115,7 @@ fn warm_epoch_allocations_per_batch_by_source() {
         ];
         println!(
             "warm epoch allocations per batch: total = to_owned + spawns + kernel buffers + \
-             params/opt + channel + cascades + rest"
+             params/opt + channel + scratch + cascades + operands + step + rest"
         );
         for (name, kind, sampler) in tasks {
             for config in [Config::new(1, 1, 1), Config::new(2, 1, 1)] {
@@ -141,9 +153,10 @@ fn warm_epoch_allocations_per_batch_by_source() {
 
 /// The named sources' allocations in one epoch of `e` under `config`
 /// (`batches` of them over all ranks): `to_owned`, thread spawns, the fresh
-/// rank threads' kernel buffers, `params`/`opt` clones, the channel and the
-/// carried cascades.
-fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 6] {
+/// rank threads' kernel buffers, `params`/`opt` clones, the channel, and
+/// the growth of the sampler scratch, the carried cascades, the ring's
+/// operand buffers and the step.
+fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
     let (d, sampler, opts) = (e.dataset(), e.sampler(), e.options());
     let (n_proc, n_samp) = (config.n_proc, config.n_samp);
     let local = (opts.global_batch / n_proc).max(1);
@@ -194,38 +207,105 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 6] {
             }
         })
         .0;
-    let cascades = n_proc * cascade_growth(e, config, batches / n_proc);
-    [to_owned, spawns, kernel_buffers, clones, channel, cascades]
+    let [scratch, cascades, operands, step] =
+        growth(e, config, batches / n_proc).map(|n| n_proc * n);
+    [
+        to_owned,
+        spawns,
+        kernel_buffers,
+        clones,
+        channel,
+        scratch,
+        cascades,
+        operands,
+        step,
+    ]
 }
 
-/// What one rank's carried cascades allocate over `per_rank` batches once
-/// warm: `2·n_samp + 1` cascades, as many as the rank's ring holds in
-/// flight, take the batches in turn and build each one's cascade and
-/// transposes, as `PreparedInput::prepare_for_training` does. A first pass
-/// warms them; a second, over batches drawn from other streams, is counted.
-fn cascade_growth(e: &Engine, config: Config, per_rank: usize) -> usize {
+/// What one rank's growing storage allocates over `per_rank` batches, by
+/// owner: `[scratch, cascades, operands, step]`. A first pass over the
+/// batches runs on cold storage; a second, over batches drawn from other
+/// streams, runs warm.
+///
+/// * Scratch: `n_samp` fresh `SamplerScratch` arenas, one per loader
+///   worker, take the batches in turn, as every epoch's loader starts;
+///   counted in the first pass. The other three keep their storage across
+///   epochs and are counted in the second.
+/// * Cascades: `2·n_samp + 1` of them, as many as the rank's ring holds in
+///   flight, take the batches in turn and build each one's cascade and
+///   transposes, as `PreparedInput::prepare_for_training` does.
+/// * Operands: an `InputRing` hands out each batch's operands at the
+///   prologue's sizes (the self rows when the cascade keeps them, then the
+///   aggregation) and, once `2·n_samp + 1` sets are in flight, gets the
+///   oldest back in `PreparedInput::recycle`'s order.
+/// * Step: a warm model's `train_step_prepared` on the batch, on this
+///   thread: its workspace's best-fit takes (and the thread's kernel
+///   buffers, which a rank thread grows the same way).
+fn growth(e: &Engine, config: Config, per_rank: usize) -> [usize; 4] {
     let (d, sampler, opts) = (e.dataset(), e.sampler(), e.options());
     let local = (opts.global_batch / config.n_proc).max(1);
-    let mut cascades: Vec<Cascade> = (0..2 * config.n_samp + 1)
-        .map(|_| Cascade::default())
-        .collect();
-    let mut scratch = SamplerScratch::new();
-    let mut counted = 0;
+    let in_flight = 2 * config.n_samp + 1;
+    let mut cascades: Vec<Cascade> = (0..in_flight).map(|_| Cascade::default()).collect();
+    let ring = InputRing::new();
+    let mut sets: VecDeque<(Matrix, Option<Matrix>)> = VecDeque::with_capacity(in_flight);
+    let (step_ring, spans) = (InputRing::new(), WorkerRing::detached());
+    let mut model: Gnn = e.model();
+    let mut scratches: Vec<SamplerScratch> =
+        (0..config.n_samp).map(|_| SamplerScratch::new()).collect();
+    let mut counted = [0; 4];
     for pass in 0..2u64 {
         for i in 0..per_rank {
             let lo = (i * local) % d.train_nodes.len();
             let seeds = &d.train_nodes[lo..(lo + local).min(d.train_nodes.len())];
             let stream = SeedSequence::new(pass << 32 | i as u64);
-            let run = SampleRun::new(stream, &mut scratch).with_norm(opts.kind.normalization());
-            let view = sampler.sample_into(&d.graph, seeds, run);
-            let n = cascades.len();
-            let cascade = &mut cascades[i % n];
-            let (allocs, ()) = allocs_in(|| {
+            let scratch = &mut scratches[i % config.n_samp];
+            let run = SampleRun::new(stream, scratch).with_norm(opts.kind.normalization());
+            let (in_scratch, view) = allocs_in(|| sampler.sample_into(&d.graph, seeds, run));
+            if pass == 0 {
+                counted[0] += in_scratch;
+            }
+
+            let cascade = &mut cascades[i % in_flight];
+            let (in_cascade, ()) = allocs_in(|| {
                 cascade.for_view(opts.num_layers, &view);
                 cascade.transpose_layers(|l| view.layer_adj(l));
             });
+
+            let rows = cascade.layer(0, view.layer_adj(0)).0.rows();
+            let keeps_self_rows = cascade.keeps_self_rows();
+            let (in_operands, ()) = allocs_in(|| {
+                if sets.len() == in_flight {
+                    let (agg, self_rows) = sets.pop_front().unwrap();
+                    ring.put(agg);
+                    if let Some(self_rows) = self_rows {
+                        ring.put(self_rows);
+                    }
+                }
+                let self_rows = keeps_self_rows.then(|| ring.take(rows, d.feat_dim()));
+                sets.push_back((ring.take(rows, d.feat_dim()), self_rows));
+            });
+
+            let depth = opts.num_layers;
+            let input = PreparedInput::prepare_for_training(
+                &view,
+                &d.features,
+                depth,
+                &step_ring,
+                &spans,
+                0,
+            );
+            let batch = view.to_owned();
+            let (in_step, _) =
+                allocs_in(|| model.train_step_prepared(&batch, &input, &d.labels, None));
+            input.recycle(&step_ring);
+
             if pass == 1 {
-                counted += allocs;
+                for (c, n) in counted[1..]
+                    .iter_mut()
+                    .zip([in_cascade, in_operands, in_step])
+                {
+                    *c += n;
+                }
             }
         }
     }
