@@ -116,6 +116,7 @@ fn nan_columns(out: &Matrix) -> (Vec<usize>, bool) {
 fn nonfinite_behind_an_exact_zero_reaches_the_output() {
     let two = ThreadPool::new("nonfinite", 2);
     let (m, f, o) = (70, 5, 6);
+    assert!(DispatchPolicy::default().goes_parallel(m, Some(&two)));
     for bad in [f32::NAN, f32::INFINITY] {
         for policy in [
             DispatchPolicy::default(),
