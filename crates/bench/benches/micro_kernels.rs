@@ -7,7 +7,7 @@
 //!
 //! Emits machine-readable `BENCH_kernels.json` at the repository root
 //! (GFLOP/s and speedup-vs-serial per kernel and shape, and its
-//! provenance: commit, rustc, CPU model, vCPUs) so future PRs can diff
+//! provenance: commit, rustc, CPU model, vCPUs, date) so future PRs can diff
 //! kernel performance against this baseline. Columns: `serial` is
 //! `argo_tensor::reference` (the naive loops), `scalar` the scalar tier
 //! (`force_scalar()`), `simd` the default tier run inline (AVX-512 or

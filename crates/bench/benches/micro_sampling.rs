@@ -5,8 +5,8 @@
 //!
 //! Emits machine-readable `BENCH_sampling.json` at the repository root
 //! (seeds/s and sampled-edges/s per variant, speedup vs the reference, and
-//! its provenance: commit, rustc, CPU model, vCPUs) so future PRs can diff
-//! sampling throughput against this baseline.
+//! its provenance: commit, rustc, CPU model, vCPUs, date) so future PRs can
+//! diff sampling throughput against this baseline.
 //!
 //! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: smaller graph, fewer
 //! samples, and a sanity perf gate — the process exits non-zero if the

@@ -215,8 +215,8 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 
 /// Where the numbers come from: the commit (`git rev-parse --short HEAD`,
 /// `"unknown"` outside a checkout), `rustc --version`, the CPU model named
-/// in `/proc/cpuinfo`, the vCPU count, and that they are measured, not
-/// modeled.
+/// in `/proc/cpuinfo`, the vCPU count, the UTC date of the run (`date -u
+/// +%F`), and that they are measured, not modeled.
 pub fn provenance(vcpus: usize) -> Json {
     let run = |cmd: &str, args: &[&str]| {
         std::process::Command::new(cmd)
@@ -244,6 +244,7 @@ pub fn provenance(vcpus: usize) -> Json {
         ("rustc", Json::str(&run("rustc", &["--version"]))),
         ("cpu_model", Json::str(&cpu_model)),
         ("vcpus", Json::Num(vcpus as f64)),
+        ("date", Json::str(&run("date", &["-u", "+%F"]))),
         ("measured", Json::Bool(true)),
     ])
 }

@@ -8,12 +8,10 @@
 //!   reordering, as in `PipelinedLoader::next`) delivers every batch
 //!   exactly once, in index order, no matter how producer completions
 //!   interleave with consumer pumps.
-//! * The pooled weight gradient's slot protocol — workers write per-range
-//!   partials into index-addressed blocks (one
-//!   [`ThreadPool::parallel_chunks_mut`] window each), the caller folds the
-//!   blocks in range order — produces a bitwise-identical reduction for
-//!   every completion interleaving, which is what makes the pool-parallel
-//!   weight gradients (`dW = Xᵀ dY`) deterministic for a fixed pool size.
+//!
+//! The pool's kernels need no model here: each writes only its own
+//! `chunks_mut` window of the output, so their disjointness is the borrow
+//! checker's, and no result is combined across workers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -86,61 +84,6 @@ fn loader_handoff_delivers_in_order_exactly_once() {
         },
     );
     assert_eq!(n, 35, "C(7,4) schedules explored");
-}
-
-#[test]
-fn map_reduce_slot_protocol_is_schedule_independent() {
-    use argo_rt::ThreadPool;
-
-    // The per-range partials of a float sum whose value depends on
-    // accumulation order (catastrophic cancellation between ranges): only
-    // a fixed fold order gives a stable answer.
-    let partials: [f32; 4] = [1.0e8, 3.125, -1.0e8, 2.0 - 9.75e-4];
-
-    // Reference: what the real pool computes for the same 4 ranges, the
-    // way `DispatchPolicy::grad_weights_into` runs them: one one-element
-    // block per range, written through `parallel_chunks_mut` windows on a
-    // 4-worker pool, then folded on this thread in range order — the first
-    // block copied, the others added to it one by one.
-    let pool = ThreadPool::new("mr", 4);
-    let mut blocks = [0.0f32; 4];
-    ThreadPool::parallel_chunks_mut(Some(&pool), &mut blocks, 1, |ranges, window| {
-        for (s, slot) in ranges.zip(window) {
-            *slot = partials[s];
-        }
-    });
-    let (first, rest) = blocks.split_at(1);
-    let real = rest.iter().fold(first[0], |acc, &v| acc + v);
-
-    // Model: worker A owns slots {0, 2}, worker B owns slots {1, 3} —
-    // each schedule is one order in which range results can land. The
-    // fold always walks slots 0..4, exactly like the caller-side fold.
-    let a_slots = [0usize, 2];
-    let b_slots = [1usize, 3];
-    let n = explore(
-        a_slots.len(),
-        b_slots.len(),
-        || vec![None::<f32>; 4],
-        |slots, i| slots[a_slots[i]] = Some(partials[a_slots[i]]),
-        |slots, i| slots[b_slots[i]] = Some(partials[b_slots[i]]),
-        |slots, sched| {
-            let mut acc: Option<f32> = None;
-            for s in slots {
-                let Some(v) = s else { continue };
-                acc = Some(match acc {
-                    Some(a) => a + v,
-                    None => *v,
-                });
-            }
-            let folded = acc.expect("all slots filled");
-            assert_eq!(
-                folded.to_bits(),
-                real.to_bits(),
-                "schedule {sched}: fold {folded} != pool result {real}"
-            );
-        },
-    );
-    assert_eq!(n, 6, "C(4,2) schedules explored");
 }
 
 #[test]

@@ -969,13 +969,11 @@ mod tests {
     #[test]
     fn training_is_deterministic_across_core_allocations() {
         argo_rt::watchdog(120, || {
-            // Repeating a run with the same core allocation is bit-identical:
-            // row-partitioned kernels give each output row to exactly one
-            // worker, and the weight-gradient reduction folds per-worker
-            // partials in a fixed range order. Across *different* allocations
-            // the reduction legally regroups FP sums (chunk size follows pool
-            // size), so cross-allocation agreement is tolerance-level, not
-            // bitwise.
+            // Every pooled kernel gives each output row to exactly one worker
+            // and leaves each element's sequence as the serial kernel runs it
+            // (the weight gradient reduces over all rows into its window of
+            // dW's rows), so the training threads change no bit: one core,
+            // two, and two again are the same run.
             let run = |t: usize| {
                 let mut e = Engine::new(tiny(), neighbor(), opts(64));
                 e.train_epoch(Config::new(2, 1, t), None);
@@ -986,7 +984,47 @@ mod tests {
             assert_eq!(pooled, run(2), "fixed allocation must be bit-identical");
             assert_eq!(serial.len(), pooled.len());
             for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
-                assert!((a - b).abs() <= 1e-4, "param {i}: 1-core {a} vs 2-core {b}");
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "param {i}: 1-core {a} vs 2-core {b}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn n_samp_and_n_train_change_no_trained_bit() {
+        argo_rt::watchdog(120, || {
+            // The tuner trains under every config it tries (Algorithm 1), so a
+            // config must choose the speed, never the model: two epochs under
+            // one process give the same per-epoch losses and final parameters,
+            // bit for bit, with one or two sampler threads and one, two or
+            // three training threads, for block batches under GraphSAGE and
+            // subgraph batches under GCN. (`n_proc` is outside this: its ranks
+            // sample different batches.)
+            let cases: [(Arch, Arc<dyn Sampler>); 2] = [
+                (Arch::Sage, neighbor()),
+                (Arch::Gcn, Arc::new(ShadowSampler::new(vec![6, 3], 2))),
+            ];
+            for (kind, sampler) in cases {
+                let mut o = opts(64);
+                o.kind = kind;
+                let run = |s: usize, t: usize| {
+                    let mut e = Engine::new(tiny(), Arc::clone(&sampler), o.clone());
+                    let losses: Vec<u32> = (0..2)
+                        .map(|_| e.train_epoch(Config::new(1, s, t), None).loss.to_bits())
+                        .collect();
+                    let params: Vec<u32> = e.params().iter().map(|p| p.to_bits()).collect();
+                    (losses, params)
+                };
+                let want = run(1, 1);
+                for (s, t) in [(2, 1), (1, 2), (1, 3)] {
+                    let (losses, params) = run(s, t);
+                    let who = format!("{kind:?} (1,{s},{t})");
+                    assert_eq!(losses, want.0, "{who}: per-epoch loss");
+                    assert!(params == want.1, "{who}: final parameters");
+                }
             }
         });
     }

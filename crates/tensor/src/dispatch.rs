@@ -15,14 +15,14 @@
 //!   run. Each kernel takes the policy's `use_simd` and picks its tier
 //!   once.
 //! * **One runner.** Forward GEMM, input gradients (the same GEMM, over
-//!   the transposed weight window) and the CSR gather partition **output
-//!   rows**: each is one closure handed to
-//!   [`ThreadPool::parallel_chunks_mut`], which carves the output into one
-//!   `&mut` row window per worker, and runs the closure inline when the
-//!   decision below says serial. Weight gradients (`dW = Xᵀ dY`, a
-//!   reduction over rows) hand it the blocks of a per-thread partials
-//!   buffer instead, one per range of rows, and fold them **in range
-//!   order** on the caller, deterministic for a fixed pool size.
+//!   the transposed weight window), weight gradients (`dW = Xᵀ dY`, each
+//!   worker reducing over every row into its window of `dW`'s rows) and
+//!   the CSR gather partition **output rows**: each is one closure handed
+//!   to [`ThreadPool::parallel_chunks_mut`], which carves the output into
+//!   one `&mut` row window per worker, and runs the closure inline when the
+//!   decision below says serial. Every output element sees one operation
+//!   sequence whatever the window, so pooled ≡ serial, bitwise, at every
+//!   pool size.
 //! * **One gather.** Forward aggregation over an owned or a borrowed
 //!   adjacency and transposed aggregation over the adjacency's transpose
 //!   are the same call ([`crate::sparse`]).
@@ -338,13 +338,11 @@ impl DispatchPolicy {
     /// its self rows and its aggregation and gets the stacked `[dW_self;
     /// dW_neigh]` in one pass over `grad`, without concatenating inputs.
     ///
-    /// Parallelized over the rows in chunks of `⌈m / min(size, m)⌉`: range
-    /// `s` writes its partial into block `s` of the calling thread's
-    /// partials buffer ([`crate::workspace`]), one
-    /// [`ThreadPool::parallel_chunks_mut`] window each, and the blocks are
-    /// folded in range order (deterministic for a fixed pool size,
-    /// tolerance-level equal to serial). A warm pooled call allocates
-    /// nothing per `k × n`.
+    /// The pool splits `dst`'s rows, the way the GEMM splits its output's:
+    /// each worker reduces over all `m` rows into its own row window, which
+    /// may straddle the operands' boundary, so every element is the serial
+    /// sum, bitwise, at every pool size. Whether it goes to the pool is
+    /// decided on `m`.
     pub fn grad_weights_into(
         &self,
         xs: &[&Matrix],
@@ -357,30 +355,12 @@ impl DispatchPolicy {
         let k: usize = xs.iter().map(|x| x.cols()).sum();
         assert_eq!((dst.rows(), dst.cols()), (k, n), "grad_weights dst");
         assert!(xs.iter().all(|x| x.rows() >= m), "grad_weights x rows");
-        let dst = dst.data_mut();
-        let len = k * n;
-        // An empty `dst` has no partials to fold.
-        match self.pool_for(m, pool).filter(|_| len > 0) {
-            Some(p) => {
-                let chunk = m.div_ceil(p.size().min(m));
-                workspace::with_partials_buffer(m.div_ceil(chunk) * len, |partials| {
-                    ThreadPool::parallel_chunks_mut(Some(p), partials, len, |ranges, bufs| {
-                        for (s, buf) in ranges.zip(bufs.chunks_exact_mut(len)) {
-                            let rows = s * chunk..((s + 1) * chunk).min(m);
-                            simd::grad_weights_into(xs, grad, rows, self.simd, buf);
-                        }
-                    });
-                    let (first, rest) = partials.split_at(len);
-                    dst.copy_from_slice(first);
-                    for part in rest.chunks_exact(len) {
-                        for (d, &v) in dst.iter_mut().zip(part) {
-                            *d += v;
-                        }
-                    }
-                });
-            }
-            None => simd::grad_weights_into(xs, grad, 0..m, self.simd, dst),
-        }
+        ThreadPool::parallel_chunks_mut(
+            self.pool_for(m, pool),
+            dst.data_mut(),
+            n,
+            |rows, window| simd::grad_weights_into(xs, grad, rows, self.simd, window),
+        );
     }
 
     /// Convenience allocating form of [`DispatchPolicy::grad_weights_into`]
@@ -702,53 +682,41 @@ mod tests {
         assert!(!policy.sparse_goes_parallel(4096, benched_work, Some(&pool)));
     }
 
+    /// The weight gradient partitions its output rows: on both tiers, at
+    /// every pool size, pooled ≡ serial bitwise, and the scalar tier equals
+    /// the naive `[h | agg]ᵀ · dY` bitwise. Over SAGE's stacked operands, `f
+    /// = 11` puts the 3-worker windows at 8/8/6 rows with the middle one
+    /// straddling the operands' boundary (4 workers: 6/6/6/4, the second
+    /// straddling), and the widths `o` cover an all-narrow output (7), a
+    /// vector block plus a narrow tail (13) and two vector blocks (40).
     #[test]
-    fn grad_weights_serial_exact_parallel_tolerance() {
-        let pool = pool2();
-        let x = Matrix::xavier(90, 7, 10);
-        let grad = Matrix::xavier(90, 5, 11);
-        let naive = reference::matmul_transpose_self(&x, &grad);
-        let serial = DispatchPolicy::default()
-            .force_scalar()
-            .grad_weights(&x, &grad, None);
-        assert_eq!(naive.data(), serial.data());
-        let par = DispatchPolicy::default().grad_weights(&x, &grad, Some(&pool));
-        for (a, b) in naive.data().iter().zip(par.data()) {
-            assert!((a - b).abs() <= 1e-5);
-        }
-    }
-
-    #[test]
-    fn pooled_grad_weights_folds_the_range_partials_in_order_bitwise() {
-        // The pooled weight gradient's partition: `⌈m / min(size, m)⌉`
-        // rows a range; each range's partial is one serial call, and the
-        // pooled result is their left fold, first + second + ….
-        let (m, f, o) = (70, 9, 7);
+    fn grad_weights_pooled_equals_serial_bitwise() {
+        let (m, f) = (70, 11usize);
+        let chunk = (2 * f).div_ceil(3);
+        assert!((chunk..2 * chunk).contains(&f) && (2 * f) % chunk != 0);
+        let pools = POOL_SIZES.map(|size| ThreadPool::new("t", size));
         let (h, agg) = (Matrix::xavier(m + 5, f, 20), Matrix::xavier(m, f, 21));
-        let grad = Matrix::xavier(m, o, 22);
-        for policy in [
-            DispatchPolicy::default(),
-            DispatchPolicy::default().force_scalar(),
-        ] {
-            for size in POOL_SIZES {
-                let chunk = m.div_ceil(size.min(m));
-                let mut want = vec![0.0f32; 2 * f * o];
-                let mut part = want.clone();
-                for (s, r0) in (0..m).step_by(chunk).enumerate() {
-                    let rows = r0..(r0 + chunk).min(m);
-                    let dst = if s == 0 { &mut want } else { &mut part };
-                    simd::grad_weights_into(&[&h, &agg], &grad, rows, policy.simd, dst);
-                    if s > 0 {
-                        for (w, &p) in want.iter_mut().zip(&part) {
-                            *w += p;
-                        }
-                    }
-                }
-                let pool = ThreadPool::new("t", size);
-                let mut got = Matrix::zeros(2 * f, o);
-                policy.grad_weights_into(&[&h, &agg], &grad, Some(&pool), &mut got);
+        let h_dst = h.gather_rows(&(0..m as u32).collect::<Vec<_>>());
+        for o in [7, 13, 40] {
+            let grad = Matrix::xavier(m, o, 22 + o as u64);
+            let naive = reference::matmul_transpose_self(&h_dst.concat_cols(&agg), &grad);
+            for policy in [
+                DispatchPolicy::default(),
+                DispatchPolicy::default().force_scalar(),
+            ] {
                 let simd = policy.simd_enabled();
-                assert_eq!(got.data(), &want[..], "pool size {size}, simd {simd}");
+                let mut serial = Matrix::zeros(2 * f, o);
+                policy.grad_weights_into(&[&h, &agg], &grad, None, &mut serial);
+                if !simd {
+                    assert_eq!(serial.data(), naive.data(), "o={o}, scalar serial");
+                }
+                for pool in &pools {
+                    assert!(policy.goes_parallel(m, Some(pool)));
+                    let mut got = Matrix::from_vec(2 * f, o, vec![f32::NAN; 2 * f * o]);
+                    policy.grad_weights_into(&[&h, &agg], &grad, Some(pool), &mut got);
+                    let at = format!("o={o}, pool size {}, simd {simd}", pool.size());
+                    assert_eq!(got.data(), serial.data(), "{at}");
+                }
             }
         }
     }

@@ -172,6 +172,14 @@ mod tests {
         assert_eq!(x.row(1), &[1.0, 2.0, 3.0]);
         let g = bias_grad(&x);
         assert_eq!(g, vec![2.0, 4.0, 6.0]);
+        // The sum's order: from `+0`, rows ascending. Column 1's rows
+        // `1, 1e8, -1e8` sum to 0 that way (the 1 is lost in `1 + 1e8`) and
+        // to 1 descending; column 0's `-0` rows leave `+0`.
+        let dy = Matrix::from_vec(3, 2, vec![-0.0, 1.0, -0.0, 1e8, -0.0, -1e8]);
+        let ascending = |c: usize| (0..3).fold(0.0f32, |acc, r| acc + dy.get(r, c));
+        let g: Vec<u32> = bias_grad(&dy).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(g, [0.0f32.to_bits(); 2]);
+        assert_eq!(g, [ascending(0).to_bits(), ascending(1).to_bits()]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! The row forms [`gemm_rows_into`] and [`transpose_self_rows_into`] *are*
 //! the scalar tier's dense kernels: [`crate::DispatchPolicy`] runs them over
-//! its pool's row ranges without AVX2+FMA, under `ARGO_SIMD=off` and under
-//! `force_scalar`; its scalar input gradient is [`gemm_rows_into`] over the
+//! its pool's output row windows without AVX2+FMA, under `ARGO_SIMD=off`
+//! and under `force_scalar`; its scalar input gradient is [`gemm_rows_into`] over the
 //! transposed weight window, term for term [`matmul_transpose_other`]'s dot.
 //! The whole-matrix functions are the oracles of the bitwise pins in
 //! `tests/kernel_properties.rs` and the `serial` column of `micro_kernels`.
@@ -51,24 +51,27 @@ pub fn gemm_rows_into(
 }
 
 /// `aᵀ @ b` (weight gradients: `dW = Xᵀ dY`): [`transpose_self_rows_into`]
-/// over every row.
+/// into every row.
 pub fn matmul_transpose_self(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "matmul_transpose_self shape mismatch");
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    transpose_self_rows_into(a, b, 0..a.rows(), out.data_mut());
+    transpose_self_rows_into(a, b, 0..a.cols(), out.data_mut());
     out
 }
 
-/// `dst = A[rows]ᵀ @ B[rows]`: the weight gradient reduced over rows `rows`
-/// of `a` and `b`, into the row-major `a.cols() × b.cols()` `dst`,
-/// overwritten (from `+0`, rows ascending).
+/// `dst = (Aᵀ @ B)[rows]`: the weight gradient's output rows `rows` (columns
+/// `rows` of `a`), reduced over the first `b.rows()` rows of `a` and `b`,
+/// into the row-major `rows.len() × b.cols()` `dst`, overwritten (from `+0`,
+/// rows ascending).
 pub fn transpose_self_rows_into(a: &Matrix, b: &Matrix, rows: Range<usize>, dst: &mut [f32]) {
     let n = b.cols();
-    assert_eq!(dst.len(), a.cols() * n, "transpose_self dst shape");
+    assert!(rows.end <= a.cols(), "transpose_self output rows");
+    assert!(a.rows() >= b.rows(), "transpose_self reduction rows");
+    assert_eq!(dst.len(), rows.len() * n, "transpose_self dst shape");
     dst.fill(0.0);
-    for k in rows {
+    for k in 0..b.rows() {
         let yr = b.row(k);
-        for (i, &x) in a.row(k).iter().enumerate() {
+        for (i, &x) in a.row(k)[rows.clone()].iter().enumerate() {
             for (d, &y) in dst[i * n..(i + 1) * n].iter_mut().zip(yr) {
                 *d += x * y;
             }

@@ -231,15 +231,17 @@ fn gemm_on(
     }
 }
 
-/// The weight gradient of a layer whose GEMM read `xs`: `dst = [X_0ᵀ; X_1ᵀ;
-/// …] @ G` reduced over rows `rows` of `grad` and of every `X_o` — the
-/// `X_o.cols() × n` gradients of a stacked weight, stacked in operand order
-/// (`dst` is `Σ_o X_o.cols() × grad.cols()`, overwritten).
+/// The weight gradient of a layer whose GEMM read `xs`: rows `rows` of
+/// `[X_0ᵀ; X_1ᵀ; …] @ G`, reduced over every row of `grad` (the first
+/// `grad.rows()` rows of every `X_o`) — a window of the `X_o.cols() × n`
+/// gradients of a stacked weight, stacked in operand order, which may
+/// straddle an operand boundary (`dst` is `rows.len() × grad.cols()`,
+/// overwritten).
 ///
 /// Per output element: from `+0`, FMA over the rows ascending (the scalar
-/// tier: `mul` + `add`). The vector tiers read each chunk of `grad` once
-/// for every operand; the scalar tier reduces one operand after the other
-/// ([`reference::transpose_self_rows_into`]).
+/// tier: `mul` + `add`), whatever the window. The vector tiers read each
+/// chunk of `grad` once for every operand; the scalar tier reduces one
+/// operand after the other ([`reference::transpose_self_rows_into`]).
 pub(crate) fn grad_weights_into(
     xs: &[&Matrix],
     grad: &Matrix,
@@ -259,14 +261,31 @@ fn grad_weights_on(tier: Tier, xs: &[&Matrix], grad: &Matrix, rows: Range<usize>
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512(avx512) => tile::grad_weights(avx512, xs, grad, rows, dst),
         _ => {
-            let mut at = 0;
-            for x in xs {
-                let d = &mut dst[at..at + x.cols() * grad.cols()];
-                at += d.len();
-                reference::transpose_self_rows_into(x, grad, rows.clone(), d);
+            let n = grad.cols();
+            for (x, cols, at) in operand_windows(xs, rows) {
+                let d = &mut dst[at * n..(at + cols.len()) * n];
+                reference::transpose_self_rows_into(x, grad, cols, d);
             }
         }
     }
+}
+
+/// The operands' shares of the window `rows` of the stacked `[X_0ᵀ; X_1ᵀ;
+/// …]`: for each operand the window meets, in order, the operand, its
+/// columns inside the window and the window row they start at.
+fn operand_windows<'a>(
+    xs: &'a [&'a Matrix],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (&'a Matrix, Range<usize>, usize)> + 'a {
+    xs.iter()
+        .scan(0, |base, &x| {
+            *base += x.cols();
+            Some((x, *base - x.cols()))
+        })
+        .filter_map(move |(x, base)| {
+            let (lo, hi) = (rows.start.max(base), rows.end.min(base + x.cols()));
+            (lo < hi).then(|| (x, lo - base..hi - base, lo - rows.start))
+        })
 }
 
 /// The SpMM row kernel, over rows `rows` of `adj` into `out` (`n` floats a
@@ -502,7 +521,7 @@ mod tile {
     use std::ops::Range;
 
     use super::x86::pack_b;
-    use super::{Avx2, Avx512};
+    use super::{operand_windows, Avx2, Avx512};
     use crate::dense::Matrix;
     use crate::dispatch::Epilogue;
     use crate::workspace;
@@ -859,15 +878,16 @@ mod tile {
         }
     }
 
-    /// The stacked weight gradient of [`super::grad_weights_into`]: per
-    /// [`DW_ROWS`]-row chunk of the reduction, every operand's `MR`-row
-    /// tiles of `dst`, each loaded, advanced by FMA over the chunk's rows
-    /// and stored once — so the chunk of `grad` is read from memory once
-    /// and stays in cache for every operand. Columns past `8·⌊n/8⌋` run over
-    /// the same chunk as `MR`-row tiles of the operand's transposed
-    /// gradient (one row per column, its lanes over `dst`'s rows), advanced
-    /// by a separate `mul` + `add` per row, in a scratch from the pack
-    /// arena that is scattered into `dst` after the last chunk.
+    /// The stacked weight gradient of [`super::grad_weights_into`], over a
+    /// window of its rows: per [`DW_ROWS`]-row chunk of the reduction, the
+    /// `MR`-row tiles of every operand's share of the window, each loaded,
+    /// advanced by FMA over the chunk's rows and stored once — so the chunk
+    /// of `grad` is read from memory once and stays in cache for every
+    /// operand. Columns past `8·⌊n/8⌋` run over the same chunk as `MR`-row
+    /// tiles of the share's transposed gradient (one row per column, its
+    /// lanes over `dst`'s rows), advanced by a separate `mul` + `add` per
+    /// row, in a scratch from the pack arena that is scattered into `dst`
+    /// after the last chunk.
     pub(super) fn grad_weights<W: Width>(
         w: W,
         xs: &[&Matrix],
@@ -875,9 +895,8 @@ mod tile {
         rows: Range<usize>,
         dst: &mut [f32],
     ) {
-        let k_total: usize = xs.iter().map(|x| x.cols()).sum();
         let narrow = grad.cols() % 8;
-        workspace::with_pack_buffer(k_total * narrow, |t| {
+        workspace::with_pack_buffer(rows.len() * narrow, |t| {
             w.enable(GradWeights(xs, grad, rows, dst, t))
         });
     }
@@ -895,58 +914,48 @@ mod tile {
         #[inline(always)]
         fn run<W: Width>(self, w: W) {
             let GradWeights(xs, grad, rows, dst, t) = self;
-            let n = grad.cols();
-            let k_total: usize = xs.iter().map(|x| x.cols()).sum();
-            debug_assert_eq!(dst.len(), k_total * n, "dst shape");
+            let (m, n) = (grad.rows(), grad.cols());
+            debug_assert_eq!(dst.len(), rows.len() * n, "dst shape");
             dst.fill(0.0);
             t.fill(0.0);
             let (nv, nr) = (n - n % 8, W::LANES * W::NV);
-            for r0 in rows.clone().step_by(DW_ROWS) {
-                let chunk = r0..(r0 + DW_ROWS).min(rows.end);
-                let (mut at, mut t_at) = (0, 0);
-                for x in xs {
-                    let d = &mut dst[at..at + x.cols() * n];
-                    at += d.len();
+            for r0 in (0..m).step_by(DW_ROWS) {
+                let chunk = r0..(r0 + DW_ROWS).min(m);
+                for (x, ks, at) in operand_windows(xs, rows.clone()) {
+                    let d = &mut dst[at * n..(at + ks.len()) * n];
                     for j0 in (0..nv).step_by(nr) {
                         let cols = nr.min(nv - j0);
-                        for i0 in (0..x.cols()).step_by(MR) {
+                        for i0 in ks.clone().step_by(MR) {
                             with_vectors!(W, cols, NV => {
-                                dw_tile::<W, NV>(w, x, grad, chunk.clone(), i0, j0, cols, d)
+                                dw_tile::<W, NV>(w, x, grad, chunk.clone(), &ks, i0, j0, cols, d)
                             })
                         }
                     }
-                    let dt = &mut t[t_at..t_at + x.cols() * (n - nv)];
-                    t_at += dt.len();
                     for j0 in (nv..n).step_by(MR) {
-                        for i0 in (0..x.cols()).step_by(nr) {
-                            let cols = nr.min(x.cols() - i0);
+                        for i0 in ks.clone().step_by(nr) {
+                            let cols = nr.min(ks.end - i0);
+                            let c0 = at + i0 - ks.start;
                             with_vectors!(W, cols, NV => {
-                                dw_narrow_tile::<W, NV>(w, x, grad, chunk.clone(), j0, i0, cols, dt)
+                                dw_narrow_tile::<W, NV>(w, x, grad, chunk.clone(), j0, i0, c0, cols, t)
                             })
                         }
                     }
                 }
             }
             if nv < n {
-                let (mut at, mut t_at) = (0, 0);
-                for x in xs {
-                    let k_a = x.cols();
-                    for (i, drow) in dst[at..at + k_a * n].chunks_exact_mut(n).enumerate() {
-                        for (j, d) in drow[nv..].iter_mut().enumerate() {
-                            *d = t[t_at + j * k_a + i];
-                        }
+                for (i, drow) in dst.chunks_exact_mut(n).enumerate() {
+                    for (j, d) in drow[nv..].iter_mut().enumerate() {
+                        *d = t[j * rows.len() + i];
                     }
-                    at += k_a * n;
-                    t_at += k_a * (n - nv);
                 }
             }
         }
     }
 
-    /// One tile of [`grad_weights`]: rows `i0..i0 + MR` (at most) and
-    /// columns `j0..j0 + cols` of one operand's gradient `d` (`x.cols() ×
-    /// n`), advanced over the reduction rows `chunk`. Tile rows past the
-    /// last valid one repeat it (computed, never stored).
+    /// One tile of [`grad_weights`]: rows `i0..i0 + MR` (at most, within
+    /// `ks`) and columns `j0..j0 + cols` of `d`, the operand's gradient rows
+    /// `ks` (`ks.len() × n`), advanced over the reduction rows `chunk`. Tile
+    /// rows past the last valid one repeat it (computed, never stored).
     #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
     #[inline(always)]
     fn dw_tile<W: Width, const NV: usize>(
@@ -954,17 +963,18 @@ mod tile {
         x: &Matrix,
         grad: &Matrix,
         chunk: Range<usize>,
+        ks: &Range<usize>,
         i0: usize,
         j0: usize,
         cols: usize,
         d: &mut [f32],
     ) {
         let (k_a, n) = (x.cols(), grad.cols());
-        let ni = MR.min(k_a - i0);
+        let ni = MR.min(ks.end - i0);
         let ic: [usize; MR] = std::array::from_fn(|t| i0 + t.min(ni - 1));
         let mut acc = [[w.splat(0.0); NV]; MR];
         for (c, &i) in acc.iter_mut().zip(&ic) {
-            let p = d[i * n + j0..][..cols].as_ptr();
+            let p = d[(i - ks.start) * n + j0..][..cols].as_ptr();
             for (v, cv) in c.iter_mut().enumerate() {
                 let at = W::LANES * v;
                 // SAFETY: vector `v` covers columns `at..` of `cols`, and `p`
@@ -977,8 +987,8 @@ mod tile {
         let gr = &grad.data()[chunk.start * n..chunk.end * n];
         for r in 0..chunk.len() {
             // SAFETY: row `r` of each window is in bounds, every `ic` index
-            // is below `k_a`, and vector `v` reads only columns `j0 + at..j0
-            // + cols ≤ n` of the `grad` row.
+            // is below `ks.end ≤ k_a`, and vector `v` reads only columns `j0
+            // + at..j0 + cols ≤ n` of the `grad` row.
             unsafe {
                 let xp = xr.as_ptr().add(r * k_a);
                 let gp = gr.as_ptr().add(r * n + j0);
@@ -995,7 +1005,7 @@ mod tile {
             }
         }
         for (c, &i) in acc.iter().zip(&ic).take(ni) {
-            let p = d[i * n + j0..][..cols].as_mut_ptr();
+            let p = d[(i - ks.start) * n + j0..][..cols].as_mut_ptr();
             for (v, &cv) in c.iter().enumerate() {
                 let at = W::LANES * v;
                 // SAFETY: as for the loads above.
@@ -1005,11 +1015,12 @@ mod tile {
     }
 
     /// One tile of [`grad_weights`]' columns past `nv = 8·⌊n/8⌋`: the
-    /// columns `j0..j0 + MR` (at most, all `≥ nv`) of one operand's
-    /// gradient, held transposed in `dt` (row `j - nv` is column `j`, `k_a`
-    /// wide), over its rows `i0..i0 + cols`, advanced over the reduction
-    /// rows `chunk` by `dt + x·g` with a separate `mul` and `add`. Tile rows
-    /// past the last valid column repeat it (computed, never stored).
+    /// columns `j0..j0 + MR` (at most, all `≥ nv`) of the window's gradient,
+    /// held transposed in `t` (row `j - nv` is column `j`, one lane per
+    /// window row), over the operand's columns `i0..i0 + cols`, which sit at
+    /// `t`'s columns `c0..`, advanced over the reduction rows `chunk` by `t +
+    /// x·g` with a separate `mul` and `add`. Tile rows past the last valid
+    /// column repeat it (computed, never stored).
     #[allow(clippy::too_many_arguments)] // internal micro-kernel: all args are tile indices
     #[inline(always)]
     fn dw_narrow_tile<W: Width, const NV: usize>(
@@ -1019,16 +1030,17 @@ mod tile {
         chunk: Range<usize>,
         j0: usize,
         i0: usize,
+        c0: usize,
         cols: usize,
-        dt: &mut [f32],
+        t: &mut [f32],
     ) {
-        let (k_a, n) = (x.cols(), grad.cols());
-        let nv = n - n % 8;
+        let n = grad.cols();
+        let (nv, k_w) = (n - n % 8, t.len() / (n % 8));
         let nj = MR.min(n - j0);
         let jc: [usize; MR] = std::array::from_fn(|t| j0 + t.min(nj - 1));
         let mut acc = [[w.splat(0.0); NV]; MR];
         for (c, &j) in acc.iter_mut().zip(&jc) {
-            let p = dt[(j - nv) * k_a + i0..][..cols].as_ptr();
+            let p = t[(j - nv) * k_w + c0..][..cols].as_ptr();
             for (v, cv) in c.iter_mut().enumerate() {
                 let at = W::LANES * v;
                 // SAFETY: vector `v` covers rows `at..` of `cols`, and `p`
@@ -1041,7 +1053,7 @@ mod tile {
             let mut xv = [w.splat(0.0); NV];
             for (v, xl) in xv.iter_mut().enumerate() {
                 let at = W::LANES * v;
-                // SAFETY: as for the loads of `dt` above; `xp` starts a
+                // SAFETY: as for the loads of `t` above; `xp` starts a
                 // bounds-checked slice of `cols` floats of row `r`.
                 *xl = unsafe { w.load_first(cols - at, xp.add(at)) };
             }
@@ -1053,7 +1065,7 @@ mod tile {
             }
         }
         for (c, &j) in acc.iter().zip(&jc).take(nj) {
-            let p = dt[(j - nv) * k_a + i0..][..cols].as_mut_ptr();
+            let p = t[(j - nv) * k_w + c0..][..cols].as_mut_ptr();
             for (v, &cv) in c.iter().enumerate() {
                 let at = W::LANES * v;
                 // SAFETY: as for the loads above.
@@ -1153,7 +1165,7 @@ mod tests {
             let a = Matrix::xavier(m, k, 5);
             let b = Matrix::xavier(m, n, 6);
             let mut got = vec![0.0f32; k * n];
-            grad_weights_into(&[&a], &b, 0..m, true, &mut got);
+            grad_weights_into(&[&a], &b, 0..k, true, &mut got);
             let want = reference::matmul_transpose_self(&a, &b);
             for (g, w) in got.iter().zip(want.data()) {
                 assert!(close(*g, *w), "AtB {m}x{k}x{n}: {g} vs {w}");
@@ -1385,8 +1397,10 @@ mod tests {
         }
     }
 
-    /// Weight gradient over rows 1..1+m of the gradient and of each
-    /// operand, one operand and the stacked pair.
+    /// Weight gradient over every row of an `m`-row gradient (the operands
+    /// are taller), one operand and the stacked pair, into the whole output
+    /// and into the window from row 1, whose tiles start off a multiple of
+    /// the tile and which straddles the pair's boundary.
     #[cfg(target_arch = "x86_64")]
     fn grad_weights_tiers_agree(
         avx512: Avx512,
@@ -1398,15 +1412,17 @@ mod tests {
     ) {
         let x1 = with_signed_zeros(m + 3, k, seed + 5);
         let x2 = with_signed_zeros(m + 3, k2, seed + 6);
-        let g = with_signed_zeros(m + 1, n, seed + 7);
+        let g = with_signed_zeros(m, n, seed + 7);
         for xs in [&[&x1][..], &[&x1, &x2][..]] {
             let rows = xs.iter().map(|x| x.cols()).sum::<usize>();
-            let init = with_signed_zeros(rows, n, seed + 8).into_data();
-            let (mut d2, mut d5) = (init.clone(), init);
-            grad_weights_on(Tier::Avx2(avx512.avx2()), xs, &g, 1..1 + m, &mut d2);
-            grad_weights_on(Tier::Avx512(avx512), xs, &g, 1..1 + m, &mut d5);
-            let what = format!("grad_weights, {} operands", xs.len());
-            assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
+            for window in [0..rows, 1..rows] {
+                let init = with_signed_zeros(window.len(), n, seed + 8).into_data();
+                let (mut d2, mut d5) = (init.clone(), init);
+                grad_weights_on(Tier::Avx2(avx512.avx2()), xs, &g, window.clone(), &mut d2);
+                grad_weights_on(Tier::Avx512(avx512), xs, &g, window.clone(), &mut d5);
+                let what = format!("grad_weights, {} operands, rows {window:?}", xs.len());
+                assert_bits(&format!("{what} m={m} k={k} k2={k2} n={n}"), &d2, &d5);
+            }
         }
     }
 
@@ -1444,24 +1460,27 @@ mod tests {
         out
     }
 
-    /// The weight gradient's sequence (module doc): `mul_add` over the rows
-    /// below column `8·⌊n/8⌋`, a separate `mul` and `add` past it.
+    /// The weight gradient's sequence (module doc) over the window `rows`
+    /// of the stacked output: `mul_add` over every row of `g` below column
+    /// `8·⌊n/8⌋`, a separate `mul` and `add` past it.
     fn grad_weights_oracle(xs: &[&Matrix], g: &Matrix, rows: Range<usize>) -> Vec<f32> {
         let (n, mut out) = (g.cols(), Vec::new());
-        for x in xs {
-            for i in 0..x.cols() {
-                for j in 0..n {
-                    let mut d = 0.0f32;
-                    for r in rows.clone() {
-                        let (xv, gv) = (x.row(r)[i], g.row(r)[j]);
-                        d = if j < n - n % 8 {
-                            xv.mul_add(gv, d)
-                        } else {
-                            d + xv * gv
-                        };
-                    }
-                    out.push(d);
+        let cols: Vec<(&Matrix, usize)> = xs
+            .iter()
+            .flat_map(|&x| (0..x.cols()).map(move |i| (x, i)))
+            .collect();
+        for &(x, i) in &cols[rows] {
+            for j in 0..n {
+                let mut d = 0.0f32;
+                for r in 0..g.rows() {
+                    let (xv, gv) = (x.row(r)[i], g.row(r)[j]);
+                    d = if j < n - n % 8 {
+                        xv.mul_add(gv, d)
+                    } else {
+                        d + xv * gv
+                    };
                 }
+                out.push(d);
             }
         }
         out
@@ -1471,7 +1490,9 @@ mod tests {
     /// tier the host has, against the scalar `mul_add` oracles above — a
     /// reference that shares no code with the tiles. Over the `m ≤ 17`
     /// shapes of [`tier_shapes`], one (operands, epilogue) combination per
-    /// shape in turn, the input gradient `dY · W[2..2 + n]ᵀ` (`dY` `k`
+    /// shape in turn, the weight gradient into an output window that starts
+    /// at row 0, 1 or 2 (and with two operands ends inside the second), the
+    /// input gradient `dY · W[2..2 + n]ᵀ` (`dY` `k`
     /// wide: the transposed weight window the dispatch builds, against the
     /// GEMM oracle over the test's own transpose), and the epilogue's own
     /// cases: pre-bias values and a bias on both sides of zero, with `-0`,
@@ -1511,12 +1532,16 @@ mod tests {
             gemm(ops, m, &b, epi[s / 2 % 3], &what);
             let xs = [&a1, &a2];
             let xs = &xs[..1 + s % 2];
-            let (g, rows) = (with_signed_zeros(m + 9, n, seed + 4), 7..7 + m);
-            let want = bits(&grad_weights_oracle(xs, &g, rows.clone()));
+            let (g, rows) = (with_signed_zeros(m + 4, n, seed + 4), 7..7 + m);
+            let window = (s % 3).min(k - 1)..k + (k2 - k2 / 2) * (s % 2);
+            let want = bits(&grad_weights_oracle(xs, &g, window.clone()));
             for &tier in &tiers {
                 let mut got = vec![f32::NAN; want.len()];
-                grad_weights_on(tier, xs, &g, rows.clone(), &mut got);
-                assert!(bits(&got) == want, "{tier:?} grad_weights {what}");
+                grad_weights_on(tier, xs, &g, window.clone(), &mut got);
+                assert!(
+                    bits(&got) == want,
+                    "{tier:?} grad_weights {window:?} {what}"
+                );
             }
             let (dy, w) = (&a1, with_signed_zeros(n + 3, k, seed + 5));
             let wt = (0..k * n).map(|i| w.row(2 + i % n)[i / n]).collect();

@@ -13,11 +13,11 @@
 //! (behind a `RefCell`), which is the right granularity because kernels
 //! parallelize *inside* one step, never across steps of one model.
 //!
-//! Four kernel buffers are per thread instead: the SIMD kernels' packed
-//! panels, the input gradient's transposed weight window, the pooled weight
-//! gradient's partials and the transposed aggregation's transpose. Each
-//! grows to its high-water size on first use and is reused by every later
-//! kernel call on that thread.
+//! Three kernel buffers are per thread instead: the SIMD kernels' packed
+//! panels (and the weight gradient's transposed scratch), the input
+//! gradient's transposed weight window and the transposed aggregation's
+//! transpose. Each grows to its high-water size on first use and is reused
+//! by every later kernel call on that thread.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -36,9 +36,6 @@ thread_local! {
     /// The transposed weight window an input gradient multiplies by: made
     /// on the calling thread, read by the pool's workers through `&Matrix`.
     static WEIGHT_T: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// The pooled weight gradient's per-range partials, one `k × n` block
-    /// per range, folded on the calling thread.
-    static PARTIALS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The adjacency transpose a transposed aggregation gathers over.
     static TRANSPOSE: RefCell<SparseMatrix> = RefCell::new(SparseMatrix::default());
 }
@@ -49,18 +46,6 @@ thread_local! {
 /// while packing.
 pub(crate) fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     PACK.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        f(&mut buf[..len])
-    })
-}
-
-/// Runs `f` with this thread's partials buffer resized to at least `len`
-/// elements (contents unspecified on entry). Not reentrant.
-pub(crate) fn with_partials_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    PARTIALS.with(|cell| {
         let mut buf = cell.borrow_mut();
         if buf.len() < len {
             buf.resize(len, 0.0);

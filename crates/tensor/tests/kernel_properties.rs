@@ -9,10 +9,10 @@
 //! possible property holds: **bitwise equality** with the whole-matrix
 //! oracles (ascending `k` for GEMM, ascending row within column for the
 //! transpose), across ragged shapes (1×1, primes, tall-skinny, rows below
-//! the pool's 64-row constant). Pool-parallel weight gradients reduce
-//! per-worker partials, which legally reorders across ranges, so those are
-//! held to max-abs-error ≤ 1e-5 instead. No tier skips a zero term: a NaN
-//! or an ∞ behind an exact zero reaches the output on both.
+//! the pool's 64-row constant), inline and pooled: every pooled kernel,
+//! the weight gradient too, splits output rows and leaves each element's
+//! sequence as it is. No tier skips a zero term: a NaN or an ∞ behind an
+//! exact zero reaches the output on both.
 //!
 //! The SIMD tier has a two-level contract against the scalar tier
 //! (`DispatchPolicy::force_scalar`, the forced-fallback path):
@@ -400,9 +400,9 @@ proptest! {
     }
 
     /// Pool-parallel dispatch on the scalar tier (row counts from the
-    /// 64-row constant up, so the pool really runs): row-partitioned kernels
-    /// stay bitwise equal (disjoint writes, unchanged per-row order); the
-    /// reduction-based weight gradient is tolerance-equal (≤ 1e-5).
+    /// 64-row constant up, so the pool really runs): every kernel splits its
+    /// output rows (the weight gradient: `dW`'s rows, each worker reducing
+    /// over all `m`), so each stays bitwise equal to its naive loop.
     #[test]
     fn pooled_dispatch_matches_naive(
         m in 64usize..190,
@@ -424,11 +424,10 @@ proptest! {
             policy.grad_input(&g, &b, 0..k, Some(&pool)).data(),
             reference::matmul_transpose_other(&g, &b).data()
         );
-        let dw = policy.grad_weights(&a, &g, Some(&pool));
-        let want = reference::matmul_transpose_self(&a, &g);
-        for (x, y) in dw.data().iter().zip(want.data()) {
-            prop_assert!((x - y).abs() <= 1e-5, "dw {x} vs {y}");
-        }
+        prop_assert_eq!(
+            policy.grad_weights(&a, &g, Some(&pool)).data(),
+            reference::matmul_transpose_self(&a, &g).data()
+        );
     }
 
     /// SIMD tier vs forced-scalar fallback, dense kernels: FMA paths are

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use argo::rt::ThreadPool;
-use argo::tensor::{DispatchPolicy, Matrix};
+use argo::tensor::{DispatchPolicy, Epilogue, Matrix};
 
 /// Counts every `alloc` and `realloc` of the process and the bytes each
 /// asks for, then defers to the system allocator.
@@ -66,12 +66,12 @@ fn warm_allocs(mut f: impl FnMut()) -> (usize, usize) {
 }
 
 /// A warm pooled weight gradient makes the same few allocations, of the
-/// same bytes (the pool's fork and join), at every `k × n`: its per-range
-/// partials live in the calling thread's buffer, not in a fresh `k × n`
-/// vector per worker (which read 6 allocations a call, and bytes growing
-/// with `k × n`). Over 512 rows on a 2-worker pool, at a small shape, the
-/// hidden layers' 128 × 128, the classifier's narrow 128 × 7 and SAGE's
-/// stacked pair.
+/// same bytes, at every `k × n`, and they are exactly a warm pooled GEMM's
+/// over the same `m` on the same pool: the pool's fork and join, and no
+/// buffer of any size besides (a fresh `k × n` partial per worker read 6
+/// allocations a call, and bytes growing with `k × n`). Over 512 rows on a
+/// 2-worker pool, at a small shape, the hidden layers' 128 × 128, the
+/// classifier's narrow 128 × 7 and SAGE's stacked pair.
 #[test]
 fn warm_pooled_weight_gradient_allocations_do_not_grow_with_k_n() {
     let pool = ThreadPool::new("alloc", 2);
@@ -95,6 +95,14 @@ fn warm_pooled_weight_gradient_allocations_do_not_grow_with_k_n() {
             let what = format!("{ks:?} x {n} against 8 x 8, {tier}");
             assert_eq!((allocs, bytes), small, "(allocations, bytes): {what}");
         }
+        let (a, b) = (Matrix::xavier(m, 8, 3), Matrix::xavier(8, 8, 4));
+        let mut out = Matrix::zeros(m, 8);
+        let gemm =
+            warm_allocs(|| policy.gemm_into(&a, &b, Epilogue::none(), Some(&pool), &mut out));
+        assert_eq!(
+            small, gemm,
+            "(allocations, bytes): dW against the GEMM, {tier}"
+        );
         assert!(small.0 <= 4, "{small:?} per warm pooled call, {tier}");
     }
 }
