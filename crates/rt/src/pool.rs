@@ -191,9 +191,9 @@ impl ThreadPool {
     /// `data` holding exactly those rows. With no pool, one worker or at
     /// most one row it runs `f(0..rows, data)` inline. Blocks until done.
     ///
-    /// Every row-partitioned kernel of `argo-tensor` (GEMM, input gradient,
-    /// the CSR gather) goes through here, and so does its pooled weight
-    /// gradient, over one partials block per range. The windows are `chunks_mut` of
+    /// Every pooled kernel of `argo-tensor` goes through here, each over
+    /// its output's rows: the GEMM, the input gradient, the weight gradient
+    /// (`dW`'s rows) and the CSR gather. The windows are `chunks_mut` of
     /// `data` over the partition [`ThreadPool::parallel_ranges`] hands out,
     /// so their disjointness is the borrow checker's, not a claim.
     pub fn parallel_chunks_mut<T, F>(

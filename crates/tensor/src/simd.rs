@@ -16,8 +16,11 @@
 //!   multiply-add rounds once where the scalar tier rounds twice, so
 //!   these paths are *tolerance*-equal (≤ 1e-5 scaled) to the scalar
 //!   tier, never bitwise. Each path is still deterministic and
-//!   partition-invariant: per output element the `k` contributions are
-//!   folded in ascending order regardless of row ranges or pool size.
+//!   partition-invariant: per output element the contributions are folded
+//!   in ascending order regardless of row windows or pool size — the
+//!   weight gradient too, whose pool splits `dW`'s rows and whose every
+//!   worker reduces over all rows, so pooled ≡ serial bitwise on both
+//!   tiers.
 //! * **The SpMM row kernel ([`spmm_rows`]) and the bias/ReLU epilogue**
 //!   vectorize the *feature* dimension with separate `mul` + `add` (never
 //!   FMA): lanes are independent and per-element operation order is exactly
@@ -40,9 +43,9 @@
 //!   `max(·, 0)` for ReLU. Both vector tiers make one pass per output tile
 //!   (6×16 at AVX2, 6×64 at AVX-512), adding each block's accumulator to
 //!   the tile and applying the epilogue to the last in registers.
-//! * Weight gradient ([`grad_weights_into`], the gradients of a stacked
-//!   weight): from `+0`, FMA into `dst` over rows ascending for the columns
-//!   below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
+//! * Weight gradient ([`grad_weights_into`], a window of the gradients of
+//!   a stacked weight): from `+0`, FMA into `dst` over all rows ascending
+//!   for the columns below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
 //!   row, ascending, vectorized over `dst`'s rows (the operands' columns)
 //!   in a transposed scratch that is scattered into `dst` at the end. Both
 //!   vector tiers read each 64-row chunk of the gradient once for every
@@ -51,12 +54,15 @@
 //!   [`crate::dispatch::DispatchPolicy::grad_input_into`]): the GEMM over
 //!   `W[w_rows]ᵀ`, with one operand and no epilogue.
 //!
-//! So `ARGO_SIMD` and the host's width choose the speed, not the bits: the
-//! AVX-512 and AVX2 tiers give equal results on every input
+//! So the host's vector width chooses the speed, not the bits: the AVX-512
+//! and AVX2 tiers give equal results on every input
 //! (`avx512_tier_equals_avx2_tier_bitwise`, which covers the input gradient
 //! through the GEMM), and both equal a scalar `f32::mul_add` spelling of
 //! the GEMM, weight-gradient and input-gradient sequences above
-//! (`vector_tiers_equal_the_mul_add_oracle_bitwise`).
+//! (`vector_tiers_equal_the_mul_add_oracle_bitwise`). `ARGO_SIMD=off` (and
+//! a host without AVX2+FMA) does change the bits: the scalar tier's
+//! reference loops round each multiply and each add, so a model trained
+//! there is only tolerance-equal to one trained on a vector tier.
 //!
 //! The GEMMs pack `B` into column panels (layout below), and the narrow
 //! weight-gradient columns accumulate in a transposed scratch, both drawn

@@ -11,8 +11,8 @@
 //!   loader's channel;
 //! * thread spawns: each rank's scoped thread and its loader's named
 //!   sampler threads, spawned and joined;
-//! * kernel buffers: the per-thread pack, transposed-weight and partials
-//!   buffers each fresh rank thread grows in its first step;
+//! * kernel buffers: the per-thread pack and transposed-weight buffers
+//!   each fresh rank thread grows in its first step;
 //! * `params` and `opt` clones: each rank's copy of the master parameters
 //!   and optimizer state;
 //! * the channel: the loader's bounded channel, made and used once per
