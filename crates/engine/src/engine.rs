@@ -972,8 +972,8 @@ mod tests {
             // Every pooled kernel gives each output row to exactly one worker
             // and leaves each element's sequence as the serial kernel runs it
             // (the weight gradient reduces over all rows into its window of
-            // dW's rows), so the training threads change no bit: one core,
-            // two, and two again are the same run.
+            // dW's rows), so the training threads change no bit: one thread
+            // per rank, two, and two again are the same run.
             let run = |t: usize| {
                 let mut e = Engine::new(tiny(), neighbor(), opts(64));
                 e.train_epoch(Config::new(2, 1, t), None);

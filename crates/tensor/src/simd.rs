@@ -45,11 +45,11 @@
 //!   the tile and applying the epilogue to the last in registers.
 //! * Weight gradient ([`grad_weights_into`], a window of the gradients of
 //!   a stacked weight): from `+0`, FMA into `dst` over all rows ascending
-//!   for the columns below `8·⌊n/8⌋`; the columns past it take a separate `mul` + `add` per
-//!   row, ascending, vectorized over `dst`'s rows (the operands' columns)
-//!   in a transposed scratch that is scattered into `dst` at the end. Both
-//!   vector tiers read each 64-row chunk of the gradient once for every
-//!   operand.
+//!   for the columns below `8·⌊n/8⌋`; the columns past it take a separate
+//!   `mul` + `add` per row, ascending, vectorized over `dst`'s rows (the
+//!   operands' columns) in a transposed scratch that is scattered into
+//!   `dst` at the end. Both vector tiers read each 64-row chunk of the
+//!   gradient once for every operand.
 //! * Input gradient (`dX = dY · W[w_rows]ᵀ`, in
 //!   [`crate::dispatch::DispatchPolicy::grad_input_into`]): the GEMM over
 //!   `W[w_rows]ᵀ`, with one operand and no epilogue.
@@ -1041,7 +1041,8 @@ mod tile {
         t: &mut [f32],
     ) {
         let n = grad.cols();
-        let (nv, k_w) = (n - n % 8, t.len() / (n % 8));
+        let nv = n - n % 8;
+        let k_w = t.len() / (n - nv);
         let nj = MR.min(n - j0);
         let jc: [usize; MR] = std::array::from_fn(|t| j0 + t.min(nj - 1));
         let mut acc = [[w.splat(0.0); NV]; MR];
