@@ -33,10 +33,10 @@ if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
 fi
 rm -rf "$cli_dir"
 
-echo "==> micro_kernels quick perf gate (the scalar column must not lose to serial where it times different code: the dX GEMM over the transposed weight vs the naive dot, the fused SAGE forward vs concat + matmul, and the transposed SpMM gather vs the scatter at 0.95x; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
+echo "==> micro_kernels quick perf gate (the scalar column must not lose to serial where it times different code: the fused SAGE forward vs concat + matmul, and the transposed SpMM gather vs the scatter at 0.95x; the GEMM, dW and dX rows have no scalar column, since the scalar tier is the reference loops serial times; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
-echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (the scalar tier is the reference row forms: the GEMM and dW run reference::gemm_rows_into / transpose_self_rows_into over the pool's output row windows (dW's rows, straddling the SAGE operand boundary), bitwise equal to the naive loops serial and pooled at 2, 3 and 4 workers, and dX is the row-form GEMM over the transposed weight, bitwise equal to the naive dot for the full width and both SAGE windows, serial and pooled; a NaN or an inf behind an exact zero reaches the output; the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f, dX through the GEMM, and the scalar mul_add oracle pin of the GEMM, weight-gradient (narrow columns too) and dX-on-tile sequences at each vector width the host has)"
+echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (the scalar tier is the reference row forms, which spell the vector tiles' sequence with mul_add, compiled for the host's fma: the GEMM and dW run reference::gemm_rows_into / transpose_self_rows_into over the pool's output row windows (dW's rows, straddling the SAGE operand boundary), bitwise equal to the whole-matrix loops serial and pooled at 2, 3 and 4 workers, and dX is the row-form GEMM over the transposed weight, bitwise equal to reference::matmul over the explicit transpose for the full width and both SAGE windows, serial and pooled; a NaN or an inf behind an exact zero reaches the output; every_tier_equals_reference_bitwise pins the scalar tier and each vector tier the host has to the reference on the GEMM (one and two operands, each epilogue), dW (narrow columns, windows straddling the SAGE boundary) and dX, and the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; a batch's spans cost <= 5% of the batch; loader drain with and without the prologue — one pass over the feature table, no gathered copy — recorded, ungated)"
@@ -53,16 +53,16 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload s
 echo "==> cargo test -q -p argo-sample with SIMD force-disabled (arena assembly + gather on the scalar path)"
 ARGO_SIMD=off cargo test -q -p argo-sample
 
-echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — cascade and transposes built on the worker — equals the gathered step at 1, 2 and 4 workers)"
+echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — cascade and transposes built on the worker — equals the gathered step at 1, 2 and 4 workers; every_tier_trains_the_same_bits, whose two policies both run the scalar tier here)"
 ARGO_SIMD=off cargo test -q -p argo-nn
 
-echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow)"
+echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow; the scalar tier trains the vector tiers' bits, so these are the bits of the default run too)"
 ARGO_SIMD=off cargo test -q -p argo-engine
 
 echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step and dispatch kernel allocate nothing)"
 ARGO_SIMD=off cargo test -q --test allocations
 
-echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n, and it makes exactly a warm pooled GEMM's allocations; the n_train bitwise pin, engine's n_samp_and_n_train_change_no_trained_bit: two epochs at n_samp 1-2 and n_train 1-3 train the same bits; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
+echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n, and it makes exactly a warm pooled GEMM's allocations; the n_train bitwise pin, engine's n_samp_and_n_train_change_no_trained_bit: two epochs at n_samp 1-2 and n_train 1-3 train the same bits; the tier pin, nn's every_tier_trains_the_same_bits: four prepared steps + Adam on the vector tier and the scalar tier train the same losses and parameters, SAGE/Neighbor and GCN/ShaDow at depths 2-3; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
 cargo test -q
 
 echo "CI OK"

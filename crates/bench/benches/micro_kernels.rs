@@ -13,15 +13,15 @@
 //! (`force_scalar()`), `simd` the default tier run inline (AVX-512 or
 //! AVX2+FMA on hosts that have it, scalar otherwise; `simd_tier` in the JSON
 //! names which), and `pool` the default policy
-//! handed a 4-worker pool — what production routes. A row whose shape the
-//! dispatch constants keep inline has no `pool` column: it would time the
-//! `simd` kernel a second time. The scalar tier's GEMM and weight gradient
-//! *are* the reference loops, so the `gemm`, `grad_weights` and
-//! `sage_grad_weights` rows have no `scalar` column: it would time `serial`
-//! again. The rows that keep it time different code: the input gradient
-//! (the GEMM over `Wᵀ` vs the naive dot), the fused SAGE GEMM (windowed
-//! GEMM vs concat + matmul) and the transposed SpMM (a gather vs the
-//! scatter).
+//! handed a pool of one worker per hardware thread (`pool_workers` in the
+//! header and the provenance) — what production routes. A row whose shape
+//! the dispatch constants keep inline has no `pool` column: it would time
+//! the `simd` kernel a second time. The scalar tier's GEMM, weight gradient
+//! and input gradient (the GEMM over `Wᵀ`) *are* the reference loops, so
+//! the `gemm`, `grad_weights`, `grad_input` and `sage_grad_weights` rows
+//! have no `scalar` column: it would time `serial` again. The rows that
+//! keep it time different code: the fused SAGE GEMM (windowed GEMM vs
+//! concat + matmul) and the transposed SpMM (a gather vs the scatter).
 //!
 //! `ARGO_BENCH_QUICK=1` switches to a fast CI mode: a smaller train-step
 //! batch, and a sanity perf gate — the process exits non-zero if a gated
@@ -135,9 +135,9 @@ struct KernelRow {
     /// `None` when the dispatch constants keep this shape off the pool.
     pool_s: Option<f64>,
     /// Quick-mode perf-gate floor for scalar-vs-serial speedup, when
-    /// gated: 1.0 for the input gradient and the fused SAGE GEMM, 0.95 for
-    /// the CSC transpose, which is parity-by-design on one core (its win is
-    /// parallelizability) and only needs to not regress.
+    /// gated: 1.0 for the fused SAGE GEMM, 0.95 for the CSC transpose,
+    /// which is parity-by-design on one core (its win is parallelizability)
+    /// and only needs to not regress.
     scalar_gate_min: Option<f64>,
     /// Quick-mode floor for SIMD vs the tier directly below it (scalar
     /// when the row has it, else serial): 1.0 for the FMA GEMM family,
@@ -214,7 +214,8 @@ fn main() {
     // quantum can double one sample; min-of-2 is not enough to reject that
     // on a shared CI core, and more samples cost almost nothing.
     let samples = if quick { 8 } else { 5 };
-    let pool = ThreadPool::new("bench", 4);
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool = ThreadPool::new("bench", host_threads);
     // `policy` is the dispatch default (what production routes), `scalar`
     // pins the scalar tier for the scalar column.
     let policy = DispatchPolicy::default();
@@ -293,23 +294,20 @@ fn main() {
     }
 
     // -- Input gradient dX = dY Wᵀ, the training step's, and the ShaDow-GCN
-    // classifier's (m × 7 → 128). --
-    for (m, k, n, gate_min) in [
-        (4096, 64, 32, Some(1.0)),
-        (1751, 128, 128, None),
-        (1751, 128, 7, None),
-    ] {
+    // classifier's (m × 7 → 128): serial is the GEMM over the explicit
+    // transpose, made outside the timed region. --
+    for (m, k, n) in [(4096, 64, 32), (1751, 128, 128), (1751, 128, 7)] {
         let g = Matrix::xavier(m, n, 5);
         let w = Matrix::xavier(k, n, 6);
-        let [serial, scalar_s, simd] = time_gated(
+        let wt = w.transpose();
+        let [serial, simd] = time_gated(
             "grad_input",
             samples,
             [
-                &mut || drop(black_box(reference::matmul_transpose_other(&g, &w))),
-                &mut || drop(black_box(scalar.grad_input(&g, &w, 0..k, None))),
+                &mut || drop(black_box(reference::matmul(&g, &wt))),
                 &mut || drop(black_box(policy.grad_input(&g, &w, 0..k, None))),
             ],
-            [None, gate_min, Some(1.0)],
+            [None, Some(1.0)],
         );
         let pooled =
             dense_pool(m).map(|p| time_min(samples, || policy.grad_input(&g, &w, 0..k, Some(p))));
@@ -318,10 +316,10 @@ fn main() {
             shape: format!("{m}x{n}x{k}"),
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
-            scalar_s: Some(scalar_s),
+            scalar_s: None,
             simd_s: Some(simd),
             pool_s: pooled,
-            scalar_gate_min: gate_min,
+            scalar_gate_min: None,
             simd_gate_min: Some(1.0),
         });
     }
@@ -535,7 +533,7 @@ fn main() {
         });
     }
 
-    // -- End-to-end: train_step_gathered, serial vs 4-thread pool. --
+    // -- End-to-end: train_step_gathered, serial vs the pool. --
     let step_rows = if quick { 1024 } else { 4096 };
     let (batch, input, labels, dim) = train_fixture(step_rows);
     let step_samples = if quick { 2 } else { 3 };
@@ -567,10 +565,10 @@ fn main() {
     });
 
     // -- Report. --
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let tier = argo_tensor::simd_tier();
     println!(
-        "=== micro_kernels (quick={quick}, host_threads={host_threads}, simd tier {tier}) ===\n"
+        "=== micro_kernels (quick={quick}, host_threads={host_threads}, \
+         pool_workers={host_threads}, simd tier {tier}) ===\n"
     );
     println!(
         "{:<18} {:<22} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
@@ -605,7 +603,7 @@ fn main() {
     );
     println!(
         "train_step_gathered ({step_rows} seeds, 2-layer SAGE): \
-         serial {:.1} ms, 4-thread pool {:.1} ms ({step_speedup:.2}x)",
+         serial {:.1} ms, {host_threads}-worker pool {:.1} ms ({step_speedup:.2}x)",
         serial_step * 1e3,
         pool_step * 1e3
     );
@@ -617,12 +615,16 @@ fn main() {
         shadow_step * 1e3
     );
 
+    let mut provenance = argo_bench::provenance(host_threads);
+    if let Json::Obj(fields) = &mut provenance {
+        fields.insert("pool_workers".into(), Json::Num(host_threads as f64));
+    }
     let json = Json::obj(vec![
-        ("provenance", argo_bench::provenance(host_threads)),
+        ("provenance", provenance),
         ("host_threads", Json::Num(host_threads as f64)),
         ("quick", Json::Bool(quick)),
         ("simd_tier", Json::str(tier)),
-        ("pool_workers", Json::Num(4.0)),
+        ("pool_workers", Json::Num(host_threads as f64)),
         (
             "kernels",
             Json::Arr(rows.iter().map(KernelRow::to_json).collect()),

@@ -1578,6 +1578,56 @@ mod tests {
         });
     }
 
+    /// The tier chooses how fast a model trains, not what it learns:
+    /// SAGE over Neighbor batches and GCN over ShaDow batches, two and three
+    /// layers deep, each batch prepared as the loader prepares it, trained
+    /// for four steps of `train_step_prepared` + Adam, end with equal losses
+    /// and parameters, bit for bit, on every tier.
+    #[test]
+    fn every_tier_trains_the_same_bits() {
+        let d = tiny_dataset();
+        let (f, ring, spans) = (&d.features, InputRing::new(), WorkerRing::detached());
+        for (kind, depth) in [Arch::Sage, Arch::Gcn]
+            .into_iter()
+            .flat_map(|kind| [2, 3].map(|depth| (kind, depth)))
+        {
+            let sampler: Box<dyn Sampler> = match kind {
+                Arch::Sage => Box::new(NeighborSampler::new(vec![5; depth])),
+                Arch::Gcn => Box::new(ShadowSampler::new(vec![4, 3], depth)),
+            };
+            let train = |policy| {
+                let mut m =
+                    Gnn::new(kind, f.dim(), 16, d.num_classes, depth, 5).with_dispatch(policy);
+                let mut opt = crate::optim::Adam::new(m.num_params(), 0.01);
+                let (mut scratch, mut losses, mut p, mut g) =
+                    (SamplerScratch::new(), vec![], vec![], vec![]);
+                for step in 0..4 {
+                    let seeds = &d.train_nodes[24 * step..][..24];
+                    let run = SampleRun::new(SeedSequence::new(step as u64), &mut scratch);
+                    let view =
+                        sampler.sample_into(&d.graph, seeds, run.with_norm(kind.normalization()));
+                    let input =
+                        PreparedInput::prepare_for_training(&view, f, depth, &ring, &spans, 0);
+                    let stats = m.train_step_prepared(&view.to_owned(), &input, &d.labels, None);
+                    losses.push(stats.loss.to_bits());
+                    m.grads_flat(&mut g);
+                    m.params_flat(&mut p);
+                    crate::optim::Optimizer::step(&mut opt, &mut p, &g);
+                    m.set_params_flat(&p);
+                }
+                (losses, bits(&p))
+            };
+            let [(vl, vp), (sl, sp)] = both_tiers().map(train);
+            let apart = |a: &[u32], b: &[u32]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+            let (apart, n) = ((apart(&vl, &sl), apart(&vp, &sp)), vp.len());
+            assert_eq!(
+                apart,
+                (0, 0),
+                "{kind:?}×{depth}: (losses, parameters) of (4, {n}) apart"
+            );
+        }
+    }
+
     /// Every buffer a step takes unzeroed is overwritten in full: a model
     /// whose workspace holds NaN-filled buffers of exactly the sizes the
     /// step asks for computes the bits a fresh model does.

@@ -107,6 +107,13 @@ impl Matrix {
         (a, b)
     }
 
+    /// The transpose, `cols × rows`.
+    pub fn transpose(&self) -> Matrix {
+        let (r, c) = (self.rows, self.cols);
+        let data = (0..r * c).map(|i| self.data[i % r * c + i / r]).collect();
+        Matrix::from_vec(c, r, data)
+    }
+
     /// Takes the rows listed in `ids` into a new matrix.
     pub fn gather_rows(&self, ids: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(ids.len(), self.cols);
@@ -120,7 +127,8 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{matmul, matmul_transpose_other, matmul_transpose_self};
+    use crate::reference::{matmul, matmul_transpose_self};
+    use crate::DispatchPolicy;
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())
@@ -150,38 +158,32 @@ mod tests {
         matmul(&m(2, 3, &[0.; 6]), &m(2, 2, &[0.; 4]));
     }
 
+    /// The weight gradient is not the GEMM over the explicit transpose bit
+    /// for bit: its narrow columns take a separate multiply and add where
+    /// the GEMM fuses them, and it has no `KC` blocks.
     #[test]
     fn transpose_self_matches_explicit() {
         let x = Matrix::xavier(6, 4, 5);
         let y = Matrix::xavier(6, 3, 6);
         let got = matmul_transpose_self(&x, &y);
-        // Explicit transpose then matmul.
-        let mut xt = Matrix::zeros(4, 6);
-        for i in 0..6 {
-            for j in 0..4 {
-                xt.set(j, i, x.get(i, j));
-            }
-        }
-        let want = matmul(&xt, &y);
+        let want = matmul(&x.transpose(), &y);
         for (a, b) in got.data().iter().zip(want.data()) {
             assert!((a - b).abs() < 1e-5);
         }
     }
 
+    /// The input gradient `x · wᵀ`, on both tiers, is the GEMM over the
+    /// explicit transpose, bit for bit.
     #[test]
     fn transpose_other_matches_explicit() {
         let x = Matrix::xavier(5, 4, 7);
         let w = Matrix::xavier(3, 4, 8);
-        let got = matmul_transpose_other(&x, &w);
-        let mut wt = Matrix::zeros(4, 3);
-        for i in 0..3 {
-            for j in 0..4 {
-                wt.set(j, i, w.get(i, j));
-            }
-        }
-        let want = matmul(&x, &wt);
-        for (a, b) in got.data().iter().zip(want.data()) {
-            assert!((a - b).abs() < 1e-5);
+        let want = matmul(&x, &w.transpose());
+        for policy in [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ] {
+            assert_eq!(policy.grad_input(&x, &w, 0..3, None), want);
         }
     }
 

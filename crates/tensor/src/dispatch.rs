@@ -8,12 +8,12 @@
 //! `crates/check/tests/hot_paths.rs`). Each operation has exactly one
 //! implementation:
 //!
-//! * **Two tiers.** SIMD (`simd.rs`: the dense kernels at the host's
-//!   vector width, AVX-512 or AVX2+FMA, bitwise equal at both) and the
-//!   scalar tier it falls back to, which for the dense kernels is the row
-//!   forms of [`mod@crate::reference`] — the same loops the tests' oracles
-//!   run. Each kernel takes the policy's `use_simd` and picks its tier
-//!   once.
+//! * **Two tiers, one sequence.** SIMD (`simd.rs`: the dense kernels at
+//!   the host's vector width, AVX-512 or AVX2+FMA) and the scalar tier it
+//!   falls back to, which for the dense kernels is the row forms of
+//!   [`mod@crate::reference`] — the same per-element sequence, so every
+//!   tier gives equal bits. Each kernel takes the policy's `use_simd` and
+//!   picks its tier once.
 //! * **One runner.** Forward GEMM, input gradients (the same GEMM, over
 //!   the transposed weight window), weight gradients (`dW = Xᵀ dY`, each
 //!   worker reducing over every row into its window of `dW`'s rows) and
@@ -391,9 +391,9 @@ impl DispatchPolicy {
     /// [`DispatchPolicy::grad_input`] into a caller-provided matrix:
     /// `w[w_rows]ᵀ` is transposed once, on the calling thread, into its
     /// transposed-weight buffer ([`crate::workspace`]), and the output rows
-    /// run the forward's GEMM over it, with no epilogue. On the scalar tier
-    /// each element is then the `k` terms added one at a time, ascending
-    /// from `+0` — bitwise the dot of [`crate::reference::matmul_transpose_other`].
+    /// run the forward's GEMM over it, with no epilogue: bitwise
+    /// [`crate::reference::matmul`] over the explicit transpose, on every
+    /// tier.
     pub fn grad_input_into(
         &self,
         grad: &Matrix,
@@ -450,39 +450,34 @@ mod tests {
         assert!(!policy.goes_parallel(1_000_000, Some(&single)));
     }
 
-    #[test]
-    fn gemm_serial_and_parallel_match_naive() {
-        // Scalar tier: bitwise contract against the naive kernel, at pool
-        // sizes whose row windows are even (2, 4) and ragged (3: 24/24/22).
-        let policy = DispatchPolicy::default().force_scalar();
-        let a = Matrix::xavier(70, 17, 1);
-        let b = Matrix::xavier(17, 11, 2);
-        let naive = reference::matmul(&a, &b);
-        let serial = policy.gemm(&a, &b, None);
-        assert_eq!(naive.data(), serial.data());
-        for size in POOL_SIZES {
-            let pool = ThreadPool::new("t", size);
-            assert!(policy.goes_parallel(a.rows(), Some(&pool)));
-            let par = policy.gemm(&a, &b, Some(&pool));
-            assert_eq!(naive.data(), par.data(), "pool size {size}");
-        }
+    fn both_tiers() -> [DispatchPolicy; 2] {
+        [
+            DispatchPolicy::default(),
+            DispatchPolicy::default().force_scalar(),
+        ]
     }
 
     #[test]
-    fn simd_gemm_matches_scalar_within_tolerance_and_partition_invariant() {
-        let pool = pool2();
+    fn gemm_serial_and_parallel_match_naive() {
+        // Both tiers: bitwise against the naive kernel, at pool sizes whose
+        // row windows are even (2, 4) and ragged (3: 24/24/22).
         let a = Matrix::xavier(70, 17, 1);
         let b = Matrix::xavier(17, 11, 2);
-        let scalar = DispatchPolicy::default().force_scalar().gemm(&a, &b, None);
-        let simd_serial = DispatchPolicy::default().gemm(&a, &b, None);
-        let simd_par = DispatchPolicy::default().gemm(&a, &b, Some(&pool));
-        // FMA reassociates each k-step's rounding: tolerance contract.
-        for (s, v) in scalar.data().iter().zip(simd_serial.data()) {
-            assert!((s - v).abs() <= 1e-5 * 1.0f32.max(s.abs()));
+        let naive = reference::matmul(&a, &b);
+        for policy in both_tiers() {
+            let simd = policy.simd_enabled();
+            assert_eq!(
+                naive.data(),
+                policy.gemm(&a, &b, None).data(),
+                "simd {simd}"
+            );
+            for size in POOL_SIZES {
+                let pool = ThreadPool::new("t", size);
+                assert!(policy.goes_parallel(a.rows(), Some(&pool)));
+                let par = policy.gemm(&a, &b, Some(&pool));
+                assert_eq!(naive.data(), par.data(), "pool size {size}, simd {simd}");
+            }
         }
-        // But the SIMD tier itself is partition-invariant: pool == serial
-        // bitwise, because per-element FMA order ignores the row split.
-        assert_eq!(simd_serial.data(), simd_par.data());
     }
 
     #[test]
@@ -498,8 +493,10 @@ mod tests {
     #[test]
     fn gemm_epilogue_fuses_bias_and_relu() {
         let pool = pool2();
-        for use_pool in [false, true] {
-            let policy = DispatchPolicy::default().force_scalar();
+        for (use_pool, policy) in [false, true]
+            .into_iter()
+            .flat_map(|p| both_tiers().map(|policy| (p, policy)))
+        {
             let a = Matrix::xavier(80, 8, 3);
             let b = Matrix::xavier(8, 6, 4);
             let bias: Vec<f32> = (0..6).map(|i| (i as f32) * 0.3 - 0.8).collect();
@@ -516,10 +513,13 @@ mod tests {
                     want.set(r, c, if z > 0.0 { z } else { 0.0 });
                 }
             }
-            assert_eq!(out.data(), want.data(), "pool={use_pool}");
+            assert_eq!(out.data(), want.data(), "pool={use_pool} {policy:?}");
         }
     }
 
+    /// A tolerance, not bits: the fused GEMM adds the self rows' block sum
+    /// and then the aggregation's, where the concatenated reference runs one
+    /// FMA chain over both.
     #[test]
     fn sage_gemm_equals_concat_reference() {
         let f = 5;
@@ -603,20 +603,21 @@ mod tests {
             let grad = Matrix::xavier(adj.rows(), width, 9);
             let work = adj.nnz() * width;
             let want_back = reference::spmm_transpose(adj, &grad);
-            // Forward oracle: the dense product where that is affordable,
-            // the serial scalar gather (itself pinned on the small fixture)
+            // Forward oracle: on the small fixture, whose rows' columns
+            // ascend, the scatter over the transpose, which adds each
+            // output element's terms in the gather's order (the dense
+            // product fuses them); the serial scalar gather (pinned by that)
             // elsewhere.
             let want_fwd = if adj.rows() <= 100 {
-                reference::matmul(&adj.to_dense(), &h)
+                let mut adj_t = SparseMatrix::default();
+                adj.transpose_into(&mut adj_t);
+                reference::spmm_transpose(&adj_t, &h)
             } else {
                 DispatchPolicy::default()
                     .force_scalar()
                     .aggregate(adj, &h, None)
             };
-            for policy in [
-                DispatchPolicy::default(),
-                DispatchPolicy::default().force_scalar(),
-            ] {
+            for policy in both_tiers() {
                 for p in std::iter::once(None).chain(pools.iter().map(Some)) {
                     if let Some(pool) = p {
                         assert_eq!(
@@ -648,10 +649,7 @@ mod tests {
             let view =
                 SparseView::new(adj.rows(), adj.cols(), &indptr, &indices, values.as_deref());
             let h = Matrix::xavier(adj.cols(), width, 8);
-            for policy in [
-                DispatchPolicy::default(),
-                DispatchPolicy::default().force_scalar(),
-            ] {
+            for policy in both_tiers() {
                 for p in [None, Some(&pool)] {
                     let owned = policy.aggregate(adj, &h, p);
                     let mut got = Matrix::zeros(adj.rows(), h.cols());
@@ -683,8 +681,8 @@ mod tests {
     }
 
     /// The weight gradient partitions its output rows: on both tiers, at
-    /// every pool size, pooled ≡ serial bitwise, and the scalar tier equals
-    /// the naive `[h | agg]ᵀ · dY` bitwise. Over SAGE's stacked operands, `f
+    /// every pool size, pooled ≡ serial ≡ the naive `[h | agg]ᵀ · dY`
+    /// bitwise. Over SAGE's stacked operands, `f
     /// = 11` puts the 3-worker windows at 8/8/6 rows with the middle one
     /// straddling the operands' boundary (4 workers: 6/6/6/4, the second
     /// straddling), and the widths `o` cover an all-narrow output (7), a
@@ -700,16 +698,11 @@ mod tests {
         for o in [7, 13, 40] {
             let grad = Matrix::xavier(m, o, 22 + o as u64);
             let naive = reference::matmul_transpose_self(&h_dst.concat_cols(&agg), &grad);
-            for policy in [
-                DispatchPolicy::default(),
-                DispatchPolicy::default().force_scalar(),
-            ] {
+            for policy in both_tiers() {
                 let simd = policy.simd_enabled();
                 let mut serial = Matrix::zeros(2 * f, o);
                 policy.grad_weights_into(&[&h, &agg], &grad, None, &mut serial);
-                if !simd {
-                    assert_eq!(serial.data(), naive.data(), "o={o}, scalar serial");
-                }
+                assert_eq!(serial.data(), naive.data(), "o={o}, simd {simd} serial");
                 for pool in &pools {
                     assert!(policy.goes_parallel(m, Some(pool)));
                     let mut got = Matrix::from_vec(2 * f, o, vec![f32::NAN; 2 * f * o]);
@@ -744,28 +737,26 @@ mod tests {
         policy.grad_weights_into(&[&h, &agg], &grad, None, &mut dw);
         let h_dst = h.gather_rows(&(0..n_dst as u32).collect::<Vec<_>>());
         let want = reference::matmul_transpose_self(&h_dst.concat_cols(&agg), &grad);
-        for (a, b) in dw.data().iter().zip(want.data()) {
-            assert!((a - b).abs() <= 1e-5);
-        }
+        assert_eq!(dw.data(), want.data());
     }
 
-    /// The scalar tier's input gradient, the GEMM over the transposed
-    /// window, equals the naive dot bitwise: over the full stacked weight
-    /// and SAGE's two windows of it, inline and on every pool size, at
-    /// depths `o` from a toy 3 through the classifier's 7 and a hidden
-    /// layer's 128 to 300.
+    /// The input gradient, the GEMM over the transposed window, equals the
+    /// GEMM over the explicit transpose bitwise on both tiers: over the full
+    /// stacked weight and SAGE's two windows of it, inline and on every pool
+    /// size, at depths `o` from a toy 3 through the classifier's 7 and a
+    /// hidden layer's 128 to 300 (two `KC` blocks).
     #[test]
     fn grad_input_window_equals_split_reference() {
         let pools = POOL_SIZES.map(|size| ThreadPool::new("t", size));
-        let policy = DispatchPolicy::default().force_scalar();
-        for (f, o) in [(4, 3), (21, 7), (21, 128), (21, 300)] {
+        let cases = [(4, 3), (21, 7), (21, 128), (21, 300)];
+        for ((f, o), policy) in cases.into_iter().flat_map(|c| both_tiers().map(|p| (c, p))) {
             let grad = Matrix::xavier(80, o, 15 + o as u64);
             let w = Matrix::xavier(2 * f, o, 16 + o as u64);
-            let naive_full = reference::matmul_transpose_other(&grad, &w);
+            let naive_full = reference::matmul(&grad, &w.transpose());
             // Row windows = columns of the split reference.
             let (want_self, want_neigh) = naive_full.split_cols(f);
             for p in std::iter::once(None).chain(pools.iter().map(Some)) {
-                let at = format!("o={o}, pool size {:?}", p.map(ThreadPool::size));
+                let at = format!("o={o}, pool size {:?}, {policy:?}", p.map(ThreadPool::size));
                 let full = policy.grad_input(&grad, &w, 0..2 * f, p);
                 assert_eq!(full.data(), naive_full.data(), "{at}");
                 let d_self = policy.grad_input(&grad, &w, 0..f, p);

@@ -12,9 +12,10 @@
 //! the *training cores* chosen by the auto-tuner — on one of two tiers
 //! (SIMD — AVX-512 or AVX2+FMA, by the host — or the scalar tier it falls
 //! back to; [`simd_tier`] names the one this process runs). The scalar
-//! tier's dense kernels are the row forms of [`mod@reference`], whose
-//! whole-matrix loops are also the oracles tests and benches compare
-//! against.
+//! tier's dense kernels are the row forms of [`mod@reference`], which spell
+//! the vector tiles' per-element sequence, so every tier computes the same
+//! bits and the tier chooses only the speed; their whole-matrix loops are
+//! also the oracles tests and benches compare against.
 
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

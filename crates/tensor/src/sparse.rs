@@ -476,15 +476,7 @@ mod tests {
         let s = sample();
         let d = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let got = reference::spmm_transpose(&s, &d);
-        // dense: s.to_dense()ᵀ @ d
-        let sd = s.to_dense();
-        let mut st = Matrix::zeros(3, 2);
-        for i in 0..2 {
-            for j in 0..3 {
-                st.set(j, i, sd.get(i, j));
-            }
-        }
-        let want = reference::matmul(&st, &d);
+        let want = reference::matmul(&s.to_dense().transpose(), &d);
         assert_eq!(got.data(), want.data());
     }
 

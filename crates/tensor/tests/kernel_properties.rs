@@ -7,28 +7,26 @@
 //! contributions in the order of the naive scatter — so through the
 //! dispatch, with its row ranges and workspace buffers, the strongest
 //! possible property holds: **bitwise equality** with the whole-matrix
-//! oracles (ascending `k` for GEMM, ascending row within column for the
-//! transpose), across ragged shapes (1×1, primes, tall-skinny, rows below
-//! the pool's 64-row constant), inline and pooled: every pooled kernel,
-//! the weight gradient too, splits output rows and leaves each element's
-//! sequence as it is. No tier skips a zero term: a NaN or an ∞ behind an
-//! exact zero reaches the output on both.
+//! oracles (`KC` blocks of ascending `k` for the GEMM and for the input
+//! gradient, which is the GEMM over the explicit transpose; ascending row
+//! within column for the weight gradient and the transposed aggregation),
+//! across ragged shapes (1×1, primes, tall-skinny, rows below the pool's
+//! 64-row constant), inline and pooled: every pooled kernel, the weight
+//! gradient too, splits output rows and leaves each element's sequence as
+//! it is. No tier skips a zero term: a NaN or an ∞ behind an exact zero
+//! reaches the output on both.
 //!
-//! The SIMD tier has a two-level contract against the scalar tier
-//! (`DispatchPolicy::force_scalar`, the forced-fallback path):
-//!
-//! * GEMM / weight gradients / input gradients use FMA, which fuses the
-//!   per-step rounding — **scaled 1e-5 tolerance**;
-//! * SpMM gathers and the bias/ReLU epilogue vectorize the feature
-//!   dimension with separate mul+add in scalar lane order — **bitwise**.
+//! The SIMD tier equals the scalar tier (`DispatchPolicy::force_scalar`)
+//! **bitwise**: the GEMM and both gradients run the reference's `mul_add`
+//! sequence, and the SpMM gathers and the bias/ReLU epilogue vectorize the
+//! feature dimension with separate mul+add in scalar lane order.
 
 use argo_rt::ThreadPool;
 use argo_tensor::{reference, DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 use proptest::prelude::*;
 
-/// Scaled tolerance of the FMA contract.
-fn fma_close(got: f32, want: f32) -> bool {
-    (got - want).abs() <= 1e-5 * 1.0f32.max(want.abs())
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 /// A deterministic ragged sparse matrix with controllable density and
@@ -80,7 +78,7 @@ fn blocked_gemm_bitwise_equals_naive_at_edge_shapes() {
         let bt = Matrix::xavier(n, k, s as u64 + 200);
         assert_eq!(
             scalar.grad_input(&a, &bt, 0..n, None).data(),
-            reference::matmul_transpose_other(&a, &bt).data(),
+            reference::matmul(&a, &bt.transpose()).data(),
             "ABt {m}x{k}x{n}"
         );
     }
@@ -239,7 +237,7 @@ proptest! {
         let c = Matrix::xavier(n, k, seed ^ 0xB22);
         prop_assert_eq!(
             scalar.grad_input(&a, &c, 0..n, None).data(),
-            reference::matmul_transpose_other(&a, &c).data()
+            reference::matmul(&a, &c.transpose()).data()
         );
     }
 
@@ -328,8 +326,7 @@ proptest! {
             }
             let got = policy.aggregate_transpose(&slice, &grad, None);
             let want = policy.aggregate_transpose(&adj, &padded, None);
-            let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(bits(got.data()), bits(want.data()));
         }
     }
 
@@ -380,7 +377,6 @@ proptest! {
         for (i, &r) in kept.iter().enumerate() {
             padded.row_mut(r).copy_from_slice(grad.row(i));
         }
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for policy in [DispatchPolicy::default(), DispatchPolicy::default().force_scalar()] {
             let full = policy.aggregate(&adj, &h, None);
             let got = policy.aggregate(&slice, &h_named, None);
@@ -422,7 +418,7 @@ proptest! {
         let g = Matrix::xavier(m, n, seed ^ 0x44);
         prop_assert_eq!(
             policy.grad_input(&g, &b, 0..k, Some(&pool)).data(),
-            reference::matmul_transpose_other(&g, &b).data()
+            reference::matmul(&g, &b.transpose()).data()
         );
         prop_assert_eq!(
             policy.grad_weights(&a, &g, Some(&pool)).data(),
@@ -430,12 +426,10 @@ proptest! {
         );
     }
 
-    /// SIMD tier vs forced-scalar fallback, dense kernels: FMA paths are
-    /// scaled-1e-5 equal; the fused bias/ReLU epilogue values come out of
-    /// bitwise-equal lane ops on tolerance-close inputs. Shapes span
-    /// 1..130 across every register-tile and blocking boundary. On hosts
-    /// without AVX2+FMA both policies run the identical scalar tier and
-    /// the properties hold trivially.
+    /// SIMD tier vs forced-scalar fallback, dense kernels: bitwise, the
+    /// fused bias epilogue included. Shapes span 1..130 across every
+    /// register-tile boundary. On hosts without AVX2+FMA both policies run
+    /// the identical scalar tier and the properties hold trivially.
     #[test]
     fn simd_dispatch_matches_scalar_within_contract(
         m in 1usize..130,
@@ -452,20 +446,12 @@ proptest! {
         simd.gemm_into(&a, &b, Epilogue::bias(&bias), None, &mut got);
         let mut want = Matrix::zeros(m, n);
         scalar.gemm_into(&a, &b, Epilogue::bias(&bias), None, &mut want);
-        for (x, y) in got.data().iter().zip(want.data()) {
-            prop_assert!(fma_close(*x, *y), "gemm+bias {x} vs {y}");
-        }
+        prop_assert_eq!(bits(got.data()), bits(want.data()), "gemm+bias");
         let g = Matrix::xavier(m, n, seed ^ 0x88);
-        let dw_s = simd.grad_weights(&a, &g, None);
-        let dw_c = scalar.grad_weights(&a, &g, None);
-        for (x, y) in dw_s.data().iter().zip(dw_c.data()) {
-            prop_assert!(fma_close(*x, *y), "dw {x} vs {y}");
-        }
-        let di_s = simd.grad_input(&g, &b, 0..k, None);
-        let di_c = scalar.grad_input(&g, &b, 0..k, None);
-        for (x, y) in di_s.data().iter().zip(di_c.data()) {
-            prop_assert!(fma_close(*x, *y), "di {x} vs {y}");
-        }
+        let (dw_s, dw_c) = (simd.grad_weights(&a, &g, None), scalar.grad_weights(&a, &g, None));
+        prop_assert_eq!(bits(dw_s.data()), bits(dw_c.data()), "dw");
+        let (di_s, di_c) = (simd.grad_input(&g, &b, 0..k, None), scalar.grad_input(&g, &b, 0..k, None));
+        prop_assert_eq!(bits(di_s.data()), bits(di_c.data()), "di");
     }
 
     /// SIMD tier vs forced-scalar fallback, sparse kernels: the vectorized

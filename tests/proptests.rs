@@ -176,14 +176,7 @@ proptest! {
         // Transposed SpMM agrees with dense too: (sᵀ d2)
         let d2 = Matrix::xavier(rows, cols, 8);
         let got_t = policy.aggregate_transpose(&s, &d2, None);
-        let sd = s.to_dense();
-        let mut st = Matrix::zeros(inner, rows);
-        for i in 0..rows {
-            for j in 0..inner {
-                st.set(j, i, sd.get(i, j));
-            }
-        }
-        let want_t = matmul(&st, &d2);
+        let want_t = matmul(&s.to_dense().transpose(), &d2);
         for (a, b) in got_t.data().iter().zip(want_t.data()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
