@@ -1494,11 +1494,12 @@ mod tests {
             let window = (s % 3).min(k - 1)..k + (k2 - k2 / 2) * (s % 2);
             let mut want = vec![f32::NAN; window.len() * n];
             reference::transpose_self_rows_into(&cat, &g, window.clone(), &mut want);
+            let want = bits(&want);
             for &tier in &tiers {
                 let mut got = vec![f32::NAN; want.len()];
                 grad_weights_on(tier, &xs, &g, window.clone(), &mut got);
                 assert!(
-                    bits(&got) == bits(&want),
+                    bits(&got) == want,
                     "{tier:?} grad_weights {window:?} {what}"
                 );
             }
@@ -1506,6 +1507,7 @@ mod tests {
             let wt = (0..k * n).map(|i| w.row(2 + i % n)[i / n]).collect();
             let mut want = vec![0.0f32; m * n];
             reference::gemm_rows_into(dy, rows.clone(), &Matrix::from_vec(k, n, wt), 0, &mut want);
+            let want = bits(&want);
             for &tier in &tiers {
                 let mut got = vec![f32::NAN; want.len()];
                 workspace::with_transposed_rows(&w, 2..2 + n, |wt| {
@@ -1518,10 +1520,7 @@ mod tests {
                         &mut got,
                     )
                 });
-                assert!(
-                    bits(&got) == bits(&want),
-                    "{tier:?} grad_input m={m} k={k} n={n}"
-                );
+                assert!(bits(&got) == want, "{tier:?} grad_input m={m} k={k} n={n}");
             }
         }
         // The epilogue: rows 7 and 8 of `A` pick the two rows of `D`, so
