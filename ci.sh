@@ -33,7 +33,7 @@ if ! grep -q "tuner convergence" "$cli_dir/report.txt"; then
 fi
 rm -rf "$cli_dir"
 
-echo "==> micro_kernels quick perf gate (the scalar column must not lose to serial where it times different code: the fused SAGE forward vs concat + matmul, and the transposed SpMM gather vs the scatter at 0.95x; the GEMM, dW and dX rows have no scalar column, since the scalar tier is the reference loops serial times; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
+echo "==> micro_kernels quick perf gate (the scalar column must not lose to serial where it times different code: the fused SAGE forward vs concat + matmul, and the transposed SpMM gather vs the scatter at 0.95x; the GEMM, dW and dX rows have no scalar column, since the scalar tier is the reference loops serial times; simd — the host's widest tier, avx512f or avx2+fma, named in the header — must not lose to the tier below, on the training step's own GEMM / dW / dX shapes too (dX is the GEMM tile over the transposed weight), on the ShaDow-GCN classifier's narrow dX (m x 7 -> 128) and 128 x 7 dW, on SAGE layer 0's fused forward (bias + ReLU) and stacked [dW_self; dW_neigh] and on two serving-size SAGE forwards (m = 9, 150), and the SpMM row kernel must reach 0.95x the scalar row step on spmm and spmm_transpose; simd must beat serial by at most 20x on the 1024x256x128 GEMM and the 4544x64x128 dW, which holds only while the scalar tier's row forms run FMA (a row form's closure out of line makes every mul_add a libm call: ~160x); the loader's layer-0 prologue, gather + aggregate vs one pass over the feature table, recorded, ungated)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 
 echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (the scalar tier is the reference row forms, which spell the vector tiles' sequence with mul_add, compiled for the host's fma: the GEMM and dW run reference::gemm_rows_into / transpose_self_rows_into over the pool's output row windows (dW's rows, straddling the SAGE operand boundary), bitwise equal to the whole-matrix loops serial and pooled at 2, 3 and 4 workers, and dX is the row-form GEMM over the transposed weight, bitwise equal to reference::matmul over the explicit transpose for the full width and both SAGE windows, serial and pooled; a NaN or an inf behind an exact zero reaches the output; every_tier_equals_reference_bitwise pins the scalar tier and each vector tier the host has to the reference on the GEMM (one and two operands, each epilogue), dW (narrow columns, windows straddling the SAGE boundary) and dX, and the AVX-512 ≡ AVX2 bitwise pin still runs where the host has avx512f)"
@@ -53,10 +53,10 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload s
 echo "==> cargo test -q -p argo-sample with SIMD force-disabled (arena assembly + gather on the scalar path)"
 ARGO_SIMD=off cargo test -q -p argo-sample
 
-echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — cascade and transposes built on the worker — equals the gathered step at 1, 2 and 4 workers; every_tier_trains_the_same_bits, whose two policies both run the scalar tier here)"
+echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — cascade and transposes built on the worker — equals the gathered step at 1, 2 and 4 workers; every_tier_trains_the_same_bits, whose two policies both run the scalar tier here; every entry point runs the values the sampler fused, and refuses a batch fused with another normalization)"
 ARGO_SIMD=off cargo test -q -p argo-nn
 
-echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow; the scalar tier trains the vector tiers' bits, so these are the bits of the default run too)"
+echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow; the scalar tier trains the vector tiers' bits, so these are the bits of the default run too; evaluate_accuracy samples with the model's fused normalization and keeps its recorded bits)"
 ARGO_SIMD=off cargo test -q -p argo-engine
 
 echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step and dispatch kernel allocate nothing)"

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use argo_graph::datasets::OGBN_PRODUCTS;
 use argo_graph::partition::{bfs_partition, edge_cut, random_partition};
-use argo_sample::{NeighborSampler, Sampler};
+use argo_sample::{NeighborSampler, Normalization, Sampler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -43,7 +43,7 @@ fn main() {
             for (rank, part) in parts.iter().enumerate() {
                 let mut rng = SmallRng::seed_from_u64(rank as u64);
                 for chunk in part.chunks(128) {
-                    let b = sampler.sample(&d.graph, chunk, &mut rng);
+                    let b = sampler.sample(&d.graph, chunk, Normalization::None, &mut rng);
                     edges += b.total_edges(3);
                 }
             }

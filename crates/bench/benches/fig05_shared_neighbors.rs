@@ -7,7 +7,7 @@
 //! graph, then at scale on a synthetic ogbn-products.
 
 use argo_graph::Graph;
-use argo_sample::{NeighborSampler, Sampler};
+use argo_sample::{NeighborSampler, Normalization, Sampler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -18,10 +18,11 @@ fn main() {
     let g = Graph::from_edges(5, &[(0, 2), (1, 2), (2, 3), (2, 4)], true);
     let sampler = NeighborSampler::new(vec![4, 4]); // fanout ≥ degrees: deterministic
     let mut rng = SmallRng::seed_from_u64(0);
+    let structure = Normalization::None;
 
-    let joint = sampler.sample(&g, &[0, 1], &mut rng);
-    let split_a = sampler.sample(&g, &[0], &mut rng);
-    let split_b = sampler.sample(&g, &[1], &mut rng);
+    let joint = sampler.sample(&g, &[0, 1], structure, &mut rng);
+    let split_a = sampler.sample(&g, &[0], structure, &mut rng);
+    let split_b = sampler.sample(&g, &[1], structure, &mut rng);
 
     let joint_edges = joint.total_edges(2);
     let split_edges = split_a.total_edges(2) + split_b.total_edges(2);
@@ -44,12 +45,12 @@ fn main() {
     let paper_sampler = NeighborSampler::paper_default();
     let seeds: Vec<u32> = d.train_nodes.iter().copied().take(256).collect();
     let joint = paper_sampler
-        .sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(1))
+        .sample(&d.graph, &seeds, structure, &mut SmallRng::seed_from_u64(1))
         .total_edges(3);
     let mut split = 0usize;
     for chunk in seeds.chunks(32) {
         split += paper_sampler
-            .sample(&d.graph, chunk, &mut SmallRng::seed_from_u64(1))
+            .sample(&d.graph, chunk, structure, &mut SmallRng::seed_from_u64(1))
             .total_edges(3);
     }
     println!("at scale (synthetic products, batch 256 vs 8x32):");

@@ -29,8 +29,10 @@
 //! threshold; 0.95× for the transposed SpMM), or if a SIMD kernel loses to
 //! the tier below it (1.0× floor for the GEMM family, [`GATHER_SIMD_FLOOR`]
 //! for the memory-bound SpMM gathers; pool speedups are *recorded* but never
-//! gated, since CI may have a single core). A row that reads under a floor
-//! is timed a second time before it fails ([`time_gated`]).
+//! gated, since CI may have a single core), or if `simd` beats `serial` by
+//! more than [`FMA_SERIAL_CEILING`] on the GEMM and dW rows that carry it.
+//! A row that reads under a floor is timed a second time before it fails
+//! ([`time_gated`]).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -74,6 +76,17 @@ fn time_min_each<const N: usize>(samples: usize, fs: &mut [&mut dyn FnMut(); N])
 /// 1.82–2.29x (spmm_transpose) over five quick runs on a 2-vCPU AVX-512
 /// Xeon, so the floor is back at 0.95: parity at worst, as for any tier.
 const GATHER_SIMD_FLOOR: f64 = 0.95;
+
+/// Quick-mode ceiling on `simd`'s speedup over `serial` for the
+/// 1024×256×128 GEMM and the 4544×64×128 weight gradient. `serial` is the
+/// reference row form, the scalar tier's own code: its `mul_add`s are
+/// compiled for the host's FMA inside `simd::with_fma`, which holds only
+/// while the row form's closure is `#[inline(always)]`. Those rows read
+/// about 6.9× and 5.0× when it is; a build whose closure went out of line,
+/// where every `mul_add` is a libm call, read about 160×. Not re-timed: a
+/// disturbed sample only lowers the ratio by slowing `simd`, and it takes
+/// a tripled `serial` minimum to cross the ceiling.
+const FMA_SERIAL_CEILING: f64 = 20.0;
 
 /// [`time_min_each`] for a gated row: variant `i` must reach `floors[i]`
 /// times the speed of variant `i - 1`. Noise only ever adds time, so a
@@ -143,6 +156,9 @@ struct KernelRow {
     /// when the row has it, else serial): 1.0 for the FMA GEMM family,
     /// [`GATHER_SIMD_FLOOR`] for the memory-bound SpMM gathers.
     simd_gate_min: Option<f64>,
+    /// Quick-mode ceiling on SIMD vs serial: [`FMA_SERIAL_CEILING`] where
+    /// gated.
+    serial_gate_max: Option<f64>,
 }
 
 impl KernelRow {
@@ -194,7 +210,8 @@ fn train_fixture(
     let graph = power_law(nodes, nodes * 10, 0.8, 5);
     let seeds: Vec<u32> = (0..n_seeds as u32).collect();
     let sampler = NeighborSampler::new(vec![10, 5]);
-    let batch = sampler.sample(&graph, &seeds, &mut SmallRng::seed_from_u64(3));
+    let rng = &mut SmallRng::seed_from_u64(3);
+    let batch = sampler.sample(&graph, &seeds, Normalization::Mean, rng);
     let dim = 64usize;
     let mut rng = SmallRng::seed_from_u64(4);
     let feats = Features::new(
@@ -233,10 +250,10 @@ fn main() {
     // -- GEMM: small and large shapes, and the training step's forward GEMM
     // (layer 1 of `train_neighbor_sage`). The floor: simd vs serial, which
     // is the scalar tier's loop. --
-    for (m, k, n, simd_gate_min) in [
-        (256, 64, 32, None),
-        (1024, 256, 128, Some(1.0)),
-        (4566, 64, 128, Some(1.0)),
+    for (m, k, n, simd_gate_min, serial_gate_max) in [
+        (256, 64, 32, None, None),
+        (1024, 256, 128, Some(1.0), Some(FMA_SERIAL_CEILING)),
+        (4566, 64, 128, Some(1.0), None),
     ] {
         let a = Matrix::xavier(m, k, 1);
         let b = Matrix::xavier(k, n, 2);
@@ -260,13 +277,18 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min,
+            serial_gate_max,
         });
     }
 
     // -- Weight gradient dW = Xᵀ dY: a reduction over 4096 rows, the
     // training step's over 4544, and the ShaDow-GCN classifier's narrow
     // 128 × 7 over a 1751-row subgraph. --
-    for (m, k, n) in [(4096, 64, 32), (4544, 64, 128), (1751, 128, 7)] {
+    for (m, k, n, serial_gate_max) in [
+        (4096, 64, 32, None),
+        (4544, 64, 128, Some(FMA_SERIAL_CEILING)),
+        (1751, 128, 7, None),
+    ] {
         let x = Matrix::xavier(m, k, 3);
         let g = Matrix::xavier(m, n, 4);
         let [serial, simd] = time_gated(
@@ -290,6 +312,7 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(1.0),
+            serial_gate_max,
         });
     }
 
@@ -321,6 +344,7 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(1.0),
+            serial_gate_max: None,
         });
     }
 
@@ -357,6 +381,7 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(GATHER_SIMD_FLOOR),
+            serial_gate_max: None,
         });
     }
 
@@ -389,6 +414,7 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: Some(0.95),
             simd_gate_min: Some(GATHER_SIMD_FLOOR),
+            serial_gate_max: None,
         });
     }
 
@@ -411,7 +437,7 @@ fn main() {
             .sample_into(&reddit.graph, &seeds, run)
             .to_owned()
     };
-    let (adj0, ids0, f0) = (layer0.input_adj(), layer0.input_nodes(), reddit.feat_dim());
+    let (adj0, ids0, f0) = (layer0.layer_adj(0), layer0.input_nodes(), reddit.feat_dim());
     let mut gathered0 = Matrix::zeros(ids0.len(), f0);
     let (mut agg_gathered, mut agg_table) = (
         Matrix::zeros(adj0.rows(), f0),
@@ -489,6 +515,7 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: gate_min,
             simd_gate_min: Some(1.0),
+            serial_gate_max: None,
         });
     }
 
@@ -530,6 +557,7 @@ fn main() {
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(1.0),
+            serial_gate_max: None,
         });
     }
 
@@ -704,13 +732,26 @@ fn main() {
                     failed = true;
                 }
             }
+            if let (Some(ceiling), Some(s)) = (r.serial_gate_max, r.simd_s) {
+                let vs_serial = r.serial_s / s;
+                if vs_serial > ceiling {
+                    eprintln!(
+                        "PERF GATE: {} @ {} serial, the scalar tier's row form, is \
+                         {vs_serial:.1}x slower than simd (> {ceiling:.0}x): its mul_add \
+                         is no longer compiled for FMA",
+                        r.name, r.shape
+                    );
+                    failed = true;
+                }
+            }
         }
         if failed {
             std::process::exit(1);
         }
         println!(
             "perf gate OK: no gated scalar kernel regresses against serial, \
-             no simd kernel regresses against the tier below"
+             no simd kernel regresses against the tier below, \
+             the scalar tier's GEMM and dW run FMA"
         );
     }
 }

@@ -1314,7 +1314,8 @@ mod tests {
             // hand-off: GraphSAGE's
             // aggregation plus self rows, GCN's aggregation alone. The loader
             // aggregates straight from the feature table and makes no other
-            // buffer.
+            // buffer, and its worker samples in the scratch the first epoch's
+            // worker parked in the rank's ring: it grows no scratch buffer.
             let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
             for (kind, operands) in sets {
                 let (d, sampler, mut o) = same_shape_every_epoch();
@@ -1328,7 +1329,13 @@ mod tests {
                 assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
                 assert!(warm.input_bytes > 0, "the operands came back: {who}");
                 assert!(warm.workspace_bytes > 0, "{who}");
-                e.train_epoch(config, None);
+                let tel = Telemetry::new();
+                e.train_epoch(config, Some(&tel));
+                let scratch_allocs = tel.logger.events().into_iter().find_map(|(_, e)| match e {
+                    argo_rt::RunEvent::BytesSummary { record, .. } => Some(record.scratch_allocs),
+                    _ => None,
+                });
+                assert_eq!(scratch_allocs, Some(0), "{who}");
                 // (Parked workspace bytes may shift: a best-fit reuse can leave
                 // a buffer at another capacity. What is pinned is that nothing
                 // new was made.)

@@ -15,8 +15,8 @@ const CHUNK: usize = 256;
 /// Runs `model` over `nodes`, [`CHUNK`] seeds at a time, with
 /// full-neighborhood aggregation (fanout = max degree, so evaluation is
 /// deterministic) and hands each chunk's labels and logits to `visit`. Every
-/// chunk is sampled into `scratch` and gathered into one buffer; the batch
-/// is sampled unnormalized, so the model normalizes it itself.
+/// chunk is sampled into `scratch`, with the model's normalization fused as
+/// training samples it, and gathered into one buffer.
 fn for_each_chunk(
     model: &Gnn,
     dataset: &Dataset,
@@ -31,7 +31,8 @@ fn for_each_chunk(
     let mut rows = Vec::new();
     let mut labels = Vec::new();
     for chunk in nodes.chunks(CHUNK) {
-        let run = SampleRun::new(SeedSequence::new(rng.next_u64()), scratch);
+        let run = SampleRun::new(SeedSequence::new(rng.next_u64()), scratch)
+            .with_norm(model.kind().normalization());
         let batch = sampler.sample_into(&dataset.graph, chunk, run);
         let ids = batch.input_nodes();
         rows.resize(ids.len() * dim, 0.0);

@@ -105,15 +105,16 @@ mod tests {
         use rand::SeedableRng;
         let d = FLICKR.synthesize(0.01, 11);
         let sampler = NeighborSampler::new(vec![5, 4]);
-        let batch_of = |skip: usize, n: usize| {
+        let batch_of = |skip: usize, n: usize, arch: Arch| {
             let seeds: Vec<u32> = d.train_nodes.iter().copied().skip(skip).take(n).collect();
-            sampler.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(n as u64))
+            let rng = &mut SmallRng::seed_from_u64(n as u64);
+            sampler.sample(&d.graph, &seeds, arch.normalization(), rng)
         };
         for arch in [Arch::Sage, Arch::Gcn] {
             let build = || AnyModel::build(arch, d.feat_dim(), 16, d.num_classes, 2, 5);
             let mut used = build();
             for (skip, n) in [(0, 24), (30, 8), (3, 40)] {
-                let batch = batch_of(skip, n);
+                let batch = batch_of(skip, n, arch);
                 used.train_step_gathered(
                     &batch,
                     gathered(&d.features, batch.input_nodes()),
@@ -130,7 +131,7 @@ mod tests {
             let mut fresh = build();
             fresh.set_params_flat(&params);
 
-            let batch = batch_of(11, 32);
+            let batch = batch_of(11, 32, arch);
             let input = gathered(&d.features, batch.input_nodes());
             // Borrowed on the replica, by value on the fresh model: the two
             // calling conventions are one implementation.

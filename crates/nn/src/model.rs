@@ -15,6 +15,11 @@
 //! [`PreparedInput`], starting at the first GEMM: the step runs the batch as
 //! it is. The gathered entry points build the model's own cascade per call
 //! (and a training step its transposes), through the same code.
+//!
+//! Every entry point runs the normalized adjacency values the batch carries:
+//! the sampler fuses them while it assembles the batch
+//! ([`Arch::normalization`]), and a batch fused with another normalization
+//! than the model's is refused with a panic that names both.
 
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
@@ -28,7 +33,7 @@ use argo_sample::Normalization;
 use argo_tensor::ops::{
     accuracy, bias_grad_into, relu_backward_from_output, softmax_cross_entropy_into,
 };
-use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
+use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseView, Workspace};
 
 use crate::arch::Arch;
 
@@ -174,29 +179,26 @@ impl Gnn {
     /// `input_nodes()` order (`Features::gather_into`, or the cross-batch
     /// feature cache); pass `&Matrix` to keep the buffer for the next batch.
     /// The model only ever reads it — a caller's buffer is never parked in
-    /// the workspace.
+    /// the workspace. Panics unless the batch fuses this model's
+    /// normalization (and, for blocks, has its depth).
     pub fn forward_gathered(
         &self,
         batch: &SampledBatch,
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let depth = self.layers.len();
-        let renormed = renormalized(self.kind, depth, batch);
-        let full = |l| full_of(batch, &renormed, l).view();
+        self.assert_runs_owned(batch);
         let mut cascade = self.cascade.borrow_mut();
-        cascade.for_owned(depth, batch, full(0), self.kind == Arch::Sage);
+        cascade.for_owned(self.layers.len(), batch);
         let cascade = &*cascade;
         let first = FirstLayer::Gathered(input.borrow());
-        self.run(|l| cascade.layer(l, full(l)), first, pool)
+        self.run(|l| cascade.layer(l, batch.layer_adj(l).view()), first, pool)
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
     /// adjacencies are consumed straight out of the sampler's batch arena —
     /// every block, and a subgraph's full-height layers, with zero copies.
-    /// Falls back to materializing the owned batch when the fused
-    /// normalization does not match this model (the owned path then
-    /// re-normalizes).
+    /// Panics as [`Gnn::forward_gathered`] does.
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
@@ -204,9 +206,7 @@ impl Gnn {
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let input = input.borrow();
-        if !self.fits(batch) {
-            return self.forward_gathered(&batch.to_owned(), input, pool);
-        }
+        self.assert_runs_view(batch);
         let mut cascade = self.cascade.borrow_mut();
         cascade.for_view(self.layers.len(), batch);
         let cascade = &*cascade;
@@ -225,20 +225,42 @@ impl Gnn {
         input: &PreparedInput,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        assert!(self.fits(batch), "a prepared input needs a fused view");
+        self.assert_runs_view(batch);
         let cascade = self.carried(input);
         let layer = |l| cascade.layer(l, batch.layer_adj(l));
         self.run(layer, FirstLayer::Prepared(input), pool)
     }
 
-    /// Whether this model runs over `batch` as it is: it fuses the model's
-    /// normalization and, if it is a block batch, has one block per layer.
-    fn fits(&self, batch: &SampledBatchView<'_>) -> bool {
-        let depth_fits = match batch {
-            SampledBatchView::Blocks(mb) => mb.num_blocks() == self.layers.len(),
-            SampledBatchView::Subgraph(_) => true,
+    /// Panics unless this model runs over a batch fused with `norm`, of
+    /// `blocks` blocks if it is a block batch, as it is: the values must be
+    /// the model's normalization, and there must be one block per layer.
+    fn assert_runs(&self, norm: Normalization, blocks: Option<usize>) {
+        let (name, want) = (self.kind.name(), self.kind.normalization());
+        assert_eq!(
+            norm, want,
+            "a {name} model runs batches fused with {want:?}; this one is fused with {norm:?}"
+        );
+        let depth = self.layers.len();
+        assert!(
+            blocks.is_none_or(|n| n == depth),
+            "a {depth}-layer model runs batches of {depth} blocks; this one has {blocks:?}"
+        );
+    }
+
+    fn assert_runs_owned(&self, batch: &SampledBatch) {
+        let blocks = match batch {
+            SampledBatch::Blocks(mb) => Some(mb.blocks.len()),
+            SampledBatch::Subgraph(_) => None,
         };
-        depth_fits && batch.norm() == self.kind.normalization()
+        self.assert_runs(batch.norm(), blocks);
+    }
+
+    fn assert_runs_view(&self, batch: &SampledBatchView<'_>) {
+        let blocks = match batch {
+            SampledBatchView::Blocks(mb) => Some(mb.num_blocks()),
+            SampledBatchView::Subgraph(_) => None,
+        };
+        self.assert_runs(batch.norm(), blocks);
     }
 
     /// The cascade `input` carries, checked against this model.
@@ -398,9 +420,9 @@ impl Gnn {
     /// so they were built where the batch was made — with the kernel this
     /// model would have used, over the adjacencies it would have used, row by
     /// row in the same entry order: bitwise the step over the gathered rows.
-    /// The step builds no cascade and transposes nothing. The operands must
-    /// have been aggregated over this model's normalization
-    /// ([`Arch::normalization`] fused by the sampler).
+    /// The step builds no cascade and transposes nothing. The batch must
+    /// fuse this model's normalization ([`Arch::normalization`]), as the
+    /// operands were aggregated over it.
     pub fn train_step_prepared(
         &mut self,
         batch: &SampledBatch,
@@ -422,11 +444,10 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> (StepStats, Layer0<'a>) {
-        let depth = self.layers.len();
-        let renormed = renormalized(self.kind, depth, batch);
-        let full = |l| full_of(batch, &renormed, l).view();
+        self.assert_runs_owned(batch);
+        let full = |l| batch.layer_adj(l).view();
         let mut cascade = std::mem::take(self.cascade.get_mut());
-        cascade.for_owned(depth, batch, full(0), self.kind == Arch::Sage);
+        cascade.for_owned(self.layers.len(), batch);
         cascade.transpose_layers(full);
         let first = FirstLayer::Gathered(input);
         let out = self.step(&cascade, full, batch.seeds(), first, labels, pool);
@@ -443,8 +464,8 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> (StepStats, Layer0<'a>) {
-        let renormed = renormalized(self.kind, self.layers.len(), batch);
-        let full = |l| full_of(batch, &renormed, l).view();
+        self.assert_runs_owned(batch);
+        let full = |l| batch.layer_adj(l).view();
         let cascade = self.carried(input);
         let first = FirstLayer::Prepared(input);
         self.step(cascade, full, batch.seeds(), first, labels, pool)
@@ -632,51 +653,6 @@ impl Gnn {
     }
 }
 
-/// The full-height adjacencies of an owned batch that a `depth`-layer model
-/// of the given kind normalizes itself, once per pass: one slot per block,
-/// or the one a subgraph batch's layers share, `None` where the sampler
-/// already fused the wanted normalization into the adjacency values — and no
-/// list at all when it fused every one. [`full_of`] picks a layer's.
-fn renormalized(kind: Arch, depth: usize, batch: &SampledBatch) -> Vec<Option<SparseMatrix>> {
-    let want = kind.normalization();
-    let fused = |norm: Normalization, adj: &SparseMatrix| norm == want && adj.values().is_some();
-    match batch {
-        SampledBatch::Blocks(mb) => {
-            assert_eq!(mb.blocks.len(), depth, "batch depth != model depth");
-            if mb.blocks.iter().all(|b| fused(b.norm, &b.adj)) {
-                return Vec::new();
-            }
-            let normalized = |b: &argo_sample::batch::Block| match kind {
-                Arch::Gcn => b.gcn_normalized(),
-                Arch::Sage => b.mean_normalized(),
-            };
-            mb.blocks
-                .iter()
-                .map(|b| (!fused(b.norm, &b.adj)).then(|| normalized(b)))
-                .collect()
-        }
-        SampledBatch::Subgraph(sb) if fused(sb.norm, &sb.adj) => Vec::new(),
-        SampledBatch::Subgraph(sb) => vec![Some(match kind {
-            Arch::Gcn => sb.gcn_normalized(),
-            Arch::Sage => sb.mean_normalized(),
-        })],
-    }
-}
-
-/// Layer `l`'s full-height normalized adjacency: the batch's own, or its
-/// copy in `renormed` ([`renormalized`]).
-fn full_of<'a>(
-    batch: &'a SampledBatch,
-    renormed: &'a [Option<SparseMatrix>],
-    l: usize,
-) -> &'a SparseMatrix {
-    let (own, at) = match batch {
-        SampledBatch::Blocks(mb) => (&mb.blocks[l].adj, l),
-        SampledBatch::Subgraph(sb) => (&sb.adj, 0),
-    };
-    renormed.get(at).and_then(Option::as_ref).unwrap_or(own)
-}
-
 /// Rows `rows` of `m`, in that order, in a buffer of the workspace `ws`.
 fn select_rows(ws: &RefCell<Workspace>, m: &Matrix, rows: &[usize]) -> Matrix {
     let mut out = ws.borrow_mut().take_unzeroed(rows.len(), m.cols());
@@ -696,6 +672,7 @@ mod tests {
         InputRing, LoaderSpec, NeighborSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
     };
     use argo_tensor::ops::softmax_cross_entropy;
+    use argo_tensor::SparseMatrix;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -704,16 +681,18 @@ mod tests {
         FLICKR.synthesize(0.01, 11)
     }
 
-    fn sample_blocks(d: &argo_graph::Dataset, n: usize, layers: usize) -> SampledBatch {
+    /// `n` seeds' `layers`-deep Neighbor batch, fused for a `kind` model.
+    fn sample_blocks(d: &argo_graph::Dataset, n: usize, layers: usize, kind: Arch) -> SampledBatch {
         let s = NeighborSampler::new(vec![5; layers]);
         let seeds: Vec<u32> = d.train_nodes.iter().copied().take(n).collect();
-        s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(3))
+        let norm = kind.normalization();
+        s.sample(&d.graph, &seeds, norm, &mut SmallRng::seed_from_u64(3))
     }
 
     #[test]
     fn forward_shapes() {
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 8, 2);
+        let batch = sample_blocks(&d, 8, 2, Arch::Sage);
         let model = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
         let logits =
             model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
@@ -726,7 +705,12 @@ mod tests {
         let d = tiny_dataset();
         let s = ShadowSampler::new(vec![5, 3], 2);
         let seeds: Vec<u32> = d.train_nodes.iter().copied().take(6).collect();
-        let batch = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(5));
+        let batch = s.sample(
+            &d.graph,
+            &seeds,
+            Normalization::Gcn,
+            &mut SmallRng::seed_from_u64(5),
+        );
         let model = Gnn::new(Arch::Gcn, d.feat_dim(), 16, d.num_classes, 2, 2);
         let logits =
             model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
@@ -760,7 +744,7 @@ mod tests {
     #[test]
     fn train_step_fills_grads() {
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 16, 2);
+        let batch = sample_blocks(&d, 16, 2, Arch::Sage);
         let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
         let stats = m.train_step_gathered(
             &batch,
@@ -788,9 +772,10 @@ mod tests {
         let batch = if use_shadow {
             let s = ShadowSampler::new(vec![4, 3], 2);
             let seeds: Vec<u32> = d.train_nodes.iter().copied().take(5).collect();
-            s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9))
+            let norm = kind.normalization();
+            s.sample(&d.graph, &seeds, norm, &mut SmallRng::seed_from_u64(9))
         } else {
-            sample_blocks(&d, 5, 2)
+            sample_blocks(&d, 5, 2, kind)
         };
         let mut m = Gnn::new(kind, d.feat_dim(), 6, d.num_classes, 2, 5);
         m.train_step_gathered(
@@ -853,7 +838,7 @@ mod tests {
     #[test]
     fn pool_and_serial_forward_agree() {
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 64, 2);
+        let batch = sample_blocks(&d, 64, 2, Arch::Sage);
         let model = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
         let a = model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
         let pool = ThreadPool::new("t", 3);
@@ -875,9 +860,10 @@ mod tests {
         let batch = if use_shadow {
             let s = ShadowSampler::new(vec![4, 3], 2);
             let seeds: Vec<u32> = d.train_nodes.iter().copied().take(64).collect();
-            s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(17))
+            let norm = kind.normalization();
+            s.sample(&d.graph, &seeds, norm, &mut SmallRng::seed_from_u64(17))
         } else {
-            sample_blocks(&d, 64, 2)
+            sample_blocks(&d, 64, 2, kind)
         };
         // 64 seeds: every layer has at least the 64 output rows that put
         // its GEMMs, input gradients and weight-gradient reduction on the
@@ -969,11 +955,10 @@ mod tests {
         use argo_tensor::ops::{bias_grad, relu_backward, relu_inplace};
         let d = m.dispatch;
         let depth = m.layers.len();
-        let norms = renormalized(m.kind, depth, batch);
         let (mut outs, mut aggs, mut masks) = (Vec::new(), Vec::new(), Vec::new());
         for (l, layer) in m.layers.iter().enumerate() {
             let h = if l == 0 { input } else { &outs[l - 1] };
-            let norm = full_of(batch, &norms, l);
+            let norm = batch.layer_adj(l);
             let agg = d.aggregate(norm, h, None);
             let mut z = Matrix::zeros(norm.rows(), layer.w.cols());
             let epi = Epilogue::bias(&layer.b);
@@ -1001,7 +986,7 @@ mod tests {
                 relu_backward(&mut grad, mask);
             }
             let x = if l == 0 { input } else { &outs[l - 1] };
-            let (norm, w, f_in) = (full_of(batch, &norms, l), &m.layers[l].w, m.dims[l]);
+            let (norm, w, f_in) = (batch.layer_adj(l), &m.layers[l].w, m.dims[l]);
             let n_dst = norm.rows();
             let mut dw = Matrix::zeros(w.rows(), w.cols());
             match m.kind {
@@ -1059,9 +1044,8 @@ mod tests {
     }
 
     /// One owned batch of every kind a `depth`-layer model of `kind` trains
-    /// on: each sampler's batch with the normalization fused by the sampler
-    /// and with it left to the model, and the whole graph with its seeds
-    /// scattered in ascending order.
+    /// on: each sampler's batch, fused for `kind`, and the whole graph with
+    /// its seeds scattered in ascending order.
     fn every_batch_kind(
         d: &argo_graph::Dataset,
         kind: Arch,
@@ -1074,9 +1058,7 @@ mod tests {
             let fused = s
                 .sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch))
                 .to_owned();
-            out.push((format!("{name} (fused)"), fused));
-            let plain = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(9));
-            out.push((format!("{name} (unfused)"), plain));
+            out.push((name.to_string(), fused));
         }
         let mut scattered: Vec<u32> = (d.train_nodes.iter().copied().skip(3).step_by(7))
             .take(24)
@@ -1086,7 +1068,7 @@ mod tests {
         let positions = scattered.iter().map(|&v| v as usize).collect();
         out.push((
             "full graph".to_string(),
-            hand_built(graph_csr(&d.graph), positions),
+            hand_built(graph_csr(&d.graph), positions, kind),
         ));
         out
     }
@@ -1109,15 +1091,12 @@ mod tests {
     }
 
     /// What a loader worker hands over for `batch`: the cascade and
-    /// transposes of the model's own adjacencies (the fused ones where the
-    /// sampler fused them), and `input` aggregated over layer 0's, through
-    /// the loader's own reference entry point.
+    /// transposes of its adjacencies, and `input` aggregated over layer 0's,
+    /// through the loader's own reference entry point.
     fn prepared(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> PreparedInput {
-        let depth = m.layers.len();
-        let norms = renormalized(m.kind, depth, batch);
-        let full = |l| full_of(batch, &norms, l).view();
+        let full = |l| batch.layer_adj(l).view();
         let mut cascade = Cascade::default();
-        cascade.for_owned(depth, batch, full(0), m.kind == Arch::Sage);
+        cascade.for_owned(m.layers.len(), batch);
         cascade.transpose_layers(full);
         PreparedInput::aggregate(cascade, full(0), input, m.dispatch, &InputRing::new())
     }
@@ -1220,7 +1199,7 @@ mod tests {
                     // Two layers over a ShaDow subgraph read the seeds'
                     // neighbours only: layer 0 is cut, and the prepared step
                     // above ran over operands of `R[0]`'s rows alone.
-                    if depth == 2 && name == "shadow (fused)" {
+                    if depth == 2 && name == "shadow" {
                         let c = m.cascade.borrow();
                         let cut = c.input_rows().expect("layer 0 is cut");
                         assert!(cut.len() < batch.input_nodes().len(), "{who}");
@@ -1245,13 +1224,14 @@ mod tests {
     #[test]
     fn three_hop_shadow_compacts_consecutive_layers() {
         let d = tiny_dataset();
-        let batch = ShadowSampler::new(vec![3, 2, 2], 4).sample(
-            &d.graph,
-            &seeds_of(&d),
-            &mut SmallRng::seed_from_u64(9),
-        );
-        let n = subgraph_of(&batch).nodes.len();
         for kind in [Arch::Sage, Arch::Gcn] {
+            let batch = ShadowSampler::new(vec![3, 2, 2], 4).sample(
+                &d.graph,
+                &seeds_of(&d),
+                kind.normalization(),
+                &mut SmallRng::seed_from_u64(9),
+            );
+            let n = subgraph_of(&batch).nodes.len();
             let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 4, 5);
             m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
             let c = m.cascade.borrow();
@@ -1278,17 +1258,31 @@ mod tests {
         }
     }
 
-    /// A hand-built subgraph batch over `adj` (no values: the model
-    /// normalizes) with the given seed positions.
-    fn hand_built(adj: SparseMatrix, seed_positions: Vec<usize>) -> SampledBatch {
+    /// A hand-built subgraph batch over the graph whose adjacency is `adj`,
+    /// with the given seed positions, fused for a `kind` model as a sampler
+    /// fuses it: `1/k` over a row of `k` entries, or `inv(v)·inv(u)` with
+    /// `inv(x) = 1/sqrt(max(deg(x), 1))`, a node's degree being its row's
+    /// length.
+    fn hand_built(adj: SparseMatrix, seed_positions: Vec<usize>, kind: Arch) -> SampledBatch {
         let n = adj.rows();
+        let len = |i: usize| adj.row_range(i).len();
+        let inv = |i: usize| 1.0 / (len(i).max(1) as f32).sqrt();
+        let mut values = Vec::with_capacity(adj.nnz());
+        for i in 0..n {
+            for &j in &adj.indices()[adj.row_range(i)] {
+                values.push(match kind {
+                    Arch::Sage => 1.0 / len(i) as f32,
+                    Arch::Gcn => inv(i) * inv(j as usize),
+                });
+            }
+        }
+        let (indptr, indices) = (adj.indptr().to_vec(), adj.indices().to_vec());
         SampledBatch::Subgraph(argo_sample::batch::SubgraphBatch {
             nodes: (0..n as u32).collect(),
-            degree: (0..n).map(|i| adj.row_range(i).len() as f32).collect(),
             seeds: seed_positions.iter().map(|&p| p as u32).collect(),
-            adj,
+            adj: SparseMatrix::new(n, n, indptr, indices, Some(values)),
             seed_positions,
-            norm: Normalization::None,
+            norm: kind.normalization(),
         })
     }
 
@@ -1328,9 +1322,9 @@ mod tests {
     fn isolated_seeds_run_through_empty_slices_bitwise() {
         let d = tiny_dataset();
         for (seeds, empty_layers) in [(vec![4, 9], false), (vec![9, 10], true)] {
-            let batch = hand_built(path_graph(2), seeds);
-            let input = gathered(&d.features, batch.input_nodes());
             for (kind, depth) in kinds_and_depths() {
+                let batch = hand_built(path_graph(2), seeds.clone(), kind);
+                let input = gathered(&d.features, batch.input_nodes());
                 for policy in both_tiers() {
                     let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, depth, 5)
                         .with_dispatch(policy);
@@ -1359,9 +1353,9 @@ mod tests {
     #[test]
     fn repeated_and_unordered_seed_positions_are_tolerance_equal() {
         let d = tiny_dataset();
-        let batch = hand_built(path_graph(2), vec![6, 2, 6, 0, 9, 3]);
-        let input = gathered(&d.features, batch.input_nodes());
         for kind in [Arch::Sage, Arch::Gcn] {
+            let batch = hand_built(path_graph(2), vec![6, 2, 6, 0, 9, 3], kind);
+            let input = gathered(&d.features, batch.input_nodes());
             let mut m = Gnn::new(kind, d.feat_dim(), 8, d.num_classes, 3, 5);
             let stats = m.train_step_gathered(&batch, &input, &d.labels, None);
             let mut got = Vec::new();
@@ -1388,8 +1382,8 @@ mod tests {
         // SAGE's last layer reads the seeds and both neighbours of each,
         // which is every node, so only that layer is.
         for (batch, first) in [
-            (hand_built(graph_csr(&d.graph), all), 3),
-            (hand_built(path_graph(0), vec![1, 4, 7]), 2),
+            (hand_built(graph_csr(&d.graph), all, Arch::Sage), 3),
+            (hand_built(path_graph(0), vec![1, 4, 7], Arch::Sage), 2),
         ] {
             let m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
             m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
@@ -1417,6 +1411,7 @@ mod tests {
         let batch = ShadowSampler::new(vec![4, 3], 3).sample(
             &d.graph,
             &seeds_of(&d),
+            Normalization::Gcn,
             &mut SmallRng::seed_from_u64(9),
         );
         let mut m = Gnn::new(Arch::Gcn, d.feat_dim(), hidden, d.num_classes, 3, 5);
@@ -1452,10 +1447,9 @@ mod tests {
     fn full_height_logits(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> Matrix {
         let d = m.dispatch;
         let depth = m.layers.len();
-        let norms = renormalized(m.kind, depth, batch);
         let mut h = input.clone();
         for (l, Layer { w, b, .. }) in m.layers.iter().enumerate() {
-            let norm = full_of(batch, &norms, l);
+            let norm = batch.layer_adj(l);
             let agg = d.aggregate(norm, &h, None);
             let mut z = Matrix::zeros(norm.rows(), w.cols());
             let epi = if l + 1 < depth {
@@ -1500,30 +1494,64 @@ mod tests {
             }
             let seeds = seeds_of(&d);
             let mut scratch = SamplerScratch::new();
-            // Fused as the loader and serving sample; unfused as evaluation
-            // does, where the view falls back to the owned batch and the
-            // model's own normalization.
             for (name, s) in samplers(depth) {
-                for norm in [kind.normalization(), Normalization::None] {
-                    let run = SampleRun::new(SeedSequence::new(9), &mut scratch).with_norm(norm);
-                    let view = s.sample_into(&d.graph, &seeds, run);
-                    let batch = view.to_owned();
-                    let input = gathered(&d.features, batch.input_nodes());
-                    let got = m.forward_gathered_view(&view, &input, None);
-                    check(format!("{name}: view fused {norm:?}"), &batch, &input, got);
-                    // The serving path: the fused view's prologue, then the
-                    // forward pass from the first GEMM.
-                    if norm == Normalization::None {
-                        continue;
-                    }
-                    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-                    let prepared =
-                        PreparedInput::prepare(&view, &d.features, depth, &ring, &spans, 0);
-                    let got = m.forward_prepared(&view, &prepared, None);
-                    check(format!("{name}: prepared"), &batch, &input, got);
-                }
+                let view = s.sample_into(&d.graph, &seeds, fused_run(kind, &mut scratch));
+                let batch = view.to_owned();
+                let input = gathered(&d.features, batch.input_nodes());
+                let got = m.forward_gathered_view(&view, &input, None);
+                check(format!("{name}: view"), &batch, &input, got);
+                // The serving path: the view's prologue, then the forward
+                // pass from the first GEMM.
+                let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+                let prepared = PreparedInput::prepare(&view, &d.features, depth, &ring, &spans, 0);
+                let got = m.forward_prepared(&view, &prepared, None);
+                check(format!("{name}: prepared"), &batch, &input, got);
             }
         }
+    }
+
+    /// Feeds a SAGE model a `norm`-fused batch: an owned Neighbor batch to
+    /// `train_step_gathered`, or a ShaDow arena view to
+    /// `forward_gathered_view`.
+    fn feed_sage(norm: Normalization, as_view: bool) {
+        let d = tiny_dataset();
+        let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 8, d.num_classes, 2, 5);
+        let seeds = seeds_of(&d);
+        if as_view {
+            let mut scratch = SamplerScratch::new();
+            let run = SampleRun::new(SeedSequence::new(9), &mut scratch).with_norm(norm);
+            let view = ShadowSampler::new(vec![4, 3], 2).sample_into(&d.graph, &seeds, run);
+            m.forward_gathered_view(&view, gathered(&d.features, view.input_nodes()), None);
+        } else {
+            let rng = &mut SmallRng::seed_from_u64(9);
+            let batch = NeighborSampler::new(vec![5; 2]).sample(&d.graph, &seeds, norm, rng);
+            let input = gathered(&d.features, batch.input_nodes());
+            m.train_step_gathered(&batch, input, &d.labels, None);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fused with Mean; this one is fused with Gcn")]
+    fn an_owned_batch_fused_for_the_other_model_panics() {
+        feed_sage(Normalization::Gcn, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "fused with Mean; this one is fused with None")]
+    fn an_unfused_owned_batch_panics() {
+        feed_sage(Normalization::None, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "fused with Mean; this one is fused with Gcn")]
+    fn a_view_fused_for_the_other_model_panics() {
+        feed_sage(Normalization::Gcn, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "fused with Mean; this one is fused with None")]
+    fn an_unfused_view_panics() {
+        feed_sage(Normalization::None, true);
     }
 
     /// What the engine's loader hands over is what the step over the
@@ -1636,8 +1664,9 @@ mod tests {
         let d = tiny_dataset();
         let seeds = seeds_of(&d);
         let rng = || SmallRng::seed_from_u64(9);
-        let blocks = NeighborSampler::new(vec![5; 3]).sample(&d.graph, &seeds, &mut rng());
-        let shadow = ShadowSampler::new(vec![4, 3], 3).sample(&d.graph, &seeds, &mut rng());
+        let (mean, gcn) = (Normalization::Mean, Normalization::Gcn);
+        let blocks = NeighborSampler::new(vec![5; 3]).sample(&d.graph, &seeds, mean, &mut rng());
+        let shadow = ShadowSampler::new(vec![4, 3], 3).sample(&d.graph, &seeds, gcn, &mut rng());
         for (kind, batch) in [(Arch::Sage, blocks), (Arch::Gcn, shadow)] {
             let input = gathered(&d.features, batch.input_nodes());
             let step = |m: &mut Gnn| {
@@ -1684,7 +1713,7 @@ mod tests {
         // batch must not collect them in its free list. Borrowed or by value,
         // the input is only read; the arena holds the step's own buffers.
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 16, 2);
+        let batch = sample_blocks(&d, 16, 2, Arch::Sage);
         let ids = batch.input_nodes();
         let input = Matrix::from_vec(
             ids.len(),
@@ -1722,7 +1751,8 @@ mod tests {
                 .skip((step * 32) % d.train_nodes.len().saturating_sub(32).max(1))
                 .take(32)
                 .collect();
-            let batch = s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(step as u64));
+            let rng = &mut SmallRng::seed_from_u64(step as u64);
+            let batch = s.sample(&d.graph, &seeds, Normalization::Mean, rng);
             let stats = m.train_step_gathered(
                 &batch,
                 gathered(&d.features, batch.input_nodes()),

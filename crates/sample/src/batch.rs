@@ -3,13 +3,13 @@
 use argo_graph::NodeId;
 use argo_tensor::SparseMatrix;
 
-/// Which normalization the values of a sampled adjacency already carry.
+/// Which normalization the values of a sampled adjacency carry.
 ///
-/// Samplers fuse normalization into block construction (the values are
+/// Samplers fuse normalization into block construction: the values are
 /// written while the adjacency is assembled, using the graph's precomputed
-/// `inv_sqrt_degrees` table), so consumers that want the same scheme can use
-/// `adj` directly instead of re-walking every block to allocate a second
-/// values vector per batch.
+/// `inv_sqrt_degrees` table. This is the program's only normalization; a
+/// model runs the values a batch carries and refuses a batch fused with
+/// another scheme.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Normalization {
     /// `adj` carries no values (binary adjacency).
@@ -17,7 +17,10 @@ pub enum Normalization {
     None,
     /// Row-mean: `1/k_i` per sampled in-edge of dst `i` (GraphSAGE, Eq. 2).
     Mean,
-    /// Symmetric GCN: `1/sqrt(D(v)·D(u))` with *global* degrees (Eq. 1).
+    /// Symmetric GCN (Eq. 1) with *global* degrees, fused as
+    /// `inv_sqrt(v)·inv_sqrt(u)` for the edge from src `u` to dst `v`, where
+    /// `inv_sqrt(x) = 1/sqrt(max(D(x), 1))` is the graph's
+    /// `inv_sqrt_degrees` table (a degree-0 node counts as degree 1).
     Gcn,
 }
 
@@ -35,46 +38,13 @@ pub struct Block {
     pub src_nodes: Vec<NodeId>,
     /// Global ids of output nodes.
     pub dst_nodes: Vec<NodeId>,
-    /// Sampled adjacency: `dst_nodes.len() x src_nodes.len()`, no values.
+    /// Sampled adjacency: `dst_nodes.len() x src_nodes.len()`.
     pub adj: SparseMatrix,
-    /// Global (full-graph) degree of each dst node — GCN normalization.
-    pub dst_degree: Vec<f32>,
-    /// Global degree of each src node.
-    pub src_degree: Vec<f32>,
-    /// Normalization already fused into `adj`'s values (if any).
+    /// Normalization fused into `adj`'s values (if any).
     pub norm: Normalization,
 }
 
 impl Block {
-    /// Row-mean normalization: value `1/k_i` for each of the `k_i` sampled
-    /// in-edges of dst `i` (GraphSAGE mean aggregator).
-    pub fn mean_normalized(&self) -> SparseMatrix {
-        let mut values = vec![0.0f32; self.adj.nnz()];
-        for i in 0..self.adj.rows() {
-            let row = self.adj.row_range(i);
-            if !row.is_empty() {
-                let inv = 1.0 / row.len() as f32;
-                values[row].fill(inv);
-            }
-        }
-        self.adj.with_values(values)
-    }
-
-    /// Symmetric GCN normalization: value `1/sqrt(D(v)·D(u))` using *global*
-    /// degrees (Eq. 1).
-    pub fn gcn_normalized(&self) -> SparseMatrix {
-        let indices = self.adj.indices();
-        let mut values = vec![0.0f32; self.adj.nnz()];
-        for i in 0..self.adj.rows() {
-            let dv = self.dst_degree[i].max(1.0);
-            for k in self.adj.row_range(i) {
-                let du = self.src_degree[indices[k] as usize].max(1.0);
-                values[k] = 1.0 / (dv * du).sqrt();
-            }
-        }
-        self.adj.with_values(values)
-    }
-
     /// Number of sampled edges in this block.
     pub fn num_edges(&self) -> usize {
         self.adj.nnz()
@@ -120,39 +90,8 @@ pub struct SubgraphBatch {
     /// Global ids of the seeds (`nodes[p]` for each `p` in `seed_positions`),
     /// precomputed so [`SampledBatch::seeds`] can borrow instead of allocate.
     pub seeds: Vec<NodeId>,
-    /// Global degree of each subgraph node.
-    pub degree: Vec<f32>,
-    /// Normalization already fused into `adj`'s values (if any).
+    /// Normalization fused into `adj`'s values (if any).
     pub norm: Normalization,
-}
-
-impl SubgraphBatch {
-    /// Row-mean normalization over the induced subgraph.
-    pub fn mean_normalized(&self) -> SparseMatrix {
-        let mut values = vec![0.0f32; self.adj.nnz()];
-        for i in 0..self.adj.rows() {
-            let row = self.adj.row_range(i);
-            if !row.is_empty() {
-                let inv = 1.0 / row.len() as f32;
-                values[row].fill(inv);
-            }
-        }
-        self.adj.with_values(values)
-    }
-
-    /// Symmetric GCN normalization using global degrees.
-    pub fn gcn_normalized(&self) -> SparseMatrix {
-        let indices = self.adj.indices();
-        let mut values = vec![0.0f32; self.adj.nnz()];
-        for i in 0..self.adj.rows() {
-            let dv = self.degree[i].max(1.0);
-            for k in self.adj.row_range(i) {
-                let du = self.degree[indices[k] as usize].max(1.0);
-                values[k] = 1.0 / (dv * du).sqrt();
-            }
-        }
-        self.adj.with_values(values)
-    }
 }
 
 /// Either shape of sampled batch.
@@ -182,13 +121,23 @@ impl SampledBatch {
         }
     }
 
-    /// The adjacency of the layer that reads the gathered input rows
-    /// (`n_dst × input_nodes().len()`): the input-side block, or the one
-    /// adjacency a subgraph's layers share.
-    pub fn input_adj(&self) -> &SparseMatrix {
+    /// Layer `l`'s full-height adjacency: block `l`, or the subgraph's,
+    /// which every layer shares. Layer 0's reads the gathered input rows
+    /// (`n_dst × input_nodes().len()`). The owned twin of
+    /// [`SampledBatchView::layer_adj`](crate::SampledBatchView::layer_adj).
+    pub fn layer_adj(&self, l: usize) -> &SparseMatrix {
         match self {
-            SampledBatch::Blocks(mb) => &mb.blocks[0].adj,
+            SampledBatch::Blocks(mb) => &mb.blocks[l].adj,
             SampledBatch::Subgraph(sb) => &sb.adj,
+        }
+    }
+
+    /// Normalization fused into the adjacency values: one for the whole
+    /// batch, as the sampler writes it.
+    pub fn norm(&self) -> Normalization {
+        match self {
+            SampledBatch::Blocks(mb) => mb.blocks.first().map_or(Normalization::None, |b| b.norm),
+            SampledBatch::Subgraph(sb) => sb.norm,
         }
     }
 
@@ -225,31 +174,8 @@ mod tests {
             src_nodes: vec![10, 11, 12],
             dst_nodes: vec![10, 11],
             adj: SparseMatrix::new(2, 3, vec![0, 2, 3], vec![0, 2, 1], None),
-            dst_degree: vec![4.0, 9.0],
-            src_degree: vec![4.0, 9.0, 1.0],
             norm: Normalization::None,
         }
-    }
-
-    #[test]
-    fn mean_normalization_rows_sum_to_one() {
-        let b = block();
-        let m = b.mean_normalized();
-        let vals = m.values().unwrap();
-        assert_eq!(vals, &[0.5, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn gcn_normalization_uses_global_degrees() {
-        let b = block();
-        let g = b.gcn_normalized();
-        let vals = g.values().unwrap();
-        // dst0 (deg 4) <- src0 (deg 4): 1/sqrt(16) = 0.25
-        assert!((vals[0] - 0.25).abs() < 1e-6);
-        // dst0 (deg 4) <- src2 (deg 1): 1/sqrt(4) = 0.5
-        assert!((vals[1] - 0.5).abs() < 1e-6);
-        // dst1 (deg 9) <- src1 (deg 9): 1/9
-        assert!((vals[2] - 1.0 / 9.0).abs() < 1e-6);
     }
 
     #[test]
@@ -275,28 +201,11 @@ mod tests {
             adj: SparseMatrix::new(3, 3, vec![0, 1, 2, 2], vec![1, 0], None),
             seed_positions: vec![0],
             seeds: vec![5],
-            degree: vec![1.0, 1.0, 0.0],
             norm: Normalization::None,
         };
         let s = SampledBatch::Subgraph(sb);
         assert_eq!(s.seeds(), vec![5]);
         assert_eq!(s.input_nodes(), &[5, 6, 7]);
         assert_eq!(s.total_edges(3), 6); // 2 edges × 3 layers
-    }
-
-    #[test]
-    fn subgraph_mean_norm_handles_empty_rows() {
-        let sb = SubgraphBatch {
-            nodes: vec![1, 2],
-            adj: SparseMatrix::new(2, 2, vec![0, 1, 1], vec![1], None),
-            seed_positions: vec![0, 1],
-            seeds: vec![1, 2],
-            degree: vec![3.0, 3.0],
-            norm: Normalization::None,
-        };
-        let m = sb.mean_normalized();
-        assert_eq!(m.values().unwrap(), &[1.0]);
-        let g = sb.gcn_normalized();
-        assert!((g.values().unwrap()[0] - 1.0 / 3.0).abs() < 1e-6);
     }
 }

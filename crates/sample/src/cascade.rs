@@ -82,21 +82,16 @@ impl Cascade {
         }
     }
 
-    /// The cascade of an owned batch over its normalized adjacency `full`
-    /// (a subgraph's; a block batch has no slices: every layer runs over
-    /// its own block).
-    pub fn for_owned(
-        &mut self,
-        depth: usize,
-        batch: &SampledBatch,
-        full: SparseView<'_>,
-        keeps_self_rows: bool,
-    ) {
+    /// [`Cascade::for_view`] of an owned batch: a subgraph's seeds are at
+    /// its `seed_positions` (a block batch has no slices: every layer runs
+    /// over its own block).
+    pub fn for_owned(&mut self, depth: usize, batch: &SampledBatch) {
+        let keeps_self_rows = batch.norm() == Normalization::Mean;
         match batch {
             SampledBatch::Blocks(_) => self.no_slices(depth, keeps_self_rows),
             SampledBatch::Subgraph(sb) => {
                 let seeds = sb.seed_positions.iter().copied();
-                self.build(depth, full, seeds, keeps_self_rows);
+                self.build(depth, sb.adj.view(), seeds, keeps_self_rows);
             }
         }
     }

@@ -11,8 +11,9 @@
 //! Sampled batches come in two shapes ([`SampledBatch`]): a stack of
 //! bipartite [`Block`]s (neighbor sampling) or one induced subgraph
 //! ([`SubgraphBatch`], ShaDow). Both carry everything the model needs:
-//! relabeled CSR adjacency, global input-node ids for feature gathering, and
-//! degree information for GCN/SAGE normalization.
+//! relabeled CSR adjacency whose values are the GCN/SAGE normalization the
+//! sampler fused while assembling it, and global input-node ids for feature
+//! gathering.
 //!
 //! [`loader::PipelinedLoader`] overlaps sampling with training — the
 //! optimization whose core allocation ARGO auto-tunes — by prefetching
@@ -103,13 +104,20 @@ pub trait Sampler: Send + Sync {
         run: SampleRun<'a>,
     ) -> SampledBatchView<'a>;
 
-    /// Convenience wrapper: samples an owned, unnormalized batch with
+    /// Convenience wrapper: samples an owned batch with `norm` fused (the
+    /// model's, or [`Normalization::None`] for the structure alone) with
     /// throwaway scratch, seeding the stream from `rng`. In loops, recycle
     /// one scratch through [`Sampler::sample_into`] instead.
-    fn sample(&self, graph: &Graph, seeds: &[NodeId], rng: &mut SmallRng) -> SampledBatch {
+    fn sample(
+        &self,
+        graph: &Graph,
+        seeds: &[NodeId],
+        norm: Normalization,
+        rng: &mut SmallRng,
+    ) -> SampledBatch {
         let mut scratch = SamplerScratch::new();
-        let stream = SeedSequence::new(rng.next_u64());
-        self.sample_into(graph, seeds, SampleRun::new(stream, &mut scratch))
+        let run = SampleRun::new(SeedSequence::new(rng.next_u64()), &mut scratch);
+        self.sample_into(graph, seeds, run.with_norm(norm))
             .to_owned()
     }
 

@@ -360,7 +360,8 @@ impl PreparedInput {
 /// on top) — each buffer grown to the largest operand it has carried. A
 /// set's [`Cascade`] (slices, self-row maps, transposes) is recycled beside
 /// its buffers ([`InputRing::take_cascade`]), so a warm prologue allocates
-/// nothing.
+/// nothing; and each loader worker's [`SamplerScratch`] is parked here when
+/// the worker exits, for the next epoch's worker to sample in warm.
 /// Unlike the feature cache this crate once had, whose prologue gathered
 /// `n_src × F` rows into a second pool of buffers here, the prologue reads
 /// the feature table, and the ring holds only what the step reads.
@@ -369,13 +370,15 @@ pub struct InputRing {
     inner: Arc<RingInner>,
 }
 
-/// A free list of retired `f32` allocations, the count ever made, and the
-/// retired cascades whose slices and transposes the next batches reuse.
+/// A free list of retired `f32` allocations, the count ever made, the
+/// retired cascades whose slices and transposes the next batches reuse, and
+/// the sampler scratches of the workers that exited.
 #[derive(Default)]
 struct RingInner {
     free: Mutex<Vec<Vec<f32>>>,
     made: AtomicUsize,
     cascades: Mutex<Vec<Cascade>>,
+    scratches: Mutex<Vec<SamplerScratch>>,
 }
 
 impl InputRing {
@@ -418,6 +421,16 @@ impl InputRing {
         self.inner.cascades.lock().push(cascade);
     }
 
+    /// A parked loader worker's scratch (a new one when none is parked).
+    fn take_scratch(&self) -> SamplerScratch {
+        self.inner.scratches.lock().pop().unwrap_or_default()
+    }
+
+    /// Parks an exiting worker's scratch for the next epoch's worker.
+    fn put_scratch(&self, scratch: SamplerScratch) {
+        self.inner.scratches.lock().push(scratch);
+    }
+
     /// Operand buffers made so far (parked or in flight).
     pub fn buffers_made(&self) -> usize {
         self.inner.made.load(Ordering::Relaxed)
@@ -443,7 +456,7 @@ pub struct LoadedBatch {
     /// worker's [`SamplerScratch`] (0 once the arena is warm).
     pub scratch_allocs: u64,
     /// Bytes of batch metadata in the compact arena-CSR layout (node ids,
-    /// degrees, `u32` row pointers, column indices, fused values), measured
+    /// `u32` row pointers, column indices, fused values), measured
     /// on the borrowed view before the reorder-channel handoff materialized
     /// this owned copy.
     pub metadata_bytes: u64,
@@ -564,8 +577,9 @@ impl PipelinedLoader {
                         let _ = bind_current_thread(c);
                     }
                     // Per-worker persistent state: the scratch arena is
-                    // warm after the first batch.
-                    let mut scratch = SamplerScratch::new();
+                    // warm after the first batch, and is parked in the ring
+                    // for the next epoch's worker when this one exits.
+                    let mut scratch = inputs.take_scratch();
                     // The depth the sampler makes batches for: the model's
                     // (`Engine::new` holds the two equal).
                     let depth = sampler.num_layers();
@@ -611,6 +625,7 @@ impl PipelinedLoader {
                             break; // consumer dropped
                         }
                     }
+                    inputs.put_scratch(scratch);
                 });
             #[expect(
                 clippy::expect_used,
@@ -840,7 +855,7 @@ mod tests {
     /// `Â₀·X[input_nodes]` the obvious way: for every entry of the batch's
     /// input-side adjacency, in row order, `out[i] += value · X[col]`.
     fn aggregated_by_hand(batch: &SampledBatch, feats: &Features) -> Vec<f32> {
-        let (adj, ids) = (batch.input_adj(), batch.input_nodes());
+        let (adj, ids) = (batch.layer_adj(0), batch.input_nodes());
         let values = adj.values().expect("fused normalization");
         let mut out = vec![0.0f32; adj.rows() * feats.dim()];
         for (i, row) in out.chunks_mut(feats.dim()).enumerate() {
@@ -873,7 +888,7 @@ mod tests {
                     let gathered = feats.gather(lb.batch.input_nodes());
                     let PreparedInput { agg, self_rows, .. } =
                         lb.input.expect("features requested");
-                    let n_dst = lb.batch.input_adj().rows();
+                    let n_dst = lb.batch.layer_adj(0).rows();
                     assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
                     let want = aggregated_by_hand(&lb.batch, &feats);
                     for (a, w) in agg.data().iter().zip(&want) {
@@ -961,7 +976,7 @@ mod tests {
                     cascade.for_view(2, &view);
                     let want = PreparedInput::aggregate(
                         cascade,
-                        batch.input_adj().view(),
+                        batch.layer_adj(0).view(),
                         &gathered,
                         DispatchPolicy::default(),
                         &InputRing::new(),
@@ -969,7 +984,7 @@ mod tests {
                     let by_hand = aggregated_by_hand(&batch, &feats);
                     let rows: Vec<usize> = match want.cascade.input_rows() {
                         Some(rows) => rows.to_vec(),
-                        None => (0..batch.input_adj().rows()).collect(),
+                        None => (0..batch.layer_adj(0).rows()).collect(),
                     };
                     let by_hand: Vec<u32> = rows
                         .iter()

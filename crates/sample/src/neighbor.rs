@@ -150,9 +150,6 @@ impl Sampler for NeighborSampler {
             );
         }
         arena.nodes.extend_from_slice(seeds);
-        for &v in seeds {
-            arena.degree.push(graph.degree(v) as f32);
-        }
         // Build from the output layer inward (fanouts accessed in reverse).
         // `prev` is the dst node range in the arena; each layer's src list
         // extends it in place (the dst prefix is shared, not copied).
@@ -217,9 +214,6 @@ impl Sampler for NeighborSampler {
             }
             scratch.picked = picked;
             scratch.counts = counts;
-            for idx in prev.end..arena.nodes.len() {
-                arena.degree.push(graph.degree(arena.nodes[idx]) as f32);
-            }
             let src_end = arena.nodes.len();
             arena.layers.push(LayerRec {
                 nodes: prev.start..src_end,
@@ -267,7 +261,7 @@ mod tests {
     fn respects_fanout_bounds() {
         let g = power_law(500, 4000, 0.8, 1);
         let s = NeighborSampler::new(vec![4, 2]);
-        let mb = minibatch(s.sample(&g, &[0, 1, 2, 3], &mut rng(5)));
+        let mb = minibatch(s.sample(&g, &[0, 1, 2, 3], Normalization::None, &mut rng(5)));
         assert_eq!(mb.blocks.len(), 2);
         // Output block: dst == seeds, fanout 2 (layer index 1).
         let out = &mb.blocks[1];
@@ -288,7 +282,7 @@ mod tests {
     fn sampled_edges_exist_in_graph() {
         let g = power_law(300, 3000, 0.8, 2);
         let s = NeighborSampler::new(vec![5, 3]);
-        let mb = minibatch(s.sample(&g, &[10, 20, 30], &mut rng(9)));
+        let mb = minibatch(s.sample(&g, &[10, 20, 30], Normalization::None, &mut rng(9)));
         for b in &mb.blocks {
             for i in 0..b.adj.rows() {
                 let v = b.dst_nodes[i];
@@ -304,7 +298,7 @@ mod tests {
     fn src_prefix_is_dst() {
         let g = power_law(300, 3000, 0.8, 3);
         let s = NeighborSampler::paper_default();
-        let mb = minibatch(s.sample(&g, &[1, 2], &mut rng(4)));
+        let mb = minibatch(s.sample(&g, &[1, 2], Normalization::None, &mut rng(4)));
         for b in &mb.blocks {
             assert_eq!(&b.src_nodes[..b.dst_nodes.len()], &b.dst_nodes[..]);
         }
@@ -314,7 +308,7 @@ mod tests {
     fn layers_chain() {
         let g = power_law(300, 3000, 0.8, 4);
         let s = NeighborSampler::new(vec![3, 3, 3]);
-        let mb = minibatch(s.sample(&g, &[5, 6], &mut rng(7)));
+        let mb = minibatch(s.sample(&g, &[5, 6], Normalization::None, &mut rng(7)));
         assert_eq!(mb.blocks.len(), 3);
         // src of layer l+1's perspective: dst of block l+1 equals src of... in
         // our ordering blocks[l].dst == blocks[l+1].src? No: forward order —
@@ -330,7 +324,7 @@ mod tests {
     fn no_duplicate_src_nodes() {
         let g = power_law(400, 4000, 0.8, 5);
         let s = NeighborSampler::paper_default();
-        let mb = minibatch(s.sample(&g, &[0, 1, 2, 3, 4], &mut rng(11)));
+        let mb = minibatch(s.sample(&g, &[0, 1, 2, 3, 4], Normalization::None, &mut rng(11)));
         for b in &mb.blocks {
             let mut ids = b.src_nodes.clone();
             ids.sort_unstable();
@@ -344,7 +338,12 @@ mod tests {
     fn no_replacement_within_a_row() {
         let g = power_law(400, 8000, 0.7, 6);
         let s = NeighborSampler::new(vec![10]);
-        let mb = minibatch(s.sample(&g, &(0..50).collect::<Vec<_>>(), &mut rng(13)));
+        let mb = minibatch(s.sample(
+            &g,
+            &(0..50).collect::<Vec<_>>(),
+            Normalization::None,
+            &mut rng(13),
+        ));
         let b = &mb.blocks[0];
         for i in 0..b.adj.rows() {
             let row = &b.adj.indices()[b.adj.row_range(i)];
@@ -370,8 +369,8 @@ mod tests {
     fn deterministic_in_rng() {
         let g = power_law(200, 2000, 0.8, 7);
         let s = NeighborSampler::new(vec![4, 4]);
-        let a = minibatch(s.sample(&g, &[1, 2, 3], &mut rng(21)));
-        let b = minibatch(s.sample(&g, &[1, 2, 3], &mut rng(21)));
+        let a = minibatch(s.sample(&g, &[1, 2, 3], Normalization::None, &mut rng(21)));
+        let b = minibatch(s.sample(&g, &[1, 2, 3], Normalization::None, &mut rng(21)));
         for (x, y) in a.blocks.iter().zip(&b.blocks) {
             assert_eq!(x.src_nodes, y.src_nodes);
             assert_eq!(x.adj.indices(), y.adj.indices());
@@ -383,7 +382,7 @@ mod tests {
         // Node 3 isolated (no edges mention it).
         let g = Graph::from_edges(4, &[(0, 1), (1, 2)], true);
         let s = NeighborSampler::new(vec![3]);
-        let mb = minibatch(s.sample(&g, &[3], &mut rng(1)));
+        let mb = minibatch(s.sample(&g, &[3], Normalization::None, &mut rng(1)));
         assert_eq!(mb.blocks[0].adj.nnz(), 0);
         assert_eq!(mb.input_nodes(), &[3]);
     }

@@ -85,7 +85,7 @@ pub struct SamplerScratch {
 /// the next block's `dst_nodes`).
 #[derive(Clone, Debug)]
 pub(crate) struct LayerRec {
-    /// Src node range within `BatchArena::nodes` (and `degree`).
+    /// Src node range within `BatchArena::nodes`.
     pub(crate) nodes: Range<usize>,
     /// Number of adjacency rows (= dst count).
     pub(crate) rows: usize,
@@ -99,8 +99,8 @@ pub(crate) struct LayerRec {
 /// Arena backing one assembled batch: adjacency offsets and column indices
 /// land as `u32` ranges directly from pick positions — no intermediate
 /// edge-list `Vec`s, no per-batch COO→CSR pass, no `SparseMatrix::new`
-/// revalidation walk. Fused normalization values and global degrees live in
-/// sibling arrays over the same ranges. All buffers recycle their capacity
+/// revalidation walk. Fused normalization values live in a sibling array
+/// over the same entry ranges. All buffers recycle their capacity
 /// across batches (growth is charged to the owning scratch's alloc
 /// counters), so steady-state assembly performs zero heap allocations.
 #[derive(Debug, Default)]
@@ -109,8 +109,6 @@ pub(crate) struct BatchArena {
     /// assembled layer (subgraph batches: seeds are the prefix of the one
     /// node range).
     pub(crate) nodes: Vec<NodeId>,
-    /// Global (full-graph) degree of each entry of `nodes`, same ranges.
-    pub(crate) degree: Vec<f32>,
     /// Concatenated per-layer row pointers (layer-relative, compact `u32`).
     pub(crate) indptr: Vec<u32>,
     /// Concatenated per-layer column indices (batch-local ids).
@@ -130,7 +128,6 @@ impl BatchArena {
     /// Clears the arena for a fresh batch, retaining every capacity.
     pub(crate) fn begin(&mut self, n_seeds: usize, norm: Normalization) {
         self.nodes.clear();
-        self.degree.clear();
         self.indptr.clear();
         self.indices.clear();
         self.values.clear();
@@ -143,7 +140,6 @@ impl BatchArena {
     /// growth to the scratch alloc counters exactly once per batch.
     pub(crate) fn caps(&self) -> usize {
         self.nodes.capacity()
-            + self.degree.capacity()
             + self.indptr.capacity()
             + self.indices.capacity()
             + self.values.capacity()
@@ -154,7 +150,6 @@ impl BatchArena {
     /// entries, `indptr` row pointers and `entries` adjacency entries.
     pub(crate) fn reserve(&mut self, nodes: usize, indptr: usize, entries: usize, values: bool) {
         self.nodes.reserve(nodes);
-        self.degree.reserve(nodes);
         self.indptr.reserve(indptr);
         self.indices.reserve(entries);
         if values {
@@ -163,15 +158,11 @@ impl BatchArena {
     }
 
     /// Bytes of batch metadata resident in the arena for the current batch:
-    /// node ids, degrees, row pointers, column indices and fused values —
+    /// node ids, row pointers, column indices and fused values —
     /// all 4-byte lanes. This is the *compact* footprint the `bytes_summary`
     /// accounting reports.
     pub(crate) fn metadata_bytes(&self) -> usize {
-        4 * (self.nodes.len()
-            + self.degree.len()
-            + self.indptr.len()
-            + self.indices.len()
-            + self.values.len())
+        4 * (self.nodes.len() + self.indptr.len() + self.indices.len() + self.values.len())
     }
 }
 
@@ -364,10 +355,6 @@ pub(crate) fn arena_induced(
         induced_counting(graph, arena, scratch, norm);
     } else {
         induced_sorting(graph, arena, scratch, norm);
-    }
-    for idx in 0..n {
-        let d = graph.degree(arena.nodes[idx]) as f32;
-        arena.degree.push(d);
     }
     arena.layers.push(LayerRec {
         nodes: 0..n,

@@ -140,8 +140,7 @@ impl Sampler for ShadowSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::SampledBatch;
-    use crate::batch::SubgraphBatch;
+    use crate::batch::{Normalization, SampledBatch, SubgraphBatch};
     use argo_graph::generators::power_law;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -161,7 +160,7 @@ mod tests {
     fn seeds_lead_the_node_list() {
         let g = power_law(300, 3000, 0.8, 1);
         let s = ShadowSampler::paper_default();
-        let sb = subgraph(s.sample(&g, &[7, 8, 9], &mut rng(2)));
+        let sb = subgraph(s.sample(&g, &[7, 8, 9], Normalization::None, &mut rng(2)));
         assert_eq!(&sb.nodes[..3], &[7, 8, 9]);
         assert_eq!(sb.seed_positions, vec![0, 1, 2]);
     }
@@ -170,7 +169,7 @@ mod tests {
     fn subgraph_edges_exist_in_parent() {
         let g = power_law(300, 3000, 0.8, 3);
         let s = ShadowSampler::new(vec![5, 3], 2);
-        let sb = subgraph(s.sample(&g, &[1, 2], &mut rng(4)));
+        let sb = subgraph(s.sample(&g, &[1, 2], Normalization::None, &mut rng(4)));
         for i in 0..sb.adj.rows() {
             let v = sb.nodes[i];
             for k in sb.adj.row_range(i) {
@@ -185,7 +184,7 @@ mod tests {
         // Parent graph is undirected, so the induced adjacency must be too.
         let g = power_law(300, 3000, 0.8, 5);
         let s = ShadowSampler::paper_default();
-        let sb = subgraph(s.sample(&g, &[0, 10, 20], &mut rng(6)));
+        let sb = subgraph(s.sample(&g, &[0, 10, 20], Normalization::None, &mut rng(6)));
         let dense = sb.adj.to_dense();
         for i in 0..dense.rows() {
             for j in 0..dense.cols() {
@@ -199,7 +198,7 @@ mod tests {
         let g = power_law(2000, 40000, 0.7, 7);
         let seeds: Vec<NodeId> = (0..8).collect();
         let s = ShadowSampler::new(vec![10, 5], 3);
-        let sb = subgraph(s.sample(&g, &seeds, &mut rng(8)));
+        let sb = subgraph(s.sample(&g, &seeds, Normalization::None, &mut rng(8)));
         // Upper bound: seeds * (1 + 10 + 10*5).
         assert!(sb.nodes.len() <= 8 * 61, "grew to {}", sb.nodes.len());
         assert!(sb.nodes.len() >= 8);
@@ -209,8 +208,8 @@ mod tests {
     fn deterministic_in_rng() {
         let g = power_law(500, 5000, 0.8, 9);
         let s = ShadowSampler::paper_default();
-        let a = subgraph(s.sample(&g, &[3, 4], &mut rng(11)));
-        let b = subgraph(s.sample(&g, &[3, 4], &mut rng(11)));
+        let a = subgraph(s.sample(&g, &[3, 4], Normalization::None, &mut rng(11)));
+        let b = subgraph(s.sample(&g, &[3, 4], Normalization::None, &mut rng(11)));
         assert_eq!(a.nodes, b.nodes);
         assert_eq!(a.adj.indices(), b.adj.indices());
     }
@@ -219,7 +218,12 @@ mod tests {
     fn no_duplicate_nodes() {
         let g = power_law(500, 5000, 0.8, 10);
         let s = ShadowSampler::paper_default();
-        let sb = subgraph(s.sample(&g, &(0..20).collect::<Vec<_>>(), &mut rng(12)));
+        let sb = subgraph(s.sample(
+            &g,
+            &(0..20).collect::<Vec<_>>(),
+            Normalization::None,
+            &mut rng(12),
+        ));
         let mut ids = sb.nodes.clone();
         ids.sort_unstable();
         let before = ids.len();
@@ -232,6 +236,6 @@ mod tests {
     fn duplicate_seeds_panic() {
         let g = power_law(100, 500, 0.8, 13);
         let s = ShadowSampler::paper_default();
-        s.sample(&g, &[1, 1], &mut rng(1));
+        s.sample(&g, &[1, 1], Normalization::None, &mut rng(1));
     }
 }

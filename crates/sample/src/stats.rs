@@ -76,6 +76,7 @@ pub fn epoch_workload(
 mod tests {
     use super::*;
     use crate::neighbor::NeighborSampler;
+    use crate::Normalization;
     use argo_graph::generators::power_law;
 
     #[test]
@@ -137,7 +138,7 @@ mod tests {
         let g = power_law(200, 2000, 0.8, 2);
         let sampler = NeighborSampler::new(vec![3]);
         let mut rng = SmallRng::seed_from_u64(1);
-        let b = sampler.sample(&g, &[1, 2, 3], &mut rng);
+        let b = sampler.sample(&g, &[1, 2, 3], Normalization::None, &mut rng);
         let mut s = WorkloadStats::default();
         s.add(&b, 1);
         s.add(&b, 1);

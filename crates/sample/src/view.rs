@@ -28,10 +28,6 @@ pub struct BlockView<'a> {
     pub dst_nodes: &'a [NodeId],
     /// Sampled adjacency: `dst_nodes.len() x src_nodes.len()`.
     pub adj: SparseView<'a>,
-    /// Global (full-graph) degree of each dst node.
-    pub dst_degree: &'a [f32],
-    /// Global degree of each src node.
-    pub src_degree: &'a [f32],
     /// Normalization already fused into `adj`'s values (if any).
     pub norm: Normalization,
 }
@@ -43,8 +39,6 @@ impl BlockView<'_> {
             src_nodes: self.src_nodes.to_vec(),
             dst_nodes: self.dst_nodes.to_vec(),
             adj: self.adj.to_owned(),
-            dst_degree: self.dst_degree.to_vec(),
-            src_degree: self.src_degree.to_vec(),
             norm: self.norm,
         }
     }
@@ -139,11 +133,6 @@ impl<'a> SubgraphView<'a> {
         self.arena.n_seeds
     }
 
-    /// Global degree of each subgraph node.
-    pub fn degree(&self) -> &'a [f32] {
-        &self.arena.degree
-    }
-
     /// Normalization fused into the adjacency values (if any).
     pub fn norm(&self) -> Normalization {
         self.arena.norm
@@ -156,7 +145,6 @@ impl<'a> SubgraphView<'a> {
             adj: self.adj().to_owned(),
             seed_positions: (0..self.arena.n_seeds).collect(),
             seeds: self.seeds().to_vec(),
-            degree: self.degree().to_vec(),
             norm: self.arena.norm,
         }
     }
@@ -186,8 +174,6 @@ fn block_view<'a>(
         src_nodes: &arena.nodes[rec.nodes.start..rec.nodes.end],
         dst_nodes: &arena.nodes[dst.start..dst.end],
         adj: adj_view(arena, rec),
-        dst_degree: &arena.degree[dst.start..dst.end],
-        src_degree: &arena.degree[rec.nodes.start..rec.nodes.end],
         norm: arena.norm,
     }
 }
@@ -234,8 +220,7 @@ impl<'a> SampledBatchView<'a> {
     }
 
     /// Layer `l`'s full-height adjacency: block `l`, or the subgraph's,
-    /// which every layer shares. Layer 0's is the input-side adjacency (see
-    /// [`SampledBatch::input_adj`]).
+    /// which every layer shares (see [`SampledBatch::layer_adj`]).
     pub fn layer_adj(&self, l: usize) -> SparseView<'a> {
         match self {
             SampledBatchView::Blocks(mb) => mb.block(l).adj,
@@ -263,7 +248,7 @@ impl<'a> SampledBatchView<'a> {
     }
 
     /// Bytes of batch metadata resident in the arena — the compact layout
-    /// the `bytes_summary` accounting reports (node ids, degrees, `u32` row
+    /// the `bytes_summary` accounting reports (node ids, `u32` row
     /// pointers, column indices, fused values).
     pub fn metadata_bytes(&self) -> usize {
         self.arena().metadata_bytes()

@@ -35,10 +35,6 @@ fn first_ids(nodes: &[NodeId]) -> HashMap<NodeId, u32> {
     ids
 }
 
-fn degrees(graph: &Graph, nodes: &[NodeId]) -> Vec<f32> {
-    nodes.iter().map(|&v| graph.degree(v) as f32).collect()
-}
-
 /// Row `v`'s picks: the whole row when it fits the fanout; otherwise
 /// Floyd's draw of `fanout` distinct positions, read in ascending order.
 fn picks(graph: &Graph, v: NodeId, fanout: usize, mut rng: StreamRng) -> Vec<NodeId> {
@@ -100,8 +96,6 @@ pub fn blocks(
         }
         blocks.push(Block {
             adj: csr(rows, src.len(), norm),
-            dst_degree: degrees(graph, &dst),
-            src_degree: degrees(graph, &src),
             dst_nodes: dst,
             src_nodes: src.clone(),
             norm,
@@ -144,7 +138,6 @@ pub fn induced(
         adj: csr(rows, nodes.len(), norm),
         seed_positions: (0..n_seeds).collect(),
         seeds: nodes[..n_seeds].to_vec(),
-        degree: degrees(graph, nodes),
         norm,
     })
 }

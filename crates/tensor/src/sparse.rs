@@ -149,19 +149,6 @@ impl SparseMatrix {
         self.view().transpose_into(out);
     }
 
-    /// Replaces the values; structure unchanged — and not re-validated: it
-    /// is a copy of this matrix's, which was checked when it was built.
-    pub fn with_values(&self, values: Vec<f32>) -> SparseMatrix {
-        assert_eq!(values.len(), self.nnz(), "values length");
-        Self::from_validated(
-            self.rows,
-            self.cols,
-            self.indptr.clone(),
-            self.indices.clone(),
-            Some(values),
-        )
-    }
-
     /// Converts to dense (for tests / tiny matrices).
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
@@ -576,15 +563,6 @@ mod tests {
     #[should_panic]
     fn col_out_of_range_panics() {
         SparseMatrix::new(1, 2, vec![0, 1], vec![5], None);
-    }
-
-    #[test]
-    fn with_values_preserves_structure() {
-        let s = sample();
-        let t = s.with_values(vec![9.0, 9.0, 9.0]);
-        assert_eq!(t.indptr(), s.indptr());
-        assert_eq!(t.indices(), s.indices());
-        assert_eq!(t.values().unwrap(), &[9.0, 9.0, 9.0]);
     }
 
     #[test]

@@ -31,13 +31,7 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 /// A deterministic ragged sparse matrix with controllable density and
 /// optionally explicit (non-unit) values.
-fn sparse(
-    rows: usize,
-    cols: usize,
-    density_mod: usize,
-    with_values: bool,
-    salt: usize,
-) -> SparseMatrix {
+fn sparse(rows: usize, cols: usize, density_mod: usize, valued: bool, salt: usize) -> SparseMatrix {
     let mut indptr = vec![0u32];
     let mut indices = Vec::new();
     let mut vals = Vec::new();
@@ -50,7 +44,7 @@ fn sparse(
         }
         indptr.push(indices.len() as u32);
     }
-    SparseMatrix::new(rows, cols, indptr, indices, with_values.then_some(vals))
+    SparseMatrix::new(rows, cols, indptr, indices, valued.then_some(vals))
 }
 
 /// Degenerate, prime and pool-boundary (63 / 64 / 65 rows) dimensions.
@@ -184,15 +178,15 @@ fn nonfinite_behind_an_exact_zero_reaches_the_output() {
 fn csc_spmm_bitwise_equals_scatter_at_edge_shapes() {
     for (s, &rows) in EDGE_DIMS.iter().enumerate() {
         let cols = EDGE_DIMS[(s + 5) % EDGE_DIMS.len()];
-        for with_values in [false, true] {
-            let adj = sparse(rows, cols, 3 + s % 5, with_values, s);
+        for valued in [false, true] {
+            let adj = sparse(rows, cols, 3 + s % 5, valued, s);
             let grad = Matrix::xavier(rows, 9, s as u64 + 300);
             assert_eq!(
                 DispatchPolicy::default()
                     .aggregate_transpose(&adj, &grad, None)
                     .data(),
                 reference::spmm_transpose(&adj, &grad).data(),
-                "rows={rows} cols={cols} values={with_values}"
+                "rows={rows} cols={cols} values={valued}"
             );
         }
     }
@@ -249,10 +243,10 @@ proptest! {
         cols in 1usize..90,
         density_mod in 2usize..12,
         dim in 1usize..12,
-        with_values in any::<bool>(),
+        valued in any::<bool>(),
         salt in 0usize..64,
     ) {
-        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let adj = sparse(rows, cols, density_mod, valued, salt);
         let grad = Matrix::xavier(rows, dim, salt as u64);
         prop_assert_eq!(
             DispatchPolicy::default()
@@ -270,12 +264,12 @@ proptest! {
         rows in 1usize..60,
         cols in 1usize..40,
         density_mod in 2usize..9,
-        with_values in any::<bool>(),
+        valued in any::<bool>(),
         salt in 0usize..64,
         picks in prop::collection::vec(0usize..1000, 0..50),
         prefix in 0usize..1000,
     ) {
-        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let adj = sparse(rows, cols, density_mod, valued, salt);
         let picks: Vec<usize> = picks.iter().map(|p| p % rows).collect();
         let (mut indptr, mut indices, mut vals) = (vec![0u32], Vec::new(), Vec::new());
         for &r in &picks {
@@ -285,7 +279,7 @@ proptest! {
             }
             indptr.push(indices.len() as u32);
         }
-        let want = SparseMatrix::new(picks.len(), cols, indptr, indices, with_values.then_some(vals));
+        let want = SparseMatrix::new(picks.len(), cols, indptr, indices, valued.then_some(vals));
         prop_assert_eq!(adj.select_rows(&picks), want);
 
         let all: Vec<usize> = (0..rows).collect();
@@ -305,11 +299,11 @@ proptest! {
         cols in 1usize..90,
         density_mod in 2usize..12,
         dim in 1usize..20,
-        with_values in any::<bool>(),
+        valued in any::<bool>(),
         salt in 0usize..64,
         keep_mod in 1usize..6,
     ) {
-        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let adj = sparse(rows, cols, density_mod, valued, salt);
         let kept: Vec<usize> = (0..rows).filter(|i| (i * 3 + salt) % keep_mod == 0).collect();
         let slice = adj.select_rows(&kept);
         let h = Matrix::xavier(cols, dim, salt as u64 ^ 0x77);
@@ -344,12 +338,12 @@ proptest! {
         cols in 1usize..90,
         density_mod in 2usize..12,
         dim in 1usize..20,
-        with_values in any::<bool>(),
+        valued in any::<bool>(),
         salt in 0usize..64,
         keep_mod in 1usize..6,
         extra_mod in 1usize..5,
     ) {
-        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let adj = sparse(rows, cols, density_mod, valued, salt);
         let kept: Vec<usize> = (0..rows).filter(|i| (i * 3 + salt) % keep_mod == 0).collect();
         let mut slice = adj.select_rows(&kept);
         // `C`: every named column plus some that nothing names.
@@ -463,12 +457,12 @@ proptest! {
         cols in 1usize..90,
         density_mod in 2usize..12,
         dim in 1usize..20,
-        with_values in any::<bool>(),
+        valued in any::<bool>(),
         salt in 0usize..64,
     ) {
         let scalar = DispatchPolicy::default().force_scalar();
         let simd = DispatchPolicy::default();
-        let adj = sparse(rows, cols, density_mod, with_values, salt);
+        let adj = sparse(rows, cols, density_mod, valued, salt);
         let h = Matrix::xavier(cols, dim, salt as u64 ^ 0x99);
         prop_assert_eq!(
             simd.aggregate(&adj, &h, None).data(),

@@ -10,7 +10,7 @@ use argo::core::{Argo, ArgoOptions};
 use argo::engine::{evaluate_accuracy, Engine, EngineOptions};
 use argo::graph::datasets::FLICKR;
 use argo::nn::Arch;
-use argo::sample::{NeighborSampler, Sampler, ShadowSampler};
+use argo::sample::{NeighborSampler, Normalization, Sampler, ShadowSampler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -39,7 +39,8 @@ fn main() {
     for (name, sampler) in samplers {
         // Workload of a representative batch of 128 seeds.
         let seeds: Vec<u32> = dataset.train_nodes.iter().copied().take(128).collect();
-        let batch = sampler.sample(&dataset.graph, &seeds, &mut SmallRng::seed_from_u64(1));
+        let rng = &mut SmallRng::seed_from_u64(1);
+        let batch = sampler.sample(&dataset.graph, &seeds, Normalization::None, rng);
         let edges = batch.total_edges(2);
         let inputs = batch.input_nodes().len();
         // Short auto-tuned training run.

@@ -17,13 +17,13 @@
 //!   and optimizer state;
 //! * the channel: the loader's bounded channel, made and used once per
 //!   batch;
-//! * the sampler scratch: each loader worker's `SamplerScratch`, fresh every
-//!   epoch, growing to the epoch's batches — counted over a first pass of
-//!   batches on cold arenas ([`growth`]);
-//! * three kinds of storage a rank keeps across epochs, which grow for a
+//! * four kinds of storage a rank keeps across epochs, which grow for a
 //!   batch larger than any they carried — each counted over a second pass
 //!   of batches after a first one warmed it, as a warm epoch follows
 //!   another ([`growth`]):
+//!   * the sampler scratch: each loader worker's `SamplerScratch`, parked in
+//!     the rank's `InputRing` when the worker exits and taken by the next
+//!     epoch's worker;
 //!   * the carried cascades: the needed-row cascade and the per-layer
 //!     transposes a loader worker builds into the storage its ring recycles
 //!     (`2·n_samp + 1` sets in flight per rank);
@@ -227,10 +227,8 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
 /// batches runs on cold storage; a second, over batches drawn from other
 /// streams, runs warm.
 ///
-/// * Scratch: `n_samp` fresh `SamplerScratch` arenas, one per loader
-///   worker, take the batches in turn, as every epoch's loader starts;
-///   counted in the first pass. The other three keep their storage across
-///   epochs and are counted in the second.
+/// * Scratch: `n_samp` `SamplerScratch` arenas, one per loader worker,
+///   take the batches in turn.
 /// * Cascades: `2·n_samp + 1` of them, as many as the rank's ring holds in
 ///   flight, take the batches in turn and build each one's cascade and
 ///   transposes, as `PreparedInput::prepare_for_training` does.
@@ -261,9 +259,6 @@ fn growth(e: &Engine, config: Config, per_rank: usize) -> [usize; 4] {
             let scratch = &mut scratches[i % config.n_samp];
             let run = SampleRun::new(stream, scratch).with_norm(opts.kind.normalization());
             let (in_scratch, view) = allocs_in(|| sampler.sample_into(&d.graph, seeds, run));
-            if pass == 0 {
-                counted[0] += in_scratch;
-            }
 
             let cascade = &mut cascades[i % in_flight];
             let (in_cascade, ()) = allocs_in(|| {
@@ -300,10 +295,8 @@ fn growth(e: &Engine, config: Config, per_rank: usize) -> [usize; 4] {
             input.recycle(&step_ring);
 
             if pass == 1 {
-                for (c, n) in counted[1..]
-                    .iter_mut()
-                    .zip([in_cascade, in_operands, in_step])
-                {
+                let owners = [in_scratch, in_cascade, in_operands, in_step];
+                for (c, n) in counted.iter_mut().zip(owners) {
                     *c += n;
                 }
             }

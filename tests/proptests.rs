@@ -8,7 +8,7 @@ use argo::graph::generators::{planted_communities, power_law};
 use argo::graph::partition::{bfs_partition, random_partition, split_even};
 use argo::graph::{Graph, NodeId};
 use argo::rt::{enumerate_space, AllReduce, Config, CoreBinder, SeedSequence};
-use argo::sample::{NeighborSampler, SampledBatch, Sampler, ShadowSampler};
+use argo::sample::{NeighborSampler, Normalization, SampledBatch, Sampler, ShadowSampler};
 use argo::tensor::reference::matmul;
 use argo::tensor::{DispatchPolicy, Matrix, SparseMatrix};
 use argo::tune::acquisition::expected_improvement;
@@ -94,7 +94,7 @@ proptest! {
         let sampler = NeighborSampler::new(vec![f1, f2]);
         let seeds: Vec<NodeId> = (0..10.min(n) as NodeId).collect();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xABC);
-        let SampledBatch::Blocks(mb) = sampler.sample(&g, &seeds, &mut rng) else {
+        let SampledBatch::Blocks(mb) = sampler.sample(&g, &seeds, Normalization::None, &mut rng) else {
             panic!("neighbor sampler must return blocks");
         };
         prop_assert_eq!(mb.blocks.len(), 2);
@@ -125,7 +125,7 @@ proptest! {
         let sampler = ShadowSampler::new(vec![6, 3], 2);
         let seeds: Vec<NodeId> = (0..8).collect();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let SampledBatch::Subgraph(sb) = sampler.sample(&g, &seeds, &mut rng) else {
+        let SampledBatch::Subgraph(sb) = sampler.sample(&g, &seeds, Normalization::None, &mut rng) else {
             panic!("shadow sampler must return a subgraph");
         };
         prop_assert_eq!(&sb.nodes[..8], &seeds[..]);
