@@ -53,16 +53,16 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --workload s
 echo "==> cargo test -q -p argo-sample with SIMD force-disabled (arena assembly + gather on the scalar path)"
 ARGO_SIMD=off cargo test -q -p argo-sample
 
-echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — cascade and transposes built on the worker — equals the gathered step at 1, 2 and 4 workers; every_tier_trains_the_same_bits, whose two policies both run the scalar tier here; every entry point runs the values the sampler fused, and refuses a batch fused with another normalization)"
+echo "==> cargo test -q -p argo-nn with SIMD force-disabled (the needed-row cascade's bitwise pins on the scalar path; a loader-prepared ShaDow step — layer 0, cascade and transposes built on the worker from the feature table — equals train_step_gathered, the adapter that builds them from gathered rows in the model's ring, at 1, 2 and 4 workers; every_tier_trains_the_same_bits, whose two policies both run the scalar tier here; every entry point runs the values the sampler fused, and refuses a batch fused with another normalization)"
 ARGO_SIMD=off cargo test -q -p argo-nn
 
-echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the loader-side aggregation and the model-side step must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow; the scalar tier trains the vector tiers' bits, so these are the bits of the default run too; evaluate_accuracy samples with the model's fused normalization and keeps its recorded bits)"
+echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the engine's epoch, whose layer 0 the loader's prologue reads from the feature table, and the replay through train_step_gathered, which aggregates gathered rows in the model's ring, must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow; the scalar tier trains the vector tiers' bits, so these are the bits of the default run too; evaluate_accuracy samples with the model's fused normalization, runs the serving recipe (PreparedInput::prepare + forward_prepared) and keeps its recorded bits)"
 ARGO_SIMD=off cargo test -q -p argo-engine
 
-echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step and dispatch kernel allocate nothing)"
+echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step — prepared, and through the train_step_gathered and forward_gathered_view adapters — and dispatch kernel allocate nothing)"
 ARGO_SIMD=off cargo test -q --test allocations
 
-echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n, and it makes exactly a warm pooled GEMM's allocations; the n_train bitwise pin, engine's n_samp_and_n_train_change_no_trained_bit: two epochs at n_samp 1-2 and n_train 1-3 train the same bits; the tier pin, nn's every_tier_trains_the_same_bits: four prepared steps + Adam on the vector tier and the scalar tier train the same losses and parameters, SAGE/Neighbor and GCN/ShaDow at depths 2-3; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
+echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared, the train_step_gathered and forward_gathered_view adapters (both tasks, both tiers) and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n, and it makes exactly a warm pooled GEMM's allocations; the n_train bitwise pin, engine's n_samp_and_n_train_change_no_trained_bit: two epochs at n_samp 1-2 and n_train 1-3 train the same bits; the tier pin, nn's every_tier_trains_the_same_bits: four prepared steps + Adam on the vector tier and the scalar tier train the same losses and parameters, SAGE/Neighbor and GCN/ShaDow at depths 2-3; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
 cargo test -q
 
 echo "CI OK"

@@ -3,8 +3,8 @@
 
 use argo_graph::Dataset;
 use argo_nn::{ConfusionMatrix, Gnn};
-use argo_rt::SeedSequence;
-use argo_sample::{NeighborSampler, SampleRun, Sampler, SamplerScratch};
+use argo_rt::{SeedSequence, WorkerRing};
+use argo_sample::{InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch};
 use argo_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +16,9 @@ const CHUNK: usize = 256;
 /// full-neighborhood aggregation (fanout = max degree, so evaluation is
 /// deterministic) and hands each chunk's labels and logits to `visit`. Every
 /// chunk is sampled into `scratch`, with the model's normalization fused as
-/// training samples it, and gathered into one buffer.
+/// training samples it, and runs the serving recipe: the prologue, which
+/// reads layer 0 straight from the feature table, then the forward pass
+/// from the first GEMM.
 fn for_each_chunk(
     model: &Gnn,
     dataset: &Dataset,
@@ -27,19 +29,16 @@ fn for_each_chunk(
     let fanout = dataset.graph.max_degree().max(1);
     let sampler = NeighborSampler::new(vec![fanout; model.num_layers()]);
     let mut rng = SmallRng::seed_from_u64(0);
-    let dim = dataset.feat_dim();
-    let mut rows = Vec::new();
+    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
     let mut labels = Vec::new();
     for chunk in nodes.chunks(CHUNK) {
         let run = SampleRun::new(SeedSequence::new(rng.next_u64()), scratch)
             .with_norm(model.kind().normalization());
         let batch = sampler.sample_into(&dataset.graph, chunk, run);
-        let ids = batch.input_nodes();
-        rows.resize(ids.len() * dim, 0.0);
-        dataset.features.gather_into(ids, &mut rows);
-        let input = Matrix::from_vec(ids.len(), dim, rows);
-        let logits = model.forward_gathered_view(&batch, &input, None);
-        rows = input.into_data();
+        let depth = model.num_layers();
+        let input = PreparedInput::prepare(&batch, &dataset.features, depth, &ring, &spans, 0);
+        let logits = model.forward_prepared(&batch, &input, None);
+        input.recycle(&ring);
         labels.clear();
         labels.extend(chunk.iter().map(|&v| dataset.labels[v as usize]));
         visit(&labels, &logits);

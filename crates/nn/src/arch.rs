@@ -100,7 +100,8 @@ mod tests {
         // gradients, bit for bit, as a model built for this one step.
         use crate::gathered;
         use argo_graph::datasets::FLICKR;
-        use argo_sample::{NeighborSampler, Sampler};
+        use argo_rt::SeedSequence;
+        use argo_sample::{NeighborSampler, SampleRun, Sampler, SamplerScratch};
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let d = FLICKR.synthesize(0.01, 11);
@@ -131,7 +132,11 @@ mod tests {
             let mut fresh = build();
             fresh.set_params_flat(&params);
 
-            let batch = batch_of(11, 32, arch);
+            let mut scratch = SamplerScratch::new();
+            let run = SampleRun::new(SeedSequence::new(32), &mut scratch);
+            let seeds = &d.train_nodes[11..43];
+            let view = sampler.sample_into(&d.graph, seeds, run.with_norm(arch.normalization()));
+            let batch = view.to_owned();
             let input = gathered(&d.features, batch.input_nodes());
             // Borrowed on the replica, by value on the fresh model: the two
             // calling conventions are one implementation.
@@ -146,8 +151,8 @@ mod tests {
                 "{arch:?} gradients differ"
             );
             let (fa, fb) = (
-                used.forward_gathered(&batch, &input, None),
-                fresh.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None),
+                used.forward_gathered_view(&view, &input, None),
+                fresh.forward_gathered_view(&view, gathered(&d.features, view.input_nodes()), None),
             );
             assert_eq!(fa.data(), fb.data(), "{arch:?}");
         }

@@ -8,26 +8,28 @@
 //! [`Workspace`] and the lists that hold them are the model's own, so a warm
 //! training step allocates nothing (`tests/allocations.rs` pins it).
 //!
-//! A batch's layers — the needed-row [`Cascade`] of a subgraph batch and
-//! every layer's transposed adjacency, which backward gathers over — are
-//! parameter-free. [`Gnn::train_step_prepared`] and [`Gnn::forward_prepared`]
-//! read the ones a loader worker (or the serving prologue) built into the
-//! [`PreparedInput`], starting at the first GEMM: the step runs the batch as
-//! it is. The gathered entry points build the model's own cascade per call
-//! (and a training step its transposes), through the same code.
+//! Layer 0 reaches the model one way: as a [`PreparedInput`], the product
+//! of the parameter-free prologue — layer 0's aggregation (and GraphSAGE's
+//! self rows), the batch's needed-row [`Cascade`] and, for training, every
+//! layer's transposed adjacency, which backward gathers over. Every entry
+//! point starts at the first GEMM: [`Gnn::train_step_prepared`] and
+//! [`Gnn::forward_prepared`] read what a loader worker or the serving
+//! prologue (which evaluation runs too) built, and the gathered entry points
+//! are adapters that build it from the caller's rows ([`PreparedInput::aggregate`]) in the model's
+//! own [`InputRing`], then run the same body.
 //!
 //! Every entry point runs the normalized adjacency values the batch carries:
 //! the sampler fuses them while it assembles the batch
 //! ([`Arch::normalization`]), and a batch fused with another normalization
 //! than the model's is refused with a panic that names both.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_sample::cascade::{Cascade, LayerIn};
-use argo_sample::loader::PreparedInput;
+use argo_sample::loader::{InputRing, PreparedInput};
 use argo_sample::view::SampledBatchView;
 use argo_sample::Normalization;
 use argo_tensor::ops::{
@@ -86,8 +88,8 @@ impl Gnn {
     ///   GCN ignores it.
     ///
     /// Bias (and ReLU on all layers except the last) are fused into the GEMM
-    /// write-back, into a workspace buffer taken unzeroed. This is where a
-    /// step whose first aggregation was run by the loader starts.
+    /// write-back, into a workspace buffer taken unzeroed. This is where
+    /// every entry point starts layer 0.
     fn dense(
         &self,
         l: usize,
@@ -114,37 +116,22 @@ impl Gnn {
 
     /// The one forward body, training's and inference's: runs layer `l`
     /// over `layer(l)` and keeps every layer's buffers in `kept` (empty on
-    /// entry), except layer 0's operands, which it returns. Layer 0 starts
-    /// from `first`: a prepared input is exactly layer 0's operands.
-    fn forward<'a, 'l>(
+    /// entry). Layer 0 starts at its GEMM, over the operands `input`
+    /// carries.
+    fn forward<'l>(
         &self,
         kept: &mut Kept,
         layer: impl Fn(usize) -> LayerIn<'l>,
-        first: FirstLayer<'a>,
+        input: &PreparedInput,
         pool: Option<&ThreadPool>,
-    ) -> Layer0<'a> {
-        let (adj, self_rows) = layer(0);
-        let (agg, h_self) = match first {
-            FirstLayer::Gathered(input) => {
-                let agg = self.aggregate(&adj, input, pool);
-                // SAGE's self rows: the layer's selection, or the first rows
-                // of the input.
-                let h_self = (self.kind == Arch::Sage).then(|| match self_rows {
-                    Some(pos) => Cow::Owned(select_rows(&self.ws, input, pos)),
-                    None => Cow::Borrowed(input),
-                });
-                (Cow::Owned(agg), h_self)
-            }
-            FirstLayer::Prepared(PreparedInput { agg, self_rows, .. }) => {
-                assert_eq!(
-                    (agg.rows(), agg.cols()),
-                    (adj.rows(), self.dims[0]),
-                    "prepared aggregation does not fit the batch"
-                );
-                (Cow::Borrowed(agg), self_rows.as_ref().map(Cow::Borrowed))
-            }
-        };
-        kept.outs.push(self.dense(0, &agg, h_self.as_deref(), pool));
+    ) {
+        let PreparedInput { agg, self_rows, .. } = input;
+        assert_eq!(
+            (agg.rows(), agg.cols()),
+            (layer(0).0.rows(), self.dims[0]),
+            "prepared aggregation does not fit the batch"
+        );
+        kept.outs.push(self.dense(0, agg, self_rows.as_ref(), pool));
         for l in 1..self.layers.len() {
             let (adj, self_rows) = layer(l);
             let h = &kept.outs[l - 1];
@@ -155,7 +142,6 @@ impl Gnn {
             kept.aggs.push(agg);
             kept.selfs.push(picked);
         }
-        Layer0 { agg, h_self }
     }
 
     /// Inference: [`Gnn::forward`] with everything but the logits (one row
@@ -163,62 +149,48 @@ impl Gnn {
     fn run<'l>(
         &self,
         layer: impl Fn(usize) -> LayerIn<'l>,
-        first: FirstLayer<'_>,
+        input: &PreparedInput,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let mut kept = self.kept.borrow_mut();
-        let first = self.forward(&mut kept, layer, first, pool);
+        self.forward(&mut kept, layer, input, pool);
         let logits = kept.outs.swap_remove(self.layers.len() - 1);
         drop(kept);
-        self.recycle(first);
+        self.recycle();
         logits
     }
 
-    /// Inference forward pass; returns logits over the batch's seeds.
-    /// `input` must be the batch's input-node feature rows in
-    /// `input_nodes()` order (`Features::gather_into`, or the cross-batch
-    /// feature cache); pass `&Matrix` to keep the buffer for the next batch.
-    /// The model only ever reads it — a caller's buffer is never parked in
-    /// the workspace. Panics unless the batch fuses this model's
-    /// normalization (and, for blocks, has its depth).
-    pub fn forward_gathered(
-        &self,
-        batch: &SampledBatch,
-        input: impl Borrow<Matrix>,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        self.assert_runs_owned(batch);
-        let mut cascade = self.cascade.borrow_mut();
-        cascade.for_owned(self.layers.len(), batch);
-        let cascade = &*cascade;
-        let first = FirstLayer::Gathered(input.borrow());
-        self.run(|l| cascade.layer(l, batch.layer_adj(l).view()), first, pool)
-    }
-
-    /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
-    /// adjacencies are consumed straight out of the sampler's batch arena —
-    /// every block, and a subgraph's full-height layers, with zero copies.
-    /// Panics as [`Gnn::forward_gathered`] does.
+    /// Inference over a borrowed [`SampledBatchView`] and its gathered input
+    /// rows, in `input_nodes()` order (pass `&Matrix` to keep the buffer for
+    /// the next batch): the call-table adapter over
+    /// [`Gnn::forward_prepared`]. It builds the view's cascade and layer 0's
+    /// operands in the model's own ring ([`PreparedInput::aggregate`]), runs
+    /// the prepared forward and recycles them — bitwise the logits of
+    /// [`PreparedInput::prepare`] + [`Gnn::forward_prepared`]. The model
+    /// only reads `input`; it never parks it. Panics as
+    /// [`Gnn::forward_prepared`] does.
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
         input: impl Borrow<Matrix>,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let input = input.borrow();
-        self.assert_runs_view(batch);
-        let mut cascade = self.cascade.borrow_mut();
+        let (ring, rows) = (&self.ring, input.borrow());
+        let mut cascade = ring.take_cascade();
         cascade.for_view(self.layers.len(), batch);
-        let cascade = &*cascade;
-        let layer = |l| cascade.layer(l, batch.layer_adj(l));
-        self.run(layer, FirstLayer::Gathered(input), pool)
+        let adj = batch.layer_adj(0);
+        let input = PreparedInput::aggregate(cascade, adj, rows, self.dispatch, ring, pool);
+        let logits = self.forward_prepared(batch, &input, pool);
+        input.recycle(ring);
+        logits
     }
 
-    /// [`Gnn::forward_gathered_view`] from the first GEMM, over what
-    /// [`PreparedInput::prepare`] made of this view — its layer-0 operands
-    /// and its cascade: bitwise the same logits. Panics unless the view
-    /// fuses this model's normalization (and, for blocks, has its depth) and
-    /// the input was prepared for this model's depth.
+    /// Inference from the first GEMM over what [`PreparedInput::prepare`]
+    /// made of this view — its layer-0 operands and its cascade; returns
+    /// logits over the batch's seeds. The adjacencies are consumed straight
+    /// out of the sampler's batch arena. Panics unless the view fuses this
+    /// model's normalization (and, for blocks, has its depth) and the input
+    /// was prepared for this model's depth.
     pub fn forward_prepared(
         &self,
         batch: &SampledBatchView<'_>,
@@ -227,8 +199,7 @@ impl Gnn {
     ) -> Matrix {
         self.assert_runs_view(batch);
         let cascade = self.carried(input);
-        let layer = |l| cascade.layer(l, batch.layer_adj(l));
-        self.run(layer, FirstLayer::Prepared(input), pool)
+        self.run(|l| cascade.layer(l, batch.layer_adj(l)), input, pool)
     }
 
     /// Panics unless this model runs over a batch fused with `norm`, of
@@ -275,20 +246,11 @@ impl Gnn {
     }
 }
 
-/// Where a step finds layer 0's GEMM operands.
-enum FirstLayer<'a> {
-    /// The gathered input rows: the step aggregates them itself.
-    Gathered(&'a Matrix),
-    /// What a loader worker aggregated: the step starts at the GEMM.
-    Prepared(&'a PreparedInput),
-}
-
 /// What a forward pass keeps (a step's, for its backward pass), in lists
 /// the model reuses from pass to pass: per layer the output, and from layer
 /// 1 on the aggregation and the self rows SAGE read where they are not the
 /// first rows of the layer's input (`aggs[l - 1]`, `selfs[l - 1]`). All are
-/// workspace buffers; layer 0's operands, which may be the caller's, are a
-/// [`Layer0`] of their own.
+/// workspace buffers; layer 0's operands are the [`PreparedInput`]'s.
 #[derive(Default)]
 struct Kept {
     outs: Vec<Matrix>,
@@ -298,14 +260,6 @@ struct Kept {
     labels: Vec<u32>,
     /// The last gradient matrix of the backward pass; `None` after inference.
     grad: Option<Matrix>,
-}
-
-/// Layer 0's GEMM operands: the aggregation and SAGE's self rows —
-/// workspace buffers, or the caller's matrices where layer 0 reads them in
-/// place.
-struct Layer0<'a> {
-    agg: Cow<'a, Matrix>,
-    h_self: Option<Cow<'a, Matrix>>,
 }
 
 /// A multi-layer GNN (hidden dims all equal, ReLU between layers, no
@@ -318,8 +272,10 @@ pub struct Gnn {
     // Interior mutability so the forward pass (&self) can recycle buffers
     // too; a model is only ever driven from one thread at a time.
     ws: RefCell<Workspace>,
-    cascade: RefCell<Cascade>,
     kept: RefCell<Kept>,
+    /// The cascades and layer-0 buffers the gathered adapters build in,
+    /// recycled from call to call.
+    ring: InputRing,
 }
 
 impl Gnn {
@@ -355,8 +311,8 @@ impl Gnn {
             dims,
             dispatch: DispatchPolicy::default(),
             ws: RefCell::new(Workspace::new()),
-            cascade: RefCell::default(),
             kept: RefCell::default(),
+            ring: InputRing::new(),
         }
     }
 
@@ -395,12 +351,12 @@ impl Gnn {
             .sum()
     }
 
-    /// One training step — forward, loss, full backward — over the batch's
-    /// gathered input-node feature rows; see [`Gnn::forward_gathered`] for
-    /// the `input` contract. Gradients are written into the model's gradient
-    /// buffers (overwriting previous contents); parameters are *not* updated
-    /// — the engine averages gradients across processes first, then calls an
-    /// optimizer.
+    /// One training step over the batch's gathered input-node feature rows
+    /// (`input_nodes()` order; pass `&Matrix` to keep the buffer): the
+    /// call-table adapter over [`Gnn::train_step_prepared`]. It builds the
+    /// batch's cascade, its transposes and layer 0's operands in the model's
+    /// own ring ([`PreparedInput::aggregate`]), runs the prepared step and
+    /// recycles them. The model only reads `input`; it never parks it.
     pub fn train_step_gathered(
         &mut self,
         batch: &SampledBatch,
@@ -408,21 +364,30 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let (stats, first) = self.step_gathered(batch, input.borrow(), labels, pool);
-        self.recycle(first);
+        // Before the transposes read one block per layer.
+        self.assert_runs_owned(batch);
+        let (full, rows) = (|l| batch.layer_adj(l).view(), input.borrow());
+        let mut cascade = self.ring.take_cascade();
+        cascade.for_owned(self.layers.len(), batch);
+        cascade.transpose_layers(full);
+        let dispatch = self.dispatch;
+        let input = PreparedInput::aggregate(cascade, full(0), rows, dispatch, &self.ring, pool);
+        let stats = self.train_step_prepared(batch, &input, labels, pool);
+        input.recycle(&self.ring);
         stats
     }
 
-    /// [`Gnn::train_step_gathered`] starting at the first GEMM: `input` is
-    /// what a loader worker prepared for this batch
+    /// One training step — forward, loss, full backward — starting at the
+    /// first GEMM: `input` is what a loader worker prepared for this batch
     /// ([`PreparedInput::prepare_for_training`]). Layer 0's aggregation, the
     /// cascade and the transposes depend on the batch and the features only,
-    /// so they were built where the batch was made — with the kernel this
-    /// model would have used, over the adjacencies it would have used, row by
-    /// row in the same entry order: bitwise the step over the gathered rows.
-    /// The step builds no cascade and transposes nothing. The batch must
-    /// fuse this model's normalization ([`Arch::normalization`]), as the
-    /// operands were aggregated over it.
+    /// so they were built where the batch was made. The step builds no
+    /// cascade and transposes nothing. Gradients are written into the
+    /// model's gradient buffers (overwriting previous contents); parameters
+    /// are *not* updated — the engine averages gradients across processes
+    /// first, then calls an optimizer. The batch must fuse this model's
+    /// normalization ([`Arch::normalization`]), as the operands were
+    /// aggregated over it.
     pub fn train_step_prepared(
         &mut self,
         batch: &SampledBatch,
@@ -430,66 +395,29 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let (stats, first) = self.step_prepared(batch, input, labels, pool);
-        self.recycle(first);
+        let stats = self.step(batch, input, labels, pool);
+        self.recycle();
         stats
     }
 
-    /// [`Gnn::step`] over the gathered input rows: the model's own cascade
-    /// and transposes are built for the batch first.
-    fn step_gathered<'a>(
-        &mut self,
-        batch: &SampledBatch,
-        input: &'a Matrix,
-        labels: &[u32],
-        pool: Option<&ThreadPool>,
-    ) -> (StepStats, Layer0<'a>) {
-        self.assert_runs_owned(batch);
-        let full = |l| batch.layer_adj(l).view();
-        let mut cascade = std::mem::take(self.cascade.get_mut());
-        cascade.for_owned(self.layers.len(), batch);
-        cascade.transpose_layers(full);
-        let first = FirstLayer::Gathered(input);
-        let out = self.step(&cascade, full, batch.seeds(), first, labels, pool);
-        *self.cascade.get_mut() = cascade;
-        out
-    }
-
-    /// [`Gnn::step`] over a prepared input, whose cascade and transposes it
-    /// reads as they are.
-    fn step_prepared<'a>(
-        &mut self,
-        batch: &SampledBatch,
-        input: &'a PreparedInput,
-        labels: &[u32],
-        pool: Option<&ThreadPool>,
-    ) -> (StepStats, Layer0<'a>) {
-        self.assert_runs_owned(batch);
-        let full = |l| batch.layer_adj(l).view();
-        let cascade = self.carried(input);
-        let first = FirstLayer::Prepared(input);
-        self.step(cascade, full, batch.seeds(), first, labels, pool)
-    }
-
-    /// The one training step: [`Gnn::forward`] over the layers of
-    /// `cascade` (`full(l)` being layer `l`'s full-height adjacency), layer
-    /// 0 from `first`, then the loss over the `seeds`' labels and the full
-    /// backward pass over what the forward kept, gathering over the
+    /// The one training step: [`Gnn::forward`] over the layers of the
+    /// cascade `input` carries, then the loss over the seeds' labels and the
+    /// full backward pass over what the forward kept, gathering over the
     /// cascade's transposes. The model's [`Kept`] is left full, its last
     /// gradient included, for [`Gnn::recycle`].
-    fn step<'a, 'b>(
+    fn step(
         &mut self,
-        cascade: &'b Cascade,
-        full: impl Fn(usize) -> SparseView<'b>,
-        seeds: &[u32],
-        first: FirstLayer<'a>,
+        batch: &SampledBatch,
+        input: &PreparedInput,
         labels: &[u32],
         pool: Option<&ThreadPool>,
-    ) -> (StepStats, Layer0<'a>) {
-        let depth = self.layers.len();
+    ) -> StepStats {
+        self.assert_runs_owned(batch);
+        let (depth, seeds) = (self.layers.len(), batch.seeds());
+        let cascade = self.carried(input);
         let mut kept = self.kept.borrow_mut();
-        let layer = |l| cascade.layer(l, full(l));
-        let first = self.forward(&mut kept, layer, first, pool);
+        let layer = |l| cascade.layer(l, batch.layer_adj(l).view());
+        self.forward(&mut kept, layer, input, pool);
         let Kept {
             outs,
             aggs,
@@ -514,7 +442,7 @@ impl Gnn {
         let dispatch = self.dispatch;
         for l in (0..depth).rev() {
             let (agg, h_self) = match l {
-                0 => (&*first.agg, first.h_self.as_deref()),
+                0 => (&input.agg, input.self_rows.as_ref()),
                 _ => (&aggs[l - 1], selfs[l - 1].as_ref()),
             };
             if l + 1 < depth {
@@ -583,12 +511,12 @@ impl Gnn {
             num_seeds: seeds.len(),
         };
         *last_grad = Some(grad);
-        (stats, first)
+        stats
     }
 
     /// Recycles every per-pass buffer of the model's own for the next batch,
     /// and empties the kept lists, keeping their storage.
-    fn recycle(&self, first: Layer0<'_>) {
+    fn recycle(&self) {
         let mut ws = self.ws.borrow_mut();
         let mut kept = self.kept.borrow_mut();
         let Kept {
@@ -598,15 +526,8 @@ impl Gnn {
             grad,
             ..
         } = &mut *kept;
-        // Layer 0's operands may be the caller's: those are not ours to park.
-        let owned = |m| match m {
-            Cow::Owned(m) => Some(m),
-            Cow::Borrowed(_) => None,
-        };
-        let parked = owned(first.agg)
-            .into_iter()
-            .chain(aggs.drain(..))
-            .chain(first.h_self.and_then(owned))
+        let parked = aggs
+            .drain(..)
             .chain(selfs.drain(..).flatten())
             .chain(outs.drain(..))
             .chain(grad.take());
@@ -689,13 +610,26 @@ mod tests {
         s.sample(&d.graph, &seeds, norm, &mut SmallRng::seed_from_u64(3))
     }
 
+    /// The logits of a `kind` model over `n` seeds' batch of `sampler`,
+    /// through the gathered adapter, on `pool`.
+    fn view_logits(
+        d: &argo_graph::Dataset,
+        kind: Arch,
+        sampler: &dyn Sampler,
+        n: usize,
+        pool: Option<&ThreadPool>,
+    ) -> Matrix {
+        let mut scratch = SamplerScratch::new();
+        let seeds = &d.train_nodes[..n];
+        let view = sampler.sample_into(&d.graph, seeds, fused_run(kind, &mut scratch));
+        let model = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 2, 1);
+        model.forward_gathered_view(&view, gathered(&d.features, view.input_nodes()), pool)
+    }
+
     #[test]
     fn forward_shapes() {
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 8, 2, Arch::Sage);
-        let model = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
-        let logits =
-            model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
+        let logits = view_logits(&d, Arch::Sage, &NeighborSampler::new(vec![5; 2]), 8, None);
         assert_eq!(logits.rows(), 8);
         assert_eq!(logits.cols(), d.num_classes);
     }
@@ -703,17 +637,7 @@ mod tests {
     #[test]
     fn forward_shadow_shapes() {
         let d = tiny_dataset();
-        let s = ShadowSampler::new(vec![5, 3], 2);
-        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(6).collect();
-        let batch = s.sample(
-            &d.graph,
-            &seeds,
-            Normalization::Gcn,
-            &mut SmallRng::seed_from_u64(5),
-        );
-        let model = Gnn::new(Arch::Gcn, d.feat_dim(), 16, d.num_classes, 2, 2);
-        let logits =
-            model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
+        let logits = view_logits(&d, Arch::Gcn, &ShadowSampler::new(vec![5, 3], 2), 6, None);
         assert_eq!(logits.rows(), 6);
         assert_eq!(logits.cols(), d.num_classes);
     }
@@ -788,13 +712,10 @@ mod tests {
         m.grads_flat(&mut analytic);
         let mut params = Vec::new();
         m.params_flat(&mut params);
-        let seeds = batch.seeds();
-        let seed_labels: Vec<u32> = seeds.iter().map(|&v| d.labels[v as usize]).collect();
+        let input = gathered(&d.features, batch.input_nodes());
         let loss_at = |m: &mut Gnn, p: &[f32]| -> f32 {
             m.set_params_flat(p);
-            let logits =
-                m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
-            softmax_cross_entropy(&logits, &seed_labels).0
+            m.train_step_gathered(&batch, &input, &d.labels, None).loss
         };
         let eps = 3e-3f32;
         // Spot-check a spread of parameter coordinates.
@@ -838,15 +759,10 @@ mod tests {
     #[test]
     fn pool_and_serial_forward_agree() {
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 64, 2, Arch::Sage);
-        let model = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
-        let a = model.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
+        let sampler = NeighborSampler::new(vec![5; 2]);
+        let a = view_logits(&d, Arch::Sage, &sampler, 64, None);
         let pool = ThreadPool::new("t", 3);
-        let b = model.forward_gathered(
-            &batch,
-            gathered(&d.features, batch.input_nodes()),
-            Some(&pool),
-        );
+        let b = view_logits(&d, Arch::Sage, &sampler, 64, Some(&pool));
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -1098,46 +1014,27 @@ mod tests {
         let mut cascade = Cascade::default();
         cascade.for_owned(m.layers.len(), batch);
         cascade.transpose_layers(full);
-        PreparedInput::aggregate(cascade, full(0), input, m.dispatch, &InputRing::new())
+        PreparedInput::aggregate(cascade, full(0), input, m.dispatch, &InputRing::new(), None)
     }
 
-    /// Loss, flat gradient and every activation one step kept for its
-    /// backward pass — per layer the output, the aggregation and the self
-    /// rows SAGE read (the layer's height of them) — as bits.
-    fn kept_bits(
-        m: &mut Gnn,
-        batch: &SampledBatch,
-        first: FirstLayer<'_>,
-        labels: &[u32],
-    ) -> (u32, Vec<u32>, Vec<Vec<u32>>) {
-        let (stats, first) = match first {
-            FirstLayer::Gathered(input) => m.step_gathered(batch, input, labels, None),
-            FirstLayer::Prepared(input) => m.step_prepared(batch, input, labels, None),
-        };
-        let mut activations = Vec::new();
-        let kept = m.kept.borrow();
-        for (l, out) in kept.outs.iter().enumerate() {
-            let (agg, h_self) = match l {
-                0 => (&*first.agg, first.h_self.as_deref()),
-                _ => (&kept.aggs[l - 1], kept.selfs[l - 1].as_ref()),
-            };
-            activations.push(bits(out.data()));
-            activations.push(bits(agg.data()));
-            if let Some(h_self) = h_self {
-                activations.push(bits(&h_self.data()[..out.rows() * h_self.cols()]));
-            }
-        }
-        drop(kept);
-        m.recycle(first);
-        let mut g = Vec::new();
-        m.grads_flat(&mut g);
-        (stats.loss.to_bits(), bits(&g), activations)
+    /// The cascade a `depth`-layer model runs `batch` over.
+    fn cascade_of(depth: usize, batch: &SampledBatch) -> Cascade {
+        let mut c = Cascade::default();
+        c.for_owned(depth, batch);
+        c
     }
 
-    /// The production step against the full-height oracle, bit for bit —
-    /// and the step started at the first GEMM, over what the loader
-    /// prepares, against the production step: loss, every gradient and every
-    /// kept activation.
+    /// The forward pass over an owned batch: the gathered adapters' layer 0,
+    /// then the one body.
+    fn forward_owned(m: &Gnn, batch: &SampledBatch, input: &Matrix) -> Matrix {
+        let input = prepared(m, batch, input);
+        let layer = |l| input.cascade.layer(l, batch.layer_adj(l).view());
+        m.run(layer, &input, None)
+    }
+
+    /// The gathered step against the full-height oracle, bit for bit — and
+    /// the step over what the loader prepares against the gathered step:
+    /// loss and every gradient.
     fn assert_step_is_the_oracles(
         m: &mut Gnn,
         batch: &SampledBatch,
@@ -1149,15 +1046,7 @@ mod tests {
         let (want_loss, want) = grads_with_recorded_masks(m, batch, input, labels);
         assert_eq!(loss, want_loss.to_bits(), "{who}: loss");
         assert_eq!(grads, bits(&want), "{who}: gradients");
-
-        let gathered = kept_bits(m, batch, FirstLayer::Gathered(input), labels);
-        assert_eq!((gathered.0, &gathered.1), (loss, &grads), "{who}: kept");
         let handoff = prepared(m, batch, input);
-        let from_gemm = kept_bits(m, batch, FirstLayer::Prepared(&handoff), labels);
-        assert_eq!(from_gemm.0, gathered.0, "{who}: prepared loss");
-        assert_eq!(from_gemm.1, gathered.1, "{who}: prepared gradients");
-        assert_eq!(from_gemm.2, gathered.2, "{who}: prepared activations");
-        // And through the public entry point.
         let stats = m.train_step_prepared(batch, &handoff, labels, None);
         let mut g = Vec::new();
         m.grads_flat(&mut g);
@@ -1200,7 +1089,7 @@ mod tests {
                     // neighbours only: layer 0 is cut, and the prepared step
                     // above ran over operands of `R[0]`'s rows alone.
                     if depth == 2 && name == "shadow" {
-                        let c = m.cascade.borrow();
+                        let c = prepared(&m, batch, &input).cascade;
                         let cut = c.input_rows().expect("layer 0 is cut");
                         assert!(cut.len() < batch.input_nodes().len(), "{who}");
                     }
@@ -1232,9 +1121,7 @@ mod tests {
                 &mut SmallRng::seed_from_u64(9),
             );
             let n = subgraph_of(&batch).nodes.len();
-            let m = Gnn::new(kind, d.feat_dim(), 16, d.num_classes, 4, 5);
-            m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
-            let c = m.cascade.borrow();
+            let c = cascade_of(4, &batch);
             assert!(
                 c.first() <= 1,
                 "{kind:?}: layers {}.. are slices",
@@ -1330,15 +1217,14 @@ mod tests {
                         .with_dispatch(policy);
                     let who = format!("{kind:?}×{depth} simd={}", policy.simd_enabled());
                     assert_step_is_the_oracles(&mut m, &batch, &input, &d.labels, &who);
-                    let c = m.cascade.borrow();
                     // GCN reads nothing below an isolated seed; SAGE still
                     // reads the seed's own row.
                     if empty_layers && kind == Arch::Gcn {
+                        let c = cascade_of(depth, &batch);
                         assert_eq!(c.slices()[depth - 1].cols(), 0, "{who}");
                         assert_eq!(c.slices()[depth - 2].rows(), 0, "{who}");
                     }
-                    drop(c);
-                    let logits = m.forward_gathered(&batch, &input, None);
+                    let logits = forward_owned(&m, &batch, &input);
                     let want = full_height_logits(&m, &batch, &input);
                     assert_eq!(bits(logits.data()), bits(want.data()), "{who}: forward");
                 }
@@ -1385,9 +1271,7 @@ mod tests {
             (hand_built(graph_csr(&d.graph), all, Arch::Sage), 3),
             (hand_built(path_graph(0), vec![1, 4, 7], Arch::Sage), 2),
         ] {
-            let m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 3, 5);
-            m.forward_gathered(&batch, gathered(&d.features, batch.input_nodes()), None);
-            let c = m.cascade.borrow();
+            let c = cascade_of(3, &batch);
             assert_eq!(c.first(), first);
             for l in 0..first {
                 assert!(c.slice(l).is_none());
@@ -1402,8 +1286,9 @@ mod tests {
 
     /// The cascade is what sizes a step's buffers: a fresh 3-layer model's
     /// ShaDow step allocates exactly three matrices of layer 0's height —
-    /// its aggregation, its output and the gradient of that output (six when
-    /// every layer ran at full height) — and layer 1's are `|R[1]|` rows.
+    /// its aggregation, in the model's ring, and in its workspace its output
+    /// and the gradient of that output (six when every layer ran at full
+    /// height) — and layer 1's are `|R[1]|` rows.
     #[test]
     fn a_shadow_step_takes_needed_row_buffers_for_the_middle_layer() {
         let d = tiny_dataset();
@@ -1421,7 +1306,7 @@ mod tests {
             &d.labels,
             None,
         );
-        let c = m.cascade.borrow();
+        let c = cascade_of(3, &batch);
         let bottom = c
             .slice(0)
             .map_or(subgraph_of(&batch).nodes.len(), SparseMatrix::rows);
@@ -1436,10 +1321,12 @@ mod tests {
             caps.push(ws.take_unzeroed(1, 1).into_data().capacity());
         }
         let at_least = |rows: usize| caps.iter().filter(|&&c| c >= rows * hidden).count();
-        assert_eq!(at_least(bottom), 3, "{caps:?}");
+        assert_eq!(at_least(bottom), 2, "{caps:?}");
         // Layer 1's aggregation, output and aggregation gradient, and the
         // gradient of its output.
-        assert_eq!(at_least(middle), 3 + 4, "{caps:?}");
+        assert_eq!(at_least(middle), 2 + 4, "{caps:?}");
+        // Layer 0's aggregation is back in the ring.
+        assert_eq!(m.ring.parked_bytes(), 4 * bottom * d.feat_dim());
     }
 
     /// Full-height forward built from the dispatch operations alone: every
@@ -1470,9 +1357,10 @@ mod tests {
     }
 
     /// Every forward entry point returns the seed rows of the full-height
-    /// forward, bit for bit: owned batches through `forward_gathered`, arena
-    /// views through `forward_gathered_view`, and fused views through
-    /// `forward_prepared` over what the shared prologue makes of them.
+    /// forward, bit for bit: owned batches through the one body over their
+    /// gathered layer 0, arena views through `forward_gathered_view`, and
+    /// fused views through `forward_prepared` over what the shared prologue
+    /// makes of them.
     #[test]
     fn forward_returns_the_seed_rows_of_the_full_height_forward_bitwise() {
         let d = tiny_dataset();
@@ -1489,7 +1377,7 @@ mod tests {
             };
             for (name, batch) in &every_batch_kind(&d, kind, depth) {
                 let input = gathered(&d.features, batch.input_nodes());
-                let got = m.forward_gathered(batch, &input, None);
+                let got = forward_owned(&m, batch, &input);
                 check(format!("{name}: owned"), batch, &input, got);
             }
             let seeds = seeds_of(&d);
@@ -1559,7 +1447,7 @@ mod tests {
     /// loaded by 1, 2 and 4 workers, stepped from its prepared input —
     /// layer-0 operands, cascade and transposes built on the worker — equals
     /// the gathered step in loss and every gradient bit, both models, both
-    /// tiers. A prepared step never builds the model's own cascade.
+    /// tiers. A prepared step takes nothing from the model's own ring.
     #[test]
     fn loaded_shadow_batches_step_as_gathered_bitwise_at_any_worker_count() {
         argo_rt::watchdog(60, || {
@@ -1599,7 +1487,8 @@ mod tests {
                         let got = step_bits(&mut prepared, stats);
                         let stats = own.train_step_gathered(&lb.batch, &rows, &d.labels, None);
                         assert_eq!(got, step_bits(&mut own, stats), "{who}");
-                        assert_eq!(prepared.cascade.borrow().depth(), 0, "{who}: built nothing");
+                        assert!(own.ring.buffers_made() > 0, "{who}");
+                        assert_eq!(prepared.ring.buffers_made(), 0, "{who}: took nothing");
                     }
                 }
             }
@@ -1688,16 +1577,26 @@ mod tests {
                 }
                 bufs
             };
-            let bufs = parked(&used);
-            assert!(bufs.len() >= 2 * 3, "outputs and aggregations");
-            let mut poisoned: Vec<_> = bufs.iter().map(|b| b.as_ptr()).collect();
-            for mut buf in bufs {
+            let poison = |mut buf: Vec<f32>| {
                 let cap = buf.capacity();
                 buf.clear();
                 buf.resize(cap, f32::NAN);
-                used.ws.borrow_mut().put(Matrix::from_vec(1, cap, buf));
+                Matrix::from_vec(1, cap, buf)
+            };
+            let bufs = parked(&used);
+            assert!(bufs.len() >= 2 * 3, "outputs and aggregations");
+            let mut poisoned: Vec<_> = bufs.iter().map(|b| b.as_ptr()).collect();
+            for buf in bufs {
+                used.ws.borrow_mut().put(poison(buf));
+            }
+            // Layer 0's operands, in the model's ring, are taken unzeroed too.
+            let made = used.ring.buffers_made();
+            let ring: Vec<_> = (0..made).map(|_| used.ring.take(0, 0)).collect();
+            for buf in ring {
+                used.ring.put(poison(buf.into_data()));
             }
             assert_eq!(step(&mut used), want, "{kind:?}");
+            assert_eq!(used.ring.buffers_made(), made, "{kind:?}: ring reuse");
             // Every take was a reuse: the poisoned buffers, and only they,
             // came back.
             let mut back: Vec<_> = parked(&used).iter().map(|b| b.as_ptr()).collect();
@@ -1711,27 +1610,26 @@ mod tests {
     fn caller_supplied_input_is_never_parked() {
         // The 613 MB trap: a persistent replica fed one loader-made input per
         // batch must not collect them in its free list. Borrowed or by value,
-        // the input is only read; the arena holds the step's own buffers.
+        // the input is only read; the model holds its own buffers.
         let d = tiny_dataset();
-        let batch = sample_blocks(&d, 16, 2, Arch::Sage);
-        let ids = batch.input_nodes();
-        let input = Matrix::from_vec(
-            ids.len(),
-            d.feat_dim(),
-            d.features.gather(ids).data().to_vec(),
-        );
+        let mut scratch = SamplerScratch::new();
+        let run = fused_run(Arch::Sage, &mut scratch);
+        let view =
+            NeighborSampler::new(vec![5; 2]).sample_into(&d.graph, &d.train_nodes[..16], run);
+        let batch = view.to_owned();
+        let input = gathered(&d.features, view.input_nodes());
         let mut m = Gnn::new(Arch::Sage, d.feat_dim(), 16, d.num_classes, 2, 3);
         let input_bytes = input.data().len() * 4;
         let first = m.train_step_gathered(&batch, &input, &d.labels, None);
         for _ in 0..6 {
             let again = m.train_step_gathered(&batch, input.clone(), &d.labels, None);
             assert_eq!(again, first);
-            m.forward_gathered(&batch, input.clone(), None);
+            m.forward_gathered_view(&view, input.clone(), None);
         }
+        let held = m.workspace_bytes() + m.ring.parked_bytes();
         assert!(
-            m.workspace_bytes() < input_bytes,
-            "the arena ({} B) holds activations, not {input_bytes}-byte inputs",
-            m.workspace_bytes()
+            held < input_bytes,
+            "the model ({held} B) holds activations and layer-0 operands, not {input_bytes}-byte inputs"
         );
     }
 

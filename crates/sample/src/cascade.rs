@@ -22,17 +22,19 @@
 //! every dropped row of layer `l`'s output had an exactly zero gradient at
 //! full height — no kept row of layer `l + 1` names it — so it contributed
 //! `acc + x·0` to `db`/`dW`, which add rows in ascending order, and
-//! `d + w·0` to the input gradient: `acc` and `d`. That holds on the serial
-//! path; the pooled weight-gradient reduction splits its partial sums by row
-//! count and is equal to tolerance, as it always was. A hand-built batch
-//! whose seed positions repeat or do not ascend is equal to tolerance only.
+//! `d + w·0` to the input gradient: `acc` and `d`. That holds on the pool
+//! too: a pooled weight gradient splits dW's rows, each reduced over all of
+//! the gradient's rows in order, so it is the serial one bit for bit. A
+//! hand-built batch whose seed positions repeat or do not ascend is equal
+//! to tolerance only.
 //!
 //! Where it is built: a training loader worker builds it in
 //! [`PreparedInput::prepare_for_training`](crate::PreparedInput::prepare_for_training)
 //! together with every layer's transpose ([`Cascade::transpose_layers`]),
 //! and hands it across the channel; serving builds it in
 //! [`PreparedInput::prepare`](crate::PreparedInput::prepare), without
-//! transposes; a model's gathered entry points build their own per call.
+//! transposes; a model's gathered entry points build theirs per call, in
+//! the model's own [`InputRing`](crate::InputRing).
 //! Its storage is reused from batch to batch: slot `l` of every list
 //! belongs to layer `l`.
 

@@ -43,7 +43,7 @@ use parking_lot::Mutex;
 use argo_graph::{Features, Graph, NodeId};
 use argo_rt::affinity::{bind_current_thread, CoreSet};
 use argo_rt::spans::{Role, SpanKind, SpanProfiler, WorkerRing};
-use argo_rt::SeedSequence;
+use argo_rt::{SeedSequence, ThreadPool};
 use argo_tensor::{DispatchPolicy, Matrix, SparseView};
 use crossbeam::channel::{bounded, Receiver};
 
@@ -218,24 +218,26 @@ pub struct PreparedInput {
 }
 
 impl PreparedInput {
-    /// The reference the prologue is pinned against: aggregates the
-    /// `gathered` input rows over layer 0's adjacency as `cascade` cuts it
-    /// out of `adj` — the batch's normalized input-side adjacency — with the
-    /// same dispatch kernel the model's layers use, into buffers of `ring`,
-    /// and keeps the self rows where the cascade does. Every output row is
-    /// one independent pass over its adjacency row, so the result is
-    /// bitwise what the model would have aggregated itself.
+    /// Layer 0 over rows a caller gathered: aggregates the `gathered` input
+    /// rows over layer 0's adjacency as `cascade` cuts it out of `adj` — the
+    /// batch's normalized input-side adjacency — with `dispatch`'s kernel
+    /// (on `pool` when given), into buffers of `ring`, and keeps the self
+    /// rows where the cascade does. It is the model's gathered entry points'
+    /// layer 0, and the reference the prologue is pinned against: every
+    /// output row is one independent pass over its adjacency row, so the
+    /// result is bitwise the prologue's.
     pub fn aggregate(
         cascade: Cascade,
         adj: SparseView<'_>,
         gathered: &Matrix,
         dispatch: DispatchPolicy,
         ring: &InputRing,
+        pool: Option<&ThreadPool>,
     ) -> Self {
         let (adj, self_at) = cascade.layer(0, adj);
         let (n_dst, dim) = (adj.rows(), gathered.cols());
         let mut agg = ring.take(n_dst, dim);
-        dispatch.aggregate_view_into(&adj, gathered, None, &mut agg);
+        dispatch.aggregate_view_into(&adj, gathered, pool, &mut agg);
         let self_rows = cascade.keeps_self_rows().then(|| {
             let mut rows = ring.take(n_dst, dim);
             for i in 0..n_dst {
@@ -980,6 +982,7 @@ mod tests {
                         &gathered,
                         DispatchPolicy::default(),
                         &InputRing::new(),
+                        None,
                     );
                     let by_hand = aggregated_by_hand(&batch, &feats);
                     let rows: Vec<usize> = match want.cascade.input_rows() {

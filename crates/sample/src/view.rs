@@ -4,12 +4,14 @@
 //! directly inside [`SamplerScratch`](crate::SamplerScratch)'s batch arena
 //! and returns a [`SampledBatchView`] — slices into that arena plus
 //! [`SparseView`] adjacencies. Consumers on the
-//! same thread (the serving session, inference forward passes) aggregate
-//! straight out of the arena with zero copies; anything that must cross an
-//! ownership boundary — the loader's reorder-heap channel, training's
-//! CSC-backed backward pass — calls [`SampledBatchView::to_owned`], which
-//! copies the arena ranges into a [`SampledBatch`] (pinned bitwise against
-//! the test oracle in `tests/oracle/mod.rs`).
+//! same thread (the serving session, the loader's prologue, inference
+//! forward passes) aggregate straight out of the arena with zero copies, and
+//! the prologue transposes a training batch's layers out of it
+//! ([`Cascade::transpose_layers`](crate::cascade::Cascade::transpose_layers)).
+//! The one ownership boundary left is the loader's reorder-heap channel: a
+//! batch that crosses it is copied into a [`SampledBatch`] by
+//! [`SampledBatchView::to_owned`] (pinned bitwise against the test oracle in
+//! `tests/oracle/mod.rs`).
 
 use argo_graph::NodeId;
 use argo_tensor::SparseView;

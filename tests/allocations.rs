@@ -19,8 +19,7 @@ use argo::graph::datasets::{Dataset, FLICKR};
 use argo::nn::{Arch, Gnn};
 use argo::rt::{SeedSequence, WorkerRing};
 use argo::sample::{
-    InputRing, NeighborSampler, PreparedInput, SampleRun, SampledBatch, Sampler, SamplerScratch,
-    ShadowSampler,
+    InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch, ShadowSampler,
 };
 use argo::tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 use argo_serve::clock::ManualClock;
@@ -140,33 +139,35 @@ fn warm_sampling_and_prologue_allocate_nothing() {
     }
 }
 
-/// One batch of `sampler` as the engine's training thread receives it: the
-/// owned batch and what the loader prepared for it.
-fn loaded(
-    d: &Dataset,
-    arch: Arch,
-    sampler: &dyn Sampler,
-    depth: usize,
-) -> (SampledBatch, PreparedInput) {
-    let mut scratch = SamplerScratch::new();
-    let view = sampler.sample_into(&d.graph, &seeds(d), run(arch, &mut scratch));
-    let (ring, spans) = (InputRing::new(), WorkerRing::detached());
-    let input = PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0);
-    (view.to_owned(), input)
-}
-
 /// A warm step over a batch it has not seen: the warm-up step runs over one
 /// copy of the batch and the counted step over another, as each step of an
-/// epoch receives a batch of its own from the loader.
+/// epoch receives a batch of its own from the loader. The step starts from
+/// what the loader prepared, as the engine's does, or from the gathered
+/// rows: `train_step_gathered` and `forward_gathered_view` build the
+/// cascade and layer 0's operands in the model's own ring, so a warm call
+/// through them allocates nothing either.
 #[test]
 fn warm_training_step_allocates_nothing() {
     let d = dataset();
     for (arch, sampler, depth) in tasks() {
-        let (batch, input) = loaded(&d, arch, &*sampler, depth);
+        let mut scratch = SamplerScratch::new();
+        let view = sampler.sample_into(&d.graph, &seeds(&d), run(arch, &mut scratch));
+        let (ring, spans) = (InputRing::new(), WorkerRing::detached());
+        let input =
+            PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0);
+        let batch = view.to_owned();
+        let ids = view.input_nodes();
+        let mut rows = Matrix::zeros(ids.len(), d.feat_dim());
+        d.features.gather_into(ids, rows.data_mut());
         for policy in [
             DispatchPolicy::default(),
             DispatchPolicy::default().force_scalar(),
         ] {
+            let who = format!(
+                "{arch:?}-{depth} over {}, simd {}",
+                sampler.name(),
+                policy.simd_enabled()
+            );
             let mut m = Gnn::new(arch, d.feat_dim(), 128, d.num_classes, depth, 3);
             m = m.with_dispatch(policy);
             m.train_step_prepared(&batch.clone(), &input, &d.labels, None);
@@ -174,8 +175,17 @@ fn warm_training_step_allocates_nothing() {
             let step = allocs_in(|| {
                 m.train_step_prepared(&next, &input, &d.labels, None);
             });
-            let who = format!("{arch:?}-{depth} over {}", sampler.name());
-            assert_eq!(step, 0, "{who}, simd {}", policy.simd_enabled());
+            assert_eq!(step, 0, "{who}: train_step_prepared");
+            m.train_step_gathered(&batch.clone(), &rows, &d.labels, None);
+            let next = batch.clone();
+            let step = allocs_in(|| {
+                m.train_step_gathered(&next, &rows, &d.labels, None);
+            });
+            assert_eq!(step, 0, "{who}: train_step_gathered");
+            let forward = warm_allocs(|| {
+                m.forward_gathered_view(&view, &rows, None);
+            });
+            assert_eq!(forward, 0, "{who}: forward_gathered_view");
         }
     }
 }
