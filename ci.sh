@@ -59,10 +59,10 @@ ARGO_SIMD=off cargo test -q -p argo-nn
 echo "==> cargo test -q -p argo-engine with SIMD force-disabled (the engine's epoch, whose layer 0 the loader's prologue reads from the feature table, and the replay through train_step_gathered, which aggregates gathered rows in the model's ring, must agree bitwise on the scalar tier too, and n_samp_and_n_train_change_no_trained_bit runs on the scalar tier: two epochs at Config(1,1,1), (1,2,1), (1,1,2), (1,1,3) give equal losses and parameters bit for bit, SAGE/Neighbor and GCN/ShaDow; the scalar tier trains the vector tiers' bits, so these are the bits of the default run too; evaluate_accuracy samples with the model's fused normalization, runs the serving recipe (PreparedInput::prepare + forward_prepared) and keeps its recorded bits)"
 ARGO_SIMD=off cargo test -q -p argo-engine
 
-echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step — prepared, and through the train_step_gathered and forward_gathered_view adapters — and dispatch kernel allocate nothing)"
+echo "==> cargo test -q --test allocations with SIMD force-disabled (the counting allocator's pins on the scalar tier: a warm sample_into, prologue with its ShaDow[10,5]x3 cascade, the loader's transpose build, training step — prepared, over a batch arena it has not seen, and through the train_step_gathered and forward_gathered_view adapters — and dispatch kernel allocate nothing; two warm loader epochs on one InputRing, of N and 2N batches, make the same allocations over every thread: the workers sample into the arenas the consumer hands back and send them, and copy no batch out)"
 ARGO_SIMD=off cargo test -q --test allocations
 
-echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes; and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared, the train_step_gathered and forward_gathered_view adapters (both tasks, both tiers) and the five dispatch kernels, four named ones per serve query; tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n, and it makes exactly a warm pooled GEMM's allocations; the n_train bitwise pin, engine's n_samp_and_n_train_change_no_trained_bit: two epochs at n_samp 1-2 and n_train 1-3 train the same bits; the tier pin, nn's every_tier_trains_the_same_bits: four prepared steps + Adam on the vector tier and the scalar tier train the same losses and parameters, SAGE/Neighbor and GCN/ShaDow at depths 2-3; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
+echo "==> cargo test -q (tier 1: default-members is the whole workspace; it runs the hot-path scan, argo-check's tests/hot_paths.rs: sampler-scratch (the cascade's file too), kernel-dispatch, feature-gather, carried-transposes, carried-batch (no .to_owned() in the loader, nn, engine or serve: the step runs the arena the loader's worker sent); and the allocation pins, tests/allocations.rs: zero allocations in a warm sample_into, PreparedInput::prepare with its ShaDow[10,5]x3 cascade, the loader's transpose build, prepare_for_training, train_step_prepared, the train_step_gathered and forward_gathered_view adapters (both tasks, both tiers) and the five dispatch kernels, four named ones per serve query, and as many allocations in a warm loader epoch of 2N batches as in one of N (counted over every thread); tests/allocations_pooled.rs counts a warm pooled weight gradient on every thread: no allocation grows with k x n, and it makes exactly a warm pooled GEMM's allocations; the n_train bitwise pin, engine's n_samp_and_n_train_change_no_trained_bit: two epochs at n_samp 1-2 and n_train 1-3 train the same bits; the DDP rerun pin, engine's three_and_four_rank_reruns_train_the_same_bits: the all-reduce sums each element in ascending total_cmp order, so two epochs at Config(3,1,1) and (4,1,1) rerun bit for bit; the tier pin, nn's every_tier_trains_the_same_bits: four prepared steps + Adam on the vector tier and the scalar tier train the same losses and parameters, SAGE/Neighbor and GCN/ShaDow at depths 2-3; tests/allocations_epoch.rs prints a warm engine epoch's allocations per batch by source, the carried cascades and transposes among them)"
 cargo test -q
 
 echo "CI OK"

@@ -23,7 +23,10 @@ use argo_graph::{Features, Graph, NodeId};
 use argo_rt::json::Json;
 use argo_rt::spans::{Role, SpanKind, SpanProfiler};
 use argo_rt::SeedSequence;
-use argo_sample::{LoaderSpec, NeighborSampler, Normalization, SampleRun, Sampler, SamplerScratch};
+use argo_sample::{
+    InputRing, LoaderSpec, NeighborSampler, Normalization, PipelinedLoader, SampleRun, Sampler,
+    SamplerScratch,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -141,7 +144,7 @@ fn main() {
     let (ref_edges, ref_bytes) = reference_sample(&graph, &seeds, &fanouts, &mut rng);
 
     // -- Scratch arena, steady state: one warm arena reused per batch, owned
-    // batch materialized from it (the loader's reorder-channel handoff). --
+    // batch materialized from it (what `Sampler::sample` returns). --
     let mut scratch = SamplerScratch::new();
     let stream = SeedSequence::new(17);
     let scratch_s = time_min(samples, || {
@@ -164,7 +167,8 @@ fn main() {
     let view_bytes = sampler.sample_into(&graph, &seeds, run).metadata_bytes();
 
     // -- Loader drain: one epoch of `DRAIN_BATCHES` batches through a
-    // stand-alone `PipelinedLoader` with one worker and nothing consuming —
+    // stand-alone `PipelinedLoader` with one worker and a consumer that only
+    // hands each batch back to the ring, as the engine's step does —
     // sampling alone, then with the step's prologue on the worker (the
     // first aggregation under the fused mean normalization, read straight
     // from the 64-feature table, plus the self rows). Recorded so the
@@ -181,6 +185,7 @@ fn main() {
         DRAIN_FEATURES,
     ));
     let drain = |prologue: bool| {
+        let ring = InputRing::new();
         time_min(samples, || {
             let mut spec = LoaderSpec::builder(
                 Arc::clone(&shared_graph),
@@ -193,7 +198,12 @@ fn main() {
             if prologue {
                 spec = spec.features(Arc::clone(&features));
             }
-            spec.start().count()
+            let mut drained = 0;
+            for (_, batch) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
+                batch.recycle(&ring);
+                drained += 1;
+            }
+            drained
         }) / DRAIN_BATCHES as f64
     };
     let drain_rows = [

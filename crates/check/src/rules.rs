@@ -61,6 +61,18 @@ pub const RULES: &[Rule] = &[
         ],
         paths: &["crates/nn/src", "crates/engine/src", "crates/serve/src"],
     },
+    Rule {
+        name: "carried-batch",
+        fix: "run the batch in the arena it was sampled into, through its \
+              `SampledBatchView` (`LoadedBatch::view`, `Gnn::train_step_prepared`)",
+        needles: &[".to_owned()"],
+        paths: &[
+            "crates/sample/src/loader.rs",
+            "crates/nn/src",
+            "crates/engine/src",
+            "crates/serve/src",
+        ],
+    },
 ];
 
 /// One rule's hit on one line of a file.
@@ -260,6 +272,40 @@ mod tests {
         let src =
             "#[cfg(test)]\nmod tests {\n    fn t() { d.aggregate_transpose(n, &g, None); }\n}\n";
         assert!(lint("crates/nn/src/model.rs", src).is_empty());
+    }
+
+    #[test]
+    fn a_batch_copied_out_of_its_arena_by_the_loader_model_engine_or_session_is_flagged() {
+        for (path, call) in [
+            (
+                "crates/sample/src/loader.rs",
+                "let batch = view.to_owned();",
+            ),
+            ("crates/nn/src/model.rs", "self.step(&batch.to_owned());"),
+            ("crates/nn/src/x.rs", "let b = view.to_owned();"),
+            (
+                "crates/engine/src/engine.rs",
+                "let batch = loaded.view().to_owned();",
+            ),
+            (
+                "crates/serve/src/session.rs",
+                "cache.insert(view.to_owned());",
+            ),
+        ] {
+            let d = lint(path, &format!("fn f() {{ {call} }}\n"));
+            assert_eq!(d, [(1, "carried-batch")], "{path}: {call}");
+        }
+        // The copy's definition, the sampler's owned wrapper, other loader-less
+        // crates and test modules pass.
+        let src = "fn f() { SampledBatch::Blocks(mb.to_owned()) }\n";
+        assert!(lint("crates/sample/src/view.rs", src).is_empty());
+        let src = "fn f() { self.sample_into(graph, seeds, run).to_owned() }\n";
+        assert!(lint("crates/sample/src/lib.rs", src).is_empty());
+        let src = "fn f() { let batch = view.to_owned(); }\n";
+        assert!(lint("crates/bench/src/lib.rs", src).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let b = view.to_owned(); }\n}\n";
+        assert!(lint("crates/engine/src/engine.rs", src).is_empty());
+        assert!(lint("crates/nn/tests/x.rs", "fn f() { view.to_owned(); }\n").is_empty());
     }
 
     #[test]

@@ -4,78 +4,82 @@
 //! interleaving (see `argo_check::schedule`), asserting the invariant the
 //! runtime relies on:
 //!
-//! * The loader's channel handoff (crossbeam channel + binary-heap
-//!   reordering, as in `PipelinedLoader::next`) delivers every batch
-//!   exactly once, in index order, no matter how producer completions
-//!   interleave with consumer pumps.
+//! * The loader's channel handoff (one crossbeam channel per worker, each
+//!   carrying the batches its worker owns in order, and a consumer that
+//!   takes batch `i` from channel `i mod n`, as in `PipelinedLoader::next`)
+//!   delivers every batch exactly once, in index order, no matter how the
+//!   workers' completions interleave with consumer pumps.
 //!
 //! The pool's kernels need no model here: each writes only its own
 //! `chunks_mut` window of the output, so their disjointness is the borrow
 //! checker's, and no result is combined across workers.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use argo_check::schedule::explore;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-/// Shared state for the handoff model: the channel, the consumer's reorder
-/// heap and its in-order output (mirrors `PipelinedLoader::next`).
+/// Workers in the handoff model.
+const WORKERS: usize = 2;
+
+/// Shared state for the handoff model: one channel per worker, and the
+/// consumer's next index and in-order output (mirrors
+/// `PipelinedLoader::next`).
 struct Handoff {
-    tx: Sender<usize>,
-    rx: Receiver<usize>,
-    reorder: BinaryHeap<Reverse<usize>>,
+    channels: Vec<(Sender<usize>, Receiver<usize>)>,
     next: usize,
     delivered: Vec<usize>,
 }
 
 impl Handoff {
     fn new() -> Self {
-        let (tx, rx) = unbounded();
         Self {
-            tx,
-            rx,
-            reorder: BinaryHeap::new(),
+            channels: (0..WORKERS).map(|_| unbounded()).collect(),
             next: 0,
             delivered: Vec::new(),
         }
     }
 
-    /// One consumer pump: drain whatever is in the channel into the heap,
-    /// then release every batch that is next in index order.
+    /// Batch `i` is sent by the worker that owns it, on its own channel.
+    fn send(&self, i: usize) {
+        self.channels[i % WORKERS]
+            .0
+            .send(i)
+            .expect("receiver alive");
+    }
+
+    /// One consumer pump: take every batch that is next in index order
+    /// from the channel of the worker that owns it, as far as they have
+    /// arrived.
     fn pump(&mut self) {
-        while let Ok(i) = self.rx.try_recv() {
-            self.reorder.push(Reverse(i));
-        }
-        while self.reorder.peek() == Some(&Reverse(self.next)) {
-            if let Some(Reverse(i)) = self.reorder.pop() {
-                self.delivered.push(i);
-                self.next += 1;
-            }
+        while let Ok(i) = self.channels[self.next % WORKERS].1.try_recv() {
+            assert_eq!(
+                i, self.next,
+                "a worker's channel carries its batches in order"
+            );
+            self.delivered.push(i);
+            self.next += 1;
         }
     }
 }
 
 #[test]
 fn loader_handoff_delivers_in_order_exactly_once() {
-    // Producer completes batches out of order (1, 0, 3, 2) — two pipelined
-    // workers finishing at different speeds — while the consumer pumps at
-    // arbitrary points. Every schedule must deliver 0..4 in order.
+    // Two pipelined workers finish at different speeds, so their batches
+    // complete out of index order (1, 0, 3, 2) — each worker's own in order
+    // — while the consumer pumps at arbitrary points. Every schedule must
+    // deliver 0..4 in order.
     let completion_order = [1usize, 0, 3, 2];
     let n = explore(
         completion_order.len(),
         3, // consumer pumps interleaved anywhere among the sends
         Handoff::new,
-        |h, i| h.tx.send(completion_order[i]).expect("receiver alive"),
+        |h, i| h.send(completion_order[i]),
         |h, _| h.pump(),
         |h, sched| {
             // A schedule may end before the consumer's last pump, so the
             // invariant is checked after one final drain (on a clone —
             // `check` sees the state immutably).
             let mut done = Handoff {
-                tx: h.tx.clone(),
-                rx: h.rx.clone(),
-                reorder: h.reorder.clone(),
+                channels: h.channels.clone(),
                 next: h.next,
                 delivered: h.delivered.clone(),
             };
@@ -88,9 +92,10 @@ fn loader_handoff_delivers_in_order_exactly_once() {
 
 #[test]
 fn disconnect_mid_stream_is_detected_not_lost() {
-    // If the producer side is dropped with batches undelivered, the
-    // consumer observes Disconnected after draining — never a silent hang
-    // or a lost in-flight batch (mirrors the loader's `Err(_) => None`).
+    // If a worker's sender is dropped with batches undelivered, the
+    // consumer observes Disconnected after draining what it sent — never a
+    // silent hang or a lost in-flight batch (the loader then joins its
+    // workers and re-raises the dead one's panic).
     use crossbeam::channel::TryRecvError;
     let (tx, rx) = unbounded::<usize>();
     tx.send(0).expect("receiver alive");

@@ -245,8 +245,8 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
     }
 
     // ---- Critical path (span profiler attribution) --------------------
-    // Per-epoch fractions of wall time each stage — or wait on the channel
-    // or reorder heap — was the binding constraint, averaged over epochs.
+    // Per-epoch fractions of wall time each stage — or wait on a channel or
+    // the hand-off — was the binding constraint, averaged over epochs.
     if !critical_paths.is_empty() {
         out.push_str("\ncritical path (fraction of epoch each stage or wait was binding):\n");
         let mut avg: BTreeMap<&str, f64> = BTreeMap::new();
@@ -263,7 +263,7 @@ pub fn render_report(events: &[(RunEvent, f64, Source)], live: Option<&Telemetry
         }
         out.push_str(&format!(
             "  ({spans} spans, {dropped} dropped; {} = enqueue backpressure, \
-             {} = reorder stall, other = unattributed)\n",
+             {} = hand-off stall, other = unattributed)\n",
             SpanKind::EnqueueWait.label(),
             SpanKind::DequeueWait.label(),
         ));

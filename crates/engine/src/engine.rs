@@ -12,7 +12,7 @@ use argo_rt::{
     AllReduce, BytesRecord, Config, CoreBinder, EpochRecord, RunEvent, SeedSequence, Telemetry,
     ThreadPool,
 };
-use argo_sample::{InputRing, LoadedBatch, LoaderSpec, PipelinedLoader, Sampler};
+use argo_sample::{InputRing, LoaderSpec, PipelinedLoader, Sampler};
 
 /// Construction options for an [`Engine`].
 #[derive(Clone)]
@@ -160,11 +160,13 @@ pub struct BufferStats {
     /// Bytes parked in the model workspaces.
     pub workspace_bytes: usize,
     /// Buffers the loader rings have made for prepared inputs — what
-    /// crosses the reorder channel: per batch one aggregation (plus, for
-    /// GraphSAGE, one block of self rows), so `2·n_samp + 1` such sets per
-    /// rank at once (3 at `n_samp = 1`; with several workers, batches that
-    /// arrive early wait in the reorder heap on top).
+    /// crosses the loader's channels beside the batch: per batch one
+    /// aggregation (plus, for GraphSAGE, one block of self rows), at most
+    /// `2·n_samp + 1` such sets per rank at once (3 at `n_samp = 1`).
     pub input_buffers: usize,
+    /// Batch arenas the loader rings have made: one per batch in flight,
+    /// at most `2·n_samp + 1` per rank.
+    pub arenas: usize,
     /// Bytes parked in the input rings.
     pub input_bytes: usize,
 }
@@ -258,6 +260,7 @@ impl Engine {
         for r in &self.replicas {
             stats.workspace_bytes += r.model.workspace_bytes();
             stats.input_buffers += r.inputs.buffers_made();
+            stats.arenas += r.inputs.arenas_made();
             stats.input_bytes += r.inputs.parked_bytes();
         }
         stats
@@ -540,30 +543,28 @@ fn run_process(spec: ProcessSpec, replica: &mut Replica) -> ProcessResult {
 
     for (i, loaded) in loader {
         scratch_allocs += loaded.scratch_allocs;
-        let LoadedBatch {
-            batch,
-            input,
-            metadata_bytes: batch_metadata_bytes,
-            ..
-        } = loaded;
+        // The batch as the loader's worker sampled it, in the arena it sent.
+        let batch = loaded.view();
         #[expect(
             clippy::expect_used,
             reason = "run_process puts the feature table in every LoaderSpec it builds, so every \
                       batch arrives with its prepared input"
         )]
-        let input = input.expect("the loader spec carries the feature table");
+        let input = loaded
+            .input
+            .as_ref()
+            .expect("the loader spec carries the feature table");
         // The step starts at the first GEMM.
         let stats = ring.timed(SpanKind::Compute, i as u64, || {
-            model.train_step_prepared(&batch, &input, &dataset.labels, train_pool.as_ref())
+            model.train_step_prepared(&batch, input, &dataset.labels, train_pool.as_ref())
         });
-        // The step only read the operands: back to the ring they go, for the
-        // loader to fill again.
-        input.recycle(inputs);
         edges += batch.total_edges(opts.num_layers);
-        // Measured on the arena-resident view by the loader worker: node
-        // ids, degrees, u32 row pointers, column indices and fused values —
-        // the compact CSR layout, not the old edge-list estimate.
-        metadata_bytes += batch_metadata_bytes;
+        // The arena's node ids, u32 row pointers, column indices and fused
+        // values — the compact CSR layout, not the old edge-list estimate.
+        metadata_bytes += batch.metadata_bytes() as u64;
+        // The step only read the batch and its operands: back to the ring
+        // they go, for the loader to fill again.
+        loaded.recycle(inputs);
         loss_sum += f64::from(stats.loss);
         acc_sum += stats.accuracy;
 
@@ -994,6 +995,30 @@ mod tests {
     }
 
     #[test]
+    fn three_and_four_rank_reruns_train_the_same_bits() {
+        argo_rt::watchdog(120, || {
+            // The all-reduce sums each gradient element in one order, not in
+            // the order the ranks arrive in, so a DDP run of three or four
+            // ranks reruns bit for bit: per-epoch losses and final parameters.
+            for n_proc in [3, 4] {
+                let run = || {
+                    let mut e = Engine::new(tiny(), neighbor(), opts(64));
+                    let config = Config::new(n_proc, 1, 1);
+                    let losses: Vec<u32> = (0..2)
+                        .map(|_| e.train_epoch(config, None).loss.to_bits())
+                        .collect();
+                    let params: Vec<u32> = e.params().iter().map(|p| p.to_bits()).collect();
+                    (losses, params)
+                };
+                let first = run();
+                for rerun in 1..3 {
+                    assert!(run() == first, "{n_proc} ranks: rerun {rerun} differs");
+                }
+            }
+        });
+    }
+
+    #[test]
     fn n_samp_and_n_train_change_no_trained_bit() {
         argo_rt::watchdog(120, || {
             // The tuner trains under every config it tries (Algorithm 1), so a
@@ -1309,13 +1334,14 @@ mod tests {
     fn second_epoch_reuses_every_buffer_of_the_first() {
         argo_rt::watchdog(120, || {
             // After one warm-up epoch the per-rank state is complete: a second
-            // epoch under the same config makes no new operand buffer (that its
-            // steps allocate nothing is `tests/allocations.rs`' pin), for each
-            // hand-off: GraphSAGE's
+            // epoch under the same config makes no new batch arena and no new
+            // operand buffer (that its steps allocate nothing is
+            // `tests/allocations.rs`' pin), for each hand-off: GraphSAGE's
             // aggregation plus self rows, GCN's aggregation alone. The loader
             // aggregates straight from the feature table and makes no other
             // buffer, and its worker samples in the scratch the first epoch's
-            // worker parked in the rank's ring: it grows no scratch buffer.
+            // worker parked in the rank's ring, into the arena the first
+            // epoch's step handed back: it grows neither.
             let sets = [(Arch::Sage, 2), (Arch::Gcn, 1)];
             for (kind, operands) in sets {
                 let (d, sampler, mut o) = same_shape_every_epoch();
@@ -1327,6 +1353,7 @@ mod tests {
                 let warm = e.buffer_stats();
                 let who = format!("{kind:?}: {warm:?}");
                 assert_eq!(warm.input_buffers, operands, "one batch in flight: {who}");
+                assert_eq!(warm.arenas, 1, "one batch in flight: {who}");
                 assert!(warm.input_bytes > 0, "the operands came back: {who}");
                 assert!(warm.workspace_bytes > 0, "{who}");
                 let tel = Telemetry::new();
@@ -1338,7 +1365,7 @@ mod tests {
                 assert_eq!(scratch_allocs, Some(0), "{who}");
                 // (Parked workspace bytes may shift: a best-fit reuse can leave
                 // a buffer at another capacity. What is pinned is that nothing
-                // new was made.)
+                // new was made: no operand buffer, no arena.)
                 let again = BufferStats {
                     workspace_bytes: warm.workspace_bytes,
                     ..e.buffer_stats()
@@ -1369,6 +1396,7 @@ mod tests {
             let s = e.buffer_stats();
             let sets = n_proc * (2 * n_samp + 1);
             assert!((2 * n_proc..=2 * sets).contains(&s.input_buffers), "{s:?}");
+            assert!((n_proc..=sets).contains(&s.arenas), "{s:?}");
             // An operand has a row per layer-0 output node only: with fanouts
             // [8, 4] from 32 seeds, far fewer than every node's row. The arena's
             // share is activations, far smaller on this 500-feature dataset.

@@ -372,51 +372,51 @@ impl Gnn {
         cascade.transpose_layers(full);
         let dispatch = self.dispatch;
         let input = PreparedInput::aggregate(cascade, full(0), rows, dispatch, &self.ring, pool);
-        let stats = self.train_step_prepared(batch, &input, labels, pool);
+        let stats = self.step(batch.seeds(), full, &input, labels, pool);
         input.recycle(&self.ring);
         stats
     }
 
     /// One training step — forward, loss, full backward — starting at the
-    /// first GEMM: `input` is what a loader worker prepared for this batch
+    /// first GEMM, over the batch as the sampler assembled it (the arena a
+    /// loader worker sent): `input` is what that worker prepared for it
     /// ([`PreparedInput::prepare_for_training`]). Layer 0's aggregation, the
     /// cascade and the transposes depend on the batch and the features only,
     /// so they were built where the batch was made. The step builds no
     /// cascade and transposes nothing. Gradients are written into the
     /// model's gradient buffers (overwriting previous contents); parameters
     /// are *not* updated — the engine averages gradients across processes
-    /// first, then calls an optimizer. The batch must fuse this model's
-    /// normalization ([`Arch::normalization`]), as the operands were
-    /// aggregated over it.
+    /// first, then calls an optimizer. Panics as [`Gnn::forward_prepared`]
+    /// does: the batch must fuse this model's normalization
+    /// ([`Arch::normalization`]), as the operands were aggregated over it.
     pub fn train_step_prepared(
         &mut self,
-        batch: &SampledBatch,
+        batch: &SampledBatchView<'_>,
         input: &PreparedInput,
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let stats = self.step(batch, input, labels, pool);
-        self.recycle();
-        stats
+        self.assert_runs_view(batch);
+        self.step(batch.seeds(), |l| batch.layer_adj(l), input, labels, pool)
     }
 
-    /// The one training step: [`Gnn::forward`] over the layers of the
-    /// cascade `input` carries, then the loss over the seeds' labels and the
-    /// full backward pass over what the forward kept, gathering over the
-    /// cascade's transposes. The model's [`Kept`] is left full, its last
-    /// gradient included, for [`Gnn::recycle`].
-    fn step(
+    /// The one training step over a batch of `seeds` whose layer `l` has
+    /// the full-height adjacency `full(l)`: [`Gnn::forward`] over the layers
+    /// of the cascade `input` carries, then the loss over the seeds' labels
+    /// and the full backward pass over what the forward kept, gathering over
+    /// the cascade's transposes; then every per-pass buffer is recycled.
+    fn step<'b>(
         &mut self,
-        batch: &SampledBatch,
+        seeds: &[u32],
+        full: impl Fn(usize) -> SparseView<'b>,
         input: &PreparedInput,
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        self.assert_runs_owned(batch);
-        let (depth, seeds) = (self.layers.len(), batch.seeds());
+        let depth = self.layers.len();
         let cascade = self.carried(input);
         let mut kept = self.kept.borrow_mut();
-        let layer = |l| cascade.layer(l, batch.layer_adj(l).view());
+        let layer = |l| cascade.layer(l, full(l));
         self.forward(&mut kept, layer, input, pool);
         let Kept {
             outs,
@@ -511,6 +511,8 @@ impl Gnn {
             num_seeds: seeds.len(),
         };
         *last_grad = Some(grad);
+        drop(kept);
+        self.recycle();
         stats
     }
 
@@ -1047,7 +1049,13 @@ mod tests {
         assert_eq!(loss, want_loss.to_bits(), "{who}: loss");
         assert_eq!(grads, bits(&want), "{who}: gradients");
         let handoff = prepared(m, batch, input);
-        let stats = m.train_step_prepared(batch, &handoff, labels, None);
+        let stats = m.step(
+            batch.seeds(),
+            |l| batch.layer_adj(l).view(),
+            &handoff,
+            labels,
+            None,
+        );
         let mut g = Vec::new();
         m.grads_flat(&mut g);
         assert_eq!((stats.loss.to_bits(), bits(&g)), (loss, grads), "{who}");
@@ -1472,9 +1480,11 @@ mod tests {
                     .features(feats.clone())
                     .start();
                 for (i, lb) in loader {
-                    let input = lb.input.expect("the spec carries the features");
+                    let (view, input) = (lb.view(), lb.input.as_ref());
+                    let input = input.expect("the spec carries the features");
                     assert!(input.cascade.first() < 3, "the top layer is a slice");
-                    let rows = gathered(&d.features, lb.batch.input_nodes());
+                    let (batch, rows) =
+                        (view.to_owned(), gathered(&d.features, view.input_nodes()));
                     for policy in both_tiers() {
                         let who = format!("{kind:?} {n_samp} workers batch {i} {policy:?}");
                         let mk = || {
@@ -1482,10 +1492,9 @@ mod tests {
                                 .with_dispatch(policy)
                         };
                         let (mut prepared, mut own) = (mk(), mk());
-                        let stats =
-                            prepared.train_step_prepared(&lb.batch, &input, &d.labels, None);
+                        let stats = prepared.train_step_prepared(&view, input, &d.labels, None);
                         let got = step_bits(&mut prepared, stats);
-                        let stats = own.train_step_gathered(&lb.batch, &rows, &d.labels, None);
+                        let stats = own.train_step_gathered(&batch, &rows, &d.labels, None);
                         assert_eq!(got, step_bits(&mut own, stats), "{who}");
                         assert!(own.ring.buffers_made() > 0, "{who}");
                         assert_eq!(prepared.ring.buffers_made(), 0, "{who}: took nothing");
@@ -1525,7 +1534,7 @@ mod tests {
                         sampler.sample_into(&d.graph, seeds, run.with_norm(kind.normalization()));
                     let input =
                         PreparedInput::prepare_for_training(&view, f, depth, &ring, &spans, 0);
-                    let stats = m.train_step_prepared(&view.to_owned(), &input, &d.labels, None);
+                    let stats = m.train_step_prepared(&view, &input, &d.labels, None);
                     losses.push(stats.loss.to_bits());
                     m.grads_flat(&mut g);
                     m.params_flat(&mut p);

@@ -177,7 +177,7 @@ pub enum RunEvent {
     /// learning online, `reuse` once the optimum is locked in).
     ConfigApplied { config: Config, reason: String },
     /// Per-epoch critical-path attribution from the span profiler: for each
-    /// stage (or channel/heap wait) the fraction of epoch wall time it was
+    /// stage (or channel wait) the fraction of epoch wall time it was
     /// the binding constraint; fractions sum to ~1.0. `spans`/`dropped`
     /// record profiler coverage.
     CriticalPath {

@@ -3,7 +3,7 @@
 //! The PR-1 telemetry layer answers *how long* each stage took; this module
 //! answers *why the epoch took as long as it did*. Every batch's life —
 //! seed pick, neighbor sampling, feature gather, first aggregation, channel
-//! enqueue, reorder-heap dequeue, forward/backward, gradient sync — is
+//! enqueue, channel dequeue, forward/backward, gradient sync — is
 //! recorded as a span `(worker, role, kind, batch, start, end)` into a
 //! lock-free per-worker ring ([`WorkerRing`]): one writer per ring, no
 //! locks on the hot path, registration only touches a mutex once per
@@ -11,7 +11,7 @@
 //! the drained set forms a causal chain keyed by batch id.
 //!
 //! [`critical_path`] then attributes each instant of the epoch to the
-//! stage (or channel/heap *wait*) that was the binding constraint, giving
+//! stage (or channel *wait*) that was the binding constraint, giving
 //! fractions that sum to 1.0 — the observability base for the metadata-tax
 //! and work-stealing work in ROADMAP items 2–3.
 
@@ -38,8 +38,8 @@ const BINS: usize = 2048;
 
 /// Pipeline step a span measures. Unlike [`Stage`] (the coarse 4-stage
 /// view the perf model shares), span kinds separate the *waits* — a
-/// producer blocked on the bounded channel, a consumer blocked on the
-/// reorder heap — from the work, which is exactly what critical-path
+/// producer blocked on its full channel, a consumer blocked on the channel
+/// of the batch it needs next — from the work, which is exactly what critical-path
 /// attribution needs. [`SpanKind::stage`] folds them back onto [`Stage`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
@@ -52,7 +52,8 @@ pub enum SpanKind {
     Aggregate,
     /// Producer blocked enqueueing into the bounded channel (consumer slow).
     EnqueueWait,
-    /// Consumer blocked on channel receive / reorder heap (producers slow).
+    /// Consumer blocked receiving its next batch from the channel of the
+    /// worker that owns it (producers slow).
     DequeueWait,
     /// Forward + backward propagation.
     Compute,
@@ -124,7 +125,7 @@ impl SpanKind {
 
 /// Which side of the batch channel a ring's owner works on. Producer rings
 /// belong to loader workers (pick/gather/aggregate/enqueue); consumer rings
-/// to the training processes and the reorder-heap drain.
+/// to the training processes, which receive the batches in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
     /// Loader-side: produces batches into the channel.
@@ -421,11 +422,12 @@ pub const CRITICAL_PATH_STAGES: &[&str] = &[
 ///
 /// 1. any consumer computing → `compute` (training makes progress);
 /// 2. any consumer syncing → `sync`;
-/// 3. every active consumer waiting on the heap → whatever the producers
+/// 3. every active consumer waiting on a channel → whatever the producers
 ///    are doing right then: `sample`, `gather` or `aggregate` work
 ///    means the loader is the constraint; producers stuck enqueueing means the
-///    channel is (`channel_wait`); idle producers mean the reorder heap
-///    itself is (`heap_wait`);
+///    channel is (`channel_wait`); producers inside no span mean the hand-off
+///    itself is (`heap_wait`: the label of the reorder heap the loader once
+///    had, kept because the logged schema carries it);
 /// 4. no span at all → `other`.
 pub fn critical_path(records: &[SpanRecord], start: f64, end: f64) -> Vec<(&'static str, f64)> {
     let horizon = end - start;

@@ -17,8 +17,9 @@
 //!
 //! [`loader::PipelinedLoader`] overlaps sampling with training — the
 //! optimization whose core allocation ARGO auto-tunes — by prefetching
-//! batches on dedicated sampler threads (bound to the *sampling cores*)
-//! while the training cores consume them **in deterministic order**.
+//! batches on dedicated sampler threads (bound to the *sampling cores*),
+//! each of which owns a fixed share of the epoch's batches, while the
+//! training cores consume them **in deterministic order**.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -92,11 +93,10 @@ pub trait Sampler: Send + Sync {
     /// batch-local CSR lands as `u32` ranges directly from pick positions —
     /// no intermediate edge-list `Vec`s, no COO→CSR pass — and steady-state
     /// calls perform **zero** heap allocations, assembly included. The view
-    /// borrows the scratch; call [`SampledBatchView::to_owned`] when the
-    /// batch must outlive the next sampling call on the same scratch (the
-    /// loader's reorder channel, training backward passes) — the owned batch
-    /// is bitwise what the test oracle (`tests/oracle/mod.rs`) builds the
-    /// obvious way.
+    /// borrows the scratch's arena; the loader's workers lend the scratch an
+    /// arena of their ring for each call and send it on, batch inside.
+    /// [`SampledBatchView::to_owned`] makes an owned copy — bitwise what the
+    /// test oracle (`tests/oracle/mod.rs`) builds the obvious way.
     fn sample_into<'a>(
         &self,
         graph: &Graph,

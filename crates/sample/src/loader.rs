@@ -4,11 +4,18 @@
 //! propagation (paper Section V-A2); ARGO's auto-tuner decides how many
 //! cores each side gets. [`PipelinedLoader`] implements the sampling side:
 //! `n_samp` sampler threads (bound to the process's *sampling cores*)
-//! produce batches into a channel of one ready batch per worker while the
-//! training thread consumes them **in deterministic batch order** — batch
-//! `i` of epoch `e` is always drawn from RNG seed `seed_for(e, i)`
-//! regardless of which worker produced it, so pipelining never perturbs
-//! training semantics.
+//! produce batches while the training thread consumes them **in
+//! deterministic batch order**. Worker `w` owns batches `w, w + n_samp, …`
+//! and sends them, in that order, on a channel of its own that holds one
+//! ready batch; the consumer takes batch `i` from channel `i mod n_samp`.
+//! Batch `i` of epoch `e` is always drawn from RNG seed `seed_for(e, i)`,
+//! whichever worker draws it, so pipelining never perturbs training
+//! semantics.
+//!
+//! A worker samples each batch into a batch arena taken from the
+//! rank's [`InputRing`] and sends that arena, not a copy: the consumer runs
+//! the batch through its view ([`LoadedBatch::view`]) and hands the arena
+//! back with the operands ([`LoadedBatch::recycle`]).
 //!
 //! When the [`LoaderSpec`] carries the node features, workers also run the
 //! step's **parameter-free prologue**: they aggregate each batch's input
@@ -30,12 +37,11 @@
 //! transposes every layer's adjacency for backward
 //! ([`PreparedInput::prepare_for_training`]). The training step runs the
 //! batch as it is handed over: it builds no cascade, cuts no rows and
-//! transposes nothing. See [`PreparedInput`] for what crosses the channel;
-//! the consumer hands it back to the [`InputRing`], operand buffers and
-//! cascade storage alike.
+//! transposes nothing. See [`PreparedInput`] for what crosses the channel
+//! beside the arena; the consumer hands both back to the [`InputRing`],
+//! arena, operand buffers and cascade storage alike.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -47,9 +53,9 @@ use argo_rt::{SeedSequence, ThreadPool};
 use argo_tensor::{DispatchPolicy, Matrix, SparseView};
 use crossbeam::channel::{bounded, Receiver};
 
-use crate::batch::{Normalization, SampledBatch};
+use crate::batch::Normalization;
 use crate::cascade::Cascade;
-use crate::scratch::SamplerScratch;
+use crate::scratch::{BatchArena, SamplerScratch};
 use crate::view::SampledBatchView;
 use crate::{SampleRun, Sampler};
 
@@ -90,8 +96,8 @@ pub struct LoaderSpec {
     pub normalization: Normalization,
     /// Causal span profiler. When present, each worker registers a
     /// producer ring (pick/gather/aggregate/enqueue-wait spans keyed by
-    /// batch id) and the consuming thread a consumer ring (channel/heap
-    /// dequeue waits), each sized for the whole epoch. The spans are the loader's
+    /// batch id) and the consuming thread a consumer ring (channel dequeue
+    /// waits), each sized for the whole epoch. The spans are the loader's
     /// only telemetry: stage times and critical-path attribution are
     /// derived from them at epoch end.
     pub spans: Option<SpanProfiler>,
@@ -347,38 +353,40 @@ impl PreparedInput {
     }
 }
 
-/// The recycled feature-path buffers of one loader/consumer pair.
+/// The recycled buffers of one loader/consumer pair.
 ///
-/// A prepared batch input is the largest buffer on the training path
-/// (megabytes) and it crosses threads: a loader worker fills it, the consumer
-/// trains on it. Instead of mapping fresh ones per batch and unmapping them
-/// after the step, the worker [`take`](InputRing::take)s retired buffers and
-/// the consumer [`put`](InputRing::put)s them back when the step is done. The
-/// ring is a cheap handle (clones share the buffers) and outlives the
-/// per-epoch loader: the engine keeps one per rank across epochs. It holds as
-/// many operand sets as were ever in flight at once — one per worker in the
-/// channel, one per worker being filled and the consumer's, `2·n_samp + 1`
-/// (with several workers, batches that arrive early wait in the reorder heap
-/// on top) — each buffer grown to the largest operand it has carried. A
-/// set's [`Cascade`] (slices, self-row maps, transposes) is recycled beside
-/// its buffers ([`InputRing::take_cascade`]), so a warm prologue allocates
-/// nothing; and each loader worker's [`SamplerScratch`] is parked here when
-/// the worker exits, for the next epoch's worker to sample in warm.
-/// Unlike the feature cache this crate once had, whose prologue gathered
-/// `n_src × F` rows into a second pool of buffers here, the prologue reads
-/// the feature table, and the ring holds only what the step reads.
+/// A batch crosses threads in storage of its own: a loader worker samples it
+/// into a batch arena and fills its prepared input (the largest buffers on
+/// the training path, megabytes), and the consumer trains on both. Instead of
+/// mapping fresh ones per batch and unmapping them after the step, the
+/// worker takes retired ones from here and the consumer hands them back
+/// ([`LoadedBatch::recycle`]) when the step is done. The ring is a cheap
+/// handle (clones share the buffers) and outlives the per-epoch loader: the
+/// engine keeps one per rank across epochs. It holds as many sets — an
+/// arena, its operand buffers and its [`Cascade`] (slices, self-row maps,
+/// transposes) — as were ever in flight at once: per worker one in its
+/// channel and one being filled, plus the consumer's, `2·n_samp + 1`. Each
+/// buffer is grown to the largest batch it has carried, so a warm worker
+/// allocates nothing; and each loader worker's [`SamplerScratch`] is parked
+/// here when the worker exits, for the next epoch's worker to sample in
+/// warm. Unlike the feature cache this crate once had, whose prologue
+/// gathered `n_src × F` rows into a second pool of buffers here, the
+/// prologue reads the feature table, and the ring holds only what the step
+/// reads.
 #[derive(Clone, Default)]
 pub struct InputRing {
     inner: Arc<RingInner>,
 }
 
 /// A free list of retired `f32` allocations, the count ever made, the
-/// retired cascades whose slices and transposes the next batches reuse, and
-/// the sampler scratches of the workers that exited.
+/// retired arenas and cascades the next batches reuse (and the arena count),
+/// and the sampler scratches of the workers that exited.
 #[derive(Default)]
 struct RingInner {
     free: Mutex<Vec<Vec<f32>>>,
     made: AtomicUsize,
+    arenas: Mutex<Vec<BatchArena>>,
+    arenas_made: AtomicUsize,
     cascades: Mutex<Vec<Cascade>>,
     scratches: Mutex<Vec<SamplerScratch>>,
 }
@@ -423,6 +431,15 @@ impl InputRing {
         self.inner.cascades.lock().push(cascade);
     }
 
+    /// The most recently retired batch arena (a new, empty one when none is
+    /// parked), for a worker to sample the next batch into.
+    fn take_arena(&self) -> BatchArena {
+        self.inner.arenas.lock().pop().unwrap_or_else(|| {
+            self.inner.arenas_made.fetch_add(1, Ordering::Relaxed);
+            BatchArena::default()
+        })
+    }
+
     /// A parked loader worker's scratch (a new one when none is parked).
     fn take_scratch(&self) -> SamplerScratch {
         self.inner.scratches.lock().pop().unwrap_or_default()
@@ -438,6 +455,12 @@ impl InputRing {
         self.inner.made.load(Ordering::Relaxed)
     }
 
+    /// Batch arenas made so far (parked or in flight): the most batches
+    /// that were ever in flight at once.
+    pub fn arenas_made(&self) -> usize {
+        self.inner.arenas_made.load(Ordering::Relaxed)
+    }
+
     /// Bytes held by the parked operand buffers.
     pub fn parked_bytes(&self) -> usize {
         let free = self.inner.free.lock();
@@ -445,82 +468,59 @@ impl InputRing {
     }
 }
 
-/// One sampled (and possibly prepared) mini-batch.
+/// One sampled (and possibly prepared) mini-batch, in the arena its worker
+/// sampled it into. Run it through [`LoadedBatch::view`], then hand it back
+/// with [`LoadedBatch::recycle`].
 pub struct LoadedBatch {
-    /// The sampled computation structure.
-    pub batch: SampledBatch,
+    /// The batch, as the sampler assembled it.
+    arena: BatchArena,
     /// What the step's first parameterised operation reads, prepared on the
-    /// sampling side in buffers of the loader's [`InputRing`]; hand them back
-    /// with [`PreparedInput::recycle`] after the step. `None` when the spec
-    /// carried no features.
+    /// sampling side in buffers of the loader's [`InputRing`]. `None` when
+    /// the spec carried no features.
     pub input: Option<PreparedInput>,
     /// Scratch-arena allocations this batch charged to the producing
-    /// worker's [`SamplerScratch`] (0 once the arena is warm).
+    /// worker's [`SamplerScratch`]: 0 once the scratch and the batch's arena
+    /// have each carried a batch as large.
     pub scratch_allocs: u64,
-    /// Bytes of batch metadata in the compact arena-CSR layout (node ids,
-    /// `u32` row pointers, column indices, fused values), measured
-    /// on the borrowed view before the reorder-channel handoff materialized
-    /// this owned copy.
-    pub metadata_bytes: u64,
 }
 
-struct Indexed {
-    index: usize,
-    batch: LoadedBatch,
-}
+impl LoadedBatch {
+    /// The sampled computation structure, read straight out of the arena.
+    pub fn view(&self) -> SampledBatchView<'_> {
+        self.arena.view()
+    }
 
-impl PartialEq for Indexed {
-    fn eq(&self, other: &Self) -> bool {
-        self.index == other.index
-    }
-}
-impl Eq for Indexed {}
-impl PartialOrd for Indexed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Indexed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.index.cmp(&self.index) // min-heap on index
+    /// Retires the arena and every buffer of the prepared input to `ring`
+    /// (the one the loader was started on) once the step has read them.
+    pub fn recycle(self, ring: &InputRing) {
+        ring.inner.arenas.lock().push(self.arena);
+        if let Some(input) = self.input {
+            input.recycle(ring);
+        }
     }
 }
 
 /// Prefetching mini-batch loader. Iterate it to receive
 /// `(batch_index, LoadedBatch)` in index order.
 pub struct PipelinedLoader {
-    rx: Receiver<Indexed>,
-    reorder: BinaryHeap<Indexed>,
+    /// Worker `w`'s channel, carrying batches `w, w + n_samp, …` in order.
+    channels: Vec<Receiver<LoadedBatch>>,
     next: usize,
     total: usize,
     ring: Arc<WorkerRing>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Set by a worker that unwinds, so the consumer stops the epoch at its
-    /// next receive instead of queueing what the surviving workers make.
-    failed: Arc<AtomicBool>,
-}
-
-/// Raises the loader's `failed` flag when its worker thread unwinds.
-struct FlagOnPanic(Arc<AtomicBool>);
-
-impl Drop for FlagOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
 }
 
 impl PipelinedLoader {
     /// Starts `spec.n_samp` sampler threads producing all batches of one
-    /// epoch, with a ring of its own: nothing is handed back, so every
-    /// prepared input sits in fresh buffers the consumer keeps.
+    /// epoch, with a ring of its own: nothing is handed back, so every batch
+    /// and prepared input sits in fresh buffers the consumer keeps.
     pub fn start(spec: LoaderSpec) -> Self {
         Self::start_recycling(spec, InputRing::new())
     }
 
-    /// [`PipelinedLoader::start`] with prepared inputs taken from `inputs`,
-    /// the ring the consumer returns them to.
+    /// [`PipelinedLoader::start`] with batch arenas and prepared inputs
+    /// taken from `inputs`, the ring the consumer returns them to.
     pub fn start_recycling(spec: LoaderSpec, inputs: InputRing) -> Self {
         let LoaderSpec {
             graph,
@@ -541,31 +541,27 @@ impl PipelinedLoader {
             "a loader with features aggregates: it needs a fused normalization"
         );
         let total = seeds.len().div_ceil(batch_size);
-        // One ready batch per worker: the loader outpaces the step, so a
-        // deeper channel would only hold more prepared inputs in memory.
-        let (tx, rx) = bounded::<Indexed>(n_samp);
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let failed = Arc::new(AtomicBool::new(false));
         // Ring sizes follow from the batch count, so no span is ever
-        // dropped: the consumer waits once per batch, and one worker may
-        // end up producing every batch (pick, gather, aggregate,
-        // enqueue).
-        let ring_for = |role: Role, spans_per_batch: usize| match &spans {
-            Some(p) => p.ring(role, total * spans_per_batch),
+        // dropped: the consumer waits once per batch, and a worker records
+        // four spans (pick, gather, aggregate, enqueue) per batch it owns.
+        let ring_for = |role: Role, len: usize| match &spans {
+            Some(p) => p.ring(role, len),
             None => Arc::new(WorkerRing::detached()),
         };
-        let consumer_ring = ring_for(Role::Consumer, 1);
+        let consumer_ring = ring_for(Role::Consumer, total);
+        let mut channels = Vec::with_capacity(n_samp);
         let mut workers = Vec::with_capacity(n_samp);
         for w in 0..n_samp {
             let graph = Arc::clone(&graph);
             let sampler = Arc::clone(&sampler);
             let seeds = Arc::clone(&seeds);
-            let cursor = Arc::clone(&cursor);
             let features = features.clone();
             let inputs = inputs.clone();
-            let tx = tx.clone();
-            let on_panic = FlagOnPanic(Arc::clone(&failed));
-            let ring = ring_for(Role::Producer, 4);
+            // One ready batch per worker: the loader outpaces the step, so a
+            // deeper channel would only hold more prepared inputs in memory.
+            let (tx, rx) = bounded::<LoadedBatch>(1);
+            channels.push(rx);
+            let ring = ring_for(Role::Producer, 4 * total.div_ceil(n_samp));
             let my_core = if cores.is_empty() {
                 None
             } else {
@@ -574,7 +570,6 @@ impl PipelinedLoader {
             let worker = std::thread::Builder::new()
                 .name(format!("argo-sampler-{w}"))
                 .spawn(move || {
-                    let _on_panic = on_panic;
                     if let Some(c) = &my_core {
                         let _ = bind_current_thread(c);
                     }
@@ -585,44 +580,31 @@ impl PipelinedLoader {
                     // The depth the sampler makes batches for: the model's
                     // (`Engine::new` holds the two equal).
                     let depth = sampler.num_layers();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
+                    for i in (w..total).step_by(n_samp) {
                         let lo = i * batch_size;
                         let hi = ((i + 1) * batch_size).min(seeds.len());
                         let id = i as u64;
                         let stream = SeedSequence::new(epoch_seeds.seed_for(epoch, id));
                         let allocs_before = scratch.allocs();
-                        // Assemble in the scratch arena, account the
-                        // compact metadata footprint, then materialize
-                        // the owned copy the reorder channel requires
-                        // (the sanctioned ownership boundary).
+                        // Assemble in an arena of the ring's, which then
+                        // crosses the channel with the batch in it.
+                        scratch.arena = inputs.take_arena();
                         let run = SampleRun::new(stream, &mut scratch).with_norm(normalization);
-                        let (view, batch, metadata_bytes) = ring.timed(SpanKind::Pick, id, || {
-                            let view = sampler.sample_into(&graph, &seeds[lo..hi], run);
-                            (view, view.to_owned(), view.metadata_bytes() as u64)
+                        let view = ring.timed(SpanKind::Pick, id, || {
+                            sampler.sample_into(&graph, &seeds[lo..hi], run)
                         });
                         let input = features.as_deref().map(|f| {
                             PreparedInput::prepare_for_training(&view, f, depth, &inputs, &ring, id)
                         });
-                        let scratch_allocs = scratch.allocs() - allocs_before;
                         let loaded = LoadedBatch {
-                            batch,
+                            arena: std::mem::take(&mut scratch.arena),
                             input,
-                            scratch_allocs,
-                            metadata_bytes,
+                            scratch_allocs: scratch.allocs() - allocs_before,
                         };
                         // The enqueue-wait span measures backpressure:
                         // time blocked on a full channel.
-                        let sent = ring.timed(SpanKind::EnqueueWait, id, || {
-                            tx.send(Indexed {
-                                index: i,
-                                batch: loaded,
-                            })
-                            .is_ok()
-                        });
+                        let sent =
+                            ring.timed(SpanKind::EnqueueWait, id, || tx.send(loaded).is_ok());
                         if !sent {
                             break; // consumer dropped
                         }
@@ -636,13 +618,11 @@ impl PipelinedLoader {
             workers.push(worker.expect("spawn sampler"));
         }
         Self {
-            rx,
-            reorder: BinaryHeap::new(),
+            channels,
             next: 0,
             total,
             ring: consumer_ring,
             workers,
-            failed,
         }
     }
 
@@ -656,48 +636,30 @@ impl Iterator for PipelinedLoader {
     type Item = (usize, LoadedBatch);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.total {
+        let i = self.next;
+        if i >= self.total {
             return None;
         }
-        // The dequeue-wait span covers both the channel recv and the
-        // reorder-heap stall for the in-order batch, so the critical-path
-        // attribution can tell "producers too slow" from "heap reordering".
-        let Self {
-            rx,
-            reorder,
-            next,
-            ring,
-            workers,
-            failed,
-            ..
-        } = self;
-        ring.timed(SpanKind::DequeueWait, *next as u64, || loop {
-            // pop-if: take the heap top only when it is the batch the
-            // consumer is waiting for (avoids a peek-then-unwrap pair).
-            if reorder.peek().is_some_and(|top| top.index == *next) {
-                if let Some(item) = reorder.pop() {
-                    *next += 1;
-                    return Some((item.index, item.batch));
-                }
+        let channel = &self.channels[i % self.channels.len()];
+        match self
+            .ring
+            .timed(SpanKind::DequeueWait, i as u64, || channel.recv())
+        {
+            Ok(batch) => {
+                self.next += 1;
+                Some((i, batch))
             }
-            // A worker died — it raised the flag, or every sender is gone
-            // with batches missing (one that runs out of batches has sent
-            // them all). Ending the iteration here would hand the consumer a
-            // short epoch, and waiting on would queue the rest of the
-            // epoch's prepared inputs behind a batch that never comes. What
-            // is already in the channel is still taken (the batches before
-            // the dead one arrive in order); then the worker's panic is
-            // re-raised on this thread, after the channel is closed under
-            // the survivors and every worker joined.
-            let received = if failed.load(Ordering::Acquire) {
-                rx.try_recv().ok()
-            } else {
-                rx.recv().ok()
-            };
-            let Some(item) = received else {
-                drop(std::mem::replace(rx, bounded(1).1));
+            Err(_) => {
+                // Batch `i`'s worker is gone without sending it: it died (one
+                // that runs out of batches has sent them all). Ending the
+                // iteration here would hand the consumer a short epoch.
+                // Instead every channel is closed under the other workers,
+                // every worker joined, and the dead one's panic re-raised on
+                // this thread.
+                self.next = self.total;
+                self.channels.clear();
                 let mut payload = None;
-                for w in workers.drain(..) {
+                for w in self.workers.drain(..) {
                     if let Err(p) = w.join() {
                         payload.get_or_insert(p);
                     }
@@ -706,17 +668,16 @@ impl Iterator for PipelinedLoader {
                     payload
                         .unwrap_or_else(|| Box::new("loader workers exited with batches missing")),
                 );
-            };
-            reorder.push(item);
-        })
+            }
+        }
     }
 }
 
 impl Drop for PipelinedLoader {
     fn drop(&mut self) {
-        // Unblock producers waiting on a full channel, then join.
-        while self.rx.try_recv().is_ok() {}
-        drop(std::mem::replace(&mut self.rx, bounded(1).1));
+        // Close every channel, so a worker blocked on a full one (or about
+        // to send) stops, then join.
+        self.channels.clear();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -764,7 +725,7 @@ mod tests {
                     .epoch_seeds(SeedSequence::new(7))
                     .n_samp(n_samp)
                     .start()
-                    .map(|(_, b)| b.batch.input_nodes().to_vec())
+                    .map(|(_, b)| b.view().input_nodes().to_vec())
                     .collect()
             };
             let reference = run(1);
@@ -776,25 +737,35 @@ mod tests {
     #[test]
     fn steady_state_sampling_is_allocation_free() {
         argo_rt::watchdog(60, || {
-            // The scratch arena warms up on the first batch; after that the
+            // The scratch warms up on the first batch, and each of the ring's
+            // batch arenas on the first batch sampled into it; after that the
             // worker loop charges zero allocations for sampler metadata. Every
-            // batch here has identical seed content (nodes 0..16), so the warm
-            // arena is provably large enough for all later batches.
+            // batch here has identical seed content (nodes 0..16), so a warm
+            // arena is provably large enough for all later batches, and the
+            // consumer hands each arena back.
             let g = Arc::new(power_law(500, 5000, 0.8, 1));
             let s: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![5, 3]));
             let seeds: Arc<Vec<NodeId>> = Arc::new((0..12).flat_map(|_| 0..16).collect());
-            let allocs: Vec<u64> = LoaderSpec::builder(g, s, seeds)
+            let spec = LoaderSpec::builder(g, s, seeds)
                 .batch_size(16)
                 .epoch_seeds(SeedSequence::new(11))
                 .normalization(Normalization::Gcn)
-                .n_samp(1)
-                .start()
-                .map(|(_, b)| b.scratch_allocs)
+                .n_samp(1);
+            let ring = InputRing::new();
+            let allocs: Vec<u64> = PipelinedLoader::start_recycling(spec.build(), ring.clone())
+                .map(|(_, b)| {
+                    let allocs = b.scratch_allocs;
+                    b.recycle(&ring);
+                    allocs
+                })
                 .collect();
             assert_eq!(allocs.len(), 12);
             assert!(allocs[0] > 0, "first batch must warm the arena: {allocs:?}");
-            assert!(
-                allocs[1..].iter().all(|&a| a == 0),
+            let arenas = ring.arenas_made();
+            assert!((1..=3).contains(&arenas), "{arenas} arenas for one worker");
+            assert_eq!(
+                allocs.iter().filter(|&&a| a > 0).count(),
+                arenas,
                 "steady state must not allocate: {allocs:?}"
             );
         });
@@ -810,7 +781,7 @@ mod tests {
                 .epoch_seeds(SeedSequence::new(1))
                 .n_samp(2)
                 .start();
-            let sizes: Vec<usize> = loader.map(|(_, b)| b.batch.num_seeds()).collect();
+            let sizes: Vec<usize> = loader.map(|(_, b)| b.view().num_seeds()).collect();
             assert_eq!(sizes, vec![10, 10, 5]);
         });
     }
@@ -840,7 +811,7 @@ mod tests {
                     .epoch_seeds(SeedSequence::new(7))
                     .n_samp(2)
                     .start()
-                    .map(|(_, b)| b.batch.input_nodes().to_vec())
+                    .map(|(_, b)| b.view().input_nodes().to_vec())
                     .collect()
             };
             assert_ne!(collect(0), collect(1));
@@ -856,7 +827,7 @@ mod tests {
 
     /// `Â₀·X[input_nodes]` the obvious way: for every entry of the batch's
     /// input-side adjacency, in row order, `out[i] += value · X[col]`.
-    fn aggregated_by_hand(batch: &SampledBatch, feats: &Features) -> Vec<f32> {
+    fn aggregated_by_hand(batch: &SampledBatchView<'_>, feats: &Features) -> Vec<f32> {
         let (adj, ids) = (batch.layer_adj(0), batch.input_nodes());
         let values = adj.values().expect("fused normalization");
         let mut out = vec![0.0f32; adj.rows() * feats.dim()];
@@ -887,12 +858,14 @@ mod tests {
                     .normalization(norm)
                     .features(Arc::clone(&feats));
                 for (_, lb) in b.start() {
-                    let gathered = feats.gather(lb.batch.input_nodes());
-                    let PreparedInput { agg, self_rows, .. } =
-                        lb.input.expect("features requested");
-                    let n_dst = lb.batch.layer_adj(0).rows();
+                    let batch = lb.view();
+                    let gathered = feats.gather(batch.input_nodes());
+                    let Some(PreparedInput { agg, self_rows, .. }) = &lb.input else {
+                        panic!("features requested");
+                    };
+                    let n_dst = batch.layer_adj(0).rows();
                     assert_eq!((agg.rows(), agg.cols()), (n_dst, 4));
-                    let want = aggregated_by_hand(&lb.batch, &feats);
+                    let want = aggregated_by_hand(&batch, &feats);
                     for (a, w) in agg.data().iter().zip(&want) {
                         assert!((a - w).abs() <= 1e-5 * w.abs().max(1.0), "{a} vs {w}");
                     }
@@ -908,12 +881,13 @@ mod tests {
     #[test]
     fn returned_inputs_are_reused_across_epochs() {
         argo_rt::watchdog(60, || {
-            // The consumer hands every operand back, so three epochs of seven
+            // The consumer hands every batch back, so three epochs of seven
             // batches run on the three sets that can be in flight at once with
             // one worker: one being filled, one in the channel, one being
-            // consumed — two operands each under `Mean`. Batches differ in size,
-            // so reuse also has to overwrite stale rows. The worker aggregates
-            // straight from the feature table and makes no other buffer.
+            // consumed — an arena and two operands each under `Mean`. Batches
+            // differ in size, so reuse also has to overwrite stale rows. The
+            // worker aggregates straight from the feature table and makes no
+            // other buffer.
             let (g, s, seeds) = setup();
             let feats = features();
             let ring = InputRing::new();
@@ -925,17 +899,22 @@ mod tests {
                     .normalization(Normalization::Mean)
                     .features(Arc::clone(&feats));
                 for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
-                    let input = lb.input.expect("features requested");
+                    let input = lb.input.as_ref().expect("features requested");
                     let rows = input.self_rows.as_ref().expect("mean keeps the self rows");
-                    let gathered = feats.gather(lb.batch.input_nodes());
+                    let gathered = feats.gather(lb.view().input_nodes());
                     assert_eq!(rows.data(), &gathered.data()[..rows.data().len()]);
-                    input.recycle(&ring);
+                    lb.recycle(&ring);
                 }
             }
             assert!(
                 (2..=2 * 3).contains(&ring.buffers_made()),
                 "21 batches made {} buffers",
                 ring.buffers_made()
+            );
+            assert!(
+                (1..=3).contains(&ring.arenas_made()),
+                "{}",
+                ring.arenas_made()
             );
             assert!(ring.parked_bytes() > 0);
         });
@@ -984,7 +963,7 @@ mod tests {
                         &InputRing::new(),
                         None,
                     );
-                    let by_hand = aggregated_by_hand(&batch, &feats);
+                    let by_hand = aggregated_by_hand(&view, &feats);
                     let rows: Vec<usize> = match want.cascade.input_rows() {
                         Some(rows) => rows.to_vec(),
                         None => (0..batch.layer_adj(0).rows()).collect(),
@@ -1045,8 +1024,7 @@ mod tests {
             // Batches before the dead one still arrive in order; the iteration
             // then panics with the worker's own message instead of returning
             // `None` with batches missing — and promptly: the surviving workers
-            // of a long epoch do not get to prepare the rest of it into the
-            // reorder heap first.
+            // of a long epoch do not get to prepare the rest of it first.
             for (n_samp, batches) in [(1, 10), (3, 10), (3, 400)] {
                 let (g, _, _) = setup();
                 let seeds: Arc<Vec<NodeId>> =
@@ -1079,12 +1057,49 @@ mod tests {
                 // workers: whichever batch the fifth call was for is missing.
                 assert!(seen <= 9 && (n_samp > 1 || seen == 4), "{seen} batches");
                 assert!(loader.workers.is_empty(), "every worker joined");
-                // The survivors were stopped within a few batches of the death:
-                // what they had in hand, the channel's one per worker, a few more
-                // while the consumer drained.
+                // Every batch before the dead one was sampled once, and the dead
+                // one died in its first call. Each other worker can only have
+                // run ahead of the consumer by what it owns past the dead batch:
+                // one batch in its channel and one in hand.
                 let calls = dies.calls.load(Ordering::Relaxed);
-                assert!(calls <= 40 && loader.reorder.len() <= 40, "{calls} calls");
+                assert!(
+                    calls <= seen + 1 + 2 * (n_samp - 1),
+                    "{calls} calls, {seen} seen"
+                );
             }
+        });
+    }
+
+    #[test]
+    fn a_ring_holds_at_most_two_sets_per_worker_and_the_consumers() {
+        argo_rt::watchdog(60, || {
+            // Each worker has one batch in its channel and one in hand, and
+            // the consumer one: at `n_samp = 3` the ring never makes more than
+            // seven arenas or seven operand sets (two operands each under
+            // `Mean`), however far a slow consumer lets the workers run ahead.
+            let (g, s, seeds) = setup();
+            let n_samp = 3;
+            let ring = InputRing::new();
+            for epoch in 0..3 {
+                let spec = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
+                    .batch_size(8)
+                    .epoch(epoch)
+                    .epoch_seeds(SeedSequence::new(4))
+                    .n_samp(n_samp)
+                    .normalization(Normalization::Mean)
+                    .features(features());
+                for (_, lb) in PipelinedLoader::start_recycling(spec.build(), ring.clone()) {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    lb.recycle(&ring);
+                }
+            }
+            let sets = 2 * n_samp + 1;
+            assert!(ring.arenas_made() <= sets, "{} arenas", ring.arenas_made());
+            assert!(
+                ring.buffers_made() <= 2 * sets,
+                "{} operand buffers",
+                ring.buffers_made()
+            );
         });
     }
 

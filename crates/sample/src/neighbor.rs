@@ -122,7 +122,7 @@ impl Sampler for NeighborSampler {
         // scratch — arena included — never grows mid-epoch.
         let caps_before = scratch.arena.caps();
         let mut arena = std::mem::take(&mut scratch.arena);
-        arena.begin(seeds.len(), norm);
+        arena.begin(seeds.len(), norm, false);
         {
             let n = graph.num_nodes();
             let mut rows_bound = seeds.len();
@@ -226,7 +226,7 @@ impl Sampler for NeighborSampler {
         scratch.note_growth(arena.caps() > caps_before);
         scratch.arena = arena;
         let scratch_ref: &'a SamplerScratch = scratch;
-        SampledBatchView::blocks(&scratch_ref.arena)
+        scratch_ref.arena.view()
     }
 
     fn name(&self) -> &'static str {

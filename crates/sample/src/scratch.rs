@@ -7,9 +7,10 @@
 //! **zero per-batch heap allocations for sampler metadata**. The assembled
 //! batch itself also lives here — `sample_into` builds its CSR directly in the
 //! scratch's batch arena and returns a borrowed
-//! [`SampledBatchView`](crate::SampledBatchView); owned memory is spent
-//! only where a batch must outlive the arena (`to_owned`, e.g. at the
-//! loader's reorder-channel boundary).
+//! [`SampledBatchView`](crate::SampledBatchView). A batch that must outlive
+//! the next `sample_into` call leaves in its arena: a loader worker samples
+//! into an arena of the rank's [`InputRing`](crate::InputRing) and sends it,
+//! batch and all, to the consumer, which hands it back.
 //!
 //! The dedup table is *epoch-stamped*: membership of node `v` is
 //! `stamp[v] == generation`, so clearing between dedup sessions is a single
@@ -20,7 +21,7 @@
 //! Growth is tracked by the same two counters the tensor workspace exposes:
 //! an acquisition that must grow a buffer's capacity counts as an alloc,
 //! one served from existing capacity counts as a reuse. The loader's
-//! recycle test pins allocs to the first batch only.
+//! recycle test pins allocs to each arena's first batch only.
 
 use std::ops::Range;
 
@@ -68,8 +69,9 @@ pub struct SamplerScratch {
     /// Batch-local copy of `inv_sqrt_degrees` (GCN counting assembly).
     factors: Vec<f32>,
     /// Batch-CSR arena: the storage every assembled batch *view* points
-    /// into. One batch lives in it at a time; `to_owned` materializes
-    /// whatever must outlive the next `sample_into` call.
+    /// into. One batch lives in it at a time; a loader worker lends it an
+    /// arena of its ring before each call and takes it back, batch inside,
+    /// to send.
     pub(crate) arena: BatchArena,
     allocs: u64,
 }
@@ -122,11 +124,13 @@ pub(crate) struct BatchArena {
     pub(crate) n_seeds: usize,
     /// Normalization fused into `values`.
     pub(crate) norm: Normalization,
+    /// The resident batch is one induced subgraph (ShaDow), not blocks.
+    pub(crate) subgraph: bool,
 }
 
 impl BatchArena {
-    /// Clears the arena for a fresh batch, retaining every capacity.
-    pub(crate) fn begin(&mut self, n_seeds: usize, norm: Normalization) {
+    /// Clears the arena for a fresh batch of either shape, keeping capacity.
+    pub(crate) fn begin(&mut self, n_seeds: usize, norm: Normalization, subgraph: bool) {
         self.nodes.clear();
         self.indptr.clear();
         self.indices.clear();
@@ -134,6 +138,7 @@ impl BatchArena {
         self.layers.clear();
         self.n_seeds = n_seeds;
         self.norm = norm;
+        self.subgraph = subgraph;
     }
 
     /// Sum of buffer capacities — compared across a batch to charge arena

@@ -119,13 +119,13 @@ impl Sampler for ShadowSampler {
         } = run;
         let caps_before = scratch.arena.caps();
         let mut arena = std::mem::take(&mut scratch.arena);
-        arena.begin(seeds.len(), norm);
+        arena.begin(seeds.len(), norm, true);
         self.discover_into(graph, seeds, stream, scratch, &mut arena.nodes);
         arena_induced(graph, &mut arena, scratch, norm);
         scratch.note_growth(arena.caps() > caps_before);
         scratch.arena = arena;
         let scratch_ref: &'a SamplerScratch = scratch;
-        SampledBatchView::subgraph(&scratch_ref.arena)
+        scratch_ref.arena.view()
     }
 
     fn name(&self) -> &'static str {

@@ -3,15 +3,14 @@
 //! [`Sampler::sample_into`](crate::Sampler::sample_into) assembles a batch
 //! directly inside [`SamplerScratch`](crate::SamplerScratch)'s batch arena
 //! and returns a [`SampledBatchView`] — slices into that arena plus
-//! [`SparseView`] adjacencies. Consumers on the
-//! same thread (the serving session, the loader's prologue, inference
-//! forward passes) aggregate straight out of the arena with zero copies, and
-//! the prologue transposes a training batch's layers out of it
-//! ([`Cascade::transpose_layers`](crate::cascade::Cascade::transpose_layers)).
-//! The one ownership boundary left is the loader's reorder-heap channel: a
-//! batch that crosses it is copied into a [`SampledBatch`] by
-//! [`SampledBatchView::to_owned`] (pinned bitwise against the test oracle in
-//! `tests/oracle/mod.rs`).
+//! [`SparseView`] adjacencies. Every consumer runs the batch through this
+//! view, with no copy: serving, evaluation and the loader's prologue
+//! aggregate and transpose straight out of the arena, and the training step
+//! reads the arena a loader worker sent ([`LoadedBatch::view`](crate::LoadedBatch::view)).
+//! [`SampledBatchView::to_owned`] makes the owned [`SampledBatch`] that the
+//! call-table adapter `Gnn::train_step_gathered`,
+//! [`Sampler::sample`](crate::Sampler::sample) and the tests take (pinned
+//! bitwise against the test oracle in `tests/oracle/mod.rs`).
 
 use argo_graph::NodeId;
 use argo_tensor::SparseView;
@@ -189,17 +188,18 @@ pub enum SampledBatchView<'a> {
     Subgraph(SubgraphView<'a>),
 }
 
+impl BatchArena {
+    /// The resident batch, in the shape it was assembled in.
+    pub(crate) fn view(&self) -> SampledBatchView<'_> {
+        if self.subgraph {
+            SampledBatchView::Subgraph(SubgraphView { arena: self })
+        } else {
+            SampledBatchView::Blocks(MiniBatchView { arena: self })
+        }
+    }
+}
+
 impl<'a> SampledBatchView<'a> {
-    /// Wraps the arena's resident layered batch.
-    pub(crate) fn blocks(arena: &'a BatchArena) -> Self {
-        SampledBatchView::Blocks(MiniBatchView { arena })
-    }
-
-    /// Wraps the arena's resident subgraph batch.
-    pub(crate) fn subgraph(arena: &'a BatchArena) -> Self {
-        SampledBatchView::Subgraph(SubgraphView { arena })
-    }
-
     fn arena(&self) -> &'a BatchArena {
         match self {
             SampledBatchView::Blocks(mb) => mb.arena,
@@ -256,8 +256,9 @@ impl<'a> SampledBatchView<'a> {
         self.arena().metadata_bytes()
     }
 
-    /// Materializes an owned [`SampledBatch`] — the copy made at the
-    /// loader's reorder-heap handoff and for training.
+    /// Materializes an owned [`SampledBatch`], for callers that hold a batch
+    /// past its arena's next use: `Gnn::train_step_gathered`'s callers,
+    /// [`Sampler::sample`](crate::Sampler::sample) and tests.
     pub fn to_owned(&self) -> SampledBatch {
         match self {
             SampledBatchView::Blocks(mb) => SampledBatch::Blocks(mb.to_owned()),

@@ -106,7 +106,9 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.inner.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last sender: wake receivers blocked on an empty queue.
+                // Last sender: wake receivers blocked on an empty queue (after
+                // the lock, so no receiver between its check and its wait).
+                drop(self.inner.queue.lock());
                 self.inner.not_empty.notify_all();
             }
         }
@@ -124,7 +126,9 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.inner.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last receiver: wake senders blocked on a full queue.
+                // Last receiver: wake senders blocked on a full queue (after
+                // the lock, so no sender between its check and its wait).
+                drop(self.inner.queue.lock());
                 self.inner.not_full.notify_all();
             }
         }

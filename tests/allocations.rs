@@ -8,18 +8,25 @@
 //! prologue or dispatch kernel allocates nothing. Kernels run with
 //! `pool = None`; a pool's workers allocate on their own threads.
 //!
+//! The loader's workers allocate on their own threads too, so its pin reads
+//! a second, process-wide count, and runs alone: it holds [`EXCLUSIVE`] for
+//! writing, every other pin for reading.
+//!
 //! Run it alone with `cargo test -q --test allocations` (and with
 //! `ARGO_SIMD=off` for the scalar tier).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use argo::graph::datasets::{Dataset, FLICKR};
+use argo::graph::{generators::power_law, Features};
 use argo::nn::{Arch, Gnn};
 use argo::rt::{SeedSequence, WorkerRing};
 use argo::sample::{
-    InputRing, NeighborSampler, PreparedInput, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+    InputRing, LoaderSpec, NeighborSampler, Normalization, PipelinedLoader, PreparedInput,
+    SampleRun, Sampler, SamplerScratch, ShadowSampler,
 };
 use argo::tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 use argo_serve::clock::ManualClock;
@@ -37,8 +44,21 @@ thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Every thread's allocations so far.
+static ALL: AtomicUsize = AtomicUsize::new(0);
+
 fn count() {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    ALL.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Held for reading by every pin that counts its own thread, and for
+/// writing by the one that counts the whole process, which so runs alone.
+static EXCLUSIVE: RwLock<()> = RwLock::new(());
+
+/// A pin of this thread's allocations: it may run beside the others.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    EXCLUSIVE.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -109,6 +129,7 @@ fn run<'a>(arch: Arch, scratch: &'a mut SamplerScratch) -> SampleRun<'a> {
 /// the operand buffers and the cascade a call retired.
 #[test]
 fn warm_sampling_and_prologue_allocate_nothing() {
+    let _shared = shared();
     let d = dataset();
     let seeds = seeds(&d);
     let (ring, spans) = (InputRing::new(), WorkerRing::detached());
@@ -140,18 +161,21 @@ fn warm_sampling_and_prologue_allocate_nothing() {
 }
 
 /// A warm step over a batch it has not seen: the warm-up step runs over one
-/// copy of the batch and the counted step over another, as each step of an
-/// epoch receives a batch of its own from the loader. The step starts from
+/// copy of the batch and the counted step over another — for the prepared
+/// step, the same batch sampled into a second scratch's arena — as each step
+/// of an epoch receives a batch of its own from the loader. The step starts from
 /// what the loader prepared, as the engine's does, or from the gathered
 /// rows: `train_step_gathered` and `forward_gathered_view` build the
 /// cascade and layer 0's operands in the model's own ring, so a warm call
 /// through them allocates nothing either.
 #[test]
 fn warm_training_step_allocates_nothing() {
+    let _shared = shared();
     let d = dataset();
     for (arch, sampler, depth) in tasks() {
-        let mut scratch = SamplerScratch::new();
+        let (mut scratch, mut other) = (SamplerScratch::new(), SamplerScratch::new());
         let view = sampler.sample_into(&d.graph, &seeds(&d), run(arch, &mut scratch));
+        let other = sampler.sample_into(&d.graph, &seeds(&d), run(arch, &mut other));
         let (ring, spans) = (InputRing::new(), WorkerRing::detached());
         let input =
             PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0);
@@ -170,10 +194,9 @@ fn warm_training_step_allocates_nothing() {
             );
             let mut m = Gnn::new(arch, d.feat_dim(), 128, d.num_classes, depth, 3);
             m = m.with_dispatch(policy);
-            m.train_step_prepared(&batch.clone(), &input, &d.labels, None);
-            let next = batch.clone();
+            m.train_step_prepared(&view, &input, &d.labels, None);
             let step = allocs_in(|| {
-                m.train_step_prepared(&next, &input, &d.labels, None);
+                m.train_step_prepared(&other, &input, &d.labels, None);
             });
             assert_eq!(step, 0, "{who}: train_step_prepared");
             m.train_step_gathered(&batch.clone(), &rows, &d.labels, None);
@@ -196,6 +219,7 @@ fn warm_training_step_allocates_nothing() {
 /// nothing, and a larger shape allocates on its first call only.
 #[test]
 fn dispatch_kernels_grow_once_then_allocate_nothing() {
+    let _shared = shared();
     std::thread::spawn(|| {
         for policy in [
             DispatchPolicy::default(),
@@ -280,6 +304,7 @@ const SERVE_QUERY_ALLOCS: usize = 4;
 
 #[test]
 fn warm_serve_query_allocates_only_its_response() {
+    let _shared = shared();
     let d = Arc::new(dataset());
     for (arch, sampler, depth) in tasks() {
         let sampler: Arc<dyn Sampler> = Arc::from(sampler);
@@ -304,8 +329,66 @@ fn warm_serve_query_allocates_only_its_response() {
 /// each, and freeing counts nothing.
 #[test]
 fn the_counter_counts_allocations_and_reallocations() {
+    let _shared = shared();
     let mut v: Vec<u64> = Vec::with_capacity(1);
     assert_eq!(allocs_in(|| v.reserve(100)), 1);
     assert_eq!(allocs_in(|| drop(std::hint::black_box(vec![7u8; 64]))), 1);
     assert_eq!(allocs_in(|| drop(v)), 0);
+}
+
+/// Two warm loader epochs on one `InputRing`, of `N` and of `2N` batches,
+/// make the same allocations, counted over every thread (the workers
+/// allocate on theirs): each epoch's threads and channels, and nothing per
+/// batch. A worker samples into an arena the consumer handed back, runs the
+/// prologue into the ring's operand buffers and cascade, and sends the
+/// arena; no batch is copied out of it. Every batch is the same 16 seeds
+/// with every neighbour taken, so one epoch warms every arena and buffer;
+/// each count is the least of three epochs, so neither a set made late (the
+/// ring holds at most `2·n_samp + 1`) nor the harness's bookkeeping for a
+/// test that just ended reaches the comparison.
+#[test]
+fn warm_loader_epochs_allocate_per_epoch_not_per_batch() {
+    let _alone = EXCLUSIVE.write().unwrap_or_else(PoisonError::into_inner);
+    argo::rt::watchdog(60, || {
+        let g = Arc::new(power_law(500, 5000, 0.8, 1));
+        let all = g.max_degree();
+        let sampler: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![all, all]));
+        let feats = Arc::new(Features::new(
+            (0..500 * 8).map(|x| x as f32 * 0.01).collect(),
+            8,
+        ));
+        let ring = InputRing::new();
+        let spec = |batches: usize| {
+            let seeds = Arc::new((0..batches).flat_map(|_| 0..16).collect::<Vec<u32>>());
+            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&sampler), seeds)
+                .batch_size(16)
+                .epoch_seeds(SeedSequence::new(3))
+                .normalization(Normalization::Mean)
+                .features(Arc::clone(&feats))
+                .build()
+        };
+        let epoch = |spec| {
+            let before = ALL.load(Ordering::SeqCst);
+            for (_, batch) in PipelinedLoader::start_recycling(spec, ring.clone()) {
+                batch.recycle(&ring);
+            }
+            ALL.load(Ordering::SeqCst) - before
+        };
+        const N: usize = 6;
+        for _ in 0..2 {
+            epoch(spec(2 * N));
+        }
+        let (mut short, mut long) = (usize::MAX, usize::MAX);
+        for _ in 0..3 {
+            let (n, two_n) = (spec(N), spec(2 * N));
+            short = short.min(epoch(n));
+            long = long.min(epoch(two_n));
+        }
+        assert_eq!(
+            long,
+            short,
+            "{N} more batches allocated {} more times",
+            long as i64 - short as i64
+        );
+    });
 }

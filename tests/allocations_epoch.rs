@@ -7,23 +7,23 @@
 //! count. The epoch's total is measured; its named sources are measured one
 //! by one, in isolation, at the epoch's own sizes:
 //!
-//! * `to_owned`: each batch's copy out of the sampler's arena, made for the
-//!   loader's channel;
 //! * thread spawns: each rank's scoped thread and its loader's named
 //!   sampler threads, spawned and joined;
 //! * kernel buffers: the per-thread pack and transposed-weight buffers
 //!   each fresh rank thread grows in its first step;
 //! * `params` and `opt` clones: each rank's copy of the master parameters
 //!   and optimizer state;
-//! * the channel: the loader's bounded channel, made and used once per
-//!   batch;
+//! * the channels: the loader's bounded channels, one per worker, made
+//!   once per epoch and used once per batch;
 //! * four kinds of storage a rank keeps across epochs, which grow for a
 //!   batch larger than any they carried — each counted over a second pass
 //!   of batches after a first one warmed it, as a warm epoch follows
 //!   another ([`growth`]):
-//!   * the sampler scratch: each loader worker's `SamplerScratch`, parked in
-//!     the rank's `InputRing` when the worker exits and taken by the next
-//!     epoch's worker;
+//!   * the sampler scratch and the batch arenas: each loader worker's
+//!     `SamplerScratch`, parked in the rank's `InputRing` when the worker
+//!     exits and taken by the next epoch's worker, and the arenas the
+//!     workers sample into, which cross the channels and come back to the
+//!     ring (`2·n_samp + 1` in flight per rank);
 //!   * the carried cascades: the needed-row cascade and the per-layer
 //!     transposes a loader worker builds into the storage its ring recycles
 //!     (`2·n_samp + 1` sets in flight per rank);
@@ -114,8 +114,8 @@ fn warm_epoch_allocations_per_batch_by_source() {
             ),
         ];
         println!(
-            "warm epoch allocations per batch: total = to_owned + spawns + kernel buffers + \
-             params/opt + channel + scratch + cascades + operands + step + rest"
+            "warm epoch allocations per batch: total = spawns + kernel buffers + params/opt + \
+             channels + scratch + cascades + operands + step + rest"
         );
         for (name, kind, sampler) in tasks {
             for config in [Config::new(1, 1, 1), Config::new(2, 1, 1)] {
@@ -152,11 +152,11 @@ fn warm_epoch_allocations_per_batch_by_source() {
 }
 
 /// The named sources' allocations in one epoch of `e` under `config`
-/// (`batches` of them over all ranks): `to_owned`, thread spawns, the fresh
-/// rank threads' kernel buffers, `params`/`opt` clones, the channel, and
-/// the growth of the sampler scratch, the carried cascades, the ring's
-/// operand buffers and the step.
-fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
+/// (`batches` of them over all ranks): thread spawns, the fresh rank
+/// threads' kernel buffers, `params`/`opt` clones, the channels, and the
+/// growth of the sampler scratch and arenas, the carried cascades, the
+/// ring's operand buffers and the step.
+fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 8] {
     let (d, sampler, opts) = (e.dataset(), e.sampler(), e.options());
     let (n_proc, n_samp) = (config.n_proc, config.n_samp);
     let local = (opts.global_batch / n_proc).max(1);
@@ -165,7 +165,6 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
     let run =
         SampleRun::new(SeedSequence::new(1), &mut scratch).with_norm(opts.kind.normalization());
     let view = sampler.sample_into(&d.graph, &seeds, run);
-    let to_owned = allocs_in(|| view.to_owned()).0 * batches;
 
     let spawns = allocs_in(|| {
         std::thread::scope(|s| {
@@ -182,15 +181,14 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
     .0;
 
     // A warm model's step, on a warm thread and then on a fresh one.
-    let batch = view.to_owned();
     let (ring, spans) = (InputRing::new(), WorkerRing::detached());
     let depth = opts.num_layers;
     let input = PreparedInput::prepare_for_training(&view, &d.features, depth, &ring, &spans, 0);
     let mut m: Gnn = e.model();
-    m.train_step_prepared(&batch, &input, &d.labels, None);
+    m.train_step_prepared(&view, &input, &d.labels, None);
     let kernel_buffers = n_proc
         * std::thread::scope(|s| {
-            s.spawn(|| allocs_in(|| m.train_step_prepared(&batch, &input, &d.labels, None)).0)
+            s.spawn(|| allocs_in(|| m.train_step_prepared(&view, &input, &d.labels, None)).0)
                 .join()
                 .unwrap()
         });
@@ -198,10 +196,13 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
     let opt = AnyOptimizer::build(opts.optimizer, e.params().len(), opts.lr);
     let clones = n_proc * allocs_in(|| (e.params().to_vec(), opt.clone())).0;
 
-    let channel = n_proc
+    let channels = n_proc
         * allocs_in(|| {
-            let (tx, rx) = crossbeam::channel::bounded::<usize>(n_samp);
+            let channels: Vec<_> = (0..n_samp)
+                .map(|_| crossbeam::channel::bounded::<usize>(1))
+                .collect();
             for i in 0..batches / n_proc {
+                let (tx, rx) = &channels[i % n_samp];
                 tx.send(i).unwrap();
                 rx.recv().unwrap();
             }
@@ -210,11 +211,10 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
     let [scratch, cascades, operands, step] =
         growth(e, config, batches / n_proc).map(|n| n_proc * n);
     [
-        to_owned,
         spawns,
         kernel_buffers,
         clones,
-        channel,
+        channels,
         scratch,
         cascades,
         operands,
@@ -227,8 +227,10 @@ fn sources(e: &Engine, config: Config, batches: usize) -> [usize; 9] {
 /// batches runs on cold storage; a second, over batches drawn from other
 /// streams, runs warm.
 ///
-/// * Scratch: `n_samp` `SamplerScratch` arenas, one per loader worker,
-///   take the batches in turn.
+/// * Scratch: `2·n_samp + 1` `SamplerScratch`es, as many as the batch
+///   arenas the rank's ring holds in flight, take the batches in turn — a
+///   batch arena is reachable only inside a scratch, so each stands for one
+///   arena and, warm, for a worker's scratch too.
 /// * Cascades: `2·n_samp + 1` of them, as many as the rank's ring holds in
 ///   flight, take the batches in turn and build each one's cascade and
 ///   transposes, as `PreparedInput::prepare_for_training` does.
@@ -249,14 +251,14 @@ fn growth(e: &Engine, config: Config, per_rank: usize) -> [usize; 4] {
     let (step_ring, spans) = (InputRing::new(), WorkerRing::detached());
     let mut model: Gnn = e.model();
     let mut scratches: Vec<SamplerScratch> =
-        (0..config.n_samp).map(|_| SamplerScratch::new()).collect();
+        (0..in_flight).map(|_| SamplerScratch::new()).collect();
     let mut counted = [0; 4];
     for pass in 0..2u64 {
         for i in 0..per_rank {
             let lo = (i * local) % d.train_nodes.len();
             let seeds = &d.train_nodes[lo..(lo + local).min(d.train_nodes.len())];
             let stream = SeedSequence::new(pass << 32 | i as u64);
-            let scratch = &mut scratches[i % config.n_samp];
+            let scratch = &mut scratches[i % in_flight];
             let run = SampleRun::new(stream, scratch).with_norm(opts.kind.normalization());
             let (in_scratch, view) = allocs_in(|| sampler.sample_into(&d.graph, seeds, run));
 
@@ -289,9 +291,8 @@ fn growth(e: &Engine, config: Config, per_rank: usize) -> [usize; 4] {
                 &spans,
                 0,
             );
-            let batch = view.to_owned();
             let (in_step, _) =
-                allocs_in(|| model.train_step_prepared(&batch, &input, &d.labels, None));
+                allocs_in(|| model.train_step_prepared(&view, &input, &d.labels, None));
             input.recycle(&step_ring);
 
             if pass == 1 {

@@ -313,7 +313,7 @@ proptest! {
                 .epoch_seeds(SeedSequence::new(seed))
                 .n_samp(n_samp)
                 .start()
-                .map(|(_, b)| b.batch.input_nodes().to_vec())
+                .map(|(_, b)| b.view().input_nodes().to_vec())
                 .collect()
         };
         prop_assert_eq!(collect(1), collect(workers));
