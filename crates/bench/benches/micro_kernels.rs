@@ -48,20 +48,34 @@ use argo_tensor::{reference, DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// [`time_min`] of each closure, run round-robin: every round times each
-/// variant once. The quick-mode gates compare the variants of one row, and
-/// on a shared host a burst of noise then costs each variant one sample
-/// instead of costing one variant all of them.
+/// Every timed round of each closure, run round-robin: every round times
+/// each variant once, after one warmup round. The quick-mode gates compare
+/// the variants of one row, and on a shared host a burst of noise then
+/// costs each variant one sample instead of costing one variant all of
+/// them.
+fn time_rounds<const N: usize>(samples: usize, fs: &mut [&mut dyn FnMut(); N]) -> Vec<[f64; N]> {
+    let mut rounds = Vec::with_capacity(samples);
+    for round in 0..=samples {
+        let mut times = [0.0; N];
+        for (f, t) in fs.iter_mut().zip(&mut times) {
+            let t0 = Instant::now();
+            f();
+            *t = t0.elapsed().as_secs_f64();
+        }
+        // Round 0 is the warmup.
+        if round > 0 {
+            rounds.push(times);
+        }
+    }
+    rounds
+}
+
+/// [`time_min`] of each closure, over [`time_rounds`].
 fn time_min_each<const N: usize>(samples: usize, fs: &mut [&mut dyn FnMut(); N]) -> [f64; N] {
     let mut best = [f64::INFINITY; N];
-    for round in 0..=samples {
-        for (f, best) in fs.iter_mut().zip(&mut best) {
-            let t = Instant::now();
-            f();
-            // Round 0 is the warmup.
-            if round > 0 {
-                *best = best.min(t.elapsed().as_secs_f64());
-            }
+    for times in time_rounds(samples, fs) {
+        for (best, t) in best.iter_mut().zip(times) {
+            *best = best.min(t);
         }
     }
     best
@@ -88,32 +102,74 @@ const GATHER_SIMD_FLOOR: f64 = 0.95;
 /// a tripled `serial` minimum to cross the ceiling.
 const FMA_SERIAL_CEILING: f64 = 20.0;
 
-/// [`time_min_each`] for a gated row: variant `i` must reach `floors[i]`
-/// times the speed of variant `i - 1`. Noise only ever adds time, so a
-/// reading under a floor is either a slower kernel or a disturbed sample. A
-/// sub-floor row is therefore timed once more, with four times the
-/// interleaved samples, both readings are printed, and the gate judges the
-/// per-variant minimum of the two: a real regression is still under its floor
-/// there, a disturbed sample is not.
+/// What [`time_gated`] measured for a row's variants.
+struct Gated<const N: usize> {
+    /// Each variant's minimum seconds: the table's columns.
+    min: [f64; N],
+    /// The median over the interleaved rounds of variant `i - 1`'s seconds
+    /// over variant `i`'s (`ratio[0]` is 1): what the gates judge.
+    ratio: [f64; N],
+}
+
+/// [`time_rounds`] for a gated row: variant `i` must reach `floors[i]`
+/// times the speed of variant `i - 1`. The verdict is the median of the
+/// per-round ratios: both variants of a round share the host's state, so a
+/// slow phase of the host moves each round's two times together, and a
+/// single disturbed sample moves one ratio of `samples`. A sub-floor row is
+/// timed once more, with four times the rounds, both readings are printed,
+/// and the gate judges the median over the rounds of both: a real
+/// regression is still under its floor there, a disturbed reading is not.
 fn time_gated<const N: usize>(
     name: &str,
     samples: usize,
     mut fs: [&mut dyn FnMut(); N],
     floors: [Option<f64>; N],
-) -> [f64; N] {
-    let under = |t: &[f64; N]| (1..N).any(|i| floors[i].is_some_and(|f| t[i - 1] / t[i] < f));
-    let first = time_min_each(samples, &mut fs);
+) -> Gated<N> {
+    let gated = |rounds: &[[f64; N]]| -> Gated<N> {
+        let mut min = [f64::INFINITY; N];
+        for times in rounds {
+            for (min, &t) in min.iter_mut().zip(times) {
+                *min = min.min(t);
+            }
+        }
+        let ratio = std::array::from_fn(|i| {
+            if i == 0 {
+                return 1.0;
+            }
+            let mut r: Vec<f64> = rounds.iter().map(|t| t[i - 1] / t[i]).collect();
+            r.sort_by(f64::total_cmp);
+            let mid = r.len() / 2;
+            if r.len().is_multiple_of(2) {
+                (r[mid - 1] + r[mid]) / 2.0
+            } else {
+                r[mid]
+            }
+        });
+        Gated { min, ratio }
+    };
+    let under = |g: &Gated<N>| (1..N).any(|i| floors[i].is_some_and(|f| g.ratio[i] < f));
+    let mut rounds = time_rounds(samples, &mut fs);
+    let first = gated(&rounds);
     if !under(&first) {
         return first;
     }
-    let second = time_min_each(4 * samples, &mut fs);
-    let ms = |t: &[f64; N]| t.map(|s| format!("{:.3}", s * 1e3)).join(" / ");
+    let second_rounds = time_rounds(4 * samples, &mut fs);
+    let second = gated(&second_rounds);
+    let show = |g: &Gated<N>| {
+        let ms = g.min.map(|s| format!("{:.3}", s * 1e3)).join(" / ");
+        let x = g.ratio[1..]
+            .iter()
+            .map(|r| format!("{r:.2}x"))
+            .collect::<Vec<_>>();
+        format!("{ms} ms (median ratios {})", x.join(" / "))
+    };
     eprintln!(
-        "re-timed {name}: first reading {} ms was under a gate floor, second reading {} ms",
-        ms(&first),
-        ms(&second)
+        "re-timed {name}: first reading {} was under a gate floor, second reading {}",
+        show(&first),
+        show(&second)
     );
-    std::array::from_fn(|i| first[i].min(second[i]))
+    rounds.extend(second_rounds);
+    gated(&rounds)
 }
 
 /// Minimum wall-clock seconds across `samples` runs (after one warmup).
@@ -147,6 +203,10 @@ struct KernelRow {
     simd_s: Option<f64>,
     /// `None` when the dispatch constants keep this shape off the pool.
     pool_s: Option<f64>,
+    /// [`Gated::ratio`] of the scalar column over serial, and of the SIMD
+    /// column over the tier directly below it: what the floors judge.
+    scalar_x: Option<f64>,
+    simd_x: Option<f64>,
     /// Quick-mode perf-gate floor for scalar-vs-serial speedup, when
     /// gated: 1.0 for the fused SAGE GEMM, 0.95 for the CSC transpose,
     /// which is parity-by-design on one core (its win is parallelizability)
@@ -162,12 +222,6 @@ struct KernelRow {
 }
 
 impl KernelRow {
-    /// The tier the SIMD column is gated against: the scalar column when
-    /// the row has one, naive serial otherwise.
-    fn simd_baseline_s(&self) -> f64 {
-        self.scalar_s.unwrap_or(self.serial_s)
-    }
-
     fn to_json(&self) -> Json {
         let gflops = |s: f64| self.flops / s / 1e9;
         let mut fields = vec![
@@ -191,6 +245,12 @@ impl KernelRow {
             fields.push(("simd_ms", Json::Num(s * 1e3)));
             fields.push(("simd_gflops", Json::Num(gflops(s))));
             fields.push(("speedup_simd", Json::Num(self.serial_s / s)));
+        }
+        if let Some(x) = self.scalar_x {
+            fields.push(("median_round_scalar_x", Json::Num(x)));
+        }
+        if let Some(x) = self.simd_x {
+            fields.push(("median_round_simd_x", Json::Num(x)));
         }
         Json::obj(fields.iter().map(|(k, v)| (*k, v.clone())).collect())
     }
@@ -257,7 +317,10 @@ fn main() {
     ] {
         let a = Matrix::xavier(m, k, 1);
         let b = Matrix::xavier(k, n, 2);
-        let [serial, simd] = time_gated(
+        let Gated {
+            min: [serial, simd],
+            ratio: [_, simd_x],
+        } = time_gated(
             "gemm",
             samples,
             [
@@ -273,7 +336,9 @@ fn main() {
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
             scalar_s: None,
+            scalar_x: None,
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min,
@@ -291,7 +356,10 @@ fn main() {
     ] {
         let x = Matrix::xavier(m, k, 3);
         let g = Matrix::xavier(m, n, 4);
-        let [serial, simd] = time_gated(
+        let Gated {
+            min: [serial, simd],
+            ratio: [_, simd_x],
+        } = time_gated(
             "grad_weights",
             samples,
             [
@@ -308,7 +376,9 @@ fn main() {
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
             scalar_s: None,
+            scalar_x: None,
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(1.0),
@@ -323,7 +393,10 @@ fn main() {
         let g = Matrix::xavier(m, n, 5);
         let w = Matrix::xavier(k, n, 6);
         let wt = w.transpose();
-        let [serial, simd] = time_gated(
+        let Gated {
+            min: [serial, simd],
+            ratio: [_, simd_x],
+        } = time_gated(
             "grad_input",
             samples,
             [
@@ -340,7 +413,9 @@ fn main() {
             flops: 2.0 * (m * k * n) as f64,
             serial_s: serial,
             scalar_s: None,
+            scalar_x: None,
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(1.0),
@@ -361,7 +436,10 @@ fn main() {
         // buffer made once, as a training step's do: a fresh 1 MB output per
         // call adds what the allocator's state at that moment makes it cost.
         let (mut out_scalar, mut out_simd) = (Matrix::zeros(4096, 64), Matrix::zeros(4096, 64));
-        let [serial, simd] = time_gated(
+        let Gated {
+            min: [serial, simd],
+            ratio: [_, simd_x],
+        } = time_gated(
             "spmm",
             samples,
             [
@@ -377,7 +455,9 @@ fn main() {
             flops: 2.0 * (adj.nnz() * 64) as f64,
             serial_s: serial,
             scalar_s: None,
+            scalar_x: None,
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(GATHER_SIMD_FLOOR),
@@ -393,7 +473,10 @@ fn main() {
         let mut adj_t = SparseMatrix::default();
         adj.transpose_into(&mut adj_t);
         let (mut out_scalar, mut out_simd) = (Matrix::zeros(4096, 64), Matrix::zeros(4096, 64));
-        let [serial, csc, simd] = time_gated(
+        let Gated {
+            min: [serial, csc, simd],
+            ratio: [_, scalar_x, simd_x],
+        } = time_gated(
             "spmm_transpose",
             samples,
             [
@@ -410,7 +493,9 @@ fn main() {
             flops: 2.0 * (adj.nnz() * 64) as f64,
             serial_s: serial,
             scalar_s: Some(csc),
+            scalar_x: Some(scalar_x),
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: Some(0.95),
             simd_gate_min: Some(GATHER_SIMD_FLOOR),
@@ -475,7 +560,10 @@ fn main() {
         let bias = vec![0.01f32; o];
         let ids: Vec<u32> = (0..n_dst as u32).collect();
         let epi = Epilogue::bias_relu(&bias);
-        let [serial, scalar_s, simd] = time_gated(
+        let Gated {
+            min: [serial, scalar_s, simd],
+            ratio: [_, scalar_x, simd_x],
+        } = time_gated(
             "sage_fused_gemm",
             samples,
             [
@@ -511,7 +599,9 @@ fn main() {
             flops: 2.0 * (n_dst * 2 * f * o) as f64,
             serial_s: serial,
             scalar_s: Some(scalar_s),
+            scalar_x: Some(scalar_x),
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: gate_min,
             simd_gate_min: Some(1.0),
@@ -529,7 +619,10 @@ fn main() {
         let g = Matrix::xavier(n_dst, o, 14);
         let ids: Vec<u32> = (0..n_dst as u32).collect();
         let mut dw_simd = Matrix::zeros(2 * f, o);
-        let [serial, simd] = time_gated(
+        let Gated {
+            min: [serial, simd],
+            ratio: [_, simd_x],
+        } = time_gated(
             "sage_grad_weights",
             samples,
             [
@@ -553,7 +646,9 @@ fn main() {
             flops: 2.0 * (n_dst * 2 * f * o) as f64,
             serial_s: serial,
             scalar_s: None,
+            scalar_x: None,
             simd_s: Some(simd),
+            simd_x: Some(simd_x),
             pool_s: pooled,
             scalar_gate_min: None,
             simd_gate_min: Some(1.0),
@@ -710,23 +805,21 @@ fn main() {
     if quick {
         let mut failed = false;
         for r in &rows {
-            if let (Some(floor), Some(c)) = (r.scalar_gate_min, r.scalar_s) {
-                let speedup = r.serial_s / c;
+            if let (Some(floor), Some(speedup)) = (r.scalar_gate_min, r.scalar_x) {
                 if speedup < floor {
                     eprintln!(
                         "PERF GATE: {} @ {} scalar is slower than serial \
-                         ({speedup:.2}x < required {floor:.2}x)",
+                         (median round {speedup:.2}x < required {floor:.2}x)",
                         r.name, r.shape
                     );
                     failed = true;
                 }
             }
-            if let (Some(floor), Some(s)) = (r.simd_gate_min, r.simd_s) {
-                let vs_below = r.simd_baseline_s() / s;
+            if let (Some(floor), Some(vs_below)) = (r.simd_gate_min, r.simd_x) {
                 if vs_below < floor {
                     eprintln!(
                         "PERF GATE: {} @ {} simd is slower than the tier below \
-                         ({vs_below:.2}x < required {floor:.2}x)",
+                         (median round {vs_below:.2}x < required {floor:.2}x)",
                         r.name, r.shape
                     );
                     failed = true;

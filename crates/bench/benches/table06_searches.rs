@@ -48,16 +48,14 @@ fn main() {
             spent_in_tuner += s.elapsed().as_secs_f64();
         }
         let wall = t0.elapsed().as_secs_f64();
-        // Memory: GP stores O(n²) kernel + O(space) flags; count bytes.
-        let n = budget;
-        let approx_bytes = n * n * 8 * 2 + space.len() * (8 * 3 + 1) + n * (8 * 4);
+        let bytes = bo.surrogate().retained_bytes();
         println!(
-            "{:<24} {} searches: tuner time {:.3}s (wall {:.3}s), approx extra memory {:.2} MB",
+            "{:<24} {} searches: tuner time {:.3}s (wall {:.3}s), surrogate holds {:.3} MB",
             platform_tag(&platform),
             budget,
             spent_in_tuner,
             wall,
-            approx_bytes as f64 / 1e6
+            bytes as f64 / 1e6
         );
     }
     println!(

@@ -26,9 +26,11 @@ pub struct BayesOpt {
     pending: Option<Config>,
     acquisition: Acquisition,
     /// Incrementally maintained surrogate over (normalized config,
-    /// log epoch time): each observation extends the per-scale Cholesky
-    /// factors in O(n²) instead of refitting in O(n³), with bitwise-
-    /// identical posteriors.
+    /// log epoch time), asked about every space member: each observation
+    /// extends the per-scale Cholesky factors in O(n²) instead of refitting
+    /// in O(n³) and caches one distance row over the space, and each
+    /// suggestion scores the whole space in one blocked pass, with
+    /// posteriors bitwise identical to a from-scratch fit and predict.
     surrogate: IncrementalGp<3>,
 }
 
@@ -39,6 +41,11 @@ impl BayesOpt {
         let mut init_order: Vec<usize> = (0..space.len()).collect();
         init_order.shuffle(&mut rng);
         init_order.truncate(INIT_RANDOM.min(space.len()));
+        let candidates = space
+            .configs()
+            .iter()
+            .map(|&c| space.normalize(c))
+            .collect();
         Self {
             observed_idx: vec![false; space.len()],
             space,
@@ -47,7 +54,7 @@ impl BayesOpt {
             init_order,
             pending: None,
             acquisition: Acquisition::ExpectedImprovement,
-            surrogate: IncrementalGp::new(),
+            surrogate: IncrementalGp::new(candidates),
         }
     }
 
@@ -68,24 +75,28 @@ impl BayesOpt {
         &self.observed
     }
 
+    /// The surrogate over everything observed so far.
+    pub fn surrogate(&self) -> &IncrementalGp<3> {
+        &self.surrogate
+    }
+
     fn argmax_ei(&mut self) -> Config {
         // The surrogate already holds every (normalized config, log epoch
-        // time) pair — `observe` extends it as results arrive, so this is an
-        // O(n²) posterior refresh rather than an O(n³) refit.
-        let gp = self.surrogate.gp();
+        // time) pair — `observe` extends it as results arrive — so this is
+        // one O(n² · |space|) pass over the space rather than an O(n³) refit
+        // and a solve per candidate.
         let best = self
             .surrogate
             .targets()
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min);
+        let posteriors = self.surrogate.posteriors();
         let mut top: Option<(f64, usize)> = None;
-        for i in 0..self.space.len() {
+        for (i, &(mean, std)) in posteriors.iter().enumerate() {
             if self.observed_idx[i] {
                 continue;
             }
-            let q = self.space.normalize(self.space.get(i));
-            let (mean, std) = gp.predict(&q);
             let score = self.acquisition.score(mean, std, best);
             if top.is_none_or(|(t, _)| score > t) {
                 top = Some((score, i));

@@ -222,14 +222,32 @@ impl<const D: usize> GaussianProcess<D> {
     }
 }
 
-/// Incrementally maintained GP state: one growing Cholesky factor per
-/// length-scale candidate, extended by a rank-1 bordering step per
-/// observation. Refitting after the `n`-th observation costs O(n²) per scale
-/// instead of [`GaussianProcess::fit`]'s O(n³) refactorization, and —
-/// because [`Cholesky::extend`] replicates `factor`'s operation order —
-/// [`IncrementalGp::gp`] is **bitwise identical** to a from-scratch fit on
-/// the same observations.
-#[derive(Clone, Debug, Default)]
+/// Candidates per block of [`IncrementalGp::posteriors`]: the candidate
+/// index is the innermost loop, so every step of the substitutions is one
+/// pass over a block row that the compiler vectorizes across candidates.
+const BLOCK: usize = 64;
+
+/// The posterior's inputs at the selected length scale: its index into
+/// [`LENGTH_SCALES`] and the per-scale factors, `α = (K + σ²I)⁻¹ y` and the
+/// target standardization.
+struct Selected {
+    scale: usize,
+    alpha: Vec<f64>,
+    y_mean: f64,
+    y_std: f64,
+}
+
+/// Incrementally maintained GP state over a fixed candidate set: one
+/// growing Cholesky factor per length-scale candidate, extended by a rank-1
+/// bordering step per observation, and one cached row of distances from each
+/// observation to every candidate. Refitting after the `n`-th observation
+/// costs O(n²) per scale instead of [`GaussianProcess::fit`]'s O(n³)
+/// refactorization, and [`IncrementalGp::posteriors`] scores every
+/// candidate in one blocked pass. Because [`Cholesky::extend`] replicates
+/// `factor`'s operation order and every candidate lane repeats
+/// [`GaussianProcess::predict`]'s scalar sequence, each posterior is
+/// **bitwise identical** to `GaussianProcess::fit(&x, &y).predict(&q)`.
+#[derive(Clone, Debug)]
 pub struct IncrementalGp<const D: usize = 3> {
     x: Vec<[f64; D]>,
     y: Vec<f64>,
@@ -238,15 +256,29 @@ pub struct IncrementalGp<const D: usize = 3> {
     /// that same pivot, so the scale stays dead — exactly like `fit`
     /// skipping it).
     chols: [Option<Cholesky>; 4],
+    /// The points the posterior is asked about.
+    candidates: Vec<[f64; D]>,
+    /// `dist(x_i, q_c)`: one row over the candidates per observation.
+    dists: Vec<Box<[f64]>>,
+    /// One block's `k*` rows and the rows its solve runs in, `n` each.
+    kstar: Vec<[f64; BLOCK]>,
+    solve: Vec<[f64; BLOCK]>,
+    /// `(mean, std)` per candidate, from the last [`IncrementalGp::posteriors`].
+    posteriors: Vec<(f64, f64)>,
 }
 
 impl<const D: usize> IncrementalGp<D> {
-    /// An empty model.
-    pub fn new() -> Self {
+    /// An empty model that will be asked about `candidates`.
+    pub fn new(candidates: Vec<[f64; D]>) -> Self {
         Self {
             x: Vec::new(),
             y: Vec::new(),
             chols: std::array::from_fn(|_| Some(Cholesky::empty())),
+            candidates,
+            dists: Vec::new(),
+            kstar: Vec::new(),
+            solve: Vec::new(),
+            posteriors: Vec::new(),
         }
     }
 
@@ -265,8 +297,8 @@ impl<const D: usize> IncrementalGp<D> {
         &self.y
     }
 
-    /// Adds one observation, extending every live per-scale factor by its
-    /// new kernel row.
+    /// Adds one observation: extends every live per-scale factor by its new
+    /// kernel row and caches its distance to every candidate.
     pub fn push(&mut self, x: [f64; D], y: f64) {
         let mut col = Vec::with_capacity(self.x.len());
         for (si, &ls) in LENGTH_SCALES.iter().enumerate() {
@@ -279,41 +311,143 @@ impl<const D: usize> IncrementalGp<D> {
                 }
             }
         }
+        // `predict` measures from the observation to the query.
+        self.dists
+            .push(self.candidates.iter().map(|q| dist(&x, q)).collect());
         self.x.push(x);
         self.y.push(y);
     }
 
-    /// The posterior over everything pushed so far — bitwise identical to
-    /// `GaussianProcess::fit(&x, &y)` on the same data. Needs ≥ 2 points.
-    pub fn gp(&self) -> GaussianProcess<D> {
+    /// The length scale `fit` would select on everything pushed so far, with
+    /// its `α` and the target standardization — `fit`'s own sequence.
+    fn select(&self) -> Selected {
         let n = self.y.len();
         assert!(n >= 2, "GP needs at least two observations");
         let y_mean = self.y.iter().sum::<f64>() / n as f64;
         let y_var = self.y.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n as f64;
         let y_std = y_var.sqrt().max(1e-9);
         let ys: Vec<f64> = self.y.iter().map(|v| (v - y_mean) / y_std).collect();
-        let mut best: Option<(f64, f64, &Cholesky, Vec<f64>)> = None;
-        for (si, &ls) in LENGTH_SCALES.iter().enumerate() {
-            let Some(chol) = &self.chols[si] else {
+        let mut best: Option<(f64, usize, Vec<f64>)> = None;
+        for (si, chol) in self.chols.iter().enumerate() {
+            let Some(chol) = chol else {
                 continue;
             };
             let alpha = chol.solve(&ys);
             let fit_term: f64 = ys.iter().zip(&alpha).map(|(a, b)| a * b).sum();
             let lml = -0.5 * fit_term - 0.5 * chol.log_det();
-            if best.as_ref().is_none_or(|(b, _, _, _)| lml > *b) {
-                best = Some((lml, ls, chol, alpha));
+            if best.as_ref().is_none_or(|(b, _, _)| lml > *b) {
+                best = Some((lml, si, alpha));
             }
         }
-        let (_, length_scale, chol, alpha) = best.expect("at least one length scale factors");
-        GaussianProcess {
-            x: self.x.clone(),
+        let (_, scale, alpha) = best.expect("at least one length scale factors");
+        Selected {
+            scale,
             alpha,
-            chol: chol.clone(),
-            length_scale,
-            noise: NOISE,
             y_mean,
             y_std,
         }
+    }
+
+    /// The posterior `(mean, std)` at every candidate, in candidate order —
+    /// each bitwise identical to `GaussianProcess::fit(&x, &y).predict(q)`
+    /// on everything pushed so far. Needs ≥ 2 points.
+    ///
+    /// Walks the candidates in blocks of 64 with the candidate index
+    /// innermost: the selected scale's kernel values from the cached
+    /// distances, `Cholesky::solve`'s forward and back substitutions, then
+    /// the `k*ᵀα` and `k*ᵀv` dots. Each lane runs `predict`'s exact scalar
+    /// sequence: a separate multiply and subtract, the same divisions, and
+    /// sums over `i` ascending from `-0.0`, as `Iterator::sum` starts.
+    pub fn posteriors(&mut self) -> &[(f64, f64)] {
+        let Selected {
+            scale,
+            alpha,
+            y_mean,
+            y_std,
+        } = self.select();
+        let length_scale = LENGTH_SCALES[scale];
+        let chol = self.chols[scale]
+            .as_ref()
+            .expect("the selected scale factors");
+        let (n, l) = (chol.n, &chol.l);
+        let m = self.candidates.len();
+        let kss = matern52(0.0, length_scale) + NOISE;
+        self.kstar.resize(n, [0.0; BLOCK]);
+        self.solve.resize(n, [0.0; BLOCK]);
+        self.posteriors.clear();
+        for c0 in (0..m).step_by(BLOCK) {
+            let width = BLOCK.min(m - c0);
+            for (row, d) in self.kstar.iter_mut().zip(&self.dists) {
+                for (k, &r) in row.iter_mut().zip(&d[c0..c0 + width]) {
+                    *k = matern52(r, length_scale);
+                }
+                row[width..].fill(0.0);
+            }
+            // Forward: L y = k*.
+            for i in 0..n {
+                let (done, rest) = self.solve.split_at_mut(i);
+                let yi = &mut rest[0];
+                *yi = self.kstar[i];
+                for (k, yk) in done.iter().enumerate() {
+                    let lik = l[i * n + k];
+                    for c in 0..BLOCK {
+                        yi[c] -= lik * yk[c];
+                    }
+                }
+                let lii = l[i * n + i];
+                for v in yi.iter_mut() {
+                    *v /= lii;
+                }
+            }
+            // Backward: Lᵀ v = y.
+            for i in (0..n).rev() {
+                let (head, later) = self.solve.split_at_mut(i + 1);
+                let xi = &mut head[i];
+                for (k, xk) in (i + 1..n).zip(later.iter()) {
+                    let lki = l[k * n + i];
+                    for c in 0..BLOCK {
+                        xi[c] -= lki * xk[c];
+                    }
+                }
+                let lii = l[i * n + i];
+                for v in xi.iter_mut() {
+                    *v /= lii;
+                }
+            }
+            let mut mean = [-0.0f64; BLOCK];
+            let mut kv = [-0.0f64; BLOCK];
+            for ((ks, v), &a) in self.kstar.iter().zip(&self.solve).zip(&alpha) {
+                for c in 0..BLOCK {
+                    mean[c] += ks[c] * a;
+                    kv[c] += ks[c] * v[c];
+                }
+            }
+            for (&mean_std, &kv) in mean.iter().zip(&kv).take(width) {
+                let var = (kss - kv).max(1e-12);
+                self.posteriors
+                    .push((mean_std * y_std + y_mean, var.sqrt() * y_std));
+            }
+        }
+        &self.posteriors
+    }
+
+    /// Bytes of heap capacity the model holds: observations, per-scale
+    /// factors, candidates, cached distances, block scratch and posteriors.
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let chols: usize = self.chols.iter().flatten().map(|c| c.l.capacity()).sum();
+        self.x.capacity() * size_of::<[f64; D]>()
+            + self.y.capacity() * size_of::<f64>()
+            + chols * size_of::<f64>()
+            + self.candidates.capacity() * size_of::<[f64; D]>()
+            + self.dists.capacity() * size_of::<Box<[f64]>>()
+            + self
+                .dists
+                .iter()
+                .map(|d| d.len() * size_of::<f64>())
+                .sum::<usize>()
+            + (self.kstar.capacity() + self.solve.capacity()) * size_of::<[f64; BLOCK]>()
+            + self.posteriors.capacity() * size_of::<(f64, f64)>()
     }
 }
 
@@ -383,35 +517,45 @@ mod tests {
         assert_eq!(c.solve(&[3.0]), vec![3.0]);
     }
 
+    /// Every candidate of both paper spaces, at every `n` from 2 to the
+    /// larger paper budget: each batched posterior is the oracle's, bit for
+    /// bit.
     #[test]
     fn incremental_gp_matches_fit_bitwise() {
-        let xs: Vec<[f64; 3]> = vec![
-            [0.0, 0.0, 0.0],
-            [0.5, 0.2, 0.1],
-            [1.0, 1.0, 1.0],
-            [0.2, 0.8, 0.4],
-            [0.9, 0.1, 0.6],
-            [0.3, 0.3, 0.9],
-        ];
-        let ys = [3.0, 1.0, 5.0, 2.0, 4.0, 2.5];
-        let mut inc = IncrementalGp::<3>::new();
-        for (x, y) in xs.iter().zip(&ys) {
-            inc.push(*x, *y);
-            if inc.len() < 2 {
-                continue;
-            }
-            let full = GaussianProcess::fit(&xs[..inc.len()], &ys[..inc.len()]);
-            let fast = inc.gp();
-            assert_eq!(fast.length_scale().to_bits(), full.length_scale().to_bits());
-            assert_eq!(fast.alpha.len(), full.alpha.len());
-            for (a, b) in fast.alpha.iter().zip(&full.alpha) {
-                assert_eq!(a.to_bits(), b.to_bits(), "alpha drifted at n={}", inc.len());
-            }
-            for q in [[0.4, 0.4, 0.4], [0.05, 0.9, 0.5]] {
-                let (m1, s1) = fast.predict(&q);
-                let (m2, s2) = full.predict(&q);
-                assert_eq!(m1.to_bits(), m2.to_bits());
-                assert_eq!(s1.to_bits(), s2.to_bits());
+        use crate::space::SearchSpace;
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        for (cores, budget) in [(112usize, 45usize), (64, 25)] {
+            let space = SearchSpace::for_cores(cores);
+            let candidates: Vec<[f64; 3]> = space
+                .configs()
+                .iter()
+                .map(|&c| space.normalize(c))
+                .collect();
+            let mut order: Vec<usize> = (0..space.len()).collect();
+            order.shuffle(&mut SmallRng::seed_from_u64(cores as u64));
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            let mut inc = IncrementalGp::<3>::new(candidates.clone());
+            for &i in &order[..budget] {
+                let c = space.get(i);
+                let (p, s, t) = (c.n_proc as f64, c.n_samp as f64, c.n_train as f64);
+                let y = (1.0 + 0.15 * (p - 6.0).powi(2) + 0.3 * (s - 2.0).powi(2) + 3.0 / t).ln();
+                xs.push(candidates[i]);
+                ys.push(y);
+                inc.push(candidates[i], y);
+                if inc.len() < 2 {
+                    continue;
+                }
+                let oracle = GaussianProcess::fit(&xs, &ys);
+                let posteriors = inc.posteriors();
+                assert_eq!(posteriors.len(), candidates.len());
+                for (q, &(mean, std)) in candidates.iter().zip(posteriors) {
+                    let (m, s) = oracle.predict(q);
+                    let n = xs.len();
+                    assert_eq!(mean.to_bits(), m.to_bits(), "{cores} cores, n={n}, {q:?}");
+                    assert_eq!(std.to_bits(), s.to_bits(), "{cores} cores, n={n}, {q:?}");
+                }
             }
         }
     }

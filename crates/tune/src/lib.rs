@@ -9,9 +9,18 @@
 //! Everything is built from scratch:
 //!
 //! * [`SearchSpace`] — the valid-configuration enumeration (Section V-B);
-//! * [`gp::GaussianProcess`] — Matérn-5/2 GP with Cholesky solves;
-//! * [`acquisition`] — Expected Improvement;
-//! * [`BayesOpt`] — the auto-tuner (random init → fit → argmax EI);
+//! * [`gp::GaussianProcess`] — Matérn-5/2 GP with Cholesky solves, fit and
+//!   queried one point at a time: the small oracle;
+//! * [`gp::IncrementalGp`] — the same posterior, grown by one rank-1
+//!   Cholesky border per observation and asked about a fixed candidate set:
+//!   each observation caches one row of distances to every candidate, and
+//!   [`gp::IncrementalGp::posteriors`] scores the whole set in one pass,
+//!   O(n² · |space|) with the candidate index innermost, every `(mean, std)`
+//!   bitwise equal to the oracle's;
+//! * [`acquisition`] — Expected Improvement (and LCB, PI, greedy mean for
+//!   the ablation);
+//! * [`BayesOpt`] — the auto-tuner (random init → posteriors over the whole
+//!   space → argmax EI);
 //! * [`SimulatedAnnealing`], [`ExhaustiveSearch`] — the comparison baselines
 //!   of Section VI-D (the *Default* baseline is a single fixed config and
 //!   needs no searcher);
