@@ -70,15 +70,25 @@ fn time_rounds<const N: usize>(samples: usize, fs: &mut [&mut dyn FnMut(); N]) -
     rounds
 }
 
+/// Each variant's minimum over `rounds`.
+fn minimums<const N: usize>(rounds: &[[f64; N]]) -> [f64; N] {
+    std::array::from_fn(|i| rounds.iter().map(|t| t[i]).fold(f64::INFINITY, f64::min))
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
+}
+
 /// [`time_min`] of each closure, over [`time_rounds`].
 fn time_min_each<const N: usize>(samples: usize, fs: &mut [&mut dyn FnMut(); N]) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for times in time_rounds(samples, fs) {
-        for (best, t) in best.iter_mut().zip(times) {
-            *best = best.min(t);
-        }
-    }
-    best
+    minimums(&time_rounds(samples, fs))
 }
 
 /// SIMD-vs-scalar floor of the two SpMM gather rows. It was 0.80 while the
@@ -125,27 +135,12 @@ fn time_gated<const N: usize>(
     mut fs: [&mut dyn FnMut(); N],
     floors: [Option<f64>; N],
 ) -> Gated<N> {
-    let gated = |rounds: &[[f64; N]]| -> Gated<N> {
-        let mut min = [f64::INFINITY; N];
-        for times in rounds {
-            for (min, &t) in min.iter_mut().zip(times) {
-                *min = min.min(t);
-            }
-        }
-        let ratio = std::array::from_fn(|i| {
-            if i == 0 {
-                return 1.0;
-            }
-            let mut r: Vec<f64> = rounds.iter().map(|t| t[i - 1] / t[i]).collect();
-            r.sort_by(f64::total_cmp);
-            let mid = r.len() / 2;
-            if r.len().is_multiple_of(2) {
-                (r[mid - 1] + r[mid]) / 2.0
-            } else {
-                r[mid]
-            }
-        });
-        Gated { min, ratio }
+    let gated = |rounds: &[[f64; N]]| Gated {
+        min: minimums(rounds),
+        ratio: std::array::from_fn(|i| match i {
+            0 => 1.0,
+            _ => median(rounds.iter().map(|t| t[i - 1] / t[i]).collect()),
+        }),
     };
     let under = |g: &Gated<N>| (1..N).any(|i| floors[i].is_some_and(|f| g.ratio[i] < f));
     let mut rounds = time_rounds(samples, &mut fs);

@@ -83,8 +83,7 @@ impl BayesOpt {
     fn argmax_ei(&mut self) -> Config {
         // The surrogate already holds every (normalized config, log epoch
         // time) pair — `observe` extends it as results arrive — so this is
-        // one O(n² · |space|) pass over the space rather than an O(n³) refit
-        // and a solve per candidate.
+        // one O(n² · |space|) pass over the space, and no refit.
         let best = self
             .surrogate
             .targets()
